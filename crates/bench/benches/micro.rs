@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use cosmos_bench::fixtures::{
     arrival_sub, batch_round, broad_message, broker_with_broad_subs, broker_with_distinct_subs,
-    broker_with_distinct_subs_bulk, broker_with_subs, checkpointed_engine, churn_link, churn_node,
+    broker_with_subs, checkpointed_engine, churn_link, churn_node, covering_rich_install,
     lossy_broker, recovery_host, scaling_message, scaling_sub, shared_split_queries,
 };
 use cosmos_core::coarsen::coarsen_wholesale;
@@ -281,13 +281,27 @@ fn bench_broker_batch(c: &mut Criterion) {
         })
     });
     let pop = 100_000u64;
-    let mut net = broker_with_distinct_subs_bulk(pop);
+    let mut net = broker_with_distinct_subs(pop);
     let mut group = c.benchmark_group("broker-subscribe-100k");
     group.sample_size(10);
     group.bench_function("subscribe-100k-pop", |bench| {
         bench.iter(|| {
             net.subscribe(arrival_sub(pop));
             net.unsubscribe(SubId(pop));
+        })
+    });
+    group.finish();
+    // The covering-rich arrival shape (`filter-fanout`'s set-up): one
+    // batch install of 12 000 mutually covering subscriptions on a fresh
+    // 496-node overlay. Each iteration rebuilds the fixture (≈ a tenth of
+    // the install); `bench_json` resets it untimed.
+    let mut group = c.benchmark_group("broker-subscribe-batch");
+    group.sample_size(10);
+    group.bench_function("subscribe-batch-12k-covering-rich", |bench| {
+        bench.iter(|| {
+            let (mut net, subs) = covering_rich_install(12_000);
+            net.subscribe_batch(subs);
+            black_box(net.table_len(cosmos_net::NodeId(0)))
         })
     });
     group.finish();

@@ -17,9 +17,9 @@
 
 use cosmos_bench::fixtures::{
     adapt_world, arrival_sub, batch_round, broad_message, broker_with_broad_subs,
-    broker_with_distinct_subs, broker_with_distinct_subs_bulk, broker_with_subs,
-    checkpointed_engine, churn_link, churn_node, lossy_broker, recovery_host, scaling_message,
-    scaling_sub, shared_split_queries, toggle_dirty, ADAPT_SEED,
+    broker_with_distinct_subs, broker_with_subs, checkpointed_engine, churn_link, churn_node,
+    covering_rich_install, lossy_broker, recovery_host, scaling_message, scaling_sub,
+    shared_split_queries, toggle_dirty, ADAPT_SEED,
 };
 use cosmos_core::adaptive::{adapt_wholesale, AdaptConfig};
 use cosmos_core::distribute::Distributor;
@@ -156,17 +156,29 @@ fn bench_broker_subscribe(n_subs: u64, linear: bool) -> f64 {
 }
 
 /// [`bench_broker_subscribe`] at a 100 000-subscription standing
-/// population (bulk-loaded — building it one arrival at a time would
-/// dominate the fixture): the tiered threshold lists bound every install
+/// population: the tiered threshold lists bound every install
 /// probe by run size plus a directory descent, so the per-arrival cost
 /// stays near the 5000-pop point instead of scaling with the population.
 fn bench_broker_subscribe_100k() -> f64 {
     let pop = 100_000u64;
-    let mut net = broker_with_distinct_subs_bulk(pop);
+    let mut net = broker_with_distinct_subs(pop);
     measure(|| {
         net.subscribe(arrival_sub(pop));
         net.unsubscribe(SubId(pop));
     })
+}
+
+/// One batch install of the 12 000 covering-rich subscriptions of
+/// [`covering_rich_install`] on a fresh network per op — the shape the
+/// end-to-end `filter-fanout` set-up spends its time in. The fixture is
+/// rebuilt in the untimed reset.
+fn bench_broker_subscribe_batch_covering_rich() -> f64 {
+    let mut fixture = covering_rich_install(12_000);
+    measure_with_reset(
+        &mut fixture,
+        |(net, subs)| net.subscribe_batch(std::mem::take(subs)),
+        |fixture| *fixture = covering_rich_install(12_000),
+    )
 }
 
 /// A 64-message same-stream batch against the 5000-subscription distinct
@@ -466,6 +478,7 @@ fn main() {
         ("broker/subscribe-5000-pop", || bench_broker_subscribe(5000, false)),
         ("broker/subscribe-5000-pop-linear", || bench_broker_subscribe(5000, true)),
         ("broker/subscribe-100k-pop", bench_broker_subscribe_100k),
+        ("broker/subscribe-batch-12k-covering-rich", bench_broker_subscribe_batch_covering_rich),
         ("broker/publish-batch-64", || bench_broker_publish_batch(5000, false)),
         ("broker/publish-batch-64-serial", || bench_broker_publish_batch(5000, true)),
         ("broker/unsubscribe-5000-pop", || bench_broker_unsubscribe(5000, false)),

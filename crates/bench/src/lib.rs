@@ -228,25 +228,73 @@ pub mod fixtures {
         let topo = TransitStubConfig::small().generate(3);
         let mut net = BrokerNetwork::new(topo);
         net.advertise("R", NodeId(0));
-        for i in 0..n_subs {
-            net.subscribe(arrival_sub(i));
-        }
+        net.subscribe_batch((0..n_subs).map(arrival_sub).collect());
         net
     }
 
-    /// [`broker_with_distinct_subs`] at populations where one-at-a-time
-    /// installation dominates fixture build time: the same pairwise
-    /// non-covering population, bulk-loaded through
-    /// [`BrokerNetwork::subscribe_batch`] (serial-equivalent standing
-    /// state — the batch path shares one skeleton per subscription and
-    /// bulk-builds backfilled covering buckets, but installs in the same
-    /// order with the same outcomes).
-    pub fn broker_with_distinct_subs_bulk(n_subs: u64) -> BrokerNetwork {
-        let topo = TransitStubConfig::small().generate(3);
-        let mut net = BrokerNetwork::new(topo);
-        net.advertise("R", NodeId(0));
-        net.subscribe_batch((0..n_subs).map(arrival_sub).collect());
-        net
+    /// The covering-rich arrival workload behind
+    /// `broker/subscribe-batch-12k-covering-rich`: the end-to-end
+    /// `filter-fanout` benchmark's set-up as a micro row — its 496-node
+    /// overlay (`PaperParams::scaled(0.1)`, 4 sources, 26 processors) and
+    /// its subscription mix (60 % `a = k AND b > t` with `k` cube-skewed
+    /// over 0..10 000, 35 % `b > t AND c <= u`, 5 % `b > t`, thresholds
+    /// leaning selective, 8 projection shapes), each subscriber a random
+    /// processor. Unlike the distinct-point populations above, members
+    /// cover one another constantly, so every install hop resolves real
+    /// skips, prunes and merge drops. Returns the empty advertised
+    /// network and the `n_subs` subscriptions to batch-install on it.
+    pub fn covering_rich_install(n_subs: u64) -> (BrokerNetwork, Vec<Subscription>) {
+        use cosmos_query::{AttrRef, CmpOp, Predicate};
+        use rand::Rng;
+        const SEED: u64 = 0xF17E;
+        const STREAMS: [&str; 4] = ["T0", "T1", "T2", "T3"];
+        const SHAPES: [&[&str]; 8] = [
+            &[],
+            &["a"],
+            &["a", "b"],
+            &["b", "c"],
+            &["a", "b", "c"],
+            &["d"],
+            &["c", "d", "e"],
+            &["a", "e"],
+        ];
+        let topo = cosmos_workload::PaperParams::scaled(0.1).topology.generate(SEED);
+        let dep = cosmos_net::Deployment::assign(topo, STREAMS.len(), 26, SEED);
+        let mut net = BrokerNetwork::new(dep.topology().clone());
+        for (stream, &source) in STREAMS.iter().zip(dep.sources()) {
+            net.advertise(*stream, source);
+        }
+        let mut rng = cosmos_util::rng::rng_for(SEED, "fanout-subs");
+        let skewed = |rng: &mut rand::rngs::StdRng| {
+            let u: f64 = rng.gen_range(0.0..1.0);
+            (10_000.0 * u * u * u) as i64
+        };
+        let procs = dep.processors();
+        let subs = (0..n_subs)
+            .map(|i| {
+                let t = STREAMS[rng.gen_range(0..STREAMS.len())];
+                let projection = match SHAPES[rng.gen_range(0..SHAPES.len())] {
+                    [] => StreamProjection::All,
+                    attrs => StreamProjection::attrs(attrs.iter().copied()),
+                };
+                let cmp = |attr: &str, op: CmpOp, v: i64| Predicate::Cmp {
+                    attr: AttrRef::new(t, attr),
+                    op,
+                    value: Scalar::Int(v),
+                };
+                let b = cmp("b", CmpOp::Gt, 1000 - skewed(&mut rng) / 10);
+                let filters = match rng.gen_range(0..20) {
+                    0..=11 => vec![cmp("a", CmpOp::Eq, skewed(&mut rng)), b],
+                    12..=18 => vec![b, cmp("c", CmpOp::Le, skewed(&mut rng) / 10)],
+                    _ => vec![b],
+                };
+                Subscription::builder(procs[rng.gen_range(0..procs.len())])
+                    .id(SubId(i))
+                    .stream(t, projection, filters)
+                    .build()
+            })
+            .collect();
+        (net, subs)
     }
 
     /// The `len`-message same-stream round behind
@@ -525,6 +573,18 @@ pub mod fixtures {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The covering-rich fixture is `filter-fanout`'s population (32 568
+    /// of its covering confirmations hold, as measured there), and what
+    /// its install costs in covering work is exact: the range union of
+    /// commit 858cd38 attempted 2 691 651 confirmations on it.
+    #[test]
+    fn covering_rich_install_work_is_pinned() {
+        let (mut net, subs) = fixtures::covering_rich_install(12_000);
+        net.subscribe_batch(subs);
+        let stats = net.cover_stats();
+        assert_eq!((stats.attempted, stats.held), (605_572, 32_568));
+    }
 
     #[test]
     fn default_args() {

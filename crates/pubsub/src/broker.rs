@@ -71,7 +71,8 @@
 //! churn) pays for the nodes that actually changed.
 
 use crate::index::{
-    BatchMatchOutput, ForwardInsert, ForwardedSet, MatchOutput, RoutingTable, SubSkeleton,
+    BatchMatchOutput, CoverStats, ForwardInsert, ForwardedSet, InstalledSub, MatchOutput,
+    RoutingTable,
 };
 use crate::snapshot::{FrozenTable, ReaderOutput, RoutingSnapshot, SnapshotReader};
 use crate::subscription::{Message, StreamProjection, SubId, Subscription};
@@ -145,9 +146,11 @@ struct InstallRecord {
     /// Installation sequence number (subscribe order). Routing entries
     /// carry it, so delivery order survives removal and re-installation.
     seq: u64,
-    /// The subscription itself — the ledger is the population store, so
-    /// teardown and wave re-installation never scan a population list.
-    sub: Subscription,
+    /// The subscription itself, in its shared installed form — the ledger
+    /// is the population store, so teardown and wave re-installation
+    /// never scan a population list, and every entry and forwarded-up
+    /// record of a single-source installation shares this very `Arc`.
+    form: Arc<InstalledSub>,
     /// Every `(node, direction)` whose routing table holds an entry this
     /// subscription contributed (`None` = the local delivery entry).
     entries: Vec<(NodeId, Option<NodeId>)>,
@@ -167,10 +170,7 @@ fn routing_covers(general: &Subscription, specific: &Subscription) -> bool {
     if !general.covers(specific) {
         return false;
     }
-    specific.streams.keys().all(|&s| match (general.needs(s), specific.needs(s)) {
-        (Some(g), Some(sp)) => g.covers(&sp),
-        _ => false,
-    })
+    specific.streams.iter().all(|(&s, req)| general.needs(s).is_some_and(|g| g.covers(req.needs())))
 }
 
 /// Distinguishes the broker networks of one process, so thread-local
@@ -295,6 +295,8 @@ pub struct BrokerNetwork {
     /// `*_linear` oracle twin of subscription arrival (see
     /// [`BrokerNetwork::new_linear`]).
     linear_install: bool,
+    /// Covering-resolution work done by every install so far.
+    cover_stats: CoverStats,
     /// Pool of match-output buffers reused across [`BrokerNetwork::forward`]
     /// recursion depths (steady-state publishing allocates nothing here).
     scratch: Vec<MatchOutput>,
@@ -342,6 +344,7 @@ impl BrokerNetwork {
             dependents: HashMap::new(),
             next_seq: 0,
             linear_install: false,
+            cover_stats: CoverStats::default(),
             scratch: Vec::new(),
             batch_pool: Vec::new(),
             batch_scratch: Vec::new(),
@@ -431,124 +434,93 @@ impl BrokerNetwork {
     /// re-subscribing an id that is already live *replaces* the previous
     /// subscription (its installation is torn down first).
     pub fn subscribe(&mut self, sub: Subscription) {
-        if self.records.contains_key(&sub.id) {
-            self.unsubscribe(sub.id);
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.subs_at[sub.subscriber.index()].push(sub.id);
-        self.records.insert(
-            sub.id,
-            InstallRecord {
-                seq,
-                sub: sub.clone(),
-                entries: Vec::new(),
-                forwarded: Vec::new(),
-                depends_on: BTreeSet::new(),
-            },
-        );
-        self.install(sub);
+        self.subscribe_batch(vec![sub]);
     }
 
-    /// Installs a batch of subscriptions — identical, entry for entry and
-    /// sequence for sequence, to calling [`BrokerNetwork::subscribe`] on
-    /// each element in order (covering skips/drops depend on install
-    /// order, so the batch never reorders). The amortization is in the
-    /// skeleton work: each subscription's indexable/residual split is
-    /// derived **once** and reused across every per-source walk (the
-    /// serial path re-derives it per advertised source), and the covering
-    /// buckets the installs grow bulk-load their threshold runs from a
-    /// single sort when they outgrow the scan threshold.
+    /// Installs a batch of subscriptions in order (covering skips/drops
+    /// depend on install order, so the batch never reorders). Each
+    /// subscription's installed form — its indexable/residual split and
+    /// needs — is derived **once** here and shared, by `Arc`, with every
+    /// hop of every per-source walk.
     pub fn subscribe_batch(&mut self, subs: Vec<Subscription>) {
         for sub in subs {
-            if self.records.contains_key(&sub.id) {
-                self.unsubscribe(sub.id);
+            let id = sub.id;
+            if self.records.contains_key(&id) {
+                self.unsubscribe(id);
             }
-            let skel = SubSkeleton::of(&sub);
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.subs_at[sub.subscriber.index()].push(sub.id);
+            self.subs_at[sub.subscriber.index()].push(id);
             self.records.insert(
-                sub.id,
+                id,
                 InstallRecord {
                     seq,
-                    sub: sub.clone(),
+                    form: InstalledSub::new(sub),
                     entries: Vec::new(),
                     forwarded: Vec::new(),
                     depends_on: BTreeSet::new(),
                 },
             );
-            self.install_with(sub, Some(&skel));
+            self.install(id);
         }
     }
 
-    /// Propagates `sub` through the network, recording in its ledger every
-    /// entry and forwarded-up record it contributes and every covering
-    /// dependency its propagation runs into.
-    fn install(&mut self, sub: Subscription) {
-        self.install_with(sub, None);
+    /// Work counters of covering resolution over every install this
+    /// network has run (arrivals and repair waves alike): threshold-list
+    /// slots the counting range walks visited, exact covering
+    /// confirmations attempted, and confirmations that held.
+    /// Deterministic — a function of the operation sequence only — so
+    /// tests pin them exactly.
+    pub fn cover_stats(&self) -> CoverStats {
+        self.cover_stats
     }
 
-    /// [`BrokerNetwork::install`] with an optionally precomputed skeleton
-    /// of the **full** subscription. Each per-source walk restricts the
-    /// subscription to that source's streams, but a skeleton lookup is
-    /// per-stream and the restricted streams are a subset — so the full
-    /// skeleton answers every probe identically and one derivation serves
-    /// all walks.
-    fn install_with(&mut self, sub: Subscription, shared_skel: Option<&SubSkeleton>) {
-        let id = sub.id;
-        let seq = self.records[&id].seq;
+    /// Propagates the ledgered subscription `id` through the network,
+    /// recording in its ledger every entry and forwarded-up record it
+    /// contributes and every covering dependency its propagation runs
+    /// into.
+    fn install(&mut self, id: SubId) {
+        let rec = &self.records[&id];
+        let (seq, full) = (rec.seq, Arc::clone(&rec.form));
+        let sub = full.sub();
         let mut rec_entries: Vec<(NodeId, Option<NodeId>)> = Vec::new();
         let mut rec_forwarded: Vec<(NodeId, NodeId)> = Vec::new();
         // Dependency edges discovered during propagation: `(x, y)` = `x`
         // must re-propagate if `y`'s routing state is torn down.
         let mut deps: Vec<(SubId, SubId)> = Vec::new();
         // Local delivery entry at the subscriber.
-        self.tables[sub.subscriber.index()].insert(sub.clone(), None, seq);
+        self.tables[sub.subscriber.index()].insert(Arc::clone(&full), None, seq);
         rec_entries.push((sub.subscriber, None));
         // Per-stream propagation toward the source.
-        let streams: Vec<Symbol> = sub.streams.keys().copied().collect();
-        let mut per_source: HashMap<NodeId, Vec<Symbol>> = HashMap::new();
-        for s in streams {
-            if let Some(&src) = self.stream_source.get(&s) {
-                per_source.entry(src).or_default().push(s);
+        let mut per_source: BTreeMap<NodeId, Vec<Symbol>> = BTreeMap::new();
+        for s in sub.streams.keys() {
+            if let Some(&src) = self.stream_source.get(s) {
+                per_source.entry(src).or_default().push(*s);
             }
         }
-        let mut sources: Vec<(NodeId, Vec<Symbol>)> = per_source.into_iter().collect();
-        sources.sort_by_key(|(n, _)| *n);
-        for (src, stream_names) in sources {
-            // Restrict the subscription to the streams this source serves.
-            let mut restricted = Subscription {
-                id: sub.id,
-                subscriber: sub.subscriber,
-                streams: Default::default(),
-            };
-            for s in &stream_names {
-                restricted.streams.insert(*s, sub.streams[s].clone());
-            }
-            // One indexable/residual split per source walk: every hop's
-            // skip probe, victim probes and insert reuse it instead of
-            // re-deriving the skeleton (up to three times per hop). A
-            // batch install passes the full subscription's skeleton in
-            // and skips even that per-source derivation.
-            let owned_skel;
-            let skel = match shared_skel {
-                Some(s) => s,
-                None => {
-                    owned_skel = SubSkeleton::of(&restricted);
-                    &owned_skel
-                }
+        for (src, stream_names) in per_source {
+            // Restrict the subscription to the streams this source serves
+            // — one installed form per (subscription, source), shared by
+            // every hop of the walk. A single-source subscription's
+            // restriction is the subscription itself.
+            let form = if stream_names.len() == sub.streams.len() {
+                Arc::clone(&full)
+            } else {
+                InstalledSub::new(Subscription {
+                    id,
+                    subscriber: sub.subscriber,
+                    streams: stream_names.iter().map(|s| (*s, sub.streams[s].clone())).collect(),
+                })
             };
             let Some(path) = self.adv_trees[&src].path_to(sub.subscriber) else {
                 continue; // unreachable subscriber
             };
             // Walk from the subscriber toward the source: path is
             // [src, ..., subscriber]; iterate indices len-2 .. 0.
-            let mut pruned = false;
             for i in (0..path.len().saturating_sub(1)).rev() {
                 let u = path[i];
                 let downstream = path[i + 1];
-                match self.add_forwarding_entry(u, restricted.clone(), skel, downstream, seq) {
+                match self.add_forwarding_entry(u, Arc::clone(&form), downstream, seq) {
                     ForwardInsert::Inserted { dropped } => {
                         rec_entries.push((u, Some(downstream)));
                         for victim in dropped {
@@ -570,23 +542,20 @@ impl BrokerNetwork {
                     }
                 }
                 let fwd = self.forwarded_up[u.index()].entry(src).or_default();
+                let stats = &mut self.cover_stats;
                 let coverer = if self.linear_install {
-                    fwd.find_coverer_linear(&restricted, routing_covers)
+                    fwd.find_coverer_linear(form.sub(), routing_covers, stats)
                 } else {
-                    fwd.find_coverer_with(&restricted, skel, routing_covers)
+                    fwd.find_coverer(&form, routing_covers, stats)
                 };
                 if let Some(cover_id) = coverer {
                     if cover_id != id {
                         deps.push((id, cover_id));
                     }
-                    pruned = true;
-                } else {
-                    fwd.push_with(restricted.clone(), skel);
-                    rec_forwarded.push((u, src));
+                    break; // pruned: something forwarded already covers it
                 }
-                if pruned {
-                    break;
-                }
+                fwd.push(Arc::clone(&form));
+                rec_forwarded.push((u, src));
             }
         }
         // Every table this install touched (inserts, covering drops,
@@ -626,24 +595,24 @@ impl BrokerNetwork {
     fn add_forwarding_entry(
         &mut self,
         node: NodeId,
-        sub: Subscription,
-        skel: &SubSkeleton,
+        form: Arc<InstalledSub>,
         downstream: NodeId,
         seq: u64,
     ) -> ForwardInsert {
         let table = &mut self.tables[node.index()];
+        let stats = &mut self.cover_stats;
         if !self.linear_install {
-            return table.insert_covering_with(sub, skel, downstream, seq, routing_covers);
+            return table.insert_covering(form, downstream, seq, routing_covers, stats);
         }
-        if let Some((e, _)) = table
-            .entries()
-            .find(|(e, to)| *to == Some(downstream) && e.id != sub.id && routing_covers(e, &sub))
-        {
+        let sub = form.sub();
+        if let Some((e, _)) = table.entries().find(|&(e, to)| {
+            to == Some(downstream) && e.id != sub.id && stats.confirm(routing_covers(e, sub))
+        }) {
             return ForwardInsert::Skipped { by: e.id };
         }
-        let dropped =
-            table.remove_toward(downstream, |e| e.id != sub.id && routing_covers(&sub, e));
-        table.insert_with(sub, skel, Some(downstream), seq);
+        let dropped = table
+            .remove_toward(downstream, |e| e.id != sub.id && stats.confirm(routing_covers(sub, e)));
+        table.insert(form, Some(downstream), seq);
         ForwardInsert::Inserted { dropped }
     }
 
@@ -715,13 +684,11 @@ impl BrokerNetwork {
         for &w in wave {
             self.uninstall(w);
         }
-        let mut reinstall: Vec<(u64, Subscription)> = wave
-            .iter()
-            .filter_map(|w| self.records.get(w).map(|r| (r.seq, r.sub.clone())))
-            .collect();
-        reinstall.sort_unstable_by_key(|(seq, _)| *seq);
-        for (_, sub) in reinstall {
-            self.install(sub);
+        let mut reinstall: Vec<(u64, SubId)> =
+            wave.iter().filter_map(|w| self.records.get(w).map(|r| (r.seq, *w))).collect();
+        reinstall.sort_unstable();
+        for (_, id) in reinstall {
+            self.install(id);
         }
     }
 
@@ -729,7 +696,7 @@ impl BrokerNetwork {
     /// routing tables — that is [`BrokerNetwork::uninstall`]'s job).
     fn forget(&mut self, id: SubId) {
         if let Some(rec) = self.records.remove(&id) {
-            self.subs_at[rec.sub.subscriber.index()].retain(|&s| s != id);
+            self.subs_at[rec.form.sub().subscriber.index()].retain(|&s| s != id);
         }
     }
 
@@ -776,16 +743,16 @@ impl BrokerNetwork {
             fwd.clear();
         }
         self.dependents.clear();
-        let mut all: Vec<(u64, Subscription)> = Vec::with_capacity(self.records.len());
-        for rec in self.records.values_mut() {
+        let mut all: Vec<(u64, SubId)> = Vec::with_capacity(self.records.len());
+        for (&id, rec) in &mut self.records {
             rec.entries.clear();
             rec.forwarded.clear();
             rec.depends_on.clear();
-            all.push((rec.seq, rec.sub.clone()));
+            all.push((rec.seq, id));
         }
-        all.sort_unstable_by_key(|(seq, _)| *seq);
-        for (_, sub) in all {
-            self.install(sub);
+        all.sort_unstable();
+        for (_, id) in all {
+            self.install(id);
         }
     }
 
@@ -1111,8 +1078,8 @@ impl BrokerNetwork {
                     };
                     if let Some(needs) = sub.needs(msg.stream) {
                         *union = Some(match union.take() {
-                            None => needs,
-                            Some(u) => u.union(&needs),
+                            None => needs.clone(),
+                            Some(u) => u.union(needs),
                         });
                     }
                 }
@@ -1179,6 +1146,16 @@ impl BrokerNetwork {
         self.tables[node.index()].len()
     }
 
+    /// Live routing entries at `node` in installation order, as
+    /// `(subscription, next hop)` (diagnostics and differential testing:
+    /// a wrong covering skip changes tables before it changes deliveries).
+    pub fn table_entries(
+        &self,
+        node: NodeId,
+    ) -> impl Iterator<Item = (&Subscription, Option<NodeId>)> {
+        self.tables[node.index()].entries()
+    }
+
     /// Verifies the ledger↔table consistency invariant — the contract
     /// the incremental control plane maintains after every operation:
     ///
@@ -1235,7 +1212,10 @@ impl BrokerNetwork {
             });
         }
         for (&id, rec) in &self.records {
-            let n = self.subs_at[rec.sub.subscriber.index()].iter().filter(|&&s| s == id).count();
+            let n = self.subs_at[rec.form.sub().subscriber.index()]
+                .iter()
+                .filter(|&&s| s == id)
+                .count();
             if n != 1 {
                 return Err(format!("subscriber index lists {id} {n} times"));
             }
@@ -1402,7 +1382,7 @@ impl BrokerNetwork {
             stale.push(src);
             for m in &moved {
                 for &id in &self.subs_at[m.index()] {
-                    let sub = &self.records[&id].sub;
+                    let sub = self.records[&id].form.sub();
                     if sub.streams.keys().any(|s| self.stream_source.get(s) == Some(&src)) {
                         roots.insert(id);
                     }
@@ -1485,7 +1465,7 @@ impl BrokerNetwork {
             self.adv_trees.insert(src, fresh);
             for m in &moved {
                 for &id in &self.subs_at[m.index()] {
-                    let sub = &self.records[&id].sub;
+                    let sub = self.records[&id].form.sub();
                     if sub.streams.keys().any(|s| self.stream_source.get(s) == Some(&src)) {
                         roots.insert(id);
                     }
@@ -1616,7 +1596,7 @@ impl BrokerNetwork {
             // per-node index yields exactly the subscribers that re-route.
             for n in &moved {
                 for &id in &self.subs_at[n.index()] {
-                    let sub = &self.records[&id].sub;
+                    let sub = self.records[&id].form.sub();
                     if sub.streams.keys().any(|s| self.stream_source.get(s) == Some(&src)) {
                         roots.insert(id);
                     }

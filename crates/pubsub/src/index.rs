@@ -79,10 +79,7 @@
 //!   and [`TieredList::retain_vals`] sweeps them run-at-a-time when the
 //!   table compacts, merging underfull survivors — but never past the
 //!   split steady state, so a sweep cannot force the next insert to
-//!   immediately re-split. Bulk installs (the broker's batch subscribe
-//!   path) build their runs from a single sort
-//!   ([`TieredList::from_unsorted`]) instead of N point inserts. The
-//!   dense-list semantics are preserved
+//!   immediately re-split. The dense-list semantics are preserved
 //!   exactly — same counting results, same candidate order — which the
 //!   tiered-vs-dense differential suite pins down.
 //! - **Install**: `subscribe`/`add_forwarding_entry` extend every affected
@@ -97,10 +94,11 @@
 //!   per-subscription [`crate::broker::BrokerNetwork`] ledger drives on
 //!   unsubscribe and link failure/recovery. Removal tombstones the entry:
 //!   threshold lists keep stale references that the dead flag neutralizes
-//!   during counting, the affected hop group's needs-union is recomputed
-//!   from its surviving members **only** (no other group is touched), and
-//!   emptied projection classes simply stop being filled. Once tombstones
-//!   dominate ([`tombstones_dominate`]: dead at least matches live, past
+//!   during counting, the affected hop group's needs-union shrinks by the
+//!   departing member's attribute reference counts — O(|needs|), no
+//!   other member or group is touched — and emptied projection classes
+//!   simply stop being filled. Once tombstones dominate
+//!   ([`tombstones_dominate`]: dead at least matches live, past
 //!   a small absolute floor so tiny tables never thrash) the table
 //!   compacts — threshold lists are swept run-at-a-time
 //!   ([`TieredList::retain_vals`]), dead hop groups and emptied
@@ -108,24 +106,34 @@
 //!   preserving each entry's sequence number so observable order never
 //!   changes.
 //!
-//! - **Covering buckets**: installs themselves are sublinear. Every
-//!   forwarding entry joins a per-`(stream, next hop)` [`CoverBucket`]
-//!   keyed by the same indexable `(attribute, operator, threshold)`
-//!   skeleton the counting index extracts. An entry can only cover a
-//!   narrower one when its thresholds are weaker, so both covering
-//!   queries an arrival asks — *"does a same-direction entry cover this
-//!   subscription?"* ([`RoutingTable::insert_covering`]'s skip check) and
-//!   *"which entries does it cover?"* (the merge drop) — binary-search
-//!   sorted threshold lists for a small candidate set (bounded by
-//!   [`coverer_bounds`]' sound over-approximation) and confirm the
-//!   survivors exactly, instead of scanning the table. The buckets share
-//!   the entry tombstone/compaction lifecycle: removal leaves stale slot
+//! - **Covering buckets**: installs themselves are sublinear, and pay for
+//!   what an arrival *changes* rather than for everything it is compared
+//!   against. Every forwarding entry joins a per-`(stream, next hop)`
+//!   [`CoverBucket`] keyed by the same indexable
+//!   `(attribute, operator, threshold)` skeleton the counting index
+//!   extracts. An entry can only cover a narrower one when its thresholds
+//!   are weaker, so both covering queries an arrival asks — *"does a
+//!   same-direction entry cover this subscription?"*
+//!   ([`RoutingTable::insert_covering`]'s skip check) and *"which entries
+//!   does it cover?"* (the merge drop) — binary-search sorted threshold
+//!   lists for the ranges [`coverer_bounds`] allows and **count** over
+//!   them, the match index's counting algorithm run in reverse: a member
+//!   can cover the probe only if *every* comparison it carries falls in
+//!   range (its hit count reaches its comparison count), and the probe
+//!   can cover a member only if *every* probe comparison finds one of the
+//!   member's in range (a per-probe-comparison mask). Only those
+//!   survivors — a superset of the answer, a sliver of the union of
+//!   everything any single comparison touches — are confirmed exactly, in
+//!   slot order, instead of scanning the table. The buckets share the
+//!   entry tombstone/compaction lifecycle: removal leaves stale slot
 //!   references that the dead flag neutralizes during candidate
 //!   filtering, and compaction rebuilds the buckets dense alongside the
 //!   threshold lists. [`ForwardedSet`] applies the same structure to the
 //!   broker's forwarded-up prune state, and both keep their reference
 //!   linear scans as oracle twins (the broker's `new_linear` mode) —
 //!   answers are bit-identical, candidates are merely fewer.
+//!   [`CoverStats`] counts the work: list slots visited, confirmations
+//!   attempted, confirmations that held.
 //!
 //! Wholesale rebuilds still exist, but only as the *differential oracle*:
 //! the broker's `*_wholesale` maintenance hooks clear and re-install
@@ -159,29 +167,33 @@
 //! remapped in original order so `(seq, slot)` candidate ordering (and
 //! therefore delivery order) is preserved bit-for-bit — and *all* match
 //! scratch moves into per-reader state
-//! ([`crate::snapshot::SnapshotReader`]). Install-time helpers take a
-//! precomputed [`SubSkeleton`] (the per-stream indexable/residual split)
-//! so one source walk derives each stream's skeleton once instead of
-//! re-splitting at every hop for the skip probe, the victim probes and
-//! the insert.
+//! ([`crate::snapshot::SnapshotReader`]). Install-time helpers take an
+//! `Arc`-shared [`InstalledSub`] — the subscription with its per-stream
+//! indexable/residual split — so one installation derives each stream's
+//! skeleton once and every hop's skip probe, victim probes, insert and
+//! later compaction reuse it, holding the form by refcount instead of by
+//! deep copy.
 
 use crate::snapshot::{
     FrozenAction, FrozenHop, FrozenLists, FrozenMember, FrozenPartition, FrozenTable,
 };
-use crate::subscription::{CachedProjection, Message, StreamProjection, SubId, Subscription};
+use crate::subscription::{
+    CachedProjection, Message, StreamProjection, StreamRequest, SubId, Subscription,
+};
 use crate::tiered::{tombstones_dominate, TieredList};
 use cosmos_net::NodeId;
 use cosmos_query::compiled::{eval_compiled, CompiledPredicate, IndexOperand, IndexableCmp};
 use cosmos_query::containment::coverer_bounds;
 use cosmos_query::CmpOp;
 use cosmos_util::Symbol;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
-/// One installed routing entry: a subscription plus its forwarding
-/// direction (`None` = deliver locally at this node).
+/// One installed routing entry: a subscription's shared installed form
+/// plus its forwarding direction (`None` = deliver locally at this node).
 #[derive(Debug, Clone)]
 struct Entry {
-    sub: Subscription,
+    form: Arc<InstalledSub>,
     to: Option<NodeId>,
     /// The owning subscription's installation sequence number. Local
     /// deliveries are emitted in ascending `seq`, so re-installing an
@@ -197,11 +209,85 @@ struct Entry {
 #[derive(Debug)]
 struct HopGroup {
     to: NodeId,
-    /// Union of `Subscription::needs` over live members, with a cached
+    /// Union of [`StreamRequest::needs`] over live members, with a cached
     /// per-input-schema projection plan.
     union: CachedProjection,
+    /// How many live members need each attribute, and how many need
+    /// `All`: a departing member shrinks the union in O(|needs|) instead
+    /// of a rescan of the partition.
+    attr_refs: BTreeMap<Symbol, u32>,
+    all_refs: u32,
     /// Last epoch in which a member of this group matched.
     epoch: u64,
+}
+
+impl HopGroup {
+    /// A group with no members yet. An empty group keeps an empty union;
+    /// it can never be marked matched (no member bumps it), and
+    /// compaction eventually drops it.
+    fn new(to: NodeId) -> Self {
+        Self {
+            to,
+            union: CachedProjection::new(StreamProjection::Attrs(BTreeSet::new())),
+            attr_refs: BTreeMap::new(),
+            all_refs: 0,
+            epoch: 0,
+        }
+    }
+
+    fn add(&mut self, needs: &StreamProjection) {
+        let mut grew = false;
+        match needs {
+            StreamProjection::All => {
+                grew = self.all_refs == 0;
+                self.all_refs += 1;
+            }
+            StreamProjection::Attrs(attrs) => {
+                for &a in attrs {
+                    let n = self.attr_refs.entry(a).or_insert(0);
+                    grew |= *n == 0;
+                    *n += 1;
+                }
+                grew &= self.all_refs == 0;
+            }
+        }
+        if grew {
+            self.rebuild_union();
+        }
+    }
+
+    /// Withdraws the needs of a member [`HopGroup::add`]ed earlier.
+    fn remove(&mut self, needs: &StreamProjection) {
+        let mut shrank = false;
+        match needs {
+            StreamProjection::All => {
+                self.all_refs -= 1;
+                shrank = self.all_refs == 0;
+            }
+            StreamProjection::Attrs(attrs) => {
+                for a in attrs {
+                    let n = self.attr_refs.get_mut(a).expect("removed member was added");
+                    *n -= 1;
+                    if *n == 0 {
+                        self.attr_refs.remove(a);
+                        shrank = true;
+                    }
+                }
+                shrank &= self.all_refs == 0;
+            }
+        }
+        if shrank {
+            self.rebuild_union();
+        }
+    }
+
+    fn rebuild_union(&mut self) {
+        self.union = CachedProjection::new(if self.all_refs > 0 {
+            StreamProjection::All
+        } else {
+            StreamProjection::Attrs(self.attr_refs.keys().copied().collect())
+        });
+    }
 }
 
 /// A projection class: all local-delivery members of one stream partition
@@ -229,16 +315,19 @@ enum MemberAction {
 /// One `(entry, stream)` pair in a stream partition.
 #[derive(Debug)]
 struct Member {
-    /// Slot of the owning entry in `RoutingTable::entries`.
-    entry: u32,
     /// The owning entry's installation sequence number, cached here so
     /// ordering candidates never chases the entry indirection on the
     /// match hot path.
     seq: u64,
     /// Number of indexable predicates that must be satisfied.
     target: u32,
-    /// Predicates evaluated only when the indexable prefix passed.
-    residual: Vec<CompiledPredicate>,
+    /// Where a `target == 0` member sits in its partition's
+    /// `zero_target` list (kept current by swap-removal), so leaving it
+    /// is O(1).
+    zero_slot: u32,
+    /// Predicates evaluated only when the indexable prefix passed (shared
+    /// with the entry's [`InstalledSub`]).
+    residual: Arc<[CompiledPredicate]>,
     /// Satisfied-predicate counter, valid when `epoch` is current.
     count: u32,
     epoch: u64,
@@ -376,227 +465,335 @@ fn norm(t: f64) -> f64 {
     }
 }
 
-/// A subscription's per-stream indexable/residual split, computed once
-/// and threaded through an install walk. `insert`, `insert_covering` and
-/// the forwarded-set covering queries all consume the same split
-/// ([`crate::subscription::StreamRequest::split_for_index`]); without
-/// this, a multi-hop installation re-derived it up to three times per
-/// hop (skip probe, victim probes, insert).
-#[derive(Debug, Clone)]
-pub struct SubSkeleton {
-    /// `(stream, indexable comparisons, residual predicates)` in the
-    /// subscription's stream order.
-    streams: Vec<(Symbol, Vec<IndexableCmp>, Vec<CompiledPredicate>)>,
+/// The immutable installed form of one subscription as one source's
+/// dissemination tree carries it: the subscription restricted to that
+/// source's streams plus its per-stream indexable/residual split
+/// ([`StreamRequest::split_for_index`]), derived once. The broker's
+/// ledger, every hop's routing entry and every forwarded-up record of the
+/// installation hold the same `Arc`, so a hop costs a refcount bump
+/// instead of a deep copy and nothing re-derives the split — not the skip
+/// probe, the victim probes or the insert, and not compaction either.
+#[derive(Debug)]
+pub struct InstalledSub {
+    sub: Subscription,
+    /// `(indexable comparisons, residual predicates)` per stream, in
+    /// `sub.streams` order.
+    skeleton: Vec<(Vec<IndexableCmp>, Arc<[CompiledPredicate]>)>,
 }
 
-impl SubSkeleton {
+impl InstalledSub {
     /// Splits every stream of `sub` once.
-    pub fn of(sub: &Subscription) -> Self {
-        Self {
-            streams: sub
-                .streams
-                .iter()
-                .map(|(&s, req)| {
-                    let (indexable, residual) = req.split_for_index(s);
-                    (s, indexable, residual)
-                })
-                .collect(),
-        }
+    pub fn new(sub: Subscription) -> Arc<Self> {
+        let skeleton = sub
+            .streams
+            .iter()
+            .map(|(&s, req)| {
+                let (indexable, residual) = req.split_for_index(s);
+                (indexable, residual.into())
+            })
+            .collect();
+        Arc::new(Self { sub, skeleton })
     }
 
-    /// The precomputed split for one stream. Subscriptions request a
-    /// handful of streams, so a linear find beats a map here.
-    fn get(&self, stream: Symbol) -> Option<(&[IndexableCmp], &[CompiledPredicate])> {
-        self.streams
-            .iter()
-            .find(|(s, _, _)| *s == stream)
-            .map(|(_, i, r)| (i.as_slice(), r.as_slice()))
+    /// The subscription this form installs.
+    pub fn sub(&self) -> &Subscription {
+        &self.sub
     }
+
+    /// Each stream with its request and precomputed split.
+    fn streams(
+        &self,
+    ) -> impl Iterator<Item = (Symbol, &StreamRequest, &[IndexableCmp], &Arc<[CompiledPredicate]>)>
+    {
+        self.sub.streams.iter().zip(&self.skeleton).map(|((&s, req), (i, r))| (s, req, &i[..], r))
+    }
+
+    /// The indexable comparisons on one stream (none when the stream is
+    /// not requested). Subscriptions request a handful of streams, so a
+    /// linear find beats a map here.
+    fn indexable(&self, stream: Symbol) -> &[IndexableCmp] {
+        self.streams().find(|&(s, ..)| s == stream).map_or(&[], |(_, _, i, _)| i)
+    }
+}
+
+/// Deterministic work counters of covering resolution: what an arrival
+/// *did*, independent of the host it ran on. Exact under a seed, so tests
+/// pin them as constants (see [`crate::broker::BrokerNetwork::cover_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoverStats {
+    /// Threshold-list slots the counting range walks visited.
+    pub visited: u64,
+    /// Exact covering confirmations attempted on candidates.
+    pub attempted: u64,
+    /// Confirmations that held (a skip, a prune or a drop).
+    pub held: u64,
+}
+
+impl CoverStats {
+    /// Records the outcome of one exact confirmation and passes it on.
+    pub(crate) fn confirm(&mut self, held: bool) -> bool {
+        self.attempted += 1;
+        self.held += u64::from(held);
+        held
+    }
+}
+
+/// One member of a [`CoverBucket`], with its epoch-stamped hit counter
+/// (no per-query reset — the same device as the match index's members).
+#[derive(Debug)]
+struct CoverMember {
+    /// Caller-defined slot (routing-table entry id, forwarded-set record
+    /// index).
+    slot: u32,
+    /// How many indexable comparisons the member carries, duplicates
+    /// included. Each non-NaN one is one threshold-list reference; a NaN
+    /// one (unsatisfiable, implied by nothing) is none, so a member
+    /// carrying one can never be counted up to a coverer — as it must not.
+    comparisons: u32,
+    /// Valid when `epoch` is the bucket's current one.
+    hits: u32,
+    epoch: u64,
 }
 
 /// Covering-candidate index over the subscriptions of one
 /// `(stream, direction)` bucket, keyed by the indexable
 /// `(attribute, operator, threshold)` skeleton
 /// ([`CompiledPredicate::indexable_for`] via
-/// [`crate::subscription::StreamRequest::split_for_index`]).
+/// [`StreamRequest::split_for_index`]).
 ///
 /// An entry can only cover a narrower one when its thresholds are weaker,
 /// so both covering queries reduce to binary-searched ranges over sorted
-/// threshold lists — a *candidate* set that the exact covering check then
-/// confirms (the range bounds are [`coverer_bounds`]' sound
-/// over-approximation):
+/// threshold lists, and both *count* over those ranges — Siena's counting
+/// algorithm, the one the match index runs per message, run per arrival —
+/// so that only members consistent with the whole probe reach the exact
+/// covering check (the range bounds are [`coverer_bounds`]' sound
+/// over-approximation, so survivors are a superset of the answer):
 ///
-/// - **"Who covers this subscription?"** — the loose members (no usable
-///   comparison: nothing constrains them away) plus, per probe attribute,
-///   the prefix of weaker lower bounds, the suffix of weaker upper
-///   bounds, and the equal range of matching point constraints.
-/// - **"Whom does this subscription cover?"** — anchored on the probe's
-///   first comparison: a covered member must carry a comparison on the
-///   same attribute at least as strong, so the complementary range of the
-///   same lists applies.
+/// - **"Who covers this subscription?"** — a coverer's *every*
+///   comparison must be implied by the probe, so each must fall inside the
+///   probe's ranges on its attribute: the prefix of weaker lower bounds,
+///   the suffix of weaker upper bounds, the equal range of matching point
+///   constraints. Walking those ranges bumps a per-member hit counter; the
+///   candidates are the members whose count reaches their comparison
+///   count, plus the loose members (no comparison: nothing constrains
+///   them away).
+/// - **"Whom does this subscription cover?"** — *every* probe
+///   comparison must be implied by some comparison the covered member
+///   carries on the same attribute, at least as strong: the complementary
+///   range of the same lists. The probe's comparisons are walked in turn
+///   and a member stays a candidate only while each one hits it — a
+///   per-probe-comparison mask, kept as the length of the hit prefix.
 ///
-/// Slots are caller-defined (routing-table entry ids, forwarded-set
-/// record indices). The bucket never removes: dead slots are filtered by
-/// the caller's liveness check and disappear when the owner compacts —
-/// the same tombstone/compaction lifecycle as the counting match index.
+/// Slots are caller-defined. Each query sorts its survivors — never the
+/// raw range union — so callers confirm in slot order. The bucket never
+/// removes: dead
+/// slots are filtered by the caller's liveness check and disappear when
+/// the owner compacts — the same tombstone/compaction lifecycle as the
+/// counting match index.
 #[derive(Debug, Default)]
 struct CoverBucket {
-    /// Sorted `(threshold, slot)` lists per indexable `(operand, op)`
-    /// pair: every usable comparison of every member (NaN thresholds are
-    /// unsatisfiable and imply nothing, so they never enter a list).
+    /// Sorted `(threshold, member)` lists per indexable `(operand, op)`
+    /// pair: every comparison of every member, except NaN thresholds
+    /// (unsatisfiable, so they imply nothing and nothing implies them).
     /// Tiered like the counting index's lists, so inserting into a huge
     /// bucket memmoves at most one run. Populated only once the bucket
     /// is `built`.
     comps: HashMap<(IndexOperand, CmpOp), TieredList>,
-    /// Members with no usable indexable comparison on the bucket's stream
-    /// (filter-free or residual-only): always coverer candidates.
+    /// Slots of the members with no indexable comparison on the bucket's
+    /// stream (filter-free or residual-only): always coverer candidates.
     /// Populated only once the bucket is `built`.
     loose: Vec<u32>,
-    /// Every member slot, in insertion order — the victim candidate set
-    /// when the probing subscription carries no indexable comparison,
-    /// and the whole candidate set while the bucket is small.
-    members: Vec<u32>,
+    /// Every member, in insertion order — the victim
+    /// candidate set when the probing subscription carries no indexable
+    /// comparison, and the whole candidate set while the bucket is small.
+    members: Vec<CoverMember>,
     /// Whether the threshold lists exist. Small buckets are scanned
     /// whole (see [`COVER_SCAN_SMALL`]), so owners defer building the
     /// lists until the bucket outgrows the threshold — covering-dense
     /// populations, whose merges keep every bucket tiny, then pay no
     /// skeleton upkeep at all.
     built: bool,
+    /// Current query epoch of the members' hit counters.
+    epoch: u64,
 }
 
 impl CoverBucket {
     fn insert(&mut self, slot: u32, comps: &[IndexableCmp]) {
-        self.members.push(slot);
-        let mut usable = false;
-        for c in comps {
-            if c.threshold.is_nan() {
-                continue;
-            }
-            usable = true;
-            self.comps.entry((c.operand, c.op)).or_default().insert(norm(c.threshold), slot);
-        }
-        if !usable {
-            self.loose.push(slot);
-        }
-    }
-
-    /// Backfills the threshold lists from the staged member set in one
-    /// pass (the owner's lazy build at [`COVER_SCAN_SMALL`]): comparisons
-    /// are collected per `(operand, op)` key and each list is bulk-loaded
-    /// run-at-a-time from a single sort instead of N point inserts.
-    /// Candidate queries sort and dedup before confirming, so the
-    /// equal-threshold order difference from point inserts is unobservable.
-    fn bulk_build(&mut self, staged: Vec<(u32, Vec<IndexableCmp>)>) {
-        let mut lists: HashMap<(IndexOperand, CmpOp), Vec<(f64, u32)>> = HashMap::new();
-        for (slot, comps) in staged {
-            self.members.push(slot);
-            let mut usable = false;
-            for c in &comps {
-                if c.threshold.is_nan() {
-                    continue;
-                }
-                usable = true;
-                lists.entry((c.operand, c.op)).or_default().push((norm(c.threshold), slot));
-            }
-            if !usable {
+        let member = u32::try_from(self.members.len()).expect("cover bucket overflow");
+        if self.built {
+            if comps.is_empty() {
                 self.loose.push(slot);
             }
+            for c in comps.iter().filter(|c| !c.threshold.is_nan()) {
+                self.comps.entry((c.operand, c.op)).or_default().insert(norm(c.threshold), member);
+            }
         }
-        for (key, items) in lists {
-            self.comps.insert(key, TieredList::from_unsorted(items));
+        let comparisons = u32::try_from(comps.len()).expect("filter count overflow");
+        self.members.push(CoverMember { slot, comparisons, hits: 0, epoch: 0 });
+    }
+
+    /// Replaces the staged member set by `live` and builds the threshold
+    /// lists over it (the owner's lazy build at [`COVER_SCAN_SMALL`]).
+    fn build<'a>(&mut self, live: impl Iterator<Item = (u32, &'a [IndexableCmp])>) {
+        self.built = true;
+        self.members.clear();
+        for (slot, comps) in live {
+            self.insert(slot, comps);
         }
     }
 
-    /// Appends every slot that could cover a subscription whose
-    /// comparisons on this stream are `probe` (a superset — callers
-    /// confirm candidates with the exact covering check).
-    fn coverer_candidates(&self, probe: &[IndexableCmp], out: &mut Vec<u32>) {
-        out.extend_from_slice(&self.loose);
-        let mut operands: Vec<IndexOperand> = Vec::new();
-        for c in probe {
-            if !operands.contains(&c.operand) {
-                operands.push(c.operand);
-            }
+    /// Appends to `out` every slot that could cover a subscription whose
+    /// comparisons on this stream are `probe`, in ascending order (a
+    /// superset — callers confirm candidates with the exact covering
+    /// check).
+    fn coverer_candidates(
+        &mut self,
+        probe: &[IndexableCmp],
+        out: &mut Vec<u32>,
+        stats: &mut CoverStats,
+    ) {
+        if !self.built {
+            out.extend(self.members.iter().map(|m| m.slot));
+            return;
         }
-        let collect = |run: &[(f64, u32)], out: &mut Vec<u32>| {
-            out.extend(run.iter().map(|&(_, s)| s));
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let start = out.len();
+        out.extend_from_slice(&self.loose);
+        let Self { comps, members, .. } = self;
+        let mut visited = 0;
+        // Each list reference is visited at most once per query, so a
+        // member is pushed exactly when its last comparison is hit.
+        let mut bump = |run: &[(f64, u32)]| {
+            visited += run.len() as u64;
+            for &(_, m) in run {
+                let member = &mut members[m as usize];
+                if member.epoch != epoch {
+                    member.epoch = epoch;
+                    member.hits = 0;
+                }
+                member.hits += 1;
+                if member.hits == member.comparisons {
+                    out.push(member.slot);
+                }
+            }
         };
-        for operand in operands {
+        for (i, c) in probe.iter().enumerate() {
+            let operand = c.operand;
+            if probe[..i].iter().any(|p| p.operand == operand) {
+                continue; // walked with its first comparison
+            }
             let bounds = coverer_bounds(
                 probe.iter().filter(|c| c.operand == operand).map(|c| (c.op, c.threshold)),
             );
             if let Some(u) = bounds.lower_max {
                 let u = norm(u);
                 for op in [CmpOp::Gt, CmpOp::Ge] {
-                    if let Some(list) = self.comps.get(&(operand, op)) {
-                        list.for_prefix(|t| t.total_cmp(&u).is_le(), |run| collect(run, out));
+                    if let Some(list) = comps.get(&(operand, op)) {
+                        list.for_prefix(|t| t.total_cmp(&u).is_le(), &mut bump);
                     }
                 }
             }
             if let Some(l) = bounds.upper_min {
                 let l = norm(l);
                 for op in [CmpOp::Lt, CmpOp::Le] {
-                    if let Some(list) = self.comps.get(&(operand, op)) {
-                        list.for_suffix(|t| t.total_cmp(&l).is_ge(), |run| collect(run, out));
+                    if let Some(list) = comps.get(&(operand, op)) {
+                        list.for_suffix(|t| t.total_cmp(&l).is_ge(), &mut bump);
                     }
                 }
             }
-            if let Some(list) = self.comps.get(&(operand, CmpOp::Eq)) {
-                for &v in &bounds.eq_values {
+            if let Some(list) = comps.get(&(operand, CmpOp::Eq)) {
+                for (j, &v) in bounds.eq_values.iter().enumerate() {
+                    if bounds.eq_values[..j].contains(&v) {
+                        continue; // a repeated point constraint: one walk
+                    }
                     let v = norm(v);
                     list.for_eq(
                         |t| t.total_cmp(&v).is_lt(),
                         |t| t.total_cmp(&v).is_le(),
-                        |run| collect(run, out),
+                        &mut bump,
                     );
                 }
             }
         }
+        stats.visited += visited;
+        out[start..].sort_unstable();
     }
 
-    /// Appends every slot the probing subscription could cover, anchored
-    /// on the probe's first usable comparison. With no usable comparison
-    /// the whole bucket is a candidate — output-sensitive rather than
-    /// sublinear, but a filterless coverer drops nearly everything it
-    /// touches anyway, leaving the bucket small afterwards.
-    fn covered_candidates(&self, probe: &[IndexableCmp], out: &mut Vec<u32>) {
+    /// Appends to `out` every slot the probing subscription could
+    /// cover, in ascending order. With no
+    /// comparison the whole bucket is a candidate — output-sensitive
+    /// rather than sublinear, but a filterless coverer drops nearly
+    /// everything it touches anyway, leaving the bucket small afterwards.
+    fn covered_candidates(
+        &mut self,
+        probe: &[IndexableCmp],
+        out: &mut Vec<u32>,
+        stats: &mut CoverStats,
+    ) {
+        if !self.built || probe.is_empty() {
+            out.extend(self.members.iter().map(|m| m.slot));
+            return;
+        }
         if probe.iter().any(|c| c.threshold.is_nan()) {
             return; // an unsatisfiable comparison is implied by nothing
         }
-        let Some(c0) = probe.first() else {
-            out.extend_from_slice(&self.members);
-            return;
-        };
-        let t = norm(c0.threshold);
-        let collect = |run: &[(f64, u32)], out: &mut Vec<u32>| {
-            out.extend(run.iter().map(|&(_, s)| s));
-        };
-        match c0.op {
-            CmpOp::Gt | CmpOp::Ge => {
-                for op in [CmpOp::Gt, CmpOp::Ge, CmpOp::Eq] {
-                    if let Some(list) = self.comps.get(&(c0.operand, op)) {
-                        list.for_suffix(|x| x.total_cmp(&t).is_ge(), |run| collect(run, out));
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let start = out.len();
+        let Self { comps, members, .. } = self;
+        let last = probe.len() as u32 - 1;
+        let mut visited = 0;
+        for (j, c) in (0u32..).zip(probe) {
+            // `hits` is the number of leading probe comparisons that hit
+            // the member; only members every earlier one hit advance.
+            let mut advanced = false;
+            let mut step = |run: &[(f64, u32)]| {
+                visited += run.len() as u64;
+                for &(_, m) in run {
+                    let member = &mut members[m as usize];
+                    if j == 0 && member.epoch != epoch {
+                        member.epoch = epoch;
+                        member.hits = 0;
+                    }
+                    if member.epoch == epoch && member.hits == j {
+                        member.hits = j + 1;
+                        advanced = true;
+                        if j == last {
+                            out.push(member.slot);
+                        }
                     }
                 }
-            }
-            CmpOp::Lt | CmpOp::Le => {
-                for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Eq] {
-                    if let Some(list) = self.comps.get(&(c0.operand, op)) {
-                        list.for_prefix(|x| x.total_cmp(&t).is_le(), |run| collect(run, out));
+            };
+            let t = norm(c.threshold);
+            let ops: &[CmpOp] = match c.op {
+                CmpOp::Gt | CmpOp::Ge => &[CmpOp::Gt, CmpOp::Ge, CmpOp::Eq],
+                CmpOp::Lt | CmpOp::Le => &[CmpOp::Lt, CmpOp::Le, CmpOp::Eq],
+                CmpOp::Eq => &[CmpOp::Eq],
+                CmpOp::Ne => unreachable!("Ne is never indexable"),
+            };
+            for &op in ops {
+                let Some(list) = comps.get(&(c.operand, op)) else { continue };
+                match c.op {
+                    CmpOp::Gt | CmpOp::Ge => {
+                        list.for_suffix(|x| x.total_cmp(&t).is_ge(), &mut step)
                     }
-                }
-            }
-            CmpOp::Eq => {
-                if let Some(list) = self.comps.get(&(c0.operand, CmpOp::Eq)) {
-                    list.for_eq(
+                    CmpOp::Lt | CmpOp::Le => {
+                        list.for_prefix(|x| x.total_cmp(&t).is_le(), &mut step)
+                    }
+                    _ => list.for_eq(
                         |x| x.total_cmp(&t).is_lt(),
                         |x| x.total_cmp(&t).is_le(),
-                        |run| collect(run, out),
-                    );
+                        &mut step,
+                    ),
                 }
             }
-            CmpOp::Ne => unreachable!("Ne is never indexable"),
+            if !advanced {
+                break; // nobody carries this comparison: nothing to cover
+            }
         }
+        stats.visited += visited;
+        out[start..].sort_unstable();
     }
 }
 
@@ -623,9 +820,9 @@ pub enum ForwardInsert {
 /// The forwarded-up set of one `(node, source)` pair: the subscriptions
 /// already propagated toward that source, with per-stream
 /// covering buckets so the prune check — "does anything already forwarded
-/// cover this subscription?" — binary-searches threshold skeletons
-/// instead of scanning the population. Same tombstone/compaction
-/// lifecycle as the routing table; the linear scan survives as
+/// cover this subscription?" — counts over threshold skeletons instead of
+/// scanning the population. Same tombstone/compaction lifecycle as the
+/// routing table; the linear scan survives as
 /// [`ForwardedSet::find_coverer_linear`], the oracle twin.
 #[derive(Debug, Default)]
 pub struct ForwardedSet {
@@ -647,17 +844,28 @@ pub struct ForwardedSet {
 
 #[derive(Debug)]
 struct ForwardedRec {
-    sub: Subscription,
+    form: Arc<InstalledSub>,
     dead: bool,
 }
 
+impl ForwardedRec {
+    /// This record's id when it is live, not `sub`'s own, and covers it.
+    fn coverer_of<F>(&self, sub: &Subscription, covers: F, stats: &mut CoverStats) -> Option<SubId>
+    where
+        F: Fn(&Subscription, &Subscription) -> bool,
+    {
+        let general = &self.form.sub;
+        (!self.dead && general.id != sub.id && stats.confirm(covers(general, sub)))
+            .then_some(general.id)
+    }
+}
+
 impl ForwardedSet {
-    fn bucket_insert(buckets: &mut HashMap<Symbol, CoverBucket>, slot: u32, sub: &Subscription) {
-        for (&s, req) in &sub.streams {
-            let (indexable, _) = req.split_for_index(s);
+    fn bucket_insert(buckets: &mut HashMap<Symbol, CoverBucket>, slot: u32, form: &InstalledSub) {
+        for (s, _, indexable, _) in form.streams() {
             let bucket = buckets.entry(s).or_default();
             bucket.built = true;
-            bucket.insert(slot, &indexable);
+            bucket.insert(slot, indexable);
         }
     }
 
@@ -666,92 +874,72 @@ impl ForwardedSet {
     /// the per-set mirror of `RoutingTable::insert`'s per-bucket policy;
     /// the gate counts raw records, tombstones included, matching the
     /// `find_coverer` shortcut's gate).
-    pub fn push(&mut self, sub: Subscription) {
-        let skel = SubSkeleton::of(&sub);
-        self.push_with(sub, &skel);
-    }
-
-    /// [`ForwardedSet::push`] with the caller's precomputed skeleton.
-    pub fn push_with(&mut self, sub: Subscription, skel: &SubSkeleton) {
+    pub fn push(&mut self, form: Arc<InstalledSub>) {
         let slot = u32::try_from(self.records.len()).expect("forwarded set overflow");
         if !self.built && self.records.len() >= COVER_SCAN_SMALL {
             self.built = true;
             for (i, rec) in self.records.iter().enumerate() {
                 if !rec.dead {
-                    Self::bucket_insert(&mut self.buckets, i as u32, &rec.sub);
+                    Self::bucket_insert(&mut self.buckets, i as u32, &rec.form);
                 }
             }
         }
         if self.built {
-            for &s in sub.streams.keys() {
-                let indexable = skel.get(s).map(|(i, _)| i).unwrap_or(&[]);
-                let bucket = self.buckets.entry(s).or_default();
-                bucket.built = true;
-                bucket.insert(slot, indexable);
-            }
+            Self::bucket_insert(&mut self.buckets, slot, &form);
         }
-        self.slots_of.entry(sub.id).or_default().push(slot);
-        self.records.push(ForwardedRec { sub, dead: false });
+        self.slots_of.entry(form.sub.id).or_default().push(slot);
+        self.records.push(ForwardedRec { form, dead: false });
     }
 
-    /// The first live record covering `sub` (insertion order — identical
-    /// to the linear twin's answer), via the covering buckets; a coverer
-    /// must request every stream of `sub`, so the first stream's bucket
-    /// already contains all possible coverers. `covers(general,
-    /// specific)` confirms candidates. A record never covers its own id.
-    pub fn find_coverer<F>(&mut self, sub: &Subscription, covers: F) -> Option<SubId>
-    where
-        F: Fn(&Subscription, &Subscription) -> bool,
-    {
-        let skel = SubSkeleton::of(sub);
-        self.find_coverer_with(sub, &skel, covers)
-    }
-
-    /// [`ForwardedSet::find_coverer`] with the caller's precomputed
-    /// skeleton.
-    pub fn find_coverer_with<F>(
+    /// The first live record covering `form`'s subscription (insertion
+    /// order — identical to the linear twin's answer), via the covering
+    /// buckets; a coverer must request every stream of the subscription,
+    /// so the first stream's bucket already contains all possible
+    /// coverers. `covers(general, specific)` confirms candidates. A
+    /// record never covers its own id.
+    pub fn find_coverer<F>(
         &mut self,
-        sub: &Subscription,
-        skel: &SubSkeleton,
+        form: &InstalledSub,
         covers: F,
+        stats: &mut CoverStats,
     ) -> Option<SubId>
     where
         F: Fn(&Subscription, &Subscription) -> bool,
     {
+        let sub = &form.sub;
         if !self.built {
             // Covering pruning keeps most forwarded sets tiny; scanning
             // them beats the skeleton machinery (identical answer).
-            return self.find_coverer_linear(sub, covers);
+            return self.find_coverer_linear(sub, covers, stats);
         }
-        let Some((&s0, _)) = sub.streams.iter().next() else {
+        let Some((s0, _, probe, _)) = form.streams().next() else {
             // A stream-free subscription is vacuously covered by anything
             // live; only the linear scan can answer for it.
-            return self.find_coverer_linear(sub, covers);
+            return self.find_coverer_linear(sub, covers, stats);
         };
-        let bucket = self.buckets.get(&s0)?;
+        let bucket = self.buckets.get_mut(&s0)?;
         let mut candidates = std::mem::take(&mut self.scratch);
         candidates.clear();
-        let probe = skel.get(s0).map(|(i, _)| i).unwrap_or(&[]);
-        bucket.coverer_candidates(probe, &mut candidates);
-        candidates.sort_unstable();
-        candidates.dedup();
-        let found = candidates.iter().find_map(|&slot| {
-            let rec = &self.records[slot as usize];
-            (!rec.dead && rec.sub.id != sub.id && covers(&rec.sub, sub)).then_some(rec.sub.id)
-        });
+        bucket.coverer_candidates(probe, &mut candidates, stats);
+        let found = candidates
+            .iter()
+            .find_map(|&slot| self.records[slot as usize].coverer_of(sub, &covers, stats));
         self.scratch = candidates;
         found
     }
 
     /// The reference linear scan over live records, in insertion order —
     /// the oracle twin of [`ForwardedSet::find_coverer`].
-    pub fn find_coverer_linear<F>(&self, sub: &Subscription, covers: F) -> Option<SubId>
+    pub fn find_coverer_linear<F>(
+        &self,
+        sub: &Subscription,
+        covers: F,
+        stats: &mut CoverStats,
+    ) -> Option<SubId>
     where
         F: Fn(&Subscription, &Subscription) -> bool,
     {
-        self.records.iter().find_map(|rec| {
-            (!rec.dead && rec.sub.id != sub.id && covers(&rec.sub, sub)).then_some(rec.sub.id)
-        })
+        self.records.iter().find_map(|rec| rec.coverer_of(sub, &covers, stats))
     }
 
     /// Tombstones every record of `id`, compacting once tombstones
@@ -769,14 +957,14 @@ impl ForwardedSet {
             }
         }
         if tombstones_dominate(self.dead, self.records.len()) {
-            let live: Vec<Subscription> =
-                self.records.drain(..).filter(|r| !r.dead).map(|r| r.sub).collect();
+            let live: Vec<Arc<InstalledSub>> =
+                self.records.drain(..).filter(|r| !r.dead).map(|r| r.form).collect();
             self.buckets.clear();
             self.slots_of.clear();
             self.dead = 0;
             self.built = false;
-            for sub in live {
-                self.push(sub);
+            for form in live {
+                self.push(form);
             }
         }
         n
@@ -784,7 +972,7 @@ impl ForwardedSet {
 
     /// Live forwarded subscriptions, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Subscription> {
-        self.records.iter().filter(|r| !r.dead).map(|r| &r.sub)
+        self.records.iter().filter(|r| !r.dead).map(|r| &r.form.sub)
     }
 
     /// Number of live records.
@@ -918,7 +1106,7 @@ impl RoutingTable {
 
     /// Live entries in installation order, as `(subscription, next hop)`.
     pub fn entries(&self) -> impl Iterator<Item = (&Subscription, Option<NodeId>)> {
-        self.entries.iter().filter(|e| !e.dead).map(|e| (&e.sub, e.to))
+        self.entries.iter().filter(|e| !e.dead).map(|e| (&e.form.sub, e.to))
     }
 
     /// Drops all entries and index state.
@@ -935,34 +1123,20 @@ impl RoutingTable {
     /// incrementally. `seq` is the owning subscription's installation
     /// sequence number: local deliveries are emitted in ascending `seq`,
     /// keeping delivery order stable across incremental removal and
-    /// re-installation.
-    pub fn insert(&mut self, sub: Subscription, to: Option<NodeId>, seq: u64) {
-        let skel = SubSkeleton::of(&sub);
-        self.insert_with(sub, &skel, to, seq);
-    }
-
-    /// [`RoutingTable::insert`] with the caller's precomputed skeleton —
-    /// the broker's install walk derives each source's skeleton once and
-    /// reuses it at every hop.
-    pub fn insert_with(
-        &mut self,
-        sub: Subscription,
-        skel: &SubSkeleton,
-        to: Option<NodeId>,
-        seq: u64,
-    ) {
+    /// re-installation. The entry shares `form` — the broker hands the
+    /// same one to every hop of an installation.
+    pub fn insert(&mut self, form: Arc<InstalledSub>, to: Option<NodeId>, seq: u64) {
         let entry_id = u32::try_from(self.entries.len()).expect("routing table overflow");
+        let sub = &form.sub;
         if let (Some(next), true) = (to, sub.streams.is_empty()) {
             // A stream-free forwarding entry joins no bucket but is
             // vacuously covered by anything: track it per hop so the
             // indexed victim query keeps matching the linear scan.
             self.streamless.entry(next).or_default().push(entry_id);
         }
-        for (&stream, req) in &sub.streams {
+        for (stream, req, indexable, residual) in form.streams() {
             let index = self.streams.entry(stream).or_default();
             let member_id = u32::try_from(index.members.len()).expect("partition overflow");
-            let (indexable, residual) =
-                skel.get(stream).map(|(i, r)| (i, r.to_vec())).unwrap_or_default();
             let target = u32::try_from(indexable.len()).expect("filter count overflow");
             if let Some(next) = to {
                 // Forwarding entries join their (stream, hop) covering
@@ -972,31 +1146,16 @@ impl RoutingTable {
                 // mirrors this policy per *set*, gating on raw record
                 // count; here the backfill skips tombstoned entries).
                 let bucket = self.covers.entry((stream, next)).or_default();
-                if bucket.built {
-                    bucket.insert(entry_id, indexable);
-                } else if bucket.members.len() >= COVER_SCAN_SMALL {
-                    bucket.built = true;
-                    let staged: Vec<(u32, Vec<IndexableCmp>)> = std::mem::take(&mut bucket.members)
-                        .into_iter()
-                        .filter_map(|slot| {
-                            let e = &self.entries[slot as usize];
-                            if e.dead {
-                                return None; // tombstones stay out of the lists
-                            }
-                            let comps = e
-                                .sub
-                                .streams
-                                .get(&stream)
-                                .map(|r| r.split_for_index(stream).0)
-                                .unwrap_or_default();
-                            Some((slot, comps))
-                        })
-                        .collect();
-                    bucket.bulk_build(staged);
-                    bucket.insert(entry_id, indexable);
-                } else {
-                    bucket.members.push(entry_id);
+                if !bucket.built && bucket.members.len() >= COVER_SCAN_SMALL {
+                    let staged = std::mem::take(&mut bucket.members);
+                    let entries = &self.entries;
+                    bucket.build(staged.iter().filter_map(|m| {
+                        let e = &entries[m.slot as usize];
+                        // Tombstones stay out of the lists.
+                        (!e.dead).then(|| (m.slot, e.form.indexable(stream)))
+                    }));
                 }
+                bucket.insert(entry_id, indexable);
             }
             for cmp in indexable {
                 // NaN thresholds are unsatisfiable (every comparison with
@@ -1011,7 +1170,6 @@ impl RoutingTable {
                 };
                 lists.insert(cmp.op, cmp.threshold, member_id);
             }
-            let needs = sub.needs(stream).expect("own stream always has needs");
             let action = match to {
                 None => {
                     // Join (or open) the projection class for this exact
@@ -1021,12 +1179,12 @@ impl RoutingTable {
                     let c = match index
                         .classes
                         .iter()
-                        .position(|c| c.proj.projection() == &req.projection)
+                        .position(|c| c.proj.projection() == req.projection())
                     {
                         Some(c) => c,
                         None => {
                             index.classes.push(ProjClass {
-                                proj: CachedProjection::new(req.projection.clone()),
+                                proj: CachedProjection::new(req.projection().clone()),
                                 epoch: 0,
                                 cached: None,
                             });
@@ -1040,35 +1198,26 @@ impl RoutingTable {
                 }
                 Some(next) => {
                     let g = match index.hops.iter().position(|h| h.to == next) {
-                        Some(g) => {
-                            let group = &mut index.hops[g];
-                            let union = group.union.projection().union(&needs);
-                            if &union != group.union.projection() {
-                                group.union = CachedProjection::new(union);
-                            }
-                            g
-                        }
+                        Some(g) => g,
                         None => {
-                            index.hops.push(HopGroup {
-                                to: next,
-                                union: CachedProjection::new(needs.clone()),
-                                epoch: 0,
-                            });
+                            index.hops.push(HopGroup::new(next));
                             index.hops.len() - 1
                         }
                     };
+                    index.hops[g].add(req.needs());
                     MemberAction::Hop(u32::try_from(g).expect("hop group overflow"))
                 }
             };
+            let zero_slot = index.zero_target.len() as u32;
             if target == 0 {
                 index.zero_target.push(member_id);
             }
             index.member_of.insert(entry_id, member_id);
             index.members.push(Member {
-                entry: entry_id,
                 seq,
                 target,
-                residual,
+                zero_slot,
+                residual: Arc::clone(residual),
                 count: 0,
                 epoch: 0,
                 dead: false,
@@ -1076,7 +1225,7 @@ impl RoutingTable {
             });
         }
         self.by_sub.entry(sub.id).or_default().push(entry_id);
-        self.entries.push(Entry { sub, to, seq, dead: false });
+        self.entries.push(Entry { form, to, seq, dead: false });
     }
 
     /// First-class incremental removal: tombstones every live entry of
@@ -1125,11 +1274,11 @@ impl RoutingTable {
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| !e.dead && e.to == Some(downstream) && covered(&e.sub))
+            .filter(|(_, e)| !e.dead && e.to == Some(downstream) && covered(&e.form.sub))
             .map(|(i, _)| i as u32)
             .collect();
         let dropped: Vec<SubId> =
-            victims.iter().map(|&v| self.entries[v as usize].sub.id).collect();
+            victims.iter().map(|&v| self.entries[v as usize].form.sub.id).collect();
         for id in victims {
             self.tombstone(id);
         }
@@ -1142,138 +1291,101 @@ impl RoutingTable {
     /// remove_toward`] sequence, answering both covering questions from
     /// the `(stream, hop)` buckets instead of walking the table:
     ///
-    /// 1. **Skip** when a live same-direction entry covers `sub` (a
-    ///    coverer must request every stream of `sub`, so the first
-    ///    stream's bucket already contains every possible coverer); the
-    ///    reported coverer is the first one in table order — identical to
-    ///    the linear scan's answer.
-    /// 2. Otherwise **drop** every live entry `sub` covers (a victim's
-    ///    streams are a subset of `sub`'s, so the union of `sub`'s
-    ///    per-stream buckets holds every possible victim), tombstone
-    ///    them, and insert the entry.
+    /// 1. **Skip** when a live same-direction entry covers the
+    ///    subscription (a coverer must request every one of its streams,
+    ///    so the first stream's bucket already contains every possible
+    ///    coverer); the reported coverer is the first one in table order
+    ///    — identical to the linear scan's answer.
+    /// 2. Otherwise **drop** every live entry it covers (a victim's
+    ///    streams are a subset of its own, so the union of its per-stream
+    ///    buckets holds every possible victim), tombstone them, and
+    ///    insert the entry.
     ///
     /// `covers(general, specific)` is the exact confirmation the
-    /// candidate ranges are checked against. A subscription never skips
-    /// or drops its own id: a multi-stream installation may revisit a hop
-    /// once per source, and those sibling entries must coexist.
+    /// candidates are checked against; `stats` accumulates the work done.
+    /// A subscription never skips or drops its own id: a multi-stream
+    /// installation may revisit a hop once per source, and those sibling
+    /// entries must coexist.
     pub fn insert_covering<F>(
         &mut self,
-        sub: Subscription,
+        form: Arc<InstalledSub>,
         to: NodeId,
         seq: u64,
         covers: F,
+        stats: &mut CoverStats,
     ) -> ForwardInsert
     where
         F: Fn(&Subscription, &Subscription) -> bool,
     {
-        let skel = SubSkeleton::of(&sub);
-        self.insert_covering_with(sub, &skel, to, seq, covers)
-    }
-
-    /// [`RoutingTable::insert_covering`] with the caller's precomputed
-    /// skeleton: the skip probe, the victim probes and the final insert
-    /// all reuse the same per-stream split.
-    pub fn insert_covering_with<F>(
-        &mut self,
-        sub: Subscription,
-        skel: &SubSkeleton,
-        to: NodeId,
-        seq: u64,
-        covers: F,
-    ) -> ForwardInsert
-    where
-        F: Fn(&Subscription, &Subscription) -> bool,
-    {
+        let sub = &form.sub;
         if sub.streams.is_empty() {
             // Degenerate stream-free subscription: covering is vacuously
             // true against it and no bucket can index it — resolve by the
             // linear scan so both modes stay bit-identical.
-            if let Some(by) = self
-                .entries
-                .iter()
-                .find(|e| !e.dead && e.to == Some(to) && e.sub.id != sub.id && covers(&e.sub, &sub))
-                .map(|e| e.sub.id)
-            {
-                return ForwardInsert::Skipped { by };
+            if let Some((by, _)) = self.entries().find(|&(e, hop)| {
+                hop == Some(to) && e.id != sub.id && stats.confirm(covers(e, sub))
+            }) {
+                return ForwardInsert::Skipped { by: by.id };
             }
-            let id = sub.id;
-            let dropped = self.remove_toward(to, |e| e.id != id && covers(&sub, e));
-            self.insert_with(sub, skel, Some(to), seq);
+            let dropped =
+                self.remove_toward(to, |e| e.id != sub.id && stats.confirm(covers(sub, e)));
+            self.insert(form, Some(to), seq);
             return ForwardInsert::Inserted { dropped };
         }
-        // Candidate slots per bucket: an unbuilt (small) bucket is taken
-        // whole — its member list is already in ascending slot order —
-        // while a built bucket is range-probed. Either source yields a
-        // superset of the true answers, so the confirmed result is the
-        // same; only the candidate count differs. Returns whether the
-        // candidates need re-sorting (range probes interleave lists).
-        let probe_into = |bucket: &CoverBucket,
-                          probe: &[IndexableCmp],
-                          covered_query: bool,
-                          out: &mut Vec<u32>|
-         -> bool {
-            if !bucket.built {
-                out.extend_from_slice(&bucket.members);
-                return false;
-            }
-            if covered_query {
-                bucket.covered_candidates(probe, out);
-            } else {
-                bucket.coverer_candidates(probe, out);
-            }
-            true
-        };
+        // Candidate slots come out of each bucket ascending: an unbuilt
+        // (small) bucket is taken whole, a built one is counted over.
+        // Either source yields a superset of the true answers, so the
+        // confirmed result is the same; only the candidate count differs.
         let mut candidates = std::mem::take(&mut self.cover_scratch);
         candidates.clear();
-        let (&s0, _) = sub.streams.iter().next().expect("non-empty streams");
-        if let Some(bucket) = self.covers.get(&(s0, to)) {
-            let probe0 = skel.get(s0).map(|(i, _)| i).unwrap_or(&[]);
-            if probe_into(bucket, probe0, false, &mut candidates) {
-                candidates.sort_unstable();
-                candidates.dedup();
-            }
+        let (s0, _, probe0, _) = form.streams().next().expect("non-empty streams");
+        if let Some(bucket) = self.covers.get_mut(&(s0, to)) {
+            bucket.coverer_candidates(probe0, &mut candidates, stats);
             for &slot in &candidates {
                 let e = &self.entries[slot as usize];
-                if e.dead || e.to != Some(to) || e.sub.id == sub.id {
+                let general = &e.form.sub;
+                if e.dead || e.to != Some(to) || general.id == sub.id {
                     continue;
                 }
-                if covers(&e.sub, &sub) {
-                    let by = e.sub.id;
+                if stats.confirm(covers(general, sub)) {
+                    let by = general.id;
                     self.cover_scratch = candidates;
                     return ForwardInsert::Skipped { by };
                 }
             }
         }
         candidates.clear();
-        let mut needs_sort = false;
-        let mut buckets_probed = 0u32;
-        for &s in sub.streams.keys() {
-            if let Some(bucket) = self.covers.get(&(s, to)) {
-                let probe = skel.get(s).map(|(i, _)| i).unwrap_or(&[]);
-                needs_sort |= probe_into(bucket, probe, true, &mut candidates);
-                buckets_probed += 1;
+        let mut sources = 0u32;
+        for (s, _, probe, _) in form.streams() {
+            if let Some(bucket) = self.covers.get_mut(&(s, to)) {
+                bucket.covered_candidates(probe, &mut candidates, stats);
+                sources += 1;
             }
         }
         if let Some(streamless) = self.streamless.get(&to) {
             candidates.extend_from_slice(streamless);
-            buckets_probed += 1;
+            sources += 1;
         }
-        if needs_sort || buckets_probed > 1 {
+        if sources > 1 {
             candidates.sort_unstable();
             candidates.dedup();
         }
         candidates.retain(|&slot| {
             let e = &self.entries[slot as usize];
-            !e.dead && e.to == Some(to) && e.sub.id != sub.id && covers(&sub, &e.sub)
+            let specific = &e.form.sub;
+            !e.dead
+                && e.to == Some(to)
+                && specific.id != sub.id
+                && stats.confirm(covers(sub, specific))
         });
         let dropped: Vec<SubId> =
-            candidates.iter().map(|&v| self.entries[v as usize].sub.id).collect();
+            candidates.iter().map(|&v| self.entries[v as usize].form.sub.id).collect();
         for &v in &candidates {
             self.tombstone(v);
         }
         self.cover_scratch = candidates;
         self.maybe_compact();
-        self.insert_with(sub, skel, Some(to), seq);
+        self.insert(form, Some(to), seq);
         ForwardInsert::Inserted { dropped }
     }
 
@@ -1281,50 +1393,36 @@ impl RoutingTable {
         let entry = &mut self.entries[entry_id as usize];
         entry.dead = true;
         self.dead += 1;
-        let id = entry.sub.id;
-        let streams: Vec<Symbol> = entry.sub.streams.keys().copied().collect();
+        let form = Arc::clone(&entry.form);
+        let id = form.sub.id;
         if let Some(slots) = self.by_sub.get_mut(&id) {
             slots.retain(|&s| s != entry_id);
             if slots.is_empty() {
                 self.by_sub.remove(&id);
             }
         }
-        for stream in streams {
+        for (&stream, req) in &form.sub.streams {
             let Some(index) = self.streams.get_mut(&stream) else { continue };
             let Some(m) = index.member_of.remove(&entry_id) else { continue };
-            let m = m as usize;
-            if index.members[m].dead {
+            let member = &mut index.members[m as usize];
+            if member.dead {
                 continue;
             }
-            index.members[m].dead = true;
+            member.dead = true;
             index.dead_members += 1;
-            index.zero_target.retain(|&z| z != m as u32);
-            if let MemberAction::Hop(g) = index.members[m].action {
-                // Recompute the union over surviving members of the group
-                // (a union cannot be shrunk incrementally).
-                let mut union: Option<StreamProjection> = None;
-                for member in &index.members {
-                    if member.dead || !matches!(member.action, MemberAction::Hop(h) if h == g) {
-                        continue;
-                    }
-                    let needs = self.entries[member.entry as usize]
-                        .sub
-                        .needs(stream)
-                        .expect("member stream always has needs");
-                    union = Some(match union {
-                        None => needs,
-                        Some(u) => u.union(&needs),
-                    });
-                    if matches!(union, Some(StreamProjection::All)) {
-                        break; // the union can grow no further
-                    }
+            if let MemberAction::Hop(g) = member.action {
+                // The group's attribute refcounts shrink the union exactly
+                // as a rescan of its surviving members would.
+                index.hops[g as usize].remove(req.needs());
+            }
+            if member.target == 0 {
+                // Candidates are ordered by `(seq, member)` at match
+                // time, so the list's own order is free to change.
+                let slot = member.zero_slot as usize;
+                index.zero_target.swap_remove(slot);
+                if let Some(&moved) = index.zero_target.get(slot) {
+                    index.members[moved as usize].zero_slot = slot as u32;
                 }
-                // A fully-emptied group keeps an empty union; it can never
-                // be marked matched again (no member bumps it), and
-                // compaction eventually drops it.
-                index.hops[g as usize].union = CachedProjection::new(
-                    union.unwrap_or(StreamProjection::Attrs(Default::default())),
-                );
             }
             // Per-run sweep: once tombstones dominate the partition, drop
             // the dead members' list slots run-by-run — no table rebuild,
@@ -1350,11 +1448,10 @@ impl RoutingTable {
         if !tombstones_dominate(self.dead, self.entries.len()) {
             return;
         }
-        let live: Vec<(Subscription, Option<NodeId>, u64)> =
-            self.entries.drain(..).filter(|e| !e.dead).map(|e| (e.sub, e.to, e.seq)).collect();
+        let live: Vec<Entry> = self.entries.drain(..).filter(|e| !e.dead).collect();
         self.clear();
-        for (sub, to, seq) in live {
-            self.insert(sub, to, seq);
+        for e in live {
+            self.insert(e.form, e.to, e.seq);
         }
     }
 
@@ -1636,7 +1733,7 @@ impl RoutingTable {
                 members.push(FrozenMember {
                     seq: m.seq,
                     target: m.target,
-                    residual: m.residual.clone(),
+                    residual: Arc::clone(&m.residual),
                     action: match &m.action {
                         MemberAction::Local { sub, class } => {
                             FrozenAction::Local { sub: *sub, class: *class }
@@ -1698,17 +1795,34 @@ mod tests {
         Predicate::Cmp { attr: AttrRef::new(stream, attr), op, value: v }
     }
 
-    /// Test insert: the subscription id doubles as the sequence number,
-    /// so delivery order matches insertion order as before.
+    /// Test inserts: the subscription id doubles as the sequence number,
+    /// so delivery order matches insertion order as before, and covering
+    /// inserts confirm with [`rcovers`].
     trait TestInsert {
         fn ins(&mut self, sub: Subscription, to: Option<NodeId>);
+        fn ins_covering(&mut self, sub: Subscription, to: NodeId) -> ForwardInsert;
     }
 
     impl TestInsert for RoutingTable {
         fn ins(&mut self, sub: Subscription, to: Option<NodeId>) {
             let seq = sub.id.0;
-            self.insert(sub, to, seq);
+            self.insert(InstalledSub::new(sub), to, seq);
         }
+
+        fn ins_covering(&mut self, sub: Subscription, to: NodeId) -> ForwardInsert {
+            let seq = sub.id.0;
+            let mut stats = CoverStats::default();
+            self.insert_covering(InstalledSub::new(sub), to, seq, rcovers, &mut stats)
+        }
+    }
+
+    fn coverer(set: &mut ForwardedSet, probe: &Subscription) -> Option<SubId> {
+        let form = InstalledSub::new(probe.clone());
+        set.find_coverer(&form, rcovers, &mut CoverStats::default())
+    }
+
+    fn coverer_linear(set: &ForwardedSet, probe: &Subscription) -> Option<SubId> {
+        set.find_coverer_linear(probe, rcovers, &mut CoverStats::default())
     }
 
     fn sub(id: u64, filters: Vec<Predicate>) -> Subscription {
@@ -2004,7 +2118,7 @@ mod tests {
     fn rcovers(general: &Subscription, specific: &Subscription) -> bool {
         general.covers(specific)
             && specific.streams.keys().all(|&s| match (general.needs(s), specific.needs(s)) {
-                (Some(g), Some(sp)) => g.covers(&sp),
+                (Some(g), Some(sp)) => g.covers(sp),
                 _ => false,
             })
     }
@@ -2032,7 +2146,7 @@ mod tests {
         // Covered by both real entries: the skip must report the first
         // one in table order, exactly as the linear scan would.
         let narrow = sub(3, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(10))]);
-        match table.insert_covering(narrow, hop, 3, rcovers) {
+        match table.ins_covering(narrow, hop) {
             ForwardInsert::Skipped { by } => assert_eq!(by, SubId(1)),
             other => panic!("expected a covering skip, got {other:?}"),
         }
@@ -2042,12 +2156,7 @@ mod tests {
         let mut table = RoutingTable::new();
         table.ins(sub(7, vec![]), Some(hop));
         pad_bucket(&mut table, hop, 10_000);
-        match table.insert_covering(
-            sub(8, vec![cmp("R", "a", CmpOp::Eq, Scalar::Int(5))]),
-            hop,
-            8,
-            rcovers,
-        ) {
+        match table.ins_covering(sub(8, vec![cmp("R", "a", CmpOp::Eq, Scalar::Int(5))]), hop) {
             ForwardInsert::Skipped { by } => assert_eq!(by, SubId(7)),
             other => panic!("expected the loose entry to cover, got {other:?}"),
         }
@@ -2066,13 +2175,59 @@ mod tests {
         // `a > 9` covers the point entries 10..60 but not 0..10 and not
         // the `a < -50` entry.
         let broad = sub(500, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(9))]);
-        match table.insert_covering(broad, hop, 500, rcovers) {
+        match table.ins_covering(broad, hop) {
             ForwardInsert::Inserted { dropped } => {
                 assert_eq!(dropped, (10..60).map(SubId).collect::<Vec<_>>(), "table order");
             }
             other => panic!("expected an insert, got {other:?}"),
         }
         assert_eq!(table.len(), 12, "10 points + a<-50 + the new entry survive");
+    }
+
+    #[test]
+    fn counting_confirms_only_members_consistent_with_the_whole_probe() {
+        // 40 members `a = i AND b > 0`, past the whole-scan threshold.
+        let mut table = RoutingTable::new();
+        let hop = NodeId(1);
+        let member = |id: u64, a: i64, b: i64| {
+            sub(
+                id,
+                vec![
+                    cmp("R", "a", CmpOp::Eq, Scalar::Int(a)),
+                    cmp("R", "b", CmpOp::Gt, Scalar::Int(b)),
+                ],
+            )
+        };
+        for i in 0..40u64 {
+            table.ins(member(i, i as i64, 0), Some(hop));
+        }
+        // Every member's `b > 0` lies in the probe's range (the union of
+        // ranges would hand over all 40); only member 7's `a = 7` does
+        // too, so only its count reaches its comparison count.
+        let mut stats = CoverStats::default();
+        let probe = InstalledSub::new(member(100, 7, 5));
+        match table.insert_covering(probe, hop, 100, rcovers, &mut stats) {
+            ForwardInsert::Skipped { by } => assert_eq!(by, SubId(7)),
+            other => panic!("expected member 7 to cover, got {other:?}"),
+        }
+        assert_eq!((stats.attempted, stats.held), (1, 1));
+        // Victim side: `a = 7 AND b > -1` is hit on `b` by every member
+        // but on `a` by member 7 alone — a first-comparison anchor on `b`
+        // would have confirmed all 40.
+        let mut stats = CoverStats::default();
+        let probe = InstalledSub::new(sub(
+            101,
+            vec![
+                cmp("R", "b", CmpOp::Gt, Scalar::Int(-1)),
+                cmp("R", "a", CmpOp::Eq, Scalar::Int(7)),
+            ],
+        ));
+        match table.insert_covering(probe, hop, 101, rcovers, &mut stats) {
+            ForwardInsert::Inserted { dropped } => assert_eq!(dropped, vec![SubId(7)]),
+            other => panic!("expected member 7 dropped, got {other:?}"),
+        }
+        assert_eq!((stats.attempted, stats.held), (1, 1));
+        assert!(stats.visited >= 41, "both probe comparisons walked their ranges");
     }
 
     #[test]
@@ -2084,14 +2239,14 @@ mod tests {
         let hop = NodeId(1);
         table.ins(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(10))]), Some(hop));
         let weaker = sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(0))]);
-        match table.insert_covering(weaker, hop, 1, rcovers) {
+        match table.ins_covering(weaker, hop) {
             ForwardInsert::Inserted { dropped } => assert!(dropped.is_empty()),
             other => panic!("self-covering must not skip: {other:?}"),
         }
         assert_eq!(table.len(), 2, "both same-id entries live");
         // And the stronger sibling arriving second is not skipped either.
         let stronger = sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(20))]);
-        match table.insert_covering(stronger, hop, 1, rcovers) {
+        match table.ins_covering(stronger, hop) {
             ForwardInsert::Inserted { dropped } => assert!(dropped.is_empty()),
             other => panic!("self-covering must not skip: {other:?}"),
         }
@@ -2109,7 +2264,7 @@ mod tests {
             table.ins(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Float(first))]), Some(hop));
             pad_bucket(&mut table, hop, 10_000);
             let twin = sub(2, vec![cmp("R", "a", CmpOp::Gt, Scalar::Float(second))]);
-            match table.insert_covering(twin, hop, 2, rcovers) {
+            match table.ins_covering(twin, hop) {
                 ForwardInsert::Skipped { by } => assert_eq!(by, SubId(1)),
                 other => panic!("signed-zero twin must be covered, got {other:?}"),
             }
@@ -2125,7 +2280,7 @@ mod tests {
         let mut table = RoutingTable::new();
         let hop = NodeId(1);
         table.ins(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Float(f64::NAN))]), Some(hop));
-        match table.insert_covering(sub(2, vec![]), hop, 2, rcovers) {
+        match table.ins_covering(sub(2, vec![]), hop) {
             ForwardInsert::Inserted { dropped } => assert_eq!(dropped, vec![SubId(1)]),
             other => panic!("expected the NaN entry dropped, got {other:?}"),
         }
@@ -2133,7 +2288,7 @@ mod tests {
         let mut table = RoutingTable::new();
         table.ins(sub(3, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))]), Some(hop));
         let nan = sub(4, vec![cmp("R", "a", CmpOp::Gt, Scalar::Float(f64::NAN))]);
-        match table.insert_covering(nan, hop, 4, rcovers) {
+        match table.ins_covering(nan, hop) {
             ForwardInsert::Inserted { dropped } => assert!(dropped.is_empty()),
             other => panic!("a NaN probe covers no one, got {other:?}"),
         }
@@ -2148,17 +2303,14 @@ mod tests {
         let empty = |id: u64| Subscription::builder(NodeId(0)).id(SubId(id)).build();
         let mut table = RoutingTable::new();
         table.ins(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))]), Some(hop));
-        match table.insert_covering(empty(9), hop, 9, rcovers) {
+        match table.ins_covering(empty(9), hop) {
             ForwardInsert::Skipped { by } => assert_eq!(by, SubId(1), "first live entry covers"),
             other => panic!("expected the vacuous cover, got {other:?}"),
         }
         let mut set = ForwardedSet::default();
-        set.push(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))]));
-        assert_eq!(set.find_coverer(&empty(9), rcovers), Some(SubId(1)));
-        assert_eq!(
-            set.find_coverer(&empty(9), rcovers),
-            set.find_coverer_linear(&empty(9), rcovers)
-        );
+        set.push(InstalledSub::new(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))])));
+        assert_eq!(coverer(&mut set, &empty(9)), Some(SubId(1)));
+        assert_eq!(coverer(&mut set, &empty(9)), coverer_linear(&set, &empty(9)));
     }
 
     #[test]
@@ -2170,12 +2322,7 @@ mod tests {
         let empty = |id: u64| Subscription::builder(NodeId(0)).id(SubId(id)).build();
         let mut table = RoutingTable::new();
         table.ins(empty(1), Some(hop));
-        match table.insert_covering(
-            sub(2, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))]),
-            hop,
-            2,
-            rcovers,
-        ) {
+        match table.ins_covering(sub(2, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))]), hop) {
             ForwardInsert::Inserted { dropped } => assert_eq!(dropped, vec![SubId(1)]),
             other => panic!("expected the stream-free entry dropped, got {other:?}"),
         }
@@ -2186,14 +2333,17 @@ mod tests {
     fn forwarded_set_agrees_with_its_linear_twin() {
         let mut set = ForwardedSet::default();
         assert!(set.is_empty());
-        set.push(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(20))]));
-        set.push(sub(2, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))]));
-        set.push(sub(3, vec![]));
+        set.push(InstalledSub::new(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(20))])));
+        set.push(InstalledSub::new(sub(2, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))])));
+        set.push(InstalledSub::new(sub(3, vec![])));
         // Push the set past the small-scan threshold so the probes below
         // exercise the bucket ranges, with records that cover none of
         // them.
         for i in 0..40u64 {
-            set.push(sub(10_000 + i, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(1_000_000))]));
+            set.push(InstalledSub::new(sub(
+                10_000 + i,
+                vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(1_000_000))],
+            )));
         }
         for probe in [
             sub(10, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(30))]), // covered by 1, 2, 3
@@ -2201,8 +2351,8 @@ mod tests {
             sub(12, vec![cmp("R", "b", CmpOp::Lt, Scalar::Int(0))]),  // covered by 3 only
             sub(13, vec![]),                                          // covered by 3 only
         ] {
-            let indexed = set.find_coverer(&probe, rcovers);
-            let linear = set.find_coverer_linear(&probe, rcovers);
+            let indexed = coverer(&mut set, &probe);
+            let linear = coverer_linear(&set, &probe);
             assert_eq!(indexed, linear, "divergence on probe {:?}", probe.id);
             assert!(indexed.is_some());
         }
@@ -2211,15 +2361,18 @@ mod tests {
         // loose record 3 covers a `b`-filtered probe, so probing *as*
         // id 3 finds nothing.
         let own = sub(3, vec![cmp("R", "b", CmpOp::Lt, Scalar::Int(0))]);
-        assert_eq!(set.find_coverer(&own, rcovers), set.find_coverer_linear(&own, rcovers));
-        assert_eq!(set.find_coverer(&own, rcovers), None, "only the same id covers this probe");
+        assert_eq!(coverer(&mut set, &own), coverer_linear(&set, &own));
+        assert_eq!(coverer(&mut set, &own), None, "only the same id covers this probe");
     }
 
     #[test]
     fn forwarded_set_removal_tombstones_and_compacts() {
         let mut set = ForwardedSet::default();
         for i in 0..40u64 {
-            set.push(sub(i, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(i as i64))]));
+            set.push(InstalledSub::new(sub(
+                i,
+                vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(i as i64))],
+            )));
         }
         assert_eq!(set.len(), 40);
         for i in 0..24u64 {
@@ -2229,8 +2382,8 @@ mod tests {
         assert_eq!(set.len(), 16);
         assert_eq!(set.records.len(), 20, "compacted at tombstone majority; 4 tombstones since");
         let probe = sub(90, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(100))]);
-        assert_eq!(set.find_coverer(&probe, rcovers), Some(SubId(24)), "first survivor covers");
-        assert_eq!(set.find_coverer(&probe, rcovers), set.find_coverer_linear(&probe, rcovers));
+        assert_eq!(coverer(&mut set, &probe), Some(SubId(24)), "first survivor covers");
+        assert_eq!(coverer(&mut set, &probe), coverer_linear(&set, &probe));
         assert_eq!(set.iter().count(), 16);
     }
 }

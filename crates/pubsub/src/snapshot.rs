@@ -64,7 +64,8 @@ pub(crate) enum FrozenAction {
 pub(crate) struct FrozenMember {
     pub(crate) seq: u64,
     pub(crate) target: u32,
-    pub(crate) residual: Vec<CompiledPredicate>,
+    /// Shared with the live table's member (a freeze copies no predicate).
+    pub(crate) residual: Arc<[CompiledPredicate]>,
     pub(crate) action: FrozenAction,
 }
 

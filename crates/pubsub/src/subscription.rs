@@ -78,12 +78,14 @@ impl StreamProjection {
 ///
 /// Filters are kept in AST form (covering/merging reason about them
 /// symbolically) *and* symbol-compiled once at construction, so matching a
-/// message never resolves a name. Mutate `filters` only through
-/// [`StreamRequest::set_filters`], which recompiles.
+/// message never resolves a name. The *needs* projection (see
+/// [`StreamRequest::needs`]) is derived state too; every field is private
+/// so neither can go stale — replace filters through
+/// [`StreamRequest::set_filters`], which re-derives both.
 #[derive(Debug, Clone)]
 pub struct StreamRequest {
     /// Attributes to keep.
-    pub projection: StreamProjection,
+    projection: StreamProjection,
     /// Conjunctive filters over this stream's attributes. Predicates use
     /// the stream name as the relation qualifier. Private so the compiled
     /// form below can never go stale; read via [`StreamRequest::filters`],
@@ -91,11 +93,15 @@ pub struct StreamRequest {
     filters: Vec<Predicate>,
     /// The same filters, symbol-compiled (kept in sync by constructors).
     compiled: Vec<CompiledPredicate>,
+    /// `projection` plus every attribute a filter reads (kept in sync by
+    /// constructors): covering confirmation and hop-union upkeep read it
+    /// at every hop, so it is interned and allocated once.
+    needs: StreamProjection,
 }
 
 impl PartialEq for StreamRequest {
     fn eq(&self, other: &Self) -> bool {
-        // `compiled` is derived state.
+        // `compiled` and `needs` are derived state.
         self.projection == other.projection && self.filters == other.filters
     }
 }
@@ -104,7 +110,21 @@ impl StreamRequest {
     /// Builds a request, compiling `filters`.
     pub fn new(projection: StreamProjection, filters: Vec<Predicate>) -> Self {
         let compiled = CompiledPredicate::compile_all(&filters);
-        Self { projection, filters, compiled }
+        let needs = needs_of(&projection, &filters);
+        Self { projection, filters, compiled, needs }
+    }
+
+    /// Attributes to keep.
+    pub fn projection(&self) -> &StreamProjection {
+        &self.projection
+    }
+
+    /// The attributes this request *needs*: its projection plus any
+    /// attribute its filters read. Routing-level covering must preserve
+    /// needs — early projection upstream of a pruned propagation could
+    /// otherwise strip attributes a downstream filter reads.
+    pub fn needs(&self) -> &StreamProjection {
+        &self.needs
     }
 
     /// The filter conjunction (AST form, for covering/merging logic).
@@ -115,6 +135,7 @@ impl StreamRequest {
     /// Replaces the filter conjunction, recompiling.
     pub fn set_filters(&mut self, filters: Vec<Predicate>) {
         self.compiled = CompiledPredicate::compile_all(&filters);
+        self.needs = needs_of(&self.projection, &filters);
         self.filters = filters;
     }
 
@@ -147,6 +168,22 @@ impl StreamRequest {
             }
         }
         (indexable, residual)
+    }
+}
+
+/// `projection` widened by the attributes `filters` read.
+fn needs_of(projection: &StreamProjection, filters: &[Predicate]) -> StreamProjection {
+    let filter_attrs: BTreeSet<Symbol> = filters
+        .iter()
+        .filter_map(|f| match f {
+            Predicate::Cmp { attr, .. } => Some(Symbol::intern(&attr.attr)),
+            _ => None,
+        })
+        .collect();
+    if filter_attrs.is_empty() {
+        projection.clone()
+    } else {
+        projection.union(&StreamProjection::Attrs(filter_attrs))
     }
 }
 
@@ -217,24 +254,10 @@ impl Subscription {
         Subscription { id: self.id, subscriber: self.subscriber, streams }
     }
 
-    /// The attributes this subscription *needs* for `stream`: its requested
-    /// projection plus any attribute its filters read. Routing-level
-    /// covering must preserve needs — early projection upstream of a pruned
-    /// propagation could otherwise strip attributes a downstream filter
-    /// reads. `None` when the stream is not requested.
-    pub fn needs(&self, stream: Symbol) -> Option<StreamProjection> {
-        let req = self.streams.get(&stream)?;
-        let mut proj = req.projection.clone();
-        let mut filter_attrs: BTreeSet<Symbol> = BTreeSet::new();
-        for f in req.filters() {
-            if let Predicate::Cmp { attr, .. } = f {
-                filter_attrs.insert(Symbol::intern(&attr.attr));
-            }
-        }
-        if !filter_attrs.is_empty() {
-            proj = proj.union(&StreamProjection::Attrs(filter_attrs));
-        }
-        Some(proj)
+    /// The attributes this subscription *needs* for `stream`
+    /// ([`StreamRequest::needs`]); `None` when the stream is not requested.
+    pub fn needs(&self, stream: Symbol) -> Option<&StreamProjection> {
+        self.streams.get(&stream).map(StreamRequest::needs)
     }
 
     /// Does `msg` match this subscription (stream requested + all filters

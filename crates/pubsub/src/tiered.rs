@@ -108,25 +108,6 @@ impl TieredList {
         self.len == 0
     }
 
-    /// Builds a list from arbitrary-order entries: one sort, then runs
-    /// are loaded directly at their split-steady-state size — the bulk
-    /// path covering-bucket backfills use instead of N point inserts.
-    pub fn from_unsorted(mut items: Vec<(f64, u32)>) -> Self {
-        items.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let len = items.len();
-        let mut runs: Vec<Vec<(f64, u32)>> = Vec::with_capacity(len.div_ceil(RUN_MAX / 2).max(1));
-        let mut items = items.into_iter();
-        loop {
-            let run: Vec<(f64, u32)> = items.by_ref().take(RUN_MAX / 2).collect();
-            if run.is_empty() {
-                break;
-            }
-            runs.push(run);
-        }
-        let mins = runs.iter().map(|r| r[0].0).collect();
-        Self { runs, mins, len }
-    }
-
     /// Inserts `(key, value)` at the position the dense list's
     /// `partition_point(total_cmp is_lt)` would have chosen — before any
     /// equal keys — memmoving at most one run and splitting it when full.
@@ -333,21 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn from_unsorted_equals_point_inserts() {
-        let items: Vec<(f64, u32)> = (0..700u32).map(|i| (f64::from(i * 7919 % 523), i)).collect();
-        let bulk = TieredList::from_unsorted(items.clone());
-        assert_eq!(bulk.len(), items.len());
-        let flat = dense(&bulk);
-        assert!(flat.windows(2).all(|w| w[0].0.total_cmp(&w[1].0).is_le()));
-        // Same multiset: sort both by (key, value) and compare.
-        let mut a: Vec<(u64, u32)> = flat.iter().map(|&(k, v)| (k.to_bits(), v)).collect();
-        let mut b: Vec<(u64, u32)> = items.iter().map(|&(k, v)| (k.to_bits(), v)).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn walks_match_dense_partition_points() {
         let mut list = TieredList::new();
         let mut oracle: Vec<(f64, u32)> = Vec::new();
@@ -440,7 +406,10 @@ mod tests {
                 (k, i)
             })
             .collect();
-        let list = TieredList::from_unsorted(items);
+        let mut list = TieredList::new();
+        for (k, v) in items {
+            list.insert(k, v);
+        }
         // Ascending, descending, and shuffled probe sequences, one
         // shared cursor per sequence — regressions must reset it without
         // changing the visited window.

@@ -150,32 +150,6 @@ fn tiered_list_equals_dense_twin_under_churn() {
     }
 }
 
-/// Bulk loads must hold the same multiset in the same key order; the
-/// value order among equal keys may differ from point inserts (bulk is
-/// first-come, point inserts are last-come), which every bulk-load
-/// consumer tolerates by sorting candidates — so the twin asserts key
-/// order exactly and values as a multiset per equal-key group.
-#[test]
-fn bulk_load_matches_dense_sort() {
-    for trial in 0..8u64 {
-        let mut rng = rng_for(trial, "tiered-bulk");
-        let items: Vec<(f64, u32)> =
-            (0..rng.gen_range(1u32..2_000)).map(|i| (random_key(&mut rng), i)).collect();
-        let bulk = TieredList::from_unsorted(items.clone());
-        let mut sorted = items.clone();
-        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        assert_eq!(bulk.len(), sorted.len());
-        let keys: Vec<u64> = bulk.iter().map(|(k, _)| k.to_bits()).collect();
-        let want_keys: Vec<u64> = sorted.iter().map(|(k, _)| k.to_bits()).collect();
-        assert_eq!(keys, want_keys, "trial {trial}: key order");
-        let mut got: Vec<(u64, u32)> = bulk.iter().map(|(k, v)| (k.to_bits(), v)).collect();
-        let mut want: Vec<(u64, u32)> = sorted.iter().map(|&(k, v)| (k.to_bits(), v)).collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want, "trial {trial}: multiset");
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Op {
     Insert(f64),

@@ -633,8 +633,19 @@ mod tests {
         assert!(window_bound_predicates(&q).is_empty());
     }
 
+    /// Is a general comparison `attr op t` inside `bounds`' ranges — would
+    /// a coverer query built from `bounds` walk over it?
+    fn inside(bounds: &CoverBounds, op: CmpOp, t: f64) -> bool {
+        match op {
+            CmpOp::Gt | CmpOp::Ge => bounds.lower_max.is_some_and(|m| t <= m),
+            CmpOp::Lt | CmpOp::Le => bounds.upper_min.is_some_and(|m| t >= m),
+            CmpOp::Eq => bounds.eq_values.contains(&t),
+            CmpOp::Ne => true,
+        }
+    }
+
     /// `coverer_bounds` must over-approximate [`implies`]: whenever a
-    /// specific comparison set implies a general comparison, the general
+    /// specific comparison implies a general comparison, the general
     /// threshold falls inside the bounds (brute-forced over an op ×
     /// constant grid).
     #[test]
@@ -655,24 +666,94 @@ mod tests {
                         if !implies(&cmp(op1, c1), &cmp(op2, c2)) {
                             continue;
                         }
-                        let inside = match op2 {
-                            CmpOp::Gt | CmpOp::Ge => {
-                                bounds.lower_max.is_some_and(|m| c2 as f64 <= m)
-                            }
-                            CmpOp::Lt | CmpOp::Le => {
-                                bounds.upper_min.is_some_and(|m| c2 as f64 >= m)
-                            }
-                            CmpOp::Eq => bounds.eq_values.contains(&(c2 as f64)),
-                            CmpOp::Ne => true,
-                        };
                         assert!(
-                            inside,
+                            inside(&bounds, op2, c2 as f64),
                             "{op1:?} {c1} implies {op2:?} {c2} but bounds {bounds:?} exclude it"
                         );
                     }
                 }
             }
         }
+    }
+
+    /// The two facts the covering index's hit-count thresholds rest on,
+    /// over random conjunctions `G` (general) and `S` (specific) on two
+    /// attributes — `!=`, signed zeros, a half step and NaN included.
+    /// Whenever `G`'s filters cover `S`'s (every comparison of `G` is
+    /// implied by one of `S`), **every** non-NaN indexable comparison `g`
+    /// of `G`
+    ///
+    /// - (a) lies inside `coverer_bounds(S on g's attribute)`: probing a
+    ///   member `G` with `S`, the coverer query's range walks reach every
+    ///   list reference `G` holds, so its hit count reaches its comparison
+    ///   count;
+    /// - (b) is hit by a comparison of `S` inside the range the victim
+    ///   query walks from `g` (same-family or point comparisons at least
+    ///   as strong): probing a member `S` with `G`, no probe comparison
+    ///   leaves `S` unmarked.
+    #[test]
+    fn covering_conjunctions_meet_both_counting_preconditions() {
+        use crate::ast::{AttrRef, Scalar};
+        use proptest::test_runner::TestRng;
+        let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+        let consts = [
+            Scalar::Int(-3),
+            Scalar::Float(-0.0),
+            Scalar::Int(0),
+            Scalar::Int(2),
+            Scalar::Float(2.5),
+            Scalar::Int(5),
+            Scalar::Float(f64::NAN),
+        ];
+        type Cmp = (usize, CmpOp, Scalar);
+        let pred = |(attr, op, value): &Cmp| Predicate::Cmp {
+            attr: AttrRef::new("R", ["a", "b"][*attr]),
+            op: *op,
+            value: value.clone(),
+        };
+        // The indexable view: `(attribute, op, threshold)`, `!=` excluded.
+        let indexable = |(attr, op, value): &Cmp| {
+            (*op != CmpOp::Ne).then(|| (*attr, *op, value.as_f64().expect("numeric grid")))
+        };
+        let walked_from = |op_g: CmpOp, t_g: f64, op_s: CmpOp, t_s: f64| match op_g {
+            CmpOp::Gt | CmpOp::Ge => {
+                matches!(op_s, CmpOp::Gt | CmpOp::Ge | CmpOp::Eq) && t_s >= t_g
+            }
+            CmpOp::Lt | CmpOp::Le => {
+                matches!(op_s, CmpOp::Lt | CmpOp::Le | CmpOp::Eq) && t_s <= t_g
+            }
+            _ => op_s == CmpOp::Eq && t_s == t_g,
+        };
+        let mut covering = 0;
+        for case in 0..30_000 {
+            let mut rng = TestRng::deterministic("covering-conjunctions", case);
+            let mut conjunction = |max: usize| -> Vec<Cmp> {
+                (0..rng.index(max))
+                    .map(|_| {
+                        let op = ops[rng.index(ops.len())];
+                        (rng.index(2), op, consts[rng.index(consts.len())].clone())
+                    })
+                    .collect()
+            };
+            let (g, s) = (conjunction(4), conjunction(6));
+            if !g.iter().all(|fg| s.iter().any(|fs| implies(&pred(fs), &pred(fg)))) {
+                continue;
+            }
+            for (attr, op_g, t_g) in g.iter().filter_map(indexable).filter(|c| !c.2.is_nan()) {
+                covering += 1;
+                let on_attr = || s.iter().filter_map(indexable).filter(move |c| c.0 == attr);
+                let bounds = coverer_bounds(on_attr().map(|(_, op, t)| (op, t)));
+                assert!(
+                    inside(&bounds, op_g, t_g),
+                    "(a) {s:?} covers {g:?} but {bounds:?} exclude {op_g:?} {t_g}"
+                );
+                assert!(
+                    on_attr().any(|(_, op_s, t_s)| walked_from(op_g, t_g, op_s, t_s)),
+                    "(b) {s:?} covers {g:?} but nothing of it is walked from {op_g:?} {t_g}"
+                );
+            }
+        }
+        assert!(covering > 2_000, "only {covering} covered comparisons: the grid is too sparse");
     }
 
     #[test]
