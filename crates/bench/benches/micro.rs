@@ -8,12 +8,12 @@ use std::hint::black_box;
 
 use cosmos_bench::fixtures::{
     arrival_sub, batch_round, broad_message, broker_with_broad_subs, broker_with_distinct_subs,
-    broker_with_subs, checkpointed_engine, churn_link, churn_node, covering_rich_install,
-    lossy_broker, recovery_host, scaling_message, scaling_sub, shared_split_queries,
+    broker_with_subs, checkpointed_engine, churn_distribute, churn_link, churn_node, churn_world,
+    covering_rich_install, dense_query_graph, lossy_broker, recovery_host, scaling_message,
+    scaling_sub, shared_split_queries,
 };
 use cosmos_core::coarsen::coarsen_wholesale;
 use cosmos_core::distribute::Distributor;
-use cosmos_core::graph::{edge_weight, QgVertex, QueryGraph};
 use cosmos_core::hierarchy::CoordinatorTree;
 use cosmos_core::online::OnlineRouter;
 use cosmos_core::spec::QuerySpec;
@@ -65,28 +65,16 @@ fn workload_fixture() -> (Deployment, SubstreamTable, Vec<QuerySpec>) {
     (dep, table, specs)
 }
 
+/// The snapshot runner's `core/coarsen-dense-400` and
+/// `core/distribute-800-churn`, on the same shared fixtures.
 fn bench_coarsen(c: &mut Criterion) {
-    let (dep, table, specs) = workload_fixture();
-    let tree = CoordinatorTree::build(&dep, 4);
-    let d = Distributor::new(&dep, &tree, &table);
-    // Build a 500-query graph once.
-    let rates = table.rates();
-    let vertices: Vec<QgVertex> = specs
-        .iter()
-        .map(|s| QgVertex::for_query(s.id, s.interest.clone(), s.load, s.proxy, s.result_rate, 1.0))
-        .collect();
-    let mut graph = QueryGraph::new(vertices);
-    for i in 0..graph.len() {
-        for j in (i + 1)..graph.len().min(i + 40) {
-            let w = edge_weight(&graph.vertices[i], &graph.vertices[j], rates);
-            if w > 0.0 {
-                graph.set_edge(i, j, w);
-            }
-        }
-    }
-    let _ = d;
-    c.bench_function("coarsen/500-to-64", |bench| {
-        bench.iter(|| black_box(coarsen_wholesale(&graph, 64, rates, &|_| None, 3)))
+    let (graph, rates) = dense_query_graph(400);
+    c.bench_function("core/coarsen-dense-400", |bench| {
+        bench.iter(|| black_box(coarsen_wholesale(&graph, 64, &rates, &|_| None, 3)))
+    });
+    let sim = churn_world();
+    c.bench_function("core/distribute-800-churn", |bench| {
+        bench.iter(|| black_box(churn_distribute(&sim)))
     });
 }
 

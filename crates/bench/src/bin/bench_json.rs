@@ -17,9 +17,9 @@
 
 use cosmos_bench::fixtures::{
     adapt_world, arrival_sub, batch_round, broad_message, broker_with_broad_subs,
-    broker_with_distinct_subs, broker_with_subs, checkpointed_engine, churn_link, churn_node,
-    covering_rich_install, lossy_broker, recovery_host, scaling_message, scaling_sub,
-    shared_split_queries, toggle_dirty, ADAPT_SEED,
+    broker_with_distinct_subs, broker_with_subs, checkpointed_engine, churn_distribute, churn_link,
+    churn_node, churn_world, covering_rich_install, dense_query_graph, lossy_broker, recovery_host,
+    scaling_message, scaling_sub, shared_split_queries, toggle_dirty, ADAPT_SEED,
 };
 use cosmos_core::adaptive::{adapt_wholesale, AdaptConfig};
 use cosmos_core::distribute::Distributor;
@@ -358,10 +358,26 @@ fn bench_broker_recover_engine(n_subs: u64) -> f64 {
     })
 }
 
+/// The end-to-end `placement-churn` workload's optimizer set-up as a micro
+/// row: hierarchical distribution of its 800 standing queries — eight
+/// dense coordinator graphs built, coarsened, and mapped.
+fn bench_distribute_churn() -> f64 {
+    let sim = churn_world();
+    measure(|| churn_distribute(&sim).assignment.len())
+}
+
+/// Algorithm 1 alone on one dense 400-vertex graph (the optimizer's
+/// graphs are dense: most query pairs share a substream), down to the
+/// default `vmax` of 64.
+fn bench_coarsen_dense() -> f64 {
+    let (graph, rates) = dense_query_graph(400);
+    measure(|| cosmos_core::coarsen::coarsen_wholesale(&graph, 64, &rates, &|_| None, 3).stats)
+}
+
 /// One adaptation round over a 10 000-query world whose statistics churn
 /// touches 1% of the queries, all homed on one processor — one dirty
 /// level-1 leaf per round. The incremental optimizer re-coarsens that
-/// leaf (lazy-deletion heap patching), re-scores the root-to-leaf path,
+/// leaf (patched in place, collapse replayed), re-scores the root-to-leaf path,
 /// and fingerprint-reuses every other subtree's coarsening and placement;
 /// the `-wholesale` twin recomputes the whole pipeline with the same
 /// seed, producing the identical assignment. The gap is the delta-driven
@@ -489,6 +505,8 @@ fn main() {
         ("broker/fail-node-5000-pop-wholesale", || bench_broker_fail_node(5000, true)),
         ("broker/publish-lossy-5pct", || bench_broker_publish_lossy(5000, 0.05)),
         ("broker/publish-lossy-clean", || bench_broker_publish_lossy(5000, 0.0)),
+        ("core/distribute-800-churn", bench_distribute_churn),
+        ("core/coarsen-dense-400", bench_coarsen_dense),
         ("core/adapt-round-10k", || bench_adapt_round(10_000, false)),
         ("core/adapt-round-10k-quiet", bench_adapt_round_quiet),
         ("core/adapt-round-10k-wholesale", || bench_adapt_round(10_000, true)),

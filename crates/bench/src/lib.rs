@@ -550,6 +550,57 @@ pub mod fixtures {
         AdaptWorld { dep, tree, table, specs, current, dirty }
     }
 
+    /// Root seed of the end-to-end `placement-churn` workload's standing
+    /// world (`e2ebench/src/workloads/placement_churn.rs`).
+    pub const CHURN_SEED: u64 = 0xC4A2;
+
+    /// `placement-churn`'s standing world as a micro fixture: the
+    /// `PaperParams::scaled(0.05)` overlay with its 800 standing queries,
+    /// not yet placed — what that workload's set-up hands the optimizer.
+    pub fn churn_world() -> cosmos_workload::Simulation {
+        let mut sim = cosmos_workload::Simulation::build(
+            cosmos_workload::PaperParams::scaled(0.05),
+            CHURN_SEED,
+        );
+        sim.arrivals(800, cosmos_util::rng::derive_seed(CHURN_SEED, "standing"));
+        sim
+    }
+
+    /// The initial hierarchical distribution of [`churn_world`], under the
+    /// seed the workload uses — the call behind `core/distribute-800-churn`.
+    pub fn churn_distribute(
+        sim: &cosmos_workload::Simulation,
+    ) -> cosmos_core::distribute::DistOutcome {
+        sim.distributor()
+            .distribute(&sim.specs, cosmos_util::rng::derive_seed(CHURN_SEED, "distribute"))
+    }
+
+    /// The first `n` queries of [`churn_world`] as one query graph with
+    /// exact pairwise edges, plus the substream rates — the input of
+    /// `core/coarsen-dense-400`. Dense like the leaf graphs the optimizer
+    /// builds (most query pairs share a substream), only larger than any
+    /// single one of them.
+    pub fn dense_query_graph(n: usize) -> (cosmos_core::QueryGraph, Vec<f64>) {
+        use cosmos_core::graph::{edge_weight, QgVertex};
+        let sim = churn_world();
+        let rates = sim.table.rates().to_vec();
+        let vertices = sim.specs[..n]
+            .iter()
+            .map(|s| {
+                let interest = s.interest.clone();
+                QgVertex::for_query(s.id, interest, s.load, s.proxy, s.result_rate, s.state_size)
+            })
+            .collect();
+        let mut graph = cosmos_core::QueryGraph::new(vertices);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let w = edge_weight(&graph.vertices[i], &graph.vertices[j], &rates);
+                graph.set_edge(i, j, w);
+            }
+        }
+        (graph, rates)
+    }
+
     /// `members` mergeable queries with exactly two distinct residual
     /// conjunctions (alternating thresholds) — the duplicated-residual
     /// workload behind `engine/shared-split-*`.
@@ -584,6 +635,20 @@ mod tests {
         net.subscribe_batch(subs);
         let stats = net.cover_stats();
         assert_eq!((stats.attempted, stats.held), (605_572, 32_568));
+    }
+
+    /// The optimizer's work on `placement-churn`'s standing population is
+    /// exact: 8 coordinator graphs of 1 010 vertices and 93 097 edges,
+    /// coarsened by 754 collapses that re-estimate 106 996 edges — as
+    /// counted on commit 3cbb866, whose heaps and hash maps did the same
+    /// work at twice the price.
+    #[test]
+    fn churn_distribute_work_is_pinned() {
+        let stats = fixtures::churn_distribute(&fixtures::churn_world()).coarsen;
+        assert_eq!(
+            (stats.vertices, stats.edges, stats.collapses, stats.reestimated),
+            (1_010, 93_097, 754, 106_996)
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! - a vertex may only absorb a transfer `m_ij` that exceeds 90% of its
 //!   weight (no drastic overshoot).
 
+use crate::coarsen::CoarsenStats;
 use crate::distribute::{DistTiming, Distributor, HierarchyGraphs};
 use crate::graph::{NetworkGraph, QgVertex, QueryGraph};
 use crate::incremental::{vertex_raw_fp, HierCache, PlaceStore};
@@ -110,6 +111,9 @@ pub struct AdaptOutcome {
     pub moved_state: f64,
     /// Optimizer running time.
     pub timing: DistTiming,
+    /// Coarsening work actually performed (an incremental round's cache
+    /// hits cost none — like `timing`, exempt from the oracle comparison).
+    pub coarsen: CoarsenStats,
 }
 
 /// Cost of vertex `v` placed on target `k` under `mapping` (WEC terms
@@ -218,8 +222,9 @@ pub(crate) fn adapt_with_caches(
     }
     let mut timing = DistTiming::default();
     let mut next = Assignment::new();
+    let coarsen = CoarsenStats::default();
     if specs.is_empty() {
-        return AdaptOutcome { assignment: next, migrations: 0, moved_state: 0.0, timing };
+        return AdaptOutcome { assignment: next, migrations: 0, moved_state: 0.0, timing, coarsen };
     }
     let root = d.tree.root();
     if d.tree.node(root).children.is_empty() {
@@ -229,6 +234,7 @@ pub(crate) fn adapt_with_caches(
             migrations: 0,
             moved_state: 0.0,
             timing,
+            coarsen,
         };
     }
 
@@ -278,7 +284,7 @@ pub(crate) fn adapt_with_caches(
             moved_state += spec.state_size;
         }
     }
-    AdaptOutcome { assignment: next, migrations, moved_state, timing }
+    AdaptOutcome { assignment: next, migrations, moved_state, timing, coarsen: graphs.coarsen }
 }
 
 #[allow(clippy::too_many_arguments)]

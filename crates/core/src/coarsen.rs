@@ -15,13 +15,50 @@
 //! collapse at all. The paper only excludes them from n-n matches; letting
 //! a q-vertex collapse into a capability-0 anchor would pin query load to
 //! an unmappable vertex and make the load constraint unsatisfiable.
+//!
+//! **Mechanics.** The working adjacency is the query graph's own: one
+//! sorted row per vertex. A vertex's match is found by scanning its row
+//! for the heaviest edge to an eligible neighbor — only a strictly heavier
+//! edge displaces the current best, so equal weights resolve to the
+//! smallest index — and collapsing `v` into `u` is one merge of their two
+//! rows into `u`'s new one, re-estimating each edge of the merged vertex on
+//! the way (Algorithm 1, line 11).
+//!
+//! **Exactness.** Every weight is recomputed from the endpoint interests
+//! by [`edge_weight`], never derived from the old ones. An identity such as
+//! `w(u ∪ v, x) = w(u, x) + w(v, x) − w(u ∩ v, x)` holds for the reals but
+//! sums the substream rates in another order and so rounds differently —
+//! enough to flip a near-tie between two candidates and, from there, a
+//! whole placement. Exact recomputation is what lets a cached or patched
+//! run stand in for a fresh one bit for bit.
 
-use crate::graph::{edge_weight, QgVertex, QueryGraph};
+use crate::graph::{edge_weight, set_entry, QgVertex, QueryGraph, Row};
 use cosmos_net::NodeId;
 use cosmos_util::rng::rng_for;
 use rand::seq::SliceRandom;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+
+/// Machine-independent work counters of coarsening runs; they add up
+/// across runs, so an outcome can report the total of a whole round.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoarsenStats {
+    /// Input vertices.
+    pub vertices: u64,
+    /// Input edges.
+    pub edges: u64,
+    /// Vertex pairs collapsed.
+    pub collapses: u64,
+    /// Edges re-estimated after a collapse (one [`edge_weight`] call each).
+    pub reestimated: u64,
+}
+
+impl std::ops::AddAssign for CoarsenStats {
+    fn add_assign(&mut self, other: Self) {
+        self.vertices += other.vertices;
+        self.edges += other.edges;
+        self.collapses += other.collapses;
+        self.reestimated += other.reestimated;
+    }
+}
 
 /// The result of coarsening: the coarse graph plus, per coarse vertex, the
 /// indices of the input vertices it contains.
@@ -31,6 +68,8 @@ pub struct Coarsened {
     pub graph: QueryGraph,
     /// `members[c]` = input-vertex indices merged into coarse vertex `c`.
     pub members: Vec<Vec<usize>>,
+    /// What this run cost.
+    pub stats: CoarsenStats,
 }
 
 /// Which child cluster covers a network node (`clu` in Algorithm 1);
@@ -46,188 +85,72 @@ fn is_anchor(v: &QgVertex, cluster_of: &ClusterOf) -> bool {
     v.is_net() && clu(v, cluster_of).is_none()
 }
 
-/// A candidate edge in a vertex's selection heap, ordered max-weight
-/// first with ties broken toward the **smaller** neighbor index — exactly
-/// the choice the linear reference scan makes, so heap-based selection is
-/// output-identical to it.
-#[derive(Debug, Clone, PartialEq)]
-struct Cand {
-    w: f64,
-    j: usize,
-}
-
-impl Eq for Cand {}
-
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap: higher weight wins; equal weights prefer smaller j.
-        self.w.total_cmp(&other.w).then_with(|| other.j.cmp(&self.j))
-    }
-}
-
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Pops `heap` down to the best *eligible* neighbor of `u` under lazy
-/// deletion: entries whose neighbor died or whose weight no longer mirrors
-/// the live adjacency are discarded for good; entries that are merely
-/// ineligible **this pass** (already matched, an anchor, a cluster
-/// conflict) are stashed and re-pushed, because they may become mergeable
-/// in a later pass. Returns the chosen neighbor, if any.
-#[allow(clippy::too_many_arguments)]
-fn best_candidate(
-    heap: &mut BinaryHeap<Cand>,
-    adj_u: &std::collections::HashMap<usize, f64>,
-    vertices: &[Option<QgVertex>],
-    matched: &[bool],
-    u_is_net: bool,
-    u_clu: Option<usize>,
-    cluster_of: &ClusterOf,
-    stash: &mut Vec<Cand>,
-) -> Option<usize> {
-    stash.clear();
-    let mut best = None;
-    while let Some(cand) = heap.pop() {
-        let Some(v_vert) = vertices[cand.j].as_ref() else { continue };
-        if !adj_u.get(&cand.j).is_some_and(|w| w.total_cmp(&cand.w).is_eq()) {
-            continue; // stale weight: the live entry is elsewhere in the heap
-        }
-        let eligible = !(matched[cand.j]
-            || is_anchor(v_vert, cluster_of)
-            || (u_is_net && v_vert.is_net() && u_clu != clu(v_vert, cluster_of)));
-        let chosen = eligible.then_some(cand.j);
-        stash.push(cand);
-        if chosen.is_some() {
-            best = chosen;
-            break;
-        }
-    }
-    heap.extend(stash.drain(..));
-    best
-}
-
-/// Pre-collapse coarsening state: the working vertex array, the live
-/// adjacency, and the per-vertex lazy-deletion candidate heaps *before*
-/// any collapse has run.
+/// A level-1 coordinator's fine query graph, kept alive across adaptation
+/// rounds by the incremental optimizer.
 ///
-/// The incremental optimizer keeps one of these alive per level-1
-/// coordinator across adaptation rounds. When a round's statistics deltas
-/// leave a leaf's query set and interests untouched (only loads, result
-/// rates, or substream rates moved), [`CoarsenState::patch_vertex`]
-/// re-estimates the dirty vertices' edges in place — pushing fresh heap
-/// entries and leaving superseded ones to lazy deletion — and
-/// [`CoarsenState::run`] replays the collapse on a clone of the state,
-/// skipping the quadratic edge construction a fresh graph build would pay.
-/// The result is output-identical to [`coarsen_wholesale`] on the freshly
-/// built graph, which the differential tests pin.
+/// When a round's statistics deltas leave a leaf's query set and interests
+/// untouched (only loads, result rates, or substream rates moved),
+/// [`CoarsenState::patch_vertex`] re-estimates the dirty vertices' edges in
+/// place and [`CoarsenState::run`] replays the collapse on a clone of the
+/// graph, skipping the quadratic edge construction a fresh graph build
+/// would pay. The result is output-identical to [`coarsen_wholesale`] on
+/// the freshly built graph, which the differential tests pin.
 #[derive(Debug, Clone)]
 pub struct CoarsenState {
-    vertices: Vec<QgVertex>,
-    adj: Vec<std::collections::HashMap<usize, f64>>,
-    heaps: Vec<BinaryHeap<Cand>>,
+    graph: QueryGraph,
 }
 
 impl CoarsenState {
-    /// Captures `input`'s vertices, adjacency, and selection heaps.
-    pub fn prepare(input: &QueryGraph) -> Self {
-        let n = input.len();
-        let adj: Vec<std::collections::HashMap<usize, f64>> =
-            (0..n).map(|i| input.neighbors(i).collect()).collect();
-        let heaps =
-            adj.iter().map(|edges| edges.iter().map(|(&j, &w)| Cand { w, j }).collect()).collect();
-        Self { vertices: input.vertices.clone(), adj, heaps }
+    /// Adopts `input` as the fine graph.
+    pub fn prepare(input: QueryGraph) -> Self {
+        Self { graph: input }
     }
 
     /// Number of fine vertices.
     pub fn len(&self) -> usize {
-        self.vertices.len()
+        self.graph.len()
     }
 
     /// Is the state empty?
     pub fn is_empty(&self) -> bool {
-        self.vertices.is_empty()
+        self.graph.is_empty()
     }
 
     /// The fine vertices, reflecting every patch applied so far.
     pub fn vertices(&self) -> &[QgVertex] {
-        &self.vertices
+        &self.graph.vertices
     }
 
     /// Replaces vertex `i` with `v` and re-estimates all of `i`'s edges
-    /// under `rates`, pushing the updated candidates onto both endpoint
-    /// heaps; superseded entries fall to lazy deletion during the collapse.
+    /// under `rates`.
     ///
     /// The caller must not change the vertex's interest or result-flow
     /// *topology*: only statistics (load, rates, state size) may move, so
     /// the live edge set stays put and only weights change. If a
-    /// re-estimated weight is no longer positive the edge set *would*
-    /// change — the patch is rejected by returning `false`, and the caller
+    /// re-estimated weight is no longer positive the edge set *did*
+    /// change — the patch reports it by returning `false`, and the caller
     /// must rebuild the state from a fresh graph.
     pub fn patch_vertex(&mut self, i: usize, v: QgVertex, rates: &[f64]) -> bool {
-        self.vertices[i] = v;
-        let neighbors: Vec<usize> = self.adj[i].keys().copied().collect();
-        for x in neighbors {
-            let w = edge_weight(&self.vertices[i], &self.vertices[x], rates);
-            if w <= 0.0 {
-                return false;
-            }
-            self.adj[i].insert(x, w);
-            self.adj[x].insert(i, w);
-            self.heaps[i].push(Cand { w, j: x });
-            self.heaps[x].push(Cand { w, j: i });
-        }
-        true
+        self.graph.vertices[i] = v;
+        let degree = self.graph.degree(i);
+        self.graph.reestimate_edges_of(i, rates);
+        self.graph.degree(i) == degree
     }
 
-    /// Rebuilds every heap from the live adjacency when stale entries
-    /// dominate (more than 4× the live edge entries). A no-op for
-    /// selection semantics — lazy deletion would have skipped the stale
-    /// entries anyway — but it bounds the memory a long-lived state
-    /// accumulates across many patched rounds.
-    pub fn maybe_compact(&mut self) {
-        let live: usize = self.adj.iter().map(|a| a.len()).sum();
-        let held: usize = self.heaps.iter().map(|h| h.len()).sum();
-        if held > 4 * live.max(1) {
-            for (i, edges) in self.adj.iter().enumerate() {
-                self.heaps[i] = edges.iter().map(|(&j, &w)| Cand { w, j }).collect();
-            }
-        }
-    }
-
-    /// Replays Algorithm 1 on a clone of the state. Output-identical to
+    /// Replays Algorithm 1 on a clone of the graph. Output-identical to
     /// [`coarsen_wholesale`] on the equivalent freshly built graph.
     ///
     /// # Panics
     ///
     /// Panics if `vmax == 0`.
     pub fn run(&self, vmax: usize, rates: &[f64], cluster_of: &ClusterOf, seed: u64) -> Coarsened {
-        collapse(
-            self.vertices.iter().cloned().map(Some).collect(),
-            self.adj.clone(),
-            self.heaps.clone(),
-            vmax,
-            rates,
-            cluster_of,
-            seed,
-        )
+        coarsen_wholesale(&self.graph, vmax, rates, cluster_of, seed)
     }
 }
 
-/// Runs Algorithm 1 from scratch until at most `vmax` vertices remain (or
-/// no further collapse is possible — e.g. everything left is an anchor).
-/// This is the batch path and the differential oracle for the
-/// [`CoarsenState`] patch-and-replay path.
-///
-/// Candidate selection keeps a lazy-deletion binary heap of `(weight,
-/// neighbor)` per vertex instead of re-scanning the adjacency per pass:
-/// a vertex's best eligible neighbor is a few heap pops (stale entries —
-/// dead neighbors, superseded weights — are discarded on sight), and edge
-/// re-estimation after a collapse pushes the new weights without touching
-/// the old entries. Output-identical to the linear scan (same max-weight,
-/// smallest-index tie-break), which the differential test pins.
+/// Runs Algorithm 1 until at most `vmax` vertices remain (or no further
+/// collapse is possible — e.g. everything left is an anchor). The batch
+/// path, and what [`CoarsenState::run`] replays on its patched graph.
 ///
 /// Deterministic for a given `seed`.
 ///
@@ -241,30 +164,16 @@ pub fn coarsen_wholesale(
     cluster_of: &ClusterOf,
     seed: u64,
 ) -> Coarsened {
-    let n = input.len();
-    let vertices: Vec<Option<QgVertex>> = input.vertices.iter().cloned().map(Some).collect();
-    let adj: Vec<std::collections::HashMap<usize, f64>> =
-        (0..n).map(|i| input.neighbors(i).collect()).collect();
-    let heaps: Vec<BinaryHeap<Cand>> =
-        adj.iter().map(|edges| edges.iter().map(|(&j, &w)| Cand { w, j }).collect()).collect();
-    collapse(vertices, adj, heaps, vmax, rates, cluster_of, seed)
-}
-
-/// The shared collapse loop behind [`coarsen_wholesale`] and
-/// [`CoarsenState::run`] — one implementation, so the batch path and the
-/// patched replay cannot drift.
-fn collapse(
-    mut vertices: Vec<Option<QgVertex>>,
-    mut adj: Vec<std::collections::HashMap<usize, f64>>,
-    mut heaps: Vec<BinaryHeap<Cand>>,
-    vmax: usize,
-    rates: &[f64],
-    cluster_of: &ClusterOf,
-    seed: u64,
-) -> Coarsened {
     assert!(vmax > 0, "vmax must be positive");
-    let n = vertices.len();
-    let mut stash: Vec<Cand> = Vec::new();
+    let n = input.len();
+    let mut stats =
+        CoarsenStats { vertices: n as u64, edges: input.edge_count() as u64, ..Default::default() };
+    // A collapsed vertex's slot goes `None`, and that is all its neighbors
+    // learn of it: their rows keep naming it and every reader skips the
+    // dead entries, which spares each collapse a search-and-shift in every
+    // neighbor's row. Merging drops them from the survivor's row.
+    let (vertices, mut rows) = input.clone().into_parts();
+    let mut vertices: Vec<Option<QgVertex>> = vertices.into_iter().map(Some).collect();
     let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
     let mut alive = n;
     let mut rng = rng_for(seed, "coarsen");
@@ -282,71 +191,54 @@ fn collapse(
             if vertices[u].is_none() || matched[u] {
                 continue;
             }
+            matched[u] = true;
             let u_vert = vertices[u].as_ref().expect("checked alive");
             if is_anchor(u_vert, cluster_of) {
-                matched[u] = true;
                 continue;
             }
             let u_is_net = u_vert.is_net();
             let u_clu = clu(u_vert, cluster_of);
-            // Candidate selection (Algorithm 1, lines 5-7) via the heap.
-            let best = best_candidate(
-                &mut heaps[u],
-                &adj[u],
-                &vertices,
-                &matched,
-                u_is_net,
-                u_clu,
-                cluster_of,
-                &mut stash,
-            );
-            let Some(v) = best else {
-                matched[u] = true;
-                continue;
-            };
+            // Candidate selection (Algorithm 1, lines 5-7).
+            let mut best: Option<(usize, f64)> = None;
+            for &(j, w) in &rows[u] {
+                let Some(v_vert) = vertices[j].as_ref() else { continue };
+                let eligible = !(matched[j]
+                    || is_anchor(v_vert, cluster_of)
+                    || (u_is_net && v_vert.is_net() && u_clu != clu(v_vert, cluster_of)));
+                if eligible && best.is_none_or(|(_, bw)| w > bw) {
+                    best = Some((j, w));
+                }
+            }
+            let Some((v, _)) = best else { continue };
 
-            // Collapse v into u (lines 8-14).
+            // Collapse v into u (lines 8-14): one merge of their two rows
+            // yields u's new row, every edge re-estimated (line 11).
             let v_vert = vertices[v].take().expect("candidate alive");
             let v_members = std::mem::take(&mut members[v]);
-            {
-                let u_vert = vertices[u].as_mut().expect("u alive");
-                u_vert.absorb(&v_vert);
-            }
             members[u].extend(v_members);
-            // Rewire v's edges onto u.
-            let v_edges: Vec<usize> = adj[v].keys().copied().collect();
-            for x in v_edges {
-                adj[x].remove(&v);
-                if x != u {
-                    adj[u].entry(x).or_insert(0.0);
-                    adj[x].entry(u).or_insert(0.0);
-                }
-            }
-            adj[v].clear();
-            heaps[v] = BinaryHeap::new(); // v can never be selected again
-            adj[u].remove(&u);
-            // Re-estimate every edge of the merged vertex (line 11); new
-            // weights are pushed onto both endpoint heaps, superseded
-            // entries fall to lazy deletion.
-            let neighbors: Vec<usize> = adj[u].keys().copied().collect();
-            for x in neighbors {
-                let w = edge_weight(
-                    vertices[u].as_ref().expect("u alive"),
-                    vertices[x].as_ref().expect("neighbor alive"),
-                    rates,
-                );
+            vertices[u].as_mut().expect("u alive").absorb(&v_vert);
+            let u_vert = vertices[u].as_ref().expect("u alive");
+            let (row_u, row_v) = (std::mem::take(&mut rows[u]), std::mem::take(&mut rows[v]));
+            let mut merged = Row::with_capacity(row_u.len() + row_v.len());
+            let (mut a, mut b) = (0, 0);
+            while a < row_u.len() || b < row_v.len() {
+                let xa = row_u.get(a).map_or(usize::MAX, |e| e.0);
+                let xb = row_v.get(b).map_or(usize::MAX, |e| e.0);
+                let x = xa.min(xb);
+                a += usize::from(xa == x);
+                b += usize::from(xb == x);
+                // Skips v, just collapsed, along with the longer dead.
+                let Some(x_vert) = vertices[x].as_ref().filter(|_| x != u) else { continue };
+                let w = edge_weight(u_vert, x_vert, rates);
+                stats.reestimated += 1;
                 if w > 0.0 {
-                    adj[u].insert(x, w);
-                    adj[x].insert(u, w);
-                    heaps[u].push(Cand { w, j: x });
-                    heaps[x].push(Cand { w, j: u });
-                } else {
-                    adj[u].remove(&x);
-                    adj[x].remove(&u);
+                    merged.push((x, w));
                 }
+                set_entry(&mut rows[x], u, w);
             }
-            matched[u] = true;
+            rows[u] = merged;
             alive -= 1;
+            stats.collapses += 1;
             progress = true;
         }
         if !progress {
@@ -354,29 +246,27 @@ fn collapse(
         }
     }
 
-    // Compact into a fresh graph.
+    // Compact into a fresh graph; the index map is monotone, so rows stay
+    // sorted.
     let mut index_map = vec![usize::MAX; n];
     let mut out_vertices = Vec::with_capacity(alive);
     let mut out_members = Vec::with_capacity(alive);
+    let mut out_rows = Vec::with_capacity(alive);
     for i in 0..n {
         if let Some(v) = vertices[i].take() {
             index_map[i] = out_vertices.len();
             out_vertices.push(v);
             out_members.push(std::mem::take(&mut members[i]));
+            out_rows.push(std::mem::take(&mut rows[i]));
         }
     }
-    let mut graph = QueryGraph::new(out_vertices);
-    for i in 0..n {
-        if index_map[i] == usize::MAX {
-            continue;
-        }
-        for (&j, &w) in &adj[i] {
-            if j > i && index_map[j] != usize::MAX {
-                graph.set_edge(index_map[i], index_map[j], w);
-            }
-        }
+    for row in &mut out_rows {
+        row.retain_mut(|e| {
+            e.0 = index_map[e.0];
+            e.0 != usize::MAX
+        });
     }
-    Coarsened { graph, members: out_members }
+    Coarsened { graph: QueryGraph::from_parts(out_vertices, out_rows), members: out_members, stats }
 }
 
 #[cfg(test)]
@@ -388,9 +278,11 @@ mod tests {
 
     const U: usize = 32;
 
-    /// The pre-heap reference: Algorithm 1 with candidate selection by a
-    /// full linear scan of the adjacency. Kept verbatim as the oracle the
-    /// heap-based [`coarsen_wholesale`] must be output-identical to.
+    /// The reference: Algorithm 1 over a `HashMap` adjacency, with the match
+    /// chosen by a full scan under an explicit (max weight, smallest index)
+    /// rule and rewiring and re-estimation as two separate steps. Written
+    /// for obviousness; the oracle the sorted-row [`coarsen_wholesale`]
+    /// must be output-identical to, counters included.
     fn coarsen_reference(
         input: &QueryGraph,
         vmax: usize,
@@ -407,6 +299,11 @@ mod tests {
         let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
         let mut alive = n;
         let mut rng = rng_for(seed, "coarsen");
+        let mut stats = CoarsenStats {
+            vertices: n as u64,
+            edges: input.edge_count() as u64,
+            ..Default::default()
+        };
 
         while alive > vmax {
             let mut matched = vec![false; n];
@@ -461,6 +358,7 @@ mod tests {
                 adj[v].clear();
                 adj[u].remove(&u);
                 let neighbors: Vec<usize> = adj[u].keys().copied().collect();
+                stats.reestimated += neighbors.len() as u64;
                 for x in neighbors {
                     let w = edge_weight(
                         vertices[u].as_ref().expect("u alive"),
@@ -477,6 +375,7 @@ mod tests {
                 }
                 matched[u] = true;
                 alive -= 1;
+                stats.collapses += 1;
                 progress = true;
             }
             if !progress {
@@ -505,48 +404,107 @@ mod tests {
                 }
             }
         }
-        Coarsened { graph, members: out_members }
+        Coarsened { graph, members: out_members, stats }
     }
 
-    /// The heap-based selection must coarsen a seeded random graph to
-    /// exactly the output the linear-scan reference produces — members,
-    /// vertex weights, and edges.
-    #[test]
-    fn heap_selection_is_output_identical_to_linear_scan() {
-        use rand::Rng;
-        for seed in 0..12u64 {
-            let mut rng = rng_for(seed, "coarsen-heap-diff");
-            let rates: Vec<f64> = (0..U).map(|i| 1.0 + (i % 5) as f64).collect();
-            let n = rng.gen_range(12..36);
-            let vertices: Vec<QgVertex> = (0..n)
-                .map(|i| {
-                    let bits: Vec<usize> =
-                        (0..rng.gen_range(1..5)).map(|_| rng.gen_range(0..U)).collect();
-                    if i % 7 == 3 {
-                        nv(i as u32, &bits)
-                    } else {
-                        qv(i as u64, &bits, rng.gen_range(0.5..4.0))
-                    }
-                })
-                .collect();
-            let g = with_edges(vertices, &rates);
-            // Some n-vertices clustered, some anchors (cluster unknown).
-            let cluster_of = |node: NodeId| -> Option<usize> {
-                (!node.0.is_multiple_of(3)).then_some((node.0 % 2) as usize)
+    fn stress() -> bool {
+        std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1")
+    }
+
+    /// Members, counters, and the coarse graph bit for bit.
+    fn assert_identical(fast: &Coarsened, slow: &Coarsened, what: &str) {
+        assert_eq!(fast.members, slow.members, "{what}: members diverged");
+        assert_eq!(fast.stats, slow.stats, "{what}: work counters diverged");
+        assert_eq!(fast.graph.len(), slow.graph.len());
+        for i in 0..fast.graph.len() {
+            assert_eq!(
+                fast.graph.vertices[i].weight.to_bits(),
+                slow.graph.vertices[i].weight.to_bits(),
+                "{what}: weight of coarse vertex {i} diverged"
+            );
+            let bits = |g: &QueryGraph| -> Vec<(usize, u64)> {
+                g.neighbors(i).map(|(j, w)| (j, w.to_bits())).collect()
             };
-            let vmax = rng.gen_range(2..10);
-            let fast = coarsen_wholesale(&g, vmax, &rates, &cluster_of, seed);
-            let slow = coarsen_reference(&g, vmax, &rates, &cluster_of, seed);
-            assert_eq!(fast.members, slow.members, "seed {seed}: members diverged");
-            assert_eq!(fast.graph.len(), slow.graph.len());
-            for i in 0..fast.graph.len() {
-                assert_eq!(fast.graph.vertices[i].weight, slow.graph.vertices[i].weight);
-                let mut fe: Vec<(usize, f64)> = fast.graph.neighbors(i).collect();
-                let mut se: Vec<(usize, f64)> = slow.graph.neighbors(i).collect();
-                fe.sort_by_key(|e| e.0);
-                se.sort_by_key(|e| e.0);
-                assert_eq!(fe, se, "seed {seed}: edges of vertex {i} diverged");
+            assert_eq!(bits(&fast.graph), bits(&slow.graph), "{what}: edges of {i} diverged");
+        }
+    }
+
+    /// Some n-vertices in cluster 0, some in cluster 1, some anchors
+    /// (cluster unknown).
+    fn mixed_clusters(node: NodeId) -> Option<usize> {
+        (!node.0.is_multiple_of(3)).then_some((node.0 % 2) as usize)
+    }
+
+    /// One seeded trial against the reference: small-integer rates and
+    /// loads so that equal weights (and hence the smallest-index
+    /// tie-break) are the rule, n-vertices in two clusters plus anchors,
+    /// result flows aimed at some of them. Checked twice: coarsening the
+    /// built graph, and a `patch_vertex` replay after rates and loads
+    /// moved against the reference on a graph freshly built from the moved
+    /// statistics.
+    fn differential_trial(
+        seed: u64,
+        sizes: std::ops::Range<usize>,
+        interests: std::ops::Range<usize>,
+        min_density: f64,
+    ) {
+        use rand::Rng;
+        let mut rng = rng_for(seed, "coarsen-diff");
+        let rates: Vec<f64> = (0..U).map(|i| 1.0 + (i % 3) as f64).collect();
+        let n = rng.gen_range(sizes);
+        let mut vertices: Vec<QgVertex> = (0..n)
+            .map(|i| {
+                let bits: Vec<usize> =
+                    (0..rng.gen_range(interests.clone())).map(|_| rng.gen_range(0..U)).collect();
+                if i % 7 == 3 {
+                    return nv(i as u32, &bits);
+                }
+                let mut v = qv(i as u64, &bits, rng.gen_range(1..5) as f64);
+                // Half the result flows target an n-vertex of the graph.
+                v.result_flows[0].0 = NodeId(3 + 7 * rng.gen_range(0..2 * (n as u32 / 7)));
+                v
+            })
+            .collect();
+        let g = with_edges(vertices.clone(), &rates);
+        let density = g.edge_count() as f64 / (n * (n - 1) / 2) as f64;
+        assert!(density >= min_density, "seed {seed}: density {density} of {n} vertices");
+        let vmax = rng.gen_range(2..(n / 3).min(64));
+        let fast = coarsen_wholesale(&g, vmax, &rates, &mixed_clusters, seed);
+        let slow = coarsen_reference(&g, vmax, &rates, &mixed_clusters, seed);
+        assert_identical(&fast, &slow, &format!("seed {seed}, n {n}"));
+
+        let mut state = CoarsenState::prepare(g);
+        let rates2: Vec<f64> =
+            rates.iter().map(|r| if rng.gen_bool(0.3) { r * 2.0 } else { *r }).collect();
+        for v in vertices.iter_mut().filter(|v| !v.is_net()) {
+            if rng.gen_bool(0.3) {
+                v.weight += 1.0;
             }
+        }
+        // Rates moved globally, so every vertex counts as dirty.
+        for (i, v) in vertices.iter().enumerate() {
+            assert!(state.patch_vertex(i, v.clone(), &rates2), "patch rejected at {i}");
+        }
+        let replay = state.run(vmax, &rates2, &mixed_clusters, seed);
+        let fresh = with_edges(vertices, &rates2);
+        let slow = coarsen_reference(&fresh, vmax, &rates2, &mixed_clusters, seed);
+        assert_identical(&replay, &slow, &format!("seed {seed}, n {n}, patched replay"));
+    }
+
+    /// Small sparse graphs, where a divergence is easy to read.
+    #[test]
+    fn row_scan_is_output_identical_to_reference() {
+        for seed in 0..12 {
+            differential_trial(seed, 12..36, 1..5, 0.0);
+        }
+    }
+
+    /// Where the optimizer's graphs actually live: 100–400 vertices at
+    /// edge density ≥ 0.5. `COSMOS_STRESS=1` runs more seeds.
+    #[test]
+    fn dense_row_scan_and_patched_replay_are_output_identical_to_reference() {
+        for seed in 0..if stress() { 24 } else { 3 } {
+            differential_trial(seed, 100..401, 6..12, 0.5);
         }
     }
 
@@ -724,7 +682,7 @@ mod tests {
                 })
                 .collect();
             let g = with_edges(vertices, &rates);
-            let state = CoarsenState::prepare(&g);
+            let state = CoarsenState::prepare(g.clone());
             let vmax = rng.gen_range(2..8);
             let replay = state.run(vmax, &rates, &|_| None, seed);
             let fresh = coarsen_wholesale(&g, vmax, &rates, &|_| None, seed);
@@ -751,7 +709,7 @@ mod tests {
                 })
                 .collect();
             let g = with_edges(vertices.clone(), &rates);
-            let mut state = CoarsenState::prepare(&g);
+            let mut state = CoarsenState::prepare(g);
             // Perturb substream rates and a third of the loads — the kind
             // of delta a StatDelta stream carries between rounds. Rates
             // changed globally, so every vertex counts as dirty.
@@ -768,27 +726,11 @@ mod tests {
             for (i, v) in vertices.iter().enumerate() {
                 assert!(state.patch_vertex(i, v.clone(), &rates2), "patch rejected at {i}");
             }
-            state.maybe_compact();
             let g2 = with_edges(vertices.clone(), &rates2);
             let vmax = rng.gen_range(2..8);
             let patched = state.run(vmax, &rates2, &|_| None, seed);
             let fresh = coarsen_wholesale(&g2, vmax, &rates2, &|_| None, seed);
-            assert_eq!(patched.members, fresh.members, "seed {seed}: members diverged");
-            assert_eq!(patched.graph.len(), fresh.graph.len());
-            for i in 0..patched.graph.len() {
-                assert_eq!(
-                    patched.graph.vertices[i].weight.to_bits(),
-                    fresh.graph.vertices[i].weight.to_bits(),
-                    "seed {seed}: weight of coarse vertex {i} diverged"
-                );
-                let mut pe: Vec<(usize, u64)> =
-                    patched.graph.neighbors(i).map(|(j, w)| (j, w.to_bits())).collect();
-                let mut fe: Vec<(usize, u64)> =
-                    fresh.graph.neighbors(i).map(|(j, w)| (j, w.to_bits())).collect();
-                pe.sort_unstable_by_key(|e| e.0);
-                fe.sort_unstable_by_key(|e| e.0);
-                assert_eq!(pe, fe, "seed {seed}: edges of coarse vertex {i} diverged");
-            }
+            assert_identical(&patched, &fresh, &format!("seed {seed}"));
         }
     }
 

@@ -10,6 +10,11 @@
 //! *uncoarsened one level* — using the vertex tags to retrieve constituent
 //! vertices from their originating coordinator, exactly as §3.5 describes.
 //!
+//! Graph construction appends: a vertex's few source and result-flow terms
+//! are placed first, then the pairwise overlap pass — the coordinator
+//! graphs are dense, most query pairs share a substream — rebuilds every
+//! adjacency row in ascending order without searching one.
+//!
 //! Scalability note (documented substitution): the paper never says how the
 //! centralized baseline builds overlap edges among 60 000 queries — full
 //! pairwise bit-vector ANDs are quadratic. Above
@@ -19,8 +24,8 @@
 //! pairs co-occur in many substream lists, so the heavy edges — the ones
 //! coarsening and mapping act on — survive.
 
-use crate::coarsen::{coarsen_wholesale, CoarsenState, Coarsened};
-use crate::graph::{NetVertex, NetworkGraph, QgVertex, QueryGraph, VertexKind};
+use crate::coarsen::{coarsen_wholesale, CoarsenState, CoarsenStats, Coarsened};
+use crate::graph::{NetVertex, NetworkGraph, QgVertex, QueryGraph};
 use crate::hierarchy::CoordinatorTree;
 use crate::incremental::HierCache;
 use crate::mapping::{map_graph, MapConfig, MappingResult};
@@ -107,6 +112,8 @@ pub struct DistOutcome {
     pub assignment: Assignment,
     /// Response/total running time.
     pub timing: DistTiming,
+    /// Coarsening work summed over all coordinators.
+    pub coarsen: CoarsenStats,
 }
 
 /// Shared context: deployment + coordinator tree + substream table.
@@ -184,8 +191,8 @@ impl<'a> Distributor<'a> {
     /// result flow) and computes all edges.
     pub(crate) fn graph_from_vertices(&self, mut vertices: Vec<QgVertex>, seed: u64) -> QueryGraph {
         let rates = self.table.rates();
+        let sources = self.dep.sources();
         let n_query = vertices.len();
-        let universe = self.universe();
 
         // Which network nodes already have a (mixed) Net vertex?
         let mut existing_net: HashMap<NodeId, usize> = HashMap::new();
@@ -195,95 +202,73 @@ impl<'a> Distributor<'a> {
             }
         }
 
-        // Per-vertex, per-source requested rate (single pass over interests).
-        let mut source_rates: Vec<HashMap<usize, f64>> = Vec::with_capacity(n_query);
-        for v in &vertices {
-            let mut acc: HashMap<usize, f64> = HashMap::new();
-            for s in v.interest.iter() {
-                *acc.entry(self.table.source_index(s)).or_insert(0.0) += rates[s];
-            }
-            source_rates.push(acc);
-        }
+        // Source and result-flow terms `(i, j, rate)`, in the order they
+        // add up on their edges.
+        let mut terms: Vec<(usize, usize, f64)> = Vec::new();
 
-        // Derive pure source vertices, in sorted source order per vertex:
-        // derived-vertex indices must not depend on hash iteration order,
-        // or rebuilt graphs would not be bit-reproducible and the
-        // incremental optimizer's memoization would be unsound.
-        let mut source_vertex: HashMap<usize, usize> = HashMap::new();
-        for acc in &source_rates {
-            let mut srcs: Vec<usize> = acc.keys().copied().collect();
-            srcs.sort_unstable();
-            for src in srcs {
-                let node = self.dep.sources()[src];
-                if existing_net.contains_key(&node) || source_vertex.contains_key(&src) {
-                    continue;
-                }
-                source_vertex.insert(src, vertices.len());
-                vertices.push(QgVertex::for_net(node, self.source_sets[src].clone()));
-            }
-        }
-        // Derive pure proxy vertices.
-        let mut proxy_vertex: HashMap<NodeId, usize> = HashMap::new();
+        // Per-vertex, per-source requested rate (single pass over the
+        // interest), deriving pure source vertices on the way — in sorted
+        // source order per vertex: derived-vertex indices must be
+        // bit-reproducible, or rebuilt graphs would differ from cached ones
+        // and the incremental optimizer's memoization would be unsound.
+        let mut source_vertex = vec![usize::MAX; sources.len()];
+        let mut requested = vec![0.0; sources.len()];
+        let mut last_seen = vec![usize::MAX; sources.len()];
+        let mut wanted: Vec<usize> = Vec::new();
         for i in 0..n_query {
-            for (p, _) in vertices[i].result_flows.clone() {
-                if existing_net.contains_key(&p) || proxy_vertex.contains_key(&p) {
-                    continue;
+            wanted.clear();
+            for s in vertices[i].interest.iter() {
+                let src = self.table.source_index(s);
+                if last_seen[src] != i {
+                    last_seen[src] = i;
+                    requested[src] = 0.0;
+                    wanted.push(src);
                 }
-                proxy_vertex.insert(p, vertices.len());
-                vertices.push(QgVertex::for_net(p, InterestSet::new(universe)));
+                requested[src] += rates[s];
+            }
+            wanted.sort_unstable();
+            for &src in &wanted {
+                let j = existing_net.get(&sources[src]).copied().unwrap_or_else(|| {
+                    if source_vertex[src] == usize::MAX {
+                        source_vertex[src] = vertices.len();
+                        vertices
+                            .push(QgVertex::for_net(sources[src], self.source_sets[src].clone()));
+                    }
+                    source_vertex[src]
+                });
+                if i != j {
+                    terms.push((i, j, requested[src]));
+                }
             }
         }
+        // Result flows, deriving pure proxy vertices on the way.
+        let mut proxy_vertex: HashMap<NodeId, usize> = HashMap::new();
+        let mut proxies: Vec<QgVertex> = Vec::new();
+        for (i, v) in vertices[..n_query].iter().enumerate() {
+            for &(p, rate) in &v.result_flows {
+                let j = existing_net.get(&p).copied().unwrap_or_else(|| {
+                    *proxy_vertex.entry(p).or_insert_with(|| {
+                        proxies.push(QgVertex::for_net(p, InterestSet::new(self.universe())));
+                        vertices.len() + proxies.len() - 1
+                    })
+                });
+                if v.net_node() != Some(p) && i != j {
+                    terms.push((i, j, rate));
+                }
+            }
+        }
+        vertices.append(&mut proxies);
 
         let mut graph = QueryGraph::new(vertices);
-
-        // Source edges.
-        for (i, acc) in source_rates.iter().enumerate() {
-            for (&src, &rate) in acc {
-                let node = self.dep.sources()[src];
-                let j = existing_net
-                    .get(&node)
-                    .copied()
-                    .or_else(|| source_vertex.get(&src).copied())
-                    .expect("source vertex derived above");
-                if i != j {
-                    graph.set_edge(i, j, graph.edge(i, j) + rate);
-                }
-            }
-        }
-
-        // Proxy (result-flow) edges.
-        for i in 0..n_query {
-            let flows = graph.vertices[i].result_flows.clone();
-            let own = graph.vertices[i].net_node();
-            for (p, rate) in flows {
-                if own == Some(p) {
-                    continue;
-                }
-                let j = existing_net
-                    .get(&p)
-                    .copied()
-                    .or_else(|| proxy_vertex.get(&p).copied())
-                    .expect("proxy vertex derived above");
-                if i != j {
-                    graph.set_edge(i, j, graph.edge(i, j) + rate);
-                }
-            }
+        for (i, j, rate) in terms {
+            graph.put_edge(i, j, graph.edge(i, j) + rate);
         }
 
         // Overlap edges among queryful vertices.
         if !self.config.overlap_edges {
             // Ablation: no Pub/Sub-sharing term in the query graph.
         } else if n_query <= self.config.full_pairwise_limit {
-            for i in 0..n_query {
-                for j in (i + 1)..n_query {
-                    let w = graph.vertices[i]
-                        .interest
-                        .weighted_overlap(&graph.vertices[j].interest, rates);
-                    if w > 0.0 {
-                        graph.set_edge(i, j, graph.edge(i, j) + w);
-                    }
-                }
-            }
+            graph.add_pairwise(n_query, |a, b| a.interest.weighted_overlap(&b.interest, rates));
         } else {
             self.sparsified_overlap_edges(&mut graph, n_query, seed);
         }
@@ -330,7 +315,7 @@ impl<'a> Distributor<'a> {
                 let w =
                     graph.vertices[i].interest.weighted_overlap(&graph.vertices[j].interest, rates);
                 if w > 0.0 {
-                    graph.set_edge(i, j, w);
+                    graph.put_edge(i, j, w);
                 }
             }
         }
@@ -398,7 +383,7 @@ impl<'a> Distributor<'a> {
         let mut assignment = Assignment::new();
         let mut timing = DistTiming::default();
         if specs.is_empty() {
-            return DistOutcome { assignment, timing };
+            return DistOutcome { assignment, timing, coarsen: CoarsenStats::default() };
         }
         // Trivial deployment: a single processor hosts everything.
         if self.tree.node(self.tree.root()).children.is_empty() {
@@ -406,7 +391,7 @@ impl<'a> Distributor<'a> {
             for s in specs {
                 assignment.place(s.id, p);
             }
-            return DistOutcome { assignment, timing };
+            return DistOutcome { assignment, timing, coarsen: CoarsenStats::default() };
         }
 
         // ---- Phase A: bottom-up graph construction and coarsening.
@@ -418,7 +403,7 @@ impl<'a> Distributor<'a> {
         let root_work = std::mem::take(&mut per_coord.outputs[root]);
         let response = self.assign_down(root, root_work, &per_coord, &mut assignment, &mut timing);
         timing.response += response;
-        DistOutcome { assignment, timing }
+        DistOutcome { assignment, timing, coarsen: per_coord.coarsen }
     }
 
     /// Centralized baseline: one global graph, mapped directly onto all
@@ -468,7 +453,7 @@ impl<'a> Distributor<'a> {
         }
         sw.stop();
         let timing = DistTiming { response: sw.elapsed(), total: sw.elapsed() };
-        DistOutcome { assignment, timing }
+        DistOutcome { assignment, timing, coarsen: CoarsenStats::default() }
     }
 
     /// Bottom-up phase shared by initial distribution and adaptation:
@@ -480,9 +465,9 @@ impl<'a> Distributor<'a> {
     /// fingerprint reuses the cached outputs and Arc-shares the cached
     /// constituents; a changed level-1 coordinator whose query *structure*
     /// is intact patches the dirty vertices of its persistent
-    /// [`CoarsenState`] and replays the collapse; everything else
-    /// recomputes exactly as the batch path does. `None` is the batch
-    /// path, byte-identical to the pre-incremental behavior.
+    /// [`CoarsenState`] and replays the collapse; everything else builds
+    /// and coarsens a fresh graph, which is all the batch path (`None`)
+    /// ever does.
     pub(crate) fn build_hierarchy_graphs(
         &self,
         specs: &[QuerySpec],
@@ -495,6 +480,7 @@ impl<'a> Distributor<'a> {
         let mut outputs: Vec<Vec<QgVertex>> = vec![Vec::new(); n_coords];
         let mut constituents: Vec<Arc<Vec<Vec<QgVertex>>>> = vec![Arc::default(); n_coords];
         let mut level_time: Vec<Duration> = Vec::new();
+        let mut coarsen = CoarsenStats::default();
         let rates = self.table.rates();
 
         // Group raw queries by their home processor's level-1 coordinator.
@@ -534,65 +520,57 @@ impl<'a> Distributor<'a> {
                 Vec::new()
             };
 
-            if let Some(c) = cache.as_deref_mut() {
-                let input_fp = if node.level == 1 {
-                    c.leaf_input_fp(&leaf_specs, rates)
-                } else {
-                    c.internal_input_fp(&node.children)
-                };
-                if let Some((out, cons)) = c.lookup(coord, input_fp) {
-                    outputs[coord] = out;
-                    constituents[coord] = cons;
-                } else {
-                    let (out, cons) = if node.level == 1 {
-                        if let Some(state) =
-                            c.patch_leaf(coord, &leaf_specs, rates, &|s| self.vertex_for(s))
-                        {
-                            let co = state.run(self.config.vmax, rates, &cluster_of, coarse_seed);
-                            tag_outputs(coord, &co, state.vertices())
-                        } else {
-                            let fine: Vec<QgVertex> =
-                                leaf_specs.iter().map(|s| self.vertex_for(s)).collect();
-                            let qg = self.graph_from_vertices(fine, coarse_seed);
-                            let state = CoarsenState::prepare(&qg);
-                            let co = state.run(self.config.vmax, rates, &cluster_of, coarse_seed);
-                            let oc = tag_outputs(coord, &co, state.vertices());
-                            c.store_leaf_state(coord, &leaf_specs, rates, state);
-                            oc
-                        }
+            let (input_fp, hit) = match cache.as_deref_mut() {
+                Some(c) => {
+                    let fp = if node.level == 1 {
+                        c.leaf_input_fp(&leaf_specs, rates)
                     } else {
-                        let fine: Vec<QgVertex> = node
-                            .children
-                            .iter()
-                            .flat_map(|&ch| outputs[ch].iter().cloned())
-                            .collect();
-                        let qg = self.graph_from_vertices(fine, coarse_seed);
-                        let co = coarsen_wholesale(
-                            &qg,
-                            self.config.vmax,
-                            rates,
-                            &cluster_of,
-                            coarse_seed,
-                        );
-                        tag_outputs(coord, &co, &qg.vertices)
+                        c.internal_input_fp(&node.children)
                     };
-                    let cons = Arc::new(cons);
-                    c.insert(coord, input_fp, &out, &cons, rates);
-                    outputs[coord] = out;
-                    constituents[coord] = cons;
+                    (fp, c.lookup(coord, fp))
                 }
+                None => (0, None),
+            };
+            let (out, cons) = if let Some(hit) = hit {
+                hit
             } else {
-                let fine: Vec<QgVertex> = if node.level == 1 {
-                    leaf_specs.iter().map(|s| self.vertex_for(s)).collect()
-                } else {
-                    node.children.iter().flat_map(|&ch| outputs[ch].iter().cloned()).collect()
+                let patched = match cache.as_deref_mut() {
+                    Some(c) if node.level == 1 => {
+                        c.patch_leaf(coord, &leaf_specs, rates, &|s| self.vertex_for(s))
+                    }
+                    _ => None,
                 };
-                let qg = self.graph_from_vertices(fine, coarse_seed);
-                let co = coarsen_wholesale(&qg, self.config.vmax, rates, &cluster_of, coarse_seed);
-                let (out, cons) = tag_outputs(coord, &co, &qg.vertices);
-                outputs[coord] = out;
-                constituents[coord] = Arc::new(cons);
-            }
+                let (out, cons) = if let Some(state) = patched {
+                    let co = state.run(self.config.vmax, rates, &cluster_of, coarse_seed);
+                    coarsen += co.stats;
+                    tag_outputs(coord, &co, state.vertices())
+                } else {
+                    let fine: Vec<QgVertex> = if node.level == 1 {
+                        leaf_specs.iter().map(|s| self.vertex_for(s)).collect()
+                    } else {
+                        node.children.iter().flat_map(|&ch| outputs[ch].iter().cloned()).collect()
+                    };
+                    let qg = self.graph_from_vertices(fine, coarse_seed);
+                    let co =
+                        coarsen_wholesale(&qg, self.config.vmax, rates, &cluster_of, coarse_seed);
+                    coarsen += co.stats;
+                    let oc = tag_outputs(coord, &co, &qg.vertices);
+                    if node.level == 1 {
+                        if let Some(c) = cache.as_deref_mut() {
+                            let state = CoarsenState::prepare(qg);
+                            c.store_leaf_state(coord, &leaf_specs, rates, state);
+                        }
+                    }
+                    oc
+                };
+                let cons = Arc::new(cons);
+                if let Some(c) = cache.as_deref_mut() {
+                    c.insert(coord, input_fp, &out, &cons, rates);
+                }
+                (out, cons)
+            };
+            outputs[coord] = out;
+            constituents[coord] = cons;
             sw.stop();
             timing.total += sw.elapsed();
             let level = node.level;
@@ -602,7 +580,7 @@ impl<'a> Distributor<'a> {
             level_time[level - 1] = level_time[level - 1].max(sw.elapsed());
         }
         timing.response += level_time.iter().sum::<Duration>();
-        HierarchyGraphs { outputs, constituents }
+        HierarchyGraphs { outputs, constituents, coarsen }
     }
 
     /// Top-down assignment with one-level uncoarsening.
@@ -689,6 +667,8 @@ fn tag_outputs(
 pub(crate) struct HierarchyGraphs {
     pub outputs: Vec<Vec<QgVertex>>,
     pub constituents: Vec<Arc<Vec<Vec<QgVertex>>>>,
+    /// Work of the coarsening runs performed; cache hits cost none.
+    pub coarsen: CoarsenStats,
 }
 
 impl HierarchyGraphs {
@@ -701,15 +681,6 @@ impl HierarchyGraphs {
             None => vec![v.clone()],
         }
     }
-}
-
-/// Sanity check: every vertex kind invariant holds after expansion.
-#[allow(dead_code)]
-fn debug_assert_queryful(v: &QgVertex) {
-    debug_assert!(
-        !v.queries.is_empty() || matches!(v.kind, VertexKind::Net(_)),
-        "workload vertices must carry queries"
-    );
 }
 
 #[cfg(test)]

@@ -21,11 +21,18 @@
 //! substream set it originates) plus any result flows directed at the other
 //! endpoint's node. This uniformity is what lets coarsening *re-estimate*
 //! merged edges exactly (Algorithm 1, line 11).
+//!
+//! **Adjacency.** The optimizer has one adjacency representation: per
+//! vertex, a flat row of `(neighbor, weight)` sorted by neighbor. The
+//! graph builder appends to rows, coarsening scans a row for a vertex's
+//! heaviest edge and merges two rows per collapse, mapping and adaptation
+//! iterate rows to sum placement costs — always ascending, which is what
+//! keeps those floating-point sums, and with them whole placements,
+//! bit-reproducible from run to run.
 
 use cosmos_net::NodeId;
 use cosmos_query::QueryId;
 use cosmos_util::InterestSet;
-use std::collections::BTreeMap;
 
 /// Is a vertex a query vertex or a network (pinned) vertex?
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,23 +142,60 @@ pub fn edge_weight(a: &QgVertex, b: &QgVertex, rates: &[f64]) -> f64 {
     w
 }
 
+/// One vertex's adjacency: `(neighbor, weight)` pairs sorted by neighbor.
+pub(crate) type Row = Vec<(usize, f64)>;
+
+fn find(row: &Row, j: usize) -> Result<usize, usize> {
+    row.binary_search_by_key(&j, |e| e.0)
+}
+
+/// Sets `j`'s entry of a sorted row to `w`; a weight that is not positive
+/// clears the entry instead.
+pub(crate) fn set_entry(row: &mut Row, j: usize, w: f64) {
+    match (find(row, j), w > 0.0) {
+        (Ok(at), true) => row[at].1 = w,
+        (Ok(at), false) => {
+            row.remove(at);
+        }
+        (Err(at), true) => row.insert(at, (j, w)),
+        (Err(_), false) => {}
+    }
+}
+
 /// The query graph: vertices plus a weighted adjacency.
 #[derive(Debug, Clone, Default)]
 pub struct QueryGraph {
     /// Vertices; q-vertices and n-vertices interleaved.
     pub vertices: Vec<QgVertex>,
-    // Ordered adjacency: neighbor iteration must be deterministic so that
-    // derived-vertex creation and floating-point cost sums are bit-stable
+    // One flat sorted row per vertex, holding positive weights only and
+    // mirrored (`j` in row `i` iff `i` in row `j`, same weight). Sorted so
+    // that neighbor iteration is ascending: derived-vertex creation and the
+    // floating-point cost sums of mapping and adaptation must be bit-stable
     // across runs — the incremental optimizer's caches are only valid
-    // because recomputation is bit-reproducible.
-    adj: Vec<BTreeMap<usize, f64>>,
+    // because recomputation is bit-reproducible. Flat because the graphs
+    // the optimizer builds are dense (most query pairs overlap), where a
+    // contiguous row is both the cheapest thing to build by appending and
+    // the cheapest thing to scan for a vertex's heaviest edge.
+    rows: Vec<Row>,
 }
 
 impl QueryGraph {
     /// Creates a graph with the given vertices and no edges.
     pub fn new(vertices: Vec<QgVertex>) -> Self {
         let n = vertices.len();
-        Self { vertices, adj: vec![BTreeMap::new(); n] }
+        Self { vertices, rows: vec![Row::new(); n] }
+    }
+
+    /// Splits the graph into its vertices and adjacency rows.
+    pub(crate) fn into_parts(self) -> (Vec<QgVertex>, Vec<Row>) {
+        (self.vertices, self.rows)
+    }
+
+    /// Reassembles a graph from vertices and rows that already satisfy the
+    /// row invariant (sorted, mirrored, positive weights).
+    pub(crate) fn from_parts(vertices: Vec<QgVertex>, rows: Vec<Row>) -> Self {
+        debug_assert_eq!(vertices.len(), rows.len());
+        Self { vertices, rows }
     }
 
     /// Number of vertices.
@@ -172,33 +216,67 @@ impl QueryGraph {
     pub fn set_edge(&mut self, i: usize, j: usize, w: f64) {
         assert!(i < self.len() && j < self.len(), "edge endpoint out of range");
         assert_ne!(i, j, "self-loops are meaningless in a query graph");
-        if w > 0.0 {
-            self.adj[i].insert(j, w);
-            self.adj[j].insert(i, w);
-        } else {
-            self.adj[i].remove(&j);
-            self.adj[j].remove(&i);
+        self.put_edge(i, j, w);
+    }
+
+    /// [`QueryGraph::set_edge`] for callers whose endpoints are vertex
+    /// indices of this graph by construction.
+    pub(crate) fn put_edge(&mut self, i: usize, j: usize, w: f64) {
+        set_entry(&mut self.rows[i], j, w);
+        set_entry(&mut self.rows[j], i, w);
+    }
+
+    /// Adds `weight(i, j)`, where positive, to the edge of every pair
+    /// `i < j < n` — the dense overlap pass of graph construction. Rows
+    /// are rebuilt by appending alone: row `i` receives its `j > i`
+    /// ascending during its own turn and row `j` receives each `i < j`
+    /// ascending across turns, so no row is searched or shifted. An edge
+    /// already present is the left operand of the sum, exactly as if it
+    /// had been read back and overwritten.
+    pub(crate) fn add_pairwise(&mut self, n: usize, weight: impl Fn(&QgVertex, &QgVertex) -> f64) {
+        let fresh = vec![Row::new(); self.len()];
+        let prior = std::mem::replace(&mut self.rows, fresh);
+        for (i, row) in prior.iter().enumerate() {
+            // The lower half of a row mirrors what earlier turns emitted.
+            let mut upper = row[row.partition_point(|e| e.0 < i)..].iter().copied().peekable();
+            for j in (i + 1)..n {
+                let mut w = upper.next_if(|e| e.0 == j).map_or(0.0, |e| e.1);
+                let added = weight(&self.vertices[i], &self.vertices[j]);
+                if added > 0.0 {
+                    w += added;
+                }
+                if w > 0.0 {
+                    self.rows[i].push((j, w));
+                    self.rows[j].push((i, w));
+                }
+            }
+            for (j, w) in upper {
+                self.rows[i].push((j, w));
+                self.rows[j].push((i, w));
+            }
         }
     }
 
     /// The weight of edge `{i, j}`, or 0 when absent.
     pub fn edge(&self, i: usize, j: usize) -> f64 {
-        self.adj[i].get(&j).copied().unwrap_or(0.0)
+        let row = &self.rows[i];
+        find(row, j).map_or(0.0, |at| row[at].1)
     }
 
-    /// Iterates over `(neighbor, weight)` of vertex `i`.
+    /// Iterates over `(neighbor, weight)` of vertex `i`, ascending by
+    /// neighbor.
     pub fn neighbors(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.adj[i].iter().map(|(&j, &w)| (j, w))
+        self.rows[i].iter().copied()
     }
 
     /// Degree of vertex `i`.
     pub fn degree(&self, i: usize) -> usize {
-        self.adj[i].len()
+        self.rows[i].len()
     }
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(|m| m.len()).sum::<usize>() / 2
+        self.rows.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Total q-vertex weight (`Wᵥq` in eqn 3.1 — n-vertices weigh 0 by
@@ -213,13 +291,16 @@ impl QueryGraph {
     }
 
     /// Recomputes the weights of all edges incident to `i` against its
-    /// current neighbor set (Algorithm 1's re-estimation after a collapse).
+    /// current neighbor set (Algorithm 1's re-estimation after a collapse);
+    /// edges whose weight is no longer positive are dropped.
     pub fn reestimate_edges_of(&mut self, i: usize, rates: &[f64]) {
-        let neighbors: Vec<usize> = self.adj[i].keys().copied().collect();
-        for j in neighbors {
-            let w = edge_weight(&self.vertices[i], &self.vertices[j], rates);
-            self.set_edge(i, j, w);
-        }
+        let mut row = std::mem::take(&mut self.rows[i]);
+        row.retain_mut(|(j, w)| {
+            *w = edge_weight(&self.vertices[i], &self.vertices[*j], rates);
+            set_entry(&mut self.rows[*j], i, *w);
+            *w > 0.0
+        });
+        self.rows[i] = row;
     }
 }
 

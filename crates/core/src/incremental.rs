@@ -12,9 +12,9 @@
 //!   outputs and Arc-shares the constituents. A changed level-1 leaf whose
 //!   query *structure* (membership, interests, proxies) is intact patches
 //!   only its dirty vertices into a persistent
-//!   [`CoarsenState`](crate::coarsen::CoarsenState) — the lazy-deletion
-//!   heaps stay alive across rounds — and replays the collapse, skipping
-//!   the quadratic edge construction. Anything else recomputes wholesale.
+//!   [`CoarsenState`](crate::coarsen::CoarsenState) — the fine graph stays
+//!   alive across rounds — and replays the collapse, skipping the
+//!   quadratic edge construction. Anything else recomputes wholesale.
 //! - **Phase B (top-down)**: each subtree's placement decisions are keyed
 //!   on a content-deep fingerprint of its work vertices plus the current
 //!   homes of its queries; unchanged subtrees splice the previous round's
@@ -290,7 +290,6 @@ impl HierCache {
                 patches += 1;
             }
         }
-        ls.state.maybe_compact();
         self.leaf_patches += patches;
         Some(&self.leaf_states.entry(coord).or_insert(ls).state)
     }
