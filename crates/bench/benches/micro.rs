@@ -9,8 +9,8 @@ use std::hint::black_box;
 use cosmos_bench::fixtures::{
     arrival_sub, batch_round, broad_message, broker_with_broad_subs, broker_with_distinct_subs,
     broker_with_subs, checkpointed_engine, churn_distribute, churn_link, churn_node, churn_world,
-    covering_rich_install, dense_query_graph, lossy_broker, recovery_host, scaling_message,
-    scaling_sub, shared_split_queries,
+    covering_rich_install, dense_query_graph, lossy_broker, recovery_host, result_stream_install,
+    scaling_message, scaling_sub, shared_split_queries,
 };
 use cosmos_core::coarsen::coarsen_wholesale;
 use cosmos_core::distribute::Distributor;
@@ -288,6 +288,16 @@ fn bench_broker_batch(c: &mut Criterion) {
     group.bench_function("subscribe-batch-12k-covering-rich", |bench| {
         bench.iter(|| {
             let (mut net, subs) = covering_rich_install(12_000);
+            net.subscribe_batch(subs);
+            black_box(net.table_len(cosmos_net::NodeId(0)))
+        })
+    });
+    // The per-user result-stream shape (`sensor-join`'s set-up): 4 000
+    // streams with one filterless subscriber each, so every path hop
+    // opens a single-member partition. Rebuilt per iteration as above.
+    group.bench_function("subscribe-batch-4k-result-streams", |bench| {
+        bench.iter(|| {
+            let (mut net, subs) = result_stream_install(4_000);
             net.subscribe_batch(subs);
             black_box(net.table_len(cosmos_net::NodeId(0)))
         })

@@ -19,7 +19,8 @@ use cosmos_bench::fixtures::{
     adapt_world, arrival_sub, batch_round, broad_message, broker_with_broad_subs,
     broker_with_distinct_subs, broker_with_subs, checkpointed_engine, churn_distribute, churn_link,
     churn_node, churn_world, covering_rich_install, dense_query_graph, lossy_broker, recovery_host,
-    scaling_message, scaling_sub, shared_split_queries, toggle_dirty, ADAPT_SEED,
+    result_stream_install, scaling_message, scaling_sub, shared_split_queries, toggle_dirty,
+    ADAPT_SEED,
 };
 use cosmos_core::adaptive::{adapt_wholesale, AdaptConfig};
 use cosmos_core::distribute::Distributor;
@@ -178,6 +179,20 @@ fn bench_broker_subscribe_batch_covering_rich() -> f64 {
         &mut fixture,
         |(net, subs)| net.subscribe_batch(std::mem::take(subs)),
         |fixture| *fixture = covering_rich_install(12_000),
+    )
+}
+
+/// One batch install of the 4 000 single-subscriber result streams of
+/// [`result_stream_install`] on a fresh network per op — the per-user
+/// plane of the end-to-end `sensor-join` set-up, where every hop opens a
+/// stream partition for one member. The fixture is rebuilt in the
+/// untimed reset.
+fn bench_broker_subscribe_batch_result_streams() -> f64 {
+    let mut fixture = result_stream_install(4_000);
+    measure_with_reset(
+        &mut fixture,
+        |(net, subs)| net.subscribe_batch(std::mem::take(subs)),
+        |fixture| *fixture = result_stream_install(4_000),
     )
 }
 
@@ -495,6 +510,7 @@ fn main() {
         ("broker/subscribe-5000-pop-linear", || bench_broker_subscribe(5000, true)),
         ("broker/subscribe-100k-pop", bench_broker_subscribe_100k),
         ("broker/subscribe-batch-12k-covering-rich", bench_broker_subscribe_batch_covering_rich),
+        ("broker/subscribe-batch-4k-result-streams", bench_broker_subscribe_batch_result_streams),
         ("broker/publish-batch-64", || bench_broker_publish_batch(5000, false)),
         ("broker/publish-batch-64-serial", || bench_broker_publish_batch(5000, true)),
         ("broker/unsubscribe-5000-pop", || bench_broker_unsubscribe(5000, false)),

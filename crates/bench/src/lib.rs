@@ -297,6 +297,39 @@ pub mod fixtures {
         (net, subs)
     }
 
+    /// The per-user result-stream plane of the end-to-end `sensor-join`
+    /// workload as a micro fixture, behind
+    /// `broker/subscribe-batch-4k-result-streams` and the routing-state
+    /// footprint guard (`crates/pubsub/tests/footprint.rs`): that
+    /// workload's overlay (`SensorScenario::build(100, 5, 30, ..)` under
+    /// its standing seed) with
+    /// `n_subs` result streams, each advertised at a random hosting
+    /// processor and requested — filterless, whole records — by one
+    /// subscriber at a random proxy processor. Tens of thousands of
+    /// streams with one subscriber each is the population shape a
+    /// *massive* query plane gives the brokers, and the opposite of the
+    /// few-streams-many-subscribers fixtures above. Returns the advertised
+    /// network and the `n_subs` subscriptions to batch-install on it.
+    pub fn result_stream_install(n_subs: u64) -> (BrokerNetwork, Vec<Subscription>) {
+        use rand::Rng;
+        const SEED: u64 = 0x5E45;
+        let scenario = cosmos_workload::sensors::SensorScenario::build(100, 5, 30, SEED);
+        let procs = scenario.dep.processors();
+        let mut net = BrokerNetwork::new(scenario.dep.topology().clone());
+        let mut rng = cosmos_util::rng::rng_for(SEED, "result-streams");
+        let subs = (0..n_subs)
+            .map(|i| {
+                let stream = format!("result-of-user-{i}");
+                net.advertise(stream.as_str(), procs[rng.gen_range(0..procs.len())]);
+                Subscription::builder(procs[rng.gen_range(0..procs.len())])
+                    .id(SubId(i))
+                    .stream(stream.as_str(), StreamProjection::All, vec![])
+                    .build()
+            })
+            .collect();
+        (net, subs)
+    }
+
     /// The `len`-message same-stream round behind
     /// `broker/publish-batch-64`: telemetry-shaped records (one routed
     /// attribute `a` plus fifteen payload attributes) whose point probes
@@ -635,6 +668,32 @@ mod tests {
         net.subscribe_batch(subs);
         let stats = net.cover_stats();
         assert_eq!((stats.attempted, stats.held), (605_572, 32_568));
+    }
+
+    /// What the routing state *holds* after the two install fixtures is
+    /// exact too. On the result-stream plane every entry is the only
+    /// member of its partition (27 879 entries, 27 879 partitions), every
+    /// forwarding entry the only member of its hop group's covering
+    /// bucket — none of those 23 879 singleton buckets may ever build
+    /// threshold lists. The covering-rich population shares 4 streams, so
+    /// its tables hold few partitions, nearly every crowded bucket builds,
+    /// and the member count includes the tombstones of covering drops.
+    #[test]
+    fn install_footprints_are_pinned() {
+        let (mut net, subs) = fixtures::result_stream_install(4_000);
+        net.subscribe_batch(subs);
+        let fp = net.footprint();
+        assert_eq!(
+            (fp.partitions, fp.members, fp.hop_groups, fp.buckets_built, fp.forwarded_records),
+            (27_879, 27_879, 23_879, 0, 23_879)
+        );
+        let (mut net, subs) = fixtures::covering_rich_install(12_000);
+        net.subscribe_batch(subs);
+        let fp = net.footprint();
+        assert_eq!(
+            (fp.partitions, fp.members, fp.hop_groups, fp.buckets_built, fp.forwarded_records),
+            (328, 35_920, 324, 283, 27_766)
+        );
     }
 
     /// The optimizer's work on `placement-churn`'s standing population is

@@ -72,7 +72,7 @@
 
 use crate::index::{
     BatchMatchOutput, CoverStats, ForwardInsert, ForwardedSet, InstalledSub, MatchOutput,
-    RoutingTable,
+    RoutingFootprint, RoutingTable,
 };
 use crate::snapshot::{FrozenTable, ReaderOutput, RoutingSnapshot, SnapshotReader};
 use crate::subscription::{Message, StreamProjection, SubId, Subscription};
@@ -442,7 +442,24 @@ impl BrokerNetwork {
     /// subscription's installed form — its indexable/residual split and
     /// needs — is derived **once** here and shared, by `Arc`, with every
     /// hop of every per-source walk.
+    ///
+    /// # Panics
+    ///
+    /// The whole batch is validated **before** anything is installed:
+    /// panics, naming the subscription and the node, when a subscriber
+    /// lies outside the topology — leaving sequence numbers, ledgers and
+    /// tables untouched rather than stranding the earlier members of the
+    /// batch installed.
     pub fn subscribe_batch(&mut self, subs: Vec<Subscription>) {
+        for sub in &subs {
+            assert!(
+                sub.subscriber.index() < self.topo.node_count(),
+                "subscription {} names subscriber {:?}, outside the {}-node topology",
+                sub.id,
+                sub.subscriber,
+                self.topo.node_count()
+            );
+        }
         for sub in subs {
             let id = sub.id;
             if self.records.contains_key(&id) {
@@ -473,6 +490,24 @@ impl BrokerNetwork {
     /// tests pin them exactly.
     pub fn cover_stats(&self) -> CoverStats {
         self.cover_stats
+    }
+
+    /// Size counters of the routing state as it stands: partitions,
+    /// member records and hop groups stored over all tables, how many hop
+    /// groups' covering buckets built their threshold lists, and the
+    /// forwarded-up records stored. Tombstones count until their owner
+    /// compacts. Deterministic — a function of the operation sequence
+    /// only — so tests pin them exactly, like
+    /// [`BrokerNetwork::cover_stats`].
+    pub fn footprint(&self) -> RoutingFootprint {
+        let mut fp = RoutingFootprint::default();
+        for table in &self.tables {
+            table.add_footprint(&mut fp);
+        }
+        for set in self.forwarded_up.iter().flat_map(HashMap::values) {
+            set.add_footprint(&mut fp);
+        }
+        fp
     }
 
     /// Propagates the ledgered subscription `id` through the network,
@@ -2176,5 +2211,25 @@ mod tests {
         // The edge exists, so the buggy path would quietly return false;
         // the validation must fire first.
         net.restore_link(NodeId(1), NodeId(2), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "subscription p2 names subscriber NodeId(99)")]
+    fn subscribe_batch_validates_the_whole_batch_before_installing_any_of_it() {
+        let mut net = figure2_network();
+        let lens = |net: &BrokerNetwork| -> Vec<usize> {
+            (0..8).map(|n| net.table_len(NodeId(n))).collect()
+        };
+        let (before, seq) = (lens(&net), net.next_seq);
+        // The first member is installable; the second names a node the
+        // topology does not have.
+        let batch = vec![sub_r(1, 5, 0), sub_r(2, 99, 0)];
+        let rejected =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.subscribe_batch(batch)))
+                .expect_err("an out-of-range subscriber must panic");
+        assert_eq!(lens(&net), before, "no member of the rejected batch was installed");
+        assert_eq!(net.next_seq, seq, "no sequence number was consumed");
+        net.check_ledger_consistency().expect("consistent after the rejected batch");
+        std::panic::resume_unwind(rejected);
     }
 }

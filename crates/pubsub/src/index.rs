@@ -18,7 +18,15 @@
 //! 1. **Stream partition.** Entries are grouped by the stream symbols
 //!    their subscriptions request, so a published message only ever sees
 //!    the partition for its own stream — entries for other streams cost
-//!    nothing.
+//!    nothing. A massive query population means tens of thousands of
+//!    streams with one subscriber each (every user's result stream), so a
+//!    partition costs what it holds: partitions sit in one arena vector
+//!    behind a symbol → slot map and own only their members, hop groups,
+//!    projection classes and one threshold-list map keyed by
+//!    [`IndexOperand`] (attributes and the event-time pseudo-attribute
+//!    alike); first pushes allocate exactly one element, and the match
+//!    scratch lives once on the table, which visits one partition at a
+//!    time.
 //! 2. **Counting predicate index.** Within a partition, every compiled
 //!    filter that is an indexable constant comparison (`attr op constant`
 //!    with a numeric constant and an order/equality operator — see
@@ -104,14 +112,20 @@
 //!   ([`TieredList::retain_vals`]), dead hop groups and emptied
 //!   projection classes are dropped, and surviving entries re-group —
 //!   preserving each entry's sequence number so observable order never
-//!   changes.
+//!   changes. A member records its owning entry's id, and within a
+//!   partition those ids **ascend with the member slot** — ids are handed
+//!   out in insertion order, an entry adds at most one member per
+//!   partition, compaction re-inserts survivors in order under fresh ids
+//!   — so tombstoning finds an entry's member by binary search.
 //!
 //! - **Covering buckets**: installs themselves are sublinear, and pay for
 //!   what an arrival *changes* rather than for everything it is compared
-//!   against. Every forwarding entry joins a per-`(stream, next hop)`
-//!   [`CoverBucket`] keyed by the same indexable
-//!   `(attribute, operator, threshold)` skeleton the counting index
-//!   extracts. An entry can only cover a narrower one when its thresholds
+//!   against. Every forwarding entry joins the [`CoverBucket`] of its
+//!   `(stream, next hop)` — exactly what a [`HopGroup`] is keyed by and
+//!   created for, so the bucket is a field of the group — keyed by the
+//!   same indexable `(attribute, operator, threshold)` skeleton the
+//!   counting index extracts. An entry can only cover a narrower one when
+//!   its thresholds
 //!   are weaker, so both covering queries an arrival asks — *"does a
 //!   same-direction entry cover this subscription?"*
 //!   ([`RoutingTable::insert_covering`]'s skip check) and *"which entries
@@ -185,7 +199,7 @@ use cosmos_net::NodeId;
 use cosmos_query::compiled::{eval_compiled, CompiledPredicate, IndexOperand, IndexableCmp};
 use cosmos_query::containment::coverer_bounds;
 use cosmos_query::CmpOp;
-use cosmos_util::Symbol;
+use cosmos_util::{Symbol, VecMap};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -219,6 +233,10 @@ struct HopGroup {
     all_refs: u32,
     /// Last epoch in which a member of this group matched.
     epoch: u64,
+    /// Covering-candidate index over the group's forwarding entries (the
+    /// sublinear candidate source behind [`RoutingTable::insert_covering`];
+    /// local-delivery entries never covering-merge). Slots are entry ids.
+    cover: CoverBucket,
 }
 
 impl HopGroup {
@@ -232,6 +250,7 @@ impl HopGroup {
             attr_refs: BTreeMap::new(),
             all_refs: 0,
             epoch: 0,
+            cover: CoverBucket::default(),
         }
     }
 
@@ -315,6 +334,9 @@ enum MemberAction {
 /// One `(entry, stream)` pair in a stream partition.
 #[derive(Debug)]
 struct Member {
+    /// The owning entry's id — ascending with the member slot (see the
+    /// module docs), so tombstoning binary-searches for it.
+    entry: u32,
     /// The owning entry's installation sequence number, cached here so
     /// ordering candidates never chases the entry indirection on the
     /// match hot path.
@@ -365,14 +387,6 @@ impl OpLists {
 
     fn insert(&mut self, op: CmpOp, threshold: f64, member: u32) {
         self.list_mut(op).insert(threshold, member);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.lt.is_empty()
-            && self.le.is_empty()
-            && self.gt.is_empty()
-            && self.ge.is_empty()
-            && self.eq.is_empty()
     }
 
     /// Per-run tombstone sweep: drops every reference to a dead member
@@ -443,6 +457,17 @@ fn bump(satisfied: &[(f64, u32)], members: &mut [Member], touched: &mut Vec<u32>
             touched.push(m);
         }
     }
+}
+
+/// Pushes onto `v`, sizing a vector's *first* allocation for exactly one
+/// element. Most streams have one subscriber, so most per-partition
+/// vectors never see a second push; `Vec`'s own first allocation holds
+/// four (a quarter kilobyte of members, more of hop groups).
+fn push_exact_first<T>(v: &mut Vec<T>, item: T) {
+    if v.capacity() == 0 {
+        v.reserve_exact(1);
+    }
+    v.push(item);
 }
 
 /// Below this many members a covering bucket (or forwarded set) is
@@ -592,50 +617,58 @@ struct CoverMember {
 /// counting match index.
 #[derive(Debug, Default)]
 struct CoverBucket {
-    /// Sorted `(threshold, member)` lists per indexable `(operand, op)`
-    /// pair: every comparison of every member, except NaN thresholds
-    /// (unsatisfiable, so they imply nothing and nothing implies them).
-    /// Tiered like the counting index's lists, so inserting into a huge
-    /// bucket memmoves at most one run. Populated only once the bucket
-    /// is `built`.
-    comps: HashMap<(IndexOperand, CmpOp), TieredList>,
-    /// Slots of the members with no indexable comparison on the bucket's
-    /// stream (filter-free or residual-only): always coverer candidates.
-    /// Populated only once the bucket is `built`.
-    loose: Vec<u32>,
     /// Every member, in insertion order — the victim
     /// candidate set when the probing subscription carries no indexable
     /// comparison, and the whole candidate set while the bucket is small.
     members: Vec<CoverMember>,
-    /// Whether the threshold lists exist. Small buckets are scanned
+    /// The threshold lists, once they exist. Small buckets are scanned
     /// whole (see [`COVER_SCAN_SMALL`]), so owners defer building the
     /// lists until the bucket outgrows the threshold — covering-dense
-    /// populations, whose merges keep every bucket tiny, then pay no
-    /// skeleton upkeep at all.
-    built: bool,
+    /// populations, whose merges keep every bucket tiny, and per-user
+    /// result streams, whose buckets hold one member for life, then pay
+    /// no skeleton upkeep and no bytes beyond this pointer.
+    lists: Option<Box<CoverLists>>,
+}
+
+/// The range-probed part of a built [`CoverBucket`].
+#[derive(Debug, Default)]
+struct CoverLists {
+    /// Sorted `(threshold, member)` lists per indexable `(operand, op)`
+    /// pair: every comparison of every member, except NaN thresholds
+    /// (unsatisfiable, so they imply nothing and nothing implies them).
+    /// Tiered like the counting index's lists, so inserting into a huge
+    /// bucket memmoves at most one run.
+    comps: HashMap<(IndexOperand, CmpOp), TieredList>,
+    /// Slots of the members with no indexable comparison on the bucket's
+    /// stream (filter-free or residual-only): always coverer candidates.
+    loose: Vec<u32>,
     /// Current query epoch of the members' hit counters.
     epoch: u64,
 }
 
+// One per hop group of every partition, one per stream of every
+// forwarded set: unbuilt, a vector header and a pointer.
+const _: () = assert!(std::mem::size_of::<CoverBucket>() <= 32);
+
 impl CoverBucket {
     fn insert(&mut self, slot: u32, comps: &[IndexableCmp]) {
         let member = u32::try_from(self.members.len()).expect("cover bucket overflow");
-        if self.built {
+        if let Some(lists) = &mut self.lists {
             if comps.is_empty() {
-                self.loose.push(slot);
+                lists.loose.push(slot);
             }
             for c in comps.iter().filter(|c| !c.threshold.is_nan()) {
-                self.comps.entry((c.operand, c.op)).or_default().insert(norm(c.threshold), member);
+                lists.comps.entry((c.operand, c.op)).or_default().insert(norm(c.threshold), member);
             }
         }
         let comparisons = u32::try_from(comps.len()).expect("filter count overflow");
-        self.members.push(CoverMember { slot, comparisons, hits: 0, epoch: 0 });
+        push_exact_first(&mut self.members, CoverMember { slot, comparisons, hits: 0, epoch: 0 });
     }
 
     /// Replaces the staged member set by `live` and builds the threshold
     /// lists over it (the owner's lazy build at [`COVER_SCAN_SMALL`]).
     fn build<'a>(&mut self, live: impl Iterator<Item = (u32, &'a [IndexableCmp])>) {
-        self.built = true;
+        self.lists = Some(Box::default());
         self.members.clear();
         for (slot, comps) in live {
             self.insert(slot, comps);
@@ -652,15 +685,16 @@ impl CoverBucket {
         out: &mut Vec<u32>,
         stats: &mut CoverStats,
     ) {
-        if !self.built {
-            out.extend(self.members.iter().map(|m| m.slot));
+        let Self { members, lists } = self;
+        let Some(lists) = lists else {
+            out.extend(members.iter().map(|m| m.slot));
             return;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
+        };
+        lists.epoch += 1;
+        let epoch = lists.epoch;
         let start = out.len();
-        out.extend_from_slice(&self.loose);
-        let Self { comps, members, .. } = self;
+        out.extend_from_slice(&lists.loose);
+        let comps = &lists.comps;
         let mut visited = 0;
         // Each list reference is visited at most once per query, so a
         // member is pushed exactly when its last comparison is hit.
@@ -731,17 +765,21 @@ impl CoverBucket {
         out: &mut Vec<u32>,
         stats: &mut CoverStats,
     ) {
-        if !self.built || probe.is_empty() {
-            out.extend(self.members.iter().map(|m| m.slot));
-            return;
-        }
+        let Self { members, lists } = self;
+        let lists = match lists {
+            Some(lists) if !probe.is_empty() => lists,
+            _ => {
+                out.extend(members.iter().map(|m| m.slot));
+                return;
+            }
+        };
         if probe.iter().any(|c| c.threshold.is_nan()) {
             return; // an unsatisfiable comparison is implied by nothing
         }
-        self.epoch += 1;
-        let epoch = self.epoch;
+        lists.epoch += 1;
+        let epoch = lists.epoch;
         let start = out.len();
-        let Self { comps, members, .. } = self;
+        let comps = &lists.comps;
         let last = probe.len() as u32 - 1;
         let mut visited = 0;
         for (j, c) in (0u32..).zip(probe) {
@@ -864,7 +902,7 @@ impl ForwardedSet {
     fn bucket_insert(buckets: &mut HashMap<Symbol, CoverBucket>, slot: u32, form: &InstalledSub) {
         for (s, _, indexable, _) in form.streams() {
             let bucket = buckets.entry(s).or_default();
-            bucket.built = true;
+            bucket.lists.get_or_insert_with(Box::default);
             bucket.insert(slot, indexable);
         }
     }
@@ -970,6 +1008,11 @@ impl ForwardedSet {
         n
     }
 
+    /// Adds this set's stored records to `fp`.
+    pub(crate) fn add_footprint(&self, fp: &mut RoutingFootprint) {
+        fp.forwarded_records += self.records.len() as u64;
+    }
+
     /// Live forwarded subscriptions, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Subscription> {
         self.records.iter().filter(|r| !r.dead).map(|r| &r.form.sub)
@@ -986,37 +1029,51 @@ impl ForwardedSet {
     }
 }
 
-/// The index over one stream's entries at one node.
+/// The index over one stream's entries at one node. A node on many users'
+/// result paths holds thousands of these with a single member each, so it
+/// owns nothing sized for a population it may not have (match scratch is
+/// the table's).
 #[derive(Debug, Default)]
 struct StreamIndex {
+    /// In insertion order; [`Member::entry`] ascends with the slot.
     members: Vec<Member>,
-    /// Member slot per owning entry id (each entry contributes at most
-    /// one member per partition) — makes tombstoning independent of
-    /// partition size.
-    member_of: HashMap<u32, u32>,
-    /// Members tombstoned since the last per-run sweep of the threshold
-    /// lists; once these dominate the partition the lists are swept
-    /// run-by-run without rebuilding the table.
-    dead_members: usize,
-    /// Threshold lists per stored attribute.
-    attr_lists: HashMap<Symbol, OpLists>,
-    /// Threshold lists over the event-time pseudo-attribute.
-    ts_lists: OpLists,
     /// Members with no indexable predicates (always candidates).
     zero_target: Vec<u32>,
     hops: Vec<HopGroup>,
     /// Local-delivery projection classes (deduplicated projections).
     classes: Vec<ProjClass>,
+    /// Threshold lists per indexed operand: stored attributes and the
+    /// event-time pseudo-attribute. A handful of keys at most, probed
+    /// once per message attribute: a sorted vector, not a hash.
+    lists: VecMap<IndexOperand, OpLists>,
     epoch: u64,
-    /// Scratch: members bumped this epoch.
-    touched: Vec<u32>,
-    /// Scratch: fully-satisfied `(seq, member)` pairs, sorted to
-    /// subscribe order — flat keys, so the sort never chases pointers.
-    candidates: Vec<(u64, u32)>,
-    /// Scratch: hop groups marked by the current message (batched
-    /// matching emits forwards from this list instead of rescanning
-    /// every group per message).
-    touched_hops: Vec<u32>,
+    /// Members tombstoned since the last per-run sweep of the threshold
+    /// lists; once these dominate the partition the lists are swept
+    /// run-by-run without rebuilding the table.
+    dead_members: usize,
+}
+
+// Paid once per (node, stream): at 560 bytes it was a quarter of the
+// end-to-end `sensor-join` heap.
+const _: () = assert!(std::mem::size_of::<StreamIndex>() <= 160);
+
+/// Deterministic size counters of a network's routing state — how many
+/// records of each kind are *stored* (tombstones included until their
+/// owner compacts), a function of the operation sequence only. See
+/// [`crate::broker::BrokerNetwork::footprint`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoutingFootprint {
+    /// Stream partitions over all routing tables.
+    pub partitions: u64,
+    /// `(entry, stream)` member records over all partitions.
+    pub members: u64,
+    /// `(stream, next hop)` groups over all partitions.
+    pub hop_groups: u64,
+    /// Hop groups whose covering bucket outgrew the whole-scan threshold
+    /// and built its threshold lists.
+    pub buckets_built: u64,
+    /// Forwarded-up records over all `(node, source)` sets.
+    pub forwarded_records: u64,
 }
 
 /// The outcome of matching one message at one node. Designed for reuse:
@@ -1070,11 +1127,10 @@ impl BatchMatchOutput {
 #[derive(Debug, Default)]
 pub struct RoutingTable {
     entries: Vec<Entry>,
-    streams: HashMap<Symbol, StreamIndex>,
-    /// Covering buckets per `(stream, next hop)`, over the forwarding
-    /// entries only (local-delivery entries never covering-merge): the
-    /// sublinear candidate source behind [`RoutingTable::insert_covering`].
-    covers: HashMap<(Symbol, NodeId), CoverBucket>,
+    /// Stream partitions, in order of first install.
+    parts: Vec<StreamIndex>,
+    /// Each stream's slot in `parts`.
+    part_of: HashMap<Symbol, u32>,
     /// Stream-free forwarding entries per hop: they belong to no
     /// `(stream, hop)` bucket yet are vacuously covered by *any*
     /// subscription, so the victim query must always consider them.
@@ -1086,6 +1142,16 @@ pub struct RoutingTable {
     /// the owner's own entries instead of scanning the table.
     by_sub: HashMap<SubId, Vec<u32>>,
     dead: usize,
+    /// Match scratch: members bumped this epoch. One set per table —
+    /// matching visits one partition at a time.
+    touched: Vec<u32>,
+    /// Match scratch: fully-satisfied `(seq, member)` pairs, sorted to
+    /// subscribe order — flat keys, so the sort never chases pointers.
+    candidates: Vec<(u64, u32)>,
+    /// Match scratch: hop groups marked by the current message (batched
+    /// matching emits forwards from this list instead of rescanning
+    /// every group per message).
+    touched_hops: Vec<u32>,
 }
 
 impl RoutingTable {
@@ -1109,11 +1175,22 @@ impl RoutingTable {
         self.entries.iter().filter(|e| !e.dead).map(|e| (&e.form.sub, e.to))
     }
 
+    /// Adds this table's stored partitions, members and hop groups to
+    /// `fp`.
+    pub(crate) fn add_footprint(&self, fp: &mut RoutingFootprint) {
+        fp.partitions += self.parts.len() as u64;
+        for part in &self.parts {
+            fp.members += part.members.len() as u64;
+            fp.hop_groups += part.hops.len() as u64;
+            fp.buckets_built += part.hops.iter().filter(|h| h.cover.lists.is_some()).count() as u64;
+        }
+    }
+
     /// Drops all entries and index state.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.streams.clear();
-        self.covers.clear();
+        self.parts.clear();
+        self.part_of.clear();
         self.streamless.clear();
         self.by_sub.clear();
         self.dead = 0;
@@ -1126,37 +1203,23 @@ impl RoutingTable {
     /// re-installation. The entry shares `form` — the broker hands the
     /// same one to every hop of an installation.
     pub fn insert(&mut self, form: Arc<InstalledSub>, to: Option<NodeId>, seq: u64) {
-        let entry_id = u32::try_from(self.entries.len()).expect("routing table overflow");
+        let Self { entries, parts, part_of, streamless, by_sub, .. } = self;
+        let entry_id = u32::try_from(entries.len()).expect("routing table overflow");
         let sub = &form.sub;
         if let (Some(next), true) = (to, sub.streams.is_empty()) {
             // A stream-free forwarding entry joins no bucket but is
             // vacuously covered by anything: track it per hop so the
             // indexed victim query keeps matching the linear scan.
-            self.streamless.entry(next).or_default().push(entry_id);
+            streamless.entry(next).or_default().push(entry_id);
         }
         for (stream, req, indexable, residual) in form.streams() {
-            let index = self.streams.entry(stream).or_default();
+            let p = *part_of.entry(stream).or_insert_with(|| {
+                parts.push(StreamIndex::default());
+                u32::try_from(parts.len() - 1).expect("partition count overflow")
+            });
+            let index = &mut parts[p as usize];
             let member_id = u32::try_from(index.members.len()).expect("partition overflow");
             let target = u32::try_from(indexable.len()).expect("filter count overflow");
-            if let Some(next) = to {
-                // Forwarding entries join their (stream, hop) covering
-                // bucket; local-delivery entries never covering-merge.
-                // Threshold lists are built lazily, once the bucket
-                // outgrows the whole-scan threshold (ForwardedSet::push
-                // mirrors this policy per *set*, gating on raw record
-                // count; here the backfill skips tombstoned entries).
-                let bucket = self.covers.entry((stream, next)).or_default();
-                if !bucket.built && bucket.members.len() >= COVER_SCAN_SMALL {
-                    let staged = std::mem::take(&mut bucket.members);
-                    let entries = &self.entries;
-                    bucket.build(staged.iter().filter_map(|m| {
-                        let e = &entries[m.slot as usize];
-                        // Tombstones stay out of the lists.
-                        (!e.dead).then(|| (m.slot, e.form.indexable(stream)))
-                    }));
-                }
-                bucket.insert(entry_id, indexable);
-            }
             for cmp in indexable {
                 // NaN thresholds are unsatisfiable (every comparison with
                 // NaN is false): they count toward `target` but never
@@ -1164,11 +1227,11 @@ impl RoutingTable {
                 if cmp.threshold.is_nan() {
                     continue;
                 }
-                let lists = match cmp.operand {
-                    IndexOperand::Attr(attr) => index.attr_lists.entry(attr).or_default(),
-                    IndexOperand::Timestamp => &mut index.ts_lists,
-                };
-                lists.insert(cmp.op, cmp.threshold, member_id);
+                index.lists.get_or_insert_default(cmp.operand).insert(
+                    cmp.op,
+                    cmp.threshold,
+                    member_id,
+                );
             }
             let action = match to {
                 None => {
@@ -1183,11 +1246,14 @@ impl RoutingTable {
                     {
                         Some(c) => c,
                         None => {
-                            index.classes.push(ProjClass {
-                                proj: CachedProjection::new(req.projection().clone()),
-                                epoch: 0,
-                                cached: None,
-                            });
+                            push_exact_first(
+                                &mut index.classes,
+                                ProjClass {
+                                    proj: CachedProjection::new(req.projection().clone()),
+                                    epoch: 0,
+                                    cached: None,
+                                },
+                            );
                             index.classes.len() - 1
                         }
                     };
@@ -1200,11 +1266,28 @@ impl RoutingTable {
                     let g = match index.hops.iter().position(|h| h.to == next) {
                         Some(g) => g,
                         None => {
-                            index.hops.push(HopGroup::new(next));
+                            push_exact_first(&mut index.hops, HopGroup::new(next));
                             index.hops.len() - 1
                         }
                     };
-                    index.hops[g].add(req.needs());
+                    let group = &mut index.hops[g];
+                    group.add(req.needs());
+                    // Forwarding entries join their group's covering
+                    // bucket; local-delivery entries never covering-merge.
+                    // Threshold lists are built lazily, once the bucket
+                    // outgrows the whole-scan threshold (ForwardedSet::push
+                    // mirrors this policy per *set*, gating on raw record
+                    // count; here the backfill skips tombstoned entries).
+                    let bucket = &mut group.cover;
+                    if bucket.lists.is_none() && bucket.members.len() >= COVER_SCAN_SMALL {
+                        let staged = std::mem::take(&mut bucket.members);
+                        bucket.build(staged.iter().filter_map(|m| {
+                            let e = &entries[m.slot as usize];
+                            // Tombstones stay out of the lists.
+                            (!e.dead).then(|| (m.slot, e.form.indexable(stream)))
+                        }));
+                    }
+                    bucket.insert(entry_id, indexable);
                     MemberAction::Hop(u32::try_from(g).expect("hop group overflow"))
                 }
             };
@@ -1212,20 +1295,23 @@ impl RoutingTable {
             if target == 0 {
                 index.zero_target.push(member_id);
             }
-            index.member_of.insert(entry_id, member_id);
-            index.members.push(Member {
-                seq,
-                target,
-                zero_slot,
-                residual: Arc::clone(residual),
-                count: 0,
-                epoch: 0,
-                dead: false,
-                action,
-            });
+            push_exact_first(
+                &mut index.members,
+                Member {
+                    entry: entry_id,
+                    seq,
+                    target,
+                    zero_slot,
+                    residual: Arc::clone(residual),
+                    count: 0,
+                    epoch: 0,
+                    dead: false,
+                    action,
+                },
+            );
         }
-        self.by_sub.entry(sub.id).or_default().push(entry_id);
-        self.entries.push(Entry { form, to, seq, dead: false });
+        by_sub.entry(sub.id).or_default().push(entry_id);
+        entries.push(Entry { form, to, seq, dead: false });
     }
 
     /// First-class incremental removal: tombstones every live entry of
@@ -1339,7 +1425,7 @@ impl RoutingTable {
         let mut candidates = std::mem::take(&mut self.cover_scratch);
         candidates.clear();
         let (s0, _, probe0, _) = form.streams().next().expect("non-empty streams");
-        if let Some(bucket) = self.covers.get_mut(&(s0, to)) {
+        if let Some(bucket) = self.bucket_mut(s0, to) {
             bucket.coverer_candidates(probe0, &mut candidates, stats);
             for &slot in &candidates {
                 let e = &self.entries[slot as usize];
@@ -1357,7 +1443,7 @@ impl RoutingTable {
         candidates.clear();
         let mut sources = 0u32;
         for (s, _, probe, _) in form.streams() {
-            if let Some(bucket) = self.covers.get_mut(&(s, to)) {
+            if let Some(bucket) = self.bucket_mut(s, to) {
                 bucket.covered_candidates(probe, &mut candidates, stats);
                 sources += 1;
             }
@@ -1389,6 +1475,13 @@ impl RoutingTable {
         ForwardInsert::Inserted { dropped }
     }
 
+    /// The covering bucket of `(stream, to)`: it lives in that partition's
+    /// hop group, and exists once a forwarding entry was installed there.
+    fn bucket_mut(&mut self, stream: Symbol, to: NodeId) -> Option<&mut CoverBucket> {
+        let &p = self.part_of.get(&stream)?;
+        self.parts[p as usize].hops.iter_mut().find(|h| h.to == to).map(|h| &mut h.cover)
+    }
+
     fn tombstone(&mut self, entry_id: u32) {
         let entry = &mut self.entries[entry_id as usize];
         entry.dead = true;
@@ -1401,10 +1494,14 @@ impl RoutingTable {
                 self.by_sub.remove(&id);
             }
         }
-        for (&stream, req) in &form.sub.streams {
-            let Some(index) = self.streams.get_mut(&stream) else { continue };
-            let Some(m) = index.member_of.remove(&entry_id) else { continue };
-            let member = &mut index.members[m as usize];
+        for (stream, req) in form.sub.streams.iter() {
+            let Some(&p) = self.part_of.get(stream) else { continue };
+            let index = &mut self.parts[p as usize];
+            // Entry ids ascend with the member slot (module docs).
+            let Ok(m) = index.members.binary_search_by_key(&entry_id, |m| m.entry) else {
+                continue;
+            };
+            let member = &mut index.members[m];
             if member.dead {
                 continue;
             }
@@ -1430,11 +1527,10 @@ impl RoutingTable {
             // until the whole table compacts.
             if tombstones_dominate(index.dead_members, index.members.len()) {
                 index.dead_members = 0;
-                let StreamIndex { members, attr_lists, ts_lists, .. } = index;
-                for lists in attr_lists.values_mut() {
+                let StreamIndex { members, lists, .. } = index;
+                for lists in lists.values_mut() {
                     lists.sweep_dead(members);
                 }
-                ts_lists.sweep_dead(members);
             }
         }
     }
@@ -1469,8 +1565,8 @@ impl RoutingTable {
     /// eq-list cursor walk ([`TieredList::for_eq_hinted`]) advances
     /// monotonically through the run directory.
     pub fn first_indexed_attr(&self, stream: Symbol, attrs: &[Symbol]) -> Option<usize> {
-        let index = self.streams.get(&stream)?;
-        attrs.iter().position(|a| index.attr_lists.contains_key(a))
+        let index = &self.parts[*self.part_of.get(&stream)? as usize];
+        attrs.iter().position(|&a| index.lists.get(&IndexOperand::Attr(a)).is_some())
     }
 
     /// Matches `msg` against this table: counting pass over the message's
@@ -1486,30 +1582,22 @@ impl RoutingTable {
         out: &mut MatchOutput,
     ) {
         out.clear();
-        let Some(index) = self.streams.get_mut(&msg.stream) else {
+        let Self { parts, part_of, touched, candidates, .. } = self;
+        let Some(&p) = part_of.get(&msg.stream) else {
             return;
         };
+        let index = &mut parts[p as usize];
         index.epoch += 1;
         let epoch = index.epoch;
-        let StreamIndex {
-            members,
-            attr_lists,
-            ts_lists,
-            zero_target,
-            hops,
-            classes,
-            touched,
-            candidates,
-            ..
-        } = index;
+        let StreamIndex { members, lists, zero_target, hops, classes, .. } = index;
         touched.clear();
         candidates.clear();
 
         // Counting pass: resolve each message attribute once, walk the
         // satisfied threshold ranges.
-        if !attr_lists.is_empty() {
+        if !lists.is_empty() {
             for (i, &attr) in msg.schema().attrs().iter().enumerate() {
-                let Some(lists) = attr_lists.get(&attr) else { continue };
+                let Some(lists) = lists.get(&IndexOperand::Attr(attr)) else { continue };
                 let Some(v) = cosmos_query::compiled::ScalarRef::from(&msg.values()[i]).as_f64()
                 else {
                     continue; // string value: numeric comparisons are false
@@ -1519,9 +1607,9 @@ impl RoutingTable {
                 }
                 lists.bump_satisfied(v, members, touched, epoch);
             }
-        }
-        if !ts_lists.is_empty() {
-            ts_lists.bump_satisfied(msg.timestamp as f64, members, touched, epoch);
+            if let Some(lists) = lists.get(&IndexOperand::Timestamp) {
+                lists.bump_satisfied(msg.timestamp as f64, members, touched, epoch);
+            }
         }
 
         // Candidates: fully-counted members plus filter-free members, in
@@ -1589,30 +1677,20 @@ impl RoutingTable {
         let Some((_, first)) = msgs.first() else { return };
         let first = first.borrow();
         debug_assert!(msgs.iter().all(|(_, m)| m.borrow().stream == first.stream));
-        let Some(index) = self.streams.get_mut(&first.stream) else {
+        let Self { parts, part_of, touched, candidates, touched_hops, .. } = self;
+        let Some(&p) = part_of.get(&first.stream) else {
             for (tag, _) in msgs {
                 out.clear();
                 sink(*tag, out);
             }
             return;
         };
+        let index = &mut parts[p as usize];
         let base = index.epoch;
         index.epoch += msgs.len() as u64;
-        let StreamIndex {
-            members,
-            attr_lists,
-            ts_lists,
-            zero_target,
-            hops,
-            classes,
-            touched,
-            candidates,
-            touched_hops,
-            ..
-        } = index;
-        let attr_lists: &HashMap<Symbol, OpLists> = attr_lists;
-        let any_attr_lists = !attr_lists.is_empty();
-        let any_ts_lists = !ts_lists.is_empty();
+        let StreamIndex { members, lists, zero_target, hops, classes, .. } = index;
+        let lists: &VecMap<IndexOperand, OpLists> = lists;
+        let ts_lists = lists.get(&IndexOperand::Timestamp);
         // Schema-resolution cache: `(value index, lists)` pairs for the
         // last seen schema, keyed by attribute-slice identity — batches
         // from one source share a schema, so the HashMap probes happen
@@ -1630,17 +1708,14 @@ impl RoutingTable {
             touched.clear();
             candidates.clear();
             touched_hops.clear();
-            if any_attr_lists {
+            if !lists.is_empty() {
                 let attrs = msg.schema().attrs();
                 if attrs.as_ptr() != resolved_schema {
                     resolved_schema = attrs.as_ptr();
                     resolved.clear();
-                    resolved.extend(
-                        attrs
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, attr)| attr_lists.get(attr).map(|l| (i, l))),
-                    );
+                    resolved.extend(attrs.iter().enumerate().filter_map(|(i, &attr)| {
+                        lists.get(&IndexOperand::Attr(attr)).map(|l| (i, l))
+                    }));
                     eq_cursor = 0;
                 }
                 for (a, &(i, lists)) in resolved.iter().enumerate() {
@@ -1659,7 +1734,7 @@ impl RoutingTable {
                     }
                 }
             }
-            if any_ts_lists {
+            if let Some(ts_lists) = ts_lists {
                 ts_lists.bump_satisfied(msg.timestamp as f64, members, touched, epoch);
             }
             candidates.extend(zero_target.iter().map(|&m| (members[m as usize].seq, m)));
@@ -1722,7 +1797,8 @@ impl RoutingTable {
     /// member actions carry over untranslated.
     pub(crate) fn freeze(&self) -> FrozenTable {
         let mut streams = HashMap::new();
-        for (&stream, index) in &self.streams {
+        for (&stream, &p) in &self.part_of {
+            let index = &self.parts[p as usize];
             let mut remap: Vec<Option<u32>> = vec![None; index.members.len()];
             let mut members = Vec::new();
             for (i, m) in index.members.iter().enumerate() {
@@ -1755,19 +1831,17 @@ impl RoutingTable {
                 ge: remap_list(&l.ge),
                 eq: remap_list(&l.eq),
             };
-            let mut attr_lists = HashMap::new();
-            for (&attr, lists) in &index.attr_lists {
-                let frozen = freeze_lists(lists);
-                if !frozen.is_empty() {
-                    attr_lists.insert(attr, frozen);
-                }
-            }
+            let lists = index
+                .lists
+                .iter()
+                .map(|(&operand, lists)| (operand, freeze_lists(lists)))
+                .filter(|(_, frozen)| !frozen.is_empty())
+                .collect();
             streams.insert(
                 stream,
                 FrozenPartition {
                     members,
-                    attr_lists,
-                    ts_lists: freeze_lists(&index.ts_lists),
+                    lists,
                     zero_target: index
                         .zero_target
                         .iter()
@@ -1830,6 +1904,11 @@ mod tests {
             .id(SubId(id))
             .stream("R", StreamProjection::All, filters)
             .build()
+    }
+
+    /// The partition of stream `R`, which every fixture here uses.
+    fn part_r(table: &RoutingTable) -> &StreamIndex {
+        &table.parts[table.part_of[&Symbol::intern("R")] as usize]
     }
 
     fn local_matches(table: &mut RoutingTable, msg: &Message) -> Vec<SubId> {
@@ -2013,9 +2092,8 @@ mod tests {
         for i in 0..40u64 {
             table.ins(sub(i, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(i as i64))]), None);
         }
-        let stream: Symbol = "R".into();
-        let attr: Symbol = "a".into();
-        assert_eq!(table.streams[&stream].attr_lists[&attr].gt.len(), 40);
+        let a = IndexOperand::Attr("a".into());
+        assert_eq!(part_r(&table).lists[&a].gt.len(), 40);
         // Tombstone one at a time: the dead flags keep the stale threshold
         // references inert, and once tombstones reach half the table (at
         // the 20th removal) compaction rebuilds the lists dense. The last
@@ -2026,7 +2104,7 @@ mod tests {
         assert_eq!(table.len(), 16);
         assert_eq!(table.entries.len(), 20, "compacted at tombstone majority; 4 tombstones since");
         assert_eq!(
-            table.streams[&stream].attr_lists[&attr].gt.len(),
+            part_r(&table).lists[&a].gt.len(),
             20,
             "threshold list rebuilt dense at compaction (was 40)"
         );
@@ -2075,21 +2153,20 @@ mod tests {
         for i in 40..58u64 {
             table.ins(local(i, StreamProjection::attrs(["b"])), None);
         }
-        let stream: Symbol = "R".into();
-        assert_eq!(table.streams[&stream].classes.len(), 2);
+        assert_eq!(part_r(&table).classes.len(), 2);
         // Empty the {b} class entirely, then shed enough {a} members that
         // tombstones reach half the table: compaction re-groups and the
         // emptied class is not reopened.
         for i in 40..58u64 {
             assert_eq!(table.remove_entry(SubId(i), None), 1);
         }
-        assert_eq!(table.streams[&stream].classes.len(), 2, "emptied class lingers as a tombstone");
+        assert_eq!(part_r(&table).classes.len(), 2, "emptied class lingers as a tombstone");
         for i in 0..11u64 {
             assert_eq!(table.remove_entry(SubId(i), None), 1);
         }
         assert_eq!(table.len(), 29);
         assert_eq!(
-            table.streams[&stream].classes.len(),
+            part_r(&table).classes.len(),
             1,
             "emptied projection class dropped at re-grouping"
         );

@@ -68,7 +68,7 @@ pub mod traffic;
 
 pub use broker::{BrokerNetwork, Delivery, DeliveryLog, LinkStats};
 pub use fault::{FaultAction, FaultConfig, FaultPlan};
-pub use index::RoutingTable;
+pub use index::{RoutingFootprint, RoutingTable};
 pub use recovery::RecoveryNetwork;
 pub use reliable::LossyNetwork;
 pub use snapshot::{merge_outputs, ReaderOutput, RoutingSnapshot, SnapshotReader};

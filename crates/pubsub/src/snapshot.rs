@@ -43,8 +43,8 @@ use crate::broker::{Delivery, LinkStats};
 use crate::index::MatchOutput;
 use crate::subscription::{CachedProjection, Message, StreamProjection, SubId};
 use cosmos_net::NodeId;
-use cosmos_query::compiled::{eval_compiled, CompiledPredicate, ScalarRef};
-use cosmos_util::Symbol;
+use cosmos_query::compiled::{eval_compiled, CompiledPredicate, IndexOperand, ScalarRef};
+use cosmos_util::{Symbol, VecMap};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -157,8 +157,9 @@ pub(crate) struct FrozenHop {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FrozenPartition {
     pub(crate) members: Vec<FrozenMember>,
-    pub(crate) attr_lists: HashMap<Symbol, FrozenLists>,
-    pub(crate) ts_lists: FrozenLists,
+    /// Non-empty threshold lists per indexed operand (attributes and the
+    /// event-time pseudo-attribute), as the live partition keys them.
+    pub(crate) lists: VecMap<IndexOperand, FrozenLists>,
     pub(crate) zero_target: Vec<u32>,
     pub(crate) hops: Vec<FrozenHop>,
     pub(crate) classes: Vec<StreamProjection>,
@@ -264,9 +265,9 @@ fn match_frozen(
     touched.clear();
     candidates.clear();
 
-    if !part.attr_lists.is_empty() {
+    if !part.lists.is_empty() {
         for (i, &attr) in msg.schema().attrs().iter().enumerate() {
-            let Some(lists) = part.attr_lists.get(&attr) else { continue };
+            let Some(lists) = part.lists.get(&IndexOperand::Attr(attr)) else { continue };
             let Some(v) = ScalarRef::from(&msg.values()[i]).as_f64() else {
                 continue; // string value: numeric comparisons are false
             };
@@ -275,9 +276,9 @@ fn match_frozen(
             }
             lists.bump_satisfied(v, count, epoch_of, touched, epoch);
         }
-    }
-    if !part.ts_lists.is_empty() {
-        part.ts_lists.bump_satisfied(msg.timestamp as f64, count, epoch_of, touched, epoch);
+        if let Some(lists) = part.lists.get(&IndexOperand::Timestamp) {
+            lists.bump_satisfied(msg.timestamp as f64, count, epoch_of, touched, epoch);
+        }
     }
 
     candidates.extend(part.zero_target.iter().map(|&m| (part.members[m as usize].seq, m)));
@@ -344,23 +345,21 @@ fn match_frozen_batch<F>(
     } = ps;
     let base = *scratch_epoch;
     *scratch_epoch += msgs.len() as u64;
+    let ts_lists = part.lists.get(&IndexOperand::Timestamp);
     let mut resolved: Vec<(usize, &FrozenLists)> = Vec::new();
     let mut resolved_schema: *const Symbol = std::ptr::null();
     for (j, (order, msg)) in msgs.iter().enumerate() {
         let epoch = base + j as u64 + 1;
         touched.clear();
         candidates.clear();
-        if !part.attr_lists.is_empty() {
+        if !part.lists.is_empty() {
             let attrs = msg.schema().attrs();
             if attrs.as_ptr() != resolved_schema {
                 resolved_schema = attrs.as_ptr();
                 resolved.clear();
-                resolved.extend(
-                    attrs
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, attr)| part.attr_lists.get(attr).map(|l| (i, l))),
-                );
+                resolved.extend(attrs.iter().enumerate().filter_map(|(i, &attr)| {
+                    part.lists.get(&IndexOperand::Attr(attr)).map(|l| (i, l))
+                }));
             }
             for &(i, lists) in &resolved {
                 let Some(v) = ScalarRef::from(&msg.values()[i]).as_f64() else {
@@ -372,8 +371,8 @@ fn match_frozen_batch<F>(
                 lists.bump_satisfied(v, count, epoch_of, touched, epoch);
             }
         }
-        if !part.ts_lists.is_empty() {
-            part.ts_lists.bump_satisfied(msg.timestamp as f64, count, epoch_of, touched, epoch);
+        if let Some(lists) = ts_lists {
+            lists.bump_satisfied(msg.timestamp as f64, count, epoch_of, touched, epoch);
         }
         candidates.extend(part.zero_target.iter().map(|&m| (part.members[m as usize].seq, m)));
         candidates.extend(touched.iter().filter_map(|&m| {

@@ -2,7 +2,8 @@
 //!
 //! A subscription carries exactly the three lists §2.1 gives for `p3₁`:
 //!
-//! - `S`: the streams requested (here: the keys of the per-stream map),
+//! - `S`: the streams requested (here: the keys of [`StreamMap`], the
+//!   sorted vector map a subscription keeps its per-stream requests in),
 //! - `P`: the requested attributes, "so the Pub/Sub can perform projection
 //!   of the unnecessary attributes as soon as possible",
 //! - `F`: filters "used to perform early data filtering in the Pub/Sub".
@@ -17,8 +18,8 @@ use cosmos_query::compiled::{eval_compiled, CompiledPredicate, IndexableCmp};
 use cosmos_query::predicate::implies;
 use cosmos_query::{Predicate, Scalar};
 use cosmos_util::intern::{Schema, Symbol};
-use cosmos_util::PlanCache;
-use std::collections::{BTreeMap, BTreeSet};
+use cosmos_util::{PlanCache, VecMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -187,6 +188,16 @@ fn needs_of(projection: &StreamProjection, filters: &[Predicate]) -> StreamProje
     }
 }
 
+/// A subscription's per-stream requests, ascending by stream symbol.
+///
+/// Nearly every subscription requests one or two streams, and a massive
+/// population holds one of these maps per installed form — a `BTreeMap`
+/// spent a 1.3 KB leaf node on that single pair, the sorted vector spends
+/// the pair. Iteration order is the `BTreeMap`'s, requesting a stream
+/// twice replaces its request, and lookups stay logarithmic for the
+/// engine-host feeds that request dozens of streams.
+pub type StreamMap = VecMap<Symbol, StreamRequest>;
+
 /// A subscription: the subscriber's proxy node plus per-stream requests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Subscription {
@@ -196,14 +207,14 @@ pub struct Subscription {
     pub subscriber: NodeId,
     /// Requested streams (interned) with their projections and filters.
     /// Symbol-keyed so per-message stream lookups compare integers.
-    pub streams: BTreeMap<Symbol, StreamRequest>,
+    pub streams: StreamMap,
 }
 
 impl Subscription {
     /// Starts building a subscription for `subscriber`.
     pub fn builder(subscriber: NodeId) -> SubscriptionBuilder {
         SubscriptionBuilder {
-            sub: Subscription { id: SubId(0), subscriber, streams: BTreeMap::new() },
+            sub: Subscription { id: SubId(0), subscriber, streams: StreamMap::new() },
         }
     }
 
@@ -227,7 +238,7 @@ impl Subscription {
     /// (dropping what cannot be kept). The result covers both inputs.
     pub fn merge(&self, other: &Subscription) -> Subscription {
         let mut streams = self.streams.clone();
-        for (name, o_req) in &other.streams {
+        for (name, o_req) in other.streams.iter() {
             match streams.get_mut(name) {
                 None => {
                     streams.insert(*name, o_req.clone());
@@ -531,7 +542,103 @@ mod tests {
         assert!(p31.matches(&s2));
     }
 
+    #[test]
+    fn a_stream_requested_twice_keeps_the_later_request() {
+        let s = Subscription::builder(NodeId(1))
+            .stream("R", StreamProjection::All, vec![filter("R", "a", CmpOp::Gt, 10)])
+            .stream("R", StreamProjection::attrs(["a"]), vec![])
+            .build();
+        assert_eq!(s.streams.len(), 1);
+        let req = &s.streams[&Symbol::intern("R")];
+        assert_eq!(req.projection(), &StreamProjection::attrs(["a"]));
+        assert!(req.filters().is_empty(), "the earlier filter went with its request");
+        assert!(s.matches(&Message::new("R", 0).with("a", Scalar::Int(1))));
+    }
+
+    /// A subscription to streams `V0 .. V(n-1)`, built in the order given
+    /// (the map sorts), requesting `a` and `k` where `Vk.a > k + slack`.
+    fn wide(ids: impl Iterator<Item = usize>, slack: i64) -> Subscription {
+        ids.fold(Subscription::builder(NodeId(1)), |b, k| {
+            let name = format!("V{k}");
+            let f = filter(&name, "a", CmpOp::Gt, k as i64 + slack);
+            b.stream(name.as_str(), StreamProjection::attrs(["a", "k"]), vec![f])
+        })
+        .build()
+    }
+
+    #[test]
+    fn covering_merging_matching_and_projection_hold_on_1_2_and_40_streams() {
+        for n in [1usize, 2, 40] {
+            // Built back to front: every insert lands before the others.
+            let general = wide((0..n).rev(), 0);
+            let symbols: Vec<Symbol> = (0..n).map(|k| Symbol::intern(&format!("V{k}"))).collect();
+            let mut ascending = symbols.clone();
+            ascending.sort();
+            assert_eq!(general.streams.keys().copied().collect::<Vec<_>>(), ascending);
+            let specific = wide(0..n, 10);
+            assert!(general.covers(&specific) && !specific.covers(&general), "n = {n}");
+            // One stream short (none at all for n = 1), the narrower side
+            // still fits under the wider, and covers nothing that
+            // requests the stream it lacks.
+            let partial = wide(0..n - 1, 10);
+            assert!(general.covers(&partial));
+            assert!(!partial.covers(&general) && !partial.covers(&specific));
+            let merged = partial.merge(&general);
+            assert_eq!(merged.streams.keys().copied().collect::<Vec<_>>(), ascending);
+            assert!(merged.covers(&partial) && merged.covers(&general));
+            for (k, &stream) in symbols.iter().enumerate() {
+                let msg = |a: i64| {
+                    Message::new(stream.as_str(), 0)
+                        .with("a", Scalar::Int(a))
+                        .with("k", Scalar::Int(k as i64))
+                        .with("z", Scalar::Int(0))
+                };
+                assert!(general.matches(&msg(k as i64 + 1)) && !general.matches(&msg(k as i64)));
+                assert!(!specific.matches(&msg(k as i64 + 10)));
+                assert_eq!(general.needs(stream), Some(&StreamProjection::attrs(["a", "k"])));
+                let kept = general.project(&msg(k as i64 + 1)).expect("matches");
+                assert_eq!(kept.len(), 2, "`z` is projected away");
+                assert!(general.project(&msg(k as i64)).is_none());
+            }
+            assert!(!general.matches(&Message::new("V40", 0).with("a", Scalar::Int(99))));
+            assert_eq!(general.needs(Symbol::intern("V40")), None);
+        }
+    }
+
     proptest! {
+        /// The vector map against a `BTreeMap` model under random
+        /// insert / replace / lookup sequences: same replaced values, same
+        /// length, same ascending iteration, same lookups.
+        #[test]
+        fn prop_stream_map_matches_btreemap_model(
+            ops in proptest::collection::vec((0usize..12, -50i64..50), 0..60),
+        ) {
+            let names: Vec<Symbol> = (0..12).map(|k| Symbol::intern(&format!("M{k}"))).collect();
+            let request = |k: usize, v: i64| {
+                StreamRequest::new(
+                    StreamProjection::All,
+                    vec![filter(names[k].as_str(), "a", CmpOp::Gt, v)],
+                )
+            };
+            let mut map = StreamMap::new();
+            let mut model = std::collections::BTreeMap::new();
+            for &(k, v) in &ops {
+                prop_assert_eq!(map.insert(names[k], request(k, v)), model.insert(names[k], request(k, v)));
+                prop_assert_eq!(map.len(), model.len());
+            }
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+            prop_assert!(map.iter().eq(model.iter()));
+            prop_assert!(map.keys().eq(model.keys()));
+            for name in &names {
+                prop_assert_eq!(map.get(name), model.get(name));
+                if model.contains_key(name) {
+                    prop_assert_eq!(&map[name], &model[name]);
+                }
+            }
+            let collected: StreamMap = ops.iter().map(|&(k, v)| (names[k], request(k, v))).collect();
+            prop_assert_eq!(collected, map);
+        }
+
         /// Covering must be consistent with matching: if `a` covers `b`,
         /// every message matching `b` matches `a`.
         #[test]

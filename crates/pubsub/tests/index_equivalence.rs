@@ -12,6 +12,11 @@
 //! skip, and covering drop must agree. The churn drivers additionally
 //! assert [`BrokerNetwork::check_ledger_consistency`] after every
 //! control-plane operation on the incremental network.
+//!
+//! Most families draw from three streams with many subscribers each; the
+//! many-streams family ([`many_streams_equal_linear_oracle`]) is the
+//! opposite population — hundreds of streams with a subscriber or three —
+//! under churn heavy enough that tables compact.
 
 use cosmos_net::{NodeId, Topology};
 use cosmos_pubsub::broker::BrokerNetwork;
@@ -629,6 +634,204 @@ fn covering_rich_fixture_confirmations_are_pinned() {
     assert_eq!((stats.attempted, stats.held, stats.visited), (33_073, 4047, 452_987));
     let linear = covering_rich_fixture(BrokerNetwork::new_linear(topo)).cover_stats();
     assert_eq!((linear.attempted, linear.held, linear.visited), (404_873, 4047, 0));
+}
+
+/// The `k`-th stream of the many-streams family (shared across trials:
+/// symbols are process-global, streams are per network).
+fn many_stream(k: usize) -> String {
+    format!("ms{k}")
+}
+
+/// One subscriber of the many-streams family: one stream, or two for a
+/// tenth of the population (often served by different sources, so the
+/// installation splits into restricted forms); half filterless, half
+/// carrying one or two random predicates.
+fn many_streams_sub(
+    rng: &mut StdRng,
+    id: u64,
+    nodes: u32,
+    first: usize,
+    n_streams: usize,
+) -> Subscription {
+    let mut builder = Subscription::builder(NodeId(rng.gen_range(0..nodes))).id(SubId(id));
+    let second = rng.gen_bool(0.1).then(|| rng.gen_range(0..n_streams));
+    for k in std::iter::once(first).chain(second) {
+        let stream = many_stream(k);
+        let filters = if rng.gen_bool(0.5) {
+            Vec::new()
+        } else {
+            (0..rng.gen_range(1..3)).map(|_| random_predicate(rng, &stream)).collect()
+        };
+        builder = builder.stream(stream.as_str(), random_projection(rng), filters);
+    }
+    builder.build()
+}
+
+/// One many-streams trial: hundreds of streams with one to three
+/// subscribers each — the per-user result-stream shape, where a table is
+/// mostly single-member partitions — under churn heavy enough that
+/// partitions are swept and whole tables compact again and again: waves
+/// of departures and returns, link failures and recoveries (each a
+/// repair wave of tombstones and re-appended entries). Three networks run
+/// the schedule. The indexed one must hold, entry for entry and in order,
+/// the tables of its `new_linear` twin (same incremental control plane,
+/// linear covering scans), keep its ledger consistent after every
+/// operation, and deliver the log of the `new_linear` + `*_wholesale`
+/// oracle over the same link traffic — through `publish`, `publish_batch`
+/// and a snapshot reader alike. (The oracle's *tables* are not compared:
+/// of two subscriptions that cover each other a rebuild keeps the earlier
+/// subscriber, a repair wave whichever was standing.) Tombstoning finds
+/// an entry's member by binary search over ascending entry ids, so a
+/// compaction or repair wave that broke that order would strand a live
+/// member and deliver to a subscriber that left.
+fn many_streams_trial(trial: u64, steps: u32, step: &std::cell::Cell<u32>) {
+    let mut rng = rng_for(trial, "index-many-streams");
+    let topo = random_topology(&mut rng);
+    let nodes = topo.node_count() as u32;
+    let mut indexed = BrokerNetwork::new(topo.clone());
+    let mut twin = BrokerNetwork::new_linear(topo.clone());
+    let mut oracle = BrokerNetwork::new_linear(topo);
+    let n_streams = rng.gen_range(300usize..800);
+    let sources: Vec<NodeId> =
+        (0..rng.gen_range(2..5)).map(|_| NodeId(rng.gen_range(0..nodes))).collect();
+    for k in 0..n_streams {
+        let src = sources[rng.gen_range(0..sources.len())];
+        for net in [&mut indexed, &mut twin, &mut oracle] {
+            net.advertise(many_stream(k).as_str(), src);
+        }
+    }
+    let mut subs: Vec<Subscription> = Vec::new();
+    for k in 0..n_streams {
+        for _ in 0..rng.gen_range(1..4) {
+            subs.push(many_streams_sub(&mut rng, subs.len() as u64, nodes, k, n_streams));
+        }
+    }
+    for net in [&mut indexed, &mut twin, &mut oracle] {
+        net.subscribe_batch(subs.clone());
+    }
+    let mut live: Vec<usize> = (0..subs.len()).collect();
+    let mut gone: Vec<usize> = Vec::new();
+    let mut failed: Vec<(NodeId, NodeId, f64)> = Vec::new();
+    let mut ts = 0i64;
+    let mut message = |rng: &mut StdRng| {
+        ts += rng.gen_range(1i64..1_000);
+        let mut msg = Message::new(many_stream(rng.gen_range(0..n_streams)).as_str(), ts);
+        for attr in ATTRS {
+            if rng.gen_bool(0.75) {
+                msg = msg.with(attr, random_scalar(rng));
+            }
+        }
+        msg
+    };
+    // Stored member records only ever shrink when a table compacts.
+    let (mut stored, mut compactions) = (indexed.footprint().members, 0u32);
+    for op in 0..steps {
+        step.set(op);
+        let roll = rng.gen_range(0u32..100);
+        if roll < 20 && !live.is_empty() {
+            // A wave of departures: up to two thirds of the population.
+            let wave = rng.gen_range(1..=live.len() * 2 / 3 + 1).min(live.len());
+            for left in (0..wave).rev() {
+                let i = live.swap_remove(rng.gen_range(0..live.len()));
+                indexed.unsubscribe(subs[i].id);
+                twin.unsubscribe(subs[i].id);
+                // One rebuild per wave: the last departure's rebuild
+                // discards whatever the earlier ones left standing.
+                if left == 0 {
+                    oracle.unsubscribe_wholesale(subs[i].id);
+                } else {
+                    oracle.unsubscribe(subs[i].id);
+                }
+                gone.push(i);
+            }
+        } else if roll < 40 && !gone.is_empty() {
+            // Most of the departed return (same ids, new sequence numbers).
+            let back: Vec<usize> = gone.drain(..rng.gen_range(1..=gone.len())).collect();
+            let batch: Vec<Subscription> = back.iter().map(|&i| subs[i].clone()).collect();
+            live.extend(back);
+            for net in [&mut indexed, &mut twin, &mut oracle] {
+                net.subscribe_batch(batch.clone());
+            }
+        } else if roll < 50 {
+            let edges = edges_of(indexed.topology());
+            if !edges.is_empty() {
+                let (a, b) = edges[rng.gen_range(0..edges.len())];
+                let lat = indexed.topology().edge_latency(a, b).unwrap();
+                assert!(indexed.fail_link(a, b));
+                assert!(twin.fail_link(a, b));
+                assert!(oracle.fail_link_wholesale(a, b));
+                failed.push((a, b, lat));
+            }
+        } else if roll < 60 && !failed.is_empty() {
+            let (a, b, lat) = failed.swap_remove(rng.gen_range(0..failed.len()));
+            assert!(indexed.restore_link(a, b, lat));
+            assert!(twin.restore_link(a, b, lat));
+            assert!(oracle.restore_link_wholesale(a, b, lat));
+        } else {
+            // The same round three ways — serially, batched, and through
+            // a snapshot reader — against the oracle's linear scan.
+            let round: Vec<Message> =
+                (0..rng.gen_range(1..40)).map(|_| message(&mut rng)).collect();
+            indexed.reset_stats();
+            oracle.reset_stats();
+            for msg in &round {
+                assert_eq!(indexed.publish(msg.clone()), oracle.publish_linear(msg.clone()));
+            }
+            let log = indexed.log().deliveries().to_vec();
+            let links = indexed.all_link_stats();
+            assert_eq!(log, oracle.log().deliveries(), "delivery logs diverged");
+            assert_eq!(links, oracle.all_link_stats(), "link traffic diverged");
+            indexed.reset_stats();
+            indexed.publish_batch(&round);
+            assert_eq!(indexed.log().deliveries(), log, "publish_batch log diverged");
+            assert_eq!(indexed.all_link_stats(), links, "publish_batch link traffic diverged");
+            let mut reader = indexed.reader();
+            reader.publish_batch_at(0, &round);
+            let mut out = reader.take_output();
+            out.sort_by_order();
+            assert_eq!(out.deliveries().cloned().collect::<Vec<_>>(), log, "reader log diverged");
+            assert_eq!(out.all_link_stats(), links, "reader link traffic diverged");
+            continue;
+        }
+        indexed.check_ledger_consistency().expect("indexed ledger");
+        let (ours, theirs) = (table_image(&indexed), table_image(&twin));
+        if let Some(n) = (0..ours.len()).find(|&n| ours[n] != theirs[n]) {
+            let at = ours[n].iter().zip(&theirs[n]).take_while(|(a, b)| a == b).count();
+            panic!(
+                "routing tables diverged at node {n} ({} vs {} entries), entry #{at}: {:?} vs {:?}",
+                ours[n].len(),
+                theirs[n].len(),
+                ours[n].get(at),
+                theirs[n].get(at)
+            );
+        }
+        let now = indexed.footprint().members;
+        compactions += u32::from(now < stored);
+        stored = now;
+    }
+    assert!(compactions > 0, "no table ever compacted: the churn is too light");
+    assert_eq!(indexed.cover_stats().held, twin.cover_stats().held, "same skips and drops");
+}
+
+/// The many-streams differential family (see [`many_streams_trial`]).
+/// Trials are pure functions of their index; a failing one reports its
+/// index and the operation it died on. `COSMOS_STRESS=1` raises the
+/// trial count and the schedule length.
+#[test]
+fn many_streams_equal_linear_oracle() {
+    let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
+    let (trials, steps) = if stress { (16u64, 400) } else { (3u64, 90) };
+    for trial in 0..trials {
+        let step = std::cell::Cell::new(0);
+        let run = std::panic::AssertUnwindSafe(|| many_streams_trial(trial, steps, &step));
+        if let Err(e) = std::panic::catch_unwind(run) {
+            eprintln!(
+                "many-streams trial {trial} (seed label \"index-many-streams\") failed at op {}",
+                step.get()
+            );
+            std::panic::resume_unwind(e);
+        }
+    }
 }
 
 /// A *broad* subscription: a weak threshold (or none), so ≥90% of

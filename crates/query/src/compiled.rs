@@ -207,7 +207,7 @@ pub fn eval_compiled<S: SymSource>(preds: &[CompiledPredicate], src: &S) -> bool
 
 /// The left-hand side of an indexable comparison: a stored attribute or
 /// the event-time pseudo-attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IndexOperand {
     /// A stored attribute of the indexed relation.
     Attr(Symbol),

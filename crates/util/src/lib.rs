@@ -22,6 +22,9 @@
 //! - [`sync`]: read-copy-update primitives ([`SnapshotCell`]) backing the
 //!   broker's parallel publish plane — a writer publishes immutable
 //!   routing snapshots, readers match against them lock-free.
+//! - [`vecmap`]: [`VecMap`], a map kept as one sorted vector — what the
+//!   routing plane uses where it holds tens of thousands of maps with one
+//!   or two keys each.
 //! - [`pool`]: a scoped order-preserving [`pool::parallel_map`] used by the
 //!   adaptive optimizer to score independent candidate moves concurrently
 //!   without changing the chosen moves.
@@ -48,6 +51,7 @@ pub mod solver;
 pub mod stats;
 pub mod sync;
 pub mod timer;
+pub mod vecmap;
 pub mod zipf;
 
 pub use bitset::InterestSet;
@@ -55,3 +59,4 @@ pub use intern::{Schema, Symbol};
 pub use plancache::PlanCache;
 pub use sync::SnapshotCell;
 pub use timer::{EventQueue, Stopwatch};
+pub use vecmap::VecMap;
