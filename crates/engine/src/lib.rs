@@ -51,7 +51,6 @@
 pub mod aggregate;
 pub mod checkpoint;
 pub mod exec;
-pub mod parallel;
 pub mod reorder;
 pub mod shared;
 pub mod tuple;
@@ -62,7 +61,6 @@ pub use checkpoint::{
     StreamCheckpoint,
 };
 pub use exec::{CompiledQuery, EngineStats, ProjPlanCache, ResultTuple, StreamEngine};
-pub use parallel::ParallelEngine;
 pub use reorder::ReorderBuffer;
 pub use shared::SharedEngine;
 pub use tuple::{FlattenCache, JoinedTuple, Tuple};

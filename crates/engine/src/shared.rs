@@ -47,7 +47,7 @@ struct ResidualCompiled {
 /// receive `Arc`-clones of a single projected record per shared result —
 /// the dominant sharing win when many members ask for the same columns.
 #[derive(Debug)]
-struct ProjClass {
+struct OutputClass {
     /// Unique per class; keys the renamed-schema cache (`u64`: cannot
     /// wrap into an alias).
     id: u64,
@@ -89,7 +89,7 @@ struct Group {
     /// Distinct output shapes (projection + renames). Each class projects
     /// a shared result once; every passing member of the class gets an
     /// `Arc`-clone of that one record.
-    proj_classes: Vec<ProjClass>,
+    proj_classes: Vec<OutputClass>,
     /// Scratch: per-result projected record per class (`None` = not yet
     /// built for the current result).
     class_outputs: Vec<Option<Tuple>>,
@@ -184,7 +184,7 @@ impl SharedEngine {
             // distinct conjunction once per result and projects each
             // distinct output shape once per result.
             let mut filter_sets: Vec<Vec<CompiledPredicate>> = Vec::new();
-            let mut proj_classes: Vec<ProjClass> = Vec::new();
+            let mut proj_classes: Vec<OutputClass> = Vec::new();
             let residuals: Vec<ResidualCompiled> = merged
                 .residuals
                 .iter()
@@ -209,7 +209,7 @@ impl SharedEngine {
                     {
                         Some(c) => c,
                         None => {
-                            proj_classes.push(ProjClass {
+                            proj_classes.push(OutputClass {
                                 id: next_class_id(),
                                 projection,
                                 plans: ProjPlanCache::new(),
@@ -354,7 +354,7 @@ thread_local! {
 /// the `Arc`-shared payload is reused untouched, and the renamed schema is
 /// cached per (input schema, projection class) and interned (so equal
 /// shapes keep sharing one schema).
-fn rename_aliases(t: Tuple, class: &ProjClass) -> Tuple {
+fn rename_aliases(t: Tuple, class: &OutputClass) -> Tuple {
     let schema = RENAMED_SCHEMAS.with_borrow_mut(|cache| {
         // Class ids are minted per SharedEngine::build; bound the
         // per-thread cache so engine rebuilds cannot grow it forever.

@@ -63,25 +63,21 @@
 //! snapshot handle with zero locks and zero shared mutable state; their
 //! [`ReaderOutput`]s merge deterministically back into the broker's log
 //! and link counters ([`BrokerNetwork::absorb`]), bit-identical to serial
-//! [`BrokerNetwork::publish`] order. [`BrokerNetwork::publish_shared`] is
-//! the convenience `&self` publish for callers that just want one message
-//! matched from any thread. Snapshot builds are cheap dirty-marking away
-//! from the churn path: subscribe/unsubscribe never freeze anything —
-//! only an explicit `snapshot()` (or the first `publish_shared` after
-//! churn) pays for the nodes that actually changed.
+//! [`BrokerNetwork::publish`] order. Snapshot builds are cheap
+//! dirty-marking away from the churn path: subscribe/unsubscribe never
+//! freeze anything — only an explicit `snapshot()` pays for the nodes
+//! that actually changed.
 
 use crate::index::{
-    BatchMatchOutput, CoverStats, ForwardInsert, ForwardedSet, InstalledSub, MatchOutput,
-    RoutingFootprint, RoutingTable,
+    match_run, CoverStats, ForwardInsert, ForwardedSet, InstalledSub, MatchOutput, MatchScratch,
+    MatchStats, Partition, PlanCaches, RoutingFootprint, RoutingTable, TablePlans,
 };
 use crate::snapshot::{FrozenTable, ReaderOutput, RoutingSnapshot, SnapshotReader};
 use crate::subscription::{Message, StreamProjection, SubId, Subscription};
 use cosmos_net::{NodeId, ShortestPathTree, Topology};
 use cosmos_query::Scalar;
 use cosmos_util::{SnapshotCell, Symbol};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Traffic counters for one undirected link.
@@ -173,10 +169,6 @@ fn routing_covers(general: &Subscription, specific: &Subscription) -> bool {
     specific.streams.iter().all(|(&s, req)| general.needs(s).is_some_and(|g| g.covers(req.needs())))
 }
 
-/// Distinguishes the broker networks of one process, so thread-local
-/// reader pools ([`BrokerNetwork::publish_shared`]) never mix networks.
-static NET_IDS: AtomicU64 = AtomicU64::new(0);
-
 /// Nodes whose routing tables changed since the last snapshot build.
 /// Churn only marks here (cheap); [`BrokerNetwork::snapshot`] drains it,
 /// freezing exactly the marked nodes.
@@ -188,37 +180,6 @@ struct DirtyNodes {
     all: bool,
 }
 
-/// Per-batch wire-size memo for link statistics. A hop whose union
-/// projection keeps the whole record forwards the message's own value row
-/// (`Arc`-shared), so its wire size is the same on every link it crosses;
-/// the memo recognizes that case by value-row pointer and charges the
-/// bytes from one computation per message instead of one per link.
-/// Narrowed projections produce fresh value rows, miss the pointer check,
-/// and are measured directly — identical bytes either way.
-struct WireSizeCache {
-    /// Each tag's original value-row pointer (validity token, never
-    /// dereferenced; the publish batch outlives the cache).
-    ptrs: Vec<*const Scalar>,
-    sizes: Vec<Option<u64>>,
-}
-
-impl WireSizeCache {
-    fn new(run: &[Message]) -> Self {
-        Self {
-            ptrs: run.iter().map(|m| m.values().as_ptr()).collect(),
-            sizes: vec![None; run.len()],
-        }
-    }
-
-    fn wire_size(&mut self, tag: u32, m: &Message) -> u64 {
-        if m.values().as_ptr() == self.ptrs[tag as usize] {
-            *self.sizes[tag as usize].get_or_insert_with(|| m.wire_size() as u64)
-        } else {
-            m.wire_size() as u64
-        }
-    }
-}
-
 /// Monotone `u64` image of a value under ascending numeric order (sign
 /// bit flipped for positives, all bits for negatives — the `total_cmp`
 /// bit trick); `None` for values without a numeric interpretation.
@@ -228,7 +189,7 @@ fn sort_bits(v: &Scalar) -> Option<u64> {
     Some(if b >> 63 == 1 { !b } else { b | (1 << 63) })
 }
 
-/// Where a hop's forwarded record lives while a batch's sub-batches are
+/// Where a hop's forwarded record lives while a run's sub-runs are
 /// regrouped: `Same` borrows the matched message itself (identity union
 /// projection), `Proj` indexes the forwarding node's arena of narrowed
 /// records.
@@ -238,9 +199,215 @@ enum FwdSlot {
     Proj(u32),
 }
 
-/// One hop's regrouped sub-batch under construction: `(tag, slot)` pairs
+/// One hop's regrouped sub-run under construction: `(tag, slot)` pairs
 /// in match order.
 type HopSlots = Vec<(u32, FwdSlot)>;
+
+/// The plane a forwarding walk crosses: the writer's live tables or a
+/// reader's frozen ones ([`SnapshotReader`]).
+pub(crate) trait Plane {
+    /// Whose plan caches go with this plane's partitions.
+    type Plans: PlanCaches;
+
+    /// What [`match_run`] takes to match messages of `stream` at `node`,
+    /// or `None` when the node holds no entry for the stream.
+    fn at(
+        &mut self,
+        node: NodeId,
+        stream: Symbol,
+    ) -> Option<(&Partition, &mut Self::Plans, &mut MatchScratch)>;
+}
+
+impl Plane for Vec<RoutingTable> {
+    type Plans = TablePlans;
+
+    fn at(
+        &mut self,
+        node: NodeId,
+        stream: Symbol,
+    ) -> Option<(&Partition, &mut TablePlans, &mut MatchScratch)> {
+        self[node.index()].at(stream)
+    }
+}
+
+/// The forwarding walk and its recycled buffers — one per publisher
+/// (the network for the writer, each reader for itself).
+#[derive(Debug, Default)]
+pub(crate) struct Walk {
+    /// Tagged forward-slot buffers — one per (node, hop) edge of a run's
+    /// union dissemination tree, recycled when the hop's sub-run returns.
+    slot_pool: Vec<HopSlots>,
+    /// Per-node hop-grouping buffers (outer vector of the per-hop slot
+    /// regrouping).
+    next_pool: Vec<Vec<(NodeId, HopSlots)>>,
+    /// Per-node arenas of narrowed records.
+    arena_pool: Vec<Vec<Message>>,
+    /// Per-run wire-size memo for link statistics, by run position. A hop
+    /// whose union projection keeps the whole record forwards the
+    /// message's own value row (`Arc`-shared), so its wire size is the
+    /// same on every link it crosses; that case is recognized by value-row
+    /// identity with the run's own message and charged from one
+    /// computation per message instead of one per link. Narrowed
+    /// projections produce fresh value rows, miss the identity check, and
+    /// are measured directly — identical bytes either way.
+    sizes: Vec<Option<u64>>,
+}
+
+impl Walk {
+    /// Publishes `msgs` over `plane`: each maximal run of consecutive
+    /// same-stream messages is walked from its advertised source (runs of
+    /// unadvertised streams go nowhere), charging `links`. Each delivery is
+    /// handed to `deliver` with its message's position in `msgs`; within
+    /// one position, in that message's own forwarding order.
+    pub(crate) fn publish(
+        &mut self,
+        plane: &mut impl Plane,
+        links: &mut HashMap<(NodeId, NodeId), LinkStats>,
+        sources: &HashMap<Symbol, NodeId>,
+        msgs: &[Message],
+        deliver: &mut impl FnMut(u32, Delivery),
+    ) {
+        let mut i = 0;
+        while i < msgs.len() {
+            let stream = msgs[i].stream;
+            let mut j = i + 1;
+            while j < msgs.len() && msgs[j].stream == stream {
+                j += 1;
+            }
+            if let Some(&src) = sources.get(&stream) {
+                self.run(plane, links, src, &msgs[i..j], &mut |tag, d| deliver(i as u32 + tag, d));
+            }
+            i = j;
+        }
+    }
+
+    /// Walks one same-stream run from its source `src`, tagging
+    /// deliveries with run positions.
+    fn run(
+        &mut self,
+        plane: &mut impl Plane,
+        links: &mut HashMap<(NodeId, NodeId), LinkStats>,
+        src: NodeId,
+        msgs: &[Message],
+        deliver: &mut impl FnMut(u32, Delivery),
+    ) {
+        self.sizes.clear();
+        self.sizes.resize(msgs.len(), None);
+        if let [msg] = msgs {
+            // A run of one, from a stack array.
+            self.forward(plane, links, src, None, &[(0, msg)], msgs, deliver);
+        } else {
+            let mut run: Vec<(u32, &Message)> = (0..).zip(msgs).collect();
+            // Process the run in routed-value order: sub-runs inherit it,
+            // so every node's eq-directory cursor walk advances
+            // monotonically. Tags keep the slice positions, so the
+            // published outcome is order-independent.
+            let attrs = msgs[0].schema().attrs();
+            let sort_attr =
+                plane.at(src, msgs[0].stream).and_then(|at| at.0.first_indexed_attr(attrs));
+            if let Some(attr) = sort_attr {
+                run.sort_by_key(|(_, m)| {
+                    let same_schema = m.schema().attrs().as_ptr() == attrs.as_ptr();
+                    same_schema.then(|| sort_bits(&m.values()[attr])).flatten()
+                });
+            }
+            self.forward(plane, links, src, None, &run, msgs, deliver);
+        }
+    }
+
+    /// Matches a same-stream run at `node` through one [`match_run`]
+    /// call, handing each delivery to `deliver` with its message's tag and
+    /// regrouping forwards into per-hop sub-runs. Hops recurse in
+    /// ascending node order, so restricting this union DFS to any single
+    /// message's subtree is that message's own forwarding walk, and each
+    /// tag's deliveries are handed over in that order. Link stats are
+    /// order-independent sums and accumulate per sub-run.
+    ///
+    /// Sub-runs borrow their messages: an identity forward reuses the
+    /// incoming run's reference and a narrowing one points into this
+    /// call's `projected` arena (alive until the hop recursions return),
+    /// so a record crossing k pass-through hops is cloned zero times
+    /// instead of k. Slot buffers, hop groupings and arenas cycle through
+    /// their pools and a sub-run of one lives on the stack, so
+    /// steady-state publishing of single messages allocates nothing here
+    /// and a batch only its sub-run vectors.
+    #[allow(clippy::too_many_arguments)]
+    fn forward(
+        &mut self,
+        plane: &mut impl Plane,
+        links: &mut HashMap<(NodeId, NodeId), LinkStats>,
+        node: NodeId,
+        from: Option<NodeId>,
+        run: &[(u32, &Message)],
+        msgs: &[Message],
+        deliver: &mut impl FnMut(u32, Delivery),
+    ) {
+        let stream = run[0].1.stream;
+        debug_assert!(run.iter().all(|(_, m)| m.stream == stream));
+        let Some((part, plans, scratch)) = plane.at(node, stream) else { return };
+        // Records produced by narrowing union projections; identity
+        // forwards never land here.
+        let mut projected = self.arena_pool.pop().unwrap_or_default();
+        let mut next = self.next_pool.pop().unwrap_or_default();
+        // Run position of the message currently being sunk (sink runs
+        // once per run entry, in order).
+        let mut pos: u32 = 0;
+        let pool = &mut self.slot_pool;
+        match_run(part, plans, scratch, run, from, |tag, out| {
+            for (sub, message) in out.deliveries.drain(..) {
+                deliver(tag, Delivery { sub, node, message });
+            }
+            for (hop, fwd) in out.forwards.drain(..) {
+                let slot = match fwd {
+                    None => FwdSlot::Same(pos),
+                    Some(m) => {
+                        projected.push(m);
+                        FwdSlot::Proj(projected.len() as u32 - 1)
+                    }
+                };
+                match next.binary_search_by_key(&hop, |(n, _)| *n) {
+                    Ok(i) => next[i].1.push((tag, slot)),
+                    Err(i) => {
+                        let mut slots = pool.pop().unwrap_or_default();
+                        slots.push((tag, slot));
+                        next.insert(i, (hop, slots));
+                    }
+                }
+            }
+            pos += 1;
+        });
+        for (hop, mut slots) in next.drain(..) {
+            let resolve = |&(tag, slot): &(u32, FwdSlot)| match slot {
+                FwdSlot::Same(b) => (tag, run[b as usize].1),
+                FwdSlot::Proj(p) => (tag, &projected[p as usize]),
+            };
+            let (one, many);
+            let sub_run: &[(u32, &Message)] = if let [only] = &slots[..] {
+                one = [resolve(only)];
+                &one
+            } else {
+                many = slots.iter().map(resolve).collect::<Vec<_>>();
+                &many
+            };
+            let key = if node <= hop { (node, hop) } else { (hop, node) };
+            let stats = links.entry(key).or_default();
+            stats.messages += sub_run.len() as u64;
+            for &(tag, m) in sub_run {
+                let own_row = std::ptr::eq(m.values(), msgs[tag as usize].values());
+                stats.bytes += match &mut self.sizes[tag as usize] {
+                    memo if own_row => *memo.get_or_insert_with(|| m.wire_size() as u64),
+                    _ => m.wire_size() as u64,
+                };
+            }
+            self.forward(plane, links, hop, Some(node), sub_run, msgs, deliver);
+            slots.clear();
+            self.slot_pool.push(slots);
+        }
+        self.next_pool.push(next);
+        projected.clear();
+        self.arena_pool.push(projected);
+    }
+}
 
 /// A content-based broker network over a physical topology.
 ///
@@ -297,29 +464,14 @@ pub struct BrokerNetwork {
     linear_install: bool,
     /// Covering-resolution work done by every install so far.
     cover_stats: CoverStats,
-    /// Pool of match-output buffers reused across [`BrokerNetwork::forward`]
-    /// recursion depths (steady-state publishing allocates nothing here).
-    scratch: Vec<MatchOutput>,
-    /// Pool of tagged forward-slot buffers reused across
-    /// [`BrokerNetwork::forward_batch`] recursion — one buffer per
-    /// (node, hop) edge of a batch's union dissemination tree, recycled
-    /// when the hop's sub-batch is materialized.
-    batch_pool: Vec<HopSlots>,
-    /// Pool of batched match-output buffers (the batched twin of
-    /// `scratch`).
-    batch_scratch: Vec<BatchMatchOutput>,
-    /// Pool of per-node hop-grouping buffers for
-    /// [`BrokerNetwork::forward_batch`] (outer vector of the per-hop
-    /// slot regrouping).
-    next_pool: Vec<Vec<(NodeId, HopSlots)>>,
+    /// The publish paths' forwarding walk.
+    walk: Walk,
     link_stats: HashMap<(NodeId, NodeId), LinkStats>,
     log: DeliveryLog,
     /// Routing-state version: bumped by every churn operation. Written
     /// only under `&mut self`, read under `&self` — the staleness probe
     /// for [`BrokerNetwork::snapshot`].
     version: u64,
-    /// Process-unique network id (keys per-thread reader pools).
-    net_id: u64,
     /// The published snapshot (read-copy-update slot). Lazily rebuilt by
     /// [`BrokerNetwork::snapshot`] when `version` moved past it.
     snap: SnapshotCell<RoutingSnapshot>,
@@ -345,14 +497,10 @@ impl BrokerNetwork {
             next_seq: 0,
             linear_install: false,
             cover_stats: CoverStats::default(),
-            scratch: Vec::new(),
-            batch_pool: Vec::new(),
-            batch_scratch: Vec::new(),
-            next_pool: Vec::new(),
+            walk: Walk::default(),
             link_stats: HashMap::new(),
             log: DeliveryLog::default(),
             version: 0,
-            net_id: NET_IDS.fetch_add(1, Ordering::Relaxed),
             // Placeholder pre-first-build snapshot; `dirty.all` below
             // guarantees the first build replaces it wholesale, and the
             // sentinel version can never equal a real one.
@@ -490,6 +638,19 @@ impl BrokerNetwork {
     /// tests pin them exactly.
     pub fn cover_stats(&self) -> CoverStats {
         self.cover_stats
+    }
+
+    /// Deterministic work counters of all matching the writer's publish
+    /// paths have done so far ([`BrokerNetwork::publish`],
+    /// [`BrokerNetwork::publish_batch`], the reliable plane): counters
+    /// bumped, candidates visited versus delivered, residuals evaluated.
+    /// Readers count their own ([`SnapshotReader::match_stats`]).
+    pub fn match_stats(&self) -> MatchStats {
+        let mut total = MatchStats::default();
+        for table in &self.tables {
+            total += table.match_stats();
+        }
+        total
     }
 
     /// Size counters of the routing state as it stands: partitions,
@@ -792,164 +953,40 @@ impl BrokerNetwork {
     }
 
     /// Publishes a message from its advertised source, forwarding it along
-    /// routing tables. Returns the number of local deliveries.
+    /// routing tables — a [`BrokerNetwork::publish_batch`] of one. Returns
+    /// the number of local deliveries.
     ///
     /// Messages for unadvertised streams go nowhere and return 0.
     pub fn publish(&mut self, msg: Message) -> usize {
-        let Some(&src) = self.stream_source.get(&msg.stream) else {
-            return 0;
-        };
-        let before = self.log.len();
-        self.forward(src, None, msg);
-        self.log.len() - before
+        self.publish_batch(std::slice::from_ref(&msg))
     }
 
-    /// Publishes a slice of messages with batched index walks, returning
-    /// the number of local deliveries. The delivery log and link stats
-    /// end up **bit-identical** to publishing each message serially in
-    /// slice order: maximal runs of consecutive same-stream messages
-    /// share one forwarding walk — one table lookup, one counter-epoch
-    /// range and one scratch-buffer cycle per node instead of one per
+    /// Publishes a slice of messages, returning the number of local
+    /// deliveries. The delivery log and link stats end up **bit-identical**
+    /// to publishing each message on its own in slice order: maximal runs
+    /// of consecutive same-stream messages share one forwarding walk — one
+    /// table lookup and one matcher call per node instead of one per
     /// message — and each message's deliveries, collected per-message
-    /// during the shared walk, are spliced into the log in slice order.
+    /// during the shared walks, are spliced into the log in slice order.
     ///
-    /// Messages for unadvertised streams go nowhere, exactly as in
-    /// [`BrokerNetwork::publish`].
+    /// Messages for unadvertised streams go nowhere.
     pub fn publish_batch(&mut self, msgs: &[Message]) -> usize {
-        let before = self.log.len();
-        let mut i = 0;
-        while i < msgs.len() {
-            let stream = msgs[i].stream;
-            let mut j = i + 1;
-            while j < msgs.len() && msgs[j].stream == stream {
-                j += 1;
-            }
-            if let Some(&src) = self.stream_source.get(&stream) {
-                let run = &msgs[i..j];
-                let mut batch: Vec<(u32, &Message)> =
-                    run.iter().enumerate().map(|(k, m)| (k as u32, m)).collect();
-                // Process the run in routed-value order: sub-batches
-                // inherit it, so every node's eq-directory cursor walk
-                // advances monotonically. Tags keep the slice positions,
-                // and the log sort below restores slice order, so the
-                // published outcome is order-independent.
-                let probe =
-                    self.tables[src.index()].first_indexed_attr(stream, msgs[i].schema().attrs());
-                if let Some(attr) = probe {
-                    batch.sort_by_key(|(_, m)| {
-                        let same_schema =
-                            m.schema().attrs().as_ptr() == msgs[i].schema().attrs().as_ptr();
-                        same_schema.then(|| sort_bits(&m.values()[attr])).flatten()
-                    });
-                }
-                let mut sizes = WireSizeCache::new(run);
-                let mut logs: Vec<(u32, Delivery)> = Vec::new();
-                self.forward_batch(src, None, &batch, &mut logs, &mut sizes);
-                // Stable by tag: each tag's pushes happened in its serial
-                // forwarding order, so the sorted whole is the serial log.
-                logs.sort_by_key(|&(tag, _)| tag);
-                self.log.deliveries.extend(logs.into_iter().map(|(_, d)| d));
-            }
-            i = j;
+        let Self { walk, tables, link_stats, stream_source, log, .. } = self;
+        let log = &mut log.deliveries;
+        let before = log.len();
+        if msgs.len() == 1 {
+            // The walk's own order is the log's.
+            walk.publish(tables, link_stats, stream_source, msgs, &mut |_, d| log.push(d));
+        } else {
+            let mut tagged: Vec<(u32, Delivery)> = Vec::new();
+            let deliver = &mut |at, d| tagged.push((at, d));
+            walk.publish(tables, link_stats, stream_source, msgs, deliver);
+            // Stable by position: each message's pushes happened in its
+            // own forwarding order, so the sorted whole is the serial log.
+            tagged.sort_by_key(|&(at, _)| at);
+            log.extend(tagged.into_iter().map(|(_, d)| d));
         }
-        self.log.len() - before
-    }
-
-    /// Batched twin of [`BrokerNetwork::forward`]: matches the whole
-    /// same-stream batch through one [`RoutingTable::match_batch_into`]
-    /// walk, tagging each delivery with its message's batch position and
-    /// regrouping forwards into per-hop sub-batches. Hops recurse in
-    /// ascending node order — the same order serial recursion visits them
-    /// — so restricting this union DFS to any single message's subtree
-    /// reproduces that message's serial forwarding walk exactly, and each
-    /// tag's deliveries land in `logs` in serial order. Link stats are
-    /// order-independent sums and accumulate per sub-batch.
-    ///
-    /// Sub-batches borrow their messages: an identity forward reuses the
-    /// incoming batch's reference and a narrowing one points into this
-    /// call's `projected` arena (alive until the hop recursions return),
-    /// so a record crossing k pass-through hops is cloned zero times
-    /// instead of k. Slot buffers cycle through `batch_pool` and match
-    /// outputs through `batch_scratch`, so steady-state batched
-    /// publishing only allocates the per-node materialization arena.
-    fn forward_batch(
-        &mut self,
-        node: NodeId,
-        from: Option<NodeId>,
-        batch: &[(u32, &Message)],
-        logs: &mut Vec<(u32, Delivery)>,
-        sizes: &mut WireSizeCache,
-    ) {
-        let mut out = self.batch_scratch.pop().unwrap_or_default();
-        // Records produced by narrowing union projections; identity
-        // forwards never land here.
-        let mut projected: Vec<Message> = Vec::new();
-        let mut next = self.next_pool.pop().unwrap_or_default();
-        // Batch position of the message currently being sunk (sink runs
-        // once per batch entry, in order).
-        let mut pos: u32 = 0;
-        let (tables, pool) = (&mut self.tables, &mut self.batch_pool);
-        tables[node.index()].match_batch_into(batch, from, &mut out, |tag, out| {
-            for (sub, message) in out.deliveries.drain(..) {
-                logs.push((tag, Delivery { sub, node, message }));
-            }
-            for (hop, fwd) in out.forwards.drain(..) {
-                let slot = match fwd {
-                    None => FwdSlot::Same(pos),
-                    Some(m) => {
-                        projected.push(m);
-                        FwdSlot::Proj(projected.len() as u32 - 1)
-                    }
-                };
-                match next.binary_search_by_key(&hop, |(n, _)| *n) {
-                    Ok(i) => next[i].1.push((tag, slot)),
-                    Err(i) => {
-                        let mut slots = pool.pop().unwrap_or_default();
-                        slots.push((tag, slot));
-                        next.insert(i, (hop, slots));
-                    }
-                }
-            }
-            pos += 1;
-        });
-        self.batch_scratch.push(out);
-        for (hop, mut slots) in next.drain(..) {
-            let sub_batch: Vec<(u32, &Message)> = slots
-                .iter()
-                .map(|&(tag, ref slot)| match *slot {
-                    FwdSlot::Same(b) => (tag, batch[b as usize].1),
-                    FwdSlot::Proj(p) => (tag, &projected[p as usize]),
-                })
-                .collect();
-            slots.clear();
-            self.batch_pool.push(slots);
-            let key = if node <= hop { (node, hop) } else { (hop, node) };
-            let stats = self.link_stats.entry(key).or_default();
-            stats.messages += sub_batch.len() as u64;
-            stats.bytes += sub_batch.iter().map(|&(tag, m)| sizes.wire_size(tag, m)).sum::<u64>();
-            self.forward_batch(hop, Some(node), &sub_batch, logs, sizes);
-        }
-        self.next_pool.push(next);
-    }
-
-    fn forward(&mut self, node: NodeId, from: Option<NodeId>, msg: Message) {
-        // Indexed matching: counting pass + residuals, with local and
-        // per-hop projections applied from their cached plans. The output
-        // buffers come from a per-network pool keyed by recursion depth,
-        // so steady-state publishing allocates nothing here.
-        let mut out = self.scratch.pop().unwrap_or_default();
-        self.tables[node.index()].match_message_into(&msg, from, &mut out);
-        for (sub, message) in out.deliveries.drain(..) {
-            self.log.deliveries.push(Delivery { sub, node, message });
-        }
-        for (next, fwd) in out.forwards.drain(..) {
-            let key = if node <= next { (node, next) } else { (next, node) };
-            let stats = self.link_stats.entry(key).or_default();
-            stats.messages += 1;
-            stats.bytes += fwd.wire_size() as u64;
-            self.forward(next, Some(node), fwd);
-        }
-        self.scratch.push(out);
+        log.len() - before
     }
 
     /// The routing-state version: bumped by every churn operation
@@ -1011,38 +1048,6 @@ impl BrokerNetwork {
     /// [`SnapshotReader::retarget`] to observe committed changes.
     pub fn reader(&self) -> SnapshotReader {
         self.snapshot().reader()
-    }
-
-    /// Publishes one message through the snapshot plane from a shared
-    /// reference — the `&self` twin of [`BrokerNetwork::publish`],
-    /// callable concurrently from any number of threads. Reuses a
-    /// thread-local reader per network (scratch stays warm), refreshing
-    /// it first when churn has committed since the reader's snapshot.
-    /// Returns the deliveries and link traffic of exactly this message;
-    /// fold them into the broker's own log with
-    /// [`BrokerNetwork::absorb`], or inspect them directly.
-    pub fn publish_shared(&self, msg: Message) -> ReaderOutput {
-        thread_local! {
-            static SHARED_READERS: RefCell<Vec<(u64, SnapshotReader)>> =
-                const { RefCell::new(Vec::new()) };
-        }
-        SHARED_READERS.with(|cell| {
-            let mut pool = cell.borrow_mut();
-            let mut reader = match pool.iter().position(|(id, _)| *id == self.net_id) {
-                Some(i) => pool.swap_remove(i).1,
-                None => self.reader(),
-            };
-            if reader.snapshot().version() != self.version {
-                reader.retarget(&self.snapshot());
-            }
-            reader.publish(msg);
-            let out = reader.take_output();
-            if pool.len() >= 8 {
-                pool.remove(0); // cap per-thread pool; drop the oldest
-            }
-            pool.push((self.net_id, reader));
-            out
-        })
     }
 
     /// Folds a merged [`ReaderOutput`] into the broker's delivery log and
@@ -1570,7 +1575,7 @@ impl BrokerNetwork {
         msg: &Message,
         out: &mut MatchOutput,
     ) {
-        self.tables[node.index()].match_message_into(msg, from, out);
+        self.tables[node.index()].match_one(msg, from, out);
     }
 
     /// The advertised source of an interned stream symbol.

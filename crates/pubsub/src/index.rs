@@ -24,9 +24,9 @@
 //!    behind a symbol → slot map and own only their members, hop groups,
 //!    projection classes and one threshold-list map keyed by
 //!    [`IndexOperand`] (attributes and the event-time pseudo-attribute
-//!    alike); first pushes allocate exactly one element, and the match
-//!    scratch lives once on the table, which visits one partition at a
-//!    time.
+//!    alike); first pushes allocate exactly one element, and everything
+//!    matching *writes* lives outside the partitions, in the matcher's
+//!    [`MatchScratch`] (see "Match state" below).
 //! 2. **Counting predicate index.** Within a partition, every compiled
 //!    filter that is an indexable constant comparison (`attr op constant`
 //!    with a numeric constant and an order/equality operator — see
@@ -35,9 +35,9 @@
 //!    message
 //!    resolves each message attribute **once**, binary-searches each
 //!    relevant list, and walks only the satisfied range, incrementing a
-//!    per-entry counter (epoch-versioned, so no per-message reset). An
-//!    entry whose counter reaches its indexable-predicate count has its
-//!    whole indexable prefix satisfied.
+//!    per-slot counter in the matcher's scratch (epoch-versioned, so no
+//!    per-message reset). An entry whose counter reaches its
+//!    indexable-predicate count has its whole indexable prefix satisfied.
 //! 3. **Residual fallback.** Non-indexable predicates (join comparisons,
 //!    time deltas, string equality, `!=`, foreign-relation references) are
 //!    kept on the entry and evaluated **only** for entries whose indexable
@@ -50,9 +50,9 @@
 //! Matching is sublinear, but a high-match-rate message still pays a
 //! *linear-in-matches* delivery term. The index bounds its constant with
 //! **projection classes**: local-delivery members of a partition are
-//! grouped at install time by their exact retained-attribute set
-//! ([`ProjClass`]), each distinct projection is computed **once per
-//! message**, and every matched member of the class receives the same
+//! grouped at install time by their exact retained-attribute set (one
+//! [`CachedProjection`] per class), each distinct projection is computed
+//! **once per message**, and every matched member of the class receives the same
 //! `Arc`-shared [`Message`] — per delivery, a refcount bump and a log
 //! push, no scalar copies. A population of thousands of subscribers
 //! usually requests a handful of distinct projections, so the projection
@@ -83,8 +83,9 @@
 //!   overflows splits in half (two directory entries replace one). Probes
 //!   descend directory-then-run, so a match visits only the runs its
 //!   satisfied range touches. Removal never edits runs on the match path:
-//!   the member dead flag neutralizes stale references during counting,
-//!   and [`TieredList::retain_vals`] sweeps them run-at-a-time when the
+//!   stale references are counted like live ones (a bump never reads a
+//!   member) and the member's dead flag drops them where candidates are
+//!   collected, and [`TieredList::retain_vals`] sweeps them run-at-a-time when the
 //!   table compacts, merging underfull survivors — but never past the
 //!   split steady state, so a sweep cannot force the next insert to
 //!   immediately re-split. The dense-list semantics are preserved
@@ -101,8 +102,8 @@
 //!   `(subscription id, direction)` — the primitive the broker's
 //!   per-subscription [`crate::broker::BrokerNetwork`] ledger drives on
 //!   unsubscribe and link failure/recovery. Removal tombstones the entry:
-//!   threshold lists keep stale references that the dead flag neutralizes
-//!   during counting, the affected hop group's needs-union shrinks by the
+//!   threshold lists keep stale references that the dead flag filters out
+//!   of the candidates, the affected hop group's needs-union shrinks by the
 //!   departing member's attribute reference counts — O(|needs|), no
 //!   other member or group is touched — and emptied projection classes
 //!   simply stop being filled. Once tombstones dominate
@@ -171,32 +172,54 @@
 //!   never sees — by the time a message is matched here it is already
 //!   exactly-once.
 //!
-//! # Concurrency: the frozen twin
+//! # Match state: the matcher's, not the table's
 //!
-//! This table is the broker's single-writer *churn-path* representation:
-//! matching mutates per-member epoch counters and per-class caches, so a
-//! `RoutingTable` is inherently `&mut`. The parallel publish plane never
-//! shares it. Instead [`RoutingTable::freeze`] produces an immutable
-//! [`crate::snapshot::FrozenTable`] — live members only, slots densely
-//! remapped in original order so `(seq, slot)` candidate ordering (and
-//! therefore delivery order) is preserved bit-for-bit — and *all* match
-//! scratch moves into per-reader state
-//! ([`crate::snapshot::SnapshotReader`]). Install-time helpers take an
-//! `Arc`-shared [`InstalledSub`] — the subscription with its per-stream
-//! indexable/residual split — so one installation derives each stream's
-//! skeleton once and every hop's skip probe, victim probes, insert and
-//! later compaction reuse it, holding the form by refcount instead of by
-//! deep copy.
+//! There is **one** matcher, [`match_run`]: a run of same-stream messages
+//! against one partition, each message's result handed to a sink. A
+//! single match is a run of one; the writer and the snapshot readers
+//! ([`crate::snapshot::SnapshotReader`]) call it through the same
+//! forwarding walk.
+//!
+//! - **A partition owns** ([`Partition`]) members, the always-candidate
+//!   list and the threshold lists — read by matching, never written.
+//!   Around it the live [`StreamIndex`] keeps what *installs* maintain
+//!   ([`TablePlans`]): hop groups (next hop, needs-union with its
+//!   refcounts, the covering bucket) and the projection classes.
+//! - **The matcher owns** ([`MatchScratch`]) everything a message
+//!   changes: slot counters, candidate buffers, the class records and hop
+//!   marks of the message, the recycled [`MatchOutput`], the
+//!   [`MatchStats`] work counters — all stamped with one epoch that only
+//!   ever grows, which is why one scratch serves every partition of a
+//!   table (the argument is on the struct). One per [`RoutingTable`] for
+//!   the writer, one per node per reader.
+//! - **Dead members are filtered once**, where the fully-counted members
+//!   become candidates (`count == target && !dead`); the always-candidate
+//!   list drops a member when it is tombstoned. Everything before that
+//!   point works on slots alone.
+//! - **The one seam** is who owns the projection *plan caches*
+//!   ([`PlanCaches`]): the table's own [`CachedProjection`]s for the
+//!   writer, private ones for a reader of a shared image.
+//!
+//! With members immutable under matching, [`RoutingTable::freeze`] is a
+//! field-wise clone of each partition's [`Partition`] plus the hop
+//! groups' `(next hop, union)` and the class projections — same slots,
+//! tombstones included, so `(seq, slot)` candidate order (and therefore
+//! delivery order) is the writer's by construction. Install-time helpers
+//! take an `Arc`-shared [`InstalledSub`] — the subscription with its
+//! per-stream indexable/residual split — so one installation derives each
+//! stream's skeleton once and every hop's skip probe, victim probes,
+//! insert and later compaction reuse it, holding the form by refcount
+//! instead of by deep copy.
 
-use crate::snapshot::{
-    FrozenAction, FrozenHop, FrozenLists, FrozenMember, FrozenPartition, FrozenTable,
-};
+use crate::snapshot::{FrozenPartition, FrozenTable, PartPlans};
 use crate::subscription::{
     CachedProjection, Message, StreamProjection, StreamRequest, SubId, Subscription,
 };
 use crate::tiered::{tombstones_dominate, TieredList};
 use cosmos_net::NodeId;
-use cosmos_query::compiled::{eval_compiled, CompiledPredicate, IndexOperand, IndexableCmp};
+use cosmos_query::compiled::{
+    eval_compiled, CompiledPredicate, IndexOperand, IndexableCmp, ScalarRef,
+};
 use cosmos_query::containment::coverer_bounds;
 use cosmos_query::CmpOp;
 use cosmos_util::{Symbol, VecMap};
@@ -231,8 +254,6 @@ struct HopGroup {
     /// of a rescan of the partition.
     attr_refs: BTreeMap<Symbol, u32>,
     all_refs: u32,
-    /// Last epoch in which a member of this group matched.
-    epoch: u64,
     /// Covering-candidate index over the group's forwarding entries (the
     /// sublinear candidate source behind [`RoutingTable::insert_covering`];
     /// local-delivery entries never covering-merge). Slots are entry ids.
@@ -249,7 +270,6 @@ impl HopGroup {
             union: CachedProjection::new(StreamProjection::Attrs(BTreeSet::new())),
             attr_refs: BTreeMap::new(),
             all_refs: 0,
-            epoch: 0,
             cover: CoverBucket::default(),
         }
     }
@@ -309,31 +329,20 @@ impl HopGroup {
     }
 }
 
-/// A projection class: all local-delivery members of one stream partition
-/// that request the **same** retained-attribute set (or `All`). The
-/// projection is computed once per message per class; every matched member
-/// of the class receives the same `Arc`-shared record — the per-match cost
-/// drops from clone+project to a refcount bump.
-#[derive(Debug)]
-struct ProjClass {
-    proj: CachedProjection,
-    /// Epoch in which `cached` was produced.
-    epoch: u64,
-    /// The projected record for the current epoch's message.
-    cached: Option<Message>,
-}
-
 /// What a matched member does: local delivery (share its projection
-/// class's record) or marking its hop group.
-#[derive(Debug)]
+/// class's record — all local-delivery members of a partition requesting
+/// the **same** retained-attribute set form one class, projected once per
+/// message) or marking its hop group.
+#[derive(Debug, Clone, Copy)]
 enum MemberAction {
     Local { sub: SubId, class: u32 },
     Hop(u32),
 }
 
-/// One `(entry, stream)` pair in a stream partition.
-#[derive(Debug)]
-struct Member {
+/// One `(entry, stream)` pair in a stream partition. Matching never
+/// writes a member: its counter lives in the matcher's [`MatchScratch`].
+#[derive(Debug, Clone)]
+pub(crate) struct Member {
     /// The owning entry's id — ascending with the member slot (see the
     /// module docs), so tombstoning binary-searches for it.
     entry: u32,
@@ -350,12 +359,12 @@ struct Member {
     /// Predicates evaluated only when the indexable prefix passed (shared
     /// with the entry's [`InstalledSub`]).
     residual: Arc<[CompiledPredicate]>,
-    /// Satisfied-predicate counter, valid when `epoch` is current.
-    count: u32,
-    epoch: u64,
     dead: bool,
     action: MemberAction,
 }
+
+// One per routing entry and stream.
+const _: () = assert!(std::mem::size_of::<Member>() <= 56);
 
 /// Sorted `(threshold, member)` lists for one attribute, one per operator
 /// class. Ascending by threshold; never contains NaN (a NaN threshold is
@@ -364,7 +373,7 @@ struct Member {
 /// an install memmoves at most one run no matter how large the partition
 /// grows, while the satisfied-range walks below iterate runs in key
 /// order and stay bit-identical to the dense layout they replaced.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct OpLists {
     lt: TieredList,
     le: TieredList,
@@ -399,62 +408,33 @@ impl OpLists {
         }
     }
 
-    /// Bumps the counter of every member whose predicate is satisfied by
-    /// attribute value `v` (non-NaN): descend the run directory to the
-    /// satisfied range, then walk only that range's runs in key order.
-    fn bump_satisfied(&self, v: f64, members: &mut [Member], touched: &mut Vec<u32>, epoch: u64) {
-        // `attr > t` holds for thresholds t < v: an ascending prefix.
-        self.gt.for_prefix(|t| t < v, |run| bump(run, members, touched, epoch));
-        // `attr >= t` holds for t <= v.
-        self.ge.for_prefix(|t| t <= v, |run| bump(run, members, touched, epoch));
-        // `attr < t` holds for t > v: an ascending suffix.
-        self.lt.for_suffix(|t| t > v, |run| bump(run, members, touched, epoch));
-        // `attr <= t` holds for t >= v.
-        self.le.for_suffix(|t| t >= v, |run| bump(run, members, touched, epoch));
-        // `attr = t` holds for the equal range.
-        self.eq.for_eq(|t| t < v, |t| t <= v, |run| bump(run, members, touched, epoch));
-    }
-
-    /// [`OpLists::bump_satisfied`] with a caller-held cursor over the
-    /// equality list's run directory (see [`TieredList::for_eq_hinted`]):
-    /// the batched matcher probes messages in value order, so each eq
-    /// descent becomes an amortized linear advance. The inequality lists
-    /// walk whole satisfied ranges anyway — their boundary descents are
-    /// already a negligible share of the visit — so only `eq` is hinted.
-    fn bump_satisfied_hinted(
+    /// Hands `bump` every `(threshold, member)` reference whose predicate
+    /// is satisfied by attribute value `v` (non-NaN): descend the run
+    /// directory to the satisfied range, then walk only that range's runs
+    /// in key order. With `eq_cursor`, the equality list's directory is
+    /// walked from a caller-held cursor ([`TieredList::for_eq_hinted`]):
+    /// a run probed in value order turns each eq descent into an
+    /// amortized linear advance. The inequality lists walk whole
+    /// satisfied ranges anyway — their boundary descents are a negligible
+    /// share of the visit — so only `eq` is hinted.
+    fn bump_satisfied(
         &self,
         v: f64,
-        members: &mut [Member],
-        touched: &mut Vec<u32>,
-        epoch: u64,
-        eq_cursor: &mut usize,
+        eq_cursor: Option<&mut usize>,
+        mut bump: impl FnMut(&[(f64, u32)]),
     ) {
-        self.gt.for_prefix(|t| t < v, |run| bump(run, members, touched, epoch));
-        self.ge.for_prefix(|t| t <= v, |run| bump(run, members, touched, epoch));
-        self.lt.for_suffix(|t| t > v, |run| bump(run, members, touched, epoch));
-        self.le.for_suffix(|t| t >= v, |run| bump(run, members, touched, epoch));
-        self.eq.for_eq_hinted(
-            eq_cursor,
-            |t| t < v,
-            |t| t <= v,
-            |run| bump(run, members, touched, epoch),
-        );
-    }
-}
-
-/// Increments the epoch-versioned counters of `satisfied` members.
-fn bump(satisfied: &[(f64, u32)], members: &mut [Member], touched: &mut Vec<u32>, epoch: u64) {
-    for &(_, m) in satisfied {
-        let member = &mut members[m as usize];
-        if member.dead {
-            continue;
-        }
-        if member.epoch == epoch {
-            member.count += 1;
-        } else {
-            member.epoch = epoch;
-            member.count = 1;
-            touched.push(m);
+        // `attr > t` holds for thresholds t < v: an ascending prefix.
+        self.gt.for_prefix(|t| t < v, &mut bump);
+        // `attr >= t` holds for t <= v.
+        self.ge.for_prefix(|t| t <= v, &mut bump);
+        // `attr < t` holds for t > v: an ascending suffix.
+        self.lt.for_suffix(|t| t > v, &mut bump);
+        // `attr <= t` holds for t >= v.
+        self.le.for_suffix(|t| t >= v, &mut bump);
+        // `attr = t` holds for the equal range.
+        match eq_cursor {
+            Some(cursor) => self.eq.for_eq_hinted(cursor, |t| t < v, |t| t <= v, bump),
+            None => self.eq.for_eq(|t| t < v, |t| t <= v, bump),
         }
     }
 }
@@ -1029,24 +1009,41 @@ impl ForwardedSet {
     }
 }
 
-/// The index over one stream's entries at one node. A node on many users'
-/// result paths holds thousands of these with a single member each, so it
-/// owns nothing sized for a population it may not have (match scratch is
-/// the table's).
-#[derive(Debug, Default)]
-struct StreamIndex {
+/// The part of a stream partition that matching reads and never writes:
+/// members, always-candidates and threshold lists. A frozen partition
+/// ([`FrozenPartition`]) holds a field-wise clone of it — same types,
+/// same slots, tombstones under their `dead` flag.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Partition {
     /// In insertion order; [`Member::entry`] ascends with the slot.
     members: Vec<Member>,
-    /// Members with no indexable predicates (always candidates).
+    /// Live members with no indexable predicates (always candidates).
     zero_target: Vec<u32>,
-    hops: Vec<HopGroup>,
-    /// Local-delivery projection classes (deduplicated projections).
-    classes: Vec<ProjClass>,
     /// Threshold lists per indexed operand: stored attributes and the
     /// event-time pseudo-attribute. A handful of keys at most, probed
     /// once per message attribute: a sorted vector, not a hash.
     lists: VecMap<IndexOperand, OpLists>,
-    epoch: u64,
+}
+
+impl Partition {
+    /// The value-row position of the first of `attrs` carrying threshold
+    /// lists here, if any. The forwarding walk sorts each longer run by
+    /// this attribute's value so the eq-list cursor walk
+    /// ([`TieredList::for_eq_hinted`]) advances monotonically through the
+    /// run directory.
+    pub(crate) fn first_indexed_attr(&self, attrs: &[Symbol]) -> Option<usize> {
+        attrs.iter().position(|&a| self.lists.get(&IndexOperand::Attr(a)).is_some())
+    }
+}
+
+/// The index over one stream's entries at one node. A node on many users'
+/// result paths holds thousands of these with a single member each, so it
+/// owns nothing sized for a population it may not have (match state is
+/// the matcher's [`MatchScratch`]).
+#[derive(Debug, Default)]
+struct StreamIndex {
+    part: Partition,
+    plans: TablePlans,
     /// Members tombstoned since the last per-run sweep of the threshold
     /// lists; once these dominate the partition the lists are swept
     /// run-by-run without rebuilding the table.
@@ -1055,7 +1052,7 @@ struct StreamIndex {
 
 // Paid once per (node, stream): at 560 bytes it was a quarter of the
 // end-to-end `sensor-join` heap.
-const _: () = assert!(std::mem::size_of::<StreamIndex>() <= 160);
+const _: () = assert!(std::mem::size_of::<StreamIndex>() <= 128);
 
 /// Deterministic size counters of a network's routing state — how many
 /// records of each kind are *stored* (tombstones included until their
@@ -1076,17 +1073,49 @@ pub struct RoutingFootprint {
     pub forwarded_records: u64,
 }
 
-/// The outcome of matching one message at one node. Designed for reuse:
-/// the broker keeps a small pool of these and passes them back into
-/// [`RoutingTable::match_message_into`], so the per-message vectors are
-/// allocated once and recycled.
+/// Deterministic work counters of matching: what the messages matched
+/// through one [`MatchScratch`] *did*, independent of the host. Exact for
+/// a given routing state and message sequence, whichever plane matched it
+/// (see [`crate::broker::BrokerNetwork::match_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MatchStats {
+    /// Messages matched against a partition (one per node visited).
+    pub messages: u64,
+    /// Threshold-list references the counting pass walked.
+    pub bumps: u64,
+    /// Live members whose whole indexable prefix was satisfied (filter-free
+    /// members included): what the residual pass visits.
+    pub candidates: u64,
+    /// Candidates carrying residual predicates, i.e. evaluated in full.
+    pub residual_evals: u64,
+    /// Local deliveries produced.
+    pub deliveries: u64,
+    /// Next-hop forwards produced.
+    pub forwards: u64,
+}
+
+impl std::ops::AddAssign for MatchStats {
+    fn add_assign(&mut self, o: Self) {
+        self.messages += o.messages;
+        self.bumps += o.bumps;
+        self.candidates += o.candidates;
+        self.residual_evals += o.residual_evals;
+        self.deliveries += o.deliveries;
+        self.forwards += o.forwards;
+    }
+}
+
+/// The outcome of matching one message at one node. The matcher recycles
+/// one of these per [`MatchScratch`], handing it to the caller's sink.
 #[derive(Debug, Default)]
 pub struct MatchOutput {
     /// Local deliveries: `(subscription, projected message)` in
     /// installation-sequence order.
     pub deliveries: Vec<(SubId, Message)>,
-    /// Forwards: `(next hop, projected message)` sorted by node id.
-    pub forwards: Vec<(NodeId, Message)>,
+    /// Forwards sorted by node id; `None` is an identity forward (the
+    /// hop's union projection keeps the whole record): the caller shares
+    /// the message it already holds instead of paying a clone per hop.
+    pub forwards: Vec<(NodeId, Option<Message>)>,
 }
 
 impl MatchOutput {
@@ -1097,29 +1126,225 @@ impl MatchOutput {
     }
 }
 
-/// The outcome of matching one batched message at one node. Unlike
-/// [`MatchOutput`], an identity forward (a hop whose union projection
-/// keeps the whole record) carries `None` instead of a clone of the
-/// message — the caller shares the original it already holds, so the
-/// batched plane never pays a per-hop record clone for pass-through
-/// forwarding. Reconstituting `Some(msg.clone())` for every `None` yields
-/// exactly [`RoutingTable::match_message_into`]'s output.
+/// Everything matching mutates, owned by whoever matches: one per
+/// [`RoutingTable`] for the writer, one per node per
+/// [`crate::snapshot::SnapshotReader`]. Every stamp below is valid only
+/// when it equals the current `epoch`, which is bumped once per message
+/// and never reused — so a counter, class record or hop mark left by an
+/// earlier message, of this partition or any other matched through the
+/// same scratch, can never be read as current, and nothing is reset
+/// between messages or between partitions.
 #[derive(Debug, Default)]
-pub struct BatchMatchOutput {
-    /// Local deliveries: `(subscription, projected message)` in
-    /// installation-sequence order.
-    pub deliveries: Vec<(SubId, Message)>,
-    /// Forwards sorted by node id; `None` projects nothing (forward the
-    /// matched message itself).
-    pub forwards: Vec<(NodeId, Option<Message>)>,
+pub(crate) struct MatchScratch {
+    epoch: u64,
+    /// Per member slot: `(epoch of the last bump, satisfied predicates)`.
+    counts: Vec<(u64, u32)>,
+    /// Members bumped this epoch.
+    touched: Vec<u32>,
+    /// Fully-satisfied `(seq, member)` pairs, sorted to subscribe order —
+    /// flat keys, so the sort never chases pointers.
+    candidates: Vec<(u64, u32)>,
+    /// Hop groups marked by the current message.
+    touched_hops: Vec<u32>,
+    /// Per projection class: the record projected in the stamped epoch.
+    class_records: Vec<(u64, Option<Message>)>,
+    /// Per hop group: the last epoch in which a member matched.
+    hop_marks: Vec<u64>,
+    /// Schema-resolution cache of the run being matched: `(value index,
+    /// position in the partition's list map)` per indexed attribute of the
+    /// last seen schema — positions, not references, so it is reused
+    /// across runs and a one-message run allocates nothing.
+    resolved: Vec<(u32, u32)>,
+    out: MatchOutput,
+    /// The work done through this scratch so far.
+    pub(crate) stats: MatchStats,
 }
 
-impl BatchMatchOutput {
-    /// Empties both buffers, keeping their capacity.
-    pub fn clear(&mut self) {
-        self.deliveries.clear();
-        self.forwards.clear();
+/// The one thing that differs between the planes that match: who owns the
+/// projection plan caches of a partition's classes and hop groups — the
+/// table itself for the writer, the reader for a shared frozen image.
+pub(crate) trait PlanCaches {
+    /// Projection class `c`'s plan.
+    fn class(&mut self, c: u32) -> &mut CachedProjection;
+    /// Hop group `g`'s next hop and union plan.
+    fn hop(&mut self, g: u32) -> (NodeId, &mut CachedProjection);
+}
+
+/// What installs maintain around a live [`Partition`]: its hop groups and
+/// its local-delivery projection classes (deduplicated projections) —
+/// each carrying the writer's plan cache.
+#[derive(Debug, Default)]
+pub(crate) struct TablePlans {
+    hops: Vec<HopGroup>,
+    classes: Vec<CachedProjection>,
+}
+
+impl PlanCaches for TablePlans {
+    fn class(&mut self, c: u32) -> &mut CachedProjection {
+        &mut self.classes[c as usize]
     }
+
+    fn hop(&mut self, g: u32) -> (NodeId, &mut CachedProjection) {
+        let group = &mut self.hops[g as usize];
+        (group.to, &mut group.union)
+    }
+}
+
+/// The epoch stamp `v[i]`, growing `v` with never-current defaults first
+/// when it is too short.
+fn stamp<T: Default + Clone>(v: &mut Vec<T>, i: u32) -> &mut T {
+    let i = i as usize;
+    if i >= v.len() {
+        v.resize(i + 1, T::default());
+    }
+    &mut v[i]
+}
+
+/// **The** matcher: matches a run of same-stream messages against one
+/// partition — live or frozen — handing each message's result to
+/// `sink(tag, out)` in run order, `out` recycled between messages.
+///
+/// Per message: counting pass over the message's indexed attributes
+/// (threshold lists re-resolved only when the schema pointer changes
+/// within the run), candidates — fully-counted live members plus
+/// filter-free ones — sorted by `(seq, slot)`, residual evaluation,
+/// one projection per class, one union projection per marked hop group.
+/// `from` suppresses the reverse hop. A single match is a run of one.
+pub(crate) fn match_run(
+    part: &Partition,
+    plans: &mut impl PlanCaches,
+    scratch: &mut MatchScratch,
+    run: &[(u32, &Message)],
+    from: Option<NodeId>,
+    mut sink: impl FnMut(u32, &mut MatchOutput),
+) {
+    let Partition { members, zero_target, lists } = part;
+    let MatchScratch {
+        epoch: scratch_epoch,
+        counts,
+        touched,
+        candidates,
+        touched_hops,
+        class_records,
+        hop_marks,
+        resolved,
+        out,
+        stats,
+    } = scratch;
+    if counts.len() < members.len() {
+        counts.resize(members.len(), (0, 0));
+    }
+    let ts_lists = lists.get(&IndexOperand::Timestamp);
+    let mut resolved_schema: *const Symbol = std::ptr::null();
+    // Directory cursor for the first resolved attribute's eq list:
+    // callers sort longer runs by that attribute, so successive probes
+    // advance it monotonically (any order stays correct, just without
+    // the amortization). A run of one descends the directory instead.
+    let mut eq_cursor = 0usize;
+    // Counted in a local (registers), folded into the scratch once.
+    let mut work = MatchStats { messages: run.len() as u64, ..MatchStats::default() };
+    for &(tag, msg) in run {
+        *scratch_epoch += 1;
+        let epoch = *scratch_epoch;
+        touched.clear();
+        candidates.clear();
+        touched_hops.clear();
+
+        // Counting pass: dead members are bumped like live ones (a bump
+        // never reads a member) and filtered with the candidates.
+        let mut bump = |refs: &[(f64, u32)]| {
+            work.bumps += refs.len() as u64;
+            for &(_, m) in refs {
+                let count = &mut counts[m as usize];
+                if count.0 == epoch {
+                    count.1 += 1;
+                } else {
+                    *count = (epoch, 1);
+                    touched.push(m);
+                }
+            }
+        };
+        if !lists.is_empty() {
+            let attrs = msg.schema().attrs();
+            if attrs.as_ptr() != resolved_schema {
+                resolved_schema = attrs.as_ptr();
+                resolved.clear();
+                resolved.extend(attrs.iter().enumerate().filter_map(|(i, &attr)| {
+                    let at = lists.keys().position(|k| *k == IndexOperand::Attr(attr))?;
+                    Some((i as u32, at as u32))
+                }));
+                eq_cursor = 0;
+            }
+            for (a, &(i, at)) in resolved.iter().enumerate() {
+                let Some(v) = ScalarRef::from(&msg.values()[i as usize]).as_f64() else {
+                    continue; // string value: numeric comparisons are false
+                };
+                if v.is_nan() {
+                    continue;
+                }
+                let (_, attr_lists) = lists.iter().nth(at as usize).expect("resolved in this map");
+                let cursor = (a == 0 && run.len() > 1).then_some(&mut eq_cursor);
+                attr_lists.bump_satisfied(v, cursor, &mut bump);
+            }
+        }
+        if let Some(ts_lists) = ts_lists {
+            ts_lists.bump_satisfied(msg.timestamp as f64, None, &mut bump);
+        }
+
+        // Candidates in installation-sequence order — the population's
+        // subscribe order, stable across incremental removal and
+        // re-installation (member slots are only partition insertion
+        // order, which repair churns). The seq rides along in the scratch
+        // pairs, so the sort compares flat keys.
+        candidates.extend(zero_target.iter().map(|&m| (members[m as usize].seq, m)));
+        candidates.extend(touched.iter().filter_map(|&m| {
+            let member = &members[m as usize];
+            (counts[m as usize].1 == member.target && !member.dead).then_some((member.seq, m))
+        }));
+        candidates.sort_unstable();
+        work.candidates += candidates.len() as u64;
+
+        out.clear();
+        for &(_, m) in candidates.iter() {
+            let member = &members[m as usize];
+            work.residual_evals += u64::from(!member.residual.is_empty());
+            if !eval_compiled(&member.residual, msg) {
+                continue;
+            }
+            match member.action {
+                MemberAction::Local { sub, class } => {
+                    // Projection-class dedup: the first matched member of a
+                    // class computes the projection; the rest of the class
+                    // shares the record (a refcount bump per delivery).
+                    let record = stamp(class_records, class);
+                    if record.0 != epoch {
+                        *record = (epoch, Some(plans.class(class).apply(msg)));
+                    }
+                    out.deliveries.push((sub, record.1.clone().expect("projected this epoch")));
+                }
+                MemberAction::Hop(g) => {
+                    let mark = stamp(hop_marks, g);
+                    if *mark != epoch {
+                        *mark = epoch;
+                        touched_hops.push(g);
+                    }
+                }
+            }
+        }
+        // Forwards come from the groups this message marked; sorting by
+        // node id gives the order the forwarding walk recurses in.
+        for &g in touched_hops.iter() {
+            let (to, union) = plans.hop(g);
+            if Some(to) != from {
+                out.forwards.push((to, (!union.is_identity()).then(|| union.apply(msg))));
+            }
+        }
+        out.forwards.sort_by_key(|(n, _)| *n);
+        work.deliveries += out.deliveries.len() as u64;
+        work.forwards += out.forwards.len() as u64;
+        sink(tag, out);
+    }
+    *stats += work;
 }
 
 /// A node's routing table: entries partitioned by stream, each partition
@@ -1142,16 +1367,9 @@ pub struct RoutingTable {
     /// the owner's own entries instead of scanning the table.
     by_sub: HashMap<SubId, Vec<u32>>,
     dead: usize,
-    /// Match scratch: members bumped this epoch. One set per table —
-    /// matching visits one partition at a time.
-    touched: Vec<u32>,
-    /// Match scratch: fully-satisfied `(seq, member)` pairs, sorted to
-    /// subscribe order — flat keys, so the sort never chases pointers.
-    candidates: Vec<(u64, u32)>,
-    /// Match scratch: hop groups marked by the current message (batched
-    /// matching emits forwards from this list instead of rescanning
-    /// every group per message).
-    touched_hops: Vec<u32>,
+    /// The writer's match state: one per table — matching visits one
+    /// partition at a time.
+    scratch: MatchScratch,
 }
 
 impl RoutingTable {
@@ -1179,11 +1397,17 @@ impl RoutingTable {
     /// `fp`.
     pub(crate) fn add_footprint(&self, fp: &mut RoutingFootprint) {
         fp.partitions += self.parts.len() as u64;
-        for part in &self.parts {
-            fp.members += part.members.len() as u64;
-            fp.hop_groups += part.hops.len() as u64;
-            fp.buckets_built += part.hops.iter().filter(|h| h.cover.lists.is_some()).count() as u64;
+        for index in &self.parts {
+            fp.members += index.part.members.len() as u64;
+            fp.hop_groups += index.plans.hops.len() as u64;
+            fp.buckets_built +=
+                index.plans.hops.iter().filter(|h| h.cover.lists.is_some()).count() as u64;
         }
+    }
+
+    /// The matching work done against this table so far.
+    pub(crate) fn match_stats(&self) -> MatchStats {
+        self.scratch.stats
     }
 
     /// Drops all entries and index state.
@@ -1218,7 +1442,7 @@ impl RoutingTable {
                 u32::try_from(parts.len() - 1).expect("partition count overflow")
             });
             let index = &mut parts[p as usize];
-            let member_id = u32::try_from(index.members.len()).expect("partition overflow");
+            let member_id = u32::try_from(index.part.members.len()).expect("partition overflow");
             let target = u32::try_from(indexable.len()).expect("filter count overflow");
             for cmp in indexable {
                 // NaN thresholds are unsatisfiable (every comparison with
@@ -1227,7 +1451,7 @@ impl RoutingTable {
                 if cmp.threshold.is_nan() {
                     continue;
                 }
-                index.lists.get_or_insert_default(cmp.operand).insert(
+                index.part.lists.get_or_insert_default(cmp.operand).insert(
                     cmp.op,
                     cmp.threshold,
                     member_id,
@@ -1239,22 +1463,13 @@ impl RoutingTable {
                     // retained-attribute set — the class's plan cache and
                     // per-message projected record are shared by every
                     // member requesting the same attributes.
-                    let c = match index
-                        .classes
-                        .iter()
-                        .position(|c| c.proj.projection() == req.projection())
-                    {
+                    let classes = &mut index.plans.classes;
+                    let c = match classes.iter().position(|c| c.projection() == req.projection()) {
                         Some(c) => c,
                         None => {
-                            push_exact_first(
-                                &mut index.classes,
-                                ProjClass {
-                                    proj: CachedProjection::new(req.projection().clone()),
-                                    epoch: 0,
-                                    cached: None,
-                                },
-                            );
-                            index.classes.len() - 1
+                            let class = CachedProjection::new(req.projection().clone());
+                            push_exact_first(classes, class);
+                            classes.len() - 1
                         }
                     };
                     MemberAction::Local {
@@ -1263,14 +1478,15 @@ impl RoutingTable {
                     }
                 }
                 Some(next) => {
-                    let g = match index.hops.iter().position(|h| h.to == next) {
+                    let hops = &mut index.plans.hops;
+                    let g = match hops.iter().position(|h| h.to == next) {
                         Some(g) => g,
                         None => {
-                            push_exact_first(&mut index.hops, HopGroup::new(next));
-                            index.hops.len() - 1
+                            push_exact_first(hops, HopGroup::new(next));
+                            hops.len() - 1
                         }
                     };
-                    let group = &mut index.hops[g];
+                    let group = &mut hops[g];
                     group.add(req.needs());
                     // Forwarding entries join their group's covering
                     // bucket; local-delivery entries never covering-merge.
@@ -1291,20 +1507,19 @@ impl RoutingTable {
                     MemberAction::Hop(u32::try_from(g).expect("hop group overflow"))
                 }
             };
-            let zero_slot = index.zero_target.len() as u32;
+            let part = &mut index.part;
+            let zero_slot = part.zero_target.len() as u32;
             if target == 0 {
-                index.zero_target.push(member_id);
+                part.zero_target.push(member_id);
             }
             push_exact_first(
-                &mut index.members,
+                &mut part.members,
                 Member {
                     entry: entry_id,
                     seq,
                     target,
                     zero_slot,
                     residual: Arc::clone(residual),
-                    count: 0,
-                    epoch: 0,
                     dead: false,
                     action,
                 },
@@ -1422,12 +1637,12 @@ impl RoutingTable {
         // (small) bucket is taken whole, a built one is counted over.
         // Either source yields a superset of the true answers, so the
         // confirmed result is the same; only the candidate count differs.
-        let mut candidates = std::mem::take(&mut self.cover_scratch);
-        candidates.clear();
+        let mut slots = std::mem::take(&mut self.cover_scratch);
+        slots.clear();
         let (s0, _, probe0, _) = form.streams().next().expect("non-empty streams");
         if let Some(bucket) = self.bucket_mut(s0, to) {
-            bucket.coverer_candidates(probe0, &mut candidates, stats);
-            for &slot in &candidates {
+            bucket.coverer_candidates(probe0, &mut slots, stats);
+            for &slot in &slots {
                 let e = &self.entries[slot as usize];
                 let general = &e.form.sub;
                 if e.dead || e.to != Some(to) || general.id == sub.id {
@@ -1435,28 +1650,28 @@ impl RoutingTable {
                 }
                 if stats.confirm(covers(general, sub)) {
                     let by = general.id;
-                    self.cover_scratch = candidates;
+                    self.cover_scratch = slots;
                     return ForwardInsert::Skipped { by };
                 }
             }
         }
-        candidates.clear();
+        slots.clear();
         let mut sources = 0u32;
         for (s, _, probe, _) in form.streams() {
             if let Some(bucket) = self.bucket_mut(s, to) {
-                bucket.covered_candidates(probe, &mut candidates, stats);
+                bucket.covered_candidates(probe, &mut slots, stats);
                 sources += 1;
             }
         }
         if let Some(streamless) = self.streamless.get(&to) {
-            candidates.extend_from_slice(streamless);
+            slots.extend_from_slice(streamless);
             sources += 1;
         }
         if sources > 1 {
-            candidates.sort_unstable();
-            candidates.dedup();
+            slots.sort_unstable();
+            slots.dedup();
         }
-        candidates.retain(|&slot| {
+        slots.retain(|&slot| {
             let e = &self.entries[slot as usize];
             let specific = &e.form.sub;
             !e.dead
@@ -1465,11 +1680,11 @@ impl RoutingTable {
                 && stats.confirm(covers(sub, specific))
         });
         let dropped: Vec<SubId> =
-            candidates.iter().map(|&v| self.entries[v as usize].form.sub.id).collect();
-        for &v in &candidates {
+            slots.iter().map(|&v| self.entries[v as usize].form.sub.id).collect();
+        for &v in &slots {
             self.tombstone(v);
         }
-        self.cover_scratch = candidates;
+        self.cover_scratch = slots;
         self.maybe_compact();
         self.insert(form, Some(to), seq);
         ForwardInsert::Inserted { dropped }
@@ -1479,7 +1694,7 @@ impl RoutingTable {
     /// hop group, and exists once a forwarding entry was installed there.
     fn bucket_mut(&mut self, stream: Symbol, to: NodeId) -> Option<&mut CoverBucket> {
         let &p = self.part_of.get(&stream)?;
-        self.parts[p as usize].hops.iter_mut().find(|h| h.to == to).map(|h| &mut h.cover)
+        self.parts[p as usize].plans.hops.iter_mut().find(|h| h.to == to).map(|h| &mut h.cover)
     }
 
     fn tombstone(&mut self, entry_id: u32) {
@@ -1496,38 +1711,39 @@ impl RoutingTable {
         }
         for (stream, req) in form.sub.streams.iter() {
             let Some(&p) = self.part_of.get(stream) else { continue };
-            let index = &mut self.parts[p as usize];
+            let StreamIndex { part, plans: TablePlans { hops, .. }, dead_members } =
+                &mut self.parts[p as usize];
+            let Partition { members, zero_target, lists } = part;
             // Entry ids ascend with the member slot (module docs).
-            let Ok(m) = index.members.binary_search_by_key(&entry_id, |m| m.entry) else {
+            let Ok(m) = members.binary_search_by_key(&entry_id, |m| m.entry) else {
                 continue;
             };
-            let member = &mut index.members[m];
+            let member = &mut members[m];
             if member.dead {
                 continue;
             }
             member.dead = true;
-            index.dead_members += 1;
+            *dead_members += 1;
             if let MemberAction::Hop(g) = member.action {
                 // The group's attribute refcounts shrink the union exactly
                 // as a rescan of its surviving members would.
-                index.hops[g as usize].remove(req.needs());
+                hops[g as usize].remove(req.needs());
             }
             if member.target == 0 {
                 // Candidates are ordered by `(seq, member)` at match
                 // time, so the list's own order is free to change.
                 let slot = member.zero_slot as usize;
-                index.zero_target.swap_remove(slot);
-                if let Some(&moved) = index.zero_target.get(slot) {
-                    index.members[moved as usize].zero_slot = slot as u32;
+                zero_target.swap_remove(slot);
+                if let Some(&moved) = zero_target.get(slot) {
+                    members[moved as usize].zero_slot = slot as u32;
                 }
             }
             // Per-run sweep: once tombstones dominate the partition, drop
             // the dead members' list slots run-by-run — no table rebuild,
             // no cross-run memmove. The member records themselves stay
             // until the whole table compacts.
-            if tombstones_dominate(index.dead_members, index.members.len()) {
-                index.dead_members = 0;
-                let StreamIndex { members, lists, .. } = index;
+            if tombstones_dominate(*dead_members, members.len()) {
+                *dead_members = 0;
                 for lists in lists.values_mut() {
                     lists.sweep_dead(members);
                 }
@@ -1551,312 +1767,57 @@ impl RoutingTable {
         }
     }
 
-    /// [`RoutingTable::match_message_into`] into a fresh buffer —
-    /// convenience for tests and one-shot callers.
+    /// Matches one message into a fresh buffer — convenience for tests
+    /// and one-shot callers.
     pub fn match_message(&mut self, msg: &Message, from: Option<NodeId>) -> MatchOutput {
         let mut out = MatchOutput::default();
-        self.match_message_into(msg, from, &mut out);
+        self.match_one(msg, from, &mut out);
         out
     }
 
-    /// The value-row position of the first schema attribute carrying
-    /// threshold lists in `stream`'s partition, if any. The batched
-    /// publish plane sorts each batch by this attribute's value so the
-    /// eq-list cursor walk ([`TieredList::for_eq_hinted`]) advances
-    /// monotonically through the run directory.
-    pub fn first_indexed_attr(&self, stream: Symbol, attrs: &[Symbol]) -> Option<usize> {
-        let index = &self.parts[*self.part_of.get(&stream)? as usize];
-        attrs.iter().position(|&a| index.lists.get(&IndexOperand::Attr(a)).is_some())
-    }
-
-    /// Matches `msg` against this table: counting pass over the message's
-    /// attributes, residual evaluation for fully-counted candidates, local
-    /// projections and per-hop union projections applied from their cached
-    /// plans. `from` suppresses the reverse hop. Results are written into
-    /// `out` (cleared first); reusing one `MatchOutput` across calls keeps
-    /// the broker's forwarding path allocation-free after warm-up.
-    pub fn match_message_into(
-        &mut self,
-        msg: &Message,
-        from: Option<NodeId>,
-        out: &mut MatchOutput,
-    ) {
+    /// Matches one message — a run of one from a stack array — leaving
+    /// its result in `out` (whose buffers are recycled into the scratch).
+    pub(crate) fn match_one(&mut self, msg: &Message, from: Option<NodeId>, out: &mut MatchOutput) {
         out.clear();
-        let Self { parts, part_of, touched, candidates, .. } = self;
-        let Some(&p) = part_of.get(&msg.stream) else {
-            return;
-        };
-        let index = &mut parts[p as usize];
-        index.epoch += 1;
-        let epoch = index.epoch;
-        let StreamIndex { members, lists, zero_target, hops, classes, .. } = index;
-        touched.clear();
-        candidates.clear();
-
-        // Counting pass: resolve each message attribute once, walk the
-        // satisfied threshold ranges.
-        if !lists.is_empty() {
-            for (i, &attr) in msg.schema().attrs().iter().enumerate() {
-                let Some(lists) = lists.get(&IndexOperand::Attr(attr)) else { continue };
-                let Some(v) = cosmos_query::compiled::ScalarRef::from(&msg.values()[i]).as_f64()
-                else {
-                    continue; // string value: numeric comparisons are false
-                };
-                if v.is_nan() {
-                    continue;
-                }
-                lists.bump_satisfied(v, members, touched, epoch);
-            }
-            if let Some(lists) = lists.get(&IndexOperand::Timestamp) {
-                lists.bump_satisfied(msg.timestamp as f64, members, touched, epoch);
-            }
+        if let Some((part, plans, scratch)) = self.at(msg.stream) {
+            match_run(part, plans, scratch, &[(0, msg)], from, |_, matched| {
+                std::mem::swap(matched, out);
+            });
         }
-
-        // Candidates: fully-counted members plus filter-free members, in
-        // installation-sequence order — the population's subscribe order,
-        // stable across incremental removal and re-installation (member
-        // ids are only partition insertion order, which repair churns).
-        // The seq rides along in the scratch pairs, so the sort compares
-        // flat keys without chasing member or entry indirections.
-        candidates.extend(zero_target.iter().map(|&m| (members[m as usize].seq, m)));
-        candidates.extend(touched.iter().filter_map(|&m| {
-            let member = &members[m as usize];
-            (member.count == member.target).then_some((member.seq, m))
-        }));
-        candidates.sort_unstable();
-
-        for &(_, m) in candidates.iter() {
-            let member = &mut members[m as usize];
-            if member.dead || !eval_compiled(&member.residual, msg) {
-                continue;
-            }
-            match &member.action {
-                MemberAction::Local { sub, class } => {
-                    // Projection-class dedup: the first matched member of a
-                    // class computes the projection; the rest of the class
-                    // shares the record (a refcount bump per delivery).
-                    let class = &mut classes[*class as usize];
-                    if class.epoch != epoch {
-                        class.epoch = epoch;
-                        class.cached = Some(class.proj.apply(msg));
-                    }
-                    let record = class.cached.clone().expect("projected this epoch");
-                    out.deliveries.push((*sub, record));
-                }
-                MemberAction::Hop(g) => hops[*g as usize].epoch = epoch,
-            }
-        }
-        for group in hops.iter_mut() {
-            if group.epoch != epoch || Some(group.to) == from {
-                continue;
-            }
-            out.forwards.push((group.to, group.union.apply(msg)));
-        }
-        out.forwards.sort_by_key(|(n, _)| *n);
     }
 
-    /// Matches a batch of **same-stream** messages through one index
-    /// walk: the stream partition is resolved once, one counter-epoch
-    /// range is allocated for the whole batch, and the per-attribute
-    /// threshold lists are re-resolved only when the schema pointer
-    /// changes between consecutive messages. Each message's results are
-    /// handed to `sink(tag, out)` in batch order, with `out` recycled
-    /// between messages — after reconstituting each identity forward
-    /// (`None`) as a clone of its message, contents are bit-identical to
-    /// a serial [`RoutingTable::match_message_into`] call per message.
-    pub fn match_batch_into<M, F>(
+    /// What [`match_run`] takes to match messages of `stream` here — that
+    /// stream's partition, its plan caches, this table's match state — or
+    /// `None` when the table holds no entry for the stream.
+    pub(crate) fn at(
         &mut self,
-        msgs: &[(u32, M)],
-        from: Option<NodeId>,
-        out: &mut BatchMatchOutput,
-        mut sink: F,
-    ) where
-        M: std::borrow::Borrow<Message>,
-        F: FnMut(u32, &mut BatchMatchOutput),
-    {
-        let Some((_, first)) = msgs.first() else { return };
-        let first = first.borrow();
-        debug_assert!(msgs.iter().all(|(_, m)| m.borrow().stream == first.stream));
-        let Self { parts, part_of, touched, candidates, touched_hops, .. } = self;
-        let Some(&p) = part_of.get(&first.stream) else {
-            for (tag, _) in msgs {
-                out.clear();
-                sink(*tag, out);
-            }
-            return;
-        };
-        let index = &mut parts[p as usize];
-        let base = index.epoch;
-        index.epoch += msgs.len() as u64;
-        let StreamIndex { members, lists, zero_target, hops, classes, .. } = index;
-        let lists: &VecMap<IndexOperand, OpLists> = lists;
-        let ts_lists = lists.get(&IndexOperand::Timestamp);
-        // Schema-resolution cache: `(value index, lists)` pairs for the
-        // last seen schema, keyed by attribute-slice identity — batches
-        // from one source share a schema, so the HashMap probes happen
-        // once per batch instead of once per message.
-        let mut resolved: Vec<(usize, &OpLists)> = Vec::new();
-        let mut resolved_schema: *const Symbol = std::ptr::null();
-        // Directory cursor for the first resolved attribute's eq list:
-        // callers sort batches by that attribute, so successive probes
-        // advance it monotonically (any order stays correct, just
-        // without the amortization).
-        let mut eq_cursor = 0usize;
-        for (j, (tag, msg)) in msgs.iter().enumerate() {
-            let msg = msg.borrow();
-            let epoch = base + j as u64 + 1;
-            touched.clear();
-            candidates.clear();
-            touched_hops.clear();
-            if !lists.is_empty() {
-                let attrs = msg.schema().attrs();
-                if attrs.as_ptr() != resolved_schema {
-                    resolved_schema = attrs.as_ptr();
-                    resolved.clear();
-                    resolved.extend(attrs.iter().enumerate().filter_map(|(i, &attr)| {
-                        lists.get(&IndexOperand::Attr(attr)).map(|l| (i, l))
-                    }));
-                    eq_cursor = 0;
-                }
-                for (a, &(i, lists)) in resolved.iter().enumerate() {
-                    let Some(v) =
-                        cosmos_query::compiled::ScalarRef::from(&msg.values()[i]).as_f64()
-                    else {
-                        continue; // string value: numeric comparisons are false
-                    };
-                    if v.is_nan() {
-                        continue;
-                    }
-                    if a == 0 {
-                        lists.bump_satisfied_hinted(v, members, touched, epoch, &mut eq_cursor);
-                    } else {
-                        lists.bump_satisfied(v, members, touched, epoch);
-                    }
-                }
-            }
-            if let Some(ts_lists) = ts_lists {
-                ts_lists.bump_satisfied(msg.timestamp as f64, members, touched, epoch);
-            }
-            candidates.extend(zero_target.iter().map(|&m| (members[m as usize].seq, m)));
-            candidates.extend(touched.iter().filter_map(|&m| {
-                let member = &members[m as usize];
-                (member.count == member.target).then_some((member.seq, m))
-            }));
-            candidates.sort_unstable();
-            out.clear();
-            for &(_, m) in candidates.iter() {
-                let member = &mut members[m as usize];
-                if member.dead || !eval_compiled(&member.residual, msg) {
-                    continue;
-                }
-                match &member.action {
-                    MemberAction::Local { sub, class } => {
-                        let class = &mut classes[*class as usize];
-                        if class.epoch != epoch {
-                            class.epoch = epoch;
-                            class.cached = Some(class.proj.apply(msg));
-                        }
-                        let record = class.cached.clone().expect("projected this epoch");
-                        out.deliveries.push((*sub, record));
-                    }
-                    MemberAction::Hop(g) => {
-                        let group = &mut hops[*g as usize];
-                        if group.epoch != epoch {
-                            group.epoch = epoch;
-                            touched_hops.push(*g);
-                        }
-                    }
-                }
-            }
-            // Forwards come from the groups this message marked (no
-            // per-message rescan of every group); sorting by node id
-            // restores the serial emission order.
-            for &g in touched_hops.iter() {
-                let group = &mut hops[g as usize];
-                if Some(group.to) == from {
-                    continue;
-                }
-                let fwd = (!group.union.is_identity()).then(|| group.union.apply(msg));
-                out.forwards.push((group.to, fwd));
-            }
-            out.forwards.sort_by_key(|(n, _)| *n);
-            sink(*tag, out);
-        }
+        stream: Symbol,
+    ) -> Option<(&Partition, &mut TablePlans, &mut MatchScratch)> {
+        let index = &mut self.parts[*self.part_of.get(&stream)? as usize];
+        Some((&index.part, &mut index.plans, &mut self.scratch))
     }
 
-    /// Freezes this table into its immutable, `Sync` matching twin (see
-    /// the module docs' concurrency section and [`crate::snapshot`]).
-    ///
-    /// Tombstones are dropped and member slots densely remapped **in
-    /// original partition order**, so frozen candidate `(seq, slot)`
-    /// pairs sort exactly as the live table's — equal-`seq` ties (one
-    /// subscription, several entries) break identically and the frozen
-    /// matcher's delivery order is bit-for-bit the serial matcher's.
-    /// Hop-group and projection-class indices are preserved (both vectors
-    /// only shrink at compaction, which rebuilds the table first), so
-    /// member actions carry over untranslated.
+    /// Freezes this table into its immutable, `Sync` matching image (see
+    /// the module docs' concurrency section and [`crate::snapshot`]): per
+    /// partition, a clone of what matching reads plus each hop group's
+    /// `(next hop, union)` and each class's projection. Slots, hop-group
+    /// and class ids are the live table's own, so a reader's candidates
+    /// sort — and its deliveries come out — exactly as the writer's.
     pub(crate) fn freeze(&self) -> FrozenTable {
-        let mut streams = HashMap::new();
-        for (&stream, &p) in &self.part_of {
-            let index = &self.parts[p as usize];
-            let mut remap: Vec<Option<u32>> = vec![None; index.members.len()];
-            let mut members = Vec::new();
-            for (i, m) in index.members.iter().enumerate() {
-                if m.dead {
-                    continue;
-                }
-                remap[i] = Some(u32::try_from(members.len()).expect("partition overflow"));
-                members.push(FrozenMember {
-                    seq: m.seq,
-                    target: m.target,
-                    residual: Arc::clone(&m.residual),
-                    action: match &m.action {
-                        MemberAction::Local { sub, class } => {
-                            FrozenAction::Local { sub: *sub, class: *class }
-                        }
-                        MemberAction::Hop(g) => FrozenAction::Hop(*g),
-                    },
-                });
-            }
-            if members.is_empty() {
-                continue; // a fully-tombstoned partition matches nothing
-            }
-            let remap_list = |list: &TieredList| -> Vec<(f64, u32)> {
-                list.iter().filter_map(|(t, m)| remap[m as usize].map(|n| (t, n))).collect()
-            };
-            let freeze_lists = |l: &OpLists| FrozenLists {
-                lt: remap_list(&l.lt),
-                le: remap_list(&l.le),
-                gt: remap_list(&l.gt),
-                ge: remap_list(&l.ge),
-                eq: remap_list(&l.eq),
-            };
-            let lists = index
-                .lists
+        let freeze = |index: &StreamIndex| FrozenPartition {
+            part: index.part.clone(),
+            plans: PartPlans {
+                classes: index.plans.classes.clone(),
+                hops: index.plans.hops.iter().map(|h| (h.to, h.union.clone())).collect(),
+            },
+        };
+        FrozenTable {
+            streams: self
+                .part_of
                 .iter()
-                .map(|(&operand, lists)| (operand, freeze_lists(lists)))
-                .filter(|(_, frozen)| !frozen.is_empty())
-                .collect();
-            streams.insert(
-                stream,
-                FrozenPartition {
-                    members,
-                    lists,
-                    zero_target: index
-                        .zero_target
-                        .iter()
-                        .filter_map(|&m| remap[m as usize])
-                        .collect(),
-                    hops: index
-                        .hops
-                        .iter()
-                        .map(|h| FrozenHop { to: h.to, union: h.union.projection().clone() })
-                        .collect(),
-                    classes: index.classes.iter().map(|c| c.proj.projection().clone()).collect(),
-                },
-            );
+                .map(|(&s, &p)| (s, freeze(&self.parts[p as usize])))
+                .collect(),
         }
-        FrozenTable { streams }
     }
 }
 
@@ -1909,6 +1870,11 @@ mod tests {
     /// The partition of stream `R`, which every fixture here uses.
     fn part_r(table: &RoutingTable) -> &StreamIndex {
         &table.parts[table.part_of[&Symbol::intern("R")] as usize]
+    }
+
+    /// Attribute count of the first forward, which must be a narrowed one.
+    fn fwd_len(out: &MatchOutput) -> usize {
+        out.forwards[0].1.as_ref().expect("narrowing union").len()
     }
 
     fn local_matches(table: &mut RoutingTable, msg: &Message) -> Vec<SubId> {
@@ -2064,10 +2030,10 @@ mod tests {
             .with("b", Scalar::Int(2))
             .with("c", Scalar::Int(3));
         let out = table.match_message(&msg, None);
-        assert_eq!(out.forwards[0].1.len(), 2, "union {{a,b}} before removal");
+        assert_eq!(fwd_len(&out), 2, "union {{a,b}} before removal");
         table.remove_toward(NodeId(1), |s| s.id == SubId(2));
         let out = table.match_message(&msg, None);
-        assert_eq!(out.forwards[0].1.len(), 1, "union shrinks to {{a}}");
+        assert_eq!(fwd_len(&out), 1, "union shrinks to {{a}}");
     }
 
     #[test]
@@ -2093,7 +2059,7 @@ mod tests {
             table.ins(sub(i, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(i as i64))]), None);
         }
         let a = IndexOperand::Attr("a".into());
-        assert_eq!(part_r(&table).lists[&a].gt.len(), 40);
+        assert_eq!(part_r(&table).part.lists[&a].gt.len(), 40);
         // Tombstone one at a time: the dead flags keep the stale threshold
         // references inert, and once tombstones reach half the table (at
         // the 20th removal) compaction rebuilds the lists dense. The last
@@ -2104,7 +2070,7 @@ mod tests {
         assert_eq!(table.len(), 16);
         assert_eq!(table.entries.len(), 20, "compacted at tombstone majority; 4 tombstones since");
         assert_eq!(
-            part_r(&table).lists[&a].gt.len(),
+            part_r(&table).part.lists[&a].gt.len(),
             20,
             "threshold list rebuilt dense at compaction (was 40)"
         );
@@ -2129,12 +2095,12 @@ mod tests {
             .with("a", Scalar::Int(1))
             .with("b", Scalar::Int(2))
             .with("c", Scalar::Int(3));
-        assert_eq!(table.match_message(&msg, None).forwards[0].1.len(), 2);
+        assert_eq!(fwd_len(&table.match_message(&msg, None)), 2);
         // First-class removal of the wide member shrinks the union to {a};
         // only this hop group is recomputed.
         assert_eq!(table.remove_entry(SubId(2), Some(NodeId(1))), 1);
         let out = table.match_message(&msg, None);
-        assert_eq!(out.forwards[0].1.len(), 1, "union shrinks to {{a}}");
+        assert_eq!(fwd_len(&out), 1, "union shrinks to {{a}}");
         // Removing the last member silences the hop entirely.
         assert_eq!(table.remove_entry(SubId(1), Some(NodeId(1))), 1);
         assert!(table.match_message(&msg, None).forwards.is_empty());
@@ -2153,20 +2119,20 @@ mod tests {
         for i in 40..58u64 {
             table.ins(local(i, StreamProjection::attrs(["b"])), None);
         }
-        assert_eq!(part_r(&table).classes.len(), 2);
+        assert_eq!(part_r(&table).plans.classes.len(), 2);
         // Empty the {b} class entirely, then shed enough {a} members that
         // tombstones reach half the table: compaction re-groups and the
         // emptied class is not reopened.
         for i in 40..58u64 {
             assert_eq!(table.remove_entry(SubId(i), None), 1);
         }
-        assert_eq!(part_r(&table).classes.len(), 2, "emptied class lingers as a tombstone");
+        assert_eq!(part_r(&table).plans.classes.len(), 2, "emptied class lingers as a tombstone");
         for i in 0..11u64 {
             assert_eq!(table.remove_entry(SubId(i), None), 1);
         }
         assert_eq!(table.len(), 29);
         assert_eq!(
-            part_r(&table).classes.len(),
+            part_r(&table).plans.classes.len(),
             1,
             "emptied projection class dropped at re-grouping"
         );
@@ -2187,6 +2153,77 @@ mod tests {
         let msg = Message::new("R", 0);
         assert_eq!(table.match_message(&msg, None).forwards.len(), 1);
         assert!(table.match_message(&msg, Some(NodeId(3))).forwards.is_empty());
+    }
+
+    /// One scratch, one epoch, many partitions: whatever a big partition
+    /// left in the table's match state — slot counters, class records, hop
+    /// marks — must never count for the next partition matched, nor the
+    /// other way round. Each partition's results are held to a table that
+    /// holds that partition alone.
+    #[test]
+    fn match_state_of_one_partition_never_counts_for_another() {
+        let on = |stream: &str, id: u64, proj: &[&str], filters: &[(&str, i64)]| {
+            let filters = filters
+                .iter()
+                .map(|&(attr, t)| cmp(stream, attr, CmpOp::Gt, Scalar::Int(t)))
+                .collect();
+            Subscription::builder(NodeId(0))
+                .id(SubId(id))
+                .stream(stream, StreamProjection::attrs(proj.iter().copied()), filters)
+                .build()
+        };
+        // "R": 5 000 members, locals and three hops alternating, each
+        // bumped once or twice by the probe; slots 0..3 end the probe with
+        // a count, class 0 with a record, hop group 0 with a mark.
+        let big: Vec<(Subscription, Option<NodeId>)> = (0..5_000u64)
+            .map(|i| {
+                let to = (i % 2 == 1).then_some(NodeId(1 + (i % 3) as u32));
+                let proj: &[&str] = if i % 4 == 0 { &["a"] } else { &["a", "b"] };
+                let sub = if i % 5 == 0 {
+                    on("R", i, proj, &[("a", (i % 50) as i64), ("b", (i % 7) as i64)])
+                } else {
+                    on("R", i, proj, &[("a", (i % 50) as i64)])
+                };
+                (sub, to)
+            })
+            .collect();
+        // "S": the same slots, class id and group id, with requirements a
+        // stale stamp would change: slot 0 needs two hits and gets one
+        // (a stale count of one would complete it), slot 1 needs its one
+        // hit to be its first this epoch, slot 2 must mark group 0 afresh,
+        // and class 0 keeps `b` where "R"'s class 0 keeps `a`.
+        let small = vec![
+            (on("S", 10_000, &["b"], &[("a", 10), ("b", 100)]), None),
+            (on("S", 10_001, &["b"], &[("a", 10)]), None),
+            (on("S", 10_002, &["b"], &[("a", 10)]), Some(NodeId(2))),
+        ];
+        let table_of = |entries: &[(Subscription, Option<NodeId>)]| {
+            let mut table = RoutingTable::new();
+            for (sub, to) in entries {
+                table.ins(sub.clone(), *to);
+            }
+            table
+        };
+        let (mut only_big, mut only_small) = (table_of(&big), table_of(&small));
+        let mut shared = RoutingTable::new();
+        for (sub, to) in big.iter().chain(&small) {
+            shared.ins(sub.clone(), *to);
+        }
+        let probe = |stream: &str| {
+            Message::new(stream, 0).with("a", Scalar::Int(25)).with("b", Scalar::Int(5))
+        };
+        for stream in ["R", "S", "R", "S"] {
+            let alone = if stream == "R" { &mut only_big } else { &mut only_small };
+            let want = alone.match_message(&probe(stream), None);
+            let got = shared.match_message(&probe(stream), None);
+            assert_eq!(got.deliveries, want.deliveries, "deliveries on {stream}");
+            assert_eq!(got.forwards, want.forwards, "forwards on {stream}");
+            assert!(!got.deliveries.is_empty() && !got.forwards.is_empty());
+        }
+        let s = shared.match_message(&probe("S"), None);
+        assert_eq!(s.deliveries.len(), 1, "only the one-predicate local member of S");
+        assert_eq!(s.deliveries[0].0, SubId(10_001));
+        assert_eq!(s.deliveries[0].1.len(), 1, "S's class keeps `b` alone");
     }
 
     /// The routing-covering form the broker confirms candidates with

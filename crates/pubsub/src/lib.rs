@@ -6,14 +6,16 @@
 //! each link at most once, (2) messages are filtered and projected as early
 //! as possible, and (3) sources and consumers stay loosely coupled.
 //!
-//! Five layers:
+//! Seven layers:
 //!
 //! - [`subscription`]: subscription content — per-stream projections and
 //!   filters exactly as §2.1 describes (`S`, `P`, `F` lists) — plus the
 //!   covering relation used to merge subscriptions inside the network.
 //! - [`index`]: the per-node routing index — stream partitioning plus a
 //!   Siena-style counting predicate index over filter constants — that
-//!   makes broker matching sublinear in routing-table size.
+//!   makes broker matching sublinear in routing-table size, and the one
+//!   matcher every publish path runs, with its match state owned by
+//!   whoever matches.
 //! - [`broker`]: a message-level broker network over a physical topology:
 //!   advertisement-guided subscription propagation with covering-based
 //!   pruning, indexed routing tables per node, reverse-path message
@@ -31,7 +33,7 @@
 //!   checkpoint, upstreams replay the unacked suffix, and the recovered
 //!   output log converges bit-for-bit to the crash-free run.
 //! - [`snapshot`]: the parallel data plane — immutable
-//!   [`RoutingSnapshot`]s frozen from the broker's routing state, matched
+//!   [`RoutingSnapshot`]s cloned from the broker's routing state, matched
 //!   lock-free by any number of concurrent [`SnapshotReader`]s while
 //!   subscription churn stays single-writer (read-copy-update).
 //! - [`traffic`]: the rate-based cost model the large-scale experiments use:

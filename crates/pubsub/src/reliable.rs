@@ -357,13 +357,13 @@ impl LossyNetwork {
                 delivery: Delivery { sub, node, message },
             });
         }
-        let forwards: Vec<(NodeId, Message)> = out.forwards.drain(..).collect();
-        self.scratch = out;
-        for (i, (next, fwd)) in forwards.into_iter().enumerate() {
+        for (i, (next, fwd)) in out.forwards.drain(..).enumerate() {
             let mut child = path.clone();
             child.push(i as u32);
-            self.send_data(node, next, publish, child, fwd);
+            // An identity forward (`None`) sends the record as it arrived.
+            self.send_data(node, next, publish, child, fwd.unwrap_or_else(|| msg.clone()));
         }
+        self.scratch = out;
     }
 
     fn link_delay(&self, s: NodeId, r: NodeId) -> u64 {

@@ -8,22 +8,41 @@
 //! per-node [`crate::index::RoutingTable`]s exactly as before, bumping a
 //! version counter and marking the touched nodes dirty.
 //! [`BrokerNetwork::snapshot`](crate::broker::BrokerNetwork::snapshot)
-//! then *freezes* the dirty tables into [`FrozenTable`]s — live-only,
-//! densely remapped copies of the counting index — and publishes a
+//! then *freezes* the dirty tables into [`FrozenTable`]s and publishes a
 //! [`RoutingSnapshot`] through a [`cosmos_util::sync::SnapshotCell`].
 //! Clean nodes' frozen tables are reused by `Arc`, so a commit costs
 //! O(changed nodes), not O(network).
 //!
+//! # A frozen table is a clone
+//!
+//! Matching never writes a partition (all match state is the matcher's —
+//! see [`crate::index`]), so the frozen image needs no types of its own:
+//! per stream partition it is a **field-wise clone** of what matching
+//! reads — members, always-candidates, threshold lists — plus each hop
+//! group's `(next hop, union)` and each class's projection. What that
+//! costs per dirty node is one `memcpy`-like pass over the node's
+//! members and list runs (a refcount bump per member for its residual
+//! predicates), tombstones and their stale list references included: a
+//! table holds at most as many dead members as live ones before it
+//! compacts, so an image is at most twice its dense size. Slots are
+//! **kept**, not remapped: a reader's candidates are the writer's
+//! `(seq, slot)` pairs and sort identically, so delivery order is the
+//! serial order by construction rather than by an order-preserving remap,
+//! and dead members are filtered where the writer filters them.
+//!
 //! # Read side
 //!
-//! A [`SnapshotReader`] wraps an `Arc<RoutingSnapshot>` plus *all* the
-//! mutable per-message scratch the serial matcher kept inside the table
-//! (epoch-versioned counters, candidate buffers, projection-class and
-//! hop-union plan caches). The snapshot itself is therefore genuinely
-//! `&self`/`Sync`: N readers on N threads match and forward concurrently
-//! with **zero** shared mutable state and zero locks on the publish path
-//! — each reader owns its snapshot handle outright and can keep
-//! publishing while the writer churns and commits new snapshots.
+//! A [`SnapshotReader`] wraps an `Arc<RoutingSnapshot>` plus everything
+//! matching mutates: one match state per node (as the writer keeps one
+//! per table), private projection-class and hop-union plan caches per
+//! partition it has touched, and the forwarding walk's buffers. Matching
+//! and forwarding are the writer's own routines
+//! ([`crate::index::match_run`], the broker's forwarding walk) over the
+//! reader's plane. The snapshot itself is genuinely `&self`/`Sync`: N
+//! readers on N threads match and forward concurrently with **zero**
+//! shared mutable state and zero locks on the publish path — each reader
+//! owns its snapshot handle outright and can keep publishing while the
+//! writer churns and commits new snapshots.
 //!
 //! Every message a reader publishes observes exactly one snapshot: a
 //! reader switches snapshots only between messages
@@ -39,137 +58,49 @@
 //! per-link counters — which is what the parallel-vs-serial differential
 //! suite asserts.
 
-use crate::broker::{Delivery, LinkStats};
-use crate::index::MatchOutput;
-use crate::subscription::{CachedProjection, Message, StreamProjection, SubId};
+use crate::broker::{Delivery, LinkStats, Plane, Walk};
+use crate::index::{MatchScratch, MatchStats, Partition, PlanCaches};
+use crate::subscription::{CachedProjection, Message};
 use cosmos_net::NodeId;
-use cosmos_query::compiled::{eval_compiled, CompiledPredicate, IndexOperand, ScalarRef};
-use cosmos_util::{Symbol, VecMap};
+use cosmos_util::Symbol;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What a matched frozen member does: local delivery (share its
-/// projection class's record) or marking its hop group. Mirror of the
-/// routing table's `MemberAction` over live members only.
-#[derive(Debug, Clone)]
-pub(crate) enum FrozenAction {
-    Local { sub: SubId, class: u32 },
-    Hop(u32),
-}
-
-/// One live `(entry, stream)` member of a frozen partition. Tombstones
-/// are dropped at freeze time, so no `dead` flag and no per-member
-/// mutable counter — counters live in the reader's [`PartScratch`].
-#[derive(Debug, Clone)]
-pub(crate) struct FrozenMember {
-    pub(crate) seq: u64,
-    pub(crate) target: u32,
-    /// Shared with the live table's member (a freeze copies no predicate).
-    pub(crate) residual: Arc<[CompiledPredicate]>,
-    pub(crate) action: FrozenAction,
-}
-
-/// Sorted `(threshold, member)` lists per operator class — the frozen,
-/// live-only image of the table's `OpLists` (dead references filtered,
-/// member slots densely remapped in original order).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FrozenLists {
-    pub(crate) lt: Vec<(f64, u32)>,
-    pub(crate) le: Vec<(f64, u32)>,
-    pub(crate) gt: Vec<(f64, u32)>,
-    pub(crate) ge: Vec<(f64, u32)>,
-    pub(crate) eq: Vec<(f64, u32)>,
-}
-
-impl FrozenLists {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.lt.is_empty()
-            && self.le.is_empty()
-            && self.gt.is_empty()
-            && self.ge.is_empty()
-            && self.eq.is_empty()
-    }
-
-    /// Bumps the scratch counter of every member whose predicate is
-    /// satisfied by value `v` — the same binary-searched ranges as the
-    /// mutable index's `OpLists::bump_satisfied`, with the counters in
-    /// caller-owned scratch instead of the members.
-    fn bump_satisfied(
-        &self,
-        v: f64,
-        count: &mut [u32],
-        epoch_of: &mut [u64],
-        touched: &mut Vec<u32>,
-        epoch: u64,
-    ) {
-        // `attr > t` holds for thresholds t < v: an ascending prefix.
-        let end = self.gt.partition_point(|(t, _)| *t < v);
-        bump(&self.gt[..end], count, epoch_of, touched, epoch);
-        // `attr >= t` holds for t <= v.
-        let end = self.ge.partition_point(|(t, _)| *t <= v);
-        bump(&self.ge[..end], count, epoch_of, touched, epoch);
-        // `attr < t` holds for t > v: an ascending suffix.
-        let start = self.lt.partition_point(|(t, _)| *t <= v);
-        bump(&self.lt[start..], count, epoch_of, touched, epoch);
-        // `attr <= t` holds for t >= v.
-        let start = self.le.partition_point(|(t, _)| *t < v);
-        bump(&self.le[start..], count, epoch_of, touched, epoch);
-        // `attr = t` holds for the equal range.
-        let lo = self.eq.partition_point(|(t, _)| *t < v);
-        let hi = self.eq.partition_point(|(t, _)| *t <= v);
-        bump(&self.eq[lo..hi], count, epoch_of, touched, epoch);
-    }
-}
-
-/// Increments the epoch-versioned scratch counters of `satisfied`
-/// members. Frozen partitions hold live members only, so no dead check.
-fn bump(
-    satisfied: &[(f64, u32)],
-    count: &mut [u32],
-    epoch_of: &mut [u64],
-    touched: &mut Vec<u32>,
-    epoch: u64,
-) {
-    for &(_, m) in satisfied {
-        let i = m as usize;
-        if epoch_of[i] == epoch {
-            count[i] += 1;
-        } else {
-            epoch_of[i] = epoch;
-            count[i] = 1;
-            touched.push(m);
-        }
-    }
-}
-
-/// A per-hop forwarding group of a frozen partition: the next hop and
-/// the install-time union of member needs. The per-reader projection
-/// plan cache lives in [`PartScratch`].
-#[derive(Debug, Clone)]
-pub(crate) struct FrozenHop {
-    pub(crate) to: NodeId,
-    pub(crate) union: StreamProjection,
-}
-
-/// The frozen image of one stream partition: live members, dense
-/// threshold lists, hop groups and projection classes — everything
-/// immutable; all match scratch is reader-owned.
+/// The frozen image of one stream partition: a clone of what matching
+/// reads of the live partition, plus the projections of its hop groups
+/// and classes — which each reader clones again for itself, because
+/// applying one fills its plan cache and all match state is the
+/// matcher's own.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FrozenPartition {
-    pub(crate) members: Vec<FrozenMember>,
-    /// Non-empty threshold lists per indexed operand (attributes and the
-    /// event-time pseudo-attribute), as the live partition keys them.
-    pub(crate) lists: VecMap<IndexOperand, FrozenLists>,
-    pub(crate) zero_target: Vec<u32>,
-    pub(crate) hops: Vec<FrozenHop>,
-    pub(crate) classes: Vec<StreamProjection>,
+    pub(crate) part: Partition,
+    pub(crate) plans: PartPlans,
+}
+
+/// The projections of one partition's classes and hop groups, by class
+/// and group id, each with a plan cache: inside a [`FrozenPartition`] as
+/// frozen, and per `(node, stream)` inside each reader that has touched
+/// the partition — the writer keeps its own inside the live partition.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PartPlans {
+    pub(crate) classes: Vec<CachedProjection>,
+    pub(crate) hops: Vec<(NodeId, CachedProjection)>,
+}
+
+impl PlanCaches for PartPlans {
+    fn class(&mut self, c: u32) -> &mut CachedProjection {
+        &mut self.classes[c as usize]
+    }
+
+    fn hop(&mut self, g: u32) -> (NodeId, &mut CachedProjection) {
+        let (to, union) = &mut self.hops[g as usize];
+        (*to, union)
+    }
 }
 
 /// The frozen image of one node's routing table
-/// ([`crate::index::RoutingTable::freeze`]): stream partitions with all
-/// tombstones dropped and member slots densely remapped (in original
-/// order, so candidate `(seq, slot)` ordering — and therefore delivery
-/// order — is identical to the mutable table's).
+/// ([`crate::index::RoutingTable::freeze`]): its stream partitions,
+/// cloned (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct FrozenTable {
     pub(crate) streams: HashMap<Symbol, FrozenPartition>,
@@ -197,216 +128,6 @@ impl RoutingSnapshot {
     /// A new reader (fresh scratch, empty output) over this snapshot.
     pub fn reader(self: &Arc<Self>) -> SnapshotReader {
         SnapshotReader::new(Arc::clone(self))
-    }
-}
-
-/// Per-`(node, stream)` reader-owned match scratch: everything the
-/// mutable `StreamIndex` kept inline (epoch counters, candidate buffers)
-/// plus private plan caches for the partition's projection classes and
-/// hop unions. Built lazily the first time a reader's forwarding walk
-/// touches the partition.
-#[derive(Debug)]
-struct PartScratch {
-    epoch: u64,
-    count: Vec<u32>,
-    epoch_of: Vec<u64>,
-    touched: Vec<u32>,
-    candidates: Vec<(u64, u32)>,
-    class_epoch: Vec<u64>,
-    class_cached: Vec<Option<Message>>,
-    class_proj: Vec<CachedProjection>,
-    hop_epoch: Vec<u64>,
-    hop_proj: Vec<CachedProjection>,
-}
-
-impl PartScratch {
-    fn for_partition(part: &FrozenPartition) -> Self {
-        Self {
-            epoch: 0,
-            count: vec![0; part.members.len()],
-            epoch_of: vec![0; part.members.len()],
-            touched: Vec::new(),
-            candidates: Vec::new(),
-            class_epoch: vec![0; part.classes.len()],
-            class_cached: vec![None; part.classes.len()],
-            class_proj: part.classes.iter().map(|p| CachedProjection::new(p.clone())).collect(),
-            hop_epoch: vec![0; part.hops.len()],
-            hop_proj: part.hops.iter().map(|h| CachedProjection::new(h.union.clone())).collect(),
-        }
-    }
-}
-
-/// Matches `msg` against one frozen partition — the exact algorithm of
-/// `RoutingTable::match_message_into` with every mutation redirected
-/// into `ps`: counting pass over threshold lists, candidates sorted by
-/// `(seq, slot)`, residual evaluation, projection-class dedup, hop
-/// marks. Output order is bit-identical to the serial matcher's.
-fn match_frozen(
-    part: &FrozenPartition,
-    msg: &Message,
-    from: Option<NodeId>,
-    ps: &mut PartScratch,
-    out: &mut MatchOutput,
-) {
-    let PartScratch {
-        epoch: scratch_epoch,
-        count,
-        epoch_of,
-        touched,
-        candidates,
-        class_epoch,
-        class_cached,
-        class_proj,
-        hop_epoch,
-        hop_proj,
-    } = ps;
-    *scratch_epoch += 1;
-    let epoch = *scratch_epoch;
-    touched.clear();
-    candidates.clear();
-
-    if !part.lists.is_empty() {
-        for (i, &attr) in msg.schema().attrs().iter().enumerate() {
-            let Some(lists) = part.lists.get(&IndexOperand::Attr(attr)) else { continue };
-            let Some(v) = ScalarRef::from(&msg.values()[i]).as_f64() else {
-                continue; // string value: numeric comparisons are false
-            };
-            if v.is_nan() {
-                continue;
-            }
-            lists.bump_satisfied(v, count, epoch_of, touched, epoch);
-        }
-        if let Some(lists) = part.lists.get(&IndexOperand::Timestamp) {
-            lists.bump_satisfied(msg.timestamp as f64, count, epoch_of, touched, epoch);
-        }
-    }
-
-    candidates.extend(part.zero_target.iter().map(|&m| (part.members[m as usize].seq, m)));
-    candidates.extend(touched.iter().filter_map(|&m| {
-        let member = &part.members[m as usize];
-        (count[m as usize] == member.target).then_some((member.seq, m))
-    }));
-    candidates.sort_unstable();
-
-    for &(_, m) in candidates.iter() {
-        let member = &part.members[m as usize];
-        if !eval_compiled(&member.residual, msg) {
-            continue;
-        }
-        match &member.action {
-            FrozenAction::Local { sub, class } => {
-                let c = *class as usize;
-                if class_epoch[c] != epoch {
-                    class_epoch[c] = epoch;
-                    class_cached[c] = Some(class_proj[c].apply(msg));
-                }
-                let record = class_cached[c].clone().expect("projected this epoch");
-                out.deliveries.push((*sub, record));
-            }
-            FrozenAction::Hop(g) => hop_epoch[*g as usize] = epoch,
-        }
-    }
-    for (g, hop) in part.hops.iter().enumerate() {
-        if hop_epoch[g] != epoch || Some(hop.to) == from {
-            continue;
-        }
-        out.forwards.push((hop.to, hop_proj[g].apply(msg)));
-    }
-    out.forwards.sort_by_key(|(n, _)| *n);
-}
-
-/// Batched twin of [`match_frozen`]: matches a slice of **same-stream**
-/// `(order, message)` pairs against one frozen partition through a
-/// single walk — one scratch-epoch range for the whole batch, the
-/// per-attribute list resolution cached across messages with the same
-/// schema — handing each message's results to `sink(order, buf)` in
-/// batch order. Per-message output is bit-identical to [`match_frozen`].
-fn match_frozen_batch<F>(
-    part: &FrozenPartition,
-    msgs: &[(u64, Message)],
-    from: Option<NodeId>,
-    ps: &mut PartScratch,
-    buf: &mut MatchOutput,
-    mut sink: F,
-) where
-    F: FnMut(u64, &mut MatchOutput),
-{
-    let PartScratch {
-        epoch: scratch_epoch,
-        count,
-        epoch_of,
-        touched,
-        candidates,
-        class_epoch,
-        class_cached,
-        class_proj,
-        hop_epoch,
-        hop_proj,
-    } = ps;
-    let base = *scratch_epoch;
-    *scratch_epoch += msgs.len() as u64;
-    let ts_lists = part.lists.get(&IndexOperand::Timestamp);
-    let mut resolved: Vec<(usize, &FrozenLists)> = Vec::new();
-    let mut resolved_schema: *const Symbol = std::ptr::null();
-    for (j, (order, msg)) in msgs.iter().enumerate() {
-        let epoch = base + j as u64 + 1;
-        touched.clear();
-        candidates.clear();
-        if !part.lists.is_empty() {
-            let attrs = msg.schema().attrs();
-            if attrs.as_ptr() != resolved_schema {
-                resolved_schema = attrs.as_ptr();
-                resolved.clear();
-                resolved.extend(attrs.iter().enumerate().filter_map(|(i, &attr)| {
-                    part.lists.get(&IndexOperand::Attr(attr)).map(|l| (i, l))
-                }));
-            }
-            for &(i, lists) in &resolved {
-                let Some(v) = ScalarRef::from(&msg.values()[i]).as_f64() else {
-                    continue; // string value: numeric comparisons are false
-                };
-                if v.is_nan() {
-                    continue;
-                }
-                lists.bump_satisfied(v, count, epoch_of, touched, epoch);
-            }
-        }
-        if let Some(lists) = ts_lists {
-            lists.bump_satisfied(msg.timestamp as f64, count, epoch_of, touched, epoch);
-        }
-        candidates.extend(part.zero_target.iter().map(|&m| (part.members[m as usize].seq, m)));
-        candidates.extend(touched.iter().filter_map(|&m| {
-            let member = &part.members[m as usize];
-            (count[m as usize] == member.target).then_some((member.seq, m))
-        }));
-        candidates.sort_unstable();
-        buf.clear();
-        for &(_, m) in candidates.iter() {
-            let member = &part.members[m as usize];
-            if !eval_compiled(&member.residual, msg) {
-                continue;
-            }
-            match &member.action {
-                FrozenAction::Local { sub, class } => {
-                    let c = *class as usize;
-                    if class_epoch[c] != epoch {
-                        class_epoch[c] = epoch;
-                        class_cached[c] = Some(class_proj[c].apply(msg));
-                    }
-                    let record = class_cached[c].clone().expect("projected this epoch");
-                    buf.deliveries.push((*sub, record));
-                }
-                FrozenAction::Hop(g) => hop_epoch[*g as usize] = epoch,
-            }
-        }
-        for (g, hop) in part.hops.iter().enumerate() {
-            if hop_epoch[g] != epoch || Some(hop.to) == from {
-                continue;
-            }
-            buf.forwards.push((hop.to, hop_proj[g].apply(msg)));
-        }
-        buf.forwards.sort_by_key(|(n, _)| *n);
-        sink(*order, buf);
     }
 }
 
@@ -473,15 +194,39 @@ impl ReaderOutput {
     }
 }
 
+/// A reader's plane for the forwarding walk: the snapshot's frozen
+/// partitions, with the reader's own plan caches and match state.
+struct ReaderPlane<'a> {
+    snap: &'a RoutingSnapshot,
+    scratch: &'a mut [MatchScratch],
+    plans: &'a mut HashMap<(NodeId, Symbol), PartPlans>,
+}
+
+impl Plane for ReaderPlane<'_> {
+    type Plans = PartPlans;
+
+    fn at(
+        &mut self,
+        node: NodeId,
+        stream: Symbol,
+    ) -> Option<(&Partition, &mut PartPlans, &mut MatchScratch)> {
+        let part = self.snap.tables[node.index()].streams.get(&stream)?;
+        let plans = self.plans.entry((node, stream)).or_insert_with(|| part.plans.clone());
+        Some((&part.part, plans, &mut self.scratch[node.index()]))
+    }
+}
+
 /// A read handle over one [`RoutingSnapshot`]: owns the snapshot `Arc`,
-/// all match scratch, and its own output accumulator — `Send`, fully
+/// all match state, and its own output accumulator — `Send`, fully
 /// independent of the broker and of every other reader, so N readers
 /// publish concurrently without any synchronization.
 #[derive(Debug)]
 pub struct SnapshotReader {
     snap: Arc<RoutingSnapshot>,
-    scratch: HashMap<(NodeId, Symbol), PartScratch>,
-    pool: Vec<MatchOutput>,
+    /// One match state per node, as the writer keeps one per table.
+    scratch: Vec<MatchScratch>,
+    plans: HashMap<(NodeId, Symbol), PartPlans>,
+    walk: Walk,
     out: ReaderOutput,
     next_order: u64,
 }
@@ -490,9 +235,10 @@ impl SnapshotReader {
     /// Wraps a snapshot handle.
     pub fn new(snap: Arc<RoutingSnapshot>) -> Self {
         Self {
+            scratch: snap.tables.iter().map(|_| MatchScratch::default()).collect(),
             snap,
-            scratch: HashMap::new(),
-            pool: Vec::new(),
+            plans: HashMap::new(),
+            walk: Walk::default(),
             out: ReaderOutput::default(),
             next_order: 0,
         }
@@ -504,16 +250,29 @@ impl SnapshotReader {
     }
 
     /// Switches to a newer snapshot *between* messages, keeping the
-    /// accumulated output (partition scratch is rebuilt lazily — member
-    /// slots are snapshot-specific). In-flight messages are unaffected
-    /// by construction: a message is matched start-to-finish against the
-    /// snapshot its reader held when `publish` began.
+    /// accumulated output. Plan caches are rebuilt lazily (class and hop
+    /// group ids are snapshot-specific); match state carries over — its
+    /// stamps can never equal a later epoch. In-flight messages are
+    /// unaffected by construction: a message is matched start-to-finish
+    /// against the snapshot its reader held when `publish` began.
     pub fn retarget(&mut self, snap: &Arc<RoutingSnapshot>) {
         if Arc::ptr_eq(&self.snap, snap) {
             return;
         }
         self.snap = Arc::clone(snap);
-        self.scratch.clear();
+        self.scratch.resize_with(snap.tables.len(), MatchScratch::default);
+        self.plans.clear();
+    }
+
+    /// The matching work this reader has done so far, over all nodes —
+    /// for the same messages over the same routing state, exactly
+    /// [`BrokerNetwork::match_stats`](crate::broker::BrokerNetwork::match_stats).
+    pub fn match_stats(&self) -> MatchStats {
+        let mut total = MatchStats::default();
+        for scratch in &self.scratch {
+            total += scratch.stats;
+        }
+        total
     }
 
     /// Publishes a message, tagging its deliveries with the next
@@ -526,13 +285,7 @@ impl SnapshotReader {
     /// thread pool partitioning one message stream keeps the merged
     /// output equal to the serial log. Returns the delivery count.
     pub fn publish_at(&mut self, order: u64, msg: Message) -> usize {
-        self.next_order = order + 1;
-        let Some(&src) = self.snap.stream_source.get(&msg.stream) else {
-            return 0;
-        };
-        let before = self.out.deliveries.len();
-        self.forward(src, None, msg, order);
-        self.out.deliveries.len() - before
+        self.publish_batch_at(order, std::slice::from_ref(&msg))
     }
 
     /// Publishes a slice of messages under consecutive order tags
@@ -541,90 +294,19 @@ impl SnapshotReader {
     /// handing out disjoint order ranges can mix batched and serial
     /// publishing freely and the merged, order-sorted output stays equal
     /// to the serial log. Maximal same-stream runs share one forwarding
-    /// walk (one partition-scratch resolution and one epoch range per
-    /// node, per run). Returns the total number of local deliveries.
+    /// walk — the writer's own (`BrokerNetwork::publish_batch`), over this
+    /// reader's plane; the per-message delivery order is restored by the
+    /// order tags instead of splicing. Returns the total number of local
+    /// deliveries.
     pub fn publish_batch_at(&mut self, start_order: u64, msgs: &[Message]) -> usize {
         self.next_order = start_order + msgs.len() as u64;
-        let before = self.out.deliveries.len();
-        let mut i = 0;
-        while i < msgs.len() {
-            let stream = msgs[i].stream;
-            let mut j = i + 1;
-            while j < msgs.len() && msgs[j].stream == stream {
-                j += 1;
-            }
-            if let Some(&src) = self.snap.stream_source.get(&stream) {
-                let batch: Vec<(u64, Message)> = msgs[i..j]
-                    .iter()
-                    .enumerate()
-                    .map(|(k, m)| (start_order + (i + k) as u64, m.clone()))
-                    .collect();
-                self.forward_batch(src, None, batch);
-            }
-            i = j;
-        }
-        self.out.deliveries.len() - before
-    }
-
-    /// Batched twin of [`SnapshotReader::forward`] — see
-    /// `BrokerNetwork::forward_batch` for the ordering argument; the
-    /// per-message delivery order here is restored by the order tags
-    /// instead of splicing.
-    fn forward_batch(&mut self, node: NodeId, from: Option<NodeId>, batch: Vec<(u64, Message)>) {
-        let Some((_, first)) = batch.first() else { return };
-        let stream = first.stream;
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        let mut next: Vec<(NodeId, Vec<(u64, Message)>)> = Vec::new();
-        if let Some(part) = self.snap.tables[node.index()].streams.get(&stream) {
-            let ps = self
-                .scratch
-                .entry((node, stream))
-                .or_insert_with(|| PartScratch::for_partition(part));
-            let out = &mut self.out;
-            match_frozen_batch(part, &batch, from, ps, &mut buf, |order, buf| {
-                for (sub, message) in buf.deliveries.drain(..) {
-                    out.deliveries.push((order, Delivery { sub, node, message }));
-                }
-                for (hop, fwd) in buf.forwards.drain(..) {
-                    match next.binary_search_by_key(&hop, |(n, _)| *n) {
-                        Ok(i) => next[i].1.push((order, fwd)),
-                        Err(i) => next.insert(i, (hop, vec![(order, fwd)])),
-                    }
-                }
-            });
-        }
-        self.pool.push(buf);
-        for (hop, sub_batch) in next {
-            let key = if node <= hop { (node, hop) } else { (hop, node) };
-            let stats = self.out.links.entry(key).or_default();
-            stats.messages += sub_batch.len() as u64;
-            stats.bytes += sub_batch.iter().map(|(_, m)| m.wire_size() as u64).sum::<u64>();
-            self.forward_batch(hop, Some(node), sub_batch);
-        }
-    }
-
-    fn forward(&mut self, node: NodeId, from: Option<NodeId>, msg: Message, order: u64) {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        if let Some(part) = self.snap.tables[node.index()].streams.get(&msg.stream) {
-            let ps = self
-                .scratch
-                .entry((node, msg.stream))
-                .or_insert_with(|| PartScratch::for_partition(part));
-            match_frozen(part, &msg, from, ps, &mut buf);
-        }
-        for (sub, message) in buf.deliveries.drain(..) {
-            self.out.deliveries.push((order, Delivery { sub, node, message }));
-        }
-        for (next, fwd) in buf.forwards.drain(..) {
-            let key = if node <= next { (node, next) } else { (next, node) };
-            let stats = self.out.links.entry(key).or_default();
-            stats.messages += 1;
-            stats.bytes += fwd.wire_size() as u64;
-            self.forward(next, Some(node), fwd, order);
-        }
-        self.pool.push(buf);
+        let Self { snap, scratch, plans, walk, out, .. } = self;
+        let before = out.deliveries.len();
+        let mut plane = ReaderPlane { snap, scratch, plans };
+        walk.publish(&mut plane, &mut out.links, &snap.stream_source, msgs, &mut |at, delivery| {
+            out.deliveries.push((start_order + u64::from(at), delivery));
+        });
+        out.deliveries.len() - before
     }
 
     /// Takes the accumulated output, leaving the reader empty (scratch
@@ -664,7 +346,8 @@ mod tests {
     use crate::broker::BrokerNetwork;
     use crate::subscription::{Message, StreamProjection, SubId, Subscription};
     use cosmos_net::{NodeId, Topology};
-    use cosmos_query::Scalar;
+    use cosmos_query::{AttrRef, CmpOp, Predicate, Scalar};
+    use cosmos_util::Symbol;
     use std::sync::Arc;
 
     fn star_net() -> BrokerNetwork {
@@ -715,5 +398,53 @@ mod tests {
         out.sort_by_order();
         assert_eq!(out.deliveries().cloned().collect::<Vec<_>>(), expected);
         assert_eq!(out.all_link_stats(), expected_links);
+    }
+
+    /// A frozen table is a clone, tombstones and all: freeze a table one
+    /// removal short of compacting, dead members in every threshold list
+    /// and gone from the always-candidates, and a reader must still log
+    /// exactly what the writer logs — and hold the writer's partition slot
+    /// for slot.
+    #[test]
+    fn frozen_image_of_a_tombstoned_table_is_the_live_partition() {
+        let mut net = star_net();
+        let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq];
+        for i in 0..60u64 {
+            // Five operator classes plus a filter-free sixth, all local
+            // to node 2: one partition of 60 members there.
+            let filters = ops.get((i % 6) as usize).map_or(vec![], |&op| {
+                vec![Predicate::Cmp {
+                    attr: AttrRef::new("R", "a"),
+                    op,
+                    value: Scalar::Int(i as i64),
+                }]
+            });
+            net.subscribe(
+                Subscription::builder(NodeId(2))
+                    .id(SubId(i))
+                    .stream("R", StreamProjection::All, filters)
+                    .build(),
+            );
+        }
+        // 29 dead of 60 stored: tombstones do not dominate yet.
+        for i in 0..29u64 {
+            net.unsubscribe(SubId(i));
+        }
+        let snap = net.snapshot();
+        let image = &snap.tables[2].streams[&Symbol::intern("R")].part;
+        let image = format!("{image:?}");
+        assert!(image.contains("dead: true"), "tombstones are kept, not remapped away");
+        assert!(format!("{net:?}").contains(&image), "same members, same slots, same lists");
+        let mut reader = snap.reader();
+        for a in [-1, 0, 5, 10, 28, 29, 30, 45, 59, 100] {
+            let msg = Message::new("R", a).with("a", Scalar::Int(a));
+            assert_eq!(reader.publish(msg.clone()), net.publish(msg), "delivery count at a = {a}");
+        }
+        let mut out = reader.take_output();
+        out.sort_by_order();
+        assert!(out.deliveries().all(|d| d.sub.0 >= 29), "no dead member delivers");
+        assert_eq!(out.deliveries().cloned().collect::<Vec<_>>(), net.log().deliveries());
+        assert_eq!(out.all_link_stats(), net.all_link_stats());
+        assert_eq!(reader.match_stats(), net.match_stats(), "same work, either plane");
     }
 }

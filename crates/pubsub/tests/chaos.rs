@@ -10,7 +10,8 @@
 //!   schedule countered by per-link reliable delivery;
 //! - `clean` — the incremental network on a perfect message plane,
 //!   alternating serial [`BrokerNetwork::publish`] batches with the
-//!   parallel [`BrokerNetwork::publish_shared`] snapshot plane;
+//!   snapshot plane (one long-lived [`BrokerNetwork::reader`], retargeted
+//!   after churn and absorbed back);
 //! - `oracle` — the linear-scan network maintained exclusively by the
 //!   `*_wholesale` rebuild-the-world twins, publishing serially.
 //!
@@ -215,6 +216,9 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
         }
         let mut ts = 0i64;
         let mut batch = 0u32;
+        // Outlives every churn step: its match state must stay sound
+        // across retargets to tables that compacted, crashed or regrew.
+        let mut reader = t.clean.reader();
         for step in 0..rng.gen_range(35u32..70) {
             STEP.set(step);
             let roll = rng.gen_range(0u32..100);
@@ -302,9 +306,9 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
                     let msg = random_message(&mut rng, ts);
                     t.lossy.publish_lossy(msg.clone());
                     let dc = if shared {
-                        let out = t.clean.publish_shared(msg.clone());
-                        let n = out.delivered();
-                        t.clean.absorb(out);
+                        reader.retarget(&t.clean.snapshot());
+                        let n = reader.publish(msg.clone());
+                        t.clean.absorb(reader.take_output());
                         n
                     } else {
                         t.clean.publish(msg.clone())

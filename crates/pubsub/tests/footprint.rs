@@ -64,8 +64,9 @@ fn live() -> usize {
 /// 4 000 filterless subscriptions, one fresh stream each, host → proxy
 /// over the `sensor-join` overlay: what `subscribe_batch` adds to the heap
 /// — tables, forwarded sets, ledgers, installed forms — per routing-table
-/// entry. This PR reaches 855 B; commit 9812ce6 held 2 520 B per entry
-/// here (a 560-byte partition in a half-empty 568-byte map slot,
+/// entry. It reads 814 B (855 B while members, hop groups and partitions
+/// still carried their match counters); commit 9812ce6 held 2 520 B per
+/// entry here (a 560-byte partition in a half-empty 568-byte map slot,
 /// four-element first allocations for one member, one hop group and one
 /// bucket, the covering bucket in a second map, a `BTreeMap` leaf per
 /// installed subscription).

@@ -135,6 +135,27 @@ fn random_message(rng: &mut StdRng, ts: i64) -> Message {
     msg
 }
 
+/// Run lengths the batched suites chop their message sequences into: the
+/// run of one is *the* single-message path, 64 outlasts every sequence.
+const RUNS: [usize; 4] = [1, 2, 7, 64];
+
+/// `len` messages of one stream whose schema flips mid-run to the same
+/// attributes in another column order: a matcher that kept its schema
+/// resolution (or its eq-list cursor) across the flip reads the wrong
+/// columns.
+fn schema_flip_run(rng: &mut StdRng, ts: &mut i64, len: usize) -> Vec<Message> {
+    let stream = STREAMS[rng.gen_range(0..STREAMS.len())];
+    (0..len)
+        .map(|k| {
+            *ts += rng.gen_range(1i64..1_000);
+            let (first, second) = if k < len.div_ceil(2) { ("a", "b") } else { ("b", "a") };
+            Message::new(stream, *ts)
+                .with(first, random_scalar(rng))
+                .with(second, random_scalar(rng))
+        })
+        .collect()
+}
+
 fn edges_of(topo: &Topology) -> Vec<(NodeId, NodeId)> {
     let mut edges = Vec::new();
     for u in topo.nodes() {
@@ -1014,8 +1035,12 @@ fn fail_link_rebuild_matches_fresh_network() {
 /// [`BrokerNetwork::subscribe_batch`] and [`BrokerNetwork::publish_batch`]
 /// against the serial indexed network and the linear-scan oracle. Batches
 /// mix streams (split into same-stream runs internally) and are sometimes
-/// pre-sorted by stream to exercise long shared walks. Delivery counts
-/// are compared per batch; full logs and link counters at the end.
+/// pre-sorted by stream to exercise long shared walks; each ends in a
+/// same-stream tail whose schema flips mid-run, and is published in
+/// chunks of 1, 2, 7 or 64 messages — serial and batched publishing are
+/// one routine now, so the linear oracle is what both are held to.
+/// Delivery counts are compared per batch; full logs and link counters
+/// at the end.
 /// `COSMOS_STRESS=1` elevates the population and batch sizes — the
 /// large-population batched-publish equivalence run wired into CI.
 #[test]
@@ -1050,11 +1075,14 @@ fn batched_publish_and_subscribe_equal_serial_and_linear() {
                 ts += rng.gen_range(1i64..1_000);
                 batch.push(random_message(&mut rng, ts));
             }
+            let flip = RUNS[rng.gen_range(0..RUNS.len())];
+            batch.extend(schema_flip_run(&mut rng, &mut ts, flip));
             if rng.gen_bool(0.5) {
                 // Long same-stream runs: the shared-walk fast path.
                 batch.sort_by_key(|m| m.stream);
             }
-            let db = batched.publish_batch(&batch);
+            let run = RUNS[(trial as usize + round as usize) % RUNS.len()];
+            let db: usize = batch.chunks(run).map(|chunk| batched.publish_batch(chunk)).sum();
             let mut ds = 0;
             let mut dl = 0;
             for msg in &batch {
@@ -1076,36 +1104,51 @@ fn batched_publish_and_subscribe_equal_serial_and_linear() {
         );
         assert_eq!(
             batched.all_link_stats(),
+            linear.all_link_stats(),
+            "batched link traffic diverged from linear (trial {trial})"
+        );
+        assert_eq!(
             serial.all_link_stats(),
-            "batched link traffic diverged (trial {trial})"
+            linear.all_link_stats(),
+            "serial link traffic diverged from linear (trial {trial})"
         );
     }
 }
 
 /// Snapshot-reader batched publish: `publish_batch_at` over order-tagged
-/// chunks must merge to the exact serial broker log — same deliveries in
-/// the same order, same link counters — and agree with a reader
-/// publishing the same messages one `publish_at` at a time.
+/// chunks (of 1, 2, 7 or 64 messages, schema-flipping runs among them)
+/// must merge to the exact serial broker log — same deliveries in the
+/// same order, same link counters — agree with a reader publishing the
+/// same messages one `publish_at` at a time, and both with the linear
+/// oracle.
 #[test]
 fn reader_batched_publish_equals_serial() {
     for trial in 0..8u64 {
         let mut rng = rng_for(trial, "batched-reader");
         let topo = random_topology(&mut rng);
         let nodes = topo.node_count() as u32;
-        let mut net = BrokerNetwork::new(topo);
+        let mut net = BrokerNetwork::new(topo.clone());
+        let mut linear = BrokerNetwork::new_linear(topo);
         for stream in STREAMS {
-            net.advertise(stream, NodeId(rng.gen_range(0..nodes)));
+            let src = NodeId(rng.gen_range(0..nodes));
+            net.advertise(stream, src);
+            linear.advertise(stream, src);
         }
         for id in 0..rng.gen_range(10u64..80) {
-            net.subscribe(random_sub(&mut rng, id, nodes));
+            let sub = random_sub(&mut rng, id, nodes);
+            net.subscribe(sub.clone());
+            linear.subscribe(sub);
         }
         let mut ts = 0i64;
-        let msgs: Vec<Message> = (0..rng.gen_range(20u32..80))
-            .map(|_| {
+        let mut msgs: Vec<Message> = Vec::new();
+        for _ in 0..rng.gen_range(4u32..12) {
+            for _ in 0..rng.gen_range(1u32..8) {
                 ts += rng.gen_range(1i64..1_000);
-                random_message(&mut rng, ts)
-            })
-            .collect();
+                msgs.push(random_message(&mut rng, ts));
+            }
+            let flip = RUNS[rng.gen_range(0..RUNS.len())];
+            msgs.extend(schema_flip_run(&mut rng, &mut ts, flip));
+        }
         let mut one_by_one = net.reader();
         for (k, msg) in msgs.iter().enumerate() {
             one_by_one.publish_at(k as u64, msg.clone());
@@ -1113,13 +1156,20 @@ fn reader_batched_publish_equals_serial() {
         let mut chunked = net.reader();
         let mut start = 0usize;
         while start < msgs.len() {
-            let end = (start + rng.gen_range(1usize..16)).min(msgs.len());
+            let end = (start + RUNS[rng.gen_range(0..RUNS.len())]).min(msgs.len());
             chunked.publish_batch_at(start as u64, &msgs[start..end]);
             start = end;
         }
         for msg in &msgs {
             net.publish(msg.clone());
+            linear.publish_linear(msg.clone());
         }
+        assert_eq!(
+            net.log().deliveries(),
+            linear.log().deliveries(),
+            "serial log diverged from linear (trial {trial})"
+        );
+        assert_eq!(net.all_link_stats(), linear.all_link_stats());
         let mut serial_out = one_by_one.take_output();
         serial_out.sort_by_order();
         let mut batch_out = chunked.take_output();

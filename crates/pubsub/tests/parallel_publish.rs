@@ -23,7 +23,7 @@ use cosmos_util::rng::rng_for;
 use cosmos_util::SnapshotCell;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 const STREAMS: [&str; 3] = ["A", "B", "C"];
 const ATTRS: [&str; 3] = ["a", "b", "c"];
@@ -140,7 +140,9 @@ fn random_message(rng: &mut StdRng, ts: i64) -> Message {
 /// against serial `publish` of the same stream on the same network.
 /// Three phases per trial with subscription churn (and a snapshot swap)
 /// between them; the merged output is also absorbed back into the broker
-/// to pin `absorb`'s log/stats equivalence.
+/// to pin `absorb`'s log/stats equivalence. Odd workers hand their output
+/// over message by message instead of once at the end: the pieces must
+/// reassemble to the same log and counters.
 #[test]
 fn parallel_publish_equals_serial() {
     let trials = if stress() { 48 } else { 24u64 };
@@ -186,12 +188,17 @@ fn parallel_publish_equals_serial() {
                         let msgs = &msgs;
                         s.spawn(move || {
                             let mut reader = snap.reader();
+                            let mut pieces = ReaderOutput::default();
                             for (k, msg) in msgs.iter().enumerate() {
                                 if k % threads == t {
                                     reader.publish_at(k as u64, msg.clone());
+                                    if t % 2 == 1 {
+                                        pieces.merge(reader.take_output());
+                                    }
                                 }
                             }
-                            reader.take_output()
+                            pieces.merge(reader.take_output());
+                            pieces
                         })
                     })
                     .collect();
@@ -239,78 +246,6 @@ fn parallel_publish_equals_serial() {
     }
 }
 
-/// `publish_shared` (`&self`, thread-local readers) from several threads
-/// at once: per-message outputs, reassembled in stream order, must equal
-/// the serial log and link counters.
-#[test]
-fn publish_shared_equals_serial_across_threads() {
-    let trials = if stress() { 12 } else { 6u64 };
-    for trial in 0..trials {
-        let mut rng = rng_for(trial, "publish-shared");
-        let topo = random_topology(&mut rng);
-        let nodes = topo.node_count() as u32;
-        let mut net = BrokerNetwork::new(topo);
-        for stream in STREAMS {
-            net.advertise(stream, NodeId(rng.gen_range(0..nodes)));
-        }
-        for id in 0..rng.gen_range(10u64..50) {
-            net.subscribe(random_sub(&mut rng, id, nodes));
-        }
-        let mut ts = 0i64;
-        let msgs: Vec<Message> = (0..rng.gen_range(20usize..60))
-            .map(|_| {
-                ts += rng.gen_range(1i64..1_000);
-                random_message(&mut rng, ts)
-            })
-            .collect();
-        net.reset_stats();
-        for msg in &msgs {
-            net.publish(msg.clone());
-        }
-        let expected_log = net.log().deliveries().to_vec();
-        let expected_links = net.all_link_stats();
-        let threads: usize = if stress() { 8 } else { 4 };
-        let net_ref = &net;
-        type PerMessage = (usize, Vec<Delivery>, Vec<((NodeId, NodeId), LinkStats)>);
-        let mut results: Vec<PerMessage> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let msgs = &msgs;
-                    s.spawn(move || {
-                        let mut local: Vec<PerMessage> = Vec::new();
-                        for (k, msg) in msgs.iter().enumerate() {
-                            if k % threads == t {
-                                let out = net_ref.publish_shared(msg.clone());
-                                local.push((
-                                    k,
-                                    out.deliveries().cloned().collect(),
-                                    out.all_link_stats(),
-                                ));
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        });
-        results.sort_by_key(|(k, _, _)| *k);
-        let flat: Vec<Delivery> = results.iter().flat_map(|(_, d, _)| d.clone()).collect();
-        assert_eq!(flat, expected_log, "publish_shared log diverged (trial {trial})");
-        let mut links: BTreeMap<(NodeId, NodeId), LinkStats> = BTreeMap::new();
-        for (_, _, per_msg) in &results {
-            for &(k, s) in per_msg {
-                let e = links.entry(k).or_default();
-                e.messages += s.messages;
-                e.bytes += s.bytes;
-            }
-        }
-        let links: Vec<_> =
-            links.into_iter().filter(|(_, s)| s.messages > 0 || s.bytes > 0).collect();
-        assert_eq!(links, expected_links, "publish_shared link traffic diverged (trial {trial})");
-    }
-}
-
 /// Snapshots are cached (same `Arc` back) while no churn happens and
 /// rebuilt — with a higher version — as soon as churn commits.
 #[test]
@@ -343,40 +278,16 @@ fn snapshot_cached_until_churn() {
     // consistently; retargeting adopts the new one.
     let mut reader = s1.reader();
     assert_eq!(reader.publish(Message::new("R", 0).with("a", Scalar::Int(1))), 1);
+    assert_ne!(reader.snapshot().version(), net.routing_version(), "stale, and can tell");
     reader.retarget(&s3);
     reader.take_output();
     assert_eq!(reader.publish(Message::new("R", 1).with("a", Scalar::Int(1))), 2);
-}
-
-/// `publish_shared` must observe churn as soon as it commits: the
-/// thread-local reader is refreshed when the broker's version moved.
-#[test]
-fn publish_shared_observes_committed_churn() {
-    let mut topo = Topology::new(3);
-    topo.add_edge(NodeId(0), NodeId(1), 1.0);
-    topo.add_edge(NodeId(1), NodeId(2), 1.0);
-    let mut net = BrokerNetwork::new(topo);
-    net.advertise("R", NodeId(0));
-    net.subscribe(
-        Subscription::builder(NodeId(2))
-            .id(SubId(1))
-            .stream("R", StreamProjection::All, vec![])
-            .build(),
-    );
-    let out = net.publish_shared(Message::new("R", 0).with("a", Scalar::Int(1)));
-    assert_eq!(out.delivered(), 1);
-    net.subscribe(
-        Subscription::builder(NodeId(1))
-            .id(SubId(2))
-            .stream("R", StreamProjection::All, vec![])
-            .build(),
-    );
-    let out = net.publish_shared(Message::new("R", 1).with("a", Scalar::Int(1)));
-    assert_eq!(out.delivered(), 2, "publish_shared must see the committed subscription");
+    // And the other direction: committed unsubscribes are observed too.
     net.unsubscribe(SubId(1));
     net.unsubscribe(SubId(2));
-    let out = net.publish_shared(Message::new("R", 2).with("a", Scalar::Int(1)));
-    assert_eq!(out.delivered(), 0, "publish_shared must see the unsubscribes");
+    reader.retarget(&net.snapshot());
+    assert_eq!(reader.snapshot().version(), net.routing_version());
+    assert_eq!(reader.publish(Message::new("R", 2).with("a", Scalar::Int(1))), 0);
 }
 
 /// One churn step of the swap-under-load script.

@@ -14,6 +14,7 @@ use cosmos::baselines::opplace::{OperatorGraph, OperatorPlacement, RateModel};
 use cosmos::core::distribute::Distributor;
 use cosmos::core::hierarchy::CoordinatorTree;
 use cosmos::core::spec::QuerySpec;
+use cosmos::engine::StreamEngine;
 use cosmos::pubsub::TrafficModel;
 use cosmos::workload::sensors::SensorScenario;
 use std::time::Instant;
@@ -68,12 +69,18 @@ fn main() {
     println!("  cost ratio opplace/COSMOS: {:.2}", placed.cost / cosmos_cost);
 
     // --- Execute a handful of the queries against synthetic readings,
-    // spread over parallel per-processor workers as in the real deployment.
-    let mut pool = cosmos::engine::ParallelEngine::new();
+    // spread over per-processor engines as in the real deployment.
     let hosted: Vec<_> = cql.iter().take(25).collect();
-    for chunk in hosted.chunks(5) {
-        pool.add_worker(chunk.iter().map(|(id, q, _)| (*id, q.clone())).collect());
-    }
+    let mut engines: Vec<StreamEngine> = hosted
+        .chunks(5)
+        .map(|chunk| {
+            let mut engine = StreamEngine::new();
+            for (id, q, _) in chunk {
+                engine.add_query(*id, q.clone());
+            }
+            engine
+        })
+        .collect();
     // Interleave readings from every sensor those queries touch.
     let mut sensors: Vec<usize> = hosted
         .iter()
@@ -90,17 +97,22 @@ fn main() {
         tuples.extend(scenario.readings(s, 120, 0, 1_000, 5));
     }
     tuples.sort_by_key(|t| t.timestamp);
+    // Every engine sees the merged stream in timestamp order; a tuple no
+    // hosted query reads costs an engine one map probe.
+    let mut results = 0;
     for t in tuples {
-        pool.publish(t);
+        for engine in &mut engines {
+            results += engine.push(t.clone()).len();
+        }
     }
-    let (results, stats) = pool.finish_with_stats();
+    let (probes, filtered) = engines.iter().fold((0, 0), |(p, f), e| {
+        let stats = e.total_stats();
+        (p + stats.probes, f + stats.filtered)
+    });
     println!(
-        "\nparallel engine run ({} workers): {} sensors x 120 readings -> {} join results \
-         ({} probes, {} filtered by pushed-down selections)",
-        5,
+        "\nengine run ({} engines): {} sensors x 120 readings -> {results} join results \
+         ({probes} probes, {filtered} filtered by pushed-down selections)",
+        engines.len(),
         sensors.len(),
-        results.len(),
-        stats.probes,
-        stats.filtered
     );
 }
