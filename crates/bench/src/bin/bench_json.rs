@@ -143,9 +143,8 @@ fn bench_broker_unsubscribe(n_subs: u64, wholesale: bool) -> f64 {
 /// one fresh distinct subscription installed and incrementally removed
 /// per op. Install cost is the covering resolution at every path hop —
 /// the covering buckets answer it from binary-searched threshold
-/// skeletons; the `-linear` twin runs the reference scans over the
-/// node's entries and the forwarded-up population, which grow with the
-/// population. The departure half is identical in both twins, so the
+/// skeletons; the `-linear` twin runs the reference scan over the
+/// node's entries, which grow with the population. The departure half is identical in both twins, so the
 /// gap isolates the install.
 fn bench_broker_subscribe(n_subs: u64, linear: bool) -> f64 {
     let mut net = broker_with_distinct_subs(n_subs);

@@ -501,18 +501,6 @@ impl CompiledQuery {
         self.stats = stats;
     }
 
-    /// Positions of relations reading `stream`.
-    #[allow(dead_code)]
-    fn relations_for(&self, stream: &str) -> Vec<usize> {
-        self.query
-            .relations
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.stream == stream)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     fn prune(&mut self, now: i64) {
         for (i, buf) in self.buffers.iter_mut().enumerate() {
             if let Some(w) = self.widths[i] {
@@ -717,13 +705,12 @@ impl StreamEngine {
 
     /// Pushes one tuple, returning all results it triggers.
     pub fn push(&mut self, tuple: Tuple) -> Vec<ResultTuple> {
-        self.inputs += 1;
+        let Self { queries, feeds, inputs } = self;
+        *inputs += 1;
         let mut out = Vec::new();
         let shared = Arc::new(tuple);
-        if let Some(feeds) = self.feeds.get(&shared.stream).cloned() {
-            for (qi, ri) in feeds {
-                self.queries[qi].push_at(ri, shared.clone(), &mut out);
-            }
+        for &(qi, ri) in feeds.get(&shared.stream).into_iter().flatten() {
+            queries[qi].push_at(ri, shared.clone(), &mut out);
         }
         out
     }

@@ -18,11 +18,16 @@
 //!
 //! At massive scale the control plane churns continuously: subscriptions
 //! arrive and depart, links fail and recover. The network therefore keeps
-//! a per-subscription **installation ledger** ([`InstallRecord`]):
-//! every `(node, direction)` entry a subscription contributed, every
-//! forwarded-up record backing covering-based pruning, and the covering
+//! a per-subscription **installation ledger** ([`InstallRecord`]): every
+//! `(node, direction)` entry a subscription contributed, and the covering
 //! **dependencies** between subscriptions (who suppressed whose
-//! propagation). [`BrokerNetwork::unsubscribe`] tears down exactly the
+//! propagation) — entries and dependencies, nothing else: a link's
+//! same-direction routing entries *are* the record of what already
+//! travels upstream, so a walk toward a source stops at the first table
+//! that skips it and no node keeps an "already forwarded" set (why that
+//! is the same prune — `routing_covers` is transitive and every removal
+//! goes through the ledger — is argued on `BrokerNetwork::install`).
+//! [`BrokerNetwork::unsubscribe`] tears down exactly the
 //! departing subscription's footprint and re-propagates only its
 //! transitive covering dependents; [`BrokerNetwork::fail_link`] /
 //! [`BrokerNetwork::restore_link`] re-route only the subscriptions whose
@@ -69,15 +74,15 @@
 //! that actually changed.
 
 use crate::index::{
-    match_run, CoverStats, ForwardInsert, ForwardedSet, InstalledSub, MatchOutput, MatchScratch,
-    MatchStats, Partition, PlanCaches, RoutingFootprint, RoutingTable, TablePlans,
+    match_run, CoverStats, ForwardInsert, InstalledSub, MatchOutput, MatchScratch, MatchStats,
+    Partition, PlanCaches, RoutingFootprint, RoutingTable, TablePlans,
 };
 use crate::snapshot::{FrozenTable, ReaderOutput, RoutingSnapshot, SnapshotReader};
 use crate::subscription::{Message, StreamProjection, SubId, Subscription};
 use cosmos_net::{NodeId, ShortestPathTree, Topology};
 use cosmos_query::Scalar;
 use cosmos_util::{SnapshotCell, Symbol};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Traffic counters for one undirected link.
@@ -144,19 +149,16 @@ struct InstallRecord {
     seq: u64,
     /// The subscription itself, in its shared installed form — the ledger
     /// is the population store, so teardown and wave re-installation
-    /// never scan a population list, and every entry and forwarded-up
-    /// record of a single-source installation shares this very `Arc`.
+    /// never scan a population list, and every entry of a single-source
+    /// installation shares this very `Arc`.
     form: Arc<InstalledSub>,
     /// Every `(node, direction)` whose routing table holds an entry this
     /// subscription contributed (`None` = the local delivery entry).
     entries: Vec<(NodeId, Option<NodeId>)>,
-    /// `(node, source)` pairs whose forwarded-up list records this
-    /// subscription (the covering-prune state).
-    forwarded: Vec<(NodeId, NodeId)>,
     /// Subscriptions whose presence suppressed part of this installation —
-    /// a covering entry made ours redundant, or a covering forward pruned
-    /// our upstream propagation. If any of them leaves or re-routes, this
-    /// subscription must be re-propagated.
+    /// a covering same-direction entry stopped our walk toward a source,
+    /// or dropped an entry we had installed. If any of them leaves or
+    /// re-routes, this subscription must be re-propagated.
     depends_on: BTreeSet<SubId>,
 }
 
@@ -167,6 +169,29 @@ fn routing_covers(general: &Subscription, specific: &Subscription) -> bool {
         return false;
     }
     specific.streams.iter().all(|(&s, req)| general.needs(s).is_some_and(|g| g.covers(req.needs())))
+}
+
+/// `sub` restricted to `streams` — the form one source's tree carries.
+fn restricted(sub: &Subscription, streams: &[Symbol]) -> Subscription {
+    Subscription {
+        id: sub.id,
+        subscriber: sub.subscriber,
+        streams: streams.iter().map(|s| (*s, sub.streams[s].clone())).collect(),
+    }
+}
+
+/// Whether a restored edge `{a, b}` of the given latency can enter the
+/// canonical tree that `old` was before the restoration, judged from the
+/// old endpoint distances alone: only by strictly improving one
+/// endpoint, *tying* one endpoint (a tie is adopted when the edge's
+/// relaxation fires first in pop order — the fresh tree decides), or
+/// connecting a previously unreachable one.
+fn adoptable(old: &ShortestPathTree, a: NodeId, b: NodeId, latency: f64) -> bool {
+    match (old.distance(a), old.distance(b)) {
+        (None, None) => false,
+        (Some(_), None) | (None, Some(_)) => true,
+        (Some(da), Some(db)) => da + latency <= db || db + latency <= da,
+    }
 }
 
 /// Nodes whose routing tables changed since the last snapshot build.
@@ -440,10 +465,6 @@ pub struct BrokerNetwork {
     /// Per-node routing tables (stream-partitioned counting indexes; see
     /// [`crate::index`]).
     tables: Vec<RoutingTable>,
-    /// Per-node, per-source: subscriptions already forwarded toward that
-    /// source (for covering-based pruning), with covering buckets so the
-    /// prune check is sublinear in the forwarded population.
-    forwarded_up: Vec<HashMap<NodeId, ForwardedSet>>,
     /// Per-subscription installation ledgers, keyed by id — the
     /// population store (subscribe order is each record's `seq`).
     records: HashMap<SubId, InstallRecord>,
@@ -490,7 +511,6 @@ impl BrokerNetwork {
             stream_source: HashMap::new(),
             adv_trees: HashMap::new(),
             tables: (0..n).map(|_| RoutingTable::new()).collect(),
-            forwarded_up: (0..n).map(|_| HashMap::new()).collect(),
             records: HashMap::new(),
             subs_at: vec![Vec::new(); n],
             dependents: HashMap::new(),
@@ -514,8 +534,8 @@ impl BrokerNetwork {
     }
 
     /// A network whose subscription installs resolve covering with the
-    /// reference **linear scans** — over the node's table entries and the
-    /// forwarded-up population — instead of the covering buckets.
+    /// reference **linear scan** over the node's table entries instead of
+    /// the covering buckets.
     /// Observationally identical to the indexed path (same entries, same
     /// skips and drops, in the same order); kept as the differential
     /// oracle and the benchmark baseline the sublinear-arrival claim is
@@ -622,7 +642,6 @@ impl BrokerNetwork {
                     seq,
                     form: InstalledSub::new(sub),
                     entries: Vec::new(),
-                    forwarded: Vec::new(),
                     depends_on: BTreeSet::new(),
                 },
             );
@@ -654,47 +673,61 @@ impl BrokerNetwork {
     }
 
     /// Size counters of the routing state as it stands: partitions,
-    /// member records and hop groups stored over all tables, how many hop
-    /// groups' covering buckets built their threshold lists, and the
-    /// forwarded-up records stored. Tombstones count until their owner
-    /// compacts. Deterministic — a function of the operation sequence
-    /// only — so tests pin them exactly, like
-    /// [`BrokerNetwork::cover_stats`].
+    /// member records and hop groups stored over all tables, and how many
+    /// hop groups' covering buckets built their threshold lists.
+    /// Tombstones count until their owner compacts. Deterministic — a
+    /// function of the operation sequence only — so tests pin them
+    /// exactly, like [`BrokerNetwork::cover_stats`].
     pub fn footprint(&self) -> RoutingFootprint {
         let mut fp = RoutingFootprint::default();
         for table in &self.tables {
             table.add_footprint(&mut fp);
         }
-        for set in self.forwarded_up.iter().flat_map(HashMap::values) {
-            set.add_footprint(&mut fp);
-        }
         fp
     }
 
     /// Propagates the ledgered subscription `id` through the network,
-    /// recording in its ledger every entry and forwarded-up record it
-    /// contributes and every covering dependency its propagation runs
-    /// into.
+    /// recording in its ledger every entry it contributes and every
+    /// covering dependency its propagation runs into.
+    ///
+    /// After the local delivery entry, one walk per advertised source of
+    /// its streams, up that source's tree from the subscriber. Each hop
+    /// does one thing — [`BrokerNetwork::add_forwarding_entry`] toward the
+    /// node just left. An insert is ledgered, and every entry it dropped
+    /// is scrubbed from its owner's ledger, the owner now depending on
+    /// `id`. A **skip stops the walk** (`id` depends on the skipper): a
+    /// live same-direction entry covers this subscription, so what it
+    /// needs already crosses this link and every link above.
+    ///
+    /// That makes the table the only covering store. Siena keeps a second
+    /// one per node — the subscriptions already forwarded upstream — and
+    /// prunes against it; it is implied by the tables. Let `p =
+    /// parent(u)`. A subscription `y` forwarded from `u` was offered to
+    /// `p`'s table toward `u`, and left its own entry there or was skipped
+    /// by a live entry covering it. Entries leave a table only through the
+    /// ledger: dropped by an arriving coverer, which takes their place, or
+    /// uninstalled with their owner — and then everyone who transitively
+    /// depended on the owner, `y` included, is uninstalled in the same
+    /// wave. `routing_covers` is transitive (`routing_covers_is_transitive`
+    /// draws pools of them), so while `y` stays installed a live entry at
+    /// `p` toward `u` covers it and whatever it covers. Hence "something
+    /// forwarded from `u` covers `x`" holds exactly when `p`'s table skips
+    /// `x`: the forwarded-set prune at `u` and the skip at `p` are one
+    /// event seen a hop apart, leaving the same entries, up to and
+    /// including `u`'s. By the same induction nothing is missing above a
+    /// skip: the skipper's owner walked on and is, on every link up to the
+    /// source, present or covered by a live entry.
+    /// [`BrokerNetwork::check_ledger_consistency`] asserts the resulting
+    /// shape.
     fn install(&mut self, id: SubId) {
         let rec = &self.records[&id];
         let (seq, full) = (rec.seq, Arc::clone(&rec.form));
         let sub = full.sub();
         let mut rec_entries: Vec<(NodeId, Option<NodeId>)> = Vec::new();
-        let mut rec_forwarded: Vec<(NodeId, NodeId)> = Vec::new();
-        // Dependency edges discovered during propagation: `(x, y)` = `x`
-        // must re-propagate if `y`'s routing state is torn down.
-        let mut deps: Vec<(SubId, SubId)> = Vec::new();
         // Local delivery entry at the subscriber.
         self.tables[sub.subscriber.index()].insert(Arc::clone(&full), None, seq);
         rec_entries.push((sub.subscriber, None));
-        // Per-stream propagation toward the source.
-        let mut per_source: BTreeMap<NodeId, Vec<Symbol>> = BTreeMap::new();
-        for s in sub.streams.keys() {
-            if let Some(&src) = self.stream_source.get(s) {
-                per_source.entry(src).or_default().push(*s);
-            }
-        }
-        for (src, stream_names) in per_source {
+        for (src, stream_names) in self.streams_by_source(sub) {
             // Restrict the subscription to the streams this source serves
             // — one installed form per (subscription, source), shared by
             // every hop of the walk. A single-source subscription's
@@ -702,20 +735,15 @@ impl BrokerNetwork {
             let form = if stream_names.len() == sub.streams.len() {
                 Arc::clone(&full)
             } else {
-                InstalledSub::new(Subscription {
-                    id,
-                    subscriber: sub.subscriber,
-                    streams: stream_names.iter().map(|s| (*s, sub.streams[s].clone())).collect(),
-                })
+                InstalledSub::new(restricted(sub, &stream_names))
             };
             let Some(path) = self.adv_trees[&src].path_to(sub.subscriber) else {
                 continue; // unreachable subscriber
             };
-            // Walk from the subscriber toward the source: path is
-            // [src, ..., subscriber]; iterate indices len-2 .. 0.
-            for i in (0..path.len().saturating_sub(1)).rev() {
-                let u = path[i];
-                let downstream = path[i + 1];
+            // Walk from the subscriber toward the source: `path` is
+            // `[src, ..., subscriber]`.
+            for hop in path.windows(2).rev() {
+                let (u, downstream) = (hop[0], hop[1]);
                 match self.add_forwarding_entry(u, Arc::clone(&form), downstream, seq) {
                     ForwardInsert::Inserted { dropped } => {
                         rec_entries.push((u, Some(downstream)));
@@ -726,32 +754,14 @@ impl BrokerNetwork {
                             // (a stale pair would let a later uninstall
                             // tear down an entry it no longer owns).
                             self.scrub_ledger_entry(victim, u, downstream);
-                            if victim != id {
-                                deps.push((victim, id));
-                            }
+                            self.depend(victim, id);
                         }
                     }
                     ForwardInsert::Skipped { by } => {
-                        if by != id {
-                            deps.push((id, by));
-                        }
+                        self.depend(id, by);
+                        break;
                     }
                 }
-                let fwd = self.forwarded_up[u.index()].entry(src).or_default();
-                let stats = &mut self.cover_stats;
-                let coverer = if self.linear_install {
-                    fwd.find_coverer_linear(form.sub(), routing_covers, stats)
-                } else {
-                    fwd.find_coverer(&form, routing_covers, stats)
-                };
-                if let Some(cover_id) = coverer {
-                    if cover_id != id {
-                        deps.push((id, cover_id));
-                    }
-                    break; // pruned: something forwarded already covers it
-                }
-                fwd.push(Arc::clone(&form));
-                rec_forwarded.push((u, src));
             }
         }
         // Every table this install touched (inserts, covering drops,
@@ -759,13 +769,22 @@ impl BrokerNetwork {
         self.mark_churn(rec_entries.iter().map(|&(n, _)| n));
         let rec = self.records.get_mut(&id).expect("installing an unregistered subscription");
         rec.entries.extend(rec_entries);
-        rec.forwarded.extend(rec_forwarded);
-        for (x, y) in deps {
-            self.depend(x, y);
-        }
     }
 
-    /// Records the dependency `x` → `y` (both directions of the index).
+    /// The advertised streams of `sub`, grouped by the source that
+    /// serves them (unadvertised streams are left out), in source order.
+    fn streams_by_source(&self, sub: &Subscription) -> BTreeMap<NodeId, Vec<Symbol>> {
+        let mut per_source: BTreeMap<NodeId, Vec<Symbol>> = BTreeMap::new();
+        for s in sub.streams.keys() {
+            if let Some(&src) = self.stream_source.get(s) {
+                per_source.entry(src).or_default().push(*s);
+            }
+        }
+        per_source
+    }
+
+    /// Records the dependency `x` → `y` (both directions of the index):
+    /// `x` must re-propagate if `y`'s routing state is torn down.
     fn depend(&mut self, x: SubId, y: SubId) {
         if let Some(rec) = self.records.get_mut(&x) {
             if rec.depends_on.insert(y) {
@@ -828,22 +847,16 @@ impl BrokerNetwork {
     }
 
     /// Tears down everything `id` installed — its table entries (via the
-    /// ledger, not a population scan), its forwarded-up records, and its
-    /// outgoing dependency edges. The record itself survives with its
-    /// sequence number, so the subscription can be re-installed.
+    /// ledger, not a population scan) and its outgoing dependency edges.
+    /// The record itself survives with its sequence number, so the
+    /// subscription can be re-installed.
     fn uninstall(&mut self, id: SubId) {
         let Some(rec) = self.records.get_mut(&id) else { return };
         let entries = std::mem::take(&mut rec.entries);
-        let forwarded = std::mem::take(&mut rec.forwarded);
         let depends_on = std::mem::take(&mut rec.depends_on);
         self.mark_churn(entries.iter().map(|&(n, _)| n));
         for (node, to) in entries {
             self.tables[node.index()].remove_entry(id, to);
-        }
-        for (node, src) in forwarded {
-            if let Some(fwd) = self.forwarded_up[node.index()].get_mut(&src) {
-                fwd.remove(id);
-            }
         }
         for y in depends_on {
             if let Some(d) = self.dependents.get_mut(&y) {
@@ -935,14 +948,10 @@ impl BrokerNetwork {
         for table in &mut self.tables {
             table.clear();
         }
-        for fwd in &mut self.forwarded_up {
-            fwd.clear();
-        }
         self.dependents.clear();
         let mut all: Vec<(u64, SubId)> = Vec::with_capacity(self.records.len());
         for (&id, rec) in &mut self.records {
             rec.entries.clear();
-            rec.forwarded.clear();
             rec.depends_on.clear();
             all.push((rec.seq, id));
         }
@@ -1204,8 +1213,14 @@ impl BrokerNetwork {
     ///   (a multi-stream subscription may contribute several entries at
     ///   one hop), and every live entry is ledgered by exactly one
     ///   [`InstallRecord`] — its owner's;
-    /// - every ledgered forwarded-up pair resolves to a live forwarded
-    ///   record and vice versa;
+    /// - per live subscription and advertised source of its streams, the
+    ///   forwarding entries of its restriction to that source are a
+    ///   **contiguous run of the current tree path** from the subscriber
+    ///   upward, ending at the source or directly below a node whose
+    ///   table holds a live same-direction entry of *another*
+    ///   subscription that `routing_covers` the restriction (the install
+    ///   walk's stop rule), and it ledgers no forwarding entry off those
+    ///   runs;
     /// - the per-node subscriber index lists each live subscription
     ///   exactly once, and the covering-dependency edges are symmetric
     ///   between the forward and reverse indexes.
@@ -1214,9 +1229,18 @@ impl BrokerNetwork {
     /// differential suites, which assert it after every churn operation.
     pub fn check_ledger_consistency(&self) -> Result<(), String> {
         let mut entries: HashMap<(SubId, NodeId, Option<NodeId>), i64> = HashMap::new();
+        // Live forwarding entries as `(owner, node, toward, source of the
+        // entry's streams)` — one restriction per source, so one key per
+        // hop of a walk.
+        let mut own: HashSet<(SubId, NodeId, NodeId, NodeId)> = HashSet::new();
         for (n, table) in self.tables.iter().enumerate() {
+            let node = NodeId(n as u32);
             for (sub, to) in table.entries() {
-                *entries.entry((sub.id, NodeId(n as u32), to)).or_default() += 1;
+                *entries.entry((sub.id, node, to)).or_default() += 1;
+                let src = sub.streams.keys().next().and_then(|s| self.stream_source.get(s));
+                if let (Some(to), Some(&src)) = (to, src) {
+                    own.insert((sub.id, node, to, src));
+                }
             }
         }
         for (&id, rec) in &self.records {
@@ -1231,25 +1255,35 @@ impl BrokerNetwork {
                 format!("ledgered entry of {id} at {node:?} toward {dir:?} is not live")
             });
         }
-        let mut forwarded: HashMap<(SubId, NodeId, NodeId), i64> = HashMap::new();
-        for (n, per_src) in self.forwarded_up.iter().enumerate() {
-            for (&src, set) in per_src {
-                for sub in set.iter() {
-                    *forwarded.entry((sub.id, NodeId(n as u32), src)).or_default() += 1;
+        for (&id, rec) in &self.records {
+            let sub = rec.form.sub();
+            let mut on_runs = 0;
+            for (src, streams) in self.streams_by_source(sub) {
+                let Some(path) = self.adv_trees[&src].path_to(sub.subscriber) else { continue };
+                let mut walk = path.windows(2).rev().peekable();
+                while walk.next_if(|w| own.contains(&(id, w[0], w[1], src))).is_some() {
+                    on_runs += 1;
+                }
+                // The first hop without an entry of ours, if the run
+                // stopped short of the source.
+                let Some(stop) = walk.next() else { continue };
+                let (part, down) = (restricted(sub, &streams), Some(stop[1]));
+                let covered = |(e, to): (&Subscription, _)| {
+                    to == down && e.id != id && routing_covers(e, &part)
+                };
+                if !self.tables[stop[0].index()].entries().any(covered) {
+                    return Err(format!(
+                        "run of {id} toward {src:?} stops below {:?} with no covering entry",
+                        stop[0]
+                    ));
                 }
             }
-        }
-        for (&id, rec) in &self.records {
-            for &(node, src) in &rec.forwarded {
-                *forwarded.entry((id, node, src)).or_default() -= 1;
+            let ledgered = rec.entries.iter().filter(|(_, dir)| dir.is_some()).count();
+            if ledgered != on_runs {
+                return Err(format!(
+                    "{id} ledgers {ledgered} forwarding entries, {on_runs} on its contiguous runs"
+                ));
             }
-        }
-        if let Some(((id, node, src), n)) = forwarded.iter().find(|(_, &n)| n != 0) {
-            return Err(if *n > 0 {
-                format!("forwarded record of {id} at {node:?} toward {src:?} is not ledgered")
-            } else {
-                format!("ledgered forward of {id} at {node:?} toward {src:?} is not live")
-            });
         }
         for (&id, rec) in &self.records {
             let n = self.subs_at[rec.form.sub().subscriber.index()]
@@ -1406,28 +1440,16 @@ impl BrokerNetwork {
         let mut stale: Vec<NodeId> = Vec::new();
         for src in sources {
             let tree = &self.adv_trees[&src];
-            let mut moved: Vec<NodeId> = Vec::new();
-            if src == n {
-                for (v, _) in self.topo.neighbors(n) {
-                    if let Some(below) = tree.nodes_via_edge(n, v) {
-                        moved.extend(below);
-                    }
-                }
-            } else if tree.distance(n).is_some() {
-                let parent = tree.parent(n).expect("reachable non-root has a parent");
-                moved = tree.nodes_via_edge(parent, n).expect("edge into a reachable node");
+            let moved = if src == n {
+                let below = |(v, _)| tree.nodes_via_edge(n, v);
+                self.topo.neighbors(n).filter_map(below).flatten().collect()
+            } else if let Some(parent) = tree.parent(n) {
+                tree.nodes_via_edge(parent, n).expect("edge into a reachable node")
             } else {
-                continue;
-            }
+                continue; // this tree never reaches `n`
+            };
             stale.push(src);
-            for m in &moved {
-                for &id in &self.subs_at[m.index()] {
-                    let sub = self.records[&id].form.sub();
-                    if sub.streams.keys().any(|s| self.stream_source.get(s) == Some(&src)) {
-                        roots.insert(id);
-                    }
-                }
-            }
+            self.rerouted_into(&mut roots, &moved, src);
         }
         let edges = self.topo.remove_node(n);
         for src in stale {
@@ -1482,13 +1504,7 @@ impl BrokerNetwork {
         let mut roots: BTreeSet<SubId> = BTreeSet::new();
         for src in sources {
             let old = &self.adv_trees[&src];
-            let adoptable =
-                edges.iter().any(|&(v, lat)| match (old.distance(n), old.distance(v)) {
-                    (None, None) => false,
-                    (Some(_), None) | (None, Some(_)) => true,
-                    (Some(da), Some(db)) => da + lat <= db || db + lat <= da,
-                });
-            if !adoptable {
+            if !edges.iter().any(|&(v, lat)| adoptable(old, n, v, lat)) {
                 continue;
             }
             let fresh = ShortestPathTree::compute(&self.topo, src);
@@ -1496,21 +1512,10 @@ impl BrokerNetwork {
             // restored edges: any changed canonical path must cross one
             // of them. (For a remote source that is just the subtree at
             // `n`; for a source at `n` it is everything reachable.)
-            let mut moved: Vec<NodeId> = Vec::new();
-            for &(v, _) in edges {
-                if let Some(below) = fresh.nodes_via_edge(n, v) {
-                    moved.extend(below);
-                }
-            }
+            let below = |&(v, _): &(NodeId, f64)| fresh.nodes_via_edge(n, v);
+            let moved: Vec<NodeId> = edges.iter().filter_map(below).flatten().collect();
             self.adv_trees.insert(src, fresh);
-            for m in &moved {
-                for &id in &self.subs_at[m.index()] {
-                    let sub = self.records[&id].form.sub();
-                    if sub.streams.keys().any(|s| self.stream_source.get(s) == Some(&src)) {
-                        roots.insert(id);
-                    }
-                }
-            }
+            self.rerouted_into(&mut roots, &moved, src);
         }
         let wave = self.dependent_closure(roots);
         self.repropagate(&wave);
@@ -1590,6 +1595,21 @@ impl BrokerNetwork {
         }
     }
 
+    /// Adds to `roots` the subscriptions hosted on the `moved` nodes of
+    /// `src`'s tree that request one of its streams. Walks the moved
+    /// subtree's nodes, not the population: the per-node index yields
+    /// exactly the subscribers that re-route.
+    fn rerouted_into(&self, roots: &mut BTreeSet<SubId>, moved: &[NodeId], src: NodeId) {
+        for m in moved {
+            for &id in &self.subs_at[m.index()] {
+                let sub = self.records[&id].form.sub();
+                if sub.streams.keys().any(|s| self.stream_source.get(s) == Some(&src)) {
+                    roots.insert(id);
+                }
+            }
+        }
+    }
+
     /// Recomputes the dissemination trees affected by a change to link
     /// `{a, b}` (already applied to the topology) and returns the re-route
     /// set: subscriptions whose installed paths are — or become — routed
@@ -1603,24 +1623,14 @@ impl BrokerNetwork {
     /// unchanged, so a source whose tree never touches the link keeps its
     /// tree, and subscribers outside the moved subtree keep their
     /// installed entries. For a restoration, whether the link can be
-    /// adopted at all is decided from the **old** tree's endpoint
-    /// distances before paying a shortest-path recomputation: the edge
-    /// can enter the canonical tree only by strictly improving one
-    /// endpoint, *tying* one endpoint (a tie is adopted when the edge's
-    /// relaxation fires first in pop order — the fresh tree decides), or
-    /// connecting a previously unreachable one.
+    /// adopted at all is decided from the **old** tree ([`adoptable`])
+    /// before paying a shortest-path recomputation.
     fn affected_by_link(&mut self, a: NodeId, b: NodeId, restored: Option<f64>) -> BTreeSet<SubId> {
         let sources: Vec<NodeId> = self.adv_trees.keys().copied().collect();
         let mut roots: BTreeSet<SubId> = BTreeSet::new();
         for src in sources {
             let moved = if let Some(latency) = restored {
-                let old = &self.adv_trees[&src];
-                let adoptable = match (old.distance(a), old.distance(b)) {
-                    (None, None) => false,
-                    (Some(_), None) | (None, Some(_)) => true,
-                    (Some(da), Some(db)) => da + latency <= db || db + latency <= da,
-                };
-                if !adoptable {
+                if !adoptable(&self.adv_trees[&src], a, b, latency) {
                     continue;
                 }
                 let fresh = ShortestPathTree::compute(&self.topo, src);
@@ -1632,16 +1642,7 @@ impl BrokerNetwork {
                 self.adv_trees.insert(src, ShortestPathTree::compute(&self.topo, src));
                 moved
             };
-            // Walk the moved subtree's nodes, not the population: the
-            // per-node index yields exactly the subscribers that re-route.
-            for n in &moved {
-                for &id in &self.subs_at[n.index()] {
-                    let sub = self.records[&id].form.sub();
-                    if sub.streams.keys().any(|s| self.stream_source.get(s) == Some(&src)) {
-                        roots.insert(id);
-                    }
-                }
-            }
+            self.rerouted_into(&mut roots, &moved, src);
         }
         self.dependent_closure(roots)
     }
@@ -1651,6 +1652,7 @@ impl BrokerNetwork {
 mod tests {
     use super::*;
     use cosmos_query::{AttrRef, CmpOp, Predicate, Scalar};
+    use proptest::prelude::*;
 
     /// The paper's Figure 1/2 topology: n3 (source) - n2 - n1 - {n6, n7},
     /// with n4, n5 hanging off n2 and n1.
@@ -1833,6 +1835,67 @@ mod tests {
         let d = net.publish(Message::new("R", 0).with("a", Scalar::Int(25)));
         assert_eq!(d, 1, "n6 must receive after its coverer departed");
         assert_eq!(net.link_stats(NodeId(2), NodeId(1)).messages, 1);
+    }
+
+    /// Owners of the live entries at `node` toward `to`, in table order.
+    fn toward(net: &BrokerNetwork, node: u32, to: u32) -> Vec<SubId> {
+        net.tables[node as usize]
+            .entries()
+            .filter(|(_, hop)| *hop == Some(NodeId(to)))
+            .map(|(s, _)| s.id)
+            .collect()
+    }
+
+    #[test]
+    fn covering_entry_from_another_direction_stops_the_walk_one_hop_above_the_meeting_node() {
+        // n7's broad a>10 reaches the source first; n6's narrow a>20 joins
+        // its path at n1, arriving from another direction. The narrow
+        // walk leaves its entry at the meeting node and stops at n2, whose
+        // entry toward n1 covers it — nothing of it above.
+        let mut net = BrokerNetwork::new(paper_topology());
+        net.advertise("R", NodeId(3));
+        net.subscribe(sub_r(7, 7, 10));
+        net.subscribe(sub_r(6, 6, 20));
+        assert_eq!(toward(&net, 1, 6), vec![SubId(6)], "entry at the meeting node");
+        assert_eq!(toward(&net, 2, 1), vec![SubId(7)], "skipped one hop above it");
+        assert_eq!(toward(&net, 3, 2), vec![SubId(7)], "and never offered to the source");
+        assert_eq!(net.records[&SubId(6)].depends_on, BTreeSet::from([SubId(7)]));
+        net.check_ledger_consistency().expect("run ends below a covering entry");
+        // The coverer leaves: the narrow walk is extended to the source.
+        net.unsubscribe(SubId(7));
+        assert_eq!(toward(&net, 2, 1), vec![SubId(6)]);
+        assert_eq!(toward(&net, 3, 2), vec![SubId(6)]);
+        net.check_ledger_consistency().expect("run ends at the source");
+        assert_eq!(net.publish(Message::new("R", 0).with("a", Scalar::Int(25))), 1);
+    }
+
+    #[test]
+    fn a_dropped_skipper_still_stops_the_walk_through_its_own_coverer() {
+        // Chain of three: n6's a>20 is skipped at n2 by n7's a>10, whose
+        // entries at n2 and n3 are then dropped by n5's a>0. The narrow
+        // run now ends below an entry that covers it only transitively.
+        let mut net = BrokerNetwork::new(paper_topology());
+        net.advertise("R", NodeId(3));
+        net.subscribe(sub_r(7, 7, 10));
+        net.subscribe(sub_r(6, 6, 20));
+        net.subscribe(sub_r(5, 5, 0));
+        assert_eq!(toward(&net, 2, 1), vec![SubId(5)], "the skipper's entry was dropped");
+        assert_eq!(toward(&net, 1, 6), vec![SubId(6)]);
+        assert_eq!(toward(&net, 1, 7), vec![SubId(7)]);
+        net.check_ledger_consistency().expect("covered through the chain 5 ⊒ 7 ⊒ 6");
+        assert_eq!(net.publish(Message::new("R", 0).with("a", Scalar::Int(25))), 3);
+        // The broadest leaves: the wave re-installs 7 to the source and
+        // stops 6 below it again.
+        net.unsubscribe(SubId(5));
+        assert_eq!(toward(&net, 2, 1), vec![SubId(7)]);
+        assert_eq!(toward(&net, 3, 2), vec![SubId(7)]);
+        net.check_ledger_consistency().expect("consistent after the repair wave");
+        // Then the middle one: the narrow walk reaches the source.
+        net.unsubscribe(SubId(7));
+        assert_eq!(toward(&net, 2, 1), vec![SubId(6)]);
+        assert_eq!(toward(&net, 3, 2), vec![SubId(6)]);
+        net.check_ledger_consistency().expect("run ends at the source");
+        assert_eq!(net.publish(Message::new("R", 1).with("a", Scalar::Int(25))), 1);
     }
 
     #[test]
@@ -2236,5 +2299,97 @@ mod tests {
         assert_eq!(net.next_seq, seq, "no sequence number was consumed");
         net.check_ledger_consistency().expect("consistent after the rejected batch");
         std::panic::resume_unwind(rejected);
+    }
+
+    /// One stream request decoded from drawn `(shape, value)` codes: the
+    /// differential suites' `random_predicate` shapes (every operator on
+    /// three attributes, integer and half-step thresholds, string
+    /// (in)equality, event-time bounds, a foreign-relation reference) and
+    /// the covering-rich salt (hot `b >` bounds, NaN and signed zeros),
+    /// over a value domain small enough that covering is common.
+    fn decode_request(
+        stream: &str,
+        codes: &[(u32, i64)],
+        projection: u32,
+    ) -> (StreamProjection, Vec<Predicate>) {
+        const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+        let cmp = |rel: &str, attr: &str, op, value| Predicate::Cmp {
+            attr: AttrRef::new(rel, attr),
+            op,
+            value,
+        };
+        let filters = codes
+            .iter()
+            .map(|&(shape, v)| {
+                let attr = ["a", "b", "c"][shape as usize % 3];
+                let op = OPS[shape as usize / 3 % 6];
+                match shape {
+                    0..=17 => cmp(stream, attr, op, Scalar::Int(v)),
+                    18..=23 => cmp(stream, attr, op, Scalar::Float(v as f64 + 0.5)),
+                    24 | 25 => {
+                        let s = Scalar::Str(["x", "y"][v.rem_euclid(2) as usize].to_string());
+                        cmp(stream, "s", if shape == 24 { CmpOp::Eq } else { CmpOp::Ne }, s)
+                    }
+                    26 => cmp(stream, "timestamp", CmpOp::Ge, Scalar::Int(v * 1_000)),
+                    27 => cmp(stream, "timestamp", CmpOp::Lt, Scalar::Int(v * 1_000)),
+                    28 => cmp("not-R", "a", CmpOp::Gt, Scalar::Int(0)),
+                    29 => cmp(stream, "b", CmpOp::Gt, Scalar::Float(f64::NAN)),
+                    30 => cmp(stream, "b", CmpOp::Gt, Scalar::Float(-0.0)),
+                    31 => cmp(stream, "b", CmpOp::Ge, Scalar::Float(0.0)),
+                    _ => cmp(stream, "b", CmpOp::Gt, Scalar::Int(v)),
+                }
+            })
+            .collect();
+        let shapes: [&[&str]; 6] =
+            [&[], &["a"], &["a", "b"], &["b", "c"], &["a", "b", "c"], &["s"]];
+        let projection = match shapes[projection as usize] {
+            [] => StreamProjection::All,
+            attrs => StreamProjection::attrs(attrs.iter().copied()),
+        };
+        (projection, filters)
+    }
+
+    /// A subscription on `R`, `S` or both (as `covering_rich_sub` and
+    /// `random_sub` draw them).
+    fn any_sub() -> impl Strategy<Value = Subscription> {
+        let request = || (proptest::collection::vec((0u32..64, -3i64..8), 0..3), 0u32..6);
+        (request(), request(), 0u32..10).prop_map(|((fr, pr), (fs, ps), streams)| {
+            let mut builder = Subscription::builder(NodeId(0));
+            if streams != 8 {
+                let (projection, filters) = decode_request("R", &fr, pr);
+                builder = builder.stream("R", projection, filters);
+            }
+            if streams >= 8 {
+                let (projection, filters) = decode_request("S", &fs, ps);
+                builder = builder.stream("S", projection, filters);
+            }
+            builder.build()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// What lets the routing table double as the record of what was
+        /// already forwarded upstream (see `BrokerNetwork::install`): if
+        /// `x` covers `y` and `y` covers `z` for routing — filters,
+        /// projections and needs — then `x` covers `z`. Every ordered
+        /// triple of each drawn pool is checked (independent triples
+        /// rarely chain).
+        #[test]
+        fn routing_covers_is_transitive(pool in proptest::collection::vec(any_sub(), 6..10)) {
+            let n = pool.len();
+            let covers: Vec<Vec<bool>> =
+                pool.iter().map(|x| pool.iter().map(|y| routing_covers(x, y)).collect()).collect();
+            for (x, y) in (0..n).flat_map(|x| (0..n).map(move |y| (x, y))) {
+                for z in (0..n).filter(|&z| covers[x][y] && covers[y][z]) {
+                    prop_assert!(
+                        covers[x][z],
+                        "{:?} covers {:?} covers {:?}, but not the last directly",
+                        pool[x], pool[y], pool[z]
+                    );
+                }
+            }
+        }
     }
 }

@@ -143,12 +143,14 @@
 //!   entry tombstone/compaction lifecycle: removal leaves stale slot
 //!   references that the dead flag neutralizes during candidate
 //!   filtering, and compaction rebuilds the buckets dense alongside the
-//!   threshold lists. [`ForwardedSet`] applies the same structure to the
-//!   broker's forwarded-up prune state, and both keep their reference
-//!   linear scans as oracle twins (the broker's `new_linear` mode) —
-//!   answers are bit-identical, candidates are merely fewer.
-//!   [`CoverStats`] counts the work: list slots visited, confirmations
-//!   attempted, confirmations that held.
+//!   threshold lists. One structure, one owner: the bucket is the only
+//!   covering store of its link — the same-direction entry one hop up
+//!   *is* the record of what a node already forwarded upstream, so the
+//!   broker keeps none (the argument is on its install walk, which stops
+//!   at the first skip). Its reference twin is the linear table scan of
+//!   the broker's `new_linear` mode: answers are bit-identical,
+//!   candidates merely fewer. [`CoverStats`] counts the work: list slots
+//!   visited, confirmations attempted, confirmations that held.
 //!
 //! Wholesale rebuilds still exist, but only as the *differential oracle*:
 //! the broker's `*_wholesale` maintenance hooks clear and re-install
@@ -450,9 +452,9 @@ fn push_exact_first<T>(v: &mut Vec<T>, item: T) {
     v.push(item);
 }
 
-/// Below this many members a covering bucket (or forwarded set) is
-/// scanned whole instead of range-probed: the skeleton split and bound
-/// computation cost more than confirming a handful of candidates, and
+/// Below this many members a covering bucket is scanned whole instead of
+/// range-probed: the skeleton split and bound computation cost more than
+/// confirming a handful of candidates, and
 /// covering-dense populations — where merges keep every bucket tiny —
 /// would otherwise pay that overhead on every install hop. Both paths
 /// produce a candidate superset confirmed by the same exact check, so
@@ -474,10 +476,10 @@ fn norm(t: f64) -> f64 {
 /// dissemination tree carries it: the subscription restricted to that
 /// source's streams plus its per-stream indexable/residual split
 /// ([`StreamRequest::split_for_index`]), derived once. The broker's
-/// ledger, every hop's routing entry and every forwarded-up record of the
-/// installation hold the same `Arc`, so a hop costs a refcount bump
-/// instead of a deep copy and nothing re-derives the split — not the skip
-/// probe, the victim probes or the insert, and not compaction either.
+/// ledger and every hop's routing entry of the installation hold the same
+/// `Arc`, so a hop costs a refcount bump instead of a deep copy and
+/// nothing re-derives the split — not the skip probe, the victim probes
+/// or the insert, and not compaction either.
 #[derive(Debug)]
 pub struct InstalledSub {
     sub: Subscription,
@@ -530,7 +532,7 @@ pub struct CoverStats {
     pub visited: u64,
     /// Exact covering confirmations attempted on candidates.
     pub attempted: u64,
-    /// Confirmations that held (a skip, a prune or a drop).
+    /// Confirmations that held (a skip or a drop).
     pub held: u64,
 }
 
@@ -547,8 +549,7 @@ impl CoverStats {
 /// (no per-query reset — the same device as the match index's members).
 #[derive(Debug)]
 struct CoverMember {
-    /// Caller-defined slot (routing-table entry id, forwarded-set record
-    /// index).
+    /// The owner's slot: the routing-table entry id.
     slot: u32,
     /// How many indexable comparisons the member carries, duplicates
     /// included. Each non-NaN one is one threshold-list reference; a NaN
@@ -626,8 +627,8 @@ struct CoverLists {
     epoch: u64,
 }
 
-// One per hop group of every partition, one per stream of every
-// forwarded set: unbuilt, a vector header and a pointer.
+// One per hop group of every partition: unbuilt, a vector header and a
+// pointer.
 const _: () = assert!(std::mem::size_of::<CoverBucket>() <= 32);
 
 impl CoverBucket {
@@ -835,180 +836,6 @@ pub enum ForwardInsert {
     },
 }
 
-/// The forwarded-up set of one `(node, source)` pair: the subscriptions
-/// already propagated toward that source, with per-stream
-/// covering buckets so the prune check — "does anything already forwarded
-/// cover this subscription?" — counts over threshold skeletons instead of
-/// scanning the population. Same tombstone/compaction lifecycle as the
-/// routing table; the linear scan survives as
-/// [`ForwardedSet::find_coverer_linear`], the oracle twin.
-#[derive(Debug, Default)]
-pub struct ForwardedSet {
-    records: Vec<ForwardedRec>,
-    buckets: HashMap<Symbol, CoverBucket>,
-    /// Record slots per subscription id, ascending — makes removal
-    /// independent of population size (no whole-set scan at 100k+).
-    slots_of: HashMap<SubId, Vec<u32>>,
-    dead: usize,
-    /// Whether the covering buckets exist. Small sets are scanned
-    /// linearly ([`COVER_SCAN_SMALL`]), so bucket upkeep is deferred
-    /// until the set outgrows the threshold — in covering-dense
-    /// populations the prune state stays tiny and pays no upkeep at all.
-    built: bool,
-    /// Scratch buffer of candidate slots, reused across
-    /// [`ForwardedSet::find_coverer`] calls.
-    scratch: Vec<u32>,
-}
-
-#[derive(Debug)]
-struct ForwardedRec {
-    form: Arc<InstalledSub>,
-    dead: bool,
-}
-
-impl ForwardedRec {
-    /// This record's id when it is live, not `sub`'s own, and covers it.
-    fn coverer_of<F>(&self, sub: &Subscription, covers: F, stats: &mut CoverStats) -> Option<SubId>
-    where
-        F: Fn(&Subscription, &Subscription) -> bool,
-    {
-        let general = &self.form.sub;
-        (!self.dead && general.id != sub.id && stats.confirm(covers(general, sub)))
-            .then_some(general.id)
-    }
-}
-
-impl ForwardedSet {
-    fn bucket_insert(buckets: &mut HashMap<Symbol, CoverBucket>, slot: u32, form: &InstalledSub) {
-        for (s, _, indexable, _) in form.streams() {
-            let bucket = buckets.entry(s).or_default();
-            bucket.lists.get_or_insert_with(Box::default);
-            bucket.insert(slot, indexable);
-        }
-    }
-
-    /// Records a forwarded subscription, extending its streams' buckets
-    /// (built lazily, once the set outgrows the whole-scan threshold —
-    /// the per-set mirror of `RoutingTable::insert`'s per-bucket policy;
-    /// the gate counts raw records, tombstones included, matching the
-    /// `find_coverer` shortcut's gate).
-    pub fn push(&mut self, form: Arc<InstalledSub>) {
-        let slot = u32::try_from(self.records.len()).expect("forwarded set overflow");
-        if !self.built && self.records.len() >= COVER_SCAN_SMALL {
-            self.built = true;
-            for (i, rec) in self.records.iter().enumerate() {
-                if !rec.dead {
-                    Self::bucket_insert(&mut self.buckets, i as u32, &rec.form);
-                }
-            }
-        }
-        if self.built {
-            Self::bucket_insert(&mut self.buckets, slot, &form);
-        }
-        self.slots_of.entry(form.sub.id).or_default().push(slot);
-        self.records.push(ForwardedRec { form, dead: false });
-    }
-
-    /// The first live record covering `form`'s subscription (insertion
-    /// order — identical to the linear twin's answer), via the covering
-    /// buckets; a coverer must request every stream of the subscription,
-    /// so the first stream's bucket already contains all possible
-    /// coverers. `covers(general, specific)` confirms candidates. A
-    /// record never covers its own id.
-    pub fn find_coverer<F>(
-        &mut self,
-        form: &InstalledSub,
-        covers: F,
-        stats: &mut CoverStats,
-    ) -> Option<SubId>
-    where
-        F: Fn(&Subscription, &Subscription) -> bool,
-    {
-        let sub = &form.sub;
-        if !self.built {
-            // Covering pruning keeps most forwarded sets tiny; scanning
-            // them beats the skeleton machinery (identical answer).
-            return self.find_coverer_linear(sub, covers, stats);
-        }
-        let Some((s0, _, probe, _)) = form.streams().next() else {
-            // A stream-free subscription is vacuously covered by anything
-            // live; only the linear scan can answer for it.
-            return self.find_coverer_linear(sub, covers, stats);
-        };
-        let bucket = self.buckets.get_mut(&s0)?;
-        let mut candidates = std::mem::take(&mut self.scratch);
-        candidates.clear();
-        bucket.coverer_candidates(probe, &mut candidates, stats);
-        let found = candidates
-            .iter()
-            .find_map(|&slot| self.records[slot as usize].coverer_of(sub, &covers, stats));
-        self.scratch = candidates;
-        found
-    }
-
-    /// The reference linear scan over live records, in insertion order —
-    /// the oracle twin of [`ForwardedSet::find_coverer`].
-    pub fn find_coverer_linear<F>(
-        &self,
-        sub: &Subscription,
-        covers: F,
-        stats: &mut CoverStats,
-    ) -> Option<SubId>
-    where
-        F: Fn(&Subscription, &Subscription) -> bool,
-    {
-        self.records.iter().find_map(|rec| rec.coverer_of(sub, &covers, stats))
-    }
-
-    /// Tombstones every record of `id`, compacting once tombstones
-    /// dominate. Returns how many records were removed.
-    pub fn remove(&mut self, id: SubId) -> usize {
-        let mut n = 0;
-        if let Some(slots) = self.slots_of.remove(&id) {
-            for slot in slots {
-                let rec = &mut self.records[slot as usize];
-                if !rec.dead {
-                    rec.dead = true;
-                    self.dead += 1;
-                    n += 1;
-                }
-            }
-        }
-        if tombstones_dominate(self.dead, self.records.len()) {
-            let live: Vec<Arc<InstalledSub>> =
-                self.records.drain(..).filter(|r| !r.dead).map(|r| r.form).collect();
-            self.buckets.clear();
-            self.slots_of.clear();
-            self.dead = 0;
-            self.built = false;
-            for form in live {
-                self.push(form);
-            }
-        }
-        n
-    }
-
-    /// Adds this set's stored records to `fp`.
-    pub(crate) fn add_footprint(&self, fp: &mut RoutingFootprint) {
-        fp.forwarded_records += self.records.len() as u64;
-    }
-
-    /// Live forwarded subscriptions, in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Subscription> {
-        self.records.iter().filter(|r| !r.dead).map(|r| &r.form.sub)
-    }
-
-    /// Number of live records.
-    pub fn len(&self) -> usize {
-        self.records.len() - self.dead
-    }
-
-    /// `true` when no live records remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// The part of a stream partition that matching reads and never writes:
 /// members, always-candidates and threshold lists. A frozen partition
 /// ([`FrozenPartition`]) holds a field-wise clone of it — same types,
@@ -1069,8 +896,6 @@ pub struct RoutingFootprint {
     /// Hop groups whose covering bucket outgrew the whole-scan threshold
     /// and built its threshold lists.
     pub buckets_built: u64,
-    /// Forwarded-up records over all `(node, source)` sets.
-    pub forwarded_records: u64,
 }
 
 /// Deterministic work counters of matching: what the messages matched
@@ -1491,9 +1316,8 @@ impl RoutingTable {
                     // Forwarding entries join their group's covering
                     // bucket; local-delivery entries never covering-merge.
                     // Threshold lists are built lazily, once the bucket
-                    // outgrows the whole-scan threshold (ForwardedSet::push
-                    // mirrors this policy per *set*, gating on raw record
-                    // count; here the backfill skips tombstoned entries).
+                    // outgrows the whole-scan threshold; the backfill
+                    // skips tombstoned entries.
                     let bucket = &mut group.cover;
                     if bucket.lists.is_none() && bucket.members.len() >= COVER_SCAN_SMALL {
                         let staged = std::mem::take(&mut bucket.members);
@@ -1849,15 +1673,6 @@ mod tests {
             let mut stats = CoverStats::default();
             self.insert_covering(InstalledSub::new(sub), to, seq, rcovers, &mut stats)
         }
-    }
-
-    fn coverer(set: &mut ForwardedSet, probe: &Subscription) -> Option<SubId> {
-        let form = InstalledSub::new(probe.clone());
-        set.find_coverer(&form, rcovers, &mut CoverStats::default())
-    }
-
-    fn coverer_linear(set: &ForwardedSet, probe: &Subscription) -> Option<SubId> {
-        set.find_coverer_linear(probe, rcovers, &mut CoverStats::default())
     }
 
     fn sub(id: u64, filters: Vec<Predicate>) -> Subscription {
@@ -2411,8 +2226,8 @@ mod tests {
     #[test]
     fn stream_free_subscription_falls_back_to_the_linear_answer() {
         // A subscription with no streams is vacuously covered by any live
-        // entry; no bucket can index it, so both covering paths must
-        // agree via the linear fallback.
+        // entry; no bucket can index it, so the covering insert resolves
+        // it by the linear fallback.
         let hop = NodeId(1);
         let empty = |id: u64| Subscription::builder(NodeId(0)).id(SubId(id)).build();
         let mut table = RoutingTable::new();
@@ -2421,10 +2236,6 @@ mod tests {
             ForwardInsert::Skipped { by } => assert_eq!(by, SubId(1), "first live entry covers"),
             other => panic!("expected the vacuous cover, got {other:?}"),
         }
-        let mut set = ForwardedSet::default();
-        set.push(InstalledSub::new(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))])));
-        assert_eq!(coverer(&mut set, &empty(9)), Some(SubId(1)));
-        assert_eq!(coverer(&mut set, &empty(9)), coverer_linear(&set, &empty(9)));
     }
 
     #[test]
@@ -2441,63 +2252,5 @@ mod tests {
             other => panic!("expected the stream-free entry dropped, got {other:?}"),
         }
         assert_eq!(table.len(), 1, "only the new entry survives");
-    }
-
-    #[test]
-    fn forwarded_set_agrees_with_its_linear_twin() {
-        let mut set = ForwardedSet::default();
-        assert!(set.is_empty());
-        set.push(InstalledSub::new(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(20))])));
-        set.push(InstalledSub::new(sub(2, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))])));
-        set.push(InstalledSub::new(sub(3, vec![])));
-        // Push the set past the small-scan threshold so the probes below
-        // exercise the bucket ranges, with records that cover none of
-        // them.
-        for i in 0..40u64 {
-            set.push(InstalledSub::new(sub(
-                10_000 + i,
-                vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(1_000_000))],
-            )));
-        }
-        for probe in [
-            sub(10, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(30))]), // covered by 1, 2, 3
-            sub(11, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(7))]),  // covered by 2, 3
-            sub(12, vec![cmp("R", "b", CmpOp::Lt, Scalar::Int(0))]),  // covered by 3 only
-            sub(13, vec![]),                                          // covered by 3 only
-        ] {
-            let indexed = coverer(&mut set, &probe);
-            let linear = coverer_linear(&set, &probe);
-            assert_eq!(indexed, linear, "divergence on probe {:?}", probe.id);
-            assert!(indexed.is_some());
-        }
-        // A record never covers its own id (re-installation of the same
-        // subscription must not be pruned by its stale self): only the
-        // loose record 3 covers a `b`-filtered probe, so probing *as*
-        // id 3 finds nothing.
-        let own = sub(3, vec![cmp("R", "b", CmpOp::Lt, Scalar::Int(0))]);
-        assert_eq!(coverer(&mut set, &own), coverer_linear(&set, &own));
-        assert_eq!(coverer(&mut set, &own), None, "only the same id covers this probe");
-    }
-
-    #[test]
-    fn forwarded_set_removal_tombstones_and_compacts() {
-        let mut set = ForwardedSet::default();
-        for i in 0..40u64 {
-            set.push(InstalledSub::new(sub(
-                i,
-                vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(i as i64))],
-            )));
-        }
-        assert_eq!(set.len(), 40);
-        for i in 0..24u64 {
-            assert_eq!(set.remove(SubId(i)), 1);
-        }
-        assert_eq!(set.remove(SubId(5)), 0, "already removed");
-        assert_eq!(set.len(), 16);
-        assert_eq!(set.records.len(), 20, "compacted at tombstone majority; 4 tombstones since");
-        let probe = sub(90, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(100))]);
-        assert_eq!(coverer(&mut set, &probe), Some(SubId(24)), "first survivor covers");
-        assert_eq!(coverer(&mut set, &probe), coverer_linear(&set, &probe));
-        assert_eq!(set.iter().count(), 16);
     }
 }

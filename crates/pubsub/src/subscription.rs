@@ -11,7 +11,8 @@
 //! The *covering* relation (`a.covers(b)` ⇔ every message delivered for `b`
 //! would also be delivered for `a`, with at least the same attributes) is
 //! what lets brokers merge subscriptions: a node only propagates a new
-//! subscription upstream if nothing it already forwarded covers it.
+//! subscription upstream if nothing it already forwarded covers it —
+//! which the broker reads off the upstream node's routing table.
 
 use cosmos_net::NodeId;
 use cosmos_query::compiled::{eval_compiled, CompiledPredicate, IndexableCmp};

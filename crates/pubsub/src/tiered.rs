@@ -72,9 +72,8 @@ pub const COMPACT_MIN_DEAD: usize = 16;
 
 /// The single compaction policy of the routing plane: a tombstone
 /// population *dominates* once it is past the fixed floor **and** at
-/// least half the stored total. The routing table, the forwarded-up
-/// sets, and the per-run sweeps of the tiered threshold lists all
-/// compact on exactly this rule.
+/// least half the stored total. The routing table and the per-run sweeps
+/// of the tiered threshold lists both compact on exactly this rule.
 pub fn tombstones_dominate(dead: usize, total: usize) -> bool {
     dead > COMPACT_MIN_DEAD && dead * 2 >= total
 }

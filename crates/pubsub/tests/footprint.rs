@@ -63,9 +63,10 @@ fn live() -> usize {
 
 /// 4 000 filterless subscriptions, one fresh stream each, host → proxy
 /// over the `sensor-join` overlay: what `subscribe_batch` adds to the heap
-/// — tables, forwarded sets, ledgers, installed forms — per routing-table
-/// entry. It reads 814 B (855 B while members, hop groups and partitions
-/// still carried their match counters); commit 9812ce6 held 2 520 B per
+/// — tables, ledgers, installed forms — per routing-table entry. It reads
+/// 587 B (814 B while a forwarded-up record stood beside every forwarding
+/// entry, 855 B while members, hop groups and partitions still carried
+/// their match counters); commit 9812ce6 held 2 520 B per
 /// entry here (a 560-byte partition in a half-empty 568-byte map slot,
 /// four-element first allocations for one member, one hop group and one
 /// bucket, the covering bucket in a second map, a `BTreeMap` leaf per
@@ -83,7 +84,7 @@ fn result_stream_plane_costs_entries_not_streams() {
     assert_eq!(entries, 27_879, "the fixture itself moved");
     let per_entry = held / entries;
     eprintln!("result-stream plane: {held} B over {entries} entries = {per_entry} B/entry");
-    assert!(per_entry <= 1_400, "{per_entry} B per table entry, over the 1 400 B budget");
+    assert!(per_entry <= 700, "{per_entry} B per table entry, over the 700 B budget");
 }
 
 /// What one subscription of the 12 000-strong `filter-fanout` population
