@@ -32,39 +32,13 @@
 //! `-par-` rows are excluded from the speed-factor median and reported as
 //! `skip` instead of pass/fail. Equal core counts guard them normally.
 //!
-//! The vendored `serde_json` stub has no parser, so this binary scans the
-//! snapshot's fixed shape directly: objects with a `"name"` string and a
-//! `"median_ns"` number, plus an optional `"cores"` count.
+//! The vendored `serde_json` stub has no parser, so the snapshot's fixed
+//! shape is scanned directly: objects with a `"name"` string and a
+//! `"median_ns"` number ([`cosmos_bench::parse`], shared with the
+//! registry's own test), plus an optional `"cores"` count.
 
+use cosmos_bench::parse;
 use std::process::ExitCode;
-
-/// Extracts `(name, median_ns)` pairs from a `BENCH_micro.json` body.
-fn parse(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(at) = rest.find("\"name\"") {
-        rest = &rest[at + "\"name\"".len()..];
-        let Some(open) = rest.find('"') else { break };
-        let value = &rest[open + 1..];
-        let Some(close) = value.find('"') else { break };
-        let name = value[..close].to_string();
-        rest = &value[close + 1..];
-        let Some(med) = rest.find("\"median_ns\"") else { break };
-        let after = &rest[med + "\"median_ns\"".len()..];
-        let Some(colon) = after.find(':') else { break };
-        let num = after[colon + 1..].trim_start();
-        let end = num
-            .find(|c: char| {
-                !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-            })
-            .unwrap_or(num.len());
-        if let Ok(v) = num[..end].parse::<f64>() {
-            out.push((name, v));
-        }
-        rest = &num[end..];
-    }
-    out
-}
 
 /// Extracts the `"cores"` count from a snapshot's `meta` block, if any.
 /// Older baselines predate the field; they compare as "unknown host".

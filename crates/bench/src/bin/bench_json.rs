@@ -1,19 +1,23 @@
-//! Machine-readable micro-benchmark runner for the per-tuple hot paths.
+//! The micro-benchmark runner: every single-layer row the repository
+//! measures is one `(name, fn)` entry of [`REGISTRY`], and this binary is
+//! the only thing that runs them.
 //!
-//! Unlike the criterion bench (`benches/micro.rs`, human-oriented), this
-//! binary measures the groups the tuple data plane dominates — engine
-//! push, broker publish, join flatten/projection, predicate evaluation —
-//! and writes `BENCH_micro.json` at the workspace root: one record per
-//! group with the median ns per operation. The file seeds the repository's
-//! performance trajectory; CI and PRs quote it before/after hot-path work.
+//! It measures the hot paths one layer at a time — engine push, broker
+//! publish and churn, join flatten/projection, predicate evaluation, the
+//! optimizer's kernels, interest-vector math — and writes
+//! `BENCH_micro.json` at the workspace root: one record per row with the
+//! median ns per operation. `bench_check` guards that file in CI; PRs
+//! quote it before/after hot-path work.
 //!
 //! ```text
 //! cargo run --release -p cosmos-bench --bin bench_json [name-filter]
 //! ```
 //!
-//! With a filter argument only the groups whose name contains it run,
-//! and the snapshot file is left untouched — a partial run must never
-//! masquerade as a full baseline.
+//! With a filter argument only the rows whose name contains it run, and
+//! the snapshot file is left untouched — a partial run must never
+//! masquerade as a full baseline. A filter that matches no row is an
+//! error (exit 1, the registry's names listed): a typo must not read as a
+//! clean run.
 
 use cosmos_bench::fixtures::{
     adapt_world, arrival_sub, batch_round, broad_message, broker_with_broad_subs,
@@ -24,40 +28,29 @@ use cosmos_bench::fixtures::{
 };
 use cosmos_core::adaptive::{adapt_wholesale, AdaptConfig};
 use cosmos_core::distribute::Distributor;
+use cosmos_core::online::OnlineRouter;
 use cosmos_core::IncrementalOptimizer;
 use cosmos_engine::exec::{CompiledProjection, StreamEngine};
 use cosmos_engine::tuple::{FlattenCache, JoinedTuple, Tuple};
 use cosmos_engine::{ProjPlanCache, SharedEngine};
 use cosmos_pubsub::subscription::SubId;
 use cosmos_query::{parse_query, QueryId, Scalar};
+use cosmos_util::InterestSet;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Where a full run writes its snapshot (the workspace root).
+const SNAPSHOT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_micro.json");
 const SAMPLES: usize = 21;
 const TARGET_SAMPLE_NS: u128 = 8_000_000;
 
-/// Median ns per call of `routine`, batched so timer noise amortizes.
-fn measure<O>(mut routine: impl FnMut() -> O) -> f64 {
-    let t0 = Instant::now();
-    black_box(routine());
-    let once = t0.elapsed().as_nanos().max(1);
-    let batch = (TARGET_SAMPLE_NS / once).clamp(1, 2_000_000) as usize;
-    let mut samples = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        for _ in 0..batch {
-            black_box(routine());
-        }
-        samples.push(start.elapsed().as_nanos() as f64 / batch as f64);
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// [`measure`] with an untimed per-sample reset, for routines that
-/// accumulate state (e.g. a broker's delivery log): memory stays bounded
-/// without charging cleanup to the measurement.
+/// Median ns per call of `routine`, batched so timer noise amortizes: one
+/// calibration call sizes the batch, then [`SAMPLES`] batches are timed.
+/// `reset` runs untimed before every sample, for routines that accumulate
+/// state (e.g. a broker's delivery log): memory stays bounded without
+/// charging cleanup to the measurement.
 fn measure_with_reset<T, O>(
     state: &mut T,
     mut routine: impl FnMut(&mut T) -> O,
@@ -78,6 +71,11 @@ fn measure_with_reset<T, O>(
     }
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
+}
+
+/// [`measure_with_reset`] for a routine with nothing to reset.
+fn measure<O>(mut routine: impl FnMut() -> O) -> f64 {
+    measure_with_reset(&mut (), |()| routine(), |()| {})
 }
 
 fn bench_engine_push() -> f64 {
@@ -488,50 +486,136 @@ fn bench_predicate_eval() -> f64 {
     })
 }
 
-fn main() {
-    type BenchFn = fn() -> f64;
-    let groups: Vec<(&str, BenchFn)> = vec![
-        ("engine/push-20-queries", bench_engine_push),
-        ("engine/flatten-project", bench_flatten_project),
-        ("engine/predicate-eval-50-queries", bench_predicate_eval),
-        ("broker/publish-50-subs", || bench_broker_publish(50)),
-        ("broker/publish-500-subs", || bench_broker_publish(500)),
-        ("broker/publish-5000-subs", || bench_broker_publish(5000)),
-        ("broker/publish-500-subs-linear", || bench_broker_publish_linear(500)),
-        ("broker/publish-5000-subs-linear", || bench_broker_publish_linear(5000)),
-        ("broker/publish-par-1-threads", || bench_broker_publish_par(5000, 1)),
-        ("broker/publish-par-2-threads", || bench_broker_publish_par(5000, 2)),
-        ("broker/publish-par-4-threads", || bench_broker_publish_par(5000, 4)),
-        ("broker/publish-par-8-threads", || bench_broker_publish_par(5000, 8)),
-        ("broker/publish-500-subs-broad", || bench_broker_publish_broad(500)),
-        ("broker/publish-500-subs-broad-linear", || bench_broker_publish_broad_linear(500)),
-        ("broker/subscribe-5000-pop", || bench_broker_subscribe(5000, false)),
-        ("broker/subscribe-5000-pop-linear", || bench_broker_subscribe(5000, true)),
-        ("broker/subscribe-100k-pop", bench_broker_subscribe_100k),
-        ("broker/subscribe-batch-12k-covering-rich", bench_broker_subscribe_batch_covering_rich),
-        ("broker/subscribe-batch-4k-result-streams", bench_broker_subscribe_batch_result_streams),
-        ("broker/publish-batch-64", || bench_broker_publish_batch(5000, false)),
-        ("broker/publish-batch-64-serial", || bench_broker_publish_batch(5000, true)),
-        ("broker/unsubscribe-5000-pop", || bench_broker_unsubscribe(5000, false)),
-        ("broker/unsubscribe-5000-pop-wholesale", || bench_broker_unsubscribe(5000, true)),
-        ("broker/fail-link-5000-pop", || bench_broker_fail_link(5000, false)),
-        ("broker/fail-link-5000-pop-wholesale", || bench_broker_fail_link(5000, true)),
-        ("broker/fail-node-5000-pop", || bench_broker_fail_node(5000, false)),
-        ("broker/fail-node-5000-pop-wholesale", || bench_broker_fail_node(5000, true)),
-        ("broker/publish-lossy-5pct", || bench_broker_publish_lossy(5000, 0.05)),
-        ("broker/publish-lossy-clean", || bench_broker_publish_lossy(5000, 0.0)),
-        ("core/distribute-800-churn", bench_distribute_churn),
-        ("core/coarsen-dense-400", bench_coarsen_dense),
-        ("core/adapt-round-10k", || bench_adapt_round(10_000, false)),
-        ("core/adapt-round-10k-quiet", bench_adapt_round_quiet),
-        ("core/adapt-round-10k-wholesale", || bench_adapt_round(10_000, true)),
-        ("engine/shared-split-50-members", || bench_shared_split(50)),
-        ("engine/checkpoint-5000-window", || bench_engine_checkpoint(5000)),
-        ("broker/recover-engine-5000-pop", || bench_broker_recover_engine(5000)),
-    ];
+/// Interest-vector math (§3.2) between two 150-substream interests drawn
+/// over a universe of `universe` substreams: the rate-weighted overlap
+/// behind every query-graph edge, or (`weighted == false`) the bare
+/// intersection test.
+fn bench_interest_sets(universe: usize, weighted: bool) -> f64 {
+    use rand::Rng;
+    let mut rng = cosmos_util::rng::rng_for(1, "bench-bitset");
+    let a = InterestSet::from_indices(universe, (0..150).map(|_| rng.gen_range(0..universe)));
+    let b = InterestSet::from_indices(universe, (0..150).map(|_| rng.gen_range(0..universe)));
+    let rates: Vec<f64> = (0..universe).map(|i| 1.0 + (i % 10) as f64).collect();
+    if weighted {
+        measure(|| a.weighted_overlap(&b, &rates))
+    } else {
+        measure(|| a.overlaps(&b))
+    }
+}
+
+/// 500 generated queries over the `PaperParams::scaled(0.05)` world (its
+/// k = 4 coordinator tree included) — the population behind
+/// `core/distribute-500-*` and `core/online-route-at-root`.
+fn workload_world() -> cosmos_workload::Simulation {
+    let mut sim = cosmos_workload::Simulation::build(cosmos_workload::PaperParams::scaled(0.05), 7);
+    sim.arrivals(500, 8);
+    sim
+}
+
+/// Graph mapping (Algorithm 2) of [`workload_world`] down its coordinator
+/// tree, against the one-coordinator `centralized` mapping.
+fn bench_distribute(centralized: bool) -> f64 {
+    let sim = workload_world();
+    let d = sim.distributor();
+    if centralized {
+        measure(|| d.distribute_centralized(&sim.specs, 5).assignment.len())
+    } else {
+        measure(|| d.distribute(&sim.specs, 5).assignment.len())
+    }
+}
+
+/// One online routing decision (§3.6) at the root coordinator of a tree
+/// seeded with [`workload_world`]'s distributed population.
+fn bench_online_route() -> f64 {
+    let sim = workload_world();
+    let assignment = sim.distributor().distribute(&sim.specs, 5).assignment;
+    let mut router = OnlineRouter::new(&sim.dep, &sim.tree, &sim.table, 0.1);
+    router.seed_from(&sim.specs, &assignment);
+    measure(|| router.route_at(sim.tree.root(), &sim.specs[0]))
+}
+
+/// The Hu–Blake diffusion solve (§3.7) over 64 fully connected children.
+fn bench_diffusion() -> f64 {
+    let loads: Vec<f64> = (0..64).map(|i| (i % 7) as f64 * 3.0).collect();
+    let edges: Vec<(usize, usize)> =
+        (0..64).flat_map(|i| ((i + 1)..64).map(move |j| (i, j))).collect();
+    measure(|| cosmos_util::solver::diffusion_solution(&loads, &edges))
+}
+
+/// Containment check and merge of the paper's Q3 / Q4 pair.
+fn bench_containment_merge() -> f64 {
+    let q3 = parse_query(
+        "SELECT S2.* FROM Station1 [Range 30 Minutes] S1, Station2 [Now] S2 \
+         WHERE S1.snowHeight > S2.snowHeight AND S1.snowHeight >= 10",
+    )
+    .unwrap();
+    let q4 = parse_query(
+        "SELECT S1.snowHeight, S1.timestamp, S2.snowHeight, S2.timestamp \
+         FROM Station1 [Range 1 Hour] S1, Station2 [Now] S2 \
+         WHERE S1.snowHeight > S2.snowHeight",
+    )
+    .unwrap();
+    measure(|| cosmos_query::merge_queries(&[(QueryId(3), &q3), (QueryId(4), &q4)]))
+}
+
+/// Sets up one row's fixture, measures it, returns its median ns per op.
+type BenchFn = fn() -> f64;
+
+/// Every micro-benchmark row, in snapshot order: the name `BENCH_micro.json`
+/// and `bench_check` know it by, and the function that measures it.
+const REGISTRY: &[(&str, BenchFn)] = &[
+    ("engine/push-20-queries", bench_engine_push),
+    ("engine/flatten-project", bench_flatten_project),
+    ("engine/predicate-eval-50-queries", bench_predicate_eval),
+    ("broker/publish-50-subs", || bench_broker_publish(50)),
+    ("broker/publish-500-subs", || bench_broker_publish(500)),
+    ("broker/publish-5000-subs", || bench_broker_publish(5000)),
+    ("broker/publish-500-subs-linear", || bench_broker_publish_linear(500)),
+    ("broker/publish-5000-subs-linear", || bench_broker_publish_linear(5000)),
+    ("broker/publish-par-1-threads", || bench_broker_publish_par(5000, 1)),
+    ("broker/publish-par-2-threads", || bench_broker_publish_par(5000, 2)),
+    ("broker/publish-par-4-threads", || bench_broker_publish_par(5000, 4)),
+    ("broker/publish-par-8-threads", || bench_broker_publish_par(5000, 8)),
+    ("broker/publish-500-subs-broad", || bench_broker_publish_broad(500)),
+    ("broker/publish-500-subs-broad-linear", || bench_broker_publish_broad_linear(500)),
+    ("broker/subscribe-5000-pop", || bench_broker_subscribe(5000, false)),
+    ("broker/subscribe-5000-pop-linear", || bench_broker_subscribe(5000, true)),
+    ("broker/subscribe-100k-pop", bench_broker_subscribe_100k),
+    ("broker/subscribe-batch-12k-covering-rich", bench_broker_subscribe_batch_covering_rich),
+    ("broker/subscribe-batch-4k-result-streams", bench_broker_subscribe_batch_result_streams),
+    ("broker/publish-batch-64", || bench_broker_publish_batch(5000, false)),
+    ("broker/publish-batch-64-serial", || bench_broker_publish_batch(5000, true)),
+    ("broker/unsubscribe-5000-pop", || bench_broker_unsubscribe(5000, false)),
+    ("broker/unsubscribe-5000-pop-wholesale", || bench_broker_unsubscribe(5000, true)),
+    ("broker/fail-link-5000-pop", || bench_broker_fail_link(5000, false)),
+    ("broker/fail-link-5000-pop-wholesale", || bench_broker_fail_link(5000, true)),
+    ("broker/fail-node-5000-pop", || bench_broker_fail_node(5000, false)),
+    ("broker/fail-node-5000-pop-wholesale", || bench_broker_fail_node(5000, true)),
+    ("broker/publish-lossy-5pct", || bench_broker_publish_lossy(5000, 0.05)),
+    ("broker/publish-lossy-clean", || bench_broker_publish_lossy(5000, 0.0)),
+    ("core/distribute-800-churn", bench_distribute_churn),
+    ("core/coarsen-dense-400", bench_coarsen_dense),
+    ("core/adapt-round-10k", || bench_adapt_round(10_000, false)),
+    ("core/adapt-round-10k-quiet", bench_adapt_round_quiet),
+    ("core/adapt-round-10k-wholesale", || bench_adapt_round(10_000, true)),
+    ("engine/shared-split-50-members", || bench_shared_split(50)),
+    ("engine/checkpoint-5000-window", || bench_engine_checkpoint(5000)),
+    ("broker/recover-engine-5000-pop", || bench_broker_recover_engine(5000)),
+    ("util/weighted-overlap-2000", || bench_interest_sets(2_000, true)),
+    ("util/weighted-overlap-20000", || bench_interest_sets(20_000, true)),
+    ("util/overlaps-2000", || bench_interest_sets(2_000, false)),
+    ("util/overlaps-20000", || bench_interest_sets(20_000, false)),
+    ("core/distribute-500-hierarchical", || bench_distribute(false)),
+    ("core/distribute-500-centralized", || bench_distribute(true)),
+    ("core/online-route-at-root", bench_online_route),
+    ("util/diffusion-64-children", bench_diffusion),
+    ("query/containment-merge-pair", bench_containment_merge),
+];
+
+fn main() -> ExitCode {
     let filter = std::env::args().nth(1);
     let mut rows = Vec::new();
-    for (name, f) in groups {
+    for &(name, f) in REGISTRY {
         if filter.as_deref().is_some_and(|pat| !name.contains(pat)) {
             continue;
         }
@@ -539,21 +623,51 @@ fn main() {
         println!("{name:<36} median {median:>12.1} ns/op");
         rows.push(serde_json::json!({"name": name, "median_ns": median}));
     }
-    if filter.is_some() {
+    if let Some(pat) = filter {
+        if rows.is_empty() {
+            eprintln!("bench_json: no row name contains {pat:?}; the rows are:");
+            for (name, _) in REGISTRY {
+                eprintln!("  {name}");
+            }
+            return ExitCode::FAILURE;
+        }
         println!("(filtered run; not writing the snapshot)");
-        return;
+        return ExitCode::SUCCESS;
     }
     // Core count travels with the numbers: thread-count variants are only
     // comparable between snapshots taken on hosts with the same
     // parallelism, and `bench_check` skips them otherwise.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let out = serde_json::json!({"meta": {"cores": cores}, "benchmarks": rows});
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_micro.json");
     match serde_json::to_string_pretty(&out) {
         Ok(body) => {
-            std::fs::write(path, body + "\n").expect("write BENCH_micro.json");
-            println!("(wrote {path})");
+            std::fs::write(SNAPSHOT_PATH, body + "\n").expect("write BENCH_micro.json");
+            println!("(wrote {SNAPSHOT_PATH})");
         }
-        Err(e) => eprintln!("could not serialize results: {e}"),
+        Err(e) => {
+            eprintln!("could not serialize results: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{REGISTRY, SNAPSHOT_PATH};
+    use std::collections::BTreeSet;
+
+    /// The registry and the committed snapshot name the same rows, once
+    /// each: a renamed or vanished row fails here, not only in the CI
+    /// guard after a full benchmark run.
+    #[test]
+    fn registry_names_are_unique_and_match_the_committed_snapshot() {
+        let names: BTreeSet<&str> = REGISTRY.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names.len(), REGISTRY.len(), "duplicate row name in the registry");
+        let body = std::fs::read_to_string(SNAPSHOT_PATH).expect("BENCH_micro.json is committed");
+        let snapshot = cosmos_bench::parse(&body);
+        let committed: BTreeSet<&str> = snapshot.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(committed.len(), snapshot.len(), "duplicate row name in BENCH_micro.json");
+        assert_eq!(names, committed, "regenerate BENCH_micro.json alongside a registry change");
     }
 }

@@ -96,10 +96,43 @@ pub fn banner(figure: &str, what: &str, args: &BenchArgs) {
     println!("    scale {} seed {}  (paper scale = 1.0)", args.scale, args.seed);
 }
 
-/// Shared micro-benchmark fixtures, used by **both** the criterion bench
-/// (`benches/micro.rs`) and the snapshot runner (`src/bin/bench_json.rs`)
-/// so the two always measure the identical workload — a population tweak
-/// applied to one cannot silently desynchronize the other.
+/// Extracts `(name, median_ns)` pairs, in file order, from a
+/// `BENCH_micro.json` body — the one reader of that file, for the
+/// regression guard (`bench_check`) and for the test that holds
+/// `bench_json`'s registry to the committed snapshot. The vendored
+/// `serde_json` stub has no parser, so this scans the snapshot's fixed
+/// shape: objects with a `"name"` string and a `"median_ns"` number.
+pub fn parse(text: &str) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    let mut rest = text;
+    while let Some(at) = rest.find("\"name\"") {
+        rest = &rest[at + "\"name\"".len()..];
+        let Some(open) = rest.find('"') else { break };
+        let value = &rest[open + 1..];
+        let Some(close) = value.find('"') else { break };
+        let name = value[..close].to_string();
+        rest = &value[close + 1..];
+        let Some(med) = rest.find("\"median_ns\"") else { break };
+        let after = &rest[med + "\"median_ns\"".len()..];
+        let Some(colon) = after.find(':') else { break };
+        let num = after[colon + 1..].trim_start();
+        let end = num
+            .find(|c: char| {
+                !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
+            })
+            .unwrap_or(num.len());
+        if let Ok(v) = num[..end].parse::<f64>() {
+            out.push((name, v));
+        }
+        rest = &num[end..];
+    }
+    out
+}
+
+/// Micro-benchmark fixtures: the populations and probes behind the rows
+/// of the runner (`src/bin/bench_json.rs`) — in the library rather than
+/// beside the rows because the work-counter pins in this file's tests and
+/// `crates/pubsub/tests/footprint.rs` build the very same worlds.
 pub mod fixtures {
     use super::*;
 

@@ -27,7 +27,6 @@ use crate::incremental::{vertex_raw_fp, HierCache, PlaceStore};
 use crate::spec::{Assignment, QuerySpec};
 use cosmos_net::NodeId;
 use cosmos_query::QueryId;
-use cosmos_util::pool::parallel_map;
 use cosmos_util::rng::rng_for_indexed;
 use cosmos_util::solver::diffusion_solution;
 use rand::seq::SliceRandom;
@@ -50,21 +49,11 @@ pub struct AdaptConfig {
     /// Minimum relative WEC improvement for a phase-2 move (damps
     /// oscillation between near-tie placements across rounds).
     pub min_improvement: f64,
-    /// Threads for phase-1 candidate scoring (1 = sequential). Scoring is
-    /// a pure map over candidates, so the thread count cannot change the
-    /// chosen moves — only the wall-clock of large coordinators.
-    pub scoring_threads: usize,
 }
 
 impl Default for AdaptConfig {
     fn default() -> Self {
-        Self {
-            x_fraction: 0.10,
-            fill_fraction: 0.90,
-            max_moves_factor: 8,
-            min_improvement: 0.002,
-            scoring_threads: 1,
-        }
+        Self { x_fraction: 0.10, fill_fraction: 0.90, max_moves_factor: 8, min_improvement: 0.002 }
     }
 }
 
@@ -92,9 +81,6 @@ impl AdaptConfig {
                 "min_improvement must be finite and non-negative, got {}",
                 self.min_improvement
             ));
-        }
-        if self.scoring_threads == 0 {
-            return Err("scoring_threads must be at least 1".into());
         }
         Ok(())
     }
@@ -431,11 +417,10 @@ fn adapt_down(
             .copied()
             .filter(|&v| mapping[v] == from && qg.vertices[v].weight > 1e-12)
             .collect();
-        // Pure per-candidate scoring: safe to fan out, bit-identical for
-        // any thread count.
-        let benefits: Vec<f64> = parallel_map(config.scoring_threads, &candidates, |&v| {
-            cost_at(&qg, &ng, &mapping, v, from) - cost_at(&qg, &ng, &mapping, v, to)
-        });
+        let benefits: Vec<f64> = candidates
+            .iter()
+            .map(|&v| cost_at(&qg, &ng, &mapping, v, from) - cost_at(&qg, &ng, &mapping, v, to))
+            .collect();
         let Some(&max_benefit) =
             benefits.iter().max_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
         else {
@@ -735,25 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn scoring_threads_cannot_change_the_outcome() {
-        // Candidate scoring is a pure order-preserving map, so any thread
-        // count must produce the identical assignment — the env
-        // fingerprint excludes `scoring_threads` on this guarantee.
-        let (dep, table) = fixture(7);
-        let tree = CoordinatorTree::build(&dep, 2);
-        let d = Distributor::new(&dep, &tree, &table);
-        let specs = random_specs(&dep, &table, 80, 14);
-        let current = skewed_assignment(&specs, dep.processors()[0]);
-        let seq = AdaptConfig { scoring_threads: 1, ..AdaptConfig::default() };
-        let par = AdaptConfig { scoring_threads: 4, ..AdaptConfig::default() };
-        let a = adapt_wholesale(&d, &specs, &current, &seq, 15);
-        let b = adapt_wholesale(&d, &specs, &current, &par, 15);
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.migrations, b.migrations);
-        assert_eq!(a.moved_state.to_bits(), b.moved_state.to_bits());
-    }
-
-    #[test]
     fn config_validation_names_the_offending_knob() {
         let bad = AdaptConfig { x_fraction: f64::NAN, ..AdaptConfig::default() };
         assert!(bad.validate().unwrap_err().contains("x_fraction"));
@@ -763,8 +729,6 @@ mod tests {
         assert!(bad.validate().unwrap_err().contains("max_moves_factor"));
         let bad = AdaptConfig { min_improvement: -0.1, ..AdaptConfig::default() };
         assert!(bad.validate().unwrap_err().contains("min_improvement"));
-        let bad = AdaptConfig { scoring_threads: 0, ..AdaptConfig::default() };
-        assert!(bad.validate().unwrap_err().contains("scoring_threads"));
     }
 
     #[test]

@@ -462,8 +462,7 @@ impl IncrementalOptimizer {
 
 /// Everything outside the per-round inputs that the pipeline's output
 /// depends on: the seed, the tree's structural generation and shape, and
-/// every optimizer knob — except `scoring_threads`, which provably cannot
-/// change the output (pure order-preserving map).
+/// every optimizer knob.
 fn env_fp(d: &Distributor<'_>, config: &AdaptConfig, seed: u64) -> u64 {
     let mut h = DefaultHasher::new();
     seed.hash(&mut h);
@@ -537,9 +536,9 @@ mod tests {
 
     #[test]
     fn constructor_rejects_invalid_config() {
-        let bad = AdaptConfig { scoring_threads: 0, ..AdaptConfig::default() };
+        let bad = AdaptConfig { max_moves_factor: 0, ..AdaptConfig::default() };
         let err = IncrementalOptimizer::new(1, bad).unwrap_err();
-        assert!(err.contains("scoring_threads"), "error should name the knob: {err}");
+        assert!(err.contains("max_moves_factor"), "error should name the knob: {err}");
         let bad = AdaptConfig { x_fraction: f64::NAN, ..AdaptConfig::default() };
         assert!(IncrementalOptimizer::new(1, bad).unwrap_err().contains("x_fraction"));
         assert!(IncrementalOptimizer::new(1, AdaptConfig::default()).is_ok());

@@ -8,11 +8,11 @@
 //! emitted. A pair is emitted exactly once — when its *later* tuple arrives
 //! (ties broken by relation position).
 
-use crate::tuple::{JoinedTuple, Tuple};
+pub use crate::tuple::ProjPlanCache;
+use crate::tuple::{JoinedTuple, ProjPlan, Tuple};
 use cosmos_query::compiled::{eval_compiled, CompiledPredicate, Operand, ScalarRef, SymSource};
 use cosmos_query::{ProjItem, Query, QueryId, Scalar};
-use cosmos_util::intern::{sym_timestamp, Schema, Symbol};
-use cosmos_util::PlanCache;
+use cosmos_util::intern::Symbol;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,13 +62,16 @@ impl CompiledProjection {
         self.items == other.items
     }
 
-    #[inline]
-    fn keeps(&self, alias: Symbol, attr: Symbol) -> bool {
-        self.items.iter().any(|item| match item {
-            ProjSym::All => true,
-            ProjSym::AllOf(a) => *a == alias,
-            ProjSym::Attr(a, at) => *a == alias && *at == attr,
-        })
+    /// The keep rule `JoinedTuple::build_plan` takes: does the projection
+    /// list `alias.attr`?
+    fn keeps(&self) -> impl Fn(Symbol, Symbol) -> bool + '_ {
+        |alias, attr| {
+            self.items.iter().any(|item| match item {
+                ProjSym::All => true,
+                ProjSym::AllOf(a) => *a == alias,
+                ProjSym::Attr(a, at) => *a == alias && *at == attr,
+            })
+        }
     }
 }
 
@@ -92,8 +95,9 @@ impl ResultTuple {
     /// cache). Callers on the hot path should compile once and use
     /// [`ResultTuple::project_compiled`].
     pub fn project(&self, projection: &[ProjItem], result_stream: &str) -> Tuple {
-        let plan = self.build_plan(&CompiledProjection::compile(projection));
-        self.apply_plan(&plan, result_stream)
+        let projection = CompiledProjection::compile(projection);
+        let plan = self.joined.build_plan(projection.keeps());
+        self.joined.apply_plan(&plan, result_stream)
     }
 
     /// [`ResultTuple::project`] with a precompiled projection — symbol
@@ -117,9 +121,9 @@ impl ResultTuple {
             if cache.len() > PLAN_CACHE_LIMIT {
                 cache.clear();
             }
-            cache.entry(key).or_insert_with(|| self.build_plan(projection)).clone()
+            cache.entry(key).or_insert_with(|| self.joined.build_plan(projection.keeps())).clone()
         });
-        self.apply_plan(&plan, result_stream)
+        self.joined.apply_plan(&plan, result_stream)
     }
 
     /// [`ResultTuple::project_compiled`] with an owner-attached plan cache
@@ -133,91 +137,13 @@ impl ResultTuple {
         cache: &mut ProjPlanCache,
         result_stream: impl Into<Symbol>,
     ) -> Tuple {
-        let plan = cache.plans.get_or_insert_with(
-            |key| {
-                key.len() == self.joined.parts().count()
-                    && key
-                        .iter()
-                        .zip(self.joined.parts())
-                        .all(|(&(ka, ks), (pa, pt))| ka == pa && ks == pt.schema().id())
-            },
-            || self.joined.parts().map(|(a, t)| (a, t.schema().id())).collect(),
-            || self.build_plan(projection),
-        );
-        self.apply_plan(plan, result_stream)
-    }
-
-    /// Builds the projection plan for this result's part shapes:
-    /// the output schema and an emit-mask over the concatenated
-    /// `[timestamp, attrs…]` column stream of all parts. Colliding names
-    /// keep their first occurrence (legacy shadowing behaviour).
-    fn build_plan(&self, projection: &CompiledProjection) -> ProjPlan {
-        let ts = sym_timestamp();
-        let mut attrs = Vec::new();
-        let mut mask = Vec::new();
-        let push = |attrs: &mut Vec<Symbol>, mask: &mut Vec<bool>, sym: Symbol, keep: bool| {
-            let emit = keep && !attrs.contains(&sym);
-            if emit {
-                attrs.push(sym);
-            }
-            mask.push(emit);
-        };
-        for (alias, t) in self.joined.parts() {
-            push(&mut attrs, &mut mask, Symbol::dotted(alias, ts), true);
-            for &attr in t.schema().attrs() {
-                let keep = projection.keeps(alias, attr);
-                push(&mut attrs, &mut mask, Symbol::dotted(alias, attr), keep);
-            }
-        }
-        ProjPlan { schema: Schema::intern(&attrs), mask: mask.into() }
-    }
-
-    fn apply_plan(&self, plan: &ProjPlan, result_stream: impl Into<Symbol>) -> Tuple {
-        Tuple::build(result_stream, self.joined.timestamp(), Arc::clone(&plan.schema), |values| {
-            let mut keep = plan.mask.iter();
-            for (_, t) in self.joined.parts() {
-                if *keep.next().expect("mask covers all columns") {
-                    values.push(Scalar::Int(t.timestamp));
-                }
-                for v in t.values() {
-                    if *keep.next().expect("mask covers all columns") {
-                        values.push(v.clone());
-                    }
-                }
-            }
-        })
+        let plan = cache.plan_for(&self.joined, projection.keeps());
+        self.joined.apply_plan(plan, result_stream)
     }
 }
 
 /// Projected-schema cache key: projection id + per-part (alias, schema id).
 type ProjKey = (u64, Vec<(Symbol, u32)>);
-
-/// Cached projection plan: the output schema plus an emit-mask over the
-/// concatenated `[timestamp, attrs…]` column stream of all parts.
-#[derive(Debug, Clone)]
-struct ProjPlan {
-    schema: Arc<Schema>,
-    mask: Arc<[bool]>,
-}
-
-/// Part-shape key of an owner-attached plan: `(alias, schema id)` pairs.
-type PartShapeKey = Box<[(Symbol, u32)]>;
-
-/// An owner-attached projection plan cache for one [`CompiledProjection`]
-/// (see [`ResultTuple::project_cached`]): hang it off whatever owns the
-/// projection — a compiled residual, a route entry — so repeat shapes
-/// never allocate a cache key.
-#[derive(Debug, Default)]
-pub struct ProjPlanCache {
-    plans: PlanCache<PartShapeKey, ProjPlan>,
-}
-
-impl ProjPlanCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
 
 /// Per-thread plan-cache bound; far above any steady-state working set.
 const PLAN_CACHE_LIMIT: usize = 4096;

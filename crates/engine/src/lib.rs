@@ -60,7 +60,7 @@ pub use checkpoint::{
     AggregateCheckpoint, AggregateQueryState, BufferState, QueryState, SharedCheckpoint,
     StreamCheckpoint,
 };
-pub use exec::{CompiledQuery, EngineStats, ProjPlanCache, ResultTuple, StreamEngine};
+pub use exec::{CompiledQuery, EngineStats, ResultTuple, StreamEngine};
 pub use reorder::ReorderBuffer;
 pub use shared::SharedEngine;
-pub use tuple::{FlattenCache, JoinedTuple, Tuple};
+pub use tuple::{FlattenCache, JoinedTuple, ProjPlanCache, Tuple};

@@ -16,10 +16,14 @@
 //! - A [`JoinedTuple`] stores positional `(alias: Symbol, Arc<Tuple>)`
 //!   parts. Component tuples are `Arc`-shared because one window tuple
 //!   typically participates in many join outputs.
-//! - [`JoinedTuple::flatten`] emits a tuple on a **precomputed flattened
-//!   schema** (`alias.attr` names, built once per distinct combination of
-//!   part aliases and part schemas, then cached per thread). The per-tuple
-//!   work is copying scalars — no `format!`, no `String` allocation.
+//! - Turning a [`JoinedTuple`] into a result tuple is one mechanism, a
+//!   **column plan**: the output schema (`alias.attr` names) plus an
+//!   emit-mask, a pure function of the part aliases, the part schemas and
+//!   which columns are kept, built once per shape and hung off the owner
+//!   ([`ProjPlanCache`]). [`JoinedTuple::flatten`] is the plan that keeps
+//!   every column; projection (`ResultTuple::project*`) supplies its own
+//!   keep rule. The per-tuple work is copying scalars — no `format!`, no
+//!   `String` allocation.
 //!
 //! String-based constructors (`Tuple::new("R", ts).with("k", v)`,
 //! `tuple.get("k")`) remain as thin compatibility shims: they intern on
@@ -31,99 +35,62 @@ use cosmos_query::predicate::AttrSource;
 use cosmos_query::{AttrRef, Scalar};
 use cosmos_util::intern::{sym_timestamp, Schema, Symbol};
 use cosmos_util::PlanCache;
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A single stream tuple — the engine-side name of the unified,
 /// `Arc`-shared [`cosmos_query::record::Record`].
 pub type Tuple = cosmos_query::record::Record;
 
-/// Cache key for flattened schemas: `(alias, part schema id)` per part.
-type FlatKey = Vec<(Symbol, u32)>;
-
-/// A cached flattened schema: the interned schema plus, when any source
-/// column had to be dropped (a stored attribute colliding with the
-/// synthetic `alias.timestamp`, or a repeated name — first occurrence
-/// wins, matching the legacy string-keyed shadowing), a keep-mask over
-/// the concatenated `[timestamp, attrs…]` stream of all parts.
+/// A column plan for one combination of part shapes: the output schema
+/// plus an emit-mask over the concatenated `[timestamp, attrs…]` column
+/// stream of all parts.
 #[derive(Debug, Clone)]
-struct FlatSchema {
+pub(crate) struct ProjPlan {
     schema: Arc<Schema>,
-    mask: Option<Arc<[bool]>>,
+    mask: Arc<[bool]>,
 }
 
-thread_local! {
-    /// (alias, part-schema-id) list → flattened schema. Schema identity
-    /// makes the key two `u32`s per part; hits are one hash over a short
-    /// slice, no locking.
-    static FLAT_SCHEMAS: RefCell<HashMap<FlatKey, FlatSchema>> = RefCell::new(HashMap::new());
+/// An owner-attached column-plan cache for one keep rule — one
+/// `CompiledProjection` (see `ResultTuple::project_cached`), or "every
+/// column" ([`JoinedTuple::flatten_cached`]): hang it off whatever owns the
+/// rule — a compiled residual, a route entry, a bench loop. Part shapes
+/// (`(alias, schema id)` pairs) key the lookup and are compared against
+/// the stored keys directly, so repeat shapes never allocate a cache key.
+#[derive(Debug, Default)]
+pub struct ProjPlanCache {
+    plans: PlanCache<Box<[(Symbol, u32)]>, ProjPlan>,
 }
 
-/// Builds the flattened schema for a list of `(alias, component)` parts:
-/// `alias.timestamp` followed by `alias.attr` for each component column.
-fn build_flat_schema(parts: &[(Symbol, Arc<Tuple>)]) -> FlatSchema {
-    let ts = sym_timestamp();
-    let mut attrs = Vec::new();
-    let mut mask = Vec::new();
-    let push = |attrs: &mut Vec<Symbol>, mask: &mut Vec<bool>, sym: Symbol| {
-        let fresh = !attrs.contains(&sym);
-        if fresh {
-            attrs.push(sym);
-        }
-        mask.push(fresh);
-    };
-    for (alias, t) in parts {
-        push(&mut attrs, &mut mask, Symbol::dotted(*alias, ts));
-        for &attr in t.schema().attrs() {
-            push(&mut attrs, &mut mask, Symbol::dotted(*alias, attr));
-        }
-    }
-    FlatSchema { schema: Schema::intern(&attrs), mask: mask.contains(&false).then(|| mask.into()) }
-}
-
-/// The flattened schema for `parts`, via the shared thread-local cache
-/// (allocates a small key `Vec` per probe — see [`FlattenCache`] for the
-/// allocation-free owner-attached variant).
-fn flat_schema(parts: &[(Symbol, Arc<Tuple>)]) -> FlatSchema {
-    let key: FlatKey = parts.iter().map(|(a, t)| (*a, t.schema().id())).collect();
-    FLAT_SCHEMAS.with_borrow_mut(|cache| {
-        cache.entry(key).or_insert_with(|| build_flat_schema(parts)).clone()
-    })
-}
-
-/// An owner-attached flatten plan cache: hang one off whatever repeatedly
-/// flattens joined tuples (a compiled query's consumer, a bench loop) and
-/// call [`JoinedTuple::flatten_cached`]. Hits compare the part shapes
-/// against stored keys directly — no per-call key allocation, unlike the
-/// thread-local cache behind [`JoinedTuple::flatten`].
-#[derive(Debug, Clone, Default)]
-pub struct FlattenCache {
-    plans: PlanCache<FlatKey, FlatSchema>,
-}
-
-impl FlattenCache {
+impl ProjPlanCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn lookup(&mut self, parts: &[(Symbol, Arc<Tuple>)]) -> FlatSchema {
-        self.plans
-            .get_or_insert_with(
-                |key| {
-                    key.len() == parts.len()
-                        && key
-                            .iter()
-                            .zip(parts)
-                            .all(|(&(ka, ks), (pa, pt))| ka == *pa && ks == pt.schema().id())
-                },
-                || parts.iter().map(|(a, t)| (*a, t.schema().id())).collect(),
-                || build_flat_schema(parts),
-            )
-            .clone()
+    /// The plan for `joined`'s part shapes, built under `keeps` on a miss.
+    pub(crate) fn plan_for(
+        &mut self,
+        joined: &JoinedTuple,
+        keeps: impl Fn(Symbol, Symbol) -> bool,
+    ) -> &ProjPlan {
+        let parts = &joined.parts;
+        self.plans.get_or_insert_with(
+            |key| {
+                key.len() == parts.len()
+                    && key
+                        .iter()
+                        .zip(parts)
+                        .all(|(&(ka, ks), (pa, pt))| ka == *pa && ks == pt.schema().id())
+            },
+            || parts.iter().map(|(a, t)| (*a, t.schema().id())).collect(),
+            || joined.build_plan(keeps),
+        )
     }
 }
+
+/// The plan cache of [`JoinedTuple::flatten_cached`]: flattening is the
+/// projection that keeps every column.
+pub type FlattenCache = ProjPlanCache;
 
 /// A join output: one source tuple per relation alias, in join order.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,49 +128,61 @@ impl JoinedTuple {
     /// Flattens into a result tuple with `alias.attr` attribute names,
     /// plus per-alias `alias.timestamp` attributes so downstream consumers
     /// (e.g. residual window filters) retain the component times.
+    /// Colliding output names keep their first occurrence.
     ///
-    /// The flattened schema is precomputed and cached per distinct
-    /// (aliases, part schemas) combination; per call this copies scalars
-    /// plus one small cache-key allocation — no string formatting or
-    /// name interning.
+    /// Compat shim: plans the layout on every call. Repeated flattening
+    /// goes through [`JoinedTuple::flatten_cached`].
     pub fn flatten(&self, result_stream: impl Into<Symbol>) -> Tuple {
-        let flat = flat_schema(&self.parts);
-        self.apply_flat(&flat, result_stream)
+        self.apply_plan(&self.build_plan(|_, _| true), result_stream)
     }
 
     /// [`JoinedTuple::flatten`] with an owner-attached plan cache: the
-    /// steady-state path copies scalars only — no cache-key allocation.
+    /// steady-state path copies scalars only.
     pub fn flatten_cached(
         &self,
         cache: &mut FlattenCache,
         result_stream: impl Into<Symbol>,
     ) -> Tuple {
-        let flat = cache.lookup(&self.parts);
-        self.apply_flat(&flat, result_stream)
+        self.apply_plan(cache.plan_for(self, |_, _| true), result_stream)
     }
 
-    fn apply_flat(&self, flat: &FlatSchema, result_stream: impl Into<Symbol>) -> Tuple {
-        Tuple::build(result_stream, self.timestamp(), Arc::clone(&flat.schema), |values| {
-            match &flat.mask {
-                None => {
-                    for (_, t) in &self.parts {
-                        values.push(Scalar::Int(t.timestamp));
-                        values.extend(t.values().iter().cloned());
-                    }
+    /// Builds the column plan for this tuple's part shapes: per part its
+    /// `alias.timestamp` (always kept, so residual filters downstream can
+    /// re-check window bounds) followed by `alias.attr` for each component
+    /// column `keeps(alias, attr)` admits. Colliding names — a stored
+    /// attribute named `timestamp`, a repeated alias — keep their first
+    /// occurrence, matching the legacy string-keyed shadowing.
+    pub(crate) fn build_plan(&self, keeps: impl Fn(Symbol, Symbol) -> bool) -> ProjPlan {
+        let ts = sym_timestamp();
+        let mut attrs = Vec::new();
+        let mut mask = Vec::new();
+        let mut push = |sym: Symbol, keep: bool| {
+            let emit = keep && !attrs.contains(&sym);
+            if emit {
+                attrs.push(sym);
+            }
+            mask.push(emit);
+        };
+        for (alias, t) in &self.parts {
+            push(Symbol::dotted(*alias, ts), true);
+            for &attr in t.schema().attrs() {
+                push(Symbol::dotted(*alias, attr), keeps(*alias, attr));
+            }
+        }
+        ProjPlan { schema: Schema::intern(&attrs), mask: mask.into() }
+    }
+
+    /// Emits the columns `plan` keeps, on `result_stream`.
+    pub(crate) fn apply_plan(&self, plan: &ProjPlan, result_stream: impl Into<Symbol>) -> Tuple {
+        Tuple::build(result_stream, self.timestamp(), Arc::clone(&plan.schema), |values| {
+            let mut keep = plan.mask.iter();
+            for (_, t) in &self.parts {
+                if *keep.next().expect("mask covers all columns") {
+                    values.push(Scalar::Int(t.timestamp));
                 }
-                // Colliding names were dropped from the schema (first
-                // wins); drop the matching source columns.
-                Some(mask) => {
-                    let mut keep = mask.iter();
-                    for (_, t) in &self.parts {
-                        if *keep.next().expect("mask covers all columns") {
-                            values.push(Scalar::Int(t.timestamp));
-                        }
-                        for v in t.values() {
-                            if *keep.next().expect("mask covers all columns") {
-                                values.push(v.clone());
-                            }
-                        }
+                for v in t.values() {
+                    if *keep.next().expect("mask covers all columns") {
+                        values.push(v.clone());
                     }
                 }
             }

@@ -32,8 +32,10 @@
 //! transitive covering dependents; [`BrokerNetwork::fail_link`] /
 //! [`BrokerNetwork::restore_link`] re-route only the subscriptions whose
 //! installed paths traverse the changed link (per-source subtree
-//! provenance from [`ShortestPathTree::nodes_via_edge`]). Both are
-//! sublinear in population size; the `*_wholesale` twins keep the old
+//! provenance from [`ShortestPathTree::nodes_via_edge`]). All of them are
+//! one private routine, `BrokerNetwork::reroute` — edges cut, edges
+//! joined, subscriptions leaving — which carries the argument; it is
+//! sublinear in population size, and the `*_wholesale` twins keep the old
 //! rebuild-the-world behaviour as the differential oracle and benchmark
 //! baseline.
 //!
@@ -41,18 +43,15 @@
 //!
 //! Whole-broker crashes follow the same ledger discipline. A crash
 //! ([`BrokerNetwork::fail_node`]) is a batched link failure plus a local
-//! wipe: every incident edge leaves the topology at once, the node's own
-//! subscribers are unsubscribed through their ledgers (crashed consumers
-//! must re-subscribe after recovery), and the re-route set is the union
-//! of per-source moved subtrees — below the tree edge *into* the node
-//! for remote sources, below every tree edge *out of* it when the node
-//! is itself a source. Recovery ([`BrokerNetwork::restore_node`]) is the
-//! inverse: the detached edge batch is validated all-or-nothing,
-//! re-attached, and only the subtrees the fresh trees hang below the
-//! restored edges re-propagate. Both keep `*_wholesale` twins as
-//! differential oracles; `crates/pubsub/tests/chaos.rs` interleaves
-//! crashes, link flaps, and lossy-link message faults (see
-//! [`crate::reliable`]) against them.
+//! wipe: every incident edge leaves the topology at once and the node's
+//! own subscribers are unsubscribed through their ledgers (crashed
+//! consumers must re-subscribe after recovery). Recovery
+//! ([`BrokerNetwork::restore_node`]) is the inverse: the detached edge
+//! batch is validated all-or-nothing, re-attached, and only the subtrees
+//! the fresh trees hang below the restored edges re-propagate. Both keep
+//! `*_wholesale` twins as differential oracles;
+//! `crates/pubsub/tests/chaos.rs` interleaves crashes, link flaps, and
+//! lossy-link message faults (see [`crate::reliable`]) against them.
 //!
 //! # Parallel data plane: snapshots
 //!
@@ -83,7 +82,7 @@ use cosmos_net::{NodeId, ShortestPathTree, Topology};
 use cosmos_query::Scalar;
 use cosmos_util::{SnapshotCell, Symbol};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Traffic counters for one undirected link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -499,7 +498,7 @@ pub struct BrokerNetwork {
     /// Dirty-node set behind a mutex only because concurrent `&self`
     /// snapshot builders must drain it; churn (`&mut self`) and builds
     /// take it for nanoseconds, never on the publish path.
-    dirty: parking_lot::Mutex<DirtyNodes>,
+    dirty: Mutex<DirtyNodes>,
 }
 
 impl BrokerNetwork {
@@ -529,7 +528,7 @@ impl BrokerNetwork {
                 stream_source: HashMap::new(),
                 tables: Vec::new(),
             })),
-            dirty: parking_lot::Mutex::new(DirtyNodes { nodes: BTreeSet::new(), all: true }),
+            dirty: Mutex::new(DirtyNodes { nodes: BTreeSet::new(), all: true }),
         }
     }
 
@@ -578,12 +577,18 @@ impl BrokerNetwork {
         self.mark_churn(std::iter::empty());
     }
 
+    /// The dirty set, poison ignored: a holder that panics leaves nodes
+    /// marked that need not be, and the next build refreezes them.
+    fn dirty(&self) -> MutexGuard<'_, DirtyNodes> {
+        self.dirty.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Bumps the routing-state version and marks the touched nodes dirty —
     /// the only thing churn pays toward the snapshot plane (no freezing
     /// here; [`BrokerNetwork::snapshot`] does that on demand).
     fn mark_churn(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
         self.version += 1;
-        let mut dirty = self.dirty.lock();
+        let mut dirty = self.dirty();
         if !dirty.all {
             dirty.nodes.extend(nodes.into_iter().map(|n| n.index() as u32));
         }
@@ -917,12 +922,7 @@ impl BrokerNetwork {
     /// the departing subscription's footprint plus its dependents', never
     /// to the population size.
     pub fn unsubscribe(&mut self, id: SubId) {
-        let mut wave = self.dependent_closure([id]);
-        self.uninstall(id);
-        wave.remove(&id);
-        self.forget(id);
-        self.dependents.remove(&id);
-        self.repropagate(&wave);
+        self.reroute(&[], &[], &[id]);
     }
 
     /// [`BrokerNetwork::unsubscribe`] via the reference wholesale rebuild:
@@ -941,7 +941,7 @@ impl BrokerNetwork {
     fn rebuild_all(&mut self) {
         self.version += 1;
         {
-            let mut dirty = self.dirty.lock();
+            let mut dirty = self.dirty();
             dirty.all = true;
             dirty.nodes.clear();
         }
@@ -1016,7 +1016,7 @@ impl BrokerNetwork {
         if cur.version == self.version {
             return cur;
         }
-        let mut dirty = self.dirty.lock();
+        let mut dirty = self.dirty();
         // Re-check under the lock: a racing builder may have committed.
         let cur = self.snap.load();
         if cur.version == self.version {
@@ -1331,15 +1331,10 @@ impl BrokerNetwork {
         all
     }
 
-    /// Handles the failure of link `{a, b}` **incrementally**: the link is
-    /// removed from the topology, dissemination trees are recomputed only
-    /// for sources whose shortest paths actually traversed it, and only
-    /// the subscriptions whose installed paths crossed the link (the
-    /// subscribers in the failed edge's subtree, per source — see
-    /// [`ShortestPathTree::nodes_via_edge`]) plus their transitive
-    /// covering dependents are re-propagated. Every other node's shortest
-    /// path is provably unchanged by the removal, so its routing state is
-    /// left untouched.
+    /// Handles the failure of link `{a, b}` **incrementally**: the link
+    /// leaves the topology, and only the sources whose dissemination trees
+    /// crossed it and the subscribers below it in those trees (plus their
+    /// transitive covering dependents) are re-routed — see `reroute`.
     ///
     /// Returns `false` when the link did not exist. Subscribers that
     /// became unreachable from a source silently stop receiving that
@@ -1348,17 +1343,13 @@ impl BrokerNetwork {
         if !self.topo.remove_edge(a, b) {
             return false;
         }
-        let wave = self.affected_by_link(a, b, None);
-        self.repropagate(&wave);
+        self.reroute(&[(a, b)], &[], &[]);
         true
     }
 
     /// Restores a previously failed link `{a, b}` with the given latency —
-    /// the inverse of [`BrokerNetwork::fail_link`], equally incremental:
-    /// trees are recomputed only for sources whose shortest paths adopt
-    /// the restored link, and only the subscriptions routed through it
-    /// (plus covering dependents) re-propagate. Returns `false` when the
-    /// link already exists.
+    /// the inverse of [`BrokerNetwork::fail_link`], equally incremental.
+    /// Returns `false` when the link already exists.
     ///
     /// # Panics
     ///
@@ -1375,8 +1366,7 @@ impl BrokerNetwork {
             return false;
         }
         self.topo.add_edge(a, b, latency);
-        let wave = self.affected_by_link(a, b, Some(latency));
-        self.repropagate(&wave);
+        self.reroute(&[], &[(a, b, latency)], &[]);
         true
     }
 
@@ -1416,15 +1406,8 @@ impl BrokerNetwork {
     /// gone and must re-subscribe after recovery — and only the
     /// subscriptions whose installed paths were hosted on or routed
     /// through `n`, plus their transitive covering dependents,
-    /// re-propagate.
-    ///
-    /// The re-route set comes from the same per-source subtree provenance
-    /// as [`BrokerNetwork::fail_link`]: for a dissemination tree rooted
-    /// elsewhere that reaches `n`, exactly the subtree below the tree
-    /// edge into `n` moves ([`ShortestPathTree::nodes_via_edge`]); for a
-    /// tree rooted *at* `n`, everything below any of `n`'s tree edges —
-    /// every reachable subscriber of that source. Trees that never reach
-    /// `n` are untouched: none of `n`'s incident edges carries them.
+    /// re-propagate: a crash is the cut of every incident edge with the
+    /// locals leaving (`reroute`).
     ///
     /// Returns the detached `(neighbor, latency)` list, sorted by
     /// neighbor, for a later [`BrokerNetwork::restore_node`] — or `None`
@@ -1433,54 +1416,18 @@ impl BrokerNetwork {
         if n.index() >= self.topo.node_count() || self.topo.degree(n) == 0 {
             return None;
         }
-        let locals: Vec<SubId> = self.subs_at[n.index()].clone();
-        let mut roots: BTreeSet<SubId> = locals.iter().copied().collect();
-        let sources: Vec<NodeId> = self.adv_trees.keys().copied().collect();
-        // Provenance from the OLD trees, before the topology changes.
-        let mut stale: Vec<NodeId> = Vec::new();
-        for src in sources {
-            let tree = &self.adv_trees[&src];
-            let moved = if src == n {
-                let below = |(v, _)| tree.nodes_via_edge(n, v);
-                self.topo.neighbors(n).filter_map(below).flatten().collect()
-            } else if let Some(parent) = tree.parent(n) {
-                tree.nodes_via_edge(parent, n).expect("edge into a reachable node")
-            } else {
-                continue; // this tree never reaches `n`
-            };
-            stale.push(src);
-            self.rerouted_into(&mut roots, &moved, src);
-        }
+        let locals = self.subs_at[n.index()].clone();
         let edges = self.topo.remove_node(n);
-        for src in stale {
-            self.adv_trees.insert(src, ShortestPathTree::compute(&self.topo, src));
-        }
-        let mut wave = self.dependent_closure(roots);
-        // Locals leave for good, mirroring `unsubscribe`: their footprint
-        // is torn down via the ledger, they drop out of the re-propagation
-        // wave, and their records are forgotten.
-        for id in locals {
-            self.uninstall(id);
-            wave.remove(&id);
-            self.forget(id);
-            self.dependents.remove(&id);
-        }
-        self.repropagate(&wave);
+        let cut: Vec<(NodeId, NodeId)> = edges.iter().map(|&(v, _)| (n, v)).collect();
+        self.reroute(&cut, &[], &locals);
         self.mark_churn([n]);
         Some(edges)
     }
 
     /// Restores crashed broker `n` with the given incident links — the
     /// inverse of [`BrokerNetwork::fail_node`], equally incremental.
-    /// Whether any restored edge can enter a source's canonical tree is
-    /// decided from the *old* endpoint distances before paying a
-    /// shortest-path recomputation (`n` itself was unreachable while
-    /// isolated, so for a remote source an edge is adoptable exactly when
-    /// it reconnects a reachable neighbor); only then is a fresh tree
-    /// computed, and only the subscriptions in the re-attached subtrees
-    /// (plus covering dependents) re-propagate. Local subscribers the
-    /// crash removed do **not** come back — crashed consumers must
-    /// re-subscribe.
+    /// Local subscribers the crash removed do **not** come back — crashed
+    /// consumers must re-subscribe.
     ///
     /// Returns `false` when `n` is out of range or not currently crashed
     /// (it still has incident links).
@@ -1500,25 +1447,9 @@ impl BrokerNetwork {
         for &(v, lat) in edges {
             self.topo.add_edge(n, v, lat);
         }
-        let sources: Vec<NodeId> = self.adv_trees.keys().copied().collect();
-        let mut roots: BTreeSet<SubId> = BTreeSet::new();
-        for src in sources {
-            let old = &self.adv_trees[&src];
-            if !edges.iter().any(|&(v, lat)| adoptable(old, n, v, lat)) {
-                continue;
-            }
-            let fresh = ShortestPathTree::compute(&self.topo, src);
-            // The moved set is the union of fresh subtrees below `n`'s
-            // restored edges: any changed canonical path must cross one
-            // of them. (For a remote source that is just the subtree at
-            // `n`; for a source at `n` it is everything reachable.)
-            let below = |&(v, _): &(NodeId, f64)| fresh.nodes_via_edge(n, v);
-            let moved: Vec<NodeId> = edges.iter().filter_map(below).flatten().collect();
-            self.adv_trees.insert(src, fresh);
-            self.rerouted_into(&mut roots, &moved, src);
-        }
-        let wave = self.dependent_closure(roots);
-        self.repropagate(&wave);
+        let joined: Vec<(NodeId, NodeId, f64)> =
+            edges.iter().map(|&(v, lat)| (n, v, lat)).collect();
+        self.reroute(&[], &joined, &[]);
         self.mark_churn([n]);
         true
     }
@@ -1610,41 +1541,62 @@ impl BrokerNetwork {
         }
     }
 
-    /// Recomputes the dissemination trees affected by a change to link
-    /// `{a, b}` (already applied to the topology) and returns the re-route
-    /// set: subscriptions whose installed paths are — or become — routed
-    /// through the link, closed over covering dependents. `restored` is
-    /// `None` for a failure, `Some(latency)` for a restoration.
+    /// The one repair routine behind [`BrokerNetwork::unsubscribe`] and the
+    /// four topology incidents. The caller has already edited the topology:
+    /// `cut` names the edges it removed, `joined` the edges it added (with
+    /// their latencies), and `leaving` the subscriptions that depart for
+    /// good. Dissemination trees are recomputed only where an edge matters,
+    /// and only the subscriptions whose installed paths it moves, the
+    /// leavers, and the transitive covering dependents of both are torn
+    /// down; the survivors re-propagate under the fresh trees.
     ///
-    /// A failed link moves exactly the nodes below it in the **old**
-    /// tree; a restored link moves exactly the nodes below it in the
-    /// **new** one. In both cases every other node's shortest path (and,
-    /// with this tree's deterministic tie-breaking, its parent chain) is
-    /// unchanged, so a source whose tree never touches the link keeps its
-    /// tree, and subscribers outside the moved subtree keep their
-    /// installed entries. For a restoration, whether the link can be
-    /// adopted at all is decided from the **old** tree ([`adoptable`])
-    /// before paying a shortest-path recomputation.
-    fn affected_by_link(&mut self, a: NodeId, b: NodeId, restored: Option<f64>) -> BTreeSet<SubId> {
-        let sources: Vec<NodeId> = self.adv_trees.keys().copied().collect();
-        let mut roots: BTreeSet<SubId> = BTreeSet::new();
+    /// Why that set suffices, per source: a removed edge moves exactly the
+    /// nodes below it in the **old** tree, an added edge exactly the nodes
+    /// below it in the **fresh** one — any changed canonical path crosses
+    /// one of them. Every other node's shortest path (and, with the tree's
+    /// deterministic tie-breaking, its parent chain) is unchanged, so a
+    /// source whose old tree hangs nothing below a cut edge and cannot
+    /// adopt a joined one ([`adoptable`], judged from old distances before
+    /// paying a shortest-path recomputation) keeps its tree, and
+    /// subscribers outside the moved subtrees keep their installed entries.
+    /// For a crashed node that is the subtree below the tree edge into it
+    /// (remote source), or everything reachable (the source itself); a tree
+    /// that never reaches the node has none of its edges and is skipped.
+    fn reroute(
+        &mut self,
+        cut: &[(NodeId, NodeId)],
+        joined: &[(NodeId, NodeId, f64)],
+        leaving: &[SubId],
+    ) {
+        let mut roots: BTreeSet<SubId> = leaving.iter().copied().collect();
+        let sources: Vec<NodeId> = if cut.is_empty() && joined.is_empty() {
+            Vec::new()
+        } else {
+            self.adv_trees.keys().copied().collect()
+        };
         for src in sources {
-            let moved = if let Some(latency) = restored {
-                if !adoptable(&self.adv_trees[&src], a, b, latency) {
-                    continue;
-                }
-                let fresh = ShortestPathTree::compute(&self.topo, src);
-                let Some(moved) = fresh.nodes_via_edge(a, b) else { continue };
-                self.adv_trees.insert(src, fresh);
-                moved
-            } else {
-                let Some(moved) = self.adv_trees[&src].nodes_via_edge(a, b) else { continue };
-                self.adv_trees.insert(src, ShortestPathTree::compute(&self.topo, src));
-                moved
-            };
+            let old = &self.adv_trees[&src];
+            let below_old = |&(a, b): &(NodeId, NodeId)| old.nodes_via_edge(a, b);
+            let mut moved: Vec<NodeId> = cut.iter().filter_map(below_old).flatten().collect();
+            if moved.is_empty() && !joined.iter().any(|&(a, b, lat)| adoptable(old, a, b, lat)) {
+                continue;
+            }
+            let fresh = ShortestPathTree::compute(&self.topo, src);
+            let below_fresh = |&(a, b, _): &(NodeId, NodeId, f64)| fresh.nodes_via_edge(a, b);
+            moved.extend(joined.iter().filter_map(below_fresh).flatten());
+            self.adv_trees.insert(src, fresh);
             self.rerouted_into(&mut roots, &moved, src);
         }
-        self.dependent_closure(roots)
+        let mut wave = self.dependent_closure(roots);
+        // Leavers' footprints are torn down via the ledger, they drop out
+        // of the re-propagation wave, and their records are forgotten.
+        for &id in leaving {
+            self.uninstall(id);
+            wave.remove(&id);
+            self.forget(id);
+            self.dependents.remove(&id);
+        }
+        self.repropagate(&wave);
     }
 }
 

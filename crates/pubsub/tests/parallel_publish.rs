@@ -354,18 +354,20 @@ fn snapshot_swap_under_load_is_consistent() {
         // Every snapshot version the writer publishes, with the number of
         // churn ops applied when it was built.
         let mut committed: Vec<(u64, usize)> = vec![(cell.load().version(), 0)];
-        let (tx, rx) = crossbeam::channel::bounded::<usize>(4);
+        // One bounded queue, many consumers: the workers take turns at
+        // the receiver, holding its lock only for the `recv` itself.
+        let (tx, rx) = std::sync::mpsc::sync_channel::<usize>(4);
+        let rx = std::sync::Mutex::new(rx);
+        let next = || rx.lock().unwrap().recv();
         type Record = (usize, u64, Vec<Delivery>, Vec<((NodeId, NodeId), LinkStats)>);
         let records: Vec<Record> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let rx = rx.clone();
-                    let cell = &cell;
-                    let messages = &messages;
+                    let (cell, messages, next) = (&cell, &messages, &next);
                     s.spawn(move || {
                         let mut reader: Option<SnapshotReader> = None;
                         let mut local: Vec<Record> = Vec::new();
-                        while let Ok(idx) = rx.recv() {
+                        while let Ok(idx) = next() {
                             // Re-sync to the latest committed snapshot
                             // *between* messages — never mid-message.
                             let snap = cell.load();
@@ -384,7 +386,6 @@ fn snapshot_swap_under_load_is_consistent() {
                     })
                 })
                 .collect();
-            drop(rx);
             for (b, op) in ops.iter().enumerate() {
                 for k in 0..per_batch {
                     tx.send(b * per_batch + k).unwrap();

@@ -25,9 +25,6 @@
 //! - [`vecmap`]: [`VecMap`], a map kept as one sorted vector — what the
 //!   routing plane uses where it holds tens of thousands of maps with one
 //!   or two keys each.
-//! - [`pool`]: a scoped order-preserving [`pool::parallel_map`] used by the
-//!   adaptive optimizer to score independent candidate moves concurrently
-//!   without changing the chosen moves.
 //!
 //! # Examples
 //!
@@ -45,7 +42,6 @@
 pub mod bitset;
 pub mod intern;
 pub mod plancache;
-pub mod pool;
 pub mod rng;
 pub mod solver;
 pub mod stats;

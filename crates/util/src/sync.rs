@@ -10,15 +10,14 @@
 //! The implementation is deliberately `unsafe`-free, matching the rest of
 //! the workspace: an `ArcSwap`-style atomic-pointer cell needs unsafe
 //! pointer juggling, so the slot is a short-critical-section
-//! `parking_lot::Mutex<Arc<T>>` instead (lock, clone/replace an `Arc`,
+//! `std::sync::Mutex<Arc<T>>` instead (lock, clone/replace an `Arc`,
 //! unlock — a few nanoseconds, and *off* the per-message hot path by
 //! construction). A monotonically increasing generation counter lets
 //! pollers skip even that lock when nothing was published.
 
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A shared slot holding the current `Arc<T>` snapshot. See the module
 /// docs for the access pattern and the no-`unsafe` design note.
@@ -33,15 +32,21 @@ impl<T> SnapshotCell<T> {
         Self { slot: Mutex::new(value), generation: AtomicU64::new(0) }
     }
 
+    /// The slot, poison ignored: a critical section only clones or
+    /// replaces an `Arc`, so a panicking holder cannot leave it torn.
+    fn slot(&self) -> MutexGuard<'_, Arc<T>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns a handle to the current snapshot.
     pub fn load(&self) -> Arc<T> {
-        Arc::clone(&self.slot.lock())
+        Arc::clone(&self.slot())
     }
 
     /// Publishes a new snapshot, returning the previous one. Bumps the
     /// generation.
     pub fn store(&self, value: Arc<T>) -> Arc<T> {
-        let mut slot = self.slot.lock();
+        let mut slot = self.slot();
         let old = std::mem::replace(&mut *slot, value);
         self.generation.fetch_add(1, Ordering::Release);
         old
