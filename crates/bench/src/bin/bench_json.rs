@@ -383,14 +383,14 @@ fn bench_distribute_churn() -> f64 {
 /// default `vmax` of 64.
 fn bench_coarsen_dense() -> f64 {
     let (graph, rates) = dense_query_graph(400);
-    measure(|| cosmos_core::coarsen::coarsen_wholesale(&graph, 64, &rates, &|_| None, 3).stats)
+    measure(|| cosmos_core::coarsen::coarsen(&graph, 64, &rates, &|_| None, 3).stats)
 }
 
 /// One adaptation round over a 10 000-query world whose statistics churn
 /// touches 1% of the queries, all homed on one processor — one dirty
-/// level-1 leaf per round. The incremental optimizer re-coarsens that
-/// leaf (patched in place, collapse replayed), re-scores the root-to-leaf path,
-/// and fingerprint-reuses every other subtree's coarsening and placement;
+/// level-1 leaf per round. The incremental optimizer rebuilds and
+/// re-coarsens that leaf's graph, re-scores the root-to-leaf path, and
+/// fingerprint-reuses every other subtree's coarsening and placement;
 /// the `-wholesale` twin recomputes the whole pipeline with the same
 /// seed, producing the identical assignment. The gap is the delta-driven
 /// optimizer's claim.

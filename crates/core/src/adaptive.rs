@@ -59,7 +59,6 @@ impl Default for AdaptConfig {
 
 impl AdaptConfig {
     /// Checks every knob, naming the offending one on failure.
-    /// Mirrors the `FaultParams::validate` house pattern.
     pub fn validate(&self) -> Result<(), String> {
         if !self.x_fraction.is_finite() || !(0.0..=1.0).contains(&self.x_fraction) {
             return Err(format!(

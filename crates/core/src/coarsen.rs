@@ -29,8 +29,8 @@
 //! `w(u ∪ v, x) = w(u, x) + w(v, x) − w(u ∩ v, x)` holds for the reals but
 //! sums the substream rates in another order and so rounds differently —
 //! enough to flip a near-tie between two candidates and, from there, a
-//! whole placement. Exact recomputation is what lets a cached or patched
-//! run stand in for a fresh one bit for bit.
+//! whole placement. Exact recomputation is what lets a cached run stand
+//! in for a fresh one bit for bit.
 
 use crate::graph::{edge_weight, set_entry, QgVertex, QueryGraph, Row};
 use cosmos_net::NodeId;
@@ -85,79 +85,15 @@ fn is_anchor(v: &QgVertex, cluster_of: &ClusterOf) -> bool {
     v.is_net() && clu(v, cluster_of).is_none()
 }
 
-/// A level-1 coordinator's fine query graph, kept alive across adaptation
-/// rounds by the incremental optimizer.
-///
-/// When a round's statistics deltas leave a leaf's query set and interests
-/// untouched (only loads, result rates, or substream rates moved),
-/// [`CoarsenState::patch_vertex`] re-estimates the dirty vertices' edges in
-/// place and [`CoarsenState::run`] replays the collapse on a clone of the
-/// graph, skipping the quadratic edge construction a fresh graph build
-/// would pay. The result is output-identical to [`coarsen_wholesale`] on
-/// the freshly built graph, which the differential tests pin.
-#[derive(Debug, Clone)]
-pub struct CoarsenState {
-    graph: QueryGraph,
-}
-
-impl CoarsenState {
-    /// Adopts `input` as the fine graph.
-    pub fn prepare(input: QueryGraph) -> Self {
-        Self { graph: input }
-    }
-
-    /// Number of fine vertices.
-    pub fn len(&self) -> usize {
-        self.graph.len()
-    }
-
-    /// Is the state empty?
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
-    }
-
-    /// The fine vertices, reflecting every patch applied so far.
-    pub fn vertices(&self) -> &[QgVertex] {
-        &self.graph.vertices
-    }
-
-    /// Replaces vertex `i` with `v` and re-estimates all of `i`'s edges
-    /// under `rates`.
-    ///
-    /// The caller must not change the vertex's interest or result-flow
-    /// *topology*: only statistics (load, rates, state size) may move, so
-    /// the live edge set stays put and only weights change. If a
-    /// re-estimated weight is no longer positive the edge set *did*
-    /// change — the patch reports it by returning `false`, and the caller
-    /// must rebuild the state from a fresh graph.
-    pub fn patch_vertex(&mut self, i: usize, v: QgVertex, rates: &[f64]) -> bool {
-        self.graph.vertices[i] = v;
-        let degree = self.graph.degree(i);
-        self.graph.reestimate_edges_of(i, rates);
-        self.graph.degree(i) == degree
-    }
-
-    /// Replays Algorithm 1 on a clone of the graph. Output-identical to
-    /// [`coarsen_wholesale`] on the equivalent freshly built graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vmax == 0`.
-    pub fn run(&self, vmax: usize, rates: &[f64], cluster_of: &ClusterOf, seed: u64) -> Coarsened {
-        coarsen_wholesale(&self.graph, vmax, rates, cluster_of, seed)
-    }
-}
-
 /// Runs Algorithm 1 until at most `vmax` vertices remain (or no further
-/// collapse is possible — e.g. everything left is an anchor). The batch
-/// path, and what [`CoarsenState::run`] replays on its patched graph.
+/// collapse is possible — e.g. everything left is an anchor).
 ///
 /// Deterministic for a given `seed`.
 ///
 /// # Panics
 ///
 /// Panics if `vmax == 0`.
-pub fn coarsen_wholesale(
+pub fn coarsen(
     input: &QueryGraph,
     vmax: usize,
     rates: &[f64],
@@ -281,7 +217,7 @@ mod tests {
     /// The reference: Algorithm 1 over a `HashMap` adjacency, with the match
     /// chosen by a full scan under an explicit (max weight, smallest index)
     /// rule and rewiring and re-estimation as two separate steps. Written
-    /// for obviousness; the oracle the sorted-row [`coarsen_wholesale`]
+    /// for obviousness; the oracle the sorted-row [`coarsen`]
     /// must be output-identical to, counters included.
     fn coarsen_reference(
         input: &QueryGraph,
@@ -438,10 +374,7 @@ mod tests {
     /// One seeded trial against the reference: small-integer rates and
     /// loads so that equal weights (and hence the smallest-index
     /// tie-break) are the rule, n-vertices in two clusters plus anchors,
-    /// result flows aimed at some of them. Checked twice: coarsening the
-    /// built graph, and a `patch_vertex` replay after rates and loads
-    /// moved against the reference on a graph freshly built from the moved
-    /// statistics.
+    /// result flows aimed at some of them.
     fn differential_trial(
         seed: u64,
         sizes: std::ops::Range<usize>,
@@ -452,7 +385,7 @@ mod tests {
         let mut rng = rng_for(seed, "coarsen-diff");
         let rates: Vec<f64> = (0..U).map(|i| 1.0 + (i % 3) as f64).collect();
         let n = rng.gen_range(sizes);
-        let mut vertices: Vec<QgVertex> = (0..n)
+        let vertices: Vec<QgVertex> = (0..n)
             .map(|i| {
                 let bits: Vec<usize> =
                     (0..rng.gen_range(interests.clone())).map(|_| rng.gen_range(0..U)).collect();
@@ -465,30 +398,13 @@ mod tests {
                 v
             })
             .collect();
-        let g = with_edges(vertices.clone(), &rates);
+        let g = with_edges(vertices, &rates);
         let density = g.edge_count() as f64 / (n * (n - 1) / 2) as f64;
         assert!(density >= min_density, "seed {seed}: density {density} of {n} vertices");
         let vmax = rng.gen_range(2..(n / 3).min(64));
-        let fast = coarsen_wholesale(&g, vmax, &rates, &mixed_clusters, seed);
+        let fast = coarsen(&g, vmax, &rates, &mixed_clusters, seed);
         let slow = coarsen_reference(&g, vmax, &rates, &mixed_clusters, seed);
         assert_identical(&fast, &slow, &format!("seed {seed}, n {n}"));
-
-        let mut state = CoarsenState::prepare(g);
-        let rates2: Vec<f64> =
-            rates.iter().map(|r| if rng.gen_bool(0.3) { r * 2.0 } else { *r }).collect();
-        for v in vertices.iter_mut().filter(|v| !v.is_net()) {
-            if rng.gen_bool(0.3) {
-                v.weight += 1.0;
-            }
-        }
-        // Rates moved globally, so every vertex counts as dirty.
-        for (i, v) in vertices.iter().enumerate() {
-            assert!(state.patch_vertex(i, v.clone(), &rates2), "patch rejected at {i}");
-        }
-        let replay = state.run(vmax, &rates2, &mixed_clusters, seed);
-        let fresh = with_edges(vertices, &rates2);
-        let slow = coarsen_reference(&fresh, vmax, &rates2, &mixed_clusters, seed);
-        assert_identical(&replay, &slow, &format!("seed {seed}, n {n}, patched replay"));
     }
 
     /// Small sparse graphs, where a divergence is easy to read.
@@ -502,7 +418,7 @@ mod tests {
     /// Where the optimizer's graphs actually live: 100–400 vertices at
     /// edge density ≥ 0.5. `COSMOS_STRESS=1` runs more seeds.
     #[test]
-    fn dense_row_scan_and_patched_replay_are_output_identical_to_reference() {
+    fn dense_row_scan_is_output_identical_to_reference() {
         for seed in 0..if stress() { 24 } else { 3 } {
             differential_trial(seed, 100..401, 6..12, 0.5);
         }
@@ -541,7 +457,7 @@ mod tests {
         let vertices: Vec<QgVertex> =
             (0..10).map(|i| qv(i, &[i as usize, i as usize + 1], 1.0)).collect();
         let g = with_edges(vertices, &rates);
-        let c = coarsen_wholesale(&g, 4, &rates, &|_| None, 7);
+        let c = coarsen(&g, 4, &rates, &|_| None, 7);
         assert!(c.graph.len() <= 4);
         assert_eq!(c.members.iter().map(Vec::len).sum::<usize>(), 10);
     }
@@ -557,7 +473,7 @@ mod tests {
         for v in &g.vertices {
             before_union.union_with(&v.interest);
         }
-        let c = coarsen_wholesale(&g, 3, &rates, &|_| None, 1);
+        let c = coarsen(&g, 3, &rates, &|_| None, 1);
         assert!((c.graph.total_weight() - before_weight).abs() < 1e-9);
         let mut after_union = InterestSet::new(U);
         for v in &c.graph.vertices {
@@ -580,7 +496,7 @@ mod tests {
         ];
         let g = with_edges(vertices, &rates);
         for seed in 0..8 {
-            let c = coarsen_wholesale(&g, 2, &rates, &|_| None, seed);
+            let c = coarsen(&g, 2, &rates, &|_| None, seed);
             assert_eq!(c.graph.len(), 2);
             let ok = c.members.iter().any(|m| m.contains(&0) && m.contains(&1) && m.len() == 2);
             assert!(ok, "seed {seed}: heavy pairs should collapse: {:?}", c.members);
@@ -599,7 +515,7 @@ mod tests {
         ];
         let g = with_edges(vertices, &rates);
         let cluster_of = |n: NodeId| -> Option<usize> { Some(n.0 as usize) };
-        let c = coarsen_wholesale(&g, 1, &rates, &cluster_of, 5);
+        let c = coarsen(&g, 1, &rates, &cluster_of, 5);
         // Can't reach 1 vertex: the two n-vertices must stay apart.
         assert!(c.graph.len() >= 2);
         for v in &c.graph.vertices {
@@ -623,7 +539,7 @@ mod tests {
             qv(2, &[0, 1, 2], 1.0),
         ];
         let g = with_edges(vertices, &rates);
-        let c = coarsen_wholesale(&g, 1, &rates, &|_| None, 9);
+        let c = coarsen(&g, 1, &rates, &|_| None, 9);
         // Anchor survives alone; the two queries may merge.
         assert!(c.graph.len() >= 2);
         let anchor_members =
@@ -639,7 +555,7 @@ mod tests {
             qv(1, &[0, 1, 2, 3], 2.0),
         ];
         let g = with_edges(vertices, &rates);
-        let c = coarsen_wholesale(&g, 1, &rates, &|_| Some(0), 2);
+        let c = coarsen(&g, 1, &rates, &|_| Some(0), 2);
         assert_eq!(c.graph.len(), 1);
         let v = &c.graph.vertices[0];
         assert!(v.is_net());
@@ -651,7 +567,7 @@ mod tests {
     fn already_small_graph_is_untouched() {
         let rates = vec![1.0; U];
         let g = with_edges(vec![qv(0, &[0], 1.0), qv(1, &[5], 1.0)], &rates);
-        let c = coarsen_wholesale(&g, 10, &rates, &|_| None, 0);
+        let c = coarsen(&g, 10, &rates, &|_| None, 0);
         assert_eq!(c.graph.len(), 2);
         assert_eq!(c.members, vec![vec![0], vec![1]]);
     }
@@ -662,76 +578,9 @@ mod tests {
         let vertices: Vec<QgVertex> =
             (0..20).map(|i| qv(i, &[(i % 7) as usize, ((i * 3) % 11) as usize], 1.0)).collect();
         let g = with_edges(vertices, &rates);
-        let a = coarsen_wholesale(&g, 5, &rates, &|_| None, 42);
-        let b = coarsen_wholesale(&g, 5, &rates, &|_| None, 42);
+        let a = coarsen(&g, 5, &rates, &|_| None, 42);
+        let b = coarsen(&g, 5, &rates, &|_| None, 42);
         assert_eq!(a.members, b.members);
-    }
-
-    #[test]
-    fn prepared_state_replays_identically_to_wholesale() {
-        use rand::Rng;
-        for seed in 0..8u64 {
-            let mut rng = rng_for(seed, "coarsen-state-diff");
-            let rates: Vec<f64> = (0..U).map(|i| 1.0 + (i % 4) as f64).collect();
-            let n = rng.gen_range(10..30);
-            let vertices: Vec<QgVertex> = (0..n)
-                .map(|i| {
-                    let bits: Vec<usize> =
-                        (0..rng.gen_range(1..5)).map(|_| rng.gen_range(0..U)).collect();
-                    qv(i as u64, &bits, rng.gen_range(0.5..4.0))
-                })
-                .collect();
-            let g = with_edges(vertices, &rates);
-            let state = CoarsenState::prepare(g.clone());
-            let vmax = rng.gen_range(2..8);
-            let replay = state.run(vmax, &rates, &|_| None, seed);
-            let fresh = coarsen_wholesale(&g, vmax, &rates, &|_| None, seed);
-            assert_eq!(replay.members, fresh.members, "seed {seed}: members diverged");
-        }
-    }
-
-    /// Stats-only deltas: patch the dirty vertices of a long-lived state
-    /// and replay the collapse; the output must be bit-identical to
-    /// wholesale coarsening of a graph freshly built from the updated
-    /// vertices and rates.
-    #[test]
-    fn patched_state_matches_wholesale_on_fresh_graph() {
-        use rand::Rng;
-        for seed in 0..8u64 {
-            let mut rng = rng_for(seed, "coarsen-patch-diff");
-            let rates: Vec<f64> = (0..U).map(|i| 1.0 + (i % 4) as f64).collect();
-            let n = rng.gen_range(10..30);
-            let mut vertices: Vec<QgVertex> = (0..n)
-                .map(|i| {
-                    let bits: Vec<usize> =
-                        (0..rng.gen_range(1..5)).map(|_| rng.gen_range(0..U)).collect();
-                    qv(i as u64, &bits, rng.gen_range(0.5..4.0))
-                })
-                .collect();
-            let g = with_edges(vertices.clone(), &rates);
-            let mut state = CoarsenState::prepare(g);
-            // Perturb substream rates and a third of the loads — the kind
-            // of delta a StatDelta stream carries between rounds. Rates
-            // changed globally, so every vertex counts as dirty.
-            let rates2: Vec<f64> = rates
-                .iter()
-                .enumerate()
-                .map(|(i, r)| if i % 3 == 0 { r * rng.gen_range(1.1..2.0) } else { *r })
-                .collect();
-            for v in vertices.iter_mut() {
-                if rng.gen_bool(0.3) {
-                    v.weight *= rng.gen_range(0.5..2.0);
-                }
-            }
-            for (i, v) in vertices.iter().enumerate() {
-                assert!(state.patch_vertex(i, v.clone(), &rates2), "patch rejected at {i}");
-            }
-            let g2 = with_edges(vertices.clone(), &rates2);
-            let vmax = rng.gen_range(2..8);
-            let patched = state.run(vmax, &rates2, &|_| None, seed);
-            let fresh = coarsen_wholesale(&g2, vmax, &rates2, &|_| None, seed);
-            assert_identical(&patched, &fresh, &format!("seed {seed}"));
-        }
     }
 
     proptest! {
@@ -747,7 +596,7 @@ mod tests {
                 .map(|i| qv(i as u64, &[i % U, (i * 5 + 1) % U], 1.0))
                 .collect();
             let g = with_edges(vertices, &rates);
-            let c = coarsen_wholesale(&g, vmax, &rates, &|_| None, seed);
+            let c = coarsen(&g, vmax, &rates, &|_| None, seed);
             let mut seen: Vec<usize> = c.members.iter().flatten().copied().collect();
             seen.sort_unstable();
             let expect: Vec<usize> = (0..n).collect();
@@ -773,7 +622,7 @@ mod tests {
                 .map(|i| qv(i as u64, &[i % U, (i * 3) % U, (i * 7) % U], 1.0))
                 .collect();
             let g = with_edges(vertices, &rates);
-            let c = coarsen_wholesale(&g, 2, &rates, &|_| None, seed);
+            let c = coarsen(&g, 2, &rates, &|_| None, seed);
             for i in 0..c.graph.len() {
                 for (j, w) in c.graph.neighbors(i) {
                     let expect = edge_weight(&c.graph.vertices[i], &c.graph.vertices[j], &rates);

@@ -24,7 +24,7 @@
 //! pairs co-occur in many substream lists, so the heavy edges — the ones
 //! coarsening and mapping act on — survive.
 
-use crate::coarsen::{coarsen_wholesale, CoarsenState, CoarsenStats, Coarsened};
+use crate::coarsen::{coarsen, CoarsenStats, Coarsened};
 use crate::graph::{NetVertex, NetworkGraph, QgVertex, QueryGraph};
 use crate::hierarchy::CoordinatorTree;
 use crate::incremental::HierCache;
@@ -80,7 +80,6 @@ impl Default for DistConfig {
 
 impl DistConfig {
     /// Checks every knob, naming the offending one on failure.
-    /// Mirrors the `FaultParams::validate` house pattern.
     pub fn validate(&self) -> Result<(), String> {
         if self.vmax == 0 {
             return Err("vmax must be at least 1".into());
@@ -463,11 +462,8 @@ impl<'a> Distributor<'a> {
     /// With `cache` present (the incremental optimizer's memo), each
     /// coordinator's inputs are fingerprinted first: an unchanged
     /// fingerprint reuses the cached outputs and Arc-shares the cached
-    /// constituents; a changed level-1 coordinator whose query *structure*
-    /// is intact patches the dirty vertices of its persistent
-    /// [`CoarsenState`] and replays the collapse; everything else builds
-    /// and coarsens a fresh graph, which is all the batch path (`None`)
-    /// ever does.
+    /// constituents; a changed one builds and coarsens a fresh graph,
+    /// which is all the batch path (`None`) ever does.
     pub(crate) fn build_hierarchy_graphs(
         &self,
         specs: &[QuerySpec],
@@ -480,7 +476,7 @@ impl<'a> Distributor<'a> {
         let mut outputs: Vec<Vec<QgVertex>> = vec![Vec::new(); n_coords];
         let mut constituents: Vec<Arc<Vec<Vec<QgVertex>>>> = vec![Arc::default(); n_coords];
         let mut level_time: Vec<Duration> = Vec::new();
-        let mut coarsen = CoarsenStats::default();
+        let mut coarsen_stats = CoarsenStats::default();
         let rates = self.table.rates();
 
         // Group raw queries by their home processor's level-1 coordinator.
@@ -534,35 +530,15 @@ impl<'a> Distributor<'a> {
             let (out, cons) = if let Some(hit) = hit {
                 hit
             } else {
-                let patched = match cache.as_deref_mut() {
-                    Some(c) if node.level == 1 => {
-                        c.patch_leaf(coord, &leaf_specs, rates, &|s| self.vertex_for(s))
-                    }
-                    _ => None,
-                };
-                let (out, cons) = if let Some(state) = patched {
-                    let co = state.run(self.config.vmax, rates, &cluster_of, coarse_seed);
-                    coarsen += co.stats;
-                    tag_outputs(coord, &co, state.vertices())
+                let fine: Vec<QgVertex> = if node.level == 1 {
+                    leaf_specs.iter().map(|s| self.vertex_for(s)).collect()
                 } else {
-                    let fine: Vec<QgVertex> = if node.level == 1 {
-                        leaf_specs.iter().map(|s| self.vertex_for(s)).collect()
-                    } else {
-                        node.children.iter().flat_map(|&ch| outputs[ch].iter().cloned()).collect()
-                    };
-                    let qg = self.graph_from_vertices(fine, coarse_seed);
-                    let co =
-                        coarsen_wholesale(&qg, self.config.vmax, rates, &cluster_of, coarse_seed);
-                    coarsen += co.stats;
-                    let oc = tag_outputs(coord, &co, &qg.vertices);
-                    if node.level == 1 {
-                        if let Some(c) = cache.as_deref_mut() {
-                            let state = CoarsenState::prepare(qg);
-                            c.store_leaf_state(coord, &leaf_specs, rates, state);
-                        }
-                    }
-                    oc
+                    node.children.iter().flat_map(|&ch| outputs[ch].iter().cloned()).collect()
                 };
+                let qg = self.graph_from_vertices(fine, coarse_seed);
+                let co = coarsen(&qg, self.config.vmax, rates, &cluster_of, coarse_seed);
+                coarsen_stats += co.stats;
+                let (out, cons) = tag_outputs(coord, &co, &qg.vertices);
                 let cons = Arc::new(cons);
                 if let Some(c) = cache.as_deref_mut() {
                     c.insert(coord, input_fp, &out, &cons, rates);
@@ -580,7 +556,7 @@ impl<'a> Distributor<'a> {
             level_time[level - 1] = level_time[level - 1].max(sw.elapsed());
         }
         timing.response += level_time.iter().sum::<Duration>();
-        HierarchyGraphs { outputs, constituents, coarsen }
+        HierarchyGraphs { outputs, constituents, coarsen: coarsen_stats }
     }
 
     /// Top-down assignment with one-level uncoarsening.

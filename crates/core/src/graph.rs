@@ -289,19 +289,6 @@ impl QueryGraph {
     pub fn query_vertices(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).filter(|&i| !self.vertices[i].is_net())
     }
-
-    /// Recomputes the weights of all edges incident to `i` against its
-    /// current neighbor set (Algorithm 1's re-estimation after a collapse);
-    /// edges whose weight is no longer positive are dropped.
-    pub fn reestimate_edges_of(&mut self, i: usize, rates: &[f64]) {
-        let mut row = std::mem::take(&mut self.rows[i]);
-        row.retain_mut(|(j, w)| {
-            *w = edge_weight(&self.vertices[i], &self.vertices[*j], rates);
-            set_entry(&mut self.rows[*j], i, *w);
-            *w > 0.0
-        });
-        self.rows[i] = row;
-    }
 }
 
 /// A vertex of the network graph.
@@ -490,7 +477,7 @@ mod tests {
         // Absorb v2 into v1 (no new overlap with v0): edge unchanged.
         let v2_clone = g.vertices[2].clone();
         g.vertices[1].absorb(&v2_clone);
-        g.reestimate_edges_of(1, &rates);
+        g.set_edge(0, 1, edge_weight(&g.vertices[0], &g.vertices[1], &rates));
         assert_eq!(g.edge(0, 1), 1.0);
         // Clearing via zero weight works.
         g.set_edge(0, 1, 0.0);

@@ -9,12 +9,8 @@
 //!
 //! - **Phase A (bottom-up)**: each coordinator's coarsening inputs are
 //!   fingerprinted. An unchanged fingerprint replays the cached coarse
-//!   outputs and Arc-shares the constituents. A changed level-1 leaf whose
-//!   query *structure* (membership, interests, proxies) is intact patches
-//!   only its dirty vertices into a persistent
-//!   [`CoarsenState`](crate::coarsen::CoarsenState) — the fine graph stays
-//!   alive across rounds — and replays the collapse, skipping the
-//!   quadratic edge construction. Anything else recomputes wholesale.
+//!   outputs and Arc-shares the constituents; a changed one builds and
+//!   coarsens its graph afresh.
 //! - **Phase B (top-down)**: each subtree's placement decisions are keyed
 //!   on a content-deep fingerprint of its work vertices plus the current
 //!   homes of its queries; unchanged subtrees splice the previous round's
@@ -41,7 +37,6 @@
 //! clears every cache and the round falls back to wholesale work.
 
 use crate::adaptive::{adapt_with_caches, AdaptConfig, AdaptOutcome};
-use crate::coarsen::CoarsenState;
 use crate::distribute::Distributor;
 use crate::graph::{QgVertex, VertexKind};
 use crate::spec::{Assignment, QuerySpec};
@@ -98,21 +93,6 @@ pub(crate) fn spec_full_fp(spec: &QuerySpec, rates: &[f64]) -> u64 {
     h.finish()
 }
 
-/// Structural fingerprint of a query spec: id, interest, and proxy — the
-/// parts that decide the leaf graph's *edge set* and derived vertices.
-/// Statistics (load, rates, result rate, state size) are deliberately
-/// excluded so stats-only rounds take the cheap
-/// [`CoarsenState::patch_vertex`] path instead of a rebuild.
-pub(crate) fn spec_struct_fp(spec: &QuerySpec) -> u64 {
-    let mut h = DefaultHasher::new();
-    spec.id.hash(&mut h);
-    for s in spec.interest.iter() {
-        s.hash(&mut h);
-    }
-    spec.proxy.hash(&mut h);
-    h.finish()
-}
-
 /// One cached bottom-up result: the coarse outputs a coordinator handed
 /// its parent, keyed by the fingerprint of its inputs.
 #[derive(Debug)]
@@ -125,18 +105,6 @@ struct HierEntry {
     out_fps: Vec<u64>,
 }
 
-/// A level-1 coordinator's persistent coarsening state plus the
-/// fingerprints needed to decide patch-vs-rebuild.
-#[derive(Debug)]
-struct LeafState {
-    /// Fold of the member specs' [`spec_struct_fp`]s, in grouping order.
-    struct_fp: u64,
-    /// Per-member [`spec_full_fp`], aligned with the state's vertex
-    /// indices `0..specs.len()`.
-    vertex_fps: Vec<u64>,
-    state: CoarsenState,
-}
-
 /// A coordinator's cached coarse outputs plus its per-child constituent
 /// groups, Arc-shared with the cache on a hit.
 pub(crate) type CachedOutputs = (Vec<QgVertex>, Arc<Vec<Vec<QgVertex>>>);
@@ -147,14 +115,12 @@ pub(crate) type CachedOutputs = (Vec<QgVertex>, Arc<Vec<Vec<QgVertex>>>);
 #[derive(Debug, Default)]
 pub(crate) struct HierCache {
     entries: HashMap<usize, HierEntry>,
-    leaf_states: HashMap<usize, LeafState>,
     /// Per-coordinator output fingerprints of the *current* round, filled
     /// bottom-up (from the cache entry on a hit, from fresh computation on
     /// a miss) so parents can fingerprint their inputs content-deep.
     round_out_fps: HashMap<usize, Vec<u64>>,
     hits: u64,
     misses: u64,
-    leaf_patches: u64,
 }
 
 impl HierCache {
@@ -166,7 +132,6 @@ impl HierCache {
     /// Drops every cached result (environment changed).
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
-        self.leaf_states.clear();
         self.round_out_fps.clear();
     }
 
@@ -261,59 +226,6 @@ impl HierCache {
             },
         );
     }
-
-    /// Attempts the cheap leaf path: if `coord` has a live
-    /// [`CoarsenState`] and the member structure is unchanged, patches the
-    /// statistics-dirty vertices in place and returns the state for
-    /// replay. Returns `None` (consuming any stale state) when the leaf
-    /// must rebuild from a fresh graph — membership, interest, or proxy
-    /// changes, or a patch the state rejects.
-    pub(crate) fn patch_leaf(
-        &mut self,
-        coord: usize,
-        specs: &[&QuerySpec],
-        rates: &[f64],
-        vertex_for: &dyn Fn(&QuerySpec) -> QgVertex,
-    ) -> Option<&CoarsenState> {
-        let mut ls = self.leaf_states.remove(&coord)?;
-        if ls.struct_fp != fold_struct_fps(specs) || ls.vertex_fps.len() != specs.len() {
-            return None;
-        }
-        let mut patches = 0u64;
-        for (i, spec) in specs.iter().enumerate() {
-            let fp = spec_full_fp(spec, rates);
-            if ls.vertex_fps[i] != fp {
-                if !ls.state.patch_vertex(i, vertex_for(spec), rates) {
-                    return None; // edge set would change: rebuild
-                }
-                ls.vertex_fps[i] = fp;
-                patches += 1;
-            }
-        }
-        self.leaf_patches += patches;
-        Some(&self.leaf_states.entry(coord).or_insert(ls).state)
-    }
-
-    /// Adopts a freshly prepared leaf state for future patch rounds.
-    pub(crate) fn store_leaf_state(
-        &mut self,
-        coord: usize,
-        specs: &[&QuerySpec],
-        rates: &[f64],
-        state: CoarsenState,
-    ) {
-        let vertex_fps = specs.iter().map(|s| spec_full_fp(s, rates)).collect();
-        self.leaf_states
-            .insert(coord, LeafState { struct_fp: fold_struct_fps(specs), vertex_fps, state });
-    }
-}
-
-fn fold_struct_fps(specs: &[&QuerySpec]) -> u64 {
-    let mut h = DefaultHasher::new();
-    for spec in specs {
-        spec_struct_fp(spec).hash(&mut h);
-    }
-    h.finish()
 }
 
 /// A memoized subtree decision: the fingerprint it was computed under
@@ -344,8 +256,6 @@ pub struct CacheStats {
     pub hier_hits: u64,
     /// Phase-A coordinator results recomputed.
     pub hier_misses: u64,
-    /// Vertices patched into persistent leaf coarsening states.
-    pub leaf_patches: u64,
     /// Phase-B subtrees spliced from cache.
     pub place_hits: u64,
     /// Phase-B subtrees re-decided.
@@ -452,7 +362,6 @@ impl IncrementalOptimizer {
         CacheStats {
             hier_hits: self.hier.hits,
             hier_misses: self.hier.misses,
-            leaf_patches: self.hier.leaf_patches,
             place_hits: self.place.hits,
             place_misses: self.place.misses,
             deltas_ingested: self.deltas_ingested,
@@ -504,25 +413,25 @@ mod tests {
         }
     }
 
+    /// Every field that feeds a leaf's graph — load, an interested rate,
+    /// interest, proxy — moves the fingerprint its memo is keyed on.
     #[test]
     fn full_fp_tracks_stats_struct_fp_does_not() {
         let rates = vec![1.5; U];
         let a = spec(1, &[3, 7], 1.0);
         let mut b = a.clone();
         assert_eq!(spec_full_fp(&a, &rates), spec_full_fp(&b, &rates));
-        assert_eq!(spec_struct_fp(&a), spec_struct_fp(&b));
         b.load = 2.0;
-        assert_ne!(spec_full_fp(&a, &rates), spec_full_fp(&b, &rates), "load is a statistic");
-        assert_eq!(spec_struct_fp(&a), spec_struct_fp(&b), "load is not structure");
+        assert_ne!(spec_full_fp(&a, &rates), spec_full_fp(&b, &rates), "load moved");
         let mut rates2 = rates.clone();
         rates2[3] = 4.0;
         assert_ne!(spec_full_fp(&a, &rates), spec_full_fp(&a, &rates2), "interested rate moved");
         let mut c = a.clone();
         c.interest.insert(20);
-        assert_ne!(spec_struct_fp(&a), spec_struct_fp(&c), "interest is structure");
+        assert_ne!(spec_full_fp(&a, &rates), spec_full_fp(&c, &rates), "interest moved");
         let mut p = a.clone();
         p.proxy = NodeId(10);
-        assert_ne!(spec_struct_fp(&a), spec_struct_fp(&p), "proxy is structure");
+        assert_ne!(spec_full_fp(&a, &rates), spec_full_fp(&p, &rates), "proxy moved");
     }
 
     #[test]

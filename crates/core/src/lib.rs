@@ -24,8 +24,8 @@
 //! | §3.7/§3.8 delta-driven incremental optimizer (memoized pipeline) | [`incremental`] |
 //!
 //! The incremental layer sits across the optimizer pipeline: it keeps
-//! per-coordinator coarsening states ([`coarsen::CoarsenState`]) and
-//! placement memos alive between adaptation rounds, so a round whose
+//! per-coordinator coarsening results and placement memos alive between
+//! adaptation rounds, so a round whose
 //! [`stats::StatDelta`] stream touched few vertices re-does only the
 //! covering subtrees' work while remaining observationally equal to the
 //! batch path ([`adaptive::adapt_wholesale`]).

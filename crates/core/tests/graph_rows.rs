@@ -1,6 +1,6 @@
 //! The adjacency rows of [`QueryGraph`] against a `BTreeMap` model.
 
-use cosmos_core::graph::{edge_weight, QgVertex, QueryGraph};
+use cosmos_core::graph::{QgVertex, QueryGraph};
 use cosmos_net::NodeId;
 use cosmos_query::QueryId;
 use cosmos_util::InterestSet;
@@ -9,30 +9,26 @@ use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-    /// Random `set_edge` / clear / `reestimate_edges_of` sequences
-    /// against a `BTreeMap` model of the adjacency: after every
-    /// operation each row reads back equal to the model's — same
-    /// neighbors, ascending, same weight bits — through `neighbors`,
-    /// `edge`, `degree`, and `edge_count`.
+    /// Random `set_edge` / clear sequences against a `BTreeMap` model of
+    /// the adjacency: after every operation each row reads back equal to
+    /// the model's — same neighbors, ascending, same weight bits —
+    /// through `neighbors`, `edge`, `degree`, and `edge_count`.
     #[test]
     fn prop_rows_match_btreemap_model(
-        ops in proptest::collection::vec((0u8..5, 0usize..10, 0usize..10, 0.25f64..8.0), 1..120),
+        ops in proptest::collection::vec((0u8..4, 0usize..10, 0usize..10, 0.25f64..8.0), 1..120),
     ) {
         const N: usize = 10;
-        let rates: Vec<f64> = (0..16).map(|s| 1.0 + (s % 3) as f64).collect();
-        let vertices: Vec<QgVertex> = (0..N)
+        // Rows hold whatever weight they are given; the vertices' own
+        // content plays no part.
+        let vertices: Vec<QgVertex> = (0..N as u64)
             .map(|i| {
-                let interest =
-                    InterestSet::from_indices(16, [i % 16, (i * 5 + 2) % 16, (i * 3 + 7) % 16]);
-                QgVertex::for_query(QueryId(i as u64), interest, 1.0, NodeId(99), 0.5, 1.0)
+                QgVertex::for_query(QueryId(i), InterestSet::new(16), 1.0, NodeId(99), 0.5, 1.0)
             })
             .collect();
         let mut g = QueryGraph::new(vertices);
         let mut model: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); N];
         for (step, &(op, i, j, w)) in ops.iter().enumerate() {
             match op {
-                // Arbitrary pairs: many of these edges join vertices
-                // that share nothing, which re-estimation then drops.
                 0..=2 if i != j => {
                     g.set_edge(i, j, w);
                     model[i].insert(j, w);
@@ -42,19 +38,6 @@ proptest! {
                     g.set_edge(i, j, 0.0);
                     model[i].remove(&j);
                     model[j].remove(&i);
-                }
-                4 => {
-                    g.reestimate_edges_of(i, &rates);
-                    for x in model[i].keys().copied().collect::<Vec<_>>() {
-                        let w = edge_weight(&g.vertices[i], &g.vertices[x], &rates);
-                        if w > 0.0 {
-                            model[i].insert(x, w);
-                            model[x].insert(i, w);
-                        } else {
-                            model[i].remove(&x);
-                            model[x].remove(&i);
-                        }
-                    }
                 }
                 _ => {}
             }

@@ -18,20 +18,22 @@
 //!    extraction is O(window sizes) refcount bumps, never a deep copy.
 //! 2. **Retain upstream.** The upstream-backup layer
 //!    (`cosmos-pubsub::recovery`) keeps every record forwarded toward the
-//!    engine in a replay log until a checkpoint watermark acknowledges it;
-//!    acking at watermark `w` truncates everything numbered `≤ w`, so
+//!    engine in a replay log until a checkpoint watermark acknowledges it.
+//!    Inputs are numbered from 0 and the watermark *counts* them, so
+//!    acking at watermark `w` truncates everything numbered below `w`
+//!    (inputs `0..w`, the ones the checkpoint has consumed), and
 //!    retention is bounded by the checkpoint interval, not stream length.
 //! 3. **Restore + replay.** After a crash, a fresh engine is built with
 //!    the *same* queries in the *same* registration order, then
 //!    [`StreamEngine::restore`] overwrites its mutable state from the
 //!    checkpoint (key buckets are rebuilt from the arrival-ordered window
 //!    contents — derived state never travels). Upstreams replay the
-//!    retained records `(w, now]` in input order; because the restored
+//!    retained records `[w, now)` in input order; because the restored
 //!    state is bit-identical to the state the crash-free run had after
-//!    input `w` — including the sticky `active` flags, which change how
-//!    many probe combinations materialize and are therefore observable
-//!    through [`EngineStats`] — the replayed run re-derives the exact
-//!    outputs and counters of the run that never crashed.
+//!    its first `w` inputs — including the sticky `active` flags, which
+//!    change how many probe combinations materialize and are therefore
+//!    observable through [`EngineStats`] — the replayed run re-derives
+//!    the exact outputs and counters of the run that never crashed.
 //!
 //! Compiled shape (predicates, schemas, equi-join plans, residual groups)
 //! is deliberately *not* checkpointed: it is a pure function of the query

@@ -19,9 +19,8 @@ use cosmos_query::compiled::{eval_compiled, CompiledPredicate};
 use cosmos_query::containment::{merge_queries, MergedQuery};
 use cosmos_query::{Query, QueryId};
 use cosmos_util::intern::{Schema, Symbol};
-use std::cell::RefCell;
+use cosmos_util::PlanCache;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A member's residual subscription, fully symbol-compiled at build time
@@ -48,9 +47,6 @@ struct ResidualCompiled {
 /// the dominant sharing win when many members ask for the same columns.
 #[derive(Debug)]
 struct OutputClass {
-    /// Unique per class; keys the renamed-schema cache (`u64`: cannot
-    /// wrap into an alias).
-    id: u64,
     /// The class's projection over merged aliases.
     projection: CompiledProjection,
     /// Resolved projection plans per part shape — splitting a shared
@@ -58,11 +54,10 @@ struct OutputClass {
     plans: ProjPlanCache,
     /// `(merged alias, member alias)` renames for the output schema.
     pairs: Vec<(Symbol, Symbol)>,
-}
-
-fn next_class_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+    /// Projected schema id → renamed schema; the rename is a pure
+    /// function of the schema and `pairs`, so repeat shapes skip the
+    /// schema interner.
+    renamed: PlanCache<u32, Arc<Schema>>,
 }
 
 /// One group of merged queries.
@@ -210,10 +205,10 @@ impl SharedEngine {
                         Some(c) => c,
                         None => {
                             proj_classes.push(OutputClass {
-                                id: next_class_id(),
                                 projection,
                                 plans: ProjPlanCache::new(),
                                 pairs,
+                                renamed: PlanCache::new(),
                             });
                             proj_classes.len() - 1
                         }
@@ -341,33 +336,24 @@ impl SharedEngine {
     }
 }
 
-thread_local! {
-    /// (input schema id, projection class id) → renamed schema; the rename
-    /// is a pure function of both, so repeat shapes skip the schema
-    /// interner.
-    static RENAMED_SCHEMAS: RefCell<HashMap<(u32, u64), Arc<Schema>>> =
-        RefCell::new(HashMap::new());
-}
-
 /// Renames `merged_alias.attr` attribute names back to the member query's
 /// own aliases, so users see the schema they asked for. Pure schema work:
 /// the `Arc`-shared payload is reused untouched, and the renamed schema is
-/// cached per (input schema, projection class) and interned (so equal
-/// shapes keep sharing one schema).
-fn rename_aliases(t: Tuple, class: &OutputClass) -> Tuple {
-    let schema = RENAMED_SCHEMAS.with_borrow_mut(|cache| {
-        // Class ids are minted per SharedEngine::build; bound the
-        // per-thread cache so engine rebuilds cannot grow it forever.
-        if cache.len() > 4096 {
-            cache.clear();
-        }
-        Arc::clone(cache.entry((t.schema().id(), class.id)).or_insert_with(|| {
+/// cached on the class per input schema and interned (so equal shapes keep
+/// sharing one schema).
+fn rename_aliases(t: Tuple, class: &mut OutputClass) -> Tuple {
+    let OutputClass { pairs, renamed, .. } = class;
+    let id = t.schema().id();
+    let schema = renamed.get_or_insert_with(
+        |&k| k == id,
+        || id,
+        || {
             let attrs: Vec<Symbol> = t
                 .schema()
                 .attrs()
                 .iter()
                 .map(|&name| match name.split_dotted() {
-                    Some((alias, attr)) => match class.pairs.iter().find(|(m, _)| *m == alias) {
+                    Some((alias, attr)) => match pairs.iter().find(|(m, _)| *m == alias) {
                         Some((_, orig)) => Symbol::dotted(*orig, attr),
                         None => name,
                     },
@@ -375,9 +361,9 @@ fn rename_aliases(t: Tuple, class: &OutputClass) -> Tuple {
                 })
                 .collect();
             Schema::intern(&attrs)
-        }))
-    });
-    t.with_schema(schema)
+        },
+    );
+    t.with_schema(Arc::clone(schema))
 }
 
 #[cfg(test)]

@@ -1,14 +1,11 @@
 //! Undirected latency-weighted topology graph.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a physical network node (router, processor, or source).
 ///
 /// A plain index newtype: cheap to copy, `Display`s as `n<idx>`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -46,7 +43,7 @@ impl From<u32> for NodeId {
 /// assert_eq!(t.edge_count(), 2);
 /// assert_eq!(t.neighbors(NodeId(1)).count(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     /// adjacency[u] = list of (v, latency)
     adjacency: Vec<Vec<(NodeId, f64)>>,

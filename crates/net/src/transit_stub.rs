@@ -20,10 +20,9 @@
 use crate::graph::{NodeId, Topology};
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Inclusive latency range for one edge tier, in milliseconds.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LatencyRange {
     /// Lower bound (ms).
     pub min: f64,
@@ -52,7 +51,7 @@ impl LatencyRange {
 /// assert!(topo.node_count() >= 4096);
 /// assert!(topo.is_connected());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransitStubConfig {
     /// Number of transit (core) domains.
     pub transit_domains: usize,

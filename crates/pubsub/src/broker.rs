@@ -79,7 +79,6 @@ use crate::index::{
 use crate::snapshot::{FrozenTable, ReaderOutput, RoutingSnapshot, SnapshotReader};
 use crate::subscription::{Message, StreamProjection, SubId, Subscription};
 use cosmos_net::{NodeId, ShortestPathTree, Topology};
-use cosmos_query::Scalar;
 use cosmos_util::{SnapshotCell, Symbol};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -204,15 +203,6 @@ struct DirtyNodes {
     all: bool,
 }
 
-/// Monotone `u64` image of a value under ascending numeric order (sign
-/// bit flipped for positives, all bits for negatives — the `total_cmp`
-/// bit trick); `None` for values without a numeric interpretation.
-fn sort_bits(v: &Scalar) -> Option<u64> {
-    let f = cosmos_query::compiled::ScalarRef::from(v).as_f64()?;
-    let b = f.to_bits();
-    Some(if b >> 63 == 1 { !b } else { b | (1 << 63) })
-}
-
 /// Where a hop's forwarded record lives while a run's sub-runs are
 /// regrouped: `Same` borrows the matched message itself (identity union
 /// projection), `Proj` indexes the forwarding node's arena of narrowed
@@ -266,15 +256,6 @@ pub(crate) struct Walk {
     next_pool: Vec<Vec<(NodeId, HopSlots)>>,
     /// Per-node arenas of narrowed records.
     arena_pool: Vec<Vec<Message>>,
-    /// Per-run wire-size memo for link statistics, by run position. A hop
-    /// whose union projection keeps the whole record forwards the
-    /// message's own value row (`Arc`-shared), so its wire size is the
-    /// same on every link it crosses; that case is recognized by value-row
-    /// identity with the run's own message and charged from one
-    /// computation per message instead of one per link. Narrowed
-    /// projections produce fresh value rows, miss the identity check, and
-    /// are measured directly — identical bytes either way.
-    sizes: Vec<Option<u64>>,
 }
 
 impl Walk {
@@ -315,27 +296,12 @@ impl Walk {
         msgs: &[Message],
         deliver: &mut impl FnMut(u32, Delivery),
     ) {
-        self.sizes.clear();
-        self.sizes.resize(msgs.len(), None);
         if let [msg] = msgs {
             // A run of one, from a stack array.
-            self.forward(plane, links, src, None, &[(0, msg)], msgs, deliver);
+            self.forward(plane, links, src, None, &[(0, msg)], deliver);
         } else {
-            let mut run: Vec<(u32, &Message)> = (0..).zip(msgs).collect();
-            // Process the run in routed-value order: sub-runs inherit it,
-            // so every node's eq-directory cursor walk advances
-            // monotonically. Tags keep the slice positions, so the
-            // published outcome is order-independent.
-            let attrs = msgs[0].schema().attrs();
-            let sort_attr =
-                plane.at(src, msgs[0].stream).and_then(|at| at.0.first_indexed_attr(attrs));
-            if let Some(attr) = sort_attr {
-                run.sort_by_key(|(_, m)| {
-                    let same_schema = m.schema().attrs().as_ptr() == attrs.as_ptr();
-                    same_schema.then(|| sort_bits(&m.values()[attr])).flatten()
-                });
-            }
-            self.forward(plane, links, src, None, &run, msgs, deliver);
+            let run: Vec<(u32, &Message)> = (0..).zip(msgs).collect();
+            self.forward(plane, links, src, None, &run, deliver);
         }
     }
 
@@ -355,7 +321,6 @@ impl Walk {
     /// their pools and a sub-run of one lives on the stack, so
     /// steady-state publishing of single messages allocates nothing here
     /// and a batch only its sub-run vectors.
-    #[allow(clippy::too_many_arguments)]
     fn forward(
         &mut self,
         plane: &mut impl Plane,
@@ -363,7 +328,6 @@ impl Walk {
         node: NodeId,
         from: Option<NodeId>,
         run: &[(u32, &Message)],
-        msgs: &[Message],
         deliver: &mut impl FnMut(u32, Delivery),
     ) {
         let stream = run[0].1.stream;
@@ -416,14 +380,8 @@ impl Walk {
             let key = if node <= hop { (node, hop) } else { (hop, node) };
             let stats = links.entry(key).or_default();
             stats.messages += sub_run.len() as u64;
-            for &(tag, m) in sub_run {
-                let own_row = std::ptr::eq(m.values(), msgs[tag as usize].values());
-                stats.bytes += match &mut self.sizes[tag as usize] {
-                    memo if own_row => *memo.get_or_insert_with(|| m.wire_size() as u64),
-                    _ => m.wire_size() as u64,
-                };
-            }
-            self.forward(plane, links, hop, Some(node), sub_run, msgs, deliver);
+            stats.bytes += sub_run.iter().map(|(_, m)| m.wire_size() as u64).sum::<u64>();
+            self.forward(plane, links, hop, Some(node), sub_run, deliver);
             slots.clear();
             self.slot_pool.push(slots);
         }

@@ -413,18 +413,8 @@ impl OpLists {
     /// Hands `bump` every `(threshold, member)` reference whose predicate
     /// is satisfied by attribute value `v` (non-NaN): descend the run
     /// directory to the satisfied range, then walk only that range's runs
-    /// in key order. With `eq_cursor`, the equality list's directory is
-    /// walked from a caller-held cursor ([`TieredList::for_eq_hinted`]):
-    /// a run probed in value order turns each eq descent into an
-    /// amortized linear advance. The inequality lists walk whole
-    /// satisfied ranges anyway — their boundary descents are a negligible
-    /// share of the visit — so only `eq` is hinted.
-    fn bump_satisfied(
-        &self,
-        v: f64,
-        eq_cursor: Option<&mut usize>,
-        mut bump: impl FnMut(&[(f64, u32)]),
-    ) {
+    /// in key order.
+    fn bump_satisfied(&self, v: f64, mut bump: impl FnMut(&[(f64, u32)])) {
         // `attr > t` holds for thresholds t < v: an ascending prefix.
         self.gt.for_prefix(|t| t < v, &mut bump);
         // `attr >= t` holds for t <= v.
@@ -434,10 +424,7 @@ impl OpLists {
         // `attr <= t` holds for t >= v.
         self.le.for_suffix(|t| t >= v, &mut bump);
         // `attr = t` holds for the equal range.
-        match eq_cursor {
-            Some(cursor) => self.eq.for_eq_hinted(cursor, |t| t < v, |t| t <= v, bump),
-            None => self.eq.for_eq(|t| t < v, |t| t <= v, bump),
-        }
+        self.eq.for_eq(|t| t < v, |t| t <= v, bump);
     }
 }
 
@@ -852,17 +839,6 @@ pub(crate) struct Partition {
     lists: VecMap<IndexOperand, OpLists>,
 }
 
-impl Partition {
-    /// The value-row position of the first of `attrs` carrying threshold
-    /// lists here, if any. The forwarding walk sorts each longer run by
-    /// this attribute's value so the eq-list cursor walk
-    /// ([`TieredList::for_eq_hinted`]) advances monotonically through the
-    /// run directory.
-    pub(crate) fn first_indexed_attr(&self, attrs: &[Symbol]) -> Option<usize> {
-        attrs.iter().position(|&a| self.lists.get(&IndexOperand::Attr(a)).is_some())
-    }
-}
-
 /// The index over one stream's entries at one node. A node on many users'
 /// result paths holds thousands of these with a single member each, so it
 /// owns nothing sized for a population it may not have (match state is
@@ -1061,11 +1037,6 @@ pub(crate) fn match_run(
     }
     let ts_lists = lists.get(&IndexOperand::Timestamp);
     let mut resolved_schema: *const Symbol = std::ptr::null();
-    // Directory cursor for the first resolved attribute's eq list:
-    // callers sort longer runs by that attribute, so successive probes
-    // advance it monotonically (any order stays correct, just without
-    // the amortization). A run of one descends the directory instead.
-    let mut eq_cursor = 0usize;
     // Counted in a local (registers), folded into the scratch once.
     let mut work = MatchStats { messages: run.len() as u64, ..MatchStats::default() };
     for &(tag, msg) in run {
@@ -1098,9 +1069,8 @@ pub(crate) fn match_run(
                     let at = lists.keys().position(|k| *k == IndexOperand::Attr(attr))?;
                     Some((i as u32, at as u32))
                 }));
-                eq_cursor = 0;
             }
-            for (a, &(i, at)) in resolved.iter().enumerate() {
+            for &(i, at) in resolved.iter() {
                 let Some(v) = ScalarRef::from(&msg.values()[i as usize]).as_f64() else {
                     continue; // string value: numeric comparisons are false
                 };
@@ -1108,12 +1078,11 @@ pub(crate) fn match_run(
                     continue;
                 }
                 let (_, attr_lists) = lists.iter().nth(at as usize).expect("resolved in this map");
-                let cursor = (a == 0 && run.len() > 1).then_some(&mut eq_cursor);
-                attr_lists.bump_satisfied(v, cursor, &mut bump);
+                attr_lists.bump_satisfied(v, &mut bump);
             }
         }
         if let Some(ts_lists) = ts_lists {
-            ts_lists.bump_satisfied(msg.timestamp as f64, None, &mut bump);
+            ts_lists.bump_satisfied(msg.timestamp as f64, &mut bump);
         }
 
         // Candidates in installation-sequence order — the population's

@@ -11,11 +11,12 @@
 //!   reliable plane's clock ([`LossyNetwork::now`]).
 //! - **Upstream backup**: every record forwarded toward a hosted engine is
 //!   retained in a replay log *at its upstream source broker* until the
-//!   engine's checkpoint watermark acknowledges it. Acking at watermark
-//!   `w` truncates everything below `w`, so retention is bounded by the
-//!   checkpoint interval — never by stream length. The bound — retained
-//!   records are exactly the unacked suffix `[w, now)` — is asserted
-//!   after every truncation.
+//!   engine's checkpoint watermark acknowledges it. Sequence numbers
+//!   start at 0 and the watermark counts consumed inputs, so acking at
+//!   watermark `w` truncates everything below `w`: retention is bounded
+//!   by the checkpoint interval — never by stream length. The bound —
+//!   retained records are exactly the unacked suffix `[w, now)` — is
+//!   asserted after every truncation.
 //! - **Replay**: on [`RecoveryNetwork::restore_host`], the broker rejoins
 //!   the overlay ([`BrokerNetwork::restore_node`]), its subscription is
 //!   re-installed, a fresh engine restores the last checkpoint, and the

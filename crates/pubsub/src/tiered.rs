@@ -203,43 +203,6 @@ impl TieredList {
         }
     }
 
-    /// [`TieredList::for_eq`] with a caller-held directory cursor:
-    /// `cursor` carries `mins.partition_point(lt)` forward across probes,
-    /// so a non-decreasing probe sequence (a value-sorted batch) locates
-    /// each equal range by a short linear advance instead of two
-    /// directory descents. The window visited is identical to `for_eq`'s
-    /// for any probe order — a probe below the cursor's position resets
-    /// it and re-advances from the front — only the locating cost varies.
-    pub fn for_eq_hinted(
-        &self,
-        cursor: &mut usize,
-        lt: impl Fn(f64) -> bool,
-        le: impl Fn(f64) -> bool,
-        mut f: impl FnMut(&[(f64, u32)]),
-    ) {
-        let mut c = (*cursor).min(self.mins.len());
-        if c > 0 && !lt(self.mins[c - 1]) {
-            // Probe regressed below the hint: restart the advance.
-            c = 0;
-        }
-        while c < self.mins.len() && lt(self.mins[c]) {
-            c += 1;
-        }
-        *cursor = c;
-        // `le` is implied by `lt`, so partition_point(le) >= c.
-        let mut end = c;
-        while end < self.mins.len() && le(self.mins[end]) {
-            end += 1;
-        }
-        for run in &self.runs[c.saturating_sub(1)..end] {
-            let lo = run.partition_point(|(k, _)| lt(*k));
-            let hi = run.partition_point(|(k, _)| le(*k));
-            if lo < hi {
-                f(&run[lo..hi]);
-            }
-        }
-    }
-
     /// Per-run tombstone sweep: retains the entries `keep` accepts, in
     /// place, run by run; emptied runs are dropped and adjacent underfull
     /// survivors merged (never past the split steady state, so a sweep
@@ -388,51 +351,6 @@ mod tests {
         assert!(list.is_empty());
         list.insert(3.0, 7);
         assert_eq!(dense(&list), vec![(3.0, 7)]);
-    }
-
-    #[test]
-    fn for_eq_hinted_matches_for_eq_any_probe_order() {
-        // Dense key space with heavy duplication plus the signed-zero
-        // pair, spread across many runs.
-        let items: Vec<(f64, u32)> = (0..3000u32)
-            .map(|i| {
-                let k = match i % 5 {
-                    0 => f64::from(i % 40),
-                    1 => -0.0,
-                    2 => 0.0,
-                    _ => f64::from(i * 7919 % 97),
-                };
-                (k, i)
-            })
-            .collect();
-        let mut list = TieredList::new();
-        for (k, v) in items {
-            list.insert(k, v);
-        }
-        // Ascending, descending, and shuffled probe sequences, one
-        // shared cursor per sequence — regressions must reset it without
-        // changing the visited window.
-        let ascending: Vec<f64> = (-2..100).map(f64::from).chain([-0.0, 0.0]).collect();
-        let mut descending = ascending.clone();
-        descending.reverse();
-        let shuffled: Vec<f64> =
-            (0..200u32).map(|i| f64::from(i.wrapping_mul(2654435761) % 103) - 2.0).collect();
-        for probes in [ascending, descending, shuffled] {
-            let mut cursor = 0usize;
-            for v in probes {
-                let lt = |k: f64| k.total_cmp(&v).is_lt();
-                let le = |k: f64| k.total_cmp(&v).is_le();
-                let mut plain: Vec<(f64, u32)> = Vec::new();
-                list.for_eq(lt, le, |run| plain.extend_from_slice(run));
-                let mut hinted: Vec<(f64, u32)> = Vec::new();
-                list.for_eq_hinted(&mut cursor, lt, le, |run| hinted.extend_from_slice(run));
-                assert_eq!(plain.len(), hinted.len(), "probe {v}");
-                for (a, b) in plain.iter().zip(&hinted) {
-                    assert_eq!(a.0.total_cmp(&b.0), std::cmp::Ordering::Equal);
-                    assert_eq!(a.1, b.1, "probe {v}");
-                }
-            }
-        }
     }
 
     #[test]

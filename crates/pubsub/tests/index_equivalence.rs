@@ -141,8 +141,7 @@ const RUNS: [usize; 4] = [1, 2, 7, 64];
 
 /// `len` messages of one stream whose schema flips mid-run to the same
 /// attributes in another column order: a matcher that kept its schema
-/// resolution (or its eq-list cursor) across the flip reads the wrong
-/// columns.
+/// resolution across the flip reads the wrong columns.
 fn schema_flip_run(rng: &mut StdRng, ts: &mut i64, len: usize) -> Vec<Message> {
     let stream = STREAMS[rng.gen_range(0..STREAMS.len())];
     (0..len)

@@ -1,12 +1,9 @@
 //! Abstract syntax for the CQL subset.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Globally unique identifier for a submitted continuous query.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct QueryId(pub u64);
 
 impl fmt::Display for QueryId {
@@ -16,7 +13,7 @@ impl fmt::Display for QueryId {
 }
 
 /// A scalar constant in a predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Scalar {
     /// 64-bit integer.
     Int(i64),
@@ -58,7 +55,7 @@ impl fmt::Display for Scalar {
 }
 
 /// A qualified attribute reference `alias.attr`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrRef {
     /// The relation alias from the `FROM` clause (e.g. `S1`).
     pub relation: String,
@@ -80,7 +77,7 @@ impl fmt::Display for AttrRef {
 }
 
 /// Comparison operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `<`
     Lt,
@@ -137,7 +134,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A conjunct of the `WHERE` clause.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Selection: `attr op constant`.
     Cmp {
@@ -210,7 +207,7 @@ impl fmt::Display for Predicate {
 }
 
 /// A window specification on a `FROM` relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Window {
     /// `[Now]`: only the latest instant (width 0).
     Now,
@@ -278,7 +275,7 @@ impl fmt::Display for Window {
 }
 
 /// One relation in the `FROM` clause: stream name, window, alias.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelationRef {
     /// Source stream name (e.g. `Station1`).
     pub stream: String,
@@ -299,7 +296,7 @@ impl fmt::Display for RelationRef {
 }
 
 /// A windowed aggregate function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AggFunc {
     /// Number of tuples in the window.
     Count,
@@ -327,7 +324,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// One item of the `SELECT` list.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProjItem {
     /// `*` — all attributes of all relations.
     All,
@@ -357,7 +354,7 @@ impl fmt::Display for ProjItem {
 
 /// A parsed continuous query (conjunctive select-project-join over windowed
 /// streams).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Projection list, in source order.
     pub projection: Vec<ProjItem>,

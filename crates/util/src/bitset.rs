@@ -7,7 +7,6 @@
 //! packed into `u64` words with word-parallel intersection/union/weighted
 //! overlap operations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const WORD_BITS: usize = 64;
@@ -28,7 +27,7 @@ const WORD_BITS: usize = 64;
 /// assert_eq!(a.intersection_count(&b), 2);
 /// assert!(a.union(&b).contains(99));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct InterestSet {
     universe: usize,
     words: Vec<u64>,

@@ -1,180 +1,14 @@
 //! The paper's experimental constants (§4.1), with uniform scaling, plus
-//! the fault-scenario knobs the robustness experiments feed into the
-//! deterministic fault plane ([`cosmos_pubsub::fault`]).
+//! the crash-recovery scenario knobs.
 
 use cosmos_net::TransitStubConfig;
-use cosmos_pubsub::{FaultConfig, FaultPlan};
-use serde::{Deserialize, Serialize};
-
-/// Fault-scenario knobs for robustness experiments: a seed plus per-link
-/// fault rates, serializable so a scenario file pins the exact chaos
-/// schedule a run replays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultParams {
-    /// Seed of the deterministic fault schedule.
-    pub seed: u64,
-    /// Probability a transmission is lost.
-    pub drop: f64,
-    /// Probability a transmission arrives twice.
-    pub duplicate: f64,
-    /// Probability a transmission is delayed past later traffic.
-    pub reorder: f64,
-    /// Maximum extra delay (simulated ticks) of duplicated/reordered copies.
-    pub max_extra_ticks: u64,
-}
-
-impl FaultParams {
-    /// A fault-free plan (the control arm of every robustness experiment).
-    pub fn clean(seed: u64) -> Self {
-        let c = FaultConfig::clean();
-        Self {
-            seed,
-            drop: c.drop,
-            duplicate: c.duplicate,
-            reorder: c.reorder,
-            max_extra_ticks: c.max_extra_ticks,
-        }
-    }
-
-    /// The moderately hostile default (5% drop, 3% duplicate, 5% reorder).
-    pub fn lossy(seed: u64) -> Self {
-        let c = FaultConfig::lossy();
-        Self {
-            seed,
-            drop: c.drop,
-            duplicate: c.duplicate,
-            reorder: c.reorder,
-            max_extra_ticks: c.max_extra_ticks,
-        }
-    }
-
-    /// Validates the rates exactly like [`FaultPlan::new`] does at
-    /// construction — plus finiteness, which the arithmetic checks would
-    /// only reject indirectly. Scenario ingestion calls this so a corrupt
-    /// file fails *here*, with the offending knob named, instead of
-    /// panicking deep inside the fault plane mid-experiment.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in
-            [("drop", self.drop), ("duplicate", self.duplicate), ("reorder", self.reorder)]
-        {
-            if !v.is_finite() {
-                return Err(format!("fault rate `{name}` must be finite, got {v}"));
-            }
-            if v < 0.0 {
-                return Err(format!("fault rate `{name}` must be non-negative, got {v}"));
-            }
-        }
-        let sum = self.drop + self.duplicate + self.reorder;
-        if sum > 1.0 {
-            return Err(format!("fault rates must sum to at most 1, got {sum}"));
-        }
-        if self.drop >= 1.0 {
-            return Err("a link dropping everything can never converge (drop must be < 1)".into());
-        }
-        Ok(())
-    }
-
-    /// Parses a fault-scenario file: one `key = value` per line, `#`
-    /// comments, blank lines ignored. Required keys: `seed`, `drop`,
-    /// `duplicate`, `reorder`, `max_extra_ticks`. The parsed knobs are
-    /// [`FaultParams::validate`]d before they are returned, so corrupt
-    /// scenario files fail fast at ingestion.
-    ///
-    /// The format is the inverse of [`FaultParams::to_scenario`].
-    pub fn from_scenario(text: &str) -> Result<Self, String> {
-        let mut p = FaultParams::clean(0);
-        let mut seen = [false; 5];
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                format!("line {}: expected `key = value`, got `{raw}`", lineno + 1)
-            })?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad = |e: String| {
-                format!("line {}: invalid value `{value}` for `{key}`: {e}", lineno + 1)
-            };
-            match key {
-                "seed" => {
-                    (p.seed, seen[0]) = (
-                        value.parse().map_err(|e: std::num::ParseIntError| bad(e.to_string()))?,
-                        true,
-                    )
-                }
-                "drop" => {
-                    (p.drop, seen[1]) = (
-                        value.parse().map_err(|e: std::num::ParseFloatError| bad(e.to_string()))?,
-                        true,
-                    )
-                }
-                "duplicate" => {
-                    (p.duplicate, seen[2]) = (
-                        value.parse().map_err(|e: std::num::ParseFloatError| bad(e.to_string()))?,
-                        true,
-                    )
-                }
-                "reorder" => {
-                    (p.reorder, seen[3]) = (
-                        value.parse().map_err(|e: std::num::ParseFloatError| bad(e.to_string()))?,
-                        true,
-                    )
-                }
-                "max_extra_ticks" => {
-                    (p.max_extra_ticks, seen[4]) = (
-                        value.parse().map_err(|e: std::num::ParseIntError| bad(e.to_string()))?,
-                        true,
-                    )
-                }
-                _ => return Err(format!("line {}: unknown scenario key `{key}`", lineno + 1)),
-            }
-        }
-        const KEYS: [&str; 5] = ["seed", "drop", "duplicate", "reorder", "max_extra_ticks"];
-        if let Some(i) = seen.iter().position(|&s| !s) {
-            return Err(format!("scenario is missing required key `{}`", KEYS[i]));
-        }
-        p.validate()?;
-        Ok(p)
-    }
-
-    /// Renders these knobs in the scenario-file format
-    /// [`FaultParams::from_scenario`] parses.
-    pub fn to_scenario(&self) -> String {
-        format!(
-            "seed = {}\ndrop = {}\nduplicate = {}\nreorder = {}\nmax_extra_ticks = {}\n",
-            self.seed, self.drop, self.duplicate, self.reorder, self.max_extra_ticks
-        )
-    }
-
-    /// The per-link fault rates as the pubsub layer's config.
-    pub fn config(&self) -> FaultConfig {
-        FaultConfig {
-            drop: self.drop,
-            duplicate: self.duplicate,
-            reorder: self.reorder,
-            max_extra_ticks: self.max_extra_ticks,
-        }
-    }
-
-    /// Builds the seeded fault schedule these knobs describe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rates are invalid (see [`FaultPlan::new`]); knobs
-    /// that arrived via [`FaultParams::from_scenario`] are already
-    /// validated and cannot panic here.
-    pub fn plan(&self) -> FaultPlan {
-        FaultPlan::new(self.seed, self.config())
-    }
-}
 
 /// Crash-recovery scenario knobs: how often hosted engines checkpoint,
 /// and how aggressively the workload kills and restores them. Fed to the
 /// recovery simulator (`cosmos_workload::sim::RecoverySim`), which
 /// schedules checkpoints on the reliable plane's simulated clock and
 /// rolls engine-kill ops into the workload step mix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryParams {
     /// Simulated ticks between checkpoints of each hosted engine. Bounds
     /// upstream replay-log retention: at most one interval of traffic is
@@ -211,7 +45,7 @@ impl RecoveryParams {
 }
 
 /// All simulation-study parameters in one place.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PaperParams {
     /// Transit-stub topology configuration.
     pub topology: TransitStubConfig,
@@ -377,67 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_round_trips_and_tolerates_comments() {
-        let p = FaultParams {
-            seed: 42,
-            drop: 0.07,
-            duplicate: 0.04,
-            reorder: 0.06,
-            max_extra_ticks: 900,
-        };
-        assert_eq!(FaultParams::from_scenario(&p.to_scenario()), Ok(p));
-        let annotated = "# robustness scenario\nseed = 7 # schedule seed\n\n\
-                         drop = 0.1\nduplicate = 0.0\nreorder = 0.05\nmax_extra_ticks = 500\n";
-        let q = FaultParams::from_scenario(annotated).unwrap();
-        assert_eq!(q.seed, 7);
-        assert!((q.drop - 0.1).abs() < 1e-12);
-        // Valid knobs build a plan without tripping FaultPlan's asserts.
-        let _ = q.plan();
-    }
-
-    /// Corrupt scenario files must fail at ingestion with the offending
-    /// knob named — the same predicates [`FaultPlan::new`] enforces.
-    #[test]
-    fn corrupt_scenarios_are_rejected_at_ingestion() {
-        let base = |drop: f64, duplicate: f64, reorder: f64| FaultParams {
-            seed: 0,
-            drop,
-            duplicate,
-            reorder,
-            max_extra_ticks: 100,
-        };
-        // Total drop can never converge — rejected even though it sums to 1.
-        let e = base(1.0, 0.0, 0.0).validate().unwrap_err();
-        assert!(e.contains("never converge"), "{e}");
-        // Negative and non-finite rates name the knob.
-        let e = base(-0.1, 0.0, 0.0).validate().unwrap_err();
-        assert!(e.contains("`drop`") && e.contains("non-negative"), "{e}");
-        let e = base(0.0, f64::NAN, 0.0).validate().unwrap_err();
-        assert!(e.contains("`duplicate`") && e.contains("finite"), "{e}");
-        let e = base(0.0, 0.0, f64::INFINITY).validate().unwrap_err();
-        assert!(e.contains("`reorder`") && e.contains("finite"), "{e}");
-        // Rates summing past 1 leave no probability mass for delivery.
-        let e = base(0.5, 0.4, 0.3).validate().unwrap_err();
-        assert!(e.contains("sum to at most 1"), "{e}");
-        // The same predicates guard the text path.
-        let corrupt = "seed = 0\ndrop = 1.5\nduplicate = 0\nreorder = 0\nmax_extra_ticks = 0\n";
-        assert!(FaultParams::from_scenario(corrupt).is_err());
-    }
-
-    #[test]
-    fn malformed_scenario_text_is_rejected() {
-        let e = FaultParams::from_scenario("seed 7\n").unwrap_err();
-        assert!(e.contains("line 1") && e.contains("key = value"), "{e}");
-        let e = FaultParams::from_scenario("seed = banana\n").unwrap_err();
-        assert!(e.contains("line 1") && e.contains("banana"), "{e}");
-        let e = FaultParams::from_scenario("seed = 1\nchaos = yes\n").unwrap_err();
-        assert!(e.contains("unknown scenario key `chaos`"), "{e}");
-        let partial = "seed = 1\ndrop = 0.1\nduplicate = 0\nreorder = 0\n";
-        let e = FaultParams::from_scenario(partial).unwrap_err();
-        assert!(e.contains("missing required key `max_extra_ticks`"), "{e}");
-    }
-
-    #[test]
     fn recovery_params_are_validated_at_construction() {
         assert!(RecoveryParams::moderate().validate().is_ok());
         let e = RecoveryParams { checkpoint_interval: 0, ..RecoveryParams::moderate() }
@@ -448,15 +221,5 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(e.contains("at most 100") && e.contains("110"), "{e}");
-    }
-
-    #[test]
-    fn fault_params_mirror_the_pubsub_configs() {
-        let p = FaultParams::lossy(11);
-        assert_eq!(p.config(), FaultConfig::lossy());
-        let mut plan = p.plan();
-        let _ = plan.roll(cosmos_net::NodeId(0), cosmos_net::NodeId(1));
-        assert_eq!(FaultParams::clean(0).config(), FaultConfig::clean());
-        assert_eq!(FaultParams::clean(0).plan().total_injected(), 0);
     }
 }

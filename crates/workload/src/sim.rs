@@ -18,111 +18,12 @@ use cosmos_core::incremental::IncrementalOptimizer;
 use cosmos_core::online::OnlineRouter;
 use cosmos_core::spec::{Assignment, QuerySpec};
 use cosmos_core::stats::StatDelta;
-use cosmos_net::{Deployment, NodeId, Topology};
-use cosmos_pubsub::{
-    BrokerNetwork, LossyNetwork, Message, RecoveryNetwork, SubId, Subscription, SubstreamTable,
-    TrafficModel,
-};
+use cosmos_net::{Deployment, NodeId};
+use cosmos_pubsub::{LossyNetwork, Message, RecoveryNetwork, SubstreamTable, TrafficModel};
 use cosmos_query::{Query, QueryId};
 use cosmos_util::rng::rng_for;
 use cosmos_util::stats::stddev;
-use cosmos_util::Symbol;
 use rand::seq::SliceRandom;
-
-/// A [`BrokerNetwork`] whose churn operations re-validate the installation
-/// ledger after every step in debug builds.
-///
-/// The differential test suites assert
-/// [`BrokerNetwork::check_ledger_consistency`] after each churn operation,
-/// but simulator-driven churn historically ran unchecked — ledger drift
-/// introduced by a new scenario only surfaced once a dedicated test covered
-/// it. Routing churn through this wrapper makes every debug simulator run a
-/// free ledger audit; release builds compile the check away entirely.
-#[derive(Debug)]
-pub struct BrokerSim {
-    net: BrokerNetwork,
-}
-
-impl BrokerSim {
-    /// Wraps a broker network over `topo`.
-    pub fn new(topo: Topology) -> Self {
-        Self { net: BrokerNetwork::new(topo) }
-    }
-
-    /// Read access to the wrapped network (publishing, stats, snapshots).
-    pub fn network(&self) -> &BrokerNetwork {
-        &self.net
-    }
-
-    /// Mutable access for non-churn operations (publishing mutates stats).
-    ///
-    /// Churn performed through this borrow bypasses the debug audit; prefer
-    /// the wrapper's own churn methods.
-    pub fn network_mut(&mut self) -> &mut BrokerNetwork {
-        &mut self.net
-    }
-
-    /// Unwraps the audited network.
-    pub fn into_inner(self) -> BrokerNetwork {
-        self.net
-    }
-
-    /// [`BrokerNetwork::advertise`], audited.
-    pub fn advertise(&mut self, stream: impl Into<Symbol>, source: NodeId) {
-        self.net.advertise(stream, source);
-        self.audit("advertise");
-    }
-
-    /// [`BrokerNetwork::subscribe`], audited.
-    pub fn subscribe(&mut self, sub: Subscription) {
-        self.net.subscribe(sub);
-        self.audit("subscribe");
-    }
-
-    /// [`BrokerNetwork::unsubscribe`], audited.
-    pub fn unsubscribe(&mut self, id: SubId) {
-        self.net.unsubscribe(id);
-        self.audit("unsubscribe");
-    }
-
-    /// [`BrokerNetwork::fail_link`], audited.
-    pub fn fail_link(&mut self, a: NodeId, b: NodeId) -> bool {
-        let hit = self.net.fail_link(a, b);
-        self.audit("fail_link");
-        hit
-    }
-
-    /// [`BrokerNetwork::restore_link`], audited.
-    pub fn restore_link(&mut self, a: NodeId, b: NodeId, latency: f64) -> bool {
-        let fresh = self.net.restore_link(a, b, latency);
-        self.audit("restore_link");
-        fresh
-    }
-
-    /// [`BrokerNetwork::fail_node`], audited.
-    pub fn fail_node(&mut self, n: NodeId) -> Option<Vec<(NodeId, f64)>> {
-        let edges = self.net.fail_node(n);
-        self.audit("fail_node");
-        edges
-    }
-
-    /// [`BrokerNetwork::restore_node`], audited.
-    pub fn restore_node(&mut self, n: NodeId, edges: &[(NodeId, f64)]) -> bool {
-        let attached = self.net.restore_node(n, edges);
-        self.audit("restore_node");
-        attached
-    }
-
-    #[inline]
-    fn audit(&self, op: &str) {
-        #[cfg(debug_assertions)]
-        if let Err(why) = self.net.check_ledger_consistency() {
-            panic!("ledger drift after {op}: {why}");
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = op;
-    }
-}
 
 /// Outcome of one [`RecoverySim::fault_step`] roll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +39,7 @@ pub enum FaultOp {
 
 /// A [`RecoveryNetwork`] whose churn operations re-validate the broker
 /// ledger *and* the replay-retention bound after every step in debug
-/// builds — the crash-recovery analogue of [`BrokerSim`].
+/// builds.
 ///
 /// Beyond auditing, it turns [`RecoveryParams`] into workload behaviour:
 /// the checkpoint interval paces the simulated-time schedule, and
@@ -651,32 +552,9 @@ mod tests {
     }
 
     #[test]
-    fn broker_sim_audits_every_churn_operation() {
-        use cosmos_pubsub::StreamProjection;
-        let mut topo = Topology::new(5);
-        for i in 0..4u32 {
-            topo.add_edge(NodeId(i), NodeId(i + 1), 1.0);
-        }
-        let mut b = BrokerSim::new(topo);
-        b.advertise("R", NodeId(0));
-        b.subscribe(
-            Subscription::builder(NodeId(4))
-                .id(SubId(1))
-                .stream("R", StreamProjection::All, vec![])
-                .build(),
-        );
-        assert!(b.fail_link(NodeId(1), NodeId(2)));
-        assert!(b.restore_link(NodeId(1), NodeId(2), 2.0));
-        let edges = b.fail_node(NodeId(3)).expect("node 3 is attached");
-        assert!(b.restore_node(NodeId(3), &edges));
-        b.unsubscribe(SubId(1));
-        assert!(b.network().check_ledger_consistency().is_ok());
-        assert_eq!(b.into_inner().topology().node_count(), 5);
-    }
-
-    #[test]
     fn recovery_sim_audits_fault_steps_and_bounds_retention() {
-        use cosmos_pubsub::{FaultConfig, FaultPlan};
+        use cosmos_net::Topology;
+        use cosmos_pubsub::{BrokerNetwork, FaultConfig, FaultPlan};
         use cosmos_query::{parse_query, QueryId, Scalar};
         // A 5-node ring: any single crash leaves the survivors connected,
         // so both engine hosts are always killable.
