@@ -33,7 +33,9 @@ use cosmos_core::IncrementalOptimizer;
 use cosmos_engine::exec::{CompiledProjection, StreamEngine};
 use cosmos_engine::tuple::{FlattenCache, JoinedTuple, Tuple};
 use cosmos_engine::{ProjPlanCache, SharedEngine};
-use cosmos_pubsub::subscription::SubId;
+use cosmos_oracle::ReferenceNetwork;
+use cosmos_pubsub::broker::BrokerNetwork;
+use cosmos_pubsub::subscription::{SubId, Subscription};
 use cosmos_query::{parse_query, QueryId, Scalar};
 use cosmos_util::InterestSet;
 use std::hint::black_box;
@@ -105,35 +107,71 @@ fn bench_broker_publish(n_subs: u64) -> f64 {
     measure_with_reset(&mut net, |net| net.publish(scaling_message()), |net| net.reset_stats())
 }
 
-/// The linear-scan reference on the same workload: the baseline the
-/// indexed path's scaling is measured against.
+/// A fixture's population as it was subscribed, read back from the local
+/// entries of its tables (every fixture numbers its subscriptions in
+/// subscribe order).
+fn population(net: &BrokerNetwork) -> Vec<Subscription> {
+    let local = |n| net.table_entries(n).filter(|(_, to)| to.is_none()).map(|(sub, _)| sub.clone());
+    let mut subs: Vec<Subscription> = net.topology().nodes().flat_map(local).collect();
+    subs.sort_by_key(|sub| sub.id);
+    subs
+}
+
+/// The from-scratch reference over a single-stream fixture's topology,
+/// advertisement and population, tables built.
+fn reference_of(net: &BrokerNetwork) -> ReferenceNetwork {
+    let mut reference = ReferenceNetwork::new(net.topology().clone());
+    reference.advertise("R", net.source_of("R").expect("the fixtures advertise R"));
+    population(net).into_iter().for_each(|sub| reference.subscribe(sub));
+    // The first look builds the tables: keep that off the clock.
+    reference.publish(scaling_message());
+    reset(&mut reference);
+    reference
+}
+
+/// Drops what the publishes of one sample left behind.
+fn reset(reference: &mut ReferenceNetwork) {
+    reference.log.clear();
+    reference.links.clear();
+}
+
+/// The reference's evaluate-every-entry publish on the same workload: the
+/// baseline the indexed path's scaling is measured against.
 fn bench_broker_publish_linear(n_subs: u64) -> f64 {
-    let mut net = broker_with_subs(n_subs);
-    measure_with_reset(
-        &mut net,
-        |net| net.publish_linear(scaling_message()),
-        |net| net.reset_stats(),
-    )
+    let mut reference = reference_of(&broker_with_subs(n_subs));
+    measure_with_reset(&mut reference, |net| net.publish(scaling_message()), reset)
 }
 
 /// Subscription churn against a standing population: one departure plus
 /// one (identical) re-arrival per op, victims cycling through the
 /// most-recent fifth of the population. The incremental path tears down
 /// only the victim's ledgered footprint and re-propagates only its
-/// covering dependents; the `-wholesale` twin re-installs the world.
-fn bench_broker_unsubscribe(n_subs: u64, wholesale: bool) -> f64 {
+/// covering dependents.
+fn bench_broker_unsubscribe(n_subs: u64) -> f64 {
     let mut net = broker_with_subs(n_subs);
     let window = (n_subs / 5).max(1);
     let mut step = 0u64;
     measure(|| {
         let id = n_subs - window + (step % window);
         step += 1;
-        if wholesale {
-            net.unsubscribe_wholesale(SubId(id));
-        } else {
-            net.unsubscribe(SubId(id));
-        }
+        net.unsubscribe(SubId(id));
         net.subscribe(scaling_sub(id));
+    })
+}
+
+/// What any one of the incremental churn rows above and below would cost
+/// done wholesale: a fresh network over the topology, the advertisement
+/// and the `n_subs` survivors, through `new` / `advertise` /
+/// `subscribe_batch`.
+fn bench_broker_rebuild(n_subs: u64) -> f64 {
+    let standing = broker_with_subs(n_subs);
+    let (topo, subs) = (standing.topology().clone(), population(&standing));
+    let source = standing.source_of("R").expect("the fixtures advertise R");
+    measure(|| {
+        let mut net = BrokerNetwork::new(topo.clone());
+        net.advertise("R", source);
+        net.subscribe_batch(subs.clone());
+        net
     })
 }
 
@@ -141,12 +179,10 @@ fn bench_broker_unsubscribe(n_subs: u64, wholesale: bool) -> f64 {
 /// one fresh distinct subscription installed and incrementally removed
 /// per op. Install cost is the covering resolution at every path hop —
 /// the covering buckets answer it from binary-searched threshold
-/// skeletons; the `-linear` twin runs the reference scan over the
-/// node's entries, which grow with the population. The departure half is identical in both twins, so the
-/// gap isolates the install.
-fn bench_broker_subscribe(n_subs: u64, linear: bool) -> f64 {
+/// skeletons, where a scan of the node's entries would grow with the
+/// population.
+fn bench_broker_subscribe(n_subs: u64) -> f64 {
     let mut net = broker_with_distinct_subs(n_subs);
-    net.set_linear_install(linear);
     measure(|| {
         net.subscribe(arrival_sub(n_subs));
         net.unsubscribe(SubId(n_subs));
@@ -218,19 +254,13 @@ fn bench_broker_publish_batch(n_subs: u64, serial: bool) -> f64 {
 /// Link churn against a standing population: one failure plus one
 /// recovery of a dissemination-tree stub link per op. The incremental
 /// path recomputes one source tree and re-routes only the subtree's
-/// subscribers; the `-wholesale` twin recomputes everything and
-/// re-installs the world — twice per op.
-fn bench_broker_fail_link(n_subs: u64, wholesale: bool) -> f64 {
+/// subscribers.
+fn bench_broker_fail_link(n_subs: u64) -> f64 {
     let mut net = broker_with_subs(n_subs);
     let (a, b, lat) = churn_link(&net);
     measure(|| {
-        if wholesale {
-            assert!(net.fail_link_wholesale(a, b));
-            assert!(net.restore_link_wholesale(a, b, lat));
-        } else {
-            assert!(net.fail_link(a, b));
-            assert!(net.restore_link(a, b, lat));
-        }
+        assert!(net.fail_link(a, b));
+        assert!(net.restore_link(a, b, lat));
     })
 }
 
@@ -238,19 +268,13 @@ fn bench_broker_fail_link(n_subs: u64, wholesale: bool) -> f64 {
 /// one recovery per op (a non-subscriber transit node, so the population
 /// stays in steady state). The incremental path tears down only the
 /// ledgered footprint routed through the crashed broker and re-homes the
-/// moved subtrees; the `-wholesale` twin recomputes every source tree and
-/// re-installs the world — twice per op.
-fn bench_broker_fail_node(n_subs: u64, wholesale: bool) -> f64 {
+/// moved subtrees.
+fn bench_broker_fail_node(n_subs: u64) -> f64 {
     let mut net = broker_with_subs(n_subs);
     let n = churn_node(&net);
     measure(|| {
-        if wholesale {
-            let edges = net.fail_node_wholesale(n).expect("churn node is attached");
-            assert!(net.restore_node_wholesale(n, &edges));
-        } else {
-            let edges = net.fail_node(n).expect("churn node is attached");
-            assert!(net.restore_node(n, &edges));
-        }
+        let edges = net.fail_node(n).expect("churn node is attached");
+        assert!(net.restore_node(n, &edges));
     })
 }
 
@@ -319,8 +343,8 @@ fn bench_broker_publish_broad(n_subs: u64) -> f64 {
 }
 
 fn bench_broker_publish_broad_linear(n_subs: u64) -> f64 {
-    let mut net = broker_with_broad_subs(n_subs);
-    measure_with_reset(&mut net, |net| net.publish_linear(broad_message()), |net| net.reset_stats())
+    let mut reference = reference_of(&broker_with_broad_subs(n_subs));
+    measure_with_reset(&mut reference, |net| net.publish(broad_message()), reset)
 }
 
 /// Shared execution with heavily duplicated residuals: 50 members merge
@@ -578,19 +602,16 @@ const REGISTRY: &[(&str, BenchFn)] = &[
     ("broker/publish-par-8-threads", || bench_broker_publish_par(5000, 8)),
     ("broker/publish-500-subs-broad", || bench_broker_publish_broad(500)),
     ("broker/publish-500-subs-broad-linear", || bench_broker_publish_broad_linear(500)),
-    ("broker/subscribe-5000-pop", || bench_broker_subscribe(5000, false)),
-    ("broker/subscribe-5000-pop-linear", || bench_broker_subscribe(5000, true)),
+    ("broker/subscribe-5000-pop", || bench_broker_subscribe(5000)),
     ("broker/subscribe-100k-pop", bench_broker_subscribe_100k),
     ("broker/subscribe-batch-12k-covering-rich", bench_broker_subscribe_batch_covering_rich),
     ("broker/subscribe-batch-4k-result-streams", bench_broker_subscribe_batch_result_streams),
     ("broker/publish-batch-64", || bench_broker_publish_batch(5000, false)),
     ("broker/publish-batch-64-serial", || bench_broker_publish_batch(5000, true)),
-    ("broker/unsubscribe-5000-pop", || bench_broker_unsubscribe(5000, false)),
-    ("broker/unsubscribe-5000-pop-wholesale", || bench_broker_unsubscribe(5000, true)),
-    ("broker/fail-link-5000-pop", || bench_broker_fail_link(5000, false)),
-    ("broker/fail-link-5000-pop-wholesale", || bench_broker_fail_link(5000, true)),
-    ("broker/fail-node-5000-pop", || bench_broker_fail_node(5000, false)),
-    ("broker/fail-node-5000-pop-wholesale", || bench_broker_fail_node(5000, true)),
+    ("broker/unsubscribe-5000-pop", || bench_broker_unsubscribe(5000)),
+    ("broker/fail-link-5000-pop", || bench_broker_fail_link(5000)),
+    ("broker/fail-node-5000-pop", || bench_broker_fail_node(5000)),
+    ("broker/rebuild-5000-pop", || bench_broker_rebuild(5000)),
     ("broker/publish-lossy-5pct", || bench_broker_publish_lossy(5000, 0.05)),
     ("broker/publish-lossy-clean", || bench_broker_publish_lossy(5000, 0.0)),
     ("core/distribute-800-churn", bench_distribute_churn),

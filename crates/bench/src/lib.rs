@@ -252,11 +252,6 @@ pub mod fixtures {
     /// A 66-node transit-stub broker network holding `n_subs` pairwise
     /// non-covering subscriptions ([`arrival_sub`]) — the standing
     /// population behind the `broker/subscribe-*` arrival benchmarks.
-    /// Both the covering-indexed path and its `-linear` twin measure
-    /// against this same state (the two installation modes produce
-    /// identical routing state, so the twin flips the mode after
-    /// building; rebuilding 5000 subscriptions through the linear scans
-    /// would cost minutes for no fidelity gain).
     pub fn broker_with_distinct_subs(n_subs: u64) -> BrokerNetwork {
         let topo = TransitStubConfig::small().generate(3);
         let mut net = BrokerNetwork::new(topo);
@@ -389,9 +384,9 @@ pub mod fixtures {
     /// [`broad_message`] (thresholds cycle over 0..10 against `a = 9`),
     /// and the projections cycle over 8 distinct shapes — the
     /// delivery-volume-bound workload the projection-class dedup targets.
-    /// The linear twin pays per-match clone + projection; the indexed
-    /// path pays one projection per class plus a refcount bump per
-    /// delivery.
+    /// The `-linear` row (the reference's scan) pays per-match clone +
+    /// projection; the indexed path pays one projection per class plus a
+    /// refcount bump per delivery.
     pub fn broker_with_broad_subs(n_subs: u64) -> BrokerNetwork {
         let topo = TransitStubConfig::small().generate(3);
         let mut net = BrokerNetwork::new(topo);

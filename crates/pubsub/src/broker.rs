@@ -35,9 +35,13 @@
 //! provenance from [`ShortestPathTree::nodes_via_edge`]). All of them are
 //! one private routine, `BrokerNetwork::reroute` — edges cut, edges
 //! joined, subscriptions leaving — which carries the argument; it is
-//! sublinear in population size, and the `*_wholesale` twins keep the old
-//! rebuild-the-world behaviour as the differential oracle and benchmark
-//! baseline.
+//! sublinear in population size. What it must equal is a rebuild of the
+//! world: the `cosmos-oracle` crate's `ReferenceNetwork` recomputes flat
+//! tables from topology, advertisements and the population in subscribe
+//! order after every operation of the differential suites, and repaired
+//! tables are held to it — the same entries up to swapping same-direction
+//! entries that cover each other (see `BrokerNetwork::repropagate`),
+//! hence the same deliveries and link traffic.
 //!
 //! # Crash recovery
 //!
@@ -48,10 +52,10 @@
 //! consumers must re-subscribe after recovery). Recovery
 //! ([`BrokerNetwork::restore_node`]) is the inverse: the detached edge
 //! batch is validated all-or-nothing, re-attached, and only the subtrees
-//! the fresh trees hang below the restored edges re-propagate. Both keep
-//! `*_wholesale` twins as differential oracles;
+//! the fresh trees hang below the restored edges re-propagate.
 //! `crates/pubsub/tests/chaos.rs` interleaves crashes, link flaps, and
-//! lossy-link message faults (see [`crate::reliable`]) against them.
+//! lossy-link message faults (see [`crate::reliable`]) against the same
+//! reference.
 //!
 //! # Parallel data plane: snapshots
 //!
@@ -77,7 +81,7 @@ use crate::index::{
     Partition, PlanCaches, RoutingFootprint, RoutingTable, TablePlans,
 };
 use crate::snapshot::{FrozenTable, ReaderOutput, RoutingSnapshot, SnapshotReader};
-use crate::subscription::{Message, StreamProjection, SubId, Subscription};
+use crate::subscription::{Message, SubId, Subscription};
 use cosmos_net::{NodeId, ShortestPathTree, Topology};
 use cosmos_util::{SnapshotCell, Symbol};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -198,8 +202,8 @@ fn adoptable(old: &ShortestPathTree, a: NodeId, b: NodeId, latency: f64) -> bool
 #[derive(Debug, Default)]
 struct DirtyNodes {
     nodes: BTreeSet<u32>,
-    /// Everything is dirty (initial state, wholesale rebuilds): the next
-    /// build freezes every node and ignores `nodes`.
+    /// Everything is dirty (the initial state): the next build freezes
+    /// every node and ignores `nodes`.
     all: bool,
 }
 
@@ -435,11 +439,6 @@ pub struct BrokerNetwork {
     dependents: HashMap<SubId, BTreeSet<SubId>>,
     /// Next installation sequence number.
     next_seq: u64,
-    /// When set, [`BrokerNetwork::install`] resolves covering with the
-    /// reference linear scans instead of the covering buckets — the
-    /// `*_linear` oracle twin of subscription arrival (see
-    /// [`BrokerNetwork::new_linear`]).
-    linear_install: bool,
     /// Covering-resolution work done by every install so far.
     cover_stats: CoverStats,
     /// The publish paths' forwarding walk.
@@ -472,7 +471,6 @@ impl BrokerNetwork {
             subs_at: vec![Vec::new(); n],
             dependents: HashMap::new(),
             next_seq: 0,
-            linear_install: false,
             cover_stats: CoverStats::default(),
             walk: Walk::default(),
             link_stats: HashMap::new(),
@@ -488,29 +486,6 @@ impl BrokerNetwork {
             })),
             dirty: Mutex::new(DirtyNodes { nodes: BTreeSet::new(), all: true }),
         }
-    }
-
-    /// A network whose subscription installs resolve covering with the
-    /// reference **linear scan** over the node's table entries instead of
-    /// the covering buckets.
-    /// Observationally identical to the indexed path (same entries, same
-    /// skips and drops, in the same order); kept as the differential
-    /// oracle and the benchmark baseline the sublinear-arrival claim is
-    /// measured against, mirroring [`BrokerNetwork::publish_linear`] and
-    /// the `*_wholesale` maintenance hooks.
-    pub fn new_linear(topo: Topology) -> Self {
-        let mut net = Self::new(topo);
-        net.linear_install = true;
-        net
-    }
-
-    /// Switches the covering-resolution mode for all *future* installs
-    /// (`true` = reference linear scans). Routing state installed so far
-    /// is unaffected — both modes produce identical state, so benchmark
-    /// fixtures may build a population indexed and then measure the
-    /// linear twin on it.
-    pub fn set_linear_install(&mut self, linear: bool) {
-        self.linear_install = linear;
     }
 
     /// The underlying topology.
@@ -655,10 +630,10 @@ impl BrokerNetwork {
     ///
     /// After the local delivery entry, one walk per advertised source of
     /// its streams, up that source's tree from the subscriber. Each hop
-    /// does one thing — [`BrokerNetwork::add_forwarding_entry`] toward the
-    /// node just left. An insert is ledgered, and every entry it dropped
-    /// is scrubbed from its owner's ledger, the owner now depending on
-    /// `id`. A **skip stops the walk** (`id` depends on the skipper): a
+    /// does one thing — [`RoutingTable::insert_covering`] toward the node
+    /// just left, candidates confirmed by `routing_covers`. An insert is
+    /// ledgered, and every entry it dropped is scrubbed from its owner's
+    /// ledger, the owner now depending on `id`. A **skip stops the walk** (`id` depends on the skipper): a
     /// live same-direction entry covers this subscription, so what it
     /// needs already crosses this link and every link above.
     ///
@@ -707,7 +682,9 @@ impl BrokerNetwork {
             // `[src, ..., subscriber]`.
             for hop in path.windows(2).rev() {
                 let (u, downstream) = (hop[0], hop[1]);
-                match self.add_forwarding_entry(u, Arc::clone(&form), downstream, seq) {
+                let (table, stats) = (&mut self.tables[u.index()], &mut self.cover_stats);
+                let form = Arc::clone(&form);
+                match table.insert_covering(form, downstream, seq, routing_covers, stats) {
                     ForwardInsert::Inserted { dropped } => {
                         rec_entries.push((u, Some(downstream)));
                         for victim in dropped {
@@ -754,44 +731,6 @@ impl BrokerNetwork {
                 self.dependents.entry(y).or_default().insert(x);
             }
         }
-    }
-
-    /// Adds a forwarding entry at `node` toward `downstream`, merging with
-    /// existing same-direction entries: skipped if an existing entry already
-    /// covers it; existing entries it covers are dropped (they are redundant
-    /// for forwarding — one transmission per link regardless). The outcome
-    /// reports the covering relationships so the caller can ledger them.
-    ///
-    /// Covering resolves through the table's `(stream, hop)` buckets
-    /// ([`RoutingTable::insert_covering`]) — or through the reference
-    /// linear scan in a [`BrokerNetwork::new_linear`] oracle network,
-    /// which answers identically (same skip, same drops, same order). A
-    /// subscription never skips or drops its **own** entries: a
-    /// multi-stream installation revisits shared path hops once per
-    /// advertised source under the same id, and those sibling entries
-    /// must coexist (and stay ledgered) independently.
-    fn add_forwarding_entry(
-        &mut self,
-        node: NodeId,
-        form: Arc<InstalledSub>,
-        downstream: NodeId,
-        seq: u64,
-    ) -> ForwardInsert {
-        let table = &mut self.tables[node.index()];
-        let stats = &mut self.cover_stats;
-        if !self.linear_install {
-            return table.insert_covering(form, downstream, seq, routing_covers, stats);
-        }
-        let sub = form.sub();
-        if let Some((e, _)) = table.entries().find(|&(e, to)| {
-            to == Some(downstream) && e.id != sub.id && stats.confirm(routing_covers(e, sub))
-        }) {
-            return ForwardInsert::Skipped { by: e.id };
-        }
-        let dropped = table
-            .remove_toward(downstream, |e| e.id != sub.id && stats.confirm(routing_covers(sub, e)));
-        table.insert(form, Some(downstream), seq);
-        ForwardInsert::Inserted { dropped }
     }
 
     /// Removes one ledgered `(node, toward downstream)` pair from
@@ -848,8 +787,15 @@ impl BrokerNetwork {
 
     /// Uninstalls every wave member, then re-installs the survivors in
     /// subscribe (sequence) order, re-deriving their paths under the
-    /// current trees and coverage — exactly the state a wholesale rebuild
-    /// would leave them in, without touching anyone else. Cost is
+    /// current trees and coverage, without touching anyone else. That
+    /// leaves the entries a rebuild of the whole population would, **up to
+    /// swapping same-direction entries that cover each other**: where a
+    /// wave member is re-routed onto links a later subscriber with an
+    /// equivalent request already holds, the one standing keeps them (the
+    /// arrival is skipped), while a rebuild would give them to the earlier
+    /// subscriber. Either entry matches the same messages and needs the
+    /// same attributes, so deliveries and link traffic are the rebuild's
+    /// (`tests/index_equivalence.rs` pins the smallest case). Cost is
     /// O(wave), never O(population): the subscriptions come out of their
     /// own ledger records.
     fn repropagate(&mut self, wave: &BTreeSet<SubId>) {
@@ -876,47 +822,13 @@ impl BrokerNetwork {
     /// entry it installed, so teardown touches only those, and only the
     /// subscriptions whose propagation it had suppressed (covering
     /// dependents, transitively) are re-propagated — their merged-away or
-    /// pruned routing state is restored exactly. Cost is proportional to
+    /// pruned routing state comes back as a rebuild without `id` would
+    /// leave it, up to which of two mutually covering subscriptions holds
+    /// a shared link (see `repropagate`). Cost is proportional to
     /// the departing subscription's footprint plus its dependents', never
     /// to the population size.
     pub fn unsubscribe(&mut self, id: SubId) {
         self.reroute(&[], &[], &[id]);
-    }
-
-    /// [`BrokerNetwork::unsubscribe`] via the reference wholesale rebuild:
-    /// all routing state is discarded and the entire surviving population
-    /// re-installed. Kept as the differential-testing oracle and the
-    /// churn-benchmark baseline the incremental ledger is measured
-    /// against.
-    pub fn unsubscribe_wholesale(&mut self, id: SubId) {
-        self.forget(id);
-        self.rebuild_all();
-    }
-
-    /// Discards all routing state and re-installs every live
-    /// subscription in subscribe order (sequence numbers preserved, so
-    /// observable order is unchanged) — the wholesale maintenance path.
-    fn rebuild_all(&mut self) {
-        self.version += 1;
-        {
-            let mut dirty = self.dirty();
-            dirty.all = true;
-            dirty.nodes.clear();
-        }
-        for table in &mut self.tables {
-            table.clear();
-        }
-        self.dependents.clear();
-        let mut all: Vec<(u64, SubId)> = Vec::with_capacity(self.records.len());
-        for (&id, rec) in &mut self.records {
-            rec.entries.clear();
-            rec.depends_on.clear();
-            all.push((rec.seq, id));
-        }
-        all.sort_unstable();
-        for (_, id) in all {
-            self.install(id);
-        }
     }
 
     /// Publishes a message from its advertised source, forwarding it along
@@ -957,7 +869,7 @@ impl BrokerNetwork {
     }
 
     /// The routing-state version: bumped by every churn operation
-    /// (subscribe, unsubscribe, advertise, link incidents, rebuilds).
+    /// (subscribe, unsubscribe, advertise, link and node incidents).
     /// A snapshot whose [`RoutingSnapshot::version`] equals this is
     /// current.
     pub fn routing_version(&self) -> u64 {
@@ -1028,83 +940,6 @@ impl BrokerNetwork {
             let e = self.link_stats.entry(k).or_default();
             e.messages += s.messages;
             e.bytes += s.bytes;
-        }
-    }
-
-    /// [`BrokerNetwork::publish`] via a reference linear table scan —
-    /// matching evaluates every entry's full compiled filter conjunction
-    /// and hop projections are re-unioned per message. Semantically
-    /// identical to the indexed path (same deliveries, same link traffic);
-    /// kept as the differential-testing oracle and the benchmark baseline
-    /// the sublinear claim is measured against.
-    pub fn publish_linear(&mut self, msg: Message) -> usize {
-        let Some(&src) = self.stream_source.get(&msg.stream) else {
-            return 0;
-        };
-        let before = self.log.len();
-        self.forward_linear(src, None, msg);
-        self.log.len() - before
-    }
-
-    fn forward_linear(&mut self, node: NodeId, from: Option<NodeId>, msg: Message) {
-        let mut forwards: Vec<(NodeId, Message)> = Vec::new();
-        {
-            let table = &self.tables[node.index()];
-            // Matched hops keyed by node id (a `BTreeMap` iterates them in
-            // sorted order, as the old sorted `Vec` did); the needs unions
-            // for every matched hop accumulate in one further pass over the
-            // table instead of one full re-scan per hop.
-            let mut matched_hops: BTreeMap<NodeId, Option<StreamProjection>> = BTreeMap::new();
-            for (sub, to) in table.entries() {
-                if !sub.matches(&msg) {
-                    continue;
-                }
-                match to {
-                    None => {
-                        if let Some(projected) = sub.project_unchecked(&msg) {
-                            self.log.deliveries.push(Delivery {
-                                sub: sub.id,
-                                node,
-                                message: projected,
-                            });
-                        }
-                    }
-                    Some(next) => {
-                        if Some(next) != from {
-                            matched_hops.entry(next).or_insert(None);
-                        }
-                    }
-                }
-            }
-            if !matched_hops.is_empty() {
-                // Same union semantics as the index's hop groups: needs of
-                // *every* entry toward a matched hop requesting the stream.
-                for (sub, to) in table.entries() {
-                    let Some(union) = to.and_then(|next| matched_hops.get_mut(&next)) else {
-                        continue;
-                    };
-                    if let Some(needs) = sub.needs(msg.stream) {
-                        *union = Some(match union.take() {
-                            None => needs.clone(),
-                            Some(u) => u.union(needs),
-                        });
-                    }
-                }
-            }
-            for (next, union) in matched_hops {
-                let fwd = match union.expect("matched hop has at least one member") {
-                    StreamProjection::All => msg.clone(),
-                    StreamProjection::Attrs(keep) => msg.retaining(&keep),
-                };
-                forwards.push((next, fwd));
-            }
-        }
-        for (next, fwd) in forwards {
-            let key = if node <= next { (node, next) } else { (next, node) };
-            let stats = self.link_stats.entry(key).or_default();
-            stats.messages += 1;
-            stats.bytes += fwd.wire_size() as u64;
-            self.forward_linear(next, Some(node), fwd);
         }
     }
 
@@ -1328,35 +1163,6 @@ impl BrokerNetwork {
         true
     }
 
-    /// [`BrokerNetwork::fail_link`] via the reference wholesale rebuild
-    /// (every tree recomputed, the whole population re-installed) — the
-    /// differential oracle and churn-benchmark baseline.
-    pub fn fail_link_wholesale(&mut self, a: NodeId, b: NodeId) -> bool {
-        if !self.topo.remove_edge(a, b) {
-            return false;
-        }
-        self.recompute_all_trees();
-        self.rebuild_all();
-        true
-    }
-
-    /// [`BrokerNetwork::restore_link`] via the reference wholesale
-    /// rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Same up-front latency validation as [`BrokerNetwork::restore_link`].
-    pub fn restore_link_wholesale(&mut self, a: NodeId, b: NodeId, latency: f64) -> bool {
-        assert!(latency.is_finite() && latency > 0.0, "latency must be positive and finite");
-        if self.topo.edge_latency(a, b).is_some() {
-            return false;
-        }
-        self.topo.add_edge(a, b, latency);
-        self.recompute_all_trees();
-        self.rebuild_all();
-        true
-    }
-
     /// Handles the **crash of broker `n`** incrementally: all incident
     /// links leave the topology at once (the node slot persists as an
     /// isolated broker, keeping ids dense), `n`'s local subscribers are
@@ -1396,7 +1202,7 @@ impl BrokerNetwork {
     /// applied: panics on an out-of-range or self-loop endpoint or a
     /// non-positive / non-finite latency, leaving the topology untouched.
     /// A half-applied batch would strand the network between two
-    /// topologies — state no wholesale rebuild could reproduce.
+    /// topologies — state no rebuild from either could reproduce.
     pub fn restore_node(&mut self, n: NodeId, edges: &[(NodeId, f64)]) -> bool {
         if n.index() >= self.topo.node_count() || self.topo.degree(n) != 0 {
             return false;
@@ -1409,41 +1215,6 @@ impl BrokerNetwork {
             edges.iter().map(|&(v, lat)| (n, v, lat)).collect();
         self.reroute(&[], &joined, &[]);
         self.mark_churn([n]);
-        true
-    }
-
-    /// [`BrokerNetwork::fail_node`] via the reference wholesale rebuild —
-    /// the differential oracle and churn-benchmark baseline.
-    pub fn fail_node_wholesale(&mut self, n: NodeId) -> Option<Vec<(NodeId, f64)>> {
-        if n.index() >= self.topo.node_count() || self.topo.degree(n) == 0 {
-            return None;
-        }
-        for id in self.subs_at[n.index()].clone() {
-            self.forget(id);
-        }
-        let edges = self.topo.remove_node(n);
-        self.recompute_all_trees();
-        self.rebuild_all();
-        Some(edges)
-    }
-
-    /// [`BrokerNetwork::restore_node`] via the reference wholesale
-    /// rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Same all-or-nothing batch validation as
-    /// [`BrokerNetwork::restore_node`].
-    pub fn restore_node_wholesale(&mut self, n: NodeId, edges: &[(NodeId, f64)]) -> bool {
-        if n.index() >= self.topo.node_count() || self.topo.degree(n) != 0 {
-            return false;
-        }
-        self.validate_restored_edges(n, edges);
-        for &(v, lat) in edges {
-            self.topo.add_edge(n, v, lat);
-        }
-        self.recompute_all_trees();
-        self.rebuild_all();
         true
     }
 
@@ -1475,13 +1246,6 @@ impl BrokerNetwork {
     /// The advertised source of an interned stream symbol.
     pub(crate) fn source_of_symbol(&self, stream: Symbol) -> Option<NodeId> {
         self.stream_source.get(&stream).copied()
-    }
-
-    fn recompute_all_trees(&mut self) {
-        let sources: Vec<NodeId> = self.adv_trees.keys().copied().collect();
-        for src in sources {
-            self.adv_trees.insert(src, ShortestPathTree::compute(&self.topo, src));
-        }
     }
 
     /// Adds to `roots` the subscriptions hosted on the `moved` nodes of
@@ -1561,6 +1325,7 @@ impl BrokerNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subscription::StreamProjection;
     use cosmos_query::{AttrRef, CmpOp, Predicate, Scalar};
     use proptest::prelude::*;
 
@@ -2151,16 +1916,40 @@ mod tests {
         net.check_ledger_consistency().expect("consistent after source crash");
         assert_eq!(net.publish(Message::new("R", 0).with("a", Scalar::Int(25))), 0);
         assert_eq!(net.total_link_messages(), 0, "nothing may leave a crashed source");
-        // Wholesale twin agrees bit-for-bit.
-        let mut twin = figure2_network();
-        assert_eq!(twin.fail_node_wholesale(NodeId(3)), Some(edges.clone()));
-        assert_eq!(twin.publish(Message::new("R", 0).with("a", Scalar::Int(25))), 0);
+        // A network that never had the source's link holds the same tables.
+        let mut survivors = paper_topology();
+        assert!(survivors.remove_edge(NodeId(3), NodeId(2)));
+        let mut fresh = BrokerNetwork::new(survivors);
+        fresh.advertise("R", NodeId(3));
+        fresh.subscribe(sub_r(6, 6, 20));
+        fresh.subscribe(sub_r(7, 7, 10));
+        let image = |net: &BrokerNetwork| -> Vec<Vec<(SubId, Option<NodeId>)>> {
+            let at = |n| net.table_entries(NodeId(n)).map(|(s, to)| (s.id, to)).collect();
+            (0..8).map(at).collect()
+        };
+        assert_eq!(image(&net), image(&fresh));
+        assert_eq!(fresh.publish(Message::new("R", 0).with("a", Scalar::Int(25))), 0);
         // Recovery restores delivery to the surviving subscribers.
         assert!(net.restore_node(NodeId(3), &edges));
-        assert!(twin.restore_node_wholesale(NodeId(3), &edges));
         assert_eq!(net.publish(Message::new("R", 1).with("a", Scalar::Int(25))), 2);
-        assert_eq!(twin.publish(Message::new("R", 1).with("a", Scalar::Int(25))), 2);
         net.check_ledger_consistency().expect("consistent after source recovery");
+    }
+
+    #[test]
+    fn stream_free_subscription_installs_delivers_nothing_and_leaves() {
+        // No stream, so no source to walk toward: the local entry is the
+        // whole installation (forwarding entries exist only per advertised
+        // source of a requested stream).
+        let mut net = figure2_network();
+        net.subscribe(Subscription::builder(NodeId(5)).id(SubId(5)).build());
+        assert_eq!(net.records[&SubId(5)].entries, vec![(NodeId(5), None)]);
+        net.check_ledger_consistency().expect("consistent with a stream-free subscription");
+        assert_eq!(net.publish(Message::new("R", 0).with("a", Scalar::Int(25))), 2);
+        assert!(net.log().for_sub(SubId(5)).next().is_none(), "nothing is delivered to it");
+        assert_eq!(net.link_stats(NodeId(1), NodeId(5)).messages, 0, "or forwarded toward it");
+        net.unsubscribe(SubId(5));
+        assert_eq!(net.table_len(NodeId(5)), 0);
+        net.check_ledger_consistency().expect("consistent after it left");
     }
 
     #[test]

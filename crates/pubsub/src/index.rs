@@ -91,7 +91,7 @@
 //!   immediately re-split. The dense-list semantics are preserved
 //!   exactly — same counting results, same candidate order — which the
 //!   tiered-vs-dense differential suite pins down.
-//! - **Install**: `subscribe`/`add_forwarding_entry` extend every affected
+//! - **Install**: [`RoutingTable::insert`] extends every affected
 //!   stream partition in place (run-local sorted-insert into threshold
 //!   lists, hop groups union-extended, projection classes joined or
 //!   opened). Each
@@ -147,16 +147,14 @@
 //!   covering store of its link — the same-direction entry one hop up
 //!   *is* the record of what a node already forwarded upstream, so the
 //!   broker keeps none (the argument is on its install walk, which stops
-//!   at the first skip). Its reference twin is the linear table scan of
-//!   the broker's `new_linear` mode: answers are bit-identical,
-//!   candidates merely fewer. [`CoverStats`] counts the work: list slots
-//!   visited, confirmations attempted, confirmations that held.
-//!
-//! Wholesale rebuilds still exist, but only as the *differential oracle*:
-//! the broker's `*_wholesale` maintenance hooks clear and re-install
-//! through this same incremental path, and the churn equivalence suite
-//! asserts the incremental ledger ends in an observationally identical
-//! state.
+//!   at the first skip). What its answers must equal is a scan of the
+//!   table's live same-direction entries — the first coverer in table
+//!   order, the victims in table order; candidates are merely fewer —
+//!   and `tests/index_equivalence.rs` holds one table to a flat `Vec`
+//!   under random insert and remove sequences, and whole networks to the
+//!   from-scratch tables of `cosmos-oracle`'s `ReferenceNetwork`.
+//!   [`CoverStats`] counts the work: list slots visited, confirmations
+//!   attempted, confirmations that held.
 //!
 //! - **Crash recovery**: whole-node failure
 //!   ([`crate::broker::BrokerNetwork::fail_node`]) is not a new table
@@ -1150,10 +1148,6 @@ pub struct RoutingTable {
     parts: Vec<StreamIndex>,
     /// Each stream's slot in `parts`.
     part_of: HashMap<Symbol, u32>,
-    /// Stream-free forwarding entries per hop: they belong to no
-    /// `(stream, hop)` bucket yet are vacuously covered by *any*
-    /// subscription, so the victim query must always consider them.
-    streamless: HashMap<NodeId, Vec<u32>>,
     /// Scratch buffer of candidate slots, reused across
     /// [`RoutingTable::insert_covering`] calls.
     cover_scratch: Vec<u32>,
@@ -1204,12 +1198,11 @@ impl RoutingTable {
         self.scratch.stats
     }
 
-    /// Drops all entries and index state.
-    pub fn clear(&mut self) {
+    /// Drops all entries and index state (the match scratch stays).
+    fn clear(&mut self) {
         self.entries.clear();
         self.parts.clear();
         self.part_of.clear();
-        self.streamless.clear();
         self.by_sub.clear();
         self.dead = 0;
     }
@@ -1221,15 +1214,9 @@ impl RoutingTable {
     /// re-installation. The entry shares `form` — the broker hands the
     /// same one to every hop of an installation.
     pub fn insert(&mut self, form: Arc<InstalledSub>, to: Option<NodeId>, seq: u64) {
-        let Self { entries, parts, part_of, streamless, by_sub, .. } = self;
+        let Self { entries, parts, part_of, by_sub, .. } = self;
         let entry_id = u32::try_from(entries.len()).expect("routing table overflow");
         let sub = &form.sub;
-        if let (Some(next), true) = (to, sub.streams.is_empty()) {
-            // A stream-free forwarding entry joins no bucket but is
-            // vacuously covered by anything: track it per hop so the
-            // indexed victim query keeps matching the linear scan.
-            streamless.entry(next).or_default().push(entry_id);
-        }
         for (stream, req, indexable, residual) in form.streams() {
             let p = *part_of.entry(stream).or_insert_with(|| {
                 parts.push(StreamIndex::default());
@@ -1351,45 +1338,16 @@ impl RoutingTable {
         n
     }
 
-    /// Tombstones every live entry toward `downstream` for which `covered`
-    /// holds (covering-based merge removal), returning the owning
-    /// subscription ids of the dropped entries — the broker records them
-    /// as covering dependencies so the victims are re-propagated if the
-    /// coverer ever leaves. Hop-group unions are recomputed from the
-    /// surviving members; threshold lists keep stale references that the
-    /// dead flag neutralizes, and the table compacts once tombstones
-    /// outnumber live entries.
-    pub fn remove_toward(
-        &mut self,
-        downstream: NodeId,
-        mut covered: impl FnMut(&Subscription) -> bool,
-    ) -> Vec<SubId> {
-        let victims: Vec<u32> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !e.dead && e.to == Some(downstream) && covered(&e.form.sub))
-            .map(|(i, _)| i as u32)
-            .collect();
-        let dropped: Vec<SubId> =
-            victims.iter().map(|&v| self.entries[v as usize].form.sub.id).collect();
-        for id in victims {
-            self.tombstone(id);
-        }
-        self.maybe_compact();
-        dropped
-    }
-
-    /// Covering-merged insert of a forwarding entry toward `to` — the
-    /// sublinear twin of the broker's linear scan + [`RoutingTable::
-    /// remove_toward`] sequence, answering both covering questions from
-    /// the `(stream, hop)` buckets instead of walking the table:
+    /// Covering-merged insert of a forwarding entry toward `to`, answering
+    /// both covering questions from the `(stream, hop)` buckets instead of
+    /// walking the table. `form` requests at least one stream (the broker
+    /// installs forwarding entries only per advertised source of one):
     ///
     /// 1. **Skip** when a live same-direction entry covers the
     ///    subscription (a coverer must request every one of its streams,
     ///    so the first stream's bucket already contains every possible
     ///    coverer); the reported coverer is the first one in table order
-    ///    — identical to the linear scan's answer.
+    ///    — what a scan of the table would answer.
     /// 2. Otherwise **drop** every live entry it covers (a victim's
     ///    streams are a subset of its own, so the union of its per-stream
     ///    buckets holds every possible victim), tombstone them, and
@@ -1412,20 +1370,6 @@ impl RoutingTable {
         F: Fn(&Subscription, &Subscription) -> bool,
     {
         let sub = &form.sub;
-        if sub.streams.is_empty() {
-            // Degenerate stream-free subscription: covering is vacuously
-            // true against it and no bucket can index it — resolve by the
-            // linear scan so both modes stay bit-identical.
-            if let Some((by, _)) = self.entries().find(|&(e, hop)| {
-                hop == Some(to) && e.id != sub.id && stats.confirm(covers(e, sub))
-            }) {
-                return ForwardInsert::Skipped { by: by.id };
-            }
-            let dropped =
-                self.remove_toward(to, |e| e.id != sub.id && stats.confirm(covers(sub, e)));
-            self.insert(form, Some(to), seq);
-            return ForwardInsert::Inserted { dropped };
-        }
         // Candidate slots come out of each bucket ascending: an unbuilt
         // (small) bucket is taken whole, a built one is counted over.
         // Either source yields a superset of the true answers, so the
@@ -1455,10 +1399,6 @@ impl RoutingTable {
                 bucket.covered_candidates(probe, &mut slots, stats);
                 sources += 1;
             }
-        }
-        if let Some(streamless) = self.streamless.get(&to) {
-            slots.extend_from_slice(streamless);
-            sources += 1;
         }
         if sources > 1 {
             slots.sort_unstable();
@@ -1788,7 +1728,9 @@ mod tests {
             table.ins(s, Some(NodeId(1)));
         }
         assert_eq!(table.len(), 40);
-        table.remove_toward(NodeId(1), |s| s.id.0 % 2 == 0);
+        for i in (0..40u64).step_by(2) {
+            assert_eq!(table.remove_entry(SubId(i), Some(NodeId(1))), 1);
+        }
         assert_eq!(table.len(), 20, "every even entry removed");
         // Compaction triggered (tombstones > live): entries list is dense.
         assert_eq!(table.entries.len(), 20);
@@ -1815,7 +1757,7 @@ mod tests {
             .with("c", Scalar::Int(3));
         let out = table.match_message(&msg, None);
         assert_eq!(fwd_len(&out), 2, "union {{a,b}} before removal");
-        table.remove_toward(NodeId(1), |s| s.id == SubId(2));
+        assert_eq!(table.remove_entry(SubId(2), Some(NodeId(1))), 1);
         let out = table.match_message(&msg, None);
         assert_eq!(fwd_len(&out), 1, "union shrinks to {{a}}");
     }
@@ -2190,36 +2132,5 @@ mod tests {
             ForwardInsert::Inserted { dropped } => assert!(dropped.is_empty()),
             other => panic!("a NaN probe covers no one, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn stream_free_subscription_falls_back_to_the_linear_answer() {
-        // A subscription with no streams is vacuously covered by any live
-        // entry; no bucket can index it, so the covering insert resolves
-        // it by the linear fallback.
-        let hop = NodeId(1);
-        let empty = |id: u64| Subscription::builder(NodeId(0)).id(SubId(id)).build();
-        let mut table = RoutingTable::new();
-        table.ins(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))]), Some(hop));
-        match table.ins_covering(empty(9), hop) {
-            ForwardInsert::Skipped { by } => assert_eq!(by, SubId(1), "first live entry covers"),
-            other => panic!("expected the vacuous cover, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stream_free_entry_is_dropped_as_a_victim() {
-        // A stream-free forwarding entry joins no bucket, but any
-        // subscription vacuously covers it — the indexed victim query
-        // must drop it exactly as the linear scan would.
-        let hop = NodeId(1);
-        let empty = |id: u64| Subscription::builder(NodeId(0)).id(SubId(id)).build();
-        let mut table = RoutingTable::new();
-        table.ins(empty(1), Some(hop));
-        match table.ins_covering(sub(2, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(5))]), hop) {
-            ForwardInsert::Inserted { dropped } => assert_eq!(dropped, vec![SubId(1)]),
-            other => panic!("expected the stream-free entry dropped, got {other:?}"),
-        }
-        assert_eq!(table.len(), 1, "only the new entry survives");
     }
 }

@@ -44,7 +44,8 @@
 //! own deliveries keep a prefix key, sorting before its subtree). After
 //! quiescence, [`LossyNetwork::converged_log`] stable-sorts by key and
 //! must equal the fault-free serial log exactly — the chaos suite
-//! asserts it against a wholesale-maintained oracle network.
+//! asserts it against the from-scratch reference network of
+//! `cosmos-oracle`.
 
 use crate::broker::{BrokerNetwork, Delivery, LinkStats};
 use crate::fault::{FaultAction, FaultPlan};

@@ -1,9 +1,10 @@
 //! Chaos differential suite: the full fault plane against the fault-free
-//! wholesale oracle.
+//! from-scratch reference.
 //!
-//! Every trial drives **three** networks over the same random topology
-//! through the same interleaving of subscription churn, link flaps, and
-//! whole-broker crashes/recoveries:
+//! Every trial drives the incremental network on **two planes**, and the
+//! reference beside them, over the same random topology through the same
+//! interleaving of subscription churn, link flaps, and whole-broker
+//! crashes/recoveries:
 //!
 //! - `lossy` — the incremental network wrapped in a
 //!   [`LossyNetwork`], publishing over a seeded drop/duplicate/reorder
@@ -12,22 +13,25 @@
 //!   alternating serial [`BrokerNetwork::publish`] batches with the
 //!   snapshot plane (one long-lived [`BrokerNetwork::reader`], retargeted
 //!   after churn and absorbed back);
-//! - `oracle` — the linear-scan network maintained exclusively by the
-//!   `*_wholesale` rebuild-the-world twins, publishing serially.
+//! - `reference` — [`ReferenceNetwork`]: flat tables rebuilt from
+//!   topology, advertisements and population after every churn operation,
+//!   matched by evaluating every entry, publishing serially.
 //!
 //! After every publish batch the lossy plane is drained to quiescence
 //! and all three must agree **bit-for-bit**: the converged delivery log
-//! (contents and order) equals the oracle's serial log, and per-link
-//! goodput equals the oracle's link counters — retransmissions,
+//! (contents and order) equals the reference's serial log, and per-link
+//! goodput equals the reference's link counters — retransmissions,
 //! duplicates, and reorderings must leave no trace beyond the overhead
-//! ledger. [`BrokerNetwork::check_ledger_consistency`] is asserted on
-//! every network after every control-plane operation.
+//! ledger. After every control-plane operation both incremental networks
+//! must pass [`BrokerNetwork::check_ledger_consistency`] and hold tables
+//! equivalent to the rebuilt ones ([`assert_tables_equivalent`]).
 //!
 //! `COSMOS_STRESS=1` raises the trial count and the fault rates. A
 //! failing trial prints its seed and op index; `COSMOS_CHAOS_TRIAL=<n>`
 //! reruns exactly that trial.
 
 use cosmos_net::{NodeId, Topology};
+use cosmos_oracle::{assert_tables_equivalent, ReferenceNetwork};
 use cosmos_pubsub::broker::BrokerNetwork;
 use cosmos_pubsub::fault::{FaultConfig, FaultPlan};
 use cosmos_pubsub::reliable::LossyNetwork;
@@ -134,12 +138,12 @@ fn edges_of(topo: &Topology) -> Vec<(NodeId, NodeId)> {
     edges
 }
 
-/// The three networks under the same churn schedule, plus the bookkeeping
-/// the harness needs to undo incidents.
+/// Both planes and the reference under the same churn schedule, plus the
+/// bookkeeping the harness needs to undo incidents.
 struct Trial {
     lossy: LossyNetwork,
     clean: BrokerNetwork,
-    oracle: BrokerNetwork,
+    reference: ReferenceNetwork,
     live: Vec<u64>,
     home: HashMap<u64, NodeId>,
     failed_links: Vec<(NodeId, NodeId, f64)>,
@@ -154,13 +158,12 @@ impl Trial {
         self.failed_nodes.iter().any(|&(n, _)| n == v)
     }
 
-    fn consistent(&self, what: &str, trial: u64, step: u32) {
-        for (name, net) in
-            [("lossy", self.lossy.network()), ("clean", &self.clean), ("oracle", &self.oracle)]
-        {
+    fn consistent(&mut self, what: &str, trial: u64, step: u32) {
+        for (name, net) in [("lossy", self.lossy.network()), ("clean", &self.clean)] {
             net.check_ledger_consistency().unwrap_or_else(|e| {
                 panic!("{name} ledger inconsistent after {what} (trial {trial}, step {step}): {e}")
             });
+            assert_tables_equivalent(net, &mut self.reference);
         }
     }
 
@@ -169,14 +172,14 @@ impl Trial {
         self.live.push(sub.id.0);
         self.lossy.network_mut().subscribe(sub.clone());
         self.clean.subscribe(sub.clone());
-        self.oracle.subscribe(sub);
+        self.reference.subscribe(sub);
     }
 
     fn unsubscribe(&mut self, id: u64) {
         self.home.remove(&id);
         self.lossy.network_mut().unsubscribe(SubId(id));
         self.clean.unsubscribe(SubId(id));
-        self.oracle.unsubscribe_wholesale(SubId(id));
+        self.reference.unsubscribe(SubId(id));
     }
 }
 
@@ -195,7 +198,7 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
                 FaultPlan::new(rng.gen(), cfg),
             ),
             clean: BrokerNetwork::new(topo.clone()),
-            oracle: BrokerNetwork::new_linear(topo),
+            reference: ReferenceNetwork::new(topo),
             live: Vec::new(),
             home: HashMap::new(),
             failed_links: Vec::new(),
@@ -206,7 +209,7 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
             let src = NodeId(rng.gen_range(0..nodes));
             t.lossy.network_mut().advertise(stream, src);
             t.clean.advertise(stream, src);
-            t.oracle.advertise(stream, src);
+            t.reference.advertise(stream, src);
         }
         for _ in 0..rng.gen_range(10u64..40) {
             let id = t.next_id;
@@ -243,7 +246,7 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
                     let lat = t.lossy.network().topology().edge_latency(a, b).unwrap();
                     assert!(t.lossy.network_mut().fail_link(a, b));
                     assert!(t.clean.fail_link(a, b));
-                    assert!(t.oracle.fail_link_wholesale(a, b));
+                    t.reference.fail_link(a, b);
                     t.failed_links.push((a, b, lat));
                     t.consistent("fail_link", trial, step);
                 }
@@ -256,11 +259,11 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
                     t.failed_links.swap_remove(at);
                     assert!(t.lossy.network_mut().restore_link(a, b, lat));
                     assert!(t.clean.restore_link(a, b, lat));
-                    assert!(t.oracle.restore_link_wholesale(a, b, lat));
+                    t.reference.restore_link(a, b, lat);
                     t.consistent("restore_link", trial, step);
                 }
             } else if roll < 41 {
-                // Crash a random attached broker. All three networks must
+                // Crash a random attached broker. Both planes must
                 // agree on the detached footprint, and the crashed
                 // broker's local subscribers leave the population.
                 let attached: Vec<NodeId> = t
@@ -274,7 +277,7 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
                     let n = attached[rng.gen_range(0..attached.len())];
                     let edges = t.lossy.network_mut().fail_node(n).expect("attached");
                     assert_eq!(t.clean.fail_node(n).as_ref(), Some(&edges));
-                    assert_eq!(t.oracle.fail_node_wholesale(n).as_ref(), Some(&edges));
+                    t.reference.fail_node(n);
                     let home = &t.home;
                     t.live.retain(|id| home.get(id) != Some(&n));
                     t.home.retain(|_, node| *node != n);
@@ -293,7 +296,7 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
                     t.failed_nodes.swap_remove(at);
                     assert!(t.lossy.network_mut().restore_node(n, &up));
                     assert!(t.clean.restore_node(n, &up));
-                    assert!(t.oracle.restore_node_wholesale(n, &up));
+                    up.iter().for_each(|&(v, lat)| t.reference.restore_link(n, v, lat));
                     t.consistent("restore_node", trial, step);
                 }
             } else {
@@ -313,36 +316,37 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
                     } else {
                         t.clean.publish(msg.clone())
                     };
-                    let dl = t.oracle.publish_linear(msg);
+                    let dl = t.reference.publish(msg);
                     assert_eq!(dc, dl, "delivery count diverged (trial {trial}, step {step})");
                 }
                 t.lossy.run_to_quiescence();
                 assert_eq!(
                     t.lossy.converged_log(),
-                    t.oracle.log().deliveries(),
-                    "lossy log failed to converge to the oracle (trial {trial}, step {step})"
+                    t.reference.log,
+                    "lossy log failed to converge to the reference (trial {trial}, step {step})"
                 );
                 assert_eq!(
                     t.clean.log().deliveries(),
-                    t.oracle.log().deliveries(),
-                    "clean log diverged from the oracle (trial {trial}, step {step})"
+                    t.reference.log,
+                    "clean log diverged from the reference (trial {trial}, step {step})"
                 );
                 assert_eq!(
                     t.lossy.goodput_stats(),
-                    t.oracle.all_link_stats(),
-                    "lossy goodput diverged from oracle link stats (trial {trial}, step {step})"
+                    t.reference.all_link_stats(),
+                    "lossy goodput diverged from reference link stats (trial {trial}, step {step})"
                 );
                 assert_eq!(
                     t.clean.all_link_stats(),
-                    t.oracle.all_link_stats(),
-                    "clean link stats diverged from the oracle (trial {trial}, step {step})"
+                    t.reference.all_link_stats(),
+                    "clean link stats diverged from the reference (trial {trial}, step {step})"
                 );
                 // Segment verified on all three: restart the logs so
                 // later comparisons stay sharp (and fast).
                 total_retransmissions += t.lossy.retransmissions();
                 t.lossy.reset_stats();
                 t.clean.reset_stats();
-                t.oracle.reset_stats();
+                t.reference.log.clear();
+                t.reference.links.clear();
             }
         }
         total_retransmissions += t.lossy.retransmissions();
@@ -352,8 +356,9 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
 
 /// ≥20 randomized trials of interleaved broker crashes, link flaps, and
 /// seeded message-fault schedules: the lossy plane must converge to the
-/// fault-free wholesale oracle's exact delivery log and per-link stats,
-/// with ledger consistency asserted after every operation. A failing
+/// fault-free reference's exact delivery log and per-link stats, with
+/// ledger consistency and table equivalence asserted after every
+/// operation. A failing
 /// trial reports its seed and op index for one-line reproduction.
 #[test]
 fn chaos_converges_to_fault_free_oracle() {
