@@ -11,13 +11,100 @@
 //! ```text
 //! cargo run --release -p cosmos-bench --bin ablation -- [--scale 0.1]
 //! ```
+//!
+//! `--scenario sensor` prices placements instead, on the population of the
+//! end-to-end `sensor-join` workload (4 000 window joins over 100 sensors,
+//! 30 processors, its standing seed — `--scale` and `--seed` do not
+//! apply): the modelled source and result cost, the share of queries
+//! running at their proxy and the load spread of the hierarchical mapping,
+//! the same with overlap edges off, the centralized and greedy mappings,
+//! and the naive and random placements. Where result traffic matters this
+//! is the table that says whether the optimizer minimises what it is
+//! judged on; the hierarchical row's total over the random row's is the
+//! harness's `core.distribute.cost_vs_random`.
 
+use cosmos_baselines::{naive_assignment, random_assignment};
 use cosmos_bench::{banner, write_result, BenchArgs};
 use cosmos_core::distribute::{DistConfig, Distributor};
+use cosmos_core::hierarchy::CoordinatorTree;
+use cosmos_core::spec::{Assignment, QuerySpec};
+use cosmos_pubsub::TrafficModel;
+use cosmos_util::rng::derive_seed;
+use cosmos_workload::sensors::SensorScenario;
 use cosmos_workload::{PaperParams, Simulation};
 
+/// Standing seed of `e2ebench/src/workloads/sensor_join.rs`.
+const SENSOR_SEED: u64 = 0x5E45;
+
+fn sensor_scenario() {
+    println!("=== Ablation: placements on the sensor-join population (modelled cost)");
+    let scenario = SensorScenario::build(100, 5, 30, SENSOR_SEED);
+    let specs: Vec<QuerySpec> = scenario
+        .generate_cql(4_000, SENSOR_SEED)
+        .iter()
+        .map(|(id, q, proxy)| scenario.to_spec(*id, q, *proxy))
+        .collect();
+    let (dep, table) = (&scenario.dep, &scenario.table);
+    let tree = CoordinatorTree::build(dep, 2);
+    let seed = derive_seed(SENSOR_SEED, "distribute");
+    let with = |overlap_edges| {
+        let config = DistConfig { overlap_edges, ..DistConfig::default() };
+        Distributor::with_config(dep, &tree, table, config)
+    };
+    let placements: [(&str, Assignment); 6] = [
+        ("hierarchical", with(true).distribute(&specs, seed).assignment),
+        ("overlap-off", with(false).distribute(&specs, seed).assignment),
+        ("centralized", with(true).distribute_centralized(&specs, seed).assignment),
+        ("greedy", with(true).distribute_greedy(&specs, seed).assignment),
+        ("naive", naive_assignment(&specs)),
+        ("random", random_assignment(&specs, dep, derive_seed(SENSOR_SEED, "random-placement"))),
+    ];
+    let model = TrafficModel::new(dep, table);
+    println!(
+        "{:>14} {:>12} {:>12} {:>12} {:>10} {:>12}",
+        "placement", "source", "result", "total", "at proxy", "load stddev"
+    );
+    let mut records = Vec::new();
+    let mut totals = Vec::new();
+    for (name, a) in &placements {
+        let host = |q: &QuerySpec| a.processor_of(q.id).expect("every query is placed");
+        let source =
+            model.source_delivery_cost(&a.interests(&specs, dep.processors(), table.len()));
+        let result =
+            model.result_unicast_cost(specs.iter().map(|q| (host(q), q.proxy, q.result_rate)));
+        let at_proxy =
+            specs.iter().filter(|q| host(q) == q.proxy).count() as f64 / specs.len() as f64;
+        let stddev = cosmos_util::stats::stddev(&a.loads(&specs, dep.processors()));
+        println!(
+            "{name:>14} {source:>12.0} {result:>12.0} {:>12.0} {:>9.1}% {stddev:>12.4}",
+            source + result,
+            100.0 * at_proxy
+        );
+        totals.push(source + result);
+        records.push(serde_json::json!({
+            "placement": *name, "source_cost": source, "result_cost": result,
+            "at_proxy": at_proxy, "load_stddev": stddev
+        }));
+    }
+    let total_of = |name| totals[placements.iter().position(|p| p.0 == name).expect("a row")];
+    let hier = total_of("hierarchical");
+    let vs_random = hier / total_of("random");
+    println!("\nhierarchical / random = {vs_random:.4}, / naive = {:.4}", hier / total_of("naive"));
+    println!("Shape check: hierarchical <= 0.5 x random: {}", vs_random <= 0.5);
+    write_result("ablation_sensor", &serde_json::json!({"rows": records}));
+}
+
 fn main() {
-    let args = BenchArgs::parse();
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(at) = argv.iter().position(|a| a == "--scenario") {
+        let given: Vec<String> = argv.drain(at..(at + 2).min(argv.len())).collect();
+        match given.get(1).map(String::as_str) {
+            Some("sensor") => return sensor_scenario(),
+            Some("synthetic") => {}
+            other => panic!("--scenario needs `synthetic` or `sensor`, got {other:?}"),
+        }
+    }
+    let args = BenchArgs::parse_from(&argv);
     banner("Ablation", "design-choice ablations", &args);
     let params = PaperParams::scaled(args.scale);
     let n_queries = ((20_000.0 * args.scale) as usize).max(200);

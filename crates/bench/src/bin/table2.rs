@@ -8,8 +8,12 @@
 //! the figure's exact edge weights are not recoverable from the published
 //! text, so our absolute numbers differ — the *ordering* (and the fact that
 //! Algorithm 2 finds the sharing-aware scheme) is the reproduced result.
+//! Schemes are priced with the model the distributor uses: a substream's
+//! rate shared among the queries that read it (`effective_rates`).
 
-use cosmos_core::graph::{edge_weight, NetVertex, NetworkGraph, QgVertex, QueryGraph};
+use cosmos_core::graph::{
+    edge_weight, effective_rates, NetVertex, NetworkGraph, QgVertex, QueryGraph,
+};
 use cosmos_core::mapping::{map_graph, MapConfig};
 use cosmos_net::NodeId;
 use cosmos_query::QueryId;
@@ -17,8 +21,7 @@ use cosmos_util::InterestSet;
 
 const U: usize = 16;
 
-fn build() -> (QueryGraph, NetworkGraph, Vec<f64>) {
-    let rates = vec![1.0; U];
+fn build() -> (QueryGraph, NetworkGraph) {
     // Substreams 0..8 originate at s1 (node 0), 8..16 at s2 (node 1).
     let mk = |id: u64, lo: usize, hi: usize, proxy: u32| {
         QgVertex::for_query(
@@ -40,6 +43,7 @@ fn build() -> (QueryGraph, NetworkGraph, Vec<f64>) {
         QgVertex::for_net(NodeId(2), InterestSet::new(U)), // n1
         QgVertex::for_net(NodeId(3), InterestSet::new(U)), // n2
     ];
+    let rates = effective_rates(&vertices[..4], &[1.0; U]);
     let mut qg = QueryGraph::new(vertices);
     for i in 0..qg.len() {
         for j in (i + 1)..qg.len() {
@@ -67,7 +71,7 @@ fn build() -> (QueryGraph, NetworkGraph, Vec<f64>) {
         ],
         move |a, b| (pos(a) - pos(b)).abs(),
     );
-    (qg, ng, rates)
+    (qg, ng)
 }
 
 fn pin(v: &QgVertex) -> Option<usize> {
@@ -93,7 +97,7 @@ fn scheme_wec(qg: &QueryGraph, ng: &NetworkGraph, scheme: [usize; 4]) -> (f64, [
 }
 
 fn main() {
-    let (qg, ng, _) = build();
+    let (qg, ng) = build();
     println!("=== Table 2: mapping schemes on the Figure 5 example");
     println!("{:<44} {:>12} {:>12}", "Scheme", "Load n1/n2", "WEC");
     let rows = [

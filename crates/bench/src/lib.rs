@@ -36,9 +36,14 @@ impl BenchArgs {
     ///
     /// Panics (with a usage message) on malformed arguments.
     pub fn parse() -> Self {
+        Self::parse_from(&std::env::args().skip(1).collect::<Vec<_>>())
+    }
+
+    /// [`BenchArgs::parse`] over an explicit argument list, for a binary
+    /// that takes options of its own out first.
+    pub fn parse_from(args: &[String]) -> Self {
         let mut scale = 0.1;
         let mut seed = 42;
-        let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
@@ -760,16 +765,19 @@ mod tests {
     }
 
     /// The optimizer's work on `placement-churn`'s standing population is
-    /// exact: 8 coordinator graphs of 1 010 vertices and 93 097 edges,
-    /// coarsened by 754 collapses that re-estimate 106 996 edges — as
-    /// counted on commit 3cbb866, whose heaps and hash maps did the same
-    /// work at twice the price.
+    /// exact: 8 coordinator graphs of 1 010 vertices and 93 068 edges,
+    /// coarsened by 754 collapses that re-estimate 107 606 edges. Re-pinned
+    /// by PR 21, which changed what coarsening collapses (a pair with two
+    /// homes only when the shared input outweighs the result flow given up)
+    /// and so which coarse vertices the upper graphs are made of; from
+    /// commit 3cbb866 until then it read 93 097 edges and 106 996
+    /// re-estimates through every rewrite of the kernel.
     #[test]
     fn churn_distribute_work_is_pinned() {
         let stats = fixtures::churn_distribute(&fixtures::churn_world()).coarsen;
         assert_eq!(
             (stats.vertices, stats.edges, stats.collapses, stats.reestimated),
-            (1_010, 93_097, 754, 106_996)
+            (1_010, 93_068, 754, 107_606)
         );
     }
 

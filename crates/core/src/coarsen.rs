@@ -16,10 +16,23 @@
 //! a q-vertex collapse into a capability-0 anchor would pin query load to
 //! an unmappable vertex and make the load constraint unsatisfiable.
 //!
+//! A second one: *gain-aware matching*. Algorithm 1 collapses the pair
+//! behind the heaviest edge whatever it costs to put the two in one place,
+//! and queries whose results go to different children then merge at every
+//! level on shared input alone. Here a vertex has a *home* — the child
+//! cluster receiving most of its result flow; an n-vertex, which cannot
+//! move, the cluster that covers it — and a pair with two different homes
+//! is rated by its edge *less the result flow the cheaper side gives up by
+//! leaving home*, net of what the move brings closer; a rating that is not
+//! positive is no match. Pairs sharing a home, or with a homeless side (no
+//! result flow covered here: adaptation graphs, foreign arrivals), are
+//! rated by the edge alone, so with negligible result flows (the paper's
+//! `result_ratio` of 0.002) the rule *is* Algorithm 1.
+//!
 //! **Mechanics.** The working adjacency is the query graph's own: one
 //! sorted row per vertex. A vertex's match is found by scanning its row
-//! for the heaviest edge to an eligible neighbor — only a strictly heavier
-//! edge displaces the current best, so equal weights resolve to the
+//! for the best-rated edge to an eligible neighbor — only a strictly
+//! better one displaces the current best, so equal ratings resolve to the
 //! smallest index — and collapsing `v` into `u` is one merge of their two
 //! rows into `u`'s new one, re-estimating each edge of the merged vertex on
 //! the way (Algorithm 1, line 11).
@@ -85,8 +98,66 @@ fn is_anchor(v: &QgVertex, cluster_of: &ClusterOf) -> bool {
     v.is_net() && clu(v, cluster_of).is_none()
 }
 
+/// What gain-aware matching knows of a vertex (module docs).
+struct Site {
+    /// Result flow toward each child cluster, indexed by cluster and grown
+    /// on demand — sums, added up when vertices collapse. An n-vertex holds
+    /// its own cluster with infinite flow: it never leaves.
+    flows: Vec<f64>,
+    /// The child with the largest flow (ties to the smaller index); none
+    /// when no flow is covered.
+    home: Option<usize>,
+}
+
+impl Site {
+    fn of(v: &QgVertex, cluster_of: &ClusterOf) -> Self {
+        let mut site = Site { flows: Vec::new(), home: None };
+        let own = clu(v, cluster_of).map(|c| (c, f64::INFINITY));
+        let covered = v.result_flows.iter().filter_map(|&(p, rate)| Some((cluster_of(p)?, rate)));
+        for (c, rate) in covered.chain(own) {
+            if site.flows.len() <= c {
+                site.flows.resize(c + 1, 0.0);
+            }
+            site.flows[c] += rate;
+        }
+        site.settle();
+        site
+    }
+
+    fn settle(&mut self) {
+        let largest = self.flows.iter().fold(0.0, |m: f64, &f| m.max(f));
+        self.home = self.flows.iter().position(|&f| f == largest).filter(|_| largest > 0.0);
+    }
+
+    /// Takes in the flows of a vertex just collapsed into this one.
+    fn absorb(&mut self, flows: &[f64]) {
+        if self.flows.len() < flows.len() {
+            self.flows.resize(flows.len(), 0.0);
+        }
+        self.flows.iter_mut().zip(flows).for_each(|(a, b)| *a += b);
+        self.settle();
+    }
+
+    /// The result flow given up by moving from home `from` to `to`.
+    fn leave(&self, from: usize, to: usize) -> f64 {
+        let flow = |c: usize| self.flows.get(c).copied().unwrap_or(0.0);
+        (flow(from) - flow(to)).max(0.0)
+    }
+}
+
+/// What collapsing the pair behind an edge of weight `w` is worth: `w`,
+/// less — for two different homes — what the cheaper side gives up.
+fn rating(w: f64, u: &Site, v: &Site) -> f64 {
+    match (u.home, v.home) {
+        (Some(a), Some(b)) if a != b => w - u.leave(a, b).min(v.leave(b, a)),
+        _ => w,
+    }
+}
+
 /// Runs Algorithm 1 until at most `vmax` vertices remain (or no further
-/// collapse is possible — e.g. everything left is an anchor).
+/// collapse is possible — e.g. everything left is an anchor). `rates` are
+/// the input graph's effective rates ([`crate::graph::effective_rates`]):
+/// what its substream terms were built from is what re-estimates them.
 ///
 /// Deterministic for a given `seed`.
 ///
@@ -111,6 +182,7 @@ pub fn coarsen(
     let (vertices, mut rows) = input.clone().into_parts();
     let mut vertices: Vec<Option<QgVertex>> = vertices.into_iter().map(Some).collect();
     let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    let mut sites: Vec<Site> = input.vertices.iter().map(|v| Site::of(v, cluster_of)).collect();
     let mut alive = n;
     let mut rng = rng_for(seed, "coarsen");
 
@@ -132,17 +204,17 @@ pub fn coarsen(
             if is_anchor(u_vert, cluster_of) {
                 continue;
             }
-            let u_is_net = u_vert.is_net();
-            let u_clu = clu(u_vert, cluster_of);
-            // Candidate selection (Algorithm 1, lines 5-7).
+            // Candidate selection (Algorithm 1, lines 5-7). Two n-vertices
+            // of different clusters rate −∞: neither can leave.
             let mut best: Option<(usize, f64)> = None;
             for &(j, w) in &rows[u] {
                 let Some(v_vert) = vertices[j].as_ref() else { continue };
-                let eligible = !(matched[j]
-                    || is_anchor(v_vert, cluster_of)
-                    || (u_is_net && v_vert.is_net() && u_clu != clu(v_vert, cluster_of)));
-                if eligible && best.is_none_or(|(_, bw)| w > bw) {
-                    best = Some((j, w));
+                if matched[j] || is_anchor(v_vert, cluster_of) {
+                    continue;
+                }
+                let r = rating(w, &sites[u], &sites[j]);
+                if r > 0.0 && best.is_none_or(|(_, br)| r > br) {
+                    best = Some((j, r));
                 }
             }
             let Some((v, _)) = best else { continue };
@@ -154,6 +226,8 @@ pub fn coarsen(
             members[u].extend(v_members);
             vertices[u].as_mut().expect("u alive").absorb(&v_vert);
             let u_vert = vertices[u].as_ref().expect("u alive");
+            let v_flows = std::mem::take(&mut sites[v].flows);
+            sites[u].absorb(&v_flows);
             let (row_u, row_v) = (std::mem::take(&mut rows[u]), std::mem::take(&mut rows[v]));
             let mut merged = Row::with_capacity(row_u.len() + row_v.len());
             let (mut a, mut b) = (0, 0);
@@ -202,7 +276,8 @@ pub fn coarsen(
             e.0 != usize::MAX
         });
     }
-    Coarsened { graph: QueryGraph::from_parts(out_vertices, out_rows), members: out_members, stats }
+    let graph = QueryGraph::from_parts(out_vertices, out_rows, rates.to_vec());
+    Coarsened { graph, members: out_members, stats }
 }
 
 #[cfg(test)]
@@ -215,16 +290,20 @@ mod tests {
     const U: usize = 32;
 
     /// The reference: Algorithm 1 over a `HashMap` adjacency, with the match
-    /// chosen by a full scan under an explicit (max weight, smallest index)
-    /// rule and rewiring and re-estimation as two separate steps. Written
-    /// for obviousness; the oracle the sorted-row [`coarsen`]
-    /// must be output-identical to, counters included.
+    /// chosen by a full scan under an explicit (max rating, smallest index)
+    /// rule, a candidate's rating computed from the two vertices' result
+    /// flows as they stand (no sums carried along), and rewiring and
+    /// re-estimation as two separate steps. Written for obviousness; the
+    /// oracle the sorted-row [`coarsen`] must be output-identical to,
+    /// counters included. With `gain_aware` off every pair is rated by its
+    /// edge alone: Algorithm 1 as it stood before gain-aware matching.
     fn coarsen_reference(
         input: &QueryGraph,
         vmax: usize,
         rates: &[f64],
         cluster_of: &ClusterOf,
         seed: u64,
+        gain_aware: bool,
     ) -> Coarsened {
         assert!(vmax > 0, "vmax must be positive");
         let n = input.len();
@@ -270,7 +349,13 @@ mod tests {
                     if u_is_net && v_vert.is_net() && u_clu != clu(v_vert, cluster_of) {
                         continue;
                     }
+                    let w = if gain_aware {
+                        rating(w, &Site::of(u_vert, cluster_of), &Site::of(v_vert, cluster_of))
+                    } else {
+                        w
+                    };
                     match best {
+                        _ if w <= 0.0 => {}
                         Some((bj, bw)) if w < bw || (w == bw && j > bj) => {}
                         _ => best = Some((j, w)),
                     }
@@ -374,12 +459,17 @@ mod tests {
     /// One seeded trial against the reference: small-integer rates and
     /// loads so that equal weights (and hence the smallest-index
     /// tie-break) are the rule, n-vertices in two clusters plus anchors,
-    /// result flows aimed at some of them.
+    /// result flows — multiples of a half up to the weight of a typical
+    /// edge, so every sum is exact in whatever order it is taken — aimed at
+    /// some of them. With `gain_aware` off every result rate is 0 and the
+    /// reference is Algorithm 1 without the rule, which must then make no
+    /// difference.
     fn differential_trial(
         seed: u64,
         sizes: std::ops::Range<usize>,
         interests: std::ops::Range<usize>,
         min_density: f64,
+        gain_aware: bool,
     ) {
         use rand::Rng;
         let mut rng = rng_for(seed, "coarsen-diff");
@@ -395,6 +485,8 @@ mod tests {
                 let mut v = qv(i as u64, &bits, rng.gen_range(1..5) as f64);
                 // Half the result flows target an n-vertex of the graph.
                 v.result_flows[0].0 = NodeId(3 + 7 * rng.gen_range(0..2 * (n as u32 / 7)));
+                let flow = f64::from(rng.gen_range(0..12u32)) / 2.0;
+                v.result_flows[0].1 = if gain_aware { flow } else { 0.0 };
                 v
             })
             .collect();
@@ -403,7 +495,7 @@ mod tests {
         assert!(density >= min_density, "seed {seed}: density {density} of {n} vertices");
         let vmax = rng.gen_range(2..(n / 3).min(64));
         let fast = coarsen(&g, vmax, &rates, &mixed_clusters, seed);
-        let slow = coarsen_reference(&g, vmax, &rates, &mixed_clusters, seed);
+        let slow = coarsen_reference(&g, vmax, &rates, &mixed_clusters, seed, gain_aware);
         assert_identical(&fast, &slow, &format!("seed {seed}, n {n}"));
     }
 
@@ -411,8 +503,18 @@ mod tests {
     #[test]
     fn row_scan_is_output_identical_to_reference() {
         for seed in 0..12 {
-            differential_trial(seed, 12..36, 1..5, 0.0);
+            differential_trial(seed, 12..36, 1..5, 0.0, true);
         }
+    }
+
+    /// With no result flow to lose, gain-aware matching is Algorithm 1:
+    /// `members`, graph and work counters of the pre-rule reference.
+    #[test]
+    fn without_result_flows_the_rule_is_algorithm_1() {
+        for seed in 0..12 {
+            differential_trial(seed, 12..36, 1..5, 0.0, false);
+        }
+        differential_trial(0, 100..401, 6..12, 0.5, false);
     }
 
     /// Where the optimizer's graphs actually live: 100–400 vertices at
@@ -420,7 +522,7 @@ mod tests {
     #[test]
     fn dense_row_scan_is_output_identical_to_reference() {
         for seed in 0..if stress() { 24 } else { 3 } {
-            differential_trial(seed, 100..401, 6..12, 0.5);
+            differential_trial(seed, 100..401, 6..12, 0.5, true);
         }
     }
 
@@ -501,6 +603,45 @@ mod tests {
             let ok = c.members.iter().any(|m| m.contains(&0) && m.contains(&1) && m.len() == 2);
             assert!(ok, "seed {seed}: heavy pairs should collapse: {:?}", c.members);
         }
+    }
+
+    /// A q-vertex reading substream 0 (rate 1), its results going to `node`.
+    fn qf(id: u64, node: u32, flow: f64) -> QgVertex {
+        let mut v = qv(id, &[0], 1.0);
+        v.result_flows[0] = (NodeId(node), flow);
+        v
+    }
+
+    #[test]
+    fn a_pair_with_two_homes_collapses_only_when_it_pays() {
+        let rates = vec![1.0; U];
+        // Nodes 1 and 2 are children 0 and 1; node 9 is covered by neither.
+        let cluster_of = |n: NodeId| (n.0 < 3).then(|| n.0 as usize - 1);
+        let left = |pair: Vec<QgVertex>| {
+            coarsen(&with_edges(pair, &rates), 1, &rates, &cluster_of, 3).graph.len()
+        };
+        // The shared rate against the smaller of the two result flows.
+        assert_eq!(left(vec![qf(0, 1, 0.5), qf(1, 2, 3.0)]), 1, "1 > 0.5: collapses");
+        assert_eq!(left(vec![qf(0, 1, 3.0), qf(1, 2, 0.5)]), 1, "whichever side it is");
+        assert_eq!(left(vec![qf(0, 1, 1.0), qf(1, 2, 3.0)]), 2, "1 ≤ 1: does not");
+        // Sharing a home, or having none, is rated by the edge alone.
+        assert_eq!(left(vec![qf(0, 1, 9.0), qf(1, 1, 9.0)]), 1, "same home");
+        assert_eq!(left(vec![qf(0, 9, 9.0), qf(1, 2, 9.0)]), 1, "a homeless side");
+        // An n-vertex never leaves: the q-vertex's flow is what is lost,
+        // though the n-vertex itself has no flow to give up.
+        assert_eq!(left(vec![nv(1, &[0]), qf(1, 2, 3.0)]), 2, "pinned, 1 ≤ 3");
+        assert_eq!(left(vec![nv(1, &[0]), qf(1, 2, 0.5)]), 1, "pinned, 1 > 0.5");
+
+        let site = |v: &QgVertex| Site::of(v, &cluster_of);
+        let (a, b) = (qf(0, 1, 0.5), qf(1, 2, 3.0));
+        assert_eq!(rating(4.0, &site(&a), &site(&b)), 3.5);
+        assert_eq!(rating(4.0, &site(&a), &site(&a)), 4.0);
+        // What is given up is net of what the move brings closer.
+        let mut both = a.clone();
+        both.absorb(&b);
+        assert_eq!(site(&both).home, Some(1));
+        assert_eq!(rating(4.0, &site(&both), &site(&a)), 4.0 - 0.5);
+        assert_eq!(rating(4.0, &site(&both), &site(&nv(1, &[]))), 4.0 - 2.5);
     }
 
     #[test]

@@ -22,6 +22,16 @@
 //! endpoint's node. This uniformity is what lets coarsening *re-estimate*
 //! merged edges exactly (Algorithm 1, line 11).
 //!
+//! **What a substream contributes.** Its rate *shared among the vertices
+//! that read it* ([`effective_rates`]): a substream of rate `r` read by `k`
+//! vertices weighs `r / k` on each of its `k` source edges and on each of
+//! its `k(k − 1)/2` overlap edges. Delivering it to all `k` costs one
+//! source path plus at most `k − 1` hops, not `k` paths and a hop per
+//! *pair*: with every reader on one target at distance `D` from the source
+//! the cut is `r · D`, what the multicast costs, where raw rates make it
+//! `k · r · D` and out-shout every result flow once `k` reaches the tens.
+//! Result flows are unicast and weigh what they are.
+//!
 //! **Adjacency.** The optimizer has one adjacency representation: per
 //! vertex, a flat row of `(neighbor, weight)` sorted by neighbor. The
 //! graph builder appends to rows, coarsening scans a row for a vertex's
@@ -127,10 +137,24 @@ impl QgVertex {
     }
 }
 
+/// Substream rates shared among their readers: `rates[s] / k_s`, `k_s` the
+/// number of `readers` (the queryful vertices of a graph) whose interest
+/// holds `s` — the vector a graph's substream terms are built from and
+/// re-estimated with (module docs).
+pub fn effective_rates(readers: &[QgVertex], rates: &[f64]) -> Vec<f64> {
+    let mut k = vec![0u32; rates.len()];
+    for v in readers {
+        v.interest.iter().for_each(|s| k[s] += 1);
+    }
+    rates.iter().zip(k).map(|(&r, k)| r / f64::from(k.max(1))).collect()
+}
+
 /// The unified query-graph edge weight between two vertices: weighted
 /// interest overlap plus result flows directed at the other endpoint.
 /// Result flows toward a vertex's *own* node never appear here (the paper:
-/// a query co-located with its proxy needs no result edge).
+/// a query co-located with its proxy needs no result edge). `rates` are the
+/// graph's [`effective_rates`], so that a shared substream is charged once
+/// across the edges it appears on.
 pub fn edge_weight(a: &QgVertex, b: &QgVertex, rates: &[f64]) -> f64 {
     let mut w = a.interest.weighted_overlap(&b.interest, rates);
     if let Some(node) = b.net_node() {
@@ -167,6 +191,9 @@ pub(crate) fn set_entry(row: &mut Row, j: usize, w: f64) {
 pub struct QueryGraph {
     /// Vertices; q-vertices and n-vertices interleaved.
     pub vertices: Vec<QgVertex>,
+    /// The [`effective_rates`] the substream terms were built from (empty
+    /// for a graph whose edges were set by hand).
+    pub(crate) rates: Vec<f64>,
     // One flat sorted row per vertex, holding positive weights only and
     // mirrored (`j` in row `i` iff `i` in row `j`, same weight). Sorted so
     // that neighbor iteration is ascending: derived-vertex creation and the
@@ -183,7 +210,7 @@ impl QueryGraph {
     /// Creates a graph with the given vertices and no edges.
     pub fn new(vertices: Vec<QgVertex>) -> Self {
         let n = vertices.len();
-        Self { vertices, rows: vec![Row::new(); n] }
+        Self { vertices, rates: Vec::new(), rows: vec![Row::new(); n] }
     }
 
     /// Splits the graph into its vertices and adjacency rows.
@@ -193,9 +220,9 @@ impl QueryGraph {
 
     /// Reassembles a graph from vertices and rows that already satisfy the
     /// row invariant (sorted, mirrored, positive weights).
-    pub(crate) fn from_parts(vertices: Vec<QgVertex>, rows: Vec<Row>) -> Self {
+    pub(crate) fn from_parts(vertices: Vec<QgVertex>, rows: Vec<Row>, rates: Vec<f64>) -> Self {
         debug_assert_eq!(vertices.len(), rows.len());
-        Self { vertices, rows }
+        Self { vertices, rates, rows }
     }
 
     /// Number of vertices.

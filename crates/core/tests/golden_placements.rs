@@ -1,9 +1,13 @@
 //! Golden placements: the optimizer's answers on the `placement-churn`
-//! standing population, recorded on commit 3cbb866 (the last one with
-//! `BTreeMap`/`HashMap` adjacencies and selection heaps). Any change to the
-//! kernel — adjacency layout, match selection, weight summation order —
-//! must reproduce them bit for bit; a drift in a tie-break or a rounding
-//! shows up here in tier-1, not only in the e2e delivery digests.
+//! standing population, recorded by PR 21 — the commit that made the query
+//! graph charge a shared substream once and coarsening collapse only what
+//! co-location pays for, the first to move placements *on purpose* since
+//! commit 3cbb866 (the last one with `BTreeMap`/`HashMap` adjacencies and
+//! selection heaps), whose answers every kernel rewrite in between
+//! reproduced. Any change to the kernel — adjacency layout, match
+//! selection, weight summation order — must reproduce them bit for bit; a
+//! drift in a tie-break or a rounding shows up here in tier-1, not only in
+//! the e2e delivery digests.
 
 use cosmos_core::spec::Assignment;
 use cosmos_util::rng::derive_seed;
@@ -14,29 +18,29 @@ const SEED: u64 = 0xC4A2;
 /// One base-36 digit per query in `QueryId` order: the index of its
 /// processor in `Deployment::processors()`.
 const DISTRIBUTE: &str = "\
-    4513143c4c460154273976579651a10c6944304b682b3272920b7598751245878a8370981a95844314991167\
-    868bb1104b91468b3661a24832cba01949629767a5465b0b91b6241029b2815abb0393ab04288bb32b811734\
-    58463075b735928179817c521a23a25725bb97a3639c69651148380402543cc1520204a7b443ac0aa69c1c03\
-    488b5c6ca3889250926b6a3773c01a59954519b393a59536b6606a81561aa9995408b100593b36c17b6680c8\
-    8c7c8c259973bbb1114c0930492853699770a3559294371c521c27c936a32828056c28a3a40a38613b54cb06\
-    35482a5a65c20567b7451cc0002a04326cbb116158a13a074b727076b7a16a79399bc08071a99a225385c272\
-    b16c80b344832658599552c749ccc821610505c842a0c188b1078a5196a5ba52b716a92a462368763c459049\
-    a1532987412513327ca36b7a0b6167a8a272215306c541ba4b6b48104a6511a874719b722060b47b5bbc176c\
-    0aca3ab992b6b7b2a0a7ca3a42147a2a2889b01152361c8b0c678a788c2c1bc981198653c6c520020093b2a9\
-    cc727858";
-const DISTRIBUTE_FP: u64 = 0x717d_6951_100c_2d9b;
+    a410120757550145297caa4ac531c10052a50298a46876a6c49ba24ba316928583309b8214c43990198c719a\
+    69b88113988195b40b91b2522206c01c52928aa4589a360bc16a65176cb6b1422652c0365968628768311a05\
+    375900a32104226a5b27972613c0c64a24b2c53050cb9ca3119b021a763a7b71380b094485908b0c45231771\
+    577252972738c441c65a9c0a4075184282231c20c0438b0ab9ac93b1451c3c8c397b41732c7209b19859867b\
+    8ba0679248578b81119b5b0c9c6640acca408033c6c431174217697c0ac062cb739b32c03a937b917849229a\
+    725b68235423b49a8aab1b79754c7906518211913641037a9898a2596a476c5c08c677b191ccc2664784725a\
+    6157b3b05ac0ba424cc4c8b55c7b0661a80994765637b1636147bb41ca346c466a198c6cba67a6a90094c7a8\
+    21476c34516417065b805b9306515a2288566127a5245168565b587998a461b2a571c8ab27374998c6201aab\
+    93c30584c4ba85b63734b203931bab88c86c27114b79102b0baa4358bb27c578c11c844079b329950047264c\
+    b7a64838";
+const DISTRIBUTE_FP: u64 = 0x9dc2_5abe_0b58_83e8;
 const ADAPT: &str = "\
-    451314304046a154873976579651a1006b443a4b68283272980c7c98751245c7ca837ac81a95844314994167\
-    26cb8118489146c83661a84c3b0299194b68b765ac4652a89126241329b2815ab20993a8042c2bb32b811734\
-    a24639758735b2217cc470521aa3a257b5cb97a3639c6965114c380432543c015b9254a58443cc9aa620100a\
-    420b5c60c38c9b5092686a3753071b5b954519b383a58c36b6606a81564aa98954088198593b56c17866cb08\
-    cc7820255873bbb1114c0b34492253699759c355929b371a5817270936932c9ca56c88a3a40a38613b540b06\
-    354c2aca65cba567874c1c07a0b90432608b116152a13a074b78707627a1ba7939b20a8071a99c2253850b7b\
-    2160cbb34493b658599598c7490c02216155050242a0c1882150cb5196a52a522716b92a8623627630459a49\
-    c1532985412513327cb36b7a526167a8c27221a30605412c426b4c104a6511a87451987bb090847b9280176c\
-    0a7a3ab998b6c7b2a3a5ca3a4b1876ba9c29b011583610cbac678a78c0b012989119c95346cab0723093b2a9\
-    ca729c5c";
-const ADAPT_FP: u64 = 0x4739_45f5_f2f9_cc40;
+    9410150757550145290caa4ac531c10752950298a26876a6c8aba24ba3169b858330978214c4399019cc71aa\
+    6988811392c195b80591325b7276c01c52528aa4389a3602c16a65176cb6b14b2655c036a968628768311a05\
+    365900a32104226a52b797261310c64a84b2c53050cb9ca3119b0b1976397b71380b494485908b0c45291771\
+    567b32a72038cb41c65a9c0a40751842c4531c2020438b0ab5ac93b1454c3c2c397b41732c0279b1a859837b\
+    8ba7676348508281119b520c9c6640acc5408033c6c2a1104217697c0ac062cb739b32c0399378917849229a\
+    745b68235423a49a8a9b1b7975bc7906578211913641037a98a8a25a6a413c5c0c2677b491ccc266478472aa\
+    6157b3b059c0ba424cc4c8b55c7b0661a14994765637b13361408b41ca346c466a198c6cba67a6a90794c098\
+    21476c34516417065bc05b9306515a2888566187a5445168565b581a5ca461b2a541c8ab27373998c6271a98\
+    93230384cbba85b63734bb03931bab8cc86c87114279172b0baab358b2271678c11c834079b325960740264c\
+    b7a64838";
+const ADAPT_FP: u64 = 0xa205_247f_b6db_2460;
 
 /// FNV-1a over the sorted `(QueryId, NodeId)` pairs.
 fn fingerprint(pairs: &[(u64, u32)]) -> u64 {
