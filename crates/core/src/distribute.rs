@@ -10,6 +10,18 @@
 //! *uncoarsened one level* — using the vertex tags to retrieve constituent
 //! vertices from their originating coordinator, exactly as §3.5 describes.
 //!
+//! A third documented deviation (after [`coarsen`](crate::coarsen)'s anchor
+//! rule and gain-aware matching): the paper's uncoarsening stops at whole
+//! level-1 clusters — no single query is ever moved — and Algorithm 2
+//! refines the pairwise WEC surrogate. `distribute` ends, as a multilevel
+//! partitioner does, with a *query-level refinement on the cost it is
+//! judged on* — every substream's rate over the latency of its multicast
+//! tree from the source to the processors reading it, plus every result
+//! rate over `d(host, proxy)` — held by
+//! [`cosmos_pubsub::PlacementCost`]: it sees what `TrafficModel` sees —
+//! per-processor reader counts, each query's interest, proxy and rates —
+//! and is the identity when no move pays.
+//!
 //! Graph construction appends: a vertex's few source and result-flow terms
 //! are placed first, then the pairwise overlap pass — the coordinator
 //! graphs are dense, most query pairs share a substream — rebuilds every
@@ -25,13 +37,13 @@
 //! coarsening and mapping act on — survive.
 
 use crate::coarsen::{coarsen, CoarsenStats, Coarsened};
-use crate::graph::{effective_rates, NetVertex, NetworkGraph, QgVertex, QueryGraph};
+use crate::graph::{effective_rates, load_limits, NetVertex, NetworkGraph, QgVertex, QueryGraph};
 use crate::hierarchy::CoordinatorTree;
 use crate::incremental::HierCache;
-use crate::mapping::{map_graph, MapConfig, MappingResult};
+use crate::mapping::{admissible, map_graph, MapConfig, MappingResult};
 use crate::spec::{Assignment, QuerySpec};
 use cosmos_net::{Deployment, NodeId};
-use cosmos_pubsub::SubstreamTable;
+use cosmos_pubsub::{PlacementCost, SubstreamTable};
 use cosmos_util::rng::derive_seed_indexed;
 use cosmos_util::InterestSet;
 use rand::seq::SliceRandom;
@@ -54,11 +66,12 @@ pub struct DistConfig {
     /// co-occurring partners).
     pub top_overlap_edges: usize,
     /// Include query-query overlap edges at all (§3.1.2's Pub/Sub-aware
-    /// term). Disabled only by the ablation study — which still wins where
-    /// result traffic rivals input traffic: on the end-to-end `sensor-join`
-    /// workload the measured cost reads 95 222 byte·ms per record with the
-    /// term and 76 342 without (−20 %; it was 3× before a shared substream
-    /// was charged once), and 5 210 against 11 575 on `placement-churn`.
+    /// term). Disabled only by the ablation study — which still wins, by a
+    /// hair, where result traffic rivals input traffic: on the end-to-end
+    /// `sensor-join` workload the measured cost reads 73 267 byte·ms per
+    /// record with the term and 72 153 without (−1.5 %; it was 3× before a
+    /// shared substream was charged once, −20 % before the query-level
+    /// refinement), and 4 785 against 9 915 on `placement-churn`.
     pub overlap_edges: bool,
     /// Spread the load tolerance across tree levels
     /// (`(1+α)^(1/height) − 1` per level). Disabled only by the ablation
@@ -106,6 +119,8 @@ pub struct DistTiming {
     pub response: Duration,
     /// Total CPU time summed over all coordinators.
     pub total: Duration,
+    /// The closing query-level refinement's share of both.
+    pub refine: Duration,
 }
 
 /// The outcome of a distribution run.
@@ -117,6 +132,21 @@ pub struct DistOutcome {
     pub timing: DistTiming,
     /// Coarsening work summed over all coordinators.
     pub coarsen: CoarsenStats,
+    /// Work of the closing query-level refinement.
+    pub refine: RefineStats,
+}
+
+/// Work counters of the query-level refinement (exact under a seed).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RefineStats {
+    /// Queries moved to another processor.
+    pub moves: usize,
+    /// Sweeps over the queries, the last moving none unless capped first.
+    pub passes: usize,
+    /// Candidate targets priced in full: each beat the best before it.
+    pub evaluated: usize,
+    /// Candidate targets dropped at a partial sum that reached the best.
+    pub pruned: usize,
 }
 
 /// Shared context: deployment + coordinator tree + substream table.
@@ -393,8 +423,9 @@ impl<'a> Distributor<'a> {
     pub fn distribute(&self, specs: &[QuerySpec], seed: u64) -> DistOutcome {
         let mut assignment = Assignment::new();
         let mut timing = DistTiming::default();
+        let (coarsen, refine) = Default::default();
         if specs.is_empty() {
-            return DistOutcome { assignment, timing, coarsen: CoarsenStats::default() };
+            return DistOutcome { assignment, timing, coarsen, refine };
         }
         // Trivial deployment: a single processor hosts everything.
         if self.tree.node(self.tree.root()).children.is_empty() {
@@ -402,7 +433,7 @@ impl<'a> Distributor<'a> {
             for s in specs {
                 assignment.place(s.id, p);
             }
-            return DistOutcome { assignment, timing, coarsen: CoarsenStats::default() };
+            return DistOutcome { assignment, timing, coarsen, refine };
         }
 
         // ---- Phase A: bottom-up graph construction and coarsening.
@@ -414,7 +445,84 @@ impl<'a> Distributor<'a> {
         let root_work = std::mem::take(&mut per_coord.outputs[root]);
         let response = self.assign_down(root, root_work, &per_coord, &mut assignment, &mut timing);
         timing.response += response;
-        DistOutcome { assignment, timing, coarsen: per_coord.coarsen }
+
+        // ---- Phase C: query-level refinement on the model's own cost.
+        let refine =
+            self.refine_queries(specs, &mut assignment, self.config.map.max_outer, &mut timing);
+        DistOutcome { assignment, timing, coarsen: per_coord.coarsen, refine }
+    }
+
+    /// The query-level refinement (module docs): sweeps the queries in spec
+    /// order, moving each to the admissible live processor that lowers the
+    /// modelled cost most (by more than 1e-9; ties to the lower index),
+    /// until a sweep moves nothing or `max_passes` ran.
+    fn refine_queries(
+        &self,
+        specs: &[QuerySpec],
+        assignment: &mut Assignment,
+        max_passes: usize,
+        timing: &mut DistTiming,
+    ) -> RefineStats {
+        let mut stats = RefineStats::default();
+        if max_passes == 0 {
+            return stats;
+        }
+        let mut sw = cosmos_util::Stopwatch::new();
+        sw.start();
+        let targets = self.tree.leaves();
+        let limits =
+            load_limits(&targets, specs.iter().map(|q| q.load).sum(), self.config.map.alpha);
+        let mut cost = PlacementCost::new(self.dep, self.table);
+        let mut loads = vec![0.0; targets.len()];
+        let mut hosts: Vec<usize> = Vec::with_capacity(specs.len());
+        for q in specs {
+            let node = assignment.processor_of(q.id).expect("every query is placed");
+            let k = targets.iter().position(|t| t.node == node).expect("placed on a live leaf");
+            loads[k] += q.load;
+            cost.put(&q.traffic(), node);
+            hosts.push(k);
+        }
+        while stats.passes < max_passes {
+            stats.passes += 1;
+            let moves_before = stats.moves;
+            for (q, host) in specs.iter().zip(&mut hosts) {
+                let (flows, from) = (q.traffic(), *host);
+                // With `q` lifted, a target's price is exact whatever the
+                // lift freed; the saving is computed once, not per target.
+                let saved = cost.lift(&flows, targets[from].node);
+                let mut best = (from, saved - 1e-9);
+                // No price is negative: a query that frees nothing stays.
+                let candidates = if best.1 > 0.0 { &targets[..] } else { &[] };
+                for (k, target) in candidates.iter().enumerate() {
+                    if k == from || !admissible(&loads, &limits, Some(from), k, q.load) {
+                        continue;
+                    }
+                    match cost.price(&flows, target.node, best.1) {
+                        Some(price) => {
+                            best = (k, price);
+                            stats.evaluated += 1;
+                        }
+                        None => stats.pruned += 1,
+                    }
+                }
+                cost.put(&flows, targets[best.0].node);
+                if best.0 != from {
+                    loads[from] -= q.load;
+                    loads[best.0] += q.load;
+                    *host = best.0;
+                    assignment.place(q.id, targets[best.0].node);
+                    stats.moves += 1;
+                }
+            }
+            if stats.moves == moves_before {
+                break;
+            }
+        }
+        sw.stop();
+        timing.refine = sw.elapsed();
+        timing.total += timing.refine;
+        timing.response += timing.refine;
+        stats
     }
 
     /// Centralized baseline: one global graph, mapped directly onto all
@@ -434,12 +542,11 @@ impl<'a> Distributor<'a> {
         sw.start();
         let vertices: Vec<QgVertex> = specs.iter().map(|s| self.vertex_for(s)).collect();
         let qg = self.graph_from_vertices(vertices, seed);
-        let targets: Vec<NetVertex> =
-            self.dep.processors().iter().map(|&p| NetVertex { node: p, capability: 1.0 }).collect();
+        let targets = self.tree.leaves();
         let mut anchors: Vec<NetVertex> = Vec::new();
         for v in &qg.vertices {
             if let Some(n) = v.net_node() {
-                if !self.dep.processors().contains(&n) && !anchors.iter().any(|a| a.node == n) {
+                if !targets.iter().chain(&anchors).any(|t| t.node == n) {
                     anchors.push(NetVertex { node: n, capability: 0.0 });
                 }
             }
@@ -463,8 +570,10 @@ impl<'a> Distributor<'a> {
             }
         }
         sw.stop();
-        let timing = DistTiming { response: sw.elapsed(), total: sw.elapsed() };
-        DistOutcome { assignment, timing, coarsen: CoarsenStats::default() }
+        let (response, total) = (sw.elapsed(), sw.elapsed());
+        let mut timing = DistTiming { response, total, ..DistTiming::default() };
+        let refine = self.refine_queries(specs, &mut assignment, cfg.max_outer, &mut timing);
+        DistOutcome { assignment, timing, coarsen: CoarsenStats::default(), refine }
     }
 
     /// Bottom-up phase shared by initial distribution and adaptation:
@@ -714,6 +823,14 @@ mod tests {
             .collect()
     }
 
+    /// The model's cost of `a`, from nothing.
+    fn modelled_cost(fix: &Fixture, qs: &[QuerySpec], a: &Assignment) -> f64 {
+        let model = cosmos_pubsub::TrafficModel::new(&fix.dep, &fix.table);
+        let interests = a.interests(qs, fix.dep.processors(), UNIVERSE);
+        let flows = qs.iter().map(|q| (a.processor_of(q.id).unwrap(), q.proxy, q.result_rate));
+        model.source_delivery_cost(&interests) + model.result_unicast_cost(flows)
+    }
+
     #[test]
     fn hierarchical_assigns_every_query_to_a_processor() {
         let fix = fixture(1);
@@ -752,14 +869,9 @@ mod tests {
         let qs = specs(&fix, 50, 9);
         let greedy = d.distribute_greedy(&qs, 11);
         let central = d.distribute_centralized(&qs, 11);
-        let cost = |a: &Assignment| -> f64 {
-            let model = cosmos_pubsub::TrafficModel::new(&fix.dep, &fix.table);
-            let interests = a.interests(&qs, fix.dep.processors(), UNIVERSE);
-            let flows = qs.iter().map(|q| (a.processor_of(q.id).unwrap(), q.proxy, q.result_rate));
-            model.source_delivery_cost(&interests) + model.result_unicast_cost(flows)
-        };
-        let cg = cost(&greedy.assignment);
-        let cc = cost(&central.assignment);
+        assert_eq!(greedy.refine, RefineStats::default(), "greedy runs no refinement");
+        let cg = modelled_cost(&fix, &qs, &greedy.assignment);
+        let cc = modelled_cost(&fix, &qs, &central.assignment);
         assert!(cc <= cg + 1e-6, "refined centralized ({cc}) must not lose to greedy ({cg})");
     }
 
@@ -872,6 +984,62 @@ mod tests {
                 }
             }
 
+            /// The closing refinement, from any starting placement on the
+            /// tree's live processors: the modelled cost never rises, loads
+            /// within eqn 3.1's limits stay within them, only the specs'
+            /// queries are placed and only on live processors — never on
+            /// one that left the tree, whatever proxies point at it — the
+            /// outcome is a pure function of its inputs, and a second run
+            /// on its own output moves nothing.
+            #[test]
+            fn prop_refinement_lowers_cost_within_limits_on_live_processors(
+                n in 1usize..70,
+                seed in 0u64..40,
+                spread in 1usize..8,
+            ) {
+                let fix = fixture(seed % 5);
+                let mut tree = CoordinatorTree::build(&fix.dep, 2);
+                let gone = fix.dep.processors()[seed as usize % 8];
+                let left = seed % 3 == 0 && tree.leave(gone, 2, &fix.dep);
+                let d = Distributor::new(&fix.dep, &tree, &fix.table);
+                let qs = specs(&fix, n, seed);
+                let live: Vec<NetVertex> = (fix.dep.processors().iter())
+                    .filter(|&&p| !(left && p == gone))
+                    .map(|&node| NetVertex { node, capability: 1.0 })
+                    .collect();
+                // Round-robin over the first `spread` live processors: from
+                // crowded (over the limits) to even.
+                let start: Assignment =
+                    qs.iter().enumerate().map(|(i, q)| (q.id, live[i % spread].node)).collect();
+                let limits = load_limits(&live, qs.iter().map(|q| q.load).sum(), 0.1);
+                let excess = |a: &Assignment| {
+                    let nodes: Vec<NodeId> = live.iter().map(|t| t.node).collect();
+                    let loads = a.loads(&qs, &nodes);
+                    loads.iter().zip(&limits).map(|(l, lim)| l - lim).fold(0.0, f64::max)
+                };
+                let run = |from: &Assignment| {
+                    let (mut a, mut timing) = (from.clone(), DistTiming::default());
+                    let stats = d.refine_queries(&qs, &mut a, 16, &mut timing);
+                    prop_assert_eq!(timing.total, timing.refine);
+                    Ok((a, stats))
+                };
+                let (refined, stats) = run(&start)?;
+                let (before, after) =
+                    (modelled_cost(&fix, &qs, &start), modelled_cost(&fix, &qs, &refined));
+                prop_assert!(after <= before + 1e-9 * before, "cost rose: {before} -> {after}");
+                prop_assert!((stats.moves == 0) == (refined == start));
+                prop_assert!(excess(&refined) <= excess(&start).max(0.0) + 1e-9);
+                prop_assert_eq!(refined.len(), qs.len());
+                for q in &qs {
+                    let host = refined.processor_of(q.id).expect("still placed");
+                    prop_assert!(live.iter().any(|t| t.node == host), "{host} is not live");
+                }
+                prop_assert_eq!(&run(&start)?, &(refined.clone(), stats));
+                prop_assert!(stats.passes < 16, "no fixpoint in 16 sweeps");
+                let (again, idle) = run(&refined)?;
+                prop_assert_eq!((again, idle.moves, idle.passes), (refined, 0, 1));
+            }
+
             /// A shared substream is charged once: with every reader on one
             /// target, what `k` source edges and `k(k − 1)/2` overlap
             /// edges add to the cut is each substream's rate over the
@@ -954,14 +1122,8 @@ mod tests {
         let hier = d.distribute(&qs, 1);
         // Naive: every query on its proxy.
         let naive: Assignment = qs.iter().map(|q| (q.id, q.proxy)).collect();
-        let model = cosmos_pubsub::TrafficModel::new(&fix.dep, &fix.table);
-        let cost = |a: &Assignment| {
-            let interests = a.interests(&qs, fix.dep.processors(), UNIVERSE);
-            let flows = qs.iter().map(|q| (a.processor_of(q.id).unwrap(), q.proxy, q.result_rate));
-            model.source_delivery_cost(&interests) + model.result_unicast_cost(flows)
-        };
-        let ch = cost(&hier.assignment);
-        let cn = cost(&naive);
+        let ch = modelled_cost(&fix, &qs, &hier.assignment);
+        let cn = modelled_cost(&fix, &qs, &naive);
         assert!(ch <= cn * 1.05, "hierarchical ({ch}) should not lose clearly to naive ({cn})");
     }
 

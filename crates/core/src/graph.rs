@@ -393,21 +393,25 @@ impl NetworkGraph {
         self.vertices[..self.n_targets].iter().map(|v| v.capability).sum()
     }
 
-    /// Per-target load limits under eqn 3.1:
-    /// `(1 + α) · c_k · W_q / C_total`.
+    /// Per-target load limits under eqn 3.1 ([`load_limits`]).
     pub fn load_limits(&self, total_query_weight: f64, alpha: f64) -> Vec<f64> {
-        let total_cap = self.total_capability();
-        self.vertices[..self.n_targets]
-            .iter()
-            .map(|v| {
-                if total_cap <= 0.0 {
-                    0.0
-                } else {
-                    (1.0 + alpha) * v.capability * total_query_weight / total_cap
-                }
-            })
-            .collect()
+        load_limits(&self.vertices[..self.n_targets], total_query_weight, alpha)
     }
+}
+
+/// Per-target load limits under eqn 3.1: `(1 + α) · c_k · W_q / C_total`.
+pub fn load_limits(targets: &[NetVertex], total_query_weight: f64, alpha: f64) -> Vec<f64> {
+    let total_cap: f64 = targets.iter().map(|v| v.capability).sum();
+    targets
+        .iter()
+        .map(|v| {
+            if total_cap <= 0.0 {
+                0.0
+            } else {
+                (1.0 + alpha) * v.capability * total_query_weight / total_cap
+            }
+        })
+        .collect()
 }
 
 /// The Weighted Edge Cut of a mapping (eqn 3.2):

@@ -8,6 +8,7 @@
 //! application-layer multicast construction). The root's cluster may be
 //! smaller than `k`.
 
+use crate::graph::NetVertex;
 use cosmos_net::{Deployment, NodeId};
 use std::collections::HashSet;
 
@@ -191,6 +192,14 @@ impl CoordinatorTree {
     /// arena slots but drop out of every query).
     pub fn is_active(&self, idx: usize) -> bool {
         self.nodes[idx].active
+    }
+
+    /// The processors in the tree — its level-0 nodes, less any a
+    /// [`CoordinatorTree::leave`] detached — as mapping targets, each with
+    /// its own capability.
+    pub fn leaves(&self) -> Vec<NetVertex> {
+        let live = self.nodes.iter().filter(|n| n.active && n.level == 0);
+        live.map(|n| NetVertex { node: n.representative, capability: n.capability }).collect()
     }
 
     /// The level-0 node index of a processor.

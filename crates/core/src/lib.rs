@@ -23,6 +23,12 @@
 //! | §3.8 statistics collection, [`stats::StatDelta`] change stream | [`stats`] |
 //! | §3.7/§3.8 delta-driven incremental optimizer (memoized pipeline) | [`incremental`] |
 //!
+//! Three documented deviations from the paper: anchor n-vertices never
+//! collapse and matching is gain-aware ([`coarsen`]), and a distribution
+//! ends with a query-level refinement on the modelled multicast + unicast
+//! cost itself, where the paper's uncoarsening stops at whole level-1
+//! clusters ([`distribute`]).
+//!
 //! The incremental layer sits across the optimizer pipeline: it keeps
 //! per-coordinator coarsening results and placement memos alive between
 //! adaptation rounds, so a round whose

@@ -19,7 +19,8 @@ use crate::graph::{target_loads, wec, NetworkGraph, QgVertex, QueryGraph};
 pub struct MapConfig {
     /// Allowed load imbalance (`α` in eqn 3.1). Paper: 0.1.
     pub alpha: f64,
-    /// Safety cap on outer refinement iterations.
+    /// Safety cap on outer refinement iterations — and on the sweeps of the
+    /// query-level refinement that ends a distribution; `0` runs neither.
     pub max_outer: usize,
 }
 
@@ -79,7 +80,13 @@ fn placement_cost(
 
 /// Is moving weight `w` onto target `k` admissible: within limit, or a
 /// strict improvement of the source target's violation?
-fn admissible(loads: &[f64], limits: &[f64], from: Option<usize>, to: usize, w: f64) -> bool {
+pub(crate) fn admissible(
+    loads: &[f64],
+    limits: &[f64],
+    from: Option<usize>,
+    to: usize,
+    w: f64,
+) -> bool {
     let new_violation = (loads[to] + w - limits[to]).max(0.0);
     if new_violation <= 1e-12 {
         return true;

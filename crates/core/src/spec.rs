@@ -8,6 +8,7 @@
 //! size of its operator state (which prices migration — §3.7).
 
 use cosmos_net::NodeId;
+use cosmos_pubsub::QueryTraffic;
 use cosmos_query::QueryId;
 use cosmos_util::InterestSet;
 use std::collections::HashMap;
@@ -33,6 +34,11 @@ impl QuerySpec {
     /// The query's input rate: the summed rates of its interest substreams.
     pub fn input_rate(&self, rates: &[f64]) -> f64 {
         self.interest.weighted_len(rates)
+    }
+
+    /// What the traffic model sees of the query.
+    pub fn traffic(&self) -> QueryTraffic<'_> {
+        QueryTraffic { interest: &self.interest, proxy: self.proxy, result_rate: self.result_rate }
     }
 }
 

@@ -9,7 +9,10 @@
 //! *pair* of readers, coarsened by weight alone, is worth 0.84 of a random
 //! placement and 2.2 naive ones, with one query in six left in its proxy's
 //! level-1 cluster. Charging a shared substream once and collapsing only
-//! what co-location pays for reads 0.43, 1.14 and 85 in a hundred.
+//! what co-location pays for reads 0.43, 1.14 and 85 in a hundred — still
+//! over naive, because the top-down mapping stops at whole level-1
+//! clusters and refines a pairwise surrogate. The query-level refinement
+//! on the model's own cost that ends `distribute` reads 0.36, 0.95 and 86.
 
 use cosmos_baselines::{naive_assignment, random_assignment};
 use cosmos_core::distribute::Distributor;
@@ -53,8 +56,8 @@ fn sensor_population_beats_random_and_stays_near_its_proxies() {
         cost(&naive_assignment(&specs)),
         cost(&random_assignment(&specs, dep, SEED + 3)),
     );
-    assert!(hier <= 0.5 * random, "hierarchical {hier:.0} > 0.5 × random {random:.0}");
-    assert!(hier <= 1.2 * naive, "hierarchical {hier:.0} > 1.2 × naive {naive:.0}");
+    assert!(hier <= 0.4 * random, "hierarchical {hier:.0} > 0.4 × random {random:.0}");
+    assert!(hier < naive, "hierarchical {hier:.0} does not beat naive {naive:.0}");
 
     let level1 = |p| tree.node(tree.leaf_of(p).expect("a processor")).parent;
     let near = specs
@@ -69,8 +72,9 @@ fn sensor_population_beats_random_and_stays_near_its_proxies() {
 }
 
 /// `placement-churn`'s standing population, where input sharing dominates
-/// and the paper's term is what wins: no worse than before the change
-/// above (0.5789 of a random placement; 0.5536 with it).
+/// and the paper's term is what wins: 0.5789 of a random placement before
+/// a shared substream was charged once, 0.5536 with that, 0.38 with the
+/// query-level refinement.
 #[test]
 fn churn_population_keeps_its_margin_over_random() {
     const SEED: u64 = 0xC4A2;
@@ -80,5 +84,5 @@ fn churn_population_keeps_its_margin_over_random() {
         sim.distributor().distribute(&sim.specs, derive_seed(SEED, "distribute")).assignment;
     let random = random_assignment(&sim.specs, &sim.dep, derive_seed(SEED, "random-placement"));
     let ratio = sim.comm_cost_of(&placed) / sim.comm_cost_of(&random);
-    assert!(ratio <= 0.5789, "hierarchical is {ratio:.4} of random, was 0.5789");
+    assert!(ratio <= 0.45, "hierarchical is {ratio:.4} of random, over 0.45");
 }

@@ -110,6 +110,12 @@ impl ShortestPathTree {
         *self.parent.get(node.index())?
     }
 
+    /// The tree link above `node`: its parent and that link's latency
+    /// (`None` for the root / unreachable).
+    pub fn uplink(&self, node: NodeId) -> Option<(NodeId, f64)> {
+        Some((self.parent(node)?, self.parent_latency[node.index()]))
+    }
+
     /// The full path from the root to `node` (inclusive), or `None` when
     /// unreachable.
     pub fn path_to(&self, node: NodeId) -> Option<Vec<NodeId>> {

@@ -76,4 +76,4 @@ pub use reliable::LossyNetwork;
 pub use snapshot::{merge_outputs, ReaderOutput, RoutingSnapshot, SnapshotReader};
 pub use subscription::{CachedProjection, Message, StreamProjection, SubId, Subscription};
 pub use tiered::TieredList;
-pub use traffic::{SubstreamTable, TrafficModel};
+pub use traffic::{PlacementCost, QueryTraffic, SubstreamTable, TrafficModel};

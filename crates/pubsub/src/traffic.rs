@@ -16,10 +16,10 @@
 //! The paper subtracts the (distribution-invariant) final hop from proxy to
 //! local user; we follow by simply not charging it.
 
-use cosmos_net::routing::MulticastScratch;
+use cosmos_net::routing::{MulticastScratch, ShortestPathTree};
 use cosmos_net::{Deployment, NodeId};
 use cosmos_util::rng::rng_for;
-use cosmos_util::InterestSet;
+use cosmos_util::{InterestSet, VecMap};
 use rand::Rng;
 
 /// Substream metadata: which source originates each substream and at what
@@ -146,11 +146,24 @@ impl<'a> TrafficModel<'a> {
             if dest.is_empty() {
                 continue;
             }
-            let src = self.dep.sources()[self.table.source_index(s)];
-            let tree = self.dep.source_tree(src);
+            let tree = self.source_tree_of(s);
             total += self.table.rate(s) * tree.multicast_tree_latency_with(dest, &mut scratch);
         }
         total
+    }
+
+    /// The shortest-path tree substream `s` is multicast along.
+    fn source_tree_of(&self, s: usize) -> &'a ShortestPathTree {
+        self.dep.source_tree(self.dep.sources()[self.table.source_index(s)])
+    }
+
+    /// Cost of one result flow; a local one (processor == proxy) is free.
+    fn result_flow_cost(&self, from: NodeId, to: NodeId, rate: f64) -> f64 {
+        if from == to {
+            0.0
+        } else {
+            rate * self.dep.distance(from, to)
+        }
     }
 
     /// Cost of unicasting result streams: one `(processor, proxy, rate)`
@@ -159,18 +172,7 @@ impl<'a> TrafficModel<'a> {
     where
         I: IntoIterator<Item = (NodeId, NodeId, f64)>,
     {
-        flows
-            .into_iter()
-            .map(
-                |(from, to, rate)| {
-                    if from == to {
-                        0.0
-                    } else {
-                        rate * self.dep.distance(from, to)
-                    }
-                },
-            )
-            .sum()
+        flows.into_iter().map(|(from, to, rate)| self.result_flow_cost(from, to, rate)).sum()
     }
 
     /// Cost of multicasting one shared result stream from a processor to a
@@ -178,6 +180,130 @@ impl<'a> TrafficModel<'a> {
     pub fn result_multicast_cost(&self, from: NodeId, proxies: &[NodeId], rate: f64) -> f64 {
         let tree = self.dep.processor_tree(from);
         rate * tree.multicast_tree_latency(proxies)
+    }
+}
+
+/// What the model sees of one query: the substreams it reads and the result
+/// stream it sends its proxy.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryTraffic<'q> {
+    /// Substreams read.
+    pub interest: &'q InterestSet,
+    /// Where the result stream goes.
+    pub proxy: NodeId,
+    /// Rate of the result stream.
+    pub result_rate: f64,
+}
+
+/// The [`TrafficModel`] cost of a placement — [`source_delivery_cost`] plus
+/// [`result_unicast_cost`] — held incrementally: a shared substream is
+/// charged once per tree link, so what moving one query changes is a
+/// function of the counters on two paths per substream it reads, not of
+/// the placement.
+///
+/// [`source_delivery_cost`]: TrafficModel::source_delivery_cost
+/// [`result_unicast_cost`]: TrafficModel::result_unicast_cost
+#[derive(Debug)]
+pub struct PlacementCost<'a> {
+    model: TrafficModel<'a>,
+    /// Queries reading substream `s` on the processor that is endpoint `e`
+    /// of the deployment's distance matrix, at `e · S + s`.
+    readers: Vec<u32>,
+    /// Per substream, per node with the link above it carrying the
+    /// substream: the node's readers (as one) plus its children in the
+    /// source's tree whose links carry it. Holds the nodes that ever were on
+    /// a reading processor's path — never substreams × nodes.
+    carried: Vec<VecMap<NodeId, u32>>,
+    total: f64,
+}
+
+impl<'a> PlacementCost<'a> {
+    /// The cost of the empty placement.
+    pub fn new(dep: &'a Deployment, table: &'a SubstreamTable) -> Self {
+        let readers = vec![0; table.len() * dep.distances().endpoints().len()];
+        let carried = vec![VecMap::new(); table.len()];
+        Self { model: TrafficModel::new(dep, table), readers, carried, total: 0.0 }
+    }
+
+    /// The cost of everything [`Self::put`] and not [`Self::lift`]ed.
+    pub fn total(&self) -> f64 {
+        self.total
+    }
+
+    /// Places `q` on processor `at`; returns what that adds to the total.
+    pub fn put(&mut self, q: &QueryTraffic, at: NodeId) -> f64 {
+        self.shift(q, at, true)
+    }
+
+    /// Takes `q` off processor `at` (panics if it was not put there);
+    /// returns what that saves. With `q` lifted, [`Self::price`] of any
+    /// processor less this saving is the exact cost change of moving `q`
+    /// there — the two halves of a move do not add up when the target hangs
+    /// under a branch the lift freed.
+    pub fn lift(&mut self, q: &QueryTraffic, at: NodeId) -> f64 {
+        self.shift(q, at, false)
+    }
+
+    /// Where `readers` counts processor `at`'s substreams from.
+    fn row(&self, at: NodeId) -> usize {
+        let dep = self.model.dep;
+        dep.distances().index_of(at).expect("a deployment endpoint") * self.model.table.len()
+    }
+
+    /// Steps the counters for `q` arriving at (`put`) or leaving `at`, and
+    /// the total by the result flow plus the links that start or stop
+    /// carrying a substream.
+    fn shift(&mut self, q: &QueryTraffic, at: NodeId, put: bool) -> f64 {
+        // Steps a count; true when that took it from 0 to 1 or back.
+        let step = |n: &mut u32| {
+            *n = if put { *n + 1 } else { n.checked_sub(1).expect("lifted where never put") };
+            *n == u32::from(put)
+        };
+        let row = self.row(at);
+        let mut cost = self.model.result_flow_cost(at, q.proxy, q.result_rate);
+        for s in q.interest.iter() {
+            if !step(&mut self.readers[row + s]) {
+                continue; // neither the processor's first reader nor its last
+            }
+            let tree = self.model.source_tree_of(s);
+            let (mut cur, mut span) = (at, 0.0);
+            while let Some((parent, latency)) = tree.uplink(cur) {
+                if !step(self.carried[s].get_or_insert_default(cur)) {
+                    break; // the link above carried the substream and still does
+                }
+                span += latency;
+                cur = parent;
+            }
+            cost += self.model.table.rate(s) * span;
+        }
+        self.total += if put { cost } else { -cost };
+        cost
+    }
+
+    /// What [`Self::put`] would add, or `None` once that is known to reach
+    /// `cap`: the result flow and every new link only add, so a partial sum
+    /// is a lower bound.
+    pub fn price(&self, q: &QueryTraffic, at: NodeId, cap: f64) -> Option<f64> {
+        let row = self.row(at);
+        let mut cost = self.model.result_flow_cost(at, q.proxy, q.result_rate);
+        for s in q.interest.iter() {
+            if cost >= cap {
+                return None;
+            }
+            if self.readers[row + s] > 0 {
+                continue;
+            }
+            // Up to the first node the substream already reaches.
+            let (tree, rate) = (self.model.source_tree_of(s), self.model.table.rate(s));
+            let (mut cur, mut span) = (at, 0.0);
+            while self.carried[s].get(&cur).is_none_or(|&n| n == 0) && cost + rate * span < cap {
+                let Some((parent, latency)) = tree.uplink(cur) else { break };
+                span += latency;
+                cur = parent;
+            }
+            cost += rate * span;
+        }
+        (cost < cap).then_some(cost)
     }
 }
 
@@ -295,5 +421,191 @@ mod tests {
         let table = SubstreamTable::from_parts(vec![0], vec![1.0]);
         let model = TrafficModel::new(&dep, &table);
         let _ = model.source_delivery_cost(&[InterestSet::new(1)]);
+    }
+
+    /// One substream at rate 10 on [`line_deployment`], no result flows.
+    fn one_substream() -> (SubstreamTable, InterestSet) {
+        (SubstreamTable::from_parts(vec![0], vec![10.0]), InterestSet::from_indices(1, [0usize]))
+    }
+
+    /// `lift` from `from`, `price` at `to`, put back: the cost change of
+    /// the move, as the refinement pass computes it.
+    fn delta(cost: &mut PlacementCost, q: &QueryTraffic, from: NodeId, to: NodeId) -> f64 {
+        let saved = cost.lift(q, from);
+        let added = cost.price(q, to, f64::INFINITY).expect("no cap");
+        assert_eq!(cost.put(q, from), saved, "putting back restores what the lift freed");
+        added - saved
+    }
+
+    #[test]
+    fn a_target_under_the_freed_branch_pays_for_the_branch_again() {
+        let dep = line_deployment();
+        let (table, interest) = one_substream();
+        let q = QueryTraffic { interest: &interest, proxy: NodeId(2), result_rate: 0.0 };
+        let mut cost = PlacementCost::new(&dep, &table);
+        // The only reader sits on A (two links from the source); B hangs
+        // two links below A. Freeing A's path saves 20 and reaching B from
+        // a tree that still held A's path would add 20 — but the move costs
+        // +20, not 0: B's path runs over the links the lift freed.
+        let (a, b) = (NodeId(2), NodeId(4));
+        assert_eq!(cost.put(&q, a), 20.0);
+        assert_eq!(delta(&mut cost, &q, a, b), 20.0);
+        // And back: from B, A is on the freed branch and costs its own two
+        // links, not nothing.
+        cost.lift(&q, a);
+        assert_eq!(cost.put(&q, b), 40.0);
+        assert_eq!(delta(&mut cost, &q, b, a), -20.0);
+        assert_eq!(cost.total(), 40.0);
+    }
+
+    #[test]
+    fn a_query_that_is_not_the_last_reader_frees_nothing() {
+        let dep = line_deployment();
+        let (table, interest) = one_substream();
+        let q = QueryTraffic { interest: &interest, proxy: NodeId(2), result_rate: 0.0 };
+        let mut cost = PlacementCost::new(&dep, &table);
+        // Two readers on B, one on A: moving one of B's to A changes no link.
+        let (a, b) = (NodeId(2), NodeId(4));
+        assert_eq!(cost.put(&q, b) + cost.put(&q, b) + cost.put(&q, a), 40.0);
+        assert_eq!(delta(&mut cost, &q, b, a), 0.0);
+        // With a result flow to A the move saves exactly that flow (rate 3
+        // over distance 2).
+        let r = QueryTraffic { result_rate: 3.0, ..q };
+        assert_eq!(cost.put(&r, b), 6.0);
+        assert_eq!(delta(&mut cost, &r, b, a), -6.0);
+        assert_eq!(cost.total(), 46.0);
+    }
+
+    /// A deployment refuses a node that is both source and processor; the
+    /// nearest there is: a host that is the source's neighbour and lies on
+    /// the other host's path, with its proxy on itself.
+    #[test]
+    fn a_host_next_to_the_source_on_anothers_path() {
+        let mut t = Topology::new(3);
+        t.add_edge(NodeId(0), NodeId(1), 1.0);
+        t.add_edge(NodeId(1), NodeId(2), 1.0);
+        let dep = Deployment::with_roles(t, vec![NodeId(0)], vec![NodeId(1), NodeId(2)]);
+        let (table, interest) = one_substream();
+        let q = QueryTraffic { interest: &interest, proxy: NodeId(1), result_rate: 1.0 };
+        let mut cost = PlacementCost::new(&dep, &table);
+        let (inner, outer) = (NodeId(1), NodeId(2));
+        assert_eq!(cost.put(&q, outer), 20.0 + 1.0);
+        // A second reader at the inner host rides the first one's path.
+        assert_eq!(cost.price(&q, inner, f64::INFINITY), Some(0.0));
+        assert_eq!(delta(&mut cost, &q, outer, inner), -11.0);
+        // The cap cuts a price off at the first partial sum that reaches it.
+        assert_eq!(cost.price(&q, inner, 0.0), None);
+        cost.lift(&q, outer);
+        assert_eq!(cost.price(&q, outer, 21.0), None);
+        assert_eq!(cost.price(&q, outer, 21.5), Some(21.0));
+        assert_eq!(cost.total(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lifted where never put")]
+    fn lifting_what_was_never_put_panics() {
+        let dep = line_deployment();
+        let (table, interest) = one_substream();
+        let q = QueryTraffic { interest: &interest, proxy: NodeId(2), result_rate: 0.0 };
+        PlacementCost::new(&dep, &table).lift(&q, NodeId(2));
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        struct World {
+            dep: Deployment,
+            table: SubstreamTable,
+            /// Per query: interest, proxy, result rate.
+            queries: Vec<(InterestSet, NodeId, f64)>,
+        }
+
+        impl World {
+            fn traffic(&self, i: usize) -> QueryTraffic<'_> {
+                let (interest, proxy, result_rate) = &self.queries[i];
+                QueryTraffic { interest, proxy: *proxy, result_rate: *result_rate }
+            }
+
+            /// The model's cost of `hosts`, from nothing.
+            fn model_cost(&self, hosts: &[usize]) -> f64 {
+                let procs = self.dep.processors();
+                let mut interests = vec![InterestSet::new(self.table.len()); procs.len()];
+                for (q, &at) in self.queries.iter().zip(hosts) {
+                    interests[at].union_with(&q.0);
+                }
+                let model = TrafficModel::new(&self.dep, &self.table);
+                let flows = self.queries.iter().zip(hosts).map(|(q, &at)| (procs[at], q.1, q.2));
+                model.source_delivery_cost(&interests) + model.result_unicast_cost(flows)
+            }
+        }
+
+        fn close(a: f64, b: f64) -> bool {
+            (a - b).abs() <= 1e-9 * a.abs().max(1.0)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+            /// After every move the running total is the model's cost of
+            /// the placement recomputed from nothing, and every priced
+            /// move is the difference of two such recomputations.
+            #[test]
+            fn running_total_and_every_delta_equal_the_model(seed in 0u64..10_000) {
+                let mut rng = rng_for(seed, "placement-cost");
+                let (n_src, n_proc, n_sub) = (rng.gen_range(1..4), rng.gen_range(2..8), 24);
+                let topo = TransitStubConfig::small().generate(seed);
+                let dep = Deployment::assign(topo, n_src, n_proc, seed);
+                let table = SubstreamTable::random(n_sub, n_src, 1.0, 10.0, seed);
+                let queries = (0..rng.gen_range(1..30))
+                    .map(|_| {
+                        let reads: Vec<usize> =
+                            (0..rng.gen_range(0..6)).map(|_| rng.gen_range(0..n_sub)).collect();
+                        let proxy = dep.processors()[rng.gen_range(0..n_proc)];
+                        let rate = if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(0.0..5.0) };
+                        (InterestSet::from_indices(n_sub, reads), proxy, rate)
+                    })
+                    .collect();
+                let world = World { dep, table, queries };
+                let mut hosts: Vec<usize> =
+                    world.queries.iter().map(|_| rng.gen_range(0..n_proc)).collect();
+                let mut cost = PlacementCost::new(&world.dep, &world.table);
+                let procs = world.dep.processors();
+                for (i, &at) in hosts.iter().enumerate() {
+                    cost.put(&world.traffic(i), procs[at]);
+                }
+                let mut before = world.model_cost(&hosts);
+                prop_assert!(close(cost.total(), before), "seed {seed}: initial total");
+                for step in 0..60 {
+                    let i = rng.gen_range(0..hosts.len());
+                    let (from, to) = (hosts[i], rng.gen_range(0..n_proc));
+                    let q = world.traffic(i);
+                    let saved = cost.lift(&q, procs[from]);
+                    let added = cost.price(&q, procs[to], f64::INFINITY).expect("no cap");
+                    hosts[i] = to;
+                    let after = world.model_cost(&hosts);
+                    prop_assert!(
+                        close(added - saved, after - before),
+                        "seed {seed} move {step}: priced {} but the model says {}",
+                        added - saved,
+                        after - before
+                    );
+                    // A capped price is the same price or a refusal, never
+                    // a different number.
+                    let cap = rng.gen_range(0.0..2.0) * added;
+                    let capped = cost.price(&q, procs[to], cap);
+                    prop_assert!(
+                        if added < cap { capped == Some(added) } else { capped.is_none() },
+                        "seed {seed} move {step}: price {added} under cap {cap} gave {capped:?}"
+                    );
+                    prop_assert_eq!(cost.put(&q, procs[to]), added, "seed {} move {}", seed, step);
+                    prop_assert!(
+                        close(cost.total(), after),
+                        "seed {seed} move {step}: total {} but the model says {after}",
+                        cost.total()
+                    );
+                    before = after;
+                }
+            }
+        }
     }
 }

@@ -10,6 +10,8 @@ use cosmos::net::{Deployment, TransitStubConfig};
 use cosmos::pubsub::SubstreamTable;
 use cosmos::workload::{PaperParams, Simulation};
 
+/// Under the hierarchical mapping and under the centralized baseline —
+/// which takes the leaves' capabilities too, not a uniform 1.
 #[test]
 fn degraded_processor_capability_shifts_load_away() {
     let topo = TransitStubConfig::small().generate(21);
@@ -22,11 +24,18 @@ fn degraded_processor_capability_shifts_load_away() {
     let d = Distributor::new(&dep, &tree, &table);
     let mut sim = Simulation::build(PaperParams::tiny(), 21);
     let specs = sim.arrivals(160, 22);
-    let out = d.distribute(&specs, 23);
-    let loads = out.assignment.loads(&specs, dep.processors());
-    let weak = loads[0];
-    let strongest = loads.iter().skip(1).cloned().fold(0.0, f64::max);
-    assert!(weak < strongest / 2.0, "degraded processor got load {weak} vs strongest {strongest}");
+    for (what, out) in [
+        ("hierarchical", d.distribute(&specs, 23)),
+        ("centralized", d.distribute_centralized(&specs, 23)),
+    ] {
+        let loads = out.assignment.loads(&specs, dep.processors());
+        let weak = loads[0];
+        let strongest = loads.iter().skip(1).cloned().fold(0.0, f64::max);
+        assert!(
+            weak < strongest / 2.0,
+            "{what}: degraded processor got load {weak} vs strongest {strongest}"
+        );
+    }
 }
 
 #[test]
