@@ -28,8 +28,7 @@ use cosmos_baselines::{naive_assignment, random_assignment};
 use cosmos_bench::{banner, write_result, BenchArgs};
 use cosmos_core::distribute::{DistConfig, Distributor};
 use cosmos_core::hierarchy::CoordinatorTree;
-use cosmos_core::spec::{Assignment, QuerySpec};
-use cosmos_pubsub::TrafficModel;
+use cosmos_core::spec::{modelled_cost, Assignment, QuerySpec};
 use cosmos_util::rng::derive_seed;
 use cosmos_workload::sensors::SensorScenario;
 use cosmos_workload::{PaperParams, Simulation};
@@ -63,7 +62,6 @@ fn sensor_scenario() {
     placements.push(("naive", naive_assignment(&specs)));
     let random = random_assignment(&specs, dep, derive_seed(SENSOR_SEED, "random-placement"));
     placements.push(("random", random));
-    let model = TrafficModel::new(dep, table);
     println!(
         "{:>14} {:>12} {:>12} {:>12} {:>10} {:>12}",
         "placement", "source", "result", "total", "at proxy", "load stddev"
@@ -72,10 +70,7 @@ fn sensor_scenario() {
     let mut totals = Vec::new();
     for (name, a) in &placements {
         let host = |q: &QuerySpec| a.processor_of(q.id).expect("every query is placed");
-        let source =
-            model.source_delivery_cost(&a.interests(&specs, dep.processors(), table.len()));
-        let result =
-            model.result_unicast_cost(specs.iter().map(|q| (host(q), q.proxy, q.result_rate)));
+        let (source, result) = modelled_cost(dep, table, &specs, a);
         let at_proxy =
             specs.iter().filter(|q| host(q) == q.proxy).count() as f64 / specs.len() as f64;
         let stddev = cosmos_util::stats::stddev(&a.loads(&specs, dep.processors()));
@@ -144,9 +139,7 @@ fn main() {
     println!("{:>14} {:>14} {:>10}", "variant", "comm cost", "Δ vs on");
     let mut base_cost = 0.0;
     for on in [true, false] {
-        let mut config = DistConfig::default();
-        config.map.alpha = params.alpha;
-        config.overlap_edges = on;
+        let config = DistConfig { alpha: params.alpha, overlap_edges: on, ..DistConfig::default() };
         let d = Distributor::with_config(&sim.dep, &sim.tree, &sim.table, config);
         let out = d.distribute(&batch, args.seed + 2);
         drop(d);
@@ -165,9 +158,7 @@ fn main() {
     println!("\n[2] coarsening budget vmax");
     println!("{:>8} {:>14} {:>12}", "vmax", "comm cost", "total time");
     for vmax in [16usize, 64, 256] {
-        let mut config = DistConfig::default();
-        config.map.alpha = params.alpha;
-        config.vmax = vmax;
+        let config = DistConfig { alpha: params.alpha, vmax, ..DistConfig::default() };
         let d = Distributor::with_config(&sim.dep, &sim.tree, &sim.table, config);
         let out = d.distribute(&batch, args.seed + 2);
         drop(d);
@@ -183,9 +174,8 @@ fn main() {
     println!("\n[3] per-level alpha split");
     println!("{:>14} {:>16} {:>12}", "variant", "max load/limit", "comm cost");
     for split in [true, false] {
-        let mut config = DistConfig::default();
-        config.map.alpha = params.alpha;
-        config.per_level_alpha = split;
+        let config =
+            DistConfig { alpha: params.alpha, per_level_alpha: split, ..DistConfig::default() };
         let d = Distributor::with_config(&sim.dep, &sim.tree, &sim.table, config);
         let out = d.distribute(&batch, args.seed + 2);
         drop(d);

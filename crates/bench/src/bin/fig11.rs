@@ -19,8 +19,7 @@ use cosmos_baselines::opplace::{OperatorGraph, OperatorPlacement, RateModel};
 use cosmos_bench::{banner, write_result, BenchArgs};
 use cosmos_core::distribute::Distributor;
 use cosmos_core::hierarchy::CoordinatorTree;
-use cosmos_core::spec::QuerySpec;
-use cosmos_pubsub::TrafficModel;
+use cosmos_core::spec::{modelled_cost, QuerySpec};
 use cosmos_workload::sensors::SensorScenario;
 use std::time::Instant;
 
@@ -60,13 +59,9 @@ fn main() {
         let d = Distributor::new(&scenario.dep, &tree, &scenario.table);
         let out = d.distribute(&specs, args.seed + 3);
         let cosmos_time = t1.elapsed();
-        let model = TrafficModel::new(&scenario.dep, &scenario.table);
-        let interests =
-            out.assignment.interests(&specs, scenario.dep.processors(), scenario.table.len());
-        let flows = specs
-            .iter()
-            .filter_map(|q| out.assignment.processor_of(q.id).map(|p| (p, q.proxy, q.result_rate)));
-        let cosmos_cost = model.source_delivery_cost(&interests) + model.result_unicast_cost(flows);
+        let (source, result) =
+            modelled_cost(&scenario.dep, &scenario.table, &specs, &out.assignment);
+        let cosmos_cost = source + result;
 
         let ratio = placed.cost / cosmos_cost;
         println!(

@@ -14,7 +14,7 @@
 use cosmos_core::graph::{
     edge_weight, effective_rates, NetVertex, NetworkGraph, QgVertex, QueryGraph,
 };
-use cosmos_core::mapping::{map_graph, MapConfig};
+use cosmos_core::mapping::map_graph;
 use cosmos_net::NodeId;
 use cosmos_query::QueryId;
 use cosmos_util::InterestSet;
@@ -112,7 +112,7 @@ fn main() {
         results.push(serde_json::json!({"scheme": name, "wec": wec, "loads": loads}));
     }
     // And what Algorithm 2 actually finds.
-    let found = map_graph(&qg, &ng, &pin, &MapConfig::default());
+    let found = map_graph(&qg, &ng, &pin, 0.1);
     println!(
         "{:<44} {:>6.1}/{:<5.1} {:>12.1}",
         "Algorithm 2 (greedy + refinement)", found.loads[0], found.loads[1], found.wec

@@ -21,9 +21,10 @@
 //!   weight (no drastic overshoot).
 
 use crate::coarsen::CoarsenStats;
-use crate::distribute::{DistTiming, Distributor, HierarchyGraphs};
-use crate::graph::{NetworkGraph, QgVertex, QueryGraph};
+use crate::distribute::{place_work, DistTiming, Distributor, HierarchyGraphs};
+use crate::graph::QgVertex;
 use crate::incremental::{vertex_raw_fp, HierCache, PlaceStore};
+use crate::mapping::{pick_target, placement_cost};
 use crate::spec::{Assignment, QuerySpec};
 use cosmos_net::NodeId;
 use cosmos_query::QueryId;
@@ -99,15 +100,6 @@ pub struct AdaptOutcome {
     /// Coarsening work actually performed (an incremental round's cache
     /// hits cost none — like `timing`, exempt from the oracle comparison).
     pub coarsen: CoarsenStats,
-}
-
-/// Cost of vertex `v` placed on target `k` under `mapping` (WEC terms
-/// incident to `v`).
-fn cost_at(qg: &QueryGraph, ng: &NetworkGraph, mapping: &[usize], v: usize, k: usize) -> f64 {
-    qg.neighbors(v)
-        .filter(|&(j, _)| mapping[j] != usize::MAX && j != v)
-        .map(|(j, w)| w * ng.distance(k, mapping[j]))
-        .sum()
 }
 
 /// The per-coordinator subtree memo used by the incremental optimizer
@@ -241,8 +233,7 @@ pub(crate) fn adapt_with_caches(
     // vertices at the root may straddle root children — their "current
     // child" would be ambiguous and every round's (re-seeded) coarsening
     // would force different spurious co-location migrations.
-    let root_work: Vec<crate::graph::QgVertex> =
-        graphs.constituents[root].iter().flatten().cloned().collect();
+    let root_work: Vec<QgVertex> = graphs.constituents[root].iter().flatten().cloned().collect();
     let mut place = caches.map(|(h, p)| PlaceCache { out_fps: h.round_out_fps(), store: p });
     let response = adapt_down(
         d,
@@ -277,7 +268,7 @@ fn adapt_down(
     d: &Distributor<'_>,
     config: &AdaptConfig,
     coord: usize,
-    work: Vec<crate::graph::QgVertex>,
+    work: Vec<QgVertex>,
     graphs: &HierarchyGraphs,
     current: &Assignment,
     next: &mut Assignment,
@@ -287,11 +278,7 @@ fn adapt_down(
 ) -> std::time::Duration {
     let node = d.tree.node(coord);
     if node.level == 0 {
-        for v in &work {
-            for &q in &v.queries {
-                next.place(q, node.representative);
-            }
-        }
+        place_work(&work, node.representative, next);
         return std::time::Duration::ZERO;
     }
     // Subtree memo: replay the previous round's decisions for this whole
@@ -316,6 +303,7 @@ fn adapt_down(
     let ng = d.network_graph_at(coord, &qg);
     let n_children = ng.target_count();
     let pin = d.pin_at(coord, &ng);
+    let cost = |mapping: &[usize], v, k| placement_cost(&qg, &ng, mapping, v, k);
 
     // Initial mapping = current homes; foreign arrivals get usize::MAX.
     let mut mapping = vec![usize::MAX; qg.len()];
@@ -356,22 +344,7 @@ fn adapt_down(
     // Arrivals: greedy placement, marked dirty (they migrate regardless).
     for &v in &arrivals {
         let w = qg.vertices[v].weight;
-        let mut best: Option<(f64, usize)> = None;
-        let mut fallback: Option<(f64, f64, usize)> = None;
-        for k in 0..n_children {
-            let cost = cost_at(&qg, &ng, &mapping, v, k);
-            if loads[k] + w <= limits[k] + 1e-12 && best.is_none_or(|(c, _)| cost < c) {
-                best = Some((cost, k));
-            }
-            // Violations compare lexicographically; WEC cost breaks ties.
-            let viol = loads[k] + w - limits[k];
-            if fallback
-                .is_none_or(|(vv, vc, _)| viol < vv - 1e-12 || (viol < vv + 1e-12 && cost < vc))
-            {
-                fallback = Some((viol, cost, k));
-            }
-        }
-        let k = best.map(|(_, k)| k).or(fallback.map(|(_, _, k)| k)).expect("children exist");
+        let k = pick_target(&loads, &limits, w, |k| cost(&mapping, v, k));
         mapping[v] = k;
         loads[k] += w;
         dirty[v] = true;
@@ -416,10 +389,8 @@ fn adapt_down(
             .copied()
             .filter(|&v| mapping[v] == from && qg.vertices[v].weight > 1e-12)
             .collect();
-        let benefits: Vec<f64> = candidates
-            .iter()
-            .map(|&v| cost_at(&qg, &ng, &mapping, v, from) - cost_at(&qg, &ng, &mapping, v, to))
-            .collect();
+        let benefits: Vec<f64> =
+            candidates.iter().map(|&v| cost(&mapping, v, from) - cost(&mapping, v, to)).collect();
         let Some(&max_benefit) =
             benefits.iter().max_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
         else {
@@ -476,11 +447,11 @@ fn adapt_down(
         for v in order {
             let cur = mapping[v];
             let w = qg.vertices[v].weight;
-            let c_cur = cost_at(&qg, &ng, &mapping, v, cur);
+            let c_cur = cost(&mapping, v, cur);
             // (1) Move back home if it keeps balance and does not raise WEC.
             let home = original[v];
             if home != usize::MAX && home != cur {
-                let c_home = cost_at(&qg, &ng, &mapping, v, home);
+                let c_home = cost(&mapping, v, home);
                 if c_home <= c_cur + 1e-9 && loads[home] + w <= band[home] + 1e-9 {
                     mapping[v] = home;
                     loads[cur] -= w;
@@ -496,7 +467,7 @@ fn adapt_down(
                 if k == cur || loads[k] + w > band[k] + 1e-9 {
                     continue;
                 }
-                let c = cost_at(&qg, &ng, &mapping, v, k);
+                let c = cost(&mapping, v, k);
                 if c < bar && best.is_none_or(|(bc, _)| c < bc) {
                     best = Some((c, k));
                 }
@@ -514,16 +485,7 @@ fn adapt_down(
     }
 
     // Partition and recurse.
-    let mut per_child: Vec<Vec<crate::graph::QgVertex>> = vec![Vec::new(); n_children];
-    for (i, v) in qg.vertices.iter().enumerate() {
-        if v.queries.is_empty() {
-            continue;
-        }
-        let target = mapping[i];
-        if target < n_children {
-            per_child[target].extend(graphs.expand(v));
-        }
-    }
+    let per_child = graphs.partition(&qg, &mapping, n_children);
     sw.stop();
     timing.total += sw.elapsed();
     let own = sw.elapsed();
@@ -561,7 +523,7 @@ mod tests {
     use super::*;
     use crate::hierarchy::CoordinatorTree;
     use cosmos_net::{Deployment, NodeId, TransitStubConfig};
-    use cosmos_pubsub::{SubstreamTable, TrafficModel};
+    use cosmos_pubsub::SubstreamTable;
     use cosmos_query::QueryId;
     use cosmos_util::rng::rng_for;
     use cosmos_util::stats::stddev;
@@ -609,18 +571,6 @@ mod tests {
             .collect()
     }
 
-    fn comm_cost(
-        dep: &Deployment,
-        table: &SubstreamTable,
-        specs: &[QuerySpec],
-        a: &Assignment,
-    ) -> f64 {
-        let model = TrafficModel::new(dep, table);
-        let interests = a.interests(specs, dep.processors(), U);
-        let flows = specs.iter().map(|q| (a.processor_of(q.id).unwrap(), q.proxy, q.result_rate));
-        model.source_delivery_cost(&interests) + model.result_unicast_cost(flows)
-    }
-
     /// Very skewed assignment: everything on one processor.
     fn skewed_assignment(specs: &[QuerySpec], node: NodeId) -> Assignment {
         specs.iter().map(|q| (q.id, node)).collect()
@@ -663,12 +613,16 @@ mod tests {
         let d = Distributor::new(&dep, &tree, &table);
         let specs = random_specs(&dep, &table, 80, 6);
         let current = random_assignment(&specs, &dep, 7);
-        let before = comm_cost(&dep, &table, &specs, &current);
+        let comm_cost = |a: &Assignment| {
+            let (source, result) = crate::spec::modelled_cost(&dep, &table, &specs, a);
+            source + result
+        };
+        let before = comm_cost(&current);
         let mut a = current.clone();
         for round in 0..5 {
             a = adapt_wholesale(&d, &specs, &a, &AdaptConfig::default(), 20 + round).assignment;
         }
-        let after = comm_cost(&dep, &table, &specs, &a);
+        let after = comm_cost(&a);
         assert!(after < before, "adaptation should reduce communication cost: {before} -> {after}");
     }
 

@@ -29,18 +29,20 @@
 //!
 //! Scalability note (documented substitution): the paper never says how the
 //! centralized baseline builds overlap edges among 60 000 queries — full
-//! pairwise bit-vector ANDs are quadratic. Above
-//! [`DistConfig::full_pairwise_limit`] vertices we sparsify: an inverted
-//! index over substreams proposes candidate pairs (queries sharing a hot
-//! substream), whose overlaps are then computed exactly. Sharing-heavy
-//! pairs co-occur in many substream lists, so the heavy edges — the ones
-//! coarsening and mapping act on — survive.
+//! pairwise bit-vector ANDs are quadratic. Above `FULL_PAIRWISE_LIMIT`
+//! (2 048) queryful vertices we sparsify: an inverted index over
+//! substreams, each list capped at `CANDIDATES_PER_SUBSTREAM` (16),
+//! proposes candidate pairs (queries sharing a hot substream), and every
+//! vertex keeps exact-weighted edges to its `TOP_OVERLAP_EDGES` (12) top
+//! co-occurring partners. Sharing-heavy pairs co-occur in many substream
+//! lists, so the heavy edges — the ones coarsening and mapping act on —
+//! survive.
 
 use crate::coarsen::{coarsen, CoarsenStats, Coarsened};
 use crate::graph::{effective_rates, load_limits, NetVertex, NetworkGraph, QgVertex, QueryGraph};
 use crate::hierarchy::CoordinatorTree;
 use crate::incremental::HierCache;
-use crate::mapping::{admissible, map_graph, MapConfig, MappingResult};
+use crate::mapping::{admissible, map_graph, map_greedy, MappingResult, PinOf};
 use crate::spec::{Assignment, QuerySpec};
 use cosmos_net::{Deployment, NodeId};
 use cosmos_pubsub::{PlacementCost, SubstreamTable};
@@ -52,19 +54,26 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Tuning knobs for the distribution machinery.
+/// Up to this many queryful vertices, overlap edges are exact pairwise;
+/// beyond it, the inverted-index sparsification kicks in.
+const FULL_PAIRWISE_LIMIT: usize = 2048;
+/// Candidate-list cap per substream on the sparsified path.
+const CANDIDATES_PER_SUBSTREAM: usize = 16;
+/// Overlap edges kept per vertex on the sparsified path (its top
+/// co-occurring partners).
+const TOP_OVERLAP_EDGES: usize = 12;
+/// Sweep cap of the query-level refinement that ends a distribution.
+const REFINE_SWEEPS: usize = 16;
+
+/// Tuning knobs for the distribution machinery: the values a production
+/// caller sets, each one more key of the incremental optimizer's memo. What
+/// nobody sets is a constant above.
 #[derive(Debug, Clone, Copy)]
 pub struct DistConfig {
     /// Coarsening threshold `vmax` (§3.4).
     pub vmax: usize,
-    /// Up to this many queryful vertices, overlap edges are exact pairwise;
-    /// beyond it, the inverted-index sparsification kicks in.
-    pub full_pairwise_limit: usize,
-    /// Candidate-list cap per substream for the sparsified path.
-    pub candidates_per_substream: usize,
-    /// Overlap edges kept per vertex on the sparsified path (its top
-    /// co-occurring partners).
-    pub top_overlap_edges: usize,
+    /// Allowed load imbalance (`α` in eqn 3.1). Paper: 0.1.
+    pub alpha: f64,
     /// Include query-query overlap edges at all (§3.1.2's Pub/Sub-aware
     /// term). Disabled only by the ablation study — which still wins, by a
     /// hair, where result traffic rivals input traffic: on the end-to-end
@@ -77,21 +86,11 @@ pub struct DistConfig {
     /// (`(1+α)^(1/height) − 1` per level). Disabled only by the ablation
     /// study (which then re-applies α at every level and compounds).
     pub per_level_alpha: bool,
-    /// Mapping parameters (α etc.).
-    pub map: MapConfig,
 }
 
 impl Default for DistConfig {
     fn default() -> Self {
-        Self {
-            vmax: 64,
-            full_pairwise_limit: 2048,
-            candidates_per_substream: 16,
-            top_overlap_edges: 12,
-            overlap_edges: true,
-            per_level_alpha: true,
-            map: MapConfig::default(),
-        }
+        Self { vmax: 64, alpha: 0.1, overlap_edges: true, per_level_alpha: true }
     }
 }
 
@@ -101,13 +100,10 @@ impl DistConfig {
         if self.vmax == 0 {
             return Err("vmax must be at least 1".into());
         }
-        if self.candidates_per_substream == 0 {
-            return Err("candidates_per_substream must be at least 1".into());
+        if !self.alpha.is_finite() || self.alpha < 0.0 {
+            return Err(format!("alpha must be finite and non-negative, got {}", self.alpha));
         }
-        if self.top_overlap_edges == 0 {
-            return Err("top_overlap_edges must be at least 1".into());
-        }
-        self.map.validate()
+        Ok(())
     }
 }
 
@@ -201,10 +197,10 @@ impl<'a> Distributor<'a> {
     /// `(1 + α)^(1/height) − 1` and the end-to-end slack stays ≈ α.
     pub(crate) fn level_alpha(&self) -> f64 {
         if !self.config.per_level_alpha {
-            return self.config.map.alpha;
+            return self.config.alpha;
         }
         let h = self.tree.height().max(1) as f64;
-        (1.0 + self.config.map.alpha).powf(1.0 / h) - 1.0
+        (1.0 + self.config.alpha).powf(1.0 / h) - 1.0
     }
 
     /// Builds a q-vertex for one query spec.
@@ -224,7 +220,19 @@ impl<'a> Distributor<'a> {
     /// result flow) and computes all edges — every substream term from the
     /// rate shared among the input vertices that read it, which the graph
     /// keeps for coarsening to re-estimate with.
-    pub(crate) fn graph_from_vertices(&self, mut vertices: Vec<QgVertex>, seed: u64) -> QueryGraph {
+    pub(crate) fn graph_from_vertices(&self, vertices: Vec<QgVertex>, seed: u64) -> QueryGraph {
+        self.graph_with_pairwise_limit(vertices, seed, FULL_PAIRWISE_LIMIT)
+    }
+
+    /// [`Self::graph_from_vertices`] with the overlap edges exact pairwise
+    /// up to `full_pairwise_limit` queryful vertices, not the constant —
+    /// how tests reach the sparsified path on a dozen queries.
+    fn graph_with_pairwise_limit(
+        &self,
+        mut vertices: Vec<QgVertex>,
+        seed: u64,
+        full_pairwise_limit: usize,
+    ) -> QueryGraph {
         let rates = effective_rates(&vertices, self.table.rates());
         let sources = self.dep.sources();
         let n_query = vertices.len();
@@ -302,7 +310,7 @@ impl<'a> Distributor<'a> {
         // Overlap edges among queryful vertices.
         if !self.config.overlap_edges {
             // Ablation: no Pub/Sub-sharing term in the query graph.
-        } else if n_query <= self.config.full_pairwise_limit {
+        } else if n_query <= full_pairwise_limit {
             graph.add_pairwise(n_query, |a, b| a.interest.weighted_overlap(&b.interest, &rates));
         } else {
             self.sparsified_overlap_edges(&mut graph, n_query, &rates, seed);
@@ -323,15 +331,13 @@ impl<'a> Distributor<'a> {
         rates: &[f64],
         seed: u64,
     ) {
-        let cap = self.config.candidates_per_substream.max(2);
-        let top_e = self.config.top_overlap_edges.max(1);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); self.universe()];
         let mut order: Vec<usize> = (0..n_query).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         order.shuffle(&mut rng);
         for &i in &order {
             for s in graph.vertices[i].interest.iter() {
-                if lists[s].len() < cap {
+                if lists[s].len() < CANDIDATES_PER_SUBSTREAM {
                     lists[s].push(i as u32);
                 }
             }
@@ -348,7 +354,7 @@ impl<'a> Distributor<'a> {
             }
             let mut partners: Vec<(u32, u32)> = counts.iter().map(|(&j, &c)| (c, j)).collect();
             partners.sort_unstable_by(|a, b| b.cmp(a));
-            for &(_, j) in partners.iter().take(top_e) {
+            for &(_, j) in partners.iter().take(TOP_OVERLAP_EDGES) {
                 let j = j as usize;
                 if graph.edge(i, j) > 0.0 {
                     continue;
@@ -376,14 +382,21 @@ impl<'a> Distributor<'a> {
                 NetVertex { node: child.representative, capability: child.capability }
             })
             .collect();
+        self.network_graph(qg, targets, |n| self.tree.covering_child(coord, n).is_some())
+    }
+
+    /// The network graph over `targets`, anchored at every network node
+    /// `qg` references that is not `covered` by one of them.
+    fn network_graph(
+        &self,
+        qg: &QueryGraph,
+        targets: Vec<NetVertex>,
+        covered: impl Fn(NodeId) -> bool,
+    ) -> NetworkGraph {
         let mut anchors: Vec<NetVertex> = Vec::new();
-        for v in &qg.vertices {
-            if let Some(n) = v.net_node() {
-                if self.tree.covering_child(coord, n).is_none()
-                    && !anchors.iter().any(|a| a.node == n)
-                {
-                    anchors.push(NetVertex { node: n, capability: 0.0 });
-                }
+        for n in qg.vertices.iter().filter_map(QgVertex::net_node) {
+            if !covered(n) && !anchors.iter().any(|a| a.node == n) {
+                anchors.push(NetVertex { node: n, capability: 0.0 });
             }
         }
         let dep = self.dep;
@@ -408,15 +421,10 @@ impl<'a> Distributor<'a> {
 
     /// Maps a graph at one coordinator (Algorithm 2 with this coordinator's
     /// targets/anchors/pins).
-    pub(crate) fn map_at(&self, coord: usize, qg: &QueryGraph) -> (NetworkGraph, MappingResult) {
+    fn map_at(&self, coord: usize, qg: &QueryGraph) -> MappingResult {
         let ng = self.network_graph_at(coord, qg);
-        let result = {
-            let pin = self.pin_at(coord, &ng);
-            let mut cfg = self.config.map;
-            cfg.alpha = self.level_alpha();
-            map_graph(qg, &ng, &pin, &cfg)
-        };
-        (ng, result)
+        let pin = self.pin_at(coord, &ng);
+        map_graph(qg, &ng, &pin, self.level_alpha())
     }
 
     /// Hierarchical initial distribution (§3.5).
@@ -447,31 +455,25 @@ impl<'a> Distributor<'a> {
         timing.response += response;
 
         // ---- Phase C: query-level refinement on the model's own cost.
-        let refine =
-            self.refine_queries(specs, &mut assignment, self.config.map.max_outer, &mut timing);
+        let refine = self.refine_queries(specs, &mut assignment, &mut timing);
         DistOutcome { assignment, timing, coarsen: per_coord.coarsen, refine }
     }
 
     /// The query-level refinement (module docs): sweeps the queries in spec
     /// order, moving each to the admissible live processor that lowers the
     /// modelled cost most (by more than 1e-9; ties to the lower index),
-    /// until a sweep moves nothing or `max_passes` ran.
+    /// until a sweep moves nothing or `REFINE_SWEEPS` ran.
     fn refine_queries(
         &self,
         specs: &[QuerySpec],
         assignment: &mut Assignment,
-        max_passes: usize,
         timing: &mut DistTiming,
     ) -> RefineStats {
         let mut stats = RefineStats::default();
-        if max_passes == 0 {
-            return stats;
-        }
         let mut sw = cosmos_util::Stopwatch::new();
         sw.start();
         let targets = self.tree.leaves();
-        let limits =
-            load_limits(&targets, specs.iter().map(|q| q.load).sum(), self.config.map.alpha);
+        let limits = load_limits(&targets, specs.iter().map(|q| q.load).sum(), self.config.alpha);
         let mut cost = PlacementCost::new(self.dep, self.table);
         let mut loads = vec![0.0; targets.len()];
         let mut hosts: Vec<usize> = Vec::with_capacity(specs.len());
@@ -482,7 +484,7 @@ impl<'a> Distributor<'a> {
             cost.put(&q.traffic(), node);
             hosts.push(k);
         }
-        while stats.passes < max_passes {
+        while stats.passes < REFINE_SWEEPS {
             stats.passes += 1;
             let moves_before = stats.moves;
             for (q, host) in specs.iter().zip(&mut hosts) {
@@ -528,37 +530,31 @@ impl<'a> Distributor<'a> {
     /// Centralized baseline: one global graph, mapped directly onto all
     /// processors (the paper's scalability yardstick).
     pub fn distribute_centralized(&self, specs: &[QuerySpec], seed: u64) -> DistOutcome {
-        self.centralized_inner(specs, seed, true)
+        let mut out = self.centralized(specs, seed, map_graph);
+        out.refine = self.refine_queries(specs, &mut out.assignment, &mut out.timing);
+        out
     }
 
     /// Greedy baseline: the centralized graph with only the greedy phase of
-    /// Algorithm 2 (no iterative refinement).
+    /// Algorithm 2 (no iterative refinement, at either level).
     pub fn distribute_greedy(&self, specs: &[QuerySpec], seed: u64) -> DistOutcome {
-        self.centralized_inner(specs, seed, false)
+        self.centralized(specs, seed, map_greedy)
     }
 
-    fn centralized_inner(&self, specs: &[QuerySpec], seed: u64, refine: bool) -> DistOutcome {
+    /// The global graph under `map`, before any query-level refinement.
+    fn centralized(
+        &self,
+        specs: &[QuerySpec],
+        seed: u64,
+        map: fn(&QueryGraph, &NetworkGraph, &PinOf, f64) -> MappingResult,
+    ) -> DistOutcome {
         let mut sw = cosmos_util::Stopwatch::new();
         sw.start();
         let vertices: Vec<QgVertex> = specs.iter().map(|s| self.vertex_for(s)).collect();
         let qg = self.graph_from_vertices(vertices, seed);
-        let targets = self.tree.leaves();
-        let mut anchors: Vec<NetVertex> = Vec::new();
-        for v in &qg.vertices {
-            if let Some(n) = v.net_node() {
-                if !targets.iter().chain(&anchors).any(|t| t.node == n) {
-                    anchors.push(NetVertex { node: n, capability: 0.0 });
-                }
-            }
-        }
-        let dep = self.dep;
-        let ng = NetworkGraph::build(targets, anchors, |a, b| dep.distance(a, b));
+        let ng = self.network_graph(&qg, self.tree.leaves(), |n| self.tree.leaf_of(n).is_some());
         let pin = |v: &QgVertex| -> Option<usize> { v.net_node().and_then(|n| ng.index_of(n)) };
-        let mut cfg = self.config.map;
-        if !refine {
-            cfg.max_outer = 0;
-        }
-        let result = map_graph(&qg, &ng, &pin, &cfg);
+        let result = map(&qg, &ng, &pin, self.config.alpha);
         let mut assignment = Assignment::new();
         for (i, v) in qg.vertices.iter().enumerate() {
             let target = result.mapping[i];
@@ -570,10 +566,10 @@ impl<'a> Distributor<'a> {
             }
         }
         sw.stop();
-        let (response, total) = (sw.elapsed(), sw.elapsed());
-        let mut timing = DistTiming { response, total, ..DistTiming::default() };
-        let refine = self.refine_queries(specs, &mut assignment, cfg.max_outer, &mut timing);
-        DistOutcome { assignment, timing, coarsen: CoarsenStats::default(), refine }
+        let timing =
+            DistTiming { response: sw.elapsed(), total: sw.elapsed(), ..Default::default() };
+        let (coarsen, refine) = Default::default();
+        DistOutcome { assignment, timing, coarsen, refine }
     }
 
     /// Bottom-up phase shared by initial distribution and adaptation:
@@ -691,29 +687,14 @@ impl<'a> Distributor<'a> {
     ) -> Duration {
         let node = self.tree.node(coord);
         if node.level == 0 {
-            for v in &work {
-                for &q in &v.queries {
-                    assignment.place(q, node.representative);
-                }
-            }
+            place_work(&work, node.representative, assignment);
             return Duration::ZERO;
         }
         let mut sw = cosmos_util::Stopwatch::new();
         sw.start();
         let qg = self.graph_from_vertices(work, derive_seed_indexed(0, "down", coord as u64));
-        let (ng, result) = self.map_at(coord, &qg);
-        // Partition queryful vertices per child, expanding one level.
-        let mut per_child: Vec<Vec<QgVertex>> = vec![Vec::new(); node.children.len()];
-        for (i, v) in qg.vertices.iter().enumerate() {
-            if v.queries.is_empty() {
-                continue;
-            }
-            let target = result.mapping[i];
-            if target >= ng.target_count() {
-                continue; // anchors never hold queries (see coarsen docs)
-            }
-            per_child[target].extend(graphs.expand(v));
-        }
+        let result = self.map_at(coord, &qg);
+        let per_child = graphs.partition(&qg, &result.mapping, node.children.len());
         sw.stop();
         timing.total += sw.elapsed();
         let own = sw.elapsed();
@@ -724,6 +705,14 @@ impl<'a> Distributor<'a> {
             child_max = child_max.max(t);
         }
         own + child_max
+    }
+}
+
+/// The leaf case of both top-down passes: every query of `work` runs on
+/// `processor`.
+pub(crate) fn place_work(work: &[QgVertex], processor: NodeId, out: &mut Assignment) {
+    for &q in work.iter().flat_map(|v| &v.queries) {
+        out.place(q, processor);
     }
 }
 
@@ -769,14 +758,29 @@ pub(crate) struct HierarchyGraphs {
 }
 
 impl HierarchyGraphs {
-    /// Expands a vertex one level via its tag ("retrieved from the
-    /// corresponding coordinator"); untagged (raw) vertices expand to
-    /// themselves.
-    pub fn expand(&self, v: &QgVertex) -> Vec<QgVertex> {
-        match v.tag {
-            Some((coord, idx)) => self.constituents[coord][idx].clone(),
-            None => vec![v.clone()],
+    /// Each child's share of a mapped graph: the queryful vertices mapped
+    /// to it, each expanded one level via its tag ("retrieved from the
+    /// corresponding coordinator"; an untagged, raw vertex is its own
+    /// expansion). Anchors never hold queries (see the
+    /// [`coarsen`](crate::coarsen) docs) and an unmapped vertex has none.
+    pub fn partition(
+        &self,
+        qg: &QueryGraph,
+        mapping: &[usize],
+        n_children: usize,
+    ) -> Vec<Vec<QgVertex>> {
+        let mut per_child: Vec<Vec<QgVertex>> = vec![Vec::new(); n_children];
+        for (v, &target) in qg.vertices.iter().zip(mapping) {
+            if !v.queries.is_empty() && target < n_children {
+                match v.tag {
+                    Some((coord, idx)) => {
+                        per_child[target].extend_from_slice(&self.constituents[coord][idx])
+                    }
+                    None => per_child[target].push(v.clone()),
+                }
+            }
         }
+        per_child
     }
 }
 
@@ -825,10 +829,8 @@ mod tests {
 
     /// The model's cost of `a`, from nothing.
     fn modelled_cost(fix: &Fixture, qs: &[QuerySpec], a: &Assignment) -> f64 {
-        let model = cosmos_pubsub::TrafficModel::new(&fix.dep, &fix.table);
-        let interests = a.interests(qs, fix.dep.processors(), UNIVERSE);
-        let flows = qs.iter().map(|q| (a.processor_of(q.id).unwrap(), q.proxy, q.result_rate));
-        model.source_delivery_cost(&interests) + model.result_unicast_cost(flows)
+        let (source, result) = crate::spec::modelled_cost(&fix.dep, &fix.table, qs, a);
+        source + result
     }
 
     #[test]
@@ -879,9 +881,7 @@ mod tests {
     fn sparsified_edges_cover_heavy_overlaps() {
         let fix = fixture(4);
         let tree = CoordinatorTree::build(&fix.dep, 2);
-        // Force sparsification.
-        let config = DistConfig { full_pairwise_limit: 4, ..DistConfig::default() };
-        let d = Distributor::with_config(&fix.dep, &tree, &fix.table, config);
+        let d = Distributor::new(&fix.dep, &tree, &fix.table);
         // Ten queries in two heavy-overlap groups.
         let qs: Vec<QuerySpec> = (0..10)
             .map(|i| {
@@ -897,7 +897,8 @@ mod tests {
             })
             .collect();
         let vertices: Vec<QgVertex> = qs.iter().map(|s| d.vertex_for(s)).collect();
-        let g = d.graph_from_vertices(vertices, 5);
+        // Force sparsification.
+        let g = d.graph_with_pairwise_limit(vertices, 5, 4);
         // Within-group overlap edges must exist, at the weight the shared
         // rates give them: twenty substreams, each read by five.
         let w01 = g.edge(0, 1);
@@ -917,11 +918,10 @@ mod tests {
         let fix = fixture(6);
         let tree = CoordinatorTree::build(&fix.dep, 2);
         let qs = specs(&fix, 12, 20);
-        for full_pairwise_limit in [DistConfig::default().full_pairwise_limit, 4] {
-            let config = DistConfig { full_pairwise_limit, ..DistConfig::default() };
-            let d = Distributor::with_config(&fix.dep, &tree, &fix.table, config);
+        let d = Distributor::new(&fix.dep, &tree, &fix.table);
+        for full_pairwise_limit in [FULL_PAIRWISE_LIMIT, 4] {
             let vertices: Vec<QgVertex> = qs.iter().map(|s| d.vertex_for(s)).collect();
-            let g = d.graph_from_vertices(vertices, 1);
+            let g = d.graph_with_pairwise_limit(vertices, 1, full_pairwise_limit);
             assert_eq!(g.rates, effective_rates(&g.vertices[..qs.len()], fix.table.rates()));
             assert!(g.edge_count() > 0);
             for i in 0..g.len() {
@@ -1019,7 +1019,7 @@ mod tests {
                 };
                 let run = |from: &Assignment| {
                     let (mut a, mut timing) = (from.clone(), DistTiming::default());
-                    let stats = d.refine_queries(&qs, &mut a, 16, &mut timing);
+                    let stats = d.refine_queries(&qs, &mut a, &mut timing);
                     prop_assert_eq!(timing.total, timing.refine);
                     Ok((a, stats))
                 };
@@ -1035,7 +1035,7 @@ mod tests {
                     prop_assert!(live.iter().any(|t| t.node == host), "{host} is not live");
                 }
                 prop_assert_eq!(&run(&start)?, &(refined.clone(), stats));
-                prop_assert!(stats.passes < 16, "no fixpoint in 16 sweeps");
+                prop_assert!(stats.passes < REFINE_SWEEPS, "no fixpoint in {REFINE_SWEEPS} sweeps");
                 let (again, idle) = run(&refined)?;
                 prop_assert_eq!((again, idle.moves, idle.passes), (refined, 0, 1));
             }
@@ -1048,9 +1048,8 @@ mod tests {
             fn prop_colocated_readers_pay_for_a_substream_once(seed in 0u64..40) {
                 let fix = fixture(seed % 5);
                 let tree = CoordinatorTree::build(&fix.dep, 2);
-                let full_pairwise_limit = if seed % 2 == 0 { 2048 } else { 4 };
-                let config = DistConfig { full_pairwise_limit, ..DistConfig::default() };
-                let d = Distributor::with_config(&fix.dep, &tree, &fix.table, config);
+                let full_pairwise_limit = if seed % 2 == 0 { FULL_PAIRWISE_LIMIT } else { 4 };
+                let d = Distributor::new(&fix.dep, &tree, &fix.table);
                 let target = fix.dep.processors()[seed as usize % 8];
                 let anchors = fix.dep.sources().iter();
                 let ng = NetworkGraph::build(
@@ -1069,7 +1068,7 @@ mod tests {
                             QgVertex::for_query(QueryId(i), interest, 1.0, target, 0.0, 1.0)
                         })
                         .collect();
-                    let g = d.graph_from_vertices(vertices, seed);
+                    let g = d.graph_with_pairwise_limit(vertices, seed, full_pairwise_limit);
                     let mapping: Vec<usize> = g
                         .vertices
                         .iter()
@@ -1131,10 +1130,10 @@ mod tests {
     fn config_validation_names_the_offending_knob() {
         let bad = DistConfig { vmax: 0, ..DistConfig::default() };
         assert!(bad.validate().unwrap_err().contains("vmax"));
-        let bad = DistConfig { candidates_per_substream: 0, ..DistConfig::default() };
-        assert!(bad.validate().unwrap_err().contains("candidates_per_substream"));
-        let bad = DistConfig { top_overlap_edges: 0, ..DistConfig::default() };
-        assert!(bad.validate().unwrap_err().contains("top_overlap_edges"));
+        for alpha in [-0.1, f64::NAN, f64::INFINITY] {
+            let bad = DistConfig { alpha, ..DistConfig::default() };
+            assert!(bad.validate().unwrap_err().contains("alpha"));
+        }
     }
 
     #[test]

@@ -35,6 +35,41 @@ pub struct CoordNode {
 }
 
 impl CoordNode {
+    /// A level-0 node: `processor` as its own cluster.
+    fn leaf(processor: NodeId, capability: f64) -> Self {
+        Self {
+            parent: None,
+            children: Vec::new(),
+            representative: processor,
+            processors: vec![processor],
+            proc_set: HashSet::from([processor]),
+            capability,
+            level: 0,
+            active: true,
+        }
+    }
+
+    /// An internal node over `children`, its summary (processors,
+    /// capability, median) left for `refresh_node` to fill in; until then
+    /// `representative` stands in.
+    fn internal(
+        parent: Option<usize>,
+        children: Vec<usize>,
+        representative: NodeId,
+        level: usize,
+    ) -> Self {
+        Self {
+            parent,
+            children,
+            representative,
+            processors: Vec::new(),
+            proc_set: HashSet::new(),
+            capability: 0.0,
+            level,
+            active: true,
+        }
+    }
+
     /// Does this coordinator's subtree contain `node`?
     pub fn covers(&self, node: NodeId) -> bool {
         self.proc_set.contains(&node)
@@ -90,56 +125,29 @@ impl CoordinatorTree {
         assert!(!procs.is_empty(), "deployment has no processors");
         assert_eq!(capabilities.len(), procs.len(), "one capability per processor");
 
-        let mut nodes: Vec<CoordNode> = procs
-            .iter()
-            .zip(capabilities)
-            .map(|(&p, &c)| CoordNode {
-                parent: None,
-                children: Vec::new(),
-                representative: p,
-                processors: vec![p],
-                proc_set: HashSet::from([p]),
-                capability: c,
-                level: 0,
-                active: true,
-            })
-            .collect();
+        let nodes: Vec<CoordNode> =
+            procs.iter().zip(capabilities).map(|(&p, &c)| CoordNode::leaf(p, c)).collect();
+        let mut tree = Self { nodes, root: 0, generation: 0 };
 
-        let mut current: Vec<usize> = (0..nodes.len()).collect();
+        let mut current: Vec<usize> = (0..tree.nodes.len()).collect();
         let mut level = 0;
         while current.len() > 1 {
             level += 1;
-            let clusters = cluster_level(&nodes, &current, k, dep);
-            let mut next = Vec::with_capacity(clusters.len());
+            let clusters = cluster_level(&tree.nodes, &current, k, dep);
+            current.clear();
             for members in clusters {
-                let median = median_of(&nodes, &members, dep);
-                let mut processors = Vec::new();
-                let mut capability = 0.0;
+                let parent_idx = tree.nodes.len();
                 for &m in &members {
-                    processors.extend(nodes[m].processors.iter().copied());
-                    capability += nodes[m].capability;
+                    tree.nodes[m].parent = Some(parent_idx);
                 }
-                let proc_set = processors.iter().copied().collect();
-                let parent_idx = nodes.len();
-                nodes.push(CoordNode {
-                    parent: None,
-                    children: members.clone(),
-                    representative: nodes[median].representative,
-                    processors,
-                    proc_set,
-                    capability,
-                    level,
-                    active: true,
-                });
-                for &m in &members {
-                    nodes[m].parent = Some(parent_idx);
-                }
-                next.push(parent_idx);
+                let stand_in = tree.nodes[members[0]].representative;
+                tree.nodes.push(CoordNode::internal(None, members, stand_in, level));
+                tree.refresh_node(parent_idx, dep);
+                current.push(parent_idx);
             }
-            current = next;
         }
-        let root = current[0];
-        Self { nodes, root, generation: 0 }
+        tree.root = current[0];
+        tree
     }
 
     /// The root coordinator's index.
@@ -222,34 +230,13 @@ impl CoordinatorTree {
         self.generation += 1;
         // New level-0 node.
         let leaf = self.nodes.len();
-        self.nodes.push(CoordNode {
-            parent: None,
-            children: Vec::new(),
-            representative: processor,
-            processors: vec![processor],
-            proc_set: HashSet::from([processor]),
-            capability,
-            level: 0,
-            active: true,
-        });
+        self.nodes.push(CoordNode::leaf(processor, capability));
         // Degenerate tree (single processor): create a level-1 root.
         if self.nodes[self.root].level == 0 {
             let old_root = self.root;
             let new_root = self.nodes.len();
-            let processors: Vec<NodeId> =
-                self.nodes[old_root].processors.iter().copied().chain([processor]).collect();
-            let proc_set = processors.iter().copied().collect();
-            let capability = self.nodes[old_root].capability + capability;
-            self.nodes.push(CoordNode {
-                parent: None,
-                children: vec![old_root, leaf],
-                representative: self.nodes[old_root].representative,
-                processors,
-                proc_set,
-                capability,
-                level: 1,
-                active: true,
-            });
+            let stand_in = self.nodes[old_root].representative;
+            self.nodes.push(CoordNode::internal(None, vec![old_root, leaf], stand_in, 1));
             self.nodes[old_root].parent = Some(new_root);
             self.nodes[leaf].parent = Some(new_root);
             self.root = new_root;
@@ -382,19 +369,11 @@ impl CoordinatorTree {
         let level = self.nodes[coord].level;
         let parent = self.nodes[coord].parent;
         let sibling = self.nodes.len();
-        self.nodes.push(CoordNode {
-            parent,
-            children: half2.clone(),
-            representative: self.nodes[s2].representative,
-            processors: Vec::new(),
-            proc_set: HashSet::new(),
-            capability: 0.0,
-            level,
-            active: true,
-        });
         for &m in &half2 {
             self.nodes[m].parent = Some(sibling);
         }
+        let stand_in = self.nodes[s2].representative;
+        self.nodes.push(CoordNode::internal(parent, half2, stand_in, level));
         self.nodes[coord].children = half1;
         match parent {
             Some(gp) => {
@@ -406,16 +385,13 @@ impl CoordinatorTree {
             None => {
                 // Splitting the root: grow the tree by one level.
                 let new_root = self.nodes.len();
-                self.nodes.push(CoordNode {
-                    parent: None,
-                    children: vec![coord, sibling],
-                    representative: self.nodes[coord].representative,
-                    processors: Vec::new(),
-                    proc_set: HashSet::new(),
-                    capability: 0.0,
-                    level: level + 1,
-                    active: true,
-                });
+                let stand_in = self.nodes[coord].representative;
+                self.nodes.push(CoordNode::internal(
+                    None,
+                    vec![coord, sibling],
+                    stand_in,
+                    level + 1,
+                ));
                 self.nodes[coord].parent = Some(new_root);
                 self.nodes[sibling].parent = Some(new_root);
                 self.root = new_root;
@@ -425,7 +401,8 @@ impl CoordinatorTree {
     }
 
     /// Recomputes processors / capability / representative of `coord` from
-    /// its children.
+    /// its children; the representative is the member with minimum total
+    /// latency to the rest (the paper's median; the first on a tie).
     fn refresh_node(&mut self, coord: usize, dep: &Deployment) {
         if self.nodes[coord].level == 0 {
             return;
@@ -558,23 +535,6 @@ fn cluster_level(
         }
     }
     clusters
-}
-
-/// The member with minimum total latency to the rest (the paper's median).
-fn median_of(nodes: &[CoordNode], members: &[usize], dep: &Deployment) -> usize {
-    let mut best = members[0];
-    let mut best_total = f64::INFINITY;
-    for &m in members {
-        let total: f64 = members
-            .iter()
-            .map(|&o| dep.distance(nodes[m].representative, nodes[o].representative))
-            .sum();
-        if total < best_total {
-            best_total = total;
-            best = m;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

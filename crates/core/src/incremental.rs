@@ -381,13 +381,9 @@ fn env_fp(d: &Distributor<'_>, config: &AdaptConfig, seed: u64) -> u64 {
     d.universe().hash(&mut h);
     let dc = &d.config;
     dc.vmax.hash(&mut h);
-    dc.full_pairwise_limit.hash(&mut h);
-    dc.candidates_per_substream.hash(&mut h);
-    dc.top_overlap_edges.hash(&mut h);
+    dc.alpha.to_bits().hash(&mut h);
     dc.overlap_edges.hash(&mut h);
     dc.per_level_alpha.hash(&mut h);
-    dc.map.alpha.to_bits().hash(&mut h);
-    dc.map.max_outer.hash(&mut h);
     config.x_fraction.to_bits().hash(&mut h);
     config.fill_fraction.to_bits().hash(&mut h);
     config.max_moves_factor.hash(&mut h);

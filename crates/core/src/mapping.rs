@@ -14,31 +14,8 @@
 
 use crate::graph::{target_loads, wec, NetworkGraph, QgVertex, QueryGraph};
 
-/// Tuning knobs for the mapping algorithm.
-#[derive(Debug, Clone, Copy)]
-pub struct MapConfig {
-    /// Allowed load imbalance (`α` in eqn 3.1). Paper: 0.1.
-    pub alpha: f64,
-    /// Safety cap on outer refinement iterations — and on the sweeps of the
-    /// query-level refinement that ends a distribution; `0` runs neither.
-    pub max_outer: usize,
-}
-
-impl Default for MapConfig {
-    fn default() -> Self {
-        Self { alpha: 0.1, max_outer: 16 }
-    }
-}
-
-impl MapConfig {
-    /// Checks every knob, naming the offending one on failure.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.alpha.is_finite() || self.alpha < 0.0 {
-            return Err(format!("map.alpha must be finite and non-negative, got {}", self.alpha));
-        }
-        Ok(())
-    }
-}
+/// Safety cap on the outer refinement iterations of [`refine`].
+const MAX_OUTER: usize = 16;
 
 /// Result of mapping a query graph onto a network graph.
 #[derive(Debug, Clone)]
@@ -63,9 +40,9 @@ impl MappingResult {
 /// Where an n-vertex must be pinned: its covering target, or its anchor.
 pub type PinOf<'a> = dyn Fn(&QgVertex) -> Option<usize> + 'a;
 
-/// Cost of placing vertex `v` on target `k`, counting only neighbors that
-/// already have an image.
-fn placement_cost(
+/// Cost of placing vertex `v` on target `k` (the WEC terms incident to
+/// `v`), counting only neighbors that already have an image.
+pub(crate) fn placement_cost(
     qg: &QueryGraph,
     ng: &NetworkGraph,
     mapping: &[usize],
@@ -100,29 +77,77 @@ pub(crate) fn admissible(
     }
 }
 
+/// Eqn 3.1's choice of a target for a vertex of weight `w`: the cheapest
+/// target that stays within its limit, else the one with the least
+/// violation, cost breaking ties (within 1e-12); the lower index wins an
+/// exact tie. `cost(k)` prices target `k`.
+///
+/// # Panics
+///
+/// Panics when there is no target.
+pub(crate) fn pick_target(
+    loads: &[f64],
+    limits: &[f64],
+    w: f64,
+    mut cost: impl FnMut(usize) -> f64,
+) -> usize {
+    let mut best_feasible: Option<(f64, usize)> = None;
+    let mut best_violation: Option<(f64, f64, usize)> = None;
+    for k in 0..loads.len() {
+        let cost = cost(k);
+        if loads[k] + w <= limits[k] + 1e-12 && best_feasible.is_none_or(|(c, _)| cost < c) {
+            best_feasible = Some((cost, k));
+        }
+        // Violations compare lexicographically; cost breaks ties.
+        let viol = loads[k] + w - limits[k];
+        if best_violation
+            .is_none_or(|(vv, vc, _)| viol < vv - 1e-12 || (viol < vv + 1e-12 && cost < vc))
+        {
+            best_violation = Some((viol, cost, k));
+        }
+    }
+    best_feasible
+        .map(|(_, k)| k)
+        .or(best_violation.map(|(_, _, k)| k))
+        .expect("at least one target exists")
+}
+
 /// Runs Algorithm 2: greedy initial mapping + iterative refinement.
 ///
 /// `pin` fixes n-vertices to network-graph indices (targets for covered
 /// nodes, anchors otherwise); it must return `Some` for every n-vertex and
-/// is ignored for q-vertices.
+/// is ignored for q-vertices. `alpha` is the allowed load imbalance (`α` in
+/// eqn 3.1; paper: 0.1).
 ///
 /// # Panics
 ///
 /// Panics if the network graph has no targets while the query graph has
 /// q-vertices, or if `pin` fails to pin an n-vertex.
-pub fn map_graph(
+pub fn map_graph(qg: &QueryGraph, ng: &NetworkGraph, pin: &PinOf, alpha: f64) -> MappingResult {
+    map(qg, ng, pin, alpha, true)
+}
+
+/// The greedy phase of Algorithm 2 alone (the Greedy baseline): as
+/// [`map_graph`] without the iterative refinement.
+pub fn map_greedy(qg: &QueryGraph, ng: &NetworkGraph, pin: &PinOf, alpha: f64) -> MappingResult {
+    map(qg, ng, pin, alpha, false)
+}
+
+/// Pins the n-vertices, places the q-vertices in descending weight order,
+/// each by [`pick_target`], and refines the outcome when asked to.
+fn map(
     qg: &QueryGraph,
     ng: &NetworkGraph,
     pin: &PinOf,
-    cfg: &MapConfig,
+    alpha: f64,
+    refined: bool,
 ) -> MappingResult {
     let n = qg.len();
     let k_targets = ng.target_count();
     let mut mapping = vec![usize::MAX; n];
-    let limits = ng.load_limits(qg.total_weight(), cfg.alpha);
+    let limits = ng.load_limits(qg.total_weight(), alpha);
     let mut loads = vec![0.0; k_targets];
 
-    // (a) Pin n-vertices.
     #[allow(clippy::needless_range_loop)]
     for i in 0..n {
         let v = &qg.vertices[i];
@@ -135,7 +160,6 @@ pub fn map_graph(
         }
     }
 
-    // (b) Greedy: q-vertices in descending weight order.
     let mut order: Vec<usize> = qg.query_vertices().collect();
     if !order.is_empty() {
         assert!(k_targets > 0, "cannot map q-vertices without targets");
@@ -149,47 +173,24 @@ pub fn map_graph(
     });
     for &v in &order {
         let w = qg.vertices[v].weight;
-        let mut best_feasible: Option<(f64, usize)> = None;
-        let mut best_violation: Option<(f64, f64, usize)> = None;
-        for k in 0..k_targets {
-            let cost = placement_cost(qg, ng, &mapping, v, k);
-            if loads[k] + w <= limits[k] + 1e-12
-                && best_feasible.is_none_or(|(c, bk)| cost < c || (cost == c && k < bk))
-            {
-                best_feasible = Some((cost, k));
-            }
-            // Violations compare lexicographically; WEC cost breaks ties.
-            let viol = loads[k] + w - limits[k];
-            if best_violation
-                .is_none_or(|(vv, vc, _)| viol < vv - 1e-12 || (viol < vv + 1e-12 && cost < vc))
-            {
-                best_violation = Some((viol, cost, k));
-            }
-        }
-        let k = best_feasible
-            .map(|(_, k)| k)
-            .or(best_violation.map(|(_, _, k)| k))
-            .expect("at least one target exists");
+        let k = pick_target(&loads, &limits, w, |k| placement_cost(qg, ng, &mapping, v, k));
         mapping[v] = k;
         loads[k] += w;
     }
-
-    // Refinement.
-    refine(qg, ng, &mut mapping, &mut loads, &limits, cfg);
-
-    let final_wec = wec(qg, ng, &mapping);
-    let final_loads = target_loads(qg, ng, &mapping);
-    MappingResult { mapping, wec: final_wec, loads: final_loads, limits }
+    if refined {
+        refine(qg, ng, &mut mapping, &mut loads, &limits);
+    }
+    let (wec, loads) = (wec(qg, ng, &mapping), target_loads(qg, ng, &mapping));
+    MappingResult { mapping, wec, loads, limits }
 }
 
 /// Iterative refinement (Algorithm 2, lines 2–20) on an existing mapping.
-pub fn refine(
+fn refine(
     qg: &QueryGraph,
     ng: &NetworkGraph,
     mapping: &mut Vec<usize>,
     loads: &mut Vec<f64>,
     limits: &[f64],
-    cfg: &MapConfig,
 ) {
     let n = qg.len();
     let k_targets = ng.target_count();
@@ -220,7 +221,7 @@ pub fn refine(
     let mut min_wec = current_wec;
     let mut min_mapping = mapping.clone();
 
-    for _outer in 0..cfg.max_outer {
+    for _outer in 0..MAX_OUTER {
         // Restore the best mapping seen so far.
         if *mapping != min_mapping {
             mapping.clone_from(&min_mapping);
@@ -420,10 +421,34 @@ mod tests {
         }
     }
 
+    /// The three regimes of eqn 3.1's rule, each target priced once.
+    #[test]
+    fn pick_target_prefers_feasible_then_least_violation_then_cost() {
+        let pick = |loads: &[f64], costs: &[f64]| {
+            let mut priced = Vec::new();
+            let k = pick_target(loads, &[1.0; 3], 1.0, |k| {
+                priced.push(k);
+                costs[k]
+            });
+            assert_eq!(priced, [0, 1, 2]);
+            k
+        };
+        // The cheapest target within its limit, not the cheapest overall.
+        assert_eq!(pick(&[0.0, 0.0, 0.0], &[3.0, 1.0, 2.0]), 1);
+        assert_eq!(pick(&[0.0, 0.5, 0.0], &[3.0, 1.0, 2.0]), 2);
+        // All over their limits: the least violation, whatever it costs.
+        assert_eq!(pick(&[2.0, 1.5, 3.0], &[0.0, 5.0, 0.0]), 1);
+        // Violations within 1e-12 of each other: cost decides, and the
+        // lower index wins an exact tie.
+        assert_eq!(pick(&[1.5, 1.5 + 4e-13, 1.5 - 4e-13], &[2.0, 1.0, 3.0]), 1);
+        assert_eq!(pick(&[1.5, 1.5, 1.5], &[2.0, 2.0, 2.0]), 0);
+        assert_eq!(pick(&[0.0, 0.0, 0.0], &[2.0, 2.0, 2.0]), 0);
+    }
+
     #[test]
     fn algorithm2_finds_sharing_aware_mapping() {
         let (qg, ng) = figure5(true);
-        let result = map_graph(&qg, &ng, &pin_fig5, &MapConfig::default());
+        let result = map_graph(&qg, &ng, &pin_fig5, 0.1);
         // Enumerate all 16 schemes for the true optimum among balanced ones.
         let mut best = f64::INFINITY;
         for a in 0..2 {
@@ -452,7 +477,7 @@ mod tests {
     #[test]
     fn pinned_vertices_stay_pinned() {
         let (qg, ng) = figure5(true);
-        let result = map_graph(&qg, &ng, &pin_fig5, &MapConfig::default());
+        let result = map_graph(&qg, &ng, &pin_fig5, 0.1);
         for i in 0..qg.len() {
             if qg.vertices[i].is_net() {
                 assert_eq!(result.mapping[i], pin_fig5(&qg.vertices[i]).unwrap());
@@ -493,7 +518,7 @@ mod tests {
             vec![],
             |_, _| 5.0,
         );
-        let result = map_graph(&qg, &ng, &|_| None, &MapConfig::default());
+        let result = map_graph(&qg, &ng, &|_| None, 0.1);
         // Without the constraint all four would co-locate (overlap edges);
         // the constraint forces a 2-2 split.
         assert!(result.is_balanced(1e-9), "loads {:?}", result.loads);
@@ -524,7 +549,7 @@ mod tests {
             vec![],
             |_, _| 1.0,
         );
-        let result = map_graph(&qg, &ng, &|_| None, &MapConfig::default());
+        let result = map_graph(&qg, &ng, &|_| None, 0.1);
         assert!(result.is_balanced(1e-9));
         // Limit for target 1: 1.1 * 1 * 6 / 3 = 2.2 → at most 2 queries.
         assert!(result.loads[1] <= 2.2 + 1e-9);
@@ -538,7 +563,7 @@ mod tests {
             vec![],
             |_, _| 0.0,
         );
-        let r = map_graph(&qg, &ng, &|_| None, &MapConfig::default());
+        let r = map_graph(&qg, &ng, &|_| None, 0.1);
         assert_eq!(r.mapping.len(), 0);
         assert_eq!(r.wec, 0.0);
     }
@@ -584,7 +609,7 @@ mod tests {
             let ng = NetworkGraph::build(targets, vec![], |a, b| {
                 ((a.0 as f64) - (b.0 as f64)).abs() * 3.0 + 1.0
             });
-            let result = map_graph(&qg, &ng, &|_| None, &MapConfig::default());
+            let result = map_graph(&qg, &ng, &|_| None, 0.1);
             // Recompute WEC from scratch: must agree with the reported one.
             let fresh = wec(&qg, &ng, &result.mapping);
             prop_assert!((fresh - result.wec).abs() < 1e-6);

@@ -15,6 +15,7 @@
 //! coarsening (Figure 9's trade-off).
 
 use crate::hierarchy::CoordinatorTree;
+use crate::mapping::pick_target;
 use crate::spec::{Assignment, QuerySpec};
 use cosmos_net::{Deployment, NodeId};
 use cosmos_pubsub::SubstreamTable;
@@ -178,13 +179,15 @@ impl<'a> OnlineRouter<'a> {
         let overlaps: Vec<f64> = (0..n).map(|i| state.affinity(i, &spec.interest, rates)).collect();
 
         let total_cap: f64 = node.children.iter().map(|&c| self.tree.node(c).capability).sum();
-        let new_total = self.total_load + spec.load;
-
-        let mut best_feasible: Option<(f64, usize)> = None;
-        let mut best_violation: Option<(f64, f64, usize)> = None;
-        for i in 0..n {
-            let child = self.tree.node(node.children[i]);
-            let rep = child.representative;
+        // Load constraint against this subtree's share of the total.
+        let subtree_load: f64 = node.children.iter().map(|&c| self.subtree_load(c)).sum();
+        let share = (self.total_load + spec.load).min(subtree_load + spec.load); // local view
+        let limit = |&c: &usize| {
+            (1.0 + self.alpha) * self.tree.node(c).capability * share / total_cap.max(1e-12)
+        };
+        let limits: Vec<f64> = node.children.iter().map(limit).collect();
+        pick_target(&state.child_load, &limits, spec.load, |i| {
+            let rep = self.tree.node(node.children[i]).representative;
             // WEC delta: *marginal* source edges (substreams the child's
             // subtree already receives are free under the Pub/Sub) + proxy
             // edge + overlap edges to the other children's aggregates.
@@ -202,27 +205,8 @@ impl<'a> OnlineRouter<'a> {
                     cost += ov * self.dep.distance(rep, other);
                 }
             }
-            // Load constraint against this subtree's share of the total.
-            let subtree_load: f64 = node.children.iter().map(|&c| self.subtree_load(c)).sum();
-            let share = new_total.min(subtree_load + spec.load); // local view
-            let limit = (1.0 + self.alpha) * child.capability * share / total_cap.max(1e-12);
-            let load = state.child_load[i] + spec.load;
-            if load <= limit + 1e-12 && best_feasible.is_none_or(|(c, _)| cost < c) {
-                best_feasible = Some((cost, i));
-            }
-            // Violations compare lexicographically: least violation first,
-            // WEC cost as the tie-breaker.
-            let violation = load - limit;
-            if best_violation.is_none_or(|(v, c, _)| {
-                violation < v - 1e-12 || (violation < v + 1e-12 && cost < c)
-            }) {
-                best_violation = Some((violation, cost, i));
-            }
-        }
-        best_feasible
-            .map(|(_, i)| i)
-            .or(best_violation.map(|(_, _, i)| i))
-            .expect("coordinator has children")
+            cost
+        })
     }
 
     fn subtree_load(&self, coord: usize) -> f64 {

@@ -7,8 +7,8 @@
 //! connected to, where results must be delivered), its result rate, and the
 //! size of its operator state (which prices migration — §3.7).
 
-use cosmos_net::NodeId;
-use cosmos_pubsub::QueryTraffic;
+use cosmos_net::{Deployment, NodeId};
+use cosmos_pubsub::{QueryTraffic, SubstreamTable, TrafficModel};
 use cosmos_query::QueryId;
 use cosmos_util::InterestSet;
 use std::collections::HashMap;
@@ -144,6 +144,25 @@ impl FromIterator<(QueryId, NodeId)> for Assignment {
     fn from_iter<T: IntoIterator<Item = (QueryId, NodeId)>>(iter: T) -> Self {
         Self { map: iter.into_iter().collect() }
     }
+}
+
+/// The paper's *modelled* weighted communication cost of an assignment,
+/// from nothing, as its `(source, result)` parts: multicast delivery of
+/// each substream to the processors hosting a query that reads it, and
+/// unicast of each placed query's result stream to its proxy
+/// ([`TrafficModel`]). The total is their sum.
+pub fn modelled_cost(
+    dep: &Deployment,
+    table: &SubstreamTable,
+    specs: &[QuerySpec],
+    assignment: &Assignment,
+) -> (f64, f64) {
+    let model = TrafficModel::new(dep, table);
+    let interests = assignment.interests(specs, dep.processors(), table.len());
+    let flows = specs
+        .iter()
+        .filter_map(|q| assignment.processor_of(q.id).map(|p| (p, q.proxy, q.result_rate)));
+    (model.source_delivery_cost(&interests), model.result_unicast_cost(flows))
 }
 
 #[cfg(test)]

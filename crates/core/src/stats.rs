@@ -5,16 +5,12 @@
 //! substream. In addition, each processor periodically collects the average
 //! CPU time that each of its running queries consumes per unit time."
 //!
-//! In the simulation, the ground truth lives in the
-//! [`cosmos_pubsub::SubstreamTable`]; [`StatisticsView`] models what the
-//! optimizer *believes*: a possibly stale or perturbed copy that is
-//! refreshed on a reporting period. Figure 7's "inaccurate statistics"
-//! scenarios are built from exactly this gap.
+//! In the simulation the ground truth lives in the
+//! [`cosmos_pubsub::SubstreamTable`] and in each
+//! [`QuerySpec`](crate::spec::QuerySpec); what travels between rounds is
+//! the [`StatDelta`] stream below.
 
-use cosmos_pubsub::SubstreamTable;
 use cosmos_query::QueryId;
-use cosmos_util::rng::rng_for;
-use rand::Rng;
 
 /// One unit of statistics change, as reported between adaptation rounds —
 /// the delta stream the incremental optimizer
@@ -50,132 +46,4 @@ pub enum StatDelta {
     ProcessorJoined,
     /// A processor left the hierarchy.
     ProcessorLeft,
-}
-
-/// The optimizer's view of substream rates and query loads — possibly out
-/// of date with respect to ground truth.
-#[derive(Debug, Clone)]
-pub struct StatisticsView {
-    rates: Vec<f64>,
-    /// How many refreshes have been applied.
-    version: u64,
-}
-
-impl StatisticsView {
-    /// A view initialized from ground truth (accurate a-priori statistics).
-    pub fn accurate(table: &SubstreamTable) -> Self {
-        Self { rates: table.rates().to_vec(), version: 0 }
-    }
-
-    /// A view with rates perturbed by a multiplicative noise factor in
-    /// `[1/(1+noise), 1+noise]` — inaccurate a-priori statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `noise` is negative.
-    pub fn inaccurate(table: &SubstreamTable, noise: f64, seed: u64) -> Self {
-        assert!(noise >= 0.0, "noise must be non-negative");
-        let mut rng = rng_for(seed, "stats-noise");
-        let rates = table
-            .rates()
-            .iter()
-            .map(|&r| {
-                let f = rng.gen_range(1.0..=1.0 + noise);
-                if rng.gen_bool(0.5) {
-                    r * f
-                } else {
-                    r / f
-                }
-            })
-            .collect();
-        Self { rates, version: 0 }
-    }
-
-    /// The believed rates.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    /// Number of refreshes applied so far.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// A periodic statistics report: adopt the current ground truth.
-    pub fn refresh(&mut self, table: &SubstreamTable) {
-        self.rates.clear();
-        self.rates.extend_from_slice(table.rates());
-        self.version += 1;
-    }
-
-    /// Mean relative error against ground truth (diagnostic).
-    pub fn relative_error(&self, table: &SubstreamTable) -> f64 {
-        let truth = table.rates();
-        if truth.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self
-            .rates
-            .iter()
-            .zip(truth)
-            .map(|(&b, &t)| if t.abs() < 1e-12 { 0.0 } else { (b - t).abs() / t })
-            .sum();
-        total / truth.len() as f64
-    }
-}
-
-/// Estimates a query's load from its input rate — the paper sets query
-/// workload "proportional to their input stream rates" (§4.1).
-pub fn estimate_load(input_rate: f64, load_per_byte: f64) -> f64 {
-    input_rate * load_per_byte
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn table() -> SubstreamTable {
-        SubstreamTable::random(100, 4, 1.0, 10.0, 7)
-    }
-
-    #[test]
-    fn accurate_view_has_zero_error() {
-        let t = table();
-        let v = StatisticsView::accurate(&t);
-        assert_eq!(v.relative_error(&t), 0.0);
-        assert_eq!(v.rates(), t.rates());
-    }
-
-    #[test]
-    fn inaccurate_view_has_positive_error() {
-        let t = table();
-        let v = StatisticsView::inaccurate(&t, 1.0, 3);
-        assert!(v.relative_error(&t) > 0.05, "error {}", v.relative_error(&t));
-    }
-
-    #[test]
-    fn refresh_restores_accuracy() {
-        let t = table();
-        let mut v = StatisticsView::inaccurate(&t, 2.0, 4);
-        assert!(v.relative_error(&t) > 0.0);
-        v.refresh(&t);
-        assert_eq!(v.relative_error(&t), 0.0);
-        assert_eq!(v.version(), 1);
-    }
-
-    #[test]
-    fn refresh_tracks_rate_changes() {
-        let mut t = table();
-        let mut v = StatisticsView::accurate(&t);
-        t.scale_rate(0, 10.0);
-        assert!(v.relative_error(&t) > 0.0);
-        v.refresh(&t);
-        assert_eq!(v.relative_error(&t), 0.0);
-    }
-
-    #[test]
-    fn load_estimation_is_linear() {
-        assert_eq!(estimate_load(100.0, 0.01), 1.0);
-        assert_eq!(estimate_load(0.0, 0.01), 0.0);
-    }
 }

@@ -17,25 +17,10 @@
 use cosmos_baselines::{naive_assignment, random_assignment};
 use cosmos_core::distribute::Distributor;
 use cosmos_core::hierarchy::CoordinatorTree;
-use cosmos_core::spec::{Assignment, QuerySpec};
-use cosmos_net::Deployment;
-use cosmos_pubsub::{SubstreamTable, TrafficModel};
+use cosmos_core::spec::{modelled_cost, Assignment, QuerySpec};
 use cosmos_util::rng::derive_seed;
 use cosmos_workload::sensors::SensorScenario;
 use cosmos_workload::{PaperParams, Simulation};
-
-fn modelled_cost(
-    dep: &Deployment,
-    table: &SubstreamTable,
-    specs: &[QuerySpec],
-    a: &Assignment,
-) -> f64 {
-    let model = TrafficModel::new(dep, table);
-    let interests = a.interests(specs, dep.processors(), table.len());
-    let flows =
-        specs.iter().map(|q| (a.processor_of(q.id).expect("placed"), q.proxy, q.result_rate));
-    model.source_delivery_cost(&interests) + model.result_unicast_cost(flows)
-}
 
 #[test]
 fn sensor_population_beats_random_and_stays_near_its_proxies() {
@@ -50,7 +35,10 @@ fn sensor_population_beats_random_and_stays_near_its_proxies() {
     let tree = CoordinatorTree::build(dep, 2);
     let placed = Distributor::new(dep, &tree, table).distribute(&specs, SEED + 2).assignment;
 
-    let cost = |a: &Assignment| modelled_cost(dep, table, &specs, a);
+    let cost = |a: &Assignment| {
+        let (source, result) = modelled_cost(dep, table, &specs, a);
+        source + result
+    };
     let (hier, naive, random) = (
         cost(&placed),
         cost(&naive_assignment(&specs)),

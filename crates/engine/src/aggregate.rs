@@ -104,11 +104,6 @@ impl AggregateQuery {
         (self.emitted, self.filtered)
     }
 
-    /// Number of tuples currently in the window.
-    pub fn window_len(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Checkpoint extraction: window contents + counters. The compiled
     /// shape (stream, selections, aggs, schemas) is rebuilt from the source
     /// query at restore, so only mutable state travels.

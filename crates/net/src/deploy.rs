@@ -7,9 +7,10 @@
 //! (GT-ITM semantics: end systems live in stubs; transit nodes are carriers).
 
 use crate::graph::{NodeId, Topology};
-use crate::routing::{DistanceMatrix, SptForest};
+use crate::routing::{DistanceMatrix, ShortestPathTree, SptForest};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// The role a physical node plays in the deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,9 +28,8 @@ pub enum Role {
 ///
 /// Owns:
 /// - a shortest-path tree per source (for Pub/Sub multicast cost),
-/// - a shortest-path tree per processor (for result-stream delivery cost),
-/// - an endpoint distance matrix over sources ∪ processors (for WEC and
-///   coordinator clustering).
+/// - an endpoint distance matrix over sources ∪ processors (for WEC,
+///   result-stream unicast cost and coordinator clustering).
 #[derive(Debug, Clone)]
 pub struct Deployment {
     topology: Topology,
@@ -37,7 +37,6 @@ pub struct Deployment {
     processors: Vec<NodeId>,
     roles: Vec<Role>,
     source_trees: SptForest,
-    processor_trees: SptForest,
     distances: DistanceMatrix,
 }
 
@@ -89,11 +88,15 @@ impl Deployment {
             assert!(roles[p.index()] != Role::Source, "{p} cannot be both source and processor");
             roles[p.index()] = Role::Processor;
         }
+        // One Dijkstra per endpoint: the sources' trees are kept and lend
+        // their matrix rows, a processor's tree lives for its row alone.
         let source_trees = SptForest::compute(&topology, &sources);
-        let processor_trees = SptForest::compute(&topology, &processors);
         let endpoints: Vec<NodeId> = sources.iter().chain(processors.iter()).copied().collect();
-        let distances = DistanceMatrix::compute(&topology, &endpoints);
-        Self { topology, sources, processors, roles, source_trees, processor_trees, distances }
+        let per_processor =
+            processors.iter().map(|&p| Cow::Owned(ShortestPathTree::compute(&topology, p)));
+        let trees = source_trees.iter().map(Cow::Borrowed).chain(per_processor);
+        let distances = DistanceMatrix::from_trees(n, &endpoints, trees);
+        Self { topology, sources, processors, roles, source_trees, distances }
     }
 
     /// The underlying physical topology.
@@ -121,19 +124,8 @@ impl Deployment {
     /// # Panics
     ///
     /// Panics if `source` is not a source node.
-    pub fn source_tree(&self, source: NodeId) -> &crate::routing::ShortestPathTree {
+    pub fn source_tree(&self, source: NodeId) -> &ShortestPathTree {
         self.source_trees.tree(source).unwrap_or_else(|| panic!("{source} is not a source"))
-    }
-
-    /// Shortest-path tree rooted at a processor (for result delivery).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `processor` is not a processor node.
-    pub fn processor_tree(&self, processor: NodeId) -> &crate::routing::ShortestPathTree {
-        self.processor_trees
-            .tree(processor)
-            .unwrap_or_else(|| panic!("{processor} is not a processor"))
     }
 
     /// Endpoint-to-endpoint latency (`d(ni, nj)` in the paper), defined for
@@ -193,8 +185,25 @@ mod tests {
         for &s in dep.sources() {
             assert_eq!(dep.source_tree(s).root(), s);
         }
-        for &p in dep.processors() {
-            assert_eq!(dep.processor_tree(p).root(), p);
+    }
+
+    /// The matrix rows come off the source forest and off processor trees
+    /// dropped row by row: every entry is still, to the bit, the distance
+    /// in its endpoint's own tree.
+    #[test]
+    fn every_distance_is_its_endpoints_tree_distance() {
+        for seed in [3, 11] {
+            let dep = small_deployment(seed);
+            let endpoints: Vec<NodeId> =
+                dep.sources().iter().chain(dep.processors()).copied().collect();
+            assert_eq!(dep.distances().endpoints(), endpoints);
+            for &a in &endpoints {
+                let tree = ShortestPathTree::compute(dep.topology(), a);
+                for &b in &endpoints {
+                    let expect = tree.distance(b).unwrap_or(f64::INFINITY);
+                    assert_eq!(dep.distance(a, b).to_bits(), expect.to_bits(), "d({a}, {b})");
+                }
+            }
         }
     }
 

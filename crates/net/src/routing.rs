@@ -9,6 +9,7 @@
 //! `r × Σ_{e ∈ union of paths} latency(e)`.
 
 use crate::graph::{NodeId, Topology};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -315,14 +316,25 @@ pub struct DistanceMatrix {
 impl DistanceMatrix {
     /// Runs one Dijkstra per endpoint and keeps endpoint-to-endpoint rows.
     pub fn compute(topo: &Topology, endpoints: &[NodeId]) -> Self {
+        let trees = endpoints.iter().map(|&e| Cow::Owned(ShortestPathTree::compute(topo, e)));
+        Self::from_trees(topo.node_count(), endpoints, trees)
+    }
+
+    /// Reads the rows off `trees`, one per endpoint in row order, each
+    /// needed only while its row is filled.
+    pub(crate) fn from_trees<'t>(
+        node_count: usize,
+        endpoints: &[NodeId],
+        trees: impl Iterator<Item = Cow<'t, ShortestPathTree>>,
+    ) -> Self {
         let m = endpoints.len();
-        let mut position = vec![None; topo.node_count()];
+        let mut position = vec![None; node_count];
         for (i, &e) in endpoints.iter().enumerate() {
             position[e.index()] = Some(i);
         }
         let mut dist = vec![f64::INFINITY; m * m];
-        for (i, &e) in endpoints.iter().enumerate() {
-            let spt = ShortestPathTree::compute(topo, e);
+        for (i, spt) in trees.enumerate() {
+            assert_eq!(spt.root(), endpoints[i], "row {i} needs its endpoint's tree");
             for (j, &f) in endpoints.iter().enumerate() {
                 dist[i * m + j] = spt.distance(f).unwrap_or(f64::INFINITY);
             }
@@ -343,11 +355,6 @@ impl DistanceMatrix {
     pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
         let i = self.position[a.index()].unwrap_or_else(|| panic!("{a} is not an endpoint"));
         let j = self.position[b.index()].unwrap_or_else(|| panic!("{b} is not an endpoint"));
-        self.dist[i * self.endpoints.len() + j]
-    }
-
-    /// Distance by endpoint row/col index (avoids the node-id lookup).
-    pub fn distance_by_index(&self, i: usize, j: usize) -> f64 {
         self.dist[i * self.endpoints.len() + j]
     }
 

@@ -263,11 +263,6 @@ impl TransitStubConfig {
         topo
     }
 
-    /// Node ids of the transit (core) nodes in a generated topology.
-    pub fn transit_nodes(&self) -> Vec<NodeId> {
-        (0..(self.transit_domains * self.transit_nodes_per_domain) as u32).map(NodeId).collect()
-    }
-
     /// Node ids of the stub nodes in a generated topology.
     pub fn stub_nodes(&self) -> Vec<NodeId> {
         let n_transit = (self.transit_domains * self.transit_nodes_per_domain) as u32;

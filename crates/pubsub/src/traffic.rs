@@ -9,9 +9,8 @@
 //! - **Source-side**: each substream is multicast from its source to every
 //!   processor hosting at least one interested query, along the source's
 //!   shortest-path tree, each link charged once (the sharing a CBN buys).
-//! - **Result-side**: each query's (or merged query group's) result stream
-//!   flows from its processor to the subscribing proxies; overlapping
-//!   destinations share tree links the same way.
+//! - **Result-side**: each query's result stream is unicast from its
+//!   processor to its proxy.
 //!
 //! The paper subtracts the (distribution-invariant) final hop from proxy to
 //! local user; we follow by simply not charging it.
@@ -173,13 +172,6 @@ impl<'a> TrafficModel<'a> {
         I: IntoIterator<Item = (NodeId, NodeId, f64)>,
     {
         flows.into_iter().map(|(from, to, rate)| self.result_flow_cost(from, to, rate)).sum()
-    }
-
-    /// Cost of multicasting one shared result stream from a processor to a
-    /// set of proxies (Figure 4(b)'s shared delivery).
-    pub fn result_multicast_cost(&self, from: NodeId, proxies: &[NodeId], rate: f64) -> f64 {
-        let tree = self.dep.processor_tree(from);
-        rate * tree.multicast_tree_latency(proxies)
     }
 }
 
@@ -346,26 +338,6 @@ mod tests {
             (NodeId(4), NodeId(4), 7.0), // local: free
         ]);
         assert_eq!(cost, 6.0);
-    }
-
-    #[test]
-    fn result_multicast_shares_links() {
-        // Star: processor 0 center; proxies 2 and 4 behind shared node.
-        let mut t = Topology::new(5);
-        t.add_edge(NodeId(0), NodeId(1), 5.0);
-        t.add_edge(NodeId(1), NodeId(2), 1.0);
-        t.add_edge(NodeId(1), NodeId(4), 1.0);
-        t.add_edge(NodeId(0), NodeId(3), 1.0);
-        let dep = Deployment::with_roles(t, vec![NodeId(3)], vec![NodeId(0), NodeId(2), NodeId(4)]);
-        let table = SubstreamTable::from_parts(vec![0], vec![1.0]);
-        let model = TrafficModel::new(&dep, &table);
-        let shared = model.result_multicast_cost(NodeId(0), &[NodeId(2), NodeId(4)], 2.0);
-        // Union tree: 5 + 1 + 1 = 7 latency, times rate 2.
-        assert_eq!(shared, 14.0);
-        let unshared =
-            model.result_unicast_cost([(NodeId(0), NodeId(2), 2.0), (NodeId(0), NodeId(4), 2.0)]);
-        assert_eq!(unshared, 24.0);
-        assert!(shared < unshared);
     }
 
     #[test]

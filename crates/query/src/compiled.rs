@@ -14,7 +14,7 @@
 //! semantic reference the compiled path is tested against.
 
 use crate::ast::{AttrRef, CmpOp, Predicate, Scalar};
-use cosmos_util::intern::{sym_timestamp, Symbol};
+use cosmos_util::intern::Symbol;
 
 /// A borrowed view of a [`Scalar`] — `Copy`, so predicate evaluation never
 /// clones a `String`.
@@ -256,11 +256,6 @@ impl CompiledPredicate {
         };
         Some(IndexableCmp { operand, op: *op, threshold })
     }
-}
-
-/// The timestamp pseudo-attribute symbol (re-exported for tuple sources).
-pub fn timestamp_symbol() -> Symbol {
-    sym_timestamp()
 }
 
 #[cfg(test)]

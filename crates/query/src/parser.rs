@@ -355,7 +355,12 @@ impl Parser {
             "day" | "days" => 86_400_000,
             other => return Err(self.error(format!("unknown time unit {other:?}"))),
         };
-        Ok(Window::Range(n * ms))
+        // The engine compares widths with `i64` event times.
+        let width = n
+            .checked_mul(ms)
+            .filter(|&w| i64::try_from(w).is_ok())
+            .ok_or_else(|| self.error(format!("window length {n} {unit} exceeds i64 ms")))?;
+        Ok(Window::Range(width))
     }
 
     fn parse_conjunction(&mut self, rels: &[RelationRef]) -> Result<Vec<Predicate>, ParseError> {
@@ -598,6 +603,30 @@ mod tests {
     }
 
     #[test]
+    fn window_length_overflowing_u64_ms_is_an_error() {
+        for src in [
+            "SELECT * FROM R [Range 18446744073709551615 Days]",
+            "SELECT * FROM R [Range 18446744073709552 Seconds]",
+        ] {
+            let err = parse_query(src).unwrap_err();
+            assert!(err.message.contains("exceeds i64 ms"), "{src}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn window_length_over_i64_max_ms_is_an_error() {
+        // Fits `u64`, but the engine would read it as a negative width.
+        for src in [
+            "SELECT * FROM R [Range 9223372036854775808 Milliseconds]",
+            "SELECT * FROM R [Range 106751991168 Days]",
+            "SELECT * FROM R [Range 18446744073709551615 ms]",
+        ] {
+            let err = parse_query(src).unwrap_err();
+            assert!(err.message.contains("exceeds i64 ms"), "{src}: {}", err.message);
+        }
+    }
+
+    #[test]
     fn error_cases_report_offsets() {
         for src in [
             "FROM R",
@@ -634,6 +663,38 @@ mod tests {
             let q1 = parse_query(src).unwrap();
             let q2 = parse_query(&q1.to_string()).unwrap();
             assert_eq!(q1, q2, "round-trip failed for {src}");
+        }
+    }
+
+    proptest::proptest! {
+        /// A window length near either bound — `i64::MAX` ms, where the
+        /// engine's event-time arithmetic ends, and `u64::MAX` ms, where
+        /// the multiplication overflows — round-trips through `Display`
+        /// when it fits and is a `ParseError` when not: never a panic,
+        /// never a wrapped width.
+        #[test]
+        fn prop_window_lengths_near_the_bounds_round_trip_or_are_rejected(
+            unit in proptest::sample::select(vec![
+                ("Milliseconds", 1u64),
+                ("Seconds", 1000),
+                ("Minutes", 60_000),
+                ("Hours", 3_600_000),
+                ("Days", 86_400_000),
+            ]),
+            bound in proptest::sample::select(vec![i64::MAX as u64, u64::MAX]),
+            offset in 0u64..8,
+        ) {
+            let (name, ms) = unit;
+            let n = (bound / ms - 3).saturating_add(offset);
+            let parsed = parse_query(&format!("SELECT * FROM R [Range {n} {name}]"));
+            match n.checked_mul(ms).filter(|&w| w <= i64::MAX as u64) {
+                Some(width) => {
+                    let q = parsed.expect("a width up to i64::MAX ms parses");
+                    proptest::prop_assert_eq!(&q.relations[0].window, &Window::Range(width));
+                    proptest::prop_assert_eq!(parse_query(&q.to_string()), Ok(q));
+                }
+                None => proptest::prop_assert!(parsed.is_err(), "{n} {name} parsed: {parsed:?}"),
+            }
         }
     }
 

@@ -147,11 +147,6 @@ impl Record {
         &self.payload
     }
 
-    /// The shared payload handle (a clone is a refcount bump).
-    pub fn shared_payload(&self) -> Arc<[Scalar]> {
-        Arc::clone(&self.payload)
-    }
-
     /// The same payload under a different schema — pure schema rewriting
     /// (e.g. alias renaming) shares the scalars untouched.
     ///

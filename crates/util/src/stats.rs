@@ -66,15 +66,6 @@ impl Summary {
         self.population_variance().sqrt()
     }
 
-    /// Sample variance (divides by `n - 1`; 0 when `n < 2`).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Smallest observation (+inf when empty).
     pub fn min(&self) -> f64 {
         self.min

@@ -16,10 +16,10 @@ use cosmos_core::distribute::{DistConfig, Distributor};
 use cosmos_core::hierarchy::CoordinatorTree;
 use cosmos_core::incremental::IncrementalOptimizer;
 use cosmos_core::online::OnlineRouter;
-use cosmos_core::spec::{Assignment, QuerySpec};
+use cosmos_core::spec::{modelled_cost, Assignment, QuerySpec};
 use cosmos_core::stats::StatDelta;
 use cosmos_net::{Deployment, NodeId};
-use cosmos_pubsub::{LossyNetwork, Message, RecoveryNetwork, SubstreamTable, TrafficModel};
+use cosmos_pubsub::{LossyNetwork, Message, RecoveryNetwork, SubstreamTable};
 use cosmos_query::{Query, QueryId};
 use cosmos_util::rng::rng_for;
 use cosmos_util::stats::stddev;
@@ -260,8 +260,7 @@ impl Simulation {
 
     /// A distributor over the current state (borrow-scoped helper).
     pub fn distributor(&self) -> Distributor<'_> {
-        let mut config = DistConfig::default();
-        config.map.alpha = self.params.alpha;
+        let config = DistConfig { alpha: self.params.alpha, ..DistConfig::default() };
         Distributor::with_config(&self.dep, &self.tree, &self.table, config)
     }
 
@@ -357,52 +356,13 @@ impl Simulation {
     /// multicast delivery (shared links charged once) plus result-stream
     /// unicast back to the proxies.
     pub fn comm_cost_of(&self, assignment: &Assignment) -> f64 {
-        let model = TrafficModel::new(&self.dep, &self.table);
-        let interests = assignment.interests(&self.specs, self.dep.processors(), self.table.len());
-        let flows = self
-            .specs
-            .iter()
-            .filter_map(|q| assignment.processor_of(q.id).map(|p| (p, q.proxy, q.result_rate)));
-        model.source_delivery_cost(&interests) + model.result_unicast_cost(flows)
+        let (source, result) = modelled_cost(&self.dep, &self.table, &self.specs, assignment);
+        source + result
     }
 
     /// Measured communication cost of the current assignment.
     pub fn comm_cost(&self) -> f64 {
         self.comm_cost_of(&self.assignment)
-    }
-
-    /// Communication cost with §2.1 result-stream sharing: queries hosted
-    /// on the same processor with identical data interests (the abstract
-    /// analogue of mergeable queries) share one result stream, multicast to
-    /// their proxies along shared tree links (Figure 4(b)); everything else
-    /// is unicast as in [`Simulation::comm_cost_of`].
-    pub fn comm_cost_with_result_sharing(&self, assignment: &Assignment) -> f64 {
-        use std::collections::HashMap;
-        let model = TrafficModel::new(&self.dep, &self.table);
-        let interests = assignment.interests(&self.specs, self.dep.processors(), self.table.len());
-        let mut cost = model.source_delivery_cost(&interests);
-        // Group result flows by (processor, interest signature).
-        let mut groups: HashMap<(cosmos_net::NodeId, &cosmos_util::InterestSet), Vec<&QuerySpec>> =
-            HashMap::new();
-        for q in &self.specs {
-            if let Some(p) = assignment.processor_of(q.id) {
-                groups.entry((p, &q.interest)).or_default().push(q);
-            }
-        }
-        for ((proc, _), members) in groups {
-            if members.len() == 1 {
-                let q = members[0];
-                cost += model.result_unicast_cost([(proc, q.proxy, q.result_rate)]);
-            } else {
-                // One shared stream at the maximum member rate, multicast to
-                // every member's proxy; the splitting happens at the proxies
-                // via residual subscriptions.
-                let rate = members.iter().map(|q| q.result_rate).fold(0.0, f64::max);
-                let proxies: Vec<cosmos_net::NodeId> = members.iter().map(|q| q.proxy).collect();
-                cost += model.result_multicast_cost(proc, &proxies, rate);
-            }
-        }
-        cost
     }
 
     /// Per-processor loads of the current assignment.
@@ -413,11 +373,6 @@ impl Simulation {
     /// Standard deviation of processor loads (Figures 7b/8b/10b).
     pub fn load_stddev(&self) -> f64 {
         stddev(&self.loads())
-    }
-
-    /// Standard deviation of loads under another assignment.
-    pub fn load_stddev_of(&self, assignment: &Assignment) -> f64 {
-        stddev(&assignment.loads(&self.specs, self.dep.processors()))
     }
 }
 
@@ -460,20 +415,11 @@ mod tests {
         // full Figure 6(a) ordering is exercised at bench scale.
         assert!(c_opt <= c_naive * 1.25, "optimized {c_opt} vs naive {c_naive}");
         // The sharing claim proper: source-side delivery must be cheaper.
-        let model = TrafficModel::new(&s.dep, &s.table);
-        let src_opt = model.source_delivery_cost(&s.assignment.interests(
-            &s.specs,
-            s.dep.processors(),
-            s.table.len(),
-        ));
-        let src_naive = model.source_delivery_cost(&naive.interests(
-            &s.specs,
-            s.dep.processors(),
-            s.table.len(),
-        ));
+        let source_of = |a: &Assignment| modelled_cost(&s.dep, &s.table, &s.specs, a).0;
+        let (src_opt, src_naive) = (source_of(&s.assignment), source_of(&naive));
         assert!(src_opt < src_naive, "source delivery {src_opt} vs naive {src_naive}");
         // And load balance must be far better than naive's.
-        assert!(s.load_stddev() < s.load_stddev_of(&naive));
+        assert!(s.load_stddev() < stddev(&naive.loads(&s.specs, s.dep.processors())));
     }
 
     #[test]
@@ -520,35 +466,6 @@ mod tests {
         let after_load: f64 = s.specs.iter().map(|q| q.load).sum();
         assert!(after_cost > before_cost, "rate increase must raise cost");
         assert!(after_load > before_load, "loads must track rates");
-    }
-
-    #[test]
-    fn result_sharing_never_costs_more() {
-        let mut s = sim();
-        // Clone a few queries so identical-interest groups exist.
-        let clones: Vec<_> = s
-            .specs
-            .iter()
-            .take(10)
-            .map(|q| {
-                let mut c = q.clone();
-                c.id = cosmos_query::QueryId(10_000 + q.id.0);
-                c.proxy = s.dep.processors()[(q.id.0 as usize + 3) % 8];
-                c
-            })
-            .collect();
-        for c in &clones {
-            let host = s.assignment.processor_of(cosmos_query::QueryId(c.id.0 - 10_000));
-            s.assignment.place(c.id, host.unwrap());
-        }
-        s.specs.extend(clones);
-        let unshared = s.comm_cost();
-        let shared = s.comm_cost_with_result_sharing(&s.assignment.clone());
-        assert!(
-            shared <= unshared + 1e-6,
-            "sharing must not increase cost: {shared} vs {unshared}"
-        );
-        assert!(shared > 0.0);
     }
 
     #[test]

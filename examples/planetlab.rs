@@ -13,9 +13,8 @@
 use cosmos::baselines::opplace::{OperatorGraph, OperatorPlacement, RateModel};
 use cosmos::core::distribute::Distributor;
 use cosmos::core::hierarchy::CoordinatorTree;
-use cosmos::core::spec::QuerySpec;
+use cosmos::core::spec::{modelled_cost, QuerySpec};
 use cosmos::engine::StreamEngine;
-use cosmos::pubsub::TrafficModel;
 use cosmos::workload::sensors::SensorScenario;
 use std::time::Instant;
 
@@ -58,13 +57,8 @@ fn main() {
     let d = Distributor::new(&scenario.dep, &tree, &scenario.table);
     let out = d.distribute(&specs, 3);
     let cosmos_time = t1.elapsed();
-    let model = TrafficModel::new(&scenario.dep, &scenario.table);
-    let interests =
-        out.assignment.interests(&specs, scenario.dep.processors(), scenario.table.len());
-    let flows = specs
-        .iter()
-        .filter_map(|q| out.assignment.processor_of(q.id).map(|p| (p, q.proxy, q.result_rate)));
-    let cosmos_cost = model.source_delivery_cost(&interests) + model.result_unicast_cost(flows);
+    let (source, result) = modelled_cost(&scenario.dep, &scenario.table, &specs, &out.assignment);
+    let cosmos_cost = source + result;
     println!("COSMOS: cost {cosmos_cost:.0}, optimizer time {cosmos_time:?}");
     println!("  cost ratio opplace/COSMOS: {:.2}", placed.cost / cosmos_cost);
 
