@@ -31,7 +31,7 @@ use cosmos_core::distribute::Distributor;
 use cosmos_core::online::OnlineRouter;
 use cosmos_core::IncrementalOptimizer;
 use cosmos_engine::exec::{CompiledProjection, StreamEngine};
-use cosmos_engine::tuple::{FlattenCache, JoinedTuple, Tuple};
+use cosmos_engine::tuple::{JoinedTuple, Tuple};
 use cosmos_engine::{ProjPlanCache, SharedEngine};
 use cosmos_oracle::ReferenceNetwork;
 use cosmos_pubsub::broker::BrokerNetwork;
@@ -303,7 +303,7 @@ fn bench_broker_publish_lossy(n_subs: u64, drop: f64) -> f64 {
 /// that many cores, which is why the snapshot records `meta.cores`.
 fn bench_broker_publish_par(n_subs: u64, threads: usize) -> f64 {
     const ROUND: usize = 64;
-    let net = broker_with_subs(n_subs);
+    let mut net = broker_with_subs(n_subs);
     let snap = net.snapshot();
     let mut readers: Vec<_> = (0..threads).map(|_| snap.reader()).collect();
     // Accumulated reader output is drained in the untimed reset, mirroring
@@ -481,7 +481,7 @@ fn bench_flatten_project() -> f64 {
     // projection plans hung off owner-attached caches (allocation-free
     // apart from the output payloads).
     let compiled = CompiledProjection::compile(&projection);
-    let mut flatten_cache = FlattenCache::new();
+    let mut flatten_cache = ProjPlanCache::new();
     let mut plan_cache = ProjPlanCache::new();
     measure(|| {
         let flat = result.joined.flatten_cached(&mut flatten_cache, "res");

@@ -9,10 +9,12 @@
 //!
 //! # Checkpoint lifecycle
 //!
-//! 1. **Extract.** [`StreamEngine::checkpoint`] (and the aggregate/shared
-//!    equivalents) snapshots all mutable operator state — window contents
-//!    in arrival order, the sticky index-activation flag of each buffer,
-//!    and the per-query execution counters — tagged with the engine's
+//! 1. **Extract.** [`StreamEngine::checkpoint`] (and the aggregate
+//!    equivalent; a [`SharedEngine`] checkpoints its inner merged-query
+//!    engine as a [`StreamCheckpoint`]) snapshots all mutable operator
+//!    state — window contents in arrival order, the sticky
+//!    index-activation flag of each buffer, and the per-query execution
+//!    counters — tagged with the engine's
 //!    **monotone input watermark**: the count of tuples consumed via
 //!    `push` so far. Snapshots share tuple payloads by `Arc`, so
 //!    extraction is O(window sizes) refcount bumps, never a deep copy.
@@ -224,27 +226,14 @@ impl AggregateEngine {
     }
 }
 
-/// A [`SharedEngine`] checkpoint. All of a shared engine's mutable state
-/// lives in the inner [`StreamEngine`] hosting the merged queries (groups,
-/// residual filters, and projection plans are compiled shape; verdicts are
-/// per-push scratch), so this wraps a [`StreamCheckpoint`] of it.
-#[derive(Debug, Clone)]
-pub struct SharedCheckpoint {
-    /// The inner merged-query engine's checkpoint.
-    pub inner: StreamCheckpoint,
-}
-
-impl SharedCheckpoint {
-    /// Monotone input watermark at extraction.
-    pub fn watermark(&self) -> u64 {
-        self.inner.watermark
-    }
-}
-
+/// A [`SharedEngine`]'s checkpoint is a [`StreamCheckpoint`]: all of a
+/// shared engine's mutable state lives in the inner [`StreamEngine`]
+/// hosting the merged queries (groups, residual filters, and projection
+/// plans are compiled shape; verdicts are per-push scratch).
 impl SharedEngine {
-    /// Extracts a checkpoint of all mutable operator state.
-    pub fn checkpoint(&self) -> SharedCheckpoint {
-        SharedCheckpoint { inner: self.engine().checkpoint() }
+    /// Extracts a checkpoint of the inner merged-query engine.
+    pub fn checkpoint(&self) -> StreamCheckpoint {
+        self.engine().checkpoint()
     }
 
     /// Restores a checkpoint taken from a shared engine built over the
@@ -254,8 +243,8 @@ impl SharedEngine {
     /// # Panics
     ///
     /// Panics if the merged query set does not match the checkpoint.
-    pub fn restore(&mut self, cp: &SharedCheckpoint) {
-        self.engine_mut().restore(&cp.inner);
+    pub fn restore(&mut self, cp: &StreamCheckpoint) {
+        self.engine_mut().restore(cp);
     }
 }
 

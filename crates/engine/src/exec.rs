@@ -7,24 +7,26 @@
 //! the other relations; combinations passing the join predicates are
 //! emitted. A pair is emitted exactly once — when its *later* tuple arrives
 //! (ties broken by relation position).
+//!
+//! A result is projected through one column plan
+//! ([`crate::tuple`]), cached in one place: the [`ProjPlanCache`] its owner
+//! hangs off itself (`ResultTuple::project_cached`). The uncached entry
+//! points (`ResultTuple::project`, `ResultTuple::project_compiled`) build
+//! the plan per call.
 
 pub use crate::tuple::ProjPlanCache;
-use crate::tuple::{JoinedTuple, ProjPlan, Tuple};
+use crate::tuple::{JoinedTuple, Tuple};
 use cosmos_query::compiled::{eval_compiled, CompiledPredicate, Operand, ScalarRef, SymSource};
 use cosmos_query::{ProjItem, Query, QueryId, Scalar};
 use cosmos_util::intern::Symbol;
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A projection list with aliases and attributes resolved to symbols once,
-/// so applying it to a result tuple compares integers only.
-#[derive(Debug, Clone)]
+/// so applying it to a result tuple compares integers only. Two
+/// compilations are equal when they keep the same columns.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledProjection {
-    /// Unique per compilation; keys the projected-schema cache. `u64` so
-    /// the per-call compat shim can never wrap it into an alias.
-    id: u64,
     items: Vec<ProjSym>,
 }
 
@@ -39,8 +41,6 @@ impl CompiledProjection {
     /// Resolves a projection list. Aggregate items are skipped — they are
     /// evaluated by the `AggregateEngine`, never by SPJ projection.
     pub fn compile(items: &[ProjItem]) -> Self {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let items = items
             .iter()
             .filter_map(|item| match item {
@@ -52,14 +52,7 @@ impl CompiledProjection {
                 ProjItem::Agg { .. } => None,
             })
             .collect();
-        Self { id, items }
-    }
-
-    /// Structural equality of the resolved items. Ids are minted per
-    /// compilation, so identity cannot detect that two members asked for
-    /// the same columns — class grouping compares the items themselves.
-    pub(crate) fn same_items(&self, other: &Self) -> bool {
-        self.items == other.items
+        Self { items }
     }
 
     /// The keep rule `JoinedTuple::build_plan` takes: does the projection
@@ -90,47 +83,32 @@ impl ResultTuple {
     /// always retained (`alias.timestamp`) so residual filters downstream
     /// can re-check window bounds.
     ///
-    /// Compat shim: compiles `projection` on the fly (uncached — each call
-    /// gets a fresh compilation, so it deliberately bypasses the plan
-    /// cache). Callers on the hot path should compile once and use
-    /// [`ResultTuple::project_compiled`].
+    /// Compat shim: [`ResultTuple::project_compiled`] of a fresh
+    /// compilation of `projection`.
     pub fn project(&self, projection: &[ProjItem], result_stream: &str) -> Tuple {
-        let projection = CompiledProjection::compile(projection);
-        let plan = self.joined.build_plan(projection.keeps());
-        self.joined.apply_plan(&plan, result_stream)
+        self.project_compiled(&CompiledProjection::compile(projection), result_stream)
     }
 
     /// [`ResultTuple::project`] with a precompiled projection — symbol
-    /// compares, scalar copies, and one small cache-key allocation; no
-    /// string allocation. The output schema is determined by
-    /// `(projection, part aliases, part schemas)` and cached per thread,
-    /// so repeat shapes skip the schema interner.
-    /// Colliding output names (e.g. a stored `timestamp` attribute) keep
-    /// their first occurrence, matching the legacy shadowing behaviour.
+    /// compares and scalar copies, no string allocation. The column plan
+    /// is built on every call (the output schema is still the interned
+    /// one); repeated projection goes through
+    /// [`ResultTuple::project_cached`]. Colliding output names (e.g. a
+    /// stored `timestamp` attribute) keep their first occurrence, matching
+    /// the legacy shadowing behaviour.
     pub fn project_compiled(
         &self,
         projection: &CompiledProjection,
         result_stream: impl Into<Symbol>,
     ) -> Tuple {
-        let key: ProjKey =
-            (projection.id, self.joined.parts().map(|(a, t)| (a, t.schema().id())).collect());
-        let plan = PROJECTED_SCHEMAS.with_borrow_mut(|cache| {
-            // Ids are minted per compilation, so entries for dropped
-            // projections (e.g. SharedEngine rebuilds) would otherwise
-            // accumulate; a periodic clear bounds per-thread memory.
-            if cache.len() > PLAN_CACHE_LIMIT {
-                cache.clear();
-            }
-            cache.entry(key).or_insert_with(|| self.joined.build_plan(projection.keeps())).clone()
-        });
-        self.joined.apply_plan(&plan, result_stream)
+        self.joined.apply_plan(&self.joined.build_plan(projection.keeps()), result_stream)
     }
 
     /// [`ResultTuple::project_compiled`] with an owner-attached plan cache
     /// (one cache per projection — part shapes key the lookup, the
-    /// projection's identity is implicit). The steady-state path compares
-    /// part shapes against stored keys directly and copies scalars only:
-    /// no cache-key allocation, no thread-local map probe.
+    /// projection's identity is implicit; see [`ProjPlanCache`]). The
+    /// steady-state path compares part shapes against stored keys directly
+    /// and copies scalars only.
     pub fn project_cached(
         &self,
         projection: &CompiledProjection,
@@ -140,16 +118,6 @@ impl ResultTuple {
         let plan = cache.plan_for(&self.joined, projection.keeps());
         self.joined.apply_plan(plan, result_stream)
     }
-}
-
-/// Projected-schema cache key: projection id + per-part (alias, schema id).
-type ProjKey = (u64, Vec<(Symbol, u32)>);
-
-/// Per-thread plan-cache bound; far above any steady-state working set.
-const PLAN_CACHE_LIMIT: usize = 4096;
-
-thread_local! {
-    static PROJECTED_SCHEMAS: RefCell<HashMap<ProjKey, ProjPlan>> = RefCell::new(HashMap::new());
 }
 
 /// Execution counters for load estimation (§3.8 collects "the average CPU
@@ -814,6 +782,66 @@ mod tests {
         assert_eq!(projected.get("S.y"), None);
         // Component timestamps always retained.
         assert_eq!(projected.get("R.timestamp"), Some(&Scalar::Int(0)));
+    }
+
+    /// The projection entry points are one column plan: `project`,
+    /// `project_compiled` and `project_cached` (cold, warm, and with two
+    /// part-shape sets through one cache) return equal tuples on the same
+    /// interned schema, and `flatten` equals `flatten_cached`.
+    #[test]
+    fn projection_entry_points_agree() {
+        use cosmos_query::AttrRef;
+        let part = |stream: &str, ts: i64, kv: &[(&str, i64)]| Arc::new(t(stream, ts, kv));
+        let result = |parts: Vec<(&str, Arc<Tuple>)>| ResultTuple {
+            query: QueryId(1),
+            joined: JoinedTuple::new(parts.into_iter().map(|(a, p)| (a.into(), p)).collect()),
+        };
+        // B stores an attribute named `timestamp`; the second shape binds
+        // alias A twice. Colliding names keep their first occurrence.
+        let shapes = [
+            result(vec![
+                ("A", part("R", 1_000, &[("x", 1), ("y", 2)])),
+                ("B", part("S", 2_000, &[("x", 3), ("timestamp", 99)])),
+            ]),
+            result(vec![
+                ("A", part("R", 3_000, &[("x", 4), ("timestamp", 98), ("z", 5)])),
+                ("A", part("S", 4_000, &[("x", 6)])),
+            ]),
+        ];
+        let first = shapes[0].project(&[ProjItem::All], "res");
+        assert_eq!(first.get("B.timestamp"), Some(&Scalar::Int(2_000)), "header column first");
+        let second = shapes[1].project(&[ProjItem::All], "res");
+        assert_eq!(second.get("A.x"), Some(&Scalar::Int(4)), "first part of a repeated alias");
+        assert_eq!(second.get("A.timestamp"), Some(&Scalar::Int(3_000)));
+        let lists = [
+            vec![ProjItem::All],
+            vec![ProjItem::AllOf("A".into())],
+            vec![ProjItem::Attr(AttrRef::new("A", "x"))],
+        ];
+        for items in &lists {
+            let compiled = CompiledProjection::compile(items);
+            let mut cache = ProjPlanCache::new();
+            // Cold and warm on the first shape, then the second shape's
+            // cold and warm, then the first again through the same cache.
+            for r in [&shapes[0], &shapes[0], &shapes[1], &shapes[1], &shapes[0]] {
+                let reference = r.project(items, "res");
+                for other in [
+                    r.project_compiled(&compiled, "res"),
+                    r.project_cached(&compiled, &mut cache, "res"),
+                ] {
+                    assert_eq!(other, reference, "{items:?}");
+                    assert!(Arc::ptr_eq(other.schema(), reference.schema()), "{items:?}");
+                }
+            }
+        }
+        let mut cache = ProjPlanCache::new();
+        for r in [&shapes[0], &shapes[0], &shapes[1], &shapes[1], &shapes[0]] {
+            let (flat, cached) =
+                (r.joined.flatten("res"), r.joined.flatten_cached(&mut cache, "res"));
+            assert_eq!(cached, flat);
+            assert!(Arc::ptr_eq(cached.schema(), flat.schema()));
+            assert_eq!(flat, r.project(&[ProjItem::All], "res"), "flatten keeps every column");
+        }
     }
 
     #[test]

@@ -51,16 +51,13 @@
 pub mod aggregate;
 pub mod checkpoint;
 pub mod exec;
-pub mod reorder;
 pub mod shared;
 pub mod tuple;
 
 pub use aggregate::{AggregateEngine, AggregateQuery};
 pub use checkpoint::{
-    AggregateCheckpoint, AggregateQueryState, BufferState, QueryState, SharedCheckpoint,
-    StreamCheckpoint,
+    AggregateCheckpoint, AggregateQueryState, BufferState, QueryState, StreamCheckpoint,
 };
 pub use exec::{CompiledQuery, EngineStats, ResultTuple, StreamEngine};
-pub use reorder::ReorderBuffer;
 pub use shared::SharedEngine;
-pub use tuple::{FlattenCache, JoinedTuple, ProjPlanCache, Tuple};
+pub use tuple::{JoinedTuple, ProjPlanCache, Tuple};

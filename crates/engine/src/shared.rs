@@ -200,7 +200,7 @@ impl SharedEngine {
                     let pairs = alias_pairs(&merged.query, member_query);
                     let proj_class = match proj_classes
                         .iter()
-                        .position(|c| c.projection.same_items(&projection) && c.pairs == pairs)
+                        .position(|c| c.projection == projection && c.pairs == pairs)
                     {
                         Some(c) => c,
                         None => {

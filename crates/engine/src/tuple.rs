@@ -20,10 +20,13 @@
 //!   **column plan**: the output schema (`alias.attr` names) plus an
 //!   emit-mask, a pure function of the part aliases, the part schemas and
 //!   which columns are kept, built once per shape and hung off the owner
-//!   ([`ProjPlanCache`]). [`JoinedTuple::flatten`] is the plan that keeps
-//!   every column; projection (`ResultTuple::project*`) supplies its own
-//!   keep rule. The per-tuple work is copying scalars — no `format!`, no
-//!   `String` allocation.
+//!   ([`ProjPlanCache`]) — the only place a plan is cached; the uncached
+//!   entry points ([`JoinedTuple::flatten`], `ResultTuple::project`,
+//!   `ResultTuple::project_compiled`) build it per call.
+//!   [`JoinedTuple::flatten`] is the plan that keeps every column;
+//!   projection (`ResultTuple::project*`) supplies its own keep rule. The
+//!   per-tuple work is copying scalars — no `format!`, no `String`
+//!   allocation.
 //!
 //! String-based constructors (`Tuple::new("R", ts).with("k", v)`,
 //! `tuple.get("k")`) remain as thin compatibility shims: they intern on
@@ -88,10 +91,6 @@ impl ProjPlanCache {
     }
 }
 
-/// The plan cache of [`JoinedTuple::flatten_cached`]: flattening is the
-/// projection that keeps every column.
-pub type FlattenCache = ProjPlanCache;
-
 /// A join output: one source tuple per relation alias, in join order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinedTuple {
@@ -136,11 +135,12 @@ impl JoinedTuple {
         self.apply_plan(&self.build_plan(|_, _| true), result_stream)
     }
 
-    /// [`JoinedTuple::flatten`] with an owner-attached plan cache: the
+    /// [`JoinedTuple::flatten`] with an owner-attached plan cache —
+    /// flattening is the projection that keeps every column: the
     /// steady-state path copies scalars only.
     pub fn flatten_cached(
         &self,
-        cache: &mut FlattenCache,
+        cache: &mut ProjPlanCache,
         result_stream: impl Into<Symbol>,
     ) -> Tuple {
         self.apply_plan(cache.plan_for(self, |_, _| true), result_stream)

@@ -27,7 +27,7 @@
 //! arbitrary subsequent input — push-for-push output equality.
 
 use cosmos_engine::aggregate::AggregateEngine;
-use cosmos_engine::checkpoint::{AggregateCheckpoint, SharedCheckpoint, StreamCheckpoint};
+use cosmos_engine::checkpoint::{AggregateCheckpoint, StreamCheckpoint};
 use cosmos_engine::exec::{EngineStats, StreamEngine};
 use cosmos_engine::shared::SharedEngine;
 use cosmos_engine::tuple::Tuple;
@@ -117,7 +117,7 @@ impl Recoverable for AggregateEngine {
 }
 
 impl Recoverable for SharedEngine {
-    type Cp = SharedCheckpoint;
+    type Cp = StreamCheckpoint;
     type Out = (QueryId, Tuple);
     fn build(queries: &[(QueryId, Query)]) -> Self {
         SharedEngine::build(queries.to_vec())

@@ -132,14 +132,6 @@ impl Topology {
         edges
     }
 
-    /// Appends a fresh isolated node and returns its id. Pairs with
-    /// [`Topology::remove_node`] for crash/recovery experiments that grow
-    /// the broker set back after failures.
-    pub fn add_node(&mut self) -> NodeId {
-        self.adjacency.push(Vec::new());
-        NodeId(self.adjacency.len() as u32 - 1)
-    }
-
     /// Returns `true` if `u` and `v` are directly connected.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.adjacency.get(u.index()).is_some_and(|adj| adj.iter().any(|(n, _)| *n == v))
@@ -264,18 +256,6 @@ mod tests {
         }
         assert_eq!(t.edge_count(), 4);
         assert_eq!(t.edge_latency(NodeId(1), NodeId(2)), Some(1.0));
-    }
-
-    #[test]
-    fn add_node_appends_isolated() {
-        let mut t = Topology::new(2);
-        t.add_edge(NodeId(0), NodeId(1), 1.0);
-        let n = t.add_node();
-        assert_eq!(n, NodeId(2));
-        assert_eq!(t.node_count(), 3);
-        assert_eq!(t.degree(n), 0);
-        t.add_edge(n, NodeId(0), 2.0);
-        assert!(t.is_connected());
     }
 
     #[test]

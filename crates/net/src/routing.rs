@@ -131,12 +131,6 @@ impl ShortestPathTree {
         Some(rev)
     }
 
-    /// Returns `true` when `{a, b}` is a tree edge of this shortest-path
-    /// tree — i.e. some node's root path traverses it.
-    pub fn uses_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.parent(b) == Some(a) || self.parent(a) == Some(b)
-    }
-
     /// Path provenance: every node whose root path traverses tree edge
     /// `{a, b}` — the subtree hanging below the edge. Returns `None` when
     /// `{a, b}` is not a tree edge (no path uses it, so removing that
@@ -411,7 +405,6 @@ mod tests {
         t.add_edge(NodeId(1), NodeId(2), 1.0);
         t.add_edge(NodeId(1), NodeId(3), 2.0);
         let spt = ShortestPathTree::compute(&t, NodeId(0));
-        assert!(spt.uses_edge(NodeId(1), NodeId(2)));
         assert_eq!(spt.nodes_via_edge(NodeId(1), NodeId(2)), Some(vec![NodeId(2)]));
         assert_eq!(spt.nodes_via_edge(NodeId(2), NodeId(1)), Some(vec![NodeId(2)]));
         assert_eq!(
@@ -421,7 +414,6 @@ mod tests {
         // Unreachable node 4 never appears in any subtree.
         assert!(!spt.nodes_via_edge(NodeId(0), NodeId(1)).unwrap().contains(&NodeId(4)));
         // Not a tree edge (not even a graph edge): no path uses it.
-        assert!(!spt.uses_edge(NodeId(2), NodeId(3)));
         assert_eq!(spt.nodes_via_edge(NodeId(2), NodeId(3)), None);
     }
 

@@ -59,18 +59,19 @@
 //!
 //! # Parallel data plane: snapshots
 //!
-//! The network is split read-copy-update style. All churn above stays
-//! **single-writer** (`&mut self`) and only additionally marks the nodes
-//! whose tables it touched in a dirty set. The **read side** is an
-//! immutable [`RoutingSnapshot`] built on demand by
-//! [`BrokerNetwork::snapshot`]: each dirty node's table is frozen
-//! ([`crate::index::RoutingTable::freeze`]), clean nodes reuse the
-//! previous snapshot's frozen table by `Arc`, and the result is published
-//! through a [`SnapshotCell`]. Any number of [`SnapshotReader`]s
-//! (`BrokerNetwork::reader`) then publish concurrently against their
-//! snapshot handle with zero locks and zero shared mutable state; their
-//! [`ReaderOutput`]s merge deterministically back into the broker's log
-//! and link counters ([`BrokerNetwork::absorb`]), bit-identical to serial
+//! The network has one owner and one writer: all churn above is
+//! `&mut self` and only additionally marks the nodes whose tables it
+//! touched in a dirty set. The **read side** is an immutable
+//! [`RoutingSnapshot`] built on demand by the same owner through
+//! [`BrokerNetwork::snapshot`] (`&mut self` too — no lock, no cell): each
+//! dirty node's table is frozen ([`crate::index::RoutingTable::freeze`]),
+//! clean nodes reuse the previous snapshot's frozen table by `Arc`, and
+//! the owner hands the `Arc` to whichever threads read. Any number of
+//! [`SnapshotReader`]s (`BrokerNetwork::reader`) then publish
+//! concurrently against their snapshot handle with zero locks and zero
+//! shared mutable state; their [`ReaderOutput`]s merge deterministically
+//! back into the broker's log and link counters
+//! ([`BrokerNetwork::absorb`]), bit-identical to serial
 //! [`BrokerNetwork::publish`] order. Snapshot builds are cheap
 //! dirty-marking away from the churn path: subscribe/unsubscribe never
 //! freeze anything — only an explicit `snapshot()` pays for the nodes
@@ -83,9 +84,9 @@ use crate::index::{
 use crate::snapshot::{FrozenTable, ReaderOutput, RoutingSnapshot, SnapshotReader};
 use crate::subscription::{Message, SubId, Subscription};
 use cosmos_net::{NodeId, ShortestPathTree, Topology};
-use cosmos_util::{SnapshotCell, Symbol};
+use cosmos_util::Symbol;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Traffic counters for one undirected link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -189,17 +190,6 @@ fn adoptable(old: &ShortestPathTree, a: NodeId, b: NodeId, latency: f64) -> bool
         (Some(_), None) | (None, Some(_)) => true,
         (Some(da), Some(db)) => da + latency <= db || db + latency <= da,
     }
-}
-
-/// Nodes whose routing tables changed since the last snapshot build.
-/// Churn only marks here (cheap); [`BrokerNetwork::snapshot`] drains it,
-/// freezing exactly the marked nodes.
-#[derive(Debug, Default)]
-struct DirtyNodes {
-    nodes: BTreeSet<u32>,
-    /// Everything is dirty (the initial state): the next build freezes
-    /// every node and ignores `nodes`.
-    all: bool,
 }
 
 /// Where a hop's forwarded record lives while a run's sub-runs are
@@ -440,17 +430,17 @@ pub struct BrokerNetwork {
     walk: Walk,
     link_stats: HashMap<(NodeId, NodeId), LinkStats>,
     log: DeliveryLog,
-    /// Routing-state version: bumped by every churn operation. Written
-    /// only under `&mut self`, read under `&self` — the staleness probe
-    /// for [`BrokerNetwork::snapshot`].
+    /// Routing-state version: bumped by every churn operation — the
+    /// staleness probe for [`BrokerNetwork::snapshot`].
     version: u64,
-    /// The published snapshot (read-copy-update slot). Lazily rebuilt by
+    /// The last snapshot built, if any. Lazily rebuilt by
     /// [`BrokerNetwork::snapshot`] when `version` moved past it.
-    snap: SnapshotCell<RoutingSnapshot>,
-    /// Dirty-node set behind a mutex only because concurrent `&self`
-    /// snapshot builders must drain it; churn (`&mut self`) and builds
-    /// take it for nanoseconds, never on the publish path.
-    dirty: Mutex<DirtyNodes>,
+    snap: Option<Arc<RoutingSnapshot>>,
+    /// Nodes whose routing tables changed since `snap` was built. Churn
+    /// only marks here (cheap, and only once a snapshot exists — the
+    /// first build freezes every node); [`BrokerNetwork::snapshot`]
+    /// drains it, freezing exactly the marked nodes.
+    dirty: BTreeSet<u32>,
 }
 
 impl BrokerNetwork {
@@ -471,15 +461,8 @@ impl BrokerNetwork {
             link_stats: HashMap::new(),
             log: DeliveryLog::default(),
             version: 0,
-            // Placeholder pre-first-build snapshot; `dirty.all` below
-            // guarantees the first build replaces it wholesale, and the
-            // sentinel version can never equal a real one.
-            snap: SnapshotCell::new(Arc::new(RoutingSnapshot {
-                version: u64::MAX,
-                stream_source: HashMap::new(),
-                tables: Vec::new(),
-            })),
-            dirty: Mutex::new(DirtyNodes { nodes: BTreeSet::new(), all: true }),
+            snap: None,
+            dirty: BTreeSet::new(),
         }
     }
 
@@ -505,20 +488,13 @@ impl BrokerNetwork {
         self.mark_churn(std::iter::empty());
     }
 
-    /// The dirty set, poison ignored: a holder that panics leaves nodes
-    /// marked that need not be, and the next build refreezes them.
-    fn dirty(&self) -> MutexGuard<'_, DirtyNodes> {
-        self.dirty.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Bumps the routing-state version and marks the touched nodes dirty —
     /// the only thing churn pays toward the snapshot plane (no freezing
     /// here; [`BrokerNetwork::snapshot`] does that on demand).
     fn mark_churn(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
         self.version += 1;
-        let mut dirty = self.dirty();
-        if !dirty.all {
-            dirty.nodes.extend(nodes.into_iter().map(|n| n.index() as u32));
+        if self.snap.is_some() {
+            self.dirty.extend(nodes.into_iter().map(|n| n.index() as u32));
         }
     }
 
@@ -872,46 +848,35 @@ impl BrokerNetwork {
     }
 
     /// The current routing snapshot, building it first if churn happened
-    /// since the last build (read-copy-update commit). Only dirty nodes'
-    /// tables are frozen; clean nodes reuse the previous snapshot's
-    /// frozen tables by `Arc`. With no churn this is a version check and
-    /// an `Arc` clone. Callable from any thread (`&self`).
-    pub fn snapshot(&self) -> Arc<RoutingSnapshot> {
-        let cur = self.snap.load();
-        if cur.version == self.version {
-            return cur;
-        }
-        let mut dirty = self.dirty();
-        // Re-check under the lock: a racing builder may have committed.
-        let cur = self.snap.load();
-        if cur.version == self.version {
-            return cur;
-        }
-        let tables: Vec<Arc<FrozenTable>> = if dirty.all {
-            self.tables.iter().map(|t| Arc::new(t.freeze())).collect()
-        } else {
-            // `cur` was itself a full build (dirty starts `all`), so it
-            // has a frozen table for every clean node.
-            self.tables
+    /// since the last build. Only dirty nodes' tables are frozen; clean
+    /// nodes reuse the previous snapshot's frozen tables by `Arc`. With no
+    /// churn this is a version check and an `Arc` clone. The owner — the
+    /// single writer — builds it and hands the `Arc` to reader threads.
+    pub fn snapshot(&mut self) -> Arc<RoutingSnapshot> {
+        let tables: Vec<Arc<FrozenTable>> = match &self.snap {
+            Some(cur) if cur.version == self.version => return Arc::clone(cur),
+            // The first build has nothing to reuse: every node freezes.
+            None => self.tables.iter().map(|t| Arc::new(t.freeze())).collect(),
+            Some(cur) => self
+                .tables
                 .iter()
                 .enumerate()
                 .map(|(n, t)| {
-                    if dirty.nodes.contains(&(n as u32)) {
+                    if self.dirty.contains(&(n as u32)) {
                         Arc::new(t.freeze())
                     } else {
                         Arc::clone(&cur.tables[n])
                     }
                 })
-                .collect()
+                .collect(),
         };
         let next = Arc::new(RoutingSnapshot {
             version: self.version,
             stream_source: self.stream_source.clone(),
             tables,
         });
-        self.snap.store(Arc::clone(&next));
-        dirty.nodes.clear();
-        dirty.all = false;
+        self.snap = Some(Arc::clone(&next));
+        self.dirty.clear();
         next
     }
 
@@ -919,8 +884,8 @@ impl BrokerNetwork {
     /// publisher thread owns for lock-free parallel publishing. The
     /// reader keeps working (consistently) against its snapshot through
     /// any later churn; hand it a fresh [`BrokerNetwork::snapshot`] via
-    /// [`SnapshotReader::retarget`] to observe committed changes.
-    pub fn reader(&self) -> SnapshotReader {
+    /// [`SnapshotReader::retarget`] to observe changes since.
+    pub fn reader(&mut self) -> SnapshotReader {
         self.snapshot().reader()
     }
 

@@ -35,7 +35,8 @@
 //! - [`snapshot`]: the parallel data plane — immutable
 //!   [`RoutingSnapshot`]s cloned from the broker's routing state, matched
 //!   lock-free by any number of concurrent [`SnapshotReader`]s while
-//!   subscription churn stays single-writer (read-copy-update).
+//!   the broker's owner stays its single writer: it churns and builds
+//!   snapshots under `&mut self` and hands readers the `Arc`.
 //! - [`traffic`]: the rate-based cost model the large-scale experiments use:
 //!   each substream's delivery cost is its rate times the latency-weighted
 //!   multicast tree connecting its source to every interested processor,

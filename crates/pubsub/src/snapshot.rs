@@ -1,17 +1,18 @@
-//! Immutable routing snapshots: the read side of the broker's
-//! read-copy-update split, enabling parallel publish.
+//! Immutable routing snapshots: the read side of the broker, enabling
+//! parallel publish while its owner stays the single writer.
 //!
 //! # Lifecycle
 //!
 //! [`crate::broker::BrokerNetwork`] owns the *mutable* routing state and
-//! remains the single writer: subscribe/unsubscribe/link churn mutate the
+//! is its single writer: subscribe/unsubscribe/link churn mutate the
 //! per-node [`crate::index::RoutingTable`]s exactly as before, bumping a
-//! version counter and marking the touched nodes dirty.
-//! [`BrokerNetwork::snapshot`](crate::broker::BrokerNetwork::snapshot)
-//! then *freezes* the dirty tables into [`FrozenTable`]s and publishes a
-//! [`RoutingSnapshot`] through a [`cosmos_util::sync::SnapshotCell`].
-//! Clean nodes' frozen tables are reused by `Arc`, so a commit costs
-//! O(changed nodes), not O(network).
+//! version counter and marking the touched nodes dirty. The same owner
+//! calls [`BrokerNetwork::snapshot`](crate::broker::BrokerNetwork::snapshot)
+//! (`&mut self`: no lock, no cell), which *freezes* the dirty tables into
+//! [`FrozenTable`]s and returns the new [`RoutingSnapshot`] as an `Arc`
+//! for the owner to hand to its reader threads. Clean nodes' frozen
+//! tables are reused by `Arc`, so a build costs O(changed nodes), not
+//! O(network).
 //!
 //! # A frozen table is a clone
 //!
@@ -42,7 +43,7 @@
 //! readers on N threads match and forward concurrently with **zero**
 //! shared mutable state and zero locks on the publish path — each reader
 //! owns its snapshot handle outright and can keep publishing while the
-//! writer churns and commits new snapshots.
+//! writer churns and builds new snapshots.
 //!
 //! Every message a reader publishes observes exactly one snapshot: a
 //! reader switches snapshots only between messages
@@ -107,13 +108,12 @@ pub struct FrozenTable {
 }
 
 /// An immutable, `Sync` image of the whole network's dissemination
-/// state: per-node frozen tables plus the stream→source map. Published
-/// by the broker behind a [`cosmos_util::sync::SnapshotCell`]; any
-/// number of [`SnapshotReader`]s match against it concurrently.
+/// state: per-node frozen tables plus the stream→source map. Built by
+/// the broker's owner and shared by `Arc`; any number of
+/// [`SnapshotReader`]s match against it concurrently.
 #[derive(Debug)]
 pub struct RoutingSnapshot {
-    /// The broker's routing-state version this snapshot was built from
-    /// (`u64::MAX` = the placeholder before the first commit).
+    /// The broker's routing-state version this snapshot was built from.
     pub(crate) version: u64,
     pub(crate) stream_source: HashMap<Symbol, NodeId>,
     pub(crate) tables: Vec<Arc<FrozenTable>>,
@@ -338,7 +338,6 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_sync::<RoutingSnapshot>();
     assert_send::<SnapshotReader>();
-    assert_sync::<crate::broker::BrokerNetwork>();
 };
 
 #[cfg(test)]
@@ -430,11 +429,13 @@ mod tests {
         for i in 0..29u64 {
             net.unsubscribe(SubId(i));
         }
+        // The live tables, printed before the network holds a frozen image.
+        let live = format!("{net:?}");
         let snap = net.snapshot();
         let image = &snap.tables[2].streams[&Symbol::intern("R")].part;
         let image = format!("{image:?}");
         assert!(image.contains("dead: true"), "tombstones are kept, not remapped away");
-        assert!(format!("{net:?}").contains(&image), "same members, same slots, same lists");
+        assert!(live.contains(&image), "same members, same slots, same lists");
         let mut reader = snap.reader();
         for a in [-1, 0, 5, 10, 28, 29, 30, 45, 59, 100] {
             let msg = Message::new("R", a).with("a", Scalar::Int(a));

@@ -353,12 +353,11 @@ impl SubscriptionBuilder {
 pub type Message = cosmos_query::record::Record;
 
 /// A [`StreamProjection`] with its resolved per-input-schema plan cached
-/// inline — the "hang the plan off the route entry" optimization. The
-/// thread-local cache behind [`Message::retaining`] still allocates a small
-/// key `Vec` per call to probe it; a `CachedProjection` lives on the route
-/// entry (or hop group) that owns the projection, so applying it to a
-/// message of an already-seen shape copies scalars by precomputed column
-/// index — no per-message allocation beyond the output payload.
+/// inline — the one plan cache of the record plane, hung off the route
+/// entry (or hop group) that owns the projection. [`Message::retaining`]
+/// plans and interns per call; applying a `CachedProjection` to a message
+/// of an already-seen shape copies scalars by precomputed column index —
+/// no per-message allocation beyond the output payload.
 #[derive(Debug, Clone)]
 pub struct CachedProjection {
     proj: StreamProjection,

@@ -5,25 +5,25 @@
 //! topologies, populations, and message streams, with subscription
 //! churn interleaved between snapshot swaps.
 //!
-//! The suite also drives the read-copy-update lifecycle under load:
-//! publisher workers race a churning writer that commits snapshots
-//! mid-stream, and every message must observe **exactly one** committed
-//! snapshot — its deliveries equal what a serially built oracle network
-//! at that exact churn prefix produces.
+//! The suite also drives the snapshot lifecycle under load: publisher
+//! workers race a churning writer that commits snapshots mid-stream, and
+//! every message must observe **exactly one** committed snapshot — its
+//! deliveries equal what a serially built oracle network at that exact
+//! churn prefix produces.
 //!
 //! Set `COSMOS_STRESS=1` to elevate trials, thread counts, and message
 //! volume (the CI stress job does).
 
 use cosmos_net::{NodeId, Topology};
 use cosmos_pubsub::broker::{BrokerNetwork, Delivery, LinkStats};
-use cosmos_pubsub::snapshot::{merge_outputs, ReaderOutput, SnapshotReader};
+use cosmos_pubsub::snapshot::{merge_outputs, ReaderOutput, RoutingSnapshot, SnapshotReader};
 use cosmos_pubsub::subscription::{Message, StreamProjection, SubId, Subscription};
 use cosmos_query::{AttrRef, CmpOp, Predicate, Scalar};
 use cosmos_util::rng::rng_for;
-use cosmos_util::SnapshotCell;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 const STREAMS: [&str; 3] = ["A", "B", "C"];
 const ATTRS: [&str; 3] = ["a", "b", "c"];
@@ -263,7 +263,7 @@ fn snapshot_cached_until_churn() {
     );
     let s1 = net.snapshot();
     let s2 = net.snapshot();
-    assert!(std::sync::Arc::ptr_eq(&s1, &s2), "no churn: snapshot must be cached");
+    assert!(Arc::ptr_eq(&s1, &s2), "no churn: snapshot must be cached");
     assert_eq!(s1.version(), net.routing_version());
     net.subscribe(
         Subscription::builder(NodeId(1))
@@ -272,7 +272,7 @@ fn snapshot_cached_until_churn() {
             .build(),
     );
     let s3 = net.snapshot();
-    assert!(!std::sync::Arc::ptr_eq(&s1, &s3), "churn must produce a new snapshot");
+    assert!(!Arc::ptr_eq(&s1, &s3), "churn must produce a new snapshot");
     assert!(s3.version() > s1.version());
     // A reader kept on the old snapshot still matches the old state
     // consistently; retargeting adopts the new one.
@@ -297,13 +297,15 @@ enum Op {
     Unsub(SubId),
 }
 
-/// The read-copy-update lifecycle under load: publisher workers drain a
-/// bounded channel of message indices while the writer interleaves churn
-/// and snapshot commits through a [`SnapshotCell`]. Every message must
-/// observe exactly one *committed* snapshot: its recorded snapshot
-/// version must be one the writer actually published, and its deliveries
-/// and link traffic must equal a serially built oracle network replaying
-/// precisely that churn prefix. A message matched against a half-applied
+/// The snapshot lifecycle under load: publisher workers drain a bounded
+/// channel of message indices while the writer interleaves churn and
+/// snapshot commits through a `Mutex<Arc<RoutingSnapshot>>` of the test's
+/// own — the broker's owner decides how its snapshots reach readers.
+/// Every message must observe exactly one *committed* snapshot: its
+/// recorded snapshot version must be one the writer actually published,
+/// and its deliveries and link traffic must equal a serially built oracle
+/// network replaying precisely that churn prefix. A message matched
+/// against a half-applied
 /// or torn state would either report an uncommitted version or diverge
 /// from every prefix oracle.
 #[test]
@@ -350,14 +352,15 @@ fn snapshot_swap_under_load_is_consistent() {
             })
             .collect();
 
-        let cell = SnapshotCell::new(net.snapshot());
+        let first = net.snapshot();
         // Every snapshot version the writer publishes, with the number of
         // churn ops applied when it was built.
-        let mut committed: Vec<(u64, usize)> = vec![(cell.load().version(), 0)];
+        let mut committed: Vec<(u64, usize)> = vec![(first.version(), 0)];
+        let cell: Mutex<Arc<RoutingSnapshot>> = Mutex::new(first);
         // One bounded queue, many consumers: the workers take turns at
         // the receiver, holding its lock only for the `recv` itself.
         let (tx, rx) = std::sync::mpsc::sync_channel::<usize>(4);
-        let rx = std::sync::Mutex::new(rx);
+        let rx = Mutex::new(rx);
         let next = || rx.lock().unwrap().recv();
         type Record = (usize, u64, Vec<Delivery>, Vec<((NodeId, NodeId), LinkStats)>);
         let records: Vec<Record> = std::thread::scope(|s| {
@@ -370,7 +373,7 @@ fn snapshot_swap_under_load_is_consistent() {
                         while let Ok(idx) = next() {
                             // Re-sync to the latest committed snapshot
                             // *between* messages — never mid-message.
-                            let snap = cell.load();
+                            let snap = Arc::clone(&cell.lock().unwrap());
                             let r = reader.get_or_insert_with(|| snap.reader());
                             r.retarget(&snap);
                             r.publish_at(idx as u64, messages[idx].clone());
@@ -396,7 +399,7 @@ fn snapshot_swap_under_load_is_consistent() {
                     Op::Sub(sub) => net.subscribe(sub.clone()),
                     Op::Unsub(id) => net.unsubscribe(*id),
                 }
-                cell.store(net.snapshot());
+                *cell.lock().unwrap() = net.snapshot();
                 committed.push((net.routing_version(), b + 1));
             }
             drop(tx);

@@ -391,19 +391,6 @@ impl Query {
         self.selection_predicates().filter(|p| p.relations() == vec![alias]).collect()
     }
 
-    /// Projection items mentioning `alias` (plus `*`).
-    pub fn projection_for(&self, alias: &str) -> Vec<&ProjItem> {
-        self.projection
-            .iter()
-            .filter(|p| match p {
-                ProjItem::All => true,
-                ProjItem::AllOf(a) => a == alias,
-                ProjItem::Attr(ar) => ar.relation == alias,
-                ProjItem::Agg { attr, .. } => attr.relation == alias,
-            })
-            .collect()
-    }
-
     /// Returns `true` when the `SELECT` list contains aggregate functions.
     pub fn has_aggregates(&self) -> bool {
         self.projection.iter().any(|p| matches!(p, ProjItem::Agg { .. }))
@@ -551,23 +538,5 @@ mod tests {
         assert_eq!(Scalar::Int(3).as_f64(), Some(3.0));
         assert_eq!(Scalar::Float(1.5).as_f64(), Some(1.5));
         assert_eq!(Scalar::Str("x".into()).as_f64(), None);
-    }
-
-    #[test]
-    fn projection_for_alias() {
-        let q = Query {
-            projection: vec![
-                ProjItem::Attr(AttrRef::new("A", "x")),
-                ProjItem::AllOf("B".into()),
-                ProjItem::All,
-            ],
-            relations: vec![
-                RelationRef { stream: "A".into(), window: Window::Now, alias: "A".into() },
-                RelationRef { stream: "B".into(), window: Window::Now, alias: "B".into() },
-            ],
-            predicates: vec![],
-        };
-        assert_eq!(q.projection_for("A").len(), 2); // A.x and *
-        assert_eq!(q.projection_for("B").len(), 2); // B.* and *
     }
 }

@@ -54,11 +54,6 @@ pub fn eval_predicate<S: AttrSource>(p: &Predicate, src: &S) -> Option<bool> {
     }
 }
 
-/// Evaluates a conjunction; missing values make the conjunction false.
-pub fn eval_conjunction<S: AttrSource>(preds: &[Predicate], src: &S) -> bool {
-    preds.iter().all(|p| eval_predicate(p, src).unwrap_or(false))
-}
-
 /// Returns `true` if predicate `p` logically implies predicate `q`
 /// (every tuple satisfying `p` satisfies `q`).
 ///
@@ -178,6 +173,8 @@ pub fn selectivity_uniform(op: CmpOp, c: f64, lo: f64, hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::{eval_compiled, CompiledPredicate};
+    use crate::record::Record;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -242,11 +239,21 @@ mod tests {
         assert_eq!(eval_predicate(&tight, &src), Some(false));
     }
 
+    /// The conjunction the engines evaluate (`compiled::eval_compiled`)
+    /// reads a missing attribute as "does not satisfy" — what
+    /// `eval_predicate`'s `None` means.
     #[test]
     fn eval_conjunction_with_missing_attr_is_false() {
-        let src = MapSource::new().with("R", "a", Scalar::Int(15));
-        assert!(eval_conjunction(&[cmp("a", CmpOp::Gt, 10)], &src));
-        assert!(!eval_conjunction(&[cmp("a", CmpOp::Gt, 10), cmp("zzz", CmpOp::Lt, 0)], &src));
+        let rec = Record::new("R", 0).with("a", Scalar::Int(15));
+        let conj = |preds: &[Predicate]| {
+            let compiled: Vec<CompiledPredicate> =
+                preds.iter().map(CompiledPredicate::compile).collect();
+            let reference = preds.iter().all(|p| eval_predicate(p, &rec).unwrap_or(false));
+            assert_eq!(eval_compiled(&compiled, &rec), reference);
+            reference
+        };
+        assert!(conj(&[cmp("a", CmpOp::Gt, 10)]));
+        assert!(!conj(&[cmp("a", CmpOp::Gt, 10), cmp("zzz", CmpOp::Lt, 0)]));
     }
 
     #[test]

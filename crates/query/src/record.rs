@@ -29,18 +29,9 @@ use crate::ast::{AttrRef, Scalar};
 use crate::compiled::{ScalarRef, SymSource};
 use crate::predicate::AttrSource;
 use cosmos_util::intern::{Schema, Symbol};
-use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-
-/// Retained-schema cache key: input schema id + kept attribute set.
-type RetainKey = (u32, Vec<Symbol>);
-
-thread_local! {
-    static RETAINED_SCHEMAS: RefCell<HashMap<RetainKey, Arc<Schema>>> =
-        RefCell::new(HashMap::new());
-}
 
 /// The empty payload, shared process-wide so `Record::new` never allocates.
 fn empty_payload() -> Arc<[Scalar]> {
@@ -190,21 +181,15 @@ impl Record {
     }
 
     /// The record restricted to the attributes in `keep` — the broker's
-    /// early-projection step. The projected schema is a pure function of
-    /// (input schema, keep set) and cached per thread, so repeat shapes
-    /// skip the schema interner; per call this copies kept scalars only.
+    /// early-projection step, uncached: the projected schema is filtered
+    /// and interned per call (so it is the one shared `Arc<Schema>` of its
+    /// shape). The broker's hot paths cache that plan on the route entry
+    /// that owns the projection instead (`CachedProjection` in
+    /// `cosmos-pubsub`).
     pub fn retaining(&self, keep: &BTreeSet<Symbol>) -> Record {
-        let key: RetainKey = (self.schema.id(), keep.iter().copied().collect());
-        let schema = RETAINED_SCHEMAS.with_borrow_mut(|cache| {
-            if cache.len() > 4096 {
-                cache.clear();
-            }
-            Arc::clone(cache.entry(key).or_insert_with(|| {
-                let attrs: Vec<Symbol> =
-                    self.schema.attrs().iter().copied().filter(|a| keep.contains(a)).collect();
-                Schema::intern(&attrs)
-            }))
-        });
+        let attrs: Vec<Symbol> =
+            self.schema.attrs().iter().copied().filter(|a| keep.contains(a)).collect();
+        let schema = Schema::intern(&attrs);
         Record::build(self.stream, self.timestamp, schema, |buf| {
             for (a, v) in self.iter() {
                 if keep.contains(&a) {

@@ -19,9 +19,9 @@
 //!   symbols, tuple shapes become shared `Arc<Schema>`s, and the per-tuple
 //!   hot paths (predicate evaluation, join flattening, broker filtering
 //!   and early projection) compare integers instead of strings.
-//! - [`sync`]: read-copy-update primitives ([`SnapshotCell`]) backing the
-//!   broker's parallel publish plane — a writer publishes immutable
-//!   routing snapshots, readers match against them lock-free.
+//! - [`plancache`]: [`PlanCache`], the owner-attached cache every column
+//!   plan of the engine and the broker hangs off — the only plan cache;
+//!   nothing in the planes keeps one per thread or per process.
 //! - [`vecmap`]: [`VecMap`], a map kept as one sorted vector — what the
 //!   routing plane uses where it holds tens of thousands of maps with one
 //!   or two keys each.
@@ -45,7 +45,6 @@ pub mod plancache;
 pub mod rng;
 pub mod solver;
 pub mod stats;
-pub mod sync;
 pub mod timer;
 pub mod vecmap;
 pub mod zipf;
@@ -53,6 +52,5 @@ pub mod zipf;
 pub use bitset::InterestSet;
 pub use intern::{Schema, Symbol};
 pub use plancache::PlanCache;
-pub use sync::SnapshotCell;
 pub use timer::{EventQueue, Stopwatch};
 pub use vecmap::VecMap;

@@ -2,11 +2,12 @@
 //!
 //! The hot paths of the engine and the broker resolve *plans* — projected
 //! schemas, flatten layouts, retained-column lists — that are pure
-//! functions of an input shape. Probing a shared thread-local map for them
-//! costs a key allocation per call; instead, owners (a compiled residual,
-//! a route entry, a bench loop) hang a [`PlanCache`] off themselves and
-//! look plans up by comparing stored keys against a *borrowed* probe, so
-//! the steady-state hit path allocates nothing.
+//! functions of an input shape. This is the one place such a plan is
+//! cached: owners (a compiled residual, a route entry, a bench loop) hang a
+//! [`PlanCache`] off themselves and look plans up by comparing stored keys
+//! against a *borrowed* probe, so the steady-state hit path allocates
+//! nothing and no cache is shared between owners or threads. Callers
+//! without an owner to hang one off plan per call.
 //!
 //! Entries are kept in a plain vector and scanned linearly: an owner sees
 //! a handful of distinct shapes, so a scan beats hashing. The cache resets

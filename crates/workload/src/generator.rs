@@ -97,11 +97,6 @@ impl QueryGenerator {
             .min(config.n_substreams)
     }
 
-    /// The per-group pool size in effect.
-    pub fn pool_size(&self) -> usize {
-        Self::pool_size_for(&self.config)
-    }
-
     /// Generates `n` fresh queries with proxies drawn uniformly from the
     /// deployment's processors. Ids continue from the previous batch.
     pub fn generate(

@@ -21,12 +21,6 @@ pub struct RecoveryParams {
 }
 
 impl RecoveryParams {
-    /// Moderate defaults: checkpoints every 5 000 ticks, a kill every
-    /// ~12 steps, a restore every ~8 (downtime stays short-lived).
-    pub fn moderate() -> Self {
-        Self { checkpoint_interval: 5_000, kill_weight: 8, restore_weight: 12 }
-    }
-
     /// Validates the knobs at construction: a zero checkpoint interval
     /// would never truncate replay logs, and kill/restore weights must
     /// leave room in the 100-step budget for actual workload.
@@ -71,8 +65,6 @@ pub struct PaperParams {
     pub k: usize,
     /// Load-imbalance tolerance α (paper: 0.1).
     pub alpha: f64,
-    /// Adaptation interval in seconds (paper: 200).
-    pub adapt_interval_s: u64,
     /// Query load per byte/second of input (load ∝ input rate).
     pub load_per_byte: f64,
     /// Result rate as a fraction of input rate.
@@ -102,7 +94,6 @@ impl PaperParams {
             query_substreams_max: 200,
             k: 4,
             alpha: 0.1,
-            adapt_interval_s: 200,
             load_per_byte: 0.001,
             result_ratio: 0.002,
         }
@@ -170,7 +161,6 @@ impl PaperParams {
             query_substreams_max: 30,
             k: 2,
             alpha: 0.1,
-            adapt_interval_s: 200,
             load_per_byte: 0.001,
             result_ratio: 0.002,
         }
@@ -212,10 +202,9 @@ mod tests {
 
     #[test]
     fn recovery_params_are_validated_at_construction() {
-        assert!(RecoveryParams::moderate().validate().is_ok());
-        let e = RecoveryParams { checkpoint_interval: 0, ..RecoveryParams::moderate() }
-            .validate()
-            .unwrap_err();
+        let ok = RecoveryParams { checkpoint_interval: 5_000, kill_weight: 8, restore_weight: 12 };
+        assert!(ok.validate().is_ok());
+        let e = RecoveryParams { checkpoint_interval: 0, ..ok }.validate().unwrap_err();
         assert!(e.contains("checkpoint_interval"), "{e}");
         let e = RecoveryParams { kill_weight: 60, restore_weight: 50, checkpoint_interval: 1 }
             .validate()

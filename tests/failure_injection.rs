@@ -185,45 +185,6 @@ fn broker_survives_link_failures_with_alternate_paths() {
 }
 
 #[test]
-fn engine_with_reorder_buffer_handles_cross_stream_skew() {
-    use cosmos::engine::exec::StreamEngine;
-    use cosmos::engine::reorder::{Arrival, ReorderBuffer};
-    use cosmos::engine::tuple::Tuple;
-    use cosmos::query::{parse_query, QueryId, Scalar};
-
-    let mut engine = StreamEngine::new();
-    engine.add_query(
-        QueryId(1),
-        parse_query("SELECT * FROM A [Range 10 Seconds], B [Now] WHERE A.k = B.k").unwrap(),
-    );
-    let mut buf = ReorderBuffer::new(2_000);
-    // Stream B's tuples arrive 1.5 s later than simultaneous A tuples.
-    let mut results = 0usize;
-    let mut feed = |engine: &mut StreamEngine, buf: &mut ReorderBuffer, t: Tuple| {
-        if let Arrival::Released(ready) = buf.push(t) {
-            for r in ready {
-                results += engine.push(r).len();
-            }
-        }
-    };
-    // A's tuple must be processed before its simultaneous B partner for
-    // the [Now] join to fire exactly once; B physically arrives 1.5 s late
-    // but the buffer's FIFO tie order restores A-before-B.
-    for i in 0..20i64 {
-        let ts = i * 1_000;
-        // Unique key per pair: each B joins exactly its simultaneous A.
-        feed(&mut engine, &mut buf, Tuple::new("A", ts).with("k", Scalar::Int(i)));
-        feed(&mut engine, &mut buf, Tuple::new("B", ts).with("k", Scalar::Int(i)));
-    }
-    for r in buf.flush() {
-        results += engine.push(r).len();
-    }
-    // Every B joins its simultaneous A ([Now] window): 20 results despite
-    // the skewed arrival order.
-    assert_eq!(results, 20);
-}
-
-#[test]
 fn zero_rate_substreams_are_harmless() {
     let mut sim = Simulation::build(PaperParams::tiny(), 71);
     let batch = sim.arrivals(60, 72);
