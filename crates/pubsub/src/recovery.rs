@@ -602,6 +602,90 @@ mod tests {
         assert_eq!(r.retained(NodeId(2)), 0);
     }
 
+    /// Pins the checkpoint clock: `(plane tick, acked watermark)` after
+    /// every settle, with a crash / restore pair in between, at an
+    /// interval longer than one settle (1 000 ticks; the 6 300 row fires
+    /// on a due tick equal to the plane's) and at one shorter (250, where
+    /// one settle passes several due ticks).
+    ///
+    /// The sequence does not depend on how the schedule is kept. A
+    /// restore arms `now + interval` on the plane's clock, which is never
+    /// behind the last due tick fired (only due ticks at or before the
+    /// plane's clock fire), and a fired checkpoint re-arms `due +
+    /// interval` with a positive interval. So every re-schedule lands
+    /// after an event queue's own `now`, its clamp never applies, and per
+    /// host an epoch-cancelled event queue and one next-due tick (none
+    /// while crashed) fire the same checkpoints.
+    #[test]
+    fn checkpoint_clock_is_pinned_across_crash_and_restore() {
+        let expected: [(u64, [(u64, u64); 14]); 2] = [
+            (
+                1_000,
+                [
+                    (600, 0),
+                    (1300, 3),
+                    (1900, 3),
+                    (2700, 7),
+                    (3300, 8),
+                    (3300, 8),
+                    (3300, 8),
+                    (3300, 8),
+                    (3800, 8),
+                    (4400, 13),
+                    (5100, 13),
+                    (5700, 16),
+                    (6300, 17),
+                    (6800, 17),
+                ],
+            ),
+            (
+                250,
+                [
+                    (600, 1),
+                    (1300, 3),
+                    (1900, 4),
+                    (2700, 7),
+                    (3300, 8),
+                    (3300, 8),
+                    (3300, 8),
+                    (3300, 8),
+                    (3800, 12),
+                    (4400, 13),
+                    (5100, 15),
+                    (5700, 16),
+                    (6300, 17),
+                    (6800, 18),
+                ],
+            ),
+        ];
+        for (interval, expected) in expected {
+            let mut r = rec(FaultPlan::clean(), interval);
+            let mut seen = Vec::new();
+            let mut ts = 0i64;
+            let mut step = |r: &mut RecoveryNetwork, n: usize, seen: &mut Vec<(u64, u64)>| {
+                for _ in 0..n {
+                    ts += 100;
+                    r.publish(msg(if ts % 300 == 0 { "S" } else { "R" }, ts, ts % 4));
+                }
+                r.settle();
+                seen.push((r.lossy().now(), r.acked_watermark(NodeId(2))));
+            };
+            for n in [1, 2, 1, 3, 1] {
+                step(&mut r, n, &mut seen);
+            }
+            r.crash_host(NodeId(2));
+            for n in [2, 1] {
+                step(&mut r, n, &mut seen);
+            }
+            r.restore_host(NodeId(2));
+            seen.push((r.lossy().now(), r.acked_watermark(NodeId(2))));
+            for n in [1, 1, 2, 1, 1, 1] {
+                step(&mut r, n, &mut seen);
+            }
+            assert_eq!(seen, expected, "interval {interval}");
+        }
+    }
+
     #[test]
     fn crash_restore_converges_bit_for_bit() {
         // Effectively-infinite interval: only the explicit checkpoint below
