@@ -32,7 +32,7 @@ use cosmos_core::online::OnlineRouter;
 use cosmos_core::IncrementalOptimizer;
 use cosmos_engine::exec::{CompiledProjection, StreamEngine};
 use cosmos_engine::tuple::{JoinedTuple, Tuple};
-use cosmos_engine::{ProjPlanCache, SharedEngine};
+use cosmos_engine::{ProjPlanCache, Recoverable, SharedEngine};
 use cosmos_oracle::ReferenceNetwork;
 use cosmos_pubsub::broker::BrokerNetwork;
 use cosmos_pubsub::subscription::{SubId, Subscription};

@@ -442,7 +442,7 @@ pub mod fixtures {
     /// blow-up; checkpoint extract/restore cost then scales with the
     /// buffered population. `checkpointed_engine(0)` is the empty twin
     /// with the identical query set, the only restore target
-    /// [`StreamEngine::restore`](cosmos_engine::exec::StreamEngine::restore)
+    /// [`Recoverable::restore`](cosmos_engine::checkpoint::Recoverable::restore)
     /// accepts.
     pub fn checkpointed_engine(n_tuples: u64) -> cosmos_engine::exec::StreamEngine {
         use cosmos_engine::tuple::Tuple;

@@ -18,12 +18,13 @@
 //! per-arrival istream behaviour of CQL windowed aggregates). Non-numeric
 //! values participate only in `COUNT`.
 
-use crate::exec::SingleView;
+use crate::checkpoint::{QueryState, Recoverable, StreamCheckpoint};
+use crate::exec::{EngineStats, SingleView, WindowBuffer};
 use crate::tuple::Tuple;
 use cosmos_query::compiled::{eval_compiled, CompiledPredicate};
 use cosmos_query::{AggFunc, Query, QueryId, Scalar};
 use cosmos_util::intern::{Schema, Symbol};
-use std::collections::VecDeque;
+use std::slice::{from_mut, from_ref};
 use std::sync::Arc;
 
 /// A compiled single-relation aggregate query. Names (stream, alias,
@@ -44,9 +45,9 @@ pub struct AggregateQuery {
     out_stream: Symbol,
     /// Output schema (`FUNC(alias.attr)` labels), interned once.
     out_schema: Arc<Schema>,
-    buffer: VecDeque<Arc<Tuple>>,
-    emitted: u64,
-    filtered: u64,
+    /// The window: no join attributes, so it never builds a key index.
+    window: WindowBuffer,
+    stats: EngineStats,
 }
 
 impl AggregateQuery {
@@ -88,9 +89,8 @@ impl AggregateQuery {
             aggs,
             out_stream: Symbol::intern(&format!("agg-{}", id.0)),
             out_schema: Schema::intern(&labels),
-            buffer: VecDeque::new(),
-            emitted: 0,
-            filtered: 0,
+            window: WindowBuffer::default(),
+            stats: EngineStats::default(),
         }
     }
 
@@ -99,29 +99,11 @@ impl AggregateQuery {
         self.id
     }
 
-    /// `(emitted, filtered)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.emitted, self.filtered)
-    }
-
-    /// Checkpoint extraction: window contents + counters. The compiled
-    /// shape (stream, selections, aggs, schemas) is rebuilt from the source
-    /// query at restore, so only mutable state travels.
-    pub(crate) fn snapshot(&self) -> (Vec<Arc<Tuple>>, u64, u64) {
-        (self.buffer.iter().cloned().collect(), self.emitted, self.filtered)
-    }
-
-    /// Checkpoint restore: replaces window contents and counters.
-    pub(crate) fn restore(&mut self, window: Vec<Arc<Tuple>>, emitted: u64, filtered: u64) {
-        self.buffer = window.into();
-        self.emitted = emitted;
-        self.filtered = filtered;
-    }
-
     fn evaluate(&self, func: AggFunc, attr: Symbol) -> Scalar {
-        let values = self.buffer.iter().filter_map(|t| t.get_sym(attr).and_then(Scalar::as_f64));
+        let window = &self.window.queue;
+        let values = window.iter().filter_map(|t| t.get_sym(attr).and_then(Scalar::as_f64));
         match func {
-            AggFunc::Count => Scalar::Int(self.buffer.len() as i64),
+            AggFunc::Count => Scalar::Int(window.len() as i64),
             AggFunc::Sum => Scalar::Float(values.sum()),
             AggFunc::Avg => {
                 let (mut sum, mut n) = (0.0, 0usize);
@@ -148,21 +130,16 @@ impl AggregateQuery {
         }
         let now = tuple.timestamp;
         if let Some(w) = self.width {
-            while let Some(front) = self.buffer.front() {
-                if front.timestamp < now - w {
-                    self.buffer.pop_front();
-                } else {
-                    break;
-                }
-            }
+            self.window.prune(now - w);
         }
         let view = SingleView { alias: self.alias, tuple: &tuple };
         if !eval_compiled(&self.selections, &view) {
-            self.filtered += 1;
+            self.stats.filtered += 1;
             return None;
         }
-        self.buffer.push_back(tuple.clone());
-        self.emitted += 1;
+        self.window.push(tuple);
+        self.stats.ingested += 1;
+        self.stats.emitted += 1;
         let values: Vec<Scalar> =
             self.aggs.iter().map(|&(func, attr)| self.evaluate(func, attr)).collect();
         Some(Tuple::from_parts(self.out_stream, now, Arc::clone(&self.out_schema), values))
@@ -210,11 +187,6 @@ impl AggregateEngine {
         self.queries.push(AggregateQuery::compile(id, query));
     }
 
-    /// Number of registered queries.
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
-    }
-
     /// Pushes a tuple; returns `(query, aggregate output)` pairs.
     pub fn push(&mut self, tuple: Tuple) -> Vec<(QueryId, Tuple)> {
         self.inputs += 1;
@@ -230,18 +202,40 @@ impl AggregateEngine {
     pub fn watermark(&self) -> u64 {
         self.inputs
     }
+}
 
-    /// Checkpoint hooks: queries in registration order.
-    pub(crate) fn queries(&self) -> &[AggregateQuery] {
-        &self.queries
+/// An aggregate query checkpoints in the SPJ format: its window is one
+/// [`crate::checkpoint::BufferState`] that never activates a key index.
+impl Recoverable for AggregateEngine {
+    type Output = (QueryId, Tuple);
+
+    fn build(queries: &[(QueryId, Query)]) -> Self {
+        let mut engine = Self::new();
+        for (id, q) in queries {
+            engine.add_query(*id, q.clone());
+        }
+        engine
     }
 
-    pub(crate) fn queries_mut(&mut self) -> &mut [AggregateQuery] {
-        &mut self.queries
+    fn push(&mut self, tuple: Tuple) -> Vec<(QueryId, Tuple)> {
+        AggregateEngine::push(self, tuple)
     }
 
-    pub(crate) fn set_watermark(&mut self, watermark: u64) {
-        self.inputs = watermark;
+    fn checkpoint(&self) -> StreamCheckpoint {
+        let queries =
+            self.queries.iter().map(|q| QueryState::new(q.id, q.stats, from_ref(&q.window)));
+        StreamCheckpoint { watermark: self.inputs, queries: queries.collect() }
+    }
+
+    fn restore(&mut self, cp: &StreamCheckpoint) {
+        cp.restore_into(
+            self.queries.iter_mut().map(|q| (q.id, from_mut(&mut q.window), &mut q.stats)),
+        );
+        self.inputs = cp.watermark;
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.queries.iter().map(|q| q.stats).sum()
     }
 }
 

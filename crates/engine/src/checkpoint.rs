@@ -1,78 +1,99 @@
-//! Operator-state checkpointing for engine crash recovery.
+//! Operator-state checkpointing and upstream backup for engine crash
+//! recovery.
 //!
 //! The paper pushes query operators out onto the broker overlay, so a
 //! broker crash destroys not just routing state (healed incrementally by
 //! `cosmos-pubsub`) but the *operator state* hosted there: window buffers,
-//! join key indexes, aggregate partials, shared-group counters. This module
-//! gives every stateful engine an extract/restore API so a restarted broker
-//! can resume its operators instead of forgetting them.
+//! join key indexes, aggregate windows, counters. This module gives every
+//! stateful engine one checkpoint format and one recovery protocol, so a
+//! restarted broker can resume its operators instead of forgetting them.
 //!
 //! # Checkpoint lifecycle
 //!
-//! 1. **Extract.** [`StreamEngine::checkpoint`] (and the aggregate
-//!    equivalent; a [`SharedEngine`] checkpoints its inner merged-query
-//!    engine as a [`StreamCheckpoint`]) snapshots all mutable operator
-//!    state — window contents in arrival order, the sticky
-//!    index-activation flag of each buffer, and the per-query execution
-//!    counters — tagged with the engine's
-//!    **monotone input watermark**: the count of tuples consumed via
-//!    `push` so far. Snapshots share tuple payloads by `Arc`, so
-//!    extraction is O(window sizes) refcount bumps, never a deep copy.
-//! 2. **Retain upstream.** The upstream-backup layer
-//!    (`cosmos-pubsub::recovery`) keeps every record forwarded toward the
-//!    engine in a replay log until a checkpoint watermark acknowledges it.
-//!    Inputs are numbered from 0 and the watermark *counts* them, so
-//!    acking at watermark `w` truncates everything numbered below `w`
-//!    (inputs `0..w`, the ones the checkpoint has consumed), and
-//!    retention is bounded by the checkpoint interval, not stream length.
+//! Every engine implements [`Recoverable`] and checkpoints as a
+//! [`StreamCheckpoint`]: per query, its windows as [`BufferState`]s and its
+//! counters as [`EngineStats`]. A [`StreamEngine`](crate::exec::StreamEngine)
+//! query has one window per relation; an
+//! [`AggregateEngine`](crate::aggregate::AggregateEngine) query has one
+//! window that never activates a key index; a
+//! [`SharedEngine`](crate::shared::SharedEngine) checkpoints its inner
+//! merged-query engine. [`ReplayHost`] is where the protocol lives:
+//!
+//! 1. **Extract.** [`Recoverable::checkpoint`] snapshots all mutable
+//!    operator state — window contents in arrival order, the sticky
+//!    index-activation flag of each buffer, and the per-query counters —
+//!    tagged with the engine's **monotone input watermark**: the count of
+//!    tuples consumed via `push` so far. Snapshots share tuple payloads by
+//!    `Arc`, so extraction is O(window sizes) refcount bumps, never a deep
+//!    copy.
+//! 2. **Retain upstream.** A [`ReplayHost`] keeps every input in one
+//!    replay log until a checkpoint watermark acknowledges it. Inputs are
+//!    numbered from 0 and the watermark *counts* them, so acking at
+//!    watermark `w` drops inputs `0..w` (the ones the checkpoint has
+//!    consumed). Input `w + i` sits at log index `i`: retention is exactly
+//!    the unacked suffix by construction, and it is bounded by the
+//!    checkpoint interval, not stream length.
 //! 3. **Restore + replay.** After a crash, a fresh engine is built with
 //!    the *same* queries in the *same* registration order, then
-//!    [`StreamEngine::restore`] overwrites its mutable state from the
+//!    [`Recoverable::restore`] overwrites its mutable state from the
 //!    checkpoint (key buckets are rebuilt from the arrival-ordered window
-//!    contents — derived state never travels). Upstreams replay the
-//!    retained records `[w, now)` in input order; because the restored
-//!    state is bit-identical to the state the crash-free run had after
-//!    its first `w` inputs — including the sticky `active` flags, which
-//!    change how many probe combinations materialize and are therefore
-//!    observable through [`EngineStats`] — the replayed run re-derives
-//!    the exact outputs and counters of the run that never crashed.
+//!    contents — derived state never travels), and the host replays the
+//!    retained inputs `[w, now)` in input order. Because the restored state
+//!    is bit-identical to the state the crash-free run had after its first
+//!    `w` inputs — including the sticky `active` flags, which change how
+//!    many probe combinations materialize and are therefore observable
+//!    through [`EngineStats`] — the replayed run re-derives the exact
+//!    outputs and counters of the run that never crashed. Outputs of
+//!    inputs consumed before the crash are *verified* against the output
+//!    log instead of emitted again (output-side dedup).
 //!
 //! Compiled shape (predicates, schemas, equi-join plans, residual groups)
 //! is deliberately *not* checkpointed: it is a pure function of the query
-//! set, which the recovery layer re-registers before restoring. `restore`
+//! set, which the host re-registers before restoring. `restore`
 //! cross-checks that premise and panics on any mismatch — restoring a
 //! checkpoint into the wrong query set silently corrupting windows is the
 //! one failure mode this plane must never have.
 //!
+//! Where the inputs come from is the caller's business:
+//! `cosmos-pubsub::recovery` feeds a host from the broker overlay and
+//! keeps the network side (subscriptions, broker crash and restore, the
+//! checkpoint clock).
+//!
 //! # Examples
 //!
 //! ```
+//! use cosmos_engine::checkpoint::{Recoverable, ReplayHost};
 //! use cosmos_engine::exec::StreamEngine;
 //! use cosmos_engine::tuple::Tuple;
 //! use cosmos_query::{parse_query, QueryId, Scalar};
 //!
 //! let q = "SELECT * FROM R [Range 10 Seconds], S [Now] WHERE R.k = S.k";
-//! let mut engine = StreamEngine::new();
-//! engine.add_query(QueryId(1), parse_query(q)?);
-//! engine.push(Tuple::new("R", 0).with("k", Scalar::Int(7)));
-//! let cp = engine.checkpoint();
-//! assert_eq!(cp.watermark, 1);
+//! let queries = vec![(QueryId(1), parse_query(q)?)];
+//! let r = Tuple::new("R", 0).with("k", Scalar::Int(7));
+//! let s = Tuple::new("S", 1_000).with("k", Scalar::Int(7));
+//! let mut host = ReplayHost::<StreamEngine>::new(queries.clone());
+//! host.retain(r.clone());
+//! host.feed();
+//! host.checkpoint();
+//! assert_eq!((host.acked(), host.retained()), (1, 0));
 //!
-//! // Crash: the engine is lost. Rebuild with the same queries, restore.
-//! let mut restored = StreamEngine::new();
-//! restored.add_query(QueryId(1), parse_query(q)?);
-//! restored.restore(&cp);
-//! // The restored engine joins against the checkpointed window.
-//! let out = restored.push(Tuple::new("S", 1_000).with("k", Scalar::Int(7)));
-//! assert_eq!(out.len(), 1);
+//! // Crash: the engine is lost, and `s` arrives while the host is down.
+//! host.crash();
+//! host.retain(s.clone());
+//! // Rebuilt from the query set, restored, replayed: the join still fires.
+//! host.restore();
+//! let mut twin = StreamEngine::build(&queries);
+//! twin.push(r);
+//! assert_eq!(host.outputs(), &twin.push(s)[..]);
+//! assert_eq!(host.stats(), twin.stats());
 //! # Ok::<(), cosmos_query::ParseError>(())
 //! ```
 
-use crate::aggregate::AggregateEngine;
-use crate::exec::{EngineStats, StreamEngine};
-use crate::shared::SharedEngine;
+use crate::exec::{EngineStats, WindowBuffer};
 use crate::tuple::Tuple;
-use cosmos_query::QueryId;
+use cosmos_query::{Query, QueryId};
+use std::collections::VecDeque;
+use std::fmt::Debug;
 use std::sync::Arc;
 
 /// Extracted state of one window buffer: the arrival-ordered contents and
@@ -88,7 +109,7 @@ pub struct BufferState {
     pub active: bool,
 }
 
-/// Extracted state of one compiled SPJ query.
+/// Extracted state of one compiled query.
 #[derive(Debug, Clone)]
 pub struct QueryState {
     /// The query this state belongs to; restore refuses a mismatch.
@@ -99,9 +120,15 @@ pub struct QueryState {
     pub buffers: Vec<BufferState>,
 }
 
-/// A [`StreamEngine`] checkpoint: everything `restore` needs to make a
-/// freshly built engine (same queries, same registration order)
-/// observationally identical to this one.
+impl QueryState {
+    pub(crate) fn new(id: QueryId, stats: EngineStats, windows: &[WindowBuffer]) -> Self {
+        Self { id, stats, buffers: windows.iter().map(WindowBuffer::state).collect() }
+    }
+}
+
+/// The one checkpoint format: everything `restore` needs to make a freshly
+/// built engine (same queries, same registration order) observationally
+/// identical to the one it was taken from.
 #[derive(Debug, Clone)]
 pub struct StreamCheckpoint {
     /// Monotone input watermark: tuples consumed when the checkpoint was
@@ -111,146 +138,240 @@ pub struct StreamCheckpoint {
     pub queries: Vec<QueryState>,
 }
 
-impl StreamEngine {
-    /// Extracts a checkpoint of all mutable operator state.
-    pub fn checkpoint(&self) -> StreamCheckpoint {
-        let queries = self
-            .queries()
-            .iter()
-            .map(|q| QueryState {
-                id: q.id(),
-                stats: q.stats(),
-                buffers: q
-                    .buffers()
-                    .iter()
-                    .map(|b| {
-                        let (tuples, active) = b.snapshot();
-                        BufferState { tuples, active }
-                    })
-                    .collect(),
-            })
-            .collect();
-        StreamCheckpoint { watermark: self.watermark(), queries }
-    }
-
-    /// Restores a checkpoint taken from an engine with the same queries in
-    /// the same registration order, overwriting windows, key indexes, and
-    /// counters. The input watermark resumes from the checkpoint's value.
+impl StreamCheckpoint {
+    /// Overwrites each `(id, windows, counters)` of an engine's queries, in
+    /// registration order, from this checkpoint.
     ///
     /// # Panics
     ///
-    /// Panics if the registered query set does not match the checkpoint
-    /// (count, ids, or per-query buffer arity).
-    pub fn restore(&mut self, cp: &StreamCheckpoint) {
+    /// Panics if the queries do not match the checkpoint (count, ids, or
+    /// per-query window arity).
+    pub(crate) fn restore_into<'a>(
+        &self,
+        queries: impl ExactSizeIterator<Item = (QueryId, &'a mut [WindowBuffer], &'a mut EngineStats)>,
+    ) {
         assert_eq!(
-            self.queries().len(),
-            cp.queries.len(),
+            queries.len(),
+            self.queries.len(),
             "checkpoint covers {} queries, engine has {}",
-            cp.queries.len(),
-            self.queries().len()
+            self.queries.len(),
+            queries.len()
         );
-        for (q, qs) in self.queries_mut().iter_mut().zip(&cp.queries) {
-            assert_eq!(q.id(), qs.id, "checkpoint query order mismatch");
+        for ((id, windows, stats), qs) in queries.zip(&self.queries) {
+            assert_eq!(id, qs.id, "checkpoint query order mismatch");
             assert_eq!(
-                q.buffers().len(),
+                windows.len(),
                 qs.buffers.len(),
-                "query {} buffer arity mismatch: checkpoint has {}, engine has {}",
-                qs.id,
+                "query {id} buffer arity mismatch: checkpoint has {}, engine has {}",
                 qs.buffers.len(),
-                q.buffers().len()
+                windows.len()
             );
-            for (b, bs) in q.buffers_mut().iter_mut().zip(&qs.buffers) {
-                b.restore(bs.tuples.clone(), bs.active);
+            for (w, bs) in windows.iter_mut().zip(&qs.buffers) {
+                w.restore(bs);
             }
-            q.set_stats(qs.stats);
+            *stats = qs.stats;
         }
-        self.set_watermark(cp.watermark);
     }
 }
 
-/// Extracted state of one aggregate query: the window plus its counters.
-#[derive(Debug, Clone)]
-pub struct AggregateQueryState {
-    /// The query this state belongs to; restore refuses a mismatch.
-    pub id: QueryId,
-    /// Window contents in arrival order.
-    pub window: Vec<Arc<Tuple>>,
-    /// Tuples accepted into the window so far.
-    pub emitted: u64,
-    /// Tuples rejected by pushed-down selections so far.
-    pub filtered: u64,
-}
-
-/// An [`AggregateEngine`] checkpoint.
-#[derive(Debug, Clone)]
-pub struct AggregateCheckpoint {
-    /// Monotone input watermark at extraction.
-    pub watermark: u64,
-    /// Per-query state in registration order.
-    pub queries: Vec<AggregateQueryState>,
-}
-
-impl AggregateEngine {
-    /// Extracts a checkpoint of all mutable operator state.
-    pub fn checkpoint(&self) -> AggregateCheckpoint {
-        let queries = self
-            .queries()
-            .iter()
-            .map(|q| {
-                let (window, emitted, filtered) = q.snapshot();
-                AggregateQueryState { id: q.id(), window, emitted, filtered }
-            })
-            .collect();
-        AggregateCheckpoint { watermark: self.watermark(), queries }
-    }
-
-    /// Restores a checkpoint taken from an engine with the same queries in
-    /// the same registration order.
+/// A stateful engine the recovery protocol can host: built from its query
+/// set, fed one tuple at a time, checkpointed to and restored from a
+/// [`StreamCheckpoint`], and counted in [`EngineStats`].
+pub trait Recoverable {
+    /// One emitted result.
+    type Output: PartialEq + Debug;
+    /// A fresh engine running `queries` in registration order.
+    fn build(queries: &[(QueryId, Query)]) -> Self;
+    /// Consumes one input, advancing the watermark by one.
+    fn push(&mut self, tuple: Tuple) -> Vec<Self::Output>;
+    /// Extracts all mutable operator state against the input watermark.
+    fn checkpoint(&self) -> StreamCheckpoint;
+    /// Overwrites windows, key indexes and counters from a checkpoint of
+    /// an engine built over the same queries; the watermark resumes from
+    /// the checkpoint's.
     ///
     /// # Panics
     ///
-    /// Panics if the registered query set does not match the checkpoint.
-    pub fn restore(&mut self, cp: &AggregateCheckpoint) {
-        assert_eq!(
-            self.queries().len(),
-            cp.queries.len(),
-            "checkpoint covers {} aggregate queries, engine has {}",
-            cp.queries.len(),
-            self.queries().len()
-        );
-        for (q, qs) in self.queries_mut().iter_mut().zip(&cp.queries) {
-            assert_eq!(q.id(), qs.id, "checkpoint query order mismatch");
-            q.restore(qs.window.clone(), qs.emitted, qs.filtered);
-        }
-        self.set_watermark(cp.watermark);
-    }
+    /// Panics if the query set does not match the checkpoint.
+    fn restore(&mut self, cp: &StreamCheckpoint);
+    /// Execution counters summed over the queries.
+    fn stats(&self) -> EngineStats;
 }
 
-/// A [`SharedEngine`]'s checkpoint is a [`StreamCheckpoint`]: all of a
-/// shared engine's mutable state lives in the inner [`StreamEngine`]
-/// hosting the merged queries (groups, residual filters, and projection
-/// plans are compiled shape; verdicts are per-push scratch).
-impl SharedEngine {
-    /// Extracts a checkpoint of the inner merged-query engine.
-    pub fn checkpoint(&self) -> StreamCheckpoint {
-        self.engine().checkpoint()
+/// Upstream backup for one engine host: the retain → checkpoint-ack →
+/// crash → restore → replay-and-verify protocol, for any [`Recoverable`]
+/// engine (see the [module docs](self)).
+#[derive(Debug)]
+pub struct ReplayHost<E: Recoverable> {
+    /// Query set in registration order; a restore rebuilds from it.
+    queries: Vec<(QueryId, Query)>,
+    /// `None` while crashed.
+    engine: Option<E>,
+    /// Every input the last checkpoint has not acknowledged, in input
+    /// order: input `acked + i` sits at index `i`.
+    log: VecDeque<Tuple>,
+    /// Watermark acknowledged by the last checkpoint.
+    acked: u64,
+    /// Inputs consumed by the live engine (== its watermark).
+    consumed: u64,
+    /// Inputs consumed when the host last crashed: replay below this mark
+    /// verifies outputs instead of emitting them.
+    consumed_at_crash: u64,
+    /// Verification cursor into `outputs` during replay.
+    verify_cursor: usize,
+    last_checkpoint: Option<StreamCheckpoint>,
+    /// Output-log length when `last_checkpoint` was taken: replay
+    /// verification starts here.
+    outputs_at_checkpoint: usize,
+    /// Results emitted over the host's lifetime. Survives crashes — it
+    /// models output the rest of the system already saw.
+    outputs: Vec<E::Output>,
+}
+
+impl<E: Recoverable> ReplayHost<E> {
+    /// A live host running `queries`, with nothing retained.
+    pub fn new(queries: Vec<(QueryId, Query)>) -> Self {
+        Self {
+            engine: Some(E::build(&queries)),
+            queries,
+            log: VecDeque::new(),
+            acked: 0,
+            consumed: 0,
+            consumed_at_crash: 0,
+            verify_cursor: 0,
+            last_checkpoint: None,
+            outputs_at_checkpoint: 0,
+            outputs: Vec::new(),
+        }
     }
 
-    /// Restores a checkpoint taken from a shared engine built over the
-    /// same member queries in the same order (grouping is deterministic,
-    /// so equal builds produce equal merged query sets).
+    /// Appends the next input to the replay log, crashed or not: inputs
+    /// that arrive during downtime are exactly the ones only the log can
+    /// still deliver. [`ReplayHost::feed`] hands it to the engine.
+    pub fn retain(&mut self, input: Tuple) {
+        self.log.push_back(input);
+    }
+
+    /// Feeds a live engine every retained input it has not consumed, in
+    /// input order. Below the crash mark, outputs verify against the
+    /// output log (output-side dedup); past it, they extend the log. A
+    /// crashed host consumes nothing.
     ///
     /// # Panics
     ///
-    /// Panics if the merged query set does not match the checkpoint.
-    pub fn restore(&mut self, cp: &StreamCheckpoint) {
-        self.engine_mut().restore(cp);
+    /// Panics if a replayed output diverges from the pre-crash log.
+    pub fn feed(&mut self) {
+        let Some(engine) = self.engine.as_mut() else { return };
+        while self.consumed < self.acked + self.log.len() as u64 {
+            let input = self.log[(self.consumed - self.acked) as usize].clone();
+            let outputs = engine.push(input);
+            self.consumed += 1;
+            if self.consumed > self.consumed_at_crash {
+                self.outputs.extend(outputs);
+                continue;
+            }
+            for out in outputs {
+                assert!(
+                    self.verify_cursor < self.outputs.len(),
+                    "replay produced more outputs than the pre-crash run"
+                );
+                assert_eq!(
+                    self.outputs[self.verify_cursor], out,
+                    "replayed output diverged from the pre-crash log"
+                );
+                self.verify_cursor += 1;
+            }
+            if self.consumed == self.consumed_at_crash {
+                assert_eq!(
+                    self.verify_cursor,
+                    self.outputs.len(),
+                    "replay must regenerate exactly the pre-crash outputs"
+                );
+            }
+        }
+    }
+
+    /// Checkpoints the live engine and acknowledges its watermark: the log
+    /// drops every input below it.
+    ///
+    /// # Panics
+    ///
+    /// Panics while crashed.
+    pub fn checkpoint(&mut self) {
+        let cp = self.engine.as_ref().expect("cannot checkpoint a crashed host").checkpoint();
+        debug_assert_eq!(cp.watermark, self.consumed, "the feed loop keeps these in lockstep");
+        self.log.drain(..(cp.watermark - self.acked) as usize);
+        self.acked = cp.watermark;
+        self.outputs_at_checkpoint = self.outputs.len();
+        self.last_checkpoint = Some(cp);
+    }
+
+    /// Drops the engine. The output log and the replay log survive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host is already down.
+    pub fn crash(&mut self) {
+        assert!(self.engine.take().is_some(), "host is already down");
+        self.consumed_at_crash = self.consumed;
+    }
+
+    /// Rebuilds the engine from the query set, restores the last
+    /// checkpoint (if any; otherwise the log still holds every input), and
+    /// replays the retained suffix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host is already up, or if replay diverges from the
+    /// pre-crash output log.
+    pub fn restore(&mut self) {
+        assert!(self.engine.is_none(), "host is already up");
+        let mut engine = E::build(&self.queries);
+        if let Some(cp) = &self.last_checkpoint {
+            engine.restore(cp);
+        }
+        self.engine = Some(engine);
+        self.consumed = self.acked;
+        self.verify_cursor = self.outputs_at_checkpoint;
+        self.feed();
+    }
+
+    /// `true` while the engine is live.
+    pub fn is_up(&self) -> bool {
+        self.engine.is_some()
+    }
+
+    /// Results emitted over the host's lifetime, in input order.
+    pub fn outputs(&self) -> &[E::Output] {
+        &self.outputs
+    }
+
+    /// The watermark acknowledged by the last checkpoint.
+    pub fn acked(&self) -> u64 {
+        self.acked
+    }
+
+    /// Inputs retained for replay: exactly those not yet acknowledged.
+    pub fn retained(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Execution counters of the live engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics while crashed.
+    pub fn stats(&self) -> EngineStats {
+        self.engine.as_ref().expect("stats of a live engine").stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::AggregateEngine;
+    use crate::exec::StreamEngine;
+    use crate::shared::SharedEngine;
     use cosmos_query::{parse_query, Scalar};
 
     fn t(stream: &str, ts: i64, kv: &[(&str, i64)]) -> Tuple {
@@ -341,11 +462,14 @@ mod tests {
         let mut b = AggregateEngine::new();
         b.add_query(QueryId(1), parse_query(src).unwrap());
         b.restore(&cp);
+        assert_eq!(b.stats(), a.stats());
+        assert_eq!(a.stats().filtered, 3, "v = -2, -1, 0 fail the selection");
         for i in 10..20i64 {
             let probe = t("R", i * 500, &[("v", i)]);
             assert_eq!(a.push(probe.clone()), b.push(probe));
         }
         assert_eq!(a.watermark(), b.watermark());
+        assert_eq!(b.stats(), a.stats());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! points (`ResultTuple::project`, `ResultTuple::project_compiled`) build
 //! the plan per call.
 
+use crate::checkpoint::{BufferState, QueryState, Recoverable, StreamCheckpoint};
 pub use crate::tuple::ProjPlanCache;
 use crate::tuple::{JoinedTuple, Tuple};
 use cosmos_query::compiled::{eval_compiled, CompiledPredicate, Operand, ScalarRef, SymSource};
@@ -136,6 +137,17 @@ pub struct EngineStats {
     pub filtered: u64,
 }
 
+impl std::iter::Sum for EngineStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| Self {
+            ingested: a.ingested + b.ingested,
+            probes: a.probes + b.probes,
+            emitted: a.emitted + b.emitted,
+            filtered: a.filtered + b.filtered,
+        })
+    }
+}
+
 /// A hashable view of an equi-join key value. Numeric values normalize
 /// through `f64` bits (with `-0.0` collapsed onto `0.0`), matching
 /// [`compare_ref`]'s equality semantics exactly: `Int(5)` and `Float(5.0)`
@@ -178,7 +190,7 @@ const INDEX_ACTIVATION: usize = 16;
 /// `Arc`-cloning into) every buffered tuple.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WindowBuffer {
-    queue: VecDeque<Arc<Tuple>>,
+    pub(crate) queue: VecDeque<Arc<Tuple>>,
     /// `(attr, key)` → tuples in arrival (= timestamp) order. Populated
     /// only while `active`.
     buckets: HashMap<(Symbol, JoinKey), VecDeque<Arc<Tuple>>>,
@@ -205,7 +217,7 @@ impl WindowBuffer {
         }
     }
 
-    fn push(&mut self, tuple: Arc<Tuple>) {
+    pub(crate) fn push(&mut self, tuple: Arc<Tuple>) {
         if self.active {
             Self::index_tuple(&mut self.buckets, &self.indexed_attrs, &tuple);
         }
@@ -224,17 +236,17 @@ impl WindowBuffer {
     /// complete observable state — `active` must travel with the tuples
     /// because probing through buckets vs. the linear queue materializes
     /// different candidate counts ([`EngineStats::probes`] is observable).
-    pub(crate) fn snapshot(&self) -> (Vec<Arc<Tuple>>, bool) {
-        (self.queue.iter().cloned().collect(), self.active)
+    pub(crate) fn state(&self) -> BufferState {
+        BufferState { tuples: self.queue.iter().cloned().collect(), active: self.active }
     }
 
     /// Checkpoint restore: replaces the window contents and index flag,
     /// rebuilding the key buckets from the arrival-ordered tuples (bucket
     /// order is derived, so the rebuild is deterministic).
-    pub(crate) fn restore(&mut self, tuples: Vec<Arc<Tuple>>, active: bool) {
-        self.queue = tuples.into();
+    pub(crate) fn restore(&mut self, state: &BufferState) {
+        self.queue = state.tuples.iter().cloned().collect();
         self.buckets.clear();
-        self.active = active;
+        self.active = state.active;
         if self.active {
             for t in &self.queue {
                 Self::index_tuple(&mut self.buckets, &self.indexed_attrs, t);
@@ -244,7 +256,7 @@ impl WindowBuffer {
 
     /// Drops tuples older than `cutoff`. Bucket fronts mirror the queue
     /// front (both are arrival-ordered), so each removal is O(1).
-    fn prune(&mut self, cutoff: i64) {
+    pub(crate) fn prune(&mut self, cutoff: i64) {
         while let Some(front) = self.queue.front() {
             if front.timestamp >= cutoff {
                 break;
@@ -379,20 +391,6 @@ impl CompiledQuery {
     /// Execution counters so far.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// Checkpoint hooks: window buffers in relation order.
-    pub(crate) fn buffers(&self) -> &[WindowBuffer] {
-        &self.buffers
-    }
-
-    pub(crate) fn buffers_mut(&mut self) -> &mut [WindowBuffer] {
-        &mut self.buffers
-    }
-
-    /// Checkpoint restore overwrites the counters wholesale.
-    pub(crate) fn set_stats(&mut self, stats: EngineStats) {
-        self.stats = stats;
     }
 
     fn prune(&mut self, now: i64) {
@@ -616,19 +614,6 @@ impl StreamEngine {
         self.inputs
     }
 
-    /// Checkpoint hooks: compiled queries in registration order.
-    pub(crate) fn queries(&self) -> &[CompiledQuery] {
-        &self.queries
-    }
-
-    pub(crate) fn queries_mut(&mut self) -> &mut [CompiledQuery] {
-        &mut self.queries
-    }
-
-    pub(crate) fn set_watermark(&mut self, watermark: u64) {
-        self.inputs = watermark;
-    }
-
     /// The compiled query with id `id`, if registered.
     pub fn query(&self, id: QueryId) -> Option<&CompiledQuery> {
         self.queries.iter().find(|q| q.id == id)
@@ -636,14 +621,37 @@ impl StreamEngine {
 
     /// Aggregate statistics over all queries.
     pub fn total_stats(&self) -> EngineStats {
-        let mut total = EngineStats::default();
-        for q in &self.queries {
-            total.ingested += q.stats.ingested;
-            total.probes += q.stats.probes;
-            total.emitted += q.stats.emitted;
-            total.filtered += q.stats.filtered;
+        self.queries.iter().map(|q| q.stats).sum()
+    }
+}
+
+impl Recoverable for StreamEngine {
+    type Output = ResultTuple;
+
+    fn build(queries: &[(QueryId, Query)]) -> Self {
+        let mut engine = Self::new();
+        for (id, q) in queries {
+            engine.add_query(*id, q.clone());
         }
-        total
+        engine
+    }
+
+    fn push(&mut self, tuple: Tuple) -> Vec<ResultTuple> {
+        StreamEngine::push(self, tuple)
+    }
+
+    fn checkpoint(&self) -> StreamCheckpoint {
+        let queries = self.queries.iter().map(|q| QueryState::new(q.id, q.stats, &q.buffers));
+        StreamCheckpoint { watermark: self.inputs, queries: queries.collect() }
+    }
+
+    fn restore(&mut self, cp: &StreamCheckpoint) {
+        cp.restore_into(self.queries.iter_mut().map(|q| (q.id, &mut q.buffers[..], &mut q.stats)));
+        self.inputs = cp.watermark;
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.total_stats()
     }
 }
 

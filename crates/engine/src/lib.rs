@@ -19,12 +19,14 @@
 //!   into per-query results with residual filters/projections. An engine
 //!   invariant — shared execution produces exactly the same per-query
 //!   results as independent execution — is enforced by property tests.
-//! - [`checkpoint`]: operator-state extraction and restore for crash
-//!   recovery — every stateful engine (SPJ windows + join indexes,
-//!   aggregate windows/partials, shared groups) checkpoints against a
-//!   monotone input watermark; a restored engine replayed from the
-//!   watermark converges bit-for-bit to the crash-free run. The
-//!   upstream-backup replay side lives in `cosmos-pubsub::recovery`.
+//! - [`checkpoint`]: crash recovery in one format and one protocol. Every
+//!   stateful engine (SPJ windows + join indexes, aggregate windows, the
+//!   shared engine's merged queries) is [`checkpoint::Recoverable`] and
+//!   checkpoints as a [`StreamCheckpoint`] against a monotone input
+//!   watermark; [`checkpoint::ReplayHost`] retains the unacked inputs,
+//!   restores after a crash and replays, verifying that the restored run
+//!   converges bit-for-bit to the crash-free one. `cosmos-pubsub::recovery`
+//!   hosts it on the broker overlay.
 //!
 //! Tuples must arrive in non-decreasing timestamp order across all streams
 //! (the usual in-order assumption; the paper's experiments satisfy it by
@@ -55,9 +57,7 @@ pub mod shared;
 pub mod tuple;
 
 pub use aggregate::{AggregateEngine, AggregateQuery};
-pub use checkpoint::{
-    AggregateCheckpoint, AggregateQueryState, BufferState, QueryState, StreamCheckpoint,
-};
+pub use checkpoint::{BufferState, QueryState, Recoverable, ReplayHost, StreamCheckpoint};
 pub use exec::{CompiledQuery, EngineStats, ResultTuple, StreamEngine};
 pub use shared::SharedEngine;
 pub use tuple::{JoinedTuple, ProjPlanCache, Tuple};

@@ -13,10 +13,11 @@
 //! exactly the per-query results independent execution would* — is what the
 //! tests (including property tests) pin down.
 
+use crate::checkpoint::{Recoverable, StreamCheckpoint};
 use crate::exec::{CompiledProjection, EngineStats, ProjPlanCache, StreamEngine};
 use crate::tuple::Tuple;
 use cosmos_query::compiled::{eval_compiled, CompiledPredicate};
-use cosmos_query::containment::{merge_queries, MergedQuery};
+use cosmos_query::containment::merge_queries;
 use cosmos_query::{Query, QueryId};
 use cosmos_util::intern::{Schema, Symbol};
 use cosmos_util::PlanCache;
@@ -68,7 +69,6 @@ struct Group {
     /// Shared result stream tag (paper: derived from the processor's
     /// unique identifier).
     result_stream: Symbol,
-    merged: MergedQuery,
     /// Per-member compiled residuals, in member order.
     residuals: Vec<ResidualCompiled>,
     /// Distinct residual filter conjunctions (structural equality of the
@@ -171,7 +171,6 @@ impl SharedEngine {
             let merged = merge_queries(&refs).expect("group members were verified mergeable");
             // Internal ids live far above user ids to avoid collisions.
             let merged_id = QueryId(u64::MAX - gi as u64);
-            engine.add_query(merged_id, merged.query.clone());
             // Compile every residual once: filters, projection, renames.
             // Identical residual conjunctions collapse into one shared
             // filter set, and identical (projection, renames) collapse
@@ -220,12 +219,12 @@ impl SharedEngine {
                     }
                 })
                 .collect();
+            engine.add_query(merged_id, merged.query);
             let verdicts = vec![None; filter_sets.len()];
             let class_outputs = vec![None; proj_classes.len()];
             groups.push(Group {
                 merged_id,
                 result_stream: Symbol::intern(&format!("shared-{gi}")),
-                merged,
                 residuals,
                 filter_sets,
                 verdicts,
@@ -253,40 +252,9 @@ impl SharedEngine {
         self.groups.iter().map(|g| g.filter_sets.len()).sum()
     }
 
-    /// Number of distinct projection classes across all groups — the
-    /// number of projections one shared result can cost at most. Members
-    /// with identical projections and alias renames share one class (and
-    /// one `Arc`-shared output record per result).
-    pub fn projection_class_count(&self) -> usize {
-        self.groups.iter().map(|g| g.proj_classes.len()).sum()
-    }
-
-    /// The covering query of each group.
-    pub fn merged_queries(&self) -> impl Iterator<Item = &Query> {
-        self.groups.iter().map(|g| &g.merged.query)
-    }
-
-    /// Engine counters (probes/emits of the merged queries).
-    pub fn stats(&self) -> EngineStats {
-        self.engine.total_stats()
-    }
-
     /// Monotone input watermark of the underlying merged-query engine.
-    /// All of a [`SharedEngine`]'s mutable state lives there — groups,
-    /// residuals, and caches are compiled shape or per-push scratch — so
-    /// the checkpoint plane snapshots the inner engine alone (see
-    /// [`crate::checkpoint`]).
     pub fn watermark(&self) -> u64 {
         self.engine.watermark()
-    }
-
-    /// Checkpoint hooks: the underlying engine hosting the merged queries.
-    pub(crate) fn engine(&self) -> &StreamEngine {
-        &self.engine
-    }
-
-    pub(crate) fn engine_mut(&mut self) -> &mut StreamEngine {
-        &mut self.engine
     }
 
     /// Pushes a tuple; returns `(query, result)` pairs after splitting the
@@ -333,6 +301,35 @@ impl SharedEngine {
             }
         }
         out
+    }
+}
+
+/// A shared engine checkpoints its inner merged-query engine alone: all
+/// of its mutable state lives there (groups, residual filters and
+/// projection plans are compiled shape; verdicts are per-push scratch), and
+/// grouping is deterministic, so equal builds produce equal merged query
+/// sets. Its counters are the merged queries' probes and emits.
+impl Recoverable for SharedEngine {
+    type Output = (QueryId, Tuple);
+
+    fn build(queries: &[(QueryId, Query)]) -> Self {
+        SharedEngine::build(queries.to_vec())
+    }
+
+    fn push(&mut self, tuple: Tuple) -> Vec<(QueryId, Tuple)> {
+        SharedEngine::push(self, tuple)
+    }
+
+    fn checkpoint(&self) -> StreamCheckpoint {
+        self.engine.checkpoint()
+    }
+
+    fn restore(&mut self, cp: &StreamCheckpoint) {
+        self.engine.restore(cp);
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.engine.total_stats()
     }
 }
 
@@ -443,7 +440,7 @@ mod tests {
     fn paper_q3_q4_share_one_engine_query() {
         let shared = SharedEngine::build(paper_queries());
         assert_eq!(shared.group_count(), 1);
-        let merged = shared.merged_queries().next().unwrap();
+        let merged = shared.engine.query(shared.groups[0].merged_id).unwrap().query();
         // Q5: no selection filter, 1-hour window.
         assert_eq!(merged.selection_predicates().count(), 0);
         assert_eq!(merged.relation("S1").unwrap().window, cosmos_query::Window::Range(3_600_000));
@@ -543,7 +540,7 @@ mod tests {
         let mut shared = SharedEngine::build(queries);
         assert_eq!(shared.group_count(), 1);
         assert_eq!(
-            shared.projection_class_count(),
+            shared.groups[0].proj_classes.len(),
             1,
             "identical projections + renames must share one class"
         );
@@ -567,7 +564,7 @@ mod tests {
         ];
         let shared = SharedEngine::build(queries);
         assert_eq!(shared.group_count(), 1);
-        assert_eq!(shared.projection_class_count(), 2);
+        assert_eq!(shared.groups[0].proj_classes.len(), 2);
     }
 
     #[test]

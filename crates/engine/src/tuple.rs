@@ -105,7 +105,7 @@ impl JoinedTuple {
 
     /// The component tuple bound to `alias` — the hot path.
     #[inline]
-    pub fn part_sym(&self, alias: Symbol) -> Option<&Tuple> {
+    fn part_sym(&self, alias: Symbol) -> Option<&Tuple> {
         self.parts.iter().find(|(a, _)| *a == alias).map(|(_, t)| t.as_ref())
     }
 

@@ -1,14 +1,12 @@
 //! Engine crash-recovery differential suite.
 //!
-//! Every trial drives a *recoverable host* — an engine plus the
-//! checkpoint/retain/replay bookkeeping of `cosmos-pubsub::recovery`,
-//! reduced to a single in-process upstream — through a random
+//! Every trial drives a [`ReplayHost`] — the one upstream-backup protocol,
+//! the same type `cosmos-pubsub::recovery` hosts on the broker overlay,
+//! here fed by a single in-process upstream — through a random
 //! interleaving of input batches, checkpoints, crashes, and restores,
 //! against a **crash-free twin** consuming the identical input serially.
 //! After every operation the host's lifetime output log and execution
-//! counters must equal the twin's **bit-for-bit**, and the retained
-//! replay suffix must be exactly the inputs above the acked checkpoint
-//! watermark (the upstream-backup retention bound).
+//! counters must equal the twin's **bit-for-bit**.
 //!
 //! Crashes land mid-window by construction: batches are small, windows
 //! span many batches, and the op schedule interleaves freely — so
@@ -27,8 +25,8 @@
 //! arbitrary subsequent input — push-for-push output equality.
 
 use cosmos_engine::aggregate::AggregateEngine;
-use cosmos_engine::checkpoint::{AggregateCheckpoint, StreamCheckpoint};
-use cosmos_engine::exec::{EngineStats, StreamEngine};
+use cosmos_engine::checkpoint::{Recoverable, ReplayHost};
+use cosmos_engine::exec::StreamEngine;
 use cosmos_engine::shared::SharedEngine;
 use cosmos_engine::tuple::Tuple;
 use cosmos_query::{parse_query, Query, QueryId, Scalar};
@@ -37,7 +35,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 fn stress() -> bool {
@@ -52,220 +49,6 @@ fn trial_override() -> Option<u64> {
 thread_local! {
     /// Op index of the step currently executing, for failure reports.
     static STEP: Cell<u32> = const { Cell::new(0) };
-}
-
-/// The uniform engine surface the differential harness drives. Each
-/// implementor rebuilds from its query set on crash and restores the
-/// last checkpoint, exactly like a restarted broker host.
-trait Recoverable: Sized {
-    type Cp;
-    type Out: PartialEq + std::fmt::Debug + Clone;
-    fn build(queries: &[(QueryId, Query)]) -> Self;
-    fn feed(&mut self, t: Tuple) -> Vec<Self::Out>;
-    fn extract(&self) -> Self::Cp;
-    fn restore_cp(&mut self, cp: &Self::Cp);
-    /// Execution counters, where the engine exposes them.
-    fn stats(&self) -> Option<EngineStats>;
-}
-
-impl Recoverable for StreamEngine {
-    type Cp = StreamCheckpoint;
-    type Out = cosmos_engine::exec::ResultTuple;
-    fn build(queries: &[(QueryId, Query)]) -> Self {
-        let mut e = StreamEngine::new();
-        for (id, q) in queries {
-            e.add_query(*id, q.clone());
-        }
-        e
-    }
-    fn feed(&mut self, t: Tuple) -> Vec<Self::Out> {
-        self.push(t)
-    }
-    fn extract(&self) -> Self::Cp {
-        self.checkpoint()
-    }
-    fn restore_cp(&mut self, cp: &Self::Cp) {
-        self.restore(cp);
-    }
-    fn stats(&self) -> Option<EngineStats> {
-        Some(self.total_stats())
-    }
-}
-
-impl Recoverable for AggregateEngine {
-    type Cp = AggregateCheckpoint;
-    type Out = (QueryId, Tuple);
-    fn build(queries: &[(QueryId, Query)]) -> Self {
-        let mut e = AggregateEngine::new();
-        for (id, q) in queries {
-            e.add_query(*id, q.clone());
-        }
-        e
-    }
-    fn feed(&mut self, t: Tuple) -> Vec<Self::Out> {
-        self.push(t)
-    }
-    fn extract(&self) -> Self::Cp {
-        self.checkpoint()
-    }
-    fn restore_cp(&mut self, cp: &Self::Cp) {
-        self.restore(cp);
-    }
-    fn stats(&self) -> Option<EngineStats> {
-        None
-    }
-}
-
-impl Recoverable for SharedEngine {
-    type Cp = StreamCheckpoint;
-    type Out = (QueryId, Tuple);
-    fn build(queries: &[(QueryId, Query)]) -> Self {
-        SharedEngine::build(queries.to_vec())
-    }
-    fn feed(&mut self, t: Tuple) -> Vec<Self::Out> {
-        self.push(t)
-    }
-    fn extract(&self) -> Self::Cp {
-        self.checkpoint()
-    }
-    fn restore_cp(&mut self, cp: &Self::Cp) {
-        self.restore(cp);
-    }
-    fn stats(&self) -> Option<EngineStats> {
-        Some(self.stats())
-    }
-}
-
-/// One engine host with upstream-backup bookkeeping: retained replay
-/// suffix, checkpoint watermark, crash/replay output verification —
-/// the in-process reduction of `cosmos-pubsub::recovery`.
-struct Host<E: Recoverable> {
-    queries: Vec<(QueryId, Query)>,
-    /// `None` while crashed.
-    engine: Option<E>,
-    /// Seq-tagged unacked inputs; truncated at every checkpoint.
-    retained: VecDeque<(u64, Tuple)>,
-    next_seq: u64,
-    consumed: u64,
-    acked: u64,
-    consumed_at_crash: u64,
-    verify_cursor: usize,
-    outputs_at_checkpoint: usize,
-    last_cp: Option<E::Cp>,
-    /// Lifetime output log — survives crashes, verified during replay.
-    outputs: Vec<E::Out>,
-}
-
-impl<E: Recoverable> Host<E> {
-    fn new(queries: Vec<(QueryId, Query)>) -> Self {
-        Self {
-            engine: Some(E::build(&queries)),
-            queries,
-            retained: VecDeque::new(),
-            next_seq: 0,
-            consumed: 0,
-            acked: 0,
-            consumed_at_crash: 0,
-            verify_cursor: 0,
-            outputs_at_checkpoint: 0,
-            last_cp: None,
-            outputs: Vec::new(),
-        }
-    }
-
-    fn is_up(&self) -> bool {
-        self.engine.is_some()
-    }
-
-    /// Retains the input (crashed or not) and feeds a live engine.
-    fn publish(&mut self, t: Tuple) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.retained.push_back((seq, t));
-        if self.is_up() {
-            self.feed_all();
-        }
-    }
-
-    /// Consumes every retained input above the engine's watermark, in
-    /// seq order. Below the crash mark, outputs verify against the
-    /// pre-crash log instead of re-emitting (output-side dedup).
-    fn feed_all(&mut self) {
-        let engine = self.engine.as_mut().expect("feeding a live engine");
-        while self.consumed < self.next_seq {
-            let seq = self.consumed;
-            let i = self.retained.partition_point(|(s, _)| *s < seq);
-            let (s, t) = self.retained.get(i).expect("unacked input is retained");
-            assert_eq!(*s, seq, "replay log must be seq-dense above the ack watermark");
-            let out = engine.feed(t.clone());
-            self.consumed += 1;
-            if self.consumed <= self.consumed_at_crash {
-                for o in out {
-                    assert!(
-                        self.verify_cursor < self.outputs.len(),
-                        "replay produced more outputs than the pre-crash run"
-                    );
-                    assert_eq!(
-                        self.outputs[self.verify_cursor], o,
-                        "replayed output diverged from the pre-crash log"
-                    );
-                    self.verify_cursor += 1;
-                }
-                if self.consumed == self.consumed_at_crash {
-                    assert_eq!(
-                        self.verify_cursor,
-                        self.outputs.len(),
-                        "replay must regenerate exactly the pre-crash outputs"
-                    );
-                }
-            } else {
-                self.outputs.extend(out);
-            }
-        }
-    }
-
-    /// Extracts a checkpoint and truncates the replay log at its
-    /// watermark, asserting the retention bound.
-    fn checkpoint(&mut self) {
-        let engine = self.engine.as_ref().expect("checkpointing a live engine");
-        self.last_cp = Some(engine.extract());
-        self.acked = self.consumed;
-        self.outputs_at_checkpoint = self.outputs.len();
-        while self.retained.front().is_some_and(|&(s, _)| s < self.acked) {
-            self.retained.pop_front();
-        }
-        assert_eq!(
-            self.retained.len() as u64,
-            self.next_seq - self.acked,
-            "replay retention must be exactly the unacked suffix"
-        );
-    }
-
-    fn crash(&mut self) {
-        assert!(self.is_up(), "host is already down");
-        self.engine = None;
-        self.consumed_at_crash = self.consumed;
-    }
-
-    /// Rebuilds the engine from the query set, restores the last
-    /// checkpoint, and replays the retained suffix.
-    fn restore(&mut self) {
-        assert!(!self.is_up(), "host is already up");
-        let mut engine = E::build(&self.queries);
-        match &self.last_cp {
-            Some(cp) => {
-                engine.restore_cp(cp);
-                self.consumed = self.acked;
-                self.verify_cursor = self.outputs_at_checkpoint;
-            }
-            None => {
-                self.consumed = 0;
-                self.verify_cursor = 0;
-            }
-        }
-        self.engine = Some(engine);
-        self.feed_all();
-    }
 }
 
 /// Random in-order tuple over small key/value domains (small keys force
@@ -288,9 +71,9 @@ fn run_trial<E: Recoverable>(trial: u64, label: &str, pool: &[&str], streams: &[
             (QueryId(i as u64 + 1), parse_query(q).expect("pool query parses"))
         })
         .collect();
-    let mut host: Host<E> = Host::new(queries.clone());
+    let mut host: ReplayHost<E> = ReplayHost::new(queries.clone());
     let mut twin = E::build(&queries);
-    let mut twin_out: Vec<E::Out> = Vec::new();
+    let mut twin_out: Vec<E::Output> = Vec::new();
     let mut ts = 0i64;
     for step in 0..rng.gen_range(30u32..70) {
         STEP.set(step);
@@ -298,8 +81,9 @@ fn run_trial<E: Recoverable>(trial: u64, label: &str, pool: &[&str], streams: &[
         if roll < 55 {
             for _ in 0..rng.gen_range(1u32..6) {
                 let t = random_tuple(&mut rng, streams, &mut ts);
-                twin_out.extend(twin.feed(t.clone()));
-                host.publish(t);
+                twin_out.extend(twin.push(t.clone()));
+                host.retain(t);
+                host.feed();
             }
         } else if roll < 70 {
             if host.is_up() {
@@ -313,8 +97,8 @@ fn run_trial<E: Recoverable>(trial: u64, label: &str, pool: &[&str], streams: &[
             host.restore();
         }
         if host.is_up() {
-            assert_eq!(host.outputs, twin_out, "output log diverged from the crash-free twin");
-            let (h, t) = (host.engine.as_ref().unwrap().stats(), twin.stats());
+            assert_eq!(host.outputs(), twin_out, "output log diverged from the crash-free twin");
+            let (h, t) = (host.stats(), twin.stats());
             assert_eq!(h, t, "execution counters diverged from the crash-free twin");
         }
     }
@@ -322,9 +106,9 @@ fn run_trial<E: Recoverable>(trial: u64, label: &str, pool: &[&str], streams: &[
     if !host.is_up() {
         host.restore();
     }
-    assert_eq!(host.outputs, twin_out, "final output log diverged from the crash-free twin");
+    assert_eq!(host.outputs(), twin_out, "final output log diverged from the crash-free twin");
     assert_eq!(
-        host.engine.as_ref().unwrap().stats(),
+        host.stats(),
         twin.stats(),
         "final execution counters diverged from the crash-free twin"
     );
@@ -412,12 +196,12 @@ fn split_feed<E: Recoverable>(
 ) -> Result<(), String> {
     let mut a = E::build(queries);
     for t in prefix {
-        a.feed(t.clone());
+        a.push(t.clone());
     }
     let mut c = E::build(queries);
-    c.restore_cp(&a.extract());
+    c.restore(&a.checkpoint());
     for t in suffix {
-        prop_assert_eq!(a.feed(t.clone()), c.feed(t.clone()), "push-for-push outputs diverged");
+        prop_assert_eq!(a.push(t.clone()), c.push(t.clone()), "push-for-push outputs diverged");
     }
     prop_assert_eq!(a.stats(), c.stats());
     Ok(())

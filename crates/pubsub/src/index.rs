@@ -1500,14 +1500,6 @@ impl RoutingTable {
         }
     }
 
-    /// Matches one message into a fresh buffer — convenience for tests
-    /// and one-shot callers.
-    pub fn match_message(&mut self, msg: &Message, from: Option<NodeId>) -> MatchOutput {
-        let mut out = MatchOutput::default();
-        self.match_one(msg, from, &mut out);
-        out
-    }
-
     /// Matches one message — a run of one from a stack array — leaving
     /// its result in `out` (whose buffers are recycled into the scratch).
     pub(crate) fn match_one(&mut self, msg: &Message, from: Option<NodeId>, out: &mut MatchOutput) {
@@ -1601,8 +1593,15 @@ mod tests {
         out.forwards[0].1.as_ref().expect("narrowing union").len()
     }
 
+    /// Matches one message into a fresh buffer.
+    fn fresh_match(table: &mut RoutingTable, msg: &Message, from: Option<NodeId>) -> MatchOutput {
+        let mut out = MatchOutput::default();
+        table.match_one(msg, from, &mut out);
+        out
+    }
+
     fn local_matches(table: &mut RoutingTable, msg: &Message) -> Vec<SubId> {
-        table.match_message(msg, None).deliveries.into_iter().map(|(s, _)| s).collect()
+        fresh_match(table, msg, None).deliveries.into_iter().map(|(s, _)| s).collect()
     }
 
     /// Pads the partition with entries whose thresholds can never match
@@ -1734,7 +1733,7 @@ mod tests {
         assert_eq!(table.len(), 20, "every even entry removed");
         // Compaction triggered (tombstones > live): entries list is dense.
         assert_eq!(table.entries.len(), 20);
-        let out = table.match_message(&Message::new("R", 0).with("a", Scalar::Int(100)), None);
+        let out = fresh_match(&mut table, &Message::new("R", 0).with("a", Scalar::Int(100)), None);
         assert_eq!(out.forwards.len(), 1, "one hop group toward node 1");
     }
 
@@ -1755,10 +1754,10 @@ mod tests {
             .with("a", Scalar::Int(1))
             .with("b", Scalar::Int(2))
             .with("c", Scalar::Int(3));
-        let out = table.match_message(&msg, None);
+        let out = fresh_match(&mut table, &msg, None);
         assert_eq!(fwd_len(&out), 2, "union {{a,b}} before removal");
         assert_eq!(table.remove_entry(SubId(2), Some(NodeId(1))), 1);
-        let out = table.match_message(&msg, None);
+        let out = fresh_match(&mut table, &msg, None);
         assert_eq!(fwd_len(&out), 1, "union shrinks to {{a}}");
     }
 
@@ -1821,15 +1820,15 @@ mod tests {
             .with("a", Scalar::Int(1))
             .with("b", Scalar::Int(2))
             .with("c", Scalar::Int(3));
-        assert_eq!(fwd_len(&table.match_message(&msg, None)), 2);
+        assert_eq!(fwd_len(&fresh_match(&mut table, &msg, None)), 2);
         // First-class removal of the wide member shrinks the union to {a};
         // only this hop group is recomputed.
         assert_eq!(table.remove_entry(SubId(2), Some(NodeId(1))), 1);
-        let out = table.match_message(&msg, None);
+        let out = fresh_match(&mut table, &msg, None);
         assert_eq!(fwd_len(&out), 1, "union shrinks to {{a}}");
         // Removing the last member silences the hop entirely.
         assert_eq!(table.remove_entry(SubId(1), Some(NodeId(1))), 1);
-        assert!(table.match_message(&msg, None).forwards.is_empty());
+        assert!(fresh_match(&mut table, &msg, None).forwards.is_empty());
     }
 
     #[test]
@@ -1863,7 +1862,7 @@ mod tests {
             "emptied projection class dropped at re-grouping"
         );
         let msg = Message::new("R", 0).with("a", Scalar::Int(7)).with("b", Scalar::Int(8));
-        let out = table.match_message(&msg, None);
+        let out = fresh_match(&mut table, &msg, None);
         assert_eq!(out.deliveries.len(), 29);
         assert!(out.deliveries.iter().all(|(_, m)| m.len() == 1), "survivors still get {{a}}");
         let ids: Vec<SubId> = out.deliveries.iter().map(|(s, _)| *s).collect();
@@ -1877,8 +1876,8 @@ mod tests {
         s.subscriber = NodeId(9);
         table.ins(s, Some(NodeId(3)));
         let msg = Message::new("R", 0);
-        assert_eq!(table.match_message(&msg, None).forwards.len(), 1);
-        assert!(table.match_message(&msg, Some(NodeId(3))).forwards.is_empty());
+        assert_eq!(fresh_match(&mut table, &msg, None).forwards.len(), 1);
+        assert!(fresh_match(&mut table, &msg, Some(NodeId(3))).forwards.is_empty());
     }
 
     /// One scratch, one epoch, many partitions: whatever a big partition
@@ -1940,13 +1939,13 @@ mod tests {
         };
         for stream in ["R", "S", "R", "S"] {
             let alone = if stream == "R" { &mut only_big } else { &mut only_small };
-            let want = alone.match_message(&probe(stream), None);
-            let got = shared.match_message(&probe(stream), None);
+            let want = fresh_match(alone, &probe(stream), None);
+            let got = fresh_match(&mut shared, &probe(stream), None);
             assert_eq!(got.deliveries, want.deliveries, "deliveries on {stream}");
             assert_eq!(got.forwards, want.forwards, "forwards on {stream}");
             assert!(!got.deliveries.is_empty() && !got.forwards.is_empty());
         }
-        let s = shared.match_message(&probe("S"), None);
+        let s = fresh_match(&mut shared, &probe("S"), None);
         assert_eq!(s.deliveries.len(), 1, "only the one-predicate local member of S");
         assert_eq!(s.deliveries[0].0, SubId(10_001));
         assert_eq!(s.deliveries[0].1.len(), 1, "S's class keeps `b` alone");

@@ -26,12 +26,14 @@
 //!   per-link reliable exactly-once delivery (sequence numbers,
 //!   ack/retransmit with bounded backoff over simulated time, dedup
 //!   windows), converging bit-for-bit to the fault-free delivery log.
-//! - [`recovery`]: the crash-recovery plane — engine-hosting brokers
-//!   checkpoint their operator state against a monotone input watermark
-//!   while every upstream source retains a bounded replay log of the
-//!   records it forwarded; on crash + restore the engine reloads its last
-//!   checkpoint, upstreams replay the unacked suffix, and the recovered
-//!   output log converges bit-for-bit to the crash-free run.
+//! - [`recovery`]: the crash-recovery plane — the network side of
+//!   `cosmos-engine`'s upstream-backup protocol (`ReplayHost`):
+//!   engine-hosting brokers checkpoint their operator state against a
+//!   monotone input watermark on a simulated-time tick, while one replay
+//!   log per host retains every record published toward it until a
+//!   checkpoint acknowledges it; on crash + restore the engine reloads its
+//!   last checkpoint, the unacked suffix replays, and the recovered output
+//!   log converges bit-for-bit to the crash-free run.
 //! - [`snapshot`]: the parallel data plane — immutable
 //!   [`RoutingSnapshot`]s cloned from the broker's routing state, matched
 //!   lock-free by any number of concurrent [`SnapshotReader`]s while

@@ -1,54 +1,46 @@
-//! Upstream-backup replay: engine crash recovery over the broker overlay.
+//! Engine crash recovery over the broker overlay: the network side of
+//! upstream backup.
 //!
 //! The paper pushes query operators onto brokers, so
 //! [`BrokerNetwork::fail_node`] destroys operator state along with routing
-//! state. The routing side heals incrementally (PR 7); this module heals
-//! the *operator* side by composing three planes:
+//! state. The routing side heals incrementally. The operator side's
+//! protocol — retain every input until a checkpoint acknowledges it,
+//! restore the last checkpoint after a crash, replay the retained suffix
+//! and verify the outputs the crash-free run already emitted — is
+//! [`ReplayHost`] in `cosmos-engine::checkpoint`, written once for every
+//! engine. This module hosts one [`ReplayHost`] per engine-hosting broker
+//! and keeps only what the network adds:
 //!
-//! - **Checkpoints** (`cosmos-engine::checkpoint`): each hosted
-//!   [`StreamEngine`] periodically extracts its mutable state against a
-//!   monotone input watermark, on a simulated-time schedule paced by the
-//!   reliable plane's clock ([`LossyNetwork::now`]).
-//! - **Upstream backup**: every record forwarded toward a hosted engine is
-//!   retained in a replay log *at its upstream source broker* until the
-//!   engine's checkpoint watermark acknowledges it. Sequence numbers
-//!   start at 0 and the watermark counts consumed inputs, so acking at
-//!   watermark `w` truncates everything below `w`: retention is bounded
-//!   by the checkpoint interval — never by stream length. The bound —
-//!   retained records are exactly the unacked suffix `[w, now)` — is
-//!   asserted after every truncation.
-//! - **Replay**: on [`RecoveryNetwork::restore_host`], the broker rejoins
-//!   the overlay ([`BrokerNetwork::restore_node`]), its subscription is
-//!   re-installed, a fresh engine restores the last checkpoint, and the
-//!   upstreams replay the retained suffix in input order. Replayed inputs
-//!   the crash-free run had already consumed regenerate outputs that were
-//!   already emitted downstream; those are *verified bit-for-bit* against
-//!   the pre-crash output log instead of re-emitted (output-side dedup),
-//!   and inputs published while the host was down — which only the replay
-//!   log still has — extend the log. The recovered output log therefore
-//!   converges bit-for-bit to the run that never crashed, which the
-//!   differential suites pin against a crash-free twin engine.
-//!
-//! Checkpoint timers cancel lazily across a crash, exactly like the
-//! reliable plane's retransmission timers: each scheduled firing carries
-//! the host's epoch, a crash bumps the epoch, and stale firings no-op.
-//!
-//! The engine's input sequence is defined as *every record of its input
-//! streams in publish order* (the host subscribes all-pass; selection
-//! pushdown happens in-engine). Under `debug_assertions` the feed is
-//! cross-checked against the reliable plane's exactly-once converged
-//! deliveries for the host's subscription, tying replay to the same
-//! seq/path-key machinery the chaos suite trusts.
+//! - **The feed**: an all-pass subscription over the host's input streams.
+//!   The engine's input sequence is *every record of its input streams in
+//!   publish order* (selection pushdown happens in-engine), retained at
+//!   publish — crashed hosts included, since records published during
+//!   downtime are exactly the ones only the replay log can still deliver —
+//!   and fed to live engines once the message plane settles. Under
+//!   `debug_assertions` the feed is cross-checked against the reliable
+//!   plane's exactly-once converged deliveries for the host's
+//!   subscription, tying replay to the same seq/path-key machinery the
+//!   chaos suite trusts.
+//! - **Broker crash and restore**: [`RecoveryNetwork::crash_host`] tears
+//!   the node out of the overlay and keeps its incident edges;
+//!   [`RecoveryNetwork::restore_host`] rejoins it over the saved edges
+//!   (filtered to live endpoints) and re-installs its subscription. The
+//!   network records the crash order and answers which live host may crash
+//!   ([`RecoveryNetwork::killable`]: the surviving nodes stay connected).
+//! - **The checkpoint clock**: one next-checkpoint tick per host (`None`
+//!   while the host is crashed), paced by the reliable plane's simulated
+//!   clock ([`LossyNetwork::now`]). A settle that reaches the tick
+//!   checkpoints the host and moves the tick past the clock by whole
+//!   intervals; a restore re-arms it one interval out.
 
 use crate::broker::BrokerNetwork;
 use crate::reliable::LossyNetwork;
 use crate::subscription::{Message, StreamProjection, SubId, Subscription};
-use cosmos_engine::checkpoint::StreamCheckpoint;
+use cosmos_engine::checkpoint::ReplayHost;
 use cosmos_engine::exec::{EngineStats, ResultTuple, StreamEngine};
 use cosmos_net::NodeId;
 use cosmos_query::{Query, QueryId};
-use cosmos_util::EventQueue;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Engine-host subscriptions get ids far above any test population.
 const RECOVERY_SUB_BASE: u64 = u64::MAX / 2;
@@ -56,42 +48,14 @@ const RECOVERY_SUB_BASE: u64 = u64::MAX / 2;
 /// One broker node hosting a stream engine.
 #[derive(Debug)]
 struct EngineHost {
-    node: NodeId,
     /// The all-pass subscription feeding the engine; re-installed on
     /// restore (`fail_node` tears it down with the broker).
     sub: Subscription,
-    /// Query set in registration order; restore rebuilds the compiled
-    /// shape from it before applying the checkpoint.
-    queries: Vec<(QueryId, Query)>,
-    /// `None` while crashed.
-    engine: Option<StreamEngine>,
+    backup: ReplayHost<StreamEngine>,
     /// Incident edges saved by `fail_node`, replayed by `restore_node`.
     saved_edges: Vec<(NodeId, f64)>,
-    last_checkpoint: Option<StreamCheckpoint>,
-    /// Output-log length when `last_checkpoint` was taken: replay
-    /// verification starts here.
-    outputs_at_checkpoint: usize,
-    /// Per upstream source broker: retained `(seq, record)` replay log,
-    /// seq-ordered. Truncated at checkpoint ack.
-    replay: BTreeMap<NodeId, VecDeque<(u64, Message)>>,
-    /// Next input sequence number to assign (counts every matching
-    /// publish, delivered or not).
-    next_seq: u64,
-    /// Inputs consumed by the live engine (== its watermark).
-    consumed: u64,
-    /// Watermark acknowledged upstream by the last checkpoint.
-    acked: u64,
-    /// Inputs consumed when the host last crashed: replay below this mark
-    /// verifies outputs instead of emitting them.
-    consumed_at_crash: u64,
-    /// Verification cursor into `output_log` during replay.
-    verify_cursor: usize,
-    /// Results emitted downstream over the host's lifetime. Survives the
-    /// crash — it models output the rest of the system already saw.
-    output_log: Vec<ResultTuple>,
-    /// Checkpoint-timer epoch; bumped by crash and restore so stale
-    /// scheduled firings cancel lazily.
-    epoch: u64,
+    /// Tick of the next scheduled checkpoint; `None` while crashed.
+    next_checkpoint: Option<u64>,
     /// Records published while the host was up, in publish order — the
     /// exactly-once deliveries its subscription must converge to.
     #[cfg(debug_assertions)]
@@ -111,9 +75,8 @@ struct EngineHost {
 pub struct RecoveryNetwork {
     lossy: LossyNetwork,
     hosts: BTreeMap<NodeId, EngineHost>,
-    /// Simulated-time checkpoint schedule: `(host, epoch)` payloads fire
-    /// when the message plane's clock passes their due tick.
-    sched: EventQueue<(NodeId, u64)>,
+    /// Crashed hosts, most recent crash last.
+    crashed: Vec<NodeId>,
     /// Ticks between checkpoints of one host.
     interval: u64,
 }
@@ -127,7 +90,7 @@ impl RecoveryNetwork {
     /// Panics on a zero interval.
     pub fn new(lossy: LossyNetwork, interval: u64) -> Self {
         assert!(interval > 0, "a zero checkpoint interval would truncate nothing ever gained");
-        Self { lossy, hosts: BTreeMap::new(), sched: EventQueue::new(), interval }
+        Self { lossy, hosts: BTreeMap::new(), crashed: Vec::new(), interval }
     }
 
     /// Hosts a [`StreamEngine`] running `queries` at broker `node`: an
@@ -153,40 +116,21 @@ impl RecoveryNetwork {
         }
         let sub = builder.build();
         self.lossy.network_mut().subscribe(sub.clone());
-        let mut engine = StreamEngine::new();
-        for (id, q) in &queries {
-            engine.add_query(*id, q.clone());
-        }
-        self.sched.schedule_at(self.lossy.now() + self.interval, (node, 0));
-        self.hosts.insert(
-            node,
-            EngineHost {
-                node,
-                sub,
-                queries,
-                engine: Some(engine),
-                saved_edges: Vec::new(),
-                last_checkpoint: None,
-                outputs_at_checkpoint: 0,
-                replay: BTreeMap::new(),
-                next_seq: 0,
-                consumed: 0,
-                acked: 0,
-                consumed_at_crash: 0,
-                verify_cursor: 0,
-                output_log: Vec::new(),
-                epoch: 0,
-                #[cfg(debug_assertions)]
-                expected: Vec::new(),
-            },
-        );
+        let host = EngineHost {
+            sub,
+            backup: ReplayHost::new(queries),
+            saved_edges: Vec::new(),
+            next_checkpoint: Some(self.lossy.now() + self.interval),
+            #[cfg(debug_assertions)]
+            expected: Vec::new(),
+        };
+        self.hosts.insert(node, host);
     }
 
     /// Publishes one record: retained toward every hosted engine whose
-    /// subscription matches (crashed hosts included — records published
-    /// during downtime are exactly the ones only the replay log can still
-    /// deliver), then injected into the lossy plane. Returns `false` for
-    /// an unadvertised stream (nothing retained).
+    /// subscription matches (crashed hosts included), then injected into
+    /// the lossy plane. Returns `false` for an unadvertised stream
+    /// (nothing retained).
     ///
     /// # Panics
     ///
@@ -197,22 +141,20 @@ impl RecoveryNetwork {
         let Some(src) = self.lossy.network().source_of_symbol(msg.stream) else {
             return false;
         };
-        for host in self.hosts.values_mut() {
+        for (&node, host) in &mut self.hosts {
             if !host.sub.matches(&msg) {
                 continue;
             }
             assert_ne!(
-                src, host.node,
+                src, node,
                 "upstream backup requires the upstream to outlive the engine host \
                  (stream sourced at the host itself)"
             );
-            let seq = host.next_seq;
-            host.next_seq += 1;
-            host.replay.entry(src).or_default().push_back((seq, msg.clone()));
             #[cfg(debug_assertions)]
-            if host.engine.is_some() {
+            if host.backup.is_up() {
                 host.expected.push(msg.clone());
             }
+            host.backup.retain(msg.clone());
         }
         let injected = self.lossy.publish_lossy(msg);
         assert!(injected, "source resolved, so the publish must inject");
@@ -220,42 +162,38 @@ impl RecoveryNetwork {
     }
 
     /// Drains the message plane to quiescence, feeds every live engine
-    /// its unconsumed input suffix, and fires due checkpoints from the
-    /// simulated-time schedule.
+    /// its unconsumed input suffix, and checkpoints every host whose
+    /// next-checkpoint tick the clock has reached. A checkpoint that
+    /// fired leaves nothing for a second one at the same watermark, so
+    /// the tick moves past the clock by whole intervals.
     pub fn settle(&mut self) {
         self.lossy.run_to_quiescence();
-        let nodes: Vec<NodeId> = self.hosts.keys().copied().collect();
-        for &n in &nodes {
-            self.feed_host(n);
+        let now = self.lossy.now();
+        for host in self.hosts.values_mut() {
+            host.backup.feed();
+            if let Some(due) = host.next_checkpoint.as_mut().filter(|due| **due <= now) {
+                host.backup.checkpoint();
+                *due += ((now - *due) / self.interval + 1) * self.interval;
+            }
         }
         #[cfg(debug_assertions)]
         self.check_feed_matches_deliveries();
-        let now = self.lossy.now();
-        while let Some((due, (node, epoch))) = self.sched.pop_due(now) {
-            let host = self.hosts.get(&node).expect("scheduled host exists");
-            if host.epoch != epoch || host.engine.is_none() {
-                continue; // lazily cancelled by a crash/restore cycle
-            }
-            self.take_checkpoint(node);
-            self.sched.schedule_at(due + self.interval, (node, epoch));
-        }
     }
 
     /// Checkpoints `node`'s engine immediately (outside the schedule):
     /// extracts state, advances the ack watermark, truncates the
-    /// upstream replay logs.
+    /// upstream replay log.
     ///
     /// # Panics
     ///
     /// Panics if `node` hosts no engine or is crashed.
     pub fn checkpoint_now(&mut self, node: NodeId) {
-        assert!(self.is_up(node), "cannot checkpoint a crashed host");
-        self.take_checkpoint(node);
+        self.hosts.get_mut(&node).expect("unknown engine host").backup.checkpoint();
     }
 
     /// Crashes the broker at `node`: settles first (failures happen at
-    /// quiescence, like all routing churn), then tears the node out of
-    /// the overlay and drops its engine. The output log survives — it
+    /// quiescence, like all routing churn), then drops its engine and
+    /// tears the node out of the overlay. The output log survives — it
     /// models results the rest of the system already consumed.
     ///
     /// # Panics
@@ -264,20 +202,19 @@ impl RecoveryNetwork {
     pub fn crash_host(&mut self, node: NodeId) {
         self.settle();
         let host = self.hosts.get_mut(&node).expect("unknown engine host");
-        assert!(host.engine.is_some(), "host {node} is already down");
-        host.engine = None;
-        host.consumed_at_crash = host.consumed;
-        host.epoch += 1; // lazily cancel scheduled checkpoints
-        let edges = self.lossy.network_mut().fail_node(node).expect("crashing a live broker node");
-        self.hosts.get_mut(&node).expect("host exists").saved_edges = edges;
+        host.backup.crash();
+        host.next_checkpoint = None;
+        host.saved_edges =
+            self.lossy.network_mut().fail_node(node).expect("crashing a live broker node");
+        self.crashed.push(node);
         debug_assert_eq!(self.lossy.network().check_ledger_consistency(), Ok(()));
     }
 
-    /// Restores the broker at `node`: rejoins the overlay over the saved
-    /// edge batch (filtered to surviving endpoints), re-installs the
-    /// subscription, restores the last checkpoint into a freshly built
-    /// engine, and replays the retained suffix `[watermark, now)` —
-    /// verifying pre-crash outputs bit-for-bit, emitting the rest.
+    /// Restores the broker at `node`: restores the last checkpoint into a
+    /// freshly built engine and replays the retained suffix `[watermark,
+    /// now)` — verifying pre-crash outputs bit-for-bit, emitting the rest
+    /// — then rejoins the overlay over the saved edge batch (filtered to
+    /// surviving endpoints) and re-installs the subscription.
     ///
     /// # Panics
     ///
@@ -285,8 +222,10 @@ impl RecoveryNetwork {
     /// diverges from the pre-crash output log.
     pub fn restore_host(&mut self, node: NodeId) {
         self.settle();
-        let host = self.hosts.get(&node).expect("unknown engine host");
-        assert!(host.engine.is_none(), "host {node} is already up");
+        let host = self.hosts.get_mut(&node).expect("unknown engine host");
+        host.backup.restore();
+        host.next_checkpoint = Some(self.lossy.now() + self.interval);
+        self.crashed.retain(|&n| n != node);
         // Skip edges whose far endpoint is itself a crashed host — the
         // link returns when the later-crashing side (whose batch recorded
         // it) restores. Topology degree cannot decide this: a leaf
@@ -294,118 +233,48 @@ impl RecoveryNetwork {
         // return now. Same semantics as the chaos suite: a link is lost
         // for good only if both endpoints sat crashed at once and the
         // recording side restored first.
-        let down: Vec<NodeId> = self
-            .hosts
-            .values()
-            .filter(|h| h.engine.is_none() && h.node != node)
-            .map(|h| h.node)
-            .collect();
         let edges: Vec<(NodeId, f64)> =
-            host.saved_edges.iter().copied().filter(|&(m, _)| !down.contains(&m)).collect();
+            host.saved_edges.iter().copied().filter(|(m, _)| !self.crashed.contains(m)).collect();
         assert!(
             self.lossy.network_mut().restore_node(node, &edges),
             "restore_node must accept the filtered edge batch"
         );
-        let sub = host.sub.clone();
-        self.lossy.network_mut().subscribe(sub);
-        let host = self.hosts.get_mut(&node).expect("host exists");
-        let mut engine = StreamEngine::new();
-        for (id, q) in &host.queries {
-            engine.add_query(*id, q.clone());
-        }
-        match &host.last_checkpoint {
-            Some(cp) => {
-                engine.restore(cp);
-                host.consumed = cp.watermark;
-                host.verify_cursor = host.outputs_at_checkpoint;
-            }
-            None => {
-                // Crashed before the first checkpoint: replay everything.
-                host.consumed = 0;
-                host.verify_cursor = 0;
-            }
-        }
-        host.engine = Some(engine);
-        host.epoch += 1;
-        let epoch = host.epoch;
+        self.lossy.network_mut().subscribe(host.sub.clone());
         debug_assert_eq!(self.lossy.network().check_ledger_consistency(), Ok(()));
-        // Upstreams replay the retained suffix immediately; records
-        // published during downtime ride the same path.
-        self.feed_host(node);
-        self.sched.schedule_at(self.lossy.now() + self.interval, (node, epoch));
     }
 
-    /// Feeds `node`'s engine every retained record it has not consumed,
-    /// in input-sequence order. Below the crash mark, outputs verify
-    /// against the pre-crash log (output dedup); past it, they emit.
-    fn feed_host(&mut self, node: NodeId) {
-        let host = self.hosts.get_mut(&node).expect("unknown engine host");
-        let Some(engine) = host.engine.as_mut() else { return };
-        while host.consumed < host.next_seq {
-            let seq = host.consumed;
-            let record = host
-                .replay
-                .values()
-                .find_map(|log| {
-                    let i = log.partition_point(|(s, _)| *s < seq);
-                    log.get(i).filter(|(s, _)| *s == seq).map(|(_, m)| m.clone())
-                })
-                .expect("every unacked input sequence is retained upstream");
-            let outputs = engine.push(record);
-            host.consumed += 1;
-            if host.consumed <= host.consumed_at_crash {
-                for out in outputs {
-                    assert!(
-                        host.verify_cursor < host.output_log.len(),
-                        "replay produced more outputs than the pre-crash run"
-                    );
-                    assert_eq!(
-                        host.output_log[host.verify_cursor], out,
-                        "replayed output diverged from the pre-crash log"
-                    );
-                    host.verify_cursor += 1;
-                }
-                if host.consumed == host.consumed_at_crash {
-                    assert_eq!(
-                        host.verify_cursor,
-                        host.output_log.len(),
-                        "replay must regenerate exactly the pre-crash outputs"
-                    );
-                }
-            } else {
-                host.output_log.extend(outputs);
-            }
-        }
-        debug_assert_eq!(engine.watermark(), host.consumed);
+    /// Hosts whose engines are down, most recent crash last.
+    pub fn crashed(&self) -> &[NodeId] {
+        &self.crashed
     }
 
-    /// Extracts a checkpoint of `node`'s engine and truncates the
-    /// upstream replay logs at its watermark, asserting the retention
-    /// bound: exactly the unacked suffix survives.
-    fn take_checkpoint(&mut self, node: NodeId) {
-        let host = self.hosts.get_mut(&node).expect("unknown engine host");
-        let engine = host.engine.as_ref().expect("checkpointing a live engine");
-        let cp = engine.checkpoint();
-        assert_eq!(cp.watermark, host.consumed, "the feed loop keeps these in lockstep");
-        host.acked = cp.watermark;
-        host.outputs_at_checkpoint = host.output_log.len();
-        host.last_checkpoint = Some(cp);
-        for log in host.replay.values_mut() {
-            while log.front().is_some_and(|&(s, _)| s < host.acked) {
-                log.pop_front();
-            }
-        }
-        host.replay.retain(|_, log| !log.is_empty());
-        let retained: u64 = host.replay.values().map(|l| l.len() as u64).sum();
-        assert_eq!(
-            retained,
-            host.next_seq - host.acked,
-            "replay retention must be exactly the unacked suffix"
-        );
-        assert!(
-            host.replay.values().flatten().all(|&(s, _)| s >= host.acked),
-            "no retained record may predate the ack watermark"
-        );
+    /// Live hosts, ascending, whose crash would keep every surviving node
+    /// in one connected component — the overlay can then still route
+    /// every publish to every live engine, so recovery converges.
+    pub fn killable(&self) -> Vec<NodeId> {
+        let topo = self.network().topology();
+        self.host_nodes()
+            .filter(|&victim| self.is_up(victim))
+            .filter(|&victim| {
+                // Mark the dead, then everything reachable from the first
+                // survivor: every node must end up marked.
+                let mut marked = vec![false; topo.node_count()];
+                for &d in self.crashed.iter().chain([&victim]) {
+                    marked[d.0 as usize] = true;
+                }
+                let Some(start) = marked.iter().position(|&m| !m) else { return false };
+                marked[start] = true;
+                let mut stack = vec![NodeId(start as u32)];
+                while let Some(u) = stack.pop() {
+                    for (v, _) in topo.neighbors(u) {
+                        if !std::mem::replace(&mut marked[v.0 as usize], true) {
+                            stack.push(v);
+                        }
+                    }
+                }
+                marked.iter().all(|&m| m)
+            })
+            .collect()
     }
 
     /// Cross-checks the engine feed against the reliable plane: records
@@ -415,17 +284,16 @@ impl RecoveryNetwork {
     #[cfg(debug_assertions)]
     fn check_feed_matches_deliveries(&self) {
         let log = self.lossy.converged_log();
-        for host in self.hosts.values() {
+        for (&node, host) in &self.hosts {
             let delivered: Vec<&Message> = log
                 .iter()
-                .filter(|d| d.sub == host.sub.id && d.node == host.node)
+                .filter(|d| d.sub == host.sub.id && d.node == node)
                 .map(|d| &d.message)
                 .collect();
             assert_eq!(
                 delivered.len(),
                 host.expected.len(),
-                "host {} subscription must see each up-time publish exactly once",
-                host.node
+                "host {node} subscription must see each up-time publish exactly once"
             );
             for (d, e) in delivered.iter().zip(&host.expected) {
                 assert_eq!(*d, e, "delivered record diverged from the published one");
@@ -433,11 +301,15 @@ impl RecoveryNetwork {
         }
     }
 
+    fn host(&self, node: NodeId) -> &ReplayHost<StreamEngine> {
+        &self.hosts.get(&node).expect("unknown engine host").backup
+    }
+
     /// Results emitted by `node`'s engine over its lifetime, in input
     /// order — the artifact the differential suites compare bit-for-bit
     /// against a crash-free twin.
     pub fn output_log(&self, node: NodeId) -> &[ResultTuple] {
-        &self.hosts.get(&node).expect("unknown engine host").output_log
+        self.host(node).outputs()
     }
 
     /// Execution counters of `node`'s engine.
@@ -446,31 +318,22 @@ impl RecoveryNetwork {
     ///
     /// Panics while the host is crashed.
     pub fn engine_stats(&self, node: NodeId) -> EngineStats {
-        self.hosts
-            .get(&node)
-            .and_then(|h| h.engine.as_ref())
-            .expect("stats of a live engine")
-            .total_stats()
+        self.host(node).stats()
     }
 
     /// `true` while `node`'s engine is live.
     pub fn is_up(&self, node: NodeId) -> bool {
-        self.hosts.get(&node).is_some_and(|h| h.engine.is_some())
+        self.hosts.get(&node).is_some_and(|h| h.backup.is_up())
     }
 
     /// The watermark acknowledged upstream by `node`'s last checkpoint.
     pub fn acked_watermark(&self, node: NodeId) -> u64 {
-        self.hosts.get(&node).expect("unknown engine host").acked
+        self.host(node).acked()
     }
 
-    /// Total records retained upstream for `node` across all sources.
+    /// Records retained upstream for `node`: exactly its unacked inputs.
     pub fn retained(&self, node: NodeId) -> usize {
-        self.hosts.get(&node).expect("unknown engine host").replay.values().map(|l| l.len()).sum()
-    }
-
-    /// Inputs assigned to `node`'s engine so far (consumed or retained).
-    pub fn input_seq(&self, node: NodeId) -> u64 {
-        self.hosts.get(&node).expect("unknown engine host").next_seq
+        self.host(node).retained()
     }
 
     /// Hosted engine nodes, ascending.

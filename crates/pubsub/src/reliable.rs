@@ -58,7 +58,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 /// Sender window / receiver ring size, in frames, per directed link.
 pub const WINDOW: usize = 32;
 /// Simulated ticks per unit of link latency.
-pub const TICKS_PER_LATENCY: f64 = 100.0;
+const TICKS_PER_LATENCY: f64 = 100.0;
 /// Accounted wire size of an ack frame, in bytes.
 const ACK_BYTES: u64 = 16;
 /// Retransmission timeout: `RTO_RTT_FACTOR * link delay`, then bounded

@@ -82,16 +82,15 @@ impl StreamProjection {
 /// symbolically) *and* symbol-compiled once at construction, so matching a
 /// message never resolves a name. The *needs* projection (see
 /// [`StreamRequest::needs`]) is derived state too; every field is private
-/// so neither can go stale — replace filters through
-/// [`StreamRequest::set_filters`], which re-derives both.
+/// so neither can go stale — filters are replaced only by subscription
+/// merging, which re-derives both.
 #[derive(Debug, Clone)]
 pub struct StreamRequest {
     /// Attributes to keep.
     projection: StreamProjection,
     /// Conjunctive filters over this stream's attributes. Predicates use
     /// the stream name as the relation qualifier. Private so the compiled
-    /// form below can never go stale; read via [`StreamRequest::filters`],
-    /// replace via [`StreamRequest::set_filters`].
+    /// form below can never go stale; read via [`StreamRequest::filters`].
     filters: Vec<Predicate>,
     /// The same filters, symbol-compiled (kept in sync by constructors).
     compiled: Vec<CompiledPredicate>,
@@ -135,20 +134,15 @@ impl StreamRequest {
     }
 
     /// Replaces the filter conjunction, recompiling.
-    pub fn set_filters(&mut self, filters: Vec<Predicate>) {
+    fn set_filters(&mut self, filters: Vec<Predicate>) {
         self.compiled = CompiledPredicate::compile_all(&filters);
         self.needs = needs_of(&self.projection, &filters);
         self.filters = filters;
     }
 
-    /// The symbol-compiled filters.
-    pub fn compiled_filters(&self) -> &[CompiledPredicate] {
-        &self.compiled
-    }
-
     /// Does this request's filter set admit every message `other`'s admits?
     /// (i.e. `other`'s conjunction implies this conjunction).
-    pub fn filters_cover(&self, other: &StreamRequest) -> bool {
+    fn filters_cover(&self, other: &StreamRequest) -> bool {
         self.filters
             .iter()
             .all(|f_general| other.filters.iter().any(|f_specific| implies(f_specific, f_general)))
@@ -217,11 +211,6 @@ impl Subscription {
         SubscriptionBuilder {
             sub: Subscription { id: SubId(0), subscriber, streams: StreamMap::new() },
         }
-    }
-
-    /// Stream names requested, in symbol order.
-    pub fn stream_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.streams.keys().map(|s| s.as_str())
     }
 
     /// Returns `true` when this subscription would deliver (at least) every

@@ -68,7 +68,7 @@ pub const RUN_MAX: usize = 256;
 
 /// Minimum tombstone count before any compaction is worth considering:
 /// below this, rebuilds would churn more than the stale references cost.
-pub const COMPACT_MIN_DEAD: usize = 16;
+const COMPACT_MIN_DEAD: usize = 16;
 
 /// The single compaction policy of the routing plane: a tombstone
 /// population *dominates* once it is past the fixed floor **and** at

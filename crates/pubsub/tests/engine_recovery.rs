@@ -10,8 +10,7 @@
 //! non-host subscriber churn — over both clean and seeded-lossy message
 //! planes. After every settle with the host up, its lifetime output log
 //! and execution counters must equal a **crash-free twin** engine fed
-//! the identical publish sequence, bit-for-bit; upstream replay
-//! retention must be exactly the unacked suffix; and broker ledger
+//! the identical publish sequence, bit-for-bit; and broker ledger
 //! consistency is asserted after every operation.
 //!
 //! Checkpoints race crashes two ways: the simulated-time schedule fires
@@ -34,7 +33,7 @@ use cosmos_util::rng::rng_for;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 const QUERY_POOL: [&str; 4] = [
@@ -81,22 +80,6 @@ fn msg(rng: &mut StdRng, ts: i64) -> Message {
         .with("v", Scalar::Int(rng.gen_range(-20i64..20)))
 }
 
-/// Nodes reachable from `from` in the live topology, ignoring nodes in
-/// `dead` (crashed hosts are isolated, but the guard must also hold for
-/// a host we are *about* to kill).
-fn reachable(topo: &Topology, from: NodeId, dead: &HashSet<NodeId>) -> HashSet<NodeId> {
-    let mut seen = HashSet::from([from]);
-    let mut stack = vec![from];
-    while let Some(u) = stack.pop() {
-        for (v, _) in topo.neighbors(u) {
-            if !dead.contains(&v) && seen.insert(v) {
-                stack.push(v);
-            }
-        }
-    }
-    seen
-}
-
 /// Per-host crash-free twin: the same publish sequence through a bare
 /// engine, in publish order.
 struct Twin {
@@ -104,16 +87,15 @@ struct Twin {
     outputs: Vec<ResultTuple>,
 }
 
+/// Crashes go through the network's discipline: only a
+/// [killable](RecoveryNetwork::killable) host crashes (the survivors stay
+/// connected, so every live host stays reachable from every source — the
+/// exactly-once feed cross-check needs the path), and restores take the
+/// most recent crash: reverse crash order re-adds exactly the edges each
+/// fail removed, so each restore rebuilds the pre-crash topology.
 struct Harness {
     r: RecoveryNetwork,
     twins: BTreeMap<NodeId, Twin>,
-    sources: Vec<NodeId>,
-    /// Crashed hosts in crash order. Restores pop the top: reverse
-    /// crash order re-adds exactly the edges each fail removed (every
-    /// saved endpoint is up again by then), so each restore rebuilds
-    /// the pre-crash topology and the host rejoins reachable — the
-    /// invariant the exactly-once feed cross-check needs.
-    crash_stack: Vec<NodeId>,
     /// Non-host subscriber ids currently installed.
     churn_subs: Vec<u64>,
     next_sub: u64,
@@ -121,23 +103,6 @@ struct Harness {
 }
 
 impl Harness {
-    fn down_hosts(&self) -> HashSet<NodeId> {
-        self.r.host_nodes().filter(|&n| !self.r.is_up(n)).collect()
-    }
-
-    /// `true` if killing `victim` (on top of the already-down hosts)
-    /// leaves every other live host reachable from every source — the
-    /// reliable plane's exactly-once feed guarantee needs the path.
-    fn can_kill(&self, victim: NodeId) -> bool {
-        let mut dead = self.down_hosts();
-        dead.insert(victim);
-        let topo = self.r.network().topology();
-        self.sources.iter().all(|&src| {
-            let seen = reachable(topo, src, &dead);
-            self.r.host_nodes().all(|h| h == victim || dead.contains(&h) || seen.contains(&h))
-        })
-    }
-
     /// Publishes through the recovery plane and through every host's
     /// crash-free twin (twins never crash, so they consume immediately).
     fn publish(&mut self, m: Message) {
@@ -153,11 +118,6 @@ impl Harness {
             .check_ledger_consistency()
             .unwrap_or_else(|e| panic!("ledger inconsistent (trial {trial}, step {step}): {e}"));
         for node in self.r.host_nodes().collect::<Vec<_>>() {
-            assert_eq!(
-                self.r.retained(node) as u64,
-                self.r.input_seq(node) - self.r.acked_watermark(node),
-                "retention bound violated at host {node} (trial {trial}, step {step})"
-            );
             if self.r.is_up(node) {
                 let twin = &self.twins[&node];
                 assert_eq!(
@@ -223,15 +183,7 @@ fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
         }
         twins.insert(node, Twin { engine, outputs: Vec::new() });
     }
-    let mut h = Harness {
-        r,
-        twins,
-        sources: vec![src_r, src_s],
-        crash_stack: Vec::new(),
-        churn_subs: Vec::new(),
-        next_sub: 0,
-        nodes,
-    };
+    let mut h = Harness { r, twins, churn_subs: Vec::new(), next_sub: 0, nodes };
     let mut ts = 0i64;
     for step in 0..rng.gen_range(30u32..60) {
         STEP.set(step);
@@ -255,8 +207,7 @@ fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
         } else if roll < 70 {
             // Kill a live host — sometimes checkpointing it first, so
             // checkpoints race the crash at zero distance.
-            let killable: Vec<NodeId> =
-                h.r.host_nodes().filter(|&n| h.r.is_up(n) && h.can_kill(n)).collect();
+            let killable = h.r.killable();
             if !killable.is_empty() {
                 let n = killable[rng.gen_range(0..killable.len())];
                 if rng.gen_bool(0.3) {
@@ -264,11 +215,10 @@ fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
                     act.checkpoints += 1;
                 }
                 h.r.crash_host(n);
-                h.crash_stack.push(n);
                 act.crashes += 1;
             }
         } else if roll < 85 {
-            if let Some(n) = h.crash_stack.pop() {
+            if let Some(&n) = h.r.crashed().last() {
                 h.r.restore_host(n);
                 act.restores += 1;
             }
@@ -278,7 +228,7 @@ fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
             let id = h.next_sub;
             h.next_sub += 1;
             let node = NodeId(rng.gen_range(0..h.nodes));
-            if !h.down_hosts().contains(&node) {
+            if !h.r.crashed().contains(&node) {
                 let sub = Subscription::builder(node)
                     .id(SubId(id))
                     .stream(
@@ -301,7 +251,7 @@ fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
     // Final convergence: everyone restored (reverse crash order),
     // everything replayed.
     STEP.set(u32::MAX);
-    while let Some(n) = h.crash_stack.pop() {
+    while let Some(&n) = h.r.crashed().last() {
         h.r.restore_host(n);
         act.restores += 1;
     }

@@ -53,7 +53,7 @@ impl SparseSym {
     /// # Panics
     ///
     /// Panics if `x.len() != n`.
-    pub fn mul(&self, x: &[f64]) -> Vec<f64> {
+    fn mul(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n, "dimension mismatch");
         let mut y = vec![0.0; self.n];
         for (i, row) in self.rows.iter().enumerate() {
@@ -69,7 +69,7 @@ impl SparseSym {
 
 /// Builds the graph Laplacian of an undirected graph given as an edge list
 /// over `n` vertices. Parallel edges accumulate.
-pub fn laplacian(n: usize, edges: &[(usize, usize)]) -> SparseSym {
+fn laplacian(n: usize, edges: &[(usize, usize)]) -> SparseSym {
     let mut l = SparseSym::new(n);
     let mut degree = vec![0.0; n];
     for &(u, v) in edges {
@@ -108,7 +108,7 @@ fn project_out_ones(v: &mut [f64]) {
 /// # Panics
 ///
 /// Panics if `b.len() != A.len()`.
-pub fn cg_laplacian(a: &SparseSym, b: &[f64], tol: f64, max_iter: usize) -> Vec<f64> {
+fn cg_laplacian(a: &SparseSym, b: &[f64], tol: f64, max_iter: usize) -> Vec<f64> {
     assert_eq!(b.len(), a.len(), "dimension mismatch");
     let n = b.len();
     let mut b = b.to_vec();

@@ -52,7 +52,7 @@ impl Summary {
     }
 
     /// Population variance (divides by `n`).
-    pub fn population_variance(&self) -> f64 {
+    fn population_variance(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

@@ -149,11 +149,6 @@ impl<T> EventQueue<T> {
         self.now
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
@@ -162,7 +157,7 @@ impl<T> EventQueue<T> {
     /// Schedules `payload` at absolute tick `due`. Ticks before `now()` are
     /// clamped to `now()` (the event fires "immediately", after anything
     /// already scheduled for the current tick).
-    pub fn schedule_at(&mut self, due: u64, payload: T) {
+    fn schedule_at(&mut self, due: u64, payload: T) {
         let due = due.max(self.now);
         let seq = self.seq;
         self.seq += 1;
@@ -180,23 +175,6 @@ impl<T> EventQueue<T> {
         let Reverse((due, _, OrdIgnored(payload))) = self.heap.pop()?;
         self.now = due;
         Some((due, payload))
-    }
-
-    /// Due tick of the earliest pending event, without popping it.
-    pub fn peek_due(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((due, _, _))| *due)
-    }
-
-    /// Pops the earliest pending event only if it is due at or before
-    /// `tick`, advancing the clock to `max(its due tick, now)`. Lets a
-    /// caller drive this queue from an *external* clock (e.g. checkpoint
-    /// schedules paced by a network's simulated time) without racing
-    /// ahead of it: events due after `tick` stay queued.
-    pub fn pop_due(&mut self, tick: u64) -> Option<(u64, T)> {
-        if self.peek_due()? > tick {
-            return None;
-        }
-        self.pop()
     }
 }
 
@@ -264,50 +242,26 @@ mod tests {
         q.schedule_in(4, "first");
         assert_eq!(q.pop(), Some((4, "first")));
         q.schedule_in(4, "second"); // relative to now = 4
-        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
         assert_eq!(q.pop(), Some((8, "second")));
     }
 
-    #[test]
-    fn pop_due_holds_future_events() {
-        let mut q = EventQueue::new();
-        q.schedule_at(5, 'a');
-        q.schedule_at(9, 'b');
-        assert_eq!(q.peek_due(), Some(5));
-        assert_eq!(q.pop_due(4), None);
-        assert_eq!(q.now(), 0, "a refused pop must not advance the clock");
-        assert_eq!(q.pop_due(5), Some((5, 'a')));
-        assert_eq!(q.pop_due(5), None, "'b' is due at 9, past the external tick");
-        assert_eq!(q.pop_due(20), Some((9, 'b')));
-        assert_eq!(q.pop_due(20), None);
-        assert_eq!(q.now(), 9);
-    }
-
-    #[test]
-    fn pop_due_same_tick_is_fifo() {
-        let mut q = EventQueue::new();
-        q.schedule_at(3, 1u32);
-        q.schedule_at(3, 2u32);
-        assert_eq!(q.pop_due(3), Some((3, 1)));
-        assert_eq!(q.pop_due(3), Some((3, 2)));
-    }
-
-    /// The reliable/recovery planes cancel timers lazily: payloads carry an
-    /// epoch, cancellation bumps the live epoch, and stale events are
-    /// discarded on pop. A restore cycle (state torn down and rebuilt while
-    /// old timers are still queued) must not let a pre-crash timer fire
-    /// into the restored state.
+    /// The reliable plane cancels retransmission timers lazily: payloads
+    /// carry an epoch, cancellation bumps the live epoch, and stale events
+    /// are discarded on pop. A restore cycle (state torn down and rebuilt
+    /// while old timers are still queued) must not let a pre-crash timer
+    /// fire into the restored state.
     #[test]
     fn epoch_lazy_cancellation_survives_restore_cycle() {
         let mut q: EventQueue<(u64, &str)> = EventQueue::new();
         let mut epoch = 0u64;
         q.schedule_at(10, (epoch, "pre-crash retransmit"));
-        q.schedule_at(12, (epoch, "pre-crash checkpoint"));
+        q.schedule_at(12, (epoch, "pre-crash retransmit, second link"));
 
         // Crash + restore: the owning state is rebuilt; its queued timers
         // cannot be removed from the heap, so the epoch is bumped instead.
         epoch += 1;
-        q.schedule_at(15, (epoch, "post-restore checkpoint"));
+        q.schedule_at(15, (epoch, "post-restore retransmit"));
 
         let mut fired = Vec::new();
         while let Some((due, (ep, label))) = q.pop() {
@@ -315,7 +269,7 @@ mod tests {
                 fired.push((due, label));
             }
         }
-        assert_eq!(fired, vec![(15, "post-restore checkpoint")]);
+        assert_eq!(fired, vec![(15, "post-restore retransmit")]);
         // Stale events still advanced the clock (they were popped, just
         // not acted on) — time is shared, cancellation is per-payload.
         assert_eq!(q.now(), 15);
@@ -326,7 +280,7 @@ mod tests {
         epoch += 1;
         q.schedule_at(22, (epoch, "live"));
         let mut fired = Vec::new();
-        while let Some((due, (ep, label))) = q.pop_due(30) {
+        while let Some((due, (ep, label))) = q.pop() {
             if ep == epoch {
                 fired.push((due, label));
             }

@@ -41,7 +41,7 @@ pub struct WorkloadConfig {
     /// Zipf skew.
     pub theta: f64,
     /// Per-query substream count range (inclusive).
-    pub substreams_per_query: (usize, usize),
+    substreams_per_query: (usize, usize),
     /// Query load per byte/second of input.
     pub load_per_byte: f64,
     /// Result rate as a fraction of input rate.

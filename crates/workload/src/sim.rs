@@ -37,22 +37,25 @@ pub enum FaultOp {
     Idle,
 }
 
-/// A [`RecoveryNetwork`] whose churn operations re-validate the broker
-/// ledger *and* the replay-retention bound after every step in debug
+/// A [`RecoveryNetwork`] driven by [`RecoveryParams`], whose churn
+/// operations re-validate the broker ledger after every step in debug
 /// builds.
 ///
-/// Beyond auditing, it turns [`RecoveryParams`] into workload behaviour:
-/// the checkpoint interval paces the simulated-time schedule, and
-/// [`RecoverySim::fault_step`] rolls the kill/restore weights into the
-/// step mix, guarding kills so the surviving overlay stays connected
-/// (an engine cut off from its upstreams could never converge) and
-/// restoring in reverse crash order (the only order guaranteed to
-/// rebuild the pre-crash topology from the saved edge batches).
+/// The recovery protocol itself (retention, checkpoint acks, restore and
+/// verified replay) is `cosmos-engine`'s `ReplayHost`, and the crash
+/// discipline is the network's: [`RecoveryNetwork::killable`] names the
+/// live hosts whose crash keeps the surviving overlay connected (an engine
+/// cut off from its upstreams could never converge), and
+/// [`RecoveryNetwork::crashed`] records the crash order. What this adds is
+/// the workload behaviour: the checkpoint interval paces the network's
+/// simulated-time schedule, and [`RecoverySim::fault_step`] rolls the
+/// kill/restore weights into the step mix, restoring in reverse crash
+/// order (the only order guaranteed to rebuild the pre-crash topology from
+/// the saved edge batches).
 #[derive(Debug)]
 pub struct RecoverySim {
     r: RecoveryNetwork,
     params: RecoveryParams,
-    crash_stack: Vec<NodeId>,
 }
 
 impl RecoverySim {
@@ -61,16 +64,7 @@ impl RecoverySim {
     /// [`RecoveryParams::validate`]).
     pub fn new(lossy: LossyNetwork, params: RecoveryParams) -> Result<Self, String> {
         params.validate()?;
-        Ok(Self {
-            r: RecoveryNetwork::new(lossy, params.checkpoint_interval),
-            params,
-            crash_stack: Vec::new(),
-        })
-    }
-
-    /// The scenario knobs this simulator runs under.
-    pub fn params(&self) -> &RecoveryParams {
-        &self.params
+        Ok(Self { r: RecoveryNetwork::new(lossy, params.checkpoint_interval), params })
     }
 
     /// Read access to the wrapped recovery network.
@@ -79,20 +73,16 @@ impl RecoverySim {
     }
 
     /// Mutable access to the wrapped network. Churn performed through
-    /// this borrow bypasses the debug audit and the crash stack; prefer
-    /// the wrapper's own operations.
+    /// this borrow bypasses the debug audit; prefer the wrapper's own
+    /// operations.
     pub fn recovery_mut(&mut self) -> &mut RecoveryNetwork {
         &mut self.r
     }
 
-    /// Unwraps the audited network.
-    pub fn into_inner(self) -> RecoveryNetwork {
-        self.r
-    }
-
-    /// Hosts whose engines are currently down, most recent crash last.
+    /// Hosts whose engines are currently down, most recent crash last
+    /// ([`RecoveryNetwork::crashed`]).
     pub fn crashed(&self) -> &[NodeId] {
-        &self.crash_stack
+        self.r.crashed()
     }
 
     /// [`RecoveryNetwork::host_engine`], audited.
@@ -113,46 +103,32 @@ impl RecoverySim {
         self.audit("settle");
     }
 
-    /// [`RecoveryNetwork::checkpoint_now`], audited.
-    pub fn checkpoint_now(&mut self, node: NodeId) {
-        self.r.checkpoint_now(node);
-        self.audit("checkpoint_now");
-    }
-
-    /// [`RecoveryNetwork::crash_host`], audited and recorded on the
-    /// crash stack.
-    pub fn crash_host(&mut self, node: NodeId) {
-        self.r.crash_host(node);
-        self.crash_stack.push(node);
-        self.audit("crash_host");
-    }
-
-    /// [`RecoveryNetwork::restore_host`], audited and removed from the
-    /// crash stack.
+    /// [`RecoveryNetwork::restore_host`], audited.
     pub fn restore_host(&mut self, node: NodeId) {
         self.r.restore_host(node);
-        self.crash_stack.retain(|&n| n != node);
         self.audit("restore_host");
     }
 
     /// Rolls one fault-plane step of the workload mix. `roll` is taken
     /// modulo 100 against the scenario weights: the kill share crashes a
-    /// safely killable host (chosen by `pick`), the restore share brings
-    /// back the most recently crashed one, and the rest of the budget is
-    /// the caller's workload (publishes) — [`FaultOp::Idle`] here.
+    /// [killable](RecoveryNetwork::killable) host (chosen by `pick`), the
+    /// restore share brings back the most recently crashed one, and the
+    /// rest of the budget is the caller's workload (publishes) —
+    /// [`FaultOp::Idle`] here.
     pub fn fault_step(&mut self, roll: u32, pick: usize) -> FaultOp {
         let roll = roll % 100;
         if roll < self.params.kill_weight {
-            let candidates = self.killable();
+            let candidates = self.r.killable();
             if candidates.is_empty() {
                 return FaultOp::Idle;
             }
             let victim = candidates[pick % candidates.len()];
-            self.crash_host(victim);
+            self.r.crash_host(victim);
+            self.audit("crash_host");
             return FaultOp::Killed(victim);
         }
         if roll < self.params.kill_weight + self.params.restore_weight {
-            if let Some(&node) = self.crash_stack.last() {
+            if let Some(&node) = self.crashed().last() {
                 self.restore_host(node);
                 return FaultOp::Restored(node);
             }
@@ -160,54 +136,11 @@ impl RecoverySim {
         FaultOp::Idle
     }
 
-    /// Live engine hosts whose crash would keep every surviving node in
-    /// one connected component — the overlay can then still route every
-    /// publish to every live engine, so replay logs stay bounded and
-    /// recovery converges.
-    fn killable(&self) -> Vec<NodeId> {
-        let topo = self.r.network().topology();
-        let down: Vec<NodeId> = self.r.host_nodes().filter(|&n| !self.r.is_up(n)).collect();
-        let live: Vec<NodeId> = self.r.host_nodes().filter(|&n| self.r.is_up(n)).collect();
-        live.into_iter()
-            .filter(|&victim| {
-                let dead: Vec<NodeId> =
-                    down.iter().copied().chain(std::iter::once(victim)).collect();
-                let Some(start) =
-                    (0..topo.node_count() as u32).map(NodeId).find(|n| !dead.contains(n))
-                else {
-                    return false;
-                };
-                let mut seen = vec![start];
-                let mut stack = vec![start];
-                while let Some(u) = stack.pop() {
-                    for (v, _) in topo.neighbors(u) {
-                        if !dead.contains(&v) && !seen.contains(&v) {
-                            seen.push(v);
-                            stack.push(v);
-                        }
-                    }
-                }
-                seen.len() + dead.len() == topo.node_count()
-            })
-            .collect()
-    }
-
     #[inline]
     fn audit(&self, op: &str) {
         #[cfg(debug_assertions)]
-        {
-            if let Err(why) = self.r.network().check_ledger_consistency() {
-                panic!("ledger drift after {op}: {why}");
-            }
-            for n in self.r.host_nodes() {
-                let retained = self.r.retained(n) as u64;
-                let unacked = self.r.input_seq(n) - self.r.acked_watermark(n);
-                assert_eq!(
-                    retained, unacked,
-                    "replay retention drift at host {n} after {op}: \
-                     {retained} retained vs {unacked} unacked"
-                );
-            }
+        if let Err(why) = self.r.network().check_ledger_consistency() {
+            panic!("ledger drift after {op}: {why}");
         }
         #[cfg(not(debug_assertions))]
         let _ = op;
@@ -517,7 +450,7 @@ mod tests {
         // records; an explicit checkpoint acks and truncates retention.
         for n in [NodeId(2), NodeId(3)] {
             assert_eq!(s.recovery().output_log(n).len(), 18);
-            s.checkpoint_now(n);
+            s.recovery_mut().checkpoint_now(n);
             assert_eq!(s.recovery().retained(n), 0);
         }
         // The restore share with nothing down is a no-op.
