@@ -24,7 +24,8 @@
 //! - [`fault`] / [`reliable`]: the fault plane — a seeded, deterministic
 //!   per-link fault schedule (drop / duplicate / reorder) countered by
 //!   per-link reliable exactly-once delivery (sequence numbers,
-//!   ack/retransmit with bounded backoff over simulated time, dedup
+//!   one cumulative ack per link per tick, retransmission with bounded
+//!   backoff over simulated time, dedup
 //!   windows), converging bit-for-bit to the fault-free delivery log.
 //! - [`recovery`]: the crash-recovery plane — the network side of
 //!   `cosmos-engine`'s upstream-backup protocol (`ReplayHost`):

@@ -467,9 +467,18 @@ mod tests {
 
     /// Pins the checkpoint clock: `(plane tick, acked watermark)` after
     /// every settle, with a crash / restore pair in between, at an
-    /// interval longer than one settle (1 000 ticks; the 6 300 row fires
-    /// on a due tick equal to the plane's) and at one shorter (250, where
-    /// one settle passes several due ticks).
+    /// interval longer than one settle (1 000 ticks; the first 3 000 row
+    /// fires on a due tick equal to the plane's) and at one shorter (250,
+    /// where one settle passes several due ticks).
+    ///
+    /// The plane's tick at quiescence is the due tick of the last event
+    /// popped, a lazily cancelled retransmission timer: four link delays
+    /// after it was last armed. The receiver acks each tick's arrivals
+    /// once, so a burst of several frames on one link is acked whole and
+    /// leaves only the timer its send armed. An ack per frame would have
+    /// each partial ack re-arm it two link delays later, ending a
+    /// multi-frame settle up to 200 ticks later (the second row would read
+    /// 1 300).
     ///
     /// The sequence does not depend on how the schedule is kept. A
     /// restore arms `now + interval` on the plane's clock, which is never
@@ -486,38 +495,38 @@ mod tests {
                 1_000,
                 [
                     (600, 0),
-                    (1300, 3),
-                    (1900, 3),
-                    (2700, 7),
-                    (3300, 8),
-                    (3300, 8),
-                    (3300, 8),
-                    (3300, 8),
-                    (3800, 8),
-                    (4400, 13),
-                    (5100, 13),
-                    (5700, 16),
-                    (6300, 17),
-                    (6800, 17),
+                    (1200, 3),
+                    (1800, 3),
+                    (2400, 7),
+                    (3000, 8),
+                    (3000, 8),
+                    (3000, 8),
+                    (3000, 8),
+                    (3500, 8),
+                    (4100, 13),
+                    (4700, 13),
+                    (5300, 16),
+                    (5900, 16),
+                    (6400, 18),
                 ],
             ),
             (
                 250,
                 [
                     (600, 1),
-                    (1300, 3),
-                    (1900, 4),
-                    (2700, 7),
-                    (3300, 8),
-                    (3300, 8),
-                    (3300, 8),
-                    (3300, 8),
-                    (3800, 12),
-                    (4400, 13),
-                    (5100, 15),
-                    (5700, 16),
-                    (6300, 17),
-                    (6800, 18),
+                    (1200, 3),
+                    (1800, 4),
+                    (2400, 7),
+                    (3000, 8),
+                    (3000, 8),
+                    (3000, 8),
+                    (3000, 8),
+                    (3500, 12),
+                    (4100, 13),
+                    (4700, 15),
+                    (5300, 16),
+                    (5900, 17),
+                    (6400, 18),
                 ],
             ),
         ];

@@ -22,7 +22,8 @@
 //! (contents and order) equals the reference's serial log, and per-link
 //! goodput equals the reference's link counters — retransmissions,
 //! duplicates, and reorderings must leave no trace beyond the overhead
-//! ledger. After every control-plane operation both incremental networks
+//! ledger, which must read goodput + retransmissions + acks exactly.
+//! After every control-plane operation both incremental networks
 //! must pass [`BrokerNetwork::check_ledger_consistency`] and hold tables
 //! equivalent to the rebuilt ones ([`assert_tables_equivalent`]).
 //!
@@ -32,7 +33,7 @@
 
 use cosmos_net::{NodeId, Topology};
 use cosmos_oracle::{assert_tables_equivalent, ReferenceNetwork};
-use cosmos_pubsub::broker::BrokerNetwork;
+use cosmos_pubsub::broker::{BrokerNetwork, LinkStats};
 use cosmos_pubsub::fault::{FaultConfig, FaultPlan};
 use cosmos_pubsub::reliable::LossyNetwork;
 use cosmos_pubsub::subscription::{Message, StreamProjection, SubId, Subscription};
@@ -124,6 +125,19 @@ fn random_message(rng: &mut StdRng, ts: i64) -> Message {
         }
     }
     msg
+}
+
+/// The overhead ledger at quiescence: every frame a sender put on the
+/// wire is an original (accepted exactly once, so goodput), a timer
+/// retransmission or an ack. Fault duplicates are not charged.
+fn assert_physical_identity(lossy: &LossyNetwork, at: &str) {
+    let messages = |stats: Vec<(_, LinkStats)>| stats.iter().map(|(_, s)| s.messages).sum::<u64>();
+    let (physical, goodput) = (messages(lossy.physical_stats()), messages(lossy.goodput_stats()));
+    assert_eq!(
+        physical,
+        goodput + lossy.retransmissions() + lossy.acks_sent(),
+        "physical messages != goodput + retransmissions + acks ({at})"
+    );
 }
 
 fn edges_of(topo: &Topology) -> Vec<(NodeId, NodeId)> {
@@ -320,6 +334,7 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
                     assert_eq!(dc, dl, "delivery count diverged (trial {trial}, step {step})");
                 }
                 t.lossy.run_to_quiescence();
+                assert_physical_identity(&t.lossy, &format!("trial {trial}, step {step}"));
                 assert_eq!(
                     t.lossy.converged_log(),
                     t.reference.log,
@@ -423,6 +438,7 @@ fn chaos_trials_replay_deterministically() {
             lossy.publish_lossy(random_message(&mut rng, ts));
         }
         lossy.run_to_quiescence();
+        assert_physical_identity(&lossy, "replay");
         (
             lossy.converged_log(),
             lossy.fault_plan().injected(),
