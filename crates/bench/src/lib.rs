@@ -707,6 +707,30 @@ mod tests {
         assert_eq!((stats.attempted, stats.held), (415_916, 27_161));
     }
 
+    /// What the covering-rich population's links carry is exact: 256 fixed
+    /// probes, `filter-fanout`-shaped records over its four streams, cross
+    /// 16 997 link hops carrying 1 284 158 bytes. A forward keeps what the
+    /// members that matched it need; while it kept what every member
+    /// toward the hop needed, the same hops carried 1 390 086 bytes.
+    #[test]
+    fn covering_rich_probe_traffic_is_pinned() {
+        let (mut net, subs) = fixtures::covering_rich_install(12_000);
+        net.subscribe_batch(subs);
+        for k in 0..256i64 {
+            let msg = Message::new(["T0", "T1", "T2", "T3"][k as usize % 4], k)
+                .with("a", Scalar::Int(k * k % 600))
+                .with("b", Scalar::Int(k * 389 % 1000))
+                .with("c", Scalar::Int(k * 577 % 1000))
+                .with("d", Scalar::Int(k * 7919))
+                .with("e", Scalar::Str(format!("station-{}", k % 50)));
+            net.publish(msg);
+        }
+        let links = net.all_link_stats();
+        let messages: u64 = links.iter().map(|(_, s)| s.messages).sum();
+        let bytes: u64 = links.iter().map(|(_, s)| s.bytes).sum();
+        assert_eq!((messages, bytes), (16_997, 1_284_158));
+    }
+
     /// What the routing state *holds* after the two install fixtures is
     /// exact too. On the result-stream plane every entry is the only
     /// member of its partition (27 879 entries, 27 879 partitions), every

@@ -157,7 +157,8 @@ impl ReferenceNetwork {
     /// Evaluates every entry of `node`'s table against `msg`: matching local
     /// entries deliver in table order, then each neighbour a matching entry
     /// points at (other than `from`), in ascending order, is sent what
-    /// *every* entry toward it needs of the stream, and does the same.
+    /// every *matching* entry toward it needs of the stream, and does the
+    /// same.
     fn forward(&mut self, node: NodeId, from: Option<NodeId>, msg: &Message) {
         let table = &self.tables.as_ref().expect("built by publish")[node.index()];
         let matched: Vec<&Entry> = table.iter().filter(|e| e.0.matches(msg)).collect();
@@ -168,7 +169,7 @@ impl ReferenceNetwork {
         let hops: BTreeSet<NodeId> = matched.iter().filter_map(|e| e.1).collect();
         let mut sent = Vec::new();
         for next in hops.into_iter().filter(|&next| Some(next) != from) {
-            let toward = table.iter().filter(|e| e.1 == Some(next));
+            let toward = matched.iter().filter(|e| e.1 == Some(next));
             let needs = toward.filter_map(|e| e.0.needs(msg.stream));
             let nothing = StreamProjection::Attrs(BTreeSet::new());
             sent.push(match needs.fold(nothing, |all, needs| all.union(needs)) {

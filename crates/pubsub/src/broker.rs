@@ -78,8 +78,8 @@
 //! that actually changed.
 
 use crate::index::{
-    match_run, CoverStats, ForwardInsert, InstalledSub, MatchOutput, MatchScratch, MatchStats,
-    Partition, PlanCaches, RoutingFootprint, RoutingTable, TablePlans,
+    match_run, CoverStats, ForwardInsert, HopForward, HopGroup, InstalledSub, MatchOutput,
+    MatchScratch, MatchStats, Partition, Plans, RoutingFootprint, RoutingTable,
 };
 use crate::snapshot::{FrozenTable, ReaderOutput, RoutingSnapshot, SnapshotReader};
 use crate::subscription::{Message, SubId, Subscription};
@@ -193,8 +193,8 @@ fn adoptable(old: &ShortestPathTree, a: NodeId, b: NodeId, latency: f64) -> bool
 }
 
 /// Where a hop's forwarded record lives while a run's sub-runs are
-/// regrouped: `Same` borrows the matched message itself (identity union
-/// projection), `Proj` indexes the forwarding node's arena of narrowed
+/// regrouped: `Same` borrows the matched message itself (an identity
+/// forward), `Proj` indexes the forwarding node's arena of narrowed
 /// records.
 #[derive(Debug, Clone, Copy)]
 enum FwdSlot {
@@ -209,8 +209,8 @@ type HopSlots = Vec<(u32, FwdSlot)>;
 /// The plane a forwarding walk crosses: the writer's live tables or a
 /// reader's frozen ones ([`SnapshotReader`]).
 pub(crate) trait Plane {
-    /// Whose plan caches go with this plane's partitions.
-    type Plans: PlanCaches;
+    /// The hop groups of this plane's partitions, as matching sees them.
+    type Hop: HopForward;
 
     /// What [`match_run`] takes to match messages of `stream` at `node`,
     /// or `None` when the node holds no entry for the stream.
@@ -218,17 +218,17 @@ pub(crate) trait Plane {
         &mut self,
         node: NodeId,
         stream: Symbol,
-    ) -> Option<(&Partition, &mut Self::Plans, &mut MatchScratch)>;
+    ) -> Option<(&Partition, Plans<'_, Self::Hop>, &mut MatchScratch)>;
 }
 
 impl Plane for Vec<RoutingTable> {
-    type Plans = TablePlans;
+    type Hop = HopGroup;
 
     fn at(
         &mut self,
         node: NodeId,
         stream: Symbol,
-    ) -> Option<(&Partition, &mut TablePlans, &mut MatchScratch)> {
+    ) -> Option<(&Partition, Plans<'_, HopGroup>, &mut MatchScratch)> {
         self[node.index()].at(stream)
     }
 }
@@ -322,8 +322,8 @@ impl Walk {
         let stream = run[0].1.stream;
         debug_assert!(run.iter().all(|(_, m)| m.stream == stream));
         let Some((part, plans, scratch)) = plane.at(node, stream) else { return };
-        // Records produced by narrowing union projections; identity
-        // forwards never land here.
+        // Records produced by narrowing forwards; identity forwards never
+        // land here.
         let mut projected = self.arena_pool.pop().unwrap_or_default();
         let mut next = self.next_pool.pop().unwrap_or_default();
         // Run position of the message currently being sunk (sink runs
@@ -1402,6 +1402,38 @@ mod tests {
         let miss =
             net.publish(Message::new("R", 1).with("a", Scalar::Int(1)).with("b", Scalar::Int(1)));
         assert_eq!(miss, 1, "only the filterless subscriber receives b=1");
+    }
+
+    /// A filter comparing two attributes of the record reads both: the
+    /// subscription needs `b` although it keeps only `a`, so `b` must
+    /// cross every link its filter is evaluated behind. (The CQL parser
+    /// rejects same-relation comparisons; the builder takes them.)
+    #[test]
+    fn attribute_to_attribute_filters_keep_both_sides_flowing() {
+        let mut topo = Topology::new(3);
+        topo.add_edge(NodeId(0), NodeId(1), 1.0);
+        topo.add_edge(NodeId(1), NodeId(2), 1.0);
+        let mut net = BrokerNetwork::new(topo);
+        net.advertise("R", NodeId(0));
+        let a_below_b = Predicate::JoinCmp {
+            left: AttrRef::new("R", "a"),
+            op: CmpOp::Lt,
+            right: AttrRef::new("R", "b"),
+        };
+        let sub = Subscription::builder(NodeId(2))
+            .id(SubId(1))
+            .stream("R", StreamProjection::attrs(["a"]), vec![a_below_b])
+            .build();
+        net.subscribe(sub.clone());
+        for (a, b) in [(1, 5), (5, 1)] {
+            let msg = Message::new("R", 0)
+                .with("a", Scalar::Int(a))
+                .with("b", Scalar::Int(b))
+                .with("c", Scalar::Int(9));
+            assert_eq!(net.publish(msg.clone()), usize::from(sub.matches(&msg)), "a={a}, b={b}");
+        }
+        // `{a, b}` crosses: 16-byte header + two (symbol, int) pairs.
+        assert_eq!(net.link_stats(NodeId(0), NodeId(1)).bytes, 16 + 2 * (4 + 8));
     }
 
     #[test]

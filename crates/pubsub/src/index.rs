@@ -21,8 +21,8 @@
 //!    nothing. A massive query population means tens of thousands of
 //!    streams with one subscriber each (every user's result stream), so a
 //!    partition costs what it holds: partitions sit in one arena vector
-//!    behind a symbol → slot map and own only their members, hop groups,
-//!    projection classes and one threshold-list map keyed by
+//!    behind a symbol → slot map and own only their members, hop groups
+//!    and one threshold-list map keyed by
 //!    [`IndexOperand`] (attributes and the event-time pseudo-attribute
 //!    alike); first pushes allocate exactly one element, and everything
 //!    matching *writes* lives outside the partitions, in the matcher's
@@ -49,7 +49,7 @@
 //!
 //! Matching is sublinear, but a high-match-rate message still pays a
 //! *linear-in-matches* delivery term. The index bounds its constant with
-//! **projection classes**: local-delivery members of a partition are
+//! **projection classes**: local-delivery members of a table are
 //! grouped at install time by their exact retained-attribute set (one
 //! [`CachedProjection`] per class), each distinct projection is computed
 //! **once per message**, and every matched member of the class receives the same
@@ -60,17 +60,44 @@
 //!
 //! # Forwarding projections
 //!
-//! The flat implementation unioned per-entry "needs" projections into a
-//! `HashMap<NodeId, StreamProjection>` per message. The index instead
-//! precomputes, per `(next hop, stream)` group, the union of member needs
-//! at install time ([`HopGroup`]): per message it only marks matched
-//! groups and applies the cached union plan (a [`CachedProjection`], so
-//! repeat message shapes copy scalars by precomputed column index). The
-//! forwarded attribute set is therefore the union over **all** entries of
-//! the group rather than only the matching ones — a superset, so delivery
-//! content is unchanged (final projection happens per subscription at the
-//! delivery node); only intermediate link bytes can be marginally higher
-//! when entries of the same hop match selectively.
+//! §2.1 gives every subscription a projection list "so the Pub/Sub can
+//! perform projection of the unnecessary attributes as soon as possible".
+//! A forward toward next hop `v` carries the union of
+//! [`StreamRequest::needs`] over the members toward `v` **that matched the
+//! message**, and nothing a rejecting member needs. That is exactly what
+//! the matching subscribers below `v` (in the source's tree) need:
+//!
+//! - Every member toward `v` is a subscriber below `v`, and each matched
+//!   one is such a subscriber whose filter passes: the union holds nothing
+//!   more.
+//! - Take a subscriber below `v` whose filter passes. Either it has its
+//!   own entry here, or a coverer skipped or dropped it. A coverer's filter
+//!   is implied by the subscriber's and its needs contain the subscriber's
+//!   (routing covering), so the coverer matched too: the union holds
+//!   nothing less.
+//! - One hop up the same holds, so the record arriving here carries every
+//!   attribute a matching member's filter reads: a filter sees here what
+//!   it would see at the source. A missing attribute makes a filter false,
+//!   never true.
+//!
+//! Delivered content cannot change: the final projection at the delivery
+//! node keeps a subset of what was forwarded, and retaining keeps column
+//! order. Complete needs are the whole argument — which is why they
+//! include both sides of an attribute-to-attribute comparison.
+//!
+//! The distinct needs of a table's forwarding members are its projection
+//! classes too (one [`CachedProjection`] each, beside what local
+//! subscribers keep), and a forwarding member's action names its
+//! `(hop group, class)` — no class when it needs the whole record. Per
+//! message, matched forwarding members mark their groups; then, in a
+//! group no whole-record member marked, each adds its class's kept
+//! columns — planned once per input schema — to the group's column mask
+//! in the matcher's scratch. Each marked group projects once through its
+//! [`MaskedProjection`], planned per `(schema, mask)`. A whole-record
+//! member, or a mask keeping every column, makes an identity forward: the
+//! record is shared, not copied. The work is O(matched members) marks and
+//! word ORs and one projection per marked group, allocating nothing but
+//! the projected payload.
 //!
 //! # Maintenance
 //!
@@ -93,7 +120,8 @@
 //!   tiered-vs-dense differential suite pins down.
 //! - **Install**: [`RoutingTable::insert`] extends every affected
 //!   stream partition in place (run-local sorted-insert into threshold
-//!   lists, hop groups union-extended, projection classes joined or
+//!   lists, hop groups joined or opened, projection classes — kept
+//!   attributes of a local member, needs of a forwarding one — joined or
 //!   opened). Each
 //!   entry carries the owning subscription's installation sequence number,
 //!   so delivery order stays the population's subscribe order no matter
@@ -103,10 +131,9 @@
 //!   per-subscription [`crate::broker::BrokerNetwork`] ledger drives on
 //!   unsubscribe and link failure/recovery. Removal tombstones the entry:
 //!   threshold lists keep stale references that the dead flag filters out
-//!   of the candidates, the affected hop group's needs-union shrinks by the
-//!   departing member's attribute reference counts — O(|needs|), no
-//!   other member or group is touched — and emptied projection classes
-//!   simply stop being filled. Once tombstones dominate
+//!   of the candidates, and a projection class its last member left simply
+//!   stops being used — no live member names it, so nothing counts its
+//!   members. Once tombstones dominate
 //!   ([`tombstones_dominate`]: dead at least matches live, past
 //!   a small absolute floor so tiny tables never thrash) the table
 //!   compacts — threshold lists are swept run-at-a-time
@@ -182,12 +209,14 @@
 //!
 //! - **A partition owns** ([`Partition`]) members, the always-candidate
 //!   list and the threshold lists — read by matching, never written.
-//!   Around it the live [`StreamIndex`] keeps what *installs* maintain
-//!   ([`TablePlans`]): hop groups (next hop, needs-union with its
-//!   refcounts, the covering bucket) and the projection classes.
+//!   Around it the live [`StreamIndex`] keeps what *installs* maintain:
+//!   hop groups (next hop, forward plans, the covering bucket). The
+//!   projection classes are the table's, shared by its partitions: a
+//!   class is a projection, cached per input schema, whichever stream
+//!   the record is of.
 //! - **The matcher owns** ([`MatchScratch`]) everything a message
-//!   changes: slot counters, candidate buffers, the class records and hop
-//!   marks of the message, the recycled [`MatchOutput`], the
+//!   changes: slot counters, candidate buffers, the class records, hop
+//!   marks and hop masks of the message, the recycled [`MatchOutput`], the
 //!   [`MatchStats`] work counters — all stamped with one epoch that only
 //!   ever grows, which is why one scratch serves every partition of a
 //!   table (the argument is on the struct). One per [`RoutingTable`] for
@@ -197,12 +226,12 @@
 //!   list drops a member when it is tombstoned. Everything before that
 //!   point works on slots alone.
 //! - **The one seam** is who owns the projection *plan caches*
-//!   ([`PlanCaches`]): the table's own [`CachedProjection`]s for the
-//!   writer, private ones for a reader of a shared image.
+//!   ([`Plans`]): the table's own classes and hop groups for the writer,
+//!   private copies for a reader of a shared image.
 //!
 //! With members immutable under matching, [`RoutingTable::freeze`] is a
 //! field-wise clone of each partition's [`Partition`] plus the hop
-//! groups' `(next hop, union)` and the class projections — same slots,
+//! groups' next hops and the table's classes — same slots,
 //! tombstones included, so `(seq, slot)` candidate order (and therefore
 //! delivery order) is the writer's by construction. Install-time helpers
 //! take an `Arc`-shared [`InstalledSub`] — the subscription with its
@@ -211,9 +240,10 @@
 //! insert and later compaction reuse it, holding the form by refcount
 //! instead of by deep copy.
 
-use crate::snapshot::{FrozenPartition, FrozenTable, PartPlans};
+use crate::snapshot::{FrozenPartition, FrozenTable};
 use crate::subscription::{
-    CachedProjection, Message, StreamProjection, StreamRequest, SubId, Subscription,
+    CachedProjection, MaskedProjection, Message, StreamProjection, StreamRequest, SubId,
+    Subscription,
 };
 use crate::tiered::{tombstones_dominate, TieredList};
 use cosmos_net::NodeId;
@@ -223,7 +253,7 @@ use cosmos_query::compiled::{
 use cosmos_query::containment::coverer_bounds;
 use cosmos_query::CmpOp;
 use cosmos_util::{Symbol, VecMap};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One installed routing entry: a subscription's shared installed form
@@ -240,103 +270,66 @@ struct Entry {
     dead: bool,
 }
 
-/// A per-`(next hop)` group within one stream partition: the precomputed
-/// union of member needs-projections, applied once per message when any
-/// member matches.
+/// A per-`(next hop)` group within one stream partition. A message any
+/// member matched is forwarded once, keeping what the matched members
+/// need (see the module docs' "Forwarding projections").
 #[derive(Debug)]
-struct HopGroup {
+pub(crate) struct HopGroup {
     to: NodeId,
-    /// Union of [`StreamRequest::needs`] over live members, with a cached
-    /// per-input-schema projection plan.
-    union: CachedProjection,
-    /// How many live members need each attribute, and how many need
-    /// `All`: a departing member shrinks the union in O(|needs|) instead
-    /// of a rescan of the partition.
-    attr_refs: BTreeMap<Symbol, u32>,
-    all_refs: u32,
+    /// The forward's plans, per input schema and mask of matched needs.
+    forwards: MaskedProjection,
     /// Covering-candidate index over the group's forwarding entries (the
     /// sublinear candidate source behind [`RoutingTable::insert_covering`];
     /// local-delivery entries never covering-merge). Slots are entry ids.
     cover: CoverBucket,
 }
 
-impl HopGroup {
-    /// A group with no members yet. An empty group keeps an empty union;
-    /// it can never be marked matched (no member bumps it), and
-    /// compaction eventually drops it.
-    fn new(to: NodeId) -> Self {
-        Self {
-            to,
-            union: CachedProjection::new(StreamProjection::Attrs(BTreeSet::new())),
-            attr_refs: BTreeMap::new(),
-            all_refs: 0,
-            cover: CoverBucket::default(),
-        }
-    }
+/// A hop group as matching sees it: the next hop and the plans of what
+/// crosses to it — the live group for the writer, a reader's copy of a
+/// frozen image's `(next hop, plans)`.
+pub(crate) trait HopForward {
+    fn forward(&mut self) -> (NodeId, &mut MaskedProjection);
+}
 
-    fn add(&mut self, needs: &StreamProjection) {
-        let mut grew = false;
-        match needs {
-            StreamProjection::All => {
-                grew = self.all_refs == 0;
-                self.all_refs += 1;
-            }
-            StreamProjection::Attrs(attrs) => {
-                for &a in attrs {
-                    let n = self.attr_refs.entry(a).or_insert(0);
-                    grew |= *n == 0;
-                    *n += 1;
-                }
-                grew &= self.all_refs == 0;
-            }
-        }
-        if grew {
-            self.rebuild_union();
-        }
-    }
-
-    /// Withdraws the needs of a member [`HopGroup::add`]ed earlier.
-    fn remove(&mut self, needs: &StreamProjection) {
-        let mut shrank = false;
-        match needs {
-            StreamProjection::All => {
-                self.all_refs -= 1;
-                shrank = self.all_refs == 0;
-            }
-            StreamProjection::Attrs(attrs) => {
-                for a in attrs {
-                    let n = self.attr_refs.get_mut(a).expect("removed member was added");
-                    *n -= 1;
-                    if *n == 0 {
-                        self.attr_refs.remove(a);
-                        shrank = true;
-                    }
-                }
-                shrank &= self.all_refs == 0;
-            }
-        }
-        if shrank {
-            self.rebuild_union();
-        }
-    }
-
-    fn rebuild_union(&mut self) {
-        self.union = CachedProjection::new(if self.all_refs > 0 {
-            StreamProjection::All
-        } else {
-            StreamProjection::Attrs(self.attr_refs.keys().copied().collect())
-        });
+impl HopForward for HopGroup {
+    fn forward(&mut self) -> (NodeId, &mut MaskedProjection) {
+        (self.to, &mut self.forwards)
     }
 }
 
+impl HopForward for (NodeId, MaskedProjection) {
+    fn forward(&mut self) -> (NodeId, &mut MaskedProjection) {
+        (self.0, &mut self.1)
+    }
+}
+
+/// The plan caches a partition is matched with: its table's projection
+/// classes and its own hop groups, by id. The one thing that differs
+/// between the planes that match is who owns them — the table itself for
+/// the writer, the reader for a shared frozen image.
+pub(crate) struct Plans<'a, H> {
+    pub(crate) classes: &'a mut [CachedProjection],
+    pub(crate) hops: &'a mut [H],
+}
+
 /// What a matched member does: local delivery (share its projection
-/// class's record — all local-delivery members of a partition requesting
-/// the **same** retained-attribute set form one class, projected once per
-/// message) or marking its hop group.
+/// class's record — all local-delivery members of a table requesting the
+/// **same** retained-attribute set form one class, projected once per
+/// message) or marking its hop group with what it needs (the class of its
+/// [`StreamRequest::needs`]; `None` when it needs the whole record).
 #[derive(Debug, Clone, Copy)]
 enum MemberAction {
     Local { sub: SubId, class: u32 },
-    Hop(u32),
+    Hop { group: u32, class: Option<u32> },
+}
+
+/// The table's class projecting to `proj`, opened if no class does.
+fn class_of(classes: &mut Vec<CachedProjection>, proj: &StreamProjection) -> u32 {
+    let c = classes.iter().position(|c| c.projection() == proj).unwrap_or_else(|| {
+        push_exact_first(classes, CachedProjection::new(proj.clone()));
+        classes.len() - 1
+    });
+    u32::try_from(c).expect("projection class overflow")
 }
 
 /// One `(entry, stream)` pair in a stream partition. Matching never
@@ -840,11 +833,11 @@ pub(crate) struct Partition {
 /// The index over one stream's entries at one node. A node on many users'
 /// result paths holds thousands of these with a single member each, so it
 /// owns nothing sized for a population it may not have (match state is
-/// the matcher's [`MatchScratch`]).
+/// the matcher's [`MatchScratch`], projection classes are the table's).
 #[derive(Debug, Default)]
 struct StreamIndex {
     part: Partition,
-    plans: TablePlans,
+    hops: Vec<HopGroup>,
     /// Members tombstoned since the last per-run sweep of the threshold
     /// lists; once these dominate the partition the lists are swept
     /// run-by-run without rebuilding the table.
@@ -852,8 +845,9 @@ struct StreamIndex {
 }
 
 // Paid once per (node, stream): at 560 bytes it was a quarter of the
-// end-to-end `sensor-join` heap.
-const _: () = assert!(std::mem::size_of::<StreamIndex>() <= 128);
+// end-to-end `sensor-join` heap, and 128 while every partition kept its
+// own projection classes.
+const _: () = assert!(std::mem::size_of::<StreamIndex>() <= 104);
 
 /// Deterministic size counters of a network's routing state — how many
 /// records of each kind are *stored* (tombstones included until their
@@ -911,9 +905,10 @@ pub struct MatchOutput {
     /// Local deliveries: `(subscription, projected message)` in
     /// installation-sequence order.
     pub deliveries: Vec<(SubId, Message)>,
-    /// Forwards sorted by node id; `None` is an identity forward (the
-    /// hop's union projection keeps the whole record): the caller shares
-    /// the message it already holds instead of paying a clone per hop.
+    /// Forwards sorted by node id, each keeping what the members toward
+    /// that hop that matched need. `None` is an identity forward (they
+    /// need the whole record): the caller shares the message it already
+    /// holds instead of paying a clone per hop.
     pub forwards: Vec<(NodeId, Option<Message>)>,
 }
 
@@ -947,46 +942,27 @@ pub(crate) struct MatchScratch {
     touched_hops: Vec<u32>,
     /// Per projection class: the record projected in the stamped epoch.
     class_records: Vec<(u64, Option<Message>)>,
-    /// Per hop group: the last epoch in which a member matched.
-    hop_marks: Vec<u64>,
+    /// Per hop group: the last epoch in which a member matched, and where
+    /// in `hop_masks` that message's mask for the group starts — `None`
+    /// when a matched member needs the whole record.
+    hop_marks: Vec<(u64, Option<u32>)>,
+    /// The current message's marked groups' masks: per group, the OR of
+    /// its matched members' needs over the message's columns.
+    hop_masks: Vec<u64>,
+    /// The current message's matched forwarding members that need less
+    /// than the whole record: `(hop group, class)`.
+    hop_needs: Vec<(u32, u32)>,
     /// Schema-resolution cache of the run being matched: `(value index,
-    /// position in the partition's list map)` per indexed attribute of the
-    /// last seen schema — positions, not references, so it is reused
-    /// across runs and a one-message run allocates nothing.
+    /// position in the partition's list map)` per indexed attribute of
+    /// each schema seen in the run, at the range `resolutions` gives per
+    /// schema id — positions, not references, so both are reused across
+    /// runs and a one-message run allocates nothing. A run holds a few
+    /// shapes where upstream forwards narrowed some records and not others.
     resolved: Vec<(u32, u32)>,
+    resolutions: Vec<(u32, u32, u32)>,
     out: MatchOutput,
     /// The work done through this scratch so far.
     pub(crate) stats: MatchStats,
-}
-
-/// The one thing that differs between the planes that match: who owns the
-/// projection plan caches of a partition's classes and hop groups — the
-/// table itself for the writer, the reader for a shared frozen image.
-pub(crate) trait PlanCaches {
-    /// Projection class `c`'s plan.
-    fn class(&mut self, c: u32) -> &mut CachedProjection;
-    /// Hop group `g`'s next hop and union plan.
-    fn hop(&mut self, g: u32) -> (NodeId, &mut CachedProjection);
-}
-
-/// What installs maintain around a live [`Partition`]: its hop groups and
-/// its local-delivery projection classes (deduplicated projections) —
-/// each carrying the writer's plan cache.
-#[derive(Debug, Default)]
-pub(crate) struct TablePlans {
-    hops: Vec<HopGroup>,
-    classes: Vec<CachedProjection>,
-}
-
-impl PlanCaches for TablePlans {
-    fn class(&mut self, c: u32) -> &mut CachedProjection {
-        &mut self.classes[c as usize]
-    }
-
-    fn hop(&mut self, g: u32) -> (NodeId, &mut CachedProjection) {
-        let group = &mut self.hops[g as usize];
-        (group.to, &mut group.union)
-    }
 }
 
 /// The epoch stamp `v[i]`, growing `v` with never-current defaults first
@@ -1007,11 +983,12 @@ fn stamp<T: Default + Clone>(v: &mut Vec<T>, i: u32) -> &mut T {
 /// (threshold lists re-resolved only when the schema pointer changes
 /// within the run), candidates — fully-counted live members plus
 /// filter-free ones — sorted by `(seq, slot)`, residual evaluation,
-/// one projection per class, one union projection per marked hop group.
-/// `from` suppresses the reverse hop. A single match is a run of one.
+/// one projection per class, and per marked hop group one projection to
+/// what its matched members need. `from` suppresses the reverse hop. A
+/// single match is a run of one.
 pub(crate) fn match_run(
     part: &Partition,
-    plans: &mut impl PlanCaches,
+    plans: Plans<'_, impl HopForward>,
     scratch: &mut MatchScratch,
     run: &[(u32, &Message)],
     from: Option<NodeId>,
@@ -1026,15 +1003,19 @@ pub(crate) fn match_run(
         touched_hops,
         class_records,
         hop_marks,
+        hop_masks,
+        hop_needs,
         resolved,
+        resolutions,
         out,
         stats,
     } = scratch;
+    resolved.clear();
+    resolutions.clear();
     if counts.len() < members.len() {
         counts.resize(members.len(), (0, 0));
     }
     let ts_lists = lists.get(&IndexOperand::Timestamp);
-    let mut resolved_schema: *const Symbol = std::ptr::null();
     // Counted in a local (registers), folded into the scratch once.
     let mut work = MatchStats { messages: run.len() as u64, ..MatchStats::default() };
     for &(tag, msg) in run {
@@ -1043,6 +1024,9 @@ pub(crate) fn match_run(
         touched.clear();
         candidates.clear();
         touched_hops.clear();
+        hop_masks.clear();
+        hop_needs.clear();
+        let words = msg.schema().len().div_ceil(64);
 
         // Counting pass: dead members are bumped like live ones (a bump
         // never reads a member) and filtered with the candidates.
@@ -1059,16 +1043,21 @@ pub(crate) fn match_run(
             }
         };
         if !lists.is_empty() {
-            let attrs = msg.schema().attrs();
-            if attrs.as_ptr() != resolved_schema {
-                resolved_schema = attrs.as_ptr();
-                resolved.clear();
-                resolved.extend(attrs.iter().enumerate().filter_map(|(i, &attr)| {
-                    let at = lists.keys().position(|k| *k == IndexOperand::Attr(attr))?;
-                    Some((i as u32, at as u32))
-                }));
-            }
-            for &(i, at) in resolved.iter() {
+            let schema = msg.schema();
+            let id = schema.id();
+            let (start, end) = match resolutions.iter().find(|r| r.0 == id) {
+                Some(&(_, start, end)) => (start, end),
+                None => {
+                    let start = resolved.len() as u32;
+                    resolved.extend(schema.attrs().iter().enumerate().filter_map(|(i, &attr)| {
+                        let at = lists.keys().position(|k| *k == IndexOperand::Attr(attr))?;
+                        Some((i as u32, at as u32))
+                    }));
+                    resolutions.push((id, start, resolved.len() as u32));
+                    (start, resolved.len() as u32)
+                }
+            };
+            for &(i, at) in &resolved[start as usize..end as usize] {
                 let Some(v) = ScalarRef::from(&msg.values()[i as usize]).as_f64() else {
                     continue; // string value: numeric comparisons are false
                 };
@@ -1110,25 +1099,45 @@ pub(crate) fn match_run(
                     // shares the record (a refcount bump per delivery).
                     let record = stamp(class_records, class);
                     if record.0 != epoch {
-                        *record = (epoch, Some(plans.class(class).apply(msg)));
+                        *record = (epoch, Some(plans.classes[class as usize].apply(msg)));
                     }
                     out.deliveries.push((sub, record.1.clone().expect("projected this epoch")));
                 }
-                MemberAction::Hop(g) => {
-                    let mark = stamp(hop_marks, g);
-                    if *mark != epoch {
-                        *mark = epoch;
-                        touched_hops.push(g);
+                MemberAction::Hop { group, class } => {
+                    let mark = stamp(hop_marks, group);
+                    if mark.0 != epoch {
+                        touched_hops.push(group);
+                        hop_masks.resize(hop_masks.len() + words, 0);
+                        *mark = (epoch, Some((hop_masks.len() - words) as u32));
                     }
+                    match class {
+                        // Needing the whole record makes the forward an
+                        // identity one, which no member can narrow.
+                        None => mark.1 = None,
+                        Some(class) => hop_needs.push((group, class)),
+                    }
+                }
+            }
+        }
+        // Marking is order-free, so needs are added once every group knows
+        // whether a member needing the whole record matched: most such
+        // groups never read a class.
+        for &(group, class) in hop_needs.iter() {
+            if let Some(at) = hop_marks[group as usize].1 {
+                if let Some(kept) = plans.classes[class as usize].kept(msg.schema()) {
+                    kept.add_to(&mut hop_masks[at as usize..][..words]);
                 }
             }
         }
         // Forwards come from the groups this message marked; sorting by
         // node id gives the order the forwarding walk recurses in.
         for &g in touched_hops.iter() {
-            let (to, union) = plans.hop(g);
+            let (to, forwards) = plans.hops[g as usize].forward();
             if Some(to) != from {
-                out.forwards.push((to, (!union.is_identity()).then(|| union.apply(msg))));
+                let narrowed = hop_marks[g as usize]
+                    .1
+                    .and_then(|at| forwards.apply(msg, &hop_masks[at as usize..][..words]));
+                out.forwards.push((to, narrowed));
             }
         }
         out.forwards.sort_by_key(|(n, _)| *n);
@@ -1148,6 +1157,10 @@ pub struct RoutingTable {
     parts: Vec<StreamIndex>,
     /// Each stream's slot in `parts`.
     part_of: HashMap<Symbol, u32>,
+    /// The projection classes of every partition: one per distinct
+    /// projection a local member keeps or a forwarding member needs, each
+    /// with the writer's plan cache.
+    classes: Vec<CachedProjection>,
     /// Scratch buffer of candidate slots, reused across
     /// [`RoutingTable::insert_covering`] calls.
     cover_scratch: Vec<u32>,
@@ -1187,9 +1200,9 @@ impl RoutingTable {
         fp.partitions += self.parts.len() as u64;
         for index in &self.parts {
             fp.members += index.part.members.len() as u64;
-            fp.hop_groups += index.plans.hops.len() as u64;
+            fp.hop_groups += index.hops.len() as u64;
             fp.buckets_built +=
-                index.plans.hops.iter().filter(|h| h.cover.lists.is_some()).count() as u64;
+                index.hops.iter().filter(|h| h.cover.lists.is_some()).count() as u64;
         }
     }
 
@@ -1203,6 +1216,7 @@ impl RoutingTable {
         self.entries.clear();
         self.parts.clear();
         self.part_of.clear();
+        self.classes.clear();
         self.by_sub.clear();
         self.dead = 0;
     }
@@ -1214,7 +1228,7 @@ impl RoutingTable {
     /// re-installation. The entry shares `form` — the broker hands the
     /// same one to every hop of an installation.
     pub fn insert(&mut self, form: Arc<InstalledSub>, to: Option<NodeId>, seq: u64) {
-        let Self { entries, parts, part_of, by_sub, .. } = self;
+        let Self { entries, parts, part_of, classes, by_sub, .. } = self;
         let entry_id = u32::try_from(entries.len()).expect("routing table overflow");
         let sub = &form.sub;
         for (stream, req, indexable, residual) in form.streams() {
@@ -1239,42 +1253,31 @@ impl RoutingTable {
                 );
             }
             let action = match to {
+                // Join (or open) the projection class for this exact
+                // retained-attribute set — the class's plan cache and
+                // per-message projected record are shared by every member
+                // requesting the same attributes.
                 None => {
-                    // Join (or open) the projection class for this exact
-                    // retained-attribute set — the class's plan cache and
-                    // per-message projected record are shared by every
-                    // member requesting the same attributes.
-                    let classes = &mut index.plans.classes;
-                    let c = match classes.iter().position(|c| c.projection() == req.projection()) {
-                        Some(c) => c,
-                        None => {
-                            let class = CachedProjection::new(req.projection().clone());
-                            push_exact_first(classes, class);
-                            classes.len() - 1
-                        }
-                    };
-                    MemberAction::Local {
-                        sub: sub.id,
-                        class: u32::try_from(c).expect("projection class overflow"),
-                    }
+                    MemberAction::Local { sub: sub.id, class: class_of(classes, req.projection()) }
                 }
                 Some(next) => {
-                    let hops = &mut index.plans.hops;
-                    let g = match hops.iter().position(|h| h.to == next) {
-                        Some(g) => g,
-                        None => {
-                            push_exact_first(hops, HopGroup::new(next));
-                            hops.len() - 1
-                        }
+                    let class = match req.needs() {
+                        StreamProjection::All => None,
+                        needs => Some(class_of(classes, needs)),
                     };
-                    let group = &mut hops[g];
-                    group.add(req.needs());
+                    let hops = &mut index.hops;
+                    let g = hops.iter().position(|h| h.to == next).unwrap_or_else(|| {
+                        let forwards = MaskedProjection::default();
+                        let cover = CoverBucket::default();
+                        push_exact_first(hops, HopGroup { to: next, forwards, cover });
+                        hops.len() - 1
+                    });
                     // Forwarding entries join their group's covering
                     // bucket; local-delivery entries never covering-merge.
                     // Threshold lists are built lazily, once the bucket
                     // outgrows the whole-scan threshold; the backfill
                     // skips tombstoned entries.
-                    let bucket = &mut group.cover;
+                    let bucket = &mut hops[g].cover;
                     if bucket.lists.is_none() && bucket.members.len() >= COVER_SCAN_SMALL {
                         let staged = std::mem::take(&mut bucket.members);
                         bucket.build(staged.iter().filter_map(|m| {
@@ -1284,7 +1287,10 @@ impl RoutingTable {
                         }));
                     }
                     bucket.insert(entry_id, indexable);
-                    MemberAction::Hop(u32::try_from(g).expect("hop group overflow"))
+                    MemberAction::Hop {
+                        group: u32::try_from(g).expect("hop group overflow"),
+                        class,
+                    }
                 }
             };
             let part = &mut index.part;
@@ -1427,7 +1433,7 @@ impl RoutingTable {
     /// hop group, and exists once a forwarding entry was installed there.
     fn bucket_mut(&mut self, stream: Symbol, to: NodeId) -> Option<&mut CoverBucket> {
         let &p = self.part_of.get(&stream)?;
-        self.parts[p as usize].plans.hops.iter_mut().find(|h| h.to == to).map(|h| &mut h.cover)
+        self.parts[p as usize].hops.iter_mut().find(|h| h.to == to).map(|h| &mut h.cover)
     }
 
     fn tombstone(&mut self, entry_id: u32) {
@@ -1442,10 +1448,9 @@ impl RoutingTable {
                 self.by_sub.remove(&id);
             }
         }
-        for (stream, req) in form.sub.streams.iter() {
+        for stream in form.sub.streams.keys() {
             let Some(&p) = self.part_of.get(stream) else { continue };
-            let StreamIndex { part, plans: TablePlans { hops, .. }, dead_members } =
-                &mut self.parts[p as usize];
+            let StreamIndex { part, dead_members, .. } = &mut self.parts[p as usize];
             let Partition { members, zero_target, lists } = part;
             // Entry ids ascend with the member slot (module docs).
             let Ok(m) = members.binary_search_by_key(&entry_id, |m| m.entry) else {
@@ -1457,11 +1462,6 @@ impl RoutingTable {
             }
             member.dead = true;
             *dead_members += 1;
-            if let MemberAction::Hop(g) = member.action {
-                // The group's attribute refcounts shrink the union exactly
-                // as a rescan of its surviving members would.
-                hops[g as usize].remove(req.needs());
-            }
             if member.target == 0 {
                 // Candidates are ordered by `(seq, member)` at match
                 // time, so the list's own order is free to change.
@@ -1517,24 +1517,23 @@ impl RoutingTable {
     pub(crate) fn at(
         &mut self,
         stream: Symbol,
-    ) -> Option<(&Partition, &mut TablePlans, &mut MatchScratch)> {
+    ) -> Option<(&Partition, Plans<'_, HopGroup>, &mut MatchScratch)> {
         let index = &mut self.parts[*self.part_of.get(&stream)? as usize];
-        Some((&index.part, &mut index.plans, &mut self.scratch))
+        let plans = Plans { classes: &mut self.classes, hops: &mut index.hops };
+        Some((&index.part, plans, &mut self.scratch))
     }
 
     /// Freezes this table into its immutable, `Sync` matching image (see
     /// the module docs' concurrency section and [`crate::snapshot`]): per
     /// partition, a clone of what matching reads plus each hop group's
-    /// `(next hop, union)` and each class's projection. Slots, hop-group
-    /// and class ids are the live table's own, so a reader's candidates
-    /// sort — and its deliveries come out — exactly as the writer's.
+    /// next hop with its forward plans, and the table's classes. Slots,
+    /// hop-group and class ids are the live table's own, so a reader's
+    /// candidates sort — and its deliveries and forwards come out —
+    /// exactly as the writer's.
     pub(crate) fn freeze(&self) -> FrozenTable {
         let freeze = |index: &StreamIndex| FrozenPartition {
             part: index.part.clone(),
-            plans: PartPlans {
-                classes: index.plans.classes.clone(),
-                hops: index.plans.hops.iter().map(|h| (h.to, h.union.clone())).collect(),
-            },
+            hops: index.hops.iter().map(|h| (h.to, h.forwards.clone())).collect(),
         };
         FrozenTable {
             streams: self
@@ -1542,6 +1541,7 @@ impl RoutingTable {
                 .iter()
                 .map(|(&s, &p)| (s, freeze(&self.parts[p as usize])))
                 .collect(),
+            classes: self.classes.clone(),
         }
     }
 }
@@ -1761,6 +1761,98 @@ mod tests {
         assert_eq!(fwd_len(&out), 1, "union shrinks to {{a}}");
     }
 
+    /// Two members toward one hop: `{a}` where `c < 10`, `{a, b}` where
+    /// `d > 20` — the narrow one needs `{a, c}`, the wide one `{a, b, d}` —
+    /// and an `All` member where `e > 100`.
+    fn needs_fixture() -> RoutingTable {
+        let member = |id: u64, proj: StreamProjection, filter: Predicate| {
+            Subscription::builder(NodeId(5 + id as u32))
+                .id(SubId(id))
+                .stream("R", proj, vec![filter])
+                .build()
+        };
+        let mut table = RoutingTable::new();
+        for sub in [
+            member(1, StreamProjection::attrs(["a"]), cmp("R", "c", CmpOp::Lt, Scalar::Int(10))),
+            member(
+                2,
+                StreamProjection::attrs(["a", "b"]),
+                cmp("R", "d", CmpOp::Gt, Scalar::Int(20)),
+            ),
+            member(3, StreamProjection::All, cmp("R", "e", CmpOp::Gt, Scalar::Int(100))),
+        ] {
+            table.ins(sub, Some(NodeId(1)));
+        }
+        table
+    }
+
+    /// The attributes forwarded toward the one hop for a record with these
+    /// `c`, `d` and `e`: `None` for no forward, `Some(None)` for an
+    /// identity forward.
+    fn forwarded(table: &mut RoutingTable, c: i64, d: i64, e: i64) -> Option<Option<Vec<String>>> {
+        let msg = ["a", "b", "c", "d", "e"]
+            .into_iter()
+            .zip([1, 2, c, d, e])
+            .fold(Message::new("R", 0), |m, (attr, v)| m.with(attr, Scalar::Int(v)));
+        let out = fresh_match(table, &msg, None);
+        assert!(out.forwards.len() <= 1);
+        let (_, fwd) = out.forwards.into_iter().next()?;
+        Some(fwd.map(|m| m.schema().attrs().iter().map(|a| a.to_string()).collect()))
+    }
+
+    #[test]
+    fn hop_forward_keeps_what_the_matched_members_need() {
+        let mut table = needs_fixture();
+        let attrs = |names: &[&str]| Some(Some(names.iter().map(|a| a.to_string()).collect()));
+        assert_eq!(forwarded(&mut table, 5, 0, 0), attrs(&["a", "c"]), "narrow member only");
+        assert_eq!(forwarded(&mut table, 50, 30, 0), attrs(&["a", "b", "d"]), "wide member only");
+        assert_eq!(forwarded(&mut table, 5, 30, 0), attrs(&["a", "b", "c", "d"]), "both");
+        assert_eq!(forwarded(&mut table, 50, 0, 0), None, "no member matched");
+    }
+
+    #[test]
+    fn hop_forward_is_identity_only_when_a_matching_member_needs_all() {
+        let mut table = needs_fixture();
+        assert_eq!(forwarded(&mut table, 5, 0, 200), Some(None), "`All` matched: identity");
+        assert_eq!(forwarded(&mut table, 50, 0, 200), Some(None), "`All` alone: identity");
+        let narrow = Some(Some(vec!["a".to_string(), "c".to_string()]));
+        assert_eq!(forwarded(&mut table, 5, 0, 0), narrow, "a rejecting `All` widens nothing");
+    }
+
+    /// Masks span words: on a 70-column record, members needing columns
+    /// on both sides of the 64th forward exactly those columns, in order.
+    #[test]
+    fn hop_forward_masks_span_records_wider_than_64_columns() {
+        let col = |i: usize| format!("c{i}");
+        let member = |id: u64, keep: &[usize], filter: usize| {
+            let attr = col(filter);
+            Subscription::builder(NodeId(5 + id as u32))
+                .id(SubId(id))
+                .stream(
+                    "R",
+                    StreamProjection::attrs(keep.iter().map(|&i| col(i)).collect::<Vec<_>>()),
+                    vec![cmp("R", &attr, CmpOp::Gt, Scalar::Int(0))],
+                )
+                .build()
+        };
+        let mut table = RoutingTable::new();
+        table.ins(member(1, &[3], 66), Some(NodeId(1)));
+        table.ins(member(2, &[69], 1), Some(NodeId(1)));
+        let record = |positive: &[usize]| {
+            (0..70).fold(Message::new("R", 0), |m, i| {
+                m.with(col(i).as_str(), Scalar::Int(i64::from(positive.contains(&i))))
+            })
+        };
+        let forwarded = |table: &mut RoutingTable, msg: &Message| -> Vec<String> {
+            let out = fresh_match(table, msg, None);
+            let fwd = out.forwards[0].1.as_ref().expect("narrowed");
+            fwd.schema().attrs().iter().map(|a| a.to_string()).collect()
+        };
+        assert_eq!(forwarded(&mut table, &record(&[66])), ["c3", "c66"]);
+        assert_eq!(forwarded(&mut table, &record(&[1])), ["c1", "c69"]);
+        assert_eq!(forwarded(&mut table, &record(&[1, 66])), ["c1", "c3", "c66", "c69"]);
+    }
+
     #[test]
     fn remove_entry_removes_only_that_subscription() {
         let mut table = RoutingTable::new();
@@ -1844,23 +1936,19 @@ mod tests {
         for i in 40..58u64 {
             table.ins(local(i, StreamProjection::attrs(["b"])), None);
         }
-        assert_eq!(part_r(&table).plans.classes.len(), 2);
+        assert_eq!(table.classes.len(), 2);
         // Empty the {b} class entirely, then shed enough {a} members that
         // tombstones reach half the table: compaction re-groups and the
         // emptied class is not reopened.
         for i in 40..58u64 {
             assert_eq!(table.remove_entry(SubId(i), None), 1);
         }
-        assert_eq!(part_r(&table).plans.classes.len(), 2, "emptied class lingers as a tombstone");
+        assert_eq!(table.classes.len(), 2, "emptied class lingers as a tombstone");
         for i in 0..11u64 {
             assert_eq!(table.remove_entry(SubId(i), None), 1);
         }
         assert_eq!(table.len(), 29);
-        assert_eq!(
-            part_r(&table).plans.classes.len(),
-            1,
-            "emptied projection class dropped at re-grouping"
-        );
+        assert_eq!(table.classes.len(), 1, "emptied projection class dropped at re-grouping");
         let msg = Message::new("R", 0).with("a", Scalar::Int(7)).with("b", Scalar::Int(8));
         let out = fresh_match(&mut table, &msg, None);
         assert_eq!(out.deliveries.len(), 29);

@@ -20,8 +20,9 @@
 //! see [`crate::index`]), so the frozen image needs no types of its own:
 //! per stream partition it is a **field-wise clone** of what matching
 //! reads — members, always-candidates, threshold lists — plus each hop
-//! group's `(next hop, union)` and each class's projection. What that
-//! costs per dirty node is one `memcpy`-like pass over the node's
+//! group's next hop with its forward plans, and per table its projection
+//! classes (what local members keep, what forwarding members need). What
+//! that costs per dirty node is one `memcpy`-like pass over the node's
 //! members and list runs (a refcount bump per member for its residual
 //! predicates), tombstones and their stale list references included: a
 //! table holds at most as many dead members as live ones before it
@@ -35,9 +36,9 @@
 //!
 //! A [`SnapshotReader`] wraps an `Arc<RoutingSnapshot>` plus everything
 //! matching mutates: one match state per node (as the writer keeps one
-//! per table), private projection-class and hop-union plan caches per
-//! partition it has touched, and the forwarding walk's buffers. Matching
-//! and forwarding are the writer's own routines
+//! per table), private projection-class and hop-forward plan caches per
+//! node and partition it has touched, and the forwarding walk's buffers.
+//! Matching and forwarding are the writer's own routines
 //! ([`crate::index::match_run`], the broker's forwarding walk) over the
 //! reader's plane. The snapshot itself is genuinely `&self`/`Sync`: N
 //! readers on N threads match and forward concurrently with **zero**
@@ -60,51 +61,33 @@
 //! suite asserts.
 
 use crate::broker::{Delivery, LinkStats, Plane, Walk};
-use crate::index::{MatchScratch, MatchStats, Partition, PlanCaches};
-use crate::subscription::{CachedProjection, Message};
+use crate::index::{MatchScratch, MatchStats, Partition, Plans};
+use crate::subscription::{CachedProjection, MaskedProjection, Message};
 use cosmos_net::NodeId;
 use cosmos_util::Symbol;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The frozen image of one stream partition: a clone of what matching
-/// reads of the live partition, plus the projections of its hop groups
-/// and classes — which each reader clones again for itself, because
+/// reads of the live partition, plus its hop groups' next hops and
+/// forward plans — which each reader clones again for itself, because
 /// applying one fills its plan cache and all match state is the
 /// matcher's own.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FrozenPartition {
     pub(crate) part: Partition,
-    pub(crate) plans: PartPlans,
-}
-
-/// The projections of one partition's classes and hop groups, by class
-/// and group id, each with a plan cache: inside a [`FrozenPartition`] as
-/// frozen, and per `(node, stream)` inside each reader that has touched
-/// the partition — the writer keeps its own inside the live partition.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PartPlans {
-    pub(crate) classes: Vec<CachedProjection>,
-    pub(crate) hops: Vec<(NodeId, CachedProjection)>,
-}
-
-impl PlanCaches for PartPlans {
-    fn class(&mut self, c: u32) -> &mut CachedProjection {
-        &mut self.classes[c as usize]
-    }
-
-    fn hop(&mut self, g: u32) -> (NodeId, &mut CachedProjection) {
-        let (to, union) = &mut self.hops[g as usize];
-        (*to, union)
-    }
+    pub(crate) hops: Vec<(NodeId, MaskedProjection)>,
 }
 
 /// The frozen image of one node's routing table
-/// ([`crate::index::RoutingTable::freeze`]): its stream partitions,
-/// cloned (see the module docs).
+/// ([`crate::index::RoutingTable::freeze`]): its stream partitions and
+/// its projection classes, cloned (see the module docs). A hop's forward
+/// keeps what its matched members' classes need, so a reader forwards
+/// the writer's bytes.
 #[derive(Debug, Clone, Default)]
 pub struct FrozenTable {
     pub(crate) streams: HashMap<Symbol, FrozenPartition>,
+    pub(crate) classes: Vec<CachedProjection>,
 }
 
 /// An immutable, `Sync` image of the whole network's dissemination
@@ -194,24 +177,38 @@ impl ReaderOutput {
     }
 }
 
+/// A reader's plan caches: per node its copy of the table's classes, per
+/// `(node, stream)` its copy of the partition's hop forwards — each made
+/// when the reader first matches there.
+#[derive(Debug, Default)]
+struct ReaderPlans {
+    classes: HashMap<NodeId, Vec<CachedProjection>>,
+    hops: HashMap<(NodeId, Symbol), Vec<(NodeId, MaskedProjection)>>,
+}
+
 /// A reader's plane for the forwarding walk: the snapshot's frozen
 /// partitions, with the reader's own plan caches and match state.
 struct ReaderPlane<'a> {
     snap: &'a RoutingSnapshot,
     scratch: &'a mut [MatchScratch],
-    plans: &'a mut HashMap<(NodeId, Symbol), PartPlans>,
+    plans: &'a mut ReaderPlans,
 }
 
 impl Plane for ReaderPlane<'_> {
-    type Plans = PartPlans;
+    type Hop = (NodeId, MaskedProjection);
 
     fn at(
         &mut self,
         node: NodeId,
         stream: Symbol,
-    ) -> Option<(&Partition, &mut PartPlans, &mut MatchScratch)> {
-        let part = self.snap.tables[node.index()].streams.get(&stream)?;
-        let plans = self.plans.entry((node, stream)).or_insert_with(|| part.plans.clone());
+    ) -> Option<(&Partition, Plans<'_, Self::Hop>, &mut MatchScratch)> {
+        let table = &self.snap.tables[node.index()];
+        let part = table.streams.get(&stream)?;
+        let ReaderPlans { classes, hops } = &mut *self.plans;
+        let plans = Plans {
+            classes: classes.entry(node).or_insert_with(|| table.classes.clone()),
+            hops: hops.entry((node, stream)).or_insert_with(|| part.hops.clone()),
+        };
         Some((&part.part, plans, &mut self.scratch[node.index()]))
     }
 }
@@ -225,7 +222,7 @@ pub struct SnapshotReader {
     snap: Arc<RoutingSnapshot>,
     /// One match state per node, as the writer keeps one per table.
     scratch: Vec<MatchScratch>,
-    plans: HashMap<(NodeId, Symbol), PartPlans>,
+    plans: ReaderPlans,
     walk: Walk,
     out: ReaderOutput,
     next_order: u64,
@@ -237,7 +234,7 @@ impl SnapshotReader {
         Self {
             scratch: snap.tables.iter().map(|_| MatchScratch::default()).collect(),
             snap,
-            plans: HashMap::new(),
+            plans: ReaderPlans::default(),
             walk: Walk::default(),
             out: ReaderOutput::default(),
             next_order: 0,
@@ -261,7 +258,7 @@ impl SnapshotReader {
         }
         self.snap = Arc::clone(snap);
         self.scratch.resize_with(snap.tables.len(), MatchScratch::default);
-        self.plans.clear();
+        self.plans = ReaderPlans::default();
     }
 
     /// The matching work this reader has done so far, over all nodes —

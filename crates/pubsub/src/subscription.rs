@@ -120,10 +120,12 @@ impl StreamRequest {
         &self.projection
     }
 
-    /// The attributes this request *needs*: its projection plus any
-    /// attribute its filters read. Routing-level covering must preserve
-    /// needs — early projection upstream of a pruned propagation could
-    /// otherwise strip attributes a downstream filter reads.
+    /// The attributes this request *needs*: its projection plus every
+    /// attribute any of its filters reads, both sides of an
+    /// attribute-to-attribute comparison included. A broker forwards a
+    /// record carrying what the matched requests below it need, and
+    /// routing-level covering must preserve needs — a forward missing an
+    /// attribute a downstream filter reads would make that filter false.
     pub fn needs(&self) -> &StreamProjection {
         &self.needs
     }
@@ -167,14 +169,18 @@ impl StreamRequest {
     }
 }
 
-/// `projection` widened by the attributes `filters` read.
+/// `projection` widened by every attribute `filters` read (a time delta
+/// reads timestamps, which every record carries).
 fn needs_of(projection: &StreamProjection, filters: &[Predicate]) -> StreamProjection {
     let filter_attrs: BTreeSet<Symbol> = filters
         .iter()
-        .filter_map(|f| match f {
-            Predicate::Cmp { attr, .. } => Some(Symbol::intern(&attr.attr)),
-            _ => None,
+        .flat_map(|f| match f {
+            Predicate::Cmp { attr, .. } => [Some(attr), None],
+            Predicate::JoinCmp { left, right, .. } => [Some(left), Some(right)],
+            Predicate::TimeDelta { .. } => [None, None],
         })
+        .flatten()
+        .map(|attr| Symbol::intern(&attr.attr))
         .collect();
     if filter_attrs.is_empty() {
         projection.clone()
@@ -342,11 +348,12 @@ impl SubscriptionBuilder {
 pub type Message = cosmos_query::record::Record;
 
 /// A [`StreamProjection`] with its resolved per-input-schema plan cached
-/// inline — the one plan cache of the record plane, hung off the route
-/// entry (or hop group) that owns the projection. [`Message::retaining`]
-/// plans and interns per call; applying a `CachedProjection` to a message
-/// of an already-seen shape copies scalars by precomputed column index —
-/// no per-message allocation beyond the output payload.
+/// inline — the one plan cache of the record plane, hung off the routing
+/// table's class that owns the projection (what local subscribers keep,
+/// or what forwarding members need). [`Message::retaining`] plans and
+/// interns per call; applying a `CachedProjection` to a message of an
+/// already-seen shape copies scalars by precomputed column index — no
+/// per-message allocation beyond the output payload.
 #[derive(Debug, Clone)]
 pub struct CachedProjection {
     proj: StreamProjection,
@@ -358,9 +365,37 @@ pub struct CachedProjection {
 /// A resolved projection plan for one input schema: the output schema and
 /// the kept input column indices, in output order.
 #[derive(Debug, Clone)]
-struct RetainPlan {
+pub(crate) struct RetainPlan {
     schema: Arc<Schema>,
     cols: Arc<[u32]>,
+    /// The kept columns among the first 64, one bit each.
+    first: u64,
+}
+
+impl RetainPlan {
+    /// The plan keeping the columns `i` of `input` with `keep(i)`.
+    fn new(input: &Schema, keep: impl Fn(usize) -> bool) -> Self {
+        let cols: Vec<u32> = (0..input.len()).filter(|&i| keep(i)).map(|i| i as u32).collect();
+        let attrs: Vec<Symbol> = cols.iter().map(|&i| input.attrs()[i as usize]).collect();
+        let first = cols.iter().take_while(|&&i| i < 64).fold(0, |word, &i| word | 1 << i);
+        Self { schema: Schema::intern(&attrs), cols: cols.into(), first }
+    }
+
+    /// `msg` with the kept columns only: one shared payload.
+    fn apply(&self, msg: &Message) -> Message {
+        let payload: Arc<[Scalar]> =
+            self.cols.iter().map(|&i| msg.values()[i as usize].clone()).collect();
+        Message::from_shared(msg.stream, msg.timestamp, Arc::clone(&self.schema), payload)
+    }
+
+    /// Adds the kept columns to `mask`, a column mask over the input schema
+    /// (one bit per column, 64 to a word): one word up to 64 columns.
+    pub(crate) fn add_to(&self, mask: &mut [u64]) {
+        match mask {
+            [word] => *word |= self.first,
+            _ => self.cols.iter().for_each(|&i| mask[i as usize / 64] |= 1 << (i % 64)),
+        }
+    }
 }
 
 impl CachedProjection {
@@ -374,40 +409,48 @@ impl CachedProjection {
         &self.proj
     }
 
-    /// Whether [`CachedProjection::apply`] forwards records unchanged
-    /// (`All`). The batched publish plane shares the input record across
-    /// such hops instead of cloning it once per hop.
-    pub fn is_identity(&self) -> bool {
-        matches!(self.proj, StreamProjection::All)
+    /// The plan of what this projection keeps of `input`, resolved and
+    /// cached on first sight of the schema — `None` for `All`, which keeps
+    /// every column without a plan.
+    pub(crate) fn kept(&mut self, input: &Schema) -> Option<&RetainPlan> {
+        let StreamProjection::Attrs(keep) = &self.proj else { return None };
+        let id = input.id();
+        let build = || RetainPlan::new(input, |i| keep.contains(&input.attrs()[i]));
+        Some(self.plans.get_or_insert_with(|sid| *sid == id, || id, build))
     }
 
-    /// Applies the projection to `msg`, resolving (and caching) the plan
-    /// for `msg`'s schema on first sight. `All` is a refcount bump; an
+    /// Applies the projection to `msg`: `All` is a refcount bump; an
     /// attribute set copies the kept scalars into one shared payload.
     pub fn apply(&mut self, msg: &Message) -> Message {
-        let keep = match &self.proj {
-            StreamProjection::All => return msg.clone(),
-            StreamProjection::Attrs(keep) => keep,
-        };
-        let id = msg.schema().id();
+        self.kept(msg.schema()).map_or_else(|| msg.clone(), |plan| plan.apply(msg))
+    }
+}
+
+/// Projections named per message by a column mask over its schema (one
+/// bit per column, 64 to a word), each planned once per `(schema, mask)`:
+/// a hop's forward, keeping the needs of whichever of its members matched.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MaskedProjection {
+    /// Keyed by schema id and mask, the first word inline: records of up
+    /// to 64 columns allocate no key.
+    plans: PlanCache<(u32, u64, Box<[u64]>), RetainPlan>,
+}
+
+impl MaskedProjection {
+    /// `msg` keeping the columns in `mask`, or `None` when that is every
+    /// column — the caller shares `msg` itself.
+    pub(crate) fn apply(&mut self, msg: &Message, mask: &[u64]) -> Option<Message> {
+        let input = msg.schema();
+        let kept: usize = mask.iter().map(|word| word.count_ones() as usize).sum();
+        // Fewer bits than columns: there is a first word.
+        let (&first, rest) = mask.split_first().filter(|_| kept < input.len())?;
+        let id = input.id();
         let plan = self.plans.get_or_insert_with(
-            |sid| *sid == id,
-            || id,
-            || {
-                let mut attrs = Vec::new();
-                let mut cols = Vec::new();
-                for (i, &a) in msg.schema().attrs().iter().enumerate() {
-                    if keep.contains(&a) {
-                        attrs.push(a);
-                        cols.push(i as u32);
-                    }
-                }
-                RetainPlan { schema: Schema::intern(&attrs), cols: cols.into() }
-            },
+            |(sid, w, r)| *sid == id && *w == first && **r == *rest,
+            || (id, first, rest.into()),
+            || RetainPlan::new(input, |i| (mask[i / 64] >> (i % 64)) & 1 == 1),
         );
-        let payload: std::sync::Arc<[Scalar]> =
-            plan.cols.iter().map(|&i| msg.values()[i as usize].clone()).collect();
-        Message::from_shared(msg.stream, msg.timestamp, Arc::clone(&plan.schema), payload)
+        Some(plan.apply(msg))
     }
 }
 

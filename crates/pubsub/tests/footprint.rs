@@ -64,10 +64,12 @@ fn live() -> usize {
 /// 4 000 filterless subscriptions, one fresh stream each, host → proxy
 /// over the `sensor-join` overlay: what `subscribe_batch` adds to the heap
 /// — tables, ledgers, installed forms — per routing-table entry. It reads
-/// 587 B (814 B while a forwarded-up record stood beside every forwarding
-/// entry, 855 B while members, hop groups and partitions still carried
-/// their match counters); commit 9812ce6 held 2 520 B per
-/// entry here (a 560-byte partition in a half-empty 568-byte map slot,
+/// 495 B (587 B while every partition kept its own projection classes and
+/// every hop group its own needs union, 814 B while a forwarded-up record
+/// stood beside every forwarding entry, 855 B while members, hop groups
+/// and partitions still carried their match counters); commit 9812ce6
+/// held 2 520 B per entry here (a 560-byte partition in a half-empty
+/// 568-byte map slot,
 /// four-element first allocations for one member, one hop group and one
 /// bucket, the covering bucket in a second map, a `BTreeMap` leaf per
 /// installed subscription).

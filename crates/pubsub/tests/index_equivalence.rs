@@ -23,15 +23,16 @@
 //! opposite population — hundreds of streams with a subscriber or three —
 //! under churn heavy enough that tables compact.
 
-use cosmos_net::{NodeId, Topology};
+use cosmos_net::{NodeId, ShortestPathTree, Topology};
 use cosmos_oracle::{assert_tables_equivalent, stands_in_for, ReferenceNetwork};
-use cosmos_pubsub::broker::BrokerNetwork;
+use cosmos_pubsub::broker::{BrokerNetwork, LinkStats};
 use cosmos_pubsub::index::{CoverStats, ForwardInsert, InstalledSub, RoutingTable};
 use cosmos_pubsub::subscription::{Message, StreamProjection, SubId, Subscription};
 use cosmos_query::{AttrRef, CmpOp, Predicate, Scalar};
 use cosmos_util::rng::rng_for;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::{BTreeMap, BTreeSet};
 
 const STREAMS: [&str; 3] = ["A", "B", "C"];
 const ATTRS: [&str; 3] = ["a", "b", "c"];
@@ -1207,5 +1208,109 @@ fn reader_batched_publish_equals_serial() {
             pair.reference.all_link_stats(),
             "batched reader link traffic diverged (trial {trial})"
         );
+    }
+}
+
+/// `sub` with an attribute-to-attribute comparison added to every stream
+/// request: a filter that reads `a` and `b` whether or not it keeps them.
+fn with_attr_comparison(rng: &mut StdRng, sub: Subscription) -> Subscription {
+    let mut builder = Subscription::builder(sub.subscriber).id(sub.id);
+    for (stream, req) in sub.streams.iter() {
+        let mut filters = req.filters().to_vec();
+        filters.push(Predicate::JoinCmp {
+            left: AttrRef::new(stream.as_str(), "a"),
+            op: OPS[rng.gen_range(0..OPS.len())],
+            right: AttrRef::new(stream.as_str(), "b"),
+        });
+        builder = builder.stream(*stream, req.projection().clone(), filters);
+    }
+    builder.build()
+}
+
+/// Link minimality from the definition alone — no reference network, no
+/// look inside the tables. Publishing one message at a time, a link
+/// carries it exactly when some live subscription below that link in the
+/// source's shortest-path tree matches it, once, narrowed to the union of
+/// those subscriptions' needs: to the byte, so nothing a matching
+/// subscriber below needs is missing and nothing else crosses. Even
+/// trials draw the general random population, odd ones the covering-rich
+/// one (where most subscriptions forward through a coverer); a quarter of
+/// the subscriptions also compare two attributes. Departures and link
+/// failures interleave with the publishes.
+/// `COSMOS_STRESS=1` raises the trial count and the populations.
+#[test]
+fn link_bytes_are_what_the_matching_subscribers_below_need() {
+    let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
+    let (trials, standing, steps) = if stress { (300u64, 400u64, 300u32) } else { (30, 60, 80) };
+    for trial in 0..trials {
+        let mut rng = rng_for(trial, "index-link-minimality");
+        let topo = random_topology(&mut rng);
+        let nodes = topo.node_count() as u32;
+        let mut net = BrokerNetwork::new(topo);
+        let sources: Vec<(&str, NodeId)> =
+            STREAMS.iter().map(|&s| (s, NodeId(rng.gen_range(0..nodes)))).collect();
+        for &(stream, src) in &sources {
+            net.advertise(stream, src);
+        }
+        let rich = trial % 2 == 1;
+        let mut live: Vec<Subscription> = Vec::new();
+        for id in 0..rng.gen_range(standing / 3..standing) {
+            let sub = if rich {
+                covering_rich_sub(&mut rng, id, nodes)
+            } else {
+                random_sub(&mut rng, id, nodes)
+            };
+            let sub = if rng.gen_bool(0.25) { with_attr_comparison(&mut rng, sub) } else { sub };
+            net.subscribe(sub.clone());
+            live.push(sub);
+        }
+        let mut expected: BTreeMap<(NodeId, NodeId), LinkStats> = BTreeMap::new();
+        let mut ts = 0i64;
+        for step in 0..rng.gen_range(steps / 2..steps) {
+            let roll = rng.gen_range(0u32..100);
+            if roll < 5 && !live.is_empty() {
+                net.unsubscribe(live.swap_remove(rng.gen_range(0..live.len())).id);
+                continue;
+            }
+            if roll < 8 {
+                let edges = edges_of(net.topology());
+                if !edges.is_empty() {
+                    let (a, b) = edges[rng.gen_range(0..edges.len())];
+                    assert!(net.fail_link(a, b));
+                }
+                continue;
+            }
+            ts += rng.gen_range(1i64..1_000);
+            let msg = if rich && rng.gen_bool(0.7) {
+                covering_rich_message(&mut rng, ts)
+            } else {
+                random_message(&mut rng, ts)
+            };
+            let mut needed: BTreeMap<(NodeId, NodeId), StreamProjection> = BTreeMap::new();
+            if let Some(&(_, src)) = sources.iter().find(|(s, _)| msg.stream.as_str() == *s) {
+                let tree = ShortestPathTree::compute(net.topology(), src);
+                for sub in live.iter().filter(|s| s.matches(&msg)) {
+                    let needs = sub.needs(msg.stream).expect("matched, so requested");
+                    for hop in tree.path_to(sub.subscriber).unwrap_or_default().windows(2) {
+                        let union = needed
+                            .entry((hop[0].min(hop[1]), hop[0].max(hop[1])))
+                            .or_insert_with(|| StreamProjection::Attrs(BTreeSet::new()));
+                        *union = union.union(needs);
+                    }
+                }
+            }
+            for (link, needs) in needed {
+                let sent = match needs {
+                    StreamProjection::All => msg.clone(),
+                    StreamProjection::Attrs(keep) => msg.retaining(&keep),
+                };
+                let stats = expected.entry(link).or_default();
+                stats.messages += 1;
+                stats.bytes += sent.wire_size() as u64;
+            }
+            net.publish(msg);
+            let expected: Vec<_> = expected.iter().map(|(&link, &stats)| (link, stats)).collect();
+            assert_eq!(net.all_link_stats(), expected, "trial {trial}, step {step}");
+        }
     }
 }
