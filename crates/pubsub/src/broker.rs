@@ -582,8 +582,9 @@ impl BrokerNetwork {
     }
 
     /// Size counters of the routing state as it stands: partitions,
-    /// member records and hop groups stored over all tables, and how many
-    /// hop groups' covering buckets built their threshold lists.
+    /// member records and hop groups stored over all tables. Covering
+    /// keeps no records of its own: it counts over the partitions'
+    /// threshold lists.
     /// Tombstones count until their owner compacts. Deterministic — a
     /// function of the operation sequence only — so tests pin them
     /// exactly, like [`BrokerNetwork::cover_stats`].

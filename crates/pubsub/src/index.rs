@@ -146,42 +146,36 @@
 //!   partition, compaction re-inserts survivors in order under fresh ids
 //!   — so tombstoning finds an entry's member by binary search.
 //!
-//! - **Covering buckets**: installs themselves are sublinear, and pay for
-//!   what an arrival *changes* rather than for everything it is compared
-//!   against. Every forwarding entry joins the [`CoverBucket`] of its
-//!   `(stream, next hop)` — exactly what a [`HopGroup`] is keyed by and
-//!   created for, so the bucket is a field of the group — keyed by the
-//!   same indexable `(attribute, operator, threshold)` skeleton the
-//!   counting index extracts. An entry can only cover a narrower one when
-//!   its thresholds
-//!   are weaker, so both covering queries an arrival asks — *"does a
-//!   same-direction entry cover this subscription?"*
-//!   ([`RoutingTable::insert_covering`]'s skip check) and *"which entries
-//!   does it cover?"* (the merge drop) — binary-search sorted threshold
-//!   lists for the ranges [`coverer_bounds`] allows and **count** over
-//!   them, the match index's counting algorithm run in reverse: a member
-//!   can cover the probe only if *every* comparison it carries falls in
-//!   range (its hit count reaches its comparison count), and the probe
-//!   can cover a member only if *every* probe comparison finds one of the
-//!   member's in range (a per-probe-comparison mask). Only those
-//!   survivors — a superset of the answer, a sliver of the union of
-//!   everything any single comparison touches — are confirmed exactly, in
-//!   slot order, instead of scanning the table. The buckets share the
-//!   entry tombstone/compaction lifecycle: removal leaves stale slot
-//!   references that the dead flag neutralizes during candidate
-//!   filtering, and compaction rebuilds the buckets dense alongside the
-//!   threshold lists. One structure, one owner: the bucket is the only
-//!   covering store of its link — the same-direction entry one hop up
-//!   *is* the record of what a node already forwarded upstream, so the
-//!   broker keeps none (the argument is on its install walk, which stops
-//!   at the first skip). What its answers must equal is a scan of the
-//!   table's live same-direction entries — the first coverer in table
-//!   order, the victims in table order; candidates are merely fewer —
-//!   and `tests/index_equivalence.rs` holds one table to a flat `Vec`
-//!   under random insert and remove sequences, and whole networks to the
-//!   from-scratch tables of `cosmos-oracle`'s `ReferenceNetwork`.
-//!   [`CoverStats`] counts the work: list slots visited, confirmations
-//!   attempted, confirmations that held.
+//! - **Covering: the counting index run in reverse over the same lists**.
+//!   Installs themselves are sublinear, and pay for what an arrival
+//!   *changes* rather than for everything it is compared against. An
+//!   entry can only cover a narrower one when its thresholds are weaker,
+//!   so both covering queries an arrival asks — *"does a same-direction
+//!   entry cover this subscription?"* ([`RoutingTable::insert_covering`]'s
+//!   skip check) and *"which entries does it cover?"* (the merge drop) —
+//!   binary-search the partition's own threshold lists for the ranges
+//!   [`coverer_bounds`] allows and **count** over them in the matcher's
+//!   counters: a member can cover the probe only if *every* comparison it
+//!   carries falls in range (its count reaches its target, or it has no
+//!   comparison at all), and the probe can cover a member only if *every*
+//!   probe comparison finds one of the member's in range (a
+//!   per-probe-comparison mask, kept as the length of the hit prefix).
+//!   Members that pass are filtered once — live, forwarding toward the
+//!   arrival's hop — and only those, a superset of the answer, are
+//!   confirmed exactly, in table order, instead of scanning the table.
+//!   Each forwarding comparison is stored once, so covering shares the
+//!   lists' tombstone sweeps and the table's compaction with matching.
+//!   The table is the only covering store of its link — the
+//!   same-direction entry one hop up *is* the record of what a node
+//!   already forwarded upstream, so the broker keeps none (the argument is
+//!   on its install walk, which stops at the first skip). What its answers
+//!   must equal is a scan of the table's live same-direction entries —
+//!   the first coverer in table order, the victims in table order;
+//!   candidates are merely fewer — and `tests/index_equivalence.rs` holds
+//!   one table to a flat `Vec` under random insert and remove sequences,
+//!   and whole networks to the from-scratch tables of `cosmos-oracle`'s
+//!   `ReferenceNetwork`. [`CoverStats`] counts the work: list slots
+//!   visited, confirmations attempted, confirmations that held.
 //!
 //! - **Crash recovery**: whole-node failure
 //!   ([`crate::broker::BrokerNetwork::fail_node`]) is not a new table
@@ -208,10 +202,10 @@
 //! forwarding walk.
 //!
 //! - **A partition owns** ([`Partition`]) members, the always-candidate
-//!   list and the threshold lists — read by matching, never written.
-//!   Around it the live [`StreamIndex`] keeps what *installs* maintain:
-//!   hop groups (next hop, forward plans, the covering bucket). The
-//!   projection classes are the table's, shared by its partitions: a
+//!   list and the threshold lists — read by matching and by covering
+//!   resolution, never written by either. Around it the live
+//!   [`StreamIndex`] keeps what *installs* maintain: hop groups (next
+//!   hop, forward plans). The projection classes are the table's, shared by its partitions: a
 //!   class is a projection, cached per input schema, whichever stream
 //!   the record is of.
 //! - **The matcher owns** ([`MatchScratch`]) everything a message
@@ -220,7 +214,8 @@
 //!   [`MatchStats`] work counters — all stamped with one epoch that only
 //!   ever grows, which is why one scratch serves every partition of a
 //!   table (the argument is on the struct). One per [`RoutingTable`] for
-//!   the writer, one per node per reader.
+//!   the writer — whose covering probes count in the same slot counters
+//!   under epochs of their own — and one per node per reader.
 //! - **Dead members are filtered once**, where the fully-counted members
 //!   become candidates (`count == target && !dead`); the always-candidate
 //!   list drops a member when it is tombstoned. Everything before that
@@ -250,7 +245,7 @@ use cosmos_net::NodeId;
 use cosmos_query::compiled::{
     eval_compiled, CompiledPredicate, IndexOperand, IndexableCmp, ScalarRef,
 };
-use cosmos_query::containment::coverer_bounds;
+use cosmos_query::containment::{coverer_bounds, CoverBounds};
 use cosmos_query::CmpOp;
 use cosmos_util::{Symbol, VecMap};
 use std::collections::HashMap;
@@ -272,17 +267,20 @@ struct Entry {
 
 /// A per-`(next hop)` group within one stream partition. A message any
 /// member matched is forwarded once, keeping what the matched members
-/// need (see the module docs' "Forwarding projections").
+/// need (see the module docs' "Forwarding projections"). Its members are
+/// also the candidates [`RoutingTable::insert_covering`] filters for
+/// toward that hop: covering counts over the partition's lists, so the
+/// group keeps no index of its own.
 #[derive(Debug)]
 pub(crate) struct HopGroup {
     to: NodeId,
     /// The forward's plans, per input schema and mask of matched needs.
     forwards: MaskedProjection,
-    /// Covering-candidate index over the group's forwarding entries (the
-    /// sublinear candidate source behind [`RoutingTable::insert_covering`];
-    /// local-delivery entries never covering-merge). Slots are entry ids.
-    cover: CoverBucket,
 }
+
+// One per (stream, next hop) of every table: 64 bytes while each group
+// carried its own covering index.
+const _: () = assert!(std::mem::size_of::<HopGroup>() <= 32);
 
 /// A hop group as matching sees it: the next hop and the plans of what
 /// crosses to it — the live group for the writer, a reader's copy of a
@@ -417,6 +415,68 @@ impl OpLists {
         // `attr = t` holds for the equal range.
         self.eq.for_eq(|t| t < v, |t| t <= v, bump);
     }
+
+    /// Hands `bump` every reference a coverer of a probe with `bounds` on
+    /// this operand may carry: the prefix of weaker lower bounds, the
+    /// suffix of weaker upper bounds, the equal range of each distinct
+    /// point constraint — so no reference is handed over twice.
+    fn bump_coverers(&self, bounds: &CoverBounds, mut bump: impl FnMut(&[(f64, u32)])) {
+        if let Some(u) = bounds.lower_max.map(norm) {
+            for list in [&self.gt, &self.ge] {
+                list.for_prefix(|t| t.total_cmp(&u).is_le(), &mut bump);
+            }
+        }
+        if let Some(l) = bounds.upper_min.map(norm) {
+            for list in [&self.lt, &self.le] {
+                list.for_suffix(|t| t.total_cmp(&l).is_ge(), &mut bump);
+            }
+        }
+        for (j, &v) in bounds.eq_values.iter().enumerate() {
+            if bounds.eq_values[..j].contains(&v) {
+                continue; // a repeated point constraint: one walk
+            }
+            let v = norm(v);
+            self.eq.for_eq(|t| t.total_cmp(&v).is_lt(), |t| t.total_cmp(&v).is_le(), &mut bump);
+        }
+    }
+
+    /// Hands `bump` every reference whose comparison implies the probe's
+    /// `op t`: a same-direction bound at least as strong, or a point
+    /// constraint inside its range.
+    fn bump_implying(&self, op: CmpOp, t: f64, mut bump: impl FnMut(&[(f64, u32)])) {
+        let t = norm(t);
+        match op {
+            CmpOp::Gt | CmpOp::Ge => {
+                for list in [&self.gt, &self.ge, &self.eq] {
+                    list.for_suffix(|x| x.total_cmp(&t).is_ge(), &mut bump);
+                }
+            }
+            CmpOp::Lt | CmpOp::Le => {
+                for list in [&self.lt, &self.le, &self.eq] {
+                    list.for_prefix(|x| x.total_cmp(&t).is_le(), &mut bump);
+                }
+            }
+            CmpOp::Eq => {
+                self.eq.for_eq(|x| x.total_cmp(&t).is_lt(), |x| x.total_cmp(&t).is_le(), bump)
+            }
+            CmpOp::Ne => unreachable!("Ne is never indexable"),
+        }
+    }
+}
+
+/// Counts one hit on every member `refs` names in the `epoch` counters,
+/// noting each member's first hit in `touched`.
+#[inline]
+fn count_hits(counts: &mut [(u64, u32)], touched: &mut Vec<u32>, epoch: u64, refs: &[(f64, u32)]) {
+    for &(_, m) in refs {
+        let count = &mut counts[m as usize];
+        if count.0 == epoch {
+            count.1 += 1;
+        } else {
+            *count = (epoch, 1);
+            touched.push(m);
+        }
+    }
 }
 
 /// Pushes onto `v`, sizing a vector's *first* allocation for exactly one
@@ -430,18 +490,10 @@ fn push_exact_first<T>(v: &mut Vec<T>, item: T) {
     v.push(item);
 }
 
-/// Below this many members a covering bucket is scanned whole instead of
-/// range-probed: the skeleton split and bound computation cost more than
-/// confirming a handful of candidates, and
-/// covering-dense populations — where merges keep every bucket tiny —
-/// would otherwise pay that overhead on every install hop. Both paths
-/// produce a candidate superset confirmed by the same exact check, so
-/// the answer is identical either way.
-const COVER_SCAN_SMALL: usize = 32;
-
 /// Normalizes a threshold for `total_cmp`-ordered storage: `-0.0` and
 /// `0.0` compare equal numerically but not under `total_cmp`, so both are
-/// stored (and probed) as `+0.0`. NaN never enters a covering list.
+/// stored (and covering-probed) as `+0.0`. Matching compares numerically,
+/// so it sees no difference. NaN never enters a list.
 fn norm(t: f64) -> f64 {
     if t == 0.0 {
         0.0
@@ -492,13 +544,6 @@ impl InstalledSub {
     {
         self.sub.streams.iter().zip(&self.skeleton).map(|((&s, req), (i, r))| (s, req, &i[..], r))
     }
-
-    /// The indexable comparisons on one stream (none when the stream is
-    /// not requested). Subscriptions request a handful of streams, so a
-    /// linear find beats a map here.
-    fn indexable(&self, stream: Symbol) -> &[IndexableCmp] {
-        self.streams().find(|&(s, ..)| s == stream).map_or(&[], |(_, _, i, _)| i)
-    }
 }
 
 /// Deterministic work counters of covering resolution: what an arrival
@@ -520,277 +565,6 @@ impl CoverStats {
         self.attempted += 1;
         self.held += u64::from(held);
         held
-    }
-}
-
-/// One member of a [`CoverBucket`], with its epoch-stamped hit counter
-/// (no per-query reset — the same device as the match index's members).
-#[derive(Debug)]
-struct CoverMember {
-    /// The owner's slot: the routing-table entry id.
-    slot: u32,
-    /// How many indexable comparisons the member carries, duplicates
-    /// included. Each non-NaN one is one threshold-list reference; a NaN
-    /// one (unsatisfiable, implied by nothing) is none, so a member
-    /// carrying one can never be counted up to a coverer — as it must not.
-    comparisons: u32,
-    /// Valid when `epoch` is the bucket's current one.
-    hits: u32,
-    epoch: u64,
-}
-
-/// Covering-candidate index over the subscriptions of one
-/// `(stream, direction)` bucket, keyed by the indexable
-/// `(attribute, operator, threshold)` skeleton
-/// ([`CompiledPredicate::indexable_for`] via
-/// [`StreamRequest::split_for_index`]).
-///
-/// An entry can only cover a narrower one when its thresholds are weaker,
-/// so both covering queries reduce to binary-searched ranges over sorted
-/// threshold lists, and both *count* over those ranges — Siena's counting
-/// algorithm, the one the match index runs per message, run per arrival —
-/// so that only members consistent with the whole probe reach the exact
-/// covering check (the range bounds are [`coverer_bounds`]' sound
-/// over-approximation, so survivors are a superset of the answer):
-///
-/// - **"Who covers this subscription?"** — a coverer's *every*
-///   comparison must be implied by the probe, so each must fall inside the
-///   probe's ranges on its attribute: the prefix of weaker lower bounds,
-///   the suffix of weaker upper bounds, the equal range of matching point
-///   constraints. Walking those ranges bumps a per-member hit counter; the
-///   candidates are the members whose count reaches their comparison
-///   count, plus the loose members (no comparison: nothing constrains
-///   them away).
-/// - **"Whom does this subscription cover?"** — *every* probe
-///   comparison must be implied by some comparison the covered member
-///   carries on the same attribute, at least as strong: the complementary
-///   range of the same lists. The probe's comparisons are walked in turn
-///   and a member stays a candidate only while each one hits it — a
-///   per-probe-comparison mask, kept as the length of the hit prefix.
-///
-/// Slots are caller-defined. Each query sorts its survivors — never the
-/// raw range union — so callers confirm in slot order. The bucket never
-/// removes: dead
-/// slots are filtered by the caller's liveness check and disappear when
-/// the owner compacts — the same tombstone/compaction lifecycle as the
-/// counting match index.
-#[derive(Debug, Default)]
-struct CoverBucket {
-    /// Every member, in insertion order — the victim
-    /// candidate set when the probing subscription carries no indexable
-    /// comparison, and the whole candidate set while the bucket is small.
-    members: Vec<CoverMember>,
-    /// The threshold lists, once they exist. Small buckets are scanned
-    /// whole (see [`COVER_SCAN_SMALL`]), so owners defer building the
-    /// lists until the bucket outgrows the threshold — covering-dense
-    /// populations, whose merges keep every bucket tiny, and per-user
-    /// result streams, whose buckets hold one member for life, then pay
-    /// no skeleton upkeep and no bytes beyond this pointer.
-    lists: Option<Box<CoverLists>>,
-}
-
-/// The range-probed part of a built [`CoverBucket`].
-#[derive(Debug, Default)]
-struct CoverLists {
-    /// Sorted `(threshold, member)` lists per indexable `(operand, op)`
-    /// pair: every comparison of every member, except NaN thresholds
-    /// (unsatisfiable, so they imply nothing and nothing implies them).
-    /// Tiered like the counting index's lists, so inserting into a huge
-    /// bucket memmoves at most one run.
-    comps: HashMap<(IndexOperand, CmpOp), TieredList>,
-    /// Slots of the members with no indexable comparison on the bucket's
-    /// stream (filter-free or residual-only): always coverer candidates.
-    loose: Vec<u32>,
-    /// Current query epoch of the members' hit counters.
-    epoch: u64,
-}
-
-// One per hop group of every partition: unbuilt, a vector header and a
-// pointer.
-const _: () = assert!(std::mem::size_of::<CoverBucket>() <= 32);
-
-impl CoverBucket {
-    fn insert(&mut self, slot: u32, comps: &[IndexableCmp]) {
-        let member = u32::try_from(self.members.len()).expect("cover bucket overflow");
-        if let Some(lists) = &mut self.lists {
-            if comps.is_empty() {
-                lists.loose.push(slot);
-            }
-            for c in comps.iter().filter(|c| !c.threshold.is_nan()) {
-                lists.comps.entry((c.operand, c.op)).or_default().insert(norm(c.threshold), member);
-            }
-        }
-        let comparisons = u32::try_from(comps.len()).expect("filter count overflow");
-        push_exact_first(&mut self.members, CoverMember { slot, comparisons, hits: 0, epoch: 0 });
-    }
-
-    /// Replaces the staged member set by `live` and builds the threshold
-    /// lists over it (the owner's lazy build at [`COVER_SCAN_SMALL`]).
-    fn build<'a>(&mut self, live: impl Iterator<Item = (u32, &'a [IndexableCmp])>) {
-        self.lists = Some(Box::default());
-        self.members.clear();
-        for (slot, comps) in live {
-            self.insert(slot, comps);
-        }
-    }
-
-    /// Appends to `out` every slot that could cover a subscription whose
-    /// comparisons on this stream are `probe`, in ascending order (a
-    /// superset — callers confirm candidates with the exact covering
-    /// check).
-    fn coverer_candidates(
-        &mut self,
-        probe: &[IndexableCmp],
-        out: &mut Vec<u32>,
-        stats: &mut CoverStats,
-    ) {
-        let Self { members, lists } = self;
-        let Some(lists) = lists else {
-            out.extend(members.iter().map(|m| m.slot));
-            return;
-        };
-        lists.epoch += 1;
-        let epoch = lists.epoch;
-        let start = out.len();
-        out.extend_from_slice(&lists.loose);
-        let comps = &lists.comps;
-        let mut visited = 0;
-        // Each list reference is visited at most once per query, so a
-        // member is pushed exactly when its last comparison is hit.
-        let mut bump = |run: &[(f64, u32)]| {
-            visited += run.len() as u64;
-            for &(_, m) in run {
-                let member = &mut members[m as usize];
-                if member.epoch != epoch {
-                    member.epoch = epoch;
-                    member.hits = 0;
-                }
-                member.hits += 1;
-                if member.hits == member.comparisons {
-                    out.push(member.slot);
-                }
-            }
-        };
-        for (i, c) in probe.iter().enumerate() {
-            let operand = c.operand;
-            if probe[..i].iter().any(|p| p.operand == operand) {
-                continue; // walked with its first comparison
-            }
-            let bounds = coverer_bounds(
-                probe.iter().filter(|c| c.operand == operand).map(|c| (c.op, c.threshold)),
-            );
-            if let Some(u) = bounds.lower_max {
-                let u = norm(u);
-                for op in [CmpOp::Gt, CmpOp::Ge] {
-                    if let Some(list) = comps.get(&(operand, op)) {
-                        list.for_prefix(|t| t.total_cmp(&u).is_le(), &mut bump);
-                    }
-                }
-            }
-            if let Some(l) = bounds.upper_min {
-                let l = norm(l);
-                for op in [CmpOp::Lt, CmpOp::Le] {
-                    if let Some(list) = comps.get(&(operand, op)) {
-                        list.for_suffix(|t| t.total_cmp(&l).is_ge(), &mut bump);
-                    }
-                }
-            }
-            if let Some(list) = comps.get(&(operand, CmpOp::Eq)) {
-                for (j, &v) in bounds.eq_values.iter().enumerate() {
-                    if bounds.eq_values[..j].contains(&v) {
-                        continue; // a repeated point constraint: one walk
-                    }
-                    let v = norm(v);
-                    list.for_eq(
-                        |t| t.total_cmp(&v).is_lt(),
-                        |t| t.total_cmp(&v).is_le(),
-                        &mut bump,
-                    );
-                }
-            }
-        }
-        stats.visited += visited;
-        out[start..].sort_unstable();
-    }
-
-    /// Appends to `out` every slot the probing subscription could
-    /// cover, in ascending order. With no
-    /// comparison the whole bucket is a candidate — output-sensitive
-    /// rather than sublinear, but a filterless coverer drops nearly
-    /// everything it touches anyway, leaving the bucket small afterwards.
-    fn covered_candidates(
-        &mut self,
-        probe: &[IndexableCmp],
-        out: &mut Vec<u32>,
-        stats: &mut CoverStats,
-    ) {
-        let Self { members, lists } = self;
-        let lists = match lists {
-            Some(lists) if !probe.is_empty() => lists,
-            _ => {
-                out.extend(members.iter().map(|m| m.slot));
-                return;
-            }
-        };
-        if probe.iter().any(|c| c.threshold.is_nan()) {
-            return; // an unsatisfiable comparison is implied by nothing
-        }
-        lists.epoch += 1;
-        let epoch = lists.epoch;
-        let start = out.len();
-        let comps = &lists.comps;
-        let last = probe.len() as u32 - 1;
-        let mut visited = 0;
-        for (j, c) in (0u32..).zip(probe) {
-            // `hits` is the number of leading probe comparisons that hit
-            // the member; only members every earlier one hit advance.
-            let mut advanced = false;
-            let mut step = |run: &[(f64, u32)]| {
-                visited += run.len() as u64;
-                for &(_, m) in run {
-                    let member = &mut members[m as usize];
-                    if j == 0 && member.epoch != epoch {
-                        member.epoch = epoch;
-                        member.hits = 0;
-                    }
-                    if member.epoch == epoch && member.hits == j {
-                        member.hits = j + 1;
-                        advanced = true;
-                        if j == last {
-                            out.push(member.slot);
-                        }
-                    }
-                }
-            };
-            let t = norm(c.threshold);
-            let ops: &[CmpOp] = match c.op {
-                CmpOp::Gt | CmpOp::Ge => &[CmpOp::Gt, CmpOp::Ge, CmpOp::Eq],
-                CmpOp::Lt | CmpOp::Le => &[CmpOp::Lt, CmpOp::Le, CmpOp::Eq],
-                CmpOp::Eq => &[CmpOp::Eq],
-                CmpOp::Ne => unreachable!("Ne is never indexable"),
-            };
-            for &op in ops {
-                let Some(list) = comps.get(&(c.operand, op)) else { continue };
-                match c.op {
-                    CmpOp::Gt | CmpOp::Ge => {
-                        list.for_suffix(|x| x.total_cmp(&t).is_ge(), &mut step)
-                    }
-                    CmpOp::Lt | CmpOp::Le => {
-                        list.for_prefix(|x| x.total_cmp(&t).is_le(), &mut step)
-                    }
-                    _ => list.for_eq(
-                        |x| x.total_cmp(&t).is_lt(),
-                        |x| x.total_cmp(&t).is_le(),
-                        &mut step,
-                    ),
-                }
-            }
-            if !advanced {
-                break; // nobody carries this comparison: nothing to cover
-            }
-        }
-        stats.visited += visited;
-        out[start..].sort_unstable();
     }
 }
 
@@ -830,6 +604,104 @@ pub(crate) struct Partition {
     lists: VecMap<IndexOperand, OpLists>,
 }
 
+impl Partition {
+    /// The owning entry of member `m` when it is live and forwards toward
+    /// hop group `g`: the filter every covering candidate passes once.
+    fn toward(&self, g: u32, m: u32) -> Option<u32> {
+        let member = &self.members[m as usize];
+        let to_g = matches!(member.action, MemberAction::Hop { group, .. } if group == g);
+        (to_g && !member.dead).then_some(member.entry)
+    }
+
+    /// Appends to `out` the entries toward hop group `g` that could cover
+    /// a subscription whose comparisons on this stream are `probe` (a
+    /// superset, unordered — callers confirm with the exact check): the
+    /// members every comparison of which falls in the probe's
+    /// [`coverer_bounds`], and the members with none.
+    fn coverers(
+        &self,
+        g: u32,
+        probe: &[IndexableCmp],
+        scratch: &mut MatchScratch,
+        out: &mut Vec<u32>,
+        stats: &mut CoverStats,
+    ) {
+        let epoch = scratch.fresh_epoch(self.members.len());
+        let MatchScratch { counts, touched, .. } = scratch;
+        let mut visited = 0;
+        for (i, c) in probe.iter().enumerate() {
+            let operand = c.operand;
+            if probe[..i].iter().any(|p| p.operand == operand) {
+                continue; // walked with its first comparison
+            }
+            let Some(lists) = self.lists.get(&operand) else { continue };
+            let bounds = coverer_bounds(
+                probe.iter().filter(|c| c.operand == operand).map(|c| (c.op, c.threshold)),
+            );
+            lists.bump_coverers(&bounds, |refs| {
+                visited += refs.len() as u64;
+                count_hits(counts, touched, epoch, refs);
+            });
+        }
+        stats.visited += visited;
+        let counted =
+            touched.iter().filter(|&&m| counts[m as usize].1 == self.members[m as usize].target);
+        out.extend(self.zero_target.iter().chain(counted).filter_map(|&m| self.toward(g, m)));
+    }
+
+    /// Appends to `out` the entries toward hop group `g` that a
+    /// subscription whose comparisons on this stream are `probe` could
+    /// cover (a superset, unordered): every probe comparison must be
+    /// implied by one of the member's, which the counters track as the
+    /// length of the probe's hit prefix. With no comparison every member
+    /// toward `g` is a candidate — output-sensitive rather than
+    /// sublinear, but a filterless coverer drops nearly all it touches.
+    fn covered(
+        &self,
+        g: u32,
+        probe: &[IndexableCmp],
+        scratch: &mut MatchScratch,
+        out: &mut Vec<u32>,
+        stats: &mut CoverStats,
+    ) {
+        if probe.is_empty() {
+            out.extend((0..self.members.len() as u32).filter_map(|m| self.toward(g, m)));
+            return;
+        }
+        if probe.iter().any(|c| c.threshold.is_nan()) {
+            return; // an unsatisfiable comparison is implied by nothing
+        }
+        let epoch = scratch.fresh_epoch(self.members.len());
+        let MatchScratch { counts, touched, .. } = scratch;
+        let mut visited = 0;
+        for (j, c) in (0u32..).zip(probe) {
+            let Some(lists) = self.lists.get(&c.operand) else { break };
+            let mut advanced = false;
+            lists.bump_implying(c.op, c.threshold, |refs| {
+                visited += refs.len() as u64;
+                for &(_, m) in refs {
+                    let count = &mut counts[m as usize];
+                    if j == 0 && count.0 != epoch {
+                        *count = (epoch, 1);
+                        touched.push(m);
+                        advanced = true;
+                    } else if count.0 == epoch && count.1 == j {
+                        count.1 = j + 1;
+                        advanced = true;
+                    }
+                }
+            });
+            if !advanced {
+                break; // nobody carries this comparison: nothing to cover
+            }
+        }
+        stats.visited += visited;
+        let n = probe.len() as u32;
+        let hit_all = touched.iter().filter(|&&m| counts[m as usize].1 == n);
+        out.extend(hit_all.filter_map(|&m| self.toward(g, m)));
+    }
+}
+
 /// The index over one stream's entries at one node. A node on many users'
 /// result paths holds thousands of these with a single member each, so it
 /// owns nothing sized for a population it may not have (match state is
@@ -861,9 +733,6 @@ pub struct RoutingFootprint {
     pub members: u64,
     /// `(stream, next hop)` groups over all partitions.
     pub hop_groups: u64,
-    /// Hop groups whose covering bucket outgrew the whole-scan threshold
-    /// and built its threshold lists.
-    pub buckets_built: u64,
 }
 
 /// Deterministic work counters of matching: what the messages matched
@@ -965,6 +834,19 @@ pub(crate) struct MatchScratch {
     pub(crate) stats: MatchStats,
 }
 
+impl MatchScratch {
+    /// Opens a fresh epoch for counting over a partition of `members`
+    /// slots: no counter of an earlier epoch reads as current.
+    fn fresh_epoch(&mut self, members: usize) -> u64 {
+        self.epoch += 1;
+        self.touched.clear();
+        if self.counts.len() < members {
+            self.counts.resize(members, (0, 0));
+        }
+        self.epoch
+    }
+}
+
 /// The epoch stamp `v[i]`, growing `v` with never-current defaults first
 /// when it is too short.
 fn stamp<T: Default + Clone>(v: &mut Vec<T>, i: u32) -> &mut T {
@@ -1032,15 +914,7 @@ pub(crate) fn match_run(
         // never reads a member) and filtered with the candidates.
         let mut bump = |refs: &[(f64, u32)]| {
             work.bumps += refs.len() as u64;
-            for &(_, m) in refs {
-                let count = &mut counts[m as usize];
-                if count.0 == epoch {
-                    count.1 += 1;
-                } else {
-                    *count = (epoch, 1);
-                    touched.push(m);
-                }
-            }
+            count_hits(counts, touched, epoch, refs);
         };
         if !lists.is_empty() {
             let schema = msg.schema();
@@ -1201,8 +1075,6 @@ impl RoutingTable {
         for index in &self.parts {
             fp.members += index.part.members.len() as u64;
             fp.hop_groups += index.hops.len() as u64;
-            fp.buckets_built +=
-                index.hops.iter().filter(|h| h.cover.lists.is_some()).count() as u64;
         }
     }
 
@@ -1242,13 +1114,14 @@ impl RoutingTable {
             for cmp in indexable {
                 // NaN thresholds are unsatisfiable (every comparison with
                 // NaN is false): they count toward `target` but never
-                // enter a list, so the member simply can never match.
+                // enter a list, so the member simply can never match —
+                // nor cover, and nothing implies them.
                 if cmp.threshold.is_nan() {
                     continue;
                 }
                 index.part.lists.get_or_insert_default(cmp.operand).insert(
                     cmp.op,
-                    cmp.threshold,
+                    norm(cmp.threshold),
                     member_id,
                 );
             }
@@ -1268,25 +1141,9 @@ impl RoutingTable {
                     let hops = &mut index.hops;
                     let g = hops.iter().position(|h| h.to == next).unwrap_or_else(|| {
                         let forwards = MaskedProjection::default();
-                        let cover = CoverBucket::default();
-                        push_exact_first(hops, HopGroup { to: next, forwards, cover });
+                        push_exact_first(hops, HopGroup { to: next, forwards });
                         hops.len() - 1
                     });
-                    // Forwarding entries join their group's covering
-                    // bucket; local-delivery entries never covering-merge.
-                    // Threshold lists are built lazily, once the bucket
-                    // outgrows the whole-scan threshold; the backfill
-                    // skips tombstoned entries.
-                    let bucket = &mut hops[g].cover;
-                    if bucket.lists.is_none() && bucket.members.len() >= COVER_SCAN_SMALL {
-                        let staged = std::mem::take(&mut bucket.members);
-                        bucket.build(staged.iter().filter_map(|m| {
-                            let e = &entries[m.slot as usize];
-                            // Tombstones stay out of the lists.
-                            (!e.dead).then(|| (m.slot, e.form.indexable(stream)))
-                        }));
-                    }
-                    bucket.insert(entry_id, indexable);
                     MemberAction::Hop {
                         group: u32::try_from(g).expect("hop group overflow"),
                         class,
@@ -1345,18 +1202,19 @@ impl RoutingTable {
     }
 
     /// Covering-merged insert of a forwarding entry toward `to`, answering
-    /// both covering questions from the `(stream, hop)` buckets instead of
-    /// walking the table. `form` requests at least one stream (the broker
-    /// installs forwarding entries only per advertised source of one):
+    /// both covering questions by counting over the partitions' threshold
+    /// lists instead of walking the table. `form` requests at least one
+    /// stream (the broker installs forwarding entries only per advertised
+    /// source of one):
     ///
     /// 1. **Skip** when a live same-direction entry covers the
     ///    subscription (a coverer must request every one of its streams,
-    ///    so the first stream's bucket already contains every possible
+    ///    so the first stream's partition already holds every possible
     ///    coverer); the reported coverer is the first one in table order
     ///    — what a scan of the table would answer.
     /// 2. Otherwise **drop** every live entry it covers (a victim's
-    ///    streams are a subset of its own, so the union of its per-stream
-    ///    buckets holds every possible victim), tombstone them, and
+    ///    streams are a subset of its own, so the union of its stream
+    ///    partitions holds every possible victim), tombstone them, and
     ///    insert the entry.
     ///
     /// `covers(general, specific)` is the exact confirmation the
@@ -1375,65 +1233,52 @@ impl RoutingTable {
     where
         F: Fn(&Subscription, &Subscription) -> bool,
     {
+        let Self { entries, parts, part_of, cover_scratch: slots, scratch, .. } = self;
         let sub = &form.sub;
-        // Candidate slots come out of each bucket ascending: an unbuilt
-        // (small) bucket is taken whole, a built one is counted over.
-        // Either source yields a superset of the true answers, so the
-        // confirmed result is the same; only the candidate count differs.
-        let mut slots = std::mem::take(&mut self.cover_scratch);
+        // A stream's partition and its hop group toward `to`: without one,
+        // the stream holds neither a coverer nor a victim.
+        let hop_group = |stream: Symbol| {
+            let index = &parts[*part_of.get(&stream)? as usize];
+            let g = index.hops.iter().position(|h| h.to == to)?;
+            Some((&index.part, g as u32))
+        };
         slots.clear();
         let (s0, _, probe0, _) = form.streams().next().expect("non-empty streams");
-        if let Some(bucket) = self.bucket_mut(s0, to) {
-            bucket.coverer_candidates(probe0, &mut slots, stats);
-            for &slot in &slots {
-                let e = &self.entries[slot as usize];
-                let general = &e.form.sub;
-                if e.dead || e.to != Some(to) || general.id == sub.id {
-                    continue;
-                }
-                if stats.confirm(covers(general, sub)) {
-                    let by = general.id;
-                    self.cover_scratch = slots;
-                    return ForwardInsert::Skipped { by };
-                }
+        if let Some((part, g)) = hop_group(s0) {
+            part.coverers(g, probe0, scratch, slots, stats);
+        }
+        // Entry ids ascend in table order.
+        slots.sort_unstable();
+        for &slot in slots.iter() {
+            let general = &entries[slot as usize].form.sub;
+            if general.id != sub.id && stats.confirm(covers(general, sub)) {
+                return ForwardInsert::Skipped { by: general.id };
             }
         }
         slots.clear();
-        let mut sources = 0u32;
         for (s, _, probe, _) in form.streams() {
-            if let Some(bucket) = self.bucket_mut(s, to) {
-                bucket.covered_candidates(probe, &mut slots, stats);
-                sources += 1;
+            if let Some((part, g)) = hop_group(s) {
+                part.covered(g, probe, scratch, slots, stats);
             }
         }
-        if sources > 1 {
-            slots.sort_unstable();
-            slots.dedup();
-        }
+        // Table order, once per entry: a multi-stream entry is a
+        // candidate of each of its streams.
+        slots.sort_unstable();
+        slots.dedup();
         slots.retain(|&slot| {
-            let e = &self.entries[slot as usize];
-            let specific = &e.form.sub;
-            !e.dead
-                && e.to == Some(to)
-                && specific.id != sub.id
-                && stats.confirm(covers(sub, specific))
+            let specific = &entries[slot as usize].form.sub;
+            specific.id != sub.id && stats.confirm(covers(sub, specific))
         });
+        let victims = std::mem::take(slots);
         let dropped: Vec<SubId> =
-            slots.iter().map(|&v| self.entries[v as usize].form.sub.id).collect();
-        for &v in &slots {
+            victims.iter().map(|&v| self.entries[v as usize].form.sub.id).collect();
+        for &v in &victims {
             self.tombstone(v);
         }
-        self.cover_scratch = slots;
+        self.cover_scratch = victims;
         self.maybe_compact();
         self.insert(form, Some(to), seq);
         ForwardInsert::Inserted { dropped }
-    }
-
-    /// The covering bucket of `(stream, to)`: it lives in that partition's
-    /// hop group, and exists once a forwarding entry was installed there.
-    fn bucket_mut(&mut self, stream: Symbol, to: NodeId) -> Option<&mut CoverBucket> {
-        let &p = self.part_of.get(&stream)?;
-        self.parts[p as usize].hops.iter_mut().find(|h| h.to == to).map(|h| &mut h.cover)
     }
 
     fn tombstone(&mut self, entry_id: u32) {
@@ -2050,26 +1895,12 @@ mod tests {
             })
     }
 
-    /// Fills a bucket toward `hop` past the small-bucket scan threshold
-    /// with entries whose `a > 1_000_000` filter never covers (or is
-    /// covered by) the probes the tests use, forcing the range-probe
-    /// path rather than the whole-bucket scan.
-    fn pad_bucket(table: &mut RoutingTable, hop: NodeId, base: u64) {
-        for i in 0..40u64 {
-            table.ins(
-                sub(base + i, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(1_000_000))]),
-                Some(hop),
-            );
-        }
-    }
-
     #[test]
     fn insert_covering_skips_under_first_coverer_in_table_order() {
         let mut table = RoutingTable::new();
         let hop = NodeId(1);
         table.ins(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(3))]), Some(hop));
         table.ins(sub(2, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(4))]), Some(hop));
-        pad_bucket(&mut table, hop, 10_000);
         // Covered by both real entries: the skip must report the first
         // one in table order, exactly as the linear scan would.
         let narrow = sub(3, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(10))]);
@@ -2077,12 +1908,12 @@ mod tests {
             ForwardInsert::Skipped { by } => assert_eq!(by, SubId(1)),
             other => panic!("expected a covering skip, got {other:?}"),
         }
-        assert_eq!(table.len(), 42, "skipped insert leaves the table unchanged");
-        // A filter-free (loose) entry covers everything same-direction,
-        // and the loose list surfaces it past the range probes.
+        assert_eq!(table.len(), 2, "skipped insert leaves the table unchanged");
+        // A filter-free entry covers everything same-direction, and the
+        // partition's always-candidate list surfaces it past the range
+        // probes.
         let mut table = RoutingTable::new();
         table.ins(sub(7, vec![]), Some(hop));
-        pad_bucket(&mut table, hop, 10_000);
         match table.ins_covering(sub(8, vec![cmp("R", "a", CmpOp::Eq, Scalar::Int(5))]), hop) {
             ForwardInsert::Skipped { by } => assert_eq!(by, SubId(7)),
             other => panic!("expected the loose entry to cover, got {other:?}"),
@@ -2093,8 +1924,7 @@ mod tests {
     fn insert_covering_drops_exactly_the_covered_victims() {
         let mut table = RoutingTable::new();
         let hop = NodeId(1);
-        // A covering-sparse point population (large enough to force the
-        // range-probe path) plus one out-of-range entry.
+        // A covering-sparse point population plus one out-of-range entry.
         for i in 0..60u64 {
             table.ins(sub(i, vec![cmp("R", "a", CmpOp::Eq, Scalar::Int(i as i64))]), Some(hop));
         }
@@ -2113,7 +1943,7 @@ mod tests {
 
     #[test]
     fn counting_confirms_only_members_consistent_with_the_whole_probe() {
-        // 40 members `a = i AND b > 0`, past the whole-scan threshold.
+        // 40 members `a = i AND b > 0`.
         let mut table = RoutingTable::new();
         let hop = NodeId(1);
         let member = |id: u64, a: i64, b: i64| {
@@ -2183,18 +2013,28 @@ mod tests {
     #[test]
     fn negative_zero_thresholds_cover_symmetrically() {
         // -0.0 and 0.0 compare equal numerically, so `a > -0.0` and
-        // `a > 0.0` cover each other; the buckets normalize both to +0.0
-        // so the total_cmp-ordered range probes cannot miss the pair.
+        // `a > 0.0` cover each other; the lists store both as +0.0 so the
+        // total_cmp-ordered covering probes cannot miss the pair.
         for (first, second) in [(0.0f64, -0.0f64), (-0.0, 0.0)] {
             let mut table = RoutingTable::new();
             let hop = NodeId(1);
             table.ins(sub(1, vec![cmp("R", "a", CmpOp::Gt, Scalar::Float(first))]), Some(hop));
-            pad_bucket(&mut table, hop, 10_000);
             let twin = sub(2, vec![cmp("R", "a", CmpOp::Gt, Scalar::Float(second))]);
             match table.ins_covering(twin, hop) {
                 ForwardInsert::Skipped { by } => assert_eq!(by, SubId(1)),
                 other => panic!("signed-zero twin must be covered, got {other:?}"),
             }
+        }
+        // The same normalised lists match: a -0.0 threshold is 0 to
+        // every message, integer or float.
+        let mut table = RoutingTable::new();
+        pad(&mut table);
+        for (id, op) in [(1, CmpOp::Gt), (2, CmpOp::Ge), (3, CmpOp::Eq), (4, CmpOp::Le)] {
+            table.ins(sub(id, vec![cmp("R", "a", op, Scalar::Float(-0.0))]), None);
+        }
+        for zero in [Scalar::Int(0), Scalar::Float(0.0)] {
+            let ids = local_matches(&mut table, &Message::new("R", 0).with("a", zero.clone()));
+            assert_eq!(ids, vec![SubId(2), SubId(3), SubId(4)], "a = {zero:?}");
         }
     }
 

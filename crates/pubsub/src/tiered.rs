@@ -1,5 +1,6 @@
 //! Tiered sorted threshold lists: the storage layout behind the counting
-//! match index and the covering buckets at large populations.
+//! match index — and the covering probes run over it — at large
+//! populations.
 //!
 //! # Why
 //!
@@ -25,8 +26,8 @@
 //! run** (splitting a full run in half); a lookup or range walk descends
 //! the directory and binary-searches within the boundary runs only. Small
 //! lists are a single run — exactly the dense layout, one flat
-//! binary-searched scan, so the populations below the covering buckets'
-//! 32-member lazy threshold pay no directory overhead at all.
+//! binary-searched scan, so small partitions pay no directory overhead
+//! at all.
 //!
 //! Keys are ordered by [`f64::total_cmp`] and the insertion point falls
 //! *before* any equal keys, exactly as the dense lists' `partition_point`

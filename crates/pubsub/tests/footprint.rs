@@ -8,7 +8,7 @@
 //! other suite pays for the counting) and asserts the live heap bytes the
 //! install leaves behind. The budgets are layout facts — they repeat to
 //! the byte on one toolchain — with headroom for allocator-independent
-//! drift only; a partition, bucket or subscription map that regrows trips
+//! drift only; a partition, hop group or subscription map that regrows trips
 //! them long before an end-to-end `peak_rss_mb` bound would.
 
 use cosmos_bench::fixtures;
@@ -64,7 +64,9 @@ fn live() -> usize {
 /// 4 000 filterless subscriptions, one fresh stream each, host → proxy
 /// over the `sensor-join` overlay: what `subscribe_batch` adds to the heap
 /// — tables, ledgers, installed forms — per routing-table entry. It reads
-/// 495 B (587 B while every partition kept its own projection classes and
+/// 447 B (495 B while each of the 23 879 hop groups carried its own
+/// covering index: a 32-byte header and a 24-byte member for its one
+/// forwarding entry, 1 337 224 B in all; 587 B while every partition kept its own projection classes and
 /// every hop group its own needs union, 814 B while a forwarded-up record
 /// stood beside every forwarding entry, 855 B while members, hop groups
 /// and partitions still carried their match counters); commit 9812ce6

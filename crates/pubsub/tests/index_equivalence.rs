@@ -15,8 +15,8 @@
 //! each other ([`assert_tables_equivalent`]; why not entry for entry is
 //! pinned by [`rerouted_subscription_is_skipped_by_its_later_equal`]).
 //! Delivery counts are compared per publish, full logs and link counters
-//! at the end. What the covering buckets answer is held to a scan of the
-//! table directly ([`bucket_answers_equal_a_scan_of_the_table`]).
+//! at the end. What covering resolution answers is held to a scan of the
+//! table directly ([`covering_answers_equal_a_scan_of_the_table`]).
 //!
 //! Most families draw from three streams with many subscribers each; the
 //! many-streams family ([`many_streams_equal_linear_oracle`]) is the
@@ -495,7 +495,7 @@ fn rerouted_subscription_is_skipped_by_its_later_equal() {
 /// A *covering-sparse* subscription: a point constraint on a wide value
 /// domain, so pairwise covering is rare and routing tables grow with the
 /// population instead of merging down — the population shape that makes
-/// subscription arrival expensive and that the covering buckets must
+/// subscription arrival expensive and that covering resolution must
 /// handle identically to the linear scans.
 fn sparse_sub(rng: &mut StdRng, id: u64, nodes: u32) -> Subscription {
     let stream = STREAMS[rng.gen_range(0..STREAMS.len())];
@@ -512,7 +512,7 @@ fn sparse_sub(rng: &mut StdRng, id: u64, nodes: u32) -> Subscription {
 
 /// Arrival-dominated driver: bursts of subscribes against a large
 /// standing population — mostly covering-sparse point subscriptions (so
-/// tables keep growing and every install probes non-trivial buckets),
+/// tables keep growing and every install probes non-trivial lists),
 /// salted with the general random shapes — with occasional departures and
 /// publishes, [`Pair::settled`] after every arrival and departure.
 #[test]
@@ -565,7 +565,7 @@ fn arrival_bursts_equal_wholesale_oracle() {
 /// duplicate comparisons on one attribute, NaN and signed-zero
 /// thresholds, and a residual string equality; one of a few projection
 /// shapes, `*` included. Values are cube-skewed: the hot ones cover one
-/// another constantly, the tail stays incomparable (buckets grow).
+/// another constantly, the tail stays incomparable (tables grow).
 fn covering_rich_request(rng: &mut StdRng, stream: &str) -> (StreamProjection, Vec<Predicate>) {
     let cmp = |attr: &str, op: CmpOp, value: Scalar| Predicate::Cmp {
         attr: AttrRef::new(stream, attr),
@@ -634,8 +634,8 @@ fn covering_rich_sub(rng: &mut StdRng, id: u64, nodes: u32) -> Subscription {
 }
 
 /// One covering-rich arrival trial: a standing population large enough
-/// to push `(stream, hop)` buckets well past the whole-scan threshold,
-/// then bursts of arrivals (single and batched), departures and
+/// that every arrival's covering probes walk long threshold lists, then
+/// bursts of arrivals (single and batched), departures and
 /// publishes. A wrong skip or drop shows in [`Pair::settled`]'s table
 /// comparison long before it reaches a delivery; deliveries go through
 /// the reference's matcher all the same (its tables are in subscribe
@@ -678,7 +678,7 @@ fn covering_rich_trial(trial: u64, standing: u32, steps: u32) {
     }
     pair.same_outcome();
     let visited = pair.net.cover_stats().visited;
-    assert!(visited > 0, "no bucket was ever range-probed: the population is too small");
+    assert!(visited > 0, "no probe walked a list: the population is too small");
 }
 
 /// The covering-rich differential family (see [`covering_rich_trial`]).
@@ -692,7 +692,7 @@ fn covering_rich_arrivals_equal_linear_oracle() {
     }
 }
 
-/// The claim the covering buckets make, with no network around it: one
+/// The claim covering resolution makes, with no network around it: one
 /// [`RoutingTable`] against a flat `Vec` of its live forwarding entries
 /// under random [`RoutingTable::insert_covering`] /
 /// [`RoutingTable::remove_entry`] sequences of covering-rich
@@ -701,10 +701,9 @@ fn covering_rich_arrivals_equal_linear_oracle() {
 /// inserted with the covered same-direction entries dropped in table
 /// order — and the live entries must stay the `Vec`'s, in order. Purges
 /// of most of the table push it across tombstone sweeps and compactions
-/// (dead entries outnumber live ones), regrowth across the bucket build
-/// threshold.
+/// (dead entries outnumber live ones), and regrowth refills them.
 #[test]
-fn bucket_answers_equal_a_scan_of_the_table() {
+fn covering_answers_equal_a_scan_of_the_table() {
     for trial in 0..6u64 {
         let mut rng = rng_for(trial, "index-bucket-vs-scan");
         let mut table = RoutingTable::new();
@@ -746,7 +745,7 @@ fn bucket_answers_equal_a_scan_of_the_table() {
             let scan: Vec<(SubId, NodeId)> = flat.iter().map(|(sub, to)| (sub.id, *to)).collect();
             assert_eq!(live, scan, "trial {trial}, after insert {id}");
         }
-        assert!(stats.visited > 0, "no bucket ever built its lists: the table stayed too small");
+        assert!(stats.visited > 0, "no probe walked a list: the table stayed too small");
     }
 }
 
@@ -770,6 +769,13 @@ fn bucket_answers_equal_a_scan_of_the_table() {
 /// confirmation of a prune), with tables, ledgers and deliveries
 /// unchanged. The reference's scan of every same-direction entry attempts
 /// 8 times as many for the same 2 272.
+///
+/// Since covering counts over the partitions' own threshold lists — no
+/// per-`(stream, hop)` copy of them, no whole scan of a copy under 32
+/// members — only live members toward the hop whose counts complete are
+/// confirmed: 14 853 attempted (20 208 before), the same 2 272 held. The
+/// walks visit 741 701 list slots (224 858 before), because a stream's
+/// lists also hold its local and other-hop members.
 #[test]
 fn covering_rich_fixture_confirmations_are_pinned() {
     let topo = random_topology(&mut rng_for(7, "index-covering-rich-topology"));
@@ -783,7 +789,7 @@ fn covering_rich_fixture_confirmations_are_pinned() {
     let entries: usize = pair.net.topology().nodes().map(|n| pair.net.table_len(n)).sum();
     assert_eq!(entries, 3368, "the fixture itself moved");
     let stats = pair.net.cover_stats();
-    assert_eq!((stats.attempted, stats.held, stats.visited), (20_208, 2272, 224_858));
+    assert_eq!((stats.attempted, stats.held, stats.visited), (14_853, 2272, 741_701));
     assert_eq!(pair.reference.confirmations, (166_888, 2272));
 }
 

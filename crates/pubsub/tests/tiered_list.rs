@@ -7,9 +7,9 @@
 //! `partition_point(total_cmp is_lt)` insert), and every walk must yield
 //! the same elements in the same order as the dense range it replaces:
 //! the counting index's numeric prefix/suffix/equal probes and the
-//! covering buckets' `total_cmp` probes, `-0.0`/`0.0` included. NaN keys
-//! are excluded by construction (both the counting index and the
-//! covering buckets drop NaN thresholds before the lists ever see them),
+//! covering probes' `total_cmp` ones, `-0.0`/`0.0` included. NaN keys
+//! are excluded by construction (the routing index drops NaN thresholds
+//! before the lists ever see them),
 //! so the twin pins NaN handling at the probe side only.
 
 use cosmos_pubsub::tiered::{TieredList, RUN_MAX};
@@ -78,7 +78,7 @@ fn assert_same_walks(tiered: &TieredList, dense: &DenseTwin, v: f64, ctx: &str) 
     let hi = dense.0.partition_point(|(k, _)| *k <= v);
     assert_eq!(got, vals(&dense.0[lo..hi]), "{ctx}: eq {v}");
 
-    // Covering probes: total_cmp orderings (the buckets' bound walks).
+    // Covering probes: total_cmp orderings (the covering bound walks).
     let got = collect(&|out| {
         tiered.for_prefix(|k| k.total_cmp(&v).is_le(), |run| out.extend(vals(run)));
     });
