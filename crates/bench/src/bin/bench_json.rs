@@ -178,8 +178,8 @@ fn bench_broker_rebuild(n_subs: u64) -> f64 {
 /// Subscription *arrival* against a covering-sparse standing population:
 /// one fresh distinct subscription installed and incrementally removed
 /// per op. Install cost is the covering resolution at every path hop —
-/// the covering buckets answer it from binary-searched threshold
-/// skeletons, where a scan of the node's entries would grow with the
+/// the counting index run in reverse over the partition's own threshold
+/// lists, where a scan of the node's entries would grow with the
 /// population.
 fn bench_broker_subscribe(n_subs: u64) -> f64 {
     let mut net = broker_with_distinct_subs(n_subs);

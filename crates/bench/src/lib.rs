@@ -815,6 +815,26 @@ mod tests {
         );
     }
 
+    /// One incremental adaptation round on that placement, under the seed
+    /// `placement-churn` adapts with, ends with the same refinement, priced
+    /// for moving and held to phase 2's band. Its work is exact too: 39
+    /// queries moved in 3 sweeps, 44 targets priced in full, 9 253 dropped
+    /// at a partial sum.
+    #[test]
+    fn churn_adapt_round_refine_work_is_pinned() {
+        let mut sim = fixtures::churn_world();
+        let placed = fixtures::churn_distribute(&sim);
+        sim.apply(placed.assignment);
+        let seed = cosmos_util::rng::derive_seed(fixtures::CHURN_SEED, "adapt");
+        let mut opt = cosmos_core::IncrementalOptimizer::new(seed, Default::default())
+            .expect("the default adaptation config is valid");
+        let refine = sim.adapt_round_incremental(&mut opt).refine;
+        assert_eq!(
+            (refine.moves, refine.passes, refine.evaluated, refine.pruned),
+            (39, 3, 44, 9_253)
+        );
+    }
+
     #[test]
     fn default_args() {
         // Can't touch process args in a test; just exercise the validators.

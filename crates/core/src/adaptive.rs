@@ -19,11 +19,25 @@
 //!   operator state), minimizing the state that must move;
 //! - a vertex may only absorb a transfer `m_ij` that exceeds 90% of its
 //!   weight (no drastic overshoot).
+//!
+//! Every round then ends as `distribute` does: with the query-level
+//! refinement on the modelled multicast + unicast cost, over the round's
+//! assignment, so a round stops on the cost it is judged on rather than on
+//! phase 2's pairwise surrogate. Two of its inputs are adaptation's own.
+//! A move has a price: a query off its pre-round host `h` pays
+//! `state_size × d(h, k)` to end on `k` — one transfer of its state against
+//! one unit of rate time's traffic, a constant, not a knob — and staying on
+//! `h`, or returning to it, is free. And moves are admitted against phase
+//! 2's band (half the per-level tolerance, applied at the processors), not
+//! eqn 3.1's full α: under the full limit the pass re-packs processors to
+//! it and undoes the balance phase 1 just bought, and Figure 7's
+//! load-deviation curve stops falling. The incremental optimizer replays
+//! the pass when its inputs repeat.
 
 use crate::coarsen::CoarsenStats;
-use crate::distribute::{place_work, DistTiming, Distributor, HierarchyGraphs};
+use crate::distribute::{place_work, DistTiming, Distributor, HierarchyGraphs, RefineStats};
 use crate::graph::QgVertex;
-use crate::incremental::{vertex_raw_fp, HierCache, PlaceStore};
+use crate::incremental::{spec_full_fp, vertex_raw_fp, HierCache, PlaceStore};
 use crate::mapping::{pick_target, placement_cost};
 use crate::spec::{Assignment, QuerySpec};
 use cosmos_net::NodeId;
@@ -100,6 +114,9 @@ pub struct AdaptOutcome {
     /// Coarsening work actually performed (an incremental round's cache
     /// hits cost none — like `timing`, exempt from the oracle comparison).
     pub coarsen: CoarsenStats,
+    /// Work of the round's closing pass; a replayed pass reports the work
+    /// it replays, so both paths agree.
+    pub refine: RefineStats,
 }
 
 /// The per-coordinator subtree memo used by the incremental optimizer
@@ -198,22 +215,14 @@ pub(crate) fn adapt_with_caches(
         panic!("invalid AdaptConfig: {e}");
     }
     let mut timing = DistTiming::default();
-    let mut next = Assignment::new();
-    let coarsen = CoarsenStats::default();
-    if specs.is_empty() {
-        return AdaptOutcome { assignment: next, migrations: 0, moved_state: 0.0, timing, coarsen };
-    }
     let root = d.tree.root();
-    if d.tree.node(root).children.is_empty() {
-        // Single processor: nothing to adapt.
-        return AdaptOutcome {
-            assignment: current.clone(),
-            migrations: 0,
-            moved_state: 0.0,
-            timing,
-            coarsen,
-        };
+    if specs.is_empty() || d.tree.node(root).children.is_empty() {
+        // Nothing to place, or a single processor: nothing to adapt.
+        let assignment = if specs.is_empty() { Assignment::new() } else { current.clone() };
+        let (migrations, moved_state, coarsen, refine) = Default::default();
+        return AdaptOutcome { assignment, migrations, moved_state, timing, coarsen, refine };
     }
+    let mut next = Assignment::new();
 
     // Bottom-up graphs grouped by *current* placement.
     let graphs = d.build_hierarchy_graphs(
@@ -249,6 +258,18 @@ pub(crate) fn adapt_with_caches(
     );
     timing.response += response;
 
+    // The closing pass (module docs), replayed when its inputs repeat.
+    let band = d.level_alpha() * 0.5;
+    let mut pass =
+        |a: &mut Assignment| d.refine_queries(specs, a, Some(current), band, &mut timing);
+    let refine = match place {
+        Some(c) => {
+            let fp = closing_fp(specs, &next, current, d.table.rates());
+            c.store.closing_pass(fp, &mut next, pass)
+        }
+        None => pass(&mut next),
+    };
+
     // Migration accounting at the query level.
     let mut migrations = 0;
     let mut moved_state = 0.0;
@@ -260,7 +281,21 @@ pub(crate) fn adapt_with_caches(
             moved_state += spec.state_size;
         }
     }
-    AdaptOutcome { assignment: next, migrations, moved_state, timing, coarsen: graphs.coarsen }
+    let coarsen = graphs.coarsen;
+    AdaptOutcome { assignment: next, migrations, moved_state, timing, coarsen, refine }
+}
+
+/// Fingerprint of everything the closing pass reads beyond the optimizer's
+/// environment: every spec in full, its host before the pass, and its host
+/// before the round.
+fn closing_fp(specs: &[QuerySpec], pre: &Assignment, current: &Assignment, rates: &[f64]) -> u64 {
+    let mut h = DefaultHasher::new();
+    for q in specs {
+        spec_full_fp(q, rates).hash(&mut h);
+        pre.processor_of(q.id).hash(&mut h);
+        current.processor_of(q.id).hash(&mut h);
+    }
+    h.finish()
 }
 
 #[allow(clippy::too_many_arguments)]

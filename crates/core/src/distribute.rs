@@ -20,7 +20,9 @@
 //! rate over `d(host, proxy)` — held by
 //! [`cosmos_pubsub::PlacementCost`]: it sees what `TrafficModel` sees —
 //! per-processor reader counts, each query's interest, proxy and rates —
-//! and is the identity when no move pays.
+//! and is the identity when no move pays. The same pass ends every
+//! adaptation round ([`adaptive`](crate::adaptive)), where a move also pays
+//! for the state it carries and balance is held to phase 2's band.
 //!
 //! Graph construction appends: a vertex's few source and result-flow terms
 //! are placed first, then the pairwise overlap pass — the coordinator
@@ -80,7 +82,9 @@ pub struct DistConfig {
     /// `sensor-join` workload the measured cost reads 73 267 byte·ms per
     /// record with the term and 72 153 without (−1.5 %; it was 3× before a
     /// shared substream was charged once, −20 % before the query-level
-    /// refinement), and 4 785 against 9 915 on `placement-churn`.
+    /// refinement), and 4 492 with it on `placement-churn` (4 785 before
+    /// adaptation rounds ended on the same refinement, against 9 915
+    /// without the term, measured then).
     pub overlap_edges: bool,
     /// Spread the load tolerance across tree levels
     /// (`(1+α)^(1/height) − 1` per level). Disabled only by the ablation
@@ -455,28 +459,38 @@ impl<'a> Distributor<'a> {
         timing.response += response;
 
         // ---- Phase C: query-level refinement on the model's own cost.
-        let refine = self.refine_queries(specs, &mut assignment, &mut timing);
+        let alpha = self.config.alpha;
+        let refine = self.refine_queries(specs, &mut assignment, None, alpha, &mut timing);
         DistOutcome { assignment, timing, coarsen: per_coord.coarsen, refine }
     }
 
     /// The query-level refinement (module docs): sweeps the queries in spec
-    /// order, moving each to the admissible live processor that lowers the
-    /// modelled cost most (by more than 1e-9; ties to the lower index),
-    /// until a sweep moves nothing or `REFINE_SWEEPS` ran.
-    fn refine_queries(
+    /// order, moving each to the live processor admissible under `alpha`'s
+    /// limits that lowers the modelled cost plus the move's price most (by
+    /// more than 1e-9; ties to the lower index), until a sweep moves nothing
+    /// or `REFINE_SWEEPS` ran. With `moved_from`, a query hosted on `h`
+    /// there pays `state_size × d(h, k)` to end on `k`: staying on `h`, or
+    /// returning to it, is free, and a query without such a host pays
+    /// nothing.
+    pub(crate) fn refine_queries(
         &self,
         specs: &[QuerySpec],
         assignment: &mut Assignment,
+        moved_from: Option<&Assignment>,
+        alpha: f64,
         timing: &mut DistTiming,
     ) -> RefineStats {
         let mut stats = RefineStats::default();
         let mut sw = cosmos_util::Stopwatch::new();
         sw.start();
         let targets = self.tree.leaves();
-        let limits = load_limits(&targets, specs.iter().map(|q| q.load).sum(), self.config.alpha);
+        let limits = load_limits(&targets, specs.iter().map(|q| q.load).sum(), alpha);
         let mut cost = PlacementCost::new(self.dep, self.table);
         let mut loads = vec![0.0; targets.len()];
         let mut hosts: Vec<usize> = Vec::with_capacity(specs.len());
+        // Each query's pre-round host, read once.
+        let homes: Vec<Option<NodeId>> =
+            specs.iter().map(|q| moved_from.and_then(|a| a.processor_of(q.id))).collect();
         for q in specs {
             let node = assignment.processor_of(q.id).expect("every query is placed");
             let k = targets.iter().position(|t| t.node == node).expect("placed on a live leaf");
@@ -487,21 +501,25 @@ impl<'a> Distributor<'a> {
         while stats.passes < REFINE_SWEEPS {
             stats.passes += 1;
             let moves_before = stats.moves;
-            for (q, host) in specs.iter().zip(&mut hosts) {
+            for ((q, host), home) in specs.iter().zip(&mut hosts).zip(&homes) {
                 let (flows, from) = (q.traffic(), *host);
+                let fare = |k: usize| {
+                    home.map_or(0.0, |h| q.state_size * self.dep.distance(h, targets[k].node))
+                };
                 // With `q` lifted, a target's price is exact whatever the
                 // lift freed; the saving is computed once, not per target.
                 let saved = cost.lift(&flows, targets[from].node);
-                let mut best = (from, saved - 1e-9);
+                let mut best = (from, saved + fare(from) - 1e-9);
                 // No price is negative: a query that frees nothing stays.
                 let candidates = if best.1 > 0.0 { &targets[..] } else { &[] };
                 for (k, target) in candidates.iter().enumerate() {
                     if k == from || !admissible(&loads, &limits, Some(from), k, q.load) {
                         continue;
                     }
-                    match cost.price(&flows, target.node, best.1) {
+                    let fare = fare(k);
+                    match cost.price(&flows, target.node, best.1 - fare) {
                         Some(price) => {
-                            best = (k, price);
+                            best = (k, price + fare);
                             stats.evaluated += 1;
                         }
                         None => stats.pruned += 1,
@@ -531,7 +549,8 @@ impl<'a> Distributor<'a> {
     /// processors (the paper's scalability yardstick).
     pub fn distribute_centralized(&self, specs: &[QuerySpec], seed: u64) -> DistOutcome {
         let mut out = self.centralized(specs, seed, map_graph);
-        out.refine = self.refine_queries(specs, &mut out.assignment, &mut out.timing);
+        let alpha = self.config.alpha;
+        out.refine = self.refine_queries(specs, &mut out.assignment, None, alpha, &mut out.timing);
         out
     }
 
@@ -990,19 +1009,34 @@ mod tests {
             /// queries are placed and only on live processors — never on
             /// one that left the tree, whatever proxies point at it — the
             /// outcome is a pure function of its inputs, and a second run
-            /// on its own output moves nothing.
+            /// on its own output moves nothing. The priced case (how an
+            /// adaptation round ends) adds random pre-round hosts and phase
+            /// 2's band: the cost plus the prices of the moves made never
+            /// rises, the excess over the band's limits never rises, and a
+            /// rerun with the output as the pre-round hosts moves nothing.
             #[test]
             fn prop_refinement_lowers_cost_within_limits_on_live_processors(
                 n in 1usize..70,
                 seed in 0u64..40,
                 spread in 1usize..8,
+                priced in 0u8..2,
             ) {
                 let fix = fixture(seed % 5);
                 let mut tree = CoordinatorTree::build(&fix.dep, 2);
                 let gone = fix.dep.processors()[seed as usize % 8];
                 let left = seed % 3 == 0 && tree.leave(gone, 2, &fix.dep);
                 let d = Distributor::new(&fix.dep, &tree, &fix.table);
-                let qs = specs(&fix, n, seed);
+                let mut qs = specs(&fix, n, seed);
+                // The priced case: random pre-round hosts, and states large
+                // enough that a move's price rivals the traffic it saves.
+                let (mut rng, procs) = (rng_for(seed, "pre-round"), fix.dep.processors());
+                let pre: Option<Assignment> = (priced == 1).then(|| {
+                    let mut host = |q: &mut QuerySpec| {
+                        q.state_size = rng.gen_range(0.0..60.0);
+                        (q.id, procs[rng.gen_range(0..procs.len())])
+                    };
+                    qs.iter_mut().map(&mut host).collect()
+                });
                 let live: Vec<NetVertex> = (fix.dep.processors().iter())
                     .filter(|&&p| !(left && p == gone))
                     .map(|&node| NetVertex { node, capability: 1.0 })
@@ -1011,21 +1045,29 @@ mod tests {
                 // crowded (over the limits) to even.
                 let start: Assignment =
                     qs.iter().enumerate().map(|(i, q)| (q.id, live[i % spread].node)).collect();
-                let limits = load_limits(&live, qs.iter().map(|q| q.load).sum(), 0.1);
+                let alpha = if pre.is_some() { d.level_alpha() * 0.5 } else { 0.1 };
+                let limits = load_limits(&live, qs.iter().map(|q| q.load).sum(), alpha);
                 let excess = |a: &Assignment| {
                     let nodes: Vec<NodeId> = live.iter().map(|t| t.node).collect();
                     let loads = a.loads(&qs, &nodes);
                     loads.iter().zip(&limits).map(|(l, lim)| l - lim).fold(0.0, f64::max)
                 };
-                let run = |from: &Assignment| {
+                // The modelled cost plus, off `pre`, the price of every move.
+                let priced_cost = |a: &Assignment| {
+                    let fare = |q: &QuerySpec| {
+                        let (h, k) = (pre.as_ref()?.processor_of(q.id)?, a.processor_of(q.id)?);
+                        Some(q.state_size * fix.dep.distance(h, k))
+                    };
+                    modelled_cost(&fix, &qs, a) + qs.iter().filter_map(fare).sum::<f64>()
+                };
+                let run = |from: &Assignment, pre: Option<&Assignment>| {
                     let (mut a, mut timing) = (from.clone(), DistTiming::default());
-                    let stats = d.refine_queries(&qs, &mut a, &mut timing);
+                    let stats = d.refine_queries(&qs, &mut a, pre, alpha, &mut timing);
                     prop_assert_eq!(timing.total, timing.refine);
                     Ok((a, stats))
                 };
-                let (refined, stats) = run(&start)?;
-                let (before, after) =
-                    (modelled_cost(&fix, &qs, &start), modelled_cost(&fix, &qs, &refined));
+                let (refined, stats) = run(&start, pre.as_ref())?;
+                let (before, after) = (priced_cost(&start), priced_cost(&refined));
                 prop_assert!(after <= before + 1e-9 * before, "cost rose: {before} -> {after}");
                 prop_assert!((stats.moves == 0) == (refined == start));
                 prop_assert!(excess(&refined) <= excess(&start).max(0.0) + 1e-9);
@@ -1034,9 +1076,9 @@ mod tests {
                     let host = refined.processor_of(q.id).expect("still placed");
                     prop_assert!(live.iter().any(|t| t.node == host), "{host} is not live");
                 }
-                prop_assert_eq!(&run(&start)?, &(refined.clone(), stats));
+                prop_assert_eq!(&run(&start, pre.as_ref())?, &(refined.clone(), stats));
                 prop_assert!(stats.passes < REFINE_SWEEPS, "no fixpoint in {REFINE_SWEEPS} sweeps");
-                let (again, idle) = run(&refined)?;
+                let (again, idle) = run(&refined, pre.as_ref().map(|_| &refined))?;
                 prop_assert_eq!((again, idle.moves, idle.passes), (refined, 0, 1));
             }
 

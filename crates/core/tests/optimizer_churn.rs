@@ -12,10 +12,10 @@
 //! - **quiet** rounds where nothing changed at all.
 //!
 //! After every round the two paths must agree *observationally*: the new
-//! assignment (exact equality), the migration count, and the moved state
-//! (bit-for-bit) — timing is exempt, since it measures the work actually
-//! performed and the whole point of the incremental path is to do less of
-//! it. Each trial ends with a quiet round and asserts the caches actually
+//! assignment (exact equality), the migration count, the moved state
+//! (bit-for-bit) and the closing pass's work — timing is exempt, since it
+//! measures the work actually performed and the whole point of the
+//! incremental path is to do less of it. Each trial ends with a quiet round and asserts the caches actually
 //! fired.
 //!
 //! `COSMOS_STRESS=1` raises the trial count. A failing trial prints its
@@ -181,7 +181,8 @@ impl World {
     }
 
     /// Runs one adaptation round on both paths and asserts observational
-    /// equality: assignment, migrations, and moved state — never timing.
+    /// equality: assignment, migrations, moved state and the closing pass's
+    /// work — never timing.
     fn round_and_compare(
         &mut self,
         opt: &mut IncrementalOptimizer,
@@ -203,6 +204,7 @@ impl World {
             inc.moved_state,
             oracle.moved_state
         );
+        assert_eq!(inc.refine, oracle.refine, "closing-pass work diverged");
         self.current = inc.assignment;
     }
 }
@@ -261,7 +263,8 @@ fn incremental_rounds_match_wholesale_oracle_under_churn() {
 }
 
 /// A stat-delta-only schedule (no topology churn): every round equals the
-/// wholesale oracle, and the subtrees the bursts left alone are reused.
+/// wholesale oracle, and the subtrees the bursts left alone are reused; a
+/// round whose inputs repeat replays the last closing pass.
 #[test]
 fn stat_delta_rounds_equal_wholesale_and_reuse_clean_subtrees() {
     let seed = 4242;
@@ -269,6 +272,12 @@ fn stat_delta_rounds_equal_wholesale_and_reuse_clean_subtrees() {
     let mut world = World::new(seed, &mut rng);
     let config = AdaptConfig::default();
     let mut opt = IncrementalOptimizer::new(seed, config).expect("valid config");
+    // The same inputs twice: the second round replays its closing pass.
+    let d = Distributor::new(&world.dep, &world.tree, &world.table);
+    let first = opt.round(&d, &world.specs, &world.current);
+    let again = opt.round(&d, &world.specs, &world.current);
+    assert_eq!((&again.assignment, again.refine), (&first.assignment, first.refine));
+    assert_eq!(opt.cache_stats().closing_hits, 1, "{:?}", opt.cache_stats());
     world.round_and_compare(&mut opt, &config, seed); // warm the caches
     for _ in 0..4 {
         world.load_burst(&mut rng, &mut opt);

@@ -71,10 +71,10 @@ fn live() -> usize {
 /// stood beside every forwarding entry, 855 B while members, hop groups
 /// and partitions still carried their match counters); commit 9812ce6
 /// held 2 520 B per entry here (a 560-byte partition in a half-empty
-/// 568-byte map slot,
-/// four-element first allocations for one member, one hop group and one
-/// bucket, the covering bucket in a second map, a `BTreeMap` leaf per
-/// installed subscription).
+/// 568-byte map slot, four-element first allocations for one member and
+/// one hop group, a per-hop covering bucket in a second map, a `BTreeMap`
+/// leaf per installed subscription). No covering bucket exists any more:
+/// covering counts over each partition's own threshold lists.
 #[test]
 fn result_stream_plane_costs_entries_not_streams() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());

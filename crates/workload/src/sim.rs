@@ -224,11 +224,13 @@ impl Simulation {
     /// One adaptation round (Algorithm 3 hierarchy-wide); applies and
     /// returns the outcome.
     ///
-    /// A single round optimizes a local surrogate and can transiently
-    /// worsen the global communication cost while it rebalances load;
-    /// rounds compound (refinement iterates to a fixpoint inside
-    /// [`adapt_wholesale`]), so periodic application converges — do not
-    /// gate a round on the global metric, or load rebalancing starves.
+    /// A round balances load and refines a local surrogate (phases 1 and
+    /// 2), then ends on the modelled cost itself, each move priced by the
+    /// state it carries, inside phase 2's balance band. That band can
+    /// still cost communication to buy balance, so a round may end above
+    /// the cost it started from; rounds compound, so periodic application
+    /// converges — do not gate a round on the global metric, or load
+    /// rebalancing starves.
     pub fn adapt_round(&mut self, seed: u64) -> AdaptOutcome {
         let d = self.distributor();
         let out = adapt_wholesale(&d, &self.specs, &self.assignment, &AdaptConfig::default(), seed);
