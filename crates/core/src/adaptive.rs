@@ -31,13 +31,12 @@
 //! 2's band (half the per-level tolerance, applied at the processors), not
 //! eqn 3.1's full α: under the full limit the pass re-packs processors to
 //! it and undoes the balance phase 1 just bought, and Figure 7's
-//! load-deviation curve stops falling. The incremental optimizer replays
-//! the pass when its inputs repeat.
+//! load-deviation curve stops falling.
 
 use crate::coarsen::CoarsenStats;
 use crate::distribute::{place_work, DistTiming, Distributor, HierarchyGraphs, RefineStats};
 use crate::graph::QgVertex;
-use crate::incremental::{spec_full_fp, vertex_raw_fp, HierCache, PlaceStore};
+use crate::incremental::{vertex_raw_fp, HierCache, PlaceStore};
 use crate::mapping::{pick_target, placement_cost};
 use crate::spec::{Assignment, QuerySpec};
 use cosmos_net::NodeId;
@@ -114,8 +113,7 @@ pub struct AdaptOutcome {
     /// Coarsening work actually performed (an incremental round's cache
     /// hits cost none — like `timing`, exempt from the oracle comparison).
     pub coarsen: CoarsenStats,
-    /// Work of the round's closing pass; a replayed pass reports the work
-    /// it replays, so both paths agree.
+    /// Work of the round's closing pass.
     pub refine: RefineStats,
 }
 
@@ -258,17 +256,8 @@ pub(crate) fn adapt_with_caches(
     );
     timing.response += response;
 
-    // The closing pass (module docs), replayed when its inputs repeat.
-    let band = d.level_alpha() * 0.5;
-    let mut pass =
-        |a: &mut Assignment| d.refine_queries(specs, a, Some(current), band, &mut timing);
-    let refine = match place {
-        Some(c) => {
-            let fp = closing_fp(specs, &next, current, d.table.rates());
-            c.store.closing_pass(fp, &mut next, pass)
-        }
-        None => pass(&mut next),
-    };
+    // The closing pass (module docs).
+    let refine = d.refine_queries(specs, &mut next, Some(current), d.band(), &mut timing);
 
     // Migration accounting at the query level.
     let mut migrations = 0;
@@ -283,19 +272,6 @@ pub(crate) fn adapt_with_caches(
     }
     let coarsen = graphs.coarsen;
     AdaptOutcome { assignment: next, migrations, moved_state, timing, coarsen, refine }
-}
-
-/// Fingerprint of everything the closing pass reads beyond the optimizer's
-/// environment: every spec in full, its host before the pass, and its host
-/// before the round.
-fn closing_fp(specs: &[QuerySpec], pre: &Assignment, current: &Assignment, rates: &[f64]) -> u64 {
-    let mut h = DefaultHasher::new();
-    for q in specs {
-        spec_full_fp(q, rates).hash(&mut h);
-        pre.processor_of(q.id).hash(&mut h);
-        current.processor_of(q.id).hash(&mut h);
-    }
-    h.finish()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -468,8 +444,7 @@ fn adapt_down(
     // tolerance), not the full eqn 3.1 limit — otherwise WEC-greedy moves
     // re-pack processors to the limit and the paper's decreasing
     // load-deviation curves (Figure 7b) are unreproducible.
-    let band: Vec<f64> =
-        (0..n_children).map(|i| fair(i) * (1.0 + (d.level_alpha() * 0.5))).collect();
+    let band: Vec<f64> = (0..n_children).map(|i| fair(i) * (1.0 + d.band())).collect();
     // Refinement passes repeat (fresh shuffled order each time) until a
     // pass moves nothing; a small cap bounds the worst case. One pass is
     // very order-sensitive — an early vertex can block the profitable move

@@ -207,6 +207,13 @@ impl<'a> Distributor<'a> {
         (1.0 + self.config.alpha).powf(1.0 / h) - 1.0
     }
 
+    /// Adaptation's balance band: half the per-level tolerance. Phase 2
+    /// admits its moves against it, and so does the closing pass of every
+    /// adaptation round ([`adaptive`](crate::adaptive)).
+    pub(crate) fn band(&self) -> f64 {
+        self.level_alpha() * 0.5
+    }
+
     /// Builds a q-vertex for one query spec.
     pub(crate) fn vertex_for(&self, spec: &QuerySpec) -> QgVertex {
         QgVertex::for_query(
@@ -1045,7 +1052,7 @@ mod tests {
                 // crowded (over the limits) to even.
                 let start: Assignment =
                     qs.iter().enumerate().map(|(i, q)| (q.id, live[i % spread].node)).collect();
-                let alpha = if pre.is_some() { d.level_alpha() * 0.5 } else { 0.1 };
+                let alpha = if pre.is_some() { d.band() } else { 0.1 };
                 let limits = load_limits(&live, qs.iter().map(|q| q.load).sum(), alpha);
                 let excess = |a: &Assignment| {
                     let nodes: Vec<NodeId> = live.iter().map(|t| t.node).collect();

@@ -37,7 +37,7 @@
 //! clears every cache and the round falls back to wholesale work.
 
 use crate::adaptive::{adapt_with_caches, AdaptConfig, AdaptOutcome};
-use crate::distribute::{Distributor, RefineStats};
+use crate::distribute::Distributor;
 use crate::graph::{QgVertex, VertexKind};
 use crate::spec::{Assignment, QuerySpec};
 use crate::stats::StatDelta;
@@ -233,40 +233,18 @@ impl HierCache {
 pub(crate) type PlacementMemo = (u64, Arc<Vec<(QueryId, NodeId)>>);
 
 /// Persistent storage for the phase-B subtree memo (the per-round view is
-/// `adaptive::PlaceCache`) and for the last closing pass.
+/// `adaptive::PlaceCache`).
 #[derive(Debug, Default)]
 pub(crate) struct PlaceStore {
     /// Per coordinator: (subtree fingerprint, sorted placements).
     pub(crate) entries: HashMap<usize, PlacementMemo>,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
-    /// The last closing pass: its inputs' fingerprint, output and work.
-    closing: Option<(u64, Assignment, RefineStats)>,
-    closing_hits: u64,
 }
 
 impl PlaceStore {
     fn clear(&mut self) {
         self.entries.clear();
-        self.closing = None;
-    }
-
-    /// Runs the closing `pass` over `next`, or replays the last one's
-    /// output and work when its inputs' fingerprint was `fp` too.
-    pub(crate) fn closing_pass(
-        &mut self,
-        fp: u64,
-        next: &mut Assignment,
-        pass: impl FnOnce(&mut Assignment) -> RefineStats,
-    ) -> RefineStats {
-        if let Some((_, out, stats)) = self.closing.as_ref().filter(|(stored, ..)| *stored == fp) {
-            self.closing_hits += 1;
-            *next = out.clone();
-            return *stats;
-        }
-        let stats = pass(next);
-        self.closing = Some((fp, next.clone(), stats));
-        stats
     }
 }
 
@@ -282,8 +260,6 @@ pub struct CacheStats {
     pub place_hits: u64,
     /// Phase-B subtrees re-decided.
     pub place_misses: u64,
-    /// Closing passes replayed from cache.
-    pub closing_hits: u64,
     /// [`StatDelta`]s ingested since construction.
     pub deltas_ingested: u64,
 }
@@ -350,10 +326,10 @@ impl IncrementalOptimizer {
 
     /// Runs one adaptation round, reusing every cached result whose
     /// inputs are fingerprint-unchanged. Produces the identical
-    /// assignment, migration count, and moved state as
-    /// [`adapt_wholesale`](crate::adaptive::adapt_wholesale) called with
-    /// this optimizer's seed and config (timing differs: it measures the
-    /// work actually performed).
+    /// assignment, migration count, moved state and closing-pass work
+    /// (`refine`) as [`adapt_wholesale`](crate::adaptive::adapt_wholesale)
+    /// called with this optimizer's seed and config (timing differs: it
+    /// measures the work actually performed).
     ///
     /// # Panics
     ///
@@ -388,7 +364,6 @@ impl IncrementalOptimizer {
             hier_misses: self.hier.misses,
             place_hits: self.place.hits,
             place_misses: self.place.misses,
-            closing_hits: self.place.closing_hits,
             deltas_ingested: self.deltas_ingested,
         }
     }
