@@ -20,6 +20,7 @@
 use cosmos_net::{Deployment, NodeId};
 use cosmos_query::predicate::selectivity_uniform;
 use cosmos_query::{CmpOp, Predicate, Query, QueryId, Scalar};
+use cosmos_util::intern::Symbol;
 use std::collections::HashMap;
 
 /// An operator in the shared global plan.
@@ -28,12 +29,12 @@ pub enum OpKind {
     /// Reads a source stream; pinned at the stream's source node.
     Scan {
         /// Stream name.
-        stream: String,
+        stream: Symbol,
     },
     /// A shared selection with a normalized predicate signature.
     Select {
         /// Stream the selection filters.
-        stream: String,
+        stream: Symbol,
         /// Normalized predicate signature (sorted rendering).
         signature: String,
     },
@@ -122,8 +123,8 @@ impl OperatorGraph {
         model: &RateModel,
     ) -> Self {
         let mut graph = OperatorGraph::default();
-        let mut scan_of: HashMap<String, usize> = HashMap::new();
-        let mut select_of: HashMap<(String, String), usize> = HashMap::new();
+        let mut scan_of: HashMap<Symbol, usize> = HashMap::new();
+        let mut select_of: HashMap<(Symbol, String), usize> = HashMap::new();
         let mut join_of: HashMap<String, usize> = HashMap::new();
 
         for (qid, query, proxy) in queries {
@@ -131,30 +132,30 @@ impl OperatorGraph {
             let mut rel_tops: Vec<usize> = Vec::new();
             for rel in &query.relations {
                 let rate = *stream_rate
-                    .get(&rel.stream)
+                    .get(rel.stream.as_str())
                     .unwrap_or_else(|| panic!("unknown stream {}", rel.stream));
                 let source = *stream_source
-                    .get(&rel.stream)
+                    .get(rel.stream.as_str())
                     .unwrap_or_else(|| panic!("unknown stream {}", rel.stream));
-                let scan = *scan_of.entry(rel.stream.clone()).or_insert_with(|| {
+                let scan = *scan_of.entry(rel.stream).or_insert_with(|| {
                     graph.ops.push(Operator {
-                        kind: OpKind::Scan { stream: rel.stream.clone() },
+                        kind: OpKind::Scan { stream: rel.stream },
                         pinned: Some(source),
                         out_rate: rate,
                     });
                     graph.ops.len() - 1
                 });
-                let preds = query.selection_predicates_for(&rel.alias);
+                let preds = query.selection_predicates_for(rel.alias);
                 let top = if preds.is_empty() {
                     scan
                 } else {
                     let sig = predicate_signature(&preds);
-                    let key = (rel.stream.clone(), sig.clone());
+                    let key = (rel.stream, sig.clone());
                     *select_of.entry(key).or_insert_with(|| {
                         let sel = selection_selectivity(&preds, model);
                         let out_rate = rate * sel;
                         graph.ops.push(Operator {
-                            kind: OpKind::Select { stream: rel.stream.clone(), signature: sig },
+                            kind: OpKind::Select { stream: rel.stream, signature: sig },
                             pinned: None,
                             out_rate,
                         });

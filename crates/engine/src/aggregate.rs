@@ -75,15 +75,15 @@ impl AggregateQuery {
                 // Repeated aggregate items collapse to one output column
                 // (schemas are positional indices; duplicates are rejected).
                 if !labels.contains(&label) {
-                    aggs.push((*func, Symbol::intern(&attr.attr)));
+                    aggs.push((*func, attr.attr));
                     labels.push(label);
                 }
             }
         }
         Self {
             id,
-            stream: Symbol::intern(&rel.stream),
-            alias: Symbol::intern(&rel.alias),
+            stream: rel.stream,
+            alias: rel.alias,
             width: rel.window.width_ms().map(|w| w as i64),
             selections: query.selection_predicates().map(CompiledPredicate::compile).collect(),
             aggs,

@@ -46,10 +46,8 @@ impl CompiledProjection {
             .iter()
             .filter_map(|item| match item {
                 ProjItem::All => Some(ProjSym::All),
-                ProjItem::AllOf(a) => Some(ProjSym::AllOf(Symbol::intern(a))),
-                ProjItem::Attr(ar) => {
-                    Some(ProjSym::Attr(Symbol::intern(&ar.relation), Symbol::intern(&ar.attr)))
-                }
+                ProjItem::AllOf(a) => Some(ProjSym::AllOf(*a)),
+                ProjItem::Attr(ar) => Some(ProjSym::Attr(ar.relation, ar.attr)),
                 ProjItem::Agg { .. } => None,
             })
             .collect();
@@ -317,8 +315,7 @@ impl CompiledQuery {
         let n = query.relations.len();
         let widths =
             query.relations.iter().map(|r| r.window.width_ms().map(|w| w as i64)).collect();
-        let aliases: Vec<Symbol> =
-            query.relations.iter().map(|r| Symbol::intern(&r.alias)).collect();
+        let aliases: Vec<Symbol> = query.relations.iter().map(|r| r.alias).collect();
         let mut selections = vec![Vec::new(); n];
         let mut cross = Vec::new();
         for p in &query.predicates {
@@ -572,7 +569,7 @@ impl StreamEngine {
         let compiled = CompiledQuery::compile(id, query);
         let qi = self.queries.len();
         for (ri, rel) in compiled.query.relations.iter().enumerate() {
-            self.feeds.entry(Symbol::intern(&rel.stream)).or_default().push((qi, ri));
+            self.feeds.entry(rel.stream).or_default().push((qi, ri));
         }
         self.queries.push(compiled);
     }
@@ -584,7 +581,7 @@ impl StreamEngine {
             self.feeds.clear();
             for (qi, q) in self.queries.iter().enumerate() {
                 for (ri, rel) in q.query.relations.iter().enumerate() {
-                    self.feeds.entry(Symbol::intern(&rel.stream)).or_default().push((qi, ri));
+                    self.feeds.entry(rel.stream).or_default().push((qi, ri));
                 }
             }
         }
@@ -695,7 +692,7 @@ mod tests {
         // S arrives at 12s: only the R@5s tuple remains in window.
         let out = e.push(t("S", 12_000, &[("k", 1)]));
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].joined.part("R").unwrap().timestamp, 5_000);
+        assert_eq!(out[0].joined.part("R".into()).unwrap().timestamp, 5_000);
     }
 
     #[test]
@@ -749,9 +746,9 @@ mod tests {
         let out = e.push(t("C", 2_000, &[("k", 7)]));
         assert_eq!(out.len(), 1);
         let j = &out[0].joined;
-        assert_eq!(j.part("A").unwrap().timestamp, 0);
-        assert_eq!(j.part("B").unwrap().timestamp, 1_000);
-        assert_eq!(j.part("C").unwrap().timestamp, 2_000);
+        assert_eq!(j.part("A".into()).unwrap().timestamp, 0);
+        assert_eq!(j.part("B".into()).unwrap().timestamp, 1_000);
+        assert_eq!(j.part("C".into()).unwrap().timestamp, 2_000);
     }
 
     #[test]
@@ -899,7 +896,8 @@ mod tests {
         // R@0 expired; the bucket must have dropped it too.
         let out = e.push(t("S", 12_000, &[("k", 1)]));
         assert_eq!(out.len(), 2);
-        let times: Vec<i64> = out.iter().map(|r| r.joined.part("R").unwrap().timestamp).collect();
+        let times: Vec<i64> =
+            out.iter().map(|r| r.joined.part("R".into()).unwrap().timestamp).collect();
         assert_eq!(times, vec![5_000, 11_000]);
     }
 
@@ -910,7 +908,7 @@ mod tests {
         e.push(Tuple::new("R", 1).with("name", Scalar::Str("b".into())));
         let out = e.push(Tuple::new("S", 1_000).with("name", Scalar::Str("b".into())));
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].joined.part("R").unwrap().timestamp, 1);
+        assert_eq!(out[0].joined.part("R".into()).unwrap().timestamp, 1);
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn alias_pairs(merged: &Query, member: &Query) -> Vec<(Symbol, Symbol)> {
             .find(|(gi, grel)| !used[*gi] && grel.stream == mrel.stream)
         {
             used[gi] = true;
-            out.push((Symbol::intern(&grel.alias), Symbol::intern(&mrel.alias)));
+            out.push((grel.alias, mrel.alias));
         }
     }
     out

@@ -105,13 +105,8 @@ impl JoinedTuple {
 
     /// The component tuple bound to `alias` — the hot path.
     #[inline]
-    fn part_sym(&self, alias: Symbol) -> Option<&Tuple> {
+    pub fn part(&self, alias: Symbol) -> Option<&Tuple> {
         self.parts.iter().find(|(a, _)| *a == alias).map(|(_, t)| t.as_ref())
-    }
-
-    /// The component tuple bound to `alias` (compat shim; never interns).
-    pub fn part(&self, alias: &str) -> Option<&Tuple> {
-        self.part_sym(Symbol::lookup(alias)?)
     }
 
     /// Iterates over `(alias, tuple)` parts in join order.
@@ -193,25 +188,25 @@ impl JoinedTuple {
 impl SymSource for JoinedTuple {
     #[inline]
     fn value(&self, rel: Symbol, attr: Symbol) -> Option<ScalarRef<'_>> {
-        self.part_sym(rel)?.get_sym(attr).map(Into::into)
+        self.part(rel)?.get_sym(attr).map(Into::into)
     }
 
     #[inline]
     fn timestamp(&self, rel: Symbol) -> Option<i64> {
-        self.part_sym(rel).map(|t| t.timestamp)
+        self.part(rel).map(|t| t.timestamp)
     }
 }
 
 impl AttrSource for JoinedTuple {
     fn value(&self, attr: &AttrRef) -> Option<Scalar> {
-        let part = self.part(&attr.relation)?;
-        if attr.attr == "timestamp" {
+        let part = self.part(attr.relation)?;
+        if attr.attr == sym_timestamp() {
             return Some(Scalar::Int(part.timestamp));
         }
-        part.get(&attr.attr).cloned()
+        part.get_sym(attr.attr).cloned()
     }
 
-    fn timestamp(&self, alias: &str) -> Option<i64> {
+    fn timestamp(&self, alias: Symbol) -> Option<i64> {
         self.part(alias).map(|t| t.timestamp)
     }
 }
@@ -247,7 +242,7 @@ mod tests {
             Some(Scalar::Int(1_000))
         );
         assert_eq!(AttrSource::value(&j, &AttrRef::new("S3", "snowHeight")), None);
-        assert_eq!(AttrSource::timestamp(&j, "S2"), Some(2_000));
+        assert_eq!(AttrSource::timestamp(&j, "S2".into()), Some(2_000));
         assert_eq!(j.timestamp(), 2_000);
     }
 

@@ -40,6 +40,7 @@ use cosmos_engine::checkpoint::ReplayHost;
 use cosmos_engine::exec::{EngineStats, ResultTuple, StreamEngine};
 use cosmos_net::NodeId;
 use cosmos_query::{Query, QueryId};
+use cosmos_util::intern::Symbol;
 use std::collections::BTreeMap;
 
 /// Engine-host subscriptions get ids far above any test population.
@@ -103,16 +104,14 @@ impl RecoveryNetwork {
     /// Panics if `node` already hosts an engine or `queries` is empty.
     pub fn host_engine(&mut self, node: NodeId, queries: Vec<(QueryId, Query)>) {
         assert!(!self.hosts.contains_key(&node), "node {node} already hosts an engine");
-        let mut streams: Vec<String> = queries
-            .iter()
-            .flat_map(|(_, q)| q.relations.iter().map(|r| r.stream.clone()))
-            .collect();
-        streams.sort();
+        let mut streams: Vec<Symbol> =
+            queries.iter().flat_map(|(_, q)| q.relations.iter().map(|r| r.stream)).collect();
+        streams.sort_unstable();
         streams.dedup();
         assert!(!streams.is_empty(), "an engine host needs at least one input stream");
         let mut builder = Subscription::builder(node).id(SubId(RECOVERY_SUB_BASE + node.0 as u64));
-        for s in &streams {
-            builder = builder.stream(s.as_str(), StreamProjection::All, vec![]);
+        for s in streams {
+            builder = builder.stream(s, StreamProjection::All, vec![]);
         }
         let sub = builder.build();
         self.lossy.network_mut().subscribe(sub.clone());

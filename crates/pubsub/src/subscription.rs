@@ -180,7 +180,7 @@ fn needs_of(projection: &StreamProjection, filters: &[Predicate]) -> StreamProje
             Predicate::TimeDelta { .. } => [None, None],
         })
         .flatten()
-        .map(|attr| Symbol::intern(&attr.attr))
+        .map(|attr| attr.attr)
         .collect();
     if filter_attrs.is_empty() {
         projection.clone()

@@ -1,6 +1,25 @@
 //! Abstract syntax for the CQL subset.
+//!
+//! Every stream, alias and attribute name in the tree is a [`Symbol`],
+//! interned by the parser as the name enters the AST. Consumers (the
+//! compiled predicates, the engines, the broker's subscriptions) use the
+//! symbol they are handed, and name comparisons on the AST compare
+//! integers. Interned names follow the leak rule of
+//! [`cosmos_util::intern`]: they live for the process. That adds no new
+//! kind of leak, since every name a query carries was interned anyway
+//! when it was compiled, subscribed or hosted; only a query rejected
+//! partway through parsing may now leave the names read before the error
+//! interned. [`Scalar::Str`] is a value, not a name, and stays a `String`.
 
+use cosmos_util::intern::Symbol;
 use std::fmt;
+
+// A parsed population is held whole (per query, per installed
+// subscription), so the node sizes are a scaling term.
+const _: () = assert!(std::mem::size_of::<AttrRef>() <= 8);
+const _: () = assert!(std::mem::size_of::<RelationRef>() <= 24);
+const _: () = assert!(std::mem::size_of::<Predicate>() <= 48);
+const _: () = assert!(std::mem::size_of::<ProjItem>() <= 16);
 
 /// Globally unique identifier for a submitted continuous query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -55,17 +74,17 @@ impl fmt::Display for Scalar {
 }
 
 /// A qualified attribute reference `alias.attr`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AttrRef {
     /// The relation alias from the `FROM` clause (e.g. `S1`).
-    pub relation: String,
+    pub relation: Symbol,
     /// The attribute name (e.g. `snowHeight`).
-    pub attr: String,
+    pub attr: Symbol,
 }
 
 impl AttrRef {
-    /// Convenience constructor.
-    pub fn new(relation: impl Into<String>, attr: impl Into<String>) -> Self {
+    /// Convenience constructor; interns both names.
+    pub fn new(relation: impl Into<Symbol>, attr: impl Into<Symbol>) -> Self {
         Self { relation: relation.into(), attr: attr.into() }
     }
 }
@@ -161,9 +180,9 @@ pub enum Predicate {
     /// (§2.1: `−30(minute) ≤ S1.timestamp − S2.timestamp ≤ 0`).
     TimeDelta {
         /// Alias whose timestamp is the minuend.
-        left: String,
+        left: Symbol,
         /// Alias whose timestamp is the subtrahend.
-        right: String,
+        right: Symbol,
         /// Lower bound in milliseconds (inclusive).
         min_ms: i64,
         /// Upper bound in milliseconds (inclusive).
@@ -183,14 +202,13 @@ impl Predicate {
     }
 
     /// Aliases this predicate mentions.
-    pub fn relations(&self) -> Vec<&str> {
-        match self {
-            Predicate::Cmp { attr, .. } => vec![attr.relation.as_str()],
-            Predicate::JoinCmp { left, right, .. } => {
-                vec![left.relation.as_str(), right.relation.as_str()]
-            }
-            Predicate::TimeDelta { left, right, .. } => vec![left.as_str(), right.as_str()],
-        }
+    pub fn relations(&self) -> impl Iterator<Item = Symbol> {
+        let pair = match self {
+            Predicate::Cmp { attr, .. } => [Some(attr.relation), None],
+            Predicate::JoinCmp { left, right, .. } => [Some(left.relation), Some(right.relation)],
+            Predicate::TimeDelta { left, right, .. } => [Some(*left), Some(*right)],
+        };
+        pair.into_iter().flatten()
     }
 }
 
@@ -278,11 +296,11 @@ impl fmt::Display for Window {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelationRef {
     /// Source stream name (e.g. `Station1`).
-    pub stream: String,
+    pub stream: Symbol,
     /// Window specification.
     pub window: Window,
     /// Alias used to qualify attributes; defaults to the stream name.
-    pub alias: String,
+    pub alias: Symbol,
 }
 
 impl fmt::Display for RelationRef {
@@ -324,12 +342,12 @@ impl fmt::Display for AggFunc {
 }
 
 /// One item of the `SELECT` list.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProjItem {
     /// `*` — all attributes of all relations.
     All,
     /// `alias.*` — all attributes of one relation.
-    AllOf(String),
+    AllOf(Symbol),
     /// A single qualified attribute.
     Attr(AttrRef),
     /// A windowed aggregate, e.g. `AVG(S1.snowHeight)`.
@@ -387,8 +405,11 @@ impl Query {
 
     /// Selection predicates restricted to one alias — these are what the
     /// Pub/Sub pushes toward the source for early filtering.
-    pub fn selection_predicates_for(&self, alias: &str) -> Vec<&Predicate> {
-        self.selection_predicates().filter(|p| p.relations() == vec![alias]).collect()
+    pub fn selection_predicates_for(&self, alias: Symbol) -> Vec<&Predicate> {
+        self.predicates
+            .iter()
+            .filter(|p| matches!(p, Predicate::Cmp { attr, .. } if attr.relation == alias))
+            .collect()
     }
 
     /// Returns `true` when the `SELECT` list contains aggregate functions.
@@ -399,20 +420,19 @@ impl Query {
     /// Returns `true` if every predicate and projection item refers to an
     /// alias declared in `FROM`, and aliases are unique.
     pub fn is_well_formed(&self) -> bool {
-        let mut aliases: Vec<&str> = self.relations.iter().map(|r| r.alias.as_str()).collect();
+        let mut aliases: Vec<Symbol> = self.relations.iter().map(|r| r.alias).collect();
         let total = aliases.len();
         aliases.sort_unstable();
         aliases.dedup();
         if aliases.len() != total {
             return false;
         }
-        let known = |a: &str| aliases.binary_search(&a).is_ok();
-        let preds_ok = self.predicates.iter().all(|p| p.relations().iter().all(|r| known(r)));
-        let proj_ok = self.projection.iter().all(|p| match p {
+        let known = |a: Symbol| aliases.binary_search(&a).is_ok();
+        let preds_ok = self.predicates.iter().all(|p| p.relations().all(known));
+        let proj_ok = self.projection.iter().all(|p| match *p {
             ProjItem::All => true,
             ProjItem::AllOf(a) => known(a),
-            ProjItem::Attr(ar) => known(&ar.relation),
-            ProjItem::Agg { attr, .. } => known(&attr.relation),
+            ProjItem::Attr(ar) | ProjItem::Agg { attr: ar, .. } => known(ar.relation),
         });
         preds_ok && proj_ok && !self.projection.is_empty() && !self.relations.is_empty()
     }
@@ -498,8 +518,8 @@ mod tests {
         let q = sample_query();
         assert_eq!(q.selection_predicates().count(), 1);
         assert_eq!(q.join_predicates().count(), 1);
-        assert_eq!(q.selection_predicates_for("S1").len(), 1);
-        assert_eq!(q.selection_predicates_for("S2").len(), 0);
+        assert_eq!(q.selection_predicates_for("S1".into()).len(), 1);
+        assert_eq!(q.selection_predicates_for("S2".into()).len(), 0);
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Symbol-compiled predicates for the per-tuple hot path.
 //!
-//! [`crate::predicate::eval_predicate`] resolves every `AttrRef` by string
-//! comparison on every tuple. A [`CompiledPredicate`] does that resolution
-//! **once per query**: relation aliases and attribute names are interned to
-//! [`Symbol`]s at compile time, and evaluation asks the tuple source for
-//! values by symbol — integer compares against the tuple's schema, no
-//! string traffic, no `Scalar` clones (values flow as borrowed
-//! [`ScalarRef`]s).
+//! [`crate::predicate::eval_predicate`] resolves every `AttrRef` through
+//! an [`AttrSource`](crate::predicate::AttrSource) and clones each value, on
+//! every tuple. A [`CompiledPredicate`] does that resolution **once per
+//! query**: it takes the [`Symbol`]s the parser interned into the AST,
+//! folds the `timestamp` pseudo-attribute, and evaluation asks the tuple
+//! source for values by symbol — integer compares against the tuple's
+//! schema, no `Scalar` clones (values flow as borrowed [`ScalarRef`]s).
 //!
 //! The engine (`cosmos-engine`) and the broker (`cosmos-pubsub`) both
-//! compile their filters through this module; the string-based evaluator
+//! compile their filters through this module; the `AttrSource` evaluator
 //! remains for AST-level tooling (containment, implication) and as the
 //! semantic reference the compiled path is tested against.
 
 use crate::ast::{AttrRef, CmpOp, Predicate, Scalar};
-use cosmos_util::intern::Symbol;
+use cosmos_util::intern::{sym_timestamp, Symbol};
 
 /// A borrowed view of a [`Scalar`] — `Copy`, so predicate evaluation never
 /// clones a `String`.
@@ -100,11 +100,11 @@ pub enum Operand {
 impl Operand {
     /// Resolves an `AttrRef`, folding the `timestamp` pseudo-attribute.
     pub fn compile(attr: &AttrRef) -> Operand {
-        let rel = Symbol::intern(&attr.relation);
-        if attr.attr == "timestamp" {
+        let rel = attr.relation;
+        if attr.attr == sym_timestamp() {
             Operand::Timestamp { rel }
         } else {
-            Operand::Attr { rel, attr: Symbol::intern(&attr.attr) }
+            Operand::Attr { rel, attr: attr.attr }
         }
     }
 
@@ -166,8 +166,8 @@ impl CompiledPredicate {
                 right: Operand::compile(right),
             },
             Predicate::TimeDelta { left, right, min_ms, max_ms } => CompiledPredicate::TimeDelta {
-                left: Symbol::intern(left),
-                right: Symbol::intern(right),
+                left: *left,
+                right: *right,
                 min_ms: *min_ms,
                 max_ms: *max_ms,
             },
@@ -295,12 +295,12 @@ mod tests {
     impl AttrSource for MapSource {
         fn value(&self, attr: &AttrRef) -> Option<Scalar> {
             if attr.attr == "timestamp" {
-                return AttrSource::timestamp(self, &attr.relation).map(Scalar::Int);
+                return AttrSource::timestamp(self, attr.relation).map(Scalar::Int);
             }
-            self.values.get(&(Symbol::intern(&attr.relation), Symbol::intern(&attr.attr))).cloned()
+            self.values.get(&(attr.relation, attr.attr)).cloned()
         }
-        fn timestamp(&self, alias: &str) -> Option<i64> {
-            self.times.get(&Symbol::intern(alias)).copied()
+        fn timestamp(&self, alias: Symbol) -> Option<i64> {
+            self.times.get(&alias).copied()
         }
     }
 
@@ -347,7 +347,7 @@ mod tests {
         ]
     }
 
-    /// The compiled evaluator must agree with the string-based reference on
+    /// The compiled evaluator must agree with the `AttrSource` reference on
     /// every (predicate, source) pair, including `None` (missing attrs).
     #[test]
     fn compiled_matches_reference_semantics() {

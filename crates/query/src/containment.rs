@@ -14,8 +14,9 @@
 //! the join predicates agree, and `Q`'s projection retains everything `Q'`
 //! projects.
 
-use crate::ast::{CmpOp, Predicate, ProjItem, Query, QueryId};
+use crate::ast::{AttrRef, CmpOp, Predicate, ProjItem, Query, QueryId, RelationRef};
 use crate::predicate::{implies, weakest_common};
+use cosmos_util::intern::Symbol;
 
 /// Alias mapping `specific alias → general alias` built by matching streams.
 ///
@@ -39,40 +40,47 @@ fn match_relations<'a>(general: &'a Query, specific: &'a Query) -> Option<Vec<(u
     Some(pairs)
 }
 
+/// Maps `specific`'s aliases to `general`'s along the matched `pairs`
+/// (`(specific index, general index)`); an unmatched alias maps to itself.
+fn alias_map<'a>(
+    pairs: &'a [(usize, usize)],
+    general: &'a Query,
+    specific: &'a Query,
+) -> impl Fn(Symbol) -> Symbol + 'a {
+    move |s| {
+        pairs
+            .iter()
+            .find(|&&(si, _)| specific.relations[si].alias == s)
+            .map_or(s, |&(_, gi)| general.relations[gi].alias)
+    }
+}
+
 /// Renames relation aliases in a predicate according to `map(old) -> new`.
-fn rename_predicate(p: &Predicate, map: &dyn Fn(&str) -> String) -> Predicate {
+fn rename_predicate(p: &Predicate, map: &dyn Fn(Symbol) -> Symbol) -> Predicate {
+    let ren = |a: &AttrRef| AttrRef { relation: map(a.relation), attr: a.attr };
     match p {
-        Predicate::Cmp { attr, op, value } => Predicate::Cmp {
-            attr: crate::ast::AttrRef { relation: map(&attr.relation), attr: attr.attr.clone() },
-            op: *op,
-            value: value.clone(),
-        },
-        Predicate::JoinCmp { left, op, right } => Predicate::JoinCmp {
-            left: crate::ast::AttrRef { relation: map(&left.relation), attr: left.attr.clone() },
-            op: *op,
-            right: crate::ast::AttrRef { relation: map(&right.relation), attr: right.attr.clone() },
-        },
+        Predicate::Cmp { attr, op, value } => {
+            Predicate::Cmp { attr: ren(attr), op: *op, value: value.clone() }
+        }
+        Predicate::JoinCmp { left, op, right } => {
+            Predicate::JoinCmp { left: ren(left), op: *op, right: ren(right) }
+        }
         Predicate::TimeDelta { left, right, min_ms, max_ms } => Predicate::TimeDelta {
-            left: map(left),
-            right: map(right),
+            left: map(*left),
+            right: map(*right),
             min_ms: *min_ms,
             max_ms: *max_ms,
         },
     }
 }
 
-fn rename_proj(item: &ProjItem, map: &dyn Fn(&str) -> String) -> ProjItem {
+fn rename_proj(item: &ProjItem, map: &dyn Fn(Symbol) -> Symbol) -> ProjItem {
+    let ren = |a: &AttrRef| AttrRef { relation: map(a.relation), attr: a.attr };
     match item {
         ProjItem::All => ProjItem::All,
-        ProjItem::AllOf(a) => ProjItem::AllOf(map(a)),
-        ProjItem::Attr(ar) => ProjItem::Attr(crate::ast::AttrRef {
-            relation: map(&ar.relation),
-            attr: ar.attr.clone(),
-        }),
-        ProjItem::Agg { func, attr } => ProjItem::Agg {
-            func: *func,
-            attr: crate::ast::AttrRef { relation: map(&attr.relation), attr: attr.attr.clone() },
-        },
+        ProjItem::AllOf(a) => ProjItem::AllOf(map(*a)),
+        ProjItem::Attr(ar) => ProjItem::Attr(ren(ar)),
+        ProjItem::Agg { func, attr } => ProjItem::Agg { func: *func, attr: ren(attr) },
     }
 }
 
@@ -119,15 +127,7 @@ pub fn covers(general: &Query, specific: &Query) -> bool {
     let Some(pairs) = match_relations(general, specific) else {
         return false;
     };
-    // specific alias -> general alias
-    let alias_of = |s: &str| -> String {
-        for &(si, gi) in &pairs {
-            if specific.relations[si].alias == s {
-                return general.relations[gi].alias.clone();
-            }
-        }
-        s.to_string()
-    };
+    let alias_of = alias_map(&pairs, general, specific);
 
     // 1. Window containment per matched relation.
     for &(si, gi) in &pairs {
@@ -215,8 +215,8 @@ pub fn window_bound_predicates(q: &Query) -> Vec<Predicate> {
                 continue;
             }
             out.push(Predicate::TimeDelta {
-                left: ri.alias.clone(),
-                right: rj.alias.clone(),
+                left: ri.alias,
+                right: rj.alias,
                 min_ms: lo.unwrap_or(i64::MIN / 2),
                 max_ms: hi.unwrap_or(i64::MAX / 2),
             });
@@ -246,14 +246,7 @@ fn dedup_projection(items: Vec<ProjItem>) -> Vec<ProjItem> {
 /// projection is the union. Aliases follow `a`.
 pub fn merge_pair(a: &Query, b: &Query) -> Option<Query> {
     let pairs = match_relations(a, b)?;
-    let alias_of = |s: &str| -> String {
-        for &(bi, ai) in &pairs {
-            if b.relations[bi].alias == s {
-                return a.relations[ai].alias.clone();
-            }
-        }
-        s.to_string()
-    };
+    let alias_of = alias_map(&pairs, a, b);
 
     // Join predicates must agree.
     let a_joins: Vec<&Predicate> = a.join_predicates().collect();
@@ -335,14 +328,7 @@ pub fn merge_queries(inputs: &[(QueryId, &Query)]) -> Option<MergedQuery> {
     let mut residuals = Vec::with_capacity(inputs.len());
     for &(id, q) in inputs {
         let pairs = match_relations(&merged, q)?;
-        let alias_of = |s: &str| -> String {
-            for &(qi, mi) in &pairs {
-                if q.relations[qi].alias == s {
-                    return merged.relations[mi].alias.clone();
-                }
-            }
-            s.to_string()
-        };
+        let alias_of = alias_map(&pairs, &merged, q);
         let projection: Vec<ProjItem> =
             q.projection.iter().map(|p| rename_proj(p, &alias_of)).collect();
         let mut filters: Vec<Predicate> =
@@ -353,10 +339,9 @@ pub fn merge_queries(inputs: &[(QueryId, &Query)]) -> Option<MergedQuery> {
             projection: projection.clone(),
             relations: pairs
                 .iter()
-                .map(|&(qi, mi)| crate::ast::RelationRef {
-                    stream: q.relations[qi].stream.clone(),
-                    window: q.relations[qi].window,
-                    alias: merged.relations[mi].alias.clone(),
+                .map(|&(qi, mi)| RelationRef {
+                    alias: merged.relations[mi].alias,
+                    ..q.relations[qi]
                 })
                 .collect(),
             predicates: vec![],

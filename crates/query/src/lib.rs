@@ -11,6 +11,12 @@
 //!   (`S1.snowHeight >= 10`) and join predicates
 //!   (`R.b = S.b`, `S1.snowHeight > S2.snowHeight`).
 //!
+//! Every stream, alias and attribute name in the AST is a
+//! [`Symbol`](cosmos_util::intern::Symbol), interned by the parser as the
+//! name enters the tree and never freed (the leak rule of
+//! [`cosmos_util::intern`]); everything downstream compares and hashes the
+//! symbols it is handed.
+//!
 //! On top of the AST the crate provides:
 //!
 //! - [`parser`]: a recursive-descent parser with helpful errors,

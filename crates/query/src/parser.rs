@@ -18,6 +18,7 @@
 //! ```
 
 use crate::ast::{AttrRef, CmpOp, Predicate, ProjItem, Query, RelationRef, Scalar, Window};
+use cosmos_util::intern::Symbol;
 use std::fmt;
 
 /// Error produced when parsing fails, with a byte offset and message.
@@ -37,11 +38,13 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Number(String),
-    Str(String),
+/// A token borrows its text from the source; names are interned only when
+/// the parser puts them into the AST.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Number(&'a str),
+    Str(&'a str),
     Symbol(&'static str),
 }
 
@@ -59,7 +62,7 @@ impl<'a> Lexer<'a> {
         ParseError { offset: self.pos, message: message.into() }
     }
 
-    fn tokenize(mut self) -> Result<Vec<(usize, Tok)>, ParseError> {
+    fn tokenize(mut self) -> Result<Vec<(usize, Tok<'a>)>, ParseError> {
         let bytes = self.src.as_bytes();
         let mut out = Vec::new();
         while self.pos < bytes.len() {
@@ -77,7 +80,7 @@ impl<'a> Lexer<'a> {
                     {
                         self.pos += 1;
                     }
-                    out.push((start, Tok::Ident(self.src[start..self.pos].to_string())));
+                    out.push((start, Tok::Ident(&self.src[start..self.pos])));
                 }
                 '0'..='9' | '-' | '+' => {
                     self.pos += 1;
@@ -94,7 +97,7 @@ impl<'a> Lexer<'a> {
                         }
                         self.pos += 1;
                     }
-                    out.push((start, Tok::Number(self.src[start..self.pos].to_string())));
+                    out.push((start, Tok::Number(&self.src[start..self.pos])));
                 }
                 '\'' => {
                     self.pos += 1;
@@ -105,7 +108,7 @@ impl<'a> Lexer<'a> {
                     if self.pos >= bytes.len() {
                         return Err(self.error("unterminated string literal"));
                     }
-                    out.push((start, Tok::Str(self.src[s0..self.pos].to_string())));
+                    out.push((start, Tok::Str(&self.src[s0..self.pos])));
                     self.pos += 1;
                 }
                 '<' => {
@@ -177,15 +180,15 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser {
-    toks: Vec<(usize, Tok)>,
+struct Parser<'a> {
+    toks: Vec<(usize, Tok<'a>)>,
     idx: usize,
     end: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.idx).map(|(_, t)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.idx).map(|&(_, t)| t)
     }
 
     fn offset(&self) -> usize {
@@ -196,22 +199,16 @@ impl Parser {
         ParseError { offset: self.offset(), message: message.into() }
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.idx).map(|(_, t)| t.clone());
-        if t.is_some() {
-            self.idx += 1;
-        }
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
+        self.idx += usize::from(t.is_some());
         t
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if let Some(Tok::Ident(s)) = self.peek() {
-            if s.eq_ignore_ascii_case(kw) {
-                self.idx += 1;
-                return true;
-            }
-        }
-        false
+        let hit = matches!(self.peek(), Some(Tok::Ident(s)) if s.eq_ignore_ascii_case(kw));
+        self.idx += usize::from(hit);
+        hit
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
@@ -223,13 +220,9 @@ impl Parser {
     }
 
     fn eat_symbol(&mut self, sym: &str) -> bool {
-        if let Some(Tok::Symbol(s)) = self.peek() {
-            if *s == sym {
-                self.idx += 1;
-                return true;
-            }
-        }
-        false
+        let hit = matches!(self.peek(), Some(Tok::Symbol(s)) if s == sym);
+        self.idx += usize::from(hit);
+        hit
     }
 
     fn expect_symbol(&mut self, sym: &str) -> Result<(), ParseError> {
@@ -240,26 +233,28 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.peek() {
-            Some(Tok::Ident(_)) => match self.next() {
-                Some(Tok::Ident(s)) => Ok(s),
-                _ => unreachable!(),
-            },
+            Some(Tok::Ident(s)) => {
+                self.idx += 1;
+                Ok(s)
+            }
             _ => Err(self.error("expected identifier")),
         }
     }
 
-    fn is_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(s)) if s.eq_ignore_ascii_case(kw))
+    /// An identifier that names a stream, alias or attribute: interned as
+    /// it enters the AST.
+    fn expect_name(&mut self) -> Result<Symbol, ParseError> {
+        self.expect_ident().map(Symbol::intern)
     }
 
     fn parse_query(&mut self) -> Result<Query, ParseError> {
         self.expect_keyword("SELECT")?;
-        let projection = self.parse_projlist()?;
+        let mut projection = self.parse_projlist()?;
         self.expect_keyword("FROM")?;
-        let relations = self.parse_fromlist()?;
-        let predicates = if self.eat_keyword("WHERE") {
+        let mut relations = self.parse_fromlist()?;
+        let mut predicates = if self.eat_keyword("WHERE") {
             self.parse_conjunction(&relations)?
         } else {
             Vec::new()
@@ -267,6 +262,10 @@ impl Parser {
         if self.peek().is_some() {
             return Err(self.error("trailing input after query"));
         }
+        // A standing population keeps every parsed query: no spare slots.
+        projection.shrink_to_fit();
+        relations.shrink_to_fit();
+        predicates.shrink_to_fit();
         Ok(Query { projection, relations, predicates })
     }
 
@@ -284,21 +283,21 @@ impl Parser {
         }
         let first = self.expect_ident()?;
         // Aggregate function: FUNC '(' alias '.' attr ')'.
-        if let Some(func) = aggregate_func(&first) {
+        if let Some(func) = aggregate_func(first) {
             if self.eat_symbol("(") {
-                let alias = self.expect_ident()?;
+                let relation = self.expect_name()?;
                 self.expect_symbol(".")?;
-                let attr = self.expect_ident()?;
+                let attr = self.expect_name()?;
                 self.expect_symbol(")")?;
-                return Ok(ProjItem::Agg { func, attr: AttrRef { relation: alias, attr } });
+                return Ok(ProjItem::Agg { func, attr: AttrRef { relation, attr } });
             }
         }
         self.expect_symbol(".")?;
+        let relation = Symbol::intern(first);
         if self.eat_symbol("*") {
-            Ok(ProjItem::AllOf(first))
+            Ok(ProjItem::AllOf(relation))
         } else {
-            let attr = self.expect_ident()?;
-            Ok(ProjItem::Attr(AttrRef { relation: first, attr }))
+            Ok(ProjItem::Attr(AttrRef { relation, attr: self.expect_name()? }))
         }
     }
 
@@ -311,7 +310,7 @@ impl Parser {
     }
 
     fn parse_relation(&mut self) -> Result<RelationRef, ParseError> {
-        let stream = self.expect_ident()?;
+        let stream = self.expect_name()?;
         let window = if self.eat_symbol("[") {
             let w = self.parse_window()?;
             self.expect_symbol("]")?;
@@ -320,14 +319,9 @@ impl Parser {
             Window::Unbounded
         };
         // Optional alias: an identifier that is not WHERE.
-        let alias = if !self.is_keyword("WHERE") {
-            if let Some(Tok::Ident(_)) = self.peek() {
-                self.expect_ident()?
-            } else {
-                stream.clone()
-            }
-        } else {
-            stream.clone()
+        let alias = match self.peek() {
+            Some(Tok::Ident(s)) if !s.eq_ignore_ascii_case("WHERE") => self.expect_name()?,
+            _ => stream,
         };
         Ok(RelationRef { stream, window, alias })
     }
@@ -373,34 +367,28 @@ impl Parser {
 
     fn parse_operand(&mut self, rels: &[RelationRef]) -> Result<Operand, ParseError> {
         match self.peek() {
-            Some(Tok::Number(_)) => match self.next() {
-                Some(Tok::Number(n)) => {
-                    if n.contains('.') {
-                        let f = n
-                            .parse::<f64>()
-                            .map_err(|_| self.error(format!("invalid number {n:?}")))?;
-                        Ok(Operand::Const(Scalar::Float(f)))
-                    } else {
-                        let i = n
-                            .parse::<i64>()
-                            .map_err(|_| self.error(format!("invalid number {n:?}")))?;
-                        Ok(Operand::Const(Scalar::Int(i)))
-                    }
-                }
-                _ => unreachable!(),
-            },
-            Some(Tok::Str(_)) => match self.next() {
-                Some(Tok::Str(s)) => Ok(Operand::Const(Scalar::Str(s))),
-                _ => unreachable!(),
-            },
-            Some(Tok::Ident(_)) => {
-                let first = self.expect_ident()?;
+            Some(Tok::Number(n)) => {
+                self.idx += 1;
+                let value = if n.contains('.') {
+                    n.parse().ok().map(Scalar::Float)
+                } else {
+                    n.parse().ok().map(Scalar::Int)
+                };
+                value.map(Operand::Const).ok_or_else(|| self.error(format!("invalid number {n:?}")))
+            }
+            Some(Tok::Str(s)) => {
+                self.idx += 1;
+                Ok(Operand::Const(Scalar::Str(s.to_owned())))
+            }
+            Some(Tok::Ident(first)) => {
+                self.idx += 1;
                 if self.eat_symbol(".") {
-                    let attr = self.expect_ident()?;
-                    Ok(Operand::Attr(AttrRef { relation: first, attr }))
+                    let attr = self.expect_name()?;
+                    Ok(Operand::Attr(AttrRef { relation: Symbol::intern(first), attr }))
                 } else if rels.len() == 1 {
                     // Unqualified attribute in a single-relation query.
-                    Ok(Operand::Attr(AttrRef { relation: rels[0].alias.clone(), attr: first }))
+                    let attr = Symbol::intern(first);
+                    Ok(Operand::Attr(AttrRef { relation: rels[0].alias, attr }))
                 } else {
                     Err(self.error(format!(
                         "unqualified attribute {first:?} is ambiguous over multiple relations"

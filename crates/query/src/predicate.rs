@@ -9,6 +9,7 @@
 //!    covers `Q'` only when `Q`'s filters are implied by `Q'`'s.
 
 use crate::ast::{AttrRef, CmpOp, Predicate, Scalar};
+use cosmos_util::intern::Symbol;
 
 /// Source of attribute values for predicate evaluation: a (joined) tuple.
 pub trait AttrSource {
@@ -16,7 +17,7 @@ pub trait AttrSource {
     fn value(&self, attr: &AttrRef) -> Option<Scalar>;
 
     /// The timestamp (ms) of the tuple from relation `alias`, or `None`.
-    fn timestamp(&self, alias: &str) -> Option<i64>;
+    fn timestamp(&self, alias: Symbol) -> Option<i64>;
 }
 
 /// Compares two scalars under `op`; `None` when the types are incomparable.
@@ -48,7 +49,7 @@ pub fn eval_predicate<S: AttrSource>(p: &Predicate, src: &S) -> Option<bool> {
             compare(*op, &src.value(left)?, &src.value(right)?)
         }
         Predicate::TimeDelta { left, right, min_ms, max_ms } => {
-            let delta = src.timestamp(left)? - src.timestamp(right)?;
+            let delta = src.timestamp(*left)? - src.timestamp(*right)?;
             Some(*min_ms <= delta && delta <= *max_ms)
         }
     }
@@ -179,8 +180,8 @@ mod tests {
     use std::collections::HashMap;
 
     struct MapSource {
-        values: HashMap<(String, String), Scalar>,
-        times: HashMap<String, i64>,
+        values: HashMap<(Symbol, Symbol), Scalar>,
+        times: HashMap<Symbol, i64>,
     }
 
     impl MapSource {
@@ -199,10 +200,10 @@ mod tests {
 
     impl AttrSource for MapSource {
         fn value(&self, attr: &AttrRef) -> Option<Scalar> {
-            self.values.get(&(attr.relation.clone(), attr.attr.clone())).cloned()
+            self.values.get(&(attr.relation, attr.attr)).cloned()
         }
-        fn timestamp(&self, alias: &str) -> Option<i64> {
-            self.times.get(alias).copied()
+        fn timestamp(&self, alias: Symbol) -> Option<i64> {
+            self.times.get(&alias).copied()
         }
     }
 

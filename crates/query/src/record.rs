@@ -28,7 +28,7 @@
 use crate::ast::{AttrRef, Scalar};
 use crate::compiled::{ScalarRef, SymSource};
 use crate::predicate::AttrSource;
-use cosmos_util::intern::{Schema, Symbol};
+use cosmos_util::intern::{sym_timestamp, Schema, Symbol};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -240,19 +240,19 @@ impl SymSource for Record {
 
 impl AttrSource for Record {
     fn value(&self, attr: &AttrRef) -> Option<Scalar> {
-        if self.stream != attr.relation.as_str() {
+        if self.stream != attr.relation {
             return None;
         }
         // The `timestamp` pseudo-attribute resolves to the header, exactly
-        // as the compiled evaluator does — string-based and compiled filter
+        // as the compiled evaluator does — AST-level and compiled filter
         // evaluation agree on records.
-        if attr.attr == "timestamp" {
+        if attr.attr == sym_timestamp() {
             return Some(Scalar::Int(self.timestamp));
         }
-        self.get(&attr.attr).cloned()
+        self.get_sym(attr.attr).cloned()
     }
 
-    fn timestamp(&self, alias: &str) -> Option<i64> {
+    fn timestamp(&self, alias: Symbol) -> Option<i64> {
         (self.stream == alias).then_some(self.timestamp)
     }
 }

@@ -2,11 +2,14 @@
 //!
 //! Every stream name, relation alias, and attribute name in the system is
 //! a short string drawn from a small, slowly-growing universe, while the
-//! tuples carrying them number in the millions. Interning maps each
-//! distinct string to a [`Symbol`] — a `u32` — once, so the per-tuple hot
-//! paths (predicate evaluation, window-join probing, broker filtering and
-//! early projection, join flattening) compare and hash integers instead of
-//! strings and never allocate.
+//! tuples carrying them number in the millions and the queries naming them
+//! in the thousands. Interning maps each distinct string to a [`Symbol`] —
+//! a `u32` — once: the CQL parser interns a name as it enters the query
+//! AST, and records intern theirs when built, so the per-tuple hot paths
+//! (predicate evaluation, window-join probing, broker filtering and early
+//! projection, join flattening) and the per-query ones (compiling,
+//! subscribing, covering) compare and hash integers instead of strings and
+//! never allocate.
 //!
 //! [`Schema`] extends the same idea to attribute *lists*: tuples with the
 //! same shape share one interned, `Arc`-ed schema (symbol → column index),

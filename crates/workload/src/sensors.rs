@@ -206,6 +206,22 @@ mod tests {
         }
     }
 
+    /// `sensor-join` renders its generated CQL with `Display` and parses it
+    /// back, so the rendering of its 4 000 queries is an input of that
+    /// workload: this pins it byte for byte (64-bit FNV-1a over the texts,
+    /// one per line).
+    #[test]
+    fn sensor_join_cql_rendering_is_pinned() {
+        let s = SensorScenario::build(100, 5, 30, 0x5E45);
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for (_, q, _) in s.generate_cql(4_000, 0x5E45) {
+            for b in q.to_string().bytes().chain([b'\n']) {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 0x7a00_60cb_6a6d_7c3e, "rendered CQL changed: {hash:#018x}");
+    }
+
     #[test]
     fn readings_are_ordered_and_in_range() {
         let s = scenario();
