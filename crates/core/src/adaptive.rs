@@ -494,8 +494,8 @@ fn adapt_down(
         }
     }
 
-    // Partition and recurse.
-    let per_child = graphs.partition(&qg, &mapping, n_children);
+    // Partition, which drops this coordinator's graph, and recurse.
+    let per_child = graphs.partition(&mapping, qg, n_children);
     sw.stop();
     timing.total += sw.elapsed();
     let own = sw.elapsed();

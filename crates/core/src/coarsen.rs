@@ -29,7 +29,8 @@
 //! rated by the edge alone, so with negligible result flows (the paper's
 //! `result_ratio` of 0.002) the rule *is* Algorithm 1.
 //!
-//! **Mechanics.** The working adjacency is the query graph's own: one
+//! **Mechanics.** The working adjacency is the rows of the query graph
+//! [`coarsen`] is handed by value (no copy of it exists beside them): one
 //! sorted row per vertex. A vertex's match is found by scanning its row
 //! for the best-rated edge to an eligible neighbor — only a strictly
 //! better one displaces the current best, so equal ratings resolve to the
@@ -74,13 +75,16 @@ impl std::ops::AddAssign for CoarsenStats {
 }
 
 /// The result of coarsening: the coarse graph plus, per coarse vertex, the
-/// indices of the input vertices it contains.
+/// indices of the input vertices it contains — and the input vertices
+/// themselves, all that remains of the input graph.
 #[derive(Debug, Clone)]
 pub struct Coarsened {
     /// The coarse graph.
     pub graph: QueryGraph,
     /// `members[c]` = input-vertex indices merged into coarse vertex `c`.
     pub members: Vec<Vec<usize>>,
+    /// The input vertices as handed in, indexed as `members` names them.
+    pub fine: Vec<QgVertex>,
     /// What this run cost.
     pub stats: CoarsenStats,
 }
@@ -154,10 +158,12 @@ fn rating(w: f64, u: &Site, v: &Site) -> f64 {
     }
 }
 
-/// Runs Algorithm 1 until at most `vmax` vertices remain (or no further
-/// collapse is possible — e.g. everything left is an anchor). `rates` are
-/// the input graph's effective rates ([`crate::graph::effective_rates`]):
-/// what its substream terms were built from is what re-estimates them.
+/// Runs Algorithm 1 on `input`'s own rows until at most `vmax` vertices
+/// remain (or no further collapse is possible — e.g. everything left is an
+/// anchor). `rates` are the input graph's effective rates
+/// ([`crate::graph::effective_rates`]): what its substream terms were built
+/// from is what re-estimates them. A caller that needs the graph afterwards
+/// passes a clone.
 ///
 /// Deterministic for a given `seed`.
 ///
@@ -165,7 +171,7 @@ fn rating(w: f64, u: &Site, v: &Site) -> f64 {
 ///
 /// Panics if `vmax == 0`.
 pub fn coarsen(
-    input: &QueryGraph,
+    input: QueryGraph,
     vmax: usize,
     rates: &[f64],
     cluster_of: &ClusterOf,
@@ -179,10 +185,10 @@ pub fn coarsen(
     // learn of it: their rows keep naming it and every reader skips the
     // dead entries, which spares each collapse a search-and-shift in every
     // neighbor's row. Merging drops them from the survivor's row.
-    let (vertices, mut rows) = input.clone().into_parts();
-    let mut vertices: Vec<Option<QgVertex>> = vertices.into_iter().map(Some).collect();
+    let (fine, mut rows) = input.into_parts();
+    let mut vertices: Vec<Option<QgVertex>> = fine.iter().cloned().map(Some).collect();
     let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut sites: Vec<Site> = input.vertices.iter().map(|v| Site::of(v, cluster_of)).collect();
+    let mut sites: Vec<Site> = fine.iter().map(|v| Site::of(v, cluster_of)).collect();
     let mut alive = n;
     let mut rng = rng_for(seed, "coarsen");
 
@@ -277,7 +283,7 @@ pub fn coarsen(
         });
     }
     let graph = QueryGraph::from_parts(out_vertices, out_rows, rates.to_vec());
-    Coarsened { graph, members: out_members, stats }
+    Coarsened { graph, members: out_members, fine, stats }
 }
 
 #[cfg(test)]
@@ -425,7 +431,7 @@ mod tests {
                 }
             }
         }
-        Coarsened { graph, members: out_members, stats }
+        Coarsened { graph, members: out_members, fine: input.vertices.clone(), stats }
     }
 
     fn stress() -> bool {
@@ -435,6 +441,9 @@ mod tests {
     /// Members, counters, and the coarse graph bit for bit.
     fn assert_identical(fast: &Coarsened, slow: &Coarsened, what: &str) {
         assert_eq!(fast.members, slow.members, "{what}: members diverged");
+        let queries =
+            |c: &Coarsened| -> Vec<_> { c.fine.iter().map(|v| v.queries.clone()).collect() };
+        assert_eq!(queries(fast), queries(slow), "{what}: fine vertices diverged");
         assert_eq!(fast.stats, slow.stats, "{what}: work counters diverged");
         assert_eq!(fast.graph.len(), slow.graph.len());
         for i in 0..fast.graph.len() {
@@ -494,8 +503,8 @@ mod tests {
         let density = g.edge_count() as f64 / (n * (n - 1) / 2) as f64;
         assert!(density >= min_density, "seed {seed}: density {density} of {n} vertices");
         let vmax = rng.gen_range(2..(n / 3).min(64));
-        let fast = coarsen(&g, vmax, &rates, &mixed_clusters, seed);
         let slow = coarsen_reference(&g, vmax, &rates, &mixed_clusters, seed, gain_aware);
+        let fast = coarsen(g, vmax, &rates, &mixed_clusters, seed);
         assert_identical(&fast, &slow, &format!("seed {seed}, n {n}"));
     }
 
@@ -559,7 +568,7 @@ mod tests {
         let vertices: Vec<QgVertex> =
             (0..10).map(|i| qv(i, &[i as usize, i as usize + 1], 1.0)).collect();
         let g = with_edges(vertices, &rates);
-        let c = coarsen(&g, 4, &rates, &|_| None, 7);
+        let c = coarsen(g, 4, &rates, &|_| None, 7);
         assert!(c.graph.len() <= 4);
         assert_eq!(c.members.iter().map(Vec::len).sum::<usize>(), 10);
     }
@@ -575,7 +584,7 @@ mod tests {
         for v in &g.vertices {
             before_union.union_with(&v.interest);
         }
-        let c = coarsen(&g, 3, &rates, &|_| None, 1);
+        let c = coarsen(g, 3, &rates, &|_| None, 1);
         assert!((c.graph.total_weight() - before_weight).abs() < 1e-9);
         let mut after_union = InterestSet::new(U);
         for v in &c.graph.vertices {
@@ -598,7 +607,7 @@ mod tests {
         ];
         let g = with_edges(vertices, &rates);
         for seed in 0..8 {
-            let c = coarsen(&g, 2, &rates, &|_| None, seed);
+            let c = coarsen(g.clone(), 2, &rates, &|_| None, seed);
             assert_eq!(c.graph.len(), 2);
             let ok = c.members.iter().any(|m| m.contains(&0) && m.contains(&1) && m.len() == 2);
             assert!(ok, "seed {seed}: heavy pairs should collapse: {:?}", c.members);
@@ -618,7 +627,7 @@ mod tests {
         // Nodes 1 and 2 are children 0 and 1; node 9 is covered by neither.
         let cluster_of = |n: NodeId| (n.0 < 3).then(|| n.0 as usize - 1);
         let left = |pair: Vec<QgVertex>| {
-            coarsen(&with_edges(pair, &rates), 1, &rates, &cluster_of, 3).graph.len()
+            coarsen(with_edges(pair, &rates), 1, &rates, &cluster_of, 3).graph.len()
         };
         // The shared rate against the smaller of the two result flows.
         assert_eq!(left(vec![qf(0, 1, 0.5), qf(1, 2, 3.0)]), 1, "1 > 0.5: collapses");
@@ -656,7 +665,7 @@ mod tests {
         ];
         let g = with_edges(vertices, &rates);
         let cluster_of = |n: NodeId| -> Option<usize> { Some(n.0 as usize) };
-        let c = coarsen(&g, 1, &rates, &cluster_of, 5);
+        let c = coarsen(g, 1, &rates, &cluster_of, 5);
         // Can't reach 1 vertex: the two n-vertices must stay apart.
         assert!(c.graph.len() >= 2);
         for v in &c.graph.vertices {
@@ -680,7 +689,7 @@ mod tests {
             qv(2, &[0, 1, 2], 1.0),
         ];
         let g = with_edges(vertices, &rates);
-        let c = coarsen(&g, 1, &rates, &|_| None, 9);
+        let c = coarsen(g, 1, &rates, &|_| None, 9);
         // Anchor survives alone; the two queries may merge.
         assert!(c.graph.len() >= 2);
         let anchor_members =
@@ -696,7 +705,7 @@ mod tests {
             qv(1, &[0, 1, 2, 3], 2.0),
         ];
         let g = with_edges(vertices, &rates);
-        let c = coarsen(&g, 1, &rates, &|_| Some(0), 2);
+        let c = coarsen(g, 1, &rates, &|_| Some(0), 2);
         assert_eq!(c.graph.len(), 1);
         let v = &c.graph.vertices[0];
         assert!(v.is_net());
@@ -708,7 +717,7 @@ mod tests {
     fn already_small_graph_is_untouched() {
         let rates = vec![1.0; U];
         let g = with_edges(vec![qv(0, &[0], 1.0), qv(1, &[5], 1.0)], &rates);
-        let c = coarsen(&g, 10, &rates, &|_| None, 0);
+        let c = coarsen(g, 10, &rates, &|_| None, 0);
         assert_eq!(c.graph.len(), 2);
         assert_eq!(c.members, vec![vec![0], vec![1]]);
     }
@@ -719,8 +728,8 @@ mod tests {
         let vertices: Vec<QgVertex> =
             (0..20).map(|i| qv(i, &[(i % 7) as usize, ((i * 3) % 11) as usize], 1.0)).collect();
         let g = with_edges(vertices, &rates);
-        let a = coarsen(&g, 5, &rates, &|_| None, 42);
-        let b = coarsen(&g, 5, &rates, &|_| None, 42);
+        let a = coarsen(g.clone(), 5, &rates, &|_| None, 42);
+        let b = coarsen(g, 5, &rates, &|_| None, 42);
         assert_eq!(a.members, b.members);
     }
 
@@ -737,7 +746,7 @@ mod tests {
                 .map(|i| qv(i as u64, &[i % U, (i * 5 + 1) % U], 1.0))
                 .collect();
             let g = with_edges(vertices, &rates);
-            let c = coarsen(&g, vmax, &rates, &|_| None, seed);
+            let c = coarsen(g, vmax, &rates, &|_| None, seed);
             let mut seen: Vec<usize> = c.members.iter().flatten().copied().collect();
             seen.sort_unstable();
             let expect: Vec<usize> = (0..n).collect();
@@ -763,7 +772,7 @@ mod tests {
                 .map(|i| qv(i as u64, &[i % U, (i * 3) % U, (i * 7) % U], 1.0))
                 .collect();
             let g = with_edges(vertices, &rates);
-            let c = coarsen(&g, 2, &rates, &|_| None, seed);
+            let c = coarsen(g, 2, &rates, &|_| None, seed);
             for i in 0..c.graph.len() {
                 for (j, w) in c.graph.neighbors(i) {
                     let expect = edge_weight(&c.graph.vertices[i], &c.graph.vertices[j], &rates);

@@ -25,9 +25,10 @@
 //! for the state it carries and balance is held to phase 2's band.
 //!
 //! Graph construction appends: a vertex's few source and result-flow terms
-//! are placed first, then the pairwise overlap pass — the coordinator
-//! graphs are dense, most query pairs share a substream — rebuilds every
-//! adjacency row in ascending order without searching one.
+//! are placed first, then the pairwise overlap pass rebuilds every
+//! adjacency row in ascending order without searching one. Not every pair
+//! shares a substream: of the pairs the pass tries, at most 72 % become
+//! edges on `placement-churn` and at most 13 % on `sensor-join`.
 //!
 //! Scalability note (documented substitution): the paper never says how the
 //! centralized baseline builds overlap edges among 60 000 queries — full
@@ -678,10 +679,11 @@ impl<'a> Distributor<'a> {
                 } else {
                     node.children.iter().flat_map(|&ch| outputs[ch].iter().cloned()).collect()
                 };
-                let qg = self.graph_from_vertices(fine, coarse_seed);
-                let co = coarsen(&qg, self.config.vmax, &qg.rates, &cluster_of, coarse_seed);
+                let mut qg = self.graph_from_vertices(fine, coarse_seed);
+                let shared = std::mem::take(&mut qg.rates);
+                let co = coarsen(qg, self.config.vmax, &shared, &cluster_of, coarse_seed);
                 coarsen_stats += co.stats;
-                let (out, cons) = tag_outputs(coord, &co, &qg.vertices);
+                let (out, cons) = tag_outputs(coord, co);
                 let cons = Arc::new(cons);
                 if let Some(c) = cache.as_deref_mut() {
                     c.insert(coord, input_fp, &out, &cons, rates);
@@ -719,8 +721,7 @@ impl<'a> Distributor<'a> {
         let mut sw = cosmos_util::Stopwatch::new();
         sw.start();
         let qg = self.graph_from_vertices(work, derive_seed_indexed(0, "down", coord as u64));
-        let result = self.map_at(coord, &qg);
-        let per_child = graphs.partition(&qg, &result.mapping, node.children.len());
+        let per_child = graphs.partition(&self.map_at(coord, &qg).mapping, qg, node.children.len());
         sw.stop();
         timing.total += sw.elapsed();
         let own = sw.elapsed();
@@ -743,30 +744,21 @@ pub(crate) fn place_work(work: &[QgVertex], processor: NodeId, out: &mut Assignm
 }
 
 /// Tags the queryful coarse vertices with `coord` and collects, per output,
-/// its queryful fine constituents. Outputs exclude derived pure n-vertices
-/// (the parent re-derives them); constituents keep only queryful fine
-/// vertices.
-fn tag_outputs(
-    coord: usize,
-    co: &Coarsened,
-    fine: &[QgVertex],
-) -> (Vec<QgVertex>, Vec<Vec<QgVertex>>) {
+/// its queryful fine constituents, moving both out of `co`. Outputs exclude
+/// derived pure n-vertices (the parent re-derives them); constituents keep
+/// only queryful fine vertices.
+fn tag_outputs(coord: usize, co: Coarsened) -> (Vec<QgVertex>, Vec<Vec<QgVertex>>) {
+    let mut fine: Vec<Option<QgVertex>> = co.fine.into_iter().map(Some).collect();
     let mut out = Vec::new();
     let mut cons = Vec::new();
-    for (ci, v) in co.graph.vertices.iter().enumerate() {
+    for (mut v, members) in co.graph.vertices.into_iter().zip(co.members) {
         if v.queries.is_empty() {
             continue;
         }
-        let mut tagged = v.clone();
-        tagged.tag = Some((coord, cons.len()));
-        out.push(tagged);
-        cons.push(
-            co.members[ci]
-                .iter()
-                .filter(|&&fi| !fine[fi].queries.is_empty())
-                .map(|&fi| fine[fi].clone())
-                .collect::<Vec<QgVertex>>(),
-        );
+        v.tag = Some((coord, cons.len()));
+        out.push(v);
+        let mine = members.iter().filter_map(|&fi| fine[fi].take());
+        cons.push(mine.filter(|f| !f.queries.is_empty()).collect::<Vec<QgVertex>>());
     }
     (out, cons)
 }
@@ -784,25 +776,26 @@ pub(crate) struct HierarchyGraphs {
 }
 
 impl HierarchyGraphs {
-    /// Each child's share of a mapped graph: the queryful vertices mapped
+    /// Each child's share of a mapped graph, consumed so that it is gone
+    /// before the children build theirs: the queryful vertices mapped
     /// to it, each expanded one level via its tag ("retrieved from the
     /// corresponding coordinator"; an untagged, raw vertex is its own
     /// expansion). Anchors never hold queries (see the
     /// [`coarsen`](crate::coarsen) docs) and an unmapped vertex has none.
     pub fn partition(
         &self,
-        qg: &QueryGraph,
         mapping: &[usize],
+        qg: QueryGraph,
         n_children: usize,
     ) -> Vec<Vec<QgVertex>> {
         let mut per_child: Vec<Vec<QgVertex>> = vec![Vec::new(); n_children];
-        for (v, &target) in qg.vertices.iter().zip(mapping) {
+        for (v, &target) in qg.vertices.into_iter().zip(mapping) {
             if !v.queries.is_empty() && target < n_children {
                 match v.tag {
                     Some((coord, idx)) => {
                         per_child[target].extend_from_slice(&self.constituents[coord][idx])
                     }
-                    None => per_child[target].push(v.clone()),
+                    None => per_child[target].push(v),
                 }
             }
         }
