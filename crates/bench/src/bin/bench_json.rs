@@ -294,49 +294,6 @@ fn bench_broker_publish_lossy(n_subs: u64, drop: f64) -> f64 {
     )
 }
 
-/// Parallel publish over a frozen routing snapshot: `threads` persistent
-/// readers each publish a strided share of a fixed round, and the round's
-/// wall-clock divided by its message count is the per-message cost. The
-/// `par-1` point prices the snapshot path itself against the serial
-/// `publish-5000-subs` twin (same workload); higher thread counts show
-/// the lock-free read-side scaling — meaningful only when the host has
-/// that many cores, which is why the snapshot records `meta.cores`.
-fn bench_broker_publish_par(n_subs: u64, threads: usize) -> f64 {
-    const ROUND: usize = 64;
-    let mut net = broker_with_subs(n_subs);
-    let snap = net.snapshot();
-    let mut readers: Vec<_> = (0..threads).map(|_| snap.reader()).collect();
-    // Accumulated reader output is drained in the untimed reset, mirroring
-    // how the serial publish benches keep log cleanup off the clock.
-    let per_round = measure_with_reset(
-        &mut readers,
-        |readers| {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = readers
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(t, reader)| {
-                        scope.spawn(move || {
-                            let mut delivered = 0usize;
-                            for k in (t..ROUND).step_by(threads) {
-                                delivered += reader.publish_at(k as u64, scaling_message());
-                            }
-                            delivered
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum::<usize>()
-            })
-        },
-        |readers| {
-            for reader in readers.iter_mut() {
-                drop(reader.take_output());
-            }
-        },
-    );
-    per_round / ROUND as f64
-}
-
 fn bench_broker_publish_broad(n_subs: u64) -> f64 {
     let mut net = broker_with_broad_subs(n_subs);
     measure_with_reset(&mut net, |net| net.publish(broad_message()), |net| net.reset_stats())
@@ -597,10 +554,6 @@ const REGISTRY: &[(&str, BenchFn)] = &[
     ("broker/publish-5000-subs", || bench_broker_publish(5000)),
     ("broker/publish-500-subs-linear", || bench_broker_publish_linear(500)),
     ("broker/publish-5000-subs-linear", || bench_broker_publish_linear(5000)),
-    ("broker/publish-par-1-threads", || bench_broker_publish_par(5000, 1)),
-    ("broker/publish-par-2-threads", || bench_broker_publish_par(5000, 2)),
-    ("broker/publish-par-4-threads", || bench_broker_publish_par(5000, 4)),
-    ("broker/publish-par-8-threads", || bench_broker_publish_par(5000, 8)),
     ("broker/publish-500-subs-broad", || bench_broker_publish_broad(500)),
     ("broker/publish-500-subs-broad-linear", || bench_broker_publish_broad_linear(500)),
     ("broker/subscribe-5000-pop", || bench_broker_subscribe(5000)),

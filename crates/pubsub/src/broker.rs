@@ -57,31 +57,20 @@
 //! lossy-link message faults (see [`crate::reliable`]) against the same
 //! reference.
 //!
-//! # Parallel data plane: snapshots
+//! # Publishing and the frozen image
 //!
-//! The network has one owner and one writer: all churn above is
-//! `&mut self` and only additionally marks the nodes whose tables it
-//! touched in a dirty set. The **read side** is an immutable
-//! [`RoutingSnapshot`] built on demand by the same owner through
-//! [`BrokerNetwork::snapshot`] (`&mut self` too — no lock, no cell): each
-//! dirty node's table is frozen ([`crate::index::RoutingTable::freeze`]),
-//! clean nodes reuse the previous snapshot's frozen table by `Arc`, and
-//! the owner hands the `Arc` to whichever threads read. Any number of
-//! [`SnapshotReader`]s (`BrokerNetwork::reader`) then publish
-//! concurrently against their snapshot handle with zero locks and zero
-//! shared mutable state; their [`ReaderOutput`]s merge deterministically
-//! back into the broker's log and link counters
-//! ([`BrokerNetwork::absorb`]), bit-identical to serial
-//! [`BrokerNetwork::publish`] order. Snapshot builds are cheap
-//! dirty-marking away from the churn path: subscribe/unsubscribe never
-//! freeze anything — only an explicit `snapshot()` pays for the nodes
-//! that actually changed.
+//! The network has one owner and one writer: churn and publishing alike
+//! are `&mut self`, and every publish path walks the live routing tables
+//! ([`BrokerNetwork::publish_batch`]). Churn also marks the nodes whose
+//! tables it touched, so that [`BrokerNetwork::snapshot`] can freeze only
+//! those again ([`crate::snapshot`]); subscribe and unsubscribe never
+//! freeze anything themselves.
 
 use crate::index::{
-    match_run, CoverStats, ForwardInsert, HopForward, HopGroup, InstalledSub, MatchOutput,
-    MatchScratch, MatchStats, Partition, Plans, RoutingFootprint, RoutingTable,
+    match_run, CoverStats, ForwardInsert, InstalledSub, MatchOutput, MatchStats, RoutingFootprint,
+    RoutingTable,
 };
-use crate::snapshot::{FrozenTable, ReaderOutput, RoutingSnapshot, SnapshotReader};
+use crate::snapshot::{FrozenTable, RoutingSnapshot};
 use crate::subscription::{Message, SubId, Subscription};
 use cosmos_net::{NodeId, ShortestPathTree, Topology};
 use cosmos_util::Symbol;
@@ -206,37 +195,9 @@ enum FwdSlot {
 /// in match order.
 type HopSlots = Vec<(u32, FwdSlot)>;
 
-/// The plane a forwarding walk crosses: the writer's live tables or a
-/// reader's frozen ones ([`SnapshotReader`]).
-pub(crate) trait Plane {
-    /// The hop groups of this plane's partitions, as matching sees them.
-    type Hop: HopForward;
-
-    /// What [`match_run`] takes to match messages of `stream` at `node`,
-    /// or `None` when the node holds no entry for the stream.
-    fn at(
-        &mut self,
-        node: NodeId,
-        stream: Symbol,
-    ) -> Option<(&Partition, Plans<'_, Self::Hop>, &mut MatchScratch)>;
-}
-
-impl Plane for Vec<RoutingTable> {
-    type Hop = HopGroup;
-
-    fn at(
-        &mut self,
-        node: NodeId,
-        stream: Symbol,
-    ) -> Option<(&Partition, Plans<'_, HopGroup>, &mut MatchScratch)> {
-        self[node.index()].at(stream)
-    }
-}
-
-/// The forwarding walk and its recycled buffers — one per publisher
-/// (the network for the writer, each reader for itself).
+/// The forwarding walk and its recycled buffers.
 #[derive(Debug, Default)]
-pub(crate) struct Walk {
+struct Walk {
     /// Tagged forward-slot buffers — one per (node, hop) edge of a run's
     /// union dissemination tree, recycled when the hop's sub-run returns.
     slot_pool: Vec<HopSlots>,
@@ -248,14 +209,14 @@ pub(crate) struct Walk {
 }
 
 impl Walk {
-    /// Publishes `msgs` over `plane`: each maximal run of consecutive
+    /// Publishes `msgs` over `tables`: each maximal run of consecutive
     /// same-stream messages is walked from its advertised source (runs of
     /// unadvertised streams go nowhere), charging `links`. Each delivery is
     /// handed to `deliver` with its message's position in `msgs`; within
     /// one position, in that message's own forwarding order.
-    pub(crate) fn publish(
+    fn publish(
         &mut self,
-        plane: &mut impl Plane,
+        tables: &mut [RoutingTable],
         links: &mut HashMap<(NodeId, NodeId), LinkStats>,
         sources: &HashMap<Symbol, NodeId>,
         msgs: &[Message],
@@ -269,7 +230,7 @@ impl Walk {
                 j += 1;
             }
             if let Some(&src) = sources.get(&stream) {
-                self.run(plane, links, src, &msgs[i..j], &mut |tag, d| deliver(i as u32 + tag, d));
+                self.run(tables, links, src, &msgs[i..j], &mut |tag, d| deliver(i as u32 + tag, d));
             }
             i = j;
         }
@@ -279,7 +240,7 @@ impl Walk {
     /// deliveries with run positions.
     fn run(
         &mut self,
-        plane: &mut impl Plane,
+        tables: &mut [RoutingTable],
         links: &mut HashMap<(NodeId, NodeId), LinkStats>,
         src: NodeId,
         msgs: &[Message],
@@ -287,10 +248,10 @@ impl Walk {
     ) {
         if let [msg] = msgs {
             // A run of one, from a stack array.
-            self.forward(plane, links, src, None, &[(0, msg)], deliver);
+            self.forward(tables, links, src, None, &[(0, msg)], deliver);
         } else {
             let run: Vec<(u32, &Message)> = (0..).zip(msgs).collect();
-            self.forward(plane, links, src, None, &run, deliver);
+            self.forward(tables, links, src, None, &run, deliver);
         }
     }
 
@@ -312,7 +273,7 @@ impl Walk {
     /// and a batch only its sub-run vectors.
     fn forward(
         &mut self,
-        plane: &mut impl Plane,
+        tables: &mut [RoutingTable],
         links: &mut HashMap<(NodeId, NodeId), LinkStats>,
         node: NodeId,
         from: Option<NodeId>,
@@ -321,7 +282,9 @@ impl Walk {
     ) {
         let stream = run[0].1.stream;
         debug_assert!(run.iter().all(|(_, m)| m.stream == stream));
-        let Some((part, plans, scratch)) = plane.at(node, stream) else { return };
+        let Some((part, classes, hops, scratch)) = tables[node.index()].at(stream) else {
+            return;
+        };
         // Records produced by narrowing forwards; identity forwards never
         // land here.
         let mut projected = self.arena_pool.pop().unwrap_or_default();
@@ -330,7 +293,7 @@ impl Walk {
         // once per run entry, in order).
         let mut pos: u32 = 0;
         let pool = &mut self.slot_pool;
-        match_run(part, plans, scratch, run, from, |tag, out| {
+        match_run(part, classes, hops, scratch, run, from, |tag, out| {
             for (sub, message) in out.deliveries.drain(..) {
                 deliver(tag, Delivery { sub, node, message });
             }
@@ -370,7 +333,7 @@ impl Walk {
             let stats = links.entry(key).or_default();
             stats.messages += sub_run.len() as u64;
             stats.bytes += sub_run.iter().map(|(_, m)| m.wire_size() as u64).sum::<u64>();
-            self.forward(plane, links, hop, Some(node), sub_run, deliver);
+            self.forward(tables, links, hop, Some(node), sub_run, deliver);
             slots.clear();
             self.slot_pool.push(slots);
         }
@@ -430,8 +393,8 @@ pub struct BrokerNetwork {
     walk: Walk,
     link_stats: HashMap<(NodeId, NodeId), LinkStats>,
     log: DeliveryLog,
-    /// Routing-state version: bumped by every churn operation — the
-    /// staleness probe for [`BrokerNetwork::snapshot`].
+    /// Routing-state version: bumped by every install and uninstall —
+    /// the staleness probe for [`BrokerNetwork::snapshot`].
     version: u64,
     /// The last snapshot built, if any. Lazily rebuilt by
     /// [`BrokerNetwork::snapshot`] when `version` moved past it.
@@ -484,12 +447,10 @@ impl BrokerNetwork {
             .entry(source)
             .or_insert_with(|| ShortestPathTree::compute(&self.topo, source));
         self.stream_source.insert(stream, source);
-        // No table changed, but snapshots embed the stream→source map.
-        self.mark_churn(std::iter::empty());
     }
 
     /// Bumps the routing-state version and marks the touched nodes dirty —
-    /// the only thing churn pays toward the snapshot plane (no freezing
+    /// the only thing churn pays toward the frozen image (no freezing
     /// here; [`BrokerNetwork::snapshot`] does that on demand).
     fn mark_churn(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
         self.version += 1;
@@ -568,11 +529,10 @@ impl BrokerNetwork {
         self.cover_stats
     }
 
-    /// Deterministic work counters of all matching the writer's publish
-    /// paths have done so far ([`BrokerNetwork::publish`],
+    /// Deterministic work counters of all matching the publish paths have
+    /// done so far ([`BrokerNetwork::publish`],
     /// [`BrokerNetwork::publish_batch`], the reliable plane): counters
     /// bumped, candidates visited versus delivered, residuals evaluated.
-    /// Readers count their own ([`SnapshotReader::match_stats`]).
     pub fn match_stats(&self) -> MatchStats {
         let mut total = MatchStats::default();
         for table in &self.tables {
@@ -840,19 +800,19 @@ impl BrokerNetwork {
         log.len() - before
     }
 
-    /// The routing-state version: bumped by every churn operation
-    /// (subscribe, unsubscribe, advertise, link and node incidents).
-    /// A snapshot whose [`RoutingSnapshot::version`] equals this is
-    /// current.
+    /// The routing-state version: bumped by every install and uninstall,
+    /// whether a subscribe, an unsubscribe or the repair wave of a link or
+    /// node incident runs it. A snapshot whose
+    /// [`RoutingSnapshot::version`] equals this is current.
     pub fn routing_version(&self) -> u64 {
         self.version
     }
 
-    /// The current routing snapshot, building it first if churn happened
-    /// since the last build. Only dirty nodes' tables are frozen; clean
-    /// nodes reuse the previous snapshot's frozen tables by `Arc`. With no
-    /// churn this is a version check and an `Arc` clone. The owner — the
-    /// single writer — builds it and hands the `Arc` to reader threads.
+    /// The frozen image of the routing tables ([`crate::snapshot`]),
+    /// built first if a table changed since the last build. Only dirty
+    /// nodes' tables are frozen again; clean nodes share the previous
+    /// snapshot's frozen tables by `Arc`. With no churn this is a version
+    /// check and an `Arc` clone.
     pub fn snapshot(&mut self) -> Arc<RoutingSnapshot> {
         let tables: Vec<Arc<FrozenTable>> = match &self.snap {
             Some(cur) if cur.version == self.version => return Arc::clone(cur),
@@ -871,37 +831,10 @@ impl BrokerNetwork {
                 })
                 .collect(),
         };
-        let next = Arc::new(RoutingSnapshot {
-            version: self.version,
-            stream_source: self.stream_source.clone(),
-            tables,
-        });
+        let next = Arc::new(RoutingSnapshot { version: self.version, tables });
         self.snap = Some(Arc::clone(&next));
         self.dirty.clear();
         next
-    }
-
-    /// A new [`SnapshotReader`] over the current snapshot — the handle a
-    /// publisher thread owns for lock-free parallel publishing. The
-    /// reader keeps working (consistently) against its snapshot through
-    /// any later churn; hand it a fresh [`BrokerNetwork::snapshot`] via
-    /// [`SnapshotReader::retarget`] to observe changes since.
-    pub fn reader(&mut self) -> SnapshotReader {
-        self.snapshot().reader()
-    }
-
-    /// Folds a merged [`ReaderOutput`] into the broker's delivery log and
-    /// link counters, in publish order — after absorbing, the log and
-    /// stats are indistinguishable from having published the same
-    /// messages serially.
-    pub fn absorb(&mut self, mut out: ReaderOutput) {
-        out.sort_by_order();
-        self.log.deliveries.extend(out.deliveries.into_iter().map(|(_, d)| d));
-        for (k, s) in out.links {
-            let e = self.link_stats.entry(k).or_default();
-            e.messages += s.messages;
-            e.bytes += s.bytes;
-        }
     }
 
     /// Traffic counters for the link `{a, b}`.
@@ -1122,7 +1055,6 @@ impl BrokerNetwork {
         let edges = self.topo.remove_node(n);
         let cut: Vec<(NodeId, NodeId)> = edges.iter().map(|&(v, _)| (n, v)).collect();
         self.reroute(&cut, &[], &locals);
-        self.mark_churn([n]);
         Some(edges)
     }
 
@@ -1152,7 +1084,6 @@ impl BrokerNetwork {
         let joined: Vec<(NodeId, NodeId, f64)> =
             edges.iter().map(|&(v, lat)| (n, v, lat)).collect();
         self.reroute(&[], &joined, &[]);
-        self.mark_churn([n]);
         true
     }
 
@@ -1951,6 +1882,153 @@ mod tests {
         assert_eq!(net.next_seq, seq, "no sequence number was consumed");
         net.check_ledger_consistency().expect("consistent after the rejected batch");
         std::panic::resume_unwind(rejected);
+    }
+
+    /// The snapshot after `what` must be what freezing every live table
+    /// from scratch gives, node by node and stream by stream: a node some
+    /// churn site changed without marking it dirty keeps its stale image.
+    fn assert_image_is_a_fresh_freeze(net: &mut BrokerNetwork, what: &str) {
+        let snap = net.snapshot();
+        assert_eq!(snap.version(), net.routing_version(), "{what}: a stale snapshot");
+        for (n, table) in net.tables.iter().enumerate() {
+            let (image, fresh) = (&snap.tables[n], table.freeze());
+            let streams = |t: &HashMap<Symbol, _>| t.keys().copied().collect::<BTreeSet<_>>();
+            assert_eq!(streams(image), streams(&fresh), "{what}: node {n}'s streams");
+            for (stream, fresh) in &fresh {
+                let frozen = &image[stream];
+                let hops = |h: &[(NodeId, _)]| h.iter().map(|&(to, _)| to).collect::<Vec<_>>();
+                assert_eq!(
+                    format!("{:?}", frozen.part),
+                    format!("{:?}", fresh.part),
+                    "{what}: node {n}, stream {stream}"
+                );
+                assert_eq!(hops(&frozen.hops), hops(&fresh.hops), "{what}: node {n}, {stream}");
+            }
+        }
+        assert_eq!(snap.footprint(), net.footprint(), "{what}: footprints");
+    }
+
+    /// Every churn site marks the nodes whose tables it touched: under a
+    /// seeded script of subscribes, unsubscribes, batch subscribes, link
+    /// failures and restores and broker crashes and restores, with a
+    /// snapshot after every operation, each incrementally refrozen image
+    /// equals a from-scratch freeze of the live tables.
+    #[test]
+    fn refrozen_image_equals_a_fresh_freeze_after_every_churn_op() {
+        use rand::Rng;
+        for seed in 0..4u64 {
+            let mut rng = cosmos_util::rng::rng_for(seed, "freeze-bookkeeping");
+            let nodes = 12u32;
+            let mut topo = Topology::new(nodes as usize);
+            for v in 1..nodes {
+                topo.add_edge(NodeId(rng.gen_range(0..v)), NodeId(v), rng.gen_range(1.0..4.0));
+            }
+            for _ in 0..4 {
+                let (a, b) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
+                if a != b {
+                    topo.add_edge(NodeId(a), NodeId(b), rng.gen_range(1.0..4.0));
+                }
+            }
+            let mut net = BrokerNetwork::new(topo);
+            net.advertise("R", NodeId(rng.gen_range(0..nodes)));
+            net.advertise("S", NodeId(rng.gen_range(0..nodes)));
+            let mut next_id = 0u64;
+            let mut draw = |rng: &mut rand::rngs::StdRng| {
+                let mut request = |stream| {
+                    let codes: Vec<(u32, i64)> = (0..rng.gen_range(0..3))
+                        .map(|_| (rng.gen_range(0..33), rng.gen_range(-3..8)))
+                        .collect();
+                    decode_request(stream, &codes, rng.gen_range(0..6))
+                };
+                let (pr, fr) = request("R");
+                let (ps, fs) = request("S");
+                let builder = Subscription::builder(NodeId(rng.gen_range(0..nodes)));
+                let builder = match rng.gen_range(0..4) {
+                    0 => builder.stream("S", ps, fs),
+                    1 => builder.stream("R", pr, fr).stream("S", ps, fs),
+                    _ => builder.stream("R", pr, fr),
+                };
+                next_id += 1;
+                builder.id(SubId(next_id)).build()
+            };
+            let mut live: Vec<SubId> = Vec::new();
+            let mut failed_links: Vec<(NodeId, NodeId, f64)> = Vec::new();
+            let mut failed_nodes: Vec<(NodeId, Vec<(NodeId, f64)>)> = Vec::new();
+            let down = |n: NodeId, failed: &[(NodeId, Vec<(NodeId, f64)>)]| {
+                failed.iter().any(|(f, _)| *f == n)
+            };
+            assert_image_is_a_fresh_freeze(&mut net, "the first build");
+            for op in 0..80 {
+                let what = match rng.gen_range(0..100) {
+                    0..=29 => {
+                        let sub = draw(&mut rng);
+                        live.push(sub.id);
+                        net.subscribe(sub);
+                        "subscribe"
+                    }
+                    30..=49 if !live.is_empty() => {
+                        net.unsubscribe(live.swap_remove(rng.gen_range(0..live.len())));
+                        "unsubscribe"
+                    }
+                    50..=64 => {
+                        let batch: Vec<_> =
+                            (0..rng.gen_range(2..6)).map(|_| draw(&mut rng)).collect();
+                        live.extend(batch.iter().map(|s| s.id));
+                        net.subscribe_batch(batch);
+                        "subscribe_batch"
+                    }
+                    65..=74 => {
+                        let edges: Vec<(NodeId, NodeId, f64)> = net
+                            .topology()
+                            .nodes()
+                            .flat_map(|u| net.topology().neighbors(u).map(move |(v, l)| (u, v, l)))
+                            .filter(|(u, v, _)| u < v)
+                            .collect();
+                        if edges.is_empty() {
+                            continue;
+                        }
+                        let (a, b, lat) = edges[rng.gen_range(0..edges.len())];
+                        assert!(net.fail_link(a, b));
+                        failed_links.push((a, b, lat));
+                        "fail_link"
+                    }
+                    75..=84 if !failed_links.is_empty() => {
+                        let at = rng.gen_range(0..failed_links.len());
+                        let (a, b, lat) = failed_links[at];
+                        if down(a, &failed_nodes) || down(b, &failed_nodes) {
+                            continue;
+                        }
+                        failed_links.swap_remove(at);
+                        assert!(net.restore_link(a, b, lat));
+                        "restore_link"
+                    }
+                    85..=92 => {
+                        let n = NodeId(rng.gen_range(0..nodes));
+                        let Some(edges) = net.fail_node(n) else { continue };
+                        live.retain(|id| net.records.contains_key(id));
+                        failed_nodes.push((n, edges));
+                        "fail_node"
+                    }
+                    _ if !failed_nodes.is_empty() => {
+                        let at = rng.gen_range(0..failed_nodes.len());
+                        let (n, saved) = &failed_nodes[at];
+                        let up: Vec<(NodeId, f64)> = saved
+                            .iter()
+                            .copied()
+                            .filter(|&(v, _)| !down(v, &failed_nodes))
+                            .collect();
+                        if up.is_empty() {
+                            continue; // no neighbour is up: it stays down
+                        }
+                        assert!(net.restore_node(*n, &up));
+                        failed_nodes.swap_remove(at);
+                        "restore_node"
+                    }
+                    _ => continue,
+                };
+                assert_image_is_a_fresh_freeze(&mut net, &format!("seed {seed}, op {op} ({what})"));
+            }
+        }
     }
 
     /// One stream request decoded from drawn `(shape, value)` codes: the

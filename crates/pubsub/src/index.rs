@@ -197,9 +197,9 @@
 //!
 //! There is **one** matcher, [`match_run`]: a run of same-stream messages
 //! against one partition, each message's result handed to a sink. A
-//! single match is a run of one; the writer and the snapshot readers
-//! ([`crate::snapshot::SnapshotReader`]) call it through the same
-//! forwarding walk.
+//! single match is a run of one; every publish path reaches it through
+//! the broker's one forwarding walk over the live tables, and the
+//! reliable plane one hop at a time (`RoutingTable::match_one`).
 //!
 //! - **A partition owns** ([`Partition`]) members, the always-candidate
 //!   list and the threshold lists — read by matching and by covering
@@ -213,22 +213,20 @@
 //!   marks and hop masks of the message, the recycled [`MatchOutput`], the
 //!   [`MatchStats`] work counters — all stamped with one epoch that only
 //!   ever grows, which is why one scratch serves every partition of a
-//!   table (the argument is on the struct). One per [`RoutingTable`] for
-//!   the writer — whose covering probes count in the same slot counters
-//!   under epochs of their own — and one per node per reader.
+//!   table (the argument is on the struct). One per [`RoutingTable`],
+//!   whose covering probes count in the same slot counters under epochs
+//!   of their own.
 //! - **Dead members are filtered once**, where the fully-counted members
 //!   become candidates (`count == target && !dead`); the always-candidate
 //!   list drops a member when it is tombstoned. Everything before that
 //!   point works on slots alone.
-//! - **The one seam** is who owns the projection *plan caches*
-//!   ([`Plans`]): the table's own classes and hop groups for the writer,
-//!   private copies for a reader of a shared image.
+//! - **The plan caches are the table's**: the classes' and the hop
+//!   groups' per-schema projection plans, filled as messages arrive — the
+//!   one thing matching writes outside its scratch.
 //!
-//! With members immutable under matching, [`RoutingTable::freeze`] is a
-//! field-wise clone of each partition's [`Partition`] plus the hop
-//! groups' next hops and the table's classes — same slots,
-//! tombstones included, so `(seq, slot)` candidate order (and therefore
-//! delivery order) is the writer's by construction. Install-time helpers
+//! Because matching never writes a partition, [`RoutingTable::freeze`] is
+//! a clone of each [`Partition`] plus its hop groups' next hops and
+//! plans ([`crate::snapshot`]). Install-time helpers
 //! take an `Arc`-shared [`InstalledSub`] — the subscription with its
 //! per-stream indexable/residual split — so one installation derives each
 //! stream's skeleton once and every hop's skip probe, victim probes,
@@ -281,34 +279,6 @@ pub(crate) struct HopGroup {
 // One per (stream, next hop) of every table: 64 bytes while each group
 // carried its own covering index.
 const _: () = assert!(std::mem::size_of::<HopGroup>() <= 32);
-
-/// A hop group as matching sees it: the next hop and the plans of what
-/// crosses to it — the live group for the writer, a reader's copy of a
-/// frozen image's `(next hop, plans)`.
-pub(crate) trait HopForward {
-    fn forward(&mut self) -> (NodeId, &mut MaskedProjection);
-}
-
-impl HopForward for HopGroup {
-    fn forward(&mut self) -> (NodeId, &mut MaskedProjection) {
-        (self.to, &mut self.forwards)
-    }
-}
-
-impl HopForward for (NodeId, MaskedProjection) {
-    fn forward(&mut self) -> (NodeId, &mut MaskedProjection) {
-        (self.0, &mut self.1)
-    }
-}
-
-/// The plan caches a partition is matched with: its table's projection
-/// classes and its own hop groups, by id. The one thing that differs
-/// between the planes that match is who owns them — the table itself for
-/// the writer, the reader for a shared frozen image.
-pub(crate) struct Plans<'a, H> {
-    pub(crate) classes: &'a mut [CachedProjection],
-    pub(crate) hops: &'a mut [H],
-}
 
 /// What a matched member does: local delivery (share its projection
 /// class's record — all local-delivery members of a table requesting the
@@ -590,8 +560,8 @@ pub enum ForwardInsert {
 
 /// The part of a stream partition that matching reads and never writes:
 /// members, always-candidates and threshold lists. A frozen partition
-/// ([`FrozenPartition`]) holds a field-wise clone of it — same types,
-/// same slots, tombstones under their `dead` flag.
+/// ([`FrozenPartition`]) holds a clone of it — same slots, tombstones
+/// under their `dead` flag.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Partition {
     /// In insertion order; [`Member::entry`] ascends with the slot.
@@ -735,10 +705,20 @@ pub struct RoutingFootprint {
     pub hop_groups: u64,
 }
 
+impl RoutingFootprint {
+    /// Counts one stored partition: its member records and its
+    /// `hop_groups`.
+    pub(crate) fn add_partition(&mut self, part: &Partition, hop_groups: usize) {
+        self.partitions += 1;
+        self.members += part.members.len() as u64;
+        self.hop_groups += hop_groups as u64;
+    }
+}
+
 /// Deterministic work counters of matching: what the messages matched
 /// through one [`MatchScratch`] *did*, independent of the host. Exact for
-/// a given routing state and message sequence, whichever plane matched it
-/// (see [`crate::broker::BrokerNetwork::match_stats`]).
+/// a given routing state and message sequence, whichever publish path
+/// matched it (see [`crate::broker::BrokerNetwork::match_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchStats {
     /// Messages matched against a partition (one per node visited).
@@ -789,9 +769,8 @@ impl MatchOutput {
     }
 }
 
-/// Everything matching mutates, owned by whoever matches: one per
-/// [`RoutingTable`] for the writer, one per node per
-/// [`crate::snapshot::SnapshotReader`]. Every stamp below is valid only
+/// Everything matching mutates but the plan caches, one per
+/// [`RoutingTable`]. Every stamp below is valid only
 /// when it equals the current `epoch`, which is bumped once per message
 /// and never reused — so a counter, class record or hop mark left by an
 /// earlier message, of this partition or any other matched through the
@@ -858,7 +837,7 @@ fn stamp<T: Default + Clone>(v: &mut Vec<T>, i: u32) -> &mut T {
 }
 
 /// **The** matcher: matches a run of same-stream messages against one
-/// partition — live or frozen — handing each message's result to
+/// partition, handing each message's result to
 /// `sink(tag, out)` in run order, `out` recycled between messages.
 ///
 /// Per message: counting pass over the message's indexed attributes
@@ -870,7 +849,8 @@ fn stamp<T: Default + Clone>(v: &mut Vec<T>, i: u32) -> &mut T {
 /// single match is a run of one.
 pub(crate) fn match_run(
     part: &Partition,
-    plans: Plans<'_, impl HopForward>,
+    classes: &mut [CachedProjection],
+    hops: &mut [HopGroup],
     scratch: &mut MatchScratch,
     run: &[(u32, &Message)],
     from: Option<NodeId>,
@@ -973,7 +953,7 @@ pub(crate) fn match_run(
                     // shares the record (a refcount bump per delivery).
                     let record = stamp(class_records, class);
                     if record.0 != epoch {
-                        *record = (epoch, Some(plans.classes[class as usize].apply(msg)));
+                        *record = (epoch, Some(classes[class as usize].apply(msg)));
                     }
                     out.deliveries.push((sub, record.1.clone().expect("projected this epoch")));
                 }
@@ -998,7 +978,7 @@ pub(crate) fn match_run(
         // groups never read a class.
         for &(group, class) in hop_needs.iter() {
             if let Some(at) = hop_marks[group as usize].1 {
-                if let Some(kept) = plans.classes[class as usize].kept(msg.schema()) {
+                if let Some(kept) = classes[class as usize].kept(msg.schema()) {
                     kept.add_to(&mut hop_masks[at as usize..][..words]);
                 }
             }
@@ -1006,12 +986,12 @@ pub(crate) fn match_run(
         // Forwards come from the groups this message marked; sorting by
         // node id gives the order the forwarding walk recurses in.
         for &g in touched_hops.iter() {
-            let (to, forwards) = plans.hops[g as usize].forward();
-            if Some(to) != from {
+            let HopGroup { to, forwards } = &mut hops[g as usize];
+            if Some(*to) != from {
                 let narrowed = hop_marks[g as usize]
                     .1
                     .and_then(|at| forwards.apply(msg, &hop_masks[at as usize..][..words]));
-                out.forwards.push((to, narrowed));
+                out.forwards.push((*to, narrowed));
             }
         }
         out.forwards.sort_by_key(|(n, _)| *n);
@@ -1071,10 +1051,8 @@ impl RoutingTable {
     /// Adds this table's stored partitions, members and hop groups to
     /// `fp`.
     pub(crate) fn add_footprint(&self, fp: &mut RoutingFootprint) {
-        fp.partitions += self.parts.len() as u64;
         for index in &self.parts {
-            fp.members += index.part.members.len() as u64;
-            fp.hop_groups += index.hops.len() as u64;
+            fp.add_partition(&index.part, index.hops.len());
         }
     }
 
@@ -1349,45 +1327,34 @@ impl RoutingTable {
     /// its result in `out` (whose buffers are recycled into the scratch).
     pub(crate) fn match_one(&mut self, msg: &Message, from: Option<NodeId>, out: &mut MatchOutput) {
         out.clear();
-        if let Some((part, plans, scratch)) = self.at(msg.stream) {
-            match_run(part, plans, scratch, &[(0, msg)], from, |_, matched| {
+        if let Some((part, classes, hops, scratch)) = self.at(msg.stream) {
+            match_run(part, classes, hops, scratch, &[(0, msg)], from, |_, matched| {
                 std::mem::swap(matched, out);
             });
         }
     }
 
     /// What [`match_run`] takes to match messages of `stream` here — that
-    /// stream's partition, its plan caches, this table's match state — or
-    /// `None` when the table holds no entry for the stream.
+    /// stream's partition, this table's projection classes, the
+    /// partition's hop groups, this table's match state — or `None` when
+    /// the table holds no entry for the stream.
     pub(crate) fn at(
         &mut self,
         stream: Symbol,
-    ) -> Option<(&Partition, Plans<'_, HopGroup>, &mut MatchScratch)> {
+    ) -> Option<(&Partition, &mut [CachedProjection], &mut [HopGroup], &mut MatchScratch)> {
         let index = &mut self.parts[*self.part_of.get(&stream)? as usize];
-        let plans = Plans { classes: &mut self.classes, hops: &mut index.hops };
-        Some((&index.part, plans, &mut self.scratch))
+        Some((&index.part, &mut self.classes, &mut index.hops, &mut self.scratch))
     }
 
-    /// Freezes this table into its immutable, `Sync` matching image (see
-    /// the module docs' concurrency section and [`crate::snapshot`]): per
-    /// partition, a clone of what matching reads plus each hop group's
-    /// next hop with its forward plans, and the table's classes. Slots,
-    /// hop-group and class ids are the live table's own, so a reader's
-    /// candidates sort — and its deliveries and forwards come out —
-    /// exactly as the writer's.
+    /// Freezes this table into its image ([`crate::snapshot`]): per
+    /// stream, a clone of its partition and of each hop group's next hop
+    /// with its forward plans — same slots, tombstones included.
     pub(crate) fn freeze(&self) -> FrozenTable {
         let freeze = |index: &StreamIndex| FrozenPartition {
             part: index.part.clone(),
             hops: index.hops.iter().map(|h| (h.to, h.forwards.clone())).collect(),
         };
-        FrozenTable {
-            streams: self
-                .part_of
-                .iter()
-                .map(|(&s, &p)| (s, freeze(&self.parts[p as usize])))
-                .collect(),
-            classes: self.classes.clone(),
-        }
+        self.part_of.iter().map(|(&s, &p)| (s, freeze(&self.parts[p as usize]))).collect()
     }
 }
 

@@ -6,7 +6,7 @@
 //! each link at most once, (2) messages are filtered and projected as early
 //! as possible, and (3) sources and consumers stay loosely coupled.
 //!
-//! Seven layers:
+//! Six layers:
 //!
 //! - [`subscription`]: subscription content — per-stream projections and
 //!   filters exactly as §2.1 describes (`S`, `P`, `F` lists) — plus the
@@ -35,16 +35,16 @@
 //!   checkpoint acknowledges it; on crash + restore the engine reloads its
 //!   last checkpoint, the unacked suffix replays, and the recovered output
 //!   log converges bit-for-bit to the crash-free run.
-//! - [`snapshot`]: the parallel data plane — immutable
-//!   [`RoutingSnapshot`]s cloned from the broker's routing state, matched
-//!   lock-free by any number of concurrent [`SnapshotReader`]s while
-//!   the broker's owner stays its single writer: it churns and builds
-//!   snapshots under `&mut self` and hands readers the `Arc`.
 //! - [`traffic`]: the rate-based cost model the large-scale experiments use:
 //!   each substream's delivery cost is its rate times the latency-weighted
 //!   multicast tree connecting its source to every interested processor,
 //!   plus unicast result-stream costs. This is the "weighted communication
 //!   cost" metric of §4.
+//!
+//! Beside them, [`snapshot`] freezes the broker's routing tables into an
+//! immutable [`RoutingSnapshot`] on demand, refreezing only the nodes
+//! churn touched. Nothing publishes through it; the end-to-end harness
+//! times the freeze.
 //!
 //! # Examples
 //!
@@ -77,7 +77,7 @@ pub use fault::{FaultAction, FaultConfig, FaultPlan};
 pub use index::{RoutingFootprint, RoutingTable};
 pub use recovery::RecoveryNetwork;
 pub use reliable::LossyNetwork;
-pub use snapshot::{merge_outputs, ReaderOutput, RoutingSnapshot, SnapshotReader};
+pub use snapshot::RoutingSnapshot;
 pub use subscription::{CachedProjection, Message, StreamProjection, SubId, Subscription};
 pub use tiered::TieredList;
 pub use traffic::{PlacementCost, QueryTraffic, SubstreamTable, TrafficModel};

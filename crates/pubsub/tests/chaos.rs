@@ -10,9 +10,7 @@
 //!   [`LossyNetwork`], publishing over a seeded drop/duplicate/reorder
 //!   schedule countered by per-link reliable delivery;
 //! - `clean` — the incremental network on a perfect message plane,
-//!   alternating serial [`BrokerNetwork::publish`] batches with the
-//!   snapshot plane (one long-lived [`BrokerNetwork::reader`], retargeted
-//!   after churn and absorbed back);
+//!   publishing serially through [`BrokerNetwork::publish`];
 //! - `reference` — [`ReferenceNetwork`]: flat tables rebuilt from
 //!   topology, advertisements and population after every churn operation,
 //!   matched by evaluating every entry, publishing serially.
@@ -232,10 +230,6 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
             t.subscribe(sub);
         }
         let mut ts = 0i64;
-        let mut batch = 0u32;
-        // Outlives every churn step: its match state must stay sound
-        // across retargets to tables that compacted, crashed or regrew.
-        let mut reader = t.clean.reader();
         for step in 0..rng.gen_range(35u32..70) {
             STEP.set(step);
             let roll = rng.gen_range(0u32..100);
@@ -316,20 +310,11 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
             } else {
                 // A publish batch, drained to quiescence, then the full
                 // three-way convergence check.
-                batch += 1;
-                let shared = batch.is_multiple_of(2);
                 for _ in 0..rng.gen_range(1u32..5) {
                     ts += rng.gen_range(1i64..1_000);
                     let msg = random_message(&mut rng, ts);
                     t.lossy.publish_lossy(msg.clone());
-                    let dc = if shared {
-                        reader.retarget(&t.clean.snapshot());
-                        let n = reader.publish(msg.clone());
-                        t.clean.absorb(reader.take_output());
-                        n
-                    } else {
-                        t.clean.publish(msg.clone())
-                    };
+                    let dc = t.clean.publish(msg.clone());
                     let dl = t.reference.publish(msg);
                     assert_eq!(dc, dl, "delivery count diverged (trial {trial}, step {step})");
                 }
