@@ -24,44 +24,19 @@
 //!     baseline.json BENCH_micro.json [tolerance-percent]
 //! ```
 //!
-//! Thread-count variants (names containing `-par-`) are a special case:
-//! their absolute numbers depend on the host's core count, not just its
-//! single-thread speed, so speed normalization cannot make them
-//! comparable across hosts. The snapshot records `meta.cores`; when the
-//! baseline and current core counts differ (or either is absent), the
-//! `-par-` rows are excluded from the speed-factor median and reported as
-//! `skip` instead of pass/fail. Equal core counts guard them normally.
-//!
 //! The vendored `serde_json` stub has no parser, so the snapshot's fixed
 //! shape is scanned directly: objects with a `"name"` string and a
 //! `"median_ns"` number ([`cosmos_bench::parse`], shared with the
-//! registry's own test), plus an optional `"cores"` count.
+//! registry's own test).
 
 use cosmos_bench::parse;
 use std::process::ExitCode;
 
-/// Extracts the `"cores"` count from a snapshot's `meta` block, if any.
-/// Older baselines predate the field; they compare as "unknown host".
-fn parse_cores(text: &str) -> Option<u64> {
-    let at = text.find("\"cores\"")?;
-    let after = &text[at + "\"cores\"".len()..];
-    let colon = after.find(':')?;
-    let num = after[colon + 1..].trim_start();
-    let end = num.find(|c: char| !c.is_ascii_digit()).unwrap_or(num.len());
-    num[..end].parse().ok()
-}
-
-/// Whether a benchmark's result scales with the host's core count (a
-/// thread-count variant) rather than just its single-thread speed.
-fn core_bound(name: &str) -> bool {
-    name.contains("-par-")
-}
-
-fn load(path: &str) -> (Vec<(String, f64)>, Option<u64>) {
+fn load(path: &str) -> Vec<(String, f64)> {
     let body = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     let rows = parse(&body);
     assert!(!rows.is_empty(), "no benchmark entries found in {path}");
-    (rows, parse_cores(&body))
+    rows
 }
 
 /// One compared benchmark: name, baseline ns, current ns, and the
@@ -98,18 +73,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let tolerance: f64 = args.get(3).map_or(25.0, |t| t.parse().expect("numeric tolerance"));
-    let (baseline, base_cores) = load(&args[1]);
-    let (current, cur_cores) = load(&args[2]);
-    // Thread-count variants only compare when both snapshots know their
-    // host's core count and the counts match.
-    let cores_match = matches!((base_cores, cur_cores), (Some(b), Some(c)) if b == c);
+    let baseline = load(&args[1]);
+    let current = load(&args[2]);
     // Machine-speed factor: the median current/baseline ratio over shared
-    // benchmarks, clamped so the guard stays meaningful. Core-bound rows
-    // are excluded unless the hosts have equal parallelism — a baseline
-    // from a wider machine would otherwise drag the median.
+    // benchmarks, clamped so the guard stays meaningful.
     let mut ratios: Vec<f64> = baseline
         .iter()
-        .filter(|(name, _)| cores_match || !core_bound(name))
         .filter_map(|(name, base)| {
             current.iter().find(|(n, _)| n == name).map(|(_, cur)| cur / base)
         })
@@ -123,13 +92,6 @@ fn main() -> ExitCode {
     for (name, base) in &baseline {
         match current.iter().find(|(n, _)| n == name) {
             None => missing.push(name),
-            Some((_, cur)) if !cores_match && core_bound(name) => {
-                let (b, c) = (
-                    base_cores.map_or("?".into(), |n| n.to_string()),
-                    cur_cores.map_or("?".into(), |n| n.to_string()),
-                );
-                println!("skip {name}: {base:.0} -> {cur:.0} ns (core count {b} vs {c})");
-            }
             Some((_, cur)) => rows.push(Row::new(name, *base, *cur, speed)),
         }
     }
@@ -192,23 +154,6 @@ mod tests {
     #[test]
     fn tolerates_noise_text() {
         assert!(parse("no benchmarks here").is_empty());
-    }
-
-    #[test]
-    fn cores_meta_parsed_when_present() {
-        let body = r#"{
-  "meta": { "cores": 8 },
-  "benchmarks": [ { "name": "a", "median_ns": 1 } ]
-}"#;
-        assert_eq!(super::parse_cores(body), Some(8));
-        assert_eq!(super::parse_cores(r#"{"benchmarks": []}"#), None);
-    }
-
-    #[test]
-    fn thread_variants_are_core_bound() {
-        assert!(super::core_bound("broker/publish-par-4-threads"));
-        assert!(!super::core_bound("broker/publish-5000-subs"));
-        assert!(!super::core_bound("broker/subscribe-5000-pop"));
     }
 
     #[test]

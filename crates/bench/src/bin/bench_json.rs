@@ -609,11 +609,7 @@ fn main() -> ExitCode {
         println!("(filtered run; not writing the snapshot)");
         return ExitCode::SUCCESS;
     }
-    // Core count travels with the numbers: thread-count variants are only
-    // comparable between snapshots taken on hosts with the same
-    // parallelism, and `bench_check` skips them otherwise.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let out = serde_json::json!({"meta": {"cores": cores}, "benchmarks": rows});
+    let out = serde_json::json!({"benchmarks": rows});
     match serde_json::to_string_pretty(&out) {
         Ok(body) => {
             std::fs::write(SNAPSHOT_PATH, body + "\n").expect("write BENCH_micro.json");

@@ -44,7 +44,7 @@ pub struct AggregateQuery {
     /// Output stream tag (`agg-<id>`), interned once.
     out_stream: Symbol,
     /// Output schema (`FUNC(alias.attr)` labels), interned once.
-    out_schema: Arc<Schema>,
+    out_schema: &'static Schema,
     /// The window: no join attributes, so it never builds a key index.
     window: WindowBuffer,
     stats: EngineStats,
@@ -142,7 +142,7 @@ impl AggregateQuery {
         self.stats.emitted += 1;
         let values: Vec<Scalar> =
             self.aggs.iter().map(|&(func, attr)| self.evaluate(func, attr)).collect();
-        Some(Tuple::from_parts(self.out_stream, now, Arc::clone(&self.out_schema), values))
+        Some(Tuple::from_parts(self.out_stream, now, self.out_schema, values))
     }
 }
 

@@ -835,7 +835,8 @@ mod tests {
                     r.project_cached(&compiled, &mut cache, "res"),
                 ] {
                     assert_eq!(other, reference, "{items:?}");
-                    assert!(Arc::ptr_eq(other.schema(), reference.schema()), "{items:?}");
+                    assert!(std::ptr::eq(other.schema(), reference.schema()), "{items:?}");
+                    assert_eq!(other.schema().id(), reference.schema().id(), "{items:?}");
                 }
             }
         }
@@ -844,7 +845,8 @@ mod tests {
             let (flat, cached) =
                 (r.joined.flatten("res"), r.joined.flatten_cached(&mut cache, "res"));
             assert_eq!(cached, flat);
-            assert!(Arc::ptr_eq(cached.schema(), flat.schema()));
+            assert!(std::ptr::eq(cached.schema(), flat.schema()));
+            assert_eq!(cached.schema().id(), flat.schema().id());
             assert_eq!(flat, r.project(&[ProjItem::All], "res"), "flatten keeps every column");
         }
     }

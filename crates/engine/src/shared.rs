@@ -22,7 +22,6 @@ use cosmos_query::{Query, QueryId};
 use cosmos_util::intern::{Schema, Symbol};
 use cosmos_util::PlanCache;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A member's residual subscription, fully symbol-compiled at build time
 /// so splitting a shared result costs no string work per tuple. Both
@@ -58,7 +57,7 @@ struct OutputClass {
     /// Projected schema id → renamed schema; the rename is a pure
     /// function of the schema and `pairs`, so repeat shapes skip the
     /// schema interner.
-    renamed: PlanCache<u32, Arc<Schema>>,
+    renamed: PlanCache<u32, &'static Schema>,
 }
 
 /// One group of merged queries.
@@ -341,7 +340,7 @@ impl Recoverable for SharedEngine {
 fn rename_aliases(t: Tuple, class: &mut OutputClass) -> Tuple {
     let OutputClass { pairs, renamed, .. } = class;
     let id = t.schema().id();
-    let schema = renamed.get_or_insert_with(
+    let schema = *renamed.get_or_insert_with(
         |&k| k == id,
         || id,
         || {
@@ -360,7 +359,7 @@ fn rename_aliases(t: Tuple, class: &mut OutputClass) -> Tuple {
             Schema::intern(&attrs)
         },
     );
-    t.with_schema(Arc::clone(schema))
+    t.with_schema(schema)
 }
 
 #[cfg(test)]

@@ -6,11 +6,11 @@
 //! payload-shared:
 //!
 //! - A [`Tuple`] **is** a [`cosmos_query::record::Record`] — `{ stream:
-//!   Symbol, timestamp, Arc<Schema>, Arc<[Scalar]> }`. Tuples of the same
-//!   shape share one interned schema, so the payload carries **no
-//!   attribute names at all** — attribute lookup is a linear scan over
-//!   `u32`s in the schema (sensor schemas are narrow, so this beats
-//!   hashing) — and cloning a tuple bumps two reference counts. The
+//!   Symbol, schema: u32, timestamp, Arc<[Scalar]> }`, 32 bytes. Tuples of
+//!   the same shape share one interned schema, named by its id, so the
+//!   payload carries **no attribute names at all** — attribute lookup is a
+//!   linear scan over `u32`s in the schema (sensor schemas are narrow, so
+//!   this beats hashing) — and cloning a tuple bumps one reference count. The
 //!   Pub/Sub `Message` is the same type, so records cross the
 //!   broker→engine boundary without conversion.
 //! - A [`JoinedTuple`] stores positional `(alias: Symbol, Arc<Tuple>)`
@@ -49,7 +49,7 @@ pub type Tuple = cosmos_query::record::Record;
 /// stream of all parts.
 #[derive(Debug, Clone)]
 pub(crate) struct ProjPlan {
-    schema: Arc<Schema>,
+    schema: &'static Schema,
     mask: Arc<[bool]>,
 }
 
@@ -169,7 +169,7 @@ impl JoinedTuple {
 
     /// Emits the columns `plan` keeps, on `result_stream`.
     pub(crate) fn apply_plan(&self, plan: &ProjPlan, result_stream: impl Into<Symbol>) -> Tuple {
-        Tuple::build(result_stream, self.timestamp(), Arc::clone(&plan.schema), |values| {
+        Tuple::build(result_stream, self.timestamp(), plan.schema, |values| {
             let mut keep = plan.mask.iter();
             for (_, t) in &self.parts {
                 if *keep.next().expect("mask covers all columns") {
@@ -282,7 +282,7 @@ mod tests {
         let a = joined().flatten("res");
         let b = joined().flatten("res");
         assert_eq!(a.schema().id(), b.schema().id());
-        assert!(Arc::ptr_eq(a.schema(), b.schema()));
+        assert!(std::ptr::eq(a.schema(), b.schema()));
     }
 
     #[test]
@@ -310,7 +310,8 @@ mod tests {
     fn tuples_of_same_shape_share_schema() {
         let a = Tuple::new("R", 0).with("k", Scalar::Int(1)).with("v", Scalar::Int(2));
         let b = Tuple::new("R", 1).with("k", Scalar::Int(3)).with("v", Scalar::Int(4));
-        assert!(Arc::ptr_eq(a.schema(), b.schema()));
+        assert!(std::ptr::eq(a.schema(), b.schema()));
+        assert_eq!(a.schema().id(), b.schema().id());
     }
 
     proptest! {
@@ -353,12 +354,7 @@ mod tests {
                 .sum();
             prop_assert_eq!(t.retaining(&keep).wire_size(), 16 + kept_payload);
             // Flatten: Arc-shared parts vs deep-copied parts, same bytes.
-            let deep = Tuple::from_parts(
-                t.stream,
-                t.timestamp,
-                Arc::clone(t.schema()),
-                t.values().to_vec(),
-            );
+            let deep = Tuple::from_parts(t.stream, t.timestamp, t.schema(), t.values().to_vec());
             let part = Arc::new(t.clone());
             let shared_parts = JoinedTuple::new(vec![
                 ("A".into(), Arc::clone(&part)),

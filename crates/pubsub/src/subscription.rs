@@ -366,7 +366,7 @@ pub struct CachedProjection {
 /// the kept input column indices, in output order.
 #[derive(Debug, Clone)]
 pub(crate) struct RetainPlan {
-    schema: Arc<Schema>,
+    schema: &'static Schema,
     cols: Arc<[u32]>,
     /// The kept columns among the first 64, one bit each.
     first: u64,
@@ -385,7 +385,7 @@ impl RetainPlan {
     fn apply(&self, msg: &Message) -> Message {
         let payload: Arc<[Scalar]> =
             self.cols.iter().map(|&i| msg.values()[i as usize].clone()).collect();
-        Message::from_shared(msg.stream, msg.timestamp, Arc::clone(&self.schema), payload)
+        Message::from_shared(msg.stream, msg.timestamp, self.schema, payload)
     }
 
     /// Adds the kept columns to `mask`, a column mask over the input schema

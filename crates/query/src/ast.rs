@@ -20,6 +20,10 @@ const _: () = assert!(std::mem::size_of::<AttrRef>() <= 8);
 const _: () = assert!(std::mem::size_of::<RelationRef>() <= 24);
 const _: () = assert!(std::mem::size_of::<Predicate>() <= 48);
 const _: () = assert!(std::mem::size_of::<ProjItem>() <= 16);
+// Records are most of every large resident set (inputs, windows, replay
+// logs, checkpoints): a stream symbol, a schema id, the timestamp and the
+// payload's fat pointer.
+const _: () = assert!(std::mem::size_of::<crate::record::Record>() <= 32);
 
 /// Globally unique identifier for a submitted continuous query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

@@ -3,16 +3,22 @@
 //! # Why one type
 //!
 //! The engine's `Tuple` and the Pub/Sub `Message` evolved into byte-identical
-//! schema-indexed records — `{stream, timestamp, Arc<Schema>, payload}` —
+//! schema-indexed records — `{stream, timestamp, schema, payload}` —
 //! maintained in parallel in two crates. [`Record`] collapses them into one
 //! definition here (where [`Scalar`] lives); `cosmos_engine::tuple::Tuple`
 //! and `cosmos_pubsub::subscription::Message` are aliases of it, so a record
 //! crossing the broker→engine boundary is *the same value*, not a re-keyed
 //! copy.
 //!
-//! # Why `Arc<[Scalar]>`
+//! # Why 32 bytes: a schema id and an `Arc<[Scalar]>`
 //!
-//! The payload is shared, not owned: `clone()` is a reference-count bump.
+//! A record is a stream [`Symbol`], a `u32` schema id, the `i64` timestamp
+//! and the payload's fat pointer: 32 bytes inline. The schema is interned
+//! and never freed (`cosmos_util::intern`), so the record names it by id
+//! and [`Record::schema`] resolves the id lock-free; no reference count is
+//! kept for it.
+//!
+//! The payload is shared, not owned: `clone()` is one reference-count bump.
 //! That makes every fan-out point zero-copy — a broker delivering one
 //! message to hundreds of matched subscribers, a multi-hop relay forwarding
 //! an unprojected record, a shared-execution engine splitting one result to
@@ -40,24 +46,30 @@ fn empty_payload() -> Arc<[Scalar]> {
 }
 
 /// A stream record: stream (or alias) tag, event timestamp, and a
-/// positional scalar payload indexed by a shared, interned [`Schema`].
+/// positional scalar payload indexed by an interned [`Schema`], which the
+/// record names by id.
 ///
-/// The payload is `Arc`-shared: cloning a record bumps two reference
-/// counts (schema + payload) and copies no scalar. See the module docs.
-#[derive(Debug, Clone, PartialEq)]
+/// The payload is `Arc`-shared: cloning a record bumps one reference
+/// count (the payload's) and copies no scalar. See the module docs.
+#[derive(Clone, PartialEq)]
 pub struct Record {
     /// The stream this record belongs to.
     pub stream: Symbol,
+    schema: u32,
     /// Event time in milliseconds.
     pub timestamp: i64,
-    schema: Arc<Schema>,
     payload: Arc<[Scalar]>,
 }
 
 impl Record {
     /// Creates an empty record (compat shim; interns `stream`).
     pub fn new(stream: impl Into<Symbol>, timestamp: i64) -> Self {
-        Self { stream: stream.into(), timestamp, schema: Schema::empty(), payload: empty_payload() }
+        Self {
+            stream: stream.into(),
+            schema: Schema::empty().id(),
+            timestamp,
+            payload: empty_payload(),
+        }
     }
 
     /// Builds a record from an owned payload — the construction hot path
@@ -69,11 +81,11 @@ impl Record {
     pub fn from_parts(
         stream: impl Into<Symbol>,
         timestamp: i64,
-        schema: Arc<Schema>,
+        schema: &'static Schema,
         values: Vec<Scalar>,
     ) -> Self {
         assert_eq!(schema.len(), values.len(), "schema/values arity mismatch");
-        Self { stream: stream.into(), timestamp, schema, payload: values.into() }
+        Self { stream: stream.into(), schema: schema.id(), timestamp, payload: values.into() }
     }
 
     /// Builds a record by filling a right-sized buffer — the emit-path
@@ -87,14 +99,14 @@ impl Record {
     pub fn build(
         stream: impl Into<Symbol>,
         timestamp: i64,
-        schema: Arc<Schema>,
+        schema: &'static Schema,
         fill: impl FnOnce(&mut Vec<Scalar>),
     ) -> Self {
         let mut buf = Vec::with_capacity(schema.len());
         fill(&mut buf);
         assert_eq!(schema.len(), buf.len(), "schema/values arity mismatch");
         let payload: Arc<[Scalar]> = buf.into();
-        Self { stream: stream.into(), timestamp, schema, payload }
+        Self { stream: stream.into(), schema: schema.id(), timestamp, payload }
     }
 
     /// Builds a record on an already-shared payload — the zero-copy
@@ -106,11 +118,11 @@ impl Record {
     pub fn from_shared(
         stream: impl Into<Symbol>,
         timestamp: i64,
-        schema: Arc<Schema>,
+        schema: &'static Schema,
         payload: Arc<[Scalar]>,
     ) -> Self {
         assert_eq!(schema.len(), payload.len(), "schema/payload arity mismatch");
-        Self { stream: stream.into(), timestamp, schema, payload }
+        Self { stream: stream.into(), schema: schema.id(), timestamp, payload }
     }
 
     /// Adds an attribute (builder-style compat shim; re-interns the
@@ -121,16 +133,17 @@ impl Record {
     /// Panics if `name` is already present — schemas are positional
     /// indices, so duplicate names are rejected at construction.
     pub fn with(self, name: impl Into<Symbol>, value: Scalar) -> Self {
-        let schema = self.schema.with(name.into());
+        let schema = self.schema().with(name.into());
         Record::build(self.stream, self.timestamp, schema, |buf| {
             buf.extend(self.payload.iter().cloned());
             buf.push(value);
         })
     }
 
-    /// The record's schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+    /// The record's schema, resolved from its id without a lock.
+    #[inline]
+    pub fn schema(&self) -> &'static Schema {
+        Schema::resolve(self.schema)
     }
 
     /// The positional payload.
@@ -144,12 +157,12 @@ impl Record {
     /// # Panics
     ///
     /// Panics if `schema`'s arity differs from this record's.
-    pub fn with_schema(&self, schema: Arc<Schema>) -> Record {
+    pub fn with_schema(&self, schema: &'static Schema) -> Record {
         assert_eq!(schema.len(), self.payload.len(), "schema/payload arity mismatch");
         Record {
             stream: self.stream,
+            schema: schema.id(),
             timestamp: self.timestamp,
-            schema,
             payload: Arc::clone(&self.payload),
         }
     }
@@ -157,7 +170,7 @@ impl Record {
     /// Looks up an attribute value by symbol — the hot path.
     #[inline]
     pub fn get_sym(&self, attr: Symbol) -> Option<&Scalar> {
-        self.schema.index_of(attr).map(|i| &self.payload[i])
+        self.schema().index_of(attr).map(|i| &self.payload[i])
     }
 
     /// Looks up an attribute value by name (compat shim; never interns).
@@ -167,7 +180,7 @@ impl Record {
 
     /// Iterates `(attribute, value)` pairs in column order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &Scalar)> {
-        self.schema.attrs().iter().copied().zip(self.payload.iter())
+        self.schema().attrs().iter().copied().zip(self.payload.iter())
     }
 
     /// Number of attributes.
@@ -182,13 +195,13 @@ impl Record {
 
     /// The record restricted to the attributes in `keep` — the broker's
     /// early-projection step, uncached: the projected schema is filtered
-    /// and interned per call (so it is the one shared `Arc<Schema>` of its
+    /// and interned per call (so it is the one interned schema of its
     /// shape). The broker's hot paths cache that plan on the route entry
     /// that owns the projection instead (`CachedProjection` in
     /// `cosmos-pubsub`).
     pub fn retaining(&self, keep: &BTreeSet<Symbol>) -> Record {
         let attrs: Vec<Symbol> =
-            self.schema.attrs().iter().copied().filter(|a| keep.contains(a)).collect();
+            self.schema().attrs().iter().copied().filter(|a| keep.contains(a)).collect();
         let schema = Schema::intern(&attrs);
         Record::build(self.stream, self.timestamp, schema, |buf| {
             for (a, v) in self.iter() {
@@ -207,6 +220,17 @@ impl Record {
     /// payload is `Arc`-shared or not.
     pub fn wire_size(&self) -> usize {
         16 + self.payload.iter().map(|v| 4 + v.wire_size()).sum::<usize>()
+    }
+}
+
+impl fmt::Debug for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Record")
+            .field("stream", &self.stream)
+            .field("timestamp", &self.timestamp)
+            .field("schema", self.schema())
+            .field("payload", &self.payload)
+            .finish()
     }
 }
 
@@ -267,7 +291,8 @@ mod tests {
         let c = r.clone();
         assert_eq!(r, c);
         assert!(Arc::ptr_eq(&r.payload, &c.payload), "clone must share, not copy");
-        assert!(Arc::ptr_eq(r.schema(), c.schema()));
+        assert!(std::ptr::eq(r.schema(), c.schema()));
+        assert_eq!(r.schema, c.schema);
     }
 
     #[test]

@@ -12,14 +12,19 @@
 //! never allocate.
 //!
 //! [`Schema`] extends the same idea to attribute *lists*: tuples with the
-//! same shape share one interned, `Arc`-ed schema (symbol → column index),
-//! so a tuple's payload is a bare `Vec<Scalar>` indexed positionally.
-//! Schema identity (`Schema::id`) makes derived-schema caches — like the
-//! join-flatten cache in `cosmos-engine` — cheap to key.
+//! same shape share one interned schema (symbol → column index), so a
+//! tuple's payload is a bare scalar slice indexed positionally. A schema is
+//! named by its `u32` id ([`Schema::id`]), which resolves back to the
+//! schema lock-free ([`Schema::resolve`]) through the same kind of
+//! append-only table that backs [`Symbol::as_str`]: a record carries the
+//! id, not a pointer, and derived-schema caches — like the join-flatten
+//! cache in `cosmos-engine` — key on it.
 //!
-//! Interned strings are leaked (`&'static str`); the universe of names is
+//! Interned strings and schemas are leaked (`&'static str`,
+//! `&'static Schema`): the universe of names and of record shapes is
 //! bounded by the workload definition, not by traffic, so this is the
-//! standard time/space trade for interners.
+//! standard time/space trade for interners, and it is what lets a schema
+//! be shared with no reference count.
 //!
 //! # Examples
 //!
@@ -35,12 +40,13 @@
 //! assert_eq!(schema.index_of(Symbol::intern("v")), Some(1));
 //! let same = Schema::intern(&[Symbol::intern("k"), Symbol::intern("v")]);
 //! assert_eq!(schema.id(), same.id()); // equal attr lists share a schema
+//! assert!(std::ptr::eq(Schema::resolve(schema.id()), schema));
 //! ```
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// An interned string: `u32`-sized, `Copy`, compared and hashed as an
 /// integer. Equal strings always intern to the same symbol, across
@@ -58,37 +64,53 @@ fn string_interner() -> &'static RwLock<StringInterner> {
     INTERNER.get_or_init(|| RwLock::new(StringInterner { map: HashMap::new(), len: 0 }))
 }
 
-/// Lock-free id → string resolution table: append-only chunks of
-/// geometrically growing capacity (chunk `c` holds `64 << c` entries), each
-/// slot written once under the interner's write lock and thereafter read
-/// with two relaxed `OnceLock` loads — `as_str` never takes a lock, which
-/// matters because the data plane calls it per routing-table entry.
+/// Lock-free id → value resolution: append-only chunks of geometrically
+/// growing capacity (chunk `c` holds `64 << c` entries), each slot written
+/// once under its interner's write lock and thereafter read with two
+/// `OnceLock` loads — a resolve never takes a lock, which matters because
+/// the data plane resolves a symbol per routing-table entry and a schema
+/// per record lookup. One table backs [`Symbol::as_str`], another
+/// [`Schema::resolve`].
 const RESOLVE_CHUNKS: usize = 26;
 
-type ResolveChunk = Box<[OnceLock<&'static str>]>;
-
-fn resolve_table() -> &'static [OnceLock<ResolveChunk>; RESOLVE_CHUNKS] {
-    static TABLE: OnceLock<[OnceLock<ResolveChunk>; RESOLVE_CHUNKS]> = OnceLock::new();
-    TABLE.get_or_init(|| std::array::from_fn(|_| OnceLock::new()))
+struct ResolveTable<T: 'static> {
+    chunks: [OnceLock<Box<[OnceLock<T>]>>; RESOLVE_CHUNKS],
 }
 
-/// `(chunk, offset)` of symbol id `id`.
-fn resolve_slot(id: u32) -> (usize, usize) {
-    let k = (id / 64) + 1;
-    let chunk = (31 - k.leading_zeros()) as usize;
-    let start = 64 * ((1u32 << chunk) - 1);
-    (chunk, (id - start) as usize)
+impl<T> ResolveTable<T> {
+    const fn new() -> Self {
+        Self { chunks: [const { OnceLock::new() }; RESOLVE_CHUNKS] }
+    }
+
+    /// `(chunk, offset)` of id `id`.
+    #[inline]
+    fn slot(id: u32) -> (usize, usize) {
+        let k = (id / 64) + 1;
+        let chunk = (31 - k.leading_zeros()) as usize;
+        let start = 64 * ((1u32 << chunk) - 1);
+        (chunk, (id - start) as usize)
+    }
+
+    fn store(&self, id: u32, value: T) {
+        let (chunk, offset) = Self::slot(id);
+        assert!(chunk < RESOLVE_CHUNKS, "intern table overflow");
+        let slab = self.chunks[chunk].get_or_init(|| {
+            let cap = 64usize << chunk;
+            (0..cap).map(|_| OnceLock::new()).collect::<Vec<_>>().into_boxed_slice()
+        });
+        if slab[offset].set(value).is_err() {
+            panic!("intern slot {id} written twice");
+        }
+    }
+
+    #[inline]
+    fn get(&self, id: u32) -> Option<&T> {
+        let (chunk, offset) = Self::slot(id);
+        self.chunks.get(chunk)?.get()?[offset].get()
+    }
 }
 
-fn resolve_store(id: u32, s: &'static str) {
-    let (chunk, offset) = resolve_slot(id);
-    assert!(chunk < RESOLVE_CHUNKS, "symbol table overflow");
-    let slab = resolve_table()[chunk].get_or_init(|| {
-        let cap = 64usize << chunk;
-        (0..cap).map(|_| OnceLock::new()).collect::<Vec<_>>().into_boxed_slice()
-    });
-    slab[offset].set(s).expect("symbol slot written twice");
-}
+static STRINGS: ResolveTable<&'static str> = ResolveTable::new();
 
 thread_local! {
     /// Per-thread string → symbol fast path; hits cost one hash, no lock.
@@ -119,7 +141,7 @@ impl Symbol {
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
         let id = w.len;
         w.len = w.len.checked_add(1).expect("symbol table overflow");
-        resolve_store(id, leaked);
+        STRINGS.store(id, leaked);
         w.map.insert(leaked, id);
         Symbol(id)
     }
@@ -134,11 +156,7 @@ impl Symbol {
 
     /// The interned string. Lock-free (two atomic loads).
     pub fn as_str(self) -> &'static str {
-        let (chunk, offset) = resolve_slot(self.0);
-        resolve_table()[chunk]
-            .get()
-            .and_then(|slab| slab[offset].get())
-            .expect("dangling symbol id")
+        STRINGS.get(self.0).expect("dangling symbol id")
     }
 
     /// The raw table index.
@@ -222,9 +240,11 @@ pub fn sym_timestamp() -> Symbol {
 
 /// An interned attribute list: maps attribute symbols to column indices.
 ///
-/// Schemas are deduplicated globally — equal attribute lists share one
-/// `Arc<Schema>` and one `id` — so "same shape" checks and derived-schema
-/// caches are integer comparisons.
+/// Schemas are deduplicated globally and never freed, like symbols — equal
+/// attribute lists share one `&'static Schema` and one `id`, and the id
+/// resolves back to the schema lock-free ([`Schema::resolve`]) — so "same
+/// shape" checks and derived-schema caches are integer comparisons, and a
+/// record names its schema with a `u32`.
 #[derive(PartialEq, Eq)]
 pub struct Schema {
     id: u32,
@@ -232,7 +252,7 @@ pub struct Schema {
 }
 
 struct SchemaInterner {
-    map: HashMap<Box<[Symbol]>, Arc<Schema>>,
+    map: HashMap<&'static [Symbol], &'static Schema>,
 }
 
 fn schema_interner() -> &'static RwLock<SchemaInterner> {
@@ -240,9 +260,11 @@ fn schema_interner() -> &'static RwLock<SchemaInterner> {
     INTERNER.get_or_init(|| RwLock::new(SchemaInterner { map: HashMap::new() }))
 }
 
+static SCHEMAS: ResolveTable<&'static Schema> = ResolveTable::new();
+
 thread_local! {
     /// Per-thread `(schema id, appended attr)` → extended schema cache.
-    static EXTEND_CACHE: RefCell<HashMap<(u32, Symbol), Arc<Schema>>> =
+    static EXTEND_CACHE: RefCell<HashMap<(u32, Symbol), &'static Schema>> =
         RefCell::new(HashMap::new());
 }
 
@@ -253,10 +275,10 @@ impl Schema {
     ///
     /// Panics on duplicate attributes — a schema is a positional index, so
     /// a repeated name would make `index_of` ambiguous.
-    pub fn intern(attrs: &[Symbol]) -> Arc<Schema> {
+    pub fn intern(attrs: &[Symbol]) -> &'static Schema {
         let interner = schema_interner();
-        if let Some(existing) = interner.read().unwrap_or_else(|e| e.into_inner()).map.get(attrs) {
-            return Arc::clone(existing);
+        if let Some(&existing) = interner.read().unwrap_or_else(|e| e.into_inner()).map.get(attrs) {
+            return existing;
         }
         // Validate before taking the write lock so a panic cannot leave it
         // poisoned mid-insert.
@@ -264,33 +286,44 @@ impl Schema {
             assert!(!attrs[..i].contains(a), "duplicate attribute {a} in schema {attrs:?}");
         }
         let mut w = interner.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = w.map.get(attrs) {
-            return Arc::clone(existing);
+        if let Some(&existing) = w.map.get(attrs) {
+            return existing;
         }
         let id = u32::try_from(w.map.len()).expect("schema table overflow");
-        let key: Box<[Symbol]> = attrs.into();
-        let schema = Arc::new(Schema { id, attrs: key.clone() });
-        w.map.insert(key, Arc::clone(&schema));
+        let schema: &'static Schema = Box::leak(Box::new(Schema { id, attrs: attrs.into() }));
+        SCHEMAS.store(id, schema);
+        w.map.insert(&schema.attrs, schema);
         schema
     }
 
+    /// The schema whose [`id`](Schema::id) is `id`. Lock-free (two atomic
+    /// loads), like [`Symbol::as_str`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no schema has that id.
+    #[inline]
+    pub fn resolve(id: u32) -> &'static Schema {
+        SCHEMAS.get(id).expect("dangling schema id")
+    }
+
     /// The empty schema.
-    pub fn empty() -> Arc<Schema> {
-        static EMPTY: OnceLock<Arc<Schema>> = OnceLock::new();
-        Arc::clone(EMPTY.get_or_init(|| Schema::intern(&[])))
+    pub fn empty() -> &'static Schema {
+        static EMPTY: OnceLock<&'static Schema> = OnceLock::new();
+        EMPTY.get_or_init(|| Schema::intern(&[]))
     }
 
     /// This schema extended by `attr` (interned). A per-thread cache keyed
     /// by `(schema id, attr)` makes the builder-style tuple constructors
     /// (`.with(...)` chains) two small hashes per attribute on repeat
     /// shapes instead of a global-lock schema interning.
-    pub fn with(&self, attr: Symbol) -> Arc<Schema> {
+    pub fn with(&self, attr: Symbol) -> &'static Schema {
         EXTEND_CACHE.with_borrow_mut(|cache| {
-            Arc::clone(cache.entry((self.id, attr)).or_insert_with(|| {
+            *cache.entry((self.id, attr)).or_insert_with(|| {
                 let mut attrs = self.attrs.to_vec();
                 attrs.push(attr);
                 Schema::intern(&attrs)
-            }))
+            })
         })
     }
 
@@ -394,12 +427,58 @@ mod tests {
         let b = Schema::intern(&[k, v]);
         let c = Schema::intern(&[v, k]);
         assert_eq!(a.id(), b.id());
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(std::ptr::eq(a, b));
         assert_ne!(a.id(), c.id(), "column order is part of schema identity");
         assert_eq!(a.index_of(k), Some(0));
         assert_eq!(a.index_of(v), Some(1));
         assert_eq!(c.index_of(k), Some(1));
         assert_eq!(a.index_of(Symbol::intern("schema-missing")), None);
+    }
+
+    #[test]
+    fn schemas_resolve_to_one_schema_on_every_thread() {
+        let attrs = [Symbol::intern("cross-thread-k"), Symbol::intern("cross-thread-v")];
+        let here = Schema::intern(&attrs);
+        let handles: Vec<_> = (0..8)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let mine = Schema::intern(&attrs);
+                    let unique =
+                        Schema::intern(&[Symbol::intern(&format!("cross-thread-col-{i}"))]);
+                    (mine, unique, Schema::resolve(unique.id()))
+                })
+            })
+            .collect();
+        let mut uniques = Vec::new();
+        for h in handles {
+            let (mine, unique, resolved) = h.join().unwrap();
+            assert!(std::ptr::eq(mine, here), "same attrs must be the same schema on every thread");
+            assert!(std::ptr::eq(Schema::resolve(mine.id()), here));
+            assert!(
+                std::ptr::eq(resolved, unique),
+                "a schema resolves to itself on its own thread"
+            );
+            assert!(std::ptr::eq(Schema::resolve(unique.id()), unique), "… and on this one");
+            uniques.push(unique.id());
+        }
+        uniques.sort_unstable();
+        uniques.dedup();
+        assert_eq!(uniques.len(), 8, "distinct attr lists must stay distinct");
+    }
+
+    #[test]
+    fn schema_ids_round_trip_across_chunk_boundaries() {
+        let col = Symbol::intern("chunk-boundary-col");
+        let mut n = 0;
+        while Schema::intern(&[col, Symbol::intern(&format!("chunk-boundary-{n}"))]).id() < 193 {
+            n += 1;
+        }
+        // Chunk 0 holds ids 0..64, chunk 1 64..192, chunk 2 from 192.
+        for id in [0, 63, 64, 191, 192] {
+            let schema = Schema::resolve(id);
+            assert_eq!(schema.id(), id);
+            assert!(std::ptr::eq(Schema::intern(schema.attrs()), schema));
+        }
     }
 
     #[test]

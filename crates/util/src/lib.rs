@@ -16,9 +16,10 @@
 //! - [`rng`]: seed-derivation helpers so every experiment is reproducible.
 //! - [`intern`]: global [`Symbol`] and [`Schema`] interners backing the
 //!   schema-indexed tuple data plane — stream/attribute names become `u32`
-//!   symbols, tuple shapes become shared `Arc<Schema>`s, and the per-tuple
-//!   hot paths (predicate evaluation, join flattening, broker filtering
-//!   and early projection) compare integers instead of strings.
+//!   symbols, tuple shapes become interned `&'static Schema`s named by a
+//!   `u32` id, and the per-tuple hot paths (predicate evaluation, join
+//!   flattening, broker filtering and early projection) compare integers
+//!   instead of strings.
 //! - [`plancache`]: [`PlanCache`], the owner-attached cache every column
 //!   plan of the engine and the broker hangs off — the only plan cache;
 //!   nothing in the planes keeps one per thread or per process.

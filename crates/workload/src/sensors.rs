@@ -19,6 +19,7 @@ use cosmos_engine::tuple::Tuple;
 use cosmos_net::{Deployment, NodeId, TransitStubConfig};
 use cosmos_pubsub::SubstreamTable;
 use cosmos_query::{parse_query, Query, QueryId, Scalar};
+use cosmos_util::intern::{Schema, Symbol};
 use cosmos_util::rng::{rng_for, rng_for_indexed};
 use cosmos_util::InterestSet;
 use rand::Rng;
@@ -128,7 +129,9 @@ impl SensorScenario {
     }
 
     /// Synthesizes `n` random-walk readings for `sensor`, one per
-    /// `period_ms`, starting at `t0_ms`.
+    /// `period_ms`, starting at `t0_ms`. Every reading has the same three
+    /// columns, so the schema is interned once and each reading is built
+    /// in one allocation.
     ///
     /// # Panics
     ///
@@ -145,14 +148,20 @@ impl SensorScenario {
         let mut rng = rng_for_indexed(seed, "readings", sensor as u64);
         let mut snow: f64 = rng.gen_range(0.0..80.0);
         let mut temp: f64 = rng.gen_range(-15.0..10.0);
+        let stream = Symbol::intern(&self.streams[sensor]);
+        let schema =
+            Schema::intern(&["snowHeight", "temperature", "sensorType"].map(Symbol::intern));
         (0..n)
             .map(|i| {
                 snow = (snow + rng.gen_range(-3.0f64..3.0)).clamp(0.0, 150.0);
                 temp = (temp + rng.gen_range(-1.0f64..1.0)).clamp(-40.0, 35.0);
-                Tuple::new(self.streams[sensor].clone(), t0_ms + i as i64 * period_ms)
-                    .with("snowHeight", Scalar::Int(snow.round() as i64))
-                    .with("temperature", Scalar::Int(temp.round() as i64))
-                    .with("sensorType", Scalar::Int((sensor % 3) as i64))
+                Tuple::build(stream, t0_ms + i as i64 * period_ms, schema, |values| {
+                    values.extend([
+                        Scalar::Int(snow.round() as i64),
+                        Scalar::Int(temp.round() as i64),
+                        Scalar::Int((sensor % 3) as i64),
+                    ])
+                })
             })
             .collect()
     }
@@ -231,6 +240,46 @@ mod tests {
             assert_eq!(t.timestamp, 1_000 + i as i64 * 500);
             let snow = t.get("snowHeight").unwrap().as_f64().unwrap();
             assert!((0.0..=150.0).contains(&snow));
+        }
+    }
+
+    /// The readings as a chain of `.with()` steps builds them: one
+    /// intermediate record per column.
+    fn readings_by_with(
+        s: &SensorScenario,
+        sensor: usize,
+        n: usize,
+        t0_ms: i64,
+        period_ms: i64,
+        seed: u64,
+    ) -> Vec<Tuple> {
+        let mut rng = rng_for_indexed(seed, "readings", sensor as u64);
+        let mut snow: f64 = rng.gen_range(0.0..80.0);
+        let mut temp: f64 = rng.gen_range(-15.0..10.0);
+        (0..n)
+            .map(|i| {
+                snow = (snow + rng.gen_range(-3.0f64..3.0)).clamp(0.0, 150.0);
+                temp = (temp + rng.gen_range(-1.0f64..1.0)).clamp(-40.0, 35.0);
+                Tuple::new(s.streams[sensor].clone(), t0_ms + i as i64 * period_ms)
+                    .with("snowHeight", Scalar::Int(snow.round() as i64))
+                    .with("temperature", Scalar::Int(temp.round() as i64))
+                    .with("sensorType", Scalar::Int((sensor % 3) as i64))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn readings_equal_the_with_chain() {
+        let s = scenario();
+        for seed in [1, 7, 42] {
+            for sensor in [0, 1, 2, 13, 19] {
+                // Equal stream, schema id, timestamp and payload.
+                assert_eq!(
+                    s.readings(sensor, 40, 250, 1_000, seed),
+                    readings_by_with(&s, sensor, 40, 250, 1_000, seed),
+                    "sensor {sensor}, seed {seed}"
+                );
+            }
         }
     }
 

@@ -177,7 +177,7 @@ fn message_timestamp_filters_agree_between_evaluators() {
 fn schema_identity_across_crate_boundary() {
     let a = t("R", 0, &[("k", 1), ("v", 2)]);
     let b = t("R", 9, &[("k", 5), ("v", 6)]);
-    assert!(Arc::ptr_eq(a.schema(), b.schema()));
+    assert!(std::ptr::eq(a.schema(), b.schema()));
     assert_eq!(a.schema().id(), b.schema().id());
     let k = Symbol::intern("k");
     assert_eq!(a.schema().index_of(k), Some(0));
