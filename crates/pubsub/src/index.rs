@@ -479,7 +479,10 @@ fn norm(t: f64) -> f64 {
 /// ledger and every hop's routing entry of the installation hold the same
 /// `Arc`, so a hop costs a refcount bump instead of a deep copy and
 /// nothing re-derives the split — not the skip probe, the victim probes
-/// or the insert, and not compaction either.
+/// or the insert, and not compaction either. The requests themselves are
+/// not copied even once: a single-source form holds the subscription it
+/// was handed, whose request body ([`crate::subscription::StreamMap`]) is
+/// shared with every clone of it — the subscriber's own copy included.
 #[derive(Debug)]
 pub struct InstalledSub {
     sub: Subscription,

@@ -3,7 +3,7 @@
 //! A subscription carries exactly the three lists §2.1 gives for `p3₁`:
 //!
 //! - `S`: the streams requested (here: the keys of [`StreamMap`], the
-//!   sorted vector map a subscription keeps its per-stream requests in),
+//!   sorted, shared slice a subscription keeps its per-stream requests in),
 //! - `P`: the requested attributes, "so the Pub/Sub can perform projection
 //!   of the unnecessary attributes as soon as possible",
 //! - `F`: filters "used to perform early data filtering in the Pub/Sub".
@@ -189,17 +189,89 @@ fn needs_of(projection: &StreamProjection, filters: &[Predicate]) -> StreamProje
     }
 }
 
-/// A subscription's per-stream requests, ascending by stream symbol.
+/// A subscription's per-stream requests, ascending by stream symbol: one
+/// immutable body that every clone of the subscription shares.
 ///
 /// Nearly every subscription requests one or two streams, and a massive
-/// population holds one of these maps per installed form — a `BTreeMap`
-/// spent a 1.3 KB leaf node on that single pair, the sorted vector spends
-/// the pair. Iteration order is the `BTreeMap`'s, requesting a stream
-/// twice replaces its request, and lookups stay logarithmic for the
-/// engine-host feeds that request dozens of streams.
-pub type StreamMap = VecMap<Symbol, StreamRequest>;
+/// population is held twice over — by whoever subscribed it and by the
+/// network's installed form, which the ledger and every hop's routing
+/// entry share in turn. The pairs therefore live in one refcounted slice
+/// (a `BTreeMap` spent a 1.3 KB leaf node on a single pair, an
+/// `Arc<VecMap>` a second block): a fresh subscription allocates one block
+/// for its body, and `clone()` bumps its count and allocates nothing.
+/// Iteration order is the `BTreeMap`'s, requesting a stream twice replaces
+/// its request, and lookups stay logarithmic for the engine-host feeds
+/// that request dozens of streams. A body is built once, from pairs in any
+/// order ([`FromIterator`], or a [`VecMap`] via `From`), and never edited:
+/// only [`SubscriptionBuilder`] and [`Subscription::merge`] (and whoever
+/// restricts a subscription to some of its streams) build one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamMap {
+    pairs: Arc<[(Symbol, StreamRequest)]>,
+}
+
+impl StreamMap {
+    /// Number of requested streams.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// `true` when no stream is requested.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// The request for `stream`, if it is requested.
+    pub fn get(&self, stream: &Symbol) -> Option<&StreamRequest> {
+        let i = self.pairs.binary_search_by(|(s, _)| s.cmp(stream)).ok()?;
+        Some(&self.pairs[i].1)
+    }
+
+    /// `(stream, request)` pairs in ascending stream order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Symbol, &StreamRequest)> + Clone {
+        self.pairs.iter().map(|(s, req)| (s, req))
+    }
+
+    /// Requested streams in ascending order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &Symbol> + Clone {
+        self.pairs.iter().map(|(s, _)| s)
+    }
+
+    /// `true` when `self` and `other` are the same body, not merely equal
+    /// ones (a clone shares its original's).
+    pub fn shares_body_with(&self, other: &StreamMap) -> bool {
+        Arc::ptr_eq(&self.pairs, &other.pairs)
+    }
+}
+
+impl From<VecMap<Symbol, StreamRequest>> for StreamMap {
+    /// Freezes a built map into a body: one exact-size block.
+    fn from(map: VecMap<Symbol, StreamRequest>) -> Self {
+        Self { pairs: map.into_pairs().into() }
+    }
+}
+
+impl FromIterator<(Symbol, StreamRequest)> for StreamMap {
+    /// Collects pairs in any order; a repeated stream keeps its last
+    /// request.
+    fn from_iter<I: IntoIterator<Item = (Symbol, StreamRequest)>>(iter: I) -> Self {
+        iter.into_iter().collect::<VecMap<_, _>>().into()
+    }
+}
+
+impl std::ops::Index<&Symbol> for StreamMap {
+    type Output = StreamRequest;
+
+    /// # Panics
+    ///
+    /// Panics when `stream` is not requested.
+    fn index(&self, stream: &Symbol) -> &StreamRequest {
+        self.get(stream).expect("stream not requested by the subscription")
+    }
+}
 
 /// A subscription: the subscriber's proxy node plus per-stream requests.
+/// Cloning one shares its request body ([`StreamMap`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Subscription {
     /// Identifier (assigned by the creator; brokers treat it as opaque).
@@ -214,9 +286,7 @@ pub struct Subscription {
 impl Subscription {
     /// Starts building a subscription for `subscriber`.
     pub fn builder(subscriber: NodeId) -> SubscriptionBuilder {
-        SubscriptionBuilder {
-            sub: Subscription { id: SubId(0), subscriber, streams: StreamMap::new() },
-        }
+        SubscriptionBuilder { id: SubId(0), subscriber, streams: VecMap::new() }
     }
 
     /// Returns `true` when this subscription would deliver (at least) every
@@ -233,7 +303,8 @@ impl Subscription {
     /// union, and per-stream filters weakened to the common consequences
     /// (dropping what cannot be kept). The result covers both inputs.
     pub fn merge(&self, other: &Subscription) -> Subscription {
-        let mut streams = self.streams.clone();
+        let mut streams: VecMap<Symbol, StreamRequest> =
+            self.streams.iter().map(|(&name, req)| (name, req.clone())).collect();
         for (name, o_req) in other.streams.iter() {
             match streams.get_mut(name) {
                 None => {
@@ -258,9 +329,8 @@ impl Subscription {
                 }
             }
         }
-        Subscription { id: self.id, subscriber: self.subscriber, streams }
+        Subscription { id: self.id, subscriber: self.subscriber, streams: streams.into() }
     }
-
     /// The attributes this subscription *needs* for `stream`
     /// ([`StreamRequest::needs`]); `None` when the stream is not requested.
     pub fn needs(&self, stream: Symbol) -> Option<&StreamProjection> {
@@ -307,13 +377,15 @@ impl Subscription {
 /// Builder for [`Subscription`] (see [`Subscription::builder`]).
 #[derive(Debug)]
 pub struct SubscriptionBuilder {
-    sub: Subscription,
+    id: SubId,
+    subscriber: NodeId,
+    streams: VecMap<Symbol, StreamRequest>,
 }
 
 impl SubscriptionBuilder {
     /// Sets the subscription id.
     pub fn id(mut self, id: SubId) -> Self {
-        self.sub.id = id;
+        self.id = id;
         self
     }
 
@@ -325,13 +397,13 @@ impl SubscriptionBuilder {
         projection: StreamProjection,
         filters: Vec<Predicate>,
     ) -> Self {
-        self.sub.streams.insert(name.into(), StreamRequest::new(projection, filters));
+        self.streams.insert(name.into(), StreamRequest::new(projection, filters));
         self
     }
 
-    /// Finishes the subscription.
+    /// Finishes the subscription, freezing its requests into one body.
     pub fn build(self) -> Subscription {
-        self.sub
+        Subscription { id: self.id, subscriber: self.subscriber, streams: self.streams.into() }
     }
 }
 
@@ -638,9 +710,12 @@ mod tests {
     }
 
     proptest! {
-        /// The vector map against a `BTreeMap` model under random
-        /// insert / replace / lookup sequences: same replaced values, same
-        /// length, same ascending iteration, same lookups.
+        /// The stream map against a `BTreeMap` model under random
+        /// insert / replace / lookup sequences: the builder's vector map
+        /// replaces what the model replaces, and the frozen body — built
+        /// from it or collected from the same pairs — has the model's
+        /// length, ascending iteration and lookups, and is shared by its
+        /// clones.
         #[test]
         fn prop_stream_map_matches_btreemap_model(
             ops in proptest::collection::vec((0usize..12, -50i64..50), 0..60),
@@ -652,12 +727,13 @@ mod tests {
                     vec![filter(names[k].as_str(), "a", CmpOp::Gt, v)],
                 )
             };
-            let mut map = StreamMap::new();
+            let mut building = VecMap::new();
             let mut model = std::collections::BTreeMap::new();
             for &(k, v) in &ops {
-                prop_assert_eq!(map.insert(names[k], request(k, v)), model.insert(names[k], request(k, v)));
-                prop_assert_eq!(map.len(), model.len());
+                prop_assert_eq!(building.insert(names[k], request(k, v)), model.insert(names[k], request(k, v)));
             }
+            let map = StreamMap::from(building);
+            prop_assert_eq!(map.len(), model.len());
             prop_assert_eq!(map.is_empty(), model.is_empty());
             prop_assert!(map.iter().eq(model.iter()));
             prop_assert!(map.keys().eq(model.keys()));
@@ -668,7 +744,9 @@ mod tests {
                 }
             }
             let collected: StreamMap = ops.iter().map(|&(k, v)| (names[k], request(k, v))).collect();
-            prop_assert_eq!(collected, map);
+            prop_assert_eq!(&collected, &map);
+            prop_assert!(!collected.shares_body_with(&map));
+            prop_assert!(map.clone().shares_body_with(&map));
         }
 
         /// Covering must be consistent with matching: if `a` covers `b`,

@@ -1,7 +1,8 @@
 //! A map stored as one vector sorted by key.
 //!
-//! The routing plane holds one small map per *subscription* (its streams)
-//! and one per *stream partition* (its indexed operands), by the tens of
+//! The routing plane builds one small map per *subscription* (its streams,
+//! frozen into a shared slice once built) and holds one per *stream
+//! partition* (its indexed operands), by the tens of
 //! thousands, and nearly all of them hold one or two pairs. A `BTreeMap`
 //! spends a whole leaf node on the first pair (1.3 KB for a stream
 //! request), a `HashMap` a 48-byte header, a four-slot table and a SipHash
@@ -103,6 +104,11 @@ impl<K: Ord, V> VecMap<K, V> {
     /// Values, mutably, in ascending key order.
     pub fn values_mut(&mut self) -> impl ExactSizeIterator<Item = &mut V> {
         self.pairs.iter_mut().map(|(_, v)| v)
+    }
+
+    /// The pairs, in ascending key order.
+    pub fn into_pairs(self) -> Vec<(K, V)> {
+        self.pairs
     }
 }
 
