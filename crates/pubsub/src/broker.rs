@@ -887,7 +887,10 @@ impl BrokerNetwork {
     ///   runs;
     /// - the per-node subscriber index lists each live subscription
     ///   exactly once, and the covering-dependency edges are symmetric
-    ///   between the forward and reverse indexes.
+    ///   between the forward and reverse indexes;
+    /// - in every table, each owner's chain of entry slots names live
+    ///   entries of that owner only, ascending, and together the chains
+    ///   reach every live entry (the index removal walks).
     ///
     /// Returns a description of the first violation. Exposed for the
     /// differential suites, which assert it after every churn operation.
@@ -899,6 +902,7 @@ impl BrokerNetwork {
         let mut own: HashSet<(SubId, NodeId, NodeId, NodeId)> = HashSet::new();
         for (n, table) in self.tables.iter().enumerate() {
             let node = NodeId(n as u32);
+            table.check_owner_links().map_err(|e| format!("table at {node:?}: {e}"))?;
             for (sub, to) in table.entries() {
                 *entries.entry((sub.id, node, to)).or_default() += 1;
                 let src = sub.streams.keys().next().and_then(|s| self.stream_source.get(s));

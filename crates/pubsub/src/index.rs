@@ -261,7 +261,17 @@ struct Entry {
     /// cannot reorder the delivery log relative to a fresh build.
     seq: u64,
     dead: bool,
+    /// The owner's next live slot in this table (`NIL` ends the chain):
+    /// an owner's live slots form one ascending chain from its
+    /// [`RoutingTable::by_sub`] head. It sits in what was padding.
+    next: u32,
 }
+
+// One per routing entry, tombstones included.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
+
+/// The end of an owner's chain of slots ([`Entry::next`]).
+const NIL: u32 = u32::MAX;
 
 /// A per-`(next hop)` group within one stream partition. A message any
 /// member matched is forwarded once, keeping what the matched members
@@ -1021,9 +1031,11 @@ pub struct RoutingTable {
     /// Scratch buffer of candidate slots, reused across
     /// [`RoutingTable::insert_covering`] calls.
     cover_scratch: Vec<u32>,
-    /// Entry slots per owning subscription id, ascending — removal walks
-    /// the owner's own entries instead of scanning the table.
-    by_sub: HashMap<SubId, Vec<u32>>,
+    /// Each owning subscription's first live entry slot; the others
+    /// follow through [`Entry::next`], ascending. Removal walks the
+    /// owner's own entries instead of scanning the table, and an owner
+    /// costs this map slot and no heap block of its own.
+    by_sub: HashMap<SubId, u32>,
     dead: usize,
     /// The writer's match state: one per table — matching visits one
     /// partition at a time.
@@ -1049,6 +1061,49 @@ impl RoutingTable {
     /// Live entries in installation order, as `(subscription, next hop)`.
     pub fn entries(&self) -> impl Iterator<Item = (&Subscription, Option<NodeId>)> {
         self.entries.iter().filter(|e| !e.dead).map(|e| (&e.form.sub, e.to))
+    }
+
+    /// The live slots of `id`'s entries, ascending: its chain from
+    /// [`RoutingTable::by_sub`].
+    fn owner_slots(&self, id: SubId) -> impl Iterator<Item = u32> + '_ {
+        let head = self.by_sub.get(&id).copied();
+        std::iter::successors(head, |&slot| {
+            Some(self.entries[slot as usize].next).filter(|&next| next != NIL)
+        })
+    }
+
+    /// Verifies the owner chains: every link names a live slot of its
+    /// owner, each chain ascends, and every live entry is reached from
+    /// its owner's head. Returns a description of the first violation.
+    pub(crate) fn check_owner_links(&self) -> Result<(), String> {
+        let mut reached = 0;
+        for (&id, &head) in &self.by_sub {
+            let (mut slot, mut prev) = (head, None);
+            loop {
+                let Some(e) = self.entries.get(slot as usize).filter(|e| !e.dead) else {
+                    return Err(format!("an owner link of {id} names slot {slot}, not a live one"));
+                };
+                if e.form.sub.id != id {
+                    return Err(format!("slot {slot} on {id}'s chain belongs to {}", e.form.sub.id));
+                }
+                if prev.is_some_and(|p| p >= slot) {
+                    return Err(format!("the chain of {id} does not ascend at slot {slot}"));
+                }
+                reached += 1;
+                prev = Some(slot);
+                if e.next == NIL {
+                    break;
+                }
+                slot = e.next;
+            }
+        }
+        if reached != self.len() {
+            return Err(format!(
+                "{reached} of {} live entries are reached from their owners' heads",
+                self.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Adds this table's stored partitions, members and hop groups to
@@ -1149,8 +1204,20 @@ impl RoutingTable {
                 },
             );
         }
-        by_sub.entry(sub.id).or_default().push(entry_id);
-        entries.push(Entry { form, to, seq, dead: false });
+        // Slots only grow, so the new one ends its owner's chain.
+        match by_sub.get(&sub.id) {
+            None => {
+                by_sub.insert(sub.id, entry_id);
+            }
+            Some(&head) => {
+                let mut tail = head as usize;
+                while entries[tail].next != NIL {
+                    tail = entries[tail].next as usize;
+                }
+                entries[tail].next = entry_id;
+            }
+        }
+        entries.push(Entry { form, to, seq, dead: false, next: NIL });
     }
 
     /// First-class incremental removal: tombstones every live entry of
@@ -1161,25 +1228,15 @@ impl RoutingTable {
     /// the table compacts once tombstones dominate. Returns the number of
     /// entries removed.
     pub fn remove_entry(&mut self, id: SubId, to: Option<NodeId>) -> usize {
-        // `by_sub` slots are ascending entry ids, so the victims come out
-        // in table order — identical to the old whole-table scan.
-        let victims: Vec<u32> = self
-            .by_sub
-            .get(&id)
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(|&v| {
-                let e = &self.entries[v as usize];
-                !e.dead && e.to == to
-            })
-            .collect();
-        let n = victims.len();
-        for v in victims {
+        // An owner's chain ascends, so the victims come out in table order
+        // — identical to a whole-table scan.
+        let victims: Vec<u32> =
+            self.owner_slots(id).filter(|&v| self.entries[v as usize].to == to).collect();
+        for &v in &victims {
             self.tombstone(v);
         }
         self.maybe_compact();
-        n
+        victims.len()
     }
 
     /// Covering-merged insert of a forwarding entry toward `to`, answering
@@ -1266,13 +1323,26 @@ impl RoutingTable {
         let entry = &mut self.entries[entry_id as usize];
         entry.dead = true;
         self.dead += 1;
+        let next = std::mem::replace(&mut entry.next, NIL);
         let form = Arc::clone(&entry.form);
         let id = form.sub.id;
-        if let Some(slots) = self.by_sub.get_mut(&id) {
-            slots.retain(|&s| s != entry_id);
-            if slots.is_empty() {
-                self.by_sub.remove(&id);
+        // Unlink the slot from its owner's chain.
+        match self.by_sub.get(&id) {
+            Some(&head) if head == entry_id => {
+                if next == NIL {
+                    self.by_sub.remove(&id);
+                } else {
+                    self.by_sub.insert(id, next);
+                }
             }
+            Some(&head) => {
+                let mut prev = head as usize;
+                while self.entries[prev].next != entry_id {
+                    prev = self.entries[prev].next as usize;
+                }
+                self.entries[prev].next = next;
+            }
+            None => {}
         }
         for stream in form.sub.streams.keys() {
             let Some(&p) = self.part_of.get(stream) else { continue };
@@ -1682,6 +1752,84 @@ mod tests {
         assert_eq!(table.remove_entry(SubId(1), None), 0);
         assert_eq!(table.remove_entry(SubId(2), Some(NodeId(9))), 0);
         assert_eq!(local_matches(&mut table, &probe), vec![SubId(2)]);
+    }
+
+    /// The live slots of `id` toward `to` by a scan of the whole table.
+    fn scanned(table: &RoutingTable, id: u64, to: Option<NodeId>) -> Vec<u32> {
+        let owned = |e: &Entry| !e.dead && e.form.sub.id == SubId(id) && e.to == to;
+        (0..table.entries.len() as u32).filter(|&v| owned(&table.entries[v as usize])).collect()
+    }
+
+    #[test]
+    fn owner_chains_ascend_through_inserts_drops_and_compaction() {
+        let narrow = |id, t| sub(id, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(t))]);
+        let mut table = RoutingTable::new();
+        // Owner 7 gets one entry toward each of hops 1 to 4, between 40
+        // narrow entries of others toward hop 9, and a local one.
+        for k in 0..40u32 {
+            table.ins(narrow(100 + u64::from(k), 500 + i64::from(k)), Some(NodeId(9)));
+            if k % 10 == 0 {
+                table.ins(narrow(7, 0), Some(NodeId(1 + k / 10)));
+            }
+        }
+        table.ins(narrow(7, 0), None);
+        table.check_owner_links().unwrap();
+        // A filterless arrival toward hop 9 drops the 40 narrow entries:
+        // the tombstones dominate and the table compacts.
+        let ForwardInsert::Inserted { dropped } = table.ins_covering(sub(200, vec![]), NodeId(9))
+        else {
+            panic!("nothing toward hop 9 covers a filterless subscription");
+        };
+        assert_eq!(dropped.len(), 40);
+        assert_eq!(table.entries.len(), 6, "five of owner 7 and the arrival, compacted");
+        table.ins(narrow(300, 1), Some(NodeId(2)));
+        table.ins(narrow(7, 0), Some(NodeId(2)));
+        table.ins(narrow(301, 1), Some(NodeId(2)));
+        table.check_owner_links().unwrap();
+        let chain: Vec<u32> = table.owner_slots(SubId(7)).collect();
+        assert_eq!(chain, vec![0, 1, 2, 3, 4, 7]);
+        // What `remove_entry` tombstones, in the order it does: the
+        // owner's chain toward the direction, which is the table scan's.
+        let toward_2: Vec<u32> =
+            chain.iter().copied().filter(|&v| table.entries[v as usize].to == Some(NodeId(2))).collect();
+        assert_eq!(toward_2, scanned(&table, 7, Some(NodeId(2))));
+        assert_eq!(toward_2, vec![1, 7]);
+        assert_eq!(table.remove_entry(SubId(7), Some(NodeId(2))), 2);
+        assert!(toward_2.iter().all(|&v| table.entries[v as usize].dead));
+        assert_eq!(table.owner_slots(SubId(7)).collect::<Vec<_>>(), vec![0, 2, 3, 4]);
+        table.check_owner_links().unwrap();
+        for to in [None, Some(NodeId(1)), Some(NodeId(3)), Some(NodeId(4))] {
+            assert_eq!(table.remove_entry(SubId(7), to), 1);
+        }
+        assert!(!table.by_sub.contains_key(&SubId(7)), "an owner with no entry has no head");
+        table.check_owner_links().unwrap();
+    }
+
+    #[test]
+    fn owner_link_check_catches_unreachable_entries_and_dead_links() {
+        // Owner 1 holds slots 0, 2 and 4.
+        let build = || {
+            let mut table = RoutingTable::new();
+            for (k, id) in [1, 2, 1, 3, 1].into_iter().enumerate() {
+                table.ins(sub(id, vec![]), Some(NodeId(k as u32)));
+            }
+            table.check_owner_links().unwrap();
+            table
+        };
+        let mut table = build();
+        table.entries[2].next = NIL;
+        let err = table.check_owner_links().unwrap_err();
+        assert!(err.contains("4 of 5 live entries"), "{err}");
+        let mut table = build();
+        assert_eq!(table.remove_entry(SubId(1), Some(NodeId(4))), 1);
+        table.check_owner_links().unwrap();
+        table.entries[2].next = 4;
+        let err = table.check_owner_links().unwrap_err();
+        assert!(err.contains("names slot 4, not a live one"), "{err}");
+        let mut table = build();
+        table.entries[0].next = 1;
+        let err = table.check_owner_links().unwrap_err();
+        assert!(err.contains("slot 1 on p1's chain belongs to p2"), "{err}");
     }
 
     #[test]
