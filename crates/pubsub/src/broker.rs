@@ -145,8 +145,22 @@ struct InstallRecord {
     /// Subscriptions whose presence suppressed part of this installation —
     /// a covering same-direction entry stopped our walk toward a source,
     /// or dropped an entry we had installed. If any of them leaves or
-    /// re-routes, this subscription must be re-propagated.
-    depends_on: BTreeSet<SubId>,
+    /// re-routes, this subscription must be re-propagated. An ascending
+    /// set ([`insert_sorted`]).
+    depends_on: Vec<SubId>,
+}
+
+/// Adds `id` to the ascending set `set`, returning `false` when it is
+/// already there. The first allocation holds exactly one id: most
+/// subscriptions depend on one coverer, and most coverers have a handful
+/// of dependents.
+fn insert_sorted(set: &mut Vec<SubId>, id: SubId) -> bool {
+    let Err(i) = set.binary_search(&id) else { return false };
+    if set.capacity() == 0 {
+        set.reserve_exact(1);
+    }
+    set.insert(i, id);
+    true
 }
 
 /// Covering as used for *routing-table pruning*: semantic covering plus
@@ -383,8 +397,9 @@ pub struct BrokerNetwork {
     subs_at: Vec<Vec<SubId>>,
     /// Reverse covering-dependency index: `dependents[y]` = subscriptions
     /// whose installation was suppressed by `y` and must re-propagate
-    /// when `y`'s routing state is torn down.
-    dependents: HashMap<SubId, BTreeSet<SubId>>,
+    /// when `y`'s routing state is torn down. Each an ascending set
+    /// ([`insert_sorted`]); a subscription nobody depends on has no key.
+    dependents: HashMap<SubId, Vec<SubId>>,
     /// Next installation sequence number.
     next_seq: u64,
     /// Covering-resolution work done by every install so far.
@@ -512,7 +527,7 @@ impl BrokerNetwork {
                     seq,
                     form: InstalledSub::new(sub),
                     entries: Vec::new(),
-                    depends_on: BTreeSet::new(),
+                    depends_on: Vec::new(),
                 },
             );
             self.install(id);
@@ -659,8 +674,8 @@ impl BrokerNetwork {
     /// `x` must re-propagate if `y`'s routing state is torn down.
     fn depend(&mut self, x: SubId, y: SubId) {
         if let Some(rec) = self.records.get_mut(&x) {
-            if rec.depends_on.insert(y) {
-                self.dependents.entry(y).or_default().insert(x);
+            if insert_sorted(&mut rec.depends_on, y) {
+                insert_sorted(self.dependents.entry(y).or_default(), x);
             }
         }
     }
@@ -694,7 +709,12 @@ impl BrokerNetwork {
         }
         for y in depends_on {
             if let Some(d) = self.dependents.get_mut(&y) {
-                d.remove(&id);
+                if let Ok(i) = d.binary_search(&id) {
+                    d.remove(i);
+                }
+                if d.is_empty() {
+                    self.dependents.remove(&y);
+                }
             }
         }
     }
@@ -702,18 +722,21 @@ impl BrokerNetwork {
     /// The set of subscriptions that must be re-propagated when every
     /// member of `roots` is torn down: the transitive closure over
     /// recorded covering dependencies.
-    fn dependent_closure(&self, roots: impl IntoIterator<Item = SubId>) -> BTreeSet<SubId> {
-        let mut wave: BTreeSet<SubId> = roots.into_iter().collect();
-        let mut work: Vec<SubId> = wave.iter().copied().collect();
+    /// Ascending, each member once.
+    fn dependent_closure(&self, roots: Vec<SubId>) -> Vec<SubId> {
+        let mut seen: HashSet<SubId> = roots.iter().copied().collect();
+        let mut work = roots;
         while let Some(y) = work.pop() {
             if let Some(ds) = self.dependents.get(&y) {
                 for &x in ds {
-                    if wave.insert(x) {
+                    if seen.insert(x) {
                         work.push(x);
                     }
                 }
             }
         }
+        let mut wave: Vec<SubId> = seen.into_iter().collect();
+        wave.sort_unstable();
         wave
     }
 
@@ -730,7 +753,7 @@ impl BrokerNetwork {
     /// (`tests/index_equivalence.rs` pins the smallest case). Cost is
     /// O(wave), never O(population): the subscriptions come out of their
     /// own ledger records.
-    fn repropagate(&mut self, wave: &BTreeSet<SubId>) {
+    fn repropagate(&mut self, wave: &[SubId]) {
         for &w in wave {
             self.uninstall(w);
         }
@@ -971,14 +994,14 @@ impl BrokerNetwork {
         }
         for (&x, rec) in &self.records {
             for y in &rec.depends_on {
-                if !self.dependents.get(y).is_some_and(|d| d.contains(&x)) {
+                if !self.dependents.get(y).is_some_and(|d| d.binary_search(&x).is_ok()) {
                     return Err(format!("dependency {x} -> {y} missing from the reverse index"));
                 }
             }
         }
         for (&y, deps) in &self.dependents {
             for &x in deps {
-                if !self.records.get(&x).is_some_and(|r| r.depends_on.contains(&y)) {
+                if !self.records.get(&x).is_some_and(|r| r.depends_on.binary_search(&y).is_ok()) {
                     return Err(format!("reverse dependency {x} -> {y} has no forward edge"));
                 }
             }
@@ -1125,12 +1148,12 @@ impl BrokerNetwork {
     /// `src`'s tree that request one of its streams. Walks the moved
     /// subtree's nodes, not the population: the per-node index yields
     /// exactly the subscribers that re-route.
-    fn rerouted_into(&self, roots: &mut BTreeSet<SubId>, moved: &[NodeId], src: NodeId) {
+    fn rerouted_into(&self, roots: &mut Vec<SubId>, moved: &[NodeId], src: NodeId) {
         for m in moved {
             for &id in &self.subs_at[m.index()] {
                 let sub = self.records[&id].form.sub();
                 if sub.streams.keys().any(|s| self.stream_source.get(s) == Some(&src)) {
-                    roots.insert(id);
+                    roots.push(id);
                 }
             }
         }
@@ -1163,7 +1186,7 @@ impl BrokerNetwork {
         joined: &[(NodeId, NodeId, f64)],
         leaving: &[SubId],
     ) {
-        let mut roots: BTreeSet<SubId> = leaving.iter().copied().collect();
+        let mut roots: Vec<SubId> = leaving.to_vec();
         let sources: Vec<NodeId> = if cut.is_empty() && joined.is_empty() {
             Vec::new()
         } else {
@@ -1187,7 +1210,9 @@ impl BrokerNetwork {
         // of the re-propagation wave, and their records are forgotten.
         for &id in leaving {
             self.uninstall(id);
-            wave.remove(&id);
+            if let Ok(i) = wave.binary_search(&id) {
+                wave.remove(i);
+            }
             self.forget(id);
             self.dependents.remove(&id);
         }
@@ -1439,7 +1464,7 @@ mod tests {
         assert_eq!(toward(&net, 1, 6), vec![SubId(6)], "entry at the meeting node");
         assert_eq!(toward(&net, 2, 1), vec![SubId(7)], "skipped one hop above it");
         assert_eq!(toward(&net, 3, 2), vec![SubId(7)], "and never offered to the source");
-        assert_eq!(net.records[&SubId(6)].depends_on, BTreeSet::from([SubId(7)]));
+        assert_eq!(net.records[&SubId(6)].depends_on, vec![SubId(7)]);
         net.check_ledger_consistency().expect("run ends below a covering entry");
         // The coverer leaves: the narrow walk is extended to the source.
         net.unsubscribe(SubId(7));
