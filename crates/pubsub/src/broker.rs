@@ -163,6 +163,11 @@ fn insert_sorted(set: &mut Vec<SubId>, id: SubId) -> bool {
     true
 }
 
+/// Whether the ascending set `set` holds `id`.
+fn contains_sorted(set: &[SubId], id: SubId) -> bool {
+    set.binary_search(&id).is_ok()
+}
+
 /// Covering as used for *routing-table pruning*: semantic covering plus
 /// needs preservation (see [`Subscription::needs`]).
 fn routing_covers(general: &Subscription, specific: &Subscription) -> bool {
@@ -877,6 +882,11 @@ impl BrokerNetwork {
         self.link_stats.clear();
     }
 
+    /// Number of live subscriptions (diagnostics).
+    pub fn subscription_count(&self) -> usize {
+        self.records.len()
+    }
+
     /// Number of routing entries at `node` (diagnostics).
     pub fn table_len(&self, node: NodeId) -> usize {
         self.tables[node.index()].len()
@@ -910,7 +920,8 @@ impl BrokerNetwork {
     ///   runs;
     /// - the per-node subscriber index lists each live subscription
     ///   exactly once, and the covering-dependency edges are symmetric
-    ///   between the forward and reverse indexes;
+    ///   between the forward and reverse indexes, which holds no empty
+    ///   set;
     /// - in every table, each owner's chain of entry slots names live
     ///   entries of that owner only, ascending, and together the chains
     ///   reach every live entry (the index removal walks).
@@ -994,14 +1005,17 @@ impl BrokerNetwork {
         }
         for (&x, rec) in &self.records {
             for y in &rec.depends_on {
-                if !self.dependents.get(y).is_some_and(|d| d.binary_search(&x).is_ok()) {
+                if !self.dependents.get(y).is_some_and(|d| contains_sorted(d, x)) {
                     return Err(format!("dependency {x} -> {y} missing from the reverse index"));
                 }
             }
         }
         for (&y, deps) in &self.dependents {
+            if deps.is_empty() {
+                return Err(format!("reverse index keeps an empty set for {y}"));
+            }
             for &x in deps {
-                if !self.records.get(&x).is_some_and(|r| r.depends_on.binary_search(&y).is_ok()) {
+                if !self.records.get(&x).is_some_and(|r| contains_sorted(&r.depends_on, y)) {
                     return Err(format!("reverse dependency {x} -> {y} has no forward edge"));
                 }
             }

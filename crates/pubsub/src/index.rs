@@ -1084,7 +1084,10 @@ impl RoutingTable {
                     return Err(format!("an owner link of {id} names slot {slot}, not a live one"));
                 };
                 if e.form.sub.id != id {
-                    return Err(format!("slot {slot} on {id}'s chain belongs to {}", e.form.sub.id));
+                    return Err(format!(
+                        "slot {slot} on {id}'s chain belongs to {}",
+                        e.form.sub.id
+                    ));
                 }
                 if prev.is_some_and(|p| p >= slot) {
                     return Err(format!("the chain of {id} does not ascend at slot {slot}"));
@@ -1225,8 +1228,8 @@ impl RoutingTable {
     /// one subscription can contribute several stream-restricted entries
     /// at a node toward the same hop). Hop-group unions and projection
     /// classes are updated only where the removed entries were members;
-    /// the table compacts once tombstones dominate. Returns the number of
-    /// entries removed.
+    /// the table compacts once tombstones dominate, and is cleared once no
+    /// live entry is left. Returns the number of entries removed.
     pub fn remove_entry(&mut self, id: SubId, to: Option<NodeId>) -> usize {
         // An owner's chain ascends, so the victims come out in table order
         // — identical to a whole-table scan.
@@ -1235,7 +1238,15 @@ impl RoutingTable {
         for &v in &victims {
             self.tombstone(v);
         }
-        self.maybe_compact();
+        if self.is_empty() {
+            // Below the compaction floor a table keeps its tombstones; one
+            // whose last live entry left keeps none of them, nor their
+            // room. Only the match state (and its counters) stays.
+            let scratch = std::mem::take(&mut self.scratch);
+            *self = Self { scratch, ..Self::default() };
+        } else {
+            self.maybe_compact();
+        }
         victims.len()
     }
 
@@ -1623,6 +1634,26 @@ mod tests {
     }
 
     #[test]
+    fn an_emptied_table_keeps_no_tombstones() {
+        let mut table = RoutingTable::new();
+        for i in 0..10u64 {
+            let s = sub(i, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(i as i64))]);
+            table.ins(s, Some(NodeId(1)));
+        }
+        fresh_match(&mut table, &Message::new("R", 0).with("a", Scalar::Int(5)), None);
+        for i in 0..9u64 {
+            assert_eq!(table.remove_entry(SubId(i), Some(NodeId(1))), 1);
+        }
+        assert_eq!(table.entries.len(), 10, "nine tombstones sit below the compaction floor");
+        assert_eq!(table.remove_entry(SubId(9), Some(NodeId(1))), 1);
+        let mut fp = RoutingFootprint::default();
+        table.add_footprint(&mut fp);
+        assert_eq!(fp, RoutingFootprint::default());
+        assert!(table.entries.is_empty() && table.classes.is_empty() && table.by_sub.is_empty());
+        assert_eq!(table.match_stats().messages, 1, "the match counters stay");
+    }
+
+    #[test]
     fn hop_union_shrinks_after_removal() {
         let mut table = RoutingTable::new();
         let narrow = Subscription::builder(NodeId(5))
@@ -1790,8 +1821,11 @@ mod tests {
         assert_eq!(chain, vec![0, 1, 2, 3, 4, 7]);
         // What `remove_entry` tombstones, in the order it does: the
         // owner's chain toward the direction, which is the table scan's.
-        let toward_2: Vec<u32> =
-            chain.iter().copied().filter(|&v| table.entries[v as usize].to == Some(NodeId(2))).collect();
+        let toward_2: Vec<u32> = chain
+            .iter()
+            .copied()
+            .filter(|&v| table.entries[v as usize].to == Some(NodeId(2)))
+            .collect();
         assert_eq!(toward_2, scanned(&table, 7, Some(NodeId(2))));
         assert_eq!(toward_2, vec![1, 7]);
         assert_eq!(table.remove_entry(SubId(7), Some(NodeId(2))), 2);

@@ -31,6 +31,7 @@ use cosmos_pubsub::subscription::{Message, StreamProjection, SubId, Subscription
 use cosmos_query::{AttrRef, CmpOp, Predicate, Scalar};
 use cosmos_util::rng::rng_for;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -438,6 +439,56 @@ fn heavy_churn_equals_wholesale_oracle() {
             }
         }
         pair.same_outcome();
+    }
+}
+
+/// The broker half of a soak: nothing the control plane stores outlives
+/// the population. Each cycle, `filter-fanout`'s covering-rich population
+/// arrives in one batch, a link beside a random subscriber fails, half
+/// the population leaves one by one in a seeded order, the link comes
+/// back, and the rest leaves. Every arrival builds the routing state the
+/// first one built, and after every cycle the network holds what a fresh
+/// one holds: no subscription, no table entry, a zero footprint (a table
+/// whose last entry leaves is cleared, tombstones and all) and a
+/// consistent ledger — which, with no record left, means no dependency
+/// key (a key names dependents with records, never an empty set) and no
+/// owner head in any table (a head names a live entry). `COSMOS_STRESS=1`
+/// runs 100 cycles of the full 3 000.
+#[test]
+fn churn_soak_returns_the_broker_to_empty() {
+    let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
+    let (cycles, population) = if stress { (100, 3_000) } else { (3, 1_000) };
+    let (mut net, subs) = cosmos_bench::fixtures::covering_rich_install(population);
+    let fresh = BrokerNetwork::new(net.topology().clone()).footprint();
+    let mut rng = rng_for(11, "index-churn-soak");
+    let mut arrived = None;
+    let consistent = |net: &BrokerNetwork, cycle: u32, at: &str| {
+        net.check_ledger_consistency().unwrap_or_else(|e| panic!("cycle {cycle}, {at}: {e}"));
+    };
+    for cycle in 0..cycles {
+        net.subscribe_batch(subs.clone());
+        let fp = net.footprint();
+        assert_eq!(*arrived.get_or_insert(fp), fp, "cycle {cycle}: the arrival built other state");
+        consistent(&net, cycle, "arrived");
+        let at = subs[rng.gen_range(0..subs.len())].subscriber;
+        let links: Vec<(NodeId, f64)> = net.topology().neighbors(at).collect();
+        let (to, latency) = links[rng.gen_range(0..links.len())];
+        assert!(net.fail_link(at, to));
+        let mut order: Vec<SubId> = subs.iter().map(|s| s.id).collect();
+        order.shuffle(&mut rng);
+        let (first, rest) = order.split_at(order.len() / 2);
+        for &id in first {
+            net.unsubscribe(id);
+        }
+        assert!(net.restore_link(at, to, latency));
+        consistent(&net, cycle, "half left");
+        for &id in rest {
+            net.unsubscribe(id);
+        }
+        consistent(&net, cycle, "all left");
+        assert_eq!(net.subscription_count(), 0);
+        assert!(net.topology().nodes().all(|n| net.table_len(n) == 0), "cycle {cycle}");
+        assert_eq!(net.footprint(), fresh, "cycle {cycle}: the emptied network keeps state");
     }
 }
 
