@@ -112,17 +112,6 @@ impl<K: Ord, V> VecMap<K, V> {
     }
 }
 
-impl<K: Ord, V> std::ops::Index<&K> for VecMap<K, V> {
-    type Output = V;
-
-    /// # Panics
-    ///
-    /// Panics when `key` is absent.
-    fn index(&self, key: &K) -> &V {
-        self.get(key).expect("key not present in the map")
-    }
-}
-
 impl<K: Ord, V> FromIterator<(K, V)> for VecMap<K, V> {
     /// Collects pairs in any order; a repeated key keeps its last value.
     /// Already-ascending input appends without moving anything.
@@ -149,7 +138,7 @@ mod tests {
         assert_eq!(map.insert(2, "b"), None);
         assert_eq!(map.insert(3, "C"), Some("c"));
         assert_eq!(map.iter().collect::<Vec<_>>(), vec![(&1, &"a"), (&2, &"b"), (&3, &"C")]);
-        assert_eq!((map.len(), map[&2]), (3, "b"));
+        assert_eq!((map.len(), map.get(&2)), (3, Some(&"b")));
         *map.get_mut(&1).unwrap() = "A";
         assert_eq!(map.keys().copied().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(map, [(2, "b"), (3, "c"), (1, "A"), (3, "C")].into_iter().collect());
@@ -165,6 +154,6 @@ mod tests {
         map.get_or_insert_default(5).push(3);
         assert_eq!(map.iter().collect::<Vec<_>>(), vec![(&5, &vec![3]), (&7, &vec![1, 2])]);
         map.values_mut().for_each(Vec::clear);
-        assert!(map[&7].is_empty());
+        assert!(map.get(&7).is_some_and(Vec::is_empty));
     }
 }
