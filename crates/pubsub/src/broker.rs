@@ -137,7 +137,9 @@ struct InstallRecord {
     /// The subscription itself, in its shared installed form — the ledger
     /// is the population store, so teardown and wave re-installation
     /// never scan a population list, and every entry of a single-source
-    /// installation shares this very `Arc`.
+    /// installation shares this very `Arc`. Its requests are the body the
+    /// subscriber handed in (a clone of a `Subscription` shares it), so the
+    /// network stores none of its own.
     form: Arc<InstalledSub>,
     /// Every `(node, direction)` whose routing table holds an entry this
     /// subscription contributed (`None` = the local delivery entry).
@@ -151,9 +153,8 @@ struct InstallRecord {
 }
 
 /// Adds `id` to the ascending set `set`, returning `false` when it is
-/// already there. The first allocation holds exactly one id: most
-/// subscriptions depend on one coverer, and most coverers have a handful
-/// of dependents.
+/// already there. The first allocation holds exactly one id, not the four
+/// of a `Vec`'s own first growth.
 fn insert_sorted(set: &mut Vec<SubId>, id: SubId) -> bool {
     let Err(i) = set.binary_search(&id) else { return false };
     if set.capacity() == 0 {

@@ -263,7 +263,7 @@ struct Entry {
     dead: bool,
     /// The owner's next live slot in this table (`NIL` ends the chain):
     /// an owner's live slots form one ascending chain from its
-    /// [`RoutingTable::by_sub`] head. It sits in what was padding.
+    /// [`RoutingTable::by_sub`] head. It fits in the entry's padding.
     next: u32,
 }
 
