@@ -24,9 +24,10 @@
 //! - [`fault`] / [`reliable`]: the fault plane — a seeded, deterministic
 //!   per-link fault schedule (drop / duplicate / reorder) countered by
 //!   per-link reliable exactly-once delivery (sequence numbers,
-//!   one cumulative ack per link per tick, retransmission with bounded
-//!   backoff over simulated time, dedup
-//!   windows), converging bit-for-bit to the fault-free delivery log.
+//!   cumulative acks sent only with news and at most once per link
+//!   delay, retransmission with bounded backoff over simulated time,
+//!   dedup windows), converging bit-for-bit to the fault-free delivery
+//!   log.
 //! - [`recovery`]: the crash-recovery plane — the network side of
 //!   `cosmos-engine`'s upstream-backup protocol (`ReplayHost`):
 //!   engine-hosting brokers checkpoint their operator state against a

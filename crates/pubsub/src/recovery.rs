@@ -472,12 +472,13 @@ mod tests {
     ///
     /// The plane's tick at quiescence is the due tick of the last event
     /// popped, a lazily cancelled retransmission timer: four link delays
-    /// after it was last armed. The receiver acks each tick's arrivals
-    /// once, so a burst of several frames on one link is acked whole and
-    /// leaves only the timer its send armed. An ack per frame would have
-    /// each partial ack re-arm it two link delays later, ending a
-    /// multi-frame settle up to 200 ticks later (the second row would read
-    /// 1 300).
+    /// after it was last armed. The receiver acks the arrivals of one link
+    /// delay once, one delay after the first of them, so a burst of
+    /// several frames on one link is acked whole and the ack returns three
+    /// link delays after the send, before the timer. That leaves only the
+    /// timer its send armed. An ack per frame would have each partial ack
+    /// re-arm it two link delays later, ending a multi-frame settle up to
+    /// 200 ticks later (the second row would read 1 300).
     ///
     /// The sequence does not depend on how the schedule is kept. A
     /// restore arms `now + interval` on the plane's clock, which is never
@@ -643,6 +644,54 @@ mod tests {
         r.restore_host(NodeId(2));
         assert_eq!(r.output_log(NodeId(2)), &expect[..]);
         assert_eq!(r.engine_stats(NodeId(2)), t.total_stats());
+    }
+
+    /// Publishes `n` more records to the recovery network and the
+    /// crash-free twin, collecting the twin's outputs.
+    fn publish_both(
+        r: &mut RecoveryNetwork,
+        t: &mut StreamEngine,
+        expect: &mut Vec<ResultTuple>,
+        next: &mut i64,
+        n: i64,
+    ) {
+        for i in *next..*next + n {
+            let m = msg(if i % 3 == 2 { "S" } else { "R" }, i * 100, i % 4);
+            assert!(r.publish(m.clone()));
+            expect.extend(t.push(m));
+        }
+        *next += n;
+    }
+
+    /// Crash/restore cycles over a lossy plane. After each cycle of
+    /// publish, settle, crash, publish, restore and settle: no frame is
+    /// left in flight, the host's outputs equal the crash-free twin's,
+    /// and the host retains exactly the records published since its last
+    /// acknowledged checkpoint. `COSMOS_STRESS=1` runs more cycles.
+    #[test]
+    fn crash_restore_soak_over_a_lossy_plane() {
+        let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
+        let cycles = if stress { 200 } else { 4 };
+        let host = NodeId(2);
+        let mut r = rec(FaultPlan::new(11, FaultConfig::lossy()), 500);
+        let (mut t, mut expect, mut published) = (twin(), Vec::new(), 0i64);
+        for cycle in 0..cycles {
+            publish_both(&mut r, &mut t, &mut expect, &mut published, 6 + cycle % 5);
+            r.settle();
+            r.crash_host(host);
+            publish_both(&mut r, &mut t, &mut expect, &mut published, 3);
+            r.restore_host(host);
+            r.settle();
+            assert_eq!(r.lossy().frames_in_flight(), 0, "frames stranded (cycle {cycle})");
+            assert_eq!(r.output_log(host), &expect[..], "outputs diverged (cycle {cycle})");
+            assert_eq!(
+                r.retained(host) as u64,
+                published as u64 - r.acked_watermark(host),
+                "retention is not the unacknowledged suffix (cycle {cycle})"
+            );
+        }
+        assert!(r.acked_watermark(host) > 0, "the schedule must have checkpointed");
+        assert!(r.lossy().fault_plan().total_injected() > 0, "the plane must have faulted");
     }
 
     #[test]

@@ -34,12 +34,25 @@
 //! exactly once, counting **goodput** — which must equal the fault-free
 //! link stats.
 //!
-//! Acks are cumulative, so one per tick says everything one per frame
-//! would. Every arrival, fresh or duplicate, marks the link as owing an
-//! ack; the first one in a tick schedules an ack-due event at the same
-//! tick, which fires after every arrival already queued for it (data
-//! frames are always scheduled at least one tick out) and sends one ack
-//! carrying `cum_next` as it then stands.
+//! Acks are cumulative and carry only news (delayed acknowledgement, as
+//! in RFC 1122 §4.2.3.2). The first arrival after an ack, fresh or
+//! duplicate, schedules an ack-due event [`ACK_WAIT_FACTOR`] link delays
+//! out, and every arrival on the link until then shares it. When it
+//! fires, an ack carrying `cum_next` goes out only if `cum_next` moved
+//! past the point the link's last ack carried, or a duplicate arrived
+//! since that ack. Otherwise nothing is sent: an out-of-order frame
+//! behind a gap would only repeat the last ack.
+//!
+//! A skipped ack cannot wedge the link. It would carry a cumulative point
+//! the sender already holds, or one whose earlier ack was lost. In the
+//! lost case the sender still has frames unacked, so its timer is armed
+//! and retransmits the first of them. That frame lies below the
+//! receiver's point, arrives as a stale duplicate, and is acked. If
+//! instead the sender's first unacked frame *is* the receiver's point,
+//! the retransmission fills the gap and moves `cum_next`. The wait is
+//! short enough that on a clean link the ack beats the timer: data (one
+//! delay), the wait and the ack's return make `2 + ACK_WAIT_FACTOR`
+//! delays, under the timeout's [`RTO_RTT_FACTOR`] (a `const` assert).
 //!
 //! The overhead ledger charges what senders put on the wire: originals,
 //! timer retransmissions and acks. Fault duplicates are the network's
@@ -77,6 +90,12 @@ const ACK_BYTES: u64 = 16;
 /// exponential up to `RTO_CAP_FACTOR` times that base.
 const RTO_RTT_FACTOR: u64 = 4;
 const RTO_CAP_FACTOR: u64 = 64;
+/// A receiver's wait, in link delays, from the first arrival after an ack
+/// to the ack that covers it and every arrival in between.
+const ACK_WAIT_FACTOR: u64 = 1;
+// On a clean link the ack returns before the timer fires: data, the
+// wait and the ack's return take `2 + ACK_WAIT_FACTOR` link delays.
+const _: () = assert!(RTO_RTT_FACTOR > 2 + ACK_WAIT_FACTOR);
 /// Event budget for [`LossyNetwork::run_to_quiescence`]: a protocol bug
 /// that stops convergence panics instead of hanging the suite.
 const MAX_EVENTS_PER_DRAIN: u64 = 200_000_000;
@@ -151,14 +170,24 @@ impl SendState {
 struct RecvState {
     cum_next: u64,
     ring: Vec<Option<DataFrame>>,
-    /// An arrival this tick is still unacknowledged; its ack-due event is
-    /// queued.
+    /// The cumulative point the link's last ack carried.
+    acked: u64,
+    /// A duplicate arrived since the last ack: the sender may be
+    /// retransmitting because that ack was lost.
+    duplicate: bool,
+    /// An arrival since the last ack-due event; the next one is queued.
     ack_owed: bool,
 }
 
 impl RecvState {
     fn new() -> Self {
-        Self { cum_next: 0, ring: (0..WINDOW).map(|_| None).collect(), ack_owed: false }
+        Self {
+            cum_next: 0,
+            ring: (0..WINDOW).map(|_| None).collect(),
+            acked: 0,
+            duplicate: false,
+            ack_owed: false,
+        }
     }
 }
 
@@ -166,7 +195,8 @@ impl RecvState {
 enum Event {
     /// A data frame arriving over `from → to`.
     Data { from: NodeId, to: NodeId, frame: DataFrame },
-    /// The receiver of data link `from → to` sends this tick's one ack.
+    /// The receiver of data link `from → to` acks the arrivals since its
+    /// last ack, if they carry news.
     AckDue { from: NodeId, to: NodeId },
     /// A cumulative ack arriving at the sender of `to → from`'s reverse:
     /// acknowledges the data link `sender → receiver`.
@@ -334,6 +364,14 @@ impl LossyNetwork {
         self.acks_sent
     }
 
+    /// Frames sent but not yet acknowledged, plus frames queued behind a
+    /// full window, over every link. Zero after
+    /// [`LossyNetwork::run_to_quiescence`]: an unacked frame keeps its
+    /// link's timer queued, so one still counted here was stranded.
+    pub fn frames_in_flight(&self) -> usize {
+        self.send.values().map(|ss| ss.unacked.len() + ss.pending.len()).sum()
+    }
+
     /// The fault schedule (injection telemetry lives here).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.plan
@@ -486,6 +524,7 @@ impl LossyNetwork {
         } else if frame.seq < rs.cum_next {
             // Stale duplicate (already accepted): drop, but still owe an
             // ack — the sender may be retransmitting because ours was lost.
+            rs.duplicate = true;
         } else {
             let slot = (frame.seq % WINDOW as u64) as usize;
             match &rs.ring[slot] {
@@ -494,6 +533,7 @@ impl LossyNetwork {
                     // same sequence (distinct live sequences map to
                     // distinct slots).
                     debug_assert_eq!(buffered.seq, frame.seq);
+                    rs.duplicate = true;
                 }
                 None => {
                     rs.ring[slot] = Some(frame);
@@ -512,7 +552,8 @@ impl LossyNetwork {
             }
         }
         if !std::mem::replace(&mut rs.ack_owed, true) {
-            self.clock.schedule_in(0, Event::AckDue { from: s, to: r });
+            let wait = ACK_WAIT_FACTOR * self.link_delay(s, r);
+            self.clock.schedule_in(wait, Event::AckDue { from: s, to: r });
         }
         for f in accepted {
             let stats = self.goodput.entry(undirected(s, r)).or_default();
@@ -522,11 +563,17 @@ impl LossyNetwork {
         }
     }
 
-    /// The one ack of this tick for data link `s → r`, carrying every
-    /// acceptance of the tick.
+    /// The one ack for data link `s → r` covering every arrival since the
+    /// last ack-due event, sent only if it carries news: a cumulative point
+    /// past the last ack's, or an answer to a duplicate.
     fn handle_ack_due(&mut self, s: NodeId, r: NodeId) {
         let rs = self.recv.get_mut(&(s, r)).expect("an owed ack has a receiver");
         rs.ack_owed = false;
+        if rs.cum_next == rs.acked && !rs.duplicate {
+            return;
+        }
+        rs.duplicate = false;
+        rs.acked = rs.cum_next;
         let cum = rs.cum_next;
         self.send_ack(s, r, cum);
     }
@@ -655,8 +702,8 @@ mod tests {
         assert!(log.iter().enumerate().all(|(i, d)| d.message.timestamp == i as i64));
         assert_eq!(lossy.retransmissions(), 0);
         assert_eq!(lossy.fault_plan().total_injected(), 0);
-        // Goodput equals one crossing per message. All ten arrive in one
-        // tick, so physical adds one cumulative ack.
+        // Goodput equals one crossing per message. All ten arrive within
+        // one link delay, so physical adds one cumulative ack.
         let goodput = lossy.goodput_stats();
         assert_eq!(goodput.len(), 1);
         assert_eq!(goodput[0].1.messages, 10);
@@ -683,7 +730,7 @@ mod tests {
         assert!(lossy.fault_plan().total_injected() > 30);
         let phys = lossy.physical_stats()[0].1.messages;
         assert_eq!(phys, goodput + lossy.retransmissions() + lossy.acks_sent());
-        assert!(lossy.acks_sent() < goodput, "acks are coalesced per tick");
+        assert!(lossy.acks_sent() < goodput, "acks are coalesced over one link delay");
     }
 
     #[test]
@@ -733,7 +780,8 @@ mod tests {
     #[test]
     fn arrivals_at_two_ticks_get_two_acks() {
         // WINDOW frames arrive together; the last one waits in `pending`
-        // until their ack returns, so it arrives two link delays later.
+        // until their ack returns, so it arrives three link delays after
+        // them, well past the first ack's wait.
         let mut lossy = pipe(FaultPlan::clean());
         for i in 0..=WINDOW as i64 {
             lossy.publish_lossy(msg(i));
@@ -748,8 +796,8 @@ mod tests {
     fn stale_duplicate_alone_in_its_tick_is_acked() {
         // The receiver's only ack is lost in flight, so the sender's timer
         // retransmits a frame the receiver already accepted. That stale
-        // duplicate arrives alone in its tick and must still be acked, or
-        // the sender would retransmit forever.
+        // duplicate moves no cumulative point, but it must still be acked,
+        // or the sender would retransmit forever.
         let mut lossy = pipe(FaultPlan::clean());
         lossy.publish_lossy(msg(0));
         let mut lost = false;
@@ -768,6 +816,122 @@ mod tests {
         assert_eq!(ss.base, 1);
     }
 
+    /// Pops the first `n` events, which a fresh burst's data frames are,
+    /// so a test can deliver them in its own order.
+    fn take_frames(lossy: &mut LossyNetwork, n: usize) -> Vec<DataFrame> {
+        (0..n)
+            .map(|_| match lossy.clock.pop() {
+                Some((_, Event::Data { frame, .. })) => frame,
+                _ => panic!("a burst's frames are the first events due"),
+            })
+            .collect()
+    }
+
+    fn data(frame: &DataFrame) -> Event {
+        Event::Data { from: NodeId(0), to: NodeId(1), frame: frame.clone() }
+    }
+
+    /// Dispatches events up to and including the next ack-due event.
+    fn until_ack_due(lossy: &mut LossyNetwork) {
+        while let Some((_, ev)) = lossy.clock.pop() {
+            let due = matches!(ev, Event::AckDue { .. });
+            lossy.dispatch(ev);
+            if due {
+                return;
+            }
+        }
+        panic!("no ack-due event was queued");
+    }
+
+    /// Frames 0, 1 and 2 in flight: 0 arrives and is acked, then 2
+    /// arrives behind the gap 1 leaves and its ack-due event fires.
+    fn gap_behind_the_acked_point() -> (LossyNetwork, Vec<DataFrame>) {
+        let mut lossy = pipe(FaultPlan::clean());
+        for i in 0..3 {
+            lossy.publish_lossy(msg(i));
+        }
+        let frames = take_frames(&mut lossy, 3);
+        lossy.dispatch(data(&frames[0]));
+        until_ack_due(&mut lossy);
+        assert_eq!(lossy.acks_sent(), 1, "moving the cumulative point to 1 is news");
+        lossy.dispatch(data(&frames[2]));
+        until_ack_due(&mut lossy);
+        (lossy, frames)
+    }
+
+    #[test]
+    fn out_of_order_arrival_behind_a_gap_sends_no_ack() {
+        let (mut lossy, _) = gap_behind_the_acked_point();
+        assert_eq!(lossy.acks_sent(), 1, "repeating point 1 would tell the sender nothing");
+        assert_eq!(lossy.physical_stats()[0].1.messages, 3 + 1, "and nothing is charged");
+        // The sender's timer resends frame 1, which fills the gap.
+        lossy.run_to_quiescence();
+        assert_eq!(lossy.retransmissions(), 1);
+        assert_eq!(lossy.acks_sent(), 2);
+        let log = lossy.converged_log();
+        assert!(log.iter().map(|d| d.message.timestamp).eq(0..3));
+        assert_eq!(lossy.frames_in_flight(), 0);
+    }
+
+    #[test]
+    fn stale_duplicate_after_the_ack_sends_exactly_one_ack() {
+        let (mut lossy, frames) = gap_behind_the_acked_point();
+        // Frame 0 twice more, within one wait: both stale duplicates.
+        lossy.dispatch(data(&frames[0]));
+        lossy.dispatch(data(&frames[0]));
+        until_ack_due(&mut lossy);
+        assert_eq!(lossy.acks_sent(), 2, "the duplicates are answered by one ack");
+        lossy.run_to_quiescence();
+        assert_eq!(lossy.acks_sent(), 3, "and the timer's gap fill by one more");
+        assert_eq!(lossy.converged_log().len(), 3, "nothing is delivered twice");
+        assert_eq!(lossy.frames_in_flight(), 0);
+    }
+
+    #[test]
+    fn arrivals_within_one_link_delay_share_one_ack() {
+        // Frame 1 arrives half a link delay after frame 0, in a later
+        // tick but before frame 0's ack is due.
+        let mut lossy = pipe(FaultPlan::clean());
+        lossy.publish_lossy(msg(0));
+        lossy.publish_lossy(msg(1));
+        let frames = take_frames(&mut lossy, 2);
+        lossy.dispatch(data(&frames[0]));
+        let half = lossy.link_delay(NodeId(0), NodeId(1)) / 2;
+        lossy.clock.schedule_in(half, data(&frames[1]));
+        lossy.run_to_quiescence();
+        assert_eq!(lossy.acks_sent(), 1);
+        assert_eq!(lossy.retransmissions(), 0, "the shared ack still beats the timer");
+        assert!(lossy.converged_log().iter().map(|d| d.message.timestamp).eq(0..2));
+        assert_eq!(lossy.frames_in_flight(), 0);
+    }
+
+    #[test]
+    fn link_converges_when_a_waves_final_ack_is_lost() {
+        // Two waves: WINDOW frames, then the one `pending` held back. The
+        // ack closing the second wave is lost, so the timer resends frame
+        // WINDOW, now a stale duplicate, and that ack closes the link.
+        let mut lossy = pipe(FaultPlan::clean());
+        for i in 0..=WINDOW as i64 {
+            lossy.publish_lossy(msg(i));
+        }
+        let mut acks = 0;
+        while let Some((_, ev)) = lossy.clock.pop() {
+            if matches!(ev, Event::Ack { .. }) {
+                acks += 1;
+                if acks == 2 {
+                    continue;
+                }
+            }
+            lossy.dispatch(ev);
+        }
+        assert_eq!(acks, 3);
+        assert_eq!(lossy.acks_sent(), 3);
+        assert_eq!(lossy.retransmissions(), 1);
+        assert_eq!(lossy.converged_log().len(), WINDOW + 1);
+        assert_eq!(lossy.frames_in_flight(), 0);
+        assert_eq!(lossy.send[&(NodeId(0), NodeId(1))].base, WINDOW as u64 + 1);
+    }
+
     #[test]
     fn in_window_duplicate_sharing_a_tick_adds_no_ack() {
         // Frames 0 and 1 reach the receiver in one tick as 1, 1, 0: the
@@ -776,18 +940,7 @@ mod tests {
         let mut lossy = pipe(FaultPlan::clean());
         lossy.publish_lossy(msg(0));
         lossy.publish_lossy(msg(1));
-        let mut frames = Vec::new();
-        for _ in 0..2 {
-            let Some((_, Event::Data { frame, .. })) = lossy.clock.pop() else {
-                panic!("both frames are the first events due");
-            };
-            frames.push(frame);
-        }
-        let data = |frame: &DataFrame| Event::Data {
-            from: NodeId(0),
-            to: NodeId(1),
-            frame: frame.clone(),
-        };
+        let frames = take_frames(&mut lossy, 2);
         for f in [&frames[1], &frames[1], &frames[0]] {
             lossy.dispatch(data(f));
         }

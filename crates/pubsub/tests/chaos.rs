@@ -127,8 +127,11 @@ fn random_message(rng: &mut StdRng, ts: i64) -> Message {
 
 /// The overhead ledger at quiescence: every frame a sender put on the
 /// wire is an original (accepted exactly once, so goodput), a timer
-/// retransmission or an ack. Fault duplicates are not charged.
+/// retransmission or an ack. Fault duplicates are not charged. And no
+/// frame is left unacked: a drain ends only when no timer is left to fire,
+/// so a frame still in flight would have been stranded.
 fn assert_physical_identity(lossy: &LossyNetwork, at: &str) {
+    assert_eq!(lossy.frames_in_flight(), 0, "frames stranded at quiescence ({at})");
     let messages = |stats: Vec<(_, LinkStats)>| stats.iter().map(|(_, s)| s.messages).sum::<u64>();
     let (physical, goodput) = (messages(lossy.physical_stats()), messages(lossy.goodput_stats()));
     assert_eq!(
@@ -398,7 +401,8 @@ fn chaos_converges_to_fault_free_oracle() {
 }
 
 /// Deterministic replay: the same seed must reproduce the exact same
-/// converged log, fault schedule, and overhead accounting.
+/// converged log, fault schedule, and overhead accounting — and that
+/// accounting is pinned, so a protocol change shows up here as a diff.
 #[test]
 fn chaos_trials_replay_deterministically() {
     let run = || {
@@ -428,14 +432,21 @@ fn chaos_trials_replay_deterministically() {
             lossy.converged_log(),
             lossy.fault_plan().injected(),
             lossy.retransmissions(),
+            lossy.acks_sent(),
             lossy.physical_stats(),
         )
     };
-    let (log_a, faults_a, rtx_a, phys_a) = run();
-    let (log_b, faults_b, rtx_b, phys_b) = run();
+    let (log_a, faults_a, rtx_a, acks_a, phys_a) = run();
+    let (log_b, faults_b, rtx_b, acks_b, phys_b) = run();
     assert_eq!(log_a, log_b);
     assert_eq!(faults_a, faults_b);
     assert_eq!(rtx_a, rtx_b);
+    assert_eq!(acks_a, acks_b);
     assert_eq!(phys_a, phys_b);
     assert!(faults_a.0 > 0 && rtx_a > 0, "replay must exercise drops and retransmissions");
+    // A receiver acks only news, at most once per link delay. When it
+    // acked once per link per tick, this schedule read 84 acks, 31
+    // retransmissions and 305 physical messages.
+    let physical: u64 = phys_a.iter().map(|(_, s)| s.messages).sum();
+    assert_eq!((acks_a, rtx_a, physical), (60, 28, 278), "(acks, retransmissions, physical)");
 }
