@@ -26,7 +26,7 @@ use cosmos_bench::fixtures::{
     result_stream_install, scaling_message, scaling_sub, shared_split_queries, toggle_dirty,
     ADAPT_SEED,
 };
-use cosmos_core::adaptive::{adapt_wholesale, AdaptConfig};
+use cosmos_core::adaptive::AdaptConfig;
 use cosmos_core::distribute::Distributor;
 use cosmos_core::online::OnlineRouter;
 use cosmos_core::IncrementalOptimizer;
@@ -373,9 +373,10 @@ fn bench_coarsen_dense() -> f64 {
 /// level-1 leaf per round. The incremental optimizer rebuilds and
 /// re-coarsens that leaf's graph, re-scores the root-to-leaf path, and
 /// fingerprint-reuses every other subtree's coarsening and placement;
-/// the `-wholesale` twin recomputes the whole pipeline with the same
-/// seed, producing the identical assignment. The gap is the delta-driven
-/// optimizer's claim.
+/// the `-wholesale` twin runs each round on a fresh optimizer with the
+/// same seed, whose empty memo recomputes the whole pipeline, producing
+/// the identical assignment. The gap is the delta-driven optimizer's
+/// claim.
 fn bench_adapt_round(n_queries: u64, wholesale: bool) -> f64 {
     let cosmos_bench::fixtures::AdaptWorld { dep, tree, table, mut specs, current, dirty } =
         adapt_world(n_queries);
@@ -393,7 +394,9 @@ fn bench_adapt_round(n_queries: u64, wholesale: bool) -> f64 {
         toggle_dirty(&mut specs, &dirty, step);
         step += 1;
         let out = if wholesale {
-            adapt_wholesale(&d, &specs, &current, &config, seed)
+            let mut fresh =
+                IncrementalOptimizer::new(seed, config).expect("default config is valid");
+            fresh.round(&d, &specs, &current)
         } else {
             opt.round(&d, &specs, &current)
         };

@@ -588,9 +588,9 @@ pub mod fixtures {
         let d = cosmos_core::distribute::Distributor::new(&dep, &tree, &table);
         let config = cosmos_core::adaptive::AdaptConfig::default();
         for _ in 0..3 {
-            current =
-                cosmos_core::adaptive::adapt_wholesale(&d, &specs, &current, &config, ADAPT_SEED)
-                    .assignment;
+            let mut opt = cosmos_core::IncrementalOptimizer::new(ADAPT_SEED, config)
+                .expect("default config is valid");
+            current = opt.round(&d, &specs, &current).assignment;
         }
         drop(d);
         // The dirty 1%: the settled queries of one processor (re-homed

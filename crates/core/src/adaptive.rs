@@ -8,6 +8,9 @@
 //! repeat the procedure on the finer-grained vertices they receive, down to
 //! the processors. Actual query migration happens only after all decisions
 //! are made — the driver compares the old and new assignments.
+//! A round runs through
+//! [`IncrementalOptimizer::round`](crate::IncrementalOptimizer::round),
+//! whose memo lets it skip subtrees whose inputs did not change.
 //!
 //! Vertex-selection heuristics from the paper, all implemented here:
 //!
@@ -36,18 +39,12 @@
 use crate::coarsen::CoarsenStats;
 use crate::distribute::{place_work, DistTiming, Distributor, HierarchyGraphs, RefineStats};
 use crate::graph::QgVertex;
-use crate::incremental::{vertex_raw_fp, HierCache, PlaceStore};
+use crate::incremental::Memo;
 use crate::mapping::{pick_target, placement_cost};
 use crate::spec::{Assignment, QuerySpec};
-use cosmos_net::NodeId;
-use cosmos_query::QueryId;
 use cosmos_util::rng::rng_for_indexed;
 use cosmos_util::solver::diffusion_solution;
 use rand::seq::SliceRandom;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Tuning knobs for adaptation.
 #[derive(Debug, Clone, Copy)]
@@ -111,107 +108,23 @@ pub struct AdaptOutcome {
     /// Optimizer running time.
     pub timing: DistTiming,
     /// Coarsening work actually performed (an incremental round's cache
-    /// hits cost none — like `timing`, exempt from the oracle comparison).
+    /// hits cost none — like `timing`, exempt from the comparison with a
+    /// fresh optimizer's round).
     pub coarsen: CoarsenStats,
     /// Work of the round's closing pass.
     pub refine: RefineStats,
 }
 
-/// The per-coordinator subtree memo used by the incremental optimizer
-/// during the top-down phase: when neither a subtree's work vertices
-/// (compared content-deep via the phase-A output fingerprints) nor the
-/// current homes of its queries changed since the cached round, the whole
-/// subtree's placement decisions are spliced in from the previous round
-/// instead of re-running diffusion and refinement.
-pub(crate) struct PlaceCache<'a> {
-    /// Persistent entries + hit counters, owned by the optimizer.
-    pub store: &'a mut PlaceStore,
-    /// This round's per-coordinator output fingerprints from phase A.
-    pub out_fps: &'a HashMap<usize, Vec<u64>>,
-}
-
-impl PlaceCache<'_> {
-    /// Fingerprint of everything a subtree's decisions depend on (beyond
-    /// the per-optimizer environment): the work vertices, content-deep,
-    /// and the current home of every query they contain.
-    fn subtree_fp(&self, work: &[QgVertex], current: &Assignment, rates: &[f64]) -> u64 {
-        let mut h = DefaultHasher::new();
-        for v in work {
-            match v.tag {
-                Some((coord, idx)) => self.out_fps[&coord][idx].hash(&mut h),
-                None => vertex_raw_fp(v, rates).hash(&mut h),
-            }
-            for &q in &v.queries {
-                q.hash(&mut h);
-                match current.processor_of(q) {
-                    Some(p) => {
-                        1u8.hash(&mut h);
-                        p.hash(&mut h);
-                    }
-                    None => 0u8.hash(&mut h),
-                }
-            }
-        }
-        h.finish()
-    }
-
-    fn lookup(&mut self, coord: usize, fp: u64) -> Option<Arc<Vec<(QueryId, NodeId)>>> {
-        match self.store.entries.get(&coord) {
-            Some((stored, placements)) if *stored == fp => {
-                self.store.hits += 1;
-                Some(placements.clone())
-            }
-            _ => {
-                self.store.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, coord: usize, fp: u64, sub: &Assignment) {
-        let mut pairs: Vec<(QueryId, NodeId)> = sub.iter().collect();
-        pairs.sort_unstable_by_key(|&(q, _)| q);
-        self.store.entries.insert(coord, (fp, Arc::new(pairs)));
-    }
-}
-
-/// Runs one hierarchical adaptation round over the current assignment —
-/// the batch path, recomputing everything from scratch. This doubles as
-/// the differential oracle for
-/// [`crate::incremental::IncrementalOptimizer::round`], which must produce
-/// the identical outcome.
-///
-/// `specs` must contain every query in `current`.
-///
-/// # Panics
-///
-/// Panics if `config` fails [`AdaptConfig::validate`], if a query in
-/// `specs` is missing from `current`, or if one is placed on an unknown
-/// processor.
-pub fn adapt_wholesale(
+/// The body of [`IncrementalOptimizer::round`](crate::IncrementalOptimizer::round),
+/// which has validated `config` and started `memo`'s round.
+pub(crate) fn run_round(
     d: &Distributor<'_>,
     specs: &[QuerySpec],
     current: &Assignment,
     config: &AdaptConfig,
     seed: u64,
+    memo: &mut Memo,
 ) -> AdaptOutcome {
-    adapt_with_caches(d, specs, current, config, seed, None)
-}
-
-/// The shared adaptation round behind [`adapt_wholesale`] (`caches:
-/// None`) and the incremental optimizer (`caches: Some`): one
-/// implementation, so the batch path and the memoized path cannot drift.
-pub(crate) fn adapt_with_caches(
-    d: &Distributor<'_>,
-    specs: &[QuerySpec],
-    current: &Assignment,
-    config: &AdaptConfig,
-    seed: u64,
-    mut caches: Option<(&mut HierCache, &mut PlaceStore)>,
-) -> AdaptOutcome {
-    if let Err(e) = config.validate() {
-        panic!("invalid AdaptConfig: {e}");
-    }
     let mut timing = DistTiming::default();
     let root = d.tree.root();
     if specs.is_empty() || d.tree.node(root).children.is_empty() {
@@ -232,7 +145,7 @@ pub(crate) fn adapt_with_caches(
                 .processor_of(spec.id)
                 .unwrap_or_else(|| panic!("query {} missing from current assignment", spec.id))
         },
-        caches.as_mut().map(|(h, _)| &mut **h),
+        Some(&mut *memo),
     );
 
     // Top-down redistribution. The root operates on its *combined* graph
@@ -241,7 +154,6 @@ pub(crate) fn adapt_with_caches(
     // child" would be ambiguous and every round's (re-seeded) coarsening
     // would force different spurious co-location migrations.
     let root_work: Vec<QgVertex> = graphs.constituents[root].iter().flatten().cloned().collect();
-    let mut place = caches.map(|(h, p)| PlaceCache { out_fps: h.round_out_fps(), store: p });
     let response = adapt_down(
         d,
         config,
@@ -252,7 +164,7 @@ pub(crate) fn adapt_with_caches(
         &mut next,
         &mut timing,
         seed,
-        place.as_mut(),
+        memo,
     );
     timing.response += response;
 
@@ -285,7 +197,7 @@ fn adapt_down(
     next: &mut Assignment,
     timing: &mut DistTiming,
     seed: u64,
-    mut cache: Option<&mut PlaceCache<'_>>,
+    memo: &mut Memo,
 ) -> std::time::Duration {
     let node = d.tree.node(coord);
     if node.level == 0 {
@@ -294,19 +206,18 @@ fn adapt_down(
     }
     // Subtree memo: replay the previous round's decisions for this whole
     // subtree when its inputs are fingerprint-identical.
-    let fp = cache.as_ref().map(|c| c.subtree_fp(&work, current, d.table.rates()));
-    if let (Some(c), Some(fp)) = (cache.as_deref_mut(), fp) {
-        if let Some(placements) = c.lookup(coord, fp) {
+    let key = match memo.lookup_place(coord, &work, current, d.table.rates()) {
+        Ok(placements) => {
             for &(q, p) in placements.iter() {
                 next.place(q, p);
             }
             return std::time::Duration::ZERO;
         }
-    }
-    // On a miss with an active cache, decisions are collected into a local
-    // assignment so the subtree's placements can be stored before being
-    // merged into `next`.
-    let mut local = if cache.is_some() { Some(Assignment::new()) } else { None };
+        Err(key) => key,
+    };
+    // On a miss, decisions are collected into a local assignment so the
+    // subtree's placements can be stored before being merged into `next`.
+    let mut local = Assignment::new();
     let mut sw = cosmos_util::Stopwatch::new();
     sw.start();
     let mut rng = rng_for_indexed(seed, "adapt", coord as u64);
@@ -500,30 +411,16 @@ fn adapt_down(
     timing.total += sw.elapsed();
     let own = sw.elapsed();
     let mut child_max = std::time::Duration::ZERO;
-    {
-        let out: &mut Assignment = local.as_mut().unwrap_or(next);
-        for (pos, child_work) in per_child.into_iter().enumerate() {
-            let child = node.children[pos];
-            let t = adapt_down(
-                d,
-                config,
-                child,
-                child_work,
-                graphs,
-                current,
-                out,
-                timing,
-                seed,
-                cache.as_deref_mut(),
-            );
-            child_max = child_max.max(t);
-        }
+    for (pos, child_work) in per_child.into_iter().enumerate() {
+        let child = node.children[pos];
+        let t = adapt_down(
+            d, config, child, child_work, graphs, current, &mut local, timing, seed, memo,
+        );
+        child_max = child_max.max(t);
     }
-    if let (Some(c), Some(local)) = (cache, local) {
-        c.insert(coord, fp.expect("fp computed when cache is active"), &local);
-        for (q, p) in local.iter() {
-            next.place(q, p);
-        }
+    memo.store_place(coord, key, &local);
+    for (q, p) in local.iter() {
+        next.place(q, p);
     }
     own + child_max
 }
@@ -532,6 +429,7 @@ fn adapt_down(
 mod tests {
     use super::*;
     use crate::hierarchy::CoordinatorTree;
+    use crate::IncrementalOptimizer;
     use cosmos_net::{Deployment, NodeId, TransitStubConfig};
     use cosmos_pubsub::SubstreamTable;
     use cosmos_query::QueryId;
@@ -581,6 +479,18 @@ mod tests {
             .collect()
     }
 
+    /// One round of a fresh optimizer: an empty memo, so every
+    /// coordinator's work is done afresh.
+    fn fresh_round(
+        d: &Distributor<'_>,
+        specs: &[QuerySpec],
+        current: &Assignment,
+        seed: u64,
+    ) -> AdaptOutcome {
+        let mut opt = IncrementalOptimizer::new(seed, AdaptConfig::default()).expect("valid");
+        opt.round(d, specs, current)
+    }
+
     /// Very skewed assignment: everything on one processor.
     fn skewed_assignment(specs: &[QuerySpec], node: NodeId) -> Assignment {
         specs.iter().map(|q| (q.id, node)).collect()
@@ -593,7 +503,7 @@ mod tests {
         let d = Distributor::new(&dep, &tree, &table);
         let specs = random_specs(&dep, &table, 60, 2);
         let current = random_assignment(&specs, &dep, 3);
-        let out = adapt_wholesale(&d, &specs, &current, &AdaptConfig::default(), 4);
+        let out = fresh_round(&d, &specs, &current, 4);
         assert_eq!(out.assignment.len(), 60);
         for q in &specs {
             assert!(dep.processors().contains(&out.assignment.processor_of(q.id).unwrap()));
@@ -610,7 +520,7 @@ mod tests {
         let before = stddev(&current.loads(&specs, dep.processors()));
         let mut a = current.clone();
         for round in 0..4 {
-            a = adapt_wholesale(&d, &specs, &a, &AdaptConfig::default(), 10 + round).assignment;
+            a = fresh_round(&d, &specs, &a, 10 + round).assignment;
         }
         let after = stddev(&a.loads(&specs, dep.processors()));
         assert!(after < before * 0.5, "load stddev should drop substantially: {before} -> {after}");
@@ -630,7 +540,7 @@ mod tests {
         let before = comm_cost(&current);
         let mut a = current.clone();
         for round in 0..5 {
-            a = adapt_wholesale(&d, &specs, &a, &AdaptConfig::default(), 20 + round).assignment;
+            a = fresh_round(&d, &specs, &a, 20 + round).assignment;
         }
         let after = comm_cost(&a);
         assert!(after < before, "adaptation should reduce communication cost: {before} -> {after}");
@@ -646,7 +556,7 @@ mod tests {
         let initial = d.distribute(&specs, 9).assignment;
         let mut a = initial.clone();
         for round in 0..3 {
-            a = adapt_wholesale(&d, &specs, &a, &AdaptConfig::default(), 30 + round).assignment;
+            a = fresh_round(&d, &specs, &a, 30 + round).assignment;
         }
         let churn = a.migrations_from(&initial);
         assert!(
@@ -663,7 +573,7 @@ mod tests {
         let d = Distributor::new(&dep, &tree, &table);
         let specs = random_specs(&dep, &table, 40, 11);
         let current = random_assignment(&specs, &dep, 12);
-        let out = adapt_wholesale(&d, &specs, &current, &AdaptConfig::default(), 13);
+        let out = fresh_round(&d, &specs, &current, 13);
         assert_eq!(out.migrations, out.assignment.migrations_from(&current));
         if out.migrations == 0 {
             assert_eq!(out.moved_state, 0.0);
@@ -677,7 +587,7 @@ mod tests {
         let (dep, table) = fixture(6);
         let tree = CoordinatorTree::build(&dep, 2);
         let d = Distributor::new(&dep, &tree, &table);
-        let out = adapt_wholesale(&d, &[], &Assignment::new(), &AdaptConfig::default(), 0);
+        let out = fresh_round(&d, &[], &Assignment::new(), 0);
         assert_eq!(out.migrations, 0);
         assert!(out.assignment.is_empty());
     }
@@ -692,15 +602,5 @@ mod tests {
         assert!(bad.validate().unwrap_err().contains("max_moves_factor"));
         let bad = AdaptConfig { min_improvement: -0.1, ..AdaptConfig::default() };
         assert!(bad.validate().unwrap_err().contains("min_improvement"));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid AdaptConfig")]
-    fn invalid_config_panics_at_the_adaptation_round() {
-        let (dep, table) = fixture(8);
-        let tree = CoordinatorTree::build(&dep, 2);
-        let d = Distributor::new(&dep, &tree, &table);
-        let bad = AdaptConfig { x_fraction: -1.0, ..AdaptConfig::default() };
-        let _ = adapt_wholesale(&d, &[], &Assignment::new(), &bad, 0);
     }
 }

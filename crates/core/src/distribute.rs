@@ -44,7 +44,7 @@
 use crate::coarsen::{coarsen, CoarsenStats, Coarsened};
 use crate::graph::{effective_rates, load_limits, NetVertex, NetworkGraph, QgVertex, QueryGraph};
 use crate::hierarchy::CoordinatorTree;
-use crate::incremental::HierCache;
+use crate::incremental::Memo;
 use crate::mapping::{admissible, map_graph, map_greedy, MappingResult, PinOf};
 use crate::spec::{Assignment, QuerySpec};
 use cosmos_net::{Deployment, NodeId};
@@ -603,18 +603,17 @@ impl<'a> Distributor<'a> {
     /// `home_of` decides which processor a query is grouped under (proxy
     /// for initial distribution, current placement for adaptation).
     ///
-    /// With `cache` present (the incremental optimizer's memo), each
-    /// coordinator's inputs are fingerprinted first: an unchanged
-    /// fingerprint reuses the cached outputs and Arc-shares the cached
-    /// constituents; a changed one builds and coarsens a fresh graph,
-    /// which is all the batch path (`None`) ever does.
+    /// With `memo` present (an adaptation round's), each coordinator first
+    /// asks it for a replay: unchanged inputs reuse the cached outputs and
+    /// Arc-share the cached constituents; changed ones build and coarsen
+    /// a fresh graph, which is all `distribute` (`None`) ever does.
     pub(crate) fn build_hierarchy_graphs(
         &self,
         specs: &[QuerySpec],
         seed: u64,
         timing: &mut DistTiming,
         home_of: impl Fn(&QuerySpec) -> NodeId,
-        mut cache: Option<&mut HierCache>,
+        mut memo: Option<&mut Memo>,
     ) -> HierarchyGraphs {
         let n_coords = self.tree.len();
         let mut outputs: Vec<Vec<QgVertex>> = vec![Vec::new(); n_coords];
@@ -643,9 +642,6 @@ impl<'a> Distributor<'a> {
             );
             by_coord.entry(parent).or_default().push(spec);
         }
-        if let Some(c) = cache.as_deref_mut() {
-            c.begin_round();
-        }
 
         for coord in self.tree.internal_bottom_up() {
             let mut sw = cosmos_util::Stopwatch::new();
@@ -660,18 +656,9 @@ impl<'a> Distributor<'a> {
                 Vec::new()
             };
 
-            let (input_fp, hit) = match cache.as_deref_mut() {
-                Some(c) => {
-                    let fp = if node.level == 1 {
-                        c.leaf_input_fp(&leaf_specs, rates)
-                    } else {
-                        c.internal_input_fp(&node.children)
-                    };
-                    (fp, c.lookup(coord, fp))
-                }
-                None => (0, None),
-            };
-            let (out, cons) = if let Some(hit) = hit {
+            let lookup =
+                memo.as_deref_mut().map(|m| m.lookup_hier(coord, node, &leaf_specs, rates));
+            let (out, cons) = if let Some(Ok(hit)) = lookup {
                 hit
             } else {
                 let fine: Vec<QgVertex> = if node.level == 1 {
@@ -685,8 +672,8 @@ impl<'a> Distributor<'a> {
                 coarsen_stats += co.stats;
                 let (out, cons) = tag_outputs(coord, co);
                 let cons = Arc::new(cons);
-                if let Some(c) = cache.as_deref_mut() {
-                    c.insert(coord, input_fp, &out, &cons, rates);
+                if let (Some(m), Some(Err(input_fp))) = (memo.as_deref_mut(), lookup) {
+                    m.store_hier(coord, input_fp, &out, &cons, rates);
                 }
                 (out, cons)
             };

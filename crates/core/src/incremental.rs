@@ -1,9 +1,9 @@
-//! The delta-driven incremental optimizer (PR 10).
+//! The delta-driven incremental optimizer.
 //!
-//! The batch pipeline re-derives everything from scratch each round:
-//! rebuild every leaf query graph, re-coarsen every coordinator, re-run
-//! diffusion and refinement over the whole tree. Between rounds, though,
-//! most statistics are unchanged — a burst of [`StatDelta`]s touches a few
+//! A round computed from nothing re-derives everything: it rebuilds every
+//! leaf query graph, re-coarsens every coordinator, and re-runs diffusion
+//! and refinement over the whole tree. Between rounds, though, most
+//! statistics are unchanged — a burst of [`StatDelta`]s touches a few
 //! queries on a few processors. [`IncrementalOptimizer`] exploits that by
 //! *memoizing* the pipeline per coordinator:
 //!
@@ -16,16 +16,21 @@
 //!   homes of its queries; unchanged subtrees splice the previous round's
 //!   placements without re-running diffusion or refinement scoring.
 //!
-//! **Correctness model.** Every per-coordinator computation in the batch
-//! path is a pure function of (inputs, per-coordinator derived seed), and
-//! since PR 10 all of it is bit-reproducible (ordered adjacency, ordered
-//! derived-vertex creation). The caches therefore key on *content
-//! fingerprints of the full input*, not on the delta stream:
+//! Both layers, their fingerprints and their hit counters live in one
+//! private memo type here; the round itself
+//! ([`adaptive`](crate::adaptive)) only asks it for a replay and hands it
+//! fresh results. Each layer holds at most one entry per coordinator.
+//!
+//! **Correctness model.** Every per-coordinator computation of a round is
+//! a pure function of (inputs, per-coordinator derived seed), and all of
+//! it is bit-reproducible (ordered adjacency, ordered derived-vertex
+//! creation). The memo therefore keys on *content fingerprints of the
+//! full input*, not on the delta stream: a warm optimizer's
 //! [`IncrementalOptimizer::round`] produces the bit-identical
-//! [`AdaptOutcome`] (assignment, migrations, moved state — not timing,
-//! which measures the work actually done) as
-//! [`adapt_wholesale`](crate::adaptive::adapt_wholesale) with the same
-//! fixed seed, which the `optimizer_churn` differential suite pins across
+//! [`AdaptOutcome`] (assignment, migrations, moved state, closing-pass
+//! work — not timing or coarsening work, which measure what was actually
+//! done) as a fresh optimizer's with the same seed and config, whose memo
+//! is empty. The `optimizer_churn` differential suite pins that across
 //! randomized churn. [`StatDelta`]s ingested via
 //! [`IncrementalOptimizer::ingest`] are bookkeeping hints (surfaced in
 //! [`CacheStats`]); an unreported delta is still caught by the
@@ -34,11 +39,12 @@
 //! Topology changes (processor join/leave) bump the
 //! [`CoordinatorTree::generation`](crate::hierarchy::CoordinatorTree::generation)
 //! counter, which is folded into the environment fingerprint — any change
-//! clears every cache and the round falls back to wholesale work.
+//! empties both layers and the round does all of its work afresh.
 
-use crate::adaptive::{adapt_with_caches, AdaptConfig, AdaptOutcome};
+use crate::adaptive::{run_round, AdaptConfig, AdaptOutcome};
 use crate::distribute::Distributor;
 use crate::graph::{QgVertex, VertexKind};
+use crate::hierarchy::CoordNode;
 use crate::spec::{Assignment, QuerySpec};
 use crate::stats::StatDelta;
 use cosmos_net::NodeId;
@@ -53,7 +59,7 @@ use std::sync::Arc;
 /// substream's rate bits), state size, result flows, and tag. Two vertices
 /// with equal fingerprints are — modulo 64-bit hash collisions, which this
 /// design accepts — interchangeable inputs to coarsening and placement.
-pub(crate) fn vertex_raw_fp(v: &QgVertex, rates: &[f64]) -> u64 {
+fn vertex_raw_fp(v: &QgVertex, rates: &[f64]) -> u64 {
     let mut h = DefaultHasher::new();
     match v.kind {
         VertexKind::Query => 0u8.hash(&mut h),
@@ -79,7 +85,7 @@ pub(crate) fn vertex_raw_fp(v: &QgVertex, rates: &[f64]) -> u64 {
 
 /// Full statistics fingerprint of a query spec: everything that feeds its
 /// q-vertex and its graph edges.
-pub(crate) fn spec_full_fp(spec: &QuerySpec, rates: &[f64]) -> u64 {
+fn spec_full_fp(spec: &QuerySpec, rates: &[f64]) -> u64 {
     let mut h = DefaultHasher::new();
     spec.id.hash(&mut h);
     for s in spec.interest.iter() {
@@ -105,97 +111,102 @@ struct HierEntry {
     out_fps: Vec<u64>,
 }
 
-/// A coordinator's cached coarse outputs plus its per-child constituent
-/// groups, Arc-shared with the cache on a hit.
-pub(crate) type CachedOutputs = (Vec<QgVertex>, Arc<Vec<Vec<QgVertex>>>);
-
-/// The phase-A (bottom-up coarsening) memo, consulted by
-/// `Distributor::build_hierarchy_graphs` when the incremental optimizer
-/// drives a round.
-#[derive(Debug, Default)]
-pub(crate) struct HierCache {
-    entries: HashMap<usize, HierEntry>,
-    /// Per-coordinator output fingerprints of the *current* round, filled
-    /// bottom-up (from the cache entry on a hit, from fresh computation on
-    /// a miss) so parents can fingerprint their inputs content-deep.
-    round_out_fps: HashMap<usize, Vec<u64>>,
-    hits: u64,
-    misses: u64,
+/// One cached top-down result: the placements a coordinator's subtree
+/// decided, keyed by the fingerprint of its inputs.
+#[derive(Debug)]
+struct PlaceEntry {
+    input_fp: u64,
+    /// Sorted by query.
+    placements: Arc<Vec<(QueryId, NodeId)>>,
 }
 
-impl HierCache {
-    /// Starts a round: the previous round's output fingerprints are stale.
-    pub(crate) fn begin_round(&mut self) {
-        self.round_out_fps.clear();
-    }
+/// The optimizer's memo, both layers of it. A lookup that misses returns
+/// the key its fresh result is then stored under.
+#[derive(Debug, Default)]
+pub(crate) struct Memo {
+    /// Fingerprint of the environment both layers were built under
+    /// ([`env_fp`]); a different one empties them.
+    env_fp: Option<u64>,
+    /// Phase A, per coordinator.
+    hier: HashMap<usize, HierEntry>,
+    /// Phase B, per coordinator.
+    place: HashMap<usize, PlaceEntry>,
+    /// Per-coordinator output fingerprints of the *current* round, filled
+    /// bottom-up (from the cache entry on a hit, from fresh computation on
+    /// a miss) so parents, and then phase B, can fingerprint their inputs
+    /// content-deep.
+    round_out_fps: HashMap<usize, Vec<u64>>,
+    hier_hits: u64,
+    hier_misses: u64,
+    place_hits: u64,
+    place_misses: u64,
+}
 
-    /// Drops every cached result (environment changed).
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-        self.round_out_fps.clear();
-    }
-
-    /// This round's per-coordinator output fingerprints (for phase B).
-    pub(crate) fn round_out_fps(&self) -> &HashMap<usize, Vec<u64>> {
-        &self.round_out_fps
-    }
-
-    /// Fingerprint of a level-1 coordinator's inputs: its member specs'
-    /// full statistics, in grouping order.
-    pub(crate) fn leaf_input_fp(&self, specs: &[&QuerySpec], rates: &[f64]) -> u64 {
-        let mut h = DefaultHasher::new();
-        b"leaf".hash(&mut h);
-        for spec in specs {
-            spec_full_fp(spec, rates).hash(&mut h);
+impl Memo {
+    /// Starts a round under environment fingerprint `env`: a new
+    /// environment empties both layers, and the previous round's output
+    /// fingerprints are stale either way.
+    fn begin_round(&mut self, env: u64) {
+        if self.env_fp != Some(env) {
+            self.hier.clear();
+            self.place.clear();
+            self.env_fp = Some(env);
         }
-        h.finish()
+        self.round_out_fps.clear();
     }
 
-    /// Fingerprint of an internal coordinator's inputs: its children's
-    /// output fingerprints for this round, in child order. Level-0
-    /// children contribute a marker (they produce no outputs).
-    pub(crate) fn internal_input_fp(&self, children: &[usize]) -> u64 {
+    /// Phase A: `coord`'s cached coarse outputs and constituents when its
+    /// inputs are unchanged — at level 1 its member specs' full statistics
+    /// (`leaf_specs`, in grouping order), above that its children's output
+    /// fingerprints for this round — publishing its own output
+    /// fingerprints for the parent's input check.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn lookup_hier(
+        &mut self,
+        coord: usize,
+        node: &CoordNode,
+        leaf_specs: &[&QuerySpec],
+        rates: &[f64],
+    ) -> Result<(Vec<QgVertex>, Arc<Vec<Vec<QgVertex>>>), u64> {
         let mut h = DefaultHasher::new();
-        for &ch in children {
-            ch.hash(&mut h);
-            match self.round_out_fps.get(&ch) {
-                Some(fps) => {
-                    1u8.hash(&mut h);
-                    fps.hash(&mut h);
+        if node.level == 1 {
+            b"leaf".hash(&mut h);
+            for spec in leaf_specs {
+                spec_full_fp(spec, rates).hash(&mut h);
+            }
+        } else {
+            // Level-0 children contribute a marker (they produce no
+            // outputs).
+            for &ch in &node.children {
+                ch.hash(&mut h);
+                match self.round_out_fps.get(&ch) {
+                    Some(fps) => {
+                        1u8.hash(&mut h);
+                        fps.hash(&mut h);
+                    }
+                    None => 0u8.hash(&mut h),
                 }
-                None => 0u8.hash(&mut h),
             }
         }
-        h.finish()
-    }
-
-    /// Returns the cached outputs when `coord`'s inputs are unchanged,
-    /// publishing its output fingerprints for the parent's input check.
-    pub(crate) fn lookup(&mut self, coord: usize, input_fp: u64) -> Option<CachedOutputs> {
-        match self.entries.get(&coord) {
+        let input_fp = h.finish();
+        match self.hier.get(&coord) {
             Some(e) if e.input_fp == input_fp => {
                 self.round_out_fps.insert(coord, e.out_fps.clone());
-                self.hits += 1;
-                Some((e.outputs.clone(), e.constituents.clone()))
+                self.hier_hits += 1;
+                Ok((e.outputs.clone(), e.constituents.clone()))
             }
             _ => {
-                self.misses += 1;
-                None
+                self.hier_misses += 1;
+                Err(input_fp)
             }
         }
     }
 
-    fn deep_fp(&self, v: &QgVertex, rates: &[f64]) -> u64 {
-        match v.tag {
-            Some((coord, idx)) => self.round_out_fps[&coord][idx],
-            None => vertex_raw_fp(v, rates),
-        }
-    }
-
-    /// Stores a freshly computed result and derives its content-deep
-    /// output fingerprints (children's fingerprints for tagged
-    /// constituents, raw content for untagged ones).
-    pub(crate) fn insert(
+    /// Stores a freshly computed phase-A result under `input_fp` and
+    /// derives its content-deep output fingerprints (children's
+    /// fingerprints for tagged constituents, raw content for untagged
+    /// ones).
+    pub(crate) fn store_hier(
         &mut self,
         coord: usize,
         input_fp: u64,
@@ -216,7 +227,7 @@ impl HierCache {
             })
             .collect();
         self.round_out_fps.insert(coord, out_fps.clone());
-        self.entries.insert(
+        self.hier.insert(
             coord,
             HierEntry {
                 input_fp,
@@ -226,25 +237,57 @@ impl HierCache {
             },
         );
     }
-}
 
-/// A memoized subtree decision: the fingerprint it was computed under
-/// and the sorted `(query, processor)` placements to replay on a hit.
-pub(crate) type PlacementMemo = (u64, Arc<Vec<(QueryId, NodeId)>>);
+    fn deep_fp(&self, v: &QgVertex, rates: &[f64]) -> u64 {
+        match v.tag {
+            Some((coord, idx)) => self.round_out_fps[&coord][idx],
+            None => vertex_raw_fp(v, rates),
+        }
+    }
 
-/// Persistent storage for the phase-B subtree memo (the per-round view is
-/// `adaptive::PlaceCache`).
-#[derive(Debug, Default)]
-pub(crate) struct PlaceStore {
-    /// Per coordinator: (subtree fingerprint, sorted placements).
-    pub(crate) entries: HashMap<usize, PlacementMemo>,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-}
+    /// Phase B: the placements `coord`'s subtree decided last time, when
+    /// everything its decisions depend on beyond the environment is
+    /// unchanged — its work vertices, content-deep, and the current home
+    /// of every query they contain.
+    pub(crate) fn lookup_place(
+        &mut self,
+        coord: usize,
+        work: &[QgVertex],
+        current: &Assignment,
+        rates: &[f64],
+    ) -> Result<Arc<Vec<(QueryId, NodeId)>>, u64> {
+        let mut h = DefaultHasher::new();
+        for v in work {
+            self.deep_fp(v, rates).hash(&mut h);
+            for &q in &v.queries {
+                q.hash(&mut h);
+                match current.processor_of(q) {
+                    Some(p) => {
+                        1u8.hash(&mut h);
+                        p.hash(&mut h);
+                    }
+                    None => 0u8.hash(&mut h),
+                }
+            }
+        }
+        let fp = h.finish();
+        match self.place.get(&coord) {
+            Some(e) if e.input_fp == fp => {
+                self.place_hits += 1;
+                Ok(e.placements.clone())
+            }
+            _ => {
+                self.place_misses += 1;
+                Err(fp)
+            }
+        }
+    }
 
-impl PlaceStore {
-    fn clear(&mut self) {
-        self.entries.clear();
+    /// Stores the placements `coord`'s subtree just decided under `fp`.
+    pub(crate) fn store_place(&mut self, coord: usize, fp: u64, sub: &Assignment) {
+        let mut pairs: Vec<(QueryId, NodeId)> = sub.iter().collect();
+        pairs.sort_unstable_by_key(|&(q, _)| q);
+        self.place.insert(coord, PlaceEntry { input_fp: fp, placements: Arc::new(pairs) });
     }
 }
 
@@ -264,11 +307,10 @@ pub struct CacheStats {
     pub deltas_ingested: u64,
 }
 
-/// The delta-driven optimizer: holds the per-coordinator memos across
-/// adaptation rounds and a **fixed seed**, so that
-/// [`IncrementalOptimizer::round`] is observationally equal to
-/// [`adapt_wholesale`](crate::adaptive::adapt_wholesale) with that seed,
-/// every round.
+/// The delta-driven optimizer and the only way to run an adaptation
+/// round: holds the per-coordinator memo across rounds and a **fixed
+/// seed**, so that every round of a warm optimizer is observationally
+/// equal to a fresh optimizer's round with that seed.
 ///
 /// The same deployment, tree, and table must back the [`Distributor`]
 /// passed to every round (topology churn through
@@ -279,11 +321,7 @@ pub struct CacheStats {
 pub struct IncrementalOptimizer {
     seed: u64,
     config: AdaptConfig,
-    /// Fingerprint of the environment the caches were built under; a
-    /// mismatch (new tree generation, different knobs) drops them.
-    env_fp: Option<u64>,
-    hier: HierCache,
-    place: PlaceStore,
+    memo: Memo,
     deltas_ingested: u64,
 }
 
@@ -296,14 +334,7 @@ impl IncrementalOptimizer {
     /// [`AdaptConfig::validate`].
     pub fn new(seed: u64, config: AdaptConfig) -> Result<Self, String> {
         config.validate()?;
-        Ok(Self {
-            seed,
-            config,
-            env_fp: None,
-            hier: HierCache::default(),
-            place: PlaceStore::default(),
-            deltas_ingested: 0,
-        })
+        Ok(Self { seed, config, memo: Memo::default(), deltas_ingested: 0 })
     }
 
     /// The fixed seed every round runs under.
@@ -324,12 +355,14 @@ impl IncrementalOptimizer {
         self.deltas_ingested += 1;
     }
 
-    /// Runs one adaptation round, reusing every cached result whose
-    /// inputs are fingerprint-unchanged. Produces the identical
-    /// assignment, migration count, moved state and closing-pass work
-    /// (`refine`) as [`adapt_wholesale`](crate::adaptive::adapt_wholesale)
-    /// called with this optimizer's seed and config (timing differs: it
-    /// measures the work actually performed).
+    /// Runs one hierarchical adaptation round (Algorithm 3, see
+    /// [`adaptive`](crate::adaptive)) over the current assignment, reusing
+    /// every cached result whose inputs are fingerprint-unchanged. Produces
+    /// the identical assignment, migration count, moved state and
+    /// closing-pass work (`refine`) as a fresh optimizer with this seed and
+    /// config (timing differs: it measures the work actually performed).
+    ///
+    /// `specs` must contain every query in `current`.
     ///
     /// # Panics
     ///
@@ -341,29 +374,18 @@ impl IncrementalOptimizer {
         specs: &[QuerySpec],
         current: &Assignment,
     ) -> AdaptOutcome {
-        let fp = env_fp(d, &self.config, self.seed);
-        if self.env_fp != Some(fp) {
-            self.hier.clear();
-            self.place.clear();
-            self.env_fp = Some(fp);
-        }
-        adapt_with_caches(
-            d,
-            specs,
-            current,
-            &self.config,
-            self.seed,
-            Some((&mut self.hier, &mut self.place)),
-        )
+        self.memo.begin_round(env_fp(d, &self.config, self.seed));
+        run_round(d, specs, current, &self.config, self.seed, &mut self.memo)
     }
 
     /// Cumulative cache effectiveness counters.
     pub fn cache_stats(&self) -> CacheStats {
+        let m = &self.memo;
         CacheStats {
-            hier_hits: self.hier.hits,
-            hier_misses: self.hier.misses,
-            place_hits: self.place.hits,
-            place_misses: self.place.misses,
+            hier_hits: m.hier_hits,
+            hier_misses: m.hier_misses,
+            place_hits: m.place_hits,
+            place_misses: m.place_misses,
             deltas_ingested: self.deltas_ingested,
         }
     }
@@ -394,7 +416,14 @@ fn env_fp(d: &Distributor<'_>, config: &AdaptConfig, seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::CoordinatorTree;
+    use cosmos_net::{Deployment, TransitStubConfig};
+    use cosmos_pubsub::SubstreamTable;
+    use cosmos_util::rng::rng_for;
     use cosmos_util::InterestSet;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    use std::collections::HashSet;
 
     const U: usize = 64;
 
@@ -412,7 +441,7 @@ mod tests {
     /// Every field that feeds a leaf's graph — load, an interested rate,
     /// interest, proxy — moves the fingerprint its memo is keyed on.
     #[test]
-    fn full_fp_tracks_stats_struct_fp_does_not() {
+    fn load_rate_interest_and_proxy_each_move_full_fp() {
         let rates = vec![1.5; U];
         let a = spec(1, &[3, 7], 1.0);
         let mut b = a.clone();
@@ -455,5 +484,94 @@ mod tests {
         opt.ingest(&StatDelta::RateChanged { substream: 3 });
         opt.ingest(&StatDelta::QueryChanged { id: QueryId(1) });
         assert_eq!(opt.cache_stats().deltas_ingested, 2);
+    }
+
+    fn random_spec(id: u64, rng: &mut StdRng, procs: &[NodeId]) -> QuerySpec {
+        let bits: Vec<usize> = (0..rng.gen_range(2..=4)).map(|_| rng.gen_range(0..U)).collect();
+        let mut q = spec(id, &bits, rng.gen_range(0.5..2.0));
+        q.proxy = procs[rng.gen_range(0..procs.len())];
+        q
+    }
+
+    /// Every map of the memo is keyed by an active internal coordinator
+    /// of `tree`, so each holds at most one entry per coordinator.
+    fn assert_one_entry_per_coordinator(memo: &Memo, tree: &CoordinatorTree, when: &str) {
+        let active: HashSet<usize> = tree.internal_bottom_up().into_iter().collect();
+        let layers: [(&str, Vec<usize>); 3] = [
+            ("phase A", memo.hier.keys().copied().collect()),
+            ("phase B", memo.place.keys().copied().collect()),
+            ("round output fingerprints", memo.round_out_fps.keys().copied().collect()),
+        ];
+        for (layer, keys) in layers {
+            let stale: Vec<usize> = keys.iter().copied().filter(|c| !active.contains(c)).collect();
+            assert!(stale.is_empty(), "{when}: {layer} holds inactive coordinators {stale:?}");
+            assert!(keys.len() <= active.len(), "{when}: {layer} outgrew the tree");
+        }
+    }
+
+    /// One optimizer through rounds of query arrivals, departures and rate
+    /// bursts, then one processor join and one leave: after every round
+    /// each memo layer holds at most one entry per active coordinator, and
+    /// each tree-generation change empties both layers.
+    #[test]
+    fn memo_holds_one_entry_per_coordinator_through_churn() {
+        let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
+        let rounds = if stress { 200 } else { 6 };
+        let (seed, k) = (31, 2);
+        let mut rng = rng_for(seed, "memo-bound");
+        let dep = Deployment::assign(TransitStubConfig::small().generate(seed), 4, 12, seed);
+        let mut live = dep.processors().to_vec();
+        let spare = live.split_off(10);
+        let live_dep =
+            Deployment::with_roles(dep.topology().clone(), dep.sources().to_vec(), live.clone());
+        let mut tree = CoordinatorTree::build(&live_dep, k);
+        let mut table = SubstreamTable::random(U, 4, 1.0, 10.0, seed);
+        let mut specs: Vec<QuerySpec> = (0..60).map(|i| random_spec(i, &mut rng, &live)).collect();
+        let mut current: Assignment =
+            specs.iter().map(|q| (q.id, live[rng.gen_range(0..live.len())])).collect();
+        let mut opt = IncrementalOptimizer::new(seed, AdaptConfig::default()).expect("valid");
+        let mut next_id = specs.len() as u64;
+
+        for round in 0..rounds + 2 {
+            let generation = tree.generation();
+            if round < rounds {
+                match round % 3 {
+                    0 => {
+                        let q = random_spec(next_id, &mut rng, &live);
+                        next_id += 1;
+                        current.place(q.id, live[rng.gen_range(0..live.len())]);
+                        specs.push(q);
+                    }
+                    1 if specs.len() > 20 => {
+                        let q = specs.swap_remove(rng.gen_range(0..specs.len()));
+                        current.remove(q.id);
+                    }
+                    _ => table.scale_rate(rng.gen_range(0..U), rng.gen_range(0.5..2.0)),
+                }
+            } else if round == rounds {
+                tree.join(spare[0], 1.0, k, &dep);
+                live.push(spare[0]);
+            } else {
+                let gone = live.swap_remove(0);
+                assert!(tree.leave(gone, k, &dep), "{gone} should be in the tree");
+                let displaced: Vec<QueryId> =
+                    current.iter().filter(|&(_, p)| p == gone).map(|(q, _)| q).collect();
+                for q in displaced {
+                    current.place(q, live[0]);
+                }
+            }
+            let d = Distributor::new(&dep, &tree, &table);
+            if tree.generation() != generation {
+                opt.memo.begin_round(env_fp(&d, &opt.config, opt.seed));
+                assert!(
+                    opt.memo.hier.is_empty() && opt.memo.place.is_empty(),
+                    "round {round}: a new tree generation left memo entries behind"
+                );
+            }
+            current = opt.round(&d, &specs, &current).assignment;
+            assert_one_entry_per_coordinator(&opt.memo, &tree, &format!("round {round}"));
+        }
+        let stats = opt.cache_stats();
+        assert!(stats.hier_hits > 0 && stats.place_hits > 0, "the memo never fired: {stats:?}");
     }
 }

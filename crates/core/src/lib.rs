@@ -33,8 +33,9 @@
 //! per-coordinator coarsening results and placement memos alive between
 //! adaptation rounds, so a round whose
 //! [`stats::StatDelta`] stream touched few vertices re-does only the
-//! covering subtrees' work while remaining observationally equal to the
-//! batch path ([`adaptive::adapt_wholesale`]).
+//! covering subtrees' work while remaining observationally equal to a
+//! fresh optimizer's round with the same seed.
+//! [`IncrementalOptimizer::round`] is the only way to run a round.
 //!
 //! # Examples
 //!

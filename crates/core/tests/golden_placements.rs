@@ -107,5 +107,5 @@ fn distribute_and_one_adapt_round_reproduce_the_recorded_placements() {
     sim.apply(placed.assignment);
     sim.perturb_rates(sim.table.len() / 100, 1.5, derive_seed(SEED, "perturb"));
     let adapted = sim.adapt_round(derive_seed(SEED, "adapt"));
-    check("adapt_wholesale", &sim, &adapted.assignment, ADAPT, ADAPT_FP);
+    check("adapt_round", &sim, &adapted.assignment, ADAPT, ADAPT_FP);
 }

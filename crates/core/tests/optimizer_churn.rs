@@ -1,8 +1,10 @@
-//! Optimizer-churn differential suite: the incremental optimizer against
-//! the wholesale oracle under randomized workload and topology churn.
+//! Optimizer-churn differential suite: a warm incremental optimizer
+//! against a fresh one under randomized workload and topology churn.
 //!
-//! Every trial drives one [`IncrementalOptimizer`] and the batch
-//! [`adapt_wholesale`] oracle through the same interleaving of:
+//! Every trial drives one [`IncrementalOptimizer`] through an interleaving
+//! of the changes below, and checks each of its rounds against the
+//! reference: a fresh optimizer with the same seed, whose empty memo makes
+//! it do every coordinator's work afresh. The changes:
 //!
 //! - substream **rate bursts** (the sources' periodic rate reports),
 //! - per-query **load bursts** (processor CPU-time reports),
@@ -21,7 +23,7 @@
 //! `COSMOS_STRESS=1` raises the trial count. A failing trial prints its
 //! seed and op index; `COSMOS_ADAPT_TRIAL=<n>` reruns exactly that trial.
 
-use cosmos_core::adaptive::{adapt_wholesale, AdaptConfig};
+use cosmos_core::adaptive::{AdaptConfig, AdaptOutcome};
 use cosmos_core::distribute::Distributor;
 use cosmos_core::hierarchy::CoordinatorTree;
 use cosmos_core::online::OnlineRouter;
@@ -54,6 +56,18 @@ fn trial_override() -> Option<u64> {
 thread_local! {
     /// Op index of the round currently executing, for failure reports.
     static STEP: Cell<u32> = const { Cell::new(0) };
+}
+
+/// The reference round: a fresh optimizer with `seed` and `config`.
+fn fresh_round(
+    d: &Distributor<'_>,
+    specs: &[QuerySpec],
+    current: &Assignment,
+    config: &AdaptConfig,
+    seed: u64,
+) -> AdaptOutcome {
+    let mut opt = IncrementalOptimizer::new(seed, *config).expect("valid config");
+    opt.round(d, specs, current)
 }
 
 fn random_spec(id: u64, rng: &mut StdRng, procs: &[NodeId]) -> QuerySpec {
@@ -190,21 +204,21 @@ impl World {
         seed: u64,
     ) {
         let d = Distributor::new(&self.dep, &self.tree, &self.table);
-        let oracle = adapt_wholesale(&d, &self.specs, &self.current, config, seed);
+        let fresh = fresh_round(&d, &self.specs, &self.current, config, seed);
         let inc = opt.round(&d, &self.specs, &self.current);
         assert_eq!(
-            inc.assignment, oracle.assignment,
-            "incremental assignment diverged from the wholesale oracle"
+            inc.assignment, fresh.assignment,
+            "incremental assignment diverged from the fresh optimizer's"
         );
-        assert_eq!(inc.migrations, oracle.migrations, "migration counts diverged");
+        assert_eq!(inc.migrations, fresh.migrations, "migration counts diverged");
         assert_eq!(
             inc.moved_state.to_bits(),
-            oracle.moved_state.to_bits(),
+            fresh.moved_state.to_bits(),
             "moved state diverged: {} vs {}",
             inc.moved_state,
-            oracle.moved_state
+            fresh.moved_state
         );
-        assert_eq!(inc.refine, oracle.refine, "closing-pass work diverged");
+        assert_eq!(inc.refine, fresh.refine, "closing-pass work diverged");
         self.current = inc.assignment;
     }
 }
@@ -241,7 +255,7 @@ fn run_trial(trial: u64) {
 /// ≥20 randomized trials of interleaved statistics churn, query
 /// arrivals/departures, and processor joins/leaves: after every round the
 /// incremental optimizer must produce the exact assignment, migration
-/// count, and moved state of the from-scratch oracle, with tree
+/// count, and moved state of a fresh optimizer, with tree
 /// invariants checked after every topology change. A failing trial
 /// reports its seed and op index for one-line reproduction.
 #[test]
@@ -263,7 +277,7 @@ fn incremental_rounds_match_wholesale_oracle_under_churn() {
 }
 
 /// A stat-delta-only schedule (no topology churn): every round equals the
-/// wholesale oracle, and the subtrees the bursts left alone are reused.
+/// fresh optimizer's, and the subtrees the bursts left alone are reused.
 #[test]
 fn stat_delta_rounds_equal_wholesale_and_reuse_clean_subtrees() {
     let seed = 4242;
@@ -281,9 +295,9 @@ fn stat_delta_rounds_equal_wholesale_and_reuse_clean_subtrees() {
 }
 
 /// Satellite: an [`OnlineRouter`] seeded from the incrementally-adapted
-/// assignment must behave identically to one seeded from the wholesale
-/// oracle's — same accounted load, same routing decisions, same insertion
-/// outcomes.
+/// assignment must behave identically to one seeded from fresh
+/// optimizers' rounds — same accounted load, same routing decisions, same
+/// insertion outcomes.
 #[test]
 fn online_router_seeding_is_path_independent() {
     let seed = 9090;
@@ -292,8 +306,9 @@ fn online_router_seeding_is_path_independent() {
     let config = AdaptConfig::default();
     let mut opt = IncrementalOptimizer::new(seed, config).expect("valid config");
 
-    // A few churn rounds, tracking the wholesale assignment separately.
-    let mut wholesale_current = world.current.clone();
+    // A few churn rounds, tracking the fresh optimizers' assignment
+    // separately.
+    let mut fresh_current = world.current.clone();
     for op in 0..4 {
         match op % 3 {
             0 => world.rate_burst(&mut rng, &mut opt),
@@ -301,21 +316,21 @@ fn online_router_seeding_is_path_independent() {
             _ => {}
         }
         let d = Distributor::new(&world.dep, &world.tree, &world.table);
-        let oracle = adapt_wholesale(&d, &world.specs, &wholesale_current, &config, seed);
+        let fresh = fresh_round(&d, &world.specs, &fresh_current, &config, seed);
         let inc = opt.round(&d, &world.specs, &world.current);
-        wholesale_current = oracle.assignment;
+        fresh_current = fresh.assignment;
         world.current = inc.assignment;
     }
 
     let mut from_inc = OnlineRouter::new(&world.dep, &world.tree, &world.table, 0.1);
     from_inc.seed_from(&world.specs, &world.current);
-    let mut from_whole = OnlineRouter::new(&world.dep, &world.tree, &world.table, 0.1);
-    from_whole.seed_from(&world.specs, &wholesale_current);
+    let mut from_fresh = OnlineRouter::new(&world.dep, &world.tree, &world.table, 0.1);
+    from_fresh.seed_from(&world.specs, &fresh_current);
     assert!(
-        (from_inc.total_load() - from_whole.total_load()).abs() < 1e-12,
+        (from_inc.total_load() - from_fresh.total_load()).abs() < 1e-12,
         "seeded loads diverged: {} vs {}",
         from_inc.total_load(),
-        from_whole.total_load()
+        from_fresh.total_load()
     );
     // Identical aggregates must produce identical routing decisions for a
     // stream of new arrivals, inserted into both routers in lock-step.
@@ -323,12 +338,12 @@ fn online_router_seeding_is_path_independent() {
         let probe = random_spec(100_000 + i, &mut rng, &world.live);
         assert_eq!(
             from_inc.route_at(world.tree.root(), &probe),
-            from_whole.route_at(world.tree.root(), &probe),
+            from_fresh.route_at(world.tree.root(), &probe),
             "root routing decision diverged for probe {i}"
         );
         assert_eq!(
             from_inc.insert(&probe),
-            from_whole.insert(&probe),
+            from_fresh.insert(&probe),
             "insertion landed on different processors for probe {i}"
         );
     }

@@ -11,7 +11,7 @@
 
 use crate::generator::{QueryGenerator, WorkloadConfig};
 use crate::params::{PaperParams, RecoveryParams};
-use cosmos_core::adaptive::{adapt_wholesale, AdaptConfig, AdaptOutcome};
+use cosmos_core::adaptive::{AdaptConfig, AdaptOutcome};
 use cosmos_core::distribute::{DistConfig, Distributor};
 use cosmos_core::hierarchy::CoordinatorTree;
 use cosmos_core::incremental::IncrementalOptimizer;
@@ -221,8 +221,9 @@ impl Simulation {
         }
     }
 
-    /// One adaptation round (Algorithm 3 hierarchy-wide); applies and
-    /// returns the outcome.
+    /// One adaptation round (Algorithm 3 hierarchy-wide) by a fresh
+    /// [`IncrementalOptimizer`] with `seed` and the default config — every
+    /// coordinator's work done afresh; applies and returns the outcome.
     ///
     /// A round balances load and refines a local surrogate (phases 1 and
     /// 2), then ends on the modelled cost itself, each move priced by the
@@ -232,11 +233,9 @@ impl Simulation {
     /// converges — do not gate a round on the global metric, or load
     /// rebalancing starves.
     pub fn adapt_round(&mut self, seed: u64) -> AdaptOutcome {
-        let d = self.distributor();
-        let out = adapt_wholesale(&d, &self.specs, &self.assignment, &AdaptConfig::default(), seed);
-        drop(d);
-        self.assignment = out.assignment.clone();
-        out
+        let mut opt = IncrementalOptimizer::new(seed, AdaptConfig::default())
+            .expect("the default adaptation config is valid");
+        self.adapt_round_incremental(&mut opt)
     }
 
     /// One adaptation round through a delta-driven
@@ -368,7 +367,7 @@ mod tests {
     #[test]
     fn incremental_adaptation_matches_wholesale_rounds() {
         // Two identically-built simulations driven through the same rate
-        // perturbations: the delta-driven optimizer and the batch path
+        // perturbations: one warm optimizer and a fresh one per round
         // must apply the same assignment after every round.
         let seed = 77;
         let mut whole = sim();

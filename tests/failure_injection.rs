@@ -2,10 +2,11 @@
 //! degraded capabilities, stale statistics, query churn storms, and
 //! degenerate deployments.
 
-use cosmos::core::adaptive::{adapt_wholesale, AdaptConfig};
+use cosmos::core::adaptive::AdaptConfig;
 use cosmos::core::distribute::Distributor;
 use cosmos::core::hierarchy::CoordinatorTree;
 use cosmos::core::spec::Assignment;
+use cosmos::core::IncrementalOptimizer;
 use cosmos::net::{Deployment, TransitStubConfig};
 use cosmos::pubsub::SubstreamTable;
 use cosmos::workload::{PaperParams, Simulation};
@@ -116,7 +117,8 @@ fn single_processor_deployment_degenerates_gracefully() {
         assert_eq!(out.assignment.processor_of(q.id), Some(only));
     }
     // Adaptation on a single processor is a no-op.
-    let adapted = adapt_wholesale(&d, &specs, &out.assignment, &AdaptConfig::default(), 54);
+    let mut opt = IncrementalOptimizer::new(54, AdaptConfig::default()).expect("valid config");
+    let adapted = opt.round(&d, &specs, &out.assignment);
     assert_eq!(adapted.migrations, 0);
 }
 
