@@ -25,7 +25,8 @@
 //!    tagged with the engine's **monotone input watermark**: the count of
 //!    tuples consumed via `push` so far. Snapshots share tuple payloads by
 //!    `Arc`, so extraction is O(window sizes) refcount bumps, never a deep
-//!    copy.
+//!    copy. A join window holds only what a later arrival can still join
+//!    ([`crate::exec`]), so that is all a checkpoint carries.
 //! 2. **Retain upstream.** A [`ReplayHost`] keeps every input in one
 //!    replay log until a checkpoint watermark acknowledges it. Inputs are
 //!    numbered from 0 and the watermark *counts* them, so acking at

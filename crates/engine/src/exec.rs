@@ -8,6 +8,21 @@
 //! emitted. A pair is emitted exactly once — when its *later* tuple arrives
 //! (ties broken by relation position).
 //!
+//! A window keeps only what a later arrival can still join. At compile
+//! time each relation `i` gets a *lead*: the least `ts_i − ts_j` that the
+//! query's direct timestamp predicates allow against every other relation
+//! `j` (`=` gives 0 both ways, `>=` 0 and `>` 1 one way, `<=` and `<` the
+//! mirror, `TimeDelta` its `min_ms` one way and `−max_ms` the other, `!=`
+//! nothing). A relation some `j` leaves unconstrained has no lead. Each
+//! arrival at `now` cuts relation `i` at the later of its window edge
+//! `now − w_i` and `now + lead_i`. Tuples arrive in timestamp order (crate
+//! docs), so every later arrival `t ≥ now`, and a tuple the lead cuts
+//! breaks its direct predicate against it: dropping it changes no result
+//! and no counter but `probes`. The rule is exact while timestamps stay
+//! within ±2⁵³ ms, where the `f64` comparison predicates use is exact. It
+//! looks at direct pairs only, so with three or more relations it is
+//! conservative.
+//!
 //! A result is projected through one column plan
 //! ([`crate::tuple`]), cached in one place: the [`ProjPlanCache`] its owner
 //! hangs off itself (`ResultTuple::project_cached`). The uncached entry
@@ -18,7 +33,7 @@ use crate::checkpoint::{BufferState, QueryState, Recoverable, StreamCheckpoint};
 pub use crate::tuple::ProjPlanCache;
 use crate::tuple::{JoinedTuple, Tuple};
 use cosmos_query::compiled::{eval_compiled, CompiledPredicate, Operand, ScalarRef, SymSource};
-use cosmos_query::{ProjItem, Query, QueryId, Scalar};
+use cosmos_query::{CmpOp, ProjItem, Query, QueryId, Scalar};
 use cosmos_util::intern::Symbol;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -284,9 +299,14 @@ impl WindowBuffer {
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     id: QueryId,
-    query: Query,
+    /// Source stream per relation, in `FROM` order: what
+    /// [`StreamEngine`] routes on.
+    streams: Vec<Symbol>,
     /// Window width (ms) per relation; `None` = unbounded.
     widths: Vec<Option<i64>>,
+    /// Per relation: the least `ts − now` a tuple can have and still join
+    /// a later arrival (module docs); `None` = no bound.
+    leads: Vec<Option<i64>>,
     /// Interned relation aliases, in `FROM` order.
     aliases: Vec<Symbol>,
     /// Pushed-down selection predicates per relation, symbol-compiled.
@@ -313,6 +333,7 @@ impl CompiledQuery {
             "query {id} contains aggregates; use cosmos_engine::aggregate::AggregateQuery"
         );
         let n = query.relations.len();
+        let streams = query.relations.iter().map(|r| r.stream).collect();
         let widths =
             query.relations.iter().map(|r| r.window.width_ms().map(|w| w as i64)).collect();
         let aliases: Vec<Symbol> = query.relations.iter().map(|r| r.alias).collect();
@@ -362,10 +383,12 @@ impl CompiledQuery {
                 WindowBuffer::new(attrs)
             })
             .collect();
+        let leads = retention_leads(&aliases, &cross);
         Self {
             id,
-            query,
+            streams,
             widths,
+            leads,
             aliases,
             selections,
             cross,
@@ -380,20 +403,19 @@ impl CompiledQuery {
         self.id
     }
 
-    /// The source query.
-    pub fn query(&self) -> &Query {
-        &self.query
-    }
-
     /// Execution counters so far.
     pub fn stats(&self) -> EngineStats {
         self.stats
     }
 
+    /// Cuts each window at the later of its edge and the point before
+    /// which no arrival from `now` on can join (module docs).
     fn prune(&mut self, now: i64) {
-        for (i, buf) in self.buffers.iter_mut().enumerate() {
-            if let Some(w) = self.widths[i] {
-                buf.prune(now - w);
+        for ((buf, width), lead) in self.buffers.iter_mut().zip(&self.widths).zip(&self.leads) {
+            let edge = width.map(|w| now.saturating_sub(w));
+            let joinable = lead.map(|l| now.saturating_add(l));
+            if let Some(cutoff) = edge.max(joinable) {
+                buf.prune(cutoff);
             }
         }
     }
@@ -436,6 +458,52 @@ impl CompiledQuery {
         }
         self.buffers[rel_idx].push(tuple);
     }
+}
+
+/// Per relation, its lead (module docs): the least bound on `ts_i − ts_j`
+/// that a direct timestamp predicate of `cross` sets, over every other
+/// relation `j`. A relation with no other relation has nothing to join,
+/// and its lead is `i64::MAX`.
+fn retention_leads(aliases: &[Symbol], cross: &[CompiledPredicate]) -> Vec<Option<i64>> {
+    let n = aliases.len();
+    let pos = |alias: Symbol| aliases.iter().position(|&a| a == alias);
+    // lower[i][j]: a lower bound on `ts_i − ts_j`; the tightest one wins
+    // (`None`, no bound, orders below every `Some`).
+    let mut lower = vec![vec![None; n]; n];
+    let mut bound = |i: usize, j: usize, b: i64| lower[i][j] = lower[i][j].max(Some(b));
+    for p in cross {
+        let (left, right, lo, hi) = match *p {
+            CompiledPredicate::JoinCmp {
+                left: Operand::Timestamp { rel: left },
+                op,
+                right: Operand::Timestamp { rel: right },
+            } => {
+                // Timestamps are integer ms, so `>` is `≥ 1`.
+                let (lo, hi) = match op {
+                    CmpOp::Eq => (Some(0), Some(0)),
+                    CmpOp::Ge => (Some(0), None),
+                    CmpOp::Gt => (Some(1), None),
+                    CmpOp::Le => (None, Some(0)),
+                    CmpOp::Lt => (None, Some(-1)),
+                    CmpOp::Ne => (None, None),
+                };
+                (left, right, lo, hi)
+            }
+            CompiledPredicate::TimeDelta { left, right, min_ms, max_ms } => {
+                (left, right, Some(min_ms), Some(max_ms))
+            }
+            _ => continue,
+        };
+        // `lo ≤ ts_i − ts_j ≤ hi`, so `ts_j − ts_i ≥ −hi`.
+        let (Some(i), Some(j)) = (pos(left), pos(right)) else { continue };
+        if i != j {
+            lo.into_iter().for_each(|lo| bound(i, j, lo));
+            hi.into_iter().for_each(|hi| bound(j, i, hi.saturating_neg()));
+        }
+    }
+    // One unconstrained `j` makes the least bound `None`.
+    let lead = |i: usize| (0..n).filter(|&j| j != i).map(|j| lower[i][j]).min();
+    (0..n).map(|i| lead(i).unwrap_or(Some(i64::MAX))).collect()
 }
 
 /// Borrowed probe state: buffers are shared (so candidate iterators can
@@ -552,6 +620,10 @@ pub struct StreamEngine {
     /// checkpoint/recovery plane keys replay on it — see
     /// [`crate::checkpoint`].
     inputs: u64,
+    /// The latest timestamp pushed since the engine was built or
+    /// restored: debug builds check that arrivals are in order, which
+    /// window retention relies on (module docs).
+    latest: Option<i64>,
 }
 
 impl StreamEngine {
@@ -568,8 +640,8 @@ impl StreamEngine {
     pub fn add_query(&mut self, id: QueryId, query: Query) {
         let compiled = CompiledQuery::compile(id, query);
         let qi = self.queries.len();
-        for (ri, rel) in compiled.query.relations.iter().enumerate() {
-            self.feeds.entry(rel.stream).or_default().push((qi, ri));
+        for (ri, &stream) in compiled.streams.iter().enumerate() {
+            self.feeds.entry(stream).or_default().push((qi, ri));
         }
         self.queries.push(compiled);
     }
@@ -580,8 +652,8 @@ impl StreamEngine {
             self.queries.remove(pos);
             self.feeds.clear();
             for (qi, q) in self.queries.iter().enumerate() {
-                for (ri, rel) in q.query.relations.iter().enumerate() {
-                    self.feeds.entry(rel.stream).or_default().push((qi, ri));
+                for (ri, &stream) in q.streams.iter().enumerate() {
+                    self.feeds.entry(stream).or_default().push((qi, ri));
                 }
             }
         }
@@ -592,9 +664,17 @@ impl StreamEngine {
         self.queries.len()
     }
 
-    /// Pushes one tuple, returning all results it triggers.
+    /// Pushes one tuple, returning all results it triggers. Timestamps
+    /// must not decrease from one push to the next (crate docs); debug
+    /// builds assert it.
     pub fn push(&mut self, tuple: Tuple) -> Vec<ResultTuple> {
-        let Self { queries, feeds, inputs } = self;
+        let Self { queries, feeds, inputs, latest } = self;
+        debug_assert!(
+            latest.is_none_or(|l| l <= tuple.timestamp),
+            "out-of-order push: timestamp {} after {latest:?}",
+            tuple.timestamp
+        );
+        *latest = Some(tuple.timestamp);
         *inputs += 1;
         let mut out = Vec::new();
         let shared = Arc::new(tuple);
@@ -645,6 +725,7 @@ impl Recoverable for StreamEngine {
     fn restore(&mut self, cp: &StreamCheckpoint) {
         cp.restore_into(self.queries.iter_mut().map(|q| (q.id, &mut q.buffers[..], &mut q.stats)));
         self.inputs = cp.watermark;
+        self.latest = None;
     }
 
     fn stats(&self) -> EngineStats {

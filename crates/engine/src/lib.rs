@@ -30,7 +30,10 @@
 //!
 //! Tuples must arrive in non-decreasing timestamp order across all streams
 //! (the usual in-order assumption; the paper's experiments satisfy it by
-//! construction).
+//! construction). The assumption bounds state too: a join keeps only the
+//! tuples a later arrival can still join under the query's timestamp
+//! predicates, which may be far fewer than its windows hold ([`exec`]).
+//! Debug builds assert the order in [`exec::StreamEngine::push`].
 //!
 //! # Examples
 //!

@@ -437,9 +437,14 @@ mod tests {
 
     #[test]
     fn paper_q3_q4_share_one_engine_query() {
-        let shared = SharedEngine::build(paper_queries());
+        let queries = paper_queries();
+        let shared = SharedEngine::build(queries.clone());
         assert_eq!(shared.group_count(), 1);
-        let merged = shared.engine.query(shared.groups[0].merged_id).unwrap().query();
+        assert_eq!(shared.engine.query_count(), 1);
+        assert!(shared.engine.query(shared.groups[0].merged_id).is_some());
+        // The one engine query is the group's merge, as `build` makes it.
+        let refs: Vec<(QueryId, &Query)> = queries.iter().map(|(i, q)| (*i, q)).collect();
+        let merged = merge_queries(&refs).expect("Q3 and Q4 merge").query;
         // Q5: no selection filter, 1-hour window.
         assert_eq!(merged.selection_predicates().count(), 0);
         assert_eq!(merged.relation("S1").unwrap().window, cosmos_query::Window::Range(3_600_000));

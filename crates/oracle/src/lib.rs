@@ -1,5 +1,7 @@
-//! The reference broker network: what `cosmos_pubsub::BrokerNetwork` must
-//! be indistinguishable from, computed the slow and obvious way.
+//! The references the differential suites hold the fast planes to, each
+//! computed the slow and obvious way: [`ReferenceNetwork`] for
+//! `cosmos_pubsub::BrokerNetwork`, and [`ReferenceEngine`] for
+//! `cosmos_engine::StreamEngine`.
 //!
 //! Incremental maintenance is correct when it equals recomputation from
 //! scratch (Liu, Ives & Loo, arXiv 1409.6288). [`ReferenceNetwork`] is that
@@ -9,6 +11,10 @@
 //! covering rule (Siena; the paper's Figure 2), matching by evaluating
 //! every entry. A churn operation edits the inputs and drops the tables.
 //! Test and bench support only: no library links it outside its tests.
+
+mod engine;
+
+pub use engine::ReferenceEngine;
 
 use cosmos_net::{NodeId, ShortestPathTree, Topology};
 use cosmos_pubsub::broker::{BrokerNetwork, Delivery, LinkStats};
