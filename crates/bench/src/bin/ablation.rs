@@ -19,7 +19,11 @@
 //! running at their proxy and the load spread of the hierarchical mapping,
 //! the same with overlap edges off, the centralized and greedy mappings,
 //! and the naive and random placements, then the work and wall time of
-//! each mapping's closing query-level refinement. Where result traffic
+//! each mapping's closing query-level refinement (queries moved alone,
+//! groups — a processor's readers of one substream — moved together,
+//! sweeps, targets priced and dropped with the movers lifted, groups
+//! lifted and groups told without lifting that no target beats staying).
+//! Where result traffic
 //! matters this is the table that says whether the optimizer minimises
 //! what it is judged on; the hierarchical row's total over the random
 //! row's is the harness's `core.distribute.cost_vs_random`.
@@ -87,19 +91,26 @@ fn sensor_scenario() {
     }
     println!("\nquery-level refinement (exact work; wall time of this run)");
     println!(
-        "{:>14} {:>8} {:>8} {:>10} {:>10} {:>10}",
-        "placement", "moves", "sweeps", "evaluated", "pruned", "ms"
+        "{:>14} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8} {:>8} {:>10}",
+        "placement", "moves", "groups", "sweeps", "evaluated", "pruned", "g-eval", "g-pruned", "ms"
     );
     let mut refinements = Vec::new();
     for (name, out) in &mapped {
         let (r, ms) = (out.refine, out.timing.refine.as_secs_f64() * 1e3);
         println!(
-            "{name:>14} {:>8} {:>8} {:>10} {:>10} {ms:>10.2}",
-            r.moves, r.passes, r.evaluated, r.pruned
+            "{name:>14} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8} {:>8} {ms:>10.2}",
+            r.moves,
+            r.substream_moves,
+            r.passes,
+            r.evaluated,
+            r.pruned,
+            r.groups_evaluated,
+            r.groups_pruned
         );
         refinements.push(serde_json::json!({
-            "placement": *name, "moves": r.moves, "passes": r.passes,
-            "evaluated": r.evaluated, "pruned": r.pruned
+            "placement": *name, "moves": r.moves, "substream_moves": r.substream_moves,
+            "passes": r.passes, "evaluated": r.evaluated, "pruned": r.pruned,
+            "groups_evaluated": r.groups_evaluated, "groups_pruned": r.groups_pruned
         }));
     }
     let total_of = |name| totals[placements.iter().position(|p| p.0 == name).expect("a row")];

@@ -833,9 +833,15 @@ mod tests {
     /// and so which coarse vertices the upper graphs are made of; from
     /// commit 3cbb866 until then it read 93 097 edges and 106 996
     /// re-estimates through every rewrite of the kernel. The query-level
-    /// refinement that ends `distribute` (PR 22) then moves 201 of the 800
-    /// queries in 4 sweeps, the last moving none: 262 candidate targets
-    /// priced in full, 16 434 dropped at a partial sum.
+    /// refinement that ends `distribute` then moves 202 of the 800 queries
+    /// alone and 7 groups of a processor's readers of one substream, in 10
+    /// sweeps (4 of queries, 3 of groups, 2 of queries, 1 of groups), the
+    /// last of each kind moving none: 270 candidate targets priced with the
+    /// movers lifted and 162 dropped there, 43 groups lifted and 8 687 told
+    /// without lifting that no target beats staying. Re-pinned when groups
+    /// began to move: it read 201 moves in 4 sweeps, 262 targets priced in
+    /// full and 16 434 dropped at a partial sum, when every target was
+    /// priced lifted.
     #[test]
     fn churn_distribute_work_is_pinned() {
         let out = fixtures::churn_distribute(&fixtures::churn_world());
@@ -844,18 +850,21 @@ mod tests {
             (stats.vertices, stats.edges, stats.collapses, stats.reestimated),
             (1_010, 93_068, 754, 107_606)
         );
-        let refine = out.refine;
+        let r = out.refine;
         assert_eq!(
-            (refine.moves, refine.passes, refine.evaluated, refine.pruned),
-            (201, 4, 262, 16_434)
+            (r.moves, r.substream_moves, r.passes, r.evaluated, r.pruned),
+            (202, 7, 10, 270, 162)
         );
+        assert_eq!((r.groups_evaluated, r.groups_pruned), (43, 8_687));
     }
 
     /// One incremental adaptation round on that placement, under the seed
     /// `placement-churn` adapts with, ends with the same refinement, priced
-    /// for moving and held to phase 2's band. Its work is exact too: 39
-    /// queries moved in 3 sweeps, 44 targets priced in full, 9 253 dropped
-    /// at a partial sum.
+    /// for moving and held to phase 2's band. Its work is exact too: 28
+    /// queries and 2 groups moved in 6 sweeps, 35 targets priced with the
+    /// movers lifted and 38 dropped there, 32 groups lifted and 4 346 not.
+    /// Re-pinned when groups began to move (it read 39 queries in 3 sweeps,
+    /// 44 targets priced in full and 9 253 dropped at a partial sum).
     #[test]
     fn churn_adapt_round_refine_work_is_pinned() {
         let mut sim = fixtures::churn_world();
@@ -864,11 +873,12 @@ mod tests {
         let seed = cosmos_util::rng::derive_seed(fixtures::CHURN_SEED, "adapt");
         let mut opt = cosmos_core::IncrementalOptimizer::new(seed, Default::default())
             .expect("the default adaptation config is valid");
-        let refine = sim.adapt_round_incremental(&mut opt).refine;
+        let r = sim.adapt_round_incremental(&mut opt).refine;
         assert_eq!(
-            (refine.moves, refine.passes, refine.evaluated, refine.pruned),
-            (39, 3, 44, 9_253)
+            (r.moves, r.substream_moves, r.passes, r.evaluated, r.pruned),
+            (28, 2, 6, 35, 38)
         );
+        assert_eq!((r.groups_evaluated, r.groups_pruned), (32, 4_346));
     }
 
     #[test]

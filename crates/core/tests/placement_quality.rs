@@ -12,7 +12,10 @@
 //! what co-location pays for reads 0.43, 1.14 and 85 in a hundred — still
 //! over naive, because the top-down mapping stops at whole level-1
 //! clusters and refines a pairwise surrogate. The query-level refinement
-//! on the model's own cost that ends `distribute` reads 0.36, 0.95 and 86.
+//! on the model's own cost that ends `distribute` read 0.36, 0.95 and 86
+//! moving one query at a time, and 0.349 of random and 0.932 of naive once
+//! it also moves a processor's readers of one substream together — the
+//! margin over naive this test holds.
 
 use cosmos_baselines::{naive_assignment, random_assignment};
 use cosmos_core::distribute::Distributor;
@@ -45,7 +48,7 @@ fn sensor_population_beats_random_and_stays_near_its_proxies() {
         cost(&random_assignment(&specs, dep, SEED + 3)),
     );
     assert!(hier <= 0.4 * random, "hierarchical {hier:.0} > 0.4 × random {random:.0}");
-    assert!(hier < naive, "hierarchical {hier:.0} does not beat naive {naive:.0}");
+    assert!(hier <= 0.935 * naive, "hierarchical {hier:.0} > 0.935 × naive {naive:.0}");
 
     let level1 = |p| tree.node(tree.leaf_of(p).expect("a processor")).parent;
     let near = specs

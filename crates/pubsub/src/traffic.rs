@@ -201,6 +201,8 @@ pub struct PlacementCost<'a> {
     /// Queries reading substream `s` on the processor that is endpoint `e`
     /// of the deployment's distance matrix, at `e · S + s`.
     readers: Vec<u32>,
+    /// Per endpoint, the substreams it has readers of.
+    reading: Vec<InterestSet>,
     /// Per substream, per node with the link above it carrying the
     /// substream: the node's readers (as one) plus its children in the
     /// source's tree whose links carry it. Holds the nodes that ever were on
@@ -212,9 +214,11 @@ pub struct PlacementCost<'a> {
 impl<'a> PlacementCost<'a> {
     /// The cost of the empty placement.
     pub fn new(dep: &'a Deployment, table: &'a SubstreamTable) -> Self {
-        let readers = vec![0; table.len() * dep.distances().endpoints().len()];
+        let endpoints = dep.distances().endpoints().len();
+        let readers = vec![0; table.len() * endpoints];
+        let reading = vec![InterestSet::new(table.len()); endpoints];
         let carried = vec![VecMap::new(); table.len()];
-        Self { model: TrafficModel::new(dep, table), readers, carried, total: 0.0 }
+        Self { model: TrafficModel::new(dep, table), readers, reading, carried, total: 0.0 }
     }
 
     /// The cost of everything [`Self::put`] and not [`Self::lift`]ed.
@@ -236,10 +240,14 @@ impl<'a> PlacementCost<'a> {
         self.shift(q, at, false)
     }
 
+    /// Processor `at`'s endpoint index.
+    fn endpoint(&self, at: NodeId) -> usize {
+        self.model.dep.distances().index_of(at).expect("a deployment endpoint")
+    }
+
     /// Where `readers` counts processor `at`'s substreams from.
     fn row(&self, at: NodeId) -> usize {
-        let dep = self.model.dep;
-        dep.distances().index_of(at).expect("a deployment endpoint") * self.model.table.len()
+        self.endpoint(at) * self.model.table.len()
     }
 
     /// Steps the counters for `q` arriving at (`put`) or leaving `at`, and
@@ -251,11 +259,17 @@ impl<'a> PlacementCost<'a> {
             *n = if put { *n + 1 } else { n.checked_sub(1).expect("lifted where never put") };
             *n == u32::from(put)
         };
-        let row = self.row(at);
+        let e = self.endpoint(at);
+        let row = e * self.model.table.len();
         let mut cost = self.model.result_flow_cost(at, q.proxy, q.result_rate);
         for s in q.interest.iter() {
             if !step(&mut self.readers[row + s]) {
                 continue; // neither the processor's first reader nor its last
+            }
+            if put {
+                self.reading[e].insert(s);
+            } else {
+                self.reading[e].remove(s);
             }
             let tree = self.model.source_tree_of(s);
             let (mut cur, mut span) = (at, 0.0);
@@ -272,18 +286,58 @@ impl<'a> PlacementCost<'a> {
         cost
     }
 
-    /// What [`Self::put`] would add, or `None` once that is known to reach
-    /// `cap`: the result flow and every new link only add, so a partial sum
-    /// is a lower bound.
-    pub fn price(&self, q: &QueryTraffic, at: NodeId, cap: f64) -> Option<f64> {
-        let row = self.row(at);
-        let mut cost = self.model.result_flow_cost(at, q.proxy, q.result_rate);
-        for s in q.interest.iter() {
+    /// How many of the queries put on processor `at` read substream `s`.
+    pub fn readers(&self, at: NodeId, s: usize) -> u32 {
+        self.readers[self.row(at) + s]
+    }
+
+    /// What [`Self::lift`]ing every member off `at` would save, leaving
+    /// the placement as it is: their result flows, and each substream of
+    /// `alone` — the ones no query but a member reads there — over the
+    /// links that carry it for `at` alone.
+    pub fn saving(
+        &self,
+        members: &[QueryTraffic],
+        at: NodeId,
+        alone: impl IntoIterator<Item = usize>,
+    ) -> f64 {
+        let flows = members.iter().map(|q| self.model.result_flow_cost(at, q.proxy, q.result_rate));
+        let mut saved: f64 = flows.sum();
+        for s in alone {
+            let tree = self.model.source_tree_of(s);
+            let (mut cur, mut span) = (at, 0.0);
+            while let Some((parent, latency)) = tree.uplink(cur) {
+                if self.carried[s].get(&cur) != Some(&1) {
+                    break; // it carries the substream for someone else too
+                }
+                span += latency;
+                cur = parent;
+            }
+            saved += self.model.table.rate(s) * span;
+        }
+        saved
+    }
+
+    /// What [`Self::put`] of every member at `at` would add, or `None` once
+    /// that is known to reach `cap`: each member's result flow, and each
+    /// substream of `reads` — the union of their interests — once, over the
+    /// links it would newly take, as readers on one processor share it. A
+    /// single query is the one-member case. Every term only adds, so a
+    /// partial sum is a lower bound; and with the members still put
+    /// somewhere, so is the whole price, which lifting them can only raise.
+    pub fn price(
+        &self,
+        members: &[QueryTraffic],
+        reads: &InterestSet,
+        at: NodeId,
+        cap: f64,
+    ) -> Option<f64> {
+        let flows = members.iter().map(|q| self.model.result_flow_cost(at, q.proxy, q.result_rate));
+        let mut cost: f64 = flows.sum();
+        // What `at` reads already costs nothing more.
+        for s in reads.difference_iter(&self.reading[self.endpoint(at)]) {
             if cost >= cap {
                 return None;
-            }
-            if self.readers[row + s] > 0 {
-                continue;
             }
             // Up to the first node the substream already reaches.
             let (tree, rate) = (self.model.source_tree_of(s), self.model.table.rate(s));
@@ -404,7 +458,7 @@ mod tests {
     /// the move, as the refinement pass computes it.
     fn delta(cost: &mut PlacementCost, q: &QueryTraffic, from: NodeId, to: NodeId) -> f64 {
         let saved = cost.lift(q, from);
-        let added = cost.price(q, to, f64::INFINITY).expect("no cap");
+        let added = cost.price(&[*q], q.interest, to, f64::INFINITY).expect("no cap");
         assert_eq!(cost.put(q, from), saved, "putting back restores what the lift freed");
         added - saved
     }
@@ -463,13 +517,13 @@ mod tests {
         let (inner, outer) = (NodeId(1), NodeId(2));
         assert_eq!(cost.put(&q, outer), 20.0 + 1.0);
         // A second reader at the inner host rides the first one's path.
-        assert_eq!(cost.price(&q, inner, f64::INFINITY), Some(0.0));
+        assert_eq!(cost.price(&[q], q.interest, inner, f64::INFINITY), Some(0.0));
         assert_eq!(delta(&mut cost, &q, outer, inner), -11.0);
         // The cap cuts a price off at the first partial sum that reaches it.
-        assert_eq!(cost.price(&q, inner, 0.0), None);
+        assert_eq!(cost.price(&[q], q.interest, inner, 0.0), None);
         cost.lift(&q, outer);
-        assert_eq!(cost.price(&q, outer, 21.0), None);
-        assert_eq!(cost.price(&q, outer, 21.5), Some(21.0));
+        assert_eq!(cost.price(&[q], q.interest, outer, 21.0), None);
+        assert_eq!(cost.price(&[q], q.interest, outer, 21.5), Some(21.0));
         assert_eq!(cost.total(), 0.0);
     }
 
@@ -552,7 +606,7 @@ mod tests {
                     let (from, to) = (hosts[i], rng.gen_range(0..n_proc));
                     let q = world.traffic(i);
                     let saved = cost.lift(&q, procs[from]);
-                    let added = cost.price(&q, procs[to], f64::INFINITY).expect("no cap");
+                    let added = cost.price(&[q], q.interest, procs[to], f64::INFINITY).expect("no cap");
                     hosts[i] = to;
                     let after = world.model_cost(&hosts);
                     prop_assert!(
@@ -564,7 +618,7 @@ mod tests {
                     // A capped price is the same price or a refusal, never
                     // a different number.
                     let cap = rng.gen_range(0.0..2.0) * added;
-                    let capped = cost.price(&q, procs[to], cap);
+                    let capped = cost.price(&[q], q.interest, procs[to], cap);
                     prop_assert!(
                         if added < cap { capped == Some(added) } else { capped.is_none() },
                         "seed {seed} move {step}: price {added} under cap {cap} gave {capped:?}"
@@ -576,6 +630,94 @@ mod tests {
                         cost.total()
                     );
                     before = after;
+                }
+            }
+
+            /// Moving a set of queries together: what lifting them all off
+            /// their processor saves is [`PlacementCost::saving`] with the
+            /// substreams only they read there, and with them lifted, the
+            /// set price of a processor is what putting them all there
+            /// adds — each substream of their union charged once — or
+            /// `None` exactly when that reaches the cap.
+            #[test]
+            fn set_saving_and_set_price_are_the_deltas_of_lift_all_and_put_all(
+                seed in 0u64..10_000,
+            ) {
+                let mut rng = rng_for(seed, "set-price");
+                let (n_src, n_proc, n_sub) = (rng.gen_range(1..4), rng.gen_range(2..8), 12);
+                let topo = TransitStubConfig::small().generate(seed);
+                let dep = Deployment::assign(topo, n_src, n_proc, seed);
+                let table = SubstreamTable::random(n_sub, n_src, 1.0, 10.0, seed);
+                let queries = (0..rng.gen_range(2..30))
+                    .map(|_| {
+                        let reads: Vec<usize> =
+                            (0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..n_sub)).collect();
+                        let proxy = dep.processors()[rng.gen_range(0..n_proc)];
+                        let rate = if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(0.0..5.0) };
+                        (InterestSet::from_indices(n_sub, reads), proxy, rate)
+                    })
+                    .collect();
+                let world = World { dep, table, queries };
+                let procs = world.dep.processors();
+                let mut hosts: Vec<usize> =
+                    world.queries.iter().map(|_| rng.gen_range(0..n_proc)).collect();
+                let mut cost = PlacementCost::new(&world.dep, &world.table);
+                for (i, &at) in hosts.iter().enumerate() {
+                    cost.put(&world.traffic(i), procs[at]);
+                }
+                for step in 0..30 {
+                    let from = hosts[rng.gen_range(0..hosts.len())];
+                    // Every query there reading a random substream, or a
+                    // random half of the queries there.
+                    let s = rng.gen_range(0..n_sub);
+                    let by_substream = rng.gen_bool(0.5);
+                    let members: Vec<usize> = (0..hosts.len())
+                        .filter(|&i| hosts[i] == from)
+                        .filter(|&i| {
+                            if by_substream { world.queries[i].0.contains(s) } else { rng.gen_bool(0.5) }
+                        })
+                        .collect();
+                    let flows: Vec<QueryTraffic> = members.iter().map(|&i| world.traffic(i)).collect();
+                    let read = |i: usize, t: usize| world.queries[i].0.contains(t);
+                    let alone = (0..n_sub).filter(|&t| {
+                        members.iter().any(|&i| read(i, t))
+                            && (0..hosts.len()).all(|i| hosts[i] != from || members.contains(&i) || !read(i, t))
+                    });
+                    let saving = cost.saving(&flows, procs[from], alone);
+                    let before = cost.total();
+                    for q in &flows {
+                        cost.lift(q, procs[from]);
+                    }
+                    let lifted = cost.total();
+                    prop_assert!(
+                        close(saving, before - lifted),
+                        "seed {seed} step {step}: saving {saving} but lifting all saved {}",
+                        before - lifted
+                    );
+                    let to = rng.gen_range(0..n_proc);
+                    let mut reads = InterestSet::new(n_sub);
+                    for q in &flows {
+                        reads.union_with(q.interest);
+                    }
+                    let price = cost.price(&flows, &reads, procs[to], f64::INFINITY).expect("no cap");
+                    let cap = rng.gen_range(0.0..2.0) * price;
+                    let capped = cost.price(&flows, &reads, procs[to], cap);
+                    for q in &flows {
+                        cost.put(q, procs[to]);
+                    }
+                    let added = cost.total() - lifted;
+                    prop_assert!(
+                        close(price, added),
+                        "seed {seed} step {step}: set price {price} but putting all added {added}"
+                    );
+                    prop_assert!(
+                        if added < cap { capped == Some(price) } else { capped.is_none() },
+                        "seed {seed} step {step}: price {price} under cap {cap} gave {capped:?}"
+                    );
+                    for &i in &members {
+                        hosts[i] = to;
+                    }
+                    prop_assert!(close(cost.total(), world.model_cost(&hosts)), "seed {seed} step {step}");
                 }
             }
         }

@@ -87,6 +87,11 @@ impl InterestSet {
         self.words[i / WORD_BITS] &= !(1u64 << (i % WORD_BITS));
     }
 
+    /// Removes every substream.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// Returns `true` if substream `i` is in the set.
     pub fn contains(&self, i: usize) -> bool {
         if i >= self.universe {
@@ -149,6 +154,14 @@ impl InterestSet {
         }
     }
 
+    /// In-place intersection: `self &= other`.
+    pub fn intersect_with(&mut self, other: &Self) {
+        self.assert_same_universe(other);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= b;
+        }
+    }
+
     /// In-place union: `self |= other`.
     pub fn union_with(&mut self, other: &Self) {
         self.assert_same_universe(other);
@@ -191,6 +204,24 @@ impl InterestSet {
             }
         }
         total
+    }
+
+    /// Iterates, in ascending order, over the substreams in `self` but not
+    /// in `other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the universes differ.
+    pub fn difference_iter<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = usize> + 'a {
+        self.assert_same_universe(other);
+        self.words.iter().zip(&other.words).enumerate().flat_map(|(w, (a, b))| {
+            let mut bits = a & !b;
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some(w * WORD_BITS + bit)
+            })
+        })
     }
 
     /// Iterates over the substream indices in ascending order.
@@ -356,6 +387,13 @@ mod tests {
             prop_assert_eq!(u.intersection_count(&sa), sa.len());
             prop_assert_eq!(u.intersection_count(&sb), sb.len());
             prop_assert_eq!(u.len() + sa.intersection_count(&sb), sa.len() + sb.len());
+        }
+
+        #[test]
+        fn prop_difference_iter_is_the_set_difference(a in arb_indices(200), b in arb_indices(200)) {
+            let (sa, sb) = (InterestSet::from_indices(200, a), InterestSet::from_indices(200, b));
+            let want: Vec<usize> = sa.iter().filter(|&i| !sb.contains(i)).collect();
+            prop_assert_eq!(sa.difference_iter(&sb).collect::<Vec<usize>>(), want);
         }
 
         #[test]
