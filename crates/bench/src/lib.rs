@@ -833,15 +833,14 @@ mod tests {
     /// and so which coarse vertices the upper graphs are made of; from
     /// commit 3cbb866 until then it read 93 097 edges and 106 996
     /// re-estimates through every rewrite of the kernel. The query-level
-    /// refinement that ends `distribute` then moves 202 of the 800 queries
-    /// alone and 7 groups of a processor's readers of one substream, in 10
-    /// sweeps (4 of queries, 3 of groups, 2 of queries, 1 of groups), the
-    /// last of each kind moving none: 270 candidate targets priced with the
-    /// movers lifted and 162 dropped there, 43 groups lifted and 8 687 told
-    /// without lifting that no target beats staying. Re-pinned when groups
-    /// began to move: it read 201 moves in 4 sweeps, 262 targets priced in
-    /// full and 16 434 dropped at a partial sum, when every target was
-    /// priced lifted.
+    /// refinement that ends `distribute` then moves 188 of the 800 queries
+    /// alone and 12 groups of a processor's readers of one substream, in 7
+    /// sweeps of queries and of groups in turn, the last two moving none:
+    /// 255 candidate targets priced with the movers lifted and 17 850
+    /// dropped there at a partial sum, 74 groups lifted and 6 613 not (no
+    /// leaf priced with the group in place beats staying). Re-pinned when
+    /// groups began to move: it read 201 moves in 4 sweeps, 262 targets
+    /// priced in full and 16 434 dropped at a partial sum.
     #[test]
     fn churn_distribute_work_is_pinned() {
         let out = fixtures::churn_distribute(&fixtures::churn_world());
@@ -853,18 +852,19 @@ mod tests {
         let r = out.refine;
         assert_eq!(
             (r.moves, r.substream_moves, r.passes, r.evaluated, r.pruned),
-            (202, 7, 10, 270, 162)
+            (188, 12, 7, 255, 17_850)
         );
-        assert_eq!((r.groups_evaluated, r.groups_pruned), (43, 8_687));
+        assert_eq!((r.groups_evaluated, r.groups_pruned), (74, 6_613));
     }
 
     /// One incremental adaptation round on that placement, under the seed
     /// `placement-churn` adapts with, ends with the same refinement, priced
-    /// for moving and held to phase 2's band. Its work is exact too: 28
-    /// queries and 2 groups moved in 6 sweeps, 35 targets priced with the
-    /// movers lifted and 38 dropped there, 32 groups lifted and 4 346 not.
-    /// Re-pinned when groups began to move (it read 39 queries in 3 sweeps,
-    /// 44 targets priced in full and 9 253 dropped at a partial sum).
+    /// for moving and held to phase 2's band. Its work is exact too: 36
+    /// queries and 1 group moved in 7 sweeps, 38 targets priced with the
+    /// movers lifted and 7 869 dropped there, 4 groups lifted and 6 284
+    /// not. Re-pinned when groups began to move (it read 39 queries in 3
+    /// sweeps, 44 targets priced in full and 9 253 dropped at a partial
+    /// sum).
     #[test]
     fn churn_adapt_round_refine_work_is_pinned() {
         let mut sim = fixtures::churn_world();
@@ -876,9 +876,9 @@ mod tests {
         let r = sim.adapt_round_incremental(&mut opt).refine;
         assert_eq!(
             (r.moves, r.substream_moves, r.passes, r.evaluated, r.pruned),
-            (28, 2, 6, 35, 38)
+            (36, 1, 7, 38, 7_869)
         );
-        assert_eq!((r.groups_evaluated, r.groups_pruned), (32, 4_346));
+        assert_eq!((r.groups_evaluated, r.groups_pruned), (4, 6_284));
     }
 
     #[test]

@@ -29,19 +29,15 @@
 //! so a pass of single moves cannot see the model's largest saving: a
 //! processor pays for a substream once, however many of its queries read
 //! it (§3.1.2). The pass therefore also moves *groups*, every query of a
-//! processor that reads one substream, lifted and priced together: the set
-//! price of `PlacementCost` charges each substream of their union once.
-//! Sweeps alternate: query sweeps run until one moves nothing, then
-//! substream sweeps over every group of two or more readers, in
-//! (processor, substream) order, until one moves nothing, and so on until
-//! the first sweep of a kind moves nothing right after the other kind's
-//! last one did — a fixpoint of both kinds of move — or `REFINE_SWEEPS`
-//! sweeps ran. A sweep stays cheap because no set is lifted unless some
-//! target can beat staying: its saving is read off the counters, every
-//! target is priced with the set still in place (a price lifting it can
-//! only raise), and a set for which nothing it is priced on has changed
-//! since it last stayed is priced only on the processors a move has since
-//! unloaded.
+//! processor that reads one substream, two or more of them, lifted and
+//! priced together: the set price of `PlacementCost` charges each
+//! substream of their union once. A query sweep and a substream sweep
+//! alternate, one of each in turn, until one of each in a row moves
+//! nothing — a fixpoint of both kinds of move — or `REFINE_SWEEPS` sweeps
+//! ran. A group is lifted only if some leaf admitting it, priced with the
+//! group still in place (a price lifting it can only raise), beats what
+//! staying is worth: the group's result flows plus what lifting it frees,
+//! worked out once per processor visit for all of that processor's groups.
 //!
 //! Graph construction appends: a vertex's few source and result-flow terms
 //! are placed first, then the pairwise overlap pass rebuilds every
@@ -85,8 +81,9 @@ const CANDIDATES_PER_SUBSTREAM: usize = 16;
 /// co-occurring partners).
 const TOP_OVERLAP_EDGES: usize = 12;
 /// Sweep cap of the query-level refinement that ends a distribution, query
-/// and substream sweeps counted together.
-const REFINE_SWEEPS: usize = 16;
+/// and substream sweeps counted together: sixteen of each kind.
+/// `sensor-join`'s population reaches the fixpoint in 9 to 14 sweeps.
+const REFINE_SWEEPS: usize = 32;
 
 /// Tuning knobs for the distribution machinery: the values a production
 /// caller sets, each one more key of the incremental optimizer's memo. What
@@ -527,14 +524,12 @@ impl<'a> Distributor<'a> {
         // Each query's pre-round host, read once.
         let homes = specs.iter().map(|q| moved_from.and_then(|a| a.processor_of(q.id)));
         let mut pass = Refinement::new(self, specs, assignment, homes.collect(), alpha);
-        for (phase, substreams) in [false, true].into_iter().cycle().enumerate() {
-            let mut moved = false;
-            while pass.stats.passes < REFINE_SWEEPS && pass.sweep(substreams) {
-                moved = true;
-            }
-            if pass.stats.passes == REFINE_SWEEPS || (!moved && phase > 0) {
-                break;
-            }
+        // A query sweep and a substream sweep in turn, until one of each in
+        // a row moves nothing.
+        let mut idle = 0;
+        while idle < 2 && pass.stats.passes < REFINE_SWEEPS {
+            let moved = pass.sweep(pass.stats.passes % 2 == 1);
+            idle = if moved { 0 } else { idle + 1 };
         }
         for (q, &k) in specs.iter().zip(&pass.hosts) {
             assignment.place(q.id, pass.targets[k].node);
@@ -716,8 +711,8 @@ impl<'a> Distributor<'a> {
     }
 }
 
-/// The closing refinement's state: the cost of the placement as it moves,
-/// every leaf's load against its limit, and when each move happened.
+/// The closing refinement's state: the cost of the placement as it moves
+/// and every leaf's load against its limit.
 struct Refinement<'r> {
     dep: &'r Deployment,
     specs: &'r [QuerySpec],
@@ -729,29 +724,13 @@ struct Refinement<'r> {
     hosts: Vec<usize>,
     /// Per query, the pre-round host a move pays to leave.
     homes: Vec<Option<NodeId>>,
-    /// Moves made, of either kind, plus one: the clock the stamps read.
-    clock: usize,
-    /// Per substream, when a leaf last started or stopped reading it: what
-    /// reshapes its multicast tree.
-    tree_moved: Vec<usize>,
-    /// Per leaf, when a move last took queries onto or off it, and off it.
-    leaf_moved: Vec<usize>,
-    unloaded: Vec<usize>,
-    /// When each query last stayed (0: never), with what staying was
-    /// worth then.
-    query_stayed: Vec<(usize, f64)>,
-    /// Per leaf, its queries by the substreams they read, and room to list
-    /// them in.
-    leaves: Vec<LeafReads>,
-    cursor: Vec<usize>,
-    /// Per substream `s` of the leaf a substream sweep is on, what lifting
-    /// every reader of `s` there frees on the source side, the clock it was
-    /// worked out at (0: not yet), and room to work it out in.
+    /// Room for one leaf's substreams and, per substream, its readers
+    /// there; for what lifting each group there frees (see
+    /// [`Self::count_frees`]); for the result streams and the substreams of
+    /// the queries a move prices; and for the leaves admitting them.
+    subs: Vec<usize>,
+    readers: Vec<Vec<usize>>,
     frees: Vec<f64>,
-    frees_at: usize,
-    common: InterestSet,
-    /// The members of the move being priced — their result streams and
-    /// the substreams they read — and the leaves admitting them.
     flows: Vec<QueryTraffic<'r>>,
     union: InterestSet,
     admitting: Vec<usize>,
@@ -778,7 +757,6 @@ impl<'r> Refinement<'r> {
             cost.put(&q.traffic(), node);
             hosts.push(k);
         }
-        let n = targets.len();
         Self {
             dep: d.dep,
             specs,
@@ -788,16 +766,9 @@ impl<'r> Refinement<'r> {
             loads,
             hosts,
             homes,
-            clock: 1,
-            tree_moved: vec![0; d.universe()],
-            leaf_moved: vec![0; n],
-            unloaded: vec![0; n],
-            query_stayed: vec![(0, 0.0); specs.len()],
-            leaves: vec![LeafReads::default(); n],
-            cursor: vec![0; d.universe()],
+            subs: Vec::new(),
+            readers: vec![Vec::new(); d.universe()],
             frees: vec![0.0; d.universe()],
-            frees_at: 0,
-            common: InterestSet::new(d.universe()),
             flows: Vec::new(),
             union: InterestSet::new(d.universe()),
             admitting: Vec::new(),
@@ -805,132 +776,194 @@ impl<'r> Refinement<'r> {
         }
     }
 
-    /// One sweep of substream moves or of query moves; true when one moved.
+    /// One sweep of query moves or of substream moves; true when one moved.
     fn sweep(&mut self, substreams: bool) -> bool {
         self.stats.passes += 1;
-        let clock = self.clock;
+        let before = self.stats.moves + self.stats.substream_moves;
         if substreams {
             (0..self.targets.len()).for_each(|p| self.substream_sweep_at(p));
         } else {
-            (0..self.specs.len()).for_each(|i| self.query_move(i));
+            for i in 0..self.specs.len() {
+                self.stats.moves += usize::from(self.query_move(i));
+            }
         }
-        self.clock > clock
+        self.stats.moves + self.stats.substream_moves > before
     }
 
-    /// Moves query `i` alone, or finds it stays.
-    fn query_move(&mut self, i: usize) {
+    /// Moves query `i` alone, or finds it stays; true when it moves.
+    fn query_move(&mut self, i: usize) -> bool {
         let (q, from) = (&self.specs[i], self.hosts[i]);
-        self.take_flows(&[i]);
-        let stayed = self.query_stayed[i];
-        let since = self.unchanged(from, stayed.0).then_some(stayed.0);
-        let bar = since.map_or_else(
-            || {
-                let at = self.targets[from].node;
-                let alone = q.interest.iter().filter(|&s| self.cost.readers(at, s) == 1);
-                self.cost.saving(&self.flows, at, alone) + self.fare(&[i], from) - 1e-9
-            },
-            |_| stayed.1,
-        );
-        if self.move_set(&[i], from, bar, since) {
-            self.query_stayed[i] = (self.clock, bar);
+        let (flows, at) = (q.traffic(), self.targets[from].node);
+        // With `q` lifted, a target's price is exact whatever the lift
+        // freed; the saving is computed once, not per target.
+        let saved = self.cost.lift(&flows, at);
+        let bar = saved + self.fare(&[i], from) - 1e-9;
+        // No price is negative: a query that frees nothing stays.
+        let to = if bar > 0.0 && self.admit(&[i], from) {
+            self.cheapest(&[i], std::slice::from_ref(&flows), &q.interest, from, bar)
         } else {
-            self.stats.moves += 1;
-        }
+            from
+        };
+        self.cost.put(&flows, self.targets[to].node);
+        self.moved(&[i], from, to)
     }
 
     /// Moves each group on leaf `p` — its queries reading one substream,
     /// two or more of them — in substream order, or finds it stays.
     fn substream_sweep_at(&mut self, p: usize) {
-        let mut next = 0;
-        loop {
-            if self.leaves[p].listed < self.leaf_moved[p].max(1) {
-                self.leaves[p] =
-                    LeafReads::list(self.specs, &self.hosts, p, self.clock, &mut self.cursor);
-            }
-            self.frees_at = 0;
-            let mut leaf = std::mem::take(&mut self.leaves[p]);
-            let mut moved = None;
-            for at in 0..leaf.runs.len() {
-                let run = &leaf.runs[at];
-                if run.s < next || run.at.len() < 2 {
-                    continue;
-                }
-                match self.group_move(&leaf, at, p) {
-                    Some(bar) => leaf.runs[at].stayed = (self.clock, bar),
-                    None => {
-                        moved = Some(leaf.runs[at].s);
-                        break;
-                    }
-                }
-            }
-            self.leaves[p] = leaf;
-            match moved {
-                // The leaf's list is stale: list it again and go on after `s`.
-                Some(s) => next = s + 1,
-                None => break,
-            }
-        }
-    }
-
-    /// Moves the readers of `leaf.runs[at]`'s substream, all on leaf `p`,
-    /// or finds they stay; returns what staying is worth if they do.
-    fn group_move(&mut self, leaf: &LeafReads, at: usize, p: usize) -> Option<f64> {
-        let (run, group) = (&leaf.runs[at], leaf.readers(&leaf.runs[at]));
-        self.take_flows(group);
-        let since = self.unchanged(p, run.stayed.0).then_some(run.stayed.0);
-        let bar = since.map_or_else(
-            || {
-                if self.frees_at != self.clock {
-                    self.count_frees(leaf, p);
-                }
-                let saved = self.cost.saving(&self.flows, self.targets[p].node, []);
-                saved + self.frees[run.s] + self.fare(group, p) - 1e-9
-            },
-            |_| run.stayed.1,
-        );
-        let stays = self.move_set(group, p, bar, since);
-        self.stats.substream_moves += usize::from(!stays);
-        stays.then_some(bar)
-    }
-
-    /// Fills `self.frees[s]` for each substream `s` read on leaf `p`, as
-    /// `leaf` lists them: what lifting every reader of `s` there would free
-    /// on the source side — each substream `t` read there only by readers
-    /// of `s`, over the links that carry it for the leaf alone.
-    fn count_frees(&mut self, leaf: &LeafReads, p: usize) {
         let (specs, at) = (self.specs, self.targets[p].node);
-        for run in &leaf.runs {
-            self.frees[run.s] = 0.0;
+        let mut subs = std::mem::take(&mut self.subs);
+        let mut readers = std::mem::take(&mut self.readers);
+        for i in (0..specs.len()).filter(|&i| self.hosts[i] == p) {
+            for s in specs[i].interest.iter() {
+                subs.extend(readers[s].is_empty().then_some(s));
+                readers[s].push(i);
+            }
         }
-        for run in &leaf.runs {
-            let freed = self.cost.saving(&[], at, [run.s]);
-            if freed > 0.0 {
-                // Every reader of `t` reads `s` exactly when `s` is in all
-                // their interests.
-                let common = &mut self.common;
-                common.clear();
-                common.union_with(&specs[leaf.readers(run)[0]].interest);
-                for &i in &leaf.readers(run)[1..] {
-                    common.intersect_with(&specs[i].interest);
+        subs.sort_unstable();
+        let (mut members, mut counted) = (Vec::new(), false);
+        for &s in &subs {
+            // A move takes readers of later substreams off the leaf and
+            // leaves `frees` as the visit found it: a group priced on it is
+            // lifted in vain or left for a later sweep, never moved at a
+            // loss (a lifted group moves on its exact price), and a sweep
+            // that moves nothing reads every value exact.
+            members.clear();
+            members.extend(readers[s].iter().copied().filter(|&i| self.hosts[i] == p));
+            if members.len() < 2 {
+                continue;
+            }
+            if !self.admit(&members, p) {
+                self.stats.groups_pruned += 1;
+                continue;
+            }
+            if !counted {
+                self.count_frees(&subs, &readers, at);
+                counted = true;
+            }
+            self.flows.clear();
+            self.flows.extend(members.iter().map(|&i| specs[i].traffic()));
+            self.union.clear();
+            members.iter().for_each(|&i| self.union.union_with(&specs[i].interest));
+            let bar = self.cost.saving(&self.flows, at, []) + self.frees[s];
+            let moved = self.group_move(&members, p, bar + self.fare(&members, p) - 1e-9);
+            self.stats.substream_moves += usize::from(moved);
+        }
+        for &s in &subs {
+            readers[s].clear();
+        }
+        subs.clear();
+        (self.subs, self.readers) = (subs, readers);
+    }
+
+    /// Fills `self.frees[s]`, for each substream `s` of `subs` — those read
+    /// on the leaf at `at`, `readers[s]` reading it — with what lifting
+    /// every reader of `s` there frees on the source side: each substream
+    /// `t` read there only by readers of `s`, over the links that carry it
+    /// for the leaf alone.
+    fn count_frees(&mut self, subs: &[usize], readers: &[Vec<usize>], at: NodeId) {
+        let specs = self.specs;
+        for &s in subs {
+            self.frees[s] = 0.0;
+        }
+        for &t in subs {
+            let freed = self.cost.saving(&[], at, [t]);
+            // Every reader of `t` reads `s` exactly when `s` is in all their
+            // interests.
+            if let Some((first, rest)) = readers[t].split_first().filter(|_| freed > 0.0) {
+                self.union.clear();
+                self.union.union_with(&specs[*first].interest);
+                for &i in rest {
+                    self.union.intersect_with(&specs[i].interest);
                 }
-                for s in common.iter() {
+                for s in self.union.iter() {
                     self.frees[s] += freed;
                 }
             }
         }
-        self.frees_at = self.clock;
     }
 
-    /// Fills `self.flows` and `self.union` with what the model sees of
-    /// `members`: their result streams and the substreams they read.
-    fn take_flows(&mut self, members: &[usize]) {
-        let specs = self.specs;
-        self.flows.clear();
-        self.flows.extend(members.iter().map(|&i| specs[i].traffic()));
-        self.union.clear();
-        for &i in members {
-            self.union.union_with(&specs[i].interest);
+    /// Moves `members`, all on leaf `from`, whose result streams and
+    /// substreams `self.flows` and `self.union` hold, to the leaf
+    /// [`Self::cheapest`] finds among those [`Self::admit`] listed, if that
+    /// beats staying, which is worth at most `bar`; true when they move. A
+    /// leaf priced with the members still in place is priced no higher than
+    /// with them lifted, so one that does not beat `bar` then never will:
+    /// the members are lifted only if some leaf does.
+    fn group_move(&mut self, members: &[usize], from: usize, bar: f64) -> bool {
+        let mut admitting = std::mem::take(&mut self.admitting);
+        admitting.retain(|&k| {
+            let cap = bar - self.fare(members, k);
+            self.cost.price(&self.flows, &self.union, self.targets[k].node, cap).is_some()
+        });
+        self.admitting = admitting;
+        if bar <= 0.0 || self.admitting.is_empty() {
+            self.stats.groups_pruned += 1;
+            return false;
         }
+        self.stats.groups_evaluated += 1;
+        let (flows, at) = (std::mem::take(&mut self.flows), self.targets[from].node);
+        let union = std::mem::replace(&mut self.union, InterestSet::new(0));
+        let saved: f64 = flows.iter().map(|q| self.cost.lift(q, at)).sum();
+        let bar = saved + self.fare(members, from) - 1e-9;
+        let to = self.cheapest(members, &flows, &union, from, bar);
+        for q in &flows {
+            self.cost.put(q, self.targets[to].node);
+        }
+        (self.flows, self.union) = (flows, union);
+        self.moved(members, from, to)
+    }
+
+    /// Lists in `self.admitting` the leaves other than `from` that admit
+    /// the summed load of `members`; true when there is one.
+    fn admit(&mut self, members: &[usize], from: usize) -> bool {
+        let load: f64 = members.iter().map(|&i| self.specs[i].load).sum();
+        let (loads, limits) = (&self.loads, &self.limits);
+        let admits = |&k: &usize| k != from && admissible(loads, limits, Some(from), k, load);
+        self.admitting.clear();
+        self.admitting.extend((0..self.targets.len()).filter(admits));
+        !self.admitting.is_empty()
+    }
+
+    /// Which of the leaves `self.admitting` lists `members`, lifted off
+    /// leaf `from`, with result streams `flows` and substreams `reads`,
+    /// cost least on — the modelled cost plus the move's price — if that
+    /// beats staying, which is worth `bar` (ties to the lower index);
+    /// `from` otherwise.
+    fn cheapest(
+        &mut self,
+        members: &[usize],
+        flows: &[QueryTraffic],
+        reads: &InterestSet,
+        from: usize,
+        bar: f64,
+    ) -> usize {
+        let mut best = (from, bar);
+        for &k in &self.admitting {
+            let fare = self.fare(members, k);
+            match self.cost.price(flows, reads, self.targets[k].node, best.1 - fare) {
+                Some(price) => {
+                    best = (k, price + fare);
+                    self.stats.evaluated += 1;
+                }
+                None => self.stats.pruned += 1,
+            }
+        }
+        best.0
+    }
+
+    /// Books `members` onto leaf `to` from `from`; true when that is a move.
+    fn moved(&mut self, members: &[usize], from: usize, to: usize) -> bool {
+        if to == from {
+            return false;
+        }
+        let load: f64 = members.iter().map(|&i| self.specs[i].load).sum();
+        self.loads[from] -= load;
+        self.loads[to] += load;
+        for &i in members {
+            self.hosts[i] = to;
+        }
+        true
     }
 
     /// What moving `members` from wherever they are onto leaf `k` pays for
@@ -940,166 +973,6 @@ impl<'r> Refinement<'r> {
         let fare =
             |&i: &usize| Some(self.specs[i].state_size * self.dep.distance(self.homes[i]?, to));
         members.iter().filter_map(fare).sum()
-    }
-
-    /// Whether nothing the members of `self.union`, all on leaf `from`,
-    /// are priced on has changed since clock `since` (0: never): no move
-    /// has taken queries onto or off their leaf, or reshaped the tree of a
-    /// substream they read.
-    fn unchanged(&self, from: usize, since: usize) -> bool {
-        since > 0
-            && self.leaf_moved[from] <= since
-            && !self.union.iter().any(|s| self.tree_moved[s] > since)
-    }
-
-    /// Moves `members`, all on leaf `from`, to the leaf where the modelled
-    /// cost plus the move's price is lowest, if that beats staying, which
-    /// is worth `bar` (see [`Distributor::refine_queries`]); true when they
-    /// stay. Only leaves that admit their summed load are priced — with
-    /// `since`, the clock at which they last stayed and nothing they are
-    /// priced on has changed, only those a move has unloaded since. A
-    /// leaf whose price with the members still in place does not beat
-    /// staying is dropped, as lifting them can only raise it; the others
-    /// are priced with the members lifted.
-    fn move_set(&mut self, members: &[usize], from: usize, bar: f64, since: Option<usize>) -> bool {
-        let group = usize::from(members.len() > 1);
-        let load: f64 = members.iter().map(|&i| self.specs[i].load).sum();
-        let mut admitting = std::mem::take(&mut self.admitting);
-        admitting.clear();
-        // No price is negative: a set that frees nothing stays.
-        if bar > 0.0 {
-            let (loads, limits, unloaded) = (&self.loads, &self.limits, &self.unloaded);
-            let fresh = |k: usize| since.is_none_or(|c| unloaded[k] > c);
-            let admits = |&k: &usize| {
-                k != from && fresh(k) && admissible(loads, limits, Some(from), k, load)
-            };
-            admitting.extend((0..self.targets.len()).filter(admits));
-        }
-        admitting.retain(|&k| {
-            let cap = bar - self.fare(members, k);
-            self.cost.price(&self.flows, &self.union, self.targets[k].node, cap).is_some()
-        });
-        if admitting.is_empty() {
-            self.stats.groups_pruned += group;
-            self.admitting = admitting;
-            return true;
-        }
-        self.stats.groups_evaluated += group;
-        let (flows, at) = (std::mem::take(&mut self.flows), self.targets[from].node);
-        for q in &flows {
-            self.cost.lift(q, at);
-        }
-        let mut best = (from, bar);
-        for &k in &admitting {
-            let fare = self.fare(members, k);
-            match self.cost.price(&flows, &self.union, self.targets[k].node, best.1 - fare) {
-                Some(price) => {
-                    best = (k, price + fare);
-                    self.stats.evaluated += 1;
-                }
-                None => self.stats.pruned += 1,
-            }
-        }
-        let to = best.0;
-        for q in &flows {
-            self.cost.put(q, self.targets[to].node);
-        }
-        (self.flows, self.admitting) = (flows, admitting);
-        if to != from {
-            self.moved(members, from, to);
-        }
-        to == from
-    }
-
-    /// Books a move of `members` (whose substreams `self.union` holds) from
-    /// leaf `from` to `to`: their hosts, the two loads, and the stamps of
-    /// what changed.
-    fn moved(&mut self, members: &[usize], from: usize, to: usize) {
-        let load: f64 = members.iter().map(|&i| self.specs[i].load).sum();
-        self.loads[from] -= load;
-        self.loads[to] += load;
-        for &i in members {
-            self.hosts[i] = to;
-        }
-        self.clock += 1;
-        let clock = self.clock;
-        (self.leaf_moved[from], self.leaf_moved[to], self.unloaded[from]) = (clock, clock, clock);
-        let (specs, from, to) = (self.specs, self.targets[from].node, self.targets[to].node);
-        for s in self.union.iter() {
-            // `from` stopped reading it, or `to` started: every reader
-            // there is a member.
-            let moved = members.iter().filter(|&&i| specs[i].interest.contains(s)).count();
-            if self.cost.readers(from, s) == 0 || self.cost.readers(to, s) as usize == moved {
-                self.tree_moved[s] = clock;
-            }
-        }
-    }
-}
-
-/// One leaf's queries by the substreams they read, listed anew after a
-/// move takes queries onto or off the leaf.
-#[derive(Debug, Clone, Default)]
-struct LeafReads {
-    /// The clock it was listed at (0: never).
-    listed: usize,
-    /// Per substream read there, in ascending order.
-    runs: Vec<Run>,
-    /// The readers of every run, one run after another.
-    readers: Vec<usize>,
-}
-
-/// The readers of one substream on one leaf.
-#[derive(Debug, Clone)]
-struct Run {
-    s: usize,
-    /// Where its readers sit in [`LeafReads::readers`].
-    at: std::ops::Range<usize>,
-    /// When they last stayed as a group (0: never), with what staying was
-    /// worth then.
-    stayed: (usize, f64),
-}
-
-impl LeafReads {
-    /// Lists leaf `p`'s queries by substream, counting them into `cursor`
-    /// (one zeroed slot per substream, left zeroed).
-    fn list(
-        specs: &[QuerySpec],
-        hosts: &[usize],
-        p: usize,
-        clock: usize,
-        cursor: &mut [usize],
-    ) -> Self {
-        let on: Vec<usize> = (0..specs.len()).filter(|&i| hosts[i] == p).collect();
-        let mut subs = Vec::new();
-        for s in on.iter().flat_map(|&i| specs[i].interest.iter()) {
-            subs.extend((cursor[s] == 0).then_some(s));
-            cursor[s] += 1;
-        }
-        subs.sort_unstable();
-        let mut end = 0;
-        let runs = subs.iter().map(|&s| {
-            let at = end..end + cursor[s];
-            (cursor[s], end) = (end, at.end);
-            Run { s, at, stayed: (0, 0.0) }
-        });
-        let runs: Vec<Run> = runs.collect();
-        // Readers in query order within each run.
-        let mut readers = vec![0; end];
-        for &i in &on {
-            for s in specs[i].interest.iter() {
-                readers[cursor[s]] = i;
-                cursor[s] += 1;
-            }
-        }
-        for &s in &subs {
-            cursor[s] = 0;
-        }
-        Self { listed: clock, runs, readers }
-    }
-
-    /// The readers of run `r`.
-    fn readers(&self, r: &Run) -> &[usize] {
-        &self.readers[r.at.clone()]
     }
 }
 

@@ -30,29 +30,29 @@ const SEED: u64 = 0xC4A2;
 /// One base-36 digit per query in `QueryId` order: the index of its
 /// processor in `Deployment::processors()`.
 const DISTRIBUTE: &str = "\
-    a0101a07a7aa014a8a7caa4aca31c107525a0758ab1801a1c858a84b9311ab8583b0578b14c4255015cc715a\
-    6588811b58c155bb0751385b7276c01c52588aa0385a3602c16a65176cb6b14b265ac03655686b8768211a05\
+    a0101a07a7aa014a8a7caa4aca31c107525a0758ab1801a1c85bab4b9311ab858320578b14c4b55015cc415a\
+    15b8811b58c155bb0751385b7276c01c52528aa0385a3602c16a65176cb6b14b265ac03655686b8768211a05\
     365500a32104226652b797361360c64a24b2c53050cb5ca3119b021a763a7b713802094485908b0c49241771\
-    a6723b57b728c241c6525c09407a1842c4531c8020438b0ab9ac9321454c3c8c397bb17b2c7209b1a859827b\
-    8ba7171302572881119b580c9c6640acca408033c6c271174214694c0ac068cb439b22c03a9372917849729a\
-    745b68b354b2749a8aab1b7975bc7906508211913641037a9898a4596a412c5c0c8677b091ccc26647847252\
-    6157b2b059c02a424cc4c8ba5c7b7661a10954765637b12b61068b41ca346c466a198c6cba67a6a90094c7ac\
-    81476cb4516417065bc058930651592288a66187a544a168565b58155ca46182a541c8a227b7b998c6271aab\
-    93430384c2bab5263734bb03921bab8cc86c8711487917b20baab35287276608c11c824075b329960047264c\
+    a6723b57b7b8c241c6525c09407a1842c4531c8020438b0a89ac9321457c3c8c397b217b2c7209b1a859827b\
+    8ba7171302572881119b580c9c6640acca408033c6c271174217697c0ac068cb739b22c03a9372917849729a\
+    745b68b354b2449a8aab1b7975bc7906548211913641037a9898a4591a462c5c0c8677b491ccc21647847252\
+    6157b2b059c0ba424cc4c8ba5c7b0161a60954765637b12261068b41ca346c466a198c6cba67a6a90094c7ac\
+    81476cb4516417065bc058930651592288a66187a544a168565b58655ca46182a541c8a227b7b998c6201aab\
+    93430384c28ab5263734bb03921bab8cc86c8711487917b20baa835280276678c16c824075b329960047264c\
     b7a64838";
-const DISTRIBUTE_FP: u64 = 0xa8ce_746e_f53d_980d;
+const DISTRIBUTE_FP: u64 = 0x9b12_6466_67d1_6b32;
 const ADAPT: &str = "\
-    a4101a07a4aa014aba7caa4aca31c107585a0758a81b01a1c85bab429311abb5b320578214c4259015cc419a\
-    65b8811253c155b20751385b7876c01c58588aa03b5a3608c16a65176c2621428659c036556b683768211a05\
-    365500a32604826658b797361360c64a84b2c53050cb9ca3119b021a76390b91380249443590bb0c49841776\
-    96423b57b72bc241c6585c09407a1848c4531c8080438b0a89ac9321454c3c3c39722178bc7809b1a899b272\
-    bba7676348572881619b580c9c6640acca40b033c6c271174814697c09c06bcb439b28c0399372917849789a\
-    745b62b354b2749a2a9b1b79752c7906903311913641037a9893a4596a412c5c0c36772091cccb6647844353\
-    6157b22059c02a484cc4c3ba5c7b7661a14954765637b1226146b241ca346c466a198c6c2a67a6a90094c79c\
-    b1476c24516417065bc05893065159b2b8a661b7a574a16b56529b655ca46188a54188a837272992c6271aab\
-    93430384c82ab5863734b8039212a23ccb6c8911487917b20baa8352b4276618c11cb24075b339960047864c\
+    a4101a07a4aa014a8a7caa4aca31c107985a0458a81b01a1c25bab429311abb5b320578214c4255015cc419a\
+    15b281185bc155b20751385b7876c01c58588aa03b5a3608c16a65176c2681428655c036556b623768211a05\
+    365500a32104826158b797361360c64a84b2c53050cb9ca3119b081a763a7b11380219443590bb0c49841771\
+    56423b57b78bc246c6585c09407a1248c4531c8080438b0a89ac9321457c3c3c39782172bc7809b1a899b272\
+    bba7671308572881119b580c9c6640acca40b033c6c271674817690c09c06bcb739b28c03a9372917849789a\
+    745b68b354b2749a2aab1b79752c7906943311913641037a9893a4596a468c5c0c36778491cccb6647844353\
+    6157b22059c029484cc4c3ba5c7b0666a64954765637b1226146b241ca346c466a198c6c2967a6a90094c7ac\
+    b1476c24516417065bc09893065159b2b8a661b7a544a66b56529b695ca46128a541c8a237272998c6201a9b\
+    93430384c22ab5263734b2039212a23c8b6c8711487917b20b9a2352b0276648c13cb24075b339964047864c\
     b7a64b3b";
-const ADAPT_FP: u64 = 0xeca5_239f_6c70_f8df;
+const ADAPT_FP: u64 = 0x1501_236e_dccb_d694;
 
 /// FNV-1a over the sorted `(QueryId, NodeId)` pairs.
 fn fingerprint(pairs: &[(u64, u32)]) -> u64 {

@@ -13,9 +13,9 @@
 //! over naive, because the top-down mapping stops at whole level-1
 //! clusters and refines a pairwise surrogate. The query-level refinement
 //! on the model's own cost that ends `distribute` read 0.36, 0.95 and 86
-//! moving one query at a time, and 0.349 of random and 0.932 of naive once
-//! it also moves a processor's readers of one substream together — the
-//! margin over naive this test holds.
+//! moving one query at a time, and 0.350, 0.934 and 82 once it also moves a
+//! processor's readers of one substream together — the margin over naive
+//! this test holds.
 
 use cosmos_baselines::{naive_assignment, random_assignment};
 use cosmos_core::distribute::Distributor;

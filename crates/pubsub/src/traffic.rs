@@ -201,8 +201,6 @@ pub struct PlacementCost<'a> {
     /// Queries reading substream `s` on the processor that is endpoint `e`
     /// of the deployment's distance matrix, at `e · S + s`.
     readers: Vec<u32>,
-    /// Per endpoint, the substreams it has readers of.
-    reading: Vec<InterestSet>,
     /// Per substream, per node with the link above it carrying the
     /// substream: the node's readers (as one) plus its children in the
     /// source's tree whose links carry it. Holds the nodes that ever were on
@@ -214,11 +212,9 @@ pub struct PlacementCost<'a> {
 impl<'a> PlacementCost<'a> {
     /// The cost of the empty placement.
     pub fn new(dep: &'a Deployment, table: &'a SubstreamTable) -> Self {
-        let endpoints = dep.distances().endpoints().len();
-        let readers = vec![0; table.len() * endpoints];
-        let reading = vec![InterestSet::new(table.len()); endpoints];
+        let readers = vec![0; table.len() * dep.distances().endpoints().len()];
         let carried = vec![VecMap::new(); table.len()];
-        Self { model: TrafficModel::new(dep, table), readers, reading, carried, total: 0.0 }
+        Self { model: TrafficModel::new(dep, table), readers, carried, total: 0.0 }
     }
 
     /// The cost of everything [`Self::put`] and not [`Self::lift`]ed.
@@ -240,14 +236,10 @@ impl<'a> PlacementCost<'a> {
         self.shift(q, at, false)
     }
 
-    /// Processor `at`'s endpoint index.
-    fn endpoint(&self, at: NodeId) -> usize {
-        self.model.dep.distances().index_of(at).expect("a deployment endpoint")
-    }
-
     /// Where `readers` counts processor `at`'s substreams from.
     fn row(&self, at: NodeId) -> usize {
-        self.endpoint(at) * self.model.table.len()
+        let dep = self.model.dep;
+        dep.distances().index_of(at).expect("a deployment endpoint") * self.model.table.len()
     }
 
     /// Steps the counters for `q` arriving at (`put`) or leaving `at`, and
@@ -259,36 +251,21 @@ impl<'a> PlacementCost<'a> {
             *n = if put { *n + 1 } else { n.checked_sub(1).expect("lifted where never put") };
             *n == u32::from(put)
         };
-        let e = self.endpoint(at);
-        let row = e * self.model.table.len();
+        let row = self.row(at);
         let mut cost = self.model.result_flow_cost(at, q.proxy, q.result_rate);
         for s in q.interest.iter() {
             if !step(&mut self.readers[row + s]) {
                 continue; // neither the processor's first reader nor its last
             }
-            if put {
-                self.reading[e].insert(s);
-            } else {
-                self.reading[e].remove(s);
-            }
-            let tree = self.model.source_tree_of(s);
-            let (mut cur, mut span) = (at, 0.0);
-            while let Some((parent, latency)) = tree.uplink(cur) {
-                if !step(self.carried[s].get_or_insert_default(cur)) {
-                    break; // the link above carried the substream and still does
-                }
-                span += latency;
-                cur = parent;
-            }
+            // Up to the first link that carried the substream and still does.
+            let carried = &mut self.carried[s];
+            let span = climb(self.model.source_tree_of(s), at, |cur, _| {
+                step(carried.get_or_insert_default(cur))
+            });
             cost += self.model.table.rate(s) * span;
         }
         self.total += if put { cost } else { -cost };
         cost
-    }
-
-    /// How many of the queries put on processor `at` read substream `s`.
-    pub fn readers(&self, at: NodeId, s: usize) -> u32 {
-        self.readers[self.row(at) + s]
     }
 
     /// What [`Self::lift`]ing every member off `at` would save, leaving
@@ -304,15 +281,9 @@ impl<'a> PlacementCost<'a> {
         let flows = members.iter().map(|q| self.model.result_flow_cost(at, q.proxy, q.result_rate));
         let mut saved: f64 = flows.sum();
         for s in alone {
-            let tree = self.model.source_tree_of(s);
-            let (mut cur, mut span) = (at, 0.0);
-            while let Some((parent, latency)) = tree.uplink(cur) {
-                if self.carried[s].get(&cur) != Some(&1) {
-                    break; // it carries the substream for someone else too
-                }
-                span += latency;
-                cur = parent;
-            }
+            let carried = &self.carried[s];
+            let span =
+                climb(self.model.source_tree_of(s), at, |cur, _| carried.get(&cur) == Some(&1));
             saved += self.model.table.rate(s) * span;
         }
         saved
@@ -332,25 +303,45 @@ impl<'a> PlacementCost<'a> {
         at: NodeId,
         cap: f64,
     ) -> Option<f64> {
-        let flows = members.iter().map(|q| self.model.result_flow_cost(at, q.proxy, q.result_rate));
-        let mut cost: f64 = flows.sum();
-        // What `at` reads already costs nothing more.
-        for s in reads.difference_iter(&self.reading[self.endpoint(at)]) {
+        let row = self.row(at);
+        let mut cost = 0.0;
+        for q in members {
+            cost += self.model.result_flow_cost(at, q.proxy, q.result_rate);
             if cost >= cap {
                 return None;
             }
-            // Up to the first node the substream already reaches.
-            let (tree, rate) = (self.model.source_tree_of(s), self.model.table.rate(s));
-            let (mut cur, mut span) = (at, 0.0);
-            while self.carried[s].get(&cur).is_none_or(|&n| n == 0) && cost + rate * span < cap {
-                let Some((parent, latency)) = tree.uplink(cur) else { break };
-                span += latency;
-                cur = parent;
+        }
+        for s in reads.iter() {
+            if cost >= cap {
+                return None;
             }
+            if self.readers[row + s] > 0 {
+                continue; // `at` reads it already
+            }
+            // Up to the first node the substream already reaches.
+            let (carried, rate) = (&self.carried[s], self.model.table.rate(s));
+            let span = climb(self.model.source_tree_of(s), at, |cur, span| {
+                carried.get(&cur).is_none_or(|&n| n == 0) && cost + rate * span < cap
+            });
             cost += rate * span;
         }
         (cost < cap).then_some(cost)
     }
+}
+
+/// Climbs `tree` from `at` toward its root for as long as `on(node, span)`
+/// holds for the node below the next link, `span` being the latency
+/// climbed so far; returns the latency climbed.
+fn climb(tree: &ShortestPathTree, at: NodeId, mut on: impl FnMut(NodeId, f64) -> bool) -> f64 {
+    let (mut cur, mut span) = (at, 0.0);
+    while let Some((parent, latency)) = tree.uplink(cur) {
+        if !on(cur, span) {
+            break;
+        }
+        span += latency;
+        cur = parent;
+    }
+    span
 }
 
 #[cfg(test)]

@@ -206,24 +206,6 @@ impl InterestSet {
         total
     }
 
-    /// Iterates, in ascending order, over the substreams in `self` but not
-    /// in `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn difference_iter<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = usize> + 'a {
-        self.assert_same_universe(other);
-        self.words.iter().zip(&other.words).enumerate().flat_map(|(w, (a, b))| {
-            let mut bits = a & !b;
-            std::iter::from_fn(move || {
-                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
-                bits &= bits - 1;
-                Some(w * WORD_BITS + bit)
-            })
-        })
-    }
-
     /// Iterates over the substream indices in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter { set: self, word_idx: 0, current: self.words.first().copied().unwrap_or(0) }
@@ -387,13 +369,6 @@ mod tests {
             prop_assert_eq!(u.intersection_count(&sa), sa.len());
             prop_assert_eq!(u.intersection_count(&sb), sb.len());
             prop_assert_eq!(u.len() + sa.intersection_count(&sb), sa.len() + sb.len());
-        }
-
-        #[test]
-        fn prop_difference_iter_is_the_set_difference(a in arb_indices(200), b in arb_indices(200)) {
-            let (sa, sb) = (InterestSet::from_indices(200, a), InterestSet::from_indices(200, b));
-            let want: Vec<usize> = sa.iter().filter(|&i| !sb.contains(i)).collect();
-            prop_assert_eq!(sa.difference_iter(&sb).collect::<Vec<usize>>(), want);
         }
 
         #[test]
