@@ -31,10 +31,11 @@
 //! it (§3.1.2). The pass therefore also moves *groups*, every query of a
 //! processor that reads one substream, two or more of them, lifted and
 //! priced together: the set price of `PlacementCost` charges each
-//! substream of their union once. A query sweep and a substream sweep
-//! alternate, one of each in turn, until one of each in a row moves
-//! nothing — a fixpoint of both kinds of move — or `REFINE_SWEEPS` sweeps
-//! ran. A group is lifted only if some leaf admitting it, priced with the
+//! substream of their union once. A substream sweep follows each query
+//! sweep while substream sweeps move; once one moves nothing, query sweeps
+//! run until one moves nothing, then a substream sweep again. The pass
+//! ends when one sweep of each kind in a row moves nothing — a fixpoint of
+//! both kinds of move — or after `REFINE_SWEEPS` sweeps. A group is lifted only if some leaf admitting it, priced with the
 //! group still in place (a price lifting it can only raise), beats what
 //! staying is worth: the group's result flows plus what lifting it frees,
 //! worked out once per processor visit for all of that processor's groups.
@@ -81,7 +82,7 @@ const CANDIDATES_PER_SUBSTREAM: usize = 16;
 /// co-occurring partners).
 const TOP_OVERLAP_EDGES: usize = 12;
 /// Sweep cap of the query-level refinement that ends a distribution, query
-/// and substream sweeps counted together: sixteen of each kind.
+/// and substream sweeps counted together, sized for both kinds.
 /// `sensor-join`'s population reaches the fixpoint in 9 to 14 sweeps.
 const REFINE_SWEEPS: usize = 32;
 
@@ -506,7 +507,7 @@ impl<'a> Distributor<'a> {
     /// index). A query sweep moves each query alone, in spec order; a
     /// substream sweep moves, processor by processor and substream by
     /// substream, the queries of a processor reading a substream two or
-    /// more of them read. The kinds alternate as the module docs say, for
+    /// more of them read. The kinds take turns as the module docs say, for
     /// at most `REFINE_SWEEPS` sweeps in all. With `moved_from`, a query
     /// hosted on `h` there pays `state_size × d(h, k)` to end on `k`:
     /// staying on `h`, or returning to it, is free, and a query without
@@ -524,12 +525,16 @@ impl<'a> Distributor<'a> {
         // Each query's pre-round host, read once.
         let homes = specs.iter().map(|q| moved_from.and_then(|a| a.processor_of(q.id)));
         let mut pass = Refinement::new(self, specs, assignment, homes.collect(), alpha);
-        // A query sweep and a substream sweep in turn, until one of each in
-        // a row moves nothing.
-        let mut idle = 0;
+        // A substream sweep after each query sweep while substream sweeps
+        // move; once one moves nothing, query sweeps until one moves
+        // nothing, then a substream sweep again; until one of each in a row
+        // moves nothing.
+        let (mut idle, mut substreams, mut groups_move) = (0, false, true);
         while idle < 2 && pass.stats.passes < REFINE_SWEEPS {
-            let moved = pass.sweep(pass.stats.passes % 2 == 1);
+            let moved = pass.sweep(substreams);
             idle = if moved { 0 } else { idle + 1 };
+            groups_move = if substreams { moved } else { groups_move };
+            substreams = !substreams && (groups_move || !moved);
         }
         for (q, &k) in specs.iter().zip(&pass.hosts) {
             assignment.place(q.id, pass.targets[k].node);
