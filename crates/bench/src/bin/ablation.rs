@@ -30,12 +30,13 @@
 
 use cosmos_baselines::{naive_assignment, random_assignment};
 use cosmos_bench::{banner, write_result, BenchArgs};
-use cosmos_core::distribute::{DistConfig, Distributor};
+use cosmos_core::distribute::{DistConfig, Distributor, ALPHA};
 use cosmos_core::hierarchy::CoordinatorTree;
 use cosmos_core::spec::{modelled_cost, Assignment, QuerySpec};
 use cosmos_util::rng::derive_seed;
 use cosmos_workload::sensors::SensorScenario;
 use cosmos_workload::{PaperParams, Simulation};
+use std::num::NonZeroUsize;
 
 /// Standing seed of `e2ebench/src/workloads/sensor_join.rs`.
 const SENSOR_SEED: u64 = 0x5E45;
@@ -139,9 +140,8 @@ fn main() {
     }
     let args = BenchArgs::parse_from(&argv);
     banner("Ablation", "design-choice ablations", &args);
-    let params = PaperParams::scaled(args.scale);
     let n_queries = ((20_000.0 * args.scale) as usize).max(200);
-    let mut sim = Simulation::build(params.clone(), args.seed);
+    let mut sim = Simulation::build(PaperParams::scaled(args.scale), args.seed);
     let batch = sim.arrivals(n_queries, args.seed + 1);
     let mut records = Vec::new();
 
@@ -150,7 +150,7 @@ fn main() {
     println!("{:>14} {:>14} {:>10}", "variant", "comm cost", "Δ vs on");
     let mut base_cost = 0.0;
     for on in [true, false] {
-        let config = DistConfig { alpha: params.alpha, overlap_edges: on, ..DistConfig::default() };
+        let config = DistConfig { overlap_edges: on, ..DistConfig::default() };
         let d = Distributor::with_config(&sim.dep, &sim.tree, &sim.table, config);
         let out = d.distribute(&batch, args.seed + 2);
         drop(d);
@@ -168,15 +168,16 @@ fn main() {
     // --- 2. Coarsening budget.
     println!("\n[2] coarsening budget vmax");
     println!("{:>8} {:>14} {:>12}", "vmax", "comm cost", "total time");
-    for vmax in [16usize, 64, 256] {
-        let config = DistConfig { alpha: params.alpha, vmax, ..DistConfig::default() };
+    for n in [16usize, 64, 256] {
+        let vmax = NonZeroUsize::new(n).expect("vmax > 0");
+        let config = DistConfig { vmax, ..DistConfig::default() };
         let d = Distributor::with_config(&sim.dep, &sim.tree, &sim.table, config);
         let out = d.distribute(&batch, args.seed + 2);
         drop(d);
         let cost = sim.comm_cost_of(&out.assignment);
-        println!("{vmax:>8} {cost:>14.0} {:>11.2}s", out.timing.total.as_secs_f64());
+        println!("{n:>8} {cost:>14.0} {:>11.2}s", out.timing.total.as_secs_f64());
         records.push(serde_json::json!({
-            "ablation": "vmax", "variant": vmax, "comm_cost": cost,
+            "ablation": "vmax", "variant": n, "comm_cost": cost,
             "total_time_s": out.timing.total.as_secs_f64()
         }));
     }
@@ -185,14 +186,13 @@ fn main() {
     println!("\n[3] per-level alpha split");
     println!("{:>14} {:>16} {:>12}", "variant", "max load/limit", "comm cost");
     for split in [true, false] {
-        let config =
-            DistConfig { alpha: params.alpha, per_level_alpha: split, ..DistConfig::default() };
+        let config = DistConfig { per_level_alpha: split, ..DistConfig::default() };
         let d = Distributor::with_config(&sim.dep, &sim.tree, &sim.table, config);
         let out = d.distribute(&batch, args.seed + 2);
         drop(d);
         let loads = out.assignment.loads(&batch, sim.dep.processors());
         let total: f64 = loads.iter().sum();
-        let limit = (1.0 + params.alpha) * total / loads.len() as f64;
+        let limit = (1.0 + ALPHA) * total / loads.len() as f64;
         let worst = loads.iter().cloned().fold(0.0, f64::max) / limit;
         let cost = sim.comm_cost_of(&out.assignment);
         println!("{:>14} {worst:>16.3} {cost:>12.0}", if split { "split" } else { "flat" });

@@ -365,7 +365,8 @@ fn bench_distribute_churn() -> f64 {
 /// the row has always measured.
 fn bench_coarsen_dense() -> f64 {
     let (graph, rates) = dense_query_graph(400);
-    measure(|| cosmos_core::coarsen::coarsen(graph.clone(), 64, &rates, &|_| None, 3).stats)
+    let vmax = cosmos_core::distribute::DistConfig::default().vmax;
+    measure(|| cosmos_core::coarsen::coarsen(graph.clone(), vmax, &rates, &|_| None, 3).stats)
 }
 
 /// One adaptation round over a 10 000-query world whose statistics churn
@@ -382,7 +383,7 @@ fn bench_adapt_round(n_queries: u64, wholesale: bool) -> f64 {
         adapt_world(n_queries);
     let config = AdaptConfig::default();
     let seed = ADAPT_SEED;
-    let mut opt = IncrementalOptimizer::new(seed, config).expect("default config is valid");
+    let Ok(mut opt) = IncrementalOptimizer::new(seed, config);
     let d = Distributor::new(&dep, &tree, &table);
     if !wholesale {
         // Warm the caches: the benchmark prices the steady churn state,
@@ -394,8 +395,7 @@ fn bench_adapt_round(n_queries: u64, wholesale: bool) -> f64 {
         toggle_dirty(&mut specs, &dirty, step);
         step += 1;
         let out = if wholesale {
-            let mut fresh =
-                IncrementalOptimizer::new(seed, config).expect("default config is valid");
+            let Ok(mut fresh) = IncrementalOptimizer::new(seed, config);
             fresh.round(&d, &specs, &current)
         } else {
             opt.round(&d, &specs, &current)
@@ -412,7 +412,7 @@ fn bench_adapt_round_quiet() -> f64 {
     let cosmos_bench::fixtures::AdaptWorld { dep, tree, table, specs, current, .. } =
         adapt_world(10_000);
     let config = AdaptConfig::default();
-    let mut opt = IncrementalOptimizer::new(ADAPT_SEED, config).expect("default config is valid");
+    let Ok(mut opt) = IncrementalOptimizer::new(ADAPT_SEED, config);
     let d = Distributor::new(&dep, &tree, &table);
     let _ = opt.round(&d, &specs, &current);
     measure(|| opt.round(&d, &specs, &current).migrations)
@@ -514,7 +514,7 @@ fn bench_distribute(centralized: bool) -> f64 {
 fn bench_online_route() -> f64 {
     let sim = workload_world();
     let assignment = sim.distributor().distribute(&sim.specs, 5).assignment;
-    let mut router = OnlineRouter::new(&sim.dep, &sim.tree, &sim.table, 0.1);
+    let mut router = OnlineRouter::new(&sim.dep, &sim.tree, &sim.table);
     router.seed_from(&sim.specs, &assignment);
     measure(|| router.route_at(sim.tree.root(), &sim.specs[0]))
 }

@@ -7,7 +7,7 @@
 use cosmos_bench::{banner, write_result, BenchArgs};
 use cosmos_core::hierarchy::CoordinatorTree;
 use cosmos_core::online::OnlineRouter;
-use cosmos_workload::{generator::QueryGenerator, PaperParams, Simulation, WorkloadConfig};
+use cosmos_workload::{generator::QueryGenerator, PaperParams, Simulation};
 use std::time::Instant;
 
 fn main() {
@@ -31,10 +31,9 @@ fn main() {
 
         // Root-coordinator throughput: time route_at(root) on a fresh
         // stream of queries against the seeded router state.
-        let mut router = OnlineRouter::new(&sim.dep, &tree, &sim.table, params.alpha);
+        let mut router = OnlineRouter::new(&sim.dep, &tree, &sim.table);
         router.seed_from(&sim.specs, &sim.assignment);
-        let mut generator =
-            QueryGenerator::new(WorkloadConfig::from_params(&params), args.seed + 9);
+        let mut generator = QueryGenerator::new(&params, args.seed + 9);
         let probes = generator.generate(2_000, &sim.dep, &sim.table, args.seed + 10);
         let root = tree.root();
         let t0 = Instant::now();

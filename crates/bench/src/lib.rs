@@ -588,8 +588,7 @@ pub mod fixtures {
         let d = cosmos_core::distribute::Distributor::new(&dep, &tree, &table);
         let config = cosmos_core::adaptive::AdaptConfig::default();
         for _ in 0..3 {
-            let mut opt = cosmos_core::IncrementalOptimizer::new(ADAPT_SEED, config)
-                .expect("default config is valid");
+            let Ok(mut opt) = cosmos_core::IncrementalOptimizer::new(ADAPT_SEED, config);
             current = opt.round(&d, &specs, &current).assignment;
         }
         drop(d);

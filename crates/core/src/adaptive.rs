@@ -46,55 +46,25 @@ use cosmos_util::rng::rng_for_indexed;
 use cosmos_util::solver::diffusion_solution;
 use rand::seq::SliceRandom;
 
-/// Tuning knobs for adaptation.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptConfig {
-    /// Benefit window (`x`, as a fraction). Paper: 10%.
-    pub x_fraction: f64,
-    /// A vertex absorbs a transfer only if `m_ij > fill_fraction × weight`.
-    /// Paper: 90%.
-    pub fill_fraction: f64,
-    /// Safety cap on phase-1 moves per coordinator, as a multiple of the
-    /// vertex count.
-    pub max_moves_factor: usize,
-    /// Minimum relative WEC improvement for a phase-2 move (damps
-    /// oscillation between near-tie placements across rounds).
-    pub min_improvement: f64,
-}
+/// Benefit window `x` of §3.7, as a fraction: a phase-1 candidate's
+/// benefit must be within 10 % of the largest.
+const X_FRACTION: f64 = 0.10;
+/// §3.7's fill rule: a vertex absorbs a transfer `m_ij` only if
+/// `m_ij > FILL_FRACTION × weight` (90 %, no drastic overshoot).
+const FILL_FRACTION: f64 = 0.90;
+/// Safety cap on phase-1 moves per coordinator, as a multiple of the
+/// vertex count (not from the paper).
+const MAX_MOVES_FACTOR: usize = 8;
+/// Minimum relative WEC improvement for a phase-2 move (not from the
+/// paper): damps oscillation between near-tie placements across rounds.
+const MIN_IMPROVEMENT: f64 = 0.002;
 
-impl Default for AdaptConfig {
-    fn default() -> Self {
-        Self { x_fraction: 0.10, fill_fraction: 0.90, max_moves_factor: 8, min_improvement: 0.002 }
-    }
-}
-
-impl AdaptConfig {
-    /// Checks every knob, naming the offending one on failure.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.x_fraction.is_finite() || !(0.0..=1.0).contains(&self.x_fraction) {
-            return Err(format!(
-                "x_fraction must be a finite fraction in [0, 1], got {}",
-                self.x_fraction
-            ));
-        }
-        if !self.fill_fraction.is_finite() || !(0.0..=1.0).contains(&self.fill_fraction) {
-            return Err(format!(
-                "fill_fraction must be a finite fraction in [0, 1], got {}",
-                self.fill_fraction
-            ));
-        }
-        if self.max_moves_factor == 0 {
-            return Err("max_moves_factor must be at least 1".into());
-        }
-        if !self.min_improvement.is_finite() || self.min_improvement < 0.0 {
-            return Err(format!(
-                "min_improvement must be finite and non-negative, got {}",
-                self.min_improvement
-            ));
-        }
-        Ok(())
-    }
-}
+/// What [`IncrementalOptimizer::new`](crate::IncrementalOptimizer::new)
+/// takes. It carries nothing: adaptation's settings are the constants
+/// above, and the type stays only so callers that pass one keep
+/// compiling.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AdaptConfig {}
 
 /// Result of one adaptation round.
 #[derive(Debug, Clone)]
@@ -116,12 +86,11 @@ pub struct AdaptOutcome {
 }
 
 /// The body of [`IncrementalOptimizer::round`](crate::IncrementalOptimizer::round),
-/// which has validated `config` and started `memo`'s round.
+/// which has started `memo`'s round.
 pub(crate) fn run_round(
     d: &Distributor<'_>,
     specs: &[QuerySpec],
     current: &Assignment,
-    config: &AdaptConfig,
     seed: u64,
     memo: &mut Memo,
 ) -> AdaptOutcome {
@@ -154,18 +123,8 @@ pub(crate) fn run_round(
     // child" would be ambiguous and every round's (re-seeded) coarsening
     // would force different spurious co-location migrations.
     let root_work: Vec<QgVertex> = graphs.constituents[root].iter().flatten().cloned().collect();
-    let response = adapt_down(
-        d,
-        config,
-        root,
-        root_work,
-        &graphs,
-        current,
-        &mut next,
-        &mut timing,
-        seed,
-        memo,
-    );
+    let response =
+        adapt_down(d, root, root_work, &graphs, current, &mut next, &mut timing, seed, memo);
     timing.response += response;
 
     // The closing pass (module docs).
@@ -189,7 +148,6 @@ pub(crate) fn run_round(
 #[allow(clippy::too_many_arguments)]
 fn adapt_down(
     d: &Distributor<'_>,
-    config: &AdaptConfig,
     coord: usize,
     work: Vec<QgVertex>,
     graphs: &HierarchyGraphs,
@@ -300,7 +258,7 @@ fn adapt_down(
         }
     }
     let mut moves = 0usize;
-    let max_moves = config.max_moves_factor * qg.len().max(1);
+    let max_moves = MAX_MOVES_FACTOR * qg.len().max(1);
     while moves < max_moves {
         let open: Vec<usize> = (0..pairs.len()).filter(|&p| m[pairs[p].2] > 1e-9).collect();
         let Some(&pick) = open.as_slice().choose(&mut rng) else { break };
@@ -319,7 +277,7 @@ fn adapt_down(
             m[eidx] = 0.0;
             continue;
         };
-        let threshold = max_benefit - config.x_fraction * max_benefit.abs();
+        let threshold = max_benefit - X_FRACTION * max_benefit.abs();
         let in_window: Vec<usize> = candidates
             .iter()
             .copied()
@@ -330,7 +288,7 @@ fn adapt_down(
         let dirty_in: Vec<usize> = in_window.iter().copied().filter(|&v| dirty[v]).collect();
         let pool = if dirty_in.is_empty() { in_window } else { dirty_in };
         // Largest load density among those fitting the 90% rule.
-        let fit = |v: usize| m[eidx] > config.fill_fraction * qg.vertices[v].weight;
+        let fit = |v: usize| m[eidx] > FILL_FRACTION * qg.vertices[v].weight;
         let chosen = pool.into_iter().filter(|&v| fit(v)).max_by(|&a, &b| {
             let da = qg.vertices[a].weight / qg.vertices[a].state_size.max(1e-12);
             let db = qg.vertices[b].weight / qg.vertices[b].state_size.max(1e-12);
@@ -383,7 +341,7 @@ fn adapt_down(
             }
             // (2) Any clearly-WEC-decreasing move that keeps balance.
             let mut best: Option<(f64, usize)> = None;
-            let bar = c_cur - config.min_improvement * c_cur.abs() - 1e-9;
+            let bar = c_cur - MIN_IMPROVEMENT * c_cur.abs() - 1e-9;
             for k in 0..n_children {
                 if k == cur || loads[k] + w > band[k] + 1e-9 {
                     continue;
@@ -413,9 +371,7 @@ fn adapt_down(
     let mut child_max = std::time::Duration::ZERO;
     for (pos, child_work) in per_child.into_iter().enumerate() {
         let child = node.children[pos];
-        let t = adapt_down(
-            d, config, child, child_work, graphs, current, &mut local, timing, seed, memo,
-        );
+        let t = adapt_down(d, child, child_work, graphs, current, &mut local, timing, seed, memo);
         child_max = child_max.max(t);
     }
     memo.store_place(coord, key, &local);
@@ -487,7 +443,7 @@ mod tests {
         current: &Assignment,
         seed: u64,
     ) -> AdaptOutcome {
-        let mut opt = IncrementalOptimizer::new(seed, AdaptConfig::default()).expect("valid");
+        let Ok(mut opt) = IncrementalOptimizer::new(seed, AdaptConfig::default());
         opt.round(d, specs, current)
     }
 
@@ -590,17 +546,5 @@ mod tests {
         let out = fresh_round(&d, &[], &Assignment::new(), 0);
         assert_eq!(out.migrations, 0);
         assert!(out.assignment.is_empty());
-    }
-
-    #[test]
-    fn config_validation_names_the_offending_knob() {
-        let bad = AdaptConfig { x_fraction: f64::NAN, ..AdaptConfig::default() };
-        assert!(bad.validate().unwrap_err().contains("x_fraction"));
-        let bad = AdaptConfig { fill_fraction: 1.5, ..AdaptConfig::default() };
-        assert!(bad.validate().unwrap_err().contains("fill_fraction"));
-        let bad = AdaptConfig { max_moves_factor: 0, ..AdaptConfig::default() };
-        assert!(bad.validate().unwrap_err().contains("max_moves_factor"));
-        let bad = AdaptConfig { min_improvement: -0.1, ..AdaptConfig::default() };
-        assert!(bad.validate().unwrap_err().contains("min_improvement"));
     }
 }

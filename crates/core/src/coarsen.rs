@@ -50,6 +50,7 @@ use crate::graph::{edge_weight, set_entry, QgVertex, QueryGraph, Row};
 use cosmos_net::NodeId;
 use cosmos_util::rng::rng_for;
 use rand::seq::SliceRandom;
+use std::num::NonZeroUsize;
 
 /// Machine-independent work counters of coarsening runs; they add up
 /// across runs, so an outcome can report the total of a whole round.
@@ -166,18 +167,14 @@ fn rating(w: f64, u: &Site, v: &Site) -> f64 {
 /// passes a clone.
 ///
 /// Deterministic for a given `seed`.
-///
-/// # Panics
-///
-/// Panics if `vmax == 0`.
 pub fn coarsen(
     input: QueryGraph,
-    vmax: usize,
+    vmax: NonZeroUsize,
     rates: &[f64],
     cluster_of: &ClusterOf,
     seed: u64,
 ) -> Coarsened {
-    assert!(vmax > 0, "vmax must be positive");
+    let vmax = vmax.get();
     let n = input.len();
     let mut stats =
         CoarsenStats { vertices: n as u64, edges: input.edge_count() as u64, ..Default::default() };
@@ -295,6 +292,10 @@ mod tests {
 
     const U: usize = 32;
 
+    fn nz(vmax: usize) -> NonZeroUsize {
+        NonZeroUsize::new(vmax).expect("vmax > 0")
+    }
+
     /// The reference: Algorithm 1 over a `HashMap` adjacency, with the match
     /// chosen by a full scan under an explicit (max rating, smallest index)
     /// rule, a candidate's rating computed from the two vertices' result
@@ -305,13 +306,13 @@ mod tests {
     /// edge alone: Algorithm 1 as it stood before gain-aware matching.
     fn coarsen_reference(
         input: &QueryGraph,
-        vmax: usize,
+        vmax: NonZeroUsize,
         rates: &[f64],
         cluster_of: &ClusterOf,
         seed: u64,
         gain_aware: bool,
     ) -> Coarsened {
-        assert!(vmax > 0, "vmax must be positive");
+        let vmax = vmax.get();
         let n = input.len();
         let mut vertices: Vec<Option<QgVertex>> =
             input.vertices.iter().cloned().map(Some).collect();
@@ -502,7 +503,7 @@ mod tests {
         let g = with_edges(vertices, &rates);
         let density = g.edge_count() as f64 / (n * (n - 1) / 2) as f64;
         assert!(density >= min_density, "seed {seed}: density {density} of {n} vertices");
-        let vmax = rng.gen_range(2..(n / 3).min(64));
+        let vmax = nz(rng.gen_range(2..(n / 3).min(64)));
         let slow = coarsen_reference(&g, vmax, &rates, &mixed_clusters, seed, gain_aware);
         let fast = coarsen(g, vmax, &rates, &mixed_clusters, seed);
         assert_identical(&fast, &slow, &format!("seed {seed}, n {n}"));
@@ -568,7 +569,7 @@ mod tests {
         let vertices: Vec<QgVertex> =
             (0..10).map(|i| qv(i, &[i as usize, i as usize + 1], 1.0)).collect();
         let g = with_edges(vertices, &rates);
-        let c = coarsen(g, 4, &rates, &|_| None, 7);
+        let c = coarsen(g, nz(4), &rates, &|_| None, 7);
         assert!(c.graph.len() <= 4);
         assert_eq!(c.members.iter().map(Vec::len).sum::<usize>(), 10);
     }
@@ -584,7 +585,7 @@ mod tests {
         for v in &g.vertices {
             before_union.union_with(&v.interest);
         }
-        let c = coarsen(g, 3, &rates, &|_| None, 1);
+        let c = coarsen(g, nz(3), &rates, &|_| None, 1);
         assert!((c.graph.total_weight() - before_weight).abs() < 1e-9);
         let mut after_union = InterestSet::new(U);
         for v in &c.graph.vertices {
@@ -607,7 +608,7 @@ mod tests {
         ];
         let g = with_edges(vertices, &rates);
         for seed in 0..8 {
-            let c = coarsen(g.clone(), 2, &rates, &|_| None, seed);
+            let c = coarsen(g.clone(), nz(2), &rates, &|_| None, seed);
             assert_eq!(c.graph.len(), 2);
             let ok = c.members.iter().any(|m| m.contains(&0) && m.contains(&1) && m.len() == 2);
             assert!(ok, "seed {seed}: heavy pairs should collapse: {:?}", c.members);
@@ -627,7 +628,7 @@ mod tests {
         // Nodes 1 and 2 are children 0 and 1; node 9 is covered by neither.
         let cluster_of = |n: NodeId| (n.0 < 3).then(|| n.0 as usize - 1);
         let left = |pair: Vec<QgVertex>| {
-            coarsen(with_edges(pair, &rates), 1, &rates, &cluster_of, 3).graph.len()
+            coarsen(with_edges(pair, &rates), nz(1), &rates, &cluster_of, 3).graph.len()
         };
         // The shared rate against the smaller of the two result flows.
         assert_eq!(left(vec![qf(0, 1, 0.5), qf(1, 2, 3.0)]), 1, "1 > 0.5: collapses");
@@ -665,7 +666,7 @@ mod tests {
         ];
         let g = with_edges(vertices, &rates);
         let cluster_of = |n: NodeId| -> Option<usize> { Some(n.0 as usize) };
-        let c = coarsen(g, 1, &rates, &cluster_of, 5);
+        let c = coarsen(g, nz(1), &rates, &cluster_of, 5);
         // Can't reach 1 vertex: the two n-vertices must stay apart.
         assert!(c.graph.len() >= 2);
         for v in &c.graph.vertices {
@@ -689,7 +690,7 @@ mod tests {
             qv(2, &[0, 1, 2], 1.0),
         ];
         let g = with_edges(vertices, &rates);
-        let c = coarsen(g, 1, &rates, &|_| None, 9);
+        let c = coarsen(g, nz(1), &rates, &|_| None, 9);
         // Anchor survives alone; the two queries may merge.
         assert!(c.graph.len() >= 2);
         let anchor_members =
@@ -705,7 +706,7 @@ mod tests {
             qv(1, &[0, 1, 2, 3], 2.0),
         ];
         let g = with_edges(vertices, &rates);
-        let c = coarsen(g, 1, &rates, &|_| Some(0), 2);
+        let c = coarsen(g, nz(1), &rates, &|_| Some(0), 2);
         assert_eq!(c.graph.len(), 1);
         let v = &c.graph.vertices[0];
         assert!(v.is_net());
@@ -717,7 +718,7 @@ mod tests {
     fn already_small_graph_is_untouched() {
         let rates = vec![1.0; U];
         let g = with_edges(vec![qv(0, &[0], 1.0), qv(1, &[5], 1.0)], &rates);
-        let c = coarsen(g, 10, &rates, &|_| None, 0);
+        let c = coarsen(g, nz(10), &rates, &|_| None, 0);
         assert_eq!(c.graph.len(), 2);
         assert_eq!(c.members, vec![vec![0], vec![1]]);
     }
@@ -728,8 +729,8 @@ mod tests {
         let vertices: Vec<QgVertex> =
             (0..20).map(|i| qv(i, &[(i % 7) as usize, ((i * 3) % 11) as usize], 1.0)).collect();
         let g = with_edges(vertices, &rates);
-        let a = coarsen(g.clone(), 5, &rates, &|_| None, 42);
-        let b = coarsen(g, 5, &rates, &|_| None, 42);
+        let a = coarsen(g.clone(), nz(5), &rates, &|_| None, 42);
+        let b = coarsen(g, nz(5), &rates, &|_| None, 42);
         assert_eq!(a.members, b.members);
     }
 
@@ -746,7 +747,7 @@ mod tests {
                 .map(|i| qv(i as u64, &[i % U, (i * 5 + 1) % U], 1.0))
                 .collect();
             let g = with_edges(vertices, &rates);
-            let c = coarsen(g, vmax, &rates, &|_| None, seed);
+            let c = coarsen(g, nz(vmax), &rates, &|_| None, seed);
             let mut seen: Vec<usize> = c.members.iter().flatten().copied().collect();
             seen.sort_unstable();
             let expect: Vec<usize> = (0..n).collect();
@@ -772,7 +773,7 @@ mod tests {
                 .map(|i| qv(i as u64, &[i % U, (i * 3) % U, (i * 7) % U], 1.0))
                 .collect();
             let g = with_edges(vertices, &rates);
-            let c = coarsen(g, 2, &rates, &|_| None, seed);
+            let c = coarsen(g, nz(2), &rates, &|_| None, seed);
             for i in 0..c.graph.len() {
                 for (j, w) in c.graph.neighbors(i) {
                     let expect = edge_weight(&c.graph.vertices[i], &c.graph.vertices[j], &rates);

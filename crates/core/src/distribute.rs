@@ -70,6 +70,7 @@ use cosmos_util::InterestSet;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -86,15 +87,17 @@ const TOP_OVERLAP_EDGES: usize = 12;
 /// `sensor-join`'s population reaches the fixpoint in 9 to 14 sweeps.
 const REFINE_SWEEPS: usize = 32;
 
+/// Allowed load imbalance, `α` in eqn 3.1: no processor carries more than
+/// `(1 + α)` times its capability's share of the load. Paper (§4.1): 0.1.
+pub const ALPHA: f64 = 0.1;
+
 /// Tuning knobs for the distribution machinery: the values a production
 /// caller sets, each one more key of the incremental optimizer's memo. What
 /// nobody sets is a constant above.
 #[derive(Debug, Clone, Copy)]
 pub struct DistConfig {
     /// Coarsening threshold `vmax` (§3.4).
-    pub vmax: usize,
-    /// Allowed load imbalance (`α` in eqn 3.1). Paper: 0.1.
-    pub alpha: f64,
+    pub vmax: NonZeroUsize,
     /// Include query-query overlap edges at all (§3.1.2's Pub/Sub-aware
     /// term). Disabled only by the ablation study — which still wins, by a
     /// hair, where result traffic rivals input traffic: on the end-to-end
@@ -114,20 +117,9 @@ pub struct DistConfig {
 
 impl Default for DistConfig {
     fn default() -> Self {
-        Self { vmax: 64, alpha: 0.1, overlap_edges: true, per_level_alpha: true }
-    }
-}
-
-impl DistConfig {
-    /// Checks every knob, naming the offending one on failure.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.vmax == 0 {
-            return Err("vmax must be at least 1".into());
-        }
-        if !self.alpha.is_finite() || self.alpha < 0.0 {
-            return Err(format!("alpha must be finite and non-negative, got {}", self.alpha));
-        }
-        Ok(())
+        // vmax = 64, built without a panic site.
+        let vmax = NonZeroUsize::MIN.saturating_add(63);
+        Self { vmax, overlap_edges: true, per_level_alpha: true }
     }
 }
 
@@ -196,21 +188,12 @@ impl<'a> Distributor<'a> {
     }
 
     /// As [`Distributor::new`] with explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration fails [`DistConfig::validate`] — a
-    /// misconfigured optimizer must fail loudly at construction, not
-    /// produce silently degenerate placements.
     pub fn with_config(
         dep: &'a Deployment,
         tree: &'a CoordinatorTree,
         table: &'a SubstreamTable,
         config: DistConfig,
     ) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid DistConfig: {e}");
-        }
         let universe = table.len();
         let mut source_sets = vec![InterestSet::new(universe); dep.sources().len()];
         for s in 0..universe {
@@ -226,13 +209,13 @@ impl<'a> Distributor<'a> {
 
     /// The per-level load tolerance: deviations compound multiplicatively
     /// down the coordinator tree, so each level gets
-    /// `(1 + α)^(1/height) − 1` and the end-to-end slack stays ≈ α.
+    /// `(1 + α)^(1/height) − 1` and the end-to-end slack stays ≈ [`ALPHA`].
     pub(crate) fn level_alpha(&self) -> f64 {
         if !self.config.per_level_alpha {
-            return self.config.alpha;
+            return ALPHA;
         }
         let h = self.tree.height().max(1) as f64;
-        (1.0 + self.config.alpha).powf(1.0 / h) - 1.0
+        (1.0 + ALPHA).powf(1.0 / h) - 1.0
     }
 
     /// Adaptation's balance band: half the per-level tolerance. Phase 2
@@ -494,8 +477,7 @@ impl<'a> Distributor<'a> {
         timing.response += response;
 
         // ---- Phase C: query-level refinement on the model's own cost.
-        let alpha = self.config.alpha;
-        let refine = self.refine_queries(specs, &mut assignment, None, alpha, &mut timing);
+        let refine = self.refine_queries(specs, &mut assignment, None, ALPHA, &mut timing);
         DistOutcome { assignment, timing, coarsen: per_coord.coarsen, refine }
     }
 
@@ -551,8 +533,7 @@ impl<'a> Distributor<'a> {
     /// processors (the paper's scalability yardstick).
     pub fn distribute_centralized(&self, specs: &[QuerySpec], seed: u64) -> DistOutcome {
         let mut out = self.centralized(specs, seed, map_graph);
-        let alpha = self.config.alpha;
-        out.refine = self.refine_queries(specs, &mut out.assignment, None, alpha, &mut out.timing);
+        out.refine = self.refine_queries(specs, &mut out.assignment, None, ALPHA, &mut out.timing);
         out
     }
 
@@ -575,7 +556,7 @@ impl<'a> Distributor<'a> {
         let qg = self.graph_from_vertices(vertices, seed);
         let ng = self.network_graph(&qg, self.tree.leaves(), |n| self.tree.leaf_of(n).is_some());
         let pin = |v: &QgVertex| -> Option<usize> { v.net_node().and_then(|n| ng.index_of(n)) };
-        let result = map(&qg, &ng, &pin, self.config.alpha);
+        let result = map(&qg, &ng, &pin, ALPHA);
         let mut assignment = Assignment::new();
         for (i, v) in qg.vertices.iter().enumerate() {
             let target = result.mapping[i];
@@ -1236,6 +1217,7 @@ mod tests {
             ) {
                 let fix = fixture(seed % 5);
                 let tree = CoordinatorTree::build(&fix.dep, 2);
+                let vmax = NonZeroUsize::new(vmax).expect("vmax > 0");
                 let config = DistConfig { vmax, ..DistConfig::default() };
                 let d = Distributor::with_config(&fix.dep, &tree, &fix.table, config);
                 let qs = specs(&fix, n, seed);
@@ -1299,7 +1281,7 @@ mod tests {
                 // crowded (over the limits) to even.
                 let start: Assignment =
                     qs.iter().enumerate().map(|(i, q)| (q.id, live[i % spread].node)).collect();
-                let alpha = if pre.is_some() { d.band() } else { 0.1 };
+                let alpha = if pre.is_some() { d.band() } else { ALPHA };
                 let limits = load_limits(&live, qs.iter().map(|q| q.load).sum(), alpha);
                 let excess = |a: &Assignment| {
                     let nodes: Vec<NodeId> = live.iter().map(|t| t.node).collect();
@@ -1457,24 +1439,5 @@ mod tests {
         let ch = modelled_cost(&fix, &qs, &hier.assignment);
         let cn = modelled_cost(&fix, &qs, &naive);
         assert!(ch <= cn * 1.05, "hierarchical ({ch}) should not lose clearly to naive ({cn})");
-    }
-
-    #[test]
-    fn config_validation_names_the_offending_knob() {
-        let bad = DistConfig { vmax: 0, ..DistConfig::default() };
-        assert!(bad.validate().unwrap_err().contains("vmax"));
-        for alpha in [-0.1, f64::NAN, f64::INFINITY] {
-            let bad = DistConfig { alpha, ..DistConfig::default() };
-            assert!(bad.validate().unwrap_err().contains("alpha"));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid DistConfig")]
-    fn invalid_config_panics_at_construction() {
-        let fix = fixture(10);
-        let tree = CoordinatorTree::build(&fix.dep, 2);
-        let bad = DistConfig { vmax: 0, ..DistConfig::default() };
-        let _ = Distributor::with_config(&fix.dep, &tree, &fix.table, bad);
     }
 }

@@ -29,9 +29,9 @@
 //! [`IncrementalOptimizer::round`] produces the bit-identical
 //! [`AdaptOutcome`] (assignment, migrations, moved state, closing-pass
 //! work — not timing or coarsening work, which measure what was actually
-//! done) as a fresh optimizer's with the same seed and config, whose memo
-//! is empty. The `optimizer_churn` differential suite pins that across
-//! randomized churn. [`StatDelta`]s ingested via
+//! done) as a fresh optimizer's with the same seed, whose memo is empty.
+//! The `optimizer_churn` differential suite pins that across randomized
+//! churn. [`StatDelta`]s ingested via
 //! [`IncrementalOptimizer::ingest`] are bookkeeping hints (surfaced in
 //! [`CacheStats`]); an unreported delta is still caught by the
 //! fingerprint check and simply costs a cache miss.
@@ -51,6 +51,7 @@ use cosmos_net::NodeId;
 use cosmos_query::QueryId;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -320,31 +321,16 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct IncrementalOptimizer {
     seed: u64,
-    config: AdaptConfig,
     memo: Memo,
     deltas_ingested: u64,
 }
 
 impl IncrementalOptimizer {
-    /// Creates an optimizer with a fixed seed and validated configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending knob's message when `config` fails
-    /// [`AdaptConfig::validate`].
-    pub fn new(seed: u64, config: AdaptConfig) -> Result<Self, String> {
-        config.validate()?;
-        Ok(Self { seed, config, memo: Memo::default(), deltas_ingested: 0 })
-    }
-
-    /// The fixed seed every round runs under.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The adaptation configuration.
-    pub fn config(&self) -> &AdaptConfig {
-        &self.config
+    /// Creates an optimizer with a fixed seed. It cannot fail: the
+    /// [`AdaptConfig`] carries nothing to check, and `Result` stays only so
+    /// callers that `expect` it keep compiling.
+    pub fn new(seed: u64, _config: AdaptConfig) -> Result<Self, Infallible> {
+        Ok(Self { seed, memo: Memo::default(), deltas_ingested: 0 })
     }
 
     /// Ingests one statistics delta. Deltas are *hints*: correctness comes
@@ -359,8 +345,8 @@ impl IncrementalOptimizer {
     /// [`adaptive`](crate::adaptive)) over the current assignment, reusing
     /// every cached result whose inputs are fingerprint-unchanged. Produces
     /// the identical assignment, migration count, moved state and
-    /// closing-pass work (`refine`) as a fresh optimizer with this seed and
-    /// config (timing differs: it measures the work actually performed).
+    /// closing-pass work (`refine`) as a fresh optimizer with this seed
+    /// (timing differs: it measures the work actually performed).
     ///
     /// `specs` must contain every query in `current`.
     ///
@@ -374,8 +360,8 @@ impl IncrementalOptimizer {
         specs: &[QuerySpec],
         current: &Assignment,
     ) -> AdaptOutcome {
-        self.memo.begin_round(env_fp(d, &self.config, self.seed));
-        run_round(d, specs, current, &self.config, self.seed, &mut self.memo)
+        self.memo.begin_round(env_fp(d, self.seed));
+        run_round(d, specs, current, self.seed, &mut self.memo)
     }
 
     /// Cumulative cache effectiveness counters.
@@ -393,8 +379,8 @@ impl IncrementalOptimizer {
 
 /// Everything outside the per-round inputs that the pipeline's output
 /// depends on: the seed, the tree's structural generation and shape, and
-/// every optimizer knob.
-fn env_fp(d: &Distributor<'_>, config: &AdaptConfig, seed: u64) -> u64 {
+/// every [`DistConfig`](crate::distribute::DistConfig) knob.
+fn env_fp(d: &Distributor<'_>, seed: u64) -> u64 {
     let mut h = DefaultHasher::new();
     seed.hash(&mut h);
     d.tree.generation().hash(&mut h);
@@ -403,13 +389,8 @@ fn env_fp(d: &Distributor<'_>, config: &AdaptConfig, seed: u64) -> u64 {
     d.universe().hash(&mut h);
     let dc = &d.config;
     dc.vmax.hash(&mut h);
-    dc.alpha.to_bits().hash(&mut h);
     dc.overlap_edges.hash(&mut h);
     dc.per_level_alpha.hash(&mut h);
-    config.x_fraction.to_bits().hash(&mut h);
-    config.fill_fraction.to_bits().hash(&mut h);
-    config.max_moves_factor.hash(&mut h);
-    config.min_improvement.to_bits().hash(&mut h);
     h.finish()
 }
 
@@ -469,18 +450,8 @@ mod tests {
     }
 
     #[test]
-    fn constructor_rejects_invalid_config() {
-        let bad = AdaptConfig { max_moves_factor: 0, ..AdaptConfig::default() };
-        let err = IncrementalOptimizer::new(1, bad).unwrap_err();
-        assert!(err.contains("max_moves_factor"), "error should name the knob: {err}");
-        let bad = AdaptConfig { x_fraction: f64::NAN, ..AdaptConfig::default() };
-        assert!(IncrementalOptimizer::new(1, bad).unwrap_err().contains("x_fraction"));
-        assert!(IncrementalOptimizer::new(1, AdaptConfig::default()).is_ok());
-    }
-
-    #[test]
     fn ingest_counts_deltas() {
-        let mut opt = IncrementalOptimizer::new(7, AdaptConfig::default()).unwrap();
+        let Ok(mut opt) = IncrementalOptimizer::new(7, AdaptConfig::default());
         opt.ingest(&StatDelta::RateChanged { substream: 3 });
         opt.ingest(&StatDelta::QueryChanged { id: QueryId(1) });
         assert_eq!(opt.cache_stats().deltas_ingested, 2);
@@ -529,7 +500,7 @@ mod tests {
         let mut specs: Vec<QuerySpec> = (0..60).map(|i| random_spec(i, &mut rng, &live)).collect();
         let mut current: Assignment =
             specs.iter().map(|q| (q.id, live[rng.gen_range(0..live.len())])).collect();
-        let mut opt = IncrementalOptimizer::new(seed, AdaptConfig::default()).expect("valid");
+        let Ok(mut opt) = IncrementalOptimizer::new(seed, AdaptConfig::default());
         let mut next_id = specs.len() as u64;
 
         for round in 0..rounds + 2 {
@@ -562,7 +533,7 @@ mod tests {
             }
             let d = Distributor::new(&dep, &tree, &table);
             if tree.generation() != generation {
-                opt.memo.begin_round(env_fp(&d, &opt.config, opt.seed));
+                opt.memo.begin_round(env_fp(&d, opt.seed));
                 assert!(
                     opt.memo.hier.is_empty() && opt.memo.place.is_empty(),
                     "round {round}: a new tree generation left memo entries behind"

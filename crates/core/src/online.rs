@@ -14,6 +14,7 @@
 //! higher per-coordinator throughput — at the price of more levels and more
 //! coarsening (Figure 9's trade-off).
 
+use crate::distribute::ALPHA;
 use crate::hierarchy::CoordinatorTree;
 use crate::mapping::pick_target;
 use crate::spec::{Assignment, QuerySpec};
@@ -85,7 +86,7 @@ impl CoordState {
 /// let dep = Deployment::assign(topo, 3, 6, 1);
 /// let tree = CoordinatorTree::build(&dep, 2);
 /// let table = SubstreamTable::random(100, 3, 1.0, 10.0, 1);
-/// let mut router = OnlineRouter::new(&dep, &tree, &table, 0.1);
+/// let mut router = OnlineRouter::new(&dep, &tree, &table);
 /// let q = QuerySpec {
 ///     id: QueryId(1),
 ///     interest: InterestSet::from_indices(100, [5usize, 6]),
@@ -102,19 +103,14 @@ pub struct OnlineRouter<'a> {
     dep: &'a Deployment,
     tree: &'a CoordinatorTree,
     table: &'a SubstreamTable,
-    alpha: f64,
     states: Vec<CoordState>,
     total_load: f64,
 }
 
 impl<'a> OnlineRouter<'a> {
-    /// Creates a router with empty aggregates.
-    pub fn new(
-        dep: &'a Deployment,
-        tree: &'a CoordinatorTree,
-        table: &'a SubstreamTable,
-        alpha: f64,
-    ) -> Self {
+    /// Creates a router with empty aggregates; each level holds its
+    /// children to eqn 3.1 under [`ALPHA`].
+    pub fn new(dep: &'a Deployment, tree: &'a CoordinatorTree, table: &'a SubstreamTable) -> Self {
         let universe = table.len();
         let states = (0..tree.len())
             .map(|i| {
@@ -126,7 +122,7 @@ impl<'a> OnlineRouter<'a> {
                 }
             })
             .collect();
-        Self { dep, tree, table, alpha, states, total_load: 0.0 }
+        Self { dep, tree, table, states, total_load: 0.0 }
     }
 
     /// Seeds aggregates from an existing assignment (used when online
@@ -183,7 +179,7 @@ impl<'a> OnlineRouter<'a> {
         let subtree_load: f64 = node.children.iter().map(|&c| self.subtree_load(c)).sum();
         let share = (self.total_load + spec.load).min(subtree_load + spec.load); // local view
         let limit = |&c: &usize| {
-            (1.0 + self.alpha) * self.tree.node(c).capability * share / total_cap.max(1e-12)
+            (1.0 + ALPHA) * self.tree.node(c).capability * share / total_cap.max(1e-12)
         };
         let limits: Vec<f64> = node.children.iter().map(limit).collect();
         pick_target(&state.child_load, &limits, spec.load, |i| {
@@ -274,7 +270,7 @@ mod tests {
     fn insert_lands_on_a_processor() {
         let (dep, table) = fixture(1);
         let tree = CoordinatorTree::build(&dep, 2);
-        let mut router = OnlineRouter::new(&dep, &tree, &table, 0.1);
+        let mut router = OnlineRouter::new(&dep, &tree, &table);
         for i in 0..30 {
             let q = spec(i, &[(i as usize) % U, (i as usize * 3) % U], 1.0, dep.processors()[0]);
             let p = router.insert(&q);
@@ -287,7 +283,7 @@ mod tests {
     fn similar_queries_cluster_together() {
         let (dep, table) = fixture(2);
         let tree = CoordinatorTree::build(&dep, 2);
-        let mut router = OnlineRouter::new(&dep, &tree, &table, 0.5);
+        let mut router = OnlineRouter::new(&dep, &tree, &table);
         // Insert a batch of zero-load queries with identical interest:
         // overlap edges should pull them to the same processor (zero load
         // keeps eqn 3.1 from forcing a spread).
@@ -303,7 +299,7 @@ mod tests {
     fn load_spreads_when_capacity_exceeded() {
         let (dep, table) = fixture(3);
         let tree = CoordinatorTree::build(&dep, 2);
-        let mut router = OnlineRouter::new(&dep, &tree, &table, 0.1);
+        let mut router = OnlineRouter::new(&dep, &tree, &table);
         let mut rng = rng_for(3, "spread");
         let mut per_proc: std::collections::HashMap<NodeId, f64> = Default::default();
         for i in 0..200 {
@@ -325,13 +321,13 @@ mod tests {
         let tree = CoordinatorTree::build(&dep, 2);
         let specs: Vec<QuerySpec> =
             (0..10).map(|i| spec(i, &[i as usize], 1.0, dep.processors()[0])).collect();
-        let mut r1 = OnlineRouter::new(&dep, &tree, &table, 0.1);
+        let mut r1 = OnlineRouter::new(&dep, &tree, &table);
         let mut assignment = Assignment::new();
         for q in &specs {
             let p = r1.insert(q);
             assignment.place(q.id, p);
         }
-        let mut r2 = OnlineRouter::new(&dep, &tree, &table, 0.1);
+        let mut r2 = OnlineRouter::new(&dep, &tree, &table);
         r2.seed_from(&specs, &assignment);
         assert!((r1.total_load() - r2.total_load()).abs() < 1e-9);
         // The next decision must coincide.
@@ -343,7 +339,7 @@ mod tests {
     fn proxy_pull_affects_placement() {
         let (dep, table) = fixture(5);
         let tree = CoordinatorTree::build(&dep, 2);
-        let mut router = OnlineRouter::new(&dep, &tree, &table, 1.0);
+        let mut router = OnlineRouter::new(&dep, &tree, &table);
         // A query with huge result rate and no interest should sit at (or
         // very near) its proxy.
         let q = QuerySpec {

@@ -58,15 +58,14 @@ thread_local! {
     static STEP: Cell<u32> = const { Cell::new(0) };
 }
 
-/// The reference round: a fresh optimizer with `seed` and `config`.
+/// The reference round: a fresh optimizer with `seed`.
 fn fresh_round(
     d: &Distributor<'_>,
     specs: &[QuerySpec],
     current: &Assignment,
-    config: &AdaptConfig,
     seed: u64,
 ) -> AdaptOutcome {
-    let mut opt = IncrementalOptimizer::new(seed, *config).expect("valid config");
+    let Ok(mut opt) = IncrementalOptimizer::new(seed, AdaptConfig::default());
     opt.round(d, specs, current)
 }
 
@@ -197,14 +196,9 @@ impl World {
     /// Runs one adaptation round on both paths and asserts observational
     /// equality: assignment, migrations, moved state and the closing pass's
     /// work — never timing.
-    fn round_and_compare(
-        &mut self,
-        opt: &mut IncrementalOptimizer,
-        config: &AdaptConfig,
-        seed: u64,
-    ) {
+    fn round_and_compare(&mut self, opt: &mut IncrementalOptimizer, seed: u64) {
         let d = Distributor::new(&self.dep, &self.tree, &self.table);
-        let fresh = fresh_round(&d, &self.specs, &self.current, config, seed);
+        let fresh = fresh_round(&d, &self.specs, &self.current, seed);
         let inc = opt.round(&d, &self.specs, &self.current);
         assert_eq!(
             inc.assignment, fresh.assignment,
@@ -227,8 +221,7 @@ fn run_trial(trial: u64) {
     let seed = 0xC05 + trial * 7919;
     let mut rng = rng_for(seed, "optimizer-churn");
     let mut world = World::new(seed, &mut rng);
-    let config = AdaptConfig::default();
-    let mut opt = IncrementalOptimizer::new(seed, config).expect("default config is valid");
+    let Ok(mut opt) = IncrementalOptimizer::new(seed, AdaptConfig::default());
 
     let rounds = if stress() { 12 } else { 8 };
     for op in 0..rounds {
@@ -245,7 +238,7 @@ fn run_trial(trial: u64) {
             7 => world.leave(&mut rng, &mut opt),
             _ => {} // quiet round
         }
-        world.round_and_compare(&mut opt, &config, seed);
+        world.round_and_compare(&mut opt, seed);
     }
     let stats = opt.cache_stats();
     assert!(stats.hier_hits > 0, "caches never fired over a whole trial: {stats:?}");
@@ -283,12 +276,11 @@ fn stat_delta_rounds_equal_wholesale_and_reuse_clean_subtrees() {
     let seed = 4242;
     let mut rng = rng_for(seed, "patch-path");
     let mut world = World::new(seed, &mut rng);
-    let config = AdaptConfig::default();
-    let mut opt = IncrementalOptimizer::new(seed, config).expect("valid config");
-    world.round_and_compare(&mut opt, &config, seed); // warm the caches
+    let Ok(mut opt) = IncrementalOptimizer::new(seed, AdaptConfig::default());
+    world.round_and_compare(&mut opt, seed); // warm the caches
     for _ in 0..4 {
         world.load_burst(&mut rng, &mut opt);
-        world.round_and_compare(&mut opt, &config, seed);
+        world.round_and_compare(&mut opt, seed);
     }
     let stats = opt.cache_stats();
     assert!(stats.hier_hits > 0, "clean subtrees were never reused: {stats:?}");
@@ -303,8 +295,7 @@ fn online_router_seeding_is_path_independent() {
     let seed = 9090;
     let mut rng = rng_for(seed, "seed-from");
     let mut world = World::new(seed, &mut rng);
-    let config = AdaptConfig::default();
-    let mut opt = IncrementalOptimizer::new(seed, config).expect("valid config");
+    let Ok(mut opt) = IncrementalOptimizer::new(seed, AdaptConfig::default());
 
     // A few churn rounds, tracking the fresh optimizers' assignment
     // separately.
@@ -316,15 +307,15 @@ fn online_router_seeding_is_path_independent() {
             _ => {}
         }
         let d = Distributor::new(&world.dep, &world.tree, &world.table);
-        let fresh = fresh_round(&d, &world.specs, &fresh_current, &config, seed);
+        let fresh = fresh_round(&d, &world.specs, &fresh_current, seed);
         let inc = opt.round(&d, &world.specs, &world.current);
         fresh_current = fresh.assignment;
         world.current = inc.assignment;
     }
 
-    let mut from_inc = OnlineRouter::new(&world.dep, &world.tree, &world.table, 0.1);
+    let mut from_inc = OnlineRouter::new(&world.dep, &world.tree, &world.table);
     from_inc.seed_from(&world.specs, &world.current);
-    let mut from_fresh = OnlineRouter::new(&world.dep, &world.tree, &world.table, 0.1);
+    let mut from_fresh = OnlineRouter::new(&world.dep, &world.tree, &world.table);
     from_fresh.seed_from(&world.specs, &fresh_current);
     assert!(
         (from_inc.total_load() - from_fresh.total_load()).abs() < 1e-12,

@@ -26,8 +26,7 @@
 //! A result is projected through one column plan
 //! ([`crate::tuple`]), cached in one place: the [`ProjPlanCache`] its owner
 //! hangs off itself (`ResultTuple::project_cached`). The uncached entry
-//! points (`ResultTuple::project`, `ResultTuple::project_compiled`) build
-//! the plan per call.
+//! point (`ResultTuple::project_compiled`) builds the plan per call.
 
 use crate::checkpoint::{BufferState, QueryState, Recoverable, StreamCheckpoint};
 pub use crate::tuple::ProjPlanCache;
@@ -92,19 +91,11 @@ pub struct ResultTuple {
 }
 
 impl ResultTuple {
-    /// Applies the producing query's projection, flattening to a tuple on
-    /// `result_stream` with `alias.attr` names. Component timestamps are
+    /// Applies the producing query's compiled projection, flattening to a
+    /// tuple on `result_stream` with `alias.attr` names — symbol compares
+    /// and scalar copies, no string allocation. Component timestamps are
     /// always retained (`alias.timestamp`) so residual filters downstream
-    /// can re-check window bounds.
-    ///
-    /// Compat shim: [`ResultTuple::project_compiled`] of a fresh
-    /// compilation of `projection`.
-    pub fn project(&self, projection: &[ProjItem], result_stream: &str) -> Tuple {
-        self.project_compiled(&CompiledProjection::compile(projection), result_stream)
-    }
-
-    /// [`ResultTuple::project`] with a precompiled projection — symbol
-    /// compares and scalar copies, no string allocation. The column plan
+    /// can re-check window bounds. The column plan
     /// is built on every call (the output schema is still the interned
     /// one); repeated projection goes through
     /// [`ResultTuple::project_cached`]. Colliding output names (e.g. a
@@ -857,10 +848,12 @@ mod tests {
         let mut e = engine_with("SELECT R.v FROM R [Range 1 Minute], S [Now] WHERE R.k = S.k");
         e.push(t("R", 0, &[("k", 1), ("v", 42), ("x", 9)]));
         let out = e.push(t("S", 500, &[("k", 1), ("y", 3)]));
-        let projected = out[0].project(
-            &parse_query("SELECT R.v FROM R [Range 1 Minute], S [Now] WHERE R.k = S.k")
-                .unwrap()
-                .projection,
+        let projected = out[0].project_compiled(
+            &CompiledProjection::compile(
+                &parse_query("SELECT R.v FROM R [Range 1 Minute], S [Now] WHERE R.k = S.k")
+                    .unwrap()
+                    .projection,
+            ),
             "res",
         );
         assert_eq!(projected.get("R.v"), Some(&Scalar::Int(42)));
@@ -870,10 +863,11 @@ mod tests {
         assert_eq!(projected.get("R.timestamp"), Some(&Scalar::Int(0)));
     }
 
-    /// The projection entry points are one column plan: `project`,
-    /// `project_compiled` and `project_cached` (cold, warm, and with two
-    /// part-shape sets through one cache) return equal tuples on the same
-    /// interned schema, and `flatten` equals `flatten_cached`.
+    /// The projection entry points are one column plan: `project_compiled`
+    /// (of a fresh compilation and of a reused one) and `project_cached`
+    /// (cold, warm, and with two part-shape sets through one cache) return
+    /// equal tuples on the same interned schema, and `flatten` equals
+    /// `flatten_cached`.
     #[test]
     fn projection_entry_points_agree() {
         use cosmos_query::AttrRef;
@@ -894,9 +888,10 @@ mod tests {
                 ("A", part("S", 4_000, &[("x", 6)])),
             ]),
         ];
-        let first = shapes[0].project(&[ProjItem::All], "res");
+        let all = CompiledProjection::compile(&[ProjItem::All]);
+        let first = shapes[0].project_compiled(&all, "res");
         assert_eq!(first.get("B.timestamp"), Some(&Scalar::Int(2_000)), "header column first");
-        let second = shapes[1].project(&[ProjItem::All], "res");
+        let second = shapes[1].project_compiled(&all, "res");
         assert_eq!(second.get("A.x"), Some(&Scalar::Int(4)), "first part of a repeated alias");
         assert_eq!(second.get("A.timestamp"), Some(&Scalar::Int(3_000)));
         let lists = [
@@ -910,7 +905,7 @@ mod tests {
             // Cold and warm on the first shape, then the second shape's
             // cold and warm, then the first again through the same cache.
             for r in [&shapes[0], &shapes[0], &shapes[1], &shapes[1], &shapes[0]] {
-                let reference = r.project(items, "res");
+                let reference = r.project_compiled(&CompiledProjection::compile(items), "res");
                 for other in [
                     r.project_compiled(&compiled, "res"),
                     r.project_cached(&compiled, &mut cache, "res"),
@@ -928,7 +923,7 @@ mod tests {
             assert_eq!(cached, flat);
             assert!(std::ptr::eq(cached.schema(), flat.schema()));
             assert_eq!(cached.schema().id(), flat.schema().id());
-            assert_eq!(flat, r.project(&[ProjItem::All], "res"), "flatten keeps every column");
+            assert_eq!(flat, r.project_compiled(&all, "res"), "flatten keeps every column");
         }
     }
 

@@ -421,11 +421,11 @@ mod tests {
             indep.add_query(*id, q.clone());
         }
         let mut indep_out = BTreeSet::new();
-        let projections: std::collections::HashMap<QueryId, Vec<cosmos_query::ProjItem>> =
-            queries.iter().map(|(i, q)| (*i, q.projection.clone())).collect();
+        let projections: std::collections::HashMap<QueryId, CompiledProjection> =
+            queries.iter().map(|(i, q)| (*i, CompiledProjection::compile(&q.projection))).collect();
         for tup in &tuples {
             for r in indep.push(tup.clone()) {
-                let projected = r.project(&projections[&r.query], "x");
+                let projected = r.project_compiled(&projections[&r.query], "x");
                 let mut vals: Vec<String> =
                     projected.iter().map(|(k, v)| format!("{k}={v}")).collect();
                 vals.sort();

@@ -21,7 +21,7 @@
 //!   emit-mask, a pure function of the part aliases, the part schemas and
 //!   which columns are kept, built once per shape and hung off the owner
 //!   ([`ProjPlanCache`]) — the only place a plan is cached; the uncached
-//!   entry points ([`JoinedTuple::flatten`], `ResultTuple::project`,
+//!   entry points ([`JoinedTuple::flatten`],
 //!   `ResultTuple::project_compiled`) build it per call.
 //!   [`JoinedTuple::flatten`] is the plan that keeps every column;
 //!   projection (`ResultTuple::project*`) supplies its own keep rule. The

@@ -31,43 +31,12 @@ use cosmos_util::InterestSet;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Generator configuration, derived from [`PaperParams`].
-#[derive(Debug, Clone)]
-pub struct WorkloadConfig {
-    /// Number of substreams.
-    pub n_substreams: usize,
-    /// Number of hot-spot groups.
-    pub n_groups: usize,
-    /// Zipf skew.
-    pub theta: f64,
-    /// Per-query substream count range (inclusive).
-    substreams_per_query: (usize, usize),
-    /// Query load per byte/second of input.
-    pub load_per_byte: f64,
-    /// Result rate as a fraction of input rate.
-    pub result_ratio: f64,
-}
-
-impl WorkloadConfig {
-    /// Extracts the generator knobs from experiment parameters.
-    pub fn from_params(p: &PaperParams) -> Self {
-        Self {
-            n_substreams: p.n_substreams,
-            n_groups: p.n_groups,
-            theta: p.theta,
-            substreams_per_query: (p.query_substreams_min, p.query_substreams_max),
-            load_per_byte: p.load_per_byte,
-            result_ratio: p.result_ratio,
-        }
-    }
-}
-
 /// The reusable generator: owns the per-group permutations so that query
 /// batches generated at different times (e.g. Figure 8's arrivals) come
 /// from the same population.
 #[derive(Debug)]
 pub struct QueryGenerator {
-    config: WorkloadConfig,
+    params: PaperParams,
     zipf: Zipf,
     /// One substream permutation per group.
     permutations: Vec<Vec<usize>>,
@@ -75,26 +44,27 @@ pub struct QueryGenerator {
 }
 
 impl QueryGenerator {
-    /// Creates a generator with `seed`-derived group permutations.
-    pub fn new(config: WorkloadConfig, seed: u64) -> Self {
-        let pool = Self::pool_size_for(&config);
-        let zipf = Zipf::new(pool, config.theta);
-        let mut permutations = Vec::with_capacity(config.n_groups);
-        for g in 0..config.n_groups {
-            let mut perm: Vec<usize> = (0..config.n_substreams).collect();
+    /// Creates a generator for `params`' population (its substream count,
+    /// groups, θ, per-query substream range, load and result ratios) with
+    /// `seed`-derived group permutations.
+    pub fn new(params: &PaperParams, seed: u64) -> Self {
+        let params = params.clone();
+        let pool = Self::pool_size_for(&params);
+        let zipf = Zipf::new(pool, params.theta);
+        let mut permutations = Vec::with_capacity(params.n_groups);
+        for g in 0..params.n_groups {
+            let mut perm: Vec<usize> = (0..params.n_substreams).collect();
             let mut rng = rng_for_indexed(seed, "group-permutation", g as u64);
             perm.shuffle(&mut rng);
             permutations.push(perm);
         }
-        Self { config, zipf, permutations, next_id: 0 }
+        Self { params, zipf, permutations, next_id: 0 }
     }
 
     /// The per-group hot-spot pool size (see module docs): `1/g` of the
     /// universe, but always large enough to fit the biggest query.
-    fn pool_size_for(config: &WorkloadConfig) -> usize {
-        (config.n_substreams / config.n_groups.max(1))
-            .max(config.substreams_per_query.1 * 2)
-            .min(config.n_substreams)
+    fn pool_size_for(p: &PaperParams) -> usize {
+        (p.n_substreams / p.n_groups.max(1)).max(p.query_substreams_max * 2).min(p.n_substreams)
     }
 
     /// Generates `n` fresh queries with proxies drawn uniformly from the
@@ -108,25 +78,26 @@ impl QueryGenerator {
     ) -> Vec<QuerySpec> {
         let mut rng = rng_for(seed ^ self.next_id, "query-batch");
         let procs = dep.processors();
-        let (lo, hi) = self.config.substreams_per_query;
+        let p = &self.params;
+        let (lo, hi) = (p.query_substreams_min, p.query_substreams_max);
         (0..n)
             .map(|_| {
                 let id = QueryId(self.next_id);
                 self.next_id += 1;
-                let group = rng.gen_range(0..self.config.n_groups);
+                let group = rng.gen_range(0..p.n_groups);
                 let count = rng.gen_range(lo..=hi);
                 let ranks = self.zipf.sample_distinct(&mut rng, count);
                 let interest = InterestSet::from_indices(
-                    self.config.n_substreams,
+                    p.n_substreams,
                     ranks.iter().map(|&r| self.permutations[group][r]),
                 );
                 let input_rate = interest.weighted_len(table.rates());
                 QuerySpec {
                     id,
                     interest,
-                    load: input_rate * self.config.load_per_byte,
+                    load: input_rate * p.load_per_byte,
                     proxy: procs[rng.gen_range(0..procs.len())],
-                    result_rate: input_rate * self.config.result_ratio,
+                    result_rate: input_rate * p.result_ratio,
                     state_size: 1.0 + rng.gen_range(0.0..9.0),
                 }
             })
@@ -139,41 +110,32 @@ impl QueryGenerator {
     }
 }
 
-/// One-shot convenience wrapper around [`QueryGenerator`].
-pub fn generate_queries(
-    config: &WorkloadConfig,
-    dep: &Deployment,
-    table: &SubstreamTable,
-    n: usize,
-    seed: u64,
-) -> Vec<QuerySpec> {
-    QueryGenerator::new(config.clone(), seed).generate(n, dep, table, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cosmos_net::TransitStubConfig;
 
-    fn fixture() -> (Deployment, SubstreamTable, WorkloadConfig) {
+    fn fixture() -> (Deployment, SubstreamTable, PaperParams) {
         let topo = TransitStubConfig::small().generate(5);
         let dep = Deployment::assign(topo, 4, 8, 5);
         let table = SubstreamTable::random(400, 4, 1.0, 10.0, 5);
-        let config = WorkloadConfig {
+        let params = PaperParams {
             n_substreams: 400,
             n_groups: 4,
             theta: 0.8,
-            substreams_per_query: (10, 20),
+            query_substreams_min: 10,
+            query_substreams_max: 20,
             load_per_byte: 0.001,
             result_ratio: 0.1,
+            ..PaperParams::tiny()
         };
-        (dep, table, config)
+        (dep, table, params)
     }
 
     #[test]
     fn queries_respect_size_bounds() {
-        let (dep, table, config) = fixture();
-        let qs = generate_queries(&config, &dep, &table, 50, 1);
+        let (dep, table, params) = fixture();
+        let qs = QueryGenerator::new(&params, 1).generate(50, &dep, &table, 1);
         assert_eq!(qs.len(), 50);
         for q in &qs {
             let n = q.interest.len();
@@ -186,8 +148,8 @@ mod tests {
 
     #[test]
     fn ids_are_sequential_across_batches() {
-        let (dep, table, config) = fixture();
-        let mut generator = QueryGenerator::new(config, 2);
+        let (dep, table, params) = fixture();
+        let mut generator = QueryGenerator::new(&params, 2);
         let a = generator.generate(10, &dep, &table, 3);
         let b = generator.generate(10, &dep, &table, 4);
         assert_eq!(a[0].id, QueryId(0));
@@ -197,9 +159,9 @@ mod tests {
 
     #[test]
     fn groups_create_overlapping_hot_spots() {
-        let (dep, table, mut config) = fixture();
-        config.n_groups = 1; // single group ⇒ shared hot spot
-        let qs = generate_queries(&config, &dep, &table, 30, 7);
+        let (dep, table, mut params) = fixture();
+        params.n_groups = 1; // single group ⇒ shared hot spot
+        let qs = QueryGenerator::new(&params, 7).generate(30, &dep, &table, 7);
         // With θ=0.8 and one permutation, the hottest mapped substream
         // should appear in many queries.
         let mut counts = vec![0usize; 400];
@@ -214,8 +176,8 @@ mod tests {
 
     #[test]
     fn different_groups_have_different_hot_spots() {
-        let (_, _, config) = fixture();
-        let generator = QueryGenerator::new(config, 9);
+        let (_, _, params) = fixture();
+        let generator = QueryGenerator::new(&params, 9);
         assert_ne!(
             generator.permutations[0][..10],
             generator.permutations[1][..10],
@@ -225,9 +187,9 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let (dep, table, config) = fixture();
-        let a = generate_queries(&config, &dep, &table, 20, 42);
-        let b = generate_queries(&config, &dep, &table, 20, 42);
+        let (dep, table, params) = fixture();
+        let a = QueryGenerator::new(&params, 42).generate(20, &dep, &table, 42);
+        let b = QueryGenerator::new(&params, 42).generate(20, &dep, &table, 42);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.id, y.id);
             assert_eq!(x.interest, y.interest);
@@ -237,8 +199,8 @@ mod tests {
 
     #[test]
     fn load_proportional_to_input_rate() {
-        let (dep, table, config) = fixture();
-        let qs = generate_queries(&config, &dep, &table, 20, 11);
+        let (dep, table, params) = fixture();
+        let qs = QueryGenerator::new(&params, 11).generate(20, &dep, &table, 11);
         for q in &qs {
             let input = q.interest.weighted_len(table.rates());
             assert!((q.load - input * 0.001).abs() < 1e-9);

@@ -5,8 +5,10 @@
 //! - [`params::PaperParams`]: the experimental constants (4096-node
 //!   transit-stub topology, 100 sources, 256 processors, 20 000 substreams
 //!   with rates 1–10 B/s, g = 20 query groups with Zipf θ = 0.8 hot spots,
-//!   queries requesting 100–200 substreams, α = 0.1) plus a uniform
-//!   `scaled(f)` knob so benches can run the same *shape* at laptop sizes.
+//!   queries requesting 100–200 substreams) plus a uniform `scaled(f)`
+//!   knob so benches can run the same *shape* at laptop sizes. The load
+//!   tolerance α = 0.1 is no parameter either: it is
+//!   [`cosmos_core::distribute::ALPHA`].
 //!   (The paper's 200 s adaptation interval is no parameter: the drivers
 //!   run one adaptation round per event.)
 //! - [`generator`]: the group-permuted Zipfian query generator ("to model
@@ -27,6 +29,5 @@ pub mod params;
 pub mod sensors;
 pub mod sim;
 
-pub use generator::{generate_queries, WorkloadConfig};
 pub use params::{PaperParams, RecoveryParams};
 pub use sim::{FaultOp, RecoverySim, Simulation};

@@ -63,8 +63,6 @@ pub struct PaperParams {
     pub query_substreams_max: usize,
     /// Cluster-size parameter of the coordinator tree (paper default: 4).
     pub k: usize,
-    /// Load-imbalance tolerance α (paper: 0.1).
-    pub alpha: f64,
     /// Query load per byte/second of input (load ∝ input rate).
     pub load_per_byte: f64,
     /// Result rate as a fraction of input rate.
@@ -93,7 +91,6 @@ impl PaperParams {
             query_substreams_min: 100,
             query_substreams_max: 200,
             k: 4,
-            alpha: 0.1,
             load_per_byte: 0.001,
             result_ratio: 0.002,
         }
@@ -107,8 +104,8 @@ impl PaperParams {
     /// Zipfian head concentration `Σ p(s)²` decays only logarithmically
     /// with the universe — linear pick scaling would collapse the overlap
     /// fraction that the sharing experiments depend on, while `√f` keeps
-    /// the shared-fraction-per-pair close to the paper's regime. Rates, θ,
-    /// α, k stay as-is.
+    /// the shared-fraction-per-pair close to the paper's regime. Rates, θ
+    /// and k stay as-is.
     ///
     /// # Panics
     ///
@@ -160,7 +157,6 @@ impl PaperParams {
             query_substreams_min: 15,
             query_substreams_max: 30,
             k: 2,
-            alpha: 0.1,
             load_per_byte: 0.001,
             result_ratio: 0.002,
         }
@@ -180,7 +176,6 @@ mod tests {
         assert_eq!(p.n_groups, 20);
         assert_eq!(p.k, 4);
         assert!((p.theta - 0.8).abs() < 1e-12);
-        assert!((p.alpha - 0.1).abs() < 1e-12);
         assert!(p.topology.node_count() >= 4096);
     }
 

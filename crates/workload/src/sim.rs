@@ -9,10 +9,10 @@
 //! query arrivals (Figure 8), rate perturbations (Figure 10), and
 //! adaptation rounds (Figures 7/8/10).
 
-use crate::generator::{QueryGenerator, WorkloadConfig};
+use crate::generator::QueryGenerator;
 use crate::params::{PaperParams, RecoveryParams};
 use cosmos_core::adaptive::{AdaptConfig, AdaptOutcome};
-use cosmos_core::distribute::{DistConfig, Distributor};
+use cosmos_core::distribute::Distributor;
 use cosmos_core::hierarchy::CoordinatorTree;
 use cosmos_core::incremental::IncrementalOptimizer;
 use cosmos_core::online::OnlineRouter;
@@ -179,7 +179,7 @@ impl Simulation {
             seed,
         );
         let tree = CoordinatorTree::build(&dep, params.k);
-        let generator = QueryGenerator::new(WorkloadConfig::from_params(&params), seed);
+        let generator = QueryGenerator::new(&params, seed);
         Self {
             dep,
             table,
@@ -193,8 +193,7 @@ impl Simulation {
 
     /// A distributor over the current state (borrow-scoped helper).
     pub fn distributor(&self) -> Distributor<'_> {
-        let config = DistConfig { alpha: self.params.alpha, ..DistConfig::default() };
-        Distributor::with_config(&self.dep, &self.tree, &self.table, config)
+        Distributor::new(&self.dep, &self.tree, &self.table)
     }
 
     /// Generates `n` new queries (ids continue), appends them to the
@@ -213,7 +212,7 @@ impl Simulation {
     /// Routes a batch of new queries through the online router (seeded from
     /// the current assignment) and places them.
     pub fn insert_online(&mut self, batch: &[QuerySpec]) {
-        let mut router = OnlineRouter::new(&self.dep, &self.tree, &self.table, self.params.alpha);
+        let mut router = OnlineRouter::new(&self.dep, &self.tree, &self.table);
         router.seed_from(&self.specs, &self.assignment);
         for q in batch {
             let p = router.insert(q);
@@ -222,8 +221,8 @@ impl Simulation {
     }
 
     /// One adaptation round (Algorithm 3 hierarchy-wide) by a fresh
-    /// [`IncrementalOptimizer`] with `seed` and the default config — every
-    /// coordinator's work done afresh; applies and returns the outcome.
+    /// [`IncrementalOptimizer`] with `seed` — every coordinator's work done
+    /// afresh; applies and returns the outcome.
     ///
     /// A round balances load and refines a local surrogate (phases 1 and
     /// 2), then ends on the modelled cost itself, each move priced by the
@@ -233,8 +232,7 @@ impl Simulation {
     /// converges — do not gate a round on the global metric, or load
     /// rebalancing starves.
     pub fn adapt_round(&mut self, seed: u64) -> AdaptOutcome {
-        let mut opt = IncrementalOptimizer::new(seed, AdaptConfig::default())
-            .expect("the default adaptation config is valid");
+        let Ok(mut opt) = IncrementalOptimizer::new(seed, AdaptConfig::default());
         self.adapt_round_incremental(&mut opt)
     }
 
@@ -372,8 +370,7 @@ mod tests {
         let seed = 77;
         let mut whole = sim();
         let mut inc = sim();
-        let mut opt = IncrementalOptimizer::new(seed, AdaptConfig::default())
-            .expect("default config is valid");
+        let Ok(mut opt) = IncrementalOptimizer::new(seed, AdaptConfig::default());
         for round in 0..4u64 {
             if round % 2 == 1 {
                 whole.perturb_rates(5, 1.5, 100 + round);

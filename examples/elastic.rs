@@ -14,7 +14,7 @@ use cosmos::core::hierarchy::CoordinatorTree;
 use cosmos::core::online::OnlineRouter;
 use cosmos::net::Deployment;
 use cosmos::workload::generator::QueryGenerator;
-use cosmos::workload::{PaperParams, Simulation, WorkloadConfig};
+use cosmos::workload::{PaperParams, Simulation};
 use std::time::Instant;
 
 fn main() {
@@ -46,9 +46,9 @@ fn main() {
     );
 
     // Stream 2 000 queries through the online router and measure.
-    let mut generator = QueryGenerator::new(WorkloadConfig::from_params(&params), 7);
+    let mut generator = QueryGenerator::new(&params, 7);
     let batch = generator.generate(2_000, &sim.dep, &sim.table, 8);
-    let mut router = OnlineRouter::new(&sim.dep, &tree, &sim.table, params.alpha);
+    let mut router = OnlineRouter::new(&sim.dep, &tree, &sim.table);
     let t0 = Instant::now();
     let mut placements = std::collections::HashMap::new();
     for q in &batch {

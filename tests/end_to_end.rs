@@ -4,6 +4,7 @@
 //! every stage.
 
 use cosmos::baselines::{naive_assignment, random_assignment};
+use cosmos::core::distribute::ALPHA;
 use cosmos::workload::{PaperParams, Simulation};
 
 fn distributed_sim(n: usize, seed: u64) -> Simulation {
@@ -57,7 +58,7 @@ fn load_constraint_holds_globally() {
     let sim = distributed_sim(200, 4);
     let loads = sim.loads();
     let total: f64 = loads.iter().sum();
-    let limit = (1.0 + sim.params.alpha) * total / loads.len() as f64;
+    let limit = (1.0 + ALPHA) * total / loads.len() as f64;
     for (i, l) in loads.iter().enumerate() {
         assert!(
             *l <= limit * 1.05 + 1e-9,

@@ -3,7 +3,7 @@
 //! correctness contract end to end: sharing changes *costs*, never
 //! *results*.
 
-use cosmos::engine::exec::StreamEngine;
+use cosmos::engine::exec::{CompiledProjection, StreamEngine};
 use cosmos::engine::SharedEngine;
 use cosmos::net::NodeId;
 use cosmos::pubsub::broker::BrokerNetwork;
@@ -69,7 +69,7 @@ fn shared_execution_equals_independent_on_sensor_readings() {
     for t in &tuples {
         for r in indep.push(t.clone()) {
             let projection = &queries.iter().find(|(i, _)| *i == r.query).unwrap().1.projection;
-            let p = r.project(projection, "x");
+            let p = r.project_compiled(&CompiledProjection::compile(projection), "x");
             let mut vals: Vec<String> = p.iter().map(|(k, v)| format!("{k}={v}")).collect();
             vals.sort();
             indep_results.insert(format!("{}|{}", r.query, vals.join(",")));

@@ -3,7 +3,7 @@
 //! original string-keyed implementation — same attribute names, same
 //! values, same ordering, same predicate semantics.
 
-use cosmos::engine::exec::StreamEngine;
+use cosmos::engine::exec::{CompiledProjection, StreamEngine};
 use cosmos::engine::tuple::{JoinedTuple, Tuple};
 use cosmos::query::compiled::CompiledPredicate;
 use cosmos::query::predicate::eval_predicate;
@@ -110,7 +110,7 @@ fn projected_results_render_identically() {
     engine.push(t("Station1", 0, &[("snowHeight", 30), ("windSpeed", 5)]));
     let out = engine.push(t("Station2", 60_000, &[("snowHeight", 10)]));
     assert_eq!(out.len(), 1);
-    let projected = out[0].project(&q.projection, "res");
+    let projected = out[0].project_compiled(&CompiledProjection::compile(&q.projection), "res");
     let rendered: Vec<String> = projected.iter().map(|(k, v)| format!("{k}={v}")).collect();
     assert_eq!(
         rendered,
@@ -147,7 +147,7 @@ fn stored_timestamp_attribute_is_shadowed_not_fatal() {
     let out = engine
         .push(Tuple::new("R", 5).with("timestamp", Scalar::Int(99)).with("v", Scalar::Int(1)));
     assert_eq!(out.len(), 1);
-    let projected = out[0].project(&q.projection, "res");
+    let projected = out[0].project_compiled(&CompiledProjection::compile(&q.projection), "res");
     assert_eq!(projected.get("A.timestamp"), Some(&Scalar::Int(5)));
     assert_eq!(projected.get("A.v"), Some(&Scalar::Int(1)));
 }
