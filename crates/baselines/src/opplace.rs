@@ -19,7 +19,7 @@
 
 use cosmos_net::{Deployment, NodeId};
 use cosmos_query::predicate::selectivity_uniform;
-use cosmos_query::{CmpOp, Predicate, Query, QueryId, Scalar};
+use cosmos_query::{Predicate, Query, QueryId};
 use cosmos_util::intern::Symbol;
 use std::collections::HashMap;
 
@@ -315,11 +315,6 @@ impl OperatorPlacement {
             graph.edges.iter().map(|&(a, b, r)| r * dep.distance(location[a], location[b])).sum();
         PlacedGraph { location, cost }
     }
-}
-
-/// Convenience: a selection predicate for tests and generators.
-pub fn sel_pred(alias: &str, attr: &str, op: CmpOp, v: i64) -> Predicate {
-    Predicate::Cmp { attr: cosmos_query::AttrRef::new(alias, attr), op, value: Scalar::Int(v) }
 }
 
 #[cfg(test)]

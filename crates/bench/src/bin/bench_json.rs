@@ -519,14 +519,6 @@ fn bench_online_route() -> f64 {
     measure(|| router.route_at(sim.tree.root(), &sim.specs[0]))
 }
 
-/// The Hu–Blake diffusion solve (§3.7) over 64 fully connected children.
-fn bench_diffusion() -> f64 {
-    let loads: Vec<f64> = (0..64).map(|i| (i % 7) as f64 * 3.0).collect();
-    let edges: Vec<(usize, usize)> =
-        (0..64).flat_map(|i| ((i + 1)..64).map(move |j| (i, j))).collect();
-    measure(|| cosmos_util::solver::diffusion_solution(&loads, &edges))
-}
-
 /// Containment check and merge of the paper's Q3 / Q4 pair.
 fn bench_containment_merge() -> f64 {
     let q3 = parse_query(
@@ -586,7 +578,6 @@ const REGISTRY: &[(&str, BenchFn)] = &[
     ("core/distribute-500-hierarchical", || bench_distribute(false)),
     ("core/distribute-500-centralized", || bench_distribute(true)),
     ("core/online-route-at-root", bench_online_route),
-    ("util/diffusion-64-children", bench_diffusion),
     ("query/containment-merge-pair", bench_containment_merge),
 ];
 

@@ -4,7 +4,10 @@
 //! Adaptation runs in rounds, root-first: every coordinator re-balances
 //! load among its children with a Hu–Blake *load diffusion* solution (the
 //! minimum-Euclidean-norm set of inter-child transfers that balances load),
-//! then refines the mapping to shave WEC without breaking balance. Children
+//! then refines the mapping to shave WEC without breaking balance.
+//! Transfers run between any two children, which is why Hu–Blake's
+//! Laplacian solve has a closed form here: on the complete graph over `n`
+//! children with excess loads `e`, `m_ij = (e_i − e_j) / n`. Children
 //! repeat the procedure on the finer-grained vertices they receive, down to
 //! the processors. Actual query migration happens only after all decisions
 //! are made — the driver compares the old and new assignments.
@@ -43,7 +46,6 @@ use crate::incremental::Memo;
 use crate::mapping::{pick_target, placement_cost};
 use crate::spec::{Assignment, QuerySpec};
 use cosmos_util::rng::rng_for_indexed;
-use cosmos_util::solver::diffusion_solution;
 use rand::seq::SliceRandom;
 
 /// Benefit window `x` of §3.7, as a fraction: a phase-1 candidate's
@@ -232,37 +234,32 @@ fn adapt_down(
     }
 
     // ---- Phase 1: load re-balancing via diffusion (Algorithm 3).
-    // Transfers below a small deadband (a few percent of the fair share)
-    // are dropped: they cannot affect eqn 3.1 compliance and chasing exact
-    // balance every round would migrate queries for nothing.
+    // Transfers run between any two children, so Hu–Blake's Laplacian
+    // solve has a closed form (`transfers`). Transfers below a small
+    // deadband (a few percent of the fair share) are dropped: they cannot
+    // affect eqn 3.1 compliance and chasing exact balance every round would
+    // migrate queries for nothing.
     let fair = |i: usize| ng.vertex(i).capability * total_load / total_cap.max(1e-12);
     let excess: Vec<f64> = (0..n_children).map(|i| loads[i] - fair(i)).collect();
-    let edges: Vec<(usize, usize)> =
-        (0..n_children).flat_map(|i| ((i + 1)..n_children).map(move |j| (i, j))).collect();
-    let mut m = diffusion_solution(&excess, &edges);
-    for (e, v) in m.iter_mut().enumerate() {
-        let (i, j) = edges[e];
+    // Each transfer past the deadband becomes `(from, to, load left to move)`.
+    let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
+    for (i, j, m) in transfers(&excess) {
         let deadband = 0.02 * fair(i).min(fair(j)).max(1e-12);
-        if v.abs() < deadband {
-            *v = 0.0;
+        if m.abs() < deadband {
+            continue;
         }
-    }
-    // Normalize: keep only positive-direction transfers.
-    let mut pairs: Vec<(usize, usize, usize)> = Vec::new(); // (from, to, edge idx)
-    for (e, &(i, j)) in edges.iter().enumerate() {
-        if m[e] > 1e-9 {
-            pairs.push((i, j, e));
-        } else if m[e] < -1e-9 {
-            pairs.push((j, i, e));
-            m[e] = -m[e];
+        if m > 1e-9 {
+            pairs.push((i, j, m));
+        } else if m < -1e-9 {
+            pairs.push((j, i, -m));
         }
     }
     let mut moves = 0usize;
     let max_moves = MAX_MOVES_FACTOR * qg.len().max(1);
     while moves < max_moves {
-        let open: Vec<usize> = (0..pairs.len()).filter(|&p| m[pairs[p].2] > 1e-9).collect();
+        let open: Vec<usize> = (0..pairs.len()).filter(|&p| pairs[p].2 > 1e-9).collect();
         let Some(&pick) = open.as_slice().choose(&mut rng) else { break };
-        let (from, to, eidx) = pairs[pick];
+        let (from, to, left) = pairs[pick];
         // Benefits of moving each candidate from `from` to `to`.
         let candidates: Vec<usize> = movable
             .iter()
@@ -274,7 +271,7 @@ fn adapt_down(
         let Some(&max_benefit) =
             benefits.iter().max_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
         else {
-            m[eidx] = 0.0;
+            pairs[pick].2 = 0.0;
             continue;
         };
         let threshold = max_benefit - X_FRACTION * max_benefit.abs();
@@ -288,21 +285,21 @@ fn adapt_down(
         let dirty_in: Vec<usize> = in_window.iter().copied().filter(|&v| dirty[v]).collect();
         let pool = if dirty_in.is_empty() { in_window } else { dirty_in };
         // Largest load density among those fitting the 90% rule.
-        let fit = |v: usize| m[eidx] > FILL_FRACTION * qg.vertices[v].weight;
+        let fit = |v: usize| left > FILL_FRACTION * qg.vertices[v].weight;
         let chosen = pool.into_iter().filter(|&v| fit(v)).max_by(|&a, &b| {
             let da = qg.vertices[a].weight / qg.vertices[a].state_size.max(1e-12);
             let db = qg.vertices[b].weight / qg.vertices[b].state_size.max(1e-12);
             da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
         });
         let Some(v) = chosen else {
-            m[eidx] = 0.0; // no admissible vertex: give up on this pair
+            pairs[pick].2 = 0.0; // no admissible vertex: give up on this pair
             continue;
         };
         let w = qg.vertices[v].weight;
         mapping[v] = to;
         loads[from] -= w;
         loads[to] += w;
-        m[eidx] -= w;
+        pairs[pick].2 -= w;
         dirty[v] = true;
         moves += 1;
     }
@@ -381,6 +378,20 @@ fn adapt_down(
     own + child_max
 }
 
+/// Hu–Blake's balancing transfers among `excess.len()` children, as
+/// `(i, j, m_ij)` for every pair `i < j` in order: child `i` sends `m_ij`
+/// to child `j` (receives `−m_ij` when it is negative). Any two children
+/// may trade load, so the diffusion graph is the complete graph `K_n`,
+/// whose Laplacian is `nI − J`: `L λ = e − ē` is solved by
+/// `λ = (e − ē) / n`, and the minimum-norm transfers `m_ij = λ_i − λ_j`
+/// are `(e_i − e_j) / n`. A sparse child graph would need a real
+/// Laplacian solve: `cosmos-util` had a conjugate-gradient one, and git
+/// history still does.
+fn transfers(excess: &[f64]) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+    let n = excess.len();
+    (0..n).flat_map(move |i| ((i + 1)..n).map(move |j| (i, j, (excess[i] - excess[j]) / n as f64)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,6 +403,7 @@ mod tests {
     use cosmos_util::rng::rng_for;
     use cosmos_util::stats::stddev;
     use cosmos_util::InterestSet;
+    use proptest::prelude::*;
     use rand::Rng;
 
     const U: usize = 160;
@@ -535,6 +547,39 @@ mod tests {
             assert_eq!(out.moved_state, 0.0);
         } else {
             assert!(out.moved_state > 0.0);
+        }
+    }
+
+    proptest! {
+        /// The closed form is Hu–Blake's solution on `K_n`: applied, the
+        /// transfers leave every child at its fair share, and they are
+        /// potential differences (`m_ij + m_jk = m_ik`). The two together
+        /// characterise the minimum-norm balancing transfers.
+        #[test]
+        fn prop_transfers_balance_as_potential_differences(
+            children in proptest::collection::vec((0.0f64..1e4, 0.1f64..10.0), 2..65),
+        ) {
+            let n = children.len();
+            let total_load: f64 = children.iter().map(|c| c.0).sum();
+            let total_cap: f64 = children.iter().map(|c| c.1).sum();
+            let fair: Vec<f64> = children.iter().map(|c| c.1 * total_load / total_cap).collect();
+            let excess: Vec<f64> = (0..n).map(|i| children[i].0 - fair[i]).collect();
+            let mut m = vec![vec![0.0; n]; n];
+            let mut after: Vec<f64> = children.iter().map(|c| c.0).collect();
+            for (i, j, m_ij) in transfers(&excess) {
+                m[i][j] = m_ij;
+                after[i] -= m_ij;
+                after[j] += m_ij;
+            }
+            let scale = total_load.max(1.0);
+            for i in 0..n {
+                prop_assert!((after[i] - fair[i]).abs() <= 1e-9 * scale, "child {i} of {n}");
+                for j in i + 1..n {
+                    for k in j + 1..n {
+                        prop_assert!((m[i][j] + m[j][k] - m[i][k]).abs() <= 1e-9 * scale);
+                    }
+                }
+            }
         }
     }
 

@@ -135,13 +135,6 @@ impl StreamRequest {
         &self.filters
     }
 
-    /// Replaces the filter conjunction, recompiling.
-    fn set_filters(&mut self, filters: Vec<Predicate>) {
-        self.compiled = CompiledPredicate::compile_all(&filters);
-        self.needs = needs_of(&self.projection, &filters);
-        self.filters = filters;
-    }
-
     /// Does this request's filter set admit every message `other`'s admits?
     /// (i.e. `other`'s conjunction implies this conjunction).
     fn filters_cover(&self, other: &StreamRequest) -> bool {
@@ -203,8 +196,8 @@ fn needs_of(projection: &StreamProjection, filters: &[Predicate]) -> StreamProje
 /// its request, and lookups stay logarithmic for the engine-host feeds
 /// that request dozens of streams. A body is built once, from pairs in any
 /// order ([`FromIterator`], or a [`VecMap`] via `From`), and never edited:
-/// only [`SubscriptionBuilder`] and [`Subscription::merge`] (and whoever
-/// restricts a subscription to some of its streams) build one.
+/// only [`SubscriptionBuilder`] (and whoever restricts a subscription to
+/// some of its streams) builds one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamMap {
     pairs: Arc<[(Symbol, StreamRequest)]>,
@@ -293,38 +286,6 @@ impl Subscription {
         })
     }
 
-    /// Merges `other` into this subscription: stream set union, projection
-    /// union, and per-stream filters weakened to the common consequences
-    /// (dropping what cannot be kept). The result covers both inputs.
-    pub fn merge(&self, other: &Subscription) -> Subscription {
-        let mut streams: VecMap<Symbol, StreamRequest> =
-            self.streams.iter().map(|(&name, req)| (name, req.clone())).collect();
-        for (name, o_req) in other.streams.iter() {
-            match streams.get_mut(name) {
-                None => {
-                    streams.insert(*name, o_req.clone());
-                }
-                Some(s_req) => {
-                    s_req.projection = s_req.projection.union(&o_req.projection);
-                    let mut merged = Vec::new();
-                    for fa in &s_req.filters {
-                        for fb in &o_req.filters {
-                            if let Some(w) = cosmos_query::predicate::weakest_common(fa, fb) {
-                                if !merged
-                                    .iter()
-                                    .any(|e: &Predicate| implies(e, &w) && implies(&w, e))
-                                {
-                                    merged.push(w);
-                                }
-                            }
-                        }
-                    }
-                    s_req.set_filters(merged);
-                }
-            }
-        }
-        Subscription { id: self.id, subscriber: self.subscriber, streams: streams.into() }
-    }
     /// The attributes this subscription *needs* for `stream`
     /// ([`StreamRequest::needs`]); `None` when the stream is not requested.
     pub fn needs(&self, stream: Symbol) -> Option<&StreamProjection> {
@@ -599,29 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_covers_both_inputs() {
-        let a = sub(1, "R", vec![filter("R", "a", CmpOp::Gt, 10)]);
-        let b = Subscription::builder(NodeId(1))
-            .stream("R", StreamProjection::attrs(["a"]), vec![filter("R", "a", CmpOp::Gt, 20)])
-            .stream("T", StreamProjection::All, vec![])
-            .build();
-        let m = a.merge(&b);
-        assert!(m.covers(&a));
-        assert!(m.covers(&b));
-        // Filters weakened to a > 10.
-        assert_eq!(m.streams[&Symbol::intern("R")].filters().len(), 1);
-    }
-
-    #[test]
-    fn merge_drops_incomparable_filters() {
-        let a = sub(1, "R", vec![filter("R", "a", CmpOp::Gt, 10)]);
-        let b = sub(1, "R", vec![filter("R", "a", CmpOp::Lt, 5)]);
-        let m = a.merge(&b);
-        assert!(m.streams[&Symbol::intern("R")].filters().is_empty());
-        assert!(m.covers(&a) && m.covers(&b));
-    }
-
-    #[test]
     fn paper_example_p3_subscription() {
         // p3₁: S = {S1, S2}, P = {S2.*}, F = {S1.snowHeight > 10}
         let p31 = Subscription::builder(NodeId(1))
@@ -681,9 +619,6 @@ mod tests {
             let partial = wide(0..n - 1, 10);
             assert!(general.covers(&partial));
             assert!(!partial.covers(&general) && !partial.covers(&specific));
-            let merged = partial.merge(&general);
-            assert_eq!(merged.streams.keys().copied().collect::<Vec<_>>(), ascending);
-            assert!(merged.covers(&partial) && merged.covers(&general));
             for (k, &stream) in symbols.iter().enumerate() {
                 let msg = |a: i64| {
                     Message::new(stream.as_str(), 0)
@@ -758,20 +693,6 @@ mod tests {
             if a.covers(&b) && b.matches(&msg) {
                 prop_assert!(a.matches(&msg));
             }
-        }
-
-        /// Merge always covers both inputs.
-        #[test]
-        fn prop_merge_covers_inputs(
-            ca in -50i64..50, cb in -50i64..50,
-            opa in 0usize..4, opb in 0usize..4,
-        ) {
-            let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
-            let a = sub(1, "R", vec![filter("R", "v", ops[opa], ca)]);
-            let b = sub(1, "R", vec![filter("R", "v", ops[opb], cb)]);
-            let m = a.merge(&b);
-            prop_assert!(m.covers(&a));
-            prop_assert!(m.covers(&b));
         }
     }
 }

@@ -136,15 +136,6 @@ impl InterestSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
-    /// The intersection of the two sets.
-    pub fn intersection(&self, other: &Self) -> Self {
-        self.assert_same_universe(other);
-        Self {
-            universe: self.universe,
-            words: self.words.iter().zip(&other.words).map(|(a, b)| a & b).collect(),
-        }
-    }
-
     /// The union of the two sets.
     pub fn union(&self, other: &Self) -> Self {
         self.assert_same_universe(other);
@@ -357,7 +348,6 @@ mod tests {
             let sa = InterestSet::from_indices(256, a);
             let sb = InterestSet::from_indices(256, b);
             prop_assert_eq!(sa.intersection_count(&sb), sb.intersection_count(&sa));
-            prop_assert_eq!(sa.intersection(&sb), sb.intersection(&sa));
             prop_assert_eq!(sa.union(&sb), sb.union(&sa));
         }
 

@@ -9,10 +9,8 @@
 //!   interest as a bit vector").
 //! - [`zipf::Zipf`]: a deterministic Zipfian sampler used by the workload
 //!   generator (the paper draws substream popularity with θ = 0.8).
-//! - [`stats`]: running mean / standard deviation and small-vector helpers
-//!   used to report the load-deviation figures.
-//! - [`solver`]: a conjugate-gradient Laplacian solver used by the Hu–Blake
-//!   load-diffusion step of the adaptive redistribution algorithm (§3.7).
+//! - [`stats`]: mean and population standard deviation of a slice, used
+//!   to report the load-deviation figures.
 //! - [`rng`]: seed-derivation helpers so every experiment is reproducible.
 //! - [`intern`]: global [`Symbol`] and [`Schema`] interners backing the
 //!   schema-indexed tuple data plane — stream/attribute names become `u32`
@@ -44,7 +42,6 @@ pub mod bitset;
 pub mod intern;
 pub mod plancache;
 pub mod rng;
-pub mod solver;
 pub mod stats;
 pub mod timer;
 pub mod vecmap;

@@ -7,7 +7,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`util`] | `cosmos-util` | interest bit vectors, Zipf, statistics, diffusion solver |
+//! | [`util`] | `cosmos-util` | interest bit vectors, Zipf, statistics |
 //! | [`net`] | `cosmos-net` | transit-stub topologies, shortest paths, deployments |
 //! | [`query`] | `cosmos-query` | CQL subset, predicates, containment & merging |
 //! | [`pubsub`] | `cosmos-pubsub` | content-based Pub/Sub, covering, traffic model |
