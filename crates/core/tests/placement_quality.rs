@@ -15,7 +15,8 @@
 //! on the model's own cost that ends `distribute` read 0.36, 0.95 and 86
 //! moving one query at a time, and 0.350, 0.934 and 82 once it also moves a
 //! processor's readers of one substream together — the margin over naive
-//! this test holds.
+//! this test holds. With each sensor's rate the bytes of one reading (52,
+//! where a random 4–16 was declared) they read 0.348, 0.931 and 84.
 
 use cosmos_baselines::{naive_assignment, random_assignment};
 use cosmos_core::distribute::Distributor;

@@ -13,6 +13,14 @@
 //! readings (realistic alpine ranges), CQL queries drawn exactly per the
 //! quoted recipe, and the mapping from a CQL query to the abstract
 //! [`QuerySpec`] the optimizer consumes (interest = the sensors read).
+//!
+//! Rates are what the readings carry: a sensor's declared rate is the wire
+//! size of one of its readings, in bytes per reading period, so the
+//! optimizer's source cost is the bytes the brokers forward per period.
+//! A query's result rate stays a declared tenth of its input: the
+//! `sensor-join` harness measures 0.164, but `lossy-recovery` ships no
+//! results, and an estimate from each query's predicates would overshoot
+//! for the queries that lose their equal-timestamp joins.
 
 use cosmos_core::spec::QuerySpec;
 use cosmos_engine::tuple::Tuple;
@@ -34,10 +42,36 @@ pub struct SensorScenario {
     pub table: SubstreamTable,
     /// Sensor stream names, indexed by sensor id.
     pub streams: Vec<String>,
-    /// Stream name → rate (bytes/s).
+    /// Stream name → rate: the wire bytes of one reading, per reading
+    /// period (the table's rates, by name).
     pub stream_rate: HashMap<String, f64>,
     /// Stream name → source node.
     pub stream_source: HashMap<String, NodeId>,
+    /// Stream symbol → sensor id.
+    sensor_of: HashMap<Symbol, usize>,
+}
+
+/// The three columns of every reading.
+fn reading_schema() -> &'static Schema {
+    Schema::intern(&["snowHeight", "temperature", "sensorType"].map(Symbol::intern))
+}
+
+/// One reading of `sensor`, published on `stream`.
+fn reading(
+    stream: Symbol,
+    schema: &'static Schema,
+    sensor: usize,
+    timestamp: i64,
+    snow: f64,
+    temp: f64,
+) -> Tuple {
+    Tuple::build(stream, timestamp, schema, |values| {
+        values.extend([
+            Scalar::Int(snow.round() as i64),
+            Scalar::Int(temp.round() as i64),
+            Scalar::Int((sensor % 3) as i64),
+        ])
+    })
 }
 
 impl SensorScenario {
@@ -51,18 +85,24 @@ impl SensorScenario {
         }
         let topo = cfg.generate(seed);
         let dep = Deployment::assign(topo, n_sources, n_processors, seed);
-        let table = SubstreamTable::from_parts((0..n_sensors).map(|s| s % n_sources).collect(), {
-            let mut rng = rng_for(seed, "sensor-rates");
-            (0..n_sensors).map(|_| rng.gen_range(4.0..=16.0)).collect()
-        });
         let streams: Vec<String> = (0..n_sensors).map(|i| format!("Sensor{i}")).collect();
+        let symbols: Vec<Symbol> = streams.iter().map(|name| Symbol::intern(name)).collect();
+        let schema = reading_schema();
+        let rates = symbols
+            .iter()
+            .enumerate()
+            .map(|(i, &stream)| reading(stream, schema, i, 0, 0.0, 0.0).wire_size() as f64)
+            .collect();
+        let sensor_of = symbols.into_iter().enumerate().map(|(i, stream)| (stream, i)).collect();
+        let table =
+            SubstreamTable::from_parts((0..n_sensors).map(|s| s % n_sources).collect(), rates);
         let mut stream_rate = HashMap::new();
         let mut stream_source = HashMap::new();
         for (i, name) in streams.iter().enumerate() {
             stream_rate.insert(name.clone(), table.rate(i));
             stream_source.insert(name.clone(), dep.sources()[table.source_index(i)]);
         }
-        Self { dep, table, streams, stream_rate, stream_source }
+        Self { dep, table, streams, stream_rate, stream_source, sensor_of }
     }
 
     /// Generates `n` random CQL queries per the paper's recipe, returning
@@ -115,7 +155,7 @@ impl SensorScenario {
     pub fn to_spec(&self, id: QueryId, query: &Query, proxy: NodeId) -> QuerySpec {
         let interest = InterestSet::from_indices(
             self.streams.len(),
-            query.streams().filter_map(|s| self.streams.iter().position(|n| n == s)),
+            query.relations.iter().filter_map(|r| self.sensor_of.get(&r.stream).copied()),
         );
         let input_rate = interest.weighted_len(self.table.rates());
         QuerySpec {
@@ -149,19 +189,12 @@ impl SensorScenario {
         let mut snow: f64 = rng.gen_range(0.0..80.0);
         let mut temp: f64 = rng.gen_range(-15.0..10.0);
         let stream = Symbol::intern(&self.streams[sensor]);
-        let schema =
-            Schema::intern(&["snowHeight", "temperature", "sensorType"].map(Symbol::intern));
+        let schema = reading_schema();
         (0..n)
             .map(|i| {
                 snow = (snow + rng.gen_range(-3.0f64..3.0)).clamp(0.0, 150.0);
                 temp = (temp + rng.gen_range(-1.0f64..1.0)).clamp(-40.0, 35.0);
-                Tuple::build(stream, t0_ms + i as i64 * period_ms, schema, |values| {
-                    values.extend([
-                        Scalar::Int(snow.round() as i64),
-                        Scalar::Int(temp.round() as i64),
-                        Scalar::Int((sensor % 3) as i64),
-                    ])
-                })
+                reading(stream, schema, sensor, t0_ms + i as i64 * period_ms, snow, temp)
             })
             .collect()
     }
@@ -279,6 +312,20 @@ mod tests {
                     readings_by_with(&s, sensor, 40, 250, 1_000, seed),
                     "sensor {sensor}, seed {seed}"
                 );
+            }
+        }
+    }
+
+    /// A declared rate is what the sensor's generator emits per reading
+    /// period: the wire size of one reading, whatever the period or seed.
+    #[test]
+    fn rates_are_the_bytes_of_one_reading() {
+        let s = scenario();
+        for (period, seed) in [(500, 4), (1_000, 4), (500, 42), (1_000, 42)] {
+            for sensor in 0..s.streams.len() {
+                let bytes = s.readings(sensor, 1, 250, period, seed)[0].wire_size() as f64;
+                assert_eq!(s.table.rate(sensor), bytes, "sensor {sensor}");
+                assert_eq!(s.stream_rate[&s.streams[sensor]], bytes, "sensor {sensor}");
             }
         }
     }
