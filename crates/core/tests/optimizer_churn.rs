@@ -20,8 +20,8 @@
 //! incremental path is to do less of it. Each trial ends with a quiet round
 //! and asserts the caches actually fired.
 //!
-//! `COSMOS_STRESS=1` raises the trial count. A failing trial prints its
-//! seed and op index; `COSMOS_ADAPT_TRIAL=<n>` reruns exactly that trial.
+//! `COSMOS_STRESS=1` raises the trial count. A failing trial prints its op
+//! index and how to rerun exactly that trial ([`trial::run`]).
 
 use cosmos_core::adaptive::{AdaptConfig, AdaptOutcome};
 use cosmos_core::distribute::Distributor;
@@ -30,33 +30,18 @@ use cosmos_core::online::OnlineRouter;
 use cosmos_core::spec::{Assignment, QuerySpec};
 use cosmos_core::{IncrementalOptimizer, StatDelta};
 use cosmos_net::{Deployment, NodeId, TransitStubConfig};
+use cosmos_oracle::trial::{self, stress};
 use cosmos_pubsub::SubstreamTable;
 use cosmos_query::QueryId;
 use cosmos_util::rng::rng_for;
 use cosmos_util::InterestSet;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cell::Cell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Substream universe size.
 const U: usize = 160;
 /// Cluster-size parameter for the coordinator tree.
 const K: usize = 2;
-
-fn stress() -> bool {
-    std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1")
-}
-
-/// `COSMOS_ADAPT_TRIAL=<n>` replays a single failing trial.
-fn trial_override() -> Option<u64> {
-    std::env::var("COSMOS_ADAPT_TRIAL").ok().and_then(|v| v.parse().ok())
-}
-
-thread_local! {
-    /// Op index of the round currently executing, for failure reports.
-    static STEP: Cell<u32> = const { Cell::new(0) };
-}
 
 /// The reference round: a fresh optimizer with `seed`.
 fn fresh_round(
@@ -225,7 +210,7 @@ fn run_trial(trial: u64) {
 
     let rounds = if stress() { 12 } else { 8 };
     for op in 0..rounds {
-        STEP.set(op);
+        trial::step(op);
         // The last two rounds are quiet so the trial always exercises the
         // all-hit path at least once.
         let kind = if op >= rounds - 2 { 6 } else { rng.gen_range(0..8u32) };
@@ -254,19 +239,7 @@ fn run_trial(trial: u64) {
 #[test]
 fn incremental_rounds_match_wholesale_oracle_under_churn() {
     let trials: u64 = if stress() { 96 } else { 24 };
-    for trial in 0..trials {
-        if trial_override().is_some_and(|t| t != trial) {
-            continue;
-        }
-        if let Err(e) = catch_unwind(AssertUnwindSafe(|| run_trial(trial))) {
-            eprintln!(
-                "churn trial {trial} failed at op {}; rerun with \
-                 COSMOS_ADAPT_TRIAL={trial} cargo test -p cosmos-core --test optimizer_churn",
-                STEP.get()
-            );
-            resume_unwind(e);
-        }
-    }
+    trial::run("optimizer-churn", trials, run_trial);
 }
 
 /// A stat-delta-only schedule (no topology churn): every round equals the

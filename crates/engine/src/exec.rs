@@ -300,10 +300,11 @@ pub struct CompiledQuery {
     leads: Vec<Option<i64>>,
     /// Interned relation aliases, in `FROM` order.
     aliases: Vec<Symbol>,
-    /// Pushed-down selection predicates per relation, symbol-compiled.
-    selections: Vec<Vec<CompiledPredicate>>,
+    /// Pushed-down selection predicates per relation, symbol-compiled
+    /// (exact-size: most lists hold one to three).
+    selections: Box<[Box<[CompiledPredicate]>]>,
     /// Join (and any other multi-relation) predicates, symbol-compiled.
-    cross: Vec<CompiledPredicate>,
+    cross: Box<[CompiledPredicate]>,
     /// Per relation: equi-join constraints usable as probe fast paths.
     equi: Vec<Vec<EquiConstraint>>,
     /// Window buffers per relation, timestamp-ordered and key-indexed.
@@ -381,8 +382,8 @@ impl CompiledQuery {
             widths,
             leads,
             aliases,
-            selections,
-            cross,
+            selections: selections.into_iter().map(Vec::into_boxed_slice).collect(),
+            cross: cross.into_boxed_slice(),
             equi,
             buffers,
             stats: EngineStats::default(),

@@ -21,7 +21,6 @@ use cosmos_query::containment::merge_queries;
 use cosmos_query::{Query, QueryId};
 use cosmos_util::intern::{Schema, Symbol};
 use cosmos_util::PlanCache;
-use std::collections::HashMap;
 
 /// A member's residual subscription, fully symbol-compiled at build time
 /// so splitting a shared result costs no string work per tuple. Both
@@ -134,11 +133,9 @@ fn alias_pairs(merged: &Query, member: &Query) -> Vec<(Symbol, Symbol)> {
 #[derive(Debug)]
 pub struct SharedEngine {
     engine: StreamEngine,
+    /// The merged query of group `gi` runs as `u64::MAX − gi`, so a shared
+    /// result's query id names its group's slot.
     groups: Vec<Group>,
-    /// Merged-query id → slot in `groups`. Splitting a shared result
-    /// resolves its group in O(1); a linear scan over groups would start
-    /// to bite once a processor hosts hundreds of merged groups.
-    by_query: HashMap<QueryId, u32>,
 }
 
 impl SharedEngine {
@@ -231,12 +228,7 @@ impl SharedEngine {
                 class_outputs,
             });
         }
-        let by_query = groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.merged_id, u32::try_from(i).expect("group count overflow")))
-            .collect();
-        Self { engine, groups, by_query }
+        Self { engine, groups }
     }
 
     /// Number of merged groups (= queries actually running in the engine).
@@ -266,8 +258,8 @@ impl SharedEngine {
         let results = self.engine.push(tuple);
         let mut out = Vec::new();
         for r in results {
-            let slot = *self.by_query.get(&r.query).expect("result from unknown merged query");
-            let group = &mut self.groups[slot as usize];
+            let group = &mut self.groups[(u64::MAX - r.query.0) as usize];
+            debug_assert_eq!(group.merged_id, r.query, "result from another group's query");
             let Group {
                 result_stream,
                 residuals,

@@ -16,8 +16,8 @@
 //! All three stateful engines run the same schedule: [`StreamEngine`]
 //! (SPJ window joins), [`AggregateEngine`], and [`SharedEngine`].
 //!
-//! A failing trial prints its seed and op index;
-//! `COSMOS_RECOVERY_TRIAL=<n>` reruns exactly that trial.
+//! A failing trial prints its op index and a `COSMOS_REPLAY` line that
+//! reruns exactly that trial ([`trial::run`]).
 //! `COSMOS_STRESS=1` raises trial counts.
 //!
 //! The proptests pin the core algebraic law the suite leans on:
@@ -29,27 +29,12 @@ use cosmos_engine::checkpoint::{Recoverable, ReplayHost};
 use cosmos_engine::exec::StreamEngine;
 use cosmos_engine::shared::SharedEngine;
 use cosmos_engine::tuple::Tuple;
+use cosmos_oracle::trial::{self, stress};
 use cosmos_query::{parse_query, Query, QueryId, Scalar};
 use cosmos_util::rng::rng_for;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cell::Cell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
-fn stress() -> bool {
-    std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1")
-}
-
-/// `COSMOS_RECOVERY_TRIAL=<n>` replays a single failing trial.
-fn trial_override() -> Option<u64> {
-    std::env::var("COSMOS_RECOVERY_TRIAL").ok().and_then(|v| v.parse().ok())
-}
-
-thread_local! {
-    /// Op index of the step currently executing, for failure reports.
-    static STEP: Cell<u32> = const { Cell::new(0) };
-}
 
 /// Random in-order tuple over small key/value domains (small keys force
 /// join hits; ties and duplicates are common by design).
@@ -76,7 +61,7 @@ fn run_trial<E: Recoverable>(trial: u64, label: &str, pool: &[&str], streams: &[
     let mut twin_out: Vec<E::Output> = Vec::new();
     let mut ts = 0i64;
     for step in 0..rng.gen_range(30u32..70) {
-        STEP.set(step);
+        trial::step(step);
         let roll = rng.gen_range(0u32..100);
         if roll < 55 {
             for _ in 0..rng.gen_range(1u32..6) {
@@ -102,7 +87,7 @@ fn run_trial<E: Recoverable>(trial: u64, label: &str, pool: &[&str], streams: &[
             assert_eq!(h, t, "execution counters diverged from the crash-free twin");
         }
     }
-    STEP.set(u32::MAX);
+    trial::step(trial::FINAL);
     if !host.is_up() {
         host.restore();
     }
@@ -114,26 +99,8 @@ fn run_trial<E: Recoverable>(trial: u64, label: &str, pool: &[&str], streams: &[
     );
 }
 
-/// Runs `trials` trials (or the single `COSMOS_RECOVERY_TRIAL`
-/// override), reporting seed + op index of any failure.
 fn run_suite<E: Recoverable>(trials: u64, label: &'static str, pool: &[&str], streams: &[&str]) {
-    for trial in 0..trials {
-        if trial_override().is_some_and(|t| t != trial) {
-            continue;
-        }
-        if let Err(e) =
-            catch_unwind(AssertUnwindSafe(|| run_trial::<E>(trial, label, pool, streams)))
-        {
-            let step = STEP.get();
-            let at =
-                if step == u32::MAX { "final convergence".into() } else { format!("op {step}") };
-            eprintln!(
-                "{label} trial {trial} failed at {at}; rerun with \
-                 COSMOS_RECOVERY_TRIAL={trial} cargo test -p cosmos-engine --test recovery"
-            );
-            resume_unwind(e);
-        }
-    }
+    trial::run(label, trials, |trial| run_trial::<E>(trial, label, pool, streams));
 }
 
 const STREAM_POOL: [&str; 5] = [

@@ -12,22 +12,19 @@
 //! results in the reference's order, and a replay exactly what the engine
 //! returned the first time, counters included.
 //!
-//! A failure names its seed and op. `COSMOS_STRESS=1` runs more and longer
-//! trials.
+//! A failure names its seed and op and how to replay it ([`trial::run`]).
+//! `COSMOS_STRESS=1` runs more and longer trials.
 
 use cosmos_engine::checkpoint::{Recoverable, StreamCheckpoint};
 use cosmos_engine::exec::StreamEngine;
 use cosmos_engine::tuple::Tuple;
+use cosmos_oracle::trial::{self, stress};
 use cosmos_oracle::ReferenceEngine;
 use cosmos_query::{parse_query, Predicate, Query, QueryId, Scalar};
 use cosmos_util::intern::Symbol;
 use cosmos_util::rng::rng_for;
 use rand::rngs::StdRng;
 use rand::Rng;
-
-fn stress() -> bool {
-    std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1")
-}
 
 const STREAMS: [&str; 3] = ["R", "S", "T"];
 const ALIASES: [&str; 3] = ["A", "B", "C"];
@@ -122,6 +119,7 @@ fn run_trial(seed: u64, ops: u32) {
     let mut backup: Option<Backup> = None;
     let mut ts = 0i64;
     for op in 0..ops {
+        trial::step(op);
         let at = format!("seed {seed}, op {op}");
         let roll = rng.gen_range(0u32..100);
         if live.is_empty() || roll < 6 {
@@ -164,7 +162,5 @@ fn run_trial(seed: u64, ops: u32) {
 #[test]
 fn stream_engine_answers_as_the_reference() {
     let (trials, ops) = if stress() { (3_000, 400) } else { (64, 150) };
-    for seed in 0..trials {
-        run_trial(seed, ops);
-    }
+    trial::run("engine-reference", trials, |seed| run_trial(seed, ops));
 }

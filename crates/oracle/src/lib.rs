@@ -10,9 +10,11 @@
 //! order, and derives the rest — flat per-node tables by the textbook
 //! covering rule (Siena; the paper's Figure 2), matching by evaluating
 //! every entry. A churn operation edits the inputs and drops the tables.
+//! [`trial`] runs and replays the suites' randomized trials.
 //! Test and bench support only: no library links it outside its tests.
 
 mod engine;
+pub mod trial;
 
 pub use engine::ReferenceEngine;
 

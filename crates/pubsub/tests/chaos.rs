@@ -26,67 +26,25 @@
 //! equivalent to the rebuilt ones ([`assert_tables_equivalent`]).
 //!
 //! `COSMOS_STRESS=1` raises the trial count and the fault rates. A
-//! failing trial prints its seed and op index; `COSMOS_CHAOS_TRIAL=<n>`
-//! reruns exactly that trial.
+//! failing trial prints its op index and a `COSMOS_REPLAY` line that
+//! reruns exactly that trial ([`trial::run`]).
 
-use cosmos_net::{NodeId, Topology};
+use cosmos_net::NodeId;
+use cosmos_oracle::trial::{self, edges_of, random_scalar, random_topology, stress};
 use cosmos_oracle::{assert_tables_equivalent, ReferenceNetwork};
 use cosmos_pubsub::broker::{BrokerNetwork, LinkStats};
 use cosmos_pubsub::fault::{FaultConfig, FaultPlan};
 use cosmos_pubsub::reliable::LossyNetwork;
 use cosmos_pubsub::subscription::{Message, StreamProjection, SubId, Subscription};
-use cosmos_query::{AttrRef, CmpOp, Predicate, Scalar};
+use cosmos_query::{AttrRef, CmpOp, Predicate};
 use cosmos_util::rng::rng_for;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cell::Cell;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 const STREAMS: [&str; 3] = ["A", "B", "C"];
 const ATTRS: [&str; 3] = ["a", "b", "c"];
 const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
-
-fn stress() -> bool {
-    std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1")
-}
-
-/// `COSMOS_CHAOS_TRIAL=<n>` replays a single failing trial.
-fn trial_override() -> Option<u64> {
-    std::env::var("COSMOS_CHAOS_TRIAL").ok().and_then(|v| v.parse().ok())
-}
-
-thread_local! {
-    /// Op index of the step currently executing, for failure reports.
-    static STEP: Cell<u32> = const { Cell::new(0) };
-}
-
-/// A random connected topology: a spanning tree plus a few extra edges
-/// (the extras give crashes and flaps alternate paths to re-route over).
-fn random_topology(rng: &mut StdRng) -> Topology {
-    let n = rng.gen_range(5u32..12);
-    let mut topo = Topology::new(n as usize);
-    for i in 1..n {
-        let j = rng.gen_range(0..i);
-        topo.add_edge(NodeId(i), NodeId(j), rng.gen_range(1.0..5.0));
-    }
-    for _ in 0..rng.gen_range(1..5) {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a != b && topo.edge_latency(NodeId(a), NodeId(b)).is_none() {
-            topo.add_edge(NodeId(a), NodeId(b), rng.gen_range(1.0..5.0));
-        }
-    }
-    topo
-}
-
-fn random_scalar(rng: &mut StdRng) -> Scalar {
-    if rng.gen_bool(0.3) {
-        Scalar::Float(rng.gen_range(-5.0..45.0))
-    } else {
-        Scalar::Int(rng.gen_range(-5i64..45))
-    }
-}
 
 fn random_sub(rng: &mut StdRng, id: u64, nodes: u32) -> Subscription {
     let mut builder = Subscription::builder(NodeId(rng.gen_range(0..nodes))).id(SubId(id));
@@ -141,18 +99,6 @@ fn assert_physical_identity(lossy: &LossyNetwork, at: &str) {
     );
 }
 
-fn edges_of(topo: &Topology) -> Vec<(NodeId, NodeId)> {
-    let mut edges = Vec::new();
-    for u in topo.nodes() {
-        for (v, _) in topo.neighbors(u) {
-            if u < v {
-                edges.push((u, v));
-            }
-        }
-    }
-    edges
-}
-
 /// Both planes and the reference under the same churn schedule, plus the
 /// bookkeeping the harness needs to undo incidents.
 struct Trial {
@@ -205,7 +151,7 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
     let mut total_retransmissions = 0u64;
     {
         let mut rng = rng_for(trial, "chaos");
-        let topo = random_topology(&mut rng);
+        let topo = random_topology(&mut rng, 5..12, 1..5);
         let nodes = topo.node_count() as u32;
         let mut t = Trial {
             lossy: LossyNetwork::new(
@@ -234,7 +180,7 @@ fn run_trial(trial: u64, cfg: FaultConfig) -> (u64, u64) {
         }
         let mut ts = 0i64;
         for step in 0..rng.gen_range(35u32..70) {
-            STEP.set(step);
+            trial::step(step);
             let roll = rng.gen_range(0u32..100);
             if roll < 10 && !t.live.is_empty() {
                 for _ in 0..rng.gen_range(1usize..4).min(t.live.len()) {
@@ -372,29 +318,15 @@ fn chaos_converges_to_fault_free_oracle() {
         FaultConfig { drop: 0.07, duplicate: 0.04, reorder: 0.06, max_extra_ticks: 900 }
     };
     let (mut total_faults, mut total_retransmissions) = (0u64, 0u64);
-    for trial in 0..trials {
-        if trial_override().is_some_and(|t| t != trial) {
-            continue;
-        }
-        match catch_unwind(AssertUnwindSafe(|| run_trial(trial, cfg))) {
-            Ok((faults, rtx)) => {
-                total_faults += faults;
-                total_retransmissions += rtx;
-            }
-            Err(e) => {
-                eprintln!(
-                    "chaos trial {trial} failed at op {}; rerun with \
-                     COSMOS_CHAOS_TRIAL={trial} cargo test -p cosmos-pubsub --test chaos",
-                    STEP.get()
-                );
-                resume_unwind(e);
-            }
-        }
-    }
+    let full = trial::run("chaos", trials, |trial| {
+        let (faults, rtx) = run_trial(trial, cfg);
+        total_faults += faults;
+        total_retransmissions += rtx;
+    });
     // The suite must actually have exercised the adversary: plenty of
     // injected faults, and drops forcing timer-driven retransmissions —
-    // unless a single-trial override narrowed the run on purpose.
-    if trial_override().is_none() {
+    // unless a replay narrowed the run to one trial on purpose.
+    if full {
         assert!(total_faults > 500, "fault plan barely fired ({total_faults} faults)");
         assert!(total_retransmissions > 50, "retransmission path barely fired");
     }
@@ -407,7 +339,7 @@ fn chaos_converges_to_fault_free_oracle() {
 fn chaos_trials_replay_deterministically() {
     let run = || {
         let mut rng = rng_for(99, "chaos-replay");
-        let topo = random_topology(&mut rng);
+        let topo = random_topology(&mut rng, 5..12, 1..5);
         let nodes = topo.node_count() as u32;
         let mut net = BrokerNetwork::new(topo);
         for stream in STREAMS {

@@ -17,12 +17,13 @@
 //! whenever a settle drains past a due tick, and the op mix takes
 //! explicit checkpoints — sometimes immediately before a kill.
 //!
-//! A failing trial prints its seed and op index;
-//! `COSMOS_RECOVERY_TRIAL=<n>` reruns exactly that trial.
+//! A failing trial prints its op index and a `COSMOS_REPLAY` line that
+//! reruns exactly that trial ([`trial::run`]).
 //! `COSMOS_STRESS=1` raises trial counts and fault rates.
 
 use cosmos_engine::exec::{ResultTuple, StreamEngine};
-use cosmos_net::{NodeId, Topology};
+use cosmos_net::NodeId;
+use cosmos_oracle::trial::{self, random_topology, stress};
 use cosmos_pubsub::broker::BrokerNetwork;
 use cosmos_pubsub::fault::{FaultConfig, FaultPlan};
 use cosmos_pubsub::recovery::RecoveryNetwork;
@@ -32,9 +33,7 @@ use cosmos_query::{parse_query, Query, QueryId, Scalar};
 use cosmos_util::rng::rng_for;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 const QUERY_POOL: [&str; 4] = [
     "SELECT * FROM R [Range 60 Seconds], S [Now] WHERE R.k = S.k",
@@ -42,37 +41,6 @@ const QUERY_POOL: [&str; 4] = [
     "SELECT R.v FROM R [Range 90 Seconds] WHERE R.v > 5",
     "SELECT S.k FROM R [Now], S [Range 120 Seconds] WHERE R.k = S.k",
 ];
-
-fn stress() -> bool {
-    std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1")
-}
-
-fn trial_override() -> Option<u64> {
-    std::env::var("COSMOS_RECOVERY_TRIAL").ok().and_then(|v| v.parse().ok())
-}
-
-thread_local! {
-    static STEP: Cell<u32> = const { Cell::new(0) };
-}
-
-/// A random connected topology with alternate paths (extra edges let
-/// routing heal around a crashed host).
-fn random_topology(rng: &mut StdRng) -> Topology {
-    let n = rng.gen_range(5u32..11);
-    let mut topo = Topology::new(n as usize);
-    for i in 1..n {
-        let j = rng.gen_range(0..i);
-        topo.add_edge(NodeId(i), NodeId(j), rng.gen_range(1.0..5.0));
-    }
-    for _ in 0..rng.gen_range(1..5) {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a != b && topo.edge_latency(NodeId(a), NodeId(b)).is_none() {
-            topo.add_edge(NodeId(a), NodeId(b), rng.gen_range(1.0..5.0));
-        }
-    }
-    topo
-}
 
 fn msg(rng: &mut StdRng, ts: i64) -> Message {
     Message::new(if rng.gen_bool(0.5) { "R" } else { "S" }, ts)
@@ -149,7 +117,7 @@ struct Activity {
 
 fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
     let mut rng = rng_for(trial, "engine-recovery");
-    let topo = random_topology(&mut rng);
+    let topo = random_topology(&mut rng, 5..11, 1..5);
     let nodes = topo.node_count() as u32;
     let mut net = BrokerNetwork::new(topo);
     // Distinct sources for R and S, so a host can sit at neither.
@@ -186,7 +154,7 @@ fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
     let mut h = Harness { r, twins, churn_subs: Vec::new(), next_sub: 0, nodes };
     let mut ts = 0i64;
     for step in 0..rng.gen_range(30u32..60) {
-        STEP.set(step);
+        trial::step(step);
         let roll = rng.gen_range(0u32..100);
         if roll < 40 {
             // Publish a small batch and settle: windows fill gradually, so
@@ -250,7 +218,7 @@ fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
     }
     // Final convergence: everyone restored (reverse crash order),
     // everything replayed.
-    STEP.set(u32::MAX);
+    trial::step(trial::FINAL);
     while let Some(&n) = h.r.crashed().last() {
         h.r.restore_host(n);
         act.restores += 1;
@@ -261,32 +229,19 @@ fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
     act.faults += h.r.lossy().fault_plan().total_injected();
 }
 
-fn run_suite(trials: u64, cfg: FaultConfig) -> Activity {
+/// Runs the suite; its activity, unless a replay narrowed the run to one
+/// trial on purpose.
+fn run_suite(trials: u64, cfg: FaultConfig) -> Option<Activity> {
     let mut act = Activity::default();
-    for trial in 0..trials {
-        if trial_override().is_some_and(|t| t != trial) {
-            continue;
-        }
-        if let Err(e) = catch_unwind(AssertUnwindSafe(|| run_trial(trial, cfg, &mut act))) {
-            let step = STEP.get();
-            let at =
-                if step == u32::MAX { "final convergence".into() } else { format!("op {step}") };
-            eprintln!(
-                "engine-recovery trial {trial} failed at {at}; rerun with \
-                 COSMOS_RECOVERY_TRIAL={trial} cargo test -p cosmos-pubsub --test engine_recovery"
-            );
-            resume_unwind(e);
-        }
+    if !trial::run("engine-recovery", trials, |trial| run_trial(trial, cfg, &mut act)) {
+        return None;
     }
-    // The suite must actually exercise the machinery it pins — unless a
-    // single-trial override narrowed the run on purpose.
-    if trial_override().is_none() {
-        assert!(act.crashes >= trials, "host crashes barely fired ({} crashes)", act.crashes);
-        assert!(act.restores == act.crashes, "every crash must be restored");
-        assert!(act.checkpoints >= trials, "checkpoints barely fired ({})", act.checkpoints);
-        assert!(act.outputs > 200, "hosted engines barely produced output ({})", act.outputs);
-    }
-    act
+    // The suite must actually exercise the machinery it pins.
+    assert!(act.crashes >= trials, "host crashes barely fired ({} crashes)", act.crashes);
+    assert!(act.restores == act.crashes, "every crash must be restored");
+    assert!(act.checkpoints >= trials, "checkpoints barely fired ({})", act.checkpoints);
+    assert!(act.outputs > 200, "hosted engines barely produced output ({})", act.outputs);
+    Some(act)
 }
 
 /// Clean message plane: isolates checkpoint/replay correctness from
@@ -305,8 +260,7 @@ fn hosted_engines_recover_over_lossy_plane() {
     } else {
         FaultConfig { drop: 0.07, duplicate: 0.05, reorder: 0.06, max_extra_ticks: 800 }
     };
-    let act = run_suite(if stress() { 40 } else { 14 }, cfg);
-    if trial_override().is_none() {
+    if let Some(act) = run_suite(if stress() { 40 } else { 14 }, cfg) {
         assert!(act.faults > 100, "fault plan barely fired ({} faults)", act.faults);
     }
 }

@@ -22,8 +22,10 @@
 //! many-streams family ([`many_streams_equal_linear_oracle`]) is the
 //! opposite population — hundreds of streams with a subscriber or three —
 //! under churn heavy enough that tables compact.
+//! Each family runs through [`trial::run`] under its seed label.
 
 use cosmos_net::{NodeId, ShortestPathTree, Topology};
+use cosmos_oracle::trial::{self, edges_of, random_scalar, random_topology, stress};
 use cosmos_oracle::{assert_tables_equivalent, stands_in_for, ReferenceNetwork};
 use cosmos_pubsub::broker::{BrokerNetwork, LinkStats};
 use cosmos_pubsub::index::{CoverStats, ForwardInsert, InstalledSub, RoutingTable};
@@ -39,32 +41,6 @@ const STREAMS: [&str; 3] = ["A", "B", "C"];
 const ATTRS: [&str; 3] = ["a", "b", "c"];
 const STRINGS: [&str; 3] = ["x", "y", "z"];
 const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
-
-/// A random connected topology: a spanning tree plus a few extra edges.
-fn random_topology(rng: &mut StdRng) -> Topology {
-    let n = rng.gen_range(4u32..12);
-    let mut topo = Topology::new(n as usize);
-    for i in 1..n {
-        let j = rng.gen_range(0..i);
-        topo.add_edge(NodeId(i), NodeId(j), rng.gen_range(1.0..5.0));
-    }
-    for _ in 0..rng.gen_range(0..4) {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a != b && topo.edge_latency(NodeId(a), NodeId(b)).is_none() {
-            topo.add_edge(NodeId(a), NodeId(b), rng.gen_range(1.0..5.0));
-        }
-    }
-    topo
-}
-
-fn random_scalar(rng: &mut StdRng) -> Scalar {
-    if rng.gen_bool(0.3) {
-        Scalar::Float(rng.gen_range(-5.0..45.0))
-    } else {
-        Scalar::Int(rng.gen_range(-5i64..45))
-    }
-}
 
 /// A random filter: mostly indexable numeric comparisons, plus the
 /// residual classes (string equality, `!=` included via OPS, timestamp
@@ -164,50 +140,24 @@ fn schema_flip_run(rng: &mut StdRng, ts: &mut i64, len: usize) -> Vec<Message> {
         .collect()
 }
 
-fn edges_of(topo: &Topology) -> Vec<(NodeId, NodeId)> {
-    let mut edges = Vec::new();
-    for u in topo.nodes() {
-        for (v, _) in topo.neighbors(u) {
-            if u < v {
-                edges.push((u, v));
-            }
-        }
-    }
-    edges
-}
-
 /// The network under test beside the reference it is held to.
 struct Pair {
     net: BrokerNetwork,
     reference: ReferenceNetwork,
-    /// Seed label, trial and step being run — printed when a check fails,
-    /// which is all it takes to replay (trials are pure functions of
-    /// their index).
-    at: (&'static str, u64, u32),
-}
-
-impl Drop for Pair {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let (label, trial, step) = self.at;
-            eprintln!("failed in trial {trial} (seed label {label:?}) at step {step}");
-        }
-    }
 }
 
 impl Pair {
-    fn new(topo: Topology, label: &'static str, trial: u64) -> Self {
-        let reference = ReferenceNetwork::new(topo.clone());
-        Self { net: BrokerNetwork::new(topo), reference, at: (label, trial, 0) }
+    fn new(topo: Topology) -> Self {
+        Self { net: BrokerNetwork::new(topo.clone()), reference: ReferenceNetwork::new(topo) }
     }
 
     /// A trial's generator, its random topology under a fresh pair, and
     /// the node count.
-    fn start(label: &'static str, trial: u64) -> (StdRng, Self, u32) {
+    fn start(label: &str, trial: u64) -> (StdRng, Self, u32) {
         let mut rng = rng_for(trial, label);
-        let topo = random_topology(&mut rng);
+        let topo = random_topology(&mut rng, 4..12, 0..4);
         let nodes = topo.node_count() as u32;
-        (rng, Self::new(topo, label, trial), nodes)
+        (rng, Self::new(topo), nodes)
     }
 
     fn advertise(&mut self, stream: &str, src: NodeId) {
@@ -292,7 +242,7 @@ impl Pair {
 /// matches through the counting index; the reference rebuilds and scans.
 #[test]
 fn indexed_matching_equals_linear_scan() {
-    for trial in 0..25u64 {
+    trial::run("index-equivalence", 25, |trial| {
         let (mut rng, mut pair, nodes) = Pair::start("index-equivalence", trial);
         for stream in STREAMS {
             pair.advertise(stream, NodeId(rng.gen_range(0..nodes)));
@@ -304,7 +254,7 @@ fn indexed_matching_equals_linear_scan() {
         }
         let mut ts = 0i64;
         for step in 0..rng.gen_range(40u32..120) {
-            pair.at.2 = step;
+            trial::step(step);
             let roll = rng.gen_range(0u32..100);
             if roll < 5 && !live.is_empty() {
                 let id = live.swap_remove(rng.gen_range(0..live.len()));
@@ -321,7 +271,7 @@ fn indexed_matching_equals_linear_scan() {
             }
         }
         pair.same_outcome();
-    }
+    });
 }
 
 /// A message the covering-rich population's thresholds can actually
@@ -345,9 +295,8 @@ fn covering_rich_message(rng: &mut StdRng, ts: i64) -> Message {
 /// `COSMOS_STRESS=1` raises the trial count and the populations.
 #[test]
 fn heavy_churn_equals_wholesale_oracle() {
-    let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
-    let (trials, standing, steps) = if stress { (120u64, 900u64, 400u32) } else { (22, 90, 140) };
-    for trial in 0..trials {
+    let (trials, standing, steps) = if stress() { (120, 900u64, 400u32) } else { (22, 90, 140) };
+    trial::run("index-heavy-churn", trials, |trial| {
         let (mut rng, mut pair, nodes) = Pair::start("index-heavy-churn", trial);
         let rich = trial % 2 == 1;
         for stream in STREAMS {
@@ -372,7 +321,7 @@ fn heavy_churn_equals_wholesale_oracle() {
         let mut crashed: Vec<(NodeId, Vec<(NodeId, f64)>)> = Vec::new();
         let mut ts = 0i64;
         for step in 0..rng.gen_range(steps / 2..steps) {
-            pair.at.2 = step;
+            trial::step(step);
             let roll = rng.gen_range(0u32..100);
             let is_down = |crashed: &[(NodeId, Vec<(NodeId, f64)>)], v: NodeId| {
                 crashed.iter().any(|&(n, _)| n == v)
@@ -439,7 +388,7 @@ fn heavy_churn_equals_wholesale_oracle() {
             }
         }
         pair.same_outcome();
-    }
+    });
 }
 
 /// The broker half of a soak: nothing the control plane stores outlives
@@ -456,8 +405,7 @@ fn heavy_churn_equals_wholesale_oracle() {
 /// runs 100 cycles of the full 3 000.
 #[test]
 fn churn_soak_returns_the_broker_to_empty() {
-    let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
-    let (cycles, population) = if stress { (100, 3_000) } else { (3, 1_000) };
+    let (cycles, population) = if stress() { (100, 3_000) } else { (3, 1_000) };
     let (mut net, subs) = cosmos_bench::fixtures::covering_rich_install(population);
     let fresh = BrokerNetwork::new(net.topology().clone()).footprint();
     let mut rng = rng_for(11, "index-churn-soak");
@@ -509,7 +457,7 @@ fn rerouted_subscription_is_skipped_by_its_later_equal() {
     for (a, b, lat) in [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0), (2, 3, 2.0)] {
         topo.add_edge(NodeId(a), NodeId(b), lat);
     }
-    let mut pair = Pair::new(topo, "rerouted-equal", 0);
+    let mut pair = Pair::new(topo);
     pair.advertise("A", NodeId(0));
     let equal = |id: u64, at: u32| {
         let filter =
@@ -568,7 +516,7 @@ fn sparse_sub(rng: &mut StdRng, id: u64, nodes: u32) -> Subscription {
 /// publishes, [`Pair::settled`] after every arrival and departure.
 #[test]
 fn arrival_bursts_equal_wholesale_oracle() {
-    for trial in 0..8u64 {
+    trial::run("index-arrival-bursts", 8, |trial| {
         let (mut rng, mut pair, nodes) = Pair::start("index-arrival-bursts", trial);
         for stream in STREAMS {
             pair.advertise(stream, NodeId(rng.gen_range(0..nodes)));
@@ -591,7 +539,7 @@ fn arrival_bursts_equal_wholesale_oracle() {
         }
         let mut ts = 0i64;
         for step in 0..rng.gen_range(25u32..50) {
-            pair.at.2 = step;
+            trial::step(step);
             let roll = rng.gen_range(0u32..100);
             if roll < 55 {
                 // The dominant operation: a burst of fresh arrivals.
@@ -607,7 +555,7 @@ fn arrival_bursts_equal_wholesale_oracle() {
             }
         }
         pair.same_outcome();
-    }
+    });
 }
 
 /// One stream request of the `filter-fanout` shape — the covering-rich
@@ -708,7 +656,7 @@ fn covering_rich_trial(trial: u64, standing: u32, steps: u32) {
     let mut live: Vec<u64> = Vec::new();
     let mut ts = 0i64;
     for op in 0..=steps {
-        pair.at.2 = op;
+        trial::step(op);
         let roll = rng.gen_range(0u32..100);
         if op == 0 || roll < 30 {
             // The standing population, then batched bursts.
@@ -736,11 +684,8 @@ fn covering_rich_trial(trial: u64, standing: u32, steps: u32) {
 /// `COSMOS_STRESS=1` raises the trial count and the populations.
 #[test]
 fn covering_rich_arrivals_equal_linear_oracle() {
-    let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
-    let (trials, standing, steps) = if stress { (24u64, 2500, 400) } else { (6u64, 700, 120) };
-    for trial in 0..trials {
-        covering_rich_trial(trial, standing, steps);
-    }
+    let (trials, standing, steps) = if stress() { (24, 2500, 400) } else { (6, 700, 120) };
+    trial::run("index-covering-rich", trials, |trial| covering_rich_trial(trial, standing, steps));
 }
 
 /// The claim covering resolution makes, with no network around it: one
@@ -755,12 +700,13 @@ fn covering_rich_arrivals_equal_linear_oracle() {
 /// (dead entries outnumber live ones), and regrowth refills them.
 #[test]
 fn covering_answers_equal_a_scan_of_the_table() {
-    for trial in 0..6u64 {
+    trial::run("index-bucket-vs-scan", 6, |trial| {
         let mut rng = rng_for(trial, "index-bucket-vs-scan");
         let mut table = RoutingTable::new();
         let mut flat: Vec<(Subscription, NodeId)> = Vec::new();
         let mut stats = CoverStats::default();
         for id in 0..1_500u64 {
+            trial::step(id as u32);
             if id % 500 == 499 {
                 // A purge: four entries in five leave, one by one.
                 for _ in 0..flat.len() * 4 / 5 {
@@ -797,7 +743,7 @@ fn covering_answers_equal_a_scan_of_the_table() {
             assert_eq!(live, scan, "trial {trial}, after insert {id}");
         }
         assert!(stats.visited > 0, "no probe walked a list: the table stayed too small");
-    }
+    });
 }
 
 /// Work, not time: how many exact covering confirmations the fixture's
@@ -829,8 +775,8 @@ fn covering_answers_equal_a_scan_of_the_table() {
 /// lists also hold its local and other-hop members.
 #[test]
 fn covering_rich_fixture_confirmations_are_pinned() {
-    let topo = random_topology(&mut rng_for(7, "index-covering-rich-topology"));
-    let mut pair = Pair::new(topo, "index-covering-rich-fixture", 7);
+    let topo = random_topology(&mut rng_for(7, "index-covering-rich-topology"), 4..12, 0..4);
+    let mut pair = Pair::new(topo);
     let mut rng = rng_for(7, "index-covering-rich-fixture");
     let nodes = pair.net.topology().node_count() as u32;
     for stream in &STREAMS[..2] {
@@ -919,7 +865,7 @@ fn many_streams_trial(trial: u64, steps: u32) {
     // Stored member records only ever shrink when a table compacts.
     let (mut stored, mut compactions) = (pair.net.footprint().members, 0u32);
     for op in 0..steps {
-        pair.at.2 = op;
+        trial::step(op);
         let roll = rng.gen_range(0u32..100);
         if roll < 20 && !live.is_empty() {
             // A wave of departures: up to two thirds of the population.
@@ -978,11 +924,8 @@ fn many_streams_trial(trial: u64, steps: u32) {
 /// `COSMOS_STRESS=1` raises the trial count and the schedule length.
 #[test]
 fn many_streams_equal_linear_oracle() {
-    let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
-    let (trials, steps) = if stress { (16u64, 400) } else { (3u64, 90) };
-    for trial in 0..trials {
-        many_streams_trial(trial, steps);
-    }
+    let (trials, steps) = if stress() { (16, 400) } else { (3, 90) };
+    trial::run("index-many-streams", trials, |trial| many_streams_trial(trial, steps));
 }
 
 /// A *broad* subscription: a weak threshold (or none), so ≥90% of
@@ -1035,7 +978,7 @@ fn broad_message(rng: &mut StdRng, ts: i64) -> Message {
 /// order) and identical link traffic as the reference.
 #[test]
 fn high_match_rate_equals_linear_scan() {
-    for trial in 0..8u64 {
+    trial::run("index-equivalence-broad", 8, |trial| {
         let (mut rng, mut pair, nodes) = Pair::start("index-equivalence-broad", trial);
         for stream in STREAMS {
             pair.advertise(stream, NodeId(rng.gen_range(0..nodes)));
@@ -1047,7 +990,7 @@ fn high_match_rate_equals_linear_scan() {
         let mut ts = 0i64;
         let (mut published, mut delivered) = (0u64, 0u64);
         for step in 0..60 {
-            pair.at.2 = step;
+            trial::step(step);
             ts += rng.gen_range(1i64..1_000);
             delivered += pair.publish(broad_message(&mut rng, ts)) as u64;
             published += 1;
@@ -1061,7 +1004,7 @@ fn high_match_rate_equals_linear_scan() {
              over {published} publishes of {n_subs} subs)"
         );
         pair.same_outcome();
-    }
+    });
 }
 
 /// Unsubscribing must leave the index in exactly the state a fresh network
@@ -1069,7 +1012,7 @@ fn high_match_rate_equals_linear_scan() {
 #[test]
 fn unsubscribe_rebuild_matches_fresh_network() {
     let mut rng = rng_for(7, "index-rebuild");
-    let topo = random_topology(&mut rng);
+    let topo = random_topology(&mut rng, 4..12, 0..4);
     let nodes = topo.node_count() as u32;
     let mut rebuilt = BrokerNetwork::new(topo.clone());
     let mut fresh = BrokerNetwork::new(topo);
@@ -1155,9 +1098,8 @@ fn fail_link_rebuild_matches_fresh_network() {
 /// large-population batched-publish equivalence run wired into CI.
 #[test]
 fn batched_publish_and_subscribe_equal_serial_and_linear() {
-    let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
-    let (trials, pop_max, batch_max) = if stress { (6u64, 1200u64, 48) } else { (10u64, 90, 24) };
-    for trial in 0..trials {
+    let (trials, pop_max, batch_max) = if stress() { (6, 1200u64, 48) } else { (10, 90, 24) };
+    trial::run("batched-publish", trials, |trial| {
         let (mut rng, mut serial, nodes) = Pair::start("batched-publish", trial);
         let mut batched = BrokerNetwork::new(serial.net.topology().clone());
         for stream in STREAMS {
@@ -1175,7 +1117,7 @@ fn batched_publish_and_subscribe_equal_serial_and_linear() {
         assert_tables_equivalent(&batched, &mut serial.reference);
         let mut ts = 0i64;
         for round in 0..rng.gen_range(5u32..10) {
-            serial.at.2 = round;
+            trial::step(round);
             let mut batch = Vec::new();
             for _ in 0..rng.gen_range(1..batch_max) {
                 ts += rng.gen_range(1i64..1_000);
@@ -1195,7 +1137,7 @@ fn batched_publish_and_subscribe_equal_serial_and_linear() {
         serial.same_outcome();
         assert_eq!(batched.log().deliveries(), serial.reference.log, "batched log diverged");
         assert_eq!(batched.all_link_stats(), serial.reference.all_link_stats());
-    }
+    });
 }
 
 /// `sub` with an attribute-to-attribute comparison added to every stream
@@ -1227,11 +1169,10 @@ fn with_attr_comparison(rng: &mut StdRng, sub: Subscription) -> Subscription {
 /// `COSMOS_STRESS=1` raises the trial count and the populations.
 #[test]
 fn link_bytes_are_what_the_matching_subscribers_below_need() {
-    let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
-    let (trials, standing, steps) = if stress { (300u64, 400u64, 300u32) } else { (30, 60, 80) };
-    for trial in 0..trials {
+    let (trials, standing, steps) = if stress() { (300, 400u64, 300u32) } else { (30, 60, 80) };
+    trial::run("index-link-minimality", trials, |trial| {
         let mut rng = rng_for(trial, "index-link-minimality");
-        let topo = random_topology(&mut rng);
+        let topo = random_topology(&mut rng, 4..12, 0..4);
         let nodes = topo.node_count() as u32;
         let mut net = BrokerNetwork::new(topo);
         let sources: Vec<(&str, NodeId)> =
@@ -1254,6 +1195,7 @@ fn link_bytes_are_what_the_matching_subscribers_below_need() {
         let mut expected: BTreeMap<(NodeId, NodeId), LinkStats> = BTreeMap::new();
         let mut ts = 0i64;
         for step in 0..rng.gen_range(steps / 2..steps) {
+            trial::step(step);
             let roll = rng.gen_range(0u32..100);
             if roll < 5 && !live.is_empty() {
                 net.unsubscribe(live.swap_remove(rng.gen_range(0..live.len())).id);
@@ -1299,5 +1241,5 @@ fn link_bytes_are_what_the_matching_subscribers_below_need() {
             let expected: Vec<_> = expected.iter().map(|(&link, &stats)| (link, stats)).collect();
             assert_eq!(net.all_link_stats(), expected, "trial {trial}, step {step}");
         }
-    }
+    });
 }

@@ -12,6 +12,7 @@
 //! before the lists ever see them),
 //! so the twin pins NaN handling at the probe side only.
 
+use cosmos_oracle::trial;
 use cosmos_pubsub::tiered::{TieredList, RUN_MAX};
 use cosmos_util::rng::rng_for;
 use proptest::prelude::*;
@@ -118,12 +119,13 @@ fn random_key(rng: &mut StdRng) -> f64 {
 #[test]
 fn tiered_list_equals_dense_twin_under_churn() {
     let probes = [-0.0, 0.0, -1.0, 5.0, 19.0, -1_000.0, 1_000.0, 0.5];
-    for trial in 0..12u64 {
+    trial::run("tiered-twin", 12, |trial| {
         let mut rng = rng_for(trial, "tiered-twin");
         let mut tiered = TieredList::new();
         let mut dense = DenseTwin::default();
         let mut next_val = 0u32;
         for phase in 0..rng.gen_range(3u32..7) {
+            trial::step(phase);
             // Insert burst: enough to split runs several times over.
             for _ in 0..rng.gen_range(1..3 * RUN_MAX) {
                 let k = random_key(&mut rng);
@@ -147,7 +149,7 @@ fn tiered_list_equals_dense_twin_under_churn() {
                 assert_same_walks(&tiered, &dense, v, &ctx);
             }
         }
-    }
+    });
 }
 
 #[derive(Debug, Clone)]
