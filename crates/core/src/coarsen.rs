@@ -286,6 +286,7 @@ pub fn coarsen(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosmos_oracle::trial;
     use cosmos_query::QueryId;
     use cosmos_util::InterestSet;
     use proptest::prelude::*;
@@ -435,10 +436,6 @@ mod tests {
         Coarsened { graph, members: out_members, fine: input.vertices.clone(), stats }
     }
 
-    fn stress() -> bool {
-        std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1")
-    }
-
     /// Members, counters, and the coarse graph bit for bit.
     fn assert_identical(fast: &Coarsened, slow: &Coarsened, what: &str) {
         assert_eq!(fast.members, slow.members, "{what}: members diverged");
@@ -473,7 +470,9 @@ mod tests {
     /// edge, so every sum is exact in whatever order it is taken — aimed at
     /// some of them. With `gain_aware` off every result rate is 0 and the
     /// reference is Algorithm 1 without the rule, which must then make no
-    /// difference.
+    /// difference. Every suite draws under the one label `coarsen-diff`,
+    /// so the Algorithm 1 suite sees the sparse suite's graphs with their
+    /// result flows zeroed.
     fn differential_trial(
         seed: u64,
         sizes: std::ops::Range<usize>,
@@ -512,18 +511,16 @@ mod tests {
     /// Small sparse graphs, where a divergence is easy to read.
     #[test]
     fn row_scan_is_output_identical_to_reference() {
-        for seed in 0..12 {
-            differential_trial(seed, 12..36, 1..5, 0.0, true);
-        }
+        trial::run("coarsen-diff", 12, |seed| differential_trial(seed, 12..36, 1..5, 0.0, true));
     }
 
     /// With no result flow to lose, gain-aware matching is Algorithm 1:
     /// `members`, graph and work counters of the pre-rule reference.
     #[test]
     fn without_result_flows_the_rule_is_algorithm_1() {
-        for seed in 0..12 {
-            differential_trial(seed, 12..36, 1..5, 0.0, false);
-        }
+        trial::run("coarsen-diff-algorithm-1", 12, |seed| {
+            differential_trial(seed, 12..36, 1..5, 0.0, false)
+        });
         differential_trial(0, 100..401, 6..12, 0.5, false);
     }
 
@@ -531,9 +528,10 @@ mod tests {
     /// edge density ≥ 0.5. `COSMOS_STRESS=1` runs more seeds.
     #[test]
     fn dense_row_scan_is_output_identical_to_reference() {
-        for seed in 0..if stress() { 24 } else { 3 } {
-            differential_trial(seed, 100..401, 6..12, 0.5, true);
-        }
+        let trials = if trial::stress() { 24 } else { 3 };
+        trial::run("coarsen-diff-dense", trials, |seed| {
+            differential_trial(seed, 100..401, 6..12, 0.5, true)
+        });
     }
 
     fn qv(id: u64, bits: &[usize], load: f64) -> QgVertex {

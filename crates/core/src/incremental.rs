@@ -399,6 +399,7 @@ mod tests {
     use super::*;
     use crate::hierarchy::CoordinatorTree;
     use cosmos_net::{Deployment, TransitStubConfig};
+    use cosmos_oracle::trial;
     use cosmos_pubsub::SubstreamTable;
     use cosmos_util::rng::rng_for;
     use cosmos_util::InterestSet;
@@ -483,11 +484,15 @@ mod tests {
     /// One optimizer through rounds of query arrivals, departures and rate
     /// bursts, then one processor join and one leave: after every round
     /// each memo layer holds at most one entry per active coordinator, and
-    /// each tree-generation change empties both layers.
+    /// each tree-generation change empties both layers. One trial, its
+    /// rounds the ops a failure names.
     #[test]
     fn memo_holds_one_entry_per_coordinator_through_churn() {
-        let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");
-        let rounds = if stress { 200 } else { 6 };
+        let rounds = if trial::stress() { 200 } else { 6 };
+        trial::run("memo-bound", 1, |_| memo_bound_trial(rounds));
+    }
+
+    fn memo_bound_trial(rounds: usize) {
         let (seed, k) = (31, 2);
         let mut rng = rng_for(seed, "memo-bound");
         let dep = Deployment::assign(TransitStubConfig::small().generate(seed), 4, 12, seed);
@@ -504,6 +509,7 @@ mod tests {
         let mut next_id = specs.len() as u64;
 
         for round in 0..rounds + 2 {
+            trial::step(round as u32);
             let generation = tree.generation();
             if round < rounds {
                 match round % 3 {

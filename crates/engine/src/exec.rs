@@ -187,6 +187,10 @@ struct EquiConstraint {
 /// more than it saves).
 const INDEX_ACTIVATION: usize = 16;
 
+/// `(join attr, key value)` → the window's tuples with that key, in
+/// arrival (= timestamp) order.
+type KeyBuckets = HashMap<(Symbol, JoinKey), VecDeque<Arc<Tuple>>>;
+
 /// A window buffer with a lazily-activated `(join attr, key value)` hash
 /// index over the attributes that participate in equi-join predicates:
 /// once the buffer outgrows [`INDEX_ACTIVATION`], probing binds only
@@ -195,25 +199,35 @@ const INDEX_ACTIVATION: usize = 16;
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WindowBuffer {
     pub(crate) queue: VecDeque<Arc<Tuple>>,
-    /// `(attr, key)` → tuples in arrival (= timestamp) order. Populated
-    /// only while `active`.
-    buckets: HashMap<(Symbol, JoinKey), VecDeque<Arc<Tuple>>>,
+    /// The key index, allocated when it activates and sticky from then on
+    /// — a window that never outgrows [`INDEX_ACTIVATION`], or that no
+    /// equi-join reads, pays one pointer for it.
+    buckets: Option<Box<KeyBuckets>>,
     /// Attributes of this relation appearing in equi-join predicates.
-    indexed_attrs: Vec<Symbol>,
-    /// Whether the key index is live (sticky once activated).
-    active: bool,
+    indexed_attrs: Box<[Symbol]>,
 }
 
 impl WindowBuffer {
-    fn new(indexed_attrs: Vec<Symbol>) -> Self {
-        Self { queue: VecDeque::new(), buckets: HashMap::new(), indexed_attrs, active: false }
+    fn new(indexed_attrs: Box<[Symbol]>) -> Self {
+        Self { queue: VecDeque::new(), buckets: None, indexed_attrs }
     }
 
-    fn index_tuple(
-        buckets: &mut HashMap<(Symbol, JoinKey), VecDeque<Arc<Tuple>>>,
-        indexed_attrs: &[Symbol],
-        tuple: &Arc<Tuple>,
-    ) {
+    /// Whether the key index is live.
+    fn active(&self) -> bool {
+        self.buckets.is_some()
+    }
+
+    /// Builds the key index over the whole queue, allocating it if it is
+    /// not live yet and keeping its table's room if it is.
+    fn reindex(&mut self) {
+        let buckets = self.buckets.get_or_insert_with(Box::default);
+        buckets.clear();
+        for t in &self.queue {
+            Self::index_tuple(buckets, &self.indexed_attrs, t);
+        }
+    }
+
+    fn index_tuple(buckets: &mut KeyBuckets, indexed_attrs: &[Symbol], tuple: &Arc<Tuple>) {
         for &attr in indexed_attrs {
             if let Some(key) = tuple.get_sym(attr).and_then(join_key) {
                 buckets.entry((attr, key)).or_default().push_back(tuple.clone());
@@ -222,26 +236,24 @@ impl WindowBuffer {
     }
 
     pub(crate) fn push(&mut self, tuple: Arc<Tuple>) {
-        if self.active {
-            Self::index_tuple(&mut self.buckets, &self.indexed_attrs, &tuple);
+        if let Some(buckets) = &mut self.buckets {
+            Self::index_tuple(buckets, &self.indexed_attrs, &tuple);
         }
         self.queue.push_back(tuple);
-        if !self.active && !self.indexed_attrs.is_empty() && self.queue.len() >= INDEX_ACTIVATION {
-            self.active = true;
-            for t in &self.queue {
-                Self::index_tuple(&mut self.buckets, &self.indexed_attrs, t);
-            }
+        if !self.active() && !self.indexed_attrs.is_empty() && self.queue.len() >= INDEX_ACTIVATION
+        {
+            self.reindex();
         }
     }
 
     /// Checkpoint extraction: the arrival-ordered window contents plus the
     /// sticky index-activation flag. Together with the compiled query (which
     /// callers rebuild from its source [`Query`]) this is the buffer's
-    /// complete observable state — `active` must travel with the tuples
+    /// complete observable state — activation must travel with the tuples
     /// because probing through buckets vs. the linear queue materializes
     /// different candidate counts ([`EngineStats::probes`] is observable).
     pub(crate) fn state(&self) -> BufferState {
-        BufferState { tuples: self.queue.iter().cloned().collect(), active: self.active }
+        BufferState { tuples: self.queue.iter().cloned().collect(), active: self.active() }
     }
 
     /// Checkpoint restore: replaces the window contents and index flag,
@@ -249,12 +261,10 @@ impl WindowBuffer {
     /// order is derived, so the rebuild is deterministic).
     pub(crate) fn restore(&mut self, state: &BufferState) {
         self.queue = state.tuples.iter().cloned().collect();
-        self.buckets.clear();
-        self.active = state.active;
-        if self.active {
-            for t in &self.queue {
-                Self::index_tuple(&mut self.buckets, &self.indexed_attrs, t);
-            }
+        if state.active {
+            self.reindex();
+        } else {
+            self.buckets = None;
         }
     }
 
@@ -266,13 +276,11 @@ impl WindowBuffer {
                 break;
             }
             let tuple = self.queue.pop_front().expect("front exists");
-            if !self.active {
-                continue;
-            }
-            for &attr in &self.indexed_attrs {
+            let Some(buckets) = &mut self.buckets else { continue };
+            for &attr in self.indexed_attrs.iter() {
                 if let Some(key) = tuple.get_sym(attr).and_then(join_key) {
                     if let std::collections::hash_map::Entry::Occupied(mut e) =
-                        self.buckets.entry((attr, key))
+                        buckets.entry((attr, key))
                     {
                         e.get_mut().pop_front();
                         if e.get().is_empty() {
@@ -291,24 +299,25 @@ impl WindowBuffer {
 pub struct CompiledQuery {
     id: QueryId,
     /// Source stream per relation, in `FROM` order: what
-    /// [`StreamEngine`] routes on.
-    streams: Vec<Symbol>,
+    /// [`StreamEngine`] routes on. Every per-relation list is exact-size:
+    /// a host holds thousands of compiled queries of one or two relations.
+    streams: Box<[Symbol]>,
     /// Window width (ms) per relation; `None` = unbounded.
-    widths: Vec<Option<i64>>,
+    widths: Box<[Option<i64>]>,
     /// Per relation: the least `ts − now` a tuple can have and still join
     /// a later arrival (module docs); `None` = no bound.
-    leads: Vec<Option<i64>>,
+    leads: Box<[Option<i64>]>,
     /// Interned relation aliases, in `FROM` order.
-    aliases: Vec<Symbol>,
+    aliases: Box<[Symbol]>,
     /// Pushed-down selection predicates per relation, symbol-compiled
     /// (exact-size: most lists hold one to three).
     selections: Box<[Box<[CompiledPredicate]>]>,
     /// Join (and any other multi-relation) predicates, symbol-compiled.
     cross: Box<[CompiledPredicate]>,
     /// Per relation: equi-join constraints usable as probe fast paths.
-    equi: Vec<Vec<EquiConstraint>>,
+    equi: Box<[Box<[EquiConstraint]>]>,
     /// Window buffers per relation, timestamp-ordered and key-indexed.
-    buffers: Vec<WindowBuffer>,
+    buffers: Box<[WindowBuffer]>,
     stats: EngineStats,
 }
 
@@ -328,7 +337,7 @@ impl CompiledQuery {
         let streams = query.relations.iter().map(|r| r.stream).collect();
         let widths =
             query.relations.iter().map(|r| r.window.width_ms().map(|w| w as i64)).collect();
-        let aliases: Vec<Symbol> = query.relations.iter().map(|r| r.alias).collect();
+        let aliases: Box<[Symbol]> = query.relations.iter().map(|r| r.alias).collect();
         let mut selections = vec![Vec::new(); n];
         let mut cross = Vec::new();
         for p in &query.predicates {
@@ -372,7 +381,7 @@ impl CompiledQuery {
                 let mut attrs: Vec<Symbol> = equi[i].iter().map(|c| c.attr).collect();
                 attrs.sort_unstable();
                 attrs.dedup();
-                WindowBuffer::new(attrs)
+                WindowBuffer::new(attrs.into_boxed_slice())
             })
             .collect();
         let leads = retention_leads(&aliases, &cross);
@@ -384,7 +393,7 @@ impl CompiledQuery {
             aliases,
             selections: selections.into_iter().map(Vec::into_boxed_slice).collect(),
             cross: cross.into_boxed_slice(),
-            equi,
+            equi: equi.into_iter().map(Vec::into_boxed_slice).collect(),
             buffers,
             stats: EngineStats::default(),
         }
@@ -456,7 +465,7 @@ impl CompiledQuery {
 /// that a direct timestamp predicate of `cross` sets, over every other
 /// relation `j`. A relation with no other relation has nothing to join,
 /// and its lead is `i64::MAX`.
-fn retention_leads(aliases: &[Symbol], cross: &[CompiledPredicate]) -> Vec<Option<i64>> {
+fn retention_leads(aliases: &[Symbol], cross: &[CompiledPredicate]) -> Box<[Option<i64>]> {
     let n = aliases.len();
     let pos = |alias: Symbol| aliases.iter().position(|&a| a == alias);
     // lower[i][j]: a lower bound on `ts_i − ts_j`; the tightest one wins
@@ -506,7 +515,7 @@ struct ProbeCtx<'a> {
     widths: &'a [Option<i64>],
     aliases: &'a [Symbol],
     cross: &'a [CompiledPredicate],
-    equi: &'a [Vec<EquiConstraint>],
+    equi: &'a [Box<[EquiConstraint]>],
     stats: &'a mut EngineStats,
 }
 
@@ -543,7 +552,7 @@ fn probe_recursive(
     // (or carrying NaN) satisfies no equality, so there are no candidates
     // at all.
     let buffers = ctx.buffers;
-    let fast = if buffers[rel].active {
+    let fast = if buffers[rel].active() {
         ctx.equi[rel]
             .iter()
             .find_map(|c| combo[c.other].as_ref().map(|b| (c.attr, b.get_sym(c.other_attr))))
@@ -552,7 +561,7 @@ fn probe_recursive(
     };
     let candidates = match fast {
         Some((attr, Some(v))) => match join_key(v) {
-            Some(key) => buffers[rel].buckets.get(&(attr, key)),
+            Some(key) => buffers[rel].buckets.as_ref().and_then(|b| b.get(&(attr, key))),
             None => None,
         },
         Some((_, None)) => None,

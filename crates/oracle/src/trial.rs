@@ -71,20 +71,30 @@ fn command(suite: &str, t: u64) -> String {
     let stress = if stress() { " COSMOS_STRESS=1" } else { "" };
     let release = if cfg!(debug_assertions) { "" } else { " --release" };
     let mut cmd = format!("COSMOS_REPLAY={suite}:{t}{stress} cargo test{release}");
-    if let Ok(package) = std::env::var("CARGO_PKG_NAME") {
+    let package = std::env::var("CARGO_PKG_NAME").ok();
+    if let Some(package) = &package {
         cmd += &format!(" -p {package}");
     }
-    // A test binary is its target's name plus the hash cargo appends.
     let exe = std::env::current_exe().ok();
     let stem = exe.as_deref().and_then(|e| e.file_stem()?.to_str());
-    if let Some((target, _hash)) = stem.and_then(|s| s.rsplit_once('-')) {
-        cmd += &format!(" --test {target}");
+    if let Some(target) = target_arg(package.as_deref(), stem) {
+        cmd += &format!(" {target}");
     }
     // The test harness names each test's thread after the test.
     if let Some(test) = std::thread::current().name().filter(|&n| n != "main") {
         cmd += &format!(" -- --exact {test}");
     }
     cmd
+}
+
+/// The `cargo test` flag that selects the test binary whose file stem is
+/// `stem`: its target's name plus the hash cargo appends, where a crate's
+/// unit tests run in a binary named after its library (`--lib`) and an
+/// integration test in one named after its file (`--test <file>`).
+fn target_arg(package: Option<&str>, stem: Option<&str>) -> Option<String> {
+    let (target, _hash) = stem?.rsplit_once('-')?;
+    let lib = package.is_some_and(|p| p.replace('-', "_") == target);
+    Some(if lib { "--lib".to_owned() } else { format!("--test {target}") })
 }
 
 /// A random connected topology of `nodes` brokers: a spanning tree plus up
@@ -149,6 +159,15 @@ mod tests {
     #[should_panic(expected = "COSMOS_REPLAY=chaos:x")]
     fn a_replay_of_this_suite_names_a_trial_number() {
         replayed(Some("chaos:x"), "chaos");
+    }
+
+    #[test]
+    fn a_replay_names_the_binary_the_trial_ran_in() {
+        let arg = |stem| target_arg(Some("cosmos-core"), Some(stem));
+        assert_eq!(arg("cosmos_core-0f1e2d3c4b5a6978").as_deref(), Some("--lib"));
+        assert_eq!(arg("coarsen_dense-0f1e2d3c4b5a6978").as_deref(), Some("--test coarsen_dense"));
+        assert_eq!(target_arg(None, Some("chaos-0f1e")).as_deref(), Some("--test chaos"));
+        assert_eq!(arg("nohash"), None);
     }
 
     #[test]

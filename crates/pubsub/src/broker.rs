@@ -493,14 +493,19 @@ impl BrokerNetwork {
     /// re-subscribing an id that is already live *replaces* the previous
     /// subscription (its installation is torn down first).
     pub fn subscribe(&mut self, sub: Subscription) {
-        self.subscribe_batch(vec![sub]);
+        self.check_subscriber(&sub);
+        self.enter(sub);
     }
 
     /// Installs a batch of subscriptions in order (covering skips/drops
     /// depend on install order, so the batch never reorders). Each
     /// subscription's installed form — its indexable/residual split and
     /// needs — is derived **once** here and shared, by `Arc`, with every
-    /// hop of every per-source walk.
+    /// hop of every per-source walk. A batch is a population arriving at
+    /// once, so it ends by releasing the growth slack it left behind:
+    /// every table it touched and its members' ledger records keep exactly
+    /// what they hold (a single [`BrokerNetwork::subscribe`] does not,
+    /// which keeps its amortized growth).
     ///
     /// # Panics
     ///
@@ -510,34 +515,64 @@ impl BrokerNetwork {
     /// tables untouched rather than stranding the earlier members of the
     /// batch installed.
     pub fn subscribe_batch(&mut self, subs: Vec<Subscription>) {
-        for sub in &subs {
-            assert!(
-                sub.subscriber.index() < self.topo.node_count(),
-                "subscription {} names subscriber {:?}, outside the {}-node topology",
-                sub.id,
-                sub.subscriber,
-                self.topo.node_count()
-            );
-        }
+        subs.iter().for_each(|sub| self.check_subscriber(sub));
+        let ids: Vec<SubId> = subs.iter().map(|sub| sub.id).collect();
         for sub in subs {
-            let id = sub.id;
-            if self.records.contains_key(&id) {
-                self.unsubscribe(id);
-            }
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.subs_at[sub.subscriber.index()].push(id);
-            self.records.insert(
-                id,
-                InstallRecord {
-                    seq,
-                    form: InstalledSub::new(sub),
-                    entries: Vec::new(),
-                    depends_on: Vec::new(),
-                },
-            );
-            self.install(id);
+            self.enter(sub);
         }
+        self.trim(&ids);
+    }
+
+    /// Panics unless `sub`'s subscriber is a node of the topology.
+    fn check_subscriber(&self, sub: &Subscription) {
+        assert!(
+            sub.subscriber.index() < self.topo.node_count(),
+            "subscription {} names subscriber {:?}, outside the {}-node topology",
+            sub.id,
+            sub.subscriber,
+            self.topo.node_count()
+        );
+    }
+
+    /// Ledgers `sub` under the next sequence number and installs it,
+    /// replacing a live subscription with its id.
+    fn enter(&mut self, sub: Subscription) {
+        let id = sub.id;
+        if self.records.contains_key(&id) {
+            self.unsubscribe(id);
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.subs_at[sub.subscriber.index()].push(id);
+        self.records.insert(
+            id,
+            InstallRecord {
+                seq,
+                form: InstalledSub::new(sub),
+                entries: Vec::new(),
+                depends_on: Vec::new(),
+            },
+        );
+        self.install(id);
+    }
+
+    /// Releases the growth slack installing `ids` left: their ledger
+    /// records, the ledger map, and every table holding one of their
+    /// entries. Moves no entry and changes no order.
+    fn trim(&mut self, ids: &[SubId]) {
+        let mut touched = vec![false; self.tables.len()];
+        for id in ids {
+            let Some(rec) = self.records.get_mut(id) else { continue };
+            rec.entries.shrink_to_fit();
+            rec.depends_on.shrink_to_fit();
+            for &(node, _) in &rec.entries {
+                touched[node.index()] = true;
+            }
+        }
+        for (table, _) in self.tables.iter_mut().zip(touched).filter(|&(_, t)| t) {
+            table.shrink_to_fit();
+        }
+        self.records.shrink_to_fit();
     }
 
     /// Work counters of covering resolution over every install this

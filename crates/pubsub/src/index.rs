@@ -24,9 +24,12 @@
 //!    behind a symbol → slot map and own only their members, hop groups
 //!    and one threshold-list map keyed by
 //!    [`IndexOperand`] (attributes and the event-time pseudo-attribute
-//!    alike); first pushes allocate exactly one element, and everything
-//!    matching *writes* lives outside the partitions, in the matcher's
-//!    [`MatchScratch`] (see "Match state" below).
+//!    alike). A partition's first member, its always-candidate slot and
+//!    its first hop group live inline, in the partition's own slot
+//!    ([`OneOrMany`]): a lone subscriber's route allocates no heap block
+//!    per partition but its threshold lists. Everything matching *writes*
+//!    lives outside the partitions, in the matcher's [`MatchScratch`] (see
+//!    "Match state" below).
 //! 2. **Counting predicate index.** Within a partition, every compiled
 //!    filter that is an indexable constant comparison (`attr op constant`
 //!    with a numeric constant and an order/equality operator — see
@@ -245,7 +248,7 @@ use cosmos_query::compiled::{
 };
 use cosmos_query::containment::{coverer_bounds, CoverBounds};
 use cosmos_query::CmpOp;
-use cosmos_util::{Symbol, VecMap};
+use cosmos_util::{OneOrMany, Symbol, VecMap};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -304,7 +307,11 @@ enum MemberAction {
 /// The table's class projecting to `proj`, opened if no class does.
 fn class_of(classes: &mut Vec<CachedProjection>, proj: &StreamProjection) -> u32 {
     let c = classes.iter().position(|c| c.projection() == proj).unwrap_or_else(|| {
-        push_exact_first(classes, CachedProjection::new(proj.clone()));
+        if classes.capacity() == 0 {
+            // Most tables hold one class; `Vec`'s first allocation holds four.
+            classes.reserve_exact(1);
+        }
+        classes.push(CachedProjection::new(proj.clone()));
         classes.len() - 1
     });
     u32::try_from(c).expect("projection class overflow")
@@ -459,17 +466,6 @@ fn count_hits(counts: &mut [(u64, u32)], touched: &mut Vec<u32>, epoch: u64, ref
     }
 }
 
-/// Pushes onto `v`, sizing a vector's *first* allocation for exactly one
-/// element. Most streams have one subscriber, so most per-partition
-/// vectors never see a second push; `Vec`'s own first allocation holds
-/// four (a quarter kilobyte of members, more of hop groups).
-fn push_exact_first<T>(v: &mut Vec<T>, item: T) {
-    if v.capacity() == 0 {
-        v.reserve_exact(1);
-    }
-    v.push(item);
-}
-
 /// Normalizes a threshold for `total_cmp`-ordered storage: `-0.0` and
 /// `0.0` compare equal numerically but not under `total_cmp`, so both are
 /// stored (and covering-probed) as `+0.0`. Matching compares numerically,
@@ -578,9 +574,9 @@ pub enum ForwardInsert {
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Partition {
     /// In insertion order; [`Member::entry`] ascends with the slot.
-    members: Vec<Member>,
+    members: OneOrMany<Member>,
     /// Live members with no indexable predicates (always candidates).
-    zero_target: Vec<u32>,
+    zero_target: OneOrMany<u32>,
     /// Threshold lists per indexed operand: stored attributes and the
     /// event-time pseudo-attribute. A handful of keys at most, probed
     /// once per message attribute: a sorted vector, not a hash.
@@ -692,17 +688,20 @@ impl Partition {
 #[derive(Debug, Default)]
 struct StreamIndex {
     part: Partition,
-    hops: Vec<HopGroup>,
+    hops: OneOrMany<HopGroup>,
     /// Members tombstoned since the last per-run sweep of the threshold
     /// lists; once these dominate the partition the lists are swept
     /// run-by-run without rebuilding the table.
     dead_members: usize,
 }
 
-// Paid once per (node, stream): at 560 bytes it was a quarter of the
-// end-to-end `sensor-join` heap, and 128 while every partition kept its
-// own projection classes.
-const _: () = assert!(std::mem::size_of::<StreamIndex>() <= 104);
+// Paid once per (node, stream), the lone member and hop group included
+// (each `OneOrMany` keeps its tag in its element's niche): 104 bytes plus
+// three one-element heap blocks while members, always-candidates and hop
+// groups were `Vec`s; at 560 bytes it was a quarter of the end-to-end
+// `sensor-join` heap, and 128 while every partition kept its own
+// projection classes.
+const _: () = assert!(std::mem::size_of::<StreamIndex>() <= 144);
 
 /// Deterministic size counters of a network's routing state — how many
 /// records of each kind are *stored* (tombstones included until their
@@ -870,6 +869,8 @@ pub(crate) fn match_run(
     mut sink: impl FnMut(u32, &mut MatchOutput),
 ) {
     let Partition { members, zero_target, lists } = part;
+    // Resolved to slices once: the run indexes members per candidate.
+    let (members, zero_target): (&[Member], &[u32]) = (members, zero_target);
     let MatchScratch {
         epoch: scratch_epoch,
         counts,
@@ -1122,6 +1123,21 @@ impl RoutingTable {
         self.scratch.stats
     }
 
+    /// Releases growth slack: the entry and partition arenas, the stream
+    /// and owner maps and each partition's member, always-candidate and
+    /// hop lists keep exactly what they hold (a list of one goes inline).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+        self.parts.shrink_to_fit();
+        self.part_of.shrink_to_fit();
+        self.by_sub.shrink_to_fit();
+        for index in &mut self.parts {
+            index.part.members.shrink_to_fit();
+            index.part.zero_target.shrink_to_fit();
+            index.hops.shrink_to_fit();
+        }
+    }
+
     /// Drops all entries and index state (the match scratch stays).
     fn clear(&mut self) {
         self.entries.clear();
@@ -1179,8 +1195,7 @@ impl RoutingTable {
                     };
                     let hops = &mut index.hops;
                     let g = hops.iter().position(|h| h.to == next).unwrap_or_else(|| {
-                        let forwards = MaskedProjection::default();
-                        push_exact_first(hops, HopGroup { to: next, forwards });
+                        hops.push(HopGroup { to: next, forwards: MaskedProjection::default() });
                         hops.len() - 1
                     });
                     MemberAction::Hop {
@@ -1194,18 +1209,15 @@ impl RoutingTable {
             if target == 0 {
                 part.zero_target.push(member_id);
             }
-            push_exact_first(
-                &mut part.members,
-                Member {
-                    entry: entry_id,
-                    seq,
-                    target,
-                    zero_slot,
-                    residual: Arc::clone(residual),
-                    dead: false,
-                    action,
-                },
-            );
+            part.members.push(Member {
+                entry: entry_id,
+                seq,
+                target,
+                zero_slot,
+                residual: Arc::clone(residual),
+                dead: false,
+                action,
+            });
         }
         // Slots only grow, so the new one ends its owner's chain.
         match by_sub.get(&sub.id) {

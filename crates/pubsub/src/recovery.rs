@@ -667,7 +667,9 @@ mod tests {
     /// publish, settle, crash, publish, restore and settle: no frame is
     /// left in flight, the host's outputs equal the crash-free twin's,
     /// and the host retains exactly the records published since its last
-    /// acknowledged checkpoint. `COSMOS_STRESS=1` runs more cycles.
+    /// acknowledged checkpoint. `COSMOS_STRESS=1` runs more cycles. It
+    /// reads the variable itself: `cosmos_oracle::trial` depends on this
+    /// crate, so a unit test here would see a second copy of its types.
     #[test]
     fn crash_restore_soak_over_a_lossy_plane() {
         let stress = std::env::var("COSMOS_STRESS").is_ok_and(|v| v == "1");

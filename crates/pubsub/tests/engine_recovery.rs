@@ -115,8 +115,8 @@ struct Activity {
     faults: u64,
 }
 
-fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
-    let mut rng = rng_for(trial, "engine-recovery");
+fn run_trial(suite: &str, trial: u64, cfg: FaultConfig, act: &mut Activity) {
+    let mut rng = rng_for(trial, suite);
     let topo = random_topology(&mut rng, 5..11, 1..5);
     let nodes = topo.node_count() as u32;
     let mut net = BrokerNetwork::new(topo);
@@ -229,11 +229,11 @@ fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
     act.faults += h.r.lossy().fault_plan().total_injected();
 }
 
-/// Runs the suite; its activity, unless a replay narrowed the run to one
-/// trial on purpose.
-fn run_suite(trials: u64, cfg: FaultConfig) -> Option<Activity> {
+/// Runs `suite`, whose name labels its trials' draws; its activity, unless
+/// a replay narrowed the run to one trial on purpose.
+fn run_suite(suite: &str, trials: u64, cfg: FaultConfig) -> Option<Activity> {
     let mut act = Activity::default();
-    if !trial::run("engine-recovery", trials, |trial| run_trial(trial, cfg, &mut act)) {
+    if !trial::run(suite, trials, |trial| run_trial(suite, trial, cfg, &mut act)) {
         return None;
     }
     // The suite must actually exercise the machinery it pins.
@@ -245,10 +245,11 @@ fn run_suite(trials: u64, cfg: FaultConfig) -> Option<Activity> {
 }
 
 /// Clean message plane: isolates checkpoint/replay correctness from
-/// message faults.
+/// message faults. Its own label, so its topologies and schedules are not
+/// the lossy suite's first ones with the faults switched off.
 #[test]
 fn hosted_engines_recover_over_clean_plane() {
-    run_suite(if stress() { 40 } else { 14 }, FaultConfig::clean());
+    run_suite("engine-recovery-clean", if stress() { 40 } else { 14 }, FaultConfig::clean());
 }
 
 /// Seeded lossy plane: drops, duplicates, and reorders underneath the
@@ -260,7 +261,7 @@ fn hosted_engines_recover_over_lossy_plane() {
     } else {
         FaultConfig { drop: 0.07, duplicate: 0.05, reorder: 0.06, max_extra_ticks: 800 }
     };
-    if let Some(act) = run_suite(if stress() { 40 } else { 14 }, cfg) {
+    if let Some(act) = run_suite("engine-recovery", if stress() { 40 } else { 14 }, cfg) {
         assert!(act.faults > 100, "fault plan barely fired ({} faults)", act.faults);
     }
 }

@@ -24,6 +24,9 @@
 //! - [`vecmap`]: [`VecMap`], a map kept as one sorted vector — what the
 //!   routing plane uses where it holds tens of thousands of maps with one
 //!   or two keys each.
+//! - [`one_or_many`]: [`OneOrMany`], a vector that keeps its first element
+//!   inline — what a stream partition stores its members and hop groups
+//!   in, where nearly every partition holds one of each.
 //!
 //! # Examples
 //!
@@ -40,6 +43,7 @@
 
 pub mod bitset;
 pub mod intern;
+pub mod one_or_many;
 pub mod plancache;
 pub mod rng;
 pub mod stats;
@@ -49,6 +53,7 @@ pub mod zipf;
 
 pub use bitset::InterestSet;
 pub use intern::{Schema, Symbol};
+pub use one_or_many::OneOrMany;
 pub use plancache::PlanCache;
 pub use timer::{EventQueue, Stopwatch};
 pub use vecmap::VecMap;
