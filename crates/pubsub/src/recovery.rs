@@ -11,12 +11,17 @@
 //! engine. This module hosts one [`ReplayHost`] per engine-hosting broker
 //! and keeps only what the network adds:
 //!
-//! - **The feed**: an all-pass subscription over the host's input streams.
-//!   The engine's input sequence is *every record of its input streams in
-//!   publish order* (selection pushdown happens in-engine), retained at
-//!   publish — crashed hosts included, since records published during
-//!   downtime are exactly the ones only the replay log can still deliver —
-//!   and fed to live engines once the message plane settles. Under
+//! - **The feed**: one subscription over the host's input streams, each
+//!   filtered by the cover of the hosted selections on it
+//!   ([`covering_selection`]: a record passes when some hosted relation
+//!   reading the stream could accept it), so the brokers drop what no
+//!   hosted query can use as early as the paper's Pub/Sub filters. The
+//!   engine's input sequence is *every record its feed admits, in publish
+//!   order* (each query still applies its exact selection in-engine, so
+//!   its outputs are those of an engine fed every record of its streams),
+//!   retained at publish — crashed hosts included, since records published
+//!   during downtime are exactly the ones only the replay log can still
+//!   deliver — and fed to live engines once the message plane settles. Under
 //!   `debug_assertions` the feed is cross-checked against the reliable
 //!   plane's exactly-once converged deliveries for the host's
 //!   subscription, tying replay to the same seq/path-key machinery the
@@ -39,8 +44,8 @@ use crate::subscription::{Message, StreamProjection, SubId, Subscription};
 use cosmos_engine::checkpoint::ReplayHost;
 use cosmos_engine::exec::{EngineStats, ResultTuple, StreamEngine};
 use cosmos_net::NodeId;
-use cosmos_query::{Query, QueryId};
-use cosmos_util::intern::Symbol;
+use cosmos_query::containment::{covering_selection, stream_selection};
+use cosmos_query::{Query, QueryId, RelationRef};
 use std::collections::BTreeMap;
 
 /// Engine-host subscriptions get ids far above any test population.
@@ -49,8 +54,9 @@ const RECOVERY_SUB_BASE: u64 = u64::MAX / 2;
 /// One broker node hosting a stream engine.
 #[derive(Debug)]
 struct EngineHost {
-    /// The all-pass subscription feeding the engine; re-installed on
-    /// restore (`fail_node` tears it down with the broker).
+    /// The feed: every input stream, filtered by the cover of the hosted
+    /// selections on it; re-installed on restore (`fail_node` tears it
+    /// down with the broker).
     sub: Subscription,
     backup: ReplayHost<StreamEngine>,
     /// Incident edges saved by `fail_node`, replayed by `restore_node`.
@@ -94,24 +100,28 @@ impl RecoveryNetwork {
         Self { lossy, hosts: BTreeMap::new(), crashed: Vec::new(), interval }
     }
 
-    /// Hosts a [`StreamEngine`] running `queries` at broker `node`: an
-    /// all-pass subscription over the queries' input streams feeds it
-    /// every record in publish order, and its first checkpoint is
-    /// scheduled one interval out.
+    /// Hosts a [`StreamEngine`] running `queries` at broker `node`: one
+    /// subscription over the queries' input streams, each filtered by the
+    /// [`covering_selection`] of every hosted relation's selection on it,
+    /// feeds it in publish order every record some hosted query can
+    /// accept, and its first checkpoint is scheduled one interval out.
     ///
     /// # Panics
     ///
     /// Panics if `node` already hosts an engine or `queries` is empty.
     pub fn host_engine(&mut self, node: NodeId, queries: Vec<(QueryId, Query)>) {
         assert!(!self.hosts.contains_key(&node), "node {node} already hosts an engine");
-        let mut streams: Vec<Symbol> =
-            queries.iter().flat_map(|(_, q)| q.relations.iter().map(|r| r.stream)).collect();
-        streams.sort_unstable();
-        streams.dedup();
-        assert!(!streams.is_empty(), "an engine host needs at least one input stream");
+        // The hosted relations grouped by stream (a stable sort keeps each
+        // stream's readers in hosting order); each stream's cover renames
+        // its readers' selections only until one reader has none.
+        let mut readers: Vec<(&Query, &RelationRef)> =
+            queries.iter().flat_map(|(_, q)| q.relations.iter().map(move |rel| (q, rel))).collect();
+        readers.sort_by_key(|(_, rel)| rel.stream);
+        assert!(!readers.is_empty(), "an engine host needs at least one input stream");
         let mut builder = Subscription::builder(node).id(SubId(RECOVERY_SUB_BASE + node.0 as u64));
-        for s in streams {
-            builder = builder.stream(s, StreamProjection::All, vec![]);
+        for rels in readers.chunk_by(|(_, a), (_, b)| a.stream == b.stream) {
+            let cover = covering_selection(rels.iter().map(|&(q, rel)| stream_selection(q, rel)));
+            builder = builder.stream(rels[0].1.stream, StreamProjection::All, cover);
         }
         let sub = builder.build();
         self.lossy.network_mut().subscribe(sub.clone());
@@ -300,15 +310,25 @@ impl RecoveryNetwork {
         }
     }
 
-    fn host(&self, node: NodeId) -> &ReplayHost<StreamEngine> {
-        &self.hosts.get(&node).expect("unknown engine host").backup
+    fn host(&self, node: NodeId) -> &EngineHost {
+        self.hosts.get(&node).expect("unknown engine host")
     }
 
     /// Results emitted by `node`'s engine over its lifetime, in input
     /// order — the artifact the differential suites compare bit-for-bit
     /// against a crash-free twin.
     pub fn output_log(&self, node: NodeId) -> &[ResultTuple] {
-        self.host(node).outputs()
+        self.host(node).backup.outputs()
+    }
+
+    /// The subscription feeding `node`'s engine: what it admits is the
+    /// engine's input sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` hosts no engine.
+    pub fn feed(&self, node: NodeId) -> &Subscription {
+        &self.host(node).sub
     }
 
     /// Execution counters of `node`'s engine.
@@ -317,7 +337,7 @@ impl RecoveryNetwork {
     ///
     /// Panics while the host is crashed.
     pub fn engine_stats(&self, node: NodeId) -> EngineStats {
-        self.host(node).stats()
+        self.host(node).backup.stats()
     }
 
     /// `true` while `node`'s engine is live.
@@ -327,12 +347,12 @@ impl RecoveryNetwork {
 
     /// The watermark acknowledged upstream by `node`'s last checkpoint.
     pub fn acked_watermark(&self, node: NodeId) -> u64 {
-        self.host(node).acked()
+        self.host(node).backup.acked()
     }
 
     /// Records retained upstream for `node`: exactly its unacked inputs.
     pub fn retained(&self, node: NodeId) -> usize {
-        self.host(node).retained()
+        self.host(node).backup.retained()
     }
 
     /// Hosted engine nodes, ascending.

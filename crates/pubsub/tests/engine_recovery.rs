@@ -9,9 +9,12 @@
 //! filled windows and in-flight joins, by construction), restores, and
 //! non-host subscriber churn — over both clean and seeded-lossy message
 //! planes. After every settle with the host up, its lifetime output log
-//! and execution counters must equal a **crash-free twin** engine fed
-//! the identical publish sequence, bit-for-bit; and broker ledger
-//! consistency is asserted after every operation.
+//! must equal a **crash-free twin** engine fed the identical publish
+//! sequence, bit-for-bit (the host's feed, filtered by the cover of its
+//! queries' selections, loses no result), and its execution counters
+//! must equal a second twin fed only the records that feed admits (what
+//! the host's engine actually consumes); broker ledger consistency is
+//! asserted after every operation.
 //!
 //! Checkpoints race crashes two ways: the simulated-time schedule fires
 //! whenever a settle drains past a due tick, and the op mix takes
@@ -48,11 +51,13 @@ fn msg(rng: &mut StdRng, ts: i64) -> Message {
         .with("v", Scalar::Int(rng.gen_range(-20i64..20)))
 }
 
-/// Per-host crash-free twin: the same publish sequence through a bare
-/// engine, in publish order.
+/// Per-host crash-free twins: the same publish sequence through a bare
+/// engine, in publish order — every record, and only the records the
+/// host's feed admits.
 struct Twin {
     engine: StreamEngine,
     outputs: Vec<ResultTuple>,
+    fed: StreamEngine,
 }
 
 /// Crashes go through the network's discipline: only a
@@ -72,12 +77,22 @@ struct Harness {
 
 impl Harness {
     /// Publishes through the recovery plane and through every host's
-    /// crash-free twin (twins never crash, so they consume immediately).
-    fn publish(&mut self, m: Message) {
-        for twin in self.twins.values_mut() {
+    /// crash-free twins (twins never crash, so they consume immediately).
+    /// Returns how many hosts reading `m`'s stream their feeds kept it
+    /// from.
+    fn publish(&mut self, m: Message) -> u64 {
+        let mut dropped = 0;
+        for (&node, twin) in &mut self.twins {
             twin.outputs.extend(twin.engine.push(m.clone()));
+            let feed = self.r.feed(node);
+            if feed.matches(&m) {
+                twin.fed.push(m.clone());
+            } else if feed.streams.get(&m.stream).is_some() {
+                dropped += 1;
+            }
         }
         assert!(self.r.publish(m), "R and S are advertised");
+        dropped
     }
 
     fn converged(&self, trial: u64, step: u32) {
@@ -96,9 +111,9 @@ impl Harness {
                 );
                 assert_eq!(
                     self.r.engine_stats(node),
-                    twin.engine.total_stats(),
-                    "host {node} stats diverged from its crash-free twin \
-                     (trial {trial}, step {step})"
+                    twin.fed.total_stats(),
+                    "host {node} stats diverged from its crash-free twin fed what its feed \
+                     admits (trial {trial}, step {step})"
                 );
             }
         }
@@ -113,6 +128,8 @@ struct Activity {
     checkpoints: u64,
     outputs: u64,
     faults: u64,
+    /// Publishes a host's feed kept from it (on a stream it reads).
+    dropped: u64,
 }
 
 fn run_trial(suite: &str, trial: u64, cfg: FaultConfig, act: &mut Activity) {
@@ -145,11 +162,12 @@ fn run_trial(suite: &str, trial: u64, cfg: FaultConfig, act: &mut Activity) {
             })
             .collect();
         r.host_engine(node, queries.clone());
-        let mut engine = StreamEngine::new();
+        let (mut engine, mut fed) = (StreamEngine::new(), StreamEngine::new());
         for (id, q) in &queries {
             engine.add_query(*id, q.clone());
+            fed.add_query(*id, q.clone());
         }
-        twins.insert(node, Twin { engine, outputs: Vec::new() });
+        twins.insert(node, Twin { engine, outputs: Vec::new(), fed });
     }
     let mut h = Harness { r, twins, churn_subs: Vec::new(), next_sub: 0, nodes };
     let mut ts = 0i64;
@@ -163,7 +181,7 @@ fn run_trial(suite: &str, trial: u64, cfg: FaultConfig, act: &mut Activity) {
             for _ in 0..rng.gen_range(1u32..6) {
                 ts += rng.gen_range(1i64..3_000);
                 let m = msg(&mut rng, ts);
-                h.publish(m);
+                act.dropped += h.publish(m);
             }
             h.r.settle();
         } else if roll < 52 {
@@ -241,6 +259,7 @@ fn run_suite(suite: &str, trials: u64, cfg: FaultConfig) -> Option<Activity> {
     assert!(act.restores == act.crashes, "every crash must be restored");
     assert!(act.checkpoints >= trials, "checkpoints barely fired ({})", act.checkpoints);
     assert!(act.outputs > 200, "hosted engines barely produced output ({})", act.outputs);
+    assert!(act.dropped > 0, "no feed ever kept a record from its host");
     Some(act)
 }
 

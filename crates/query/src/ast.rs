@@ -408,7 +408,10 @@ impl Query {
     }
 
     /// Selection predicates restricted to one alias — these are what the
-    /// Pub/Sub pushes toward the source for early filtering.
+    /// Pub/Sub pushes toward the source for early filtering: an engine
+    /// host's feed filters each stream by the cover
+    /// ([`crate::containment::covering_selection`]) of every hosted
+    /// relation's selection on it.
     pub fn selection_predicates_for(&self, alias: Symbol) -> Vec<&Predicate> {
         self.predicates
             .iter()

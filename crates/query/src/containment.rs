@@ -237,6 +237,67 @@ fn dedup_projection(items: Vec<ProjItem>) -> Vec<ProjItem> {
     out
 }
 
+/// The weakest conjunction implied by each of `readers`' selections: a
+/// filter passing every tuple that any one reader's conjunction passes.
+///
+/// Each reader is one conjunction, already renamed into a shared namespace
+/// — a relation's selection qualified by its stream
+/// ([`stream_selection`]) when covering a stream's readers, or by the
+/// general query's aliases when merging queries. The fold keeps, reader by
+/// reader, the [`weakest_common`] consequence of every pair of a predicate
+/// kept so far and one of the reader's (one copy per equivalent result),
+/// so each predicate kept is implied by one predicate of every reader.
+/// A reader with no selection ends the fold with no filter, and no later
+/// reader is drawn from `readers` (a lazy iterator builds no more of
+/// them). This is the one generalisation rule: [`merge_pair`]'s selection
+/// half is this fold over its two inputs.
+///
+/// # Examples
+///
+/// ```
+/// use cosmos_query::containment::{covering_selection, stream_selection};
+/// use cosmos_query::parse_query;
+///
+/// let q1 = parse_query("SELECT * FROM Station1 [Now] A WHERE A.snowHeight > 10")?;
+/// let q2 = parse_query("SELECT * FROM Station1 [Now] B WHERE B.snowHeight > 20")?;
+/// let cover = covering_selection([
+///     stream_selection(&q1, &q1.relations[0]),
+///     stream_selection(&q2, &q2.relations[0]),
+/// ]);
+/// assert_eq!(cover, stream_selection(&q1, &q1.relations[0])); // Station1.snowHeight > 10
+/// # Ok::<(), cosmos_query::ParseError>(())
+/// ```
+pub fn covering_selection(readers: impl IntoIterator<Item = Vec<Predicate>>) -> Vec<Predicate> {
+    let mut readers = readers.into_iter();
+    let mut cover = readers.next().unwrap_or_default();
+    while !cover.is_empty() {
+        let Some(reader) = readers.next() else { break };
+        let mut next: Vec<Predicate> = Vec::new();
+        for kept in &cover {
+            for p in &reader {
+                if let Some(r) = weakest_common(kept, p) {
+                    if !next.iter().any(|e| implies(e, &r) && implies(&r, e)) {
+                        next.push(r);
+                    }
+                }
+            }
+        }
+        cover = next;
+    }
+    cover
+}
+
+/// The selection predicates of `rel` (one of `q`'s relations), qualified
+/// by its stream instead of its alias — the form a subscription's filters
+/// take, and a reader of [`covering_selection`] over that stream.
+pub fn stream_selection(q: &Query, rel: &RelationRef) -> Vec<Predicate> {
+    let to_stream = |alias: Symbol| if alias == rel.alias { rel.stream } else { alias };
+    q.selection_predicates_for(rel.alias)
+        .into_iter()
+        .map(|p| rename_predicate(p, &to_stream))
+        .collect()
+}
+
 /// Merges two compatible queries into a covering query.
 ///
 /// Returns `None` when the queries are not mergeable (different streams or
@@ -268,19 +329,13 @@ pub fn merge_pair(a: &Query, b: &Query) -> Option<Query> {
         relations[ai].window = a.relations[ai].window.union(&b.relations[bi].window);
     }
 
-    // Selection filters: keep the weakest common consequence of any pair.
-    let b_sels: Vec<Predicate> =
-        b.selection_predicates().map(|p| rename_predicate(p, &alias_of)).collect();
-    let mut merged_sels: Vec<Predicate> = Vec::new();
-    for pa in a.selection_predicates() {
-        for pb in &b_sels {
-            if let Some(r) = weakest_common(pa, pb) {
-                if !merged_sels.iter().any(|e| implies(e, &r) && implies(&r, e)) {
-                    merged_sels.push(r);
-                }
-            }
-        }
-    }
+    // Selection filters: the cover of both inputs' selections, `b`'s in
+    // `a`'s aliases (comparisons on different aliases have no common
+    // consequence, so this covers relation by relation).
+    let merged_sels = covering_selection([
+        a.selection_predicates().cloned().collect(),
+        b.selection_predicates().map(|p| rename_predicate(p, &alias_of)).collect(),
+    ]);
 
     // Projection union.
     let b_proj: Vec<ProjItem> = b.projection.iter().map(|p| rename_proj(p, &alias_of)).collect();
@@ -430,6 +485,7 @@ mod tests {
     use super::*;
     use crate::ast::Window;
     use crate::parser::parse_query;
+    use proptest::{prop_assert, prop_assert_eq};
 
     fn q3() -> Query {
         parse_query(
@@ -739,6 +795,78 @@ mod tests {
             }
         }
         assert!(covering > 2_000, "only {covering} covered comparisons: the grid is too sparse");
+    }
+
+    /// One reader of stream `Feed` under alias `A{reader}`: its query and
+    /// that relation's selection, qualified by the stream.
+    fn feed_reader(reader: usize, sels: &[(usize, usize, i64)]) -> Vec<Predicate> {
+        let preds: Vec<String> = sels
+            .iter()
+            .map(|&(attr, op, c)| {
+                let op = ["<", "<=", ">", ">=", "="][op];
+                format!("A{reader}.{} {op} {c}", ["a", "b", "c"][attr])
+            })
+            .collect();
+        let mut text = format!("SELECT * FROM Feed [Now] A{reader}");
+        if !preds.is_empty() {
+            text = format!("{text} WHERE {}", preds.join(" AND "));
+        }
+        let q = parse_query(&text).unwrap();
+        stream_selection(&q, &q.relations[0])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3_000))]
+
+        /// Soundness: whenever any reader's selection accepts a record,
+        /// the cover of all of them does. Exactness: the cover of one
+        /// reader accepts exactly what that reader accepts.
+        #[test]
+        fn covering_selection_admits_what_any_reader_accepts(
+            readers in proptest::collection::vec(
+                // An empty list is a reader with no selection.
+                proptest::collection::vec((0usize..3, 0usize..5, -4i64..5), 0..4),
+                1..4,
+            ),
+            records in proptest::collection::vec((-5i64..6, -5i64..6, -5i64..6), 8..9),
+        ) {
+            use crate::ast::Scalar;
+            use crate::compiled::{eval_compiled, CompiledPredicate};
+            use crate::record::Record;
+            let sels: Vec<Vec<Predicate>> =
+                readers.iter().enumerate().map(|(i, r)| feed_reader(i, r)).collect();
+            let cover = covering_selection(sels.clone());
+            let accepts = |preds: &[Predicate], rec: &Record| {
+                eval_compiled(&CompiledPredicate::compile_all(preds), rec)
+            };
+            for &(a, b, c) in &records {
+                let rec = Record::new("Feed", 0)
+                    .with("a", Scalar::Int(a))
+                    .with("b", Scalar::Int(b))
+                    .with("c", Scalar::Int(c));
+                let by_reader: Vec<bool> = sels.iter().map(|s| accepts(s, &rec)).collect();
+                let by_cover = accepts(&cover, &rec);
+                prop_assert!(
+                    by_cover || !by_reader.contains(&true),
+                    "{rec:?} passes a reader of {sels:?} but not their cover {cover:?}"
+                );
+                if sels.len() == 1 {
+                    prop_assert_eq!(by_cover, by_reader[0], "one reader's cover {:?}", cover);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn covering_selection_keeps_the_weaker_chain_and_drops_the_unfiltered() {
+        let r0 = feed_reader(0, &[(0, 2, 3), (1, 0, 2)]); // a > 3 AND b < 2
+        let r1 = feed_reader(1, &[(0, 3, 1)]); // a >= 1
+        let r2 = feed_reader(2, &[]);
+        assert_eq!(covering_selection([r0.clone(), r1.clone()]), r1);
+        assert_eq!(covering_selection([r0.clone()]), r0);
+        assert!(covering_selection([r0.clone(), r2.clone(), r1.clone()]).is_empty());
+        assert!(covering_selection([r2, r0]).is_empty());
+        assert!(covering_selection(std::iter::empty()).is_empty());
     }
 
     #[test]
