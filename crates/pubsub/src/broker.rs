@@ -57,24 +57,20 @@
 //! lossy-link message faults (see [`crate::reliable`]) against the same
 //! reference.
 //!
-//! # Publishing and the frozen image
+//! # Publishing
 //!
 //! The network has one owner and one writer: churn and publishing alike
 //! are `&mut self`, and every publish path walks the live routing tables
-//! ([`BrokerNetwork::publish_batch`]). Churn also marks the nodes whose
-//! tables it touched, so that [`BrokerNetwork::snapshot`] can freeze only
-//! those again ([`crate::snapshot`]); subscribe and unsubscribe never
-//! freeze anything themselves.
+//! ([`BrokerNetwork::publish_batch`]).
 
 use crate::index::{
     match_run, CoverStats, ForwardInsert, InstalledSub, MatchOutput, MatchStats, RoutingFootprint,
     RoutingTable,
 };
-use crate::snapshot::{FrozenTable, RoutingSnapshot};
 use crate::subscription::{Message, SubId, Subscription};
 use cosmos_net::{NodeId, ShortestPathTree, Topology};
 use cosmos_util::Symbol;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Traffic counters for one undirected link.
@@ -84,6 +80,22 @@ pub struct LinkStats {
     pub messages: u64,
     /// Total bytes transmitted.
     pub bytes: u64,
+}
+
+/// The routing state's size at one moment ([`BrokerNetwork::snapshot`]).
+/// Kept only as the end-to-end harness's call site (it times
+/// `pubsub.snapshot.*` around it); it goes when the harness stops timing
+/// it (ROADMAP item 8(a)).
+#[derive(Debug)]
+pub struct RoutingSnapshot {
+    footprint: RoutingFootprint,
+}
+
+impl RoutingSnapshot {
+    /// [`BrokerNetwork::footprint`] when this snapshot was taken.
+    pub fn footprint(&self) -> RoutingFootprint {
+        self.footprint
+    }
 }
 
 /// A delivered message: which subscription, where, and what content.
@@ -414,17 +426,6 @@ pub struct BrokerNetwork {
     walk: Walk,
     link_stats: HashMap<(NodeId, NodeId), LinkStats>,
     log: DeliveryLog,
-    /// Routing-state version: bumped by every install and uninstall —
-    /// the staleness probe for [`BrokerNetwork::snapshot`].
-    version: u64,
-    /// The last snapshot built, if any. Lazily rebuilt by
-    /// [`BrokerNetwork::snapshot`] when `version` moved past it.
-    snap: Option<Arc<RoutingSnapshot>>,
-    /// Nodes whose routing tables changed since `snap` was built. Churn
-    /// only marks here (cheap, and only once a snapshot exists — the
-    /// first build freezes every node); [`BrokerNetwork::snapshot`]
-    /// drains it, freezing exactly the marked nodes.
-    dirty: BTreeSet<u32>,
 }
 
 impl BrokerNetwork {
@@ -444,9 +445,6 @@ impl BrokerNetwork {
             walk: Walk::default(),
             link_stats: HashMap::new(),
             log: DeliveryLog::default(),
-            version: 0,
-            snap: None,
-            dirty: BTreeSet::new(),
         }
     }
 
@@ -468,16 +466,6 @@ impl BrokerNetwork {
             .entry(source)
             .or_insert_with(|| ShortestPathTree::compute(&self.topo, source));
         self.stream_source.insert(stream, source);
-    }
-
-    /// Bumps the routing-state version and marks the touched nodes dirty —
-    /// the only thing churn pays toward the frozen image (no freezing
-    /// here; [`BrokerNetwork::snapshot`] does that on demand).
-    fn mark_churn(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
-        self.version += 1;
-        if self.snap.is_some() {
-            self.dirty.extend(nodes.into_iter().map(|n| n.index() as u32));
-        }
     }
 
     /// The advertised source of `stream`, if any.
@@ -692,9 +680,6 @@ impl BrokerNetwork {
                 }
             }
         }
-        // Every table this install touched (inserts, covering drops,
-        // compactions) sits at a node in `rec_entries` — mark them once.
-        self.mark_churn(rec_entries.iter().map(|&(n, _)| n));
         let rec = self.records.get_mut(&id).expect("installing an unregistered subscription");
         rec.entries.extend(rec_entries);
     }
@@ -744,7 +729,6 @@ impl BrokerNetwork {
         let Some(rec) = self.records.get_mut(&id) else { return };
         let entries = std::mem::take(&mut rec.entries);
         let depends_on = std::mem::take(&mut rec.depends_on);
-        self.mark_churn(entries.iter().map(|&(n, _)| n));
         for (node, to) in entries {
             self.tables[node.index()].remove_entry(id, to);
         }
@@ -864,41 +848,9 @@ impl BrokerNetwork {
         log.len() - before
     }
 
-    /// The routing-state version: bumped by every install and uninstall,
-    /// whether a subscribe, an unsubscribe or the repair wave of a link or
-    /// node incident runs it. A snapshot whose
-    /// [`RoutingSnapshot::version`] equals this is current.
-    pub fn routing_version(&self) -> u64 {
-        self.version
-    }
-
-    /// The frozen image of the routing tables ([`crate::snapshot`]),
-    /// built first if a table changed since the last build. Only dirty
-    /// nodes' tables are frozen again; clean nodes share the previous
-    /// snapshot's frozen tables by `Arc`. With no churn this is a version
-    /// check and an `Arc` clone.
-    pub fn snapshot(&mut self) -> Arc<RoutingSnapshot> {
-        let tables: Vec<Arc<FrozenTable>> = match &self.snap {
-            Some(cur) if cur.version == self.version => return Arc::clone(cur),
-            // The first build has nothing to reuse: every node freezes.
-            None => self.tables.iter().map(|t| Arc::new(t.freeze())).collect(),
-            Some(cur) => self
-                .tables
-                .iter()
-                .enumerate()
-                .map(|(n, t)| {
-                    if self.dirty.contains(&(n as u32)) {
-                        Arc::new(t.freeze())
-                    } else {
-                        Arc::clone(&cur.tables[n])
-                    }
-                })
-                .collect(),
-        };
-        let next = Arc::new(RoutingSnapshot { version: self.version, tables });
-        self.snap = Some(Arc::clone(&next));
-        self.dirty.clear();
-        next
+    /// The routing state's [`footprint`](Self::footprint) as it stands.
+    pub fn snapshot(&self) -> RoutingSnapshot {
+        RoutingSnapshot { footprint: self.footprint() }
     }
 
     /// Traffic counters for the link `{a, b}`.
@@ -1963,151 +1915,24 @@ mod tests {
         std::panic::resume_unwind(rejected);
     }
 
-    /// The snapshot after `what` must be what freezing every live table
-    /// from scratch gives, node by node and stream by stream: a node some
-    /// churn site changed without marking it dirty keeps its stale image.
-    fn assert_image_is_a_fresh_freeze(net: &mut BrokerNetwork, what: &str) {
-        let snap = net.snapshot();
-        assert_eq!(snap.version(), net.routing_version(), "{what}: a stale snapshot");
-        for (n, table) in net.tables.iter().enumerate() {
-            let (image, fresh) = (&snap.tables[n], table.freeze());
-            let streams = |t: &HashMap<Symbol, _>| t.keys().copied().collect::<BTreeSet<_>>();
-            assert_eq!(streams(image), streams(&fresh), "{what}: node {n}'s streams");
-            for (stream, fresh) in &fresh {
-                let frozen = &image[stream];
-                let hops = |h: &[(NodeId, _)]| h.iter().map(|&(to, _)| to).collect::<Vec<_>>();
-                assert_eq!(
-                    format!("{:?}", frozen.part),
-                    format!("{:?}", fresh.part),
-                    "{what}: node {n}, stream {stream}"
-                );
-                assert_eq!(hops(&frozen.hops), hops(&fresh.hops), "{what}: node {n}, {stream}");
-            }
-        }
-        assert_eq!(snap.footprint(), net.footprint(), "{what}: footprints");
-    }
-
-    /// Every churn site marks the nodes whose tables it touched: under a
-    /// seeded script of subscribes, unsubscribes, batch subscribes, link
-    /// failures and restores and broker crashes and restores, with a
-    /// snapshot after every operation, each incrementally refrozen image
-    /// equals a from-scratch freeze of the live tables.
+    /// A snapshot holds the footprint at the call: later churn leaves an
+    /// earlier snapshot as it was, and unsubscribing everyone brings a
+    /// fresh one back to the empty footprint.
     #[test]
-    fn refrozen_image_equals_a_fresh_freeze_after_every_churn_op() {
-        use rand::Rng;
-        for seed in 0..4u64 {
-            let mut rng = cosmos_util::rng::rng_for(seed, "freeze-bookkeeping");
-            let nodes = 12u32;
-            let mut topo = Topology::new(nodes as usize);
-            for v in 1..nodes {
-                topo.add_edge(NodeId(rng.gen_range(0..v)), NodeId(v), rng.gen_range(1.0..4.0));
-            }
-            for _ in 0..4 {
-                let (a, b) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
-                if a != b {
-                    topo.add_edge(NodeId(a), NodeId(b), rng.gen_range(1.0..4.0));
-                }
-            }
-            let mut net = BrokerNetwork::new(topo);
-            net.advertise("R", NodeId(rng.gen_range(0..nodes)));
-            net.advertise("S", NodeId(rng.gen_range(0..nodes)));
-            let mut next_id = 0u64;
-            let mut draw = |rng: &mut rand::rngs::StdRng| {
-                let mut request = |stream| {
-                    let codes: Vec<(u32, i64)> = (0..rng.gen_range(0..3))
-                        .map(|_| (rng.gen_range(0..33), rng.gen_range(-3..8)))
-                        .collect();
-                    decode_request(stream, &codes, rng.gen_range(0..6))
-                };
-                let (pr, fr) = request("R");
-                let (ps, fs) = request("S");
-                let builder = Subscription::builder(NodeId(rng.gen_range(0..nodes)));
-                let builder = match rng.gen_range(0..4) {
-                    0 => builder.stream("S", ps, fs),
-                    1 => builder.stream("R", pr, fr).stream("S", ps, fs),
-                    _ => builder.stream("R", pr, fr),
-                };
-                next_id += 1;
-                builder.id(SubId(next_id)).build()
-            };
-            let mut live: Vec<SubId> = Vec::new();
-            let mut failed_links: Vec<(NodeId, NodeId, f64)> = Vec::new();
-            let mut failed_nodes: Vec<(NodeId, Vec<(NodeId, f64)>)> = Vec::new();
-            let down = |n: NodeId, failed: &[(NodeId, Vec<(NodeId, f64)>)]| {
-                failed.iter().any(|(f, _)| *f == n)
-            };
-            assert_image_is_a_fresh_freeze(&mut net, "the first build");
-            for op in 0..80 {
-                let what = match rng.gen_range(0..100) {
-                    0..=29 => {
-                        let sub = draw(&mut rng);
-                        live.push(sub.id);
-                        net.subscribe(sub);
-                        "subscribe"
-                    }
-                    30..=49 if !live.is_empty() => {
-                        net.unsubscribe(live.swap_remove(rng.gen_range(0..live.len())));
-                        "unsubscribe"
-                    }
-                    50..=64 => {
-                        let batch: Vec<_> =
-                            (0..rng.gen_range(2..6)).map(|_| draw(&mut rng)).collect();
-                        live.extend(batch.iter().map(|s| s.id));
-                        net.subscribe_batch(batch);
-                        "subscribe_batch"
-                    }
-                    65..=74 => {
-                        let edges: Vec<(NodeId, NodeId, f64)> = net
-                            .topology()
-                            .nodes()
-                            .flat_map(|u| net.topology().neighbors(u).map(move |(v, l)| (u, v, l)))
-                            .filter(|(u, v, _)| u < v)
-                            .collect();
-                        if edges.is_empty() {
-                            continue;
-                        }
-                        let (a, b, lat) = edges[rng.gen_range(0..edges.len())];
-                        assert!(net.fail_link(a, b));
-                        failed_links.push((a, b, lat));
-                        "fail_link"
-                    }
-                    75..=84 if !failed_links.is_empty() => {
-                        let at = rng.gen_range(0..failed_links.len());
-                        let (a, b, lat) = failed_links[at];
-                        if down(a, &failed_nodes) || down(b, &failed_nodes) {
-                            continue;
-                        }
-                        failed_links.swap_remove(at);
-                        assert!(net.restore_link(a, b, lat));
-                        "restore_link"
-                    }
-                    85..=92 => {
-                        let n = NodeId(rng.gen_range(0..nodes));
-                        let Some(edges) = net.fail_node(n) else { continue };
-                        live.retain(|id| net.records.contains_key(id));
-                        failed_nodes.push((n, edges));
-                        "fail_node"
-                    }
-                    _ if !failed_nodes.is_empty() => {
-                        let at = rng.gen_range(0..failed_nodes.len());
-                        let (n, saved) = &failed_nodes[at];
-                        let up: Vec<(NodeId, f64)> = saved
-                            .iter()
-                            .copied()
-                            .filter(|&(v, _)| !down(v, &failed_nodes))
-                            .collect();
-                        if up.is_empty() {
-                            continue; // no neighbour is up: it stays down
-                        }
-                        assert!(net.restore_node(*n, &up));
-                        failed_nodes.swap_remove(at);
-                        "restore_node"
-                    }
-                    _ => continue,
-                };
-                assert_image_is_a_fresh_freeze(&mut net, &format!("seed {seed}, op {op} ({what})"));
-            }
+    fn snapshot_reports_the_footprint_at_the_call() {
+        let mut net = figure2_network();
+        let before = net.footprint();
+        let first = net.snapshot();
+        assert_eq!(first.footprint(), before);
+        net.subscribe(sub_r(5, 5, 0));
+        let second = net.snapshot();
+        assert_eq!(second.footprint(), net.footprint());
+        assert_ne!(second.footprint(), before, "the subscription left entries behind");
+        assert_eq!(first.footprint(), before, "an earlier snapshot keeps its value");
+        for id in [5, 6, 7] {
+            net.unsubscribe(SubId(id));
         }
+        assert_eq!(net.snapshot().footprint(), RoutingFootprint::default());
     }
 
     /// One stream request decoded from drawn `(shape, value)` codes: the

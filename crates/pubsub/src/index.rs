@@ -227,16 +227,12 @@
 //!   groups' per-schema projection plans, filled as messages arrive — the
 //!   one thing matching writes outside its scratch.
 //!
-//! Because matching never writes a partition, [`RoutingTable::freeze`] is
-//! a clone of each [`Partition`] plus its hop groups' next hops and
-//! plans ([`crate::snapshot`]). Install-time helpers
-//! take an `Arc`-shared [`InstalledSub`] — the subscription with its
-//! per-stream indexable/residual split — so one installation derives each
-//! stream's skeleton once and every hop's skip probe, victim probes,
-//! insert and later compaction reuse it, holding the form by refcount
-//! instead of by deep copy.
+//! Install-time helpers take an `Arc`-shared [`InstalledSub`] — the
+//! subscription with its per-stream indexable/residual split — so one
+//! installation derives each stream's skeleton once and every hop's skip
+//! probe, victim probes, insert and later compaction reuse it, holding
+//! the form by refcount instead of by deep copy.
 
-use crate::snapshot::{FrozenPartition, FrozenTable};
 use crate::subscription::{
     CachedProjection, MaskedProjection, Message, StreamProjection, StreamRequest, SubId,
     Subscription,
@@ -254,7 +250,7 @@ use std::sync::Arc;
 
 /// One installed routing entry: a subscription's shared installed form
 /// plus its forwarding direction (`None` = deliver locally at this node).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
     form: Arc<InstalledSub>,
     to: Option<NodeId>,
@@ -319,7 +315,7 @@ fn class_of(classes: &mut Vec<CachedProjection>, proj: &StreamProjection) -> u32
 
 /// One `(entry, stream)` pair in a stream partition. Matching never
 /// writes a member: its counter lives in the matcher's [`MatchScratch`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Member {
     /// The owning entry's id — ascending with the member slot (see the
     /// module docs), so tombstoning binary-searches for it.
@@ -351,7 +347,7 @@ const _: () = assert!(std::mem::size_of::<Member>() <= 56);
 /// an install memmoves at most one run no matter how large the partition
 /// grows, while the satisfied-range walks below iterate runs in key
 /// order and stay bit-identical to the dense layout they replaced.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct OpLists {
     lt: TieredList,
     le: TieredList,
@@ -568,10 +564,9 @@ pub enum ForwardInsert {
 }
 
 /// The part of a stream partition that matching reads and never writes:
-/// members, always-candidates and threshold lists. A frozen partition
-/// ([`FrozenPartition`]) holds a clone of it — same slots, tombstones
-/// under their `dead` flag.
-#[derive(Debug, Default, Clone)]
+/// members, always-candidates and threshold lists. [`match_run`] takes
+/// it by shared reference, so matching cannot write it.
+#[derive(Debug, Default)]
 pub(crate) struct Partition {
     /// In insertion order; [`Member::entry`] ascends with the slot.
     members: OneOrMany<Member>,
@@ -715,16 +710,6 @@ pub struct RoutingFootprint {
     pub members: u64,
     /// `(stream, next hop)` groups over all partitions.
     pub hop_groups: u64,
-}
-
-impl RoutingFootprint {
-    /// Counts one stored partition: its member records and its
-    /// `hop_groups`.
-    pub(crate) fn add_partition(&mut self, part: &Partition, hop_groups: usize) {
-        self.partitions += 1;
-        self.members += part.members.len() as u64;
-        self.hop_groups += hop_groups as u64;
-    }
 }
 
 /// Deterministic work counters of matching: what the messages matched
@@ -1114,7 +1099,9 @@ impl RoutingTable {
     /// `fp`.
     pub(crate) fn add_footprint(&self, fp: &mut RoutingFootprint) {
         for index in &self.parts {
-            fp.add_partition(&index.part, index.hops.len());
+            fp.partitions += 1;
+            fp.members += index.part.members.len() as u64;
+            fp.hop_groups += index.hops.len() as u64;
         }
     }
 
@@ -1440,17 +1427,6 @@ impl RoutingTable {
     ) -> Option<(&Partition, &mut [CachedProjection], &mut [HopGroup], &mut MatchScratch)> {
         let index = &mut self.parts[*self.part_of.get(&stream)? as usize];
         Some((&index.part, &mut self.classes, &mut index.hops, &mut self.scratch))
-    }
-
-    /// Freezes this table into its image ([`crate::snapshot`]): per
-    /// stream, a clone of its partition and of each hop group's next hop
-    /// with its forward plans — same slots, tombstones included.
-    pub(crate) fn freeze(&self) -> FrozenTable {
-        let freeze = |index: &StreamIndex| FrozenPartition {
-            part: index.part.clone(),
-            hops: index.hops.iter().map(|h| (h.to, h.forwards.clone())).collect(),
-        };
-        self.part_of.iter().map(|(&s, &p)| (s, freeze(&self.parts[p as usize]))).collect()
     }
 }
 

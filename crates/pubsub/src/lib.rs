@@ -42,11 +42,6 @@
 //!   plus unicast result-stream costs. This is the "weighted communication
 //!   cost" metric of §4.
 //!
-//! Beside them, [`snapshot`] freezes the broker's routing tables into an
-//! immutable [`RoutingSnapshot`] on demand, refreezing only the nodes
-//! churn touched. Nothing publishes through it; the end-to-end harness
-//! times the freeze.
-//!
 //! # Examples
 //!
 //! ```
@@ -68,17 +63,15 @@ pub mod fault;
 pub mod index;
 pub mod recovery;
 pub mod reliable;
-pub mod snapshot;
 pub mod subscription;
 pub mod tiered;
 pub mod traffic;
 
-pub use broker::{BrokerNetwork, Delivery, DeliveryLog, LinkStats};
+pub use broker::{BrokerNetwork, Delivery, DeliveryLog, LinkStats, RoutingSnapshot};
 pub use fault::{FaultAction, FaultConfig, FaultPlan};
 pub use index::{RoutingFootprint, RoutingTable};
 pub use recovery::RecoveryNetwork;
 pub use reliable::LossyNetwork;
-pub use snapshot::RoutingSnapshot;
 pub use subscription::{CachedProjection, Message, StreamProjection, SubId, Subscription};
 pub use tiered::TieredList;
 pub use traffic::{PlacementCost, QueryTraffic, SubstreamTable, TrafficModel};

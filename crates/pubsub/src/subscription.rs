@@ -456,7 +456,7 @@ impl CachedProjection {
 /// Projections named per message by a column mask over its schema (one
 /// bit per column, 64 to a word), each planned once per `(schema, mask)`:
 /// a hop's forward, keeping the needs of whichever of its members matched.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct MaskedProjection {
     /// Keyed by schema id and mask, the first word inline: records of up
     /// to 64 columns allocate no key.

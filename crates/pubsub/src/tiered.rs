@@ -82,7 +82,7 @@ pub fn tombstones_dominate(dead: usize, total: usize) -> bool {
 /// A sorted `(key, value)` list stored as bounded runs under a directory
 /// of run-minimum keys. See the module docs for the layout and the
 /// ordering contract.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct TieredList {
     /// Sorted runs in ascending key order; every run is non-empty and
     /// holds at most [`RUN_MAX`] entries.
