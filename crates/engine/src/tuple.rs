@@ -218,7 +218,6 @@ mod tests {
     use cosmos_query::predicate::eval_predicate;
     use cosmos_query::{CmpOp, Predicate};
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
 
     fn joined() -> JoinedTuple {
         JoinedTuple::new(vec![
@@ -341,12 +340,14 @@ mod tests {
             // Clone: refcount bump, identical bytes.
             prop_assert_eq!(t.clone().wire_size(), t.wire_size());
             // Retain: the shared source charges exactly the kept content.
-            let keep: BTreeSet<Symbol> = names
+            let mut keep: Vec<Symbol> = names
                 .iter()
                 .zip(keep_mask.iter().cycle())
                 .filter(|(_, k)| **k == 1)
                 .map(|(n, _)| Symbol::intern(n))
                 .collect();
+            keep.sort();
+            keep.dedup();
             let kept_payload: usize = t
                 .iter()
                 .filter(|(a, _)| keep.contains(a))

@@ -179,7 +179,7 @@ impl ReferenceNetwork {
         for next in hops.into_iter().filter(|&next| Some(next) != from) {
             let toward = matched.iter().filter(|e| e.1 == Some(next));
             let needs = toward.filter_map(|e| e.0.needs(msg.stream));
-            let nothing = StreamProjection::Attrs(BTreeSet::new());
+            let nothing = StreamProjection::attrs(Vec::<Symbol>::new());
             sent.push(match needs.fold(nothing, |all, needs| all.union(needs)) {
                 StreamProjection::All => (next, msg.clone()),
                 StreamProjection::Attrs(keep) => (next, msg.retaining(&keep)),

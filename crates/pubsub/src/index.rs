@@ -33,14 +33,15 @@
 //! 2. **Counting predicate index.** Within a partition, every compiled
 //!    filter that is an indexable constant comparison (`attr op constant`
 //!    with a numeric constant and an order/equality operator — see
-//!    [`CompiledPredicate::indexable_for`]) contributes its threshold to a
-//!    tiered threshold list keyed by `(attribute, operator)`. Matching a
-//!    message
-//!    resolves each message attribute **once**, binary-searches each
-//!    relevant list, and walks only the satisfied range, incrementing a
-//!    per-slot counter in the matcher's scratch (epoch-versioned, so no
-//!    per-message reset). An entry whose counter reaches its
-//!    indexable-predicate count has its whole indexable prefix satisfied.
+//!    [`indexable_for`](cosmos_query::compiled::CompiledPredicate::indexable_for))
+//!    contributes its threshold to a tiered threshold list keyed by
+//!    `(attribute, operator)`, kept only for the operators some member
+//!    uses. Matching a message resolves each message attribute **once**,
+//!    binary-searches each relevant list, and walks only the satisfied
+//!    range, incrementing a per-slot counter in the matcher's scratch
+//!    (epoch-versioned, so no per-message reset). An entry whose counter
+//!    reaches its indexable-predicate count has its whole indexable prefix
+//!    satisfied.
 //! 3. **Residual fallback.** Non-indexable predicates (join comparisons,
 //!    time deltas, string equality, `!=`, foreign-relation references) are
 //!    kept on the entry and evaluated **only** for entries whose indexable
@@ -107,28 +108,20 @@
 //! The table is maintained **incrementally in both directions**:
 //!
 //! - **Threshold-list lifecycle**: each `(attribute, operator)` list is a
-//!   [`TieredList`] — bounded sorted *runs* (≤ `RUN_MAX` entries) under a
-//!   flat *run-min directory*. An insert binary-searches the directory,
-//!   then the owning run, and memmoves at most one run; a run that
-//!   overflows splits in half (two directory entries replace one). Probes
-//!   descend directory-then-run, so a match visits only the runs its
-//!   satisfied range touches. Removal never edits runs on the match path:
+//!   [`TieredList`] (bounded sorted runs under a run-min directory, so an
+//!   insert memmoves at most one run; layout and walks in
+//!   [`crate::tiered`]). Removal never edits runs on the match path:
 //!   stale references are counted like live ones (a bump never reads a
 //!   member) and the member's dead flag drops them where candidates are
-//!   collected, and [`TieredList::retain_vals`] sweeps them run-at-a-time when the
-//!   table compacts, merging underfull survivors — but never past the
-//!   split steady state, so a sweep cannot force the next insert to
-//!   immediately re-split. The dense-list semantics are preserved
-//!   exactly — same counting results, same candidate order — which the
-//!   tiered-vs-dense differential suite pins down.
+//!   collected, until [`TieredList::retain_vals`] sweeps them
+//!   run-at-a-time. A batch install leaves every list exact-size.
 //! - **Install**: [`RoutingTable::insert`] extends every affected
 //!   stream partition in place (run-local sorted-insert into threshold
 //!   lists, hop groups joined or opened, projection classes — kept
 //!   attributes of a local member, needs of a forwarding one — joined or
-//!   opened). Each
-//!   entry carries the owning subscription's installation sequence number,
-//!   so delivery order stays the population's subscribe order no matter
-//!   how entries are later removed and re-added.
+//!   opened). Each entry carries the owning subscription's installation
+//!   sequence number, so delivery order stays the population's subscribe
+//!   order no matter how entries are later removed and re-added.
 //! - **Remove**: [`RoutingTable::remove_entry`] is first-class removal by
 //!   `(subscription id, direction)` — the primitive the broker's
 //!   per-subscription [`crate::broker::BrokerNetwork`] ledger drives on
@@ -136,10 +129,9 @@
 //!   threshold lists keep stale references that the dead flag filters out
 //!   of the candidates, and a projection class its last member left simply
 //!   stops being used — no live member names it, so nothing counts its
-//!   members. Once tombstones dominate
-//!   ([`tombstones_dominate`]: dead at least matches live, past
-//!   a small absolute floor so tiny tables never thrash) the table
-//!   compacts — threshold lists are swept run-at-a-time
+//!   members. Once tombstones dominate ([`tombstones_dominate`]: dead at
+//!   least matches live, past a small absolute floor so tiny tables never
+//!   thrash) the table compacts — threshold lists are swept run-at-a-time
 //!   ([`TieredList::retain_vals`]), dead hop groups and emptied
 //!   projection classes are dropped, and surviving entries re-group —
 //!   preserving each entry's sequence number so observable order never
@@ -180,21 +172,11 @@
 //!   `ReferenceNetwork`. [`CoverStats`] counts the work: list slots
 //!   visited, confirmations attempted, confirmations that held.
 //!
-//! - **Crash recovery**: whole-node failure
-//!   ([`crate::broker::BrokerNetwork::fail_node`]) is not a new table
-//!   primitive — it is the two existing ones driven in bulk. The crashed
-//!   broker's own table is dropped with the node; every *surviving* node
-//!   sheds, via the same ledgered [`RoutingTable::remove_entry`] calls an
-//!   unsubscribe issues, exactly the entries whose reverse paths routed
-//!   through the crashed broker, and the repair wave re-installs the
-//!   moved subscriptions through the normal install path (sequence
-//!   numbers preserved, so delivery order is unchanged). The crashed
-//!   broker's local subscriptions are fully unsubscribed from the ledger,
-//!   never orphaned. The reliable-delivery plane
-//!   ([`crate::reliable`]) sits entirely *below* this table: frames,
-//!   acks, and retransmissions are per-link transport concerns the index
-//!   never sees — by the time a message is matched here it is already
-//!   exactly-once.
+//! - **Crash recovery** ([`crate::broker::BrokerNetwork::fail_node`]) is
+//!   no new table primitive: the broker drives the same ledgered removes
+//!   and installs in bulk, sequence numbers preserved. The reliable plane
+//!   ([`crate::reliable`]) sits entirely *below* this table: a message
+//!   matched here is already exactly-once.
 //!
 //! # Match state: the matcher's, not the table's
 //!
@@ -208,9 +190,9 @@
 //!   list and the threshold lists — read by matching and by covering
 //!   resolution, never written by either. Around it the live
 //!   [`StreamIndex`] keeps what *installs* maintain: hop groups (next
-//!   hop, forward plans). The projection classes are the table's, shared by its partitions: a
-//!   class is a projection, cached per input schema, whichever stream
-//!   the record is of.
+//!   hop, forward plans). The projection classes are the table's, shared
+//!   by its partitions: a class is a projection, cached per input schema,
+//!   whichever stream the record is of.
 //! - **The matcher owns** ([`MatchScratch`]) everything a message
 //!   changes: slot counters, candidate buffers, the class records, hop
 //!   marks and hop masks of the message, the recycled [`MatchOutput`], the
@@ -227,21 +209,16 @@
 //!   groups' per-schema projection plans, filled as messages arrive — the
 //!   one thing matching writes outside its scratch.
 //!
-//! Install-time helpers take an `Arc`-shared [`InstalledSub`] — the
-//! subscription with its per-stream indexable/residual split — so one
-//! installation derives each stream's skeleton once and every hop's skip
-//! probe, victim probes, insert and later compaction reuse it, holding
-//! the form by refcount instead of by deep copy.
+//! Install-time helpers take an `Arc`-shared [`InstalledSub`]: the
+//! subscription compiled and split once per installation (see its docs).
 
 use crate::subscription::{
-    CachedProjection, MaskedProjection, Message, StreamProjection, StreamRequest, SubId,
+    CachedProjection, MaskedProjection, Message, Residual, StreamProjection, StreamRequest, SubId,
     Subscription,
 };
 use crate::tiered::{tombstones_dominate, TieredList};
 use cosmos_net::NodeId;
-use cosmos_query::compiled::{
-    eval_compiled, CompiledPredicate, IndexOperand, IndexableCmp, ScalarRef,
-};
+use cosmos_query::compiled::{eval_compiled, IndexOperand, IndexableCmp, ScalarRef};
 use cosmos_query::containment::{coverer_bounds, CoverBounds};
 use cosmos_query::CmpOp;
 use cosmos_util::{OneOrMany, Symbol, VecMap};
@@ -332,7 +309,7 @@ pub(crate) struct Member {
     zero_slot: u32,
     /// Predicates evaluated only when the indexable prefix passed (shared
     /// with the entry's [`InstalledSub`]).
-    residual: Arc<[CompiledPredicate]>,
+    residual: Residual,
     dead: bool,
     action: MemberAction,
 }
@@ -341,45 +318,50 @@ pub(crate) struct Member {
 const _: () = assert!(std::mem::size_of::<Member>() <= 56);
 
 /// Sorted `(threshold, member)` lists for one attribute, one per operator
-/// class. Ascending by threshold; never contains NaN (a NaN threshold is
-/// unsatisfiable, so it only counts toward the member's target). Each
-/// list is a [`TieredList`] — bounded runs under a run-min directory — so
-/// an install memmoves at most one run no matter how large the partition
-/// grows, while the satisfied-range walks below iterate runs in key
-/// order and stay bit-identical to the dense layout they replaced.
+/// its members use. Ascending by threshold; never contains NaN (a NaN
+/// threshold is unsatisfiable, so it only counts toward the member's
+/// target). Each list is a [`TieredList`] — bounded runs under a run-min
+/// directory — so an install memmoves at most one run no matter how large
+/// the partition grows, while the satisfied-range walks below iterate runs
+/// in key order and stay bit-identical to the dense layout they replaced.
+/// An operand that only one operator reaches keeps one list, not five.
 #[derive(Debug, Default)]
 struct OpLists {
-    lt: TieredList,
-    le: TieredList,
-    gt: TieredList,
-    ge: TieredList,
-    eq: TieredList,
+    /// In [`WALK`] order.
+    by_op: Vec<(CmpOp, TieredList)>,
 }
 
-impl OpLists {
-    fn list_mut(&mut self, op: CmpOp) -> &mut TieredList {
-        match op {
-            CmpOp::Lt => &mut self.lt,
-            CmpOp::Le => &mut self.le,
-            CmpOp::Gt => &mut self.gt,
-            CmpOp::Ge => &mut self.ge,
-            CmpOp::Eq => &mut self.eq,
-            CmpOp::Ne => unreachable!("Ne is never indexable"),
-        }
-    }
+/// The order of an [`OpLists`]' lists: the order every walk visits them.
+const WALK: [CmpOp; 5] = [CmpOp::Gt, CmpOp::Ge, CmpOp::Lt, CmpOp::Le, CmpOp::Eq];
 
+impl OpLists {
     fn insert(&mut self, op: CmpOp, threshold: f64, member: u32) {
-        self.list_mut(op).insert(threshold, member);
+        let rank = |op| WALK.iter().position(|o| *o == op);
+        let at = self.by_op.partition_point(|(o, _)| rank(*o) < rank(op));
+        if self.by_op.get(at).is_none_or(|(o, _)| *o != op) {
+            // A handful of operators at most: each one costs its slot only.
+            self.by_op.reserve_exact(1);
+            self.by_op.insert(at, (op, TieredList::new()));
+        }
+        self.by_op[at].1.insert(threshold, member);
     }
 
     /// Per-run tombstone sweep: drops every reference to a dead member
-    /// from all five lists (retain-in-place per run, underfull runs
-    /// merged), so partitions under heavy churn shed stale references
-    /// without waiting for the whole-table rebuild.
+    /// from each list (retain-in-place per run, underfull runs merged),
+    /// and the lists it empties, so partitions under heavy churn shed
+    /// stale references without waiting for the whole-table rebuild.
     fn sweep_dead(&mut self, members: &[Member]) {
-        for list in [&mut self.lt, &mut self.le, &mut self.gt, &mut self.ge, &mut self.eq] {
+        for (_, list) in &mut self.by_op {
             list.retain_vals(|m| !members[m as usize].dead);
         }
+        self.by_op.retain(|(_, list)| !list.is_empty());
+    }
+
+    /// Releases growth slack: the operator slots and every list's runs
+    /// and directory keep exactly what they hold.
+    fn shrink_to_fit(&mut self) {
+        self.by_op.shrink_to_fit();
+        self.by_op.iter_mut().for_each(|(_, list)| list.shrink_to_fit());
     }
 
     /// Hands `bump` every `(threshold, member)` reference whose predicate
@@ -387,16 +369,19 @@ impl OpLists {
     /// directory to the satisfied range, then walk only that range's runs
     /// in key order.
     fn bump_satisfied(&self, v: f64, mut bump: impl FnMut(&[(f64, u32)])) {
-        // `attr > t` holds for thresholds t < v: an ascending prefix.
-        self.gt.for_prefix(|t| t < v, &mut bump);
-        // `attr >= t` holds for t <= v.
-        self.ge.for_prefix(|t| t <= v, &mut bump);
-        // `attr < t` holds for t > v: an ascending suffix.
-        self.lt.for_suffix(|t| t > v, &mut bump);
-        // `attr <= t` holds for t >= v.
-        self.le.for_suffix(|t| t >= v, &mut bump);
-        // `attr = t` holds for the equal range.
-        self.eq.for_eq(|t| t < v, |t| t <= v, bump);
+        for (op, list) in &self.by_op {
+            // `attr > t` holds for thresholds t < v, an ascending prefix
+            // (`>=` for t <= v); `<` and `<=` hold on a suffix, `=` on the
+            // equal range.
+            match op {
+                CmpOp::Gt => list.for_prefix(|t| t < v, &mut bump),
+                CmpOp::Ge => list.for_prefix(|t| t <= v, &mut bump),
+                CmpOp::Lt => list.for_suffix(|t| t > v, &mut bump),
+                CmpOp::Le => list.for_suffix(|t| t >= v, &mut bump),
+                CmpOp::Eq => list.for_eq(|t| t < v, |t| t <= v, &mut bump),
+                CmpOp::Ne => unreachable!("Ne is never indexable"),
+            }
+        }
     }
 
     /// Hands `bump` every reference a coverer of a probe with `bounds` on
@@ -404,22 +389,30 @@ impl OpLists {
     /// suffix of weaker upper bounds, the equal range of each distinct
     /// point constraint — so no reference is handed over twice.
     fn bump_coverers(&self, bounds: &CoverBounds, mut bump: impl FnMut(&[(f64, u32)])) {
-        if let Some(u) = bounds.lower_max.map(norm) {
-            for list in [&self.gt, &self.ge] {
-                list.for_prefix(|t| t.total_cmp(&u).is_le(), &mut bump);
+        let (lower, upper) = (bounds.lower_max.map(norm), bounds.upper_min.map(norm));
+        for (op, list) in &self.by_op {
+            match (op, lower, upper) {
+                (CmpOp::Gt | CmpOp::Ge, Some(u), _) => {
+                    list.for_prefix(|t| t.total_cmp(&u).is_le(), &mut bump)
+                }
+                (CmpOp::Lt | CmpOp::Le, _, Some(l)) => {
+                    list.for_suffix(|t| t.total_cmp(&l).is_ge(), &mut bump)
+                }
+                (CmpOp::Eq, ..) => {
+                    for (j, &v) in bounds.eq_values.iter().enumerate() {
+                        if bounds.eq_values[..j].contains(&v) {
+                            continue; // a repeated point constraint: one walk
+                        }
+                        let v = norm(v);
+                        list.for_eq(
+                            |t| t.total_cmp(&v).is_lt(),
+                            |t| t.total_cmp(&v).is_le(),
+                            &mut bump,
+                        );
+                    }
+                }
+                _ => {}
             }
-        }
-        if let Some(l) = bounds.upper_min.map(norm) {
-            for list in [&self.lt, &self.le] {
-                list.for_suffix(|t| t.total_cmp(&l).is_ge(), &mut bump);
-            }
-        }
-        for (j, &v) in bounds.eq_values.iter().enumerate() {
-            if bounds.eq_values[..j].contains(&v) {
-                continue; // a repeated point constraint: one walk
-            }
-            let v = norm(v);
-            self.eq.for_eq(|t| t.total_cmp(&v).is_lt(), |t| t.total_cmp(&v).is_le(), &mut bump);
         }
     }
 
@@ -428,21 +421,22 @@ impl OpLists {
     /// constraint inside its range.
     fn bump_implying(&self, op: CmpOp, t: f64, mut bump: impl FnMut(&[(f64, u32)])) {
         let t = norm(t);
-        match op {
-            CmpOp::Gt | CmpOp::Ge => {
-                for list in [&self.gt, &self.ge, &self.eq] {
-                    list.for_suffix(|x| x.total_cmp(&t).is_ge(), &mut bump);
+        let (at_or_above, at_or_below) =
+            (|x: f64| x.total_cmp(&t).is_ge(), |x: f64| x.total_cmp(&t).is_le());
+        for (held, list) in &self.by_op {
+            match (op, held) {
+                (CmpOp::Gt | CmpOp::Ge, CmpOp::Gt | CmpOp::Ge | CmpOp::Eq) => {
+                    list.for_suffix(at_or_above, &mut bump)
                 }
-            }
-            CmpOp::Lt | CmpOp::Le => {
-                for list in [&self.lt, &self.le, &self.eq] {
-                    list.for_prefix(|x| x.total_cmp(&t).is_le(), &mut bump);
+                (CmpOp::Lt | CmpOp::Le, CmpOp::Lt | CmpOp::Le | CmpOp::Eq) => {
+                    list.for_prefix(at_or_below, &mut bump)
                 }
+                (CmpOp::Eq, CmpOp::Eq) => {
+                    list.for_eq(|x| x.total_cmp(&t).is_lt(), at_or_below, &mut bump)
+                }
+                (CmpOp::Ne, _) => unreachable!("Ne is never indexable"),
+                _ => {}
             }
-            CmpOp::Eq => {
-                self.eq.for_eq(|x| x.total_cmp(&t).is_lt(), |x| x.total_cmp(&t).is_le(), bump)
-            }
-            CmpOp::Ne => unreachable!("Ne is never indexable"),
         }
     }
 }
@@ -489,21 +483,14 @@ fn norm(t: f64) -> f64 {
 pub struct InstalledSub {
     sub: Subscription,
     /// `(indexable comparisons, residual predicates)` per stream, in
-    /// `sub.streams` order.
-    skeleton: Vec<(Vec<IndexableCmp>, Arc<[CompiledPredicate]>)>,
+    /// `sub.streams` order; an empty list allocates nothing.
+    skeleton: Box<[(Box<[IndexableCmp]>, Residual)]>,
 }
 
 impl InstalledSub {
-    /// Splits every stream of `sub` once.
+    /// Compiles and splits every stream of `sub` once.
     pub fn new(sub: Subscription) -> Arc<Self> {
-        let skeleton = sub
-            .streams
-            .iter()
-            .map(|(&s, req)| {
-                let (indexable, residual) = req.split_for_index(s);
-                (indexable, residual.into())
-            })
-            .collect();
+        let skeleton = sub.streams.iter().map(|(&s, req)| req.split_for_index(s)).collect();
         Arc::new(Self { sub, skeleton })
     }
 
@@ -515,8 +502,7 @@ impl InstalledSub {
     /// Each stream with its request and precomputed split.
     fn streams(
         &self,
-    ) -> impl Iterator<Item = (Symbol, &StreamRequest, &[IndexableCmp], &Arc<[CompiledPredicate]>)>
-    {
+    ) -> impl Iterator<Item = (Symbol, &StreamRequest, &[IndexableCmp], &Residual)> {
         self.sub.streams.iter().zip(&self.skeleton).map(|((&s, req), (i, r))| (s, req, &i[..], r))
     }
 }
@@ -941,9 +927,11 @@ pub(crate) fn match_run(
         out.clear();
         for &(_, m) in candidates.iter() {
             let member = &members[m as usize];
-            work.residual_evals += u64::from(!member.residual.is_empty());
-            if !eval_compiled(&member.residual, msg) {
-                continue;
+            if let Some(residual) = &member.residual {
+                work.residual_evals += 1;
+                if !eval_compiled(residual, msg) {
+                    continue;
+                }
             }
             match member.action {
                 MemberAction::Local { sub, class } => {
@@ -1112,7 +1100,8 @@ impl RoutingTable {
 
     /// Releases growth slack: the entry and partition arenas, the stream
     /// and owner maps and each partition's member, always-candidate and
-    /// hop lists keep exactly what they hold (a list of one goes inline).
+    /// hop lists, operand map and threshold lists keep exactly what they
+    /// hold (a list of one goes inline).
     pub(crate) fn shrink_to_fit(&mut self) {
         self.entries.shrink_to_fit();
         self.parts.shrink_to_fit();
@@ -1121,6 +1110,8 @@ impl RoutingTable {
         for index in &mut self.parts {
             index.part.members.shrink_to_fit();
             index.part.zero_target.shrink_to_fit();
+            index.part.lists.shrink_to_fit();
+            index.part.lists.values_mut().for_each(OpLists::shrink_to_fit);
             index.hops.shrink_to_fit();
         }
     }
@@ -1201,7 +1192,7 @@ impl RoutingTable {
                 seq,
                 target,
                 zero_slot,
-                residual: Arc::clone(residual),
+                residual: residual.clone(),
                 dead: false,
                 action,
             });
@@ -1434,6 +1425,7 @@ impl RoutingTable {
 mod tests {
     use super::*;
     use cosmos_query::{AttrRef, Predicate, Scalar};
+    use proptest::prelude::*;
 
     fn cmp(stream: &str, attr: &str, op: CmpOp, v: Scalar) -> Predicate {
         Predicate::Cmp { attr: AttrRef::new(stream, attr), op, value: v }
@@ -1861,7 +1853,10 @@ mod tests {
             table.ins(sub(i, vec![cmp("R", "a", CmpOp::Gt, Scalar::Int(i as i64))]), None);
         }
         let a = IndexOperand::Attr("a".into());
-        let gt_len = |table: &RoutingTable| part_r(table).part.lists.get(&a).map(|l| l.gt.len());
+        let gt_len = |table: &RoutingTable| {
+            let lists = &part_r(table).part.lists.get(&a)?.by_op;
+            lists.iter().find(|(op, _)| *op == CmpOp::Gt).map(|(_, list)| list.len())
+        };
         assert_eq!(gt_len(&table), Some(40));
         // Tombstone one at a time: the dead flags keep the stale threshold
         // references inert, and once tombstones reach half the table (at
@@ -2195,6 +2190,85 @@ mod tests {
         match table.ins_covering(nan, hop) {
             ForwardInsert::Inserted { dropped } => assert!(dropped.is_empty()),
             other => panic!("a NaN probe covers no one, got {other:?}"),
+        }
+    }
+
+    /// A drawn constant: an int, a float (a signed zero and NaN among
+    /// them) or a string, from pools small enough that comparisons tie.
+    fn drawn_scalar(kind: u32, v: i64) -> Scalar {
+        match kind {
+            0 => Scalar::Int(v),
+            1 => Scalar::Float(match v {
+                -3 => f64::NAN,
+                0 => -0.0,
+                _ => v as f64 / 2.0,
+            }),
+            _ => Scalar::Str(["a", "b", "c", "d", "e", "f", "g"][(v + 3) as usize].into()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Three verdicts on every (subscription, message) pair agree: the
+        /// request's own [`Subscription::matches`] over the AST it keeps,
+        /// the installed form's (counting over the indexable thresholds,
+        /// then the compiled residual — before and after the table is
+        /// trimmed), and `cosmos_query`'s `eval_predicate` over the AST.
+        /// Conjunctions draw `< <= > >= = !=` over an int, a float and a
+        /// string attribute, the timestamp operand and an attribute no
+        /// message carries, against constants of every kind; messages
+        /// leave attributes out.
+        #[test]
+        fn matches_agrees_with_the_installed_form_and_the_ast(
+            conjunctions in proptest::collection::vec(
+                proptest::collection::vec((0usize..5, 0usize..6, 0u32..3, -3i64..4), 0..4),
+                1..7,
+            ),
+            messages in proptest::collection::vec(
+                (proptest::collection::vec((-3i64..4, 0u32..4), 3..4), -3i64..4),
+                1..10,
+            ),
+        ) {
+            let names = ["i", "f", "s", "timestamp", "m"];
+            let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+            let subs: Vec<Subscription> = (0u64..)
+                .zip(&conjunctions)
+                .map(|(id, conj)| {
+                    let filters = conj.iter().map(|&(a, op, kind, v)| {
+                        cmp("R", names[a], ops[op], drawn_scalar(kind, v))
+                    });
+                    sub(id, filters.collect())
+                })
+                .collect();
+            let mut table = RoutingTable::new();
+            for s in &subs {
+                table.ins(s.clone(), None);
+            }
+            let r = Symbol::intern("R");
+            for trimmed in [false, true] {
+                if trimmed {
+                    table.shrink_to_fit();
+                }
+                for (attrs, ts) in &messages {
+                    // Attribute `j` holds values of kind `j`; a draw of 0
+                    // leaves it out.
+                    let msg = (0u32..).zip(attrs).filter(|(_, &(_, present))| present > 0).fold(
+                        Message::new("R", *ts),
+                        |m, (j, &(v, _))| m.with(names[j as usize], drawn_scalar(j, v)),
+                    );
+                    let own: Vec<SubId> =
+                        subs.iter().filter(|s| s.matches(&msg)).map(|s| s.id).collect();
+                    prop_assert_eq!(local_matches(&mut table, &msg), own.clone(), "{msg}");
+                    for s in &subs {
+                        let reference = s.streams[&r]
+                            .filters()
+                            .iter()
+                            .all(|p| cosmos_query::predicate::eval_predicate(p, &msg) == Some(true));
+                        prop_assert_eq!(own.contains(&s.id), reference, "{} on {msg}", s.id);
+                    }
+                }
+            }
         }
     }
 }

@@ -15,12 +15,11 @@
 //! which the broker reads off the upstream node's routing table.
 
 use cosmos_net::NodeId;
-use cosmos_query::compiled::{eval_compiled, CompiledPredicate, IndexableCmp};
+use cosmos_query::compiled::{eval_ast_all, CompiledPredicate, IndexableCmp};
 use cosmos_query::predicate::implies;
 use cosmos_query::{Predicate, Scalar};
 use cosmos_util::intern::{Schema, Symbol};
 use cosmos_util::{PlanCache, VecMap};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -42,18 +41,25 @@ impl fmt::Display for SubId {
 pub enum StreamProjection {
     /// All attributes (`S2.*`).
     All,
-    /// A specific attribute set.
-    Attrs(BTreeSet<Symbol>),
+    /// A specific attribute set: ascending, without repeats, in one shared
+    /// block ([`StreamProjection::attrs`] builds it). A subscription names
+    /// one to three attributes, so membership is a binary search and
+    /// inclusion a merge walk.
+    Attrs(Arc<[Symbol]>),
 }
 
 impl StreamProjection {
-    /// Builds an attribute-set projection from names (interned).
+    /// Builds an attribute-set projection from names (interned) in any
+    /// order, repeats allowed.
     pub fn attrs<I, S>(names: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<Symbol>,
     {
-        StreamProjection::Attrs(names.into_iter().map(Into::into).collect())
+        let mut names: Vec<Symbol> = names.into_iter().map(Into::into).collect();
+        names.sort_unstable();
+        names.dedup();
+        StreamProjection::Attrs(names.into())
     }
 
     /// Does this projection retain every attribute `other` retains?
@@ -61,58 +67,68 @@ impl StreamProjection {
         match (self, other) {
             (StreamProjection::All, _) => true,
             (StreamProjection::Attrs(_), StreamProjection::All) => false,
-            (StreamProjection::Attrs(a), StreamProjection::Attrs(b)) => b.is_subset(a),
+            (StreamProjection::Attrs(a), StreamProjection::Attrs(b)) => {
+                // Both ascend: each of `b`'s attributes is found past the last.
+                let mut a_iter = a.iter();
+                b.len() <= a.len() && b.iter().all(|x| a_iter.any(|y| y == x))
+            }
         }
     }
 
-    /// The union of two projections.
+    /// The union of two projections: one of them, shared, when it covers
+    /// the other.
     pub fn union(&self, other: &StreamProjection) -> StreamProjection {
         match (self, other) {
-            (StreamProjection::All, _) | (_, StreamProjection::All) => StreamProjection::All,
+            _ if self.covers(other) => self.clone(),
+            _ if other.covers(self) => other.clone(),
             (StreamProjection::Attrs(a), StreamProjection::Attrs(b)) => {
-                StreamProjection::Attrs(a.union(b).cloned().collect())
+                StreamProjection::attrs(a.iter().chain(b.iter()).copied())
             }
+            _ => unreachable!("`All` covers every projection"),
         }
     }
 }
 
-/// Per-stream request: projection plus conjunctive filters.
+/// Per-stream request: projection plus conjunctive filters, each held
+/// once and at exact size.
 ///
-/// Filters are kept in AST form (covering/merging reason about them
-/// symbolically) *and* symbol-compiled once at construction, so matching a
-/// message never resolves a name. The *needs* projection (see
-/// [`StreamRequest::needs`]) is derived state too; every field is private
-/// so neither can go stale — filters are replaced only by subscription
-/// merging, which re-derives both.
+/// Filters are kept in AST form only: covering reasons about them
+/// symbolically, and a message is matched against them by symbol
+/// ([`eval_ast_all`]) — no name resolution, no compiled twin. The routing
+/// index compiles them once per installation
+/// ([`StreamRequest::split_for_index`]). The *needs* projection (see
+/// [`StreamRequest::needs`]) is derived state; every field is private so
+/// it cannot go stale.
 #[derive(Debug, Clone)]
 pub struct StreamRequest {
     /// Attributes to keep.
     projection: StreamProjection,
     /// Conjunctive filters over this stream's attributes. Predicates use
-    /// the stream name as the relation qualifier. Private so the compiled
-    /// form below can never go stale; read via [`StreamRequest::filters`].
-    filters: Vec<Predicate>,
-    /// The same filters, symbol-compiled (kept in sync by constructors).
-    compiled: Vec<CompiledPredicate>,
-    /// `projection` plus every attribute a filter reads (kept in sync by
-    /// constructors): covering confirmation and hop-union upkeep read it
-    /// at every hop, so it is interned and allocated once.
+    /// the stream name as the relation qualifier.
+    filters: Box<[Predicate]>,
+    /// `projection` plus every attribute a filter reads (derived by the
+    /// constructor): covering confirmation and hop-union upkeep read it at
+    /// every hop, so it is interned and allocated once — and not at all
+    /// when the filters read nothing outside the projection.
     needs: StreamProjection,
 }
 
+// One per requested stream of every subscription: 112 bytes while the
+// filters had a compiled twin and each attribute set was a B-tree.
+const _: () = assert!(std::mem::size_of::<StreamRequest>() <= 48);
+
 impl PartialEq for StreamRequest {
     fn eq(&self, other: &Self) -> bool {
-        // `compiled` and `needs` are derived state.
+        // `needs` is derived state.
         self.projection == other.projection && self.filters == other.filters
     }
 }
 
 impl StreamRequest {
-    /// Builds a request, compiling `filters`.
+    /// Builds a request, deriving its needs.
     pub fn new(projection: StreamProjection, filters: Vec<Predicate>) -> Self {
-        let compiled = CompiledPredicate::compile_all(&filters);
         let needs = needs_of(&projection, &filters);
-        Self { projection, filters, compiled, needs }
+        Self { projection, filters: filters.into_boxed_slice(), needs }
     }
 
     /// Attributes to keep.
@@ -143,43 +159,39 @@ impl StreamRequest {
             .all(|f_general| other.filters.iter().any(|f_specific| implies(f_specific, f_general)))
     }
 
-    /// Splits the compiled filter conjunction for a counting index over
-    /// `stream`: the indexable constant comparisons (as thresholds) and the
-    /// residual predicates that must still be evaluated per message (string
-    /// equality, `!=`, join/time-delta forms, foreign relations). A message
-    /// satisfies this request iff every indexable comparison *and* every
-    /// residual predicate holds.
-    pub fn split_for_index(&self, stream: Symbol) -> (Vec<IndexableCmp>, Vec<CompiledPredicate>) {
-        let mut indexable = Vec::new();
-        let mut residual = Vec::new();
-        for p in &self.compiled {
+    /// Compiles the filter conjunction and splits it for a counting index
+    /// over `stream`, each part at exact size: the indexable constant
+    /// comparisons (as thresholds) and the residual predicates that must
+    /// still be evaluated per message (string equality, `!=`,
+    /// join/time-delta forms, foreign relations), `None` when there are
+    /// none. A message satisfies this request iff every indexable
+    /// comparison *and* every residual predicate holds.
+    pub fn split_for_index(&self, stream: Symbol) -> (Box<[IndexableCmp]>, Residual) {
+        let (mut indexable, mut residual) = (Vec::new(), Vec::new());
+        for p in self.filters.iter().map(CompiledPredicate::compile) {
             match p.indexable_for(stream) {
                 Some(cmp) => indexable.push(cmp),
-                None => residual.push(p.clone()),
+                None => residual.push(p),
             }
         }
-        (indexable, residual)
+        (indexable.into(), (!residual.is_empty()).then(|| residual.into()))
     }
 }
 
+/// The compiled predicates of a request that a counting index cannot
+/// hold ([`StreamRequest::split_for_index`]); `None` allocates nothing.
+pub type Residual = Option<Arc<[CompiledPredicate]>>;
+
 /// `projection` widened by every attribute `filters` read (a time delta
-/// reads timestamps, which every record carries).
+/// reads timestamps, which every record carries) — `projection` itself,
+/// shared, when they read nothing else.
 fn needs_of(projection: &StreamProjection, filters: &[Predicate]) -> StreamProjection {
-    let filter_attrs: BTreeSet<Symbol> = filters
-        .iter()
-        .flat_map(|f| match f {
-            Predicate::Cmp { attr, .. } => [Some(attr), None],
-            Predicate::JoinCmp { left, right, .. } => [Some(left), Some(right)],
-            Predicate::TimeDelta { .. } => [None, None],
-        })
-        .flatten()
-        .map(|attr| attr.attr)
-        .collect();
-    if filter_attrs.is_empty() {
-        projection.clone()
-    } else {
-        projection.union(&StreamProjection::Attrs(filter_attrs))
-    }
+    let read = filters.iter().flat_map(|f| match f {
+        Predicate::Cmp { attr, .. } => [Some(attr.attr), None],
+        Predicate::JoinCmp { left, right, .. } => [Some(left.attr), Some(right.attr)],
+        Predicate::TimeDelta { .. } => [None, None],
+    });
+    projection.union(&StreamProjection::attrs(read.flatten()))
 }
 
 /// A subscription's per-stream requests, ascending by stream symbol: one
@@ -293,12 +305,12 @@ impl Subscription {
     }
 
     /// Does `msg` match this subscription (stream requested + all filters
-    /// pass)? Filter evaluation is symbol-compiled — no name resolution
-    /// per message.
+    /// pass)? Filters are evaluated by symbol ([`eval_ast_all`]): no name
+    /// resolution, no compiling and no allocation per message.
     pub fn matches(&self, msg: &Message) -> bool {
         match self.streams.get(&msg.stream) {
             None => false,
-            Some(req) => eval_compiled(&req.compiled, msg),
+            Some(req) => eval_ast_all(&req.filters, msg),
         }
     }
 
@@ -306,26 +318,17 @@ impl Subscription {
     ///
     /// Returns `None` if the message does not match.
     pub fn project(&self, msg: &Message) -> Option<Message> {
-        let req = self.streams.get(&msg.stream)?;
-        if !eval_compiled(&req.compiled, msg) {
-            return None;
-        }
-        Some(self.project_matched(req, msg))
+        self.matches(msg).then(|| self.project_unchecked(msg)).flatten()
     }
 
     /// Projects a message already known to match (the broker's local
     /// delivery path checks `matches` during table scanning; this skips
     /// the redundant second filter evaluation).
     pub fn project_unchecked(&self, msg: &Message) -> Option<Message> {
-        let req = self.streams.get(&msg.stream)?;
-        Some(self.project_matched(req, msg))
-    }
-
-    fn project_matched(&self, req: &StreamRequest, msg: &Message) -> Message {
-        match &req.projection {
+        Some(match &self.streams.get(&msg.stream)?.projection {
             StreamProjection::All => msg.clone(),
             StreamProjection::Attrs(keep) => msg.retaining(keep),
-        }
+        })
     }
 }
 
@@ -344,8 +347,7 @@ impl SubscriptionBuilder {
         self
     }
 
-    /// Adds a stream request (name interned and filters symbol-compiled
-    /// here, once).
+    /// Adds a stream request (name interned here, once).
     pub fn stream(
         mut self,
         name: impl Into<Symbol>,
@@ -442,7 +444,7 @@ impl CachedProjection {
     pub(crate) fn kept(&mut self, input: &Schema) -> Option<&RetainPlan> {
         let StreamProjection::Attrs(keep) = &self.proj else { return None };
         let id = input.id();
-        let build = || RetainPlan::new(input, |i| keep.contains(&input.attrs()[i]));
+        let build = || RetainPlan::new(input, |i| keep.binary_search(&input.attrs()[i]).is_ok());
         Some(self.plans.get_or_insert_with(|sid| *sid == id, || id, build))
     }
 

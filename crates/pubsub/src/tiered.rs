@@ -204,6 +204,13 @@ impl TieredList {
         }
     }
 
+    /// Releases growth slack: the runs and directory keep what they hold.
+    pub fn shrink_to_fit(&mut self) {
+        self.runs.iter_mut().for_each(Vec::shrink_to_fit);
+        self.runs.shrink_to_fit();
+        self.mins.shrink_to_fit();
+    }
+
     /// Per-run tombstone sweep: retains the entries `keep` accepts, in
     /// place, run by run; emptied runs are dropped and adjacent underfull
     /// survivors merged (never past the split steady state, so a sweep

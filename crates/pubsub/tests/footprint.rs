@@ -84,8 +84,11 @@ fn entries(net: &BrokerNetwork) -> usize {
 /// 4 000 filterless subscriptions, one fresh stream each, host → proxy
 /// over the `sensor-join` overlay: what `subscribe_batch` adds to the heap
 /// — tables, ledgers, installed forms — per routing-table entry. It reads
-/// 273 B: a partition's lone member, always-candidate slot and hop group
-/// live in its slot, and the batch leaves its tables exact-size (401 B
+/// 268 B: a partition's lone member, always-candidate slot and hop group
+/// live in its slot, the batch leaves its tables exact-size, and an
+/// installed form allocates nothing for an empty residual list (273 B
+/// while each form kept an empty residual block and a growth-slack
+/// skeleton, 401 B
 /// while each of the three was a one-element heap block and the tables
 /// kept their doubling slack, 447 B while every owner of an entry kept a vector of its entry
 /// slots, 495 B while each of the 23 879 hop groups carried its own
@@ -111,13 +114,16 @@ fn result_stream_plane_costs_entries_not_streams() {
     assert_eq!(entries, 27_879, "the fixture itself moved");
     let per_entry = held / entries;
     eprintln!("result-stream plane: {held} B over {entries} entries = {per_entry} B/entry");
-    assert!(per_entry <= 300, "{per_entry} B per table entry, over the 300 B budget");
+    assert!(per_entry <= 280, "{per_entry} B per table entry, over the 280 B budget");
 }
 
 /// What one subscription of the 12 000-strong `filter-fanout` population
 /// holds on the heap, built afresh: its request body (one block: a 16 B
-/// refcount header and the `(stream, request)` pair), its filters and
-/// projections, and its 32 B slot in the population's vector — 421 B.
+/// refcount header and the `(stream, request)` pair), its filters (once,
+/// as the AST) and its attribute sets (sorted slices, the needs sharing
+/// the projection's block when the filters read nothing else), and its
+/// 32 B slot in the population's vector — 201 B. It read 421 B while a
+/// request kept a compiled twin of its filters and B-tree attribute sets.
 /// Before a body was shared a subscription held 413 B (a 40 B slot, no
 /// header), and a clone as many again; 544 B before the query AST held
 /// interned names. Commit 9812ce6 spent a 1 288-byte `BTreeMap` leaf on
@@ -126,8 +132,8 @@ fn result_stream_plane_costs_entries_not_streams() {
 fn a_subscription_holds_its_requests_not_a_tree_node() {
     /// Bytes per subscription of this same measurement at commit 9812ce6.
     const PARENT_BYTES_PER_SUB: usize = 1_712;
-    /// An unshared subscription, plus one refcount header.
-    const UNSHARED_BYTES_PER_SUB: usize = 413 + 16;
+    /// A subscription as it reads today (201 B), plus 8 B of headroom.
+    const UNSHARED_BYTES_PER_SUB: usize = 209;
     let (_net, subs) = fixtures::covering_rich_install(12_000);
     let rebuild = |sub: &Subscription| {
         let builder = Subscription::builder(sub.subscriber).id(sub.id);
@@ -147,7 +153,7 @@ fn a_subscription_holds_its_requests_not_a_tree_node() {
     );
     assert!(
         per_sub <= UNSHARED_BYTES_PER_SUB,
-        "{per_sub} B per subscription is over {UNSHARED_BYTES_PER_SUB}: a body takes a second block"
+        "{per_sub} B per subscription is over {UNSHARED_BYTES_PER_SUB}: a request holds something twice"
     );
 }
 
@@ -169,7 +175,10 @@ fn cloning_a_population_copies_only_its_vector() {
 /// The covering-rich population installed the way `filter-fanout`
 /// installs it: the caller keeps its subscriptions and the network gets a
 /// clone. What the install adds to the heap per routing entry — tables,
-/// installed forms, ledgers — reads 400 B: 470 B while partitions kept
+/// installed forms, ledgers — reads 331 B: 400 B while every operand kept
+/// five threshold lists whatever operators its members used, the batch
+/// left those lists' growth slack and each installed form allocated an
+/// empty residual list, 470 B while partitions kept
 /// their lone members and hop groups on the heap and the batch left its
 /// tables' growth slack, 722 B while each clone was a
 /// deep copy of its requests, 562 B while every owner of a table entry
@@ -177,7 +186,7 @@ fn cloning_a_population_copies_only_its_vector() {
 /// a B-tree. The budget fails with any one of the four back.
 #[test]
 fn covering_rich_install_shares_the_callers_requests() {
-    const BUDGET: usize = 430;
+    const BUDGET: usize = 350;
     let (mut net, subs) = fixtures::covering_rich_install(12_000);
     let before = live();
     net.subscribe_batch(subs.clone());

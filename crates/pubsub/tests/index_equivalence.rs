@@ -32,10 +32,11 @@ use cosmos_pubsub::index::{CoverStats, ForwardInsert, InstalledSub, RoutingTable
 use cosmos_pubsub::subscription::{Message, StreamProjection, SubId, Subscription};
 use cosmos_query::{AttrRef, CmpOp, Predicate, Scalar};
 use cosmos_util::rng::rng_for;
+use cosmos_util::Symbol;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 const STREAMS: [&str; 3] = ["A", "B", "C"];
 const ATTRS: [&str; 3] = ["a", "b", "c"];
@@ -1223,7 +1224,7 @@ fn link_bytes_are_what_the_matching_subscribers_below_need() {
                     for hop in tree.path_to(sub.subscriber).unwrap_or_default().windows(2) {
                         let union = needed
                             .entry((hop[0].min(hop[1]), hop[0].max(hop[1])))
-                            .or_insert_with(|| StreamProjection::Attrs(BTreeSet::new()));
+                            .or_insert_with(|| StreamProjection::attrs(Vec::<Symbol>::new()));
                         *union = union.union(needs);
                     }
                 }

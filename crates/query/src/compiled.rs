@@ -8,10 +8,12 @@
 //! source for values by symbol — integer compares against the tuple's
 //! schema, no `Scalar` clones (values flow as borrowed [`ScalarRef`]s).
 //!
-//! The engine (`cosmos-engine`) and the broker (`cosmos-pubsub`) both
-//! compile their filters through this module; the `AttrSource` evaluator
-//! remains for AST-level tooling (containment, implication) and as the
-//! semantic reference the compiled path is tested against.
+//! The engine (`cosmos-engine`) and the broker's routing index
+//! (`cosmos-pubsub`) both compile their filters through this module;
+//! [`eval_ast`] gives the compiled verdict straight from the AST, for
+//! holders that keep only the AST. The `AttrSource` evaluator remains for
+//! AST-level tooling (containment, implication) and as the semantic
+//! reference the compiled path is tested against.
 
 use crate::ast::{AttrRef, CmpOp, Predicate, Scalar};
 use cosmos_util::intern::{sym_timestamp, Symbol};
@@ -205,6 +207,36 @@ pub fn eval_compiled<S: SymSource>(preds: &[CompiledPredicate], src: &S) -> bool
     preds.iter().all(|p| p.eval(src).unwrap_or(false))
 }
 
+/// Evaluates an AST predicate against a symbol-addressed source: the
+/// verdict [`CompiledPredicate::eval`] gives for its compiled form, with
+/// the `timestamp` pseudo-attribute folded on the way. Nothing is built
+/// or cloned, so whoever holds only the AST (a broker subscription)
+/// evaluates it per message without keeping a compiled twin.
+#[inline]
+pub fn eval_ast<S: SymSource>(p: &Predicate, src: &S) -> Option<bool> {
+    match p {
+        Predicate::Cmp { attr, op, value } => {
+            compare_ref(*op, Operand::compile(attr).resolve(src)?, value.into())
+        }
+        Predicate::JoinCmp { left, op, right } => compare_ref(
+            *op,
+            Operand::compile(left).resolve(src)?,
+            Operand::compile(right).resolve(src)?,
+        ),
+        Predicate::TimeDelta { left, right, min_ms, max_ms } => {
+            let delta = src.timestamp(*left)? - src.timestamp(*right)?;
+            Some(*min_ms <= delta && delta <= *max_ms)
+        }
+    }
+}
+
+/// Evaluates an AST conjunction ([`eval_ast`]); missing values make it
+/// false.
+#[inline]
+pub fn eval_ast_all<S: SymSource>(preds: &[Predicate], src: &S) -> bool {
+    preds.iter().all(|p| eval_ast(p, src).unwrap_or(false))
+}
+
 /// The left-hand side of an indexable comparison: a stored attribute or
 /// the event-time pseudo-attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -347,18 +379,17 @@ mod tests {
         ]
     }
 
-    /// The compiled evaluator must agree with the `AttrSource` reference on
-    /// every (predicate, source) pair, including `None` (missing attrs).
+    /// The compiled evaluator and the symbol-addressed AST evaluator must
+    /// agree with the `AttrSource` reference on every (predicate, source)
+    /// pair, including `None` (missing attrs).
     #[test]
     fn compiled_matches_reference_semantics() {
         for p in predicates() {
             let c = CompiledPredicate::compile(&p);
             for (i, src) in sources().iter().enumerate() {
-                assert_eq!(
-                    c.eval(src),
-                    eval_predicate(&p, src),
-                    "compiled vs reference diverged on predicate {p} source {i}"
-                );
+                let reference = eval_predicate(&p, src);
+                assert_eq!(c.eval(src), reference, "compiled diverged on {p} source {i}");
+                assert_eq!(eval_ast(&p, src), reference, "AST diverged on {p} source {i}");
             }
         }
     }

@@ -35,7 +35,6 @@ use crate::ast::{AttrRef, Scalar};
 use crate::compiled::{ScalarRef, SymSource};
 use crate::predicate::AttrSource;
 use cosmos_util::intern::{sym_timestamp, Schema, Symbol};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -193,19 +192,20 @@ impl Record {
         self.payload.is_empty()
     }
 
-    /// The record restricted to the attributes in `keep` — the broker's
-    /// early-projection step, uncached: the projected schema is filtered
-    /// and interned per call (so it is the one interned schema of its
-    /// shape). The broker's hot paths cache that plan on the route entry
-    /// that owns the projection instead (`CachedProjection` in
-    /// `cosmos-pubsub`).
-    pub fn retaining(&self, keep: &BTreeSet<Symbol>) -> Record {
-        let attrs: Vec<Symbol> =
-            self.schema().attrs().iter().copied().filter(|a| keep.contains(a)).collect();
+    /// The record restricted to the attributes in `keep`, a sorted slice
+    /// (binary-searched) — the broker's early-projection step, uncached:
+    /// the projected schema is filtered and interned per call (so it is
+    /// the one interned schema of its shape). The broker's hot paths cache
+    /// that plan on the route entry that owns the projection instead
+    /// (`CachedProjection` in `cosmos-pubsub`).
+    pub fn retaining(&self, keep: &[Symbol]) -> Record {
+        debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "`keep` must be sorted and unique");
+        let kept = |a: &Symbol| keep.binary_search(a).is_ok();
+        let attrs: Vec<Symbol> = self.schema().attrs().iter().copied().filter(kept).collect();
         let schema = Schema::intern(&attrs);
         Record::build(self.stream, self.timestamp, schema, |buf| {
             for (a, v) in self.iter() {
-                if keep.contains(&a) {
+                if kept(&a) {
                     buf.push(v.clone());
                 }
             }
@@ -313,9 +313,8 @@ mod tests {
 
     #[test]
     fn retaining_projects_and_recomputes_size() {
-        let keep: BTreeSet<Symbol> = [Symbol::intern("a")].into();
         let r = Record::new("R", 9).with("a", Scalar::Int(1)).with("b", Scalar::Int(2));
-        let p = r.retaining(&keep);
+        let p = r.retaining(&[Symbol::intern("a")]);
         assert_eq!(p.len(), 1);
         assert_eq!(p.get("a"), Some(&Scalar::Int(1)));
         assert_eq!(p.timestamp, 9);

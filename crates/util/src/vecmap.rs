@@ -106,6 +106,11 @@ impl<K: Ord, V> VecMap<K, V> {
         self.pairs.iter_mut().map(|(_, v)| v)
     }
 
+    /// Releases growth slack: the map keeps room for exactly its pairs.
+    pub fn shrink_to_fit(&mut self) {
+        self.pairs.shrink_to_fit();
+    }
+
     /// The pairs, in ascending key order.
     pub fn into_pairs(self) -> Vec<(K, V)> {
         self.pairs
